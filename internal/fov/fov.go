@@ -143,17 +143,53 @@ func (f FoV) Covers(c Camera, q geo.Point) bool {
 // uses so that a query range partially seen by a camera still matches.
 func (f FoV) CoversCircle(c Camera, q geo.Point, radiusMeters float64) bool {
 	v := geo.Displacement(f.P, q)
-	d := v.Norm()
+	return f.CircleCoverage(c, v, v.Norm(), radiusMeters) == Covered
+}
+
+// Coverage is the outcome of the circle-coverage test as a code: what a
+// filter loop counts per candidate without building a diagnosis.
+type Coverage uint8
+
+const (
+	// Covered: the sector intersects the circle.
+	Covered Coverage = iota
+	// TooFar: the camera stands beyond R + r (MissDistance).
+	TooFar
+	// FacingAway: near enough, wrong direction (MissOrientation).
+	FacingAway
+	// NumCoverage sizes a per-outcome counter array.
+	NumCoverage
+)
+
+// Reason returns the miss reason ExplainCoversCircle reports for the
+// outcome ("" for Covered).
+func (c Coverage) Reason() string {
+	switch c {
+	case TooFar:
+		return MissDistance
+	case FacingAway:
+		return MissOrientation
+	}
+	return ""
+}
+
+// CircleCoverage is the CoversCircle test on a displacement the caller
+// already has: v = geo.Displacement(f.P, q) and d = v.Norm(), which the
+// ranker computes once per candidate for its distance key.
+func (f FoV) CircleCoverage(c Camera, v geo.Vec, d, radiusMeters float64) Coverage {
 	if d > c.RadiusMeters+radiusMeters {
-		return false
+		return TooFar
 	}
 	if d <= radiusMeters {
-		return true // camera stands inside the query circle
+		return Covered // camera stands inside the query circle
 	}
 	// Angular slack: the circle subtends asin(r/d) on each side of its
 	// center bearing.
 	slack := math.Asin(math.Min(1, radiusMeters/d)) * 180 / math.Pi
-	return geo.AngleDiff(v.Bearing(), f.Theta) <= c.HalfAngleDeg+slack
+	if geo.AngleDiff(v.Bearing(), f.Theta) <= c.HalfAngleDeg+slack {
+		return Covered
+	}
+	return FacingAway
 }
 
 // Coverage-miss reasons reported by ExplainCoversCircle.
@@ -180,7 +216,7 @@ type CoverageMiss struct {
 
 // ExplainCoversCircle is CoversCircle with a diagnosis: it reports the
 // same boolean, plus — when coverage fails — which test failed and by
-// how much. The decision logic must stay in lockstep with CoversCircle
+// how much. The decision logic must stay in lockstep with CircleCoverage
 // (a property test enforces their agreement); the two are separate so
 // the hot path keeps its minimal form.
 func (f FoV) ExplainCoversCircle(c Camera, q geo.Point, radiusMeters float64) (bool, CoverageMiss) {

@@ -132,6 +132,11 @@ func TestQuickExplainAgreesWithCoversCircle(t *testing.T) {
 		if covered != explained {
 			return false
 		}
+		// The code the filter counts by names the same reason.
+		v := geo.Displacement(cam.P, q)
+		if cam.CircleCoverage(testCam, v, v.Norm(), r).Reason() != miss.Reason {
+			return false
+		}
 		if covered {
 			return miss == CoverageMiss{}
 		}

@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -30,6 +31,7 @@ type concReadIndex interface {
 	InsertBatch([]Entry) error
 	Remove(uint64) bool
 	Search(geo.Rect, int64, int64) []Entry
+	SearchRefs([]*Entry, geo.Rect, int64, int64) ([]*Entry, int64, int64)
 	ReadEpoch() uint64
 	CheckInvariants() error
 }
@@ -261,6 +263,107 @@ func TestConcurrentSnapshotReadsDuringRemoval(t *testing.T) {
 			}
 			if got := idx.Search(full, tlo, thi); len(got) != 0 {
 				t.Fatalf("final read sees %d entries after removing all", len(got))
+			}
+			if err := idx.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// What a reader may hold: references from SearchRefs stay valid, and
+// unchanged, however far the writer has moved on. Readers keep the
+// reference sets of several earlier reads next to by-value copies taken
+// at read time and compare them again later, while a saturating writer
+// inserts batches and removes half of each — splits, condensation and
+// reinsertion all over the nodes those references point into. A write
+// into a published node shows as a changed value here, as a data race
+// under -race, and as a panic under -tags fovrdebug.
+func TestConcurrentRefsNeverChange(t *testing.T) {
+	full := geo.RectAround(city, 30_000)
+	const tlo, thi = -(1 << 40), 1 << 40
+	const rounds, held = 60, 4
+	for name, idx := range concIndexes(t) {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(987))
+			const preload = 400 // the first reads already hold references
+			seedBatch := make([]Entry, preload)
+			for i := range seedBatch {
+				seedBatch[i] = diffEntry(rng, uint64(i+1))
+			}
+			if err := idx.InsertBatch(seedBatch); err != nil {
+				t.Fatal(err)
+			}
+
+			var wg sync.WaitGroup
+			stop := make(chan struct{})
+			errs := make(chan error, 8)
+
+			wg.Add(1)
+			go func() { // saturating writer: runs until every reader is done
+				defer wg.Done()
+				for nextID := uint64(preload + 1); ; {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					batch := make([]Entry, concBatchSize)
+					for i := range batch {
+						batch[i] = diffEntry(rng, nextID)
+						nextID++
+					}
+					if err := idx.InsertBatch(batch); err != nil {
+						errs <- err
+						return
+					}
+					for _, e := range batch[:concBatchSize/2] {
+						if !idx.Remove(e.ID) {
+							errs <- fmt.Errorf("writer: live id %d not removed", e.ID)
+							return
+						}
+					}
+				}
+			}()
+
+			var readers sync.WaitGroup
+			for r := 0; r < 4; r++ {
+				readers.Add(1)
+				go func(r int) {
+					defer readers.Done()
+					type observed struct {
+						refs   []*Entry
+						copies []Entry
+					}
+					var ring [held]observed
+					for i := 0; i < rounds; i++ {
+						// Let the writer publish between reads (unless it failed).
+						for e := idx.ReadEpoch(); i > 0 && idx.ReadEpoch() == e && len(errs) == 0; {
+							runtime.Gosched()
+						}
+						refs, _, _ := idx.SearchRefs(nil, full, tlo, thi)
+						copies := make([]Entry, len(refs))
+						for j, e := range refs {
+							copies[j] = *e
+						}
+						ring[i%held] = observed{refs, copies}
+						for _, o := range ring {
+							for j, e := range o.refs {
+								if *e != o.copies[j] {
+									errs <- fmt.Errorf("reader %d: entry %d changed under a held reference: %+v -> %+v", r, o.copies[j].ID, o.copies[j], *e)
+									return
+								}
+							}
+						}
+					}
+				}(r)
+			}
+			readers.Wait()
+			close(stop)
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
 			}
 			if err := idx.CheckInvariants(); err != nil {
 				t.Fatal(err)

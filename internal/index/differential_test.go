@@ -24,9 +24,14 @@ import (
 // with a duration distribution crafted for a 60 s shard window: mostly
 // in-window segments, a tail of over-long ones that must take the
 // spatial-fallback path, and occasional zero-length and pre-epoch
-// segments.
+// segments. One entry in six stands on one of four shared spots.
 func diffEntry(rng *rand.Rand, id uint64) Entry {
 	p := geo.Offset(city, rng.Float64()*360, rng.Float64()*5000)
+	if rng.Intn(6) == 0 {
+		// Co-located cameras (wire fixed-point rounding makes them real):
+		// equal distances, so every implementation must rank them by id.
+		p = geo.Offset(city, float64(rng.Intn(4))*90, 1000)
+	}
 	start := int64(rng.Intn(86_400_000))
 	if rng.Intn(20) == 0 {
 		start = -start // pre-epoch capture
@@ -135,9 +140,9 @@ func TestDifferentialIndexEquivalence(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			maxDist = 200 + rng.Float64()*2000
 		}
-		var keep func(Entry) bool
+		var keep func(*Entry) bool
 		if rng.Intn(3) == 0 {
-			keep = func(e Entry) bool { return e.ID%3 != 0 }
+			keep = func(e *Entry) bool { return e.ID%3 != 0 }
 		}
 		var want []string
 		for _, im := range impls {

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"context"
 	"testing"
 
 	"fovr/internal/geo"
@@ -111,7 +110,7 @@ func FuzzShardedSearch(f *testing.F) {
 		if sh.Len() != lin.Len() {
 			t.Fatalf("Len: sharded %d, linear %d", sh.Len(), lin.Len())
 		}
-		a := ids(sh.SearchCtx(context.Background(), q, ts, te))
+		a := ids(sh.Search(q, ts, te))
 		b := ids(lin.Search(q, ts, te))
 		if len(a) != len(b) {
 			t.Fatalf("query %+v [%d,%d]: sharded %d hits %v, linear %d hits %v",

@@ -1,13 +1,11 @@
 package index
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sync"
 
 	"fovr/internal/geo"
-	"fovr/internal/obs"
 )
 
 // Grid is the third classic indexing alternative alongside the R-tree and
@@ -95,14 +93,12 @@ func (g *Grid) Search(r geo.Rect, startMillis, endMillis int64) []Entry {
 	return out
 }
 
-// SearchCtx implements ContextSearcher: occupied cells visited map to a
-// trace's nodes-visited, entries tested to entries-scanned.
-func (g *Grid) SearchCtx(ctx context.Context, r geo.Rect, startMillis, endMillis int64) []Entry {
+// SearchRefs implements Index over a private copy of the hits (cells are
+// mutated in place): occupied cells visited count as nodes, entries
+// tested as scanned.
+func (g *Grid) SearchRefs(dst []*Entry, r geo.Rect, startMillis, endMillis int64) ([]*Entry, int64, int64) {
 	out, cells, scanned := g.searchCounted(r, startMillis, endMillis)
-	if tr := obs.TraceFrom(ctx); tr != nil {
-		tr.AddIndexVisit(cells, scanned)
-	}
-	return out
+	return refsInto(dst, out), cells, scanned
 }
 
 func (g *Grid) searchCounted(r geo.Rect, startMillis, endMillis int64) (out []Entry, cellsVisited, entriesScanned int64) {

@@ -17,7 +17,6 @@
 package index
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -65,8 +64,9 @@ func (e Entry) Validate() error {
 }
 
 // EffectiveCamera returns the entry's own camera, or fallback when the
-// entry carries none.
-func (e Entry) EffectiveCamera(fallback fov.Camera) fov.Camera {
+// entry carries none. Pointer receiver: the filter calls it once per
+// candidate on a reference into the index.
+func (e *Entry) EffectiveCamera(fallback fov.Camera) fov.Camera {
 	if e.Camera != (fov.Camera{}) {
 		return e.Camera
 	}
@@ -80,21 +80,43 @@ type Index interface {
 	// Remove deletes the entry with the given id, reporting whether it
 	// was present.
 	Remove(id uint64) bool
-	// Search returns every entry whose position lies in r and whose
-	// segment interval intersects [startMillis, endMillis]. Order is
-	// unspecified; the ranker sorts.
+	// SearchRefs is the read traversal: it appends to dst a reference to
+	// every entry whose position lies in r and whose segment interval
+	// intersects [startMillis, endMillis], and reports what the traversal
+	// cost (index nodes visited, stored entries tested). Order is
+	// unspecified; the ranker sorts. The references address memory no
+	// writer will ever touch again — a published snapshot's leaves, a
+	// cache's result slice, or a private copy — so they stay valid, and
+	// unchanged, for as long as the caller holds them; the caller must
+	// not write through them.
+	SearchRefs(dst []*Entry, r geo.Rect, startMillis, endMillis int64) (refs []*Entry, nodes, scanned int64)
+	// Search is the collecting form of SearchRefs: a fresh copy of every
+	// matching entry.
 	Search(r geo.Rect, startMillis, endMillis int64) []Entry
 	// Len returns the number of stored entries.
 	Len() int
 }
 
-// ContextSearcher is the optional Index extension the query-tracing
-// layer uses: a search that can report its traversal cost (nodes
-// visited, entries scanned) into the obs.QueryTrace carried by ctx.
-// With no trace in ctx it must behave exactly like Search. All indexes
-// in this package implement it.
-type ContextSearcher interface {
-	SearchCtx(ctx context.Context, r geo.Rect, startMillis, endMillis int64) []Entry
+// entriesOf copies the referenced entries out: Search over SearchRefs.
+func entriesOf(refs []*Entry) []Entry {
+	if len(refs) == 0 {
+		return nil
+	}
+	out := make([]Entry, len(refs))
+	for i, e := range refs {
+		out[i] = *e
+	}
+	return out
+}
+
+// refsInto appends a reference to every element of hits, a slice the
+// caller owns and nobody will write again. The indexes that mutate
+// their storage in place (Linear, Grid) answer SearchRefs this way.
+func refsInto(dst []*Entry, hits []Entry) []*Entry {
+	for i := range hits {
+		dst = append(dst, &hits[i])
+	}
+	return dst
 }
 
 // BatchInserter is the Index extension the upload path uses: adding a
@@ -110,17 +132,16 @@ type BatchInserter interface {
 // and which pass keep, nearest first (see RTree.Nearest for the exact
 // metric).
 type NearestSearcher interface {
-	Nearest(center geo.Point, startMillis, endMillis int64, k int, maxDistanceMeters float64, keep func(Entry) bool) []Neighbor
+	Nearest(center geo.Point, startMillis, endMillis int64, k int, maxDistanceMeters float64, keep func(*Entry) bool) []Neighbor
 }
 
 // ServerIndex is the full contract the cloud server needs from its
-// index: the core Index operations plus traced search, batch ingest,
+// index: the core Index operations plus batch ingest,
 // nearest-neighbour ranking, snapshotting, and the diagnostics exposed
 // at /metrics. RTree and Sharded both implement it, which is what lets
 // the server swap implementations behind one flag.
 type ServerIndex interface {
 	Index
-	ContextSearcher
 	BatchInserter
 	NearestSearcher
 	// Entries returns a copy of every stored entry (snapshot input).
@@ -301,15 +322,16 @@ func (x *RTree) insertBatchLocked(entries []Entry, rects []rtree.Rect) error {
 	return nil
 }
 
-// searchSnapCounted is the snapshot-side search primitive: one
-// index-space box lookup against a published snapshot, returning the
-// hits plus the traversal cost. No locks are taken.
-func searchSnapCounted(s *rtree.Snapshot[Entry], q rtree.Rect) (out []Entry, nodes, leafs int64) {
-	nodes, leafs = s.SearchCounted(q, func(_ rtree.Rect, e Entry) bool {
-		out = append(out, e)
+// searchSnapRefs is the snapshot-side search primitive: one index-space
+// box lookup against a published snapshot, appending a reference to
+// each hit where it lies in the snapshot's frozen leaves, plus the
+// traversal cost. No locks are taken and no entry is copied.
+func searchSnapRefs(dst []*Entry, s *rtree.Snapshot[Entry], q rtree.Rect) (refs []*Entry, nodes, leafs int64) {
+	nodes, leafs = s.SearchRefs(q, func(_ *rtree.Rect, e *Entry) bool {
+		dst = append(dst, e)
 		return true
 	})
-	return out, nodes, leafs
+	return dst, nodes, leafs
 }
 
 // ReadEpoch returns the epoch of the snapshot readers currently see. It
@@ -354,35 +376,27 @@ func (x *RTree) removeLocked(id uint64) bool {
 	return true
 }
 
-// Search implements Index. It reads the published snapshot and takes no
-// locks.
+// SearchRefs implements Index. It reads the published snapshot and
+// takes no locks; the references point into that snapshot's leaves.
+func (x *RTree) SearchRefs(dst []*Entry, r geo.Rect, startMillis, endMillis int64) ([]*Entry, int64, int64) {
+	return searchSnapRefs(dst, x.tree.Snapshot(), queryRect(r, startMillis, endMillis))
+}
+
+// Search implements Index.
 func (x *RTree) Search(r geo.Rect, startMillis, endMillis int64) []Entry {
-	return x.tree.Snapshot().SearchAll(queryRect(r, startMillis, endMillis))
+	refs, _, _ := x.SearchRefs(nil, r, startMillis, endMillis)
+	return entriesOf(refs)
 }
 
-// SearchCtx implements ContextSearcher: when ctx carries a query trace,
-// the R-tree's per-call traversal counters (nodes visited, leaf entries
-// scanned) are recorded into it. Lock-free, like Search.
-func (x *RTree) SearchCtx(ctx context.Context, r geo.Rect, startMillis, endMillis int64) []Entry {
-	tr := obs.TraceFrom(ctx)
-	if tr == nil {
-		return x.Search(r, startMillis, endMillis)
-	}
-	out, nodes, leafs := searchSnapCounted(x.tree.Snapshot(), queryRect(r, startMillis, endMillis))
-	tr.AddIndexVisit(nodes, leafs)
-	return out
-}
-
-// searchForCache runs one box search against the current snapshot and
-// returns, besides the hits and traversal cost, a validity probe: it
-// reports true for as long as a reader would still get the same answer
-// (the snapshot has not been superseded). The read cache stores results
-// under this probe.
-func (x *RTree) searchForCache(r geo.Rect, startMillis, endMillis int64) (out []Entry, nodes, leafs int64, valid func() bool) {
+// searchForCache is SearchRefs returning, besides the hits and traversal
+// cost, a validity probe: it reports true for as long as a reader would
+// still get the same answer (the snapshot has not been superseded). The
+// read cache stores results under this probe.
+func (x *RTree) searchForCache(dst []*Entry, r geo.Rect, startMillis, endMillis int64) (refs []*Entry, nodes, leafs int64, valid func() bool) {
 	s := x.tree.Snapshot()
-	out, nodes, leafs = searchSnapCounted(s, queryRect(r, startMillis, endMillis))
+	refs, nodes, leafs = searchSnapRefs(dst, s, queryRect(r, startMillis, endMillis))
 	epoch := s.Epoch()
-	return out, nodes, leafs, func() bool {
+	return refs, nodes, leafs, func() bool {
 		return x.tree.Snapshot().Epoch() == epoch
 	}
 }
@@ -503,15 +517,13 @@ func (x *Linear) Search(r geo.Rect, startMillis, endMillis int64) []Entry {
 	return out
 }
 
-// SearchCtx implements ContextSearcher. A linear index has no tree
-// nodes; every stored entry is one scanned entry, which is exactly the
-// cost a trace should show for the baseline.
-func (x *Linear) SearchCtx(ctx context.Context, r geo.Rect, startMillis, endMillis int64) []Entry {
-	out := x.Search(r, startMillis, endMillis)
-	if tr := obs.TraceFrom(ctx); tr != nil {
-		tr.AddIndexVisit(0, int64(x.Len()))
-	}
-	return out
+// SearchRefs implements Index over a private copy of the hits: the
+// oracle stays the plain collecting scan, independent of the reference
+// machinery it checks. A linear index has no tree nodes; every stored
+// entry is one scanned entry, which is exactly the cost a trace should
+// show for the baseline.
+func (x *Linear) SearchRefs(dst []*Entry, r geo.Rect, startMillis, endMillis int64) ([]*Entry, int64, int64) {
+	return refsInto(dst, x.Search(r, startMillis, endMillis)), 0, int64(x.Len())
 }
 
 // InsertBatch implements BatchInserter. All-or-nothing: a duplicate or
@@ -583,20 +595,38 @@ func nearestParams(center geo.Point, maxDistanceMeters float64) (p, w [rtree.Dim
 // the metric is locally correct. maxDistanceMeters > 0 bounds the search
 // radius (pass the camera's radius of view: farther entries cannot cover
 // the point anyway).
-func (x *RTree) Nearest(center geo.Point, startMillis, endMillis int64, k int, maxDistanceMeters float64, keep func(Entry) bool) []Neighbor {
+func (x *RTree) Nearest(center geo.Point, startMillis, endMillis int64, k int, maxDistanceMeters float64, keep func(*Entry) bool) []Neighbor {
 	return nearestSnap(x.tree.Snapshot(), center, startMillis, endMillis, k, maxDistanceMeters, keep)
 }
 
 // nearestSnap runs the weighted nearest-neighbour search against one
 // published snapshot — shared by RTree.Nearest and the sharded index's
 // per-view-shard fan-out so their metrics agree exactly.
-func nearestSnap(s *rtree.Snapshot[Entry], center geo.Point, startMillis, endMillis int64, k int, maxDistanceMeters float64, keep func(Entry) bool) []Neighbor {
+func nearestSnap(s *rtree.Snapshot[Entry], center geo.Point, startMillis, endMillis int64, k int, maxDistanceMeters float64, keep func(*Entry) bool) []Neighbor {
 	p, w, maxDist2 := nearestParams(center, maxDistanceMeters)
-	found := s.WeightedNearest(p, w, k, maxDist2, func(r rtree.Rect, e Entry) bool {
-		if e.Rep.EndMillis < startMillis || e.Rep.StartMillis > endMillis {
-			return false
-		}
-		return keep == nil || keep(e)
+	// Time carries no weight in the metric, so the window is handed to the
+	// tree as a pruning box: subtrees and entries outside it are never
+	// queued, instead of being expanded and then rejected one by one.
+	inf := math.Inf(1)
+	window := rtree.Rect{
+		Min: [rtree.Dims]float64{-inf, -inf, float64(startMillis)},
+		Max: [rtree.Dims]float64{inf, inf, float64(endMillis)},
+	}
+	found := s.WeightedNearest(p, k, rtree.NearestOptions[Entry]{
+		Weights:  w,
+		MaxDist2: maxDist2,
+		Within:   &window,
+		Keep: func(e *Entry) bool {
+			// The box compares in float64; the integer test keeps the
+			// answer exact where two distinct instants round together.
+			if e.Rep.EndMillis < startMillis || e.Rep.StartMillis > endMillis {
+				return false
+			}
+			return keep == nil || keep(e)
+		},
+		// Equal distances rank by ascending id, like the oracle and
+		// MergeNeighbors.
+		Before: func(a, b *Entry) bool { return a.ID < b.ID },
 	})
 	out := make([]Neighbor, len(found))
 	for i, n := range found {
@@ -612,7 +642,7 @@ func nearestSnap(s *rtree.Snapshot[Entry], center geo.Point, startMillis, endMil
 // differential tests rank the tree implementations against. It applies
 // exactly the weighted metric of RTree.Nearest and breaks distance ties
 // by ascending id.
-func (x *Linear) Nearest(center geo.Point, startMillis, endMillis int64, k int, maxDistanceMeters float64, keep func(Entry) bool) []Neighbor {
+func (x *Linear) Nearest(center geo.Point, startMillis, endMillis int64, k int, maxDistanceMeters float64, keep func(*Entry) bool) []Neighbor {
 	if k <= 0 {
 		return nil
 	}
@@ -623,7 +653,8 @@ func (x *Linear) Nearest(center geo.Point, startMillis, endMillis int64, k int, 
 	}
 	x.mu.RLock()
 	cands := make([]cand, 0, len(x.entries))
-	for _, e := range x.entries {
+	for i := range x.entries {
+		e := &x.entries[i] // stable while the read lock is held
 		if e.Rep.EndMillis < startMillis || e.Rep.StartMillis > endMillis {
 			continue
 		}
@@ -636,7 +667,7 @@ func (x *Linear) Nearest(center geo.Point, startMillis, endMillis int64, k int, 
 		if keep != nil && !keep(e) {
 			continue
 		}
-		cands = append(cands, cand{e, d2})
+		cands = append(cands, cand{*e, d2})
 	}
 	x.mu.RUnlock()
 	sort.Slice(cands, func(i, j int) bool {
@@ -660,9 +691,7 @@ func (x *Linear) Nearest(center geo.Point, startMillis, endMillis int64, k int, 
 var (
 	_ ServerIndex     = (*RTree)(nil)
 	_ Index           = (*Linear)(nil)
-	_ ContextSearcher = (*Linear)(nil)
 	_ BatchInserter   = (*Linear)(nil)
 	_ NearestSearcher = (*Linear)(nil)
 	_ Index           = (*Grid)(nil)
-	_ ContextSearcher = (*Grid)(nil)
 )

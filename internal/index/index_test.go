@@ -384,3 +384,37 @@ func TestGridImplementsIndexContract(t *testing.T) {
 		t.Fatalf("%d cells remain after removing everything", g.CellCount())
 	}
 }
+
+// TestNearestNarrowWindowIsBounded pins the unbounded-drain fix: with no
+// distance bound and fewer than k qualifying entries, a nearest search
+// used to expand the whole tree, because the zero-weight time axis was
+// only tested once an entry was popped. The window now prunes subtrees
+// before they are queued, so a one-minute question over a 24 h corpus
+// visits only the nodes whose time extent overlaps that minute (under a
+// third of this insertion-built tree; every node before).
+func TestNearestNarrowWindowIsBounded(t *testing.T) {
+	x := newRTree(t)
+	rng := rand.New(rand.NewSource(9))
+	batch := make([]Entry, 20_000)
+	for i := range batch {
+		batch[i] = randEntry(rng, uint64(i+1))
+	}
+	if err := x.InsertBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	const ts, te = 43_200_000, 43_260_000
+	before := x.TreeStats().NodeVisits
+	// k far above what one minute holds, and no distance bound.
+	got := x.Nearest(city, ts, te, 10_000, 0, nil)
+	visits := x.TreeStats().NodeVisits - before
+	want := NewLinear()
+	if err := want.InsertBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if oracle := want.Nearest(city, ts, te, 10_000, 0, nil); len(got) != len(oracle) || len(got) == 0 {
+		t.Fatalf("got %d neighbours, oracle %d", len(got), len(oracle))
+	}
+	if nodes := int64(x.NodeCount()); visits*3 > nodes {
+		t.Fatalf("narrow-window nearest visited %d of %d nodes; the window should prune most of the tree", visits, nodes)
+	}
+}

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -56,11 +55,11 @@ func (o ReadCacheOptions) withDefaults() ReadCacheOptions {
 }
 
 // snapshotSearcher is the package-internal contract an index must offer
-// to sit behind a ReadCache: a snapshot box search that also returns a
-// validity probe (true while a fresh search would still give the same
-// answer). RTree and Sharded implement it; Linear does not.
+// to sit behind a ReadCache: SearchRefs against a snapshot that also
+// returns a validity probe (true while a fresh search would still give
+// the same answer). RTree and Sharded implement it; Linear does not.
 type snapshotSearcher interface {
-	searchForCache(r geo.Rect, startMillis, endMillis int64) (out []Entry, nodes, leafs int64, valid func() bool)
+	searchForCache(dst []*Entry, r geo.Rect, startMillis, endMillis int64) (refs []*Entry, nodes, leafs int64, valid func() bool)
 	ReadEpoch() uint64
 }
 
@@ -79,8 +78,9 @@ type readCell struct {
 	lng int32
 }
 
-// cacheEntry is one cached result: the shared, read-only hit slice plus
-// the epoch-validity probe captured when it was computed.
+// cacheEntry is one cached result: the cache's own, never rewritten copy
+// of the hits — a hit hands out references into it — plus the
+// epoch-validity probe captured when it was computed.
 type cacheEntry struct {
 	res   []Entry
 	valid func() bool
@@ -99,9 +99,10 @@ type cacheEntry struct {
 // MinCellHits times before its results are stored, which keeps one-off
 // scans from churning the cache. Eviction is FIFO over a ring of keys.
 //
-// Results returned on a hit are shared slices: callers must treat them
-// as read-only, which the query pipeline (filter + copy into ranked
-// results) already does.
+// A hit hands out references into the cached slice, which is never
+// rewritten, so they obey the SearchRefs contract like references into a
+// snapshot. The cache keeps copies rather than snapshot references so a
+// long-lived cached answer does not pin the leaves of a superseded tree.
 type ReadCache struct {
 	inner ServerIndex
 	snap  snapshotSearcher
@@ -208,19 +209,20 @@ func (c *ReadCache) ReadEpoch() uint64 { return c.snap.ReadEpoch() }
 
 // Nearest passes through: nearest-neighbour results depend on k and the
 // distance bound, which makes them poor cache keys.
-func (c *ReadCache) Nearest(center geo.Point, startMillis, endMillis int64, k int, maxDistanceMeters float64, keep func(Entry) bool) []Neighbor {
+func (c *ReadCache) Nearest(center geo.Point, startMillis, endMillis int64, k int, maxDistanceMeters float64, keep func(*Entry) bool) []Neighbor {
 	return c.inner.Nearest(center, startMillis, endMillis, k, maxDistanceMeters, keep)
 }
 
 // Search implements Index through the cache.
 func (c *ReadCache) Search(r geo.Rect, startMillis, endMillis int64) []Entry {
-	return c.SearchCtx(context.Background(), r, startMillis, endMillis)
+	refs, _, _ := c.SearchRefs(nil, r, startMillis, endMillis)
+	return entriesOf(refs)
 }
 
-// SearchCtx implements ContextSearcher through the cache. The hit path
-// is allocation-free: load entry, probe validity, return the shared
-// slice.
-func (c *ReadCache) SearchCtx(ctx context.Context, r geo.Rect, startMillis, endMillis int64) []Entry {
+// SearchRefs implements Index through the cache. A hit costs no tree
+// traversal (it reports zero nodes and zero entries scanned) and no
+// entry copy: load the cached slice, probe validity, append references.
+func (c *ReadCache) SearchRefs(dst []*Entry, r geo.Rect, startMillis, endMillis int64) ([]*Entry, int64, int64) {
 	key := readKey{rect: r, start: startMillis, end: endMillis}
 	c.mu.RLock()
 	ent := c.m[key]
@@ -228,10 +230,7 @@ func (c *ReadCache) SearchCtx(ctx context.Context, r geo.Rect, startMillis, endM
 	if ent != nil {
 		if ent.valid() {
 			c.hits.Add(1)
-			if tr := obs.TraceFrom(ctx); tr != nil {
-				tr.AddIndexVisit(0, 0) // an index visit that cost nothing
-			}
-			return ent.res
+			return refsInto(dst, ent.res), 0, 0
 		}
 		c.invalidations.Add(1)
 		c.mu.Lock()
@@ -242,14 +241,12 @@ func (c *ReadCache) SearchCtx(ctx context.Context, r geo.Rect, startMillis, endM
 	} else {
 		c.misses.Add(1)
 	}
-	out, nodes, leafs, valid := c.snap.searchForCache(r, startMillis, endMillis)
-	if tr := obs.TraceFrom(ctx); tr != nil {
-		tr.AddIndexVisit(nodes, leafs)
-	}
+	base := len(dst)
+	refs, nodes, leafs, valid := c.snap.searchForCache(dst, r, startMillis, endMillis)
 	if c.admit(r) {
-		c.store(key, &cacheEntry{res: out, valid: valid})
+		c.store(key, &cacheEntry{res: entriesOf(refs[base:]), valid: valid})
 	}
-	return out
+	return refs, nodes, leafs
 }
 
 // admit offers the query's center cell to the hot-cell sketch and
@@ -301,7 +298,7 @@ func (c *ReadCache) CheckInvariants() error {
 		if !ent.valid() {
 			continue
 		}
-		fresh, _, _, _ := c.snap.searchForCache(k.rect, k.start, k.end)
+		fresh, _, _, _ := c.snap.searchForCache(nil, k.rect, k.start, k.end)
 		if len(fresh) != len(ent.res) {
 			return fmt.Errorf("index: readcache entry %+v claims valid but holds %d entries, fresh search finds %d", k, len(ent.res), len(fresh))
 		}

@@ -162,11 +162,11 @@ func TestReadCacheMetrics(t *testing.T) {
 	}
 }
 
-// The snapshot read path must not cost allocations beyond the raw
-// snapshot fan-out, and a cache hit must be allocation-free (the pin
-// allows one for headroom).
+// The reference read path allocates nothing once the caller's buffer is
+// large enough — on the plain tree, and on a cache hit, which hands out
+// references into the cached slice — and the collecting Search adds one
+// allocation: the exact-size copy.
 func TestSnapshotReadAllocs(t *testing.T) {
-	// Plain RTree: the public Search is exactly a snapshot search.
 	x := newRTree(t)
 	rng := rand.New(rand.NewSource(5))
 	for id := uint64(1); id <= 400; id++ {
@@ -176,25 +176,32 @@ func TestSnapshotReadAllocs(t *testing.T) {
 	}
 	q := geo.RectAround(city, 3000)
 	const ts, te = 0, 86_400_000
-	rq := queryRect(q, ts, te)
-	base := testing.AllocsPerRun(200, func() {
-		x.tree.Snapshot().SearchAll(rq)
-	})
-	got := testing.AllocsPerRun(200, func() {
-		x.Search(q, ts, te)
-	})
-	if got > base {
-		t.Fatalf("RTree.Search allocates %.1f/op, raw snapshot search %.1f/op", got, base)
+	buf := make([]*Entry, 0, 400)
+	if got := testing.AllocsPerRun(200, func() {
+		x.SearchRefs(buf[:0], q, ts, te)
+	}); got != 0 {
+		t.Fatalf("RTree.SearchRefs into a sized buffer allocates %.1f/op, want 0", got)
+	}
+	refs, _, _ := x.SearchRefs(nil, q, ts, te)
+	if len(refs) < 50 {
+		t.Fatalf("only %d hits: the pins below would not see a per-hit cost", len(refs))
 	}
 
-	// Cache hit: shared slice out, no per-query garbage.
 	rc, _ := cachedSharded(t, 400, ReadCacheOptions{})
 	rc.Search(q, ts, te) // miss + store
 	rc.Search(q, ts, te) // warm hit
-	hit := testing.AllocsPerRun(200, func() {
-		rc.Search(q, ts, te)
+	if got := testing.AllocsPerRun(200, func() {
+		rc.SearchRefs(buf[:0], q, ts, te)
+	}); got != 0 {
+		t.Fatalf("cache hit allocates %.1f/op, want 0", got)
+	}
+	// Growing a nil reference buffer is the only other cost of Search.
+	grow := testing.AllocsPerRun(200, func() {
+		rc.SearchRefs(nil, q, ts, te)
 	})
-	if hit > 1 {
-		t.Fatalf("cache hit allocates %.1f/op, want <= 1", hit)
+	if got := testing.AllocsPerRun(200, func() {
+		rc.Search(q, ts, te)
+	}); got > grow+1 {
+		t.Fatalf("cached Search allocates %.1f/op, reference form %.1f/op: want one more at most", got, grow)
 	}
 }

@@ -735,33 +735,31 @@ func (x *Sharded) fanOut(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// Search implements Index.
-func (x *Sharded) Search(r geo.Rect, startMillis, endMillis int64) []Entry {
-	return x.SearchCtx(context.Background(), r, startMillis, endMillis)
+// SearchRefs implements Index: the query resolves every overlapping
+// shard snapshot from ONE atomic view load (a consistent, epoch-pinned
+// cut — no shard lock is touched), fans out across them, and appends the
+// per-shard references in shard order, with the summed traversal cost.
+func (x *Sharded) SearchRefs(dst []*Entry, r geo.Rect, startMillis, endMillis int64) ([]*Entry, int64, int64) {
+	return x.searchView(dst, x.view.Load(), r, startMillis, endMillis)
 }
 
-// SearchCtx implements ContextSearcher: the query resolves every
-// overlapping shard snapshot from ONE atomic view load (a consistent,
-// epoch-pinned cut — no shard lock is touched), fans out across them,
-// merges per-shard results in shard order, and records the summed
-// traversal cost into the trace carried by ctx.
-func (x *Sharded) SearchCtx(ctx context.Context, r geo.Rect, startMillis, endMillis int64) []Entry {
-	out, nodes, leafs := x.searchView(ctx, x.view.Load(), r, startMillis, endMillis)
-	obs.TraceFrom(ctx).AddIndexVisit(nodes, leafs)
-	return out
+// Search implements Index.
+func (x *Sharded) Search(r geo.Rect, startMillis, endMillis int64) []Entry {
+	refs, _, _ := x.SearchRefs(nil, r, startMillis, endMillis)
+	return entriesOf(refs)
 }
 
 // searchView runs one box query against a pinned view.
-func (x *Sharded) searchView(ctx context.Context, v *shardView, r geo.Rect, startMillis, endMillis int64) (out []Entry, nodeSum, leafSum int64) {
+func (x *Sharded) searchView(dst []*Entry, v *shardView, r geo.Rect, startMillis, endMillis int64) (refs []*Entry, nodeSum, leafSum int64) {
 	shards := x.viewShardsFor(v, startMillis, endMillis)
 	if h := x.fanout.Load(); h != nil {
 		h.Observe(float64(len(shards)))
 	}
 	if len(shards) == 0 {
-		return nil, 0, 0
+		return dst, 0, 0
 	}
 	q := queryRect(r, startMillis, endMillis)
-	results := make([][]Entry, len(shards))
+	results := make([][]*Entry, len(shards))
 	nodes := make([]int64, len(shards))
 	leafs := make([]int64, len(shards))
 	// pprof.Do allocates, so per-shard labels are only applied while the
@@ -770,37 +768,29 @@ func (x *Sharded) searchView(ctx context.Context, v *shardView, r geo.Rect, star
 	labeled := obs.ProfilingEnabled()
 	x.fanOut(len(shards), func(i int) {
 		if labeled {
-			pprof.Do(ctx, pprof.Labels("shard", shards[i].label), func(context.Context) {
-				results[i], nodes[i], leafs[i] = searchSnapCounted(shards[i].snap, q)
+			pprof.Do(context.Background(), pprof.Labels("shard", shards[i].label), func(context.Context) {
+				results[i], nodes[i], leafs[i] = searchSnapRefs(nil, shards[i].snap, q)
 			})
 			return
 		}
-		results[i], nodes[i], leafs[i] = searchSnapCounted(shards[i].snap, q)
+		results[i], nodes[i], leafs[i] = searchSnapRefs(nil, shards[i].snap, q)
 	})
-	total := 0
-	for i := range results {
-		total += len(results[i])
+	for i, rs := range results {
+		dst = append(dst, rs...)
 		nodeSum += nodes[i]
 		leafSum += leafs[i]
 	}
-	if total == 0 {
-		return nil, nodeSum, leafSum
-	}
-	out = make([]Entry, 0, total)
-	for _, rs := range results {
-		out = append(out, rs...)
-	}
-	return out, nodeSum, leafSum
+	return dst, nodeSum, leafSum
 }
 
-// searchForCache runs one box search against the current view and
-// returns a validity probe for the read cache: it stays true while every
-// shard the query's window range resolves to (plus the spatial set) is
-// unchanged — cell-granular invalidation, so ingest into unrelated
-// windows does not evict cached answers.
-func (x *Sharded) searchForCache(r geo.Rect, startMillis, endMillis int64) (out []Entry, nodes, leafs int64, valid func() bool) {
+// searchForCache is SearchRefs against the current view plus a validity
+// probe for the read cache: it stays true while every shard the query's
+// window range resolves to (plus the spatial set) is unchanged —
+// cell-granular invalidation, so ingest into unrelated windows does not
+// evict cached answers.
+func (x *Sharded) searchForCache(dst []*Entry, r geo.Rect, startMillis, endMillis int64) (refs []*Entry, nodes, leafs int64, valid func() bool) {
 	v := x.view.Load()
-	out, nodes, leafs = x.searchView(context.Background(), v, r, startMillis, endMillis)
+	refs, nodes, leafs = x.searchView(dst, v, r, startMillis, endMillis)
 	lo, hi := x.windowRange(startMillis, endMillis)
 	valid = func() bool {
 		cur := x.view.Load()
@@ -809,7 +799,7 @@ func (x *Sharded) searchForCache(r geo.Rect, startMillis, endMillis int64) (out 
 		}
 		return viewRangeUnchanged(v, cur, lo, hi)
 	}
-	return out, nodes, leafs, valid
+	return refs, nodes, leafs, valid
 }
 
 // viewRangeUnchanged reports whether two views would answer a query over
@@ -846,7 +836,7 @@ func viewRangeUnchanged(a, b *shardView, lo, hi int64) bool {
 // each overlapping shard answers its own top-k, and the per-shard
 // results merge by the same weighted metric (longitude scaled by
 // cos(latitude), time as a pure filter) with ids breaking ties.
-func (x *Sharded) Nearest(center geo.Point, startMillis, endMillis int64, k int, maxDistanceMeters float64, keep func(Entry) bool) []Neighbor {
+func (x *Sharded) Nearest(center geo.Point, startMillis, endMillis int64, k int, maxDistanceMeters float64, keep func(*Entry) bool) []Neighbor {
 	if k <= 0 {
 		return nil
 	}

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -292,17 +291,14 @@ func TestShardedSearchTraceCost(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tr := obs.NewQueryTrace("test")
-	ctx := obs.WithTrace(context.Background(), tr)
-	hits := x.SearchCtx(ctx, geo.RectAround(city, 10_000), 0, 86_400_000)
+	hits, nodes, scanned := x.SearchRefs(nil, geo.RectAround(city, 10_000), 0, 86_400_000)
 	if len(hits) != 300 {
 		t.Fatalf("hits = %d", len(hits))
 	}
 	// The fan-out must report the summed traversal cost of every shard
 	// it visited: at minimum each returned entry was scanned in a leaf.
-	if tr.LeafEntriesScanned < 300 || tr.NodesVisited < int64(x.NumShards()) {
-		t.Fatalf("trace cost nodes=%d leafs=%d, shards=%d",
-			tr.NodesVisited, tr.LeafEntriesScanned, x.NumShards())
+	if scanned < 300 || nodes < int64(x.NumShards()) {
+		t.Fatalf("traversal cost nodes=%d leafs=%d, shards=%d", nodes, scanned, x.NumShards())
 	}
 }
 
@@ -407,8 +403,7 @@ func TestShardedConcurrentMutationStress(t *testing.T) {
 				center := geo.Offset(city, rng.Float64()*360, rng.Float64()*5000)
 				ts := int64(rng.Intn(86_400_000))
 				te := ts + int64(rng.Intn(3_600_000))
-				ctx := obs.WithTrace(context.Background(), obs.NewQueryTrace("stress"))
-				x.SearchCtx(ctx, geo.RectAround(center, 500), ts, te)
+				x.SearchRefs(nil, geo.RectAround(center, 500), ts, te)
 				x.Nearest(center, ts, te, 5, 1000, nil)
 				x.Len()
 				x.NumShards()

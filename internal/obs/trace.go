@@ -133,27 +133,48 @@ func (t *QueryTrace) SetCandidates(n int) {
 	t.Candidates = n
 }
 
-// Drop records one candidate excluded by the filter. Per-reason counts
-// always grow; per-candidate detail is kept for the first MaxDropDetails
-// drops only.
+// Drop records one candidate excluded by the filter: CountDrops for one,
+// plus DropDetail.
 func (t *QueryTrace) Drop(entryID uint64, reason string, angleDeg, limitDeg, distanceMeters float64) {
-	if t == nil {
+	t.CountDrops(reason, 1)
+	t.DropDetail(entryID, reason, angleDeg, limitDeg, distanceMeters)
+}
+
+// CountDrops adds n excluded candidates to the per-reason counts — the
+// form a filter loop that tallies reasons itself reports once at its
+// end. Zero is not recorded, so a reason only appears once it dropped
+// something.
+func (t *QueryTrace) CountDrops(reason string, n int) {
+	if t == nil || n == 0 {
 		return
 	}
 	if t.DropCounts == nil {
 		t.DropCounts = make(map[string]int, 2)
 	}
-	t.DropCounts[reason]++
-	t.DropsTotal++
-	if len(t.Drops) < MaxDropDetails {
-		t.Drops = append(t.Drops, TraceDrop{
-			EntryID:        entryID,
-			Reason:         reason,
-			AngleDeg:       angleDeg,
-			LimitDeg:       limitDeg,
-			DistanceMeters: distanceMeters,
-		})
+	t.DropCounts[reason] += n
+	t.DropsTotal += n
+}
+
+// WantsDropDetail reports whether DropDetail would still keep a record:
+// the trace exists and holds fewer than MaxDropDetails. Callers check it
+// before computing the diagnosis a detail record carries.
+func (t *QueryTrace) WantsDropDetail() bool {
+	return t != nil && len(t.Drops) < MaxDropDetails
+}
+
+// DropDetail keeps the per-candidate record of one drop, for the first
+// MaxDropDetails drops only. It does not count the drop.
+func (t *QueryTrace) DropDetail(entryID uint64, reason string, angleDeg, limitDeg, distanceMeters float64) {
+	if !t.WantsDropDetail() {
+		return
 	}
+	t.Drops = append(t.Drops, TraceDrop{
+		EntryID:        entryID,
+		Reason:         reason,
+		AngleDeg:       angleDeg,
+		LimitDeg:       limitDeg,
+		DistanceMeters: distanceMeters,
+	})
 }
 
 // SetRanked records how many candidates survived the filter.

@@ -21,11 +21,13 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"fovr/internal/fov"
 	"fovr/internal/geo"
 	"fovr/internal/index"
+	"fovr/internal/minheap"
 	"fovr/internal/obs"
 )
 
@@ -123,14 +125,78 @@ func Search(idx index.Index, q Query, opts Options) ([]Ranked, error) {
 	return SearchCtx(context.Background(), idx, q, opts)
 }
 
+// rankKey is one filter survivor as the ranker holds it: the paper's
+// ranking key (distance, with the id as the deterministic tie-break) and
+// a reference to the entry where the index keeps it. The entry is only
+// copied if the key makes the final top N.
+type rankKey struct {
+	dist float64
+	id   uint64
+	e    *index.Entry
+}
+
+// after reports whether a ranks strictly after b. It is the heap order:
+// the rank keys form a max-heap whose top is the worst key kept.
+func after(a, b *rankKey) bool {
+	if a.dist != b.dist {
+		return a.dist > b.dist
+	}
+	return a.id > b.id
+}
+
+// scratch is the per-query working memory: the candidate references the
+// index search appends to, and the rank keys. Both are dead once the
+// results are materialised, so they are pooled.
+type scratch struct {
+	refs []*index.Entry
+	keys []rankKey
+}
+
+// scratchCap bounds what goes back to the pool, in elements per buffer:
+// one huge question must not leave its buffers pinned behind every later
+// small one.
+const scratchCap = 1 << 16
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// release clears the references (a pooled buffer must not keep a
+// superseded snapshot's leaves alive) and returns the scratch to the pool
+// unless the question grew it past scratchCap.
+func (sc *scratch) release() {
+	if cap(sc.refs) > scratchCap || cap(sc.keys) > scratchCap {
+		return
+	}
+	clear(sc.refs)
+	clear(sc.keys)
+	sc.refs, sc.keys = sc.refs[:0], sc.keys[:0]
+	scratchPool.Put(sc)
+}
+
+// offer adds a survivor to the rank keys. With a result limit the keys
+// are a heap of at most limit entries, so a survivor that does not beat
+// the worst one kept costs one comparison; with no limit every key is
+// kept for the final sort.
+func (sc *scratch) offer(k rankKey, limit int) {
+	switch {
+	case limit <= 0:
+		sc.keys = append(sc.keys, k)
+	case len(sc.keys) < limit:
+		sc.keys = minheap.Push(sc.keys, k, after)
+	case after(&sc.keys[0], &k):
+		minheap.ReplaceTop(sc.keys, k, after)
+	}
+}
+
 // SearchCtx is Search threaded through context.Context: when ctx
 // carries an obs.QueryTrace (see obs.WithTrace), the pipeline records
-// into it the index traversal cost, every filter drop with its reason
-// and offending angle, the ranked/truncated counts, and per-stage
-// timings named after the paper's Section V-B steps ("search" — the
-// 3-D box lookup, "filter" — orientation coverage, "rank" — sort and
-// top-N cut). Without a trace the pipeline is byte-for-byte the
-// untraced hot path: zero additional allocations.
+// into it the index traversal cost, the filter drops per reason (and the
+// offending angle of the first obs.MaxDropDetails), the ranked/truncated
+// counts, and per-stage timings named after the paper's Section V-B
+// steps ("search" — the 3-D box lookup, "filter" — orientation coverage,
+// which also feeds the bounded top-N, "rank" — ordering and materialising
+// the N results). Traced and untraced requests run the same loop: a
+// candidate is read where the index keeps it and copied only if it is
+// returned.
 func SearchCtx(ctx context.Context, idx index.Index, q Query, opts Options) ([]Ranked, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -139,71 +205,68 @@ func SearchCtx(ctx context.Context, idx index.Index, q Query, opts Options) ([]R
 		return nil, err
 	}
 	tr := obs.TraceFrom(ctx)
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
 
 	// Step 1: query rectangle, padded by the radius of view so cameras
 	// outside the circle but able to see into it remain candidates.
 	rect := geo.RectAround(q.Center, q.RadiusMeters+opts.Camera.RadiusMeters)
-	var candidates []index.Entry
-	if tr == nil {
-		candidates = idx.Search(rect, q.StartMillis, q.EndMillis)
-	} else {
-		st := tr.StartStage("search")
-		if cs, ok := idx.(index.ContextSearcher); ok {
-			candidates = cs.SearchCtx(ctx, rect, q.StartMillis, q.EndMillis)
-		} else {
-			candidates = idx.Search(rect, q.StartMillis, q.EndMillis)
-		}
-		st.End()
-		tr.SetCandidates(len(candidates))
-	}
+	st := tr.StartStage("search")
+	refs, nodes, scanned := idx.SearchRefs(sc.refs, rect, q.StartMillis, q.EndMillis)
+	sc.refs = refs
+	st.End()
+	tr.AddIndexVisit(nodes, scanned)
+	tr.SetCandidates(len(refs))
 
-	// Steps 2+3: orientation filter, then rank by distance. Entries from
-	// devices that declared their own optics are filtered with them;
-	// opts.Camera is the deployment default (and must bound the largest
-	// allowed device radius, since it sizes the candidate rectangle).
-	out := make([]Ranked, 0, len(candidates))
-	if tr == nil {
-		for _, e := range candidates {
-			d := geo.Distance(e.Rep.FoV.P, q.Center)
-			if !opts.SkipOrientationFilter &&
-				!e.Rep.FoV.CoversCircle(e.EffectiveCamera(opts.Camera), q.Center, q.RadiusMeters) {
+	// Steps 2+3: orientation filter, ranking key. Entries from devices
+	// that declared their own optics are filtered with them; opts.Camera
+	// is the deployment default (and must bound the largest allowed device
+	// radius, since it sizes the candidate rectangle). One displacement
+	// per candidate serves both the distance and the coverage test.
+	st = tr.StartStage("filter")
+	var drops [fov.NumCoverage]int
+	ranked := 0
+	for _, e := range refs {
+		v := geo.Displacement(e.Rep.FoV.P, q.Center)
+		d := v.Norm()
+		if !opts.SkipOrientationFilter {
+			cam := e.EffectiveCamera(opts.Camera)
+			if c := e.Rep.FoV.CircleCoverage(cam, v, d, q.RadiusMeters); c != fov.Covered {
+				drops[c]++
+				if tr.WantsDropDetail() {
+					_, miss := e.Rep.FoV.ExplainCoversCircle(cam, q.Center, q.RadiusMeters)
+					tr.DropDetail(e.ID, miss.Reason, miss.AngleDeg, miss.LimitDeg, miss.DistanceMeters)
+				}
 				continue
 			}
-			out = append(out, Ranked{Entry: e, DistanceMeters: d})
 		}
-	} else {
-		st := tr.StartStage("filter")
-		for _, e := range candidates {
-			d := geo.Distance(e.Rep.FoV.P, q.Center)
-			if !opts.SkipOrientationFilter {
-				covered, miss := e.Rep.FoV.ExplainCoversCircle(e.EffectiveCamera(opts.Camera), q.Center, q.RadiusMeters)
-				if !covered {
-					tr.Drop(e.ID, miss.Reason, miss.AngleDeg, miss.LimitDeg, miss.DistanceMeters)
-					continue
-				}
-			}
-			out = append(out, Ranked{Entry: e, DistanceMeters: d})
-		}
-		st.End()
-		tr.SetRanked(len(out))
+		ranked++
+		sc.offer(rankKey{dist: d, id: e.ID, e: e}, opts.MaxResults)
 	}
+	st.End()
+	for c := fov.TooFar; c < fov.NumCoverage; c++ {
+		tr.CountDrops(c.Reason(), drops[c])
+	}
+	tr.SetRanked(ranked)
 
-	rankStage := tr.StartStage("rank")
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].DistanceMeters != out[j].DistanceMeters {
-			return out[i].DistanceMeters < out[j].DistanceMeters
+	// Step 4: the top N in rank order, the only entries copied.
+	st = tr.StartStage("rank")
+	keys := sc.keys
+	slices.SortFunc(keys, func(a, b rankKey) int {
+		switch {
+		case after(&a, &b):
+			return 1
+		case after(&b, &a):
+			return -1
 		}
-		return out[i].Entry.ID < out[j].Entry.ID // deterministic tie-break
+		return 0
 	})
-
-	// Step 4: top N.
-	truncated := 0
-	if opts.MaxResults > 0 && len(out) > opts.MaxResults {
-		truncated = len(out) - opts.MaxResults
-		out = out[:opts.MaxResults]
+	out := make([]Ranked, len(keys))
+	for i := range keys {
+		out[i] = Ranked{Entry: *keys[i].e, DistanceMeters: keys[i].dist}
 	}
-	rankStage.End()
-	tr.SetReturned(len(out), truncated)
+	st.End()
+	tr.SetReturned(len(out), ranked-len(out))
 	return out, nil
 }
 
@@ -231,7 +294,7 @@ func SearchNearest(idx index.NearestSearcher, center geo.Point, startMillis, end
 		k = 20
 	}
 	neighbors := idx.Nearest(center, startMillis, endMillis, k, opts.Camera.RadiusMeters,
-		func(e index.Entry) bool {
+		func(e *index.Entry) bool {
 			if opts.SkipOrientationFilter {
 				return true
 			}

@@ -2,7 +2,6 @@ package query
 
 import (
 	"context"
-	"sort"
 	"testing"
 
 	"fovr/internal/geo"
@@ -101,59 +100,5 @@ func TestTraceCountersAndStages(t *testing.T) {
 	}
 	if sum > total.Nanoseconds() {
 		t.Fatalf("stage sum %d exceeds total %d", sum, total.Nanoseconds())
-	}
-}
-
-// baselineSearch is the pre-tracing pipeline, inlined: rectangle lookup,
-// orientation filter, distance rank, top-N. The allocation test below
-// compares Search against it to prove threading the trace hooks through
-// the hot path added no allocations when tracing is off.
-func baselineSearch(idx index.Index, q Query, opts Options) []Ranked {
-	rect := geo.RectAround(q.Center, q.RadiusMeters+opts.Camera.RadiusMeters)
-	candidates := idx.Search(rect, q.StartMillis, q.EndMillis)
-	out := make([]Ranked, 0, len(candidates))
-	for _, e := range candidates {
-		d := geo.Distance(e.Rep.FoV.P, q.Center)
-		if !opts.SkipOrientationFilter &&
-			!e.Rep.FoV.CoversCircle(e.EffectiveCamera(opts.Camera), q.Center, q.RadiusMeters) {
-			continue
-		}
-		out = append(out, Ranked{Entry: e, DistanceMeters: d})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].DistanceMeters != out[j].DistanceMeters {
-			return out[i].DistanceMeters < out[j].DistanceMeters
-		}
-		return out[i].Entry.ID < out[j].Entry.ID
-	})
-	if opts.MaxResults > 0 && len(out) > opts.MaxResults {
-		out = out[:opts.MaxResults]
-	}
-	return out
-}
-
-// TestSearchZeroAllocWhenUntraced guards the tentpole's zero-cost
-// contract differentially: with no trace in the context, Search must
-// allocate exactly as much as the pipeline did before tracing existed.
-func TestSearchZeroAllocWhenUntraced(t *testing.T) {
-	entries := make([]index.Entry, 0, 128)
-	for i := 0; i < 128; i++ {
-		p := geo.Offset(center, float64(i*37%360), float64(i%11)*25)
-		entries = append(entries, entry(uint64(i+1), p, float64(i*53%360), 0, 1000))
-	}
-	idx := newIndex(t, entries...)
-	q := Query{StartMillis: 0, EndMillis: 1000, Center: center, RadiusMeters: 30}
-	opts := Options{Camera: cam, MaxResults: 5}
-
-	baseline := testing.AllocsPerRun(200, func() {
-		baselineSearch(idx, q, opts)
-	})
-	traced := testing.AllocsPerRun(200, func() {
-		if _, err := Search(idx, q, opts); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if traced > baseline {
-		t.Fatalf("Search allocates %.1f/op untraced, baseline pipeline %.1f/op — tracing must be free when off", traced, baseline)
 	}
 }

@@ -1,6 +1,6 @@
 package rtree
 
-import "container/heap"
+import "fovr/internal/minheap"
 
 // Neighbor is one nearest-neighbour result: the stored item plus its
 // squared distance from the query point.
@@ -10,28 +10,58 @@ type Neighbor[T any] struct {
 	Dist2 float64
 }
 
-// knnItem is a priority-queue element: either an unexpanded subtree or a
-// concrete leaf entry, ordered by the MinDist lower bound.
+// NearestOptions shape a WeightedNearest search beyond the point and k.
+type NearestOptions[T any] struct {
+	// Weights scale each dimension of the squared Euclidean metric; a
+	// weight of zero removes the dimension from the metric entirely.
+	Weights [Dims]float64
+	// MaxDist2 > 0 bounds the search: nothing farther is ever queued,
+	// which keeps filtered kNN from expanding the whole tree when fewer
+	// than k items qualify.
+	MaxDist2 float64
+	// Within, when non-nil, restricts the search to items whose rectangle
+	// intersects it, and subtrees that miss it are pruned before they are
+	// queued. It is how a zero-weight dimension (time, for the FoV index)
+	// still bounds the traversal instead of only filtering what it found.
+	Within *Rect
+	// Keep, when non-nil, rejects items without counting them toward k.
+	// It receives a pointer into the tree and must not write through it.
+	Keep func(*T) bool
+	// Before, when non-nil, orders items at equal distance (return true
+	// when a must be reported first); without it ties are arbitrary.
+	Before func(a, b *T) bool
+}
+
+// knnItem is a priority-queue element: an unexpanded subtree or a leaf
+// slot, ordered by the lower bound on its distance.
 type knnItem[T any] struct {
 	dist2 float64
-	node  *node[T] // non-nil: subtree to expand
-	rect  Rect
-	data  T
+	node  *node[T]  // non-nil: subtree to expand
+	ent   *entry[T] // non-nil: leaf slot, read in place
 }
 
-type knnQueue[T any] []knnItem[T]
-
-func (q knnQueue[T]) Len() int           { return len(q) }
-func (q knnQueue[T]) Less(i, j int) bool { return q[i].dist2 < q[j].dist2 }
-func (q knnQueue[T]) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *knnQueue[T]) Push(x any)        { *q = append(*q, x.(knnItem[T])) }
-func (q *knnQueue[T]) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+// knnLess orders the queue. Ties on dist2 pop subtrees before entries —
+// a subtree at distance d may still hold an item at d that must precede
+// an already queued one — and entries in before order.
+func knnLess[T any](before func(a, b *T) bool) func(a, b *knnItem[T]) bool {
+	return func(a, b *knnItem[T]) bool {
+		if a.dist2 != b.dist2 {
+			return a.dist2 < b.dist2
+		}
+		if a.node != nil || b.node != nil {
+			return a.node != nil && b.node == nil
+		}
+		return before != nil && before(&a.ent.data, &b.ent.data)
+	}
 }
+
+// knnHeapCap bounds the queue buffers the pool keeps: a search that grew
+// past it (a dense hotspot inside the bound) returns its buffer to the
+// collector instead.
+const knnHeapCap = 1 << 14
+
+// unitWeights makes the weighted metric the plain squared Euclidean one.
+var unitWeights = [Dims]float64{1, 1, 1}
 
 // Nearest returns up to k stored items closest to the query point in
 // index space (squared Euclidean distance over all dimensions), nearest
@@ -40,68 +70,31 @@ func (q *knnQueue[T]) Pop() any {
 // candidate, so the scan touches the minimal set of nodes.
 //
 // Callers whose dimensions have incomparable units (degrees vs seconds)
-// should scale their coordinates before indexing or use NearestFunc.
+// should scale their coordinates before indexing or use WeightedNearest.
 func (t *Tree[T]) Nearest(p [Dims]float64, k int) []Neighbor[T] {
 	return t.NearestFunc(p, k, nil)
 }
 
 // NearestFunc is Nearest with an optional filter; items rejected by the
 // filter are skipped without counting toward k.
-func (t *Tree[T]) NearestFunc(p [Dims]float64, k int, keep func(Rect, T) bool) []Neighbor[T] {
-	return nearestFunc(t.root, t.size, t.opts.MaxEntries, p, k, keep, &t.stats)
+func (t *Tree[T]) NearestFunc(p [Dims]float64, k int, keep func(*T) bool) []Neighbor[T] {
+	return t.WeightedNearest(p, k, NearestOptions[T]{Weights: unitWeights, Keep: keep})
 }
 
-func nearestFunc[T any](root *node[T], size, maxEntries int, p [Dims]float64, k int, keep func(Rect, T) bool, st *stats) []Neighbor[T] {
+// WeightedNearest is Nearest under the metric, bound, pruning box,
+// filter and tie order of o. The FoV index uses it to rank by geographic
+// distance while treating time as a pure filter, bounded at the radius
+// of view (beyond which coverage is impossible).
+func (t *Tree[T]) WeightedNearest(p [Dims]float64, k int, o NearestOptions[T]) []Neighbor[T] {
+	return weightedNearest(t.root, t.size, &t.stats, p, k, o)
+}
+
+func weightedNearest[T any](root *node[T], size int, st *stats, p [Dims]float64, k int, o NearestOptions[T]) []Neighbor[T] {
 	if k <= 0 || size == 0 {
 		return nil
 	}
-	q := make(knnQueue[T], 0, maxEntries*2)
-	heap.Push(&q, knnItem[T]{dist2: 0, node: root})
-	out := make([]Neighbor[T], 0, k)
-	var c searchCounters
-	for q.Len() > 0 && len(out) < k {
-		it := heap.Pop(&q).(knnItem[T])
-		if it.node == nil {
-			if keep == nil || keep(it.rect, it.data) {
-				out = append(out, Neighbor[T]{Rect: it.rect, Data: it.data, Dist2: it.dist2})
-			}
-			continue
-		}
-		c.nodes++
-		if it.node.leaf {
-			c.leafs += int64(len(it.node.entries))
-		}
-		for _, e := range it.node.entries {
-			child := knnItem[T]{dist2: e.rect.MinDist(p), rect: e.rect}
-			if it.node.leaf {
-				child.data = e.data
-			} else {
-				child.node = e.child
-			}
-			heap.Push(&q, child)
-		}
-	}
-	st.recordSearch(c)
-	return out
-}
-
-// WeightedNearest is Nearest with per-dimension weights: distance is the
-// weighted squared Euclidean over index space, and a weight of zero
-// removes a dimension from the metric entirely (it still participates in
-// filtering via keep). maxDist2 > 0 bounds the search: once the frontier
-// exceeds it the scan stops, which keeps filtered kNN from draining the
-// whole tree when fewer than k items qualify. The FoV index uses this to
-// rank by geographic distance while treating time as a pure filter,
-// bounded at the radius of view (beyond which coverage is impossible).
-func (t *Tree[T]) WeightedNearest(p [Dims]float64, w [Dims]float64, k int, maxDist2 float64, keep func(Rect, T) bool) []Neighbor[T] {
-	return weightedNearest(t.root, t.size, t.opts.MaxEntries, p, w, k, maxDist2, keep, &t.stats)
-}
-
-func weightedNearest[T any](root *node[T], size, maxEntries int, p, w [Dims]float64, k int, maxDist2 float64, keep func(Rect, T) bool, st *stats) []Neighbor[T] {
-	if k <= 0 || size == 0 {
-		return nil
-	}
-	dist := func(r Rect) float64 {
+	w := o.Weights
+	dist := func(r *Rect) float64 {
 		sum := 0.0
 		for d := 0; d < Dims; d++ {
 			if w[d] == 0 {
@@ -119,35 +112,52 @@ func weightedNearest[T any](root *node[T], size, maxEntries int, p, w [Dims]floa
 		}
 		return sum
 	}
-	q := make(knnQueue[T], 0, maxEntries*2)
-	heap.Push(&q, knnItem[T]{dist2: 0, node: root})
+	less := knnLess(o.Before)
+	buf, _ := st.knnHeaps.Get().(*[]knnItem[T])
+	if buf == nil {
+		buf = new([]knnItem[T])
+	}
+	h := minheap.Push((*buf)[:0], knnItem[T]{node: root}, less)
 	out := make([]Neighbor[T], 0, k)
 	var c searchCounters
-	for q.Len() > 0 && len(out) < k {
-		it := heap.Pop(&q).(knnItem[T])
-		if maxDist2 > 0 && it.dist2 > maxDist2 {
-			break // frontier beyond the bound: nothing closer remains
-		}
-		if it.node == nil {
-			if keep == nil || keep(it.rect, it.data) {
-				out = append(out, Neighbor[T]{Rect: it.rect, Data: it.data, Dist2: it.dist2})
+	for len(h) > 0 && len(out) < k {
+		var it knnItem[T]
+		it, h = minheap.Pop(h, less)
+		if e := it.ent; e != nil {
+			if o.Keep == nil || o.Keep(&e.data) {
+				out = append(out, Neighbor[T]{Rect: e.rect, Data: e.data, Dist2: it.dist2})
 			}
 			continue
 		}
+		n := it.node
 		c.nodes++
-		if it.node.leaf {
-			c.leafs += int64(len(it.node.entries))
+		if n.leaf {
+			c.leafs += int64(len(n.entries))
 		}
-		for _, e := range it.node.entries {
-			child := knnItem[T]{dist2: dist(e.rect), rect: e.rect}
-			if it.node.leaf {
-				child.data = e.data
-			} else {
-				child.node = e.child
+		for i := range n.entries {
+			e := &n.entries[i]
+			if o.Within != nil && !e.rect.intersects(o.Within) {
+				continue
 			}
-			heap.Push(&q, child)
+			d2 := dist(&e.rect)
+			if o.MaxDist2 > 0 && d2 > o.MaxDist2 {
+				continue
+			}
+			if n.leaf {
+				h = minheap.Push(h, knnItem[T]{dist2: d2, ent: e}, less)
+			} else {
+				h = minheap.Push(h, knnItem[T]{dist2: d2, node: e.child}, less)
+			}
 		}
 	}
 	st.recordSearch(c)
+	if cap(h) <= knnHeapCap {
+		// Pop zeroes the slot it vacates, so only the unpopped items are
+		// left to clear: a pooled buffer must not pin the nodes of a
+		// snapshot that has since been superseded.
+		clear(h)
+		*buf = h[:0]
+		st.knnHeaps.Put(buf)
+	}
 	return out
 }

@@ -57,7 +57,11 @@ func (r Rect) String() string {
 
 // Intersects reports whether two boxes overlap (boundary contact counts,
 // matching the paper's "have intersection with" retrieval semantics).
-func (r Rect) Intersects(o Rect) bool {
+func (r Rect) Intersects(o Rect) bool { return r.intersects(&o) }
+
+// intersects is Intersects on pointers, for traversals that test node
+// slots in place.
+func (r *Rect) intersects(o *Rect) bool {
 	for d := 0; d < Dims; d++ {
 		if r.Min[d] > o.Max[d] || o.Min[d] > r.Max[d] {
 			return false

@@ -445,26 +445,38 @@ func (t *Tree[T]) Search(q Rect, fn func(Rect, T) bool) {
 // lifetime Stats; the return values are the per-call slice of them that
 // a query trace records.
 func (t *Tree[T]) SearchCounted(q Rect, fn func(Rect, T) bool) (nodesVisited, leafEntriesScanned int64) {
+	return searchCounted(t.root, &t.stats, q, byValue(fn))
+}
+
+// byValue adapts a copying callback to the in-place traversal: only the
+// items that intersect the query are copied, at the call boundary.
+func byValue[T any](fn func(Rect, T) bool) func(*Rect, *T) bool {
+	return func(r *Rect, v *T) bool { return fn(*r, *v) }
+}
+
+func searchCounted[T any](root *node[T], st *stats, q Rect, fn func(*Rect, *T) bool) (nodes, leafs int64) {
 	var c searchCounters
-	searchNode(t.root, q, fn, &c)
-	t.stats.recordSearch(c)
+	searchNode(root, &q, fn, &c)
+	st.recordSearch(c)
 	return c.nodes, c.leafs
 }
 
-func searchNode[T any](n *node[T], q Rect, fn func(Rect, T) bool, c *searchCounters) bool {
+// searchNode visits entries where they live: node slots are addressed by
+// index, never copied, and fn receives pointers into the node.
+func searchNode[T any](n *node[T], q *Rect, fn func(*Rect, *T) bool, c *searchCounters) bool {
 	c.nodes++
+	es := n.entries
 	if n.leaf {
-		c.leafs += int64(len(n.entries))
-	}
-	for _, e := range n.entries {
-		if !e.rect.Intersects(q) {
-			continue
-		}
-		if n.leaf {
-			if !fn(e.rect, e.data) {
+		c.leafs += int64(len(es))
+		for i := range es {
+			if e := &es[i]; e.rect.intersects(q) && !fn(&e.rect, &e.data) {
 				return false
 			}
-		} else if !searchNode(e.child, q, fn, c) {
+		}
+		return true
+	}
+	for i := range es {
+		if e := &es[i]; e.rect.intersects(q) && !searchNode(e.child, q, fn, c) {
 			return false
 		}
 	}
@@ -487,7 +499,9 @@ func (t *Tree[T]) Scan(fn func(Rect, T) bool) {
 }
 
 func scanNode[T any](n *node[T], fn func(Rect, T) bool) bool {
-	for _, e := range n.entries {
+	es := n.entries
+	for i := range es {
+		e := &es[i]
 		if n.leaf {
 			if !fn(e.rect, e.data) {
 				return false

@@ -452,8 +452,8 @@ func TestNearestFuncFilter(t *testing.T) {
 		_ = tree.Insert(Point([Dims]float64{float64(i), 0, 0}), i)
 	}
 	// Keep only even ids; the 3 nearest evens to x=0.1 are 0, 2, 4.
-	got := tree.NearestFunc([Dims]float64{0.1, 0, 0}, 3, func(_ Rect, v int) bool {
-		return v%2 == 0
+	got := tree.NearestFunc([Dims]float64{0.1, 0, 0}, 3, func(v *int) bool {
+		return *v%2 == 0
 	})
 	if len(got) != 3 || got[0].Data != 0 || got[1].Data != 2 || got[2].Data != 4 {
 		t.Fatalf("filtered nearest = %+v", got)
@@ -594,13 +594,13 @@ func TestWeightedNearest(t *testing.T) {
 		_ = tree.Insert(Point([Dims]float64{float64(i), 0, float64(i * 1000)}), i)
 	}
 	// Unit weights on x/y, zero on t: nearest to x=10.2 are 10, 11, 9.
-	got := tree.WeightedNearest([Dims]float64{10.2, 0, 999999}, [Dims]float64{1, 1, 0}, 3, 0, nil)
+	got := tree.WeightedNearest([Dims]float64{10.2, 0, 999999}, 3, NearestOptions[int]{Weights: [Dims]float64{1, 1, 0}})
 	if len(got) != 3 || got[0].Data != 10 || got[1].Data != 11 || got[2].Data != 9 {
 		t.Fatalf("weighted nearest = %+v", got)
 	}
 	// A distance bound cuts the result set: within 1.0 of x=10.2 only
 	// 10 and 11 qualify.
-	got = tree.WeightedNearest([Dims]float64{10.2, 0, 0}, [Dims]float64{1, 1, 0}, 5, 1.0, nil)
+	got = tree.WeightedNearest([Dims]float64{10.2, 0, 0}, 5, NearestOptions[int]{Weights: [Dims]float64{1, 1, 0}, MaxDist2: 1.0})
 	if len(got) != 2 {
 		t.Fatalf("bounded nearest returned %d, want 2", len(got))
 	}
@@ -608,13 +608,15 @@ func TestWeightedNearest(t *testing.T) {
 	// point 999 scores (1*2)^2 = 4, while x-neighbor 10 scores
 	// (20*0.2)^2 = 16.
 	_ = tree.Insert(Point([Dims]float64{10.2, 2, 0}), 999)
-	got = tree.WeightedNearest([Dims]float64{10.2, 0, 0}, [Dims]float64{20, 1, 0}, 1, 0, nil)
+	got = tree.WeightedNearest([Dims]float64{10.2, 0, 0}, 1, NearestOptions[int]{Weights: [Dims]float64{20, 1, 0}})
 	if len(got) != 1 || got[0].Data != 999 {
 		t.Fatalf("anisotropic nearest = %+v, want the y-offset point", got)
 	}
 	// Filter + bound compose.
-	got = tree.WeightedNearest([Dims]float64{10.2, 0, 0}, [Dims]float64{1, 1, 0}, 5, 4.0,
-		func(_ Rect, v int) bool { return v%2 == 0 })
+	got = tree.WeightedNearest([Dims]float64{10.2, 0, 0}, 5, NearestOptions[int]{
+		Weights: [Dims]float64{1, 1, 0}, MaxDist2: 4.0,
+		Keep: func(v *int) bool { return *v%2 == 0 },
+	})
 	for _, n := range got {
 		if n.Data != 999 && n.Data%2 != 0 {
 			t.Fatalf("filter leaked %d", n.Data)
@@ -622,10 +624,10 @@ func TestWeightedNearest(t *testing.T) {
 	}
 	// Empty tree / k=0.
 	empty := MustNew[int](Options{})
-	if empty.WeightedNearest([Dims]float64{}, [Dims]float64{1, 1, 1}, 3, 0, nil) != nil {
+	if empty.WeightedNearest([Dims]float64{}, 3, NearestOptions[int]{Weights: unitWeights}) != nil {
 		t.Fatal("empty tree returned neighbors")
 	}
-	if tree.WeightedNearest([Dims]float64{}, [Dims]float64{1, 1, 1}, 0, 0, nil) != nil {
+	if tree.WeightedNearest([Dims]float64{}, 0, NearestOptions[int]{Weights: unitWeights}) != nil {
 		t.Fatal("k=0 returned neighbors")
 	}
 }

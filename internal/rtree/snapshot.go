@@ -92,17 +92,19 @@ func (s *Snapshot[T]) Height() int { return s.height }
 // Search calls fn for every item in the snapshot whose rectangle
 // intersects q. Return false from fn to stop early.
 func (s *Snapshot[T]) Search(q Rect, fn func(Rect, T) bool) {
-	s.SearchCounted(q, fn)
+	searchCounted(s.root, s.stats, q, byValue(fn))
 }
 
-// SearchCounted is Search, additionally reporting this traversal's node
-// visits and leaf entries scanned (the same per-call costs
-// Tree.SearchCounted reports).
-func (s *Snapshot[T]) SearchCounted(q Rect, fn func(Rect, T) bool) (nodesVisited, leafEntriesScanned int64) {
-	var c searchCounters
-	searchNode(s.root, q, fn, &c)
-	s.stats.recordSearch(c)
-	return c.nodes, c.leafs
+// SearchRefs is Search without the copies: fn receives pointers to the
+// rectangle and item inside the snapshot's leaf, and the call reports
+// this traversal's node visits and leaf entries scanned (the per-call
+// costs Tree.SearchCounted reports). A snapshot's nodes are frozen, so
+// what the pointers address never changes and they stay valid for as
+// long as the caller holds them; the caller must not write through
+// them. Only snapshots offer this form — a live Tree's write-generation
+// nodes are mutated in place.
+func (s *Snapshot[T]) SearchRefs(q Rect, fn func(*Rect, *T) bool) (nodesVisited, leafEntriesScanned int64) {
+	return searchCounted(s.root, s.stats, q, fn)
 }
 
 // SearchAll collects all items intersecting q.
@@ -129,13 +131,13 @@ func (s *Snapshot[T]) Bounds() (Rect, bool) {
 }
 
 // NearestFunc is the snapshot edition of Tree.NearestFunc.
-func (s *Snapshot[T]) NearestFunc(p [Dims]float64, k int, keep func(Rect, T) bool) []Neighbor[T] {
-	return nearestFunc(s.root, s.size, s.opts.MaxEntries, p, k, keep, s.stats)
+func (s *Snapshot[T]) NearestFunc(p [Dims]float64, k int, keep func(*T) bool) []Neighbor[T] {
+	return s.WeightedNearest(p, k, NearestOptions[T]{Weights: unitWeights, Keep: keep})
 }
 
 // WeightedNearest is the snapshot edition of Tree.WeightedNearest.
-func (s *Snapshot[T]) WeightedNearest(p [Dims]float64, w [Dims]float64, k int, maxDist2 float64, keep func(Rect, T) bool) []Neighbor[T] {
-	return weightedNearest(s.root, s.size, s.opts.MaxEntries, p, w, k, maxDist2, keep, s.stats)
+func (s *Snapshot[T]) WeightedNearest(p [Dims]float64, k int, o NearestOptions[T]) []Neighbor[T] {
+	return weightedNearest(s.root, s.size, s.stats, p, k, o)
 }
 
 // NodeCount returns the number of nodes in the snapshot.

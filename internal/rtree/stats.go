@@ -1,6 +1,9 @@
 package rtree
 
-import "sync/atomic"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Stats is a snapshot of the tree's lifetime operation counters — the
 // raw material for the paper's Section V index-cost evaluation. All
@@ -37,6 +40,11 @@ type stats struct {
 	deletes    atomic.Int64
 	reinserts  atomic.Int64
 	splits     atomic.Int64
+
+	// knnHeaps recycles nearest-neighbour queue buffers (*[]knnItem[T]).
+	// It lives here because this block is the one thing a tree and all of
+	// its snapshots share.
+	knnHeaps sync.Pool
 }
 
 // Stats returns a snapshot of the tree's operation counters.

@@ -1,0 +1,86 @@
+package server
+
+import (
+	"context"
+	"math/rand"
+	"testing"
+
+	"fovr/internal/geo"
+	"fovr/internal/obs"
+	"fovr/internal/query"
+	"fovr/internal/segment"
+	"fovr/internal/wire"
+)
+
+// crowd registers n cameras within spread meters of at, all recording
+// during [0, 1000], and returns at.
+func crowd(t *testing.T, s *Server, at geo.Point, n int, spread float64, seed int64) geo.Point {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	for left := n; left > 0; {
+		reps := make([]segment.Representative, min(left, 200))
+		for i := range reps {
+			reps[i] = rep(geo.Offset(at, rng.Float64()*360, rng.Float64()*spread), rng.Float64()*360, 0, 1000)
+		}
+		if _, err := s.Register(wire.Upload{Provider: "crowd", Reps: reps}); err != nil {
+			t.Fatal(err)
+		}
+		left -= len(reps)
+	}
+	return at
+}
+
+// TestReadPathAllocsIndependentOfCandidates guards the path production
+// actually runs: Server.QueryCtx with a trace attached (the handler
+// attaches one to every request) and Server.Nearest. A question over a
+// crowd of thousands must allocate exactly what a question over a few
+// dozen does — the trace, its bounded drop records, and the N results —
+// because candidates are visited where the index keeps them.
+func TestReadPathAllocsIndependentOfCandidates(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds buffers at random under the race detector")
+	}
+	s := newServer(t)
+	few := crowd(t, s, geo.Offset(center, 90, 5_000), 300, 90, 1) // enough to fill the trace's drop records
+	many := crowd(t, s, geo.Offset(center, 270, 5_000), 4_000, 90, 2)
+
+	queryAllocs := func(at geo.Point) (allocs float64, candidates int) {
+		q := query.Query{EndMillis: 1000, Center: at, RadiusMeters: 50}
+		allocs = testing.AllocsPerRun(100, func() {
+			tr := obs.NewQueryTrace("t")
+			got, err := s.QueryCtx(obs.WithTrace(context.Background(), tr), q, 20)
+			if err != nil || len(got) != 20 {
+				t.Fatalf("got %d results, err %v", len(got), err)
+			}
+			candidates = tr.Candidates
+		})
+		return allocs, candidates
+	}
+	fewAllocs, fewCands := queryAllocs(few)
+	manyAllocs, manyCands := queryAllocs(many)
+	if fewCands > 400 || manyCands < 1000 {
+		t.Fatalf("candidates %d / %d: want a small and a >= 1000-candidate question", fewCands, manyCands)
+	}
+	t.Logf("QueryCtx traced: %.0f allocs/op at %d candidates, %.0f at %d", fewAllocs, fewCands, manyAllocs, manyCands)
+	const queryPin = 14
+	if manyAllocs != fewAllocs || manyAllocs > queryPin {
+		t.Fatalf("QueryCtx allocates %.0f/op at %d candidates and %.0f/op at %d; want equal and <= %d",
+			fewAllocs, fewCands, manyAllocs, manyCands, queryPin)
+	}
+
+	nearestAllocs := func(at geo.Point) float64 {
+		return testing.AllocsPerRun(100, func() {
+			got, err := s.Nearest(at, 0, 1000, 20)
+			if err != nil || len(got) == 0 {
+				t.Fatalf("got %d results, err %v", len(got), err)
+			}
+		})
+	}
+	fewN, manyN := nearestAllocs(few), nearestAllocs(many)
+	t.Logf("Nearest: %.0f allocs/op over the small crowd, %.0f over the large", fewN, manyN)
+	const nearestPin = 4
+	if manyN != fewN || manyN > nearestPin {
+		t.Fatalf("Nearest allocates %.0f/op over %d cameras and %.0f/op over %d; want equal and <= %d",
+			fewN, fewCands, manyN, manyCands, nearestPin)
+	}
+}
