@@ -478,6 +478,54 @@ func BenchmarkSearchNearest(b *testing.B) {
 	}
 }
 
+// BenchmarkQueryTopN measures the ranked retrieval (top 20) in process
+// on a 200 000-camera hotspot city, for the three question shapes of the
+// end-to-end benchmark in bench/: point (30 m, 1 h), scan (300 m, the
+// whole day — thousands of cameras in the box inside a hotspot) and wide
+// (30 m, 12 h), on the single tree and on hourly shards.
+func BenchmarkQueryTopN(b *testing.B) {
+	cfg := workload.Config{Seed: 1, Distribution: workload.Hotspot}
+	entries := workload.Entries(cfg, 200_000)
+	tree, err := index.NewRTree(rtree.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sharded, err := index.NewSharded(index.ShardedOptions{WindowMillis: 3_600_000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	kinds := []struct {
+		name string
+		idx  index.ServerIndex
+	}{{"rtree", tree}, {"sharded", sharded}}
+	for _, k := range kinds {
+		if err := k.idx.InsertBatch(entries); err != nil {
+			b.Fatal(err)
+		}
+	}
+	const hour = 3_600_000
+	shapes := []struct {
+		name   string
+		radius float64
+		window int64
+	}{{"point", 30, hour}, {"scan", 300, 24 * hour}, {"wide", 30, 12 * hour}}
+	opts := query.Options{Camera: benchCam, MaxResults: 20}
+	for _, sh := range shapes {
+		qs := workload.Queries(cfg, 2048, sh.radius, sh.window)
+		b.Run(sh.name, func(b *testing.B) {
+			for _, k := range kinds {
+				b.Run(k.name, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if _, err := query.Search(k.idx, qs[i%len(qs)], opts); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		})
+	}
+}
+
 // BenchmarkExactOverlapSim measures the polygon-clipping measurement the
 // measurement ablation compares Eq. 10 against.
 func BenchmarkExactOverlapSim(b *testing.B) {

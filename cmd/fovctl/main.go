@@ -281,7 +281,7 @@ func printTrace(tr *obs.QueryTrace, verbose bool) {
 	if !verbose {
 		return
 	}
-	fmt.Printf("  index:  %d nodes visited, %d leaf entries scanned, %d candidates\n",
+	fmt.Printf("  index:  %d nodes visited, %d leaf entries scanned, %d handed to the filter\n",
 		tr.NodesVisited, tr.LeafEntriesScanned, tr.Candidates)
 	if tr.DropsTotal > 0 {
 		fmt.Printf("  filter: dropped %d", tr.DropsTotal)
@@ -303,7 +303,10 @@ func printTrace(tr *obs.QueryTrace, verbose bool) {
 		fmt.Printf("  stages: %s\n", tr.StageSummary())
 	}
 	if tr.Truncated > 0 {
-		fmt.Printf("  rank:   truncated %d beyond top-%d\n", tr.Truncated, tr.Returned)
+		// The walk stops looking past the worst result kept, so this is
+		// a floor on the covering cameras left out, not their number.
+		fmt.Printf("  rank:   at least %d more beyond top-%d (the walk stopped looking past %.1f m)\n",
+			tr.Truncated, tr.Returned, tr.BoundMeters)
 	}
 }
 

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	fovserver [-addr :8477] [-half-angle 30] [-radius 100] [-max-results 20]
-//	          [-index rtree|sharded] [-shard-window 1h] [-shard-workers 0]
+//	          [-index rtree|sharded] [-shard-window 1h]
 //	          [-data-dir dir] [-fsync always|interval|never] [-checkpoint-interval 5m]
 //	          [-segment-window-age 0] [-compaction-interval 1m]
 //	          [-replica-of http://leader:8477] [-replica-poll 10s]
@@ -58,10 +58,9 @@
 //
 // -index selects the spatio-temporal index implementation: "rtree" (one
 // global 3-D R-tree, the paper's design) or "sharded" (per-time-window
-// R-tree shards; uploads lock only their shard and queries fan out in
-// parallel). -shard-window sets the shard width and -shard-workers the
-// per-query fan-out bound (0 = automatic); both apply to -index=sharded
-// only.
+// R-tree shards; uploads lock only their shard and a query walks the
+// shards its time window overlaps). -shard-window sets the shard width
+// and applies to -index=sharded only.
 //
 // With -save, a SIGINT/SIGTERM drains connections and writes the index
 // to the given snapshot file; -load restores one at startup.
@@ -130,7 +129,6 @@ func main() {
 	maxResults := flag.Int("max-results", 20, "default top-N for queries")
 	indexKind := flag.String("index", server.IndexKindRTree, "index implementation: rtree | sharded")
 	shardWindow := flag.Duration("shard-window", time.Hour, "time-shard width for -index=sharded")
-	shardWorkers := flag.Int("shard-workers", 0, "per-query shard fan-out bound for -index=sharded (0 = automatic)")
 	dataDir := flag.String("data-dir", "", "data directory for the durable store (WAL + checkpoints); empty keeps state in RAM only")
 	fsyncPolicy := flag.String("fsync", "always", "WAL sync policy with -data-dir: always | interval | never")
 	checkpointInterval := flag.Duration("checkpoint-interval", 5*time.Minute, "background checkpoint period with -data-dir (0 disables)")
@@ -173,7 +171,6 @@ func main() {
 		DefaultMaxResults:  *maxResults,
 		IndexKind:          *indexKind,
 		ShardWindow:        *shardWindow,
-		ShardWorkers:       *shardWorkers,
 		SlowQueryThreshold: *slowQuery,
 		TraceSampleRate:    *traceSample,
 		History:            obs.HistoryConfig{Enabled: *history},

@@ -369,8 +369,9 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		lists = append(lists, res.resp.Results)
 		if tr != nil && res.resp.Trace != nil {
-			// The routed trace's index cost is the sum over partitions —
-			// the same nodes the single-node fan-out would have visited.
+			// The routed trace's index cost is the sum over partitions.
+			// Each partition's walk is bounded by its own top N, so the
+			// sum can exceed what one node holding everything visits.
 			tr.AddIndexVisit(res.resp.Trace.NodesVisited, res.resp.Trace.LeafEntriesScanned)
 		}
 	}

@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -31,18 +32,30 @@ type concReadIndex interface {
 	InsertBatch([]Entry) error
 	Remove(uint64) bool
 	Search(geo.Rect, int64, int64) []Entry
-	SearchRefs([]*Entry, geo.Rect, int64, int64) ([]*Entry, int64, int64)
+	Visit(geo.Rect, int64, int64, geo.Point, func(*Entry) float64) (int64, int64)
 	ReadEpoch() uint64
 	CheckInvariants() error
 }
 
+// visitRefs collects the references an unbounded Visit hands out, with
+// the traversal cost it reports.
+func visitRefs(idx interface {
+	Visit(geo.Rect, int64, int64, geo.Point, func(*Entry) float64) (int64, int64)
+}, r geo.Rect, startMillis, endMillis int64) (refs []*Entry, nodes, scanned int64) {
+	nodes, scanned = idx.Visit(r, startMillis, endMillis, r.Center(), func(e *Entry) float64 {
+		refs = append(refs, e)
+		return math.Inf(1)
+	})
+	return refs, nodes, scanned
+}
+
 func concIndexes(t *testing.T) map[string]concReadIndex {
 	t.Helper()
-	sharded, err := NewSharded(ShardedOptions{WindowMillis: 60_000, SpatialShards: 4, Workers: 2})
+	sharded, err := NewSharded(ShardedOptions{WindowMillis: 60_000, SpatialShards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cachedInner, err := NewSharded(ShardedOptions{WindowMillis: 60_000, SpatialShards: 4, Workers: 2})
+	cachedInner, err := NewSharded(ShardedOptions{WindowMillis: 60_000, SpatialShards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +284,7 @@ func TestConcurrentSnapshotReadsDuringRemoval(t *testing.T) {
 	}
 }
 
-// What a reader may hold: references from SearchRefs stay valid, and
+// What a reader may hold: references handed out by Visit stay valid, and
 // unchanged, however far the writer has moved on. Readers keep the
 // reference sets of several earlier reads next to by-value copies taken
 // at read time and compare them again later, while a saturating writer
@@ -341,7 +354,7 @@ func TestConcurrentRefsNeverChange(t *testing.T) {
 						for e := idx.ReadEpoch(); i > 0 && idx.ReadEpoch() == e && len(errs) == 0; {
 							runtime.Gosched()
 						}
-						refs, _, _ := idx.SearchRefs(nil, full, tlo, thi)
+						refs, _, _ := visitRefs(idx, full, tlo, thi)
 						copies := make([]Entry, len(refs))
 						for j, e := range refs {
 							copies[j] = *e

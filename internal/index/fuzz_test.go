@@ -88,7 +88,7 @@ func FuzzShardedSearch(f *testing.F) {
 			t.Skip()
 		}
 		q, ts, te, entries, remove := fuzzEntries(data)
-		sh, err := NewSharded(ShardedOptions{WindowMillis: fuzzWindowMillis, SpatialShards: 4, Workers: 4})
+		sh, err := NewSharded(ShardedOptions{WindowMillis: fuzzWindowMillis, SpatialShards: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

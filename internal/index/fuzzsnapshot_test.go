@@ -62,7 +62,7 @@ func FuzzSnapshotReads(f *testing.F) {
 		{MinLat: 39.9, MaxLat: 40.2, MinLng: 116.2, MaxLng: 116.5},
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sh, err := NewSharded(ShardedOptions{WindowMillis: fuzzWindowMillis, SpatialShards: 4, Workers: 2})
+		sh, err := NewSharded(ShardedOptions{WindowMillis: fuzzWindowMillis, SpatialShards: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

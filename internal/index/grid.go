@@ -93,12 +93,13 @@ func (g *Grid) Search(r geo.Rect, startMillis, endMillis int64) []Entry {
 	return out
 }
 
-// SearchRefs implements Index over a private copy of the hits (cells are
-// mutated in place): occupied cells visited count as nodes, entries
-// tested as scanned.
-func (g *Grid) SearchRefs(dst []*Entry, r geo.Rect, startMillis, endMillis int64) ([]*Entry, int64, int64) {
+// Visit implements Index over a private copy of the hits (cells are
+// mutated in place), ignoring the bound: occupied cells visited count as
+// nodes, entries tested as scanned.
+func (g *Grid) Visit(r geo.Rect, startMillis, endMillis int64, _ geo.Point, visit func(*Entry) float64) (nodes, scanned int64) {
 	out, cells, scanned := g.searchCounted(r, startMillis, endMillis)
-	return refsInto(dst, out), cells, scanned
+	visitAll(out, visit)
+	return cells, scanned
 }
 
 func (g *Grid) searchCounted(r geo.Rect, startMillis, endMillis int64) (out []Entry, cellsVisited, entriesScanned int64) {

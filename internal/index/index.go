@@ -24,6 +24,7 @@ import (
 
 	"fovr/internal/fov"
 	"fovr/internal/geo"
+	"fovr/internal/minheap"
 	"fovr/internal/obs"
 	"fovr/internal/rtree"
 	"fovr/internal/segment"
@@ -80,24 +81,42 @@ type Index interface {
 	// Remove deletes the entry with the given id, reporting whether it
 	// was present.
 	Remove(id uint64) bool
-	// SearchRefs is the read traversal: it appends to dst a reference to
-	// every entry whose position lies in r and whose segment interval
+	// Visit is the read traversal: it hands visit a reference to every
+	// entry whose position lies in r and whose segment interval
 	// intersects [startMillis, endMillis], and reports what the traversal
-	// cost (index nodes visited, stored entries tested). Order is
-	// unspecified; the ranker sorts. The references address memory no
-	// writer will ever touch again — a published snapshot's leaves, a
-	// cache's result slice, or a private copy — so they stay valid, and
-	// unchanged, for as long as the caller holds them; the caller must
-	// not write through them.
-	SearchRefs(dst []*Entry, r geo.Rect, startMillis, endMillis int64) (refs []*Entry, nodes, scanned int64)
-	// Search is the collecting form of SearchRefs: a fresh copy of every
-	// matching entry.
+	// cost (index nodes visited, stored entries tested). visit answers
+	// with a bound: "nothing farther than this many metres from center
+	// (by geo.Distance) interests me any more" — +Inf for no bound. An
+	// index may use the latest bound to skip entries strictly farther,
+	// and to reach near entries first so the bound tightens early; it
+	// never skips an entry at or inside the bound, and it may ignore the
+	// bound altogether. Order is unspecified; the ranker sorts. The
+	// references address memory no writer will ever touch again — a
+	// published snapshot's leaves, a cache's result slice, or a private
+	// copy — so they stay valid, and unchanged, for as long as the caller
+	// holds them; the caller must not write through them.
+	Visit(r geo.Rect, startMillis, endMillis int64, center geo.Point, visit func(*Entry) float64) (nodes, scanned int64)
+	// Search is the collecting, unbounded form of Visit: a fresh copy of
+	// every matching entry.
 	Search(r geo.Rect, startMillis, endMillis int64) []Entry
 	// Len returns the number of stored entries.
 	Len() int
 }
 
-// entriesOf copies the referenced entries out: Search over SearchRefs.
+// searchAll is Search over an index's Visit: collect a reference to
+// every match with no bound, then copy them out.
+func searchAll(x Index, r geo.Rect, startMillis, endMillis int64) []Entry {
+	var refs []*Entry
+	x.Visit(r, startMillis, endMillis, r.Center(), func(e *Entry) float64 {
+		refs = append(refs, e)
+		return math.Inf(1)
+	})
+	return entriesOf(refs)
+}
+
+// entriesOf copies the referenced entries out, once, at their exact
+// number (growing a slice of 136-byte entries costs more than growing
+// one of references and copying at the end).
 func entriesOf(refs []*Entry) []Entry {
 	if len(refs) == 0 {
 		return nil
@@ -109,14 +128,14 @@ func entriesOf(refs []*Entry) []Entry {
 	return out
 }
 
-// refsInto appends a reference to every element of hits, a slice the
-// caller owns and nobody will write again. The indexes that mutate
-// their storage in place (Linear, Grid) answer SearchRefs this way.
-func refsInto(dst []*Entry, hits []Entry) []*Entry {
+// visitAll hands visit a reference to every element of hits, a slice the
+// caller owns and nobody will write again, ignoring the bounds it
+// answers with. The indexes that mutate their storage in place (Linear,
+// Grid) and a read-cache hit answer Visit this way.
+func visitAll(hits []Entry, visit func(*Entry) float64) {
 	for i := range hits {
-		dst = append(dst, &hits[i])
+		visit(&hits[i])
 	}
-	return dst
 }
 
 // BatchInserter is the Index extension the upload path uses: adding a
@@ -322,16 +341,49 @@ func (x *RTree) insertBatchLocked(entries []Entry, rects []rtree.Rect) error {
 	return nil
 }
 
-// searchSnapRefs is the snapshot-side search primitive: one index-space
-// box lookup against a published snapshot, appending a reference to
-// each hit where it lies in the snapshot's frozen leaves, plus the
-// traversal cost. No locks are taken and no entry is copied.
-func searchSnapRefs(dst []*Entry, s *rtree.Snapshot[Entry], q rtree.Rect) (refs []*Entry, nodes, leafs int64) {
-	nodes, leafs = s.SearchRefs(q, func(_ *rtree.Rect, e *Entry) bool {
-		dst = append(dst, e)
-		return true
-	})
-	return dst, nodes, leafs
+// boundSlack shrinks the steering weights so the lower bound stays below
+// geo.Distance whatever the last bits of either computation round to.
+const boundSlack = 1 - 1e-9
+
+// nearFor returns the rtree steering under which Near.MinDist2 of any
+// rectangle is a lower bound, in metres squared, on the squared
+// geo.Distance between center and every position inside both the
+// rectangle and the query box r. geo.Displacement scales longitude by
+// the cosine of the mid-latitude of the two points, so the weight uses
+// the smallest cosine over the latitude band that holds the box and the
+// center; it wraps longitude differences beyond 180°, so longitude
+// carries no weight unless the whole box lies within 180° of the center.
+func nearFor(r geo.Rect, center geo.Point) rtree.Near {
+	lo := math.Max(math.Min(r.MinLat, center.Lat), -90)
+	hi := math.Min(math.Max(r.MaxLat, center.Lat), 90)
+	cos := math.Max(0, math.Min(math.Cos(lo*math.Pi/180), math.Cos(hi*math.Pi/180)))
+	if !(center.Lng-r.MinLng < 180 && r.MaxLng-center.Lng < 180) {
+		cos = 0
+	}
+	return rtree.Near{
+		P: [rtree.Dims]float64{center.Lng, center.Lat, 0},
+		W: [rtree.Dims]float64{geo.MetersPerDegree * cos * boundSlack, geo.MetersPerDegree * boundSlack, 0},
+	}
+}
+
+// walkSnapshots runs one steered box search over the snapshots in order,
+// carrying the bound from each into the next — a snapshot the earlier
+// ones have already out-ranked costs one node visit — and sums the
+// traversal cost.
+func walkSnapshots(shards []*rtree.Snapshot[Entry], q rtree.Rect, near rtree.Near, bound float64, fn func(*rtree.Rect, *Entry) float64) (nodes, scanned int64) {
+	for _, s := range shards {
+		var n, l int64
+		bound, n, l = s.SearchNear(q, near, bound, fn)
+		nodes += n
+		scanned += l
+	}
+	return nodes, scanned
+}
+
+// inSnapshot adapts an index-level visitor to the snapshot walk, which
+// also offers each hit's rectangle.
+func inSnapshot(visit func(*Entry) float64) func(*rtree.Rect, *Entry) float64 {
+	return func(_ *rtree.Rect, e *Entry) float64 { return visit(e) }
 }
 
 // ReadEpoch returns the epoch of the snapshot readers currently see. It
@@ -376,27 +428,32 @@ func (x *RTree) removeLocked(id uint64) bool {
 	return true
 }
 
-// SearchRefs implements Index. It reads the published snapshot and
-// takes no locks; the references point into that snapshot's leaves.
-func (x *RTree) SearchRefs(dst []*Entry, r geo.Rect, startMillis, endMillis int64) ([]*Entry, int64, int64) {
-	return searchSnapRefs(dst, x.tree.Snapshot(), queryRect(r, startMillis, endMillis))
+// Visit implements Index. It walks the published snapshot, taking no
+// locks, steered by the bounds visit answers with; the references point
+// into that snapshot's leaves.
+func (x *RTree) Visit(r geo.Rect, startMillis, endMillis int64, center geo.Point, visit func(*Entry) float64) (nodes, scanned int64) {
+	_, nodes, scanned = x.tree.Snapshot().SearchNear(queryRect(r, startMillis, endMillis), nearFor(r, center), math.Inf(1), inSnapshot(visit))
+	return nodes, scanned
 }
 
 // Search implements Index.
 func (x *RTree) Search(r geo.Rect, startMillis, endMillis int64) []Entry {
-	refs, _, _ := x.SearchRefs(nil, r, startMillis, endMillis)
-	return entriesOf(refs)
+	return searchAll(x, r, startMillis, endMillis)
 }
 
-// searchForCache is SearchRefs returning, besides the hits and traversal
-// cost, a validity probe: it reports true for as long as a reader would
-// still get the same answer (the snapshot has not been superseded). The
-// read cache stores results under this probe.
-func (x *RTree) searchForCache(dst []*Entry, r geo.Rect, startMillis, endMillis int64) (refs []*Entry, nodes, leafs int64, valid func() bool) {
+// searchForCache is Search returning, besides the hits, a validity
+// probe: it reports true for as long as a reader would still get the
+// same answer (the snapshot has not been superseded). The read cache
+// stores results under this probe.
+func (x *RTree) searchForCache(r geo.Rect, startMillis, endMillis int64) (hits []Entry, nodes, scanned int64, valid func() bool) {
 	s := x.tree.Snapshot()
-	refs, nodes, leafs = searchSnapRefs(dst, s, queryRect(r, startMillis, endMillis))
+	var refs []*Entry
+	_, nodes, scanned = s.SearchNear(queryRect(r, startMillis, endMillis), rtree.Near{}, math.Inf(1), func(_ *rtree.Rect, e *Entry) float64 {
+		refs = append(refs, e)
+		return math.Inf(1)
+	})
 	epoch := s.Epoch()
-	return refs, nodes, leafs, func() bool {
+	return entriesOf(refs), nodes, scanned, func() bool {
 		return x.tree.Snapshot().Epoch() == epoch
 	}
 }
@@ -517,13 +574,14 @@ func (x *Linear) Search(r geo.Rect, startMillis, endMillis int64) []Entry {
 	return out
 }
 
-// SearchRefs implements Index over a private copy of the hits: the
-// oracle stays the plain collecting scan, independent of the reference
-// machinery it checks. A linear index has no tree nodes; every stored
+// Visit implements Index over a private copy of the hits, ignoring the
+// bound: the oracle stays the plain collecting scan, independent of the
+// steering it checks. A linear index has no tree nodes; every stored
 // entry is one scanned entry, which is exactly the cost a trace should
 // show for the baseline.
-func (x *Linear) SearchRefs(dst []*Entry, r geo.Rect, startMillis, endMillis int64) ([]*Entry, int64, int64) {
-	return refsInto(dst, x.Search(r, startMillis, endMillis)), 0, int64(x.Len())
+func (x *Linear) Visit(r geo.Rect, startMillis, endMillis int64, _ geo.Point, visit func(*Entry) float64) (nodes, scanned int64) {
+	visitAll(x.Search(r, startMillis, endMillis), visit)
+	return 0, int64(x.Len())
 }
 
 // InsertBatch implements BatchInserter. All-or-nothing: a duplicate or
@@ -596,44 +654,85 @@ func nearestParams(center geo.Point, maxDistanceMeters float64) (p, w [rtree.Dim
 // radius (pass the camera's radius of view: farther entries cannot cover
 // the point anyway).
 func (x *RTree) Nearest(center geo.Point, startMillis, endMillis int64, k int, maxDistanceMeters float64, keep func(*Entry) bool) []Neighbor {
-	return nearestSnap(x.tree.Snapshot(), center, startMillis, endMillis, k, maxDistanceMeters, keep)
+	return nearestIn([]*rtree.Snapshot[Entry]{x.tree.Snapshot()}, center, startMillis, endMillis, k, maxDistanceMeters, keep)
 }
 
-// nearestSnap runs the weighted nearest-neighbour search against one
-// published snapshot — shared by RTree.Nearest and the sharded index's
-// per-view-shard fan-out so their metrics agree exactly.
-func nearestSnap(s *rtree.Snapshot[Entry], center geo.Point, startMillis, endMillis int64, k int, maxDistanceMeters float64, keep func(*Entry) bool) []Neighbor {
+// nearKey is one kept neighbour: the ranking key (weighted squared
+// distance, id breaking ties) and the entry where the index keeps it.
+type nearKey struct {
+	dist2 float64
+	e     *Entry
+}
+
+// nearAfter reports whether a ranks strictly after b: the heap order of
+// the k best, whose top is the worst one kept.
+func nearAfter(a, b *nearKey) bool {
+	if a.dist2 != b.dist2 {
+		return a.dist2 > b.dist2
+	}
+	return a.e.ID > b.e.ID
+}
+
+// nearestIn answers Nearest over the snapshots a caller pinned with the
+// steered range walk: the box of everything within the distance bound
+// over the time window, subtrees nearest first, the k-th best distance
+// so far as the bound carried from one snapshot into the next — the walk
+// a top-N query runs, under nearestParams' metric. RTree and Sharded
+// share this, so their rankings agree exactly with each other and with
+// Linear.
+func nearestIn(shards []*rtree.Snapshot[Entry], center geo.Point, startMillis, endMillis int64, k int, maxDistanceMeters float64, keep func(*Entry) bool) []Neighbor {
+	if k <= 0 || len(shards) == 0 {
+		return nil
+	}
 	p, w, maxDist2 := nearestParams(center, maxDistanceMeters)
-	// Time carries no weight in the metric, so the window is handed to the
-	// tree as a pruning box: subtrees and entries outside it are never
-	// queued, instead of being expanded and then rejected one by one.
+	// The box holds everything within the bound under the weighted
+	// metric, with room for rounding (the exact test is per entry below);
+	// with no bound, or where longitude carries no weight, it is open.
 	inf := math.Inf(1)
-	window := rtree.Rect{
+	q := rtree.Rect{
 		Min: [rtree.Dims]float64{-inf, -inf, float64(startMillis)},
 		Max: [rtree.Dims]float64{inf, inf, float64(endMillis)},
 	}
-	found := s.WeightedNearest(p, k, rtree.NearestOptions[Entry]{
-		Weights:  w,
-		MaxDist2: maxDist2,
-		Within:   &window,
-		Keep: func(e *Entry) bool {
-			// The box compares in float64; the integer test keeps the
-			// answer exact where two distinct instants round together.
-			if e.Rep.EndMillis < startMillis || e.Rep.StartMillis > endMillis {
-				return false
-			}
-			return keep == nil || keep(e)
-		},
-		// Equal distances rank by ascending id, like the oracle and
-		// MergeNeighbors.
-		Before: func(a, b *Entry) bool { return a.ID < b.ID },
-	})
-	out := make([]Neighbor, len(found))
-	for i, n := range found {
-		out[i] = Neighbor{
-			Entry:          n.Data,
-			DistanceMeters: geo.Distance(n.Data.Rep.FoV.P, center),
+	bound := inf
+	if maxDist2 > 0 {
+		bound = math.Sqrt(maxDist2)
+		reach := bound * (1 + 1e-9)
+		q.Min[1], q.Max[1] = p[1]-reach, p[1]+reach
+		if w[0] > 0 {
+			q.Min[0], q.Max[0] = p[0]-reach/w[0], p[0]+reach/w[0]
 		}
+	}
+	near := rtree.Near{P: p, W: [rtree.Dims]float64{w[0] * boundSlack, boundSlack, 0}}
+	best := make([]nearKey, 0, min(k, 64))
+	offer := func(_ *rtree.Rect, e *Entry) float64 {
+		// The box compares in float64; the integer test keeps the answer
+		// exact where two distinct instants round together.
+		if e.Rep.EndMillis >= startMillis && e.Rep.StartMillis <= endMillis {
+			dLng := (e.Rep.FoV.P.Lng - p[0]) * w[0]
+			dLat := e.Rep.FoV.P.Lat - p[1]
+			c := nearKey{dist2: dLng*dLng + dLat*dLat, e: e}
+			switch {
+			case maxDist2 > 0 && c.dist2 > maxDist2:
+			case len(best) == k && !nearAfter(&best[0], &c):
+			case keep != nil && !keep(e):
+			case len(best) < k:
+				best = minheap.Push(best, c, nearAfter)
+			default:
+				minheap.ReplaceTop(best, c, nearAfter)
+			}
+		}
+		if len(best) == k {
+			return math.Sqrt(best[0].dist2)
+		}
+		return bound
+	}
+	walkSnapshots(shards, q, near, bound, offer)
+	// best is a max-heap: popping it fills the answer from the back.
+	out := make([]Neighbor, len(best))
+	for i := len(out) - 1; i >= 0; i-- {
+		var c nearKey
+		c, best = minheap.Pop(best, nearAfter)
+		out[i] = Neighbor{Entry: *c.e, DistanceMeters: geo.Distance(c.e.Rep.FoV.P, center)}
 	}
 	return out
 }

@@ -92,7 +92,7 @@ func TestShardedReadsTakeNoShardLocks(t *testing.T) {
 func TestShardedLockOffNoExtraAllocs(t *testing.T) {
 	obs.SetLockSampleRate(0)
 	build := func(reg *obs.Registry) *Sharded {
-		x, err := NewSharded(ShardedOptions{Registry: reg, Workers: 1})
+		x, err := NewSharded(ShardedOptions{Registry: reg})
 		if err != nil {
 			t.Fatal(err)
 		}

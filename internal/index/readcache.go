@@ -55,11 +55,11 @@ func (o ReadCacheOptions) withDefaults() ReadCacheOptions {
 }
 
 // snapshotSearcher is the package-internal contract an index must offer
-// to sit behind a ReadCache: SearchRefs against a snapshot that also
-// returns a validity probe (true while a fresh search would still give
-// the same answer). RTree and Sharded implement it; Linear does not.
+// to sit behind a ReadCache: an unbounded search of a snapshot that
+// also returns a validity probe (true while a fresh search would still
+// give the same answer). RTree and Sharded implement it; Linear does not.
 type snapshotSearcher interface {
-	searchForCache(dst []*Entry, r geo.Rect, startMillis, endMillis int64) (refs []*Entry, nodes, leafs int64, valid func() bool)
+	searchForCache(r geo.Rect, startMillis, endMillis int64) (hits []Entry, nodes, scanned int64, valid func() bool)
 	ReadEpoch() uint64
 }
 
@@ -100,7 +100,7 @@ type cacheEntry struct {
 // scans from churning the cache. Eviction is FIFO over a ring of keys.
 //
 // A hit hands out references into the cached slice, which is never
-// rewritten, so they obey the SearchRefs contract like references into a
+// rewritten, so they obey the Visit contract like references into a
 // snapshot. The cache keeps copies rather than snapshot references so a
 // long-lived cached answer does not pin the leaves of a superseded tree.
 type ReadCache struct {
@@ -215,14 +215,16 @@ func (c *ReadCache) Nearest(center geo.Point, startMillis, endMillis int64, k in
 
 // Search implements Index through the cache.
 func (c *ReadCache) Search(r geo.Rect, startMillis, endMillis int64) []Entry {
-	refs, _, _ := c.SearchRefs(nil, r, startMillis, endMillis)
-	return entriesOf(refs)
+	return searchAll(c, r, startMillis, endMillis)
 }
 
-// SearchRefs implements Index through the cache. A hit costs no tree
+// Visit implements Index through the cache. A hit costs no tree
 // traversal (it reports zero nodes and zero entries scanned) and no
-// entry copy: load the cached slice, probe validity, append references.
-func (c *ReadCache) SearchRefs(dst []*Entry, r geo.Rect, startMillis, endMillis int64) ([]*Entry, int64, int64) {
+// entry copy: load the cached slice, probe validity, hand out references
+// into it. A miss on an established cell fills the cache from an
+// unbounded walk — the cached answer must serve any later bound — and
+// any other miss is the wrapped index's own steered walk.
+func (c *ReadCache) Visit(r geo.Rect, startMillis, endMillis int64, center geo.Point, visit func(*Entry) float64) (nodes, scanned int64) {
 	key := readKey{rect: r, start: startMillis, end: endMillis}
 	c.mu.RLock()
 	ent := c.m[key]
@@ -230,7 +232,8 @@ func (c *ReadCache) SearchRefs(dst []*Entry, r geo.Rect, startMillis, endMillis 
 	if ent != nil {
 		if ent.valid() {
 			c.hits.Add(1)
-			return refsInto(dst, ent.res), 0, 0
+			visitAll(ent.res, visit)
+			return 0, 0
 		}
 		c.invalidations.Add(1)
 		c.mu.Lock()
@@ -241,12 +244,13 @@ func (c *ReadCache) SearchRefs(dst []*Entry, r geo.Rect, startMillis, endMillis 
 	} else {
 		c.misses.Add(1)
 	}
-	base := len(dst)
-	refs, nodes, leafs, valid := c.snap.searchForCache(dst, r, startMillis, endMillis)
-	if c.admit(r) {
-		c.store(key, &cacheEntry{res: entriesOf(refs[base:]), valid: valid})
+	if !c.admit(r) {
+		return c.inner.Visit(r, startMillis, endMillis, center, visit)
 	}
-	return refs, nodes, leafs
+	hits, nodes, scanned, valid := c.snap.searchForCache(r, startMillis, endMillis)
+	c.store(key, &cacheEntry{res: hits, valid: valid})
+	visitAll(hits, visit)
+	return nodes, scanned
 }
 
 // admit offers the query's center cell to the hot-cell sketch and
@@ -298,7 +302,7 @@ func (c *ReadCache) CheckInvariants() error {
 		if !ent.valid() {
 			continue
 		}
-		fresh, _, _, _ := c.snap.searchForCache(nil, k.rect, k.start, k.end)
+		fresh, _, _, _ := c.snap.searchForCache(k.rect, k.start, k.end)
 		if len(fresh) != len(ent.res) {
 			return fmt.Errorf("index: readcache entry %+v claims valid but holds %d entries, fresh search finds %d", k, len(ent.res), len(fresh))
 		}

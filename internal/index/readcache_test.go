@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -15,7 +16,7 @@ import (
 // the hit path without priming rituals.
 func cachedSharded(t *testing.T, n int, opts ReadCacheOptions) (*ReadCache, *Sharded) {
 	t.Helper()
-	x, err := NewSharded(ShardedOptions{WindowMillis: 3_600_000, Workers: 1})
+	x, err := NewSharded(ShardedOptions{WindowMillis: 3_600_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,10 +163,10 @@ func TestReadCacheMetrics(t *testing.T) {
 	}
 }
 
-// The reference read path allocates nothing once the caller's buffer is
-// large enough — on the plain tree, and on a cache hit, which hands out
-// references into the cached slice — and the collecting Search adds one
-// allocation: the exact-size copy.
+// The visiting read path allocates nothing — on the plain tree, and on
+// a cache hit, which hands out references into the cached slice — and
+// the collecting Search costs its reference buffer's growth plus one
+// exact-size copy.
 func TestSnapshotReadAllocs(t *testing.T) {
 	x := newRTree(t)
 	rng := rand.New(rand.NewSource(5))
@@ -176,28 +177,28 @@ func TestSnapshotReadAllocs(t *testing.T) {
 	}
 	q := geo.RectAround(city, 3000)
 	const ts, te = 0, 86_400_000
-	buf := make([]*Entry, 0, 400)
+	hits := 0
+	count := func(*Entry) float64 { hits++; return math.Inf(1) }
 	if got := testing.AllocsPerRun(200, func() {
-		x.SearchRefs(buf[:0], q, ts, te)
+		x.Visit(q, ts, te, city, count)
 	}); got != 0 {
-		t.Fatalf("RTree.SearchRefs into a sized buffer allocates %.1f/op, want 0", got)
+		t.Fatalf("RTree.Visit allocates %.1f/op, want 0", got)
 	}
-	refs, _, _ := x.SearchRefs(nil, q, ts, te)
-	if len(refs) < 50 {
-		t.Fatalf("only %d hits: the pins below would not see a per-hit cost", len(refs))
+	if n := len(x.Search(q, ts, te)); n < 50 {
+		t.Fatalf("only %d hits: the pins below would not see a per-hit cost", n)
 	}
 
 	rc, _ := cachedSharded(t, 400, ReadCacheOptions{})
 	rc.Search(q, ts, te) // miss + store
 	rc.Search(q, ts, te) // warm hit
 	if got := testing.AllocsPerRun(200, func() {
-		rc.SearchRefs(buf[:0], q, ts, te)
+		rc.Visit(q, ts, te, city, count)
 	}); got != 0 {
 		t.Fatalf("cache hit allocates %.1f/op, want 0", got)
 	}
-	// Growing a nil reference buffer is the only other cost of Search.
+	// Growing the reference buffer is the only other cost of Search.
 	grow := testing.AllocsPerRun(200, func() {
-		rc.SearchRefs(nil, q, ts, te)
+		visitRefs(rc, q, ts, te)
 	})
 	if got := testing.AllocsPerRun(200, func() {
 		rc.Search(q, ts, te)

@@ -1,11 +1,8 @@
 package index
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"runtime/pprof"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -33,9 +30,6 @@ type ShardedOptions struct {
 	// SpatialShards is the size of the spatial-hash fallback set for
 	// segments longer than the window. Zero selects 8.
 	SpatialShards int
-	// Workers bounds the per-query fan-out concurrency. Zero selects
-	// min(GOMAXPROCS, 8).
-	Workers int
 	// Tree tunes each shard's R-tree.
 	Tree rtree.Options
 	// Registry, when non-nil, receives the index's metrics: the
@@ -58,15 +52,6 @@ func (o ShardedOptions) withDefaults() (ShardedOptions, error) {
 	if o.SpatialShards < 1 || o.SpatialShards > 1024 {
 		return o, fmt.Errorf("index: spatial shard count %d out of [1, 1024]", o.SpatialShards)
 	}
-	if o.Workers == 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-		if o.Workers > 8 {
-			o.Workers = 8
-		}
-	}
-	if o.Workers < 1 {
-		return o, fmt.Errorf("index: worker count %d must be positive", o.Workers)
-	}
 	return o, nil
 }
 
@@ -81,15 +66,8 @@ type shard struct {
 	spatialIdx int // -1 for time shards
 }
 
-// viewShard is one shard's pinned state inside a shardView: the label
-// (for pprof fan-out attribution) plus the snapshot readers traverse.
-type viewShard struct {
-	label string
-	snap  *rtree.Snapshot[Entry]
-}
-
 // shardView is the epoch-pinned, immutable cut over every shard that a
-// reader resolves with a single atomic load: queries fan out over these
+// reader resolves with a single atomic load: queries walk these
 // snapshots, never touching live shard locks. Writers delta-apply their
 // freshly published shard snapshots under pubMu; a per-shard epoch guard
 // (a newer snapshot never regresses to an older one) keeps concurrent
@@ -97,8 +75,8 @@ type viewShard struct {
 type shardView struct {
 	epoch   uint64
 	keys    []int64 // sorted time-window keys present in time
-	time    map[int64]viewShard
-	spatial []viewShard // slot-aligned with Sharded.spatial, never nil snaps
+	time    map[int64]*rtree.Snapshot[Entry]
+	spatial []*rtree.Snapshot[Entry] // slot-aligned with Sharded.spatial, never nil snaps
 }
 
 // shardDelta is one shard's new snapshot awaiting publication into the
@@ -138,11 +116,11 @@ type idStripe struct {
 //
 // Writes lock only the owning shard; InsertBatch groups a whole upload
 // by shard and takes each shard lock once. Queries compute the
-// overlapping shard set and fan out across a bounded worker pool,
-// merging per-shard results in deterministic shard order. Result sets
-// are identical to the single-tree index; rank order out of the query
-// pipeline is byte-identical because the ranker's sort key
-// (distance, id) does not depend on index traversal order.
+// overlapping shard set and walk it in deterministic shard order on the
+// calling goroutine, the ranker's distance bound carried from shard to
+// shard. Result sets are identical to the single-tree index; rank order
+// out of the query pipeline is byte-identical because the ranker's sort
+// key (distance, id) does not depend on index traversal order.
 //
 // Construct with NewSharded. Safe for concurrent use.
 type Sharded struct {
@@ -202,13 +180,13 @@ func NewSharded(opts ShardedOptions) (*Sharded, error) {
 		x.spatial[i] = &shard{label: fmt.Sprintf("s%d", i), rt: rt, spatialIdx: i}
 	}
 	// Initial view: every spatial shard's (empty) snapshot, no time shards.
-	spatial := make([]viewShard, len(x.spatial))
+	spatial := make([]*rtree.Snapshot[Entry], len(x.spatial))
 	for i, sp := range x.spatial {
-		spatial[i] = viewShard{label: sp.label, snap: sp.rt.tree.Snapshot()}
+		spatial[i] = sp.rt.tree.Snapshot()
 	}
 	x.view.Store(&shardView{
 		epoch:   1,
-		time:    make(map[int64]viewShard),
+		time:    make(map[int64]*rtree.Snapshot[Entry]),
 		spatial: spatial,
 	})
 	x.RegisterMetrics()
@@ -591,7 +569,7 @@ func (x *Sharded) NumShards() int {
 
 // ShardSizes returns the entry count of every live shard keyed by
 // shard label. Health checks use the distribution to detect imbalance
-// (one shard absorbing most of the index defeats the fan-out).
+// (one shard absorbing most of the index defeats the sharding).
 func (x *Sharded) ShardSizes() map[string]int {
 	x.mu.RLock()
 	shards := make([]*shard, 0, len(x.timeShards))
@@ -631,30 +609,30 @@ func (x *Sharded) publishView(deltas ...shardDelta) {
 			continue
 		}
 		if d.sh.spatialIdx >= 0 {
-			if old.spatial[d.sh.spatialIdx].snap.Epoch() >= d.snap.Epoch() {
+			if old.spatial[d.sh.spatialIdx].Epoch() >= d.snap.Epoch() {
 				continue
 			}
 			if !copiedSpatial {
-				nv.spatial = append([]viewShard(nil), nv.spatial...)
+				nv.spatial = append([]*rtree.Snapshot[Entry](nil), nv.spatial...)
 				copiedSpatial = true
 			}
-			nv.spatial[d.sh.spatialIdx] = viewShard{label: d.sh.label, snap: d.snap}
+			nv.spatial[d.sh.spatialIdx] = d.snap
 			changed = true
 			continue
 		}
 		cur, ok := nv.time[d.sh.key]
-		if ok && cur.snap.Epoch() >= d.snap.Epoch() {
+		if ok && cur.Epoch() >= d.snap.Epoch() {
 			continue
 		}
 		if !copiedTime {
-			m := make(map[int64]viewShard, len(nv.time)+1)
+			m := make(map[int64]*rtree.Snapshot[Entry], len(nv.time)+1)
 			for k, v := range nv.time {
 				m[k] = v
 			}
 			nv.time = m
 			copiedTime = true
 		}
-		nv.time[d.sh.key] = viewShard{label: d.sh.label, snap: d.snap}
+		nv.time[d.sh.key] = d.snap
 		if !ok {
 			pos := sort.Search(len(nv.keys), func(i int) bool { return nv.keys[i] >= d.sh.key })
 			keys := make([]int64, 0, len(nv.keys)+1)
@@ -685,112 +663,62 @@ func (x *Sharded) windowRange(startMillis, endMillis int64) (lo, hi int64) {
 // viewShardsFor returns, in deterministic order (ascending window, then
 // the non-empty spatial fallbacks), every snapshot in the view that
 // could hold an entry whose segment intersects [startMillis, endMillis].
-func (x *Sharded) viewShardsFor(v *shardView, startMillis, endMillis int64) []viewShard {
+func (x *Sharded) viewShardsFor(v *shardView, startMillis, endMillis int64) []*rtree.Snapshot[Entry] {
 	lo, hi := x.windowRange(startMillis, endMillis)
 	from := sort.Search(len(v.keys), func(i int) bool { return v.keys[i] >= lo })
 	to := from
 	for to < len(v.keys) && v.keys[to] <= hi {
 		to++
 	}
-	out := make([]viewShard, 0, (to-from)+len(v.spatial))
+	out := make([]*rtree.Snapshot[Entry], 0, (to-from)+len(v.spatial))
 	for _, k := range v.keys[from:to] {
 		out = append(out, v.time[k])
 	}
 	for _, sp := range v.spatial {
-		if sp.snap.Len() > 0 {
+		if sp.Len() > 0 {
 			out = append(out, sp)
 		}
 	}
 	return out
 }
 
-// fanOut runs fn(i) for every shard index across a worker pool bounded
-// by the configured Workers. Small fan-outs run inline.
-func (x *Sharded) fanOut(n int, fn func(i int)) {
-	workers := x.opts.Workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// SearchRefs implements Index: the query resolves every overlapping
-// shard snapshot from ONE atomic view load (a consistent, epoch-pinned
-// cut — no shard lock is touched), fans out across them, and appends the
-// per-shard references in shard order, with the summed traversal cost.
-func (x *Sharded) SearchRefs(dst []*Entry, r geo.Rect, startMillis, endMillis int64) ([]*Entry, int64, int64) {
-	return x.searchView(dst, x.view.Load(), r, startMillis, endMillis)
+// Visit implements Index: the query resolves every overlapping shard
+// snapshot from ONE atomic view load (a consistent, epoch-pinned cut —
+// no shard lock is touched) and walks them in shard order on the calling
+// goroutine, carrying the bound from each shard into the next, so a
+// shard the earlier ones have already out-ranked costs one node visit.
+// The traversal cost is summed over the shards.
+func (x *Sharded) Visit(r geo.Rect, startMillis, endMillis int64, center geo.Point, visit func(*Entry) float64) (nodes, scanned int64) {
+	return x.walkView(x.view.Load(), r, startMillis, endMillis, nearFor(r, center), inSnapshot(visit))
 }
 
 // Search implements Index.
 func (x *Sharded) Search(r geo.Rect, startMillis, endMillis int64) []Entry {
-	refs, _, _ := x.SearchRefs(nil, r, startMillis, endMillis)
-	return entriesOf(refs)
+	return searchAll(x, r, startMillis, endMillis)
 }
 
-// searchView runs one box query against a pinned view.
-func (x *Sharded) searchView(dst []*Entry, v *shardView, r geo.Rect, startMillis, endMillis int64) (refs []*Entry, nodeSum, leafSum int64) {
+// walkView runs one box query against a pinned view.
+func (x *Sharded) walkView(v *shardView, r geo.Rect, startMillis, endMillis int64, near rtree.Near, fn func(*rtree.Rect, *Entry) float64) (nodes, scanned int64) {
 	shards := x.viewShardsFor(v, startMillis, endMillis)
 	if h := x.fanout.Load(); h != nil {
 		h.Observe(float64(len(shards)))
 	}
-	if len(shards) == 0 {
-		return dst, 0, 0
-	}
-	q := queryRect(r, startMillis, endMillis)
-	results := make([][]*Entry, len(shards))
-	nodes := make([]int64, len(shards))
-	leafs := make([]int64, len(shards))
-	// pprof.Do allocates, so per-shard labels are only applied while the
-	// contention profilers are on — profiles then attribute samples to
-	// the shard being searched.
-	labeled := obs.ProfilingEnabled()
-	x.fanOut(len(shards), func(i int) {
-		if labeled {
-			pprof.Do(context.Background(), pprof.Labels("shard", shards[i].label), func(context.Context) {
-				results[i], nodes[i], leafs[i] = searchSnapRefs(nil, shards[i].snap, q)
-			})
-			return
-		}
-		results[i], nodes[i], leafs[i] = searchSnapRefs(nil, shards[i].snap, q)
-	})
-	for i, rs := range results {
-		dst = append(dst, rs...)
-		nodeSum += nodes[i]
-		leafSum += leafs[i]
-	}
-	return dst, nodeSum, leafSum
+	return walkSnapshots(shards, queryRect(r, startMillis, endMillis), near, math.Inf(1), fn)
 }
 
-// searchForCache is SearchRefs against the current view plus a validity
+// searchForCache is Search against the current view plus a validity
 // probe for the read cache: it stays true while every shard the query's
 // window range resolves to (plus the spatial set) is unchanged —
 // cell-granular invalidation, so ingest into unrelated windows does not
 // evict cached answers.
-func (x *Sharded) searchForCache(dst []*Entry, r geo.Rect, startMillis, endMillis int64) (refs []*Entry, nodes, leafs int64, valid func() bool) {
+func (x *Sharded) searchForCache(r geo.Rect, startMillis, endMillis int64) (hits []Entry, nodes, scanned int64, valid func() bool) {
 	v := x.view.Load()
-	refs, nodes, leafs = x.searchView(dst, v, r, startMillis, endMillis)
+	var refs []*Entry
+	nodes, scanned = x.walkView(v, r, startMillis, endMillis, rtree.Near{}, func(_ *rtree.Rect, e *Entry) float64 {
+		refs = append(refs, e)
+		return math.Inf(1)
+	})
+	hits = entriesOf(refs)
 	lo, hi := x.windowRange(startMillis, endMillis)
 	valid = func() bool {
 		cur := x.view.Load()
@@ -799,7 +727,7 @@ func (x *Sharded) searchForCache(dst []*Entry, r geo.Rect, startMillis, endMilli
 		}
 		return viewRangeUnchanged(v, cur, lo, hi)
 	}
-	return refs, nodes, leafs, valid
+	return hits, nodes, scanned, valid
 }
 
 // viewRangeUnchanged reports whether two views would answer a query over
@@ -809,7 +737,7 @@ func (x *Sharded) searchForCache(dst []*Entry, r geo.Rect, startMillis, endMilli
 // equality means the snapshot is the same.
 func viewRangeUnchanged(a, b *shardView, lo, hi int64) bool {
 	for i := range a.spatial {
-		if a.spatial[i].snap.Epoch() != b.spatial[i].snap.Epoch() {
+		if a.spatial[i].Epoch() != b.spatial[i].Epoch() {
 			return false
 		}
 	}
@@ -824,7 +752,7 @@ func viewRangeUnchanged(a, b *shardView, lo, hi int64) bool {
 		if a.keys[ai] != b.keys[bi] {
 			return false
 		}
-		if a.time[a.keys[ai]].snap.Epoch() != b.time[b.keys[bi]].snap.Epoch() {
+		if a.time[a.keys[ai]].Epoch() != b.time[b.keys[bi]].Epoch() {
 			return false
 		}
 		ai++
@@ -832,27 +760,11 @@ func viewRangeUnchanged(a, b *shardView, lo, hi int64) bool {
 	}
 }
 
-// Nearest implements the k-nearest search of the single-tree index:
-// each overlapping shard answers its own top-k, and the per-shard
-// results merge by the same weighted metric (longitude scaled by
-// cos(latitude), time as a pure filter) with ids breaking ties.
+// Nearest implements the k-nearest search of the single-tree index over
+// the pinned view: one walk through the overlapping shards, the k best
+// so far bounding what the later shards still have to show.
 func (x *Sharded) Nearest(center geo.Point, startMillis, endMillis int64, k int, maxDistanceMeters float64, keep func(*Entry) bool) []Neighbor {
-	if k <= 0 {
-		return nil
-	}
-	shards := x.viewShardsFor(x.view.Load(), startMillis, endMillis)
-	if len(shards) == 0 {
-		return nil
-	}
-	results := make([][]Neighbor, len(shards))
-	x.fanOut(len(shards), func(i int) {
-		results[i] = nearestSnap(shards[i].snap, center, startMillis, endMillis, k, maxDistanceMeters, keep)
-	})
-	var merged []Neighbor
-	for _, rs := range results {
-		merged = append(merged, rs...)
-	}
-	return MergeNeighbors(center, merged, k)
+	return nearestIn(x.viewShardsFor(x.view.Load(), startMillis, endMillis), center, startMillis, endMillis, k, maxDistanceMeters, keep)
 }
 
 // allShards snapshots every live shard in deterministic order.
@@ -874,8 +786,8 @@ func (x *Sharded) allShards() []*shard {
 
 // viewShardsAll returns every shard in the view (time shards in key
 // order, then all spatial slots).
-func viewShardsAll(v *shardView) []viewShard {
-	out := make([]viewShard, 0, len(v.keys)+len(v.spatial))
+func viewShardsAll(v *shardView) []*rtree.Snapshot[Entry] {
+	out := make([]*rtree.Snapshot[Entry], 0, len(v.keys)+len(v.spatial))
 	for _, k := range v.keys {
 		out = append(out, v.time[k])
 	}
@@ -889,7 +801,7 @@ func viewShardsAll(v *shardView) []viewShard {
 func (x *Sharded) Entries() []Entry {
 	var out []Entry
 	for _, vs := range viewShardsAll(x.view.Load()) {
-		vs.snap.Scan(func(_ rtree.Rect, e Entry) bool {
+		vs.Scan(func(_ rtree.Rect, e Entry) bool {
 			out = append(out, e)
 			return true
 		})
@@ -902,10 +814,10 @@ func (x *Sharded) Entries() []Entry {
 func (x *Sharded) Height() int {
 	h := 0
 	for _, vs := range viewShardsAll(x.view.Load()) {
-		if vs.snap.Len() == 0 {
+		if vs.Len() == 0 {
 			continue
 		}
-		if sht := vs.snap.Height(); sht > h {
+		if sht := vs.Height(); sht > h {
 			h = sht
 		}
 	}
@@ -916,7 +828,7 @@ func (x *Sharded) Height() int {
 func (x *Sharded) NodeCount() int {
 	n := 0
 	for _, vs := range viewShardsAll(x.view.Load()) {
-		n += vs.snap.NodeCount()
+		n += vs.NodeCount()
 	}
 	return n
 }
@@ -1003,13 +915,13 @@ func (x *Sharded) checkView() error {
 		if !ok {
 			return fmt.Errorf("index: view key %d missing from time map", k)
 		}
-		total += vs.snap.Len()
+		total += vs.Len()
 	}
-	for _, vs := range v.spatial {
-		if vs.snap == nil {
-			return fmt.Errorf("index: view spatial shard %s has nil snapshot", vs.label)
+	for i, vs := range v.spatial {
+		if vs == nil {
+			return fmt.Errorf("index: view spatial shard s%d has nil snapshot", i)
 		}
-		total += vs.snap.Len()
+		total += vs.Len()
 	}
 	if c := int(x.count.Load()); total != c {
 		return fmt.Errorf("index: view holds %d entries, count says %d", total, c)
@@ -1024,20 +936,20 @@ func (x *Sharded) checkView() error {
 			}
 			continue
 		}
-		if vs.snap.Len() != sh.rt.Len() {
-			return fmt.Errorf("index: view shard t%d has %d entries, live shard has %d (unpublished mutation)", k, vs.snap.Len(), sh.rt.Len())
+		if vs.Len() != sh.rt.Len() {
+			return fmt.Errorf("index: view shard t%d has %d entries, live shard has %d (unpublished mutation)", k, vs.Len(), sh.rt.Len())
 		}
-		if cur := sh.rt.ReadEpoch(); vs.snap.Epoch() > cur {
-			return fmt.Errorf("index: view shard t%d epoch %d ahead of live epoch %d", k, vs.snap.Epoch(), cur)
+		if cur := sh.rt.ReadEpoch(); vs.Epoch() > cur {
+			return fmt.Errorf("index: view shard t%d epoch %d ahead of live epoch %d", k, vs.Epoch(), cur)
 		}
 	}
 	for i, sp := range x.spatial {
 		vs := v.spatial[i]
-		if vs.snap.Len() != sp.rt.Len() {
-			return fmt.Errorf("index: view spatial shard %s has %d entries, live shard has %d", sp.label, vs.snap.Len(), sp.rt.Len())
+		if vs.Len() != sp.rt.Len() {
+			return fmt.Errorf("index: view spatial shard %s has %d entries, live shard has %d", sp.label, vs.Len(), sp.rt.Len())
 		}
-		if cur := sp.rt.ReadEpoch(); vs.snap.Epoch() > cur {
-			return fmt.Errorf("index: view spatial shard %s epoch %d ahead of live epoch %d", sp.label, vs.snap.Epoch(), cur)
+		if cur := sp.rt.ReadEpoch(); vs.Epoch() > cur {
+			return fmt.Errorf("index: view spatial shard %s epoch %d ahead of live epoch %d", sp.label, vs.Epoch(), cur)
 		}
 	}
 	return nil

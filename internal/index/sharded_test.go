@@ -28,7 +28,6 @@ func TestShardedOptionValidation(t *testing.T) {
 		{WindowMillis: -1},
 		{SpatialShards: -3},
 		{SpatialShards: 5000},
-		{Workers: -2},
 	}
 	for _, o := range cases {
 		if _, err := NewSharded(o); err == nil {
@@ -291,11 +290,11 @@ func TestShardedSearchTraceCost(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	hits, nodes, scanned := x.SearchRefs(nil, geo.RectAround(city, 10_000), 0, 86_400_000)
+	hits, nodes, scanned := visitRefs(x, geo.RectAround(city, 10_000), 0, 86_400_000)
 	if len(hits) != 300 {
 		t.Fatalf("hits = %d", len(hits))
 	}
-	// The fan-out must report the summed traversal cost of every shard
+	// The walk must report the summed traversal cost of every shard
 	// it visited: at minimum each returned entry was scanned in a leaf.
 	if scanned < 300 || nodes < int64(x.NumShards()) {
 		t.Fatalf("traversal cost nodes=%d leafs=%d, shards=%d", nodes, scanned, x.NumShards())
@@ -356,7 +355,7 @@ func TestShardedMetricsRegistry(t *testing.T) {
 // afterwards the structure must pass full invariant checking and agree
 // with a linear oracle over the surviving entries.
 func TestShardedConcurrentMutationStress(t *testing.T) {
-	x, err := NewSharded(ShardedOptions{WindowMillis: 60_000, Workers: 4})
+	x, err := NewSharded(ShardedOptions{WindowMillis: 60_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +402,7 @@ func TestShardedConcurrentMutationStress(t *testing.T) {
 				center := geo.Offset(city, rng.Float64()*360, rng.Float64()*5000)
 				ts := int64(rng.Intn(86_400_000))
 				te := ts + int64(rng.Intn(3_600_000))
-				x.SearchRefs(nil, geo.RectAround(center, 500), ts, te)
+				x.Search(geo.RectAround(center, 500), ts, te)
 				x.Nearest(center, ts, te, 5, 1000, nil)
 				x.Len()
 				x.NumShards()

@@ -1,0 +1,103 @@
+package index
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+	"testing/quick"
+
+	"fovr/internal/geo"
+	"fovr/internal/rtree"
+)
+
+// steerSpec is a quick-generatable question: where it is asked, how far
+// the box reaches, a rectangle inside the box, a position inside that
+// rectangle, and how far outside the box the center may stand.
+type steerSpec struct {
+	Lat, Lng, Reach    uint32
+	A, B, C, D, U, V   uint32
+	OffLat, OffLng     uint32
+	South              bool
+	Polar, Wide, Aside bool
+}
+
+// unit maps a generated integer to [0, 1].
+func unit(v uint32) float64 { return float64(v) / math.MaxUint32 }
+
+// TestQuickLowerBoundNeverExceedsDistance: for any query box and center,
+// the steering's lower bound for any rectangle is at most geo.Distance
+// from the center to any position inside the rectangle and the box —
+// mid-latitude cosine, near-polar bands, boxes wider than 180° of
+// longitude, the antimeridian and a center outside its box included.
+// The walk prunes on exactly this, so an overestimate would lose
+// results.
+func TestQuickLowerBoundNeverExceedsDistance(t *testing.T) {
+	f := func(s steerSpec) bool {
+		lat := (unit(s.Lat)*2 - 1) * 80
+		if s.Polar {
+			lat = 80 + unit(s.Lat)*9.9999
+			if s.South {
+				lat = -lat
+			}
+		}
+		q := geo.Point{Lat: lat, Lng: (unit(s.Lng)*2 - 1) * 180}
+		box := geo.RectAround(q, 10+unit(s.Reach)*5_000)
+		if s.Wide {
+			// A low band reaching up to 300° either way: longitude
+			// differences beyond 180° wrap while the cosine stays large.
+			reach := unit(s.Reach) * 300
+			box.MinLng, box.MaxLng = q.Lng-reach, q.Lng+reach
+		}
+		center := q
+		if s.Aside {
+			center = geo.Point{
+				Lat: math.Max(-90, math.Min(90, q.Lat+(unit(s.OffLat)*2-1)*30)),
+				Lng: math.Max(-180, math.Min(180, q.Lng+(unit(s.OffLng)*2-1)*200)),
+			}
+		}
+		// A rectangle inside the box, clipped to where positions exist.
+		lo := func(min, max float64, a, b uint32) (float64, float64) {
+			x, y := min+(max-min)*unit(a), min+(max-min)*unit(b)
+			return math.Min(x, y), math.Max(x, y)
+		}
+		minLat, maxLat := lo(math.Max(box.MinLat, -90), math.Min(box.MaxLat, 90), s.A, s.B)
+		minLng, maxLng := lo(math.Max(box.MinLng, -180), math.Min(box.MaxLng, 180), s.C, s.D)
+		rect := rtree.Rect{
+			Min: [rtree.Dims]float64{minLng, minLat, 0},
+			Max: [rtree.Dims]float64{maxLng, maxLat, 1},
+		}
+		p := geo.Point{Lat: minLat + (maxLat-minLat)*unit(s.U), Lng: minLng + (maxLng-minLng)*unit(s.V)}
+		near := nearFor(box, center)
+		if lb, d := math.Sqrt(near.MinDist2(&rect)), geo.Distance(p, center); lb > d {
+			t.Logf("box %+v center %v rect %v position %v: lower bound %v > distance %v", box, center, rect, p, lb, d)
+			return false
+		}
+		// The degenerate rectangle of the position itself: the leaf-slot
+		// bound, which is the tight one.
+		at := rtree.Point([rtree.Dims]float64{p.Lng, p.Lat, 0})
+		if lb, d := math.Sqrt(near.MinDist2(&at)), geo.Distance(p, center); lb > d {
+			t.Logf("box %+v center %v position %v: leaf lower bound %v > distance %v", box, center, p, lb, d)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20_000, Rand: rand.New(rand.NewSource(16))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The bound must also be worth having: at city scale it is within a few
+// parts in a thousand of the distance itself.
+func TestLowerBoundIsTightAtCityScale(t *testing.T) {
+	box := geo.RectAround(city, 400)
+	near := nearFor(box, city)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 1000; i++ {
+		p := geo.Offset(city, rng.Float64()*360, 50+rng.Float64()*350)
+		at := rtree.Point([rtree.Dims]float64{p.Lng, p.Lat, 0})
+		lb, d := math.Sqrt(near.MinDist2(&at)), geo.Distance(p, city)
+		if lb > d || lb < d*0.999 {
+			t.Fatalf("position %v: lower bound %v vs distance %v", p, lb, d)
+		}
+	}
+}

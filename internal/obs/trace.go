@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 )
@@ -65,7 +66,9 @@ type QueryTrace struct {
 	// clock internally.
 	StartUnixMillis int64 `json:"startUnixMillis"`
 
-	// Index traversal cost (step 1: the 3-D box search).
+	// Index traversal cost (step 1: the 3-D box search). Candidates is
+	// the number of entries the walk handed to the filter — with a
+	// top-N bound steering it, far fewer than the box holds.
 	NodesVisited       int64 `json:"nodesVisited"`
 	LeafEntriesScanned int64 `json:"leafEntriesScanned"`
 	Candidates         int   `json:"candidates"`
@@ -75,10 +78,15 @@ type QueryTrace struct {
 	DropsTotal int            `json:"dropsTotal"`
 	Drops      []TraceDrop    `json:"drops,omitempty"`
 
-	// Ranking (steps 2+4).
-	Ranked    int `json:"ranked"`
-	Returned  int `json:"returned"`
-	Truncated int `json:"truncated"`
+	// Ranking (steps 2+4). Ranked counts the survivors the walk saw,
+	// Truncated those of them beyond the top-N cut — at least that many
+	// more covering cameras exist; the walk skipped the rest unseen.
+	// BoundMeters is the final bound (the N-th result's distance) and is
+	// absent when the top N never filled.
+	Ranked      int     `json:"ranked"`
+	Returned    int     `json:"returned"`
+	Truncated   int     `json:"truncated"`
+	BoundMeters float64 `json:"boundMeters,omitempty"`
 
 	Stages     []StageNanos `json:"stages,omitempty"`
 	TotalNanos int64        `json:"totalNanos"`
@@ -125,7 +133,8 @@ func (t *QueryTrace) AddIndexVisit(nodes, leafEntries int64) {
 	t.LeafEntriesScanned += leafEntries
 }
 
-// SetCandidates records how many entries the box search produced.
+// SetCandidates records how many entries the index walk handed to the
+// filter.
 func (t *QueryTrace) SetCandidates(n int) {
 	if t == nil {
 		return
@@ -183,6 +192,15 @@ func (t *QueryTrace) SetRanked(n int) {
 		return
 	}
 	t.Ranked = n
+}
+
+// SetBound records the distance bound the walk ended with; +Inf (the
+// top N never filled, or there is no N) records nothing.
+func (t *QueryTrace) SetBound(meters float64) {
+	if t == nil || math.IsInf(meters, 1) {
+		return
+	}
+	t.BoundMeters = meters
 }
 
 // SetReturned records the final result count and how many ranked

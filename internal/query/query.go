@@ -15,6 +15,10 @@
 //     cover the query range, not merely be near it (the Merkel /
 //     World-Cup-final example).
 //  4. Return the top N records.
+//
+// SearchCtx runs the four as one walk of the index that the ranker
+// steers: the N-th best distance found so far bounds what the index
+// still has to look at.
 package query
 
 import (
@@ -144,31 +148,43 @@ func after(a, b *rankKey) bool {
 	return a.id > b.id
 }
 
-// scratch is the per-query working memory: the candidate references the
-// index search appends to, and the rank keys. Both are dead once the
-// results are materialised, so they are pooled.
+// scratch is the per-query working memory: the question being answered,
+// the tallies the walk keeps, and the rank keys. All of it is dead once
+// the results are materialised, so it is pooled — and visit is bound to
+// it once, when the scratch is made, so handing the index a callback
+// allocates no closure per question.
 type scratch struct {
-	refs []*index.Entry
-	keys []rankKey
+	q     Query
+	opts  Options
+	tr    *obs.QueryTrace
+	keys  []rankKey
+	drops [fov.NumCoverage]int
+	// candidates counts the entries the index handed over, ranked those
+	// that survived the filter (kept or not).
+	candidates, ranked int
+	visit              func(*index.Entry) float64
 }
 
-// scratchCap bounds what goes back to the pool, in elements per buffer:
-// one huge question must not leave its buffers pinned behind every later
-// small one.
+// scratchCap bounds what goes back to the pool, in rank keys: one huge
+// question must not leave its buffer pinned behind every later small
+// one.
 const scratchCap = 1 << 16
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+var scratchPool = sync.Pool{New: func() any {
+	sc := new(scratch)
+	sc.visit = sc.offerEntry
+	return sc
+}}
 
 // release clears the references (a pooled buffer must not keep a
 // superseded snapshot's leaves alive) and returns the scratch to the pool
 // unless the question grew it past scratchCap.
 func (sc *scratch) release() {
-	if cap(sc.refs) > scratchCap || cap(sc.keys) > scratchCap {
+	if cap(sc.keys) > scratchCap {
 		return
 	}
-	clear(sc.refs)
 	clear(sc.keys)
-	sc.refs, sc.keys = sc.refs[:0], sc.keys[:0]
+	*sc = scratch{keys: sc.keys[:0], visit: sc.visit}
 	scratchPool.Put(sc)
 }
 
@@ -176,7 +192,8 @@ func (sc *scratch) release() {
 // are a heap of at most limit entries, so a survivor that does not beat
 // the worst one kept costs one comparison; with no limit every key is
 // kept for the final sort.
-func (sc *scratch) offer(k rankKey, limit int) {
+func (sc *scratch) offer(k rankKey) {
+	limit := sc.opts.MaxResults
 	switch {
 	case limit <= 0:
 		sc.keys = append(sc.keys, k)
@@ -187,16 +204,56 @@ func (sc *scratch) offer(k rankKey, limit int) {
 	}
 }
 
+// bound is what the walk is told after every entry: nothing farther
+// than the worst key kept can matter once the heap is full. A key at
+// exactly that distance can still win on its id, which is why the index
+// skips only what lies strictly beyond.
+func (sc *scratch) bound() float64 {
+	if n := sc.opts.MaxResults; n > 0 && len(sc.keys) == n {
+		return sc.keys[0].dist
+	}
+	return math.Inf(1)
+}
+
+// offerEntry is steps 2+3 for one entry the index found in the box:
+// orientation filter, ranking key. Entries from devices that declared
+// their own optics are filtered with them; opts.Camera is the deployment
+// default (and must bound the largest allowed device radius, since it
+// sizes the candidate rectangle). One displacement serves both the
+// distance and the coverage test.
+func (sc *scratch) offerEntry(e *index.Entry) float64 {
+	sc.candidates++
+	q, tr := &sc.q, sc.tr
+	v := geo.Displacement(e.Rep.FoV.P, q.Center)
+	d := v.Norm()
+	if !sc.opts.SkipOrientationFilter {
+		cam := e.EffectiveCamera(sc.opts.Camera)
+		if c := e.Rep.FoV.CircleCoverage(cam, v, d, q.RadiusMeters); c != fov.Covered {
+			sc.drops[c]++
+			if tr.WantsDropDetail() {
+				_, miss := e.Rep.FoV.ExplainCoversCircle(cam, q.Center, q.RadiusMeters)
+				tr.DropDetail(e.ID, miss.Reason, miss.AngleDeg, miss.LimitDeg, miss.DistanceMeters)
+			}
+			return sc.bound()
+		}
+	}
+	sc.ranked++
+	sc.offer(rankKey{dist: d, id: e.ID, e: e})
+	return sc.bound()
+}
+
 // SearchCtx is Search threaded through context.Context: when ctx
 // carries an obs.QueryTrace (see obs.WithTrace), the pipeline records
-// into it the index traversal cost, the filter drops per reason (and the
-// offending angle of the first obs.MaxDropDetails), the ranked/truncated
-// counts, and per-stage timings named after the paper's Section V-B
-// steps ("search" — the 3-D box lookup, "filter" — orientation coverage,
-// which also feeds the bounded top-N, "rank" — ordering and materialising
-// the N results). Traced and untraced requests run the same loop: a
-// candidate is read where the index keeps it and copied only if it is
-// returned.
+// into it the work it did — the index traversal cost, the entries the
+// walk handed to the filter ("candidates"), the filter drops per reason
+// (and the offending angle of the first obs.MaxDropDetails), the
+// survivors ("ranked") and how many of them fell beyond the cut
+// ("truncated"), the final distance bound — and two stage timings:
+// "search" — the steered walk with the orientation filter and the
+// bounded top-N inside it, since they are one loop — and "rank" —
+// ordering and materialising the N results. Traced and untraced requests
+// run the same loop: a candidate is read where the index keeps it and
+// copied only if it is returned.
 func SearchCtx(ctx context.Context, idx index.Index, q Query, opts Options) ([]Ranked, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -207,47 +264,24 @@ func SearchCtx(ctx context.Context, idx index.Index, q Query, opts Options) ([]R
 	tr := obs.TraceFrom(ctx)
 	sc := scratchPool.Get().(*scratch)
 	defer sc.release()
+	sc.q, sc.opts, sc.tr = q, opts, tr
 
-	// Step 1: query rectangle, padded by the radius of view so cameras
-	// outside the circle but able to see into it remain candidates.
+	// Steps 1-3 as one walk. The query rectangle is padded by the radius
+	// of view so cameras outside the circle but able to see into it remain
+	// candidates; the index hands over what it finds inside, nearest
+	// subtrees first, and the N-th best distance so far tells it what it
+	// need not find at all.
 	rect := geo.RectAround(q.Center, q.RadiusMeters+opts.Camera.RadiusMeters)
 	st := tr.StartStage("search")
-	refs, nodes, scanned := idx.SearchRefs(sc.refs, rect, q.StartMillis, q.EndMillis)
-	sc.refs = refs
+	nodes, scanned := idx.Visit(rect, q.StartMillis, q.EndMillis, q.Center, sc.visit)
 	st.End()
 	tr.AddIndexVisit(nodes, scanned)
-	tr.SetCandidates(len(refs))
-
-	// Steps 2+3: orientation filter, ranking key. Entries from devices
-	// that declared their own optics are filtered with them; opts.Camera
-	// is the deployment default (and must bound the largest allowed device
-	// radius, since it sizes the candidate rectangle). One displacement
-	// per candidate serves both the distance and the coverage test.
-	st = tr.StartStage("filter")
-	var drops [fov.NumCoverage]int
-	ranked := 0
-	for _, e := range refs {
-		v := geo.Displacement(e.Rep.FoV.P, q.Center)
-		d := v.Norm()
-		if !opts.SkipOrientationFilter {
-			cam := e.EffectiveCamera(opts.Camera)
-			if c := e.Rep.FoV.CircleCoverage(cam, v, d, q.RadiusMeters); c != fov.Covered {
-				drops[c]++
-				if tr.WantsDropDetail() {
-					_, miss := e.Rep.FoV.ExplainCoversCircle(cam, q.Center, q.RadiusMeters)
-					tr.DropDetail(e.ID, miss.Reason, miss.AngleDeg, miss.LimitDeg, miss.DistanceMeters)
-				}
-				continue
-			}
-		}
-		ranked++
-		sc.offer(rankKey{dist: d, id: e.ID, e: e}, opts.MaxResults)
-	}
-	st.End()
+	tr.SetCandidates(sc.candidates)
 	for c := fov.TooFar; c < fov.NumCoverage; c++ {
-		tr.CountDrops(c.Reason(), drops[c])
+		tr.CountDrops(c.Reason(), sc.drops[c])
 	}
-	tr.SetRanked(ranked)
+	tr.SetRanked(sc.ranked)
+	tr.SetBound(sc.bound())
 
 	// Step 4: the top N in rank order, the only entries copied.
 	st = tr.StartStage("rank")
@@ -266,15 +300,15 @@ func SearchCtx(ctx context.Context, idx index.Index, q Query, opts Options) ([]R
 		out[i] = Ranked{Entry: *keys[i].e, DistanceMeters: keys[i].dist}
 	}
 	st.End()
-	tr.SetReturned(len(out), ranked-len(out))
+	tr.SetReturned(len(out), sc.ranked-len(out))
 	return out, nil
 }
 
 // SearchNearest answers the radius-free form of the request: the k
 // segments closest to the point of interest that were recording during
 // the window and actually cover the point. It uses the index's
-// branch-and-bound nearest-neighbour search, so no empirical query
-// radius has to be guessed at all — the alternative to step 1's radius
+// nearest-neighbour search (the same steered walk, bounded by the k-th
+// best distance), so no empirical query radius has to be guessed at all — the alternative to step 1's radius
 // table when the area type is unknown. Any index.NearestSearcher works:
 // the single R-tree, the sharded index, or the linear oracle.
 func SearchNearest(idx index.NearestSearcher, center geo.Point, startMillis, endMillis int64, k int, opts Options) ([]Ranked, error) {

@@ -93,7 +93,7 @@ func TestTraceCountersAndStages(t *testing.T) {
 		stages[st.Stage] = st.Nanos
 		sum += st.Nanos
 	}
-	for _, name := range []string{"search", "filter", "rank"} {
+	for _, name := range []string{"search", "rank"} {
 		if _, ok := stages[name]; !ok {
 			t.Fatalf("stage %q missing from %v", name, stages)
 		}

@@ -184,11 +184,13 @@ func TestFollowerBootstrapsThenTails(t *testing.T) {
 				if !cur.IsZero() {
 					return nil, fmt.Errorf("first fetch with cursor %v, want zero (bootstrap)", cur)
 				}
+				// The leader's log already holds the tail, so the follower
+				// is not caught up until it has applied the next step.
 				return &Batch{
 					Kind:    StreamSnapshot,
 					Entries: []index.Entry{entry(1, "alice"), entry(2, "alice")},
 					Next:    Cursor{Gen: 1, Off: 100},
-					Lead:    Cursor{Gen: 1, Off: 100},
+					Lead:    Cursor{Gen: 1, Off: 100 + int64(len(wal))},
 					StoreID: "leader-1",
 				}, nil
 			},
@@ -228,15 +230,17 @@ func TestFollowerBootstrapsThenTails(t *testing.T) {
 }
 
 func TestFollowerRebootstrapsOnStoreIDChange(t *testing.T) {
-	snap := func(id string, e index.Entry) func(Cursor) (*Batch, error) {
+	snap := func(id string, e index.Entry, lead int64) func(Cursor) (*Batch, error) {
 		return func(Cursor) (*Batch, error) {
 			return &Batch{Kind: StreamSnapshot, Entries: []index.Entry{e},
-				Next: Cursor{Gen: 1, Off: 10}, Lead: Cursor{Gen: 1, Off: 10}, StoreID: id}, nil
+				Next: Cursor{Gen: 1, Off: 10}, Lead: Cursor{Gen: 1, Off: lead}, StoreID: id}, nil
 		}
 	}
 	sf := &scriptFetcher{
 		steps: []func(Cursor) (*Batch, error){
-			snap("leader-old", entry(1, "alice")),
+			// The old leader is ahead of its snapshot: only the second
+			// bootstrap leaves the follower caught up.
+			snap("leader-old", entry(1, "alice"), 20),
 			// The leader's directory was wiped: same cursor shape, new id.
 			func(cur Cursor) (*Batch, error) {
 				return &Batch{Kind: StreamWAL, Frames: nil,
@@ -247,7 +251,7 @@ func TestFollowerRebootstrapsOnStoreIDChange(t *testing.T) {
 				if !cur.IsZero() {
 					return nil, fmt.Errorf("after id change cursor = %v, want zero", cur)
 				}
-				return snap("leader-new", entry(7, "carol"))(cur)
+				return snap("leader-new", entry(7, "carol"), 10)(cur)
 			},
 		},
 	}
@@ -268,31 +272,32 @@ func TestFollowerRebootstrapsOnStoreIDChange(t *testing.T) {
 
 func TestFollowerRebootstrapsOnDamagedFrames(t *testing.T) {
 	good := frames(t, store.Record{Op: store.OpRegister, Entries: []index.Entry{entry(9, "dave")}})
+	// Every batch reports the leader at the end of the good tail, so the
+	// follower is caught up only once it has applied the last step.
+	lead := Cursor{Gen: 1, Off: int64(len(good))}
 	sf := &scriptFetcher{
 		steps: []func(Cursor) (*Batch, error){
 			func(Cursor) (*Batch, error) {
 				return &Batch{Kind: StreamSnapshot, Entries: nil,
-					Next: Cursor{Gen: 1, Off: 0}, Lead: Cursor{Gen: 1, Off: 0}, StoreID: "L"}, nil
+					Next: Cursor{Gen: 1, Off: 0}, Lead: lead, StoreID: "L"}, nil
 			},
 			func(Cursor) (*Batch, error) {
 				return &Batch{Kind: StreamWAL, Frames: []byte("not a wal frame"),
-					Next: Cursor{Gen: 1, Off: 15}, Lead: Cursor{Gen: 1, Off: 15}, StoreID: "L"}, nil
+					Next: Cursor{Gen: 1, Off: 15}, Lead: lead, StoreID: "L"}, nil
 			},
 			func(cur Cursor) (*Batch, error) {
 				if !cur.IsZero() {
 					return nil, fmt.Errorf("after damage cursor = %v, want zero", cur)
 				}
 				return &Batch{Kind: StreamSnapshot, Entries: nil,
-					Next: Cursor{Gen: 1, Off: 0}, Lead: Cursor{Gen: 1, Off: 0}, StoreID: "L"}, nil
+					Next: Cursor{Gen: 1, Off: 0}, Lead: lead, StoreID: "L"}, nil
 			},
 			func(Cursor) (*Batch, error) {
-				return &Batch{Kind: StreamWAL, Frames: good,
-					Next: Cursor{Gen: 1, Off: int64(len(good))}, Lead: Cursor{Gen: 1, Off: int64(len(good))}, StoreID: "L"}, nil
+				return &Batch{Kind: StreamWAL, Frames: good, Next: lead, Lead: lead, StoreID: "L"}, nil
 			},
 		},
 	}
-	sf.idle = Batch{Kind: StreamWAL, Next: Cursor{Gen: 1, Off: int64(len(good))},
-		Lead: Cursor{Gen: 1, Off: int64(len(good))}, StoreID: "L"}
+	sf.idle = Batch{Kind: StreamWAL, Next: lead, Lead: lead, StoreID: "L"}
 
 	ap := newMemApplier()
 	f := startFollower(t, sf, ap)

@@ -95,7 +95,7 @@ func TestQuickRectAlgebra(t *testing.T) {
 	}
 }
 
-// TestQuickMinDistLowerBound: MinDist from any point to a rect never
+// TestQuickMinDistLowerBound: MinDist2 from any point to a rect never
 // exceeds the squared distance to any point sampled inside the rect
 // (here: its center and corners).
 func TestQuickMinDistLowerBound(t *testing.T) {
@@ -105,7 +105,8 @@ func TestQuickMinDistLowerBound(t *testing.T) {
 			return true
 		}
 		p := [Dims]float64{math.Mod(px, 200), math.Mod(py, 200), math.Mod(pt, 2000)}
-		min := r.MinDist(p)
+		near := Near{P: p, W: [Dims]float64{1, 1, 1}}
+		min := near.MinDist2(&r)
 		check := func(q [Dims]float64) bool {
 			d := 0.0
 			for i := 0; i < Dims; i++ {

@@ -15,8 +15,10 @@
 // tested against them specifically.
 //
 // Features: insert with quadratic (default) or linear split, delete with
-// tree condensation and reinsertion, range search, nearest-neighbour
-// search (branch-and-bound), and sort-tile-recursive (STR) bulk loading.
+// tree condensation and reinsertion, range search — optionally steered
+// nearest-first around a point under a shrinking distance bound, which
+// is how package index answers top-N and k-nearest questions — and
+// sort-tile-recursive (STR) bulk loading.
 // The tree is not safe for concurrent mutation; package index wraps it
 // with the locking the retrieval server needs.
 package rtree
@@ -126,24 +128,6 @@ func (r Rect) Margin() float64 {
 func (r Rect) Enlargement(o Rect) (dArea, dMargin float64) {
 	u := r.Union(o)
 	return u.Area() - r.Area(), u.Margin() - r.Margin()
-}
-
-// MinDist returns the squared minimum distance from a point to the
-// rectangle (0 when the point is inside). It is the classic R-tree
-// branch-and-bound lower bound for nearest-neighbour search.
-func (r Rect) MinDist(p [Dims]float64) float64 {
-	sum := 0.0
-	for d := 0; d < Dims; d++ {
-		v := p[d]
-		if v < r.Min[d] {
-			diff := r.Min[d] - v
-			sum += diff * diff
-		} else if v > r.Max[d] {
-			diff := v - r.Max[d]
-			sum += diff * diff
-		}
-	}
-	return sum
 }
 
 // Center returns the rectangle's center point.

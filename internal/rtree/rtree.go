@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 )
 
@@ -445,42 +446,134 @@ func (t *Tree[T]) Search(q Rect, fn func(Rect, T) bool) {
 // lifetime Stats; the return values are the per-call slice of them that
 // a query trace records.
 func (t *Tree[T]) SearchCounted(q Rect, fn func(Rect, T) bool) (nodesVisited, leafEntriesScanned int64) {
-	return searchCounted(t.root, &t.stats, q, byValue(fn))
+	_, nodesVisited, leafEntriesScanned = searchFrom(t.root, &t.stats, q, Near{}, math.Inf(1), byValue(fn))
+	return nodesVisited, leafEntriesScanned
 }
 
-// byValue adapts a copying callback to the in-place traversal: only the
-// items that intersect the query are copied, at the call boundary.
-func byValue[T any](fn func(Rect, T) bool) func(*Rect, *T) bool {
-	return func(r *Rect, v *T) bool { return fn(*r, *v) }
+// byValue adapts a copying, stop-on-false callback to the in-place
+// traversal: only the items that intersect the query are copied, at the
+// call boundary, and "stop" becomes a bound nothing can meet.
+func byValue[T any](fn func(Rect, T) bool) func(*Rect, *T) float64 {
+	return func(r *Rect, v *T) float64 {
+		if fn(*r, *v) {
+			return math.Inf(1)
+		}
+		return -1
+	}
 }
 
-func searchCounted[T any](root *node[T], st *stats, q Rect, fn func(*Rect, *T) bool) (nodes, leafs int64) {
-	var c searchCounters
-	searchNode(root, &q, fn, &c)
-	st.recordSearch(c)
-	return c.nodes, c.leafs
+// Near steers a range search around a point: a subtree's or item's
+// distance from P is bounded below by the gap between P and its
+// rectangle, each dimension scaled by W (a zero weight removes the
+// dimension). The zero Near bounds every distance by zero, which
+// leaves the search unsteered.
+type Near struct {
+	P, W [Dims]float64
+}
+
+// MinDist2 returns the squared lower bound on the weighted distance
+// from n.P to anything inside r (0 when P is inside).
+func (n *Near) MinDist2(r *Rect) float64 {
+	sum := 0.0
+	for d := 0; d < Dims; d++ {
+		if n.W[d] == 0 {
+			continue
+		}
+		var gap float64
+		if v := n.P[d]; v < r.Min[d] {
+			gap = r.Min[d] - v
+		} else if v > r.Max[d] {
+			gap = v - r.Max[d]
+		}
+		gap *= n.W[d]
+		sum += gap * gap
+	}
+	return sum
+}
+
+// walk is the state of one range traversal: the query box, the
+// steering, the callback, and the bound the callback last returned with
+// its square (-1 once it asked to stop: no lower bound is below that).
+type walk[T any] struct {
+	q             *Rect
+	near          Near
+	fn            func(*Rect, *T) float64
+	bound, bound2 float64
+	c             searchCounters
+}
+
+func (w *walk[T]) setBound(b float64) {
+	w.bound, w.bound2 = b, b*b
+	if b < 0 {
+		w.bound2 = -1
+	}
+}
+
+// nearSlot is one intersecting child of an internal node, queued by its
+// lower bound.
+type nearSlot[T any] struct {
+	dist2 float64
+	child *node[T]
+}
+
+// searchFrom runs the one range kernel from root: fn receives every item
+// intersecting q whose lower bound under near does not exceed the bound
+// — the one given, then whatever fn last returned — and the final bound
+// is handed back with the nodes visited and leaf entries tested.
+func searchFrom[T any](root *node[T], st *stats, q Rect, near Near, bound float64, fn func(*Rect, *T) float64) (float64, int64, int64) {
+	w := walk[T]{q: &q, near: near, fn: fn}
+	w.setBound(bound)
+	w.searchNode(root)
+	st.recordSearch(w.c)
+	return w.bound, w.c.nodes, w.c.leafs
 }
 
 // searchNode visits entries where they live: node slots are addressed by
-// index, never copied, and fn receives pointers into the node.
-func searchNode[T any](n *node[T], q *Rect, fn func(*Rect, *T) bool, c *searchCounters) bool {
-	c.nodes++
+// index, never copied, and fn receives pointers into the node. The
+// intersecting children of an internal node are entered nearest lower
+// bound first, so the bound tightens before the farther ones are
+// reached, and whatever lies strictly beyond the bound is skipped —
+// strictly, so an item exactly at the bound is still offered.
+func (w *walk[T]) searchNode(n *node[T]) {
+	w.c.nodes++
 	es := n.entries
 	if n.leaf {
-		c.leafs += int64(len(es))
+		w.c.leafs += int64(len(es))
 		for i := range es {
-			if e := &es[i]; e.rect.intersects(q) && !fn(&e.rect, &e.data) {
-				return false
+			e := &es[i]
+			if !e.rect.intersects(w.q) || w.near.MinDist2(&e.rect) > w.bound2 {
+				continue
 			}
+			w.setBound(w.fn(&e.rect, &e.data))
 		}
-		return true
+		return
 	}
+	// Insertion-sorted on the stack; a node wider than the default M
+	// spills to the heap.
+	var buf [16]nearSlot[T]
+	order := buf[:0]
 	for i := range es {
-		if e := &es[i]; e.rect.intersects(q) && !searchNode(e.child, q, fn, c) {
-			return false
+		e := &es[i]
+		if !e.rect.intersects(w.q) {
+			continue
 		}
+		d2 := w.near.MinDist2(&e.rect)
+		if d2 > w.bound2 {
+			continue
+		}
+		j := len(order)
+		order = append(order, nearSlot[T]{})
+		for ; j > 0 && order[j-1].dist2 > d2; j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = nearSlot[T]{dist2: d2, child: e.child}
 	}
-	return true
+	for i := range order {
+		if order[i].dist2 > w.bound2 {
+			return // ascending: the rest lie beyond the bound too
+		}
+		w.searchNode(order[i].child)
+	}
 }
 
 // SearchAll collects all items intersecting q.

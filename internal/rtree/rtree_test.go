@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -149,19 +150,31 @@ func TestRectOps(t *testing.T) {
 	}
 }
 
-func TestRectMinDist(t *testing.T) {
+func TestNearMinDist2(t *testing.T) {
 	r := Rect{Min: [Dims]float64{0, 0, 0}, Max: [Dims]float64{2, 2, 2}}
-	if got := r.MinDist([Dims]float64{1, 1, 1}); got != 0 {
-		t.Errorf("inside point MinDist = %v, want 0", got)
+	from := func(p [Dims]float64) float64 {
+		n := Near{P: p, W: [Dims]float64{1, 1, 1}}
+		return n.MinDist2(&r)
 	}
-	if got := r.MinDist([Dims]float64{5, 1, 1}); got != 9 {
-		t.Errorf("MinDist = %v, want 9", got)
+	if got := from([Dims]float64{1, 1, 1}); got != 0 {
+		t.Errorf("inside point MinDist2 = %v, want 0", got)
 	}
-	if got := r.MinDist([Dims]float64{3, 3, 1}); got != 2 {
-		t.Errorf("corner MinDist = %v, want 2", got)
+	if got := from([Dims]float64{5, 1, 1}); got != 9 {
+		t.Errorf("MinDist2 = %v, want 9", got)
 	}
-	if got := r.MinDist([Dims]float64{-1, -1, -1}); got != 3 {
-		t.Errorf("negative corner MinDist = %v, want 3", got)
+	if got := from([Dims]float64{3, 3, 1}); got != 2 {
+		t.Errorf("corner MinDist2 = %v, want 2", got)
+	}
+	if got := from([Dims]float64{-1, -1, -1}); got != 3 {
+		t.Errorf("negative corner MinDist2 = %v, want 3", got)
+	}
+	// Weights scale each gap; a zero weight removes the dimension.
+	n := Near{P: [Dims]float64{5, 5, 99}, W: [Dims]float64{2, 0.5, 0}}
+	if got := n.MinDist2(&r); got != 36+2.25 {
+		t.Errorf("weighted MinDist2 = %v, want 38.25", got)
+	}
+	if got := (&Near{}).MinDist2(&r); got != 0 {
+		t.Errorf("zero Near MinDist2 = %v, want 0", got)
 	}
 }
 
@@ -399,64 +412,154 @@ func TestBoundsEmpty(t *testing.T) {
 	}
 }
 
-func TestNearestMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	tree := MustNew[int](Options{MaxEntries: 8})
-	rects := make([]Rect, 1000)
-	for i := range rects {
-		rects[i] = randRect(rng, true)
-		_ = tree.Insert(rects[i], i)
+// kNearest runs the steered walk the way its callers do: keep the k
+// best (dist2, id) seen, and answer every item with the k-th best
+// distance once there are k. It reports the ids nearest first and the
+// leaf slots offered.
+func kNearest(s *Snapshot[int], q Rect, near Near, k int) (ids []int, offered int) {
+	type cand struct {
+		d2 float64
+		id int
 	}
-	for trial := 0; trial < 50; trial++ {
-		p := [Dims]float64{rng.Float64() * 100, rng.Float64() * 100, rng.Float64() * 1000}
-		k := 1 + rng.Intn(20)
-		got := tree.Nearest(p, k)
-		if len(got) != k {
-			t.Fatalf("Nearest returned %d, want %d", len(got), k)
-		}
-		// Brute-force distances.
-		dists := make([]float64, len(rects))
-		for i, r := range rects {
-			dists[i] = r.MinDist(p)
-		}
-		sort.Float64s(dists)
-		for i, nb := range got {
-			if math.Abs(nb.Dist2-dists[i]) > 1e-9 {
-				t.Fatalf("trial %d: neighbor %d dist2 %v, want %v", trial, i, nb.Dist2, dists[i])
+	var best []cand
+	s.SearchNear(q, near, math.Inf(1), func(r *Rect, v *int) float64 {
+		offered++
+		best = append(best, cand{near.MinDist2(r), *v})
+		sort.Slice(best, func(i, j int) bool {
+			if best[i].d2 != best[j].d2 {
+				return best[i].d2 < best[j].d2
 			}
-			if i > 0 && got[i-1].Dist2 > nb.Dist2 {
-				t.Fatalf("trial %d: results not sorted", trial)
-			}
+			return best[i].id < best[j].id
+		})
+		if len(best) > k {
+			best = best[:k]
 		}
-	}
-}
-
-func TestNearestEdgeCases(t *testing.T) {
-	tree := MustNew[int](Options{})
-	if got := tree.Nearest([Dims]float64{0, 0, 0}, 5); got != nil {
-		t.Fatal("empty tree returned neighbors")
-	}
-	_ = tree.Insert(Point([Dims]float64{1, 1, 1}), 1)
-	if got := tree.Nearest([Dims]float64{0, 0, 0}, 0); got != nil {
-		t.Fatal("k=0 returned neighbors")
-	}
-	got := tree.Nearest([Dims]float64{0, 0, 0}, 10)
-	if len(got) != 1 {
-		t.Fatalf("k > size returned %d", len(got))
-	}
-}
-
-func TestNearestFuncFilter(t *testing.T) {
-	tree := MustNew[int](Options{})
-	for i := 0; i < 100; i++ {
-		_ = tree.Insert(Point([Dims]float64{float64(i), 0, 0}), i)
-	}
-	// Keep only even ids; the 3 nearest evens to x=0.1 are 0, 2, 4.
-	got := tree.NearestFunc([Dims]float64{0.1, 0, 0}, 3, func(v *int) bool {
-		return *v%2 == 0
+		if len(best) == k {
+			return math.Sqrt(best[k-1].d2)
+		}
+		return math.Inf(1)
 	})
-	if len(got) != 3 || got[0].Data != 0 || got[1].Data != 2 || got[2].Data != 4 {
-		t.Fatalf("filtered nearest = %+v", got)
+	for _, c := range best {
+		ids = append(ids, c.id)
+	}
+	return ids, offered
+}
+
+var everything = Rect{
+	Min: [Dims]float64{math.Inf(-1), math.Inf(-1), math.Inf(-1)},
+	Max: [Dims]float64{math.Inf(1), math.Inf(1), math.Inf(1)},
+}
+
+// The steered walk finds the k nearest exactly — ties by id included —
+// while offering far fewer items than the tree holds, on default-width
+// nodes and on nodes wider than the walk's stack buffer.
+func TestSearchNearTopKMatchesBruteForce(t *testing.T) {
+	for _, m := range []int{8, 16, 40} {
+		rng := rand.New(rand.NewSource(17))
+		tree := MustNew[int](Options{MaxEntries: m})
+		rects := make([]Rect, 2000)
+		for i := range rects {
+			rects[i] = randRect(rng, true)
+			if i%10 == 0 && i > 0 {
+				rects[i] = rects[i-1] // co-located: equal distances, ids decide
+			}
+			_ = tree.Insert(rects[i], i)
+		}
+		snap := tree.Publish()
+		for trial := 0; trial < 50; trial++ {
+			near := Near{
+				P: [Dims]float64{rng.Float64() * 100, rng.Float64() * 100, rng.Float64() * 1000},
+				W: [Dims]float64{1 + rng.Float64(), 1, float64(trial % 2)},
+			}
+			k := 1 + rng.Intn(20)
+			got, offered := kNearest(snap, everything, near, k)
+			want := make([]int, len(rects))
+			for i := range want {
+				want[i] = i
+			}
+			sort.Slice(want, func(i, j int) bool {
+				di, dj := near.MinDist2(&rects[want[i]]), near.MinDist2(&rects[want[j]])
+				if di != dj {
+					return di < dj
+				}
+				return want[i] < want[j]
+			})
+			if fmt.Sprint(got) != fmt.Sprint(want[:k]) {
+				t.Fatalf("M=%d trial %d: %d nearest = %v, want %v", m, trial, k, got, want[:k])
+			}
+			if offered > len(rects)/2 {
+				t.Fatalf("M=%d trial %d: the walk offered %d of %d items for k=%d", m, trial, offered, len(rects), k)
+			}
+		}
+	}
+}
+
+// With no bound the steered walk is the plain range search: the same
+// items at the same cost. The bound passed in prunes before the first
+// callback, the bound handed back is the last one the callback gave,
+// and a negative answer stops the walk.
+func TestSearchNearBounds(t *testing.T) {
+	tree := MustNew[int](Options{})
+	for i := 0; i < 400; i++ {
+		_ = tree.Insert(Point([Dims]float64{float64(i), 0, float64(i % 7)}), i)
+	}
+	snap := tree.Publish()
+	q := Rect{Min: [Dims]float64{50, -1, 0}, Max: [Dims]float64{350, 1, 3}}
+	near := Near{P: [Dims]float64{200, 0, 0}, W: [Dims]float64{1, 1, 0}}
+
+	plain := 0
+	wantNodes, wantLeafs := tree.SearchCounted(q, func(Rect, int) bool { plain++; return true })
+	seen := 0
+	bound, nodes, leafs := snap.SearchNear(q, near, math.Inf(1), func(*Rect, *int) float64 { seen++; return math.Inf(1) })
+	if seen != plain || nodes != wantNodes || leafs != wantLeafs || !math.IsInf(bound, 1) {
+		t.Fatalf("unbounded walk saw %d items over %d nodes / %d slots (bound %v); plain search %d over %d / %d",
+			seen, nodes, leafs, bound, plain, wantNodes, wantLeafs)
+	}
+
+	// Items within 10 of x=200, dimension 2 in [0, 3]: the bound is
+	// inclusive (x=190 and x=210 are exactly at it).
+	var got []int
+	bound, boundedNodes, _ := snap.SearchNear(q, near, 10, func(_ *Rect, v *int) float64 { got = append(got, *v); return 10 })
+	sort.Ints(got)
+	var want []int
+	for i := 190; i <= 210; i++ {
+		if i%7 <= 3 {
+			want = append(want, i)
+		}
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) || bound != 10 {
+		t.Fatalf("walk bounded at 10 offered %v (bound %v), want %v", got, bound, want)
+	}
+	if boundedNodes >= nodes {
+		t.Fatalf("bounded walk visited %d nodes, unbounded %d", boundedNodes, nodes)
+	}
+
+	calls := 0
+	bound, _, _ = snap.SearchNear(q, near, math.Inf(1), func(*Rect, *int) float64 { calls++; return -1 })
+	if calls != 1 || bound != -1 {
+		t.Fatalf("a negative answer should stop the walk: %d calls, bound %v", calls, bound)
+	}
+	if _, n, _ := snap.SearchNear(q, near, -1, func(*Rect, *int) float64 { t.Fatal("offered past a stop"); return 0 }); n != 1 {
+		t.Fatalf("a walk entered already stopped visited %d nodes, want the root only", n)
+	}
+}
+
+// The first leaf the steered walk reaches is the one nearest the point:
+// with k=1 on separated points it offers a handful of slots, not the
+// box.
+func TestSearchNearVisitsNearestFirst(t *testing.T) {
+	tree := MustNew[int](Options{})
+	for i := 0; i < 1000; i++ {
+		_ = tree.Insert(Point([Dims]float64{float64(i % 40), float64(i / 40), 0}), i)
+	}
+	snap := tree.Publish()
+	near := Near{P: [Dims]float64{17.2, 11.1, 0}, W: [Dims]float64{1, 1, 0}}
+	got, offered := kNearest(snap, everything, near, 1)
+	if len(got) != 1 || got[0] != 11*40+17 {
+		t.Fatalf("nearest = %v, want %d", got, 11*40+17)
+	}
+	if offered > 3*snap.opts.MaxEntries {
+		t.Fatalf("k=1 walk offered %d slots", offered)
 	}
 }
 
@@ -584,50 +687,5 @@ func TestMixedOpsInvariants(t *testing.T) {
 		if err := tree.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-func TestWeightedNearest(t *testing.T) {
-	tree := MustNew[int](Options{})
-	// Points along x with varying t (dim 2).
-	for i := 0; i < 100; i++ {
-		_ = tree.Insert(Point([Dims]float64{float64(i), 0, float64(i * 1000)}), i)
-	}
-	// Unit weights on x/y, zero on t: nearest to x=10.2 are 10, 11, 9.
-	got := tree.WeightedNearest([Dims]float64{10.2, 0, 999999}, 3, NearestOptions[int]{Weights: [Dims]float64{1, 1, 0}})
-	if len(got) != 3 || got[0].Data != 10 || got[1].Data != 11 || got[2].Data != 9 {
-		t.Fatalf("weighted nearest = %+v", got)
-	}
-	// A distance bound cuts the result set: within 1.0 of x=10.2 only
-	// 10 and 11 qualify.
-	got = tree.WeightedNearest([Dims]float64{10.2, 0, 0}, 5, NearestOptions[int]{Weights: [Dims]float64{1, 1, 0}, MaxDist2: 1.0})
-	if len(got) != 2 {
-		t.Fatalf("bounded nearest returned %d, want 2", len(got))
-	}
-	// Weighting x heavily makes y-displaced points relatively closer:
-	// point 999 scores (1*2)^2 = 4, while x-neighbor 10 scores
-	// (20*0.2)^2 = 16.
-	_ = tree.Insert(Point([Dims]float64{10.2, 2, 0}), 999)
-	got = tree.WeightedNearest([Dims]float64{10.2, 0, 0}, 1, NearestOptions[int]{Weights: [Dims]float64{20, 1, 0}})
-	if len(got) != 1 || got[0].Data != 999 {
-		t.Fatalf("anisotropic nearest = %+v, want the y-offset point", got)
-	}
-	// Filter + bound compose.
-	got = tree.WeightedNearest([Dims]float64{10.2, 0, 0}, 5, NearestOptions[int]{
-		Weights: [Dims]float64{1, 1, 0}, MaxDist2: 4.0,
-		Keep: func(v *int) bool { return *v%2 == 0 },
-	})
-	for _, n := range got {
-		if n.Data != 999 && n.Data%2 != 0 {
-			t.Fatalf("filter leaked %d", n.Data)
-		}
-	}
-	// Empty tree / k=0.
-	empty := MustNew[int](Options{})
-	if empty.WeightedNearest([Dims]float64{}, 3, NearestOptions[int]{Weights: unitWeights}) != nil {
-		t.Fatal("empty tree returned neighbors")
-	}
-	if tree.WeightedNearest([Dims]float64{}, 0, NearestOptions[int]{Weights: unitWeights}) != nil {
-		t.Fatal("k=0 returned neighbors")
 	}
 }

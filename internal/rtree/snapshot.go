@@ -1,5 +1,7 @@
 package rtree
 
+import "math"
+
 // Snapshot is an immutable point-in-time view of a Tree, published by the
 // writer with Publish and loaded by readers with Tree.Snapshot. Readers
 // traverse the frozen node graph with no locks and no coordination with
@@ -92,19 +94,27 @@ func (s *Snapshot[T]) Height() int { return s.height }
 // Search calls fn for every item in the snapshot whose rectangle
 // intersects q. Return false from fn to stop early.
 func (s *Snapshot[T]) Search(q Rect, fn func(Rect, T) bool) {
-	searchCounted(s.root, s.stats, q, byValue(fn))
+	searchFrom(s.root, s.stats, q, Near{}, math.Inf(1), byValue(fn))
 }
 
-// SearchRefs is Search without the copies: fn receives pointers to the
-// rectangle and item inside the snapshot's leaf, and the call reports
+// SearchNear is the steered, copy-free range search. fn receives
+// pointers to the rectangle and item of each match inside the
+// snapshot's leaf and returns a distance bound: "nothing farther than
+// this from near.P interests me any more" (+Inf for no bound, negative
+// to stop). Subtrees are entered nearest lower bound first, and
+// subtrees and items whose lower bound under near (Near.MinDist2) lies
+// strictly beyond the bound — the one passed in, then the one fn last
+// returned — are skipped. The call hands back the final bound, so a
+// caller walking several snapshots carries it from one to the next, and
 // this traversal's node visits and leaf entries scanned (the per-call
-// costs Tree.SearchCounted reports). A snapshot's nodes are frozen, so
-// what the pointers address never changes and they stay valid for as
-// long as the caller holds them; the caller must not write through
-// them. Only snapshots offer this form — a live Tree's write-generation
-// nodes are mutated in place.
-func (s *Snapshot[T]) SearchRefs(q Rect, fn func(*Rect, *T) bool) (nodesVisited, leafEntriesScanned int64) {
-	return searchCounted(s.root, s.stats, q, fn)
+// costs Tree.SearchCounted reports).
+//
+// A snapshot's nodes are frozen, so what the pointers address never
+// changes and they stay valid for as long as the caller holds them; the
+// caller must not write through them. Only snapshots offer this form —
+// a live Tree's write-generation nodes are mutated in place.
+func (s *Snapshot[T]) SearchNear(q Rect, near Near, bound float64, fn func(*Rect, *T) float64) (newBound float64, nodesVisited, leafEntriesScanned int64) {
+	return searchFrom(s.root, s.stats, q, near, bound, fn)
 }
 
 // SearchAll collects all items intersecting q.
@@ -128,16 +138,6 @@ func (s *Snapshot[T]) Bounds() (Rect, bool) {
 		return Rect{}, false
 	}
 	return s.root.mbr(), true
-}
-
-// NearestFunc is the snapshot edition of Tree.NearestFunc.
-func (s *Snapshot[T]) NearestFunc(p [Dims]float64, k int, keep func(*T) bool) []Neighbor[T] {
-	return s.WeightedNearest(p, k, NearestOptions[T]{Weights: unitWeights, Keep: keep})
-}
-
-// WeightedNearest is the snapshot edition of Tree.WeightedNearest.
-func (s *Snapshot[T]) WeightedNearest(p [Dims]float64, k int, o NearestOptions[T]) []Neighbor[T] {
-	return weightedNearest(s.root, s.size, s.stats, p, k, o)
 }
 
 // NodeCount returns the number of nodes in the snapshot.

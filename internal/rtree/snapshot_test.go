@@ -1,7 +1,7 @@
 package rtree
 
 import (
-	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -142,13 +142,6 @@ func TestSnapshotAfterBulkLoad(t *testing.T) {
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	// Snapshot kNN agrees with the tree's.
-	p := [Dims]float64{50, 100, 150}
-	a := tr.Nearest(p, 5)
-	b := s.NearestFunc(p, 5, nil)
-	if fmt.Sprint(a) != fmt.Sprint(b) {
-		t.Fatalf("tree kNN %v != snapshot kNN %v", a, b)
-	}
 }
 
 // Snapshot searches must feed the shared lifetime stats.
@@ -162,7 +155,7 @@ func TestSnapshotStatsShared(t *testing.T) {
 	s := tr.Publish()
 	before := tr.Stats().Searches
 	s.SearchAll(snapRect(3))
-	s.NearestFunc([Dims]float64{0, 0, 0}, 3, nil)
+	s.SearchNear(snapRect(3), Near{}, math.Inf(1), func(*Rect, *int) float64 { return math.Inf(1) })
 	if got := tr.Stats().Searches; got != before+2 {
 		t.Fatalf("Searches = %d, want %d", got, before+2)
 	}

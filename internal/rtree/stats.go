@@ -1,9 +1,6 @@
 package rtree
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Stats is a snapshot of the tree's lifetime operation counters — the
 // raw material for the paper's Section V index-cost evaluation. All
@@ -11,10 +8,10 @@ import (
 // (snapshot restore, bulk rebuild) resets them, which scrapers treat as
 // a counter reset.
 type Stats struct {
-	// Searches counts Search/SearchAll/Nearest calls.
+	// Searches counts Search/SearchAll/SearchNear calls.
 	Searches int64
 	// NodeVisits counts internal and leaf nodes whose entries were
-	// examined during searches (range and nearest-neighbour).
+	// examined during searches.
 	NodeVisits int64
 	// LeafEntriesScanned counts leaf entries tested against a query —
 	// the per-query work the R-tree exists to minimise versus a linear
@@ -40,11 +37,6 @@ type stats struct {
 	deletes    atomic.Int64
 	reinserts  atomic.Int64
 	splits     atomic.Int64
-
-	// knnHeaps recycles nearest-neighbour queue buffers (*[]knnItem[T]).
-	// It lives here because this block is the one thing a tree and all of
-	// its snapshots share.
-	knnHeaps sync.Pool
 }
 
 // Stats returns a snapshot of the tree's operation counters.

@@ -41,12 +41,6 @@ func TestStatsCounters(t *testing.T) {
 		t.Fatalf("search recorded no work: %+v", st)
 	}
 
-	// kNN records as a search too.
-	tr.Nearest([Dims]float64{50, 50, 0}, 3)
-	if got := tr.Stats().Searches; got != 2 {
-		t.Fatalf("Searches after kNN = %d, want 2", got)
-	}
-
 	// Deletes and reinserts.
 	before := tr.Stats()
 	for i := 0; i < n; i++ {

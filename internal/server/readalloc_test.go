@@ -35,7 +35,10 @@ func crowd(t *testing.T, s *Server, at geo.Point, n int, spread float64, seed in
 // attaches one to every request) and Server.Nearest. A question over a
 // crowd of thousands must allocate exactly what a question over a few
 // dozen does — the trace, its bounded drop records, and the N results —
-// because candidates are visited where the index keeps them.
+// because candidates are visited where the index keeps them. The crowd
+// is sized by what the query box holds (Index().Search): the trace's own
+// candidate count is small either way now that the top-N bound steers
+// the walk.
 func TestReadPathAllocsIndependentOfCandidates(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds buffers at random under the race detector")
@@ -44,7 +47,7 @@ func TestReadPathAllocsIndependentOfCandidates(t *testing.T) {
 	few := crowd(t, s, geo.Offset(center, 90, 5_000), 300, 90, 1) // enough to fill the trace's drop records
 	many := crowd(t, s, geo.Offset(center, 270, 5_000), 4_000, 90, 2)
 
-	queryAllocs := func(at geo.Point) (allocs float64, candidates int) {
+	queryAllocs := func(at geo.Point) (allocs float64, inBox int) {
 		q := query.Query{EndMillis: 1000, Center: at, RadiusMeters: 50}
 		allocs = testing.AllocsPerRun(100, func() {
 			tr := obs.NewQueryTrace("t")
@@ -52,9 +55,9 @@ func TestReadPathAllocsIndependentOfCandidates(t *testing.T) {
 			if err != nil || len(got) != 20 {
 				t.Fatalf("got %d results, err %v", len(got), err)
 			}
-			candidates = tr.Candidates
 		})
-		return allocs, candidates
+		box := geo.RectAround(at, q.RadiusMeters+s.cfg.Camera.RadiusMeters)
+		return allocs, len(s.Index().Search(box, q.StartMillis, q.EndMillis))
 	}
 	fewAllocs, fewCands := queryAllocs(few)
 	manyAllocs, manyCands := queryAllocs(many)

@@ -69,14 +69,12 @@ type Config struct {
 	IndexOptions rtree.Options
 	// IndexKind selects the index implementation: "rtree" (one global
 	// 3-D R-tree, the paper's design and the default) or "sharded"
-	// (per-time-window R-tree shards with parallel query fan-out).
+	// (per-time-window R-tree shards, so uploads into different hours do
+	// not share a writer lock).
 	IndexKind string
 	// ShardWindow is the time-shard width for IndexKind "sharded".
 	// Zero selects the index package default (1 h).
 	ShardWindow time.Duration
-	// ShardWorkers bounds the per-query shard fan-out concurrency for
-	// IndexKind "sharded". Zero selects the index package default.
-	ShardWorkers int
 	// Logger receives structured request-level diagnostics; nil silences
 	// them.
 	Logger *slog.Logger
@@ -281,7 +279,6 @@ func unwrapIndex(idx index.ServerIndex) index.ServerIndex {
 func (c Config) shardedOptions() index.ShardedOptions {
 	return index.ShardedOptions{
 		WindowMillis: c.ShardWindow.Milliseconds(),
-		Workers:      c.ShardWorkers,
 		Tree:         c.IndexOptions,
 		Registry:     c.Registry,
 	}

@@ -95,7 +95,7 @@ func TestExplainQueryReturnsFullTrace(t *testing.T) {
 		seen[st.Stage] = true
 		sum += st.Nanos
 	}
-	for _, name := range []string{"search", "filter", "rank"} {
+	for _, name := range []string{"search", "rank"} {
 		if !seen[name] {
 			t.Fatalf("stage %q missing: %+v", name, tr.Stages)
 		}
