@@ -133,5 +133,6 @@ func main() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		_ = httpSrv.Shutdown(ctx)
 		cancel()
+		rt.Close()
 	}
 }

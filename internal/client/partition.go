@@ -1,10 +1,12 @@
-// Partition is the cluster router's thin per-partition client: one
-// struct per endpoint (leader or replica), context-aware so the router
-// can hedge and cancel, and deliberately narrower than Client — query
-// calls are single-shot (the router's hedging replaces per-endpoint
-// retries; retrying under a hedge would double-bill the latency
-// budget), while upload forwarding reuses the shared RetryPolicy plus
-// the 409 leader-redirect handling followers answer with.
+// Partition is the cluster router's per-endpoint client: one struct per
+// node (leader or replica), deliberately narrower than Client. Reads
+// (/query, /nearest) run on connections the Partition owns — see
+// readleg.go — and are single-shot: the router's hedging replaces
+// per-endpoint retries, and retrying under a hedge would double-bill
+// the latency budget. Upload forwarding and health probes are cold
+// paths on net/http's default client; forwarding reuses the shared
+// RetryPolicy plus the 409 leader-redirect handling followers answer
+// with.
 package client
 
 import (
@@ -15,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"time"
 
 	"fovr/internal/obs"
@@ -28,60 +31,28 @@ var partitionForwardRetries = obs.GetOrCreateCounter("fovr_cluster_forward_retri
 type Partition struct {
 	// BaseURL is the node root, e.g. "http://127.0.0.1:8480".
 	BaseURL string
-	// HTTPClient must not carry a global timeout — the router bounds
-	// each call with a per-request context. Nil selects a fresh default
-	// client.
-	HTTPClient *http.Client
 	// Retry paces upload forwarding (queries never retry here).
 	Retry RetryPolicy
+
+	hostport string // BaseURL's authority: the dial address and the Host line
+
+	mu     sync.Mutex
+	idle   []*conn // keep-alive connections between exchanges, most recent last
+	closed bool
 }
 
-// NewPartition returns a client for the node at baseURL with the
-// default forwarding retry policy.
-func NewPartition(baseURL string) *Partition {
+// NewPartition returns a client for the node at baseURL
+// ("http://host:port") with the default forwarding retry policy.
+func NewPartition(baseURL string) (*Partition, error) {
+	hostport, err := ParseEndpoint(baseURL)
+	if err != nil {
+		return nil, err
+	}
 	return &Partition{
-		BaseURL:    baseURL,
-		HTTPClient: &http.Client{},
-		Retry:      RetryPolicy{MaxRetries: 2, Delay: 50 * time.Millisecond, Retries: partitionForwardRetries},
-	}
-}
-
-func (p *Partition) httpClient() *http.Client {
-	if p.HTTPClient != nil {
-		return p.HTTPClient
-	}
-	return http.DefaultClient
-}
-
-// PostJSON performs one JSON round-trip with no retries; the caller
-// hedges. trace, when non-empty, propagates the router's trace id so
-// partition-side traces stitch to the routed request.
-func (p *Partition) PostJSON(ctx context.Context, path string, reqBody, out any, trace string) error {
-	body, err := json.Marshal(reqBody)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.BaseURL+path, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if trace != "" {
-		req.Header.Set(server.TraceHeader, trace)
-	}
-	resp, err := p.httpClient().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	respBody, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("client: partition %s%s: %s: %s", p.BaseURL, path, resp.Status, bytes.TrimSpace(respBody))
-	}
-	return json.Unmarshal(respBody, out)
+		BaseURL:  baseURL,
+		Retry:    RetryPolicy{MaxRetries: 2, Delay: 50 * time.Millisecond, Retries: partitionForwardRetries},
+		hostport: hostport,
+	}, nil
 }
 
 // Upload forwards one (sub-)upload to the partition. A 409 from a
@@ -124,7 +95,7 @@ func (p *Partition) uploadTo(ctx context.Context, baseURL string, body []byte, t
 		if trace != "" {
 			req.Header.Set(server.TraceHeader, trace)
 		}
-		resp, err := p.httpClient().Do(req)
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			return !errors.Is(err, context.Canceled), err
 		}
@@ -160,7 +131,7 @@ func (p *Partition) Healthz(ctx context.Context) (server.HealthzResponse, error)
 	if err != nil {
 		return server.HealthzResponse{}, err
 	}
-	resp, err := p.httpClient().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return server.HealthzResponse{}, err
 	}

@@ -5,17 +5,20 @@
 // merge under the exact contract index.Sharded enforces — so a routed
 // result is byte-identical to the same corpus on one node. Uploads
 // split into per-owner runs and forward to partition leaders.
+//
+// A routed read is built once and gathered on the handler's own
+// goroutine (scatter); only a leg whose leader is slow, unreachable or
+// wrong leaves that path for the hedged race (race).
 package cluster
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"math/rand/v2"
 	"net/http"
 	"strings"
 	"sync"
@@ -57,9 +60,6 @@ type RouterConfig struct {
 	Registry *obs.Registry
 	// Logger receives request diagnostics; nil silences them.
 	Logger *slog.Logger
-	// HTTPClient, when non-nil, is shared by every partition client
-	// (tests inject per-endpoint transports via the topology URLs).
-	HTTPClient *http.Client
 }
 
 // routerPartition is one partition's client set, in hedging order.
@@ -77,7 +77,10 @@ type Router struct {
 	parts  []*routerPartition
 	reg    *obs.Registry
 	log    *slog.Logger
+	logOn  bool // a logger is configured; off skips building log fields
 	health *obs.HealthSet
+
+	gathers sync.Pool // *gather: the buffers of one routed read
 
 	fanout *obs.Histogram // partitions visited per query
 	hedges *obs.Counter   // hedge requests fired
@@ -122,6 +125,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		topo:    cfg.Topology,
 		reg:     cfg.Registry,
 		log:     log,
+		logOn:   cfg.Logger != nil,
 		fanout:  cfg.Registry.Histogram("fovr_cluster_fanout_partitions"),
 		hedges:  cfg.Registry.Counter("fovr_cluster_hedges_total"),
 		started: time.Now(),
@@ -134,9 +138,9 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 			errors:  cfg.Registry.Counter(fmt.Sprintf("fovr_cluster_partition_errors_total{partition=%q}", p.ID)),
 		}
 		for _, ep := range p.Endpoints() {
-			pc := client.NewPartition(ep)
-			if cfg.HTTPClient != nil {
-				pc.HTTPClient = cfg.HTTPClient
+			pc, err := client.NewPartition(ep)
+			if err != nil {
+				return nil, fmt.Errorf("cluster: router: partition %q: %w", p.ID, err)
 			}
 			rp.clients = append(rp.clients, pc)
 		}
@@ -145,6 +149,16 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	rt.health = obs.NewHealthSet()
 	rt.registerHealthChecks()
 	return rt, nil
+}
+
+// Close drops the router's pooled partition connections. Requests still
+// in flight finish; the router stays usable, on fresh connections.
+func (rt *Router) Close() {
+	for _, rp := range rt.parts {
+		for _, pc := range rp.clients {
+			pc.Close()
+		}
+	}
 }
 
 // partition returns the client set for a topology partition.
@@ -182,132 +196,250 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 func respondJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
 	data, err := json.Marshal(v)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "encode: %v", err)
-		return
-	}
-	_, _ = w.Write(data)
+	server.WriteJSON(w, data, err)
 }
 
-// traceID returns the propagated trace id or mints a router one.
+// traceID returns the propagated trace id or mints a router one. An id
+// that could not be written into a partition request's head as it
+// stands is not propagated.
 func (rt *Router) traceID(r *http.Request) string {
-	if id := r.Header.Get(server.TraceHeader); id != "" {
+	if id := r.Header.Get(server.TraceHeader); id != "" && client.ValidHeaderValue(id) {
 		return id
 	}
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "rt-00000000"
+	const digits = "0123456789abcdef"
+	id := [19]byte{'r', 't', '-'}
+	for i, v := 3, rand.Uint64(); i < len(id); i, v = i+1, v>>4 {
+		id[i] = digits[v&15]
 	}
-	return "rt-" + hex.EncodeToString(b[:])
+	return string(id[:])
 }
 
-// scatterResult is one partition's answer to a scattered call.
-type scatterResult[T any] struct {
-	part   *Partition
-	resp   T
-	hedges int
+// leg is one partition's share of a routed read.
+type leg struct {
+	rp     *routerPartition
+	call   client.Call // on the leader, while the leg is on the common path
+	body   []byte      // the partition's answer
+	answer server.QueryResponse
+	micros int64 // until the leg had its answer or its error
+	hedges int   // extra requests fired
 	err    error
 }
 
-// scatter runs call against every owner partition concurrently, each
-// under the partition timeout with hedging across its endpoints, and
-// returns the per-partition outcomes in owner order.
-func scatter[T any](rt *Router, ctx context.Context, owners []*Partition,
-	call func(ctx context.Context, pc *client.Partition) (T, error)) []scatterResult[T] {
-
-	out := make([]scatterResult[T], len(owners))
-	var wg sync.WaitGroup
-	for i, p := range owners {
-		rp := rt.partition(p)
-		wg.Add(1)
-		go func(i int, p *Partition, rp *routerPartition) {
-			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, rt.cfg.PartitionTimeout)
-			defer cancel()
-			start := time.Now()
-			resp, hedges, err := hedgedCall(pctx, rp.clients, rt.cfg.HedgeAfter, call)
-			rp.latency.Observe(float64(time.Since(start).Microseconds()))
-			if err != nil {
-				rp.errors.Inc()
-			}
-			if hedges > 0 {
-				rt.hedges.Add(int64(hedges))
-			}
-			out[i] = scatterResult[T]{part: p, resp: resp, hedges: hedges, err: err}
-		}(i, p, rp)
-	}
-	wg.Wait()
-	return out
+// gather holds everything one routed read builds; all of it is reused
+// by the next request that draws it from the pool.
+type gather struct {
+	in     []byte             // the inquirer's body
+	body   []byte             // the body the partitions get
+	req    client.ReadRequest // head + body, rendered once
+	legs   []leg
+	lists  [][]query.Ranked
+	merged []query.Ranked
+	out    []byte
+	wg     sync.WaitGroup // legs in the hedged race
 }
 
-// hedgedCall runs call against eps[0] and, each time hedgeAfter
-// elapses without an answer — or every in-flight attempt has failed —
-// fires the next endpoint. First success wins and cancels the rest;
-// the error case joins every endpoint's failure. hedges counts the
-// extra requests fired.
-func hedgedCall[T any](ctx context.Context, eps []*client.Partition, hedgeAfter time.Duration,
-	call func(ctx context.Context, pc *client.Partition) (T, error)) (T, int, error) {
+func (rt *Router) getGather() *gather {
+	if sc, ok := rt.gathers.Get().(*gather); ok {
+		return sc
+	}
+	return new(gather)
+}
 
-	cctx, cancel := context.WithCancel(ctx)
+func (rt *Router) putGather(sc *gather) {
+	if cap(sc.out) <= 1<<18 { // the buffers of an unusually large answer are let go
+		rt.gathers.Put(sc)
+	}
+}
+
+// scatter sends sc.req to the leader of every owner and gathers the
+// answers into sc.legs, in owner order. The common case — a pooled
+// connection to every leader, every leader answering before HedgeAfter
+// — runs entirely on this goroutine: all requests are written first,
+// so the partitions work concurrently, then the answers are read back
+// in turn under the connections' deadlines. A leg that cannot go that
+// way (no pooled connection, a stale one, a leader silent past
+// HedgeAfter, a failed exchange) is handed to race in a goroutine of
+// its own while the remaining legs are read, so a slow partition costs
+// the routed read the maximum over its legs, never the sum.
+func (rt *Router) scatter(ctx context.Context, sc *gather, owners []*Partition) {
+	start := time.Now()
+	deadline := start.Add(rt.cfg.PartitionTimeout)
+	rt.fanout.Observe(float64(len(owners)))
+	// Legs past len keep their buffers from earlier requests.
+	if n := len(owners) - cap(sc.legs); n > 0 {
+		sc.legs = append(sc.legs[:cap(sc.legs)], make([]leg, n)...)
+	}
+	sc.legs = sc.legs[:len(owners)]
+	for i, p := range owners {
+		l := &sc.legs[i]
+		l.rp, l.hedges = rt.partition(p), 0
+		until := deadline
+		if rt.hedging(l.rp) {
+			until = start.Add(rt.cfg.HedgeAfter)
+		}
+		l.call, l.err = l.rp.clients[0].Send(&sc.req, until)
+	}
+	var raced *client.ReadRequest // a copy the race may outlive sc with
+	for i := range sc.legs {
+		l := &sc.legs[i]
+		if l.err == nil {
+			if l.err = l.call.Wait(); l.err == nil {
+				l.body, l.err = l.call.Recv(l.body[:0], deadline)
+			}
+			if l.err == nil {
+				l.micros = time.Since(start).Microseconds()
+				continue
+			}
+		}
+		if raced == nil {
+			raced = sc.req.Clone()
+		}
+		sc.wg.Add(1)
+		go rt.race(ctx, &sc.wg, l, raced, start, deadline)
+	}
+	sc.wg.Wait()
+
+	rt.queriesTotal.Add(1)
+	hedged := false
+	for i := range sc.legs {
+		l := &sc.legs[i]
+		l.rp.latency.Observe(float64(l.micros))
+		if l.err != nil {
+			l.rp.errors.Inc()
+		}
+		if l.hedges > 0 {
+			rt.hedges.Add(int64(l.hedges))
+			hedged = true
+		}
+	}
+	if hedged {
+		rt.queriesHedged.Add(1)
+	}
+}
+
+// hedging reports whether a slow leader of rp has anywhere to hedge to.
+func (rt *Router) hedging(rp *routerPartition) bool {
+	return rt.cfg.HedgeAfter > 0 && len(rp.clients) > 1
+}
+
+// race finishes a leg that left scatter's common path, l.err saying
+// why, by racing the partition's endpoints in hedging order (leader
+// first, then replicas): each time HedgeAfter elapses without an
+// answer — or every request in flight has failed — the next endpoint is
+// fired. The first success wins and cancels the rest, whose connections
+// are closed, not pooled; the error case joins every endpoint's
+// failure.
+//
+//   - ErrSlow: the leader's exchange is still in flight and stays in
+//     the race; HedgeAfter has already passed, so the next endpoint is
+//     fired at once.
+//   - ErrNoConn, ErrStale: nothing reached the leader, or what did was
+//     lost with a connection the leader had closed; the leader is asked
+//     (again) on a new connection. This is not a hedge.
+//   - anything else: the leader failed; the next endpoint is fired at
+//     once.
+func (rt *Router) race(ctx context.Context, wg *sync.WaitGroup, l *leg, req *client.ReadRequest, start, deadline time.Time) {
+	defer wg.Done()
+	ctx, cancel := context.WithDeadline(ctx, deadline)
 	defer cancel()
+	eps := l.rp.clients
 	type attempt struct {
-		resp T
+		body []byte
 		err  error
 	}
 	ch := make(chan attempt, len(eps))
-	launched := 0
+	launched, done := 0, 0
 	launch := func() {
 		ep := eps[launched]
 		launched++
 		go func() {
-			resp, err := call(cctx, ep)
-			ch <- attempt{resp, err}
+			body, err := ep.RoundTrip(ctx, req, deadline)
+			ch <- attempt{body, err}
 		}()
 	}
-	launch()
+	var errs []error
+	switch {
+	case errors.Is(l.err, client.ErrSlow):
+		launched = 1
+		go func(k client.Call) {
+			body, err := k.Finish(ctx, deadline)
+			ch <- attempt{body, err}
+		}(l.call)
+		if rt.hedging(l.rp) {
+			launch()
+		}
+	case errors.Is(l.err, client.ErrNoConn), errors.Is(l.err, client.ErrStale):
+		launch()
+	default:
+		errs = append(errs, l.err)
+		launched, done = 1, 1
+		if launched < len(eps) {
+			launch()
+		}
+	}
 	var timer *time.Timer
 	var timerC <-chan time.Time
-	if hedgeAfter > 0 && len(eps) > 1 {
-		timer = time.NewTimer(hedgeAfter)
+	if rt.hedging(l.rp) && launched < len(eps) {
+		timer = time.NewTimer(rt.cfg.HedgeAfter)
 		defer timer.Stop()
 		timerC = timer.C
 	}
-	var errs []error
-	done := 0
-	for {
+loop:
+	for done < launched {
 		select {
 		case a := <-ch:
 			if a.err == nil {
-				return a.resp, launched - 1, nil
+				l.body, errs = a.body, nil
+				break loop
 			}
 			errs = append(errs, a.err)
 			done++
-			if done == launched {
-				// Every attempt so far failed: fire the next endpoint
-				// immediately rather than waiting out the hedge timer.
-				if launched < len(eps) {
-					launch()
-					continue
-				}
-				var zero T
-				return zero, launched - 1, errors.Join(errs...)
+			if done == launched && launched < len(eps) {
+				// Every request so far failed: fire the next endpoint
+				// now rather than waiting out the hedge timer.
+				launch()
 			}
 		case <-timerC:
 			if launched < len(eps) {
 				launch()
 			}
 			if launched < len(eps) {
-				timer.Reset(hedgeAfter)
+				timer.Reset(rt.cfg.HedgeAfter)
 			} else {
 				timerC = nil
 			}
-		case <-cctx.Done():
-			var zero T
-			return zero, launched - 1, errors.Join(append(errs, cctx.Err())...)
+		case <-ctx.Done():
+			errs = append(errs, ctx.Err())
+			break loop
 		}
 	}
+	l.err = errors.Join(errs...)
+	l.hedges = launched - 1
+	l.micros = time.Since(start).Microseconds()
+}
+
+// answers decodes every leg's body, or writes the 502 for the first
+// partition that has none. Correctness over partial answers: a missing
+// owner means missing results, and a silent partial merge would break
+// the byte-identical contract, so the 502 names the partition.
+func (rt *Router) answers(w http.ResponseWriter, sc *gather, what, trace string) bool {
+	sc.lists = sc.lists[:0]
+	for i := range sc.legs {
+		l := &sc.legs[i]
+		if l.err == nil {
+			if err := server.DecodeQueryResponse(l.body, &l.answer); err != nil {
+				l.err = fmt.Errorf("undecodable answer: %w", err)
+			}
+		}
+		if l.err != nil {
+			rt.log.Error("partition "+what+" failed", "partition", l.rp.part.ID, "traceID", trace, "err", l.err)
+			httpError(w, http.StatusBadGateway, "partition %q: %v", l.rp.part.ID, l.err)
+			return false
+		}
+		sc.lists = append(sc.lists, l.answer.Results)
+	}
+	return true
 }
 
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -315,13 +447,15 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<16))
-	if err != nil {
+	sc := rt.getGather()
+	defer rt.putGather(sc)
+	var err error
+	if sc.in, err = server.ReadBody(sc.in[:0], r.Body, 1<<16); err != nil {
 		httpError(w, http.StatusBadRequest, "read: %v", err)
 		return
 	}
 	var req server.QueryRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := server.DecodeQueryRequest(sc.in, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "json: %v", err)
 		return
 	}
@@ -329,7 +463,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	explain := r.URL.Query().Get("explain") == "1"
+	explain := r.URL.RawQuery != "" && r.URL.Query().Get("explain") == "1"
 	max := req.MaxResults
 	if max <= 0 {
 		max = rt.cfg.DefaultMaxResults
@@ -338,49 +472,43 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	trace := rt.traceID(r)
 	start := time.Now()
 
-	owners := rt.topo.OwnersForQuery(req.StartMillis, req.EndMillis)
-	rt.fanout.Observe(float64(len(owners)))
 	path := "/query"
 	if explain {
 		path = "/query?explain=1"
 	}
-	results := scatter(rt, r.Context(), owners, func(ctx context.Context, pc *client.Partition) (server.QueryResponse, error) {
-		var resp server.QueryResponse
-		err := pc.PostJSON(ctx, path, req, &resp, trace)
-		return resp, err
-	})
-	rt.accountQuery(results)
+	if sc.body, err = server.AppendQueryRequest(sc.body[:0], &req); err == nil {
+		err = sc.req.Render(path, trace, sc.body)
+	}
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "encode: %v", err)
+		return
+	}
+	owners := rt.topo.OwnersForQuery(req.StartMillis, req.EndMillis)
+	rt.scatter(r.Context(), sc, owners)
+	if !rt.answers(w, sc, "query", trace) {
+		return
+	}
 
-	lists := make([][]query.Ranked, 0, len(results))
 	var tr *obs.QueryTrace
 	if explain {
 		tr = obs.NewQueryTrace(trace)
 		tr.SetQuery(fmt.Sprintf("cluster center=(%.6f,%.6f) r=%.0fm t=[%d,%d] top=%d fanout=%d",
 			req.Center.Lat, req.Center.Lng, req.RadiusMeters, req.StartMillis, req.EndMillis, max, len(owners)))
-	}
-	for _, res := range results {
-		if res.err != nil {
-			// Correctness over partial answers: a missing owner means
-			// missing results, and a silent partial merge would break
-			// the byte-identical contract. 502 names the partition.
-			rt.log.Error("partition query failed", "partition", res.part.ID, "traceID", trace, "err", res.err)
-			httpError(w, http.StatusBadGateway, "partition %q: %v", res.part.ID, res.err)
-			return
-		}
-		lists = append(lists, res.resp.Results)
-		if tr != nil && res.resp.Trace != nil {
-			// The routed trace's index cost is the sum over partitions.
-			// Each partition's walk is bounded by its own top N, so the
-			// sum can exceed what one node holding everything visits.
-			tr.AddIndexVisit(res.resp.Trace.NodesVisited, res.resp.Trace.LeafEntriesScanned)
+		for i := range sc.legs {
+			if pt := sc.legs[i].answer.Trace; pt != nil {
+				// The routed trace's index cost is the sum over partitions.
+				// Each partition's walk is bounded by its own top N, so the
+				// sum can exceed what one node holding everything visits.
+				tr.AddIndexVisit(pt.NodesVisited, pt.LeafEntriesScanned)
+			}
 		}
 	}
-	merged := query.MergeRanked(lists, max)
-	if merged == nil {
-		merged = []query.Ranked{}
+	sc.merged = query.MergeRanked(sc.merged[:0], sc.lists, max)
+	if sc.merged == nil {
+		sc.merged = []query.Ranked{}
 	}
 	resp := server.QueryResponse{
-		Results:       merged,
+		Results:       sc.merged,
 		ElapsedMicros: time.Since(start).Microseconds(),
 		TraceID:       trace,
 	}
@@ -388,8 +516,11 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		tr.Finish(nil)
 		resp.Trace = tr
 	}
-	rt.log.Info("query", "fanout", len(owners), "hits", len(merged), "traceID", trace)
-	respondJSON(w, resp)
+	if rt.logOn {
+		rt.log.Info("query", "fanout", len(owners), "hits", len(sc.merged), "traceID", trace)
+	}
+	sc.out, err = server.AppendQueryResponse(sc.out[:0], &resp)
+	server.WriteJSON(w, sc.out, err)
 }
 
 func (rt *Router) handleNearest(w http.ResponseWriter, r *http.Request) {
@@ -397,13 +528,15 @@ func (rt *Router) handleNearest(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<16))
-	if err != nil {
+	sc := rt.getGather()
+	defer rt.putGather(sc)
+	var err error
+	if sc.in, err = server.ReadBody(sc.in[:0], r.Body, 1<<16); err != nil {
 		httpError(w, http.StatusBadRequest, "read: %v", err)
 		return
 	}
 	var req server.NearestRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := server.DecodeNearestRequest(sc.in, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "json: %v", err)
 		return
 	}
@@ -412,53 +545,32 @@ func (rt *Router) handleNearest(w http.ResponseWriter, r *http.Request) {
 	}
 	trace := rt.traceID(r)
 	start := time.Now()
-	owners := rt.topo.OwnersForQuery(req.StartMillis, req.EndMillis)
-	rt.fanout.Observe(float64(len(owners)))
-	results := scatter(rt, r.Context(), owners, func(ctx context.Context, pc *client.Partition) (server.NearestResponse, error) {
-		var resp server.NearestResponse
-		err := pc.PostJSON(ctx, "/nearest", req, &resp, trace)
-		return resp, err
-	})
-	rt.accountQuery(results)
-	lists := make([][]query.Ranked, 0, len(results))
-	for _, res := range results {
-		if res.err != nil {
-			rt.log.Error("partition nearest failed", "partition", res.part.ID, "traceID", trace, "err", res.err)
-			httpError(w, http.StatusBadGateway, "partition %q: %v", res.part.ID, res.err)
-			return
-		}
-		lists = append(lists, res.resp.Results)
+	if sc.body, err = server.AppendNearestRequest(sc.body[:0], &req); err == nil {
+		err = sc.req.Render("/nearest", trace, sc.body)
 	}
-	merged := query.MergeNearest(req.Center, lists, req.K)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "encode: %v", err)
+		return
+	}
+	owners := rt.topo.OwnersForQuery(req.StartMillis, req.EndMillis)
+	rt.scatter(r.Context(), sc, owners)
+	if !rt.answers(w, sc, "nearest", trace) {
+		return
+	}
+	merged := query.MergeNearest(req.Center, sc.lists, req.K)
 	if merged == nil {
 		merged = []query.Ranked{}
 	}
-	rt.log.Info("nearest", "fanout", len(owners), "hits", len(merged), "traceID", trace)
-	respondJSON(w, server.NearestResponse{
+	if rt.logOn {
+		rt.log.Info("nearest", "fanout", len(owners), "hits", len(merged), "traceID", trace)
+	}
+	resp := server.NearestResponse{
 		Results:       merged,
 		ElapsedMicros: time.Since(start).Microseconds(),
 		TraceID:       trace,
-	})
-}
-
-// accountQuery feeds the hedge-saturation health signal.
-func accountOne[T any](rt *Router, results []scatterResult[T]) {
-	rt.queriesTotal.Add(1)
-	for _, res := range results {
-		if res.hedges > 0 {
-			rt.queriesHedged.Add(1)
-			return
-		}
 	}
-}
-
-func (rt *Router) accountQuery(results any) {
-	switch rs := results.(type) {
-	case []scatterResult[server.QueryResponse]:
-		accountOne(rt, rs)
-	case []scatterResult[server.NearestResponse]:
-		accountOne(rt, rs)
-	}
+	sc.out, err = server.AppendNearestResponse(sc.out[:0], &resp)
+	server.WriteJSON(w, sc.out, err)
 }
 
 func (rt *Router) handleUpload(w http.ResponseWriter, r *http.Request) {

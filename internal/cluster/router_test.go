@@ -84,7 +84,7 @@ func queries(n int) []query.Query {
 // threePartitionTopology splits the day's 24 window keys three ways and
 // spreads the spatial cells, leader URLs to be filled in once the
 // httptest servers exist.
-func threePartitionTopology(t *testing.T) *cluster.Topology {
+func threePartitionTopology(t testing.TB) *cluster.Topology {
 	t.Helper()
 	topo := &cluster.Topology{
 		WindowMillis:  testWindow,
@@ -103,7 +103,7 @@ func threePartitionTopology(t *testing.T) *cluster.Topology {
 
 // newPartitionLeader builds one partition's writable node: a sharded
 // in-memory server wearing the topology's ownership guard and id base.
-func newPartitionLeader(t *testing.T, topo *cluster.Topology, id string) (*server.Server, *httptest.Server) {
+func newPartitionLeader(t testing.TB, topo *cluster.Topology, id string) (*server.Server, *httptest.Server) {
 	t.Helper()
 	base, err := topo.IDBase(id)
 	if err != nil {

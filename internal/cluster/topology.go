@@ -20,6 +20,7 @@ import (
 	"os"
 	"sort"
 
+	"fovr/internal/client"
 	"fovr/internal/geo"
 	"fovr/internal/index"
 	"fovr/internal/segment"
@@ -83,6 +84,10 @@ type Topology struct {
 	// floor-modulo fallback placement and the id-base assignment, so
 	// reordering partitions re-keys the cluster.
 	Partitions []Partition `json:"partitions"`
+
+	// covered is every partition's explicit window ranges in ascending
+	// order, kept by Validate for OwnersForQuery.
+	covered []WindowRange
 }
 
 // idBaseShift gives each partition 2^48 ids: partition i assigns ids
@@ -99,7 +104,11 @@ func Load(path string) (*Topology, error) {
 	return Parse(data)
 }
 
-// Parse decodes and validates a topology document.
+// Parse decodes and validates a topology document, node URLs included:
+// a loaded map names real nodes, so an endpoint that is not a plain
+// "http://host:port" fails here, at start-up, not on the first request
+// routed to it. (Validate alone leaves URLs be: in-process callers fill
+// them in once their listeners exist.)
 func Parse(data []byte) (*Topology, error) {
 	var t Topology
 	if err := json.Unmarshal(data, &t); err != nil {
@@ -107,6 +116,13 @@ func Parse(data []byte) (*Topology, error) {
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err
+	}
+	for i := range t.Partitions {
+		for _, ep := range t.Partitions[i].Endpoints() {
+			if _, err := client.ParseEndpoint(ep); err != nil {
+				return nil, fmt.Errorf("cluster: topology: partition %q: %w", t.Partitions[i].ID, err)
+			}
+		}
 	}
 	return &t, nil
 }
@@ -165,12 +181,14 @@ func (t *Topology) Validate() error {
 		}
 	}
 	sort.Slice(ranges, func(i, j int) bool { return ranges[i].From < ranges[j].From })
-	for i := 1; i < len(ranges); i++ {
-		if ranges[i].From <= ranges[i-1].To {
+	t.covered = t.covered[:0]
+	for i := range ranges {
+		if i > 0 && ranges[i].From <= ranges[i-1].To {
 			return fmt.Errorf("cluster: topology: window ranges overlap: %q [%d, %d] and %q [%d, %d]",
 				ranges[i-1].id, ranges[i-1].From, ranges[i-1].To,
 				ranges[i].id, ranges[i].From, ranges[i].To)
 		}
+		t.covered = append(t.covered, ranges[i].WindowRange)
 	}
 	return nil
 }
@@ -269,16 +287,17 @@ func (t *Topology) OwnsRep(id string) func(rep segment.Representative) error {
 // keys in the query's fan-out range (the same floor(start/W)-1 ..
 // floor(end/W) rule index.Sharded uses) plus — since every query visits
 // the spatial fallback — all spatial-cell owners, unless the topology
-// disables spatial shards.
+// disables spatial shards. The topology must have been validated.
 func (t *Topology) OwnersForQuery(startMillis, endMillis int64) []*Partition {
 	lo, hi := index.WindowKeyRange(startMillis, endMillis, t.WindowMillis)
-	owners := make(map[string]bool)
+	n := len(t.Partitions)
+	owns := make([]bool, n)
 
 	// Explicit ranges: interval intersection, span-size independent.
 	for i := range t.Partitions {
 		for _, r := range t.Partitions[i].Windows {
 			if r.intersects(lo, hi) {
-				owners[t.Partitions[i].ID] = true
+				owns[i] = true
 				break
 			}
 		}
@@ -287,31 +306,25 @@ func (t *Topology) OwnersForQuery(startMillis, endMillis int64) []*Partition {
 	// explicit range land here. Walk the uncovered gaps; a gap spanning
 	// >= len(Partitions) keys hits every residue, smaller gaps
 	// enumerate.
-	n := len(t.Partitions)
-	var covered []WindowRange
-	for i := range t.Partitions {
-		covered = append(covered, t.Partitions[i].Windows...)
-	}
-	sort.Slice(covered, func(i, j int) bool { return covered[i].From < covered[j].From })
 	addModRange := func(gapLo, gapHi int64) {
 		if gapLo > gapHi {
 			return
 		}
 		if gapHi-gapLo+1 >= int64(n) || gapHi-gapLo < 0 { // width overflow => huge
-			for i := range t.Partitions {
-				owners[t.Partitions[i].ID] = true
+			for i := range owns {
+				owns[i] = true
 			}
 			return
 		}
 		for k := gapLo; ; k++ {
-			owners[t.Partitions[floorMod(k, n)].ID] = true
+			owns[floorMod(k, n)] = true
 			if k == gapHi {
 				break
 			}
 		}
 	}
 	next := lo
-	for _, r := range covered {
+	for _, r := range t.covered {
 		if r.To < next {
 			continue
 		}
@@ -334,27 +347,23 @@ func (t *Topology) OwnersForQuery(startMillis, endMillis int64) []*Partition {
 
 	// Spatial fallback: every query visits it.
 	if t.SpatialShards > 0 {
-		hasCells := false
+		assigned := 0
 		for i := range t.Partitions {
-			if len(t.Partitions[i].SpatialCells) > 0 {
-				owners[t.Partitions[i].ID] = true
-				hasCells = true
+			if cells := len(t.Partitions[i].SpatialCells); cells > 0 {
+				owns[i] = true
+				assigned += cells
 			}
 		}
 		// Unassigned cells default to the first partition; any cell
 		// space not fully covered keeps it in the set.
-		assigned := 0
-		for i := range t.Partitions {
-			assigned += len(t.Partitions[i].SpatialCells)
-		}
-		if !hasCells || assigned < t.SpatialShards {
-			owners[t.Partitions[0].ID] = true
+		if assigned < t.SpatialShards {
+			owns[0] = true
 		}
 	}
 
-	out := make([]*Partition, 0, len(owners))
+	out := make([]*Partition, 0, n)
 	for i := range t.Partitions {
-		if owners[t.Partitions[i].ID] {
+		if owns[i] {
 			out = append(out, &t.Partitions[i])
 		}
 	}

@@ -48,6 +48,16 @@ func TestTopologyValidate(t *testing.T) {
 			{"id":"a","leader":"u","spatialCells":[1]},
 			{"id":"b","leader":"v","spatialCells":[1]}]}`, "owned by both"},
 		{"cells with disabled spatial", `{"spatialShards": -1, "partitions": [{"id":"p","leader":"u","spatialCells":[0]}]}`, "disabled"},
+		// A loaded map names real nodes: http://host:port and nothing else.
+		{"bare word", `{"partitions": [{"id":"p","leader":"pending"}]}`, "want http://host:port"},
+		{"no scheme", `{"partitions": [{"id":"p","leader":"10.0.0.1:8477"}]}`, "want http://host:port"},
+		{"https", `{"partitions": [{"id":"p","leader":"https://a:1"}]}`, "scheme must be http"},
+		{"no port", `{"partitions": [{"id":"p","leader":"http://a"}]}`, "want host:port"},
+		{"path", `{"partitions": [{"id":"p","leader":"http://a:1/api"}]}`, "path, query and fragment not allowed"},
+		{"trailing slash", `{"partitions": [{"id":"p","leader":"http://a:1/"}]}`, "path, query and fragment not allowed"},
+		{"query", `{"partitions": [{"id":"p","leader":"http://a:1?x=1"}]}`, "path, query and fragment not allowed"},
+		{"userinfo", `{"partitions": [{"id":"p","leader":"http://u:pw@a:1"}]}`, "userinfo not allowed"},
+		{"bad replica", `{"partitions": [{"id":"p","leader":"http://a:1","replicas":["http://b:2","b:3"]}]}`, `partition "p"`},
 	}
 	for _, tc := range bad {
 		if _, err := Parse([]byte(tc.doc)); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -113,7 +123,7 @@ func TestOwnerOfRep(t *testing.T) {
 	}
 
 	// Disabled spatial shards reject over-long reps.
-	noSpatial, err := Parse([]byte(`{"spatialShards": -1, "partitions": [{"id":"p0","leader":"u"}]}`))
+	noSpatial, err := Parse([]byte(`{"spatialShards": -1, "partitions": [{"id":"p0","leader":"http://u:1"}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,9 +168,9 @@ func TestOwnersForQuery(t *testing.T) {
 	narrow, err := Parse([]byte(`{
 		"windowMillis": 3600000,
 		"partitions": [
-			{"id": "p0", "leader": "u", "windows": [{"from": 0, "to": 7}], "spatialCells": [0,1,2,3,4,5,6,7]},
-			{"id": "p1", "leader": "v", "windows": [{"from": 8, "to": 15}]},
-			{"id": "p2", "leader": "w", "windows": [{"from": 16, "to": 23}]}
+			{"id": "p0", "leader": "http://u:1", "windows": [{"from": 0, "to": 7}], "spatialCells": [0,1,2,3,4,5,6,7]},
+			{"id": "p1", "leader": "http://v:1", "windows": [{"from": 8, "to": 15}]},
+			{"id": "p2", "leader": "http://w:1", "windows": [{"from": 16, "to": 23}]}
 		]
 	}`))
 	if err != nil {

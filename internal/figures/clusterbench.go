@@ -133,6 +133,7 @@ func clusterRun(p, entries, queries int) (ingest time.Duration, qps, p50, p99 fl
 	if err != nil {
 		panic(err)
 	}
+	defer rt.Close()
 	router := httptest.NewServer(rt.Handler())
 	defer router.Close()
 

@@ -95,12 +95,17 @@ func (s *TraceStore) SampleRate() int { return s.sample }
 // Observe classifies a finished trace and retains it when it qualifies,
 // reporting whether it was kept. The trace must not be mutated after
 // being observed.
-func (s *TraceStore) Observe(t *QueryTrace) bool {
+func (s *TraceStore) Observe(t *QueryTrace) bool { return s.ObserveLabeled(t, nil) }
+
+// ObserveLabeled is Observe for a trace whose Query description has not
+// been rendered yet: label is called — outside the store's lock and
+// before the trace becomes visible to readers — only if the trace is
+// retained and has no description.
+func (s *TraceStore) ObserveLabeled(t *QueryTrace, label func() string) bool {
 	if s == nil || t == nil {
 		return false
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.seen++
 	s.stats.Observed++
 	switch {
@@ -114,15 +119,23 @@ func (s *TraceStore) Observe(t *QueryTrace) bool {
 		t.Class = "sample"
 		s.stats.KeptSampled++
 	default:
+		s.mu.Unlock()
 		return false
 	}
 	s.seq++
 	t.Seq = s.seq
+	s.mu.Unlock()
+
+	if t.Query == "" && label != nil {
+		t.Query = label()
+	}
+	s.mu.Lock()
 	if t.Class == "sample" {
 		s.sampled.add(t)
 	} else {
 		s.important.add(t)
 	}
+	s.mu.Unlock()
 	return true
 }
 

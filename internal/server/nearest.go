@@ -6,10 +6,8 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"fovr/internal/geo"
@@ -54,23 +52,26 @@ func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<16))
-	if err != nil {
+	sc := getReadScratch()
+	defer putReadScratch(sc)
+	var err error
+	if sc.in, err = ReadBody(sc.in[:0], r.Body, 1<<16); err != nil {
 		httpError(w, http.StatusBadRequest, "read: %v", err)
 		return
 	}
-	s.traffic.AddReceived(len(body))
+	s.traffic.AddReceived(len(sc.in))
 	var req NearestRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := DecodeNearestRequest(sc.in, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "json: %v", err)
 		return
 	}
-	tr := obs.NewQueryTrace(s.traceID(r))
-	tr.SetQuery(fmt.Sprintf("nearest center=(%.6f,%.6f) t=[%d,%d] k=%d",
-		req.Center.Lat, req.Center.Lng, req.StartMillis, req.EndMillis, req.K))
+	tr := obs.NewQueryTrace(s.traceID(w, r))
 	results, err := s.Nearest(req.Center, req.StartMillis, req.EndMillis, req.K)
 	total := tr.Finish(err)
-	s.traces.Observe(tr)
+	s.traces.ObserveLabeled(tr, func() string {
+		return fmt.Sprintf("nearest center=(%.6f,%.6f) t=[%d,%d] k=%d",
+			req.Center.Lat, req.Center.Lng, req.StartMillis, req.EndMillis, req.K)
+	})
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -78,17 +79,21 @@ func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request) {
 	if results == nil {
 		results = []query.Ranked{}
 	}
-	s.reqLog(r).Info("nearest",
-		"center", fmt.Sprint(req.Center),
-		"startMillis", req.StartMillis,
-		"endMillis", req.EndMillis,
-		"k", req.K,
-		"hits", len(results),
-		"traceID", tr.ID,
-	)
-	s.respondJSON(w, NearestResponse{
+	if s.logOn {
+		s.reqLog(r).Info("nearest",
+			"center", fmt.Sprint(req.Center),
+			"startMillis", req.StartMillis,
+			"endMillis", req.EndMillis,
+			"k", req.K,
+			"hits", len(results),
+			"traceID", tr.ID,
+		)
+	}
+	resp := NearestResponse{
 		Results:       results,
 		ElapsedMicros: total.Microseconds(),
 		TraceID:       tr.ID,
-	})
+	}
+	sc.out, err = AppendNearestResponse(sc.out[:0], &resp)
+	s.writeJSON(w, sc.out, err)
 }

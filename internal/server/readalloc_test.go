@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
+	"net/http"
 	"testing"
 
 	"fovr/internal/geo"
@@ -85,5 +87,41 @@ func TestReadPathAllocsIndependentOfCandidates(t *testing.T) {
 	if manyN != fewN || manyN > nearestPin {
 		t.Fatalf("Nearest allocates %.0f/op over %d cameras and %.0f/op over %d; want equal and <= %d",
 			fewN, fewCands, manyN, manyCands, nearestPin)
+	}
+}
+
+// nullWriter is the cheapest http.ResponseWriter: the pin below counts
+// the handler's allocations, not a recorder's.
+type nullWriter struct{ hdr http.Header }
+
+func (w *nullWriter) Header() http.Header         { return w.hdr }
+func (w *nullWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w *nullWriter) WriteHeader(int)             {}
+
+// TestQueryHandlerAllocs pins what one POST /query costs through
+// Handler() with no logger configured — the trace, the results and a
+// fixed handful for HTTP — net of building the request itself.
+func TestQueryHandlerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds buffers at random under the race detector")
+	}
+	s := newServer(t)
+	at := crowd(t, s, geo.Offset(center, 90, 5_000), 300, 90, 1)
+	body, err := AppendQueryRequest(nil, &QueryRequest{Query: query.Query{EndMillis: 1000, Center: at, RadiusMeters: 50}, MaxResults: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func(h http.Handler) float64 {
+		return testing.AllocsPerRun(200, func() {
+			r, _ := http.NewRequest(http.MethodPost, "/query", bytes.NewReader(body))
+			h.ServeHTTP(&nullWriter{hdr: http.Header{}}, r)
+		})
+	}
+	base := serve(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+	got := serve(s.Handler()) - base
+	t.Logf("POST /query: %.0f allocs/op net of the request", got)
+	const pin = 12
+	if got > pin {
+		t.Fatalf("POST /query allocates %.0f/op, want <= %d", got, pin)
 	}
 }

@@ -290,6 +290,7 @@ type Server struct {
 	cfg     Config
 	reg     *obs.Registry
 	log     *slog.Logger
+	logOn   bool // a logger is configured; off skips building log fields
 	idx     index.ServerIndex
 	store   store.Store
 	subs    *subscriptions
@@ -352,6 +353,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:        cfg,
 		reg:        cfg.Registry,
 		log:        logger,
+		logOn:      cfg.Logger != nil,
 		idx:        idx,
 		store:      cfg.Store,
 		subs:       newSubscriptions(),
@@ -703,14 +705,13 @@ func (s *Server) Handler() http.Handler {
 
 type ctxKey int
 
-const (
-	requestLoggerKey ctxKey = 0
-	requestIDKey     ctxKey = 1
-)
+const requestLoggerKey ctxKey = 0
 
-// statusWriter captures the response status and size for metrics.
+// statusWriter captures the response status and size for metrics, and
+// carries the request's id to traceID.
 type statusWriter struct {
 	http.ResponseWriter
+	reqID uint64
 	code  int
 	bytes int
 }
@@ -732,30 +733,43 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 }
 
 // instrument wraps a handler with per-endpoint request counting, latency
-// timing, and structured request logging under a fresh request id.
+// timing, and — when a logger is configured — structured request logging
+// under the request's id. Without a logger nothing else request-scoped
+// is built.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	hist := s.reg.Histogram(fmt.Sprintf("fovr_http_request_seconds{endpoint=%q}", endpoint))
+	codeCounter := func(code int) *obs.Counter {
+		return s.reg.Counter(fmt.Sprintf("fovr_http_requests_total{endpoint=%q,code=\"%d\"}", endpoint, code))
+	}
+	ok200 := codeCounter(http.StatusOK)
 	return func(w http.ResponseWriter, r *http.Request) {
-		id := s.reqSeq.Add(1)
-		reqLog := s.log.With("reqID", id, "endpoint", endpoint)
-		sw := &statusWriter{ResponseWriter: w}
+		sw := &statusWriter{ResponseWriter: w, reqID: s.reqSeq.Add(1)}
 		start := time.Now()
-		ctx := context.WithValue(r.Context(), requestLoggerKey, reqLog)
-		ctx = context.WithValue(ctx, requestIDKey, id)
-		serveLabeled(endpoint, h, sw, r.WithContext(ctx))
+		var reqLog *slog.Logger
+		if s.logOn {
+			reqLog = s.log.With("reqID", sw.reqID, "endpoint", endpoint)
+			r = r.WithContext(context.WithValue(r.Context(), requestLoggerKey, reqLog))
+		}
+		serveLabeled(endpoint, h, sw, r)
 		if sw.code == 0 {
 			sw.code = http.StatusOK
 		}
 		elapsed := time.Since(start)
 		s.requests.Add(1)
-		s.reg.Counter(fmt.Sprintf("fovr_http_requests_total{endpoint=%q,code=\"%d\"}", endpoint, sw.code)).Inc()
+		if sw.code == http.StatusOK {
+			ok200.Inc()
+		} else {
+			codeCounter(sw.code).Inc()
+		}
 		hist.Observe(elapsed.Seconds())
-		reqLog.Info("request",
-			"method", r.Method,
-			"status", sw.code,
-			"bytesOut", sw.bytes,
-			"elapsedMicros", elapsed.Microseconds(),
-		)
+		if s.logOn {
+			reqLog.Info("request",
+				"method", r.Method,
+				"status", sw.code,
+				"bytesOut", sw.bytes,
+				"elapsedMicros", elapsed.Microseconds(),
+			)
+		}
 	}
 }
 
@@ -775,15 +789,15 @@ func (s *Server) reqLog(r *http.Request) *slog.Logger {
 const TraceHeader = "X-Fovr-Trace"
 
 // traceID returns the caller-propagated trace id (TraceHeader) when
-// present; otherwise it derives one from the request id installed by
-// instrument, so trace and log records correlate. Direct handler
-// invocations (tests) fall back to the request sequence.
-func (s *Server) traceID(r *http.Request) string {
+// present; otherwise it derives one from the request id instrument put
+// on the response writer, so trace and log records correlate. Direct
+// handler invocations (tests) fall back to the request sequence.
+func (s *Server) traceID(w http.ResponseWriter, r *http.Request) string {
 	if id := r.Header.Get(TraceHeader); id != "" && len(id) <= 128 {
 		return id
 	}
-	if id, ok := r.Context().Value(requestIDKey).(uint64); ok {
-		return "q" + strconv.FormatUint(id, 10)
+	if sw, ok := w.(*statusWriter); ok {
+		return "q" + strconv.FormatUint(sw.reqID, 10)
 	}
 	return "q" + strconv.FormatUint(s.reqSeq.Add(1), 10)
 }
@@ -878,7 +892,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	// into the WAL record so a replica's apply can name it. The ingest
 	// trace itself is retained only for propagated ids: those callers
 	// asked to follow the request across processes.
-	trace := s.traceID(r)
+	trace := s.traceID(w, r)
 	propagated := r.Header.Get(TraceHeader) != ""
 	var tr *obs.QueryTrace
 	if propagated {
@@ -931,27 +945,35 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<16))
-	if err != nil {
+	sc := getReadScratch()
+	defer putReadScratch(sc)
+	var err error
+	if sc.in, err = ReadBody(sc.in[:0], r.Body, 1<<16); err != nil {
 		httpError(w, http.StatusBadRequest, "read: %v", err)
 		return
 	}
-	s.traffic.AddReceived(len(body))
+	s.traffic.AddReceived(len(sc.in))
 	var req QueryRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := DecodeQueryRequest(sc.in, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "json: %v", err)
 		return
 	}
-	explain := r.URL.Query().Get("explain") == "1"
+	explain := r.URL.RawQuery != "" && r.URL.Query().Get("explain") == "1"
 
 	// Every query is traced; the tail-sampling store decides afterwards
-	// whether the trace is worth keeping (errored, slow, or sampled).
-	tr := obs.NewQueryTrace(s.traceID(r))
-	tr.SetQuery(fmt.Sprintf("center=(%.6f,%.6f) r=%.0fm t=[%d,%d] top=%d",
-		req.Center.Lat, req.Center.Lng, req.RadiusMeters, req.StartMillis, req.EndMillis, req.MaxResults))
+	// whether the trace is worth keeping (errored, slow, or sampled). The
+	// label is rendered only for a trace somebody will read.
+	tr := obs.NewQueryTrace(s.traceID(w, r))
+	label := func() string {
+		return fmt.Sprintf("center=(%.6f,%.6f) r=%.0fm t=[%d,%d] top=%d",
+			req.Center.Lat, req.Center.Lng, req.RadiusMeters, req.StartMillis, req.EndMillis, req.MaxResults)
+	}
+	if explain {
+		tr.SetQuery(label())
+	}
 	results, err := s.QueryCtx(obs.WithTrace(r.Context(), tr), req.Query, req.MaxResults)
 	total := tr.Finish(err)
-	s.traces.Observe(tr)
+	s.traces.ObserveLabeled(tr, label)
 	s.logSlowQuery(r, tr)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
@@ -960,14 +982,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if results == nil {
 		results = []query.Ranked{}
 	}
-	s.reqLog(r).Info("query",
-		"center", fmt.Sprint(req.Center),
-		"radiusMeters", req.RadiusMeters,
-		"startMillis", req.StartMillis,
-		"endMillis", req.EndMillis,
-		"hits", len(results),
-		"traceID", tr.ID,
-	)
+	if s.logOn {
+		s.reqLog(r).Info("query",
+			"center", fmt.Sprint(req.Center),
+			"radiusMeters", req.RadiusMeters,
+			"startMillis", req.StartMillis,
+			"endMillis", req.EndMillis,
+			"hits", len(results),
+			"traceID", tr.ID,
+		)
+	}
 	resp := QueryResponse{
 		Results:       results,
 		ElapsedMicros: total.Microseconds(),
@@ -976,7 +1000,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if explain {
 		resp.Trace = tr
 	}
-	s.respondJSON(w, resp)
+	sc.out, err = AppendQueryResponse(sc.out[:0], &resp)
+	s.writeJSON(w, sc.out, err)
 }
 
 // logSlowQuery emits the slow-query log line: one Warn record carrying
@@ -1140,13 +1165,45 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) respondJSON(w http.ResponseWriter, v any) {
 	data, err := json.Marshal(v)
+	s.writeJSON(w, data, err)
+}
+
+// writeJSON is WriteJSON plus the traffic meter.
+func (s *Server) writeJSON(w http.ResponseWriter, data []byte, err error) {
+	if err == nil {
+		s.traffic.AddSent(len(data))
+	}
+	WriteJSON(w, data, err)
+}
+
+var jsonContentType = []string{"application/json"}
+
+// WriteJSON sends an encoded 200 answer, or the 500 its encoding failed
+// with. The length is stated so that answers past net/http's 2 KB sniff
+// buffer are not chunk-framed.
+func WriteJSON(w http.ResponseWriter, data []byte, err error) {
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "marshal: %v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	s.traffic.AddSent(len(data))
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	h["Content-Length"] = []string{strconv.Itoa(len(data))}
 	_, _ = w.Write(data)
+}
+
+// readScratch holds the body and the answer of one /query or /nearest
+// request; both buffers are reused across requests.
+type readScratch struct{ in, out []byte }
+
+var readScratchPool = sync.Pool{New: func() any { return new(readScratch) }}
+
+func getReadScratch() *readScratch { return readScratchPool.Get().(*readScratch) }
+
+func putReadScratch(sc *readScratch) {
+	if cap(sc.out) <= 1<<18 { // the buffers of an unusually large answer are let go
+		readScratchPool.Put(sc)
+	}
 }
 
 // writeJSONBody marshals v onto a response whose status line is already
