@@ -482,26 +482,15 @@ func BenchmarkSearchNearest(b *testing.B) {
 // on a 200 000-camera hotspot city, for the three question shapes of the
 // end-to-end benchmark in bench/: point (30 m, 1 h), scan (300 m, the
 // whole day — thousands of cameras in the box inside a hotspot) and wide
-// (30 m, 12 h), on the single tree and on hourly shards.
+// (30 m, 12 h).
 func BenchmarkQueryTopN(b *testing.B) {
 	cfg := workload.Config{Seed: 1, Distribution: workload.Hotspot}
-	entries := workload.Entries(cfg, 200_000)
 	tree, err := index.NewRTree(rtree.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	sharded, err := index.NewSharded(index.ShardedOptions{WindowMillis: 3_600_000})
-	if err != nil {
+	if err := tree.InsertBatch(workload.Entries(cfg, 200_000)); err != nil {
 		b.Fatal(err)
-	}
-	kinds := []struct {
-		name string
-		idx  index.ServerIndex
-	}{{"rtree", tree}, {"sharded", sharded}}
-	for _, k := range kinds {
-		if err := k.idx.InsertBatch(entries); err != nil {
-			b.Fatal(err)
-		}
 	}
 	const hour = 3_600_000
 	shapes := []struct {
@@ -513,14 +502,10 @@ func BenchmarkQueryTopN(b *testing.B) {
 	for _, sh := range shapes {
 		qs := workload.Queries(cfg, 2048, sh.radius, sh.window)
 		b.Run(sh.name, func(b *testing.B) {
-			for _, k := range kinds {
-				b.Run(k.name, func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						if _, err := query.Search(k.idx, qs[i%len(qs)], opts); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
+			for i := 0; i < b.N; i++ {
+				if _, err := query.Search(tree, qs[i%len(qs)], opts); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

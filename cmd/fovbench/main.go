@@ -105,36 +105,7 @@ func main() {
 		{"ablation-abstraction", figures.TableAblationAbstraction},
 		{"ablation-measurement", func() *figures.Table { return figures.TableMeasurements(2000) }},
 		{"ablation-noise", figures.TableAblationNoise},
-		{"trace-overhead", func() *figures.Table { return figures.TableTraceOverhead(sizes[len(sizes)-1], queries) }},
-		{"ops-overhead", func() *figures.Table {
-			n := 20000
-			if *quick {
-				n = 5000
-			}
-			return figures.TableOpsOverhead(n, queries)
-		}},
 		{"heterogeneous", func() *figures.Table { return figures.TableHeterogeneous(60) }},
-		{"shard-scaling", func() *figures.Table {
-			n := 20000
-			if *quick {
-				n = 5000
-			}
-			return figures.TableShardScaling(n, queries)
-		}},
-		{"contention-overhead", func() *figures.Table {
-			n := 20000
-			if *quick {
-				n = 5000
-			}
-			return figures.TableContentionOverhead(n, queries)
-		}},
-		{"read-saturation", func() *figures.Table {
-			n, pool := 20000, 64
-			if *quick {
-				n, pool = 5000, 32
-			}
-			return figures.TableReadSaturation(n, pool)
-		}},
 		{"wal-ingest", func() *figures.Table {
 			n := 20000
 			if *quick {
@@ -155,13 +126,6 @@ func main() {
 				n = 5000
 			}
 			return figures.TableSegmentStorage(n)
-		}},
-		{"cluster-scaling", func() *figures.Table {
-			n := 20000
-			if *quick {
-				n = 5000
-			}
-			return figures.TableClusterScaling(n, queries)
 		}},
 	}
 

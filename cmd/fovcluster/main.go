@@ -1,7 +1,7 @@
 // Command fovcluster runs the stateless scatter-gather query router of
 // a partitioned deployment: single-node clients keep speaking the
 // single-node API (/upload, /query, /nearest) against this process,
-// which routes each request to the partitions owning its shard keys.
+// which routes each request to the partitions owning its placement keys.
 //
 // Usage:
 //

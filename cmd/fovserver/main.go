@@ -6,14 +6,12 @@
 // Usage:
 //
 //	fovserver [-addr :8477] [-half-angle 30] [-radius 100] [-max-results 20]
-//	          [-index rtree|sharded] [-shard-window 1h]
 //	          [-data-dir dir] [-fsync always|interval|never] [-checkpoint-interval 5m]
 //	          [-segment-window-age 0] [-compaction-interval 1m]
 //	          [-replica-of http://leader:8477] [-replica-poll 10s]
 //	          [-quiet] [-log-json] [-load snapshot.fovs] [-save snapshot.fovs]
 //	          [-debug-addr 127.0.0.1:8478] [-slow-query 100ms] [-trace-sample 16]
 //	          [-profile] [-lock-sample 64] [-hotspots] [-hotspot-k 32]
-//	          [-read-cache] [-read-cache-size 1024]
 //	          [-cluster-topology topology.json -cluster-partition p0]
 //
 // -cluster-topology/-cluster-partition make this node one partition of
@@ -31,15 +29,13 @@
 // leaves syncing to the OS. Without -data-dir state is in RAM only, as
 // before.
 //
-// -segment-window-age enables tiered storage inside -data-dir: time
-// windows (width -shard-window) whose end is at least this much older
-// than now are sealed by a background compactor (period
-// -compaction-interval) into immutable, compressed, CRC-framed segment
-// files; the WAL and checkpoints then carry only the mutable memtable,
-// so checkpoints shrink to the working set and a restart loads cold
-// windows straight from their segments. With -index=sharded and the
-// same window width, each sealed segment bulk-loads directly into its
-// own time shard. 0 (the default) keeps the flat store layout.
+// -segment-window-age enables tiered storage inside -data-dir: one-hour
+// time windows whose end is at least this much older than now are
+// sealed by a background compactor (period -compaction-interval) into
+// immutable, compressed, CRC-framed segment files; the WAL and
+// checkpoints then carry only the mutable memtable, so checkpoints
+// shrink to the working set and a restart loads cold windows straight
+// from their segments. 0 (the default) keeps the flat store layout.
 //
 // -replica-of makes this process a read replica of the leader at the
 // given base URL: it bootstraps from the leader's state, tails the
@@ -56,11 +52,9 @@
 // killed mid-bootstrap resumes without refetching any completed
 // segment.
 //
-// -index selects the spatio-temporal index implementation: "rtree" (one
-// global 3-D R-tree, the paper's design) or "sharded" (per-time-window
-// R-tree shards; uploads lock only their shard and a query walks the
-// shards its time window overlaps). -shard-window sets the shard width
-// and applies to -index=sharded only.
+// The index is one copy-on-write 3-D R-tree (the paper's design):
+// writers serialize on its lock and publish a snapshot, queries walk the
+// latest snapshot without locks.
 //
 // With -save, a SIGINT/SIGTERM drains connections and writes the index
 // to the given snapshot file; -load restores one at startup.
@@ -83,21 +77,14 @@
 // retained.
 //
 // The contention observatory: -lock-sample times 1 in N acquisitions of
-// the instrumented locks (index shards, id-map stripes, WAL append) into
+// the instrumented locks (the index tree's writer lock, WAL append) into
 // per-class wait/hold histograms, and -profile keeps the runtime
 // mutex/block profilers on so GET /debug/contention can report the top
 // contended frames over each request window (`fovctl contend` renders
 // it). -hotspots maintains Space-Saving top-K sketches of query grid
-// cells, upload providers, and ingest shard windows, served on GET
+// cells, upload providers, and ingest hour windows, served on GET
 // /debug/hotspots (`fovctl hotspots`); -hotspot-k bounds tracked keys
 // per sketch.
-//
-// -read-cache puts a hot-cell result cache in front of the index:
-// repeated box searches whose shards have not changed since the cached
-// answer was computed are served from the cache (epoch-validated —
-// a cache hit is always exactly what a fresh search would return).
-// -read-cache-size bounds the cached query boxes; cache behaviour is
-// exported as fovr_readcache_* on /metrics.
 package main
 
 import (
@@ -127,8 +114,6 @@ func main() {
 	halfAngle := flag.Float64("half-angle", 30, "camera viewing half-angle alpha in degrees")
 	radius := flag.Float64("radius", 100, "radius of view R in meters")
 	maxResults := flag.Int("max-results", 20, "default top-N for queries")
-	indexKind := flag.String("index", server.IndexKindRTree, "index implementation: rtree | sharded")
-	shardWindow := flag.Duration("shard-window", time.Hour, "time-shard width for -index=sharded")
 	dataDir := flag.String("data-dir", "", "data directory for the durable store (WAL + checkpoints); empty keeps state in RAM only")
 	fsyncPolicy := flag.String("fsync", "always", "WAL sync policy with -data-dir: always | interval | never")
 	checkpointInterval := flag.Duration("checkpoint-interval", 5*time.Minute, "background checkpoint period with -data-dir (0 disables)")
@@ -147,10 +132,8 @@ func main() {
 	history := flag.Bool("history", true, "sample metric history into in-memory rings served on GET /debug/history (what fovctl top reads)")
 	profile := flag.Bool("profile", false, "keep the runtime mutex/block contention profilers on (feeds GET /debug/contention and /debug/pprof)")
 	lockSample := flag.Int("lock-sample", 64, "time 1 in N lock acquisitions into fovr_lock_wait_ns/fovr_lock_hold_ns (0 disables)")
-	hotspots := flag.Bool("hotspots", true, "track heavy-hitter sketches (query cells, providers, shard windows) on GET /debug/hotspots")
+	hotspots := flag.Bool("hotspots", true, "track heavy-hitter sketches (query cells, providers, ingest hour windows) on GET /debug/hotspots")
 	hotspotK := flag.Int("hotspot-k", 32, "keys tracked per hotspot sketch with -hotspots")
-	readCache := flag.Bool("read-cache", false, "cache hot-cell query results (epoch-validated; fovr_readcache_* on /metrics)")
-	readCacheSize := flag.Int("read-cache-size", 0, "cached query boxes with -read-cache (0 = default 1024)")
 	clusterTopology := flag.String("cluster-topology", "", "cluster topology file; with -cluster-partition, rejects misrouted uploads (HTTP 421) and offsets assigned ids")
 	clusterPartition := flag.String("cluster-partition", "", "this node's partition id in -cluster-topology")
 	flag.Parse()
@@ -169,14 +152,10 @@ func main() {
 	cfg := server.Config{
 		Camera:             fov.Camera{HalfAngleDeg: *halfAngle, RadiusMeters: *radius},
 		DefaultMaxResults:  *maxResults,
-		IndexKind:          *indexKind,
-		ShardWindow:        *shardWindow,
 		SlowQueryThreshold: *slowQuery,
 		TraceSampleRate:    *traceSample,
 		History:            obs.HistoryConfig{Enabled: *history},
 		HotspotK:           *hotspotK,
-		ReadCache:          *readCache,
-		ReadCacheCapacity:  *readCacheSize,
 	}
 	if !*hotspots {
 		cfg.HotspotK = -1
@@ -213,11 +192,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "fovserver:", err)
 			os.Exit(1)
 		}
-		if topo.WindowMillis != shardWindow.Milliseconds() {
-			fmt.Fprintf(os.Stderr, "fovserver: topology windowMillis %d disagrees with -shard-window %v; routing and sharding must use one width\n",
-				topo.WindowMillis, *shardWindow)
-			os.Exit(1)
-		}
 		base, err := topo.IDBase(*clusterPartition)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fovserver:", err)
@@ -245,7 +219,6 @@ func main() {
 			Dir:                *dataDir,
 			Fsync:              policy,
 			CheckpointInterval: interval,
-			SegmentWindow:      *shardWindow,
 			SegmentWindowAge:   *segmentWindowAge,
 			CompactionInterval: compaction,
 			Logger:             logger,
@@ -308,7 +281,7 @@ func main() {
 	}
 	logger.Info("fovserver listening",
 		"addr", l.Addr().String(), "halfAngleDeg", *halfAngle, "radiusMeters", *radius,
-		"index", *indexKind, "readOnly", *replicaOf != "")
+		"readOnly", *replicaOf != "")
 
 	if *debugAddr != "" {
 		dl, err := net.Listen("tcp", *debugAddr)

@@ -2,7 +2,7 @@
 // single-node HTTP surface (/query, /nearest, /upload) over a
 // partitioned cluster. Queries fan out to the partitions owning the
 // query's window range, hedge to replicas when the leader is slow, and
-// merge under the exact contract index.Sharded enforces — so a routed
+// merge the ranked partition answers by (distance, id) — so a routed
 // result is byte-identical to the same corpus on one node. Uploads
 // split into per-owner runs and forward to partition leaders.
 //

@@ -35,7 +35,7 @@ var (
 	testCity = geo.Point{Lat: 40.0, Lng: 116.3}
 )
 
-const testWindow = int64(3_600_000) // 1h, the index default
+const testWindow = int64(3_600_000) // 1h, the topology default
 
 // corpus returns n representative FoVs spread over one day around the
 // test city (the bench-corpus idiom: session batches, ~2s segments),
@@ -51,7 +51,7 @@ func corpus(n int) []wire.Upload {
 			start := base + int64(i)*2000
 			end := start + 1500 + int64(rng.Intn(500))
 			if rng.Intn(50) == 0 {
-				end = start + 2*testWindow // over-long: spatial fallback
+				end = start + 2*testWindow // over-long: placed by spatial cell
 			}
 			u.Reps = append(u.Reps, segment.Representative{
 				FoV:         fov.FoV{P: p, Theta: rng.Float64() * 360},
@@ -64,8 +64,8 @@ func corpus(n int) []wire.Upload {
 	return uploads
 }
 
-// queries returns the seeded query set (the shard-scaling idiom: 1h
-// windows, a few-hundred-meter boxes around the city).
+// queries returns the seeded query set (1h windows, a few-hundred-meter
+// boxes around the city).
 func queries(n int) []query.Query {
 	rng := rand.New(rand.NewSource(52))
 	out := make([]query.Query, n)
@@ -101,8 +101,8 @@ func threePartitionTopology(t testing.TB) *cluster.Topology {
 	return topo
 }
 
-// newPartitionLeader builds one partition's writable node: a sharded
-// in-memory server wearing the topology's ownership guard and id base.
+// newPartitionLeader builds one partition's writable node: an in-memory
+// server wearing the topology's ownership guard and id base.
 func newPartitionLeader(t testing.TB, topo *cluster.Topology, id string) (*server.Server, *httptest.Server) {
 	t.Helper()
 	base, err := topo.IDBase(id)
@@ -110,11 +110,10 @@ func newPartitionLeader(t testing.TB, topo *cluster.Topology, id string) (*serve
 		t.Fatal(err)
 	}
 	srv, err := server.New(server.Config{
-		Camera:    testCam,
-		IndexKind: server.IndexKindSharded,
-		Registry:  obs.NewRegistry(),
-		IDBase:    base,
-		OwnsRep:   topo.OwnsRep(id),
+		Camera:   testCam,
+		Registry: obs.NewRegistry(),
+		IDBase:   base,
+		OwnsRep:  topo.OwnsRep(id),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +176,7 @@ func marshal(t *testing.T, v any) []byte {
 // TestClusterDifferential pins the merge contract: a 3-partition
 // cluster ingested through the router answers the seeded query set —
 // box queries and nearest-neighbor — byte-identically to a single
-// sharded node holding the union of the partitions' entries.
+// node holding the union of the partitions' entries.
 func TestClusterDifferential(t *testing.T) {
 	topo := threePartitionTopology(t)
 	leaders := make([]*server.Server, len(topo.Partitions))
@@ -234,11 +233,10 @@ func TestClusterDifferential(t *testing.T) {
 		t.Fatalf("union has %d entries, ingested %d", len(union), total)
 	}
 
-	// Single-node comparator: one sharded server over the union.
+	// Single-node comparator: one server over the union.
 	single, err := server.New(server.Config{
-		Camera:    testCam,
-		IndexKind: server.IndexKindSharded,
-		Registry:  obs.NewRegistry(),
+		Camera:   testCam,
+		Registry: obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -347,12 +345,11 @@ func TestClusterHedgedFailover(t *testing.T) {
 	}
 	base1, _ := topo.IDBase("p1")
 	leader1, err := server.New(server.Config{
-		Camera:    testCam,
-		IndexKind: server.IndexKindSharded,
-		Registry:  obs.NewRegistry(),
-		Store:     st1,
-		IDBase:    base1,
-		OwnsRep:   topo.OwnsRep("p1"),
+		Camera:   testCam,
+		Registry: obs.NewRegistry(),
+		Store:    st1,
+		IDBase:   base1,
+		OwnsRep:  topo.OwnsRep("p1"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -362,7 +359,6 @@ func TestClusterHedgedFailover(t *testing.T) {
 
 	replicaSrv, err := server.New(server.Config{
 		Camera:    testCam,
-		IndexKind: server.IndexKindSharded,
 		Registry:  obs.NewRegistry(),
 		ReadOnly:  true,
 		LeaderURL: ts1.URL,

@@ -1,17 +1,16 @@
-// Package cluster composes the repo's two scale-out halves — the
-// window/spatial-hash partitioning index.Sharded computes and the
-// per-partition replica sets internal/replica ships — into a multi-node
-// topology: a partition map assigning shard keys to leader processes,
-// and a stateless scatter-gather router (router.go) serving the same
-// HTTP surface as a single node.
+// Package cluster composes window/spatial-hash placement with the
+// per-partition replica sets internal/replica ships into a multi-node
+// topology: a partition map assigning placement keys to leader
+// processes, and a stateless scatter-gather router (router.go) serving
+// the same HTTP surface as a single node.
 //
-// The partition map speaks in exactly the keys the index computes
-// (index.WindowKey / index.SpatialCell — one implementation, exported
-// for this purpose), so a representative lands on the same partition
-// the single-node index would have placed in the matching shard, and a
-// query fans out to precisely the partitions whose shards the
-// single-node fan-out would have visited. That is what makes the
-// router's merged results byte-identical to one big node.
+// Placement keys are index.WindowKey for ordinary segments and
+// index.SpatialCell for over-long ones (one implementation, shared with
+// the per-node ownership guards). A query fans out to every partition
+// that could hold a segment intersecting its time window, and each
+// partition answers from its own R-tree; merging the ranked partition
+// answers by (distance, id) is what makes the router's results
+// byte-identical to one big node.
 package cluster
 
 import (
@@ -27,7 +26,7 @@ import (
 )
 
 // WindowRange is an inclusive range of time-window keys (the
-// floor(startMillis/window) values index.Sharded shards by).
+// floor(startMillis/window) values of index.WindowKey).
 type WindowRange struct {
 	From int64 `json:"from"`
 	To   int64 `json:"to"`
@@ -39,7 +38,7 @@ func (r WindowRange) contains(key int64) bool { return r.From <= key && key <= r
 // intersects reports whether the range and [lo, hi] share a key.
 func (r WindowRange) intersects(lo, hi int64) bool { return r.From <= hi && lo <= r.To }
 
-// Partition is one shard-owning node group: a writable leader plus its
+// Partition is one key-owning node group: a writable leader plus its
 // read replicas (each running the existing internal/replica set).
 type Partition struct {
 	// ID names the partition in health reports and errors, e.g. "p0".
@@ -70,17 +69,16 @@ func (p *Partition) Endpoints() []string {
 // Topology is the cluster's partition map, loaded from a JSON file and
 // served verbatim on the router's /cluster/topology.
 type Topology struct {
-	// WindowMillis is the time-shard width every partition's index runs
-	// with. Zero selects index.DefaultShardWindowMillis. Routing and
-	// index sharding must agree on this width; the per-node ownership
-	// guards enforce it.
+	// WindowMillis is the placement window width. Zero selects
+	// index.DefaultShardWindowMillis (1 h). Routing and the per-node
+	// ownership guards read the same topology, so they agree on it.
 	WindowMillis int64 `json:"windowMillis,omitempty"`
 	// SpatialShards sizes the spatial-hash cell space over-long
-	// segments route by. Zero selects 8 (the index default); negative
+	// segments route by. Zero selects 8; negative
 	// disables over-long segments cluster-wide — ingest rejects them —
 	// which lets queries skip the spatial fan-out entirely.
 	SpatialShards int `json:"spatialShards,omitempty"`
-	// Partitions lists the shard owners. Order matters: it defines the
+	// Partitions lists the key owners. Order matters: it defines the
 	// floor-modulo fallback placement and the id-base assignment, so
 	// reordering partitions re-keys the cluster.
 	Partitions []Partition `json:"partitions"`
@@ -284,10 +282,11 @@ func (t *Topology) OwnsRep(id string) func(rep segment.Representative) error {
 
 // OwnersForQuery returns, in topology order, every partition a query
 // over [startMillis, endMillis] must visit: the owners of the window
-// keys in the query's fan-out range (the same floor(start/W)-1 ..
-// floor(end/W) rule index.Sharded uses) plus — since every query visits
-// the spatial fallback — all spatial-cell owners, unless the topology
-// disables spatial shards. The topology must have been validated.
+// keys in the query's fan-out range (index.WindowKeyRange's
+// floor(start/W)-1 .. floor(end/W) rule) plus — since an over-long
+// segment may intersect any window — all spatial-cell owners, unless the
+// topology disables spatial shards. The topology must have been
+// validated.
 func (t *Topology) OwnersForQuery(startMillis, endMillis int64) []*Partition {
 	lo, hi := index.WindowKeyRange(startMillis, endMillis, t.WindowMillis)
 	n := len(t.Partitions)

@@ -25,11 +25,11 @@ import (
 // bound for queries answered by the replica.
 func TableReplicaLag(n int) *Table {
 	t := &Table{
-		Title:   fmt.Sprintf("Replication catch-up and lag (%d entries per phase, %d-entry uploads)", n, shardScaleBatchLen),
+		Title:   fmt.Sprintf("Replication catch-up and lag (%d entries per phase, %d-entry uploads)", n, uploadLen),
 		Columns: []string{"phase", "entries", "elapsed_ms", "kentries_per_s", "max_lag_kb", "bootstraps"},
 	}
 	toUploads := func(lo int) []wire.Upload {
-		batches := shardScaleBatches(n)
+		batches := corpusBatches(n)
 		uploads := make([]wire.Upload, len(batches))
 		for i, b := range batches {
 			u := wire.Upload{Provider: fmt.Sprintf("%s-%d", b[0].Provider, lo), Reps: make([]segment.Representative, 0, len(b))}

@@ -27,7 +27,7 @@ func TableSegmentStorage(n int) *Table {
 		Columns: []string{"config", "ingest_ms", "kentries_per_s", "seal_ms",
 			"segment_mb", "checkpoint_kb", "boot_ms"},
 	}
-	cold := shardScaleBatches(n)
+	cold := corpusBatches(n)
 	// The hot delta: entries in a window far past the corpus, still warm
 	// when the checkpoint runs — the tiered checkpoint should cost
 	// roughly these and nothing else.
@@ -39,7 +39,7 @@ func TableSegmentStorage(n int) *Table {
 			ID:       uint64(n + i + 1),
 			Provider: "hot-client",
 			Rep: segment.Representative{
-				FoV:         fov.FoV{P: geo.Offset(shardScaleCity, float64(i*31%360), float64(i%5000)), Theta: float64(i * 17 % 360)},
+				FoV:         fov.FoV{P: geo.Offset(corpusCity, float64(i*31%360), float64(i%5000)), Theta: float64(i * 17 % 360)},
 				StartMillis: start,
 				EndMillis:   start + 4000,
 			},

@@ -23,10 +23,10 @@ import (
 // the journaling.
 func TableWALIngest(n int) *Table {
 	t := &Table{
-		Title:   fmt.Sprintf("Durable ingest throughput (%d entries, %d-entry uploads)", n, shardScaleBatchLen),
+		Title:   fmt.Sprintf("Durable ingest throughput (%d entries, %d-entry uploads)", n, uploadLen),
 		Columns: []string{"store", "ingest_ms", "kentries_per_s", "vs_memory", "wal_mb"},
 	}
-	batches := shardScaleBatches(n)
+	batches := corpusBatches(n)
 	uploads := make([]wire.Upload, len(batches))
 	for i, b := range batches {
 		u := wire.Upload{Provider: b[0].Provider, Reps: make([]segment.Representative, 0, len(b))}
@@ -106,7 +106,7 @@ func TableWALIngest(n int) *Table {
 		row("wal/fsync="+string(policy), elapsed, walBytes)
 		os.RemoveAll(dir)
 	}
-	t.AddNote("one %d-entry upload per Register; fsync=always syncs the WAL before acknowledging each", shardScaleBatchLen)
+	t.AddNote("one %d-entry upload per Register; fsync=always syncs the WAL before acknowledging each", uploadLen)
 	t.AddNote("fsync=interval syncs every 100ms (bounded loss); never leaves syncing to the OS page cache")
 	return t
 }

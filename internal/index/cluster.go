@@ -1,11 +1,11 @@
-// Exported shard-key math for cluster placement.
+// Placement-key math for a partitioned deployment.
 //
-// A partitioned deployment (internal/cluster) assigns ownership of the
-// very same keys Sharded computes internally: time-window keys for
-// normal segments and spatial-hash cells for over-long ones. These
-// helpers expose that math so the partition map, the router and the
-// per-node ownership guards all agree bit-for-bit with the index —
-// there is exactly one implementation of the key functions.
+// A partitioned deployment (internal/cluster) assigns ownership by
+// time-window keys for normal segments and spatial-hash cells for
+// over-long ones. These helpers are the one implementation of that math,
+// so the partition map, the router and the per-node ownership guards
+// agree bit-for-bit. Inside a node the index is one R-tree; the keys are
+// placement, not indexing.
 package index
 
 import (
@@ -15,43 +15,64 @@ import (
 	"fovr/internal/geo"
 )
 
-// WindowKey returns the time-shard key Sharded assigns to a segment
-// starting at startMillis under a window width of windowMillis.
-// Division is floored, so pre-epoch captures map to the correct
-// (negative) window.
+// DefaultShardWindowMillis is one hour — long relative to typical
+// segment durations (seconds to minutes), short enough that a day of
+// data spreads over 24 windows.
+const DefaultShardWindowMillis = 3_600_000
+
+// WindowKey returns the time-window key of a segment starting at
+// startMillis under a window width of windowMillis. Division is floored,
+// so pre-epoch captures map to the correct (negative) window.
 func WindowKey(startMillis, windowMillis int64) int64 {
-	return floorDiv(startMillis, windowMillis)
+	q := startMillis / windowMillis
+	if startMillis%windowMillis != 0 && (startMillis < 0) != (windowMillis < 0) {
+		q--
+	}
+	return q
 }
 
 // WindowKeyRange returns the inclusive window-key range a query over
-// [startMillis, endMillis] must visit — identical to Sharded's internal
-// fan-out: a time shard holds segments starting within its window with
-// duration <= window, so only windows floor(start/W)-1 .. floor(end/W)
-// qualify.
+// [startMillis, endMillis] must visit: a window holds segments starting
+// within it with duration <= window, so only windows
+// floor(start/W)-1 .. floor(end/W) qualify.
 func WindowKeyRange(startMillis, endMillis, windowMillis int64) (lo, hi int64) {
-	lo = floorDiv(startMillis, windowMillis)
+	lo = WindowKey(startMillis, windowMillis)
 	if lo > math.MinInt64 {
 		lo--
 	}
-	hi = floorDiv(endMillis, windowMillis)
+	hi = WindowKey(endMillis, windowMillis)
 	return lo, hi
 }
 
-// SpatialCell returns the fallback spatial-hash cell (0..n-1) Sharded
-// assigns to an over-long segment anchored at p. n must be positive.
-func SpatialCell(p geo.Point, n int) int { return spatialCell(p, n) }
+// SpatialCell returns the spatial-hash cell (0..n-1) of an over-long
+// segment anchored at p: FNV-1a over the coordinate bit patterns. n must
+// be positive.
+func SpatialCell(p geo.Point, n int) int {
+	const (
+		offset = 14695981039346656037
+		prime  = 1099511628211
+	)
+	h := uint64(offset)
+	for _, v := range [2]uint64{math.Float64bits(p.Lat), math.Float64bits(p.Lng)} {
+		for i := 0; i < 8; i++ {
+			h ^= (v >> (8 * i)) & 0xff
+			h *= prime
+		}
+	}
+	return int(h % uint64(n))
+}
 
 // OverLong reports whether a segment spanning [startMillis, endMillis]
-// is routed to the spatial fallback instead of a time shard.
+// is placed by spatial cell instead of time window.
 func OverLong(startMillis, endMillis, windowMillis int64) bool {
 	return endMillis-startMillis > windowMillis
 }
 
 // NearestDist2 returns the squared weighted distance to center used to
 // rank nearest-neighbor results: longitude scaled by cos(latitude) so
-// the metric is locally correct, time ignored (it only filters).
-// Shared by Sharded's shard merge and the cluster router's partition
-// merge so their rankings agree exactly.
+// the metric is locally correct, time ignored (it only filters). Shared
+// by RTree.Nearest's metric and the cluster router's partition merge so
+// their rankings agree exactly.
 func NearestDist2(center geo.Point) func(Neighbor) float64 {
 	_, w, _ := nearestParams(center, 0)
 	return func(n Neighbor) float64 {
@@ -65,7 +86,7 @@ func NearestDist2(center geo.Point) func(Neighbor) float64 {
 // the shared nearest metric (ids break ties) and truncates to k. Each
 // source must itself have ranked with the same metric, which makes the
 // concatenation's top-k equal to the top-k over the union — the merge
-// contract that keeps sharded, cached and routed results identical.
+// contract that keeps routed results identical to one node's.
 func MergeNeighbors(center geo.Point, merged []Neighbor, k int) []Neighbor {
 	dist2 := NearestDist2(center)
 	sort.Slice(merged, func(i, j int) bool {

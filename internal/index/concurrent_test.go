@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"fovr/internal/geo"
+	"fovr/internal/rtree"
 )
 
 // The concurrent differential suite: N readers against one writer, with
@@ -26,22 +27,9 @@ const (
 	concBatchSize = 20
 )
 
-// concReadIndex is the slice of ServerIndex the suite needs; the cached
-// wrapper and both index kinds satisfy it.
-type concReadIndex interface {
-	InsertBatch([]Entry) error
-	Remove(uint64) bool
-	Search(geo.Rect, int64, int64) []Entry
-	Visit(geo.Rect, int64, int64, geo.Point, func(*Entry) float64) (int64, int64)
-	ReadEpoch() uint64
-	CheckInvariants() error
-}
-
 // visitRefs collects the references an unbounded Visit hands out, with
 // the traversal cost it reports.
-func visitRefs(idx interface {
-	Visit(geo.Rect, int64, int64, geo.Point, func(*Entry) float64) (int64, int64)
-}, r geo.Rect, startMillis, endMillis int64) (refs []*Entry, nodes, scanned int64) {
+func visitRefs(idx Index, r geo.Rect, startMillis, endMillis int64) (refs []*Entry, nodes, scanned int64) {
 	nodes, scanned = idx.Visit(r, startMillis, endMillis, r.Center(), func(e *Entry) float64 {
 		refs = append(refs, e)
 		return math.Inf(1)
@@ -49,25 +37,16 @@ func visitRefs(idx interface {
 	return refs, nodes, scanned
 }
 
-func concIndexes(t *testing.T) map[string]concReadIndex {
+// concIndexes is the tree under each split heuristic whose write path
+// differs: the default quadratic split, and R*'s forced reinsertion,
+// which moves live entries between nodes on overflow.
+func concIndexes(t *testing.T) map[string]*RTree {
 	t.Helper()
-	sharded, err := NewSharded(ShardedOptions{WindowMillis: 60_000, SpatialShards: 4})
+	rstar, err := NewRTree(rtree.Options{Split: rtree.RStarSplit})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cachedInner, err := NewSharded(ShardedOptions{WindowMillis: 60_000, SpatialShards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached, err := NewReadCache(cachedInner, ReadCacheOptions{MinCellHits: 1, Capacity: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]concReadIndex{
-		"rtree":          newRTree(t),
-		"sharded":        sharded,
-		"sharded-cached": cached,
-	}
+	return map[string]*RTree{"rtree": newRTree(t), "rtree-rstar": rstar}
 }
 
 // checkPrefix verifies the result is exactly {1..n} for some n and
@@ -382,5 +361,120 @@ func TestConcurrentRefsNeverChange(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestConcurrentMutationStress churns the tree with batch writers and
+// removers while readers walk it with Visit and Nearest. Every writer
+// shares the one tree lock; readers take none. Run under -race this
+// exercises the publish path against lock-free readers; afterwards the
+// tree must pass full invariant checking and agree with a linear oracle
+// over the surviving entries.
+func TestConcurrentMutationStress(t *testing.T) {
+	x := newRTree(t)
+	const writers, readers, batches, batchLen = 4, 4, 30, 16
+	survivors := make([][]Entry, writers)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			next := uint64(w * 1_000_000)
+			for b := 0; b < batches; b++ {
+				batch := make([]Entry, batchLen)
+				for i := range batch {
+					batch[i] = randEntry(rng, next)
+					next++
+				}
+				if err := x.InsertBatch(batch); err != nil {
+					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+				// Remove a few of this writer's own committed entries;
+				// the rest survive to the final oracle comparison.
+				for i, e := range batch {
+					if i%4 == 0 {
+						if !x.Remove(e.ID) {
+							t.Errorf("writer %d: committed id %d not removable", w, e.ID)
+							return
+						}
+						continue
+					}
+					survivors[w] = append(survivors[w], e)
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(100 + r)))
+			for i := 0; i < 150; i++ {
+				center := geo.Offset(city, rng.Float64()*360, rng.Float64()*5000)
+				ts := int64(rng.Intn(86_400_000))
+				te := ts + int64(rng.Intn(3_600_000))
+				visitRefs(x, geo.RectAround(center, 500), ts, te)
+				x.Nearest(center, ts, te, 5, 1000, nil)
+				x.Len()
+			}
+		}(r)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if err := x.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	lin := NewLinear()
+	for _, ss := range survivors {
+		for _, e := range ss {
+			if err := lin.Insert(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if x.Len() != lin.Len() {
+		t.Fatalf("tree holds %d entries, oracle %d", x.Len(), lin.Len())
+	}
+	rect := geo.RectAround(city, 10_000)
+	a := ids(x.Search(rect, 0, 1<<40))
+	b := ids(lin.Search(rect, 0, 1<<40))
+	if fmt.Sprint(a) != fmt.Sprint(b) {
+		t.Fatalf("post-stress contents diverge: tree %d ids, oracle %d", len(a), len(b))
+	}
+}
+
+// The visiting read path allocates nothing, and the collecting Search
+// costs its reference buffer's growth plus one exact-size copy.
+func TestSnapshotReadAllocs(t *testing.T) {
+	x := newRTree(t)
+	rng := rand.New(rand.NewSource(5))
+	for id := uint64(1); id <= 400; id++ {
+		if err := x.Insert(randEntry(rng, id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := geo.RectAround(city, 3000)
+	const ts, te = 0, 86_400_000
+	hits := 0
+	count := func(*Entry) float64 { hits++; return math.Inf(1) }
+	if got := testing.AllocsPerRun(200, func() {
+		x.Visit(q, ts, te, city, count)
+	}); got != 0 {
+		t.Fatalf("RTree.Visit allocates %.1f/op, want 0", got)
+	}
+	if n := len(x.Search(q, ts, te)); n < 50 {
+		t.Fatalf("only %d hits: the pins below would not see a per-hit cost", n)
+	}
+	grow := testing.AllocsPerRun(200, func() {
+		visitRefs(x, q, ts, te)
+	})
+	if got := testing.AllocsPerRun(200, func() {
+		x.Search(q, ts, te)
+	}); got > grow+1 {
+		t.Fatalf("Search allocates %.1f/op, reference form %.1f/op: want one more at most", got, grow)
 	}
 }

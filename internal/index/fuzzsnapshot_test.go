@@ -7,14 +7,22 @@ import (
 	"fovr/internal/segment"
 )
 
-// FuzzSnapshotReads drives a cached sharded index and a linear oracle
-// through the same fuzzer-chosen interleaving of inserts, removals, and
-// queries, and demands that every query — hit or miss — answers exactly
-// what the oracle answers at that point. Because queries draw from a
-// pool of four fixed boxes and a coarse time grid, the fuzzer repeats
-// identical queries often, so cached results regularly survive across
-// mutations; any hit served from an epoch predating a mutation of its
-// cells diverges from the oracle immediately.
+// fuzzCoord and fuzzI16 decode the fuzz program's coarse grids:
+// coordinates within ±0.26° of the test city and signed 16-bit times.
+// Coarse grids make the fuzzer hit coincidences (equal positions,
+// boundary instants, zero-length segments) with realistic probability
+// instead of never.
+func fuzzCoord(b byte) float64 { return float64(int8(b)) / 500.0 }
+
+func fuzzI16(hi, lo byte) int64 { return int64(int16(uint16(hi)<<8 | uint16(lo))) }
+
+// FuzzSnapshotReads drives the tree and a linear oracle through the same
+// fuzzer-chosen interleaving of inserts, removals, and queries, and
+// demands that every query answers exactly what the oracle answers at
+// that point. Queries draw from a pool of four fixed boxes and a coarse
+// time grid, so the same question is asked again across mutations; an
+// answer served from a snapshot that predates a mutation diverges from
+// the oracle immediately.
 //
 // The program is a sequence of 6-byte records:
 //
@@ -24,10 +32,9 @@ import (
 // duration = b*10 ms), 2 remove id a%(maxID+1), 3 query (box pool index
 // lat%4, window start a*100 ms, width b*20 ms).
 func FuzzSnapshotReads(f *testing.F) {
-	// Seeds: insert-query-insert-query on one box (the second query of a
-	// box is admitted, the third is a hit); a remove between repeated
-	// queries (invalidation); an over-long segment (spatial fallback)
-	// queried repeatedly; queries alone on an empty store.
+	// Seeds: insert-query-insert-query on one box; a remove between
+	// repeated queries; an over-long segment queried repeatedly; queries
+	// alone on an empty store.
 	f.Add([]byte{
 		0, 10, 10, 0, 1, 10,
 		3, 0, 0, 0, 0, 100,
@@ -44,7 +51,7 @@ func FuzzSnapshotReads(f *testing.F) {
 		3, 0, 0, 0, 0, 100,
 	})
 	f.Add([]byte{
-		0, 5, 5, 0, 0, 255, // 2550 ms long: beyond the 500 ms window, spatial shard
+		0, 5, 5, 0, 0, 255, // 2550 ms long
 		3, 1, 0, 0, 0, 200,
 		3, 1, 0, 0, 0, 200,
 		3, 1, 0, 0, 0, 200,
@@ -62,14 +69,7 @@ func FuzzSnapshotReads(f *testing.F) {
 		{MinLat: 39.9, MaxLat: 40.2, MinLng: 116.2, MaxLng: 116.5},
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sh, err := NewSharded(ShardedOptions{WindowMillis: fuzzWindowMillis, SpatialShards: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rc, err := NewReadCache(sh, ReadCacheOptions{MinCellHits: 2, Capacity: 16})
-		if err != nil {
-			t.Fatal(err)
-		}
+		x := newRTree(t)
 		lin := NewLinear()
 		nextID := uint64(1)
 		queried := false
@@ -86,29 +86,29 @@ func FuzzSnapshotReads(f *testing.F) {
 					Rep:      fuzzRep(lat, lng, op, a*100, b*10),
 				}
 				nextID++
-				errC, errL := rc.Insert(e), lin.Insert(e)
-				if (errC == nil) != (errL == nil) {
-					t.Fatalf("insert %d: cached err %v, linear err %v", e.ID, errC, errL)
+				errX, errL := x.Insert(e), lin.Insert(e)
+				if (errX == nil) != (errL == nil) {
+					t.Fatalf("insert %d: tree err %v, linear err %v", e.ID, errX, errL)
 				}
 			case 2: // remove
 				id := uint64(a)%nextID + 1
-				if okC, okL := rc.Remove(id), lin.Remove(id); okC != okL {
-					t.Fatalf("remove %d: cached %v, linear %v", id, okC, okL)
+				if okX, okL := x.Remove(id), lin.Remove(id); okX != okL {
+					t.Fatalf("remove %d: tree %v, linear %v", id, okX, okL)
 				}
 			case 3: // query
 				queried = true
 				q := queryPool[int(lat)%len(queryPool)]
 				ts := a * 100
 				te := ts + b*20
-				got := ids(rc.Search(q, ts, te))
+				got := ids(x.Search(q, ts, te))
 				want := ids(lin.Search(q, ts, te))
 				if len(got) != len(want) {
-					t.Fatalf("query %+v [%d,%d]: cached %d hits %v, linear %d hits %v (hits=%d misses=%d inval=%d)",
-						q, ts, te, len(got), got, len(want), want, rc.Hits(), rc.Misses(), rc.Invalidations())
+					t.Fatalf("query %+v [%d,%d]: tree %d hits %v, linear %d hits %v",
+						q, ts, te, len(got), got, len(want), want)
 				}
 				for i := range got {
 					if got[i] != want[i] {
-						t.Fatalf("query %+v [%d,%d]: hit %d: cached id %d, linear id %d",
+						t.Fatalf("query %+v [%d,%d]: hit %d: tree id %d, linear id %d",
 							q, ts, te, i, got[i], want[i])
 					}
 				}
@@ -117,7 +117,7 @@ func FuzzSnapshotReads(f *testing.F) {
 		if !queried {
 			t.Skip()
 		}
-		if err := rc.CheckInvariants(); err != nil {
+		if err := x.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -11,9 +11,11 @@
 // box and the index returns every representative whose segment intersects
 // it.
 //
-// Two implementations share the Index interface: RTree (the paper's
-// design) and Linear (the naive scan baseline of Fig. 6(c)). Both are safe
-// for concurrent use by many uploaders and queriers.
+// Three implementations share the Index interface: RTree (the paper's
+// design, and the one index the server runs), Linear (the naive scan
+// baseline of Fig. 6(c) and the test oracle) and Grid (the uniform-grid
+// ablation). All are safe for concurrent use by many uploaders and
+// queriers.
 package index
 
 import (
@@ -92,12 +94,14 @@ type Index interface {
 	// never skips an entry at or inside the bound, and it may ignore the
 	// bound altogether. Order is unspecified; the ranker sorts. The
 	// references address memory no writer will ever touch again — a
-	// published snapshot's leaves, a cache's result slice, or a private
-	// copy — so they stay valid, and unchanged, for as long as the caller
-	// holds them; the caller must not write through them.
+	// published snapshot's leaves or a private copy — so they stay valid,
+	// and unchanged, for as long as the caller holds them; the caller must
+	// not write through them.
 	Visit(r geo.Rect, startMillis, endMillis int64, center geo.Point, visit func(*Entry) float64) (nodes, scanned int64)
 	// Search is the collecting, unbounded form of Visit: a fresh copy of
-	// every matching entry.
+	// every matching entry. No request path runs it — queries and
+	// /nearest walk Visit. Its callers are bench/layers.go's per-layer
+	// index row, the Linear oracle behind its own Visit, and tests.
 	Search(r geo.Rect, startMillis, endMillis int64) []Entry
 	// Len returns the number of stored entries.
 	Len() int
@@ -131,7 +135,7 @@ func entriesOf(refs []*Entry) []Entry {
 // visitAll hands visit a reference to every element of hits, a slice the
 // caller owns and nobody will write again, ignoring the bounds it
 // answers with. The indexes that mutate their storage in place (Linear,
-// Grid) and a read-cache hit answer Visit this way.
+// Grid) answer Visit this way.
 func visitAll(hits []Entry, visit func(*Entry) float64) {
 	for i := range hits {
 		visit(&hits[i])
@@ -157,8 +161,8 @@ type NearestSearcher interface {
 // ServerIndex is the full contract the cloud server needs from its
 // index: the core Index operations plus batch ingest,
 // nearest-neighbour ranking, snapshotting, and the diagnostics exposed
-// at /metrics. RTree and Sharded both implement it, which is what lets
-// the server swap implementations behind one flag.
+// at /metrics. RTree implements it; the differential suite drives the
+// Linear oracle through it beside RTree.
 type ServerIndex interface {
 	Index
 	BatchInserter
@@ -210,9 +214,8 @@ type RTree struct {
 	locks *obs.LockClass
 }
 
-// SetLockClass attaches lock-wait accounting to the tree mutex. Every
-// shard of a Sharded index shares one class; the server's plain tree
-// kind gets its own. Call before the index is shared between
+// SetLockClass attaches lock-wait accounting to the tree mutex (the
+// server's "index.tree" class). Call before the index is shared between
 // goroutines.
 func (x *RTree) SetLockClass(lc *obs.LockClass) { x.locks = lc }
 
@@ -250,28 +253,19 @@ func BulkLoadRTree(opts rtree.Options, entries []Entry) (*RTree, error) {
 
 // Insert implements Index.
 func (x *RTree) Insert(e Entry) error {
-	_, err := x.insertPub(e)
-	return err
-}
-
-// insertPub is Insert returning the snapshot published on success (nil
-// on error) — the hook Sharded uses to fold the shard's new state into
-// its global view.
-func (x *RTree) insertPub(e Entry) (*rtree.Snapshot[Entry], error) {
 	if err := e.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	lt := x.locks.Start()
 	x.mu.Lock()
 	lt.Acquired()
 	err := x.insertLocked(e)
-	var snap *rtree.Snapshot[Entry]
 	if err == nil {
-		snap = x.tree.Publish()
+		x.tree.Publish()
 	}
 	x.mu.Unlock()
 	lt.Released()
-	return snap, err
+	return err
 }
 
 func (x *RTree) insertLocked(e Entry) error {
@@ -289,20 +283,14 @@ func (x *RTree) insertLocked(e Entry) error {
 // InsertBatch implements BatchInserter: the whole batch is validated,
 // checked for duplicates, and inserted under a single acquisition of
 // the tree lock. On any failure the already-inserted prefix is removed
-// again, so the batch is all-or-nothing.
+// again, so the batch is all-or-nothing. The whole batch becomes
+// visible to readers in one publish — a reader sees either none of the
+// batch or all of it.
 func (x *RTree) InsertBatch(entries []Entry) error {
-	_, err := x.insertBatchPub(entries)
-	return err
-}
-
-// insertBatchPub is InsertBatch returning the snapshot published on
-// success. The whole batch becomes visible to readers in that single
-// publish — a reader sees either none of the batch or all of it.
-func (x *RTree) insertBatchPub(entries []Entry) (*rtree.Snapshot[Entry], error) {
 	rects := make([]rtree.Rect, len(entries))
 	for i, e := range entries {
 		if err := e.Validate(); err != nil {
-			return nil, fmt.Errorf("index: batch entry %d: %w", i, err)
+			return fmt.Errorf("index: batch entry %d: %w", i, err)
 		}
 		rects[i] = entryRect(e.Rep)
 	}
@@ -310,13 +298,12 @@ func (x *RTree) insertBatchPub(entries []Entry) (*rtree.Snapshot[Entry], error) 
 	x.mu.Lock()
 	lt.Acquired()
 	err := x.insertBatchLocked(entries, rects)
-	var snap *rtree.Snapshot[Entry]
 	if err == nil {
-		snap = x.tree.Publish()
+		x.tree.Publish()
 	}
 	x.mu.Unlock()
 	lt.Released()
-	return snap, err
+	return err
 }
 
 func (x *RTree) insertBatchLocked(entries []Entry, rects []rtree.Rect) error {
@@ -366,26 +353,6 @@ func nearFor(r geo.Rect, center geo.Point) rtree.Near {
 	}
 }
 
-// walkSnapshots runs one steered box search over the snapshots in order,
-// carrying the bound from each into the next — a snapshot the earlier
-// ones have already out-ranked costs one node visit — and sums the
-// traversal cost.
-func walkSnapshots(shards []*rtree.Snapshot[Entry], q rtree.Rect, near rtree.Near, bound float64, fn func(*rtree.Rect, *Entry) float64) (nodes, scanned int64) {
-	for _, s := range shards {
-		var n, l int64
-		bound, n, l = s.SearchNear(q, near, bound, fn)
-		nodes += n
-		scanned += l
-	}
-	return nodes, scanned
-}
-
-// inSnapshot adapts an index-level visitor to the snapshot walk, which
-// also offers each hit's rectangle.
-func inSnapshot(visit func(*Entry) float64) func(*rtree.Rect, *Entry) float64 {
-	return func(_ *rtree.Rect, e *Entry) float64 { return visit(e) }
-}
-
 // ReadEpoch returns the epoch of the snapshot readers currently see. It
 // increases by exactly 1 per published mutation (insert, batch, remove),
 // which is what the read-correctness suites pin monotonicity against.
@@ -395,24 +362,16 @@ func (x *RTree) ReadEpoch() uint64 {
 
 // Remove implements Index.
 func (x *RTree) Remove(id uint64) bool {
-	_, ok := x.removePub(id)
-	return ok
-}
-
-// removePub is Remove returning the snapshot published when the entry
-// existed (nil otherwise).
-func (x *RTree) removePub(id uint64) (*rtree.Snapshot[Entry], bool) {
 	lt := x.locks.Start()
 	x.mu.Lock()
 	lt.Acquired()
 	ok := x.removeLocked(id)
-	var snap *rtree.Snapshot[Entry]
 	if ok {
-		snap = x.tree.Publish()
+		x.tree.Publish()
 	}
 	x.mu.Unlock()
 	lt.Released()
-	return snap, ok
+	return ok
 }
 
 func (x *RTree) removeLocked(id uint64) bool {
@@ -432,30 +391,14 @@ func (x *RTree) removeLocked(id uint64) bool {
 // locks, steered by the bounds visit answers with; the references point
 // into that snapshot's leaves.
 func (x *RTree) Visit(r geo.Rect, startMillis, endMillis int64, center geo.Point, visit func(*Entry) float64) (nodes, scanned int64) {
-	_, nodes, scanned = x.tree.Snapshot().SearchNear(queryRect(r, startMillis, endMillis), nearFor(r, center), math.Inf(1), inSnapshot(visit))
+	_, nodes, scanned = x.tree.Snapshot().SearchNear(queryRect(r, startMillis, endMillis), nearFor(r, center), math.Inf(1),
+		func(_ *rtree.Rect, e *Entry) float64 { return visit(e) })
 	return nodes, scanned
 }
 
 // Search implements Index.
 func (x *RTree) Search(r geo.Rect, startMillis, endMillis int64) []Entry {
 	return searchAll(x, r, startMillis, endMillis)
-}
-
-// searchForCache is Search returning, besides the hits, a validity
-// probe: it reports true for as long as a reader would still get the
-// same answer (the snapshot has not been superseded). The read cache
-// stores results under this probe.
-func (x *RTree) searchForCache(r geo.Rect, startMillis, endMillis int64) (hits []Entry, nodes, scanned int64, valid func() bool) {
-	s := x.tree.Snapshot()
-	var refs []*Entry
-	_, nodes, scanned = s.SearchNear(queryRect(r, startMillis, endMillis), rtree.Near{}, math.Inf(1), func(_ *rtree.Rect, e *Entry) float64 {
-		refs = append(refs, e)
-		return math.Inf(1)
-	})
-	epoch := s.Epoch()
-	return entriesOf(refs), nodes, scanned, func() bool {
-		return x.tree.Snapshot().Epoch() == epoch
-	}
 }
 
 // Len implements Index.
@@ -646,17 +589,6 @@ func nearestParams(center geo.Point, maxDistanceMeters float64) (p, w [rtree.Dim
 	return p, w, maxDist2
 }
 
-// Nearest returns up to k entries closest to center whose segment
-// interval intersects [startMillis, endMillis] and which pass keep
-// (nil keeps everything), nearest first. Distance is geographic; the
-// time dimension only filters. Longitude is scaled by cos(latitude) so
-// the metric is locally correct. maxDistanceMeters > 0 bounds the search
-// radius (pass the camera's radius of view: farther entries cannot cover
-// the point anyway).
-func (x *RTree) Nearest(center geo.Point, startMillis, endMillis int64, k int, maxDistanceMeters float64, keep func(*Entry) bool) []Neighbor {
-	return nearestIn([]*rtree.Snapshot[Entry]{x.tree.Snapshot()}, center, startMillis, endMillis, k, maxDistanceMeters, keep)
-}
-
 // nearKey is one kept neighbour: the ranking key (weighted squared
 // distance, id breaking ties) and the entry where the index keeps it.
 type nearKey struct {
@@ -673,15 +605,21 @@ func nearAfter(a, b *nearKey) bool {
 	return a.e.ID > b.e.ID
 }
 
-// nearestIn answers Nearest over the snapshots a caller pinned with the
-// steered range walk: the box of everything within the distance bound
-// over the time window, subtrees nearest first, the k-th best distance
-// so far as the bound carried from one snapshot into the next — the walk
-// a top-N query runs, under nearestParams' metric. RTree and Sharded
-// share this, so their rankings agree exactly with each other and with
-// Linear.
-func nearestIn(shards []*rtree.Snapshot[Entry], center geo.Point, startMillis, endMillis int64, k int, maxDistanceMeters float64, keep func(*Entry) bool) []Neighbor {
-	if k <= 0 || len(shards) == 0 {
+// Nearest returns up to k entries closest to center whose segment
+// interval intersects [startMillis, endMillis] and which pass keep
+// (nil keeps everything), nearest first. Distance is geographic; the
+// time dimension only filters. Longitude is scaled by cos(latitude) so
+// the metric is locally correct. maxDistanceMeters > 0 bounds the search
+// radius (pass the camera's radius of view: farther entries cannot cover
+// the point anyway).
+//
+// It is the steered range walk over the published snapshot: the box of
+// everything within the distance bound over the time window, subtrees
+// nearest first, the k-th best distance so far as the bound — the walk
+// a top-N query runs, under nearestParams' metric, so the ranking agrees
+// exactly with Linear's.
+func (x *RTree) Nearest(center geo.Point, startMillis, endMillis int64, k int, maxDistanceMeters float64, keep func(*Entry) bool) []Neighbor {
+	if k <= 0 {
 		return nil
 	}
 	p, w, maxDist2 := nearestParams(center, maxDistanceMeters)
@@ -726,7 +664,7 @@ func nearestIn(shards []*rtree.Snapshot[Entry], center geo.Point, startMillis, e
 		}
 		return bound
 	}
-	walkSnapshots(shards, q, near, bound, offer)
+	x.tree.Snapshot().SearchNear(q, near, bound, offer)
 	// best is a max-heap: popping it fills the answer from the back.
 	out := make([]Neighbor, len(best))
 	for i := len(out) - 1; i >= 0; i-- {

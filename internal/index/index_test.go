@@ -210,6 +210,66 @@ func TestInsertInvalidEntry(t *testing.T) {
 	}
 }
 
+// TestEmptyBatch: an empty batch is accepted and stores nothing.
+func TestEmptyBatch(t *testing.T) {
+	x := newRTree(t)
+	if err := x.InsertBatch(nil); err != nil || x.Len() != 0 {
+		t.Fatalf("empty batch: err %v, Len %d", err, x.Len())
+	}
+	if err := x.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBatchAllOrNothing: a batch that fails anywhere — a duplicate of a
+// stored id, a duplicate inside the batch, an invalid entry — leaves no
+// trace, and a good batch commits whole.
+func TestBatchAllOrNothing(t *testing.T) {
+	x := newRTree(t)
+	mk := func(id uint64, start int64) Entry {
+		return Entry{ID: id, Provider: "p", Rep: segment.Representative{
+			FoV: fovAt(city, 0), StartMillis: start, EndMillis: start + 100,
+		}}
+	}
+	if err := x.Insert(mk(3, 0)); err != nil {
+		t.Fatal(err)
+	}
+	rect := geo.RectAround(city, 100)
+	bad := mk(30, 0)
+	bad.Rep.EndMillis = -1
+	for name, batch := range map[string][]Entry{
+		"stored duplicate":   {mk(10, 0), mk(11, 5000), mk(3, 9000), mk(12, 13_000)},
+		"in-batch duplicate": {mk(20, 0), mk(20, 5000)},
+		"invalid entry":      {mk(31, 0), bad},
+	} {
+		if err := x.InsertBatch(batch); err == nil {
+			t.Fatalf("%s: batch accepted", name)
+		}
+		if got := ids(x.Search(rect, 0, 1<<40)); x.Len() != 1 || len(got) != 1 || got[0] != 3 {
+			t.Fatalf("%s: contents after the failed batch = %v (Len %d), want [3]", name, got, x.Len())
+		}
+		if x.Remove(batch[0].ID) {
+			t.Fatalf("%s: rolled-back id %d removable", name, batch[0].ID)
+		}
+		if err := x.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	good := []Entry{mk(40, 0), mk(41, 5000), mk(42, 5100), mk(43, 0)}
+	good[3].Rep.EndMillis = 10_000_000
+	if err := x.InsertBatch(good); err != nil {
+		t.Fatal(err)
+	}
+	if x.Len() != 5 {
+		t.Fatalf("Len = %d, want 5", x.Len())
+	}
+	for _, e := range good {
+		if !x.Remove(e.ID) {
+			t.Fatalf("committed id %d not removable", e.ID)
+		}
+	}
+}
+
 func TestBulkLoadRTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	entries := make([]Entry, 2000)

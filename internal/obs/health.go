@@ -54,7 +54,7 @@ type HealthCheck struct {
 	// Reasons are machine-readable strings explaining any non-ok state,
 	// e.g. "store: sticky fsync failure" — stable enough to alert on.
 	Reasons []string `json:"reasons,omitempty"`
-	// Details are informational key/values (lag bytes, shard counts)
+	// Details are informational key/values (lag bytes, entry counts)
 	// reported even when healthy.
 	Details map[string]any `json:"details,omitempty"`
 }

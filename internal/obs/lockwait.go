@@ -1,7 +1,7 @@
 // Lock-wait accounting: sampled wait/hold timers around the system's
-// contended mutexes (the per-shard index trees, the striped id map, the
-// WAL append lock), exported per lock class as the fovr_lock_wait_ns /
-// fovr_lock_hold_ns histograms.
+// contended mutexes (the index tree's writer lock, the WAL append lock),
+// exported per lock class as the fovr_lock_wait_ns / fovr_lock_hold_ns
+// histograms.
 //
 // The contract mirrors the query-trace path: with sampling off the
 // instrumented acquisition costs one atomic load of a read-mostly
@@ -34,11 +34,10 @@ func SetLockSampleRate(n int) {
 // off).
 func LockSampleRate() int { return int(lockSampleRate.Load()) }
 
-// LockClass aggregates wait/hold timing for one class of lock — every
-// per-shard tree mutex shares one class, every id-map stripe another —
-// rather than per instance: the operator question is "which kind of
-// lock blocks" and per-class histograms keep cardinality fixed as
-// shards come and go.
+// LockClass aggregates wait/hold timing for one class of lock rather
+// than per instance: the operator question is "which kind of lock
+// blocks", and per-class histograms keep metric cardinality fixed
+// however many instances share the class.
 type LockClass struct {
 	wait *Histogram // fovr_lock_wait_ns{class=...}: Lock() call to acquisition
 	hold *Histogram // fovr_lock_hold_ns{class=...}: acquisition to release

@@ -60,7 +60,7 @@ func baselineSearch(idx index.Index, q Query, opts Options) ([]Ranked, *obs.Quer
 // equivalenceCorpus scatters n cameras within 400 m of origin. One in
 // four stands on one of five shared spots (so equal distances occur,
 // also across the top-N cut, among cameras whose start times put them in
-// different Sharded shards) and one in five declares its own optics.
+// different leaves) and one in five declares its own optics.
 func equivalenceCorpus(rng *rand.Rand, origin geo.Point, n int) []index.Entry {
 	entries := make([]index.Entry, n)
 	for i := range entries {
@@ -84,25 +84,12 @@ func equivalenceCorpus(rng *rand.Rand, origin geo.Point, n int) []index.Entry {
 // equivalenceKinds builds one index of every kind over the same entries.
 func equivalenceKinds(t *testing.T, entries []index.Entry) map[string]index.Index {
 	t.Helper()
-	sharded, err := index.NewSharded(index.ShardedOptions{WindowMillis: 20_000, SpatialShards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cachedInner, err := index.NewSharded(index.ShardedOptions{WindowMillis: 20_000, SpatialShards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached, err := index.NewReadCache(cachedInner, index.ReadCacheOptions{MinCellHits: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	grid, err := index.NewGrid(150)
 	if err != nil {
 		t.Fatal(err)
 	}
 	kinds := map[string]index.Index{
-		"rtree": newIndex(t), "sharded": sharded, "cached": cached,
-		"linear": index.NewLinear(), "grid": grid,
+		"rtree": newIndex(t), "linear": index.NewLinear(), "grid": grid,
 	}
 	for name, idx := range kinds {
 		for _, e := range entries {
@@ -177,10 +164,7 @@ func checkEquivalence(t *testing.T, seed int64, n, maxResults int, skipFilter bo
 			q.Center = origin // every shared spot at exactly the same distance
 		}
 		for name, idx := range kinds {
-			// Twice: the cached kind answers the second pass from its cache.
-			for pass := 0; pass < 2; pass++ {
-				sameAsReference(t, fmt.Sprintf("%s seed %d trial %d", name, seed, trial), idx, q, opts)
-			}
+			sameAsReference(t, fmt.Sprintf("%s seed %d trial %d", name, seed, trial), idx, q, opts)
 		}
 	}
 }
@@ -188,7 +172,7 @@ func checkEquivalence(t *testing.T, seed int64, n, maxResults int, skipFilter bo
 // FuzzSearchEquivalence holds the steered pipeline to the reference on
 // generated corpora. The seeds cover MaxResults 0 (unlimited), cuts
 // through the shared-spot ties (seeds 8 and 9, trial 0: the cut falls
-// inside a tie whose members span two Sharded shards and some of which
+// inside a tie whose members start up to 100 s apart and some of which
 // carry their own optics), the filter
 // ablation, corpora smaller than the cut, a near-polar city where the
 // box is wider than 180° of longitude, one at |lat| > 80°, and one
@@ -220,8 +204,8 @@ func FuzzSearchEquivalence(f *testing.F) {
 // feeds back could get wrong: more equal-distance survivors than
 // MaxResults, so the cut falls inside a tie and only the id order
 // decides who stays. The walk must keep offering cameras at exactly the
-// bound — in whichever leaf, and whichever Sharded shard (their start
-// times spread them over time and spatial shards), they sit.
+// bound in whichever leaf they sit (their start times and durations
+// spread them over the tree's time axis).
 func TestTopNCutThroughTies(t *testing.T) {
 	spot := geo.Offset(center, 180, 50)
 	var entries []index.Entry
@@ -229,7 +213,7 @@ func TestTopNCutThroughTies(t *testing.T) {
 		start := int64(id%8) * 15_000
 		end := start + 1000
 		if id%5 == 0 {
-			end = start + 50_000 // longer than the shard window: a spatial shard
+			end = start + 50_000 // a long one, reaching across the others' starts
 		}
 		entries = append(entries, entry(id, spot, 0, start, end))
 	}

@@ -17,9 +17,9 @@ import (
 // counts, not time: on a 50 000-camera hotspot city, a top-20 question
 // of 300 m over the whole day asked inside a hotspot must hand the
 // filter at least 5x fewer entries, and visit at least 2x fewer index
-// nodes, than the plain search of the same box finds and visits — on the
-// single tree and on hourly shards. With no result limit there is no
-// bound, and the walk must visit exactly what the plain search visits.
+// nodes, than the plain search of the same box finds and visits. With no
+// result limit there is no bound, and the walk must visit exactly what
+// the plain search visits.
 func TestTopNWalkDoesLessWork(t *testing.T) {
 	cfg := workload.Config{Seed: 16, Distribution: workload.Hotspot}
 	entries := workload.Entries(cfg, 50_000)
@@ -29,15 +29,8 @@ func TestTopNWalkDoesLessWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := index.NewSharded(index.ShardedOptions{WindowMillis: 3_600_000})
-	if err != nil {
+	if err := tree.InsertBatch(entries); err != nil {
 		t.Fatal(err)
-	}
-	kinds := map[string]index.ServerIndex{"rtree": tree, "sharded": sharded}
-	for name, idx := range kinds {
-		if err := idx.InsertBatch(entries); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
 	}
 
 	// The question inside a hotspot: of 200 drawn over the city, the one
@@ -55,34 +48,32 @@ func TestTopNWalkDoesLessWork(t *testing.T) {
 		t.Fatalf("densest question holds %d cameras: not inside a hotspot", most)
 	}
 
-	for name, idx := range kinds {
-		before := idx.TreeStats()
-		inBox := len(idx.Search(box, q.StartMillis, q.EndMillis))
-		plainNodes := idx.TreeStats().NodeVisits - before.NodeVisits
+	before := tree.TreeStats()
+	inBox := len(tree.Search(box, q.StartMillis, q.EndMillis))
+	plainNodes := tree.TreeStats().NodeVisits - before.NodeVisits
 
-		walk := func(maxResults int) *obs.QueryTrace {
-			tr := obs.NewQueryTrace(name)
-			opts := query.Options{Camera: cam, MaxResults: maxResults}
-			if _, err := query.SearchCtx(obs.WithTrace(context.Background(), tr), idx, q, opts); err != nil {
-				t.Fatal(err)
-			}
-			return tr
+	walk := func(maxResults int) *obs.QueryTrace {
+		tr := obs.NewQueryTrace("rtree")
+		opts := query.Options{Camera: cam, MaxResults: maxResults}
+		if _, err := query.SearchCtx(obs.WithTrace(context.Background(), tr), tree, q, opts); err != nil {
+			t.Fatal(err)
 		}
-		top := walk(20)
-		t.Logf("%s: box holds %d, plain search visits %d nodes; top-20 walk hands over %d, visits %d nodes, bound %.1f m",
-			name, inBox, plainNodes, top.Candidates, top.NodesVisited, top.BoundMeters)
-		if top.Returned != 20 {
-			t.Fatalf("%s: %d results, want 20", name, top.Returned)
-		}
-		if top.Candidates*5 > inBox {
-			t.Errorf("%s: the filter saw %d of the box's %d entries, want at least 5x fewer", name, top.Candidates, inBox)
-		}
-		if top.NodesVisited*2 > plainNodes {
-			t.Errorf("%s: the walk visited %d nodes, the plain search %d, want at least 2x fewer", name, top.NodesVisited, plainNodes)
-		}
-		if all := walk(0); all.Candidates != inBox || all.NodesVisited != plainNodes {
-			t.Errorf("%s: with no limit the walk saw %d entries over %d nodes, the plain search %d over %d",
-				name, all.Candidates, all.NodesVisited, inBox, plainNodes)
-		}
+		return tr
+	}
+	top := walk(20)
+	t.Logf("box holds %d, plain search visits %d nodes; top-20 walk hands over %d, visits %d nodes, bound %.1f m",
+		inBox, plainNodes, top.Candidates, top.NodesVisited, top.BoundMeters)
+	if top.Returned != 20 {
+		t.Fatalf("%d results, want 20", top.Returned)
+	}
+	if top.Candidates*5 > inBox {
+		t.Errorf("the filter saw %d of the box's %d entries, want at least 5x fewer", top.Candidates, inBox)
+	}
+	if top.NodesVisited*2 > plainNodes {
+		t.Errorf("the walk visited %d nodes, the plain search %d, want at least 2x fewer", top.NodesVisited, plainNodes)
+	}
+	if all := walk(0); all.Candidates != inBox || all.NodesVisited != plainNodes {
+		t.Errorf("with no limit the walk saw %d entries over %d nodes, the plain search %d over %d",
+			all.Candidates, all.NodesVisited, inBox, plainNodes)
 	}
 }

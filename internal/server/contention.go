@@ -27,28 +27,24 @@ const defaultHotspotCellDegrees = 0.01
 
 // hotspotSet is the server's heavy-hitter sketches: where queries
 // concentrate (grid cells), who uploads most (providers), and which
-// time windows absorb ingest (shard window keys).
+// hour-long time windows absorb ingest (index.WindowKey under
+// index.DefaultShardWindowMillis, the cluster's default placement key).
 type hotspotSet struct {
-	cellDeg      float64
-	windowMillis int64
-	cells        *obs.TopK[uint64]
-	providers    *obs.TopK[string]
-	windows      *obs.TopK[int64]
+	cellDeg   float64
+	cells     *obs.TopK[uint64]
+	providers *obs.TopK[string]
+	windows   *obs.TopK[int64]
 }
 
-func newHotspotSet(k int, cellDeg float64, windowMillis int64) *hotspotSet {
+func newHotspotSet(k int, cellDeg float64) *hotspotSet {
 	if cellDeg <= 0 {
 		cellDeg = defaultHotspotCellDegrees
 	}
-	if windowMillis <= 0 {
-		windowMillis = index.DefaultShardWindowMillis
-	}
 	return &hotspotSet{
-		cellDeg:      cellDeg,
-		windowMillis: windowMillis,
-		cells:        obs.NewTopK[uint64](k),
-		providers:    obs.NewTopK[string](k),
-		windows:      obs.NewTopK[int64](k),
+		cellDeg:   cellDeg,
+		cells:     obs.NewTopK[uint64](k),
+		providers: obs.NewTopK[string](k),
+		windows:   obs.NewTopK[int64](k),
 	}
 }
 
@@ -85,22 +81,12 @@ func (h *hotspotSet) observeQuery(q query.Query) {
 }
 
 // observeUpload feeds the ingest path: the provider weighted by batch
-// size, and each representative's shard window key.
+// size, and each representative's window key.
 func (h *hotspotSet) observeUpload(provider string, entries []index.Entry) {
 	h.providers.Offer(provider, int64(len(entries)))
 	for _, e := range entries {
-		h.windows.Offer(floorDivMillis(e.Rep.StartMillis, h.windowMillis), 1)
+		h.windows.Offer(index.WindowKey(e.Rep.StartMillis, index.DefaultShardWindowMillis), 1)
 	}
-}
-
-// floorDivMillis is floored integer division (see index.floorDiv),
-// mapping pre-epoch times to the correct window.
-func floorDivMillis(a, b int64) int64 {
-	q := a / b
-	if a%b != 0 && (a < 0) != (b < 0) {
-		q--
-	}
-	return q
 }
 
 // topSharePct returns the heaviest key's share of the sketch's total
@@ -247,7 +233,7 @@ type ContentionResponse struct {
 }
 
 // lockMetricClass splits a lock metric name like
-// fovr_lock_wait_ns{class="index.shard"} into base and class.
+// fovr_lock_wait_ns{class="index.tree"} into base and class.
 func lockMetricClass(name string) (base, class string, ok bool) {
 	if !strings.HasPrefix(name, "fovr_lock_") {
 		return "", "", false

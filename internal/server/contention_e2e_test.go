@@ -1,5 +1,5 @@
 // Contention-observatory end-to-end test: a saturating writer plus
-// concurrent queriers against a sharded server with lock sampling and
+// concurrent queriers against a server with lock sampling and
 // the runtime contention profilers on, asserting /debug/contention
 // reports per-class wait/hold samples and /debug/hotspots reports
 // non-empty sketches — CI runs this as its contention smoke step. Lives
@@ -32,10 +32,9 @@ func TestContentionObservatoryE2E(t *testing.T) {
 	}()
 
 	srv, err := server.New(server.Config{
-		Camera:    fov.Camera{HalfAngleDeg: 30, RadiusMeters: 100},
-		IndexKind: server.IndexKindSharded,
-		Registry:  obs.NewRegistry(),
-		HotspotK:  16,
+		Camera:   fov.Camera{HalfAngleDeg: 30, RadiusMeters: 100},
+		Registry: obs.NewRegistry(),
+		HotspotK: 16,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -44,8 +43,7 @@ func TestContentionObservatoryE2E(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// Saturating writers: every upload lands in the same time shard, so
-	// the shard tree and WAL-free append path serialize on shared locks.
+	// Saturating writers: every upload serializes on the one tree lock.
 	const writers, uploads, reps = 4, 8, 40
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -104,7 +102,7 @@ func TestContentionObservatoryE2E(t *testing.T) {
 	for _, lc := range cont.Locks {
 		classes[lc.Class] = lc
 	}
-	for _, want := range []string{"index.shard", "index.idmap"} {
+	for _, want := range []string{"index.tree"} {
 		lc, ok := classes[want]
 		if !ok {
 			t.Errorf("lock class %q missing from /debug/contention (have %v)", want, cont.Locks)

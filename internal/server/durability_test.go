@@ -34,13 +34,12 @@ func openStore(t *testing.T, dir string) *store.Disk {
 	return st
 }
 
-func durableServer(t *testing.T, st *store.Disk, kind string) *Server {
+func durableServer(t *testing.T, st *store.Disk) *Server {
 	t.Helper()
 	s, err := New(Config{
-		Camera:    fov.Camera{HalfAngleDeg: 30, RadiusMeters: 100},
-		Store:     st,
-		IndexKind: kind,
-		Registry:  obs.NewRegistry(),
+		Camera:   fov.Camera{HalfAngleDeg: 30, RadiusMeters: 100},
+		Store:    st,
+		Registry: obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -64,82 +63,83 @@ func queryIDs(t *testing.T, s *Server, q query.Query) []uint64 {
 // TestDurableRegisterSurvivesKill is the end-to-end acceptance test:
 // uploads acknowledged over HTTP against a -data-dir store survive a
 // simulated SIGKILL (the first process is abandoned without any
-// shutdown) and a restarted server answers the same queries.
+// shutdown) and a restarted server answers the same queries. The
+// subtest is named after the index every server builds.
 func TestDurableRegisterSurvivesKill(t *testing.T) {
-	for _, kind := range []string{IndexKindRTree, IndexKindSharded} {
-		t.Run(kind, func(t *testing.T) {
-			dir := t.TempDir()
-			st := openStore(t, dir)
-			s1 := durableServer(t, st, kind)
-			ts := httptest.NewServer(s1.Handler())
+	t.Run("rtree", testDurableRegisterSurvivesKill)
+}
 
-			// Two HTTP uploads and one in-process one, then a forget.
-			up := wire.Upload{Provider: "alice", Reps: []segment.Representative{
-				rep(geo.Offset(center, 180, 30), 0, 0, 5000),
-				rep(geo.Offset(center, 90, 40), 270, 1000, 6000),
-			}}
-			body, err := json.Marshal(up)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp, err := http.Post(ts.URL+"/upload", "application/json", bytes.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("upload status %d", resp.StatusCode)
-			}
-			if _, err := s1.Register(wire.Upload{Provider: "bob", Reps: []segment.Representative{
-				rep(geo.Offset(center, 0, 20), 180, 2000, 7000),
-			}}); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s1.Register(wire.Upload{Provider: "mallory", Reps: []segment.Representative{
-				rep(geo.Offset(center, 45, 25), 225, 0, 5000),
-			}}); err != nil {
-				t.Fatal(err)
-			}
-			if removed, _ := s1.ForgetProvider("mallory"); removed != 1 {
-				t.Fatalf("forgot %d segments, want 1", removed)
-			}
+func testDurableRegisterSurvivesKill(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	s1 := durableServer(t, st)
+	ts := httptest.NewServer(s1.Handler())
 
-			q := query.Query{Center: center, RadiusMeters: 60, StartMillis: 0, EndMillis: 10000}
-			want := queryIDs(t, s1, q)
-			if len(want) == 0 {
-				t.Fatal("test query matches nothing; harness is vacuous")
-			}
+	// Two HTTP uploads and one in-process one, then a forget.
+	up := wire.Upload{Provider: "alice", Reps: []segment.Representative{
+		rep(geo.Offset(center, 180, 30), 0, 0, 5000),
+		rep(geo.Offset(center, 90, 40), 270, 1000, 6000),
+	}}
+	body, err := json.Marshal(up)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/upload", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("upload status %d", resp.StatusCode)
+	}
+	if _, err := s1.Register(wire.Upload{Provider: "bob", Reps: []segment.Representative{
+		rep(geo.Offset(center, 0, 20), 180, 2000, 7000),
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s1.Register(wire.Upload{Provider: "mallory", Reps: []segment.Representative{
+		rep(geo.Offset(center, 45, 25), 225, 0, 5000),
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if removed, _ := s1.ForgetProvider("mallory"); removed != 1 {
+		t.Fatalf("forgot %d segments, want 1", removed)
+	}
 
-			// SIGKILL: the first server and store are simply abandoned —
-			// no Close, no checkpoint, no flush beyond what acknowledged
-			// appends already forced.
-			ts.Close()
+	q := query.Query{Center: center, RadiusMeters: 60, StartMillis: 0, EndMillis: 10000}
+	want := queryIDs(t, s1, q)
+	if len(want) == 0 {
+		t.Fatal("test query matches nothing; harness is vacuous")
+	}
 
-			st2 := openStore(t, dir)
-			defer st2.Close()
-			s2 := durableServer(t, st2, kind)
-			if got := queryIDs(t, s2, q); !equalIDs(got, want) {
-				t.Fatalf("after restart query = %v, want %v", got, want)
-			}
-			// The forgotten provider stays forgotten and id assignment
-			// resumes past every recovered id.
-			if ids := queryIDs(t, s2, query.Query{
-				Center: center, RadiusMeters: 1e6, StartMillis: 0, EndMillis: 1 << 40,
-			}); containsProvider(s2, ids, "mallory") {
-				t.Fatal("forgotten provider resurrected by recovery")
-			}
-			ids, err := s2.Register(wire.Upload{Provider: "carol", Reps: []segment.Representative{
-				rep(center, 0, 3000, 8000),
-			}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, w := range want {
-				if ids[0] <= w {
-					t.Fatalf("post-restart id %d collides with recovered id %d", ids[0], w)
-				}
-			}
-		})
+	// SIGKILL: the first server and store are simply abandoned —
+	// no Close, no checkpoint, no flush beyond what acknowledged
+	// appends already forced.
+	ts.Close()
+
+	st2 := openStore(t, dir)
+	defer st2.Close()
+	s2 := durableServer(t, st2)
+	if got := queryIDs(t, s2, q); !equalIDs(got, want) {
+		t.Fatalf("after restart query = %v, want %v", got, want)
+	}
+	// The forgotten provider stays forgotten and id assignment
+	// resumes past every recovered id.
+	if ids := queryIDs(t, s2, query.Query{
+		Center: center, RadiusMeters: 1e6, StartMillis: 0, EndMillis: 1 << 40,
+	}); containsProvider(s2, ids, "mallory") {
+		t.Fatal("forgotten provider resurrected by recovery")
+	}
+	ids, err := s2.Register(wire.Upload{Provider: "carol", Reps: []segment.Representative{
+		rep(center, 0, 3000, 8000),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range want {
+		if ids[0] <= w {
+			t.Fatalf("post-restart id %d collides with recovered id %d", ids[0], w)
+		}
 	}
 }
 
@@ -150,7 +150,7 @@ func TestDurableRegisterSurvivesKill(t *testing.T) {
 func TestDurableTornTailDroppedOnRestart(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
-	s1 := durableServer(t, st, IndexKindRTree)
+	s1 := durableServer(t, st)
 	if _, err := s1.Register(wire.Upload{Provider: "alice", Reps: []segment.Representative{
 		rep(geo.Offset(center, 180, 30), 0, 0, 5000),
 	}}); err != nil {
@@ -176,7 +176,7 @@ func TestDurableTornTailDroppedOnRestart(t *testing.T) {
 
 	st2 := openStore(t, dir)
 	defer st2.Close()
-	s2 := durableServer(t, st2, IndexKindRTree)
+	s2 := durableServer(t, st2)
 	if got := queryIDs(t, s2, q); !equalIDs(got, want) {
 		t.Fatalf("after torn-tail restart query = %v, want committed prefix %v", got, want)
 	}
@@ -186,7 +186,7 @@ func TestCheckpointEndpoint(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
 	defer st.Close()
-	s := durableServer(t, st, IndexKindRTree)
+	s := durableServer(t, st)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	if _, err := s.Register(wire.Upload{Provider: "alice", Reps: []segment.Representative{
@@ -241,7 +241,7 @@ func TestCheckpointEndpoint(t *testing.T) {
 func TestLoadSnapshotResetsStore(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
-	s1 := durableServer(t, st, IndexKindRTree)
+	s1 := durableServer(t, st)
 	if _, err := s1.Register(wire.Upload{Provider: "old", Reps: []segment.Representative{
 		rep(geo.Offset(center, 180, 30), 0, 0, 5000),
 	}}); err != nil {
@@ -266,7 +266,7 @@ func TestLoadSnapshotResetsStore(t *testing.T) {
 
 	st2 := openStore(t, dir)
 	defer st2.Close()
-	s2 := durableServer(t, st2, IndexKindRTree)
+	s2 := durableServer(t, st2)
 	all := query.Query{Center: center, RadiusMeters: 1e6, StartMillis: 0, EndMillis: 1 << 40}
 	ids := queryIDs(t, s2, all)
 	if len(ids) != 2 {
@@ -339,7 +339,7 @@ func TestStatsReportsDurable(t *testing.T) {
 
 	d := openStore(t, t.TempDir())
 	defer d.Close()
-	s := durableServer(t, d, IndexKindRTree)
+	s := durableServer(t, d)
 	tsD := httptest.NewServer(s.Handler())
 	defer tsD.Close()
 	resp, err = http.Get(tsD.URL + "/stats")

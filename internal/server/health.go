@@ -13,7 +13,6 @@ import (
 	"strconv"
 	"time"
 
-	"fovr/internal/index"
 	"fovr/internal/obs"
 	"fovr/internal/replica"
 	"fovr/internal/store"
@@ -31,12 +30,6 @@ const (
 	// last checkpoint exceeds this multiple of the configured interval
 	// while appends are pending.
 	checkpointLagFactor = 3
-	// shardImbalanceFactor degrades the sharded index when the largest
-	// shard holds more than this multiple of the mean shard size (with
-	// at least shardImbalanceMin entries): the fan-out has degenerated
-	// into one hot shard.
-	shardImbalanceFactor = 4
-	shardImbalanceMin    = 10_000
 	// defaultReplicaLagWarnBytes is Config.ReplicaLagWarnBytes's zero
 	// default.
 	defaultReplicaLagWarnBytes = 8 << 20 // 8 MiB
@@ -116,41 +109,11 @@ func (s *Server) checkStore() obs.HealthCheck {
 	return check
 }
 
-// checkIndex evaluates the index: entry count for every kind, plus
-// shard count and balance for the sharded index.
+// checkIndex reports the index's entry count; the tree has no failure
+// state of its own.
 func (s *Server) checkIndex() obs.HealthCheck {
-	check := obs.HealthCheck{Component: "index", State: obs.HealthOK}
-	idx := s.index()
-	check.Details = map[string]any{
-		"kind":    s.cfg.IndexKind,
-		"entries": idx.Len(),
-	}
-	sh, ok := unwrapIndex(idx).(*index.Sharded)
-	if !ok {
-		return check
-	}
-	sizes := sh.ShardSizes()
-	check.Details["shards"] = len(sizes)
-	if len(sizes) == 0 {
-		return check
-	}
-	total, largest, largestLabel := 0, 0, ""
-	for label, n := range sizes {
-		total += n
-		if n > largest || (n == largest && label < largestLabel) {
-			largest, largestLabel = n, label
-		}
-	}
-	mean := total / len(sizes)
-	check.Details["largestShard"] = largestLabel
-	check.Details["largestShardEntries"] = largest
-	if largest >= shardImbalanceMin && largest > shardImbalanceFactor*mean {
-		check.State = obs.HealthDegraded
-		check.Reasons = append(check.Reasons,
-			fmt.Sprintf("index: shard %s holds %d entries, %dx the mean %d (fan-out degenerated)",
-				largestLabel, largest, largest/max(mean, 1), mean))
-	}
-	return check
+	return obs.HealthCheck{Component: "index", State: obs.HealthOK,
+		Details: map[string]any{"entries": s.index().Len()}}
 }
 
 // registerReplicaCheck installs the replica checker once a follower is

@@ -379,3 +379,67 @@ func TestConcurrentTrafficMetricsConsistent(t *testing.T) {
 		t.Error("stats bytesIn diverges from registry counter")
 	}
 }
+
+// TestMetricsTrackActiveIndex is the regression test for the gauge
+// wiring: the /metrics gauges must read the currently active index —
+// including after LoadSnapshot swaps the index object out from under
+// the closures registered at construction time. The subtest is named
+// after the index every server builds.
+func TestMetricsTrackActiveIndex(t *testing.T) {
+	t.Run("rtree", testMetricsTrackActiveIndex)
+}
+
+func testMetricsTrackActiveIndex(t *testing.T) {
+	reg := obs.NewRegistry()
+	s, err := New(Config{Camera: fov.Camera{HalfAngleDeg: 30, RadiusMeters: 100}, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	uploadN(t, s, "alice", 25)
+
+	scrape := func() string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+
+	out := scrape()
+	if v := promValue(t, out, "fovr_index_entries"); v != 25 {
+		t.Fatalf("fovr_index_entries = %v, want 25", v)
+	}
+	if v := promValue(t, out, "fovr_index_height"); v < 1 {
+		t.Fatalf("fovr_index_height = %v", v)
+	}
+	if v := promValue(t, out, "fovr_rtree_inserts_total"); v != 25 {
+		t.Fatalf("fovr_rtree_inserts_total = %v, want 25", v)
+	}
+
+	// Swap the index via the snapshot path: gauges must follow the
+	// replacement, not the construction-time object.
+	var snap bytes.Buffer
+	if err := s.WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	uploadN(t, s, "bob", 10) // diverge from the snapshot
+	if err := s.LoadSnapshot(bytes.NewReader(snap.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	out = scrape()
+	if v := promValue(t, out, "fovr_index_entries"); v != 25 {
+		t.Fatalf("post-restore fovr_index_entries = %v, want 25", v)
+	}
+	// The registry still scrapes clean after the swap.
+	if err := reg.WritePrometheus(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -231,9 +231,7 @@ func (s *Server) FinishBootstrap(m store.ManifestSnapshot, mem []index.Entry) er
 	if err := d.FinishTieredBootstrap(m, mem); err != nil {
 		return err
 	}
-	return s.replaceState(d.Entries(),
-		func(entries []index.Entry) (index.ServerIndex, error) { return s.cfg.loadIndexTiered(d, entries) },
-		func() error { return nil })
+	return s.replaceState(d.Entries(), func() error { return nil })
 }
 
 // AttachFollower exposes a running replication follower's status on

@@ -111,7 +111,7 @@ func TestReplicateEndpoint(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
 	defer st.Close()
-	s := durableServer(t, st, IndexKindRTree)
+	s := durableServer(t, st)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -242,7 +242,7 @@ func TestApplyPathsMirrorIngest(t *testing.T) {
 	st.Close()
 	st2 := openStore(t, dir)
 	defer st2.Close()
-	promoted := durableServer(t, st2, IndexKindRTree)
+	promoted := durableServer(t, st2)
 	if got := promoted.Index().Len(); got != 1 {
 		t.Fatalf("recovered %d entries, want 1", got)
 	}

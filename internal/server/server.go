@@ -64,16 +64,12 @@ type Config struct {
 	DefaultMaxResults int
 	// MaxUploadBytes bounds request bodies. Zero means 8 MiB.
 	MaxUploadBytes int64
-	// IndexOptions tunes the underlying R-tree (or each shard's tree
-	// when IndexKind is "sharded").
+	// IndexOptions tunes the R-tree: one copy-on-write 3-D R-tree (the
+	// paper's index, Section V-A) is the only index a server builds.
 	IndexOptions rtree.Options
-	// IndexKind selects the index implementation: "rtree" (one global
-	// 3-D R-tree, the paper's design and the default) or "sharded"
-	// (per-time-window R-tree shards, so uploads into different hours do
-	// not share a writer lock).
-	IndexKind string
-	// ShardWindow is the time-shard width for IndexKind "sharded".
-	// Zero selects the index package default (1 h).
+	// IndexKind and ShardWindow are ignored; they stay only because
+	// bench/ still sets them.
+	IndexKind   string
 	ShardWindow time.Duration
 	// Logger receives structured request-level diagnostics; nil silences
 	// them.
@@ -127,14 +123,6 @@ type Config struct {
 	// HotspotCellDegrees is the grid cell size the query-cell sketch
 	// buckets query centers into. Zero selects 0.01° (~1.1 km).
 	HotspotCellDegrees float64
-	// ReadCache enables the hot-cell result cache in front of the index:
-	// repeated box searches over unchanged shards are answered from
-	// cached snapshot results (epoch-validated, never stale). Exposed as
-	// fovr_readcache_* metrics; set by fovserver -read-cache.
-	ReadCache bool
-	// ReadCacheCapacity bounds the number of cached query boxes when
-	// ReadCache is on. Zero selects the index package default (1024).
-	ReadCacheCapacity int
 	// IDBase offsets the segment-id sequence this server assigns: the
 	// first id handed out is IDBase+1. A partitioned cluster gives each
 	// partition a disjoint base (cmd/fovcluster derives
@@ -161,9 +149,6 @@ func (c Config) withDefaults() Config {
 	if c.Registry == nil {
 		c.Registry = obs.Default
 	}
-	if c.IndexKind == "" {
-		c.IndexKind = IndexKindRTree
-	}
 	if c.Store == nil {
 		c.Store = store.NewMem()
 	}
@@ -173,115 +158,20 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Index kinds accepted by Config.IndexKind and the fovserver -index
-// flag.
-const (
-	IndexKindRTree   = "rtree"
-	IndexKindSharded = "sharded"
-)
+// IndexKindSharded stays only because bench/ still sets Config.IndexKind
+// to it; the field is ignored.
+const IndexKindSharded = "sharded"
 
-// newIndex builds an empty index of the configured kind.
-func (c Config) newIndex() (index.ServerIndex, error) {
-	switch c.IndexKind {
-	case IndexKindRTree:
-		return index.NewRTree(c.IndexOptions)
-	case IndexKindSharded:
-		return index.NewSharded(c.shardedOptions())
-	default:
-		return nil, fmt.Errorf("server: unknown index kind %q (want %q or %q)",
-			c.IndexKind, IndexKindRTree, IndexKindSharded)
-	}
-}
-
-// loadIndex bulk-builds an index of the configured kind from a
-// complete entry set (snapshot restore).
-func (c Config) loadIndex(entries []index.Entry) (index.ServerIndex, error) {
-	switch c.IndexKind {
-	case IndexKindRTree:
-		return index.BulkLoadRTree(c.IndexOptions, entries)
-	case IndexKindSharded:
-		return index.BulkLoadSharded(c.shardedOptions(), entries)
-	default:
-		return nil, fmt.Errorf("server: unknown index kind %q", c.IndexKind)
-	}
-}
-
-// loadIndexTiered bulk-builds the boot index window-by-window from a
-// tiered store's sealed segments when the sharded index's time windows
-// coincide with the store's segment windows: each sealed window loads
-// straight into its own shard (one STR build, no per-entry routing),
-// and only the memtable remainder goes through the general insert
-// path. Any mismatch — different index kind, different window size, an
-// entry violating the window math — falls back to the plain bulk load.
-func (c Config) loadIndexTiered(d *store.Disk, entries []index.Entry) (index.ServerIndex, error) {
-	if c.IndexKind != IndexKindSharded || d == nil || !d.Tiered() ||
-		d.SegmentWindowMillis() != c.shardedOptions().WindowMillis {
-		return c.loadIndex(entries)
-	}
-	sealed, rest := d.SealedWindows()
-	if len(sealed) == 0 {
-		return c.loadIndex(entries)
-	}
-	x, err := index.NewSharded(c.shardedOptions())
+// buildIndex bulk-builds the serving R-tree from a complete entry set
+// (empty at a fresh start; the recovered or restored state otherwise),
+// its writer lock accounted under the "index.tree" lock class.
+func (c Config) buildIndex(entries []index.Entry) (*index.RTree, error) {
+	idx, err := index.BulkLoadRTree(c.IndexOptions, entries)
 	if err != nil {
 		return nil, err
 	}
-	for k, es := range sealed {
-		if err := x.LoadWindowShard(k, es); err != nil {
-			return c.loadIndex(entries)
-		}
-	}
-	if err := x.InsertBatch(rest); err != nil {
-		return c.loadIndex(entries)
-	}
-	return x, nil
-}
-
-// attachLockClass instruments a plain-RTree index's mutex with the
-// "index.tree" lock class (a Sharded index wires its own "index.shard"
-// and "index.idmap" classes in NewSharded). Called before the index is
-// shared between goroutines.
-func (c Config) attachLockClass(idx index.ServerIndex) {
-	if rt, ok := idx.(*index.RTree); ok {
-		rt.SetLockClass(c.Registry.LockClass("index.tree"))
-	}
-}
-
-// wrapReadCache puts the hot-cell read cache in front of a freshly
-// built index when the config asks for one. Both server index kinds
-// support snapshot reads, so the wrap cannot fail for them; the error
-// path guards against future kinds that don't.
-func (c Config) wrapReadCache(idx index.ServerIndex) (index.ServerIndex, error) {
-	if !c.ReadCache {
-		return idx, nil
-	}
-	cached, err := index.NewReadCache(idx, index.ReadCacheOptions{
-		Capacity:    c.ReadCacheCapacity,
-		CellDegrees: c.HotspotCellDegrees,
-		Registry:    c.Registry,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("server: read cache: %w", err)
-	}
-	return cached, nil
-}
-
-// unwrapIndex strips a read-cache wrapper, exposing the concrete index
-// for kind-specific handling (per-shard metrics teardown, health
-// checks).
-func unwrapIndex(idx index.ServerIndex) index.ServerIndex {
-	if c, ok := idx.(*index.ReadCache); ok {
-		return c.Unwrap()
-	}
-	return idx
-}
-
-func (c Config) shardedOptions() index.ShardedOptions {
-	return index.ShardedOptions{
-		WindowMillis: c.ShardWindow.Milliseconds(),
-		Tree:         c.IndexOptions,
-		Registry:     c.Registry,
-	}
+	idx.SetLockClass(c.Registry.LockClass("index.tree"))
+	return idx, nil
 }
 
 // Server is the cloud service. Create with New, wire into an http.Server
@@ -291,7 +181,7 @@ type Server struct {
 	reg     *obs.Registry
 	log     *slog.Logger
 	logOn   bool // a logger is configured; off skips building log fields
-	idx     index.ServerIndex
+	idx     *index.RTree
 	store   store.Store
 	subs    *subscriptions
 	traffic wire.TrafficMeter
@@ -326,23 +216,9 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.Camera.Validate(); err != nil {
 		return nil, err
 	}
-	var (
-		idx index.ServerIndex
-		err error
-	)
 	recovered := cfg.Store.Entries()
-	switch {
-	case len(recovered) == 0:
-		idx, err = cfg.newIndex()
-	default:
-		d, _ := cfg.Store.(*store.Disk)
-		idx, err = cfg.loadIndexTiered(d, recovered)
-	}
+	idx, err := cfg.buildIndex(recovered)
 	if err != nil {
-		return nil, err
-	}
-	cfg.attachLockClass(idx)
-	if idx, err = cfg.wrapReadCache(idx); err != nil {
 		return nil, err
 	}
 	logger := cfg.Logger
@@ -378,7 +254,7 @@ func New(cfg Config) (*Server, error) {
 	s.slowQueries = s.reg.Counter("fovr_slow_queries_total")
 	s.contention = obs.NewProfileDelta()
 	if cfg.HotspotK > 0 {
-		s.hotspots = newHotspotSet(cfg.HotspotK, cfg.HotspotCellDegrees, cfg.shardedOptions().WindowMillis)
+		s.hotspots = newHotspotSet(cfg.HotspotK, cfg.HotspotCellDegrees)
 		s.registerHotspotMetrics()
 	}
 	obs.RegisterRuntimeMetrics(s.reg)
@@ -435,14 +311,14 @@ func (nopHandler) WithGroup(string) slog.Handler             { return nopHandler
 
 // index returns the current index under the state lock — LoadSnapshot may
 // replace it, and metric callbacks read from scrape goroutines.
-func (s *Server) index() index.ServerIndex {
+func (s *Server) index() *index.RTree {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.idx
 }
 
 // Index exposes the underlying index (benchmarks and tests).
-func (s *Server) Index() index.ServerIndex { return s.index() }
+func (s *Server) Index() *index.RTree { return s.index() }
 
 // Traffic exposes the server-side byte counters. The same totals are
 // exported through the registry as fovr_net_{received,sent}_bytes_total.
@@ -455,10 +331,9 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // simulations that skip HTTP). It returns the assigned segment ids.
 //
 // An upload is all-or-nothing: the whole batch goes through the index's
-// InsertBatch, which groups entries by shard and takes each internal
-// lock once, and no subscriber is notified unless every representative
-// committed — standing queries only ever see entries from committed
-// uploads.
+// InsertBatch, which takes the tree lock once and publishes once, and no
+// subscriber is notified unless every representative committed —
+// standing queries only ever see entries from committed uploads.
 func (s *Server) Register(u wire.Upload) ([]uint64, error) {
 	return s.RegisterTraced(u, "")
 }
@@ -586,7 +461,7 @@ func (s *Server) QueryCtx(ctx context.Context, q query.Query, maxResults int) ([
 func (s *Server) Traces() *obs.TraceStore { return s.traces }
 
 // LoadSnapshot replaces the server's state with a snapshot (package
-// snapshot format), rebuilding an index of the configured kind.
+// snapshot format), rebuilding the index.
 // Intended for startup, before serving traffic.
 func (s *Server) LoadSnapshot(r io.Reader) error {
 	if s.cfg.ReadOnly {
@@ -600,63 +475,31 @@ func (s *Server) LoadSnapshot(r io.Reader) error {
 }
 
 // ResetState replaces the server's state wholesale with the given
-// entries, rebuilding an index of the configured kind and resetting the
+// entries, rebuilding the index and resetting the
 // journal to match. It is the bootstrap path of the replication follower
 // (replica.Applier) and the body of LoadSnapshot; unlike the public
 // mutators it stays open on a read-only server, because shipped state is
 // the one thing a replica is allowed to write.
 func (s *Server) ResetState(entries []index.Entry) error {
-	return s.replaceState(entries, s.cfg.loadIndex, func() error { return s.store.Reset(entries) })
+	return s.replaceState(entries, func() error { return s.store.Reset(entries) })
 }
 
 // replaceState swaps in a rebuilt index and persisted state under the
-// state lock: build the new index (via build), run the persistence step
-// (persist), then commit both. On any failure the old index — metrics
-// included — is restored untouched. ResetState and the tiered
-// bootstrap's FinishBootstrap are both thin wrappers over this.
-func (s *Server) replaceState(entries []index.Entry, build func([]index.Entry) (index.ServerIndex, error), persist func() error) error {
+// state lock: build the new index, run the persistence step (persist),
+// then commit both. On any failure the old index stays in place
+// untouched. ResetState and the tiered bootstrap's FinishBootstrap are
+// both thin wrappers over this.
+func (s *Server) replaceState(entries []index.Entry, persist func() error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Drop the replaced index's per-shard gauges (and any read-cache
-	// counters) first: the restored index re-registers the names it still
-	// uses, and shards that no longer exist must not linger on /metrics.
-	oldCache, _ := s.idx.(*index.ReadCache)
-	old, _ := unwrapIndex(s.idx).(*index.Sharded)
-	if old != nil {
-		old.UnregisterMetrics()
-	}
-	if oldCache != nil {
-		oldCache.UnregisterMetrics()
-	}
-	restoreOld := func() {
-		if old != nil {
-			old.RegisterMetrics()
-		}
-		if oldCache != nil {
-			oldCache.RegisterMetrics()
-		}
-	}
-	idx, err := build(entries)
+	idx, err := s.cfg.buildIndex(entries)
 	if err != nil {
-		restoreOld()
-		return err
-	}
-	s.cfg.attachLockClass(idx)
-	if idx, err = s.cfg.wrapReadCache(idx); err != nil {
-		restoreOld()
 		return err
 	}
 	// The restored state replaces the journaled history wholesale; a
 	// durable store checkpoints it immediately so the data directory
 	// reflects the snapshot, not a log of a superseded past.
 	if err := persist(); err != nil {
-		if swapped, ok := unwrapIndex(idx).(*index.Sharded); ok {
-			swapped.UnregisterMetrics()
-		}
-		if c, ok := idx.(*index.ReadCache); ok {
-			c.UnregisterMetrics()
-		}
-		restoreOld()
 		return fmt.Errorf("server: reset store: %w", err)
 	}
 	s.idx = idx

@@ -32,6 +32,20 @@ func rep(p geo.Point, theta float64, ts, te int64) segment.Representative {
 	return segment.Representative{FoV: fov.FoV{P: p, Theta: theta}, StartMillis: ts, EndMillis: te}
 }
 
+// uploadN registers n representatives around center for provider, one
+// every 90 s of capture time.
+func uploadN(t *testing.T, s *Server, provider string, n int) {
+	t.Helper()
+	reps := make([]segment.Representative, n)
+	for i := range reps {
+		start := int64(i) * 90_000
+		reps[i] = rep(geo.Offset(center, float64(i*31%360), 30), 180, start, start+5_000)
+	}
+	if _, err := s.Register(wire.Upload{Provider: provider, Reps: reps}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Camera: fov.Camera{HalfAngleDeg: -1, RadiusMeters: 5}}); err == nil {
 		t.Fatal("invalid camera accepted")

@@ -234,6 +234,7 @@ func TestSlowQueryLogAndCounter(t *testing.T) {
 		Logger:             logger,
 		SlowQueryThreshold: time.Nanosecond, // everything is slow
 		TraceSampleRate:    -1,
+		Registry:           obs.NewRegistry(), // counted from zero on every run
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -157,8 +157,6 @@ type Options struct {
 	// Checkpoint calls still work).
 	CheckpointInterval time.Duration
 	// SegmentWindow is the cold-tier time-window width. Zero means 1h.
-	// It should match the index shard window so sealed segments
-	// bulk-load straight into shards at boot.
 	SegmentWindow time.Duration
 	// SegmentWindowAge enables the segment tier: a time window whose
 	// end is older than this is cold and gets sealed into an immutable

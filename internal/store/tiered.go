@@ -45,24 +45,14 @@ type liveSeg struct {
 	entries []index.Entry
 }
 
-// segFloorDiv is floor division for window keys (negative starts must
-// round toward -inf, matching index.Sharded's keying).
-func segFloorDiv(a, b int64) int64 {
-	q := a / b
-	if a%b != 0 && (a < 0) != (b < 0) {
-		q--
-	}
-	return q
-}
-
 // windowKeyOf returns the time-window key an entry seals into, and
 // false for entries longer than the window — those stay memtable
-// residents forever, mirroring the sharded index's spatial fallback.
+// residents forever.
 func (d *Disk) windowKeyOf(e index.Entry) (int64, bool) {
-	if e.Rep.EndMillis-e.Rep.StartMillis > d.segWindowMs {
+	if index.OverLong(e.Rep.StartMillis, e.Rep.EndMillis, d.segWindowMs) {
 		return 0, false
 	}
-	return segFloorDiv(e.Rep.StartMillis, d.segWindowMs), true
+	return index.WindowKey(e.Rep.StartMillis, d.segWindowMs), true
 }
 
 // tombHasLocked reports whether (id, window) is tombstoned (d.mu held).
@@ -164,42 +154,8 @@ func (d *Disk) manifestDocLocked() manifestDoc {
 	return doc
 }
 
-// SegmentWindowMillis returns the configured cold-window width; the
-// server checks it against the index shard window before bulk-loading
-// sealed segments shard-at-a-time.
-func (d *Disk) SegmentWindowMillis() int64 { return d.segWindowMs }
-
 // Tiered reports whether the segment tier is enabled.
 func (d *Disk) Tiered() bool { return d.tiered }
-
-// SealedWindows partitions the visible set for index boot: per-window
-// sealed entries (each exactly fitting one time window) plus the rest
-// (the memtable). The union equals Entries().
-func (d *Disk) SealedWindows() (sealed map[int64][]index.Entry, rest []index.Entry) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	sealed = make(map[int64][]index.Entry, len(d.segs))
-	for w, seg := range d.segs {
-		vis := make([]index.Entry, 0, len(seg.entries))
-		for _, e := range seg.entries {
-			if d.tombHasLocked(e.ID, w) {
-				continue
-			}
-			if _, shadowed := d.state[e.ID]; shadowed {
-				continue
-			}
-			vis = append(vis, e)
-		}
-		if len(vis) > 0 {
-			sealed[w] = vis
-		}
-	}
-	rest = make([]index.Entry, 0, len(d.state))
-	for _, e := range d.state {
-		rest = append(rest, e)
-	}
-	return sealed, rest
-}
 
 // eligibleWindows returns every window a flush would change: sealed
 // windows carrying tombstones or shadowed/late memtable entries, plus

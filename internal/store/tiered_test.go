@@ -921,10 +921,6 @@ func TestLongEntriesStayInMemtable(t *testing.T) {
 		t.Fatalf("long entry should stay memtable-resident: %+v", st)
 	}
 	wantEntries(t, d, []index.Entry{long, wentry(2, 0)})
-	sealed, rest := d.SealedWindows()
-	if len(sealed) != 1 || len(rest) != 1 {
-		t.Fatalf("SealedWindows partition: %d sealed windows, %d rest", len(sealed), len(rest))
-	}
 }
 
 func BenchmarkCompactNow(b *testing.B) {
