@@ -118,7 +118,11 @@ func TableSegmentStorage(n int) *Table {
 		if err != nil {
 			return fmt.Errorf("reopen: %w", err)
 		}
-		got := len(st.Entries())
+		recovered, err := st.ReadEntries()
+		if err != nil {
+			return fmt.Errorf("boot: %w", err)
+		}
+		got := len(recovered)
 		boot := time.Since(start)
 		if err := st.Close(); err != nil {
 			return fmt.Errorf("reclose: %w", err)

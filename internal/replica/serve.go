@@ -24,8 +24,8 @@ type LogSource interface {
 	// LogCursor returns the live log head.
 	LogCursor() (gen uint64, off int64)
 	// CaptureState returns the committed entries and the cursor they
-	// correspond to.
-	CaptureState() (entries []index.Entry, gen uint64, off int64)
+	// correspond to, or the error that kept it from reading them.
+	CaptureState() (entries []index.Entry, gen uint64, off int64, err error)
 	// ReadLog returns whole committed frames from a position.
 	ReadLog(gen uint64, off int64) ([]byte, store.TailStatus, error)
 	// WaitForLog blocks until the position has news, ctx expires, or the
@@ -154,12 +154,16 @@ func (c *countWriter) Write(p []byte) (int, error) {
 }
 
 func serveSnapshot(w http.ResponseWriter, src LogSource) (ServeResult, error) {
-	entries, gen, off := src.CaptureState()
+	entries, gen, off, err := src.CaptureState()
+	if err != nil {
+		http.Error(w, "replicate: "+err.Error(), http.StatusInternalServerError)
+		return ServeResult{Stream: StreamSnapshot}, err
+	}
 	w.Header().Set(HeaderStream, StreamSnapshot)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	setCursorHeaders(w, src, Cursor{Gen: gen, Off: off})
 	cw := &countWriter{w: w}
-	err := snapshot.Write(cw, entries)
+	err = snapshot.Write(cw, entries)
 	return ServeResult{Stream: StreamSnapshot, Bytes: cw.n, Entries: len(entries)}, err
 }
 

@@ -231,7 +231,11 @@ func (s *Server) FinishBootstrap(m store.ManifestSnapshot, mem []index.Entry) er
 	if err := d.FinishTieredBootstrap(m, mem); err != nil {
 		return err
 	}
-	return s.replaceState(d.Entries(), func() error { return nil })
+	entries, err := d.ReadEntries()
+	if err != nil {
+		return err
+	}
+	return s.replaceState(entries, func() error { return nil })
 }
 
 // AttachFollower exposes a running replication follower's status on

@@ -216,7 +216,10 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.Camera.Validate(); err != nil {
 		return nil, err
 	}
-	recovered := cfg.Store.Entries()
+	recovered, err := cfg.Store.ReadEntries()
+	if err != nil {
+		return nil, fmt.Errorf("server: load store: %w", err)
+	}
 	idx, err := cfg.buildIndex(recovered)
 	if err != nil {
 		return nil, err

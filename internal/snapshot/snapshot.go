@@ -147,26 +147,26 @@ func Read(r io.Reader) ([]index.Entry, error) {
 	if binary.LittleEndian.Uint32(crc) != crc32.ChecksumIEEE(body) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	rd := bytes.NewReader(body)
-	var m [4]byte
-	if _, err := io.ReadFull(rd, m[:]); err != nil || m != magic {
+	if !bytes.Equal(body[:len(magic)], magic[:]) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	v, err := rd.ReadByte()
-	if err != nil || v != version {
+	if v := body[len(magic)]; v != version {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, v)
 	}
-	count, err := binary.ReadUvarint(rd)
-	if err != nil || count > maxEntries {
+	rest := body[len(magic)+1:]
+	count, n := binary.Uvarint(rest)
+	if n <= 0 || count > maxEntries {
 		return nil, fmt.Errorf("%w: bad entry count", ErrCorrupt)
 	}
+	rest = rest[n:]
 	entries := make([]index.Entry, 0, count)
 	seen := make(map[uint64]struct{}, count)
 	for i := uint64(0); i < count; i++ {
-		e, err := ReadEntry(rd)
+		e, n, err := ReadEntry(rest)
 		if err != nil {
 			return nil, fmt.Errorf("%w: entry %d: %v", ErrCorrupt, i, err)
 		}
+		rest = rest[n:]
 		// A duplicate id here would otherwise surface much later, as a
 		// baffling "duplicate id" failure out of the index rebuild.
 		if _, dup := seen[e.ID]; dup {
@@ -175,58 +175,81 @@ func Read(r io.Reader) ([]index.Entry, error) {
 		seen[e.ID] = struct{}{}
 		entries = append(entries, e)
 	}
-	if rd.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, rd.Len())
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
 	}
 	return entries, nil
 }
 
-// ReadEntry decodes and validates one entry as encoded by AppendEntry.
-func ReadEntry(rd *bytes.Reader) (index.Entry, error) {
-	var zero index.Entry
-	id, err := binary.ReadUvarint(rd)
-	if err != nil {
-		return zero, errors.New("id")
+// Per-field parse failures. Package-level so that rejecting an entry
+// allocates nothing either.
+var (
+	errID          = errors.New("id")
+	errProviderLen = errors.New("provider length")
+	errProvider    = errors.New("provider")
+	errFlags       = errors.New("flags")
+	errCamera      = errors.New("camera")
+	errPose        = errors.New("pose")
+	errStart       = errors.New("start")
+	errInterval    = errors.New("interval")
+)
+
+// ParseEntry decodes and validates the entry at the start of b, as
+// encoded by AppendEntry — the one entry parser every reader shares.
+// The entry comes back without its Provider: prov aliases b, and n is
+// the number of bytes the entry occupies. It allocates nothing, so a
+// caller that only checks entries or copies their bytes pays for no
+// strings.
+func ParseEntry(b []byte) (e index.Entry, prov []byte, n int, err error) {
+	id, k := binary.Uvarint(b)
+	if k <= 0 {
+		return e, nil, 0, errID
 	}
-	plen, err := binary.ReadUvarint(rd)
-	if err != nil || plen > maxProviderLen {
-		return zero, errors.New("provider length")
+	n = k
+	plen, k := binary.Uvarint(b[n:])
+	if k <= 0 || plen > maxProviderLen {
+		return e, nil, 0, errProviderLen
 	}
-	prov := make([]byte, plen)
-	if _, err := io.ReadFull(rd, prov); err != nil {
-		return zero, errors.New("provider")
+	n += k
+	if uint64(len(b)-n) < plen {
+		return e, nil, 0, errProvider
 	}
-	flags, err := rd.ReadByte()
-	if err != nil || flags&^byte(1) != 0 {
-		return zero, errors.New("flags")
+	prov = b[n : n+int(plen)]
+	n += int(plen)
+	if n >= len(b) || b[n]&^byte(1) != 0 {
+		return e, nil, 0, errFlags
 	}
+	flags := b[n]
+	n++
 	var cam fov.Camera
 	if flags&1 != 0 {
-		var cb [6]byte
-		if _, err := io.ReadFull(rd, cb[:]); err != nil {
-			return zero, errors.New("camera")
+		if len(b)-n < 6 {
+			return e, nil, 0, errCamera
 		}
 		cam = fov.Camera{
-			HalfAngleDeg: float64(binary.LittleEndian.Uint16(cb[0:])) / 100,
-			RadiusMeters: float64(binary.LittleEndian.Uint32(cb[2:])) / 100,
+			HalfAngleDeg: float64(binary.LittleEndian.Uint16(b[n:])) / 100,
+			RadiusMeters: float64(binary.LittleEndian.Uint32(b[n+2:])) / 100,
 		}
+		n += 6
 	}
-	var fixed [10]byte
-	if _, err := io.ReadFull(rd, fixed[:]); err != nil {
-		return zero, errors.New("pose")
+	if len(b)-n < 10 {
+		return e, nil, 0, errPose
 	}
-	start, err := binary.ReadUvarint(rd)
-	if err != nil {
-		return zero, errors.New("start")
+	fixed := b[n : n+10]
+	n += 10
+	start, k := binary.Uvarint(b[n:])
+	if k <= 0 {
+		return e, nil, 0, errStart
 	}
-	dur, err := binary.ReadUvarint(rd)
-	if err != nil || start > math.MaxInt64 || dur > math.MaxInt64-start {
-		return zero, errors.New("interval")
+	n += k
+	dur, k := binary.Uvarint(b[n:])
+	if k <= 0 || start > math.MaxInt64 || dur > math.MaxInt64-start {
+		return e, nil, 0, errInterval
 	}
-	e := index.Entry{
-		ID:       id,
-		Provider: string(prov),
-		Camera:   cam,
+	n += k
+	e = index.Entry{
+		ID:     id,
+		Camera: cam,
 		Rep: segment.Representative{
 			FoV: fov.FoV{
 				P: geo.Point{
@@ -240,9 +263,21 @@ func ReadEntry(rd *bytes.Reader) (index.Entry, error) {
 		},
 	}
 	if err := e.Validate(); err != nil {
-		return zero, err
+		return index.Entry{}, nil, 0, err
 	}
-	return e, nil
+	return e, prov, n, nil
+}
+
+// ReadEntry is ParseEntry plus the entry's own Provider string: it
+// decodes and validates the entry at the start of b and returns the
+// number of bytes it occupies.
+func ReadEntry(b []byte) (index.Entry, int, error) {
+	e, prov, n, err := ParseEntry(b)
+	if err != nil {
+		return e, 0, err
+	}
+	e.Provider = string(prov)
+	return e, n, nil
 }
 
 // Restore rebuilds an R-tree index from a snapshot via STR bulk loading.

@@ -5,6 +5,9 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"fovr/internal/index"
+	"fovr/internal/snapshot"
 )
 
 // FuzzWALDecode hammers the WAL decoder with arbitrary bytes and checks
@@ -75,6 +78,11 @@ func FuzzWALDecode(f *testing.F) {
 //   - every failure wraps ErrCorrupt, so recovery can tell "damaged
 //     file" from programming errors and InstallSegment can reject bad
 //     leader payloads uniformly;
+//   - the scanner recovery, compaction and sealed reads run
+//     (walkSegment) agrees with DecodeSegment on accept/reject, ids and
+//     entry boundaries: the records it hands out tile the block, and
+//     each parses on its own (snapshot.ReadEntry, no interning) to
+//     exactly the decoded entry — so interning changes no value;
 //   - an accepted segment round-trips: re-encoding the decoded entries
 //     reproduces the identical image (segments are canonical — sorted
 //     by id, deterministic compression), which is what makes the CRC in
@@ -99,11 +107,37 @@ func FuzzSegmentDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		window, entries, err := DecodeSegment(data)
+		var ids []uint64
+		var recs [][]byte
+		sw, count, serr := walkSegment(data, func(e index.Entry, _, rec []byte) {
+			ids = append(ids, e.ID)
+			recs = append(recs, rec)
+		})
+		if (err == nil) != (serr == nil) {
+			t.Fatalf("decoder and scanner disagree: decode err=%v, scan err=%v", err, serr)
+		}
 		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("decode failure does not wrap ErrCorrupt: %v", err)
+			if !errors.Is(err, ErrCorrupt) || !errors.Is(serr, ErrCorrupt) {
+				t.Fatalf("failure does not wrap ErrCorrupt: %v / %v", err, serr)
 			}
 			return
+		}
+		if sw != window || count != len(entries) || len(ids) != len(entries) {
+			t.Fatalf("scanner saw window %d, %d entries; decoder %d, %d", sw, count, window, len(entries))
+		}
+		_, _, block, berr := segmentBlock(data)
+		if berr != nil {
+			t.Fatalf("accepted segment's block does not verify: %v", berr)
+		}
+		if !bytes.Equal(bytes.Join(recs, nil), block) {
+			t.Fatal("scanner records do not tile the block")
+		}
+		for i, rec := range recs {
+			e, n, rerr := snapshot.ReadEntry(rec)
+			if rerr != nil || n != len(rec) || ids[i] != entries[i].ID || !reflect.DeepEqual(e, entries[i]) {
+				t.Fatalf("record %d: parses to %+v (%d of %d bytes, err %v), decoded %+v",
+					i, e, n, len(rec), rerr, entries[i])
+			}
 		}
 		// Accepted: ids must be unique and ascending (decode rejects
 		// anything else), and the entries must re-encode into a segment

@@ -15,9 +15,11 @@
 //	block   blockLen bytes      count entries, snapshot entry encoding
 //	crc32   u32                 IEEE, over everything before it
 //
-// The entry encoding is snapshot.AppendEntry/ReadEntry — the exact
+// The entry encoding is snapshot.AppendEntry/ParseEntry — the exact
 // bytes a checkpoint uses — so the segment tier reuses the snapshot
-// codec instead of inventing a second one.
+// codec instead of inventing a second one. A sealed entry lives only
+// here: the store keeps each segment's manifest meta and an id→window
+// map, and reads entries back from the file when it needs them.
 package store
 
 import (
@@ -31,6 +33,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"fovr/internal/index"
 	"fovr/internal/snapshot"
@@ -94,33 +97,115 @@ func parseSegmentName(name string) (window int64, seq uint64, staged, ok bool) {
 // value the manifest records). Entries are sorted by ID first so equal
 // logical content always produces identical bytes.
 func encodeSegment(window int64, entries []index.Entry, compress bool) ([]byte, uint32, error) {
-	if len(entries) > maxSegmentEntries {
-		return nil, 0, fmt.Errorf("store: segment with %d entries exceeds cap %d", len(entries), maxSegmentEntries)
+	b, err := newBlockBuilder(entries)
+	if err != nil {
+		return nil, 0, err
 	}
-	sorted := append([]index.Entry(nil), entries...)
+	block, count := b.finish()
+	return frameSegment(window, count, block, compress)
+}
+
+// blockBuilder assembles a segment block in ascending id order from two
+// sources: fresh entries, encoded once up front, and sealed survivors,
+// spliced in as the encoded bytes they already are. A survivor's bytes
+// are exactly what AppendEntry makes of its decoded entry, so a block
+// built by splicing is the block encodeSegment would build from the
+// decoded merge.
+type blockBuilder struct {
+	out   []byte
+	fresh []byte   // fresh entries, encoded in ascending id order
+	ids   []uint64 // ids[i] is fresh entry i's id
+	ends  []int    // ends[i] is where fresh entry i ends in fresh
+	next  int      // first fresh entry not yet in out
+	count int      // entries in out
+}
+
+// newBlockBuilder sorts and encodes the fresh entries.
+func newBlockBuilder(fresh []index.Entry) (*blockBuilder, error) {
+	sorted := append([]index.Entry(nil), fresh...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
-	var block bytes.Buffer
-	for _, e := range sorted {
-		if err := snapshot.AppendEntry(&block, e); err != nil {
-			return nil, 0, fmt.Errorf("store: encode segment entry %d: %w", e.ID, err)
+	b := &blockBuilder{ids: make([]uint64, len(sorted)), ends: make([]int, len(sorted))}
+	var buf bytes.Buffer
+	for i, e := range sorted {
+		if err := snapshot.AppendEntry(&buf, e); err != nil {
+			return nil, fmt.Errorf("store: encode segment entry %d: %w", e.ID, err)
 		}
+		b.ids[i], b.ends[i] = e.ID, buf.Len()
 	}
-	rawLen := block.Len()
+	b.fresh = buf.Bytes()
+	return b, nil
+}
+
+// splice appends one survivor's encoded bytes after every fresh entry
+// with a smaller id. Survivors must arrive in ascending id order, and
+// none may share an id with a fresh entry.
+func (b *blockBuilder) splice(id uint64, rec []byte) {
+	j := b.next
+	for j < len(b.ids) && b.ids[j] < id {
+		j++
+	}
+	b.takeFresh(j)
+	b.out = append(b.out, rec...)
+	b.count++
+}
+
+// takeFresh moves fresh entries [next, j) into out.
+func (b *blockBuilder) takeFresh(j int) {
+	if j == b.next {
+		return
+	}
+	from := 0
+	if b.next > 0 {
+		from = b.ends[b.next-1]
+	}
+	b.out = append(b.out, b.fresh[from:b.ends[j-1]]...)
+	b.count += j - b.next
+	b.next = j
+}
+
+// finish returns the complete block and its entry count.
+func (b *blockBuilder) finish() ([]byte, int) {
+	if b.count == 0 {
+		return b.fresh, len(b.ids) // nothing spliced: the block is the fresh run
+	}
+	b.takeFresh(len(b.ids))
+	return b.out, b.count
+}
+
+// deflaters recycles segment compressors: a new flate.Writer allocates
+// and clears about a megabyte of tables, and a Reset one writes the
+// same bytes a new one would.
+var deflaters = sync.Pool{New: func() any {
+	zw, err := flate.NewWriter(nil, flate.BestSpeed)
+	if err != nil {
+		panic(err) // only an invalid level fails
+	}
+	return zw
+}}
+
+// frameSegment wraps a block of count encoded entries into a complete
+// segment image — header, optionally compressed block, trailer CRC —
+// and returns the image and its CRC. Every segment writer ends here.
+func frameSegment(window int64, count int, block []byte, compress bool) ([]byte, uint32, error) {
+	if count > maxSegmentEntries {
+		return nil, 0, fmt.Errorf("store: segment with %d entries exceeds cap %d", count, maxSegmentEntries)
+	}
+	rawLen := len(block)
 	if rawLen > maxSegmentBlock {
 		return nil, 0, fmt.Errorf("store: segment block %d bytes exceeds cap %d", rawLen, maxSegmentBlock)
 	}
-	stored := block.Bytes()
+	stored := block
 	flags := byte(0)
 	if compress && rawLen > 0 {
 		var z bytes.Buffer
-		zw, err := flate.NewWriter(&z, flate.BestSpeed)
+		zw := deflaters.Get().(*flate.Writer)
+		zw.Reset(&z)
+		_, err := zw.Write(block)
+		if err == nil {
+			err = zw.Close()
+		}
+		deflaters.Put(zw)
 		if err != nil {
-			return nil, 0, err
-		}
-		if _, err := zw.Write(stored); err != nil {
-			return nil, 0, err
-		}
-		if err := zw.Close(); err != nil {
 			return nil, 0, err
 		}
 		// Incompressible blocks stay raw: never pay decompression for a
@@ -134,7 +219,7 @@ func encodeSegment(window int64, entries []index.Entry, compress bool) ([]byte, 
 	out = append(out, segMagic...)
 	out = append(out, segVersion, flags)
 	out = binary.LittleEndian.AppendUint64(out, uint64(window))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(sorted)))
+	out = binary.LittleEndian.AppendUint32(out, uint32(count))
 	out = binary.LittleEndian.AppendUint32(out, uint32(rawLen))
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(stored)))
 	out = append(out, stored...)
@@ -143,93 +228,151 @@ func encodeSegment(window int64, entries []index.Entry, compress bool) ([]byte, 
 	return out, sum, nil
 }
 
-// DecodeSegment parses a complete segment file image. Exported so the
-// fuzz harness can attack the decoder exactly as recovery does. Every
-// failure is ErrCorrupt-wrapped: a segment is all-or-nothing, there is
-// no valid prefix to salvage (the WAL still holds the window's records
-// until the checkpoint after the seal).
-func DecodeSegment(data []byte) (window int64, entries []index.Entry, err error) {
+// segmentBlock verifies a complete segment image's framing — magic,
+// version, flags, header caps, total length, trailer CRC — and returns
+// its window, its entry count and its block, inflated when stored
+// compressed.
+func segmentBlock(data []byte) (window int64, count int, block []byte, err error) {
 	if len(data) < segHeaderLen+4 {
-		return 0, nil, fmt.Errorf("%w: segment truncated at %d bytes", ErrCorrupt, len(data))
+		return 0, 0, nil, fmt.Errorf("%w: segment truncated at %d bytes", ErrCorrupt, len(data))
 	}
 	if string(data[:4]) != segMagic {
-		return 0, nil, fmt.Errorf("%w: bad segment magic", ErrCorrupt)
+		return 0, 0, nil, fmt.Errorf("%w: bad segment magic", ErrCorrupt)
 	}
 	if data[4] != segVersion {
-		return 0, nil, fmt.Errorf("%w: unsupported segment version %d", ErrCorrupt, data[4])
+		return 0, 0, nil, fmt.Errorf("%w: unsupported segment version %d", ErrCorrupt, data[4])
 	}
 	flags := data[5]
 	if flags&^byte(segFlagDeflate) != 0 {
-		return 0, nil, fmt.Errorf("%w: unknown segment flags %#x", ErrCorrupt, flags)
+		return 0, 0, nil, fmt.Errorf("%w: unknown segment flags %#x", ErrCorrupt, flags)
 	}
 	window = int64(binary.LittleEndian.Uint64(data[6:]))
-	count := binary.LittleEndian.Uint32(data[14:])
+	n := binary.LittleEndian.Uint32(data[14:])
 	rawLen := binary.LittleEndian.Uint32(data[18:])
 	blockLen := binary.LittleEndian.Uint32(data[22:])
-	if rawLen > maxSegmentBlock || count > maxSegmentEntries {
-		return 0, nil, fmt.Errorf("%w: segment header claims %d bytes / %d entries", ErrCorrupt, rawLen, count)
+	if rawLen > maxSegmentBlock || n > maxSegmentEntries {
+		return 0, 0, nil, fmt.Errorf("%w: segment header claims %d bytes / %d entries", ErrCorrupt, rawLen, n)
 	}
 	if uint64(len(data)) != uint64(segHeaderLen)+uint64(blockLen)+4 {
-		return 0, nil, fmt.Errorf("%w: segment is %d bytes, header implies %d",
+		return 0, 0, nil, fmt.Errorf("%w: segment is %d bytes, header implies %d",
 			ErrCorrupt, len(data), uint64(segHeaderLen)+uint64(blockLen)+4)
 	}
-	body := data[:len(data)-4]
-	want := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(body) != want {
-		return 0, nil, fmt.Errorf("%w: segment checksum mismatch", ErrCorrupt)
+	if crc32.ChecksumIEEE(data[:len(data)-4]) != segTrailerCRC(data) {
+		return 0, 0, nil, fmt.Errorf("%w: segment checksum mismatch", ErrCorrupt)
 	}
-	block := data[segHeaderLen : segHeaderLen+int(blockLen)]
+	block = data[segHeaderLen : segHeaderLen+int(blockLen)]
 	if flags&segFlagDeflate != 0 {
-		raw, err := io.ReadAll(io.LimitReader(flate.NewReader(bytes.NewReader(block)), int64(rawLen)+1))
-		if err != nil {
-			return 0, nil, fmt.Errorf("%w: segment block inflate: %v", ErrCorrupt, err)
+		// DEFLATE expands at most 1032:1, so no header gets to size an
+		// allocation beyond what its stored block could inflate to.
+		if uint64(rawLen) > 1032*uint64(blockLen) {
+			return 0, 0, nil, fmt.Errorf("%w: segment claims %d bytes from a %d-byte block", ErrCorrupt, rawLen, blockLen)
+		}
+		raw := make([]byte, rawLen)
+		zr := flate.NewReader(bytes.NewReader(block))
+		if _, err := io.ReadFull(zr, raw); err != nil {
+			return 0, 0, nil, fmt.Errorf("%w: segment block inflate: %v", ErrCorrupt, err)
+		}
+		// The stream must end exactly at rawLen bytes.
+		if n, err := io.ReadFull(zr, make([]byte, 1)); n != 0 || err != io.EOF {
+			return 0, 0, nil, fmt.Errorf("%w: segment block does not end at %d bytes (%v)", ErrCorrupt, rawLen, err)
 		}
 		block = raw
 	}
 	if len(block) != int(rawLen) {
-		return 0, nil, fmt.Errorf("%w: segment block is %d bytes, header says %d", ErrCorrupt, len(block), rawLen)
+		return 0, 0, nil, fmt.Errorf("%w: segment block is %d bytes, header says %d", ErrCorrupt, len(block), rawLen)
 	}
-	if uint64(count) > uint64(rawLen) {
-		// Every entry costs at least one byte; reject before allocating.
-		return 0, nil, fmt.Errorf("%w: segment claims %d entries in %d bytes", ErrCorrupt, count, rawLen)
+	if n > rawLen {
+		// Every entry costs at least one byte.
+		return 0, 0, nil, fmt.Errorf("%w: segment claims %d entries in %d bytes", ErrCorrupt, n, rawLen)
 	}
-	rd := bytes.NewReader(block)
-	entries = make([]index.Entry, 0, count)
-	seen := make(map[uint64]struct{}, count)
-	for i := uint32(0); i < count; i++ {
-		e, err := snapshot.ReadEntry(rd)
+	return window, int(n), block, nil
+}
+
+// walkSegment is the one segment verifier: it checks a complete image's
+// framing (segmentBlock), every entry (snapshot.ParseEntry's checks),
+// strictly ascending ids, and that the header's count of entries fills
+// the block exactly. fn, when not nil, sees each entry in id order —
+// without its Provider — with its provider bytes and its encoded bytes,
+// both aliasing data or the inflated block; fn copies what it keeps. fn
+// runs before later entries are checked, so a caller keeps nothing of a
+// walk that returns an error. Every failure wraps ErrCorrupt.
+func walkSegment(data []byte, fn func(e index.Entry, prov, rec []byte)) (window int64, count int, err error) {
+	window, count, block, err := segmentBlock(data)
+	if err != nil {
+		return 0, 0, err
+	}
+	off := 0
+	var prev uint64
+	for i := 0; i < count; i++ {
+		e, prov, n, err := snapshot.ParseEntry(block[off:])
 		if err != nil {
-			return 0, nil, fmt.Errorf("%w: segment entry %d: %v", ErrCorrupt, i, err)
+			return 0, 0, fmt.Errorf("%w: segment entry %d: %v", ErrCorrupt, i, err)
 		}
-		if _, dup := seen[e.ID]; dup {
-			return 0, nil, fmt.Errorf("%w: segment has duplicate id %d", ErrCorrupt, e.ID)
+		// Segments are canonical: strictly ascending ids. Rejecting
+		// anything else keeps one logical segment to one block image.
+		if i > 0 && e.ID <= prev {
+			return 0, 0, fmt.Errorf("%w: segment ids not ascending (%d after %d)", ErrCorrupt, e.ID, prev)
 		}
-		// Segments are canonical: ascending id order. Rejecting anything
-		// else keeps one logical segment to one block image.
-		if n := len(entries); n > 0 && e.ID < entries[n-1].ID {
-			return 0, nil, fmt.Errorf("%w: segment ids out of order (%d after %d)", ErrCorrupt, e.ID, entries[n-1].ID)
+		if fn != nil {
+			fn(e, prov, block[off:off+n])
 		}
-		seen[e.ID] = struct{}{}
-		entries = append(entries, e)
+		prev = e.ID
+		off += n
 	}
-	if rd.Len() != 0 {
-		return 0, nil, fmt.Errorf("%w: %d trailing bytes after segment entries", ErrCorrupt, rd.Len())
+	if off != len(block) {
+		return 0, 0, fmt.Errorf("%w: %d trailing bytes after segment entries", ErrCorrupt, len(block)-off)
+	}
+	return window, count, nil
+}
+
+// providerNames interns provider strings within one segment: a phone
+// uploads many segments under one name, and without interning every
+// decoded entry would own a copy of it.
+type providerNames map[string]string
+
+func (p *providerNames) intern(b []byte) string {
+	if s, ok := (*p)[string(b)]; ok {
+		return s
+	}
+	if *p == nil {
+		*p = make(providerNames)
+	}
+	s := string(b)
+	(*p)[s] = s
+	return s
+}
+
+// DecodeSegment parses a complete segment file image through the same
+// walkSegment that recovery, compaction and sealed reads use, and
+// interns providers as sealed reads do: entries of one provider share
+// one Provider string. Exported so the fuzz harness can attack it.
+// Every failure is ErrCorrupt-wrapped: a segment is all-or-nothing,
+// there is no valid prefix to salvage (the WAL still holds the window's
+// records until the checkpoint after the seal).
+func DecodeSegment(data []byte) (window int64, entries []index.Entry, err error) {
+	var names providerNames
+	window, _, err = walkSegment(data, func(e index.Entry, prov, _ []byte) {
+		e.Provider = names.intern(prov)
+		entries = append(entries, e)
+	})
+	if err != nil {
+		return 0, nil, err
 	}
 	return window, entries, nil
 }
 
 // segTrailerCRC extracts the trailer CRC of a complete segment image
-// (the value the manifest records). Callers must have decoded data
-// successfully first.
+// (the value the manifest records). data must be at least 4 bytes.
 func segTrailerCRC(data []byte) uint32 {
 	return binary.LittleEndian.Uint32(data[len(data)-4:])
 }
 
-// readSegmentFile opens, maps (or reads), and decodes one segment file.
-// It returns the decoded entries, the trailer CRC, and the file size.
-// The mapping is released before return: decoded entries own their
-// memory, so mmap here only avoids double-buffering during the decode.
-func readSegmentFile(path string, useMmap bool) (window int64, entries []index.Entry, crc uint32, size int64, err error) {
+// readSegmentFile maps (or reads) one segment file and walks it with
+// walkSegment, returning the window, entry count, trailer CRC and file
+// size. The mapping is released before return — fn's byte slices die
+// with it — so a sealed entry costs heap only while a caller holds what
+// fn copied out.
+func readSegmentFile(path string, useMmap bool, fn func(e index.Entry, prov, rec []byte)) (window int64, count int, crc uint32, size int64, err error) {
 	var data []byte
 	var done func()
 	if useMmap {
@@ -239,13 +382,12 @@ func readSegmentFile(path string, useMmap bool) (window int64, entries []index.E
 		done = func() {}
 	}
 	if err != nil {
-		return 0, nil, 0, 0, err
+		return 0, 0, 0, 0, err
 	}
 	defer done()
-	window, entries, err = DecodeSegment(data)
+	window, count, err = walkSegment(data, fn)
 	if err != nil {
-		return 0, nil, 0, 0, fmt.Errorf("%s: %w", path, err)
+		return 0, 0, 0, 0, fmt.Errorf("%s: %w", path, err)
 	}
-	crc = binary.LittleEndian.Uint32(data[len(data)-4:])
-	return window, entries, crc, int64(len(data)), nil
+	return window, count, segTrailerCRC(data), int64(len(data)), nil
 }

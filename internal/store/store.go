@@ -60,16 +60,18 @@ import (
 
 // Store is the server's state-change journal. The server routes every
 // mutation through it before acknowledging, and rebuilds its index from
-// Entries at boot.
+// ReadEntries at boot.
 type Store interface {
 	// AppendRegister durably records a committed upload batch. The
 	// entries are validated; on error nothing is recorded.
 	AppendRegister(entries []index.Entry) error
 	// AppendRemove durably records the removal of ids.
 	AppendRemove(ids []uint64) error
-	// Entries returns the committed state (recovered plus appended), in
-	// unspecified order. Non-durable stores return nil.
-	Entries() []index.Entry
+	// ReadEntries returns the committed state (recovered plus appended),
+	// in unspecified order. Non-durable stores return nil. A durable
+	// store may read files to answer; one it cannot read is an error,
+	// never a silently smaller state.
+	ReadEntries() ([]index.Entry, error)
 	// Reset replaces the committed state wholesale (snapshot restore).
 	Reset(entries []index.Entry) error
 	// Checkpoint persists the full state now and truncates the log.
@@ -114,7 +116,7 @@ func (*Mem) AppendRemove([]uint64) error        { return nil }
 // nothing to stamp.
 func (*Mem) AppendRegisterTraced([]index.Entry, string) error { return nil }
 func (*Mem) AppendRemoveTraced([]uint64, string) error        { return nil }
-func (*Mem) Entries() []index.Entry                           { return nil }
+func (*Mem) ReadEntries() ([]index.Entry, error)              { return nil, nil }
 func (*Mem) Reset([]index.Entry) error                        { return nil }
 func (*Mem) Checkpoint() error                                { return ErrNotDurable }
 func (*Mem) Durable() bool                                    { return false }
@@ -220,7 +222,7 @@ type Disk struct {
 
 	mu        sync.Mutex
 	state     map[uint64]index.Entry // the memtable: mutable working set
-	segs      map[int64]*liveSeg     // window key -> live sealed segment
+	segs      map[int64]SegmentMeta  // window key -> live sealed segment
 	segIDs    map[uint64]int64       // live (non-tombstoned) sealed id -> window
 	tombs     map[uint64][]int64     // removed sealed id -> windows holding dead copies
 	tombCount int                    // total (id, window) tombstone pairs
@@ -236,7 +238,10 @@ type Disk struct {
 	notifyCh  chan struct{}    // closed+replaced on append/rotation (log tailing)
 	retired   map[uint64]int64 // final sizes of completed generations (see tail.go)
 
-	cpMu sync.Mutex // serializes Checkpoint/Reset against each other
+	// cpMu serializes everything that replaces files — flushes,
+	// checkpoints, Reset, segment installs, bootstrap — and every read of
+	// sealed entries from their files. Taken before mu, never after.
+	cpMu sync.Mutex
 
 	done     chan struct{}
 	stopOnce sync.Once
@@ -302,7 +307,7 @@ func Open(opts Options) (*Disk, error) {
 		segWindowMs: opts.SegmentWindow.Milliseconds(),
 		segAgeMs:    opts.SegmentWindowAge.Milliseconds(),
 		state:       make(map[uint64]index.Entry),
-		segs:        make(map[int64]*liveSeg),
+		segs:        make(map[int64]SegmentMeta),
 		segIDs:      make(map[uint64]int64),
 		tombs:       make(map[uint64][]int64),
 		done:        make(chan struct{}),
@@ -353,8 +358,8 @@ func Open(opts Options) (*Disk, error) {
 		d.mu.Lock()
 		defer d.mu.Unlock()
 		var n int64
-		for _, seg := range d.segs {
-			n += seg.meta.Bytes
+		for _, m := range d.segs {
+			n += m.Bytes
 		}
 		return float64(n)
 	})
@@ -556,36 +561,38 @@ func (d *Disk) recoverSegments() error {
 		}
 		return nil
 	}
+	// Every live segment is read in full — framing, checksum, every
+	// entry — to verify it and to map its ids; its entries stay in the
+	// file.
+	sealed := 0
+	for _, m := range doc.Segments {
+		sealed += m.Count
+	}
+	d.segIDs = make(map[uint64]int64, sealed)
 	for _, t := range doc.Tombstones {
 		d.addTombLocked(t.ID, t.Window)
 	}
 	for _, m := range doc.Segments {
-		path := filepath.Join(d.opts.Dir, segmentFileName(m.Window, m.Seq))
-		window, entries, crc, size, err := readSegmentFile(path, !d.opts.SegmentNoMmap)
-		if err != nil {
-			return fmt.Errorf("store: live segment: %w", err)
-		}
-		if window != m.Window || crc != m.CRC || size != m.Bytes || len(entries) != m.Count {
-			return fmt.Errorf("%w: segment %s does not match its manifest entry", ErrCorrupt, path)
-		}
-		d.segs[m.Window] = &liveSeg{meta: m, entries: entries}
-		for _, e := range entries {
+		if err := d.walkSegmentFile(segmentFileName(m.Window, m.Seq), m, func(e index.Entry, _, _ []byte) {
 			if !d.tombHasLocked(e.ID, m.Window) {
 				d.segIDs[e.ID] = m.Window
 			}
+		}); err != nil {
+			return fmt.Errorf("store: live segment: %w", err)
 		}
+		d.segs[m.Window] = m
 	}
 	for _, m := range doc.Staged {
-		path := filepath.Join(d.opts.Dir, stagedFileName(m.Window, m.Seq))
+		name := stagedFileName(m.Window, m.Seq)
+		path := filepath.Join(d.opts.Dir, name)
 		if _, err := os.Stat(path); err != nil {
 			// A crashed FinishTieredBootstrap may have promoted the file
 			// already; accept the live-named twin if it still verifies and
 			// no live segment claims that name.
-			alt := filepath.Join(d.opts.Dir, segmentFileName(m.Window, m.Seq))
-			if seg := d.segs[m.Window]; seg == nil || seg.meta.Seq != m.Seq {
-				if _, _, crc, size, rerr := readSegmentFile(alt, !d.opts.SegmentNoMmap); rerr == nil &&
-					crc == m.CRC && size == m.Bytes {
-					if rerr := os.Rename(alt, path); rerr == nil {
+			alt := segmentFileName(m.Window, m.Seq)
+			if seg, ok := d.segs[m.Window]; !ok || seg.Seq != m.Seq {
+				if rerr := d.walkSegmentFile(alt, m, nil); rerr == nil {
+					if rerr := os.Rename(filepath.Join(d.opts.Dir, alt), path); rerr == nil {
 						d.staged = append(d.staged, m)
 						continue
 					}
@@ -594,8 +601,7 @@ func (d *Disk) recoverSegments() error {
 			d.log.Warn("store: dropping missing staged segment", "window", m.Window, "seq", m.Seq)
 			continue
 		}
-		_, entries, crc, size, err := readSegmentFile(path, !d.opts.SegmentNoMmap)
-		if err != nil || crc != m.CRC || size != m.Bytes || len(entries) != m.Count {
+		if err := d.walkSegmentFile(name, m, nil); err != nil {
 			d.log.Warn("store: dropping damaged staged segment",
 				"window", m.Window, "seq", m.Seq, "err", err)
 			os.Remove(path)
@@ -728,13 +734,24 @@ func (d *Disk) syncLocked() error {
 	return nil
 }
 
-// Entries implements Store: the visible set is the memtable plus every
-// sealed entry that is neither tombstoned nor shadowed by a memtable
-// copy of the same id.
+// ReadEntries implements Store: the visible set is the memtable plus
+// every sealed entry that is neither tombstoned nor shadowed by a
+// memtable copy of the same id. Sealed entries are read from their
+// segment files; see capture.
+func (d *Disk) ReadEntries() ([]index.Entry, error) {
+	entries, _, _, err := d.capture()
+	return entries, err
+}
+
+// Entries is ReadEntries for callers that only count or compare: a
+// segment file that cannot be read is logged and yields nil.
 func (d *Disk) Entries() []index.Entry {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.entriesLocked()
+	entries, err := d.ReadEntries()
+	if err != nil {
+		d.log.Error("store: read entries", "err", err)
+		return nil
+	}
+	return entries
 }
 
 // Len returns the number of committed (visible) entries.
@@ -795,10 +812,10 @@ func (d *Disk) checkpointWith(replace []index.Entry, doReplace bool) error {
 		// The replacement is the whole truth: the segment tier restarts
 		// empty and the superseded files are deleted once the new
 		// checkpoint and manifest are durable.
-		for _, seg := range d.segs {
-			dropSegs = append(dropSegs, seg.meta)
+		for _, m := range d.segs {
+			dropSegs = append(dropSegs, m)
 		}
-		d.segs = make(map[int64]*liveSeg)
+		d.segs = make(map[int64]SegmentMeta)
 		d.segIDs = make(map[uint64]int64)
 		d.tombs = make(map[uint64][]int64)
 		d.tombCount = 0
@@ -993,8 +1010,8 @@ func (d *Disk) Health() DiskHealth {
 		MemtableEntries:         len(d.state),
 		CompactionBacklog:       backlog,
 	}
-	for _, seg := range d.segs {
-		h.SegmentBytes += seg.meta.Bytes
+	for _, m := range d.segs {
+		h.SegmentBytes += m.Bytes
 	}
 	return h
 }

@@ -76,8 +76,8 @@ func TestMemIsInert(t *testing.T) {
 	if err := m.AppendRemove([]uint64{1}); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Entries(); got != nil {
-		t.Fatalf("Mem.Entries() = %v, want nil", got)
+	if got, err := m.ReadEntries(); got != nil || err != nil {
+		t.Fatalf("Mem.ReadEntries() = %v, %v, want nil", got, err)
 	}
 	if err := m.Checkpoint(); !errors.Is(err, ErrNotDurable) {
 		t.Fatalf("Mem.Checkpoint() = %v, want ErrNotDurable", err)

@@ -70,15 +70,14 @@ func (d *Disk) LogCursor() (gen uint64, off int64) {
 
 // CaptureState returns the committed entries together with the log
 // cursor they correspond to: every record at or below (gen, off) is
-// folded into entries, every later append is not. The capture is taken
-// under the store lock, so it blocks appends for the O(entries) copy.
-func (d *Disk) CaptureState() (entries []index.Entry, gen uint64, off int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	// The full visible set — sealed included. A legacy (non-tiered)
-	// bootstrap of a tiered leader still gets everything; replaying the
-	// WAL tail over it stays idempotent.
-	return d.entriesLocked(), d.walGen, d.walSize
+// folded into entries, every later append is not. Appends wait only
+// while the memtable and tombstones are copied; sealed entries are read
+// from their files afterwards (see capture), and a file that cannot be
+// read is an error. The set is the full visible one, sealed included:
+// a legacy (non-tiered) bootstrap of a tiered leader still gets
+// everything, and replaying the WAL tail over it stays idempotent.
+func (d *Disk) CaptureState() (entries []index.Entry, gen uint64, off int64, err error) {
+	return d.capture()
 }
 
 // ReadLog returns committed log bytes from position (gen, off): whole

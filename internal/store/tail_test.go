@@ -143,7 +143,10 @@ func TestCaptureStateMatchesCursor(t *testing.T) {
 	if err := d.AppendRegister(batch(1, 3, "alice")); err != nil {
 		t.Fatal(err)
 	}
-	entries, gen, off := d.CaptureState()
+	entries, gen, off, err := d.CaptureState()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(sortedIDs(entries), []uint64{1, 2, 3}) {
 		t.Fatalf("captured ids = %v", sortedIDs(entries))
 	}

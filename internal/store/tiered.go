@@ -25,11 +25,21 @@
 // WAL generations, and checkpointWith writes the manifest before the
 // checkpoint rename so every tombstone is durable in at least one of
 // the two (see manifest.go).
+//
+// Residency. A sealed entry lives only in its segment file; in RAM the
+// store keeps each segment's manifest meta and the id→window map
+// (segIDs). Whoever needs sealed entries reads them from the files
+// while holding cpMu, which every file replacement (flush, checkpoint,
+// Reset, bootstrap) also holds, so the files a reader was pointed at
+// stay put. Lock order is cpMu, then d.mu — never the reverse — and no
+// file is read or written under d.mu: the append path never waits on
+// segment I/O.
 package store
 
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -37,13 +47,6 @@ import (
 
 	"fovr/internal/index"
 )
-
-// liveSeg is one sealed segment resident in RAM: its manifest meta and
-// decoded entries (served to reads and re-merged by compaction).
-type liveSeg struct {
-	meta    SegmentMeta
-	entries []index.Entry
-}
 
 // windowKeyOf returns the time-window key an entry seals into, and
 // false for entries longer than the window — those stay memtable
@@ -96,47 +99,92 @@ func (d *Disk) dropTombLocked(id uint64, window int64) {
 // visibleSealedLocked counts sealed entries the read path serves:
 // total sealed minus tombstoned copies minus memtable shadows (d.mu
 // held). Tombstones only ever reference live sealed copies (flush
-// drops them with the copies), so each pair suppresses exactly one.
+// drops them with the copies), so each pair suppresses exactly one; a
+// shadow is a memtable id that segIDs also names. O(segments +
+// memtable): the sealed tier is never walked.
 func (d *Disk) visibleSealedLocked() int {
 	total := 0
-	for _, seg := range d.segs {
-		total += len(seg.entries)
+	for _, m := range d.segs {
+		total += m.Count
 	}
 	shadows := 0
-	for id := range d.segIDs {
-		if _, ok := d.state[id]; ok {
+	for id := range d.state {
+		if _, ok := d.segIDs[id]; ok {
 			shadows++
 		}
 	}
 	return total - d.tombCount - shadows
 }
 
-// entriesLocked materializes the visible entry set (d.mu held).
-func (d *Disk) entriesLocked() []index.Entry {
-	out := make([]index.Entry, 0, len(d.state)+d.visibleSealedLocked())
-	for w, seg := range d.segs {
-		for _, e := range seg.entries {
-			if d.tombHasLocked(e.ID, w) {
-				continue
-			}
-			if _, shadowed := d.state[e.ID]; shadowed {
-				continue
-			}
-			out = append(out, e)
+// walkSegmentFile reads the segment file name (live or staged) with
+// readSegmentFile and checks it against the meta that names it.
+func (d *Disk) walkSegmentFile(name string, m SegmentMeta, fn func(e index.Entry, prov, rec []byte)) error {
+	path := filepath.Join(d.opts.Dir, name)
+	window, count, crc, size, err := readSegmentFile(path, !d.opts.SegmentNoMmap, fn)
+	if err != nil {
+		return err
+	}
+	if window != m.Window || count != m.Count || crc != m.CRC || size != m.Bytes {
+		return fmt.Errorf("%w: segment %s does not match its manifest entry", ErrCorrupt, path)
+	}
+	return nil
+}
+
+// capture returns the visible entry set and the WAL cursor it
+// corresponds to. The memtable, tombstones, segment metas and cursor
+// are copied under d.mu; the sealed entries are then read from their
+// files with only cpMu held, so appends wait for the copy, not for the
+// file I/O. A file that fails to read fails the capture.
+func (d *Disk) capture() (entries []index.Entry, gen uint64, off int64, err error) {
+	d.cpMu.Lock()
+	defer d.cpMu.Unlock()
+	d.mu.Lock()
+	segs := make([]SegmentMeta, 0, len(d.segs))
+	total := len(d.state)
+	for _, m := range d.segs {
+		segs = append(segs, m)
+		total += m.Count
+	}
+	mem := maps.Clone(d.state)
+	dead := make(map[Tombstone]struct{}, d.tombCount)
+	for id, ws := range d.tombs {
+		for _, w := range ws {
+			dead[Tombstone{ID: id, Window: w}] = struct{}{}
 		}
 	}
-	for _, e := range d.state {
-		out = append(out, e)
+	gen, off = d.walGen, d.walSize
+	d.mu.Unlock()
+
+	sort.Slice(segs, func(i, j int) bool { return segs[i].Window < segs[j].Window })
+	entries = make([]index.Entry, 0, total)
+	for _, m := range segs {
+		var names providerNames
+		err := d.walkSegmentFile(segmentFileName(m.Window, m.Seq), m, func(e index.Entry, prov, _ []byte) {
+			if _, shadowed := mem[e.ID]; shadowed {
+				return
+			}
+			if _, removed := dead[Tombstone{ID: e.ID, Window: m.Window}]; removed {
+				return
+			}
+			e.Provider = names.intern(prov)
+			entries = append(entries, e)
+		})
+		if err != nil {
+			return nil, 0, 0, fmt.Errorf("store: read sealed window %d: %w", m.Window, err)
+		}
 	}
-	return out
+	for _, e := range mem {
+		entries = append(entries, e)
+	}
+	return entries, gen, off, nil
 }
 
 // manifestDocLocked snapshots the on-disk manifest document (d.mu
 // held).
 func (d *Disk) manifestDocLocked() manifestDoc {
 	doc := manifestDoc{Version: manifestVersion}
-	for _, seg := range d.segs {
-		doc.Segments = append(doc.Segments, seg.meta)
+	for _, m := range d.segs {
+		doc.Segments = append(doc.Segments, m)
 	}
 	sort.Slice(doc.Segments, func(i, j int) bool { return doc.Segments[i].Window < doc.Segments[j].Window })
 	doc.Staged = append(doc.Staged, d.staged...)
@@ -236,8 +284,9 @@ func (d *Disk) compactionLoop(interval time.Duration) {
 // surviving sealed copies with its captured memtable entries, write the
 // next-sequence segment file, commit the swap, rotate the manifest,
 // delete the superseded file. Serialized with checkpoints on cpMu; the
-// expensive encode+write runs without holding d.mu, and every
-// interleaving with concurrent appends/removes is resolved at commit.
+// read of the old file and the encode+write run without holding d.mu,
+// and every interleaving with concurrent appends/removes is resolved at
+// commit.
 func (d *Disk) flushWindow(k int64) error {
 	d.cpMu.Lock()
 	defer d.cpMu.Unlock()
@@ -253,7 +302,7 @@ func (d *Disk) flushWindow(k int64) error {
 		d.mu.Unlock()
 		return d.failed
 	}
-	old := d.segs[k]
+	old, sealed := d.segs[k]
 	memK := make(map[uint64]index.Entry)
 	for id, e := range d.state {
 		if w, ok := d.windowKeyOf(e); ok && w == k {
@@ -268,37 +317,45 @@ func (d *Disk) flushWindow(k int64) error {
 			}
 		}
 	}
-	var oldEntries []index.Entry
 	seq := uint64(1)
-	if old != nil {
-		oldEntries = old.entries
-		seq = old.meta.Seq + 1
+	if sealed {
+		seq = old.Seq + 1
 	}
 	d.mu.Unlock()
-	if old == nil && len(memK) == 0 {
+	if !sealed && len(memK) == 0 {
 		return nil
 	}
 
-	// Merge and write the new segment, unlocked. Sealed copies lose to
-	// both tombstones and memtable shadows; the memtable copy is the one
-	// that moves into the new file.
-	merged := make([]index.Entry, 0, len(oldEntries)+len(memK))
-	for _, e := range oldEntries {
-		if _, dead := tombK[e.ID]; dead {
-			continue
-		}
-		if _, shadowed := memK[e.ID]; shadowed {
-			continue
-		}
-		merged = append(merged, e)
-	}
+	// Merge and write the new segment, unlocked. The old file is
+	// re-verified as it is read; its survivors keep their encoded bytes.
+	// Sealed copies lose to both tombstones and memtable shadows; the
+	// memtable copy is the one that moves into the new file.
+	fresh := make([]index.Entry, 0, len(memK))
 	for _, e := range memK {
-		merged = append(merged, e)
+		fresh = append(fresh, e)
 	}
+	b, err := newBlockBuilder(fresh)
+	if err != nil {
+		return err
+	}
+	if sealed {
+		if err := d.walkSegmentFile(segmentFileName(k, old.Seq), old, func(e index.Entry, _, rec []byte) {
+			if _, dead := tombK[e.ID]; dead {
+				return
+			}
+			if _, shadowed := memK[e.ID]; shadowed {
+				return
+			}
+			b.splice(e.ID, rec)
+		}); err != nil {
+			return fmt.Errorf("store: compact window %d: %w", k, err)
+		}
+	}
+	block, count := b.finish()
 	var newMeta SegmentMeta
-	wrote := len(merged) > 0
+	wrote := count > 0
 	if wrote {
-		img, crc, err := encodeSegment(k, merged, !d.opts.SegmentNoCompress)
+		img, crc, err := frameSegment(k, count, block, !d.opts.SegmentNoCompress)
 		if err != nil {
 			return err
 		}
@@ -316,7 +373,7 @@ func (d *Disk) flushWindow(k int64) error {
 		if err := syncDir(d.opts.Dir); err != nil {
 			return err
 		}
-		newMeta = SegmentMeta{Window: k, Seq: seq, Count: len(merged), Bytes: int64(len(img)), CRC: crc}
+		newMeta = SegmentMeta{Window: k, Seq: seq, Count: count, Bytes: int64(len(img)), CRC: crc}
 		d.segWrittenBytes.Add(int64(len(img)))
 	}
 
@@ -341,9 +398,11 @@ func (d *Disk) flushWindow(k int64) error {
 		}
 	}
 	if wrote {
-		d.segs[k] = &liveSeg{meta: newMeta, entries: merged}
-		for _, e := range merged {
-			d.segIDs[e.ID] = k
+		d.segs[k] = newMeta
+		// Survivors are already mapped to k (or were tombstoned while we
+		// wrote, which unmapped them); the captured memtable ids join.
+		for id := range memK {
+			d.segIDs[id] = k
 		}
 	} else {
 		delete(d.segs, k)
@@ -378,12 +437,12 @@ func (d *Disk) flushWindow(k int64) error {
 		d.cpErrors.Inc()
 		return fmt.Errorf("store: rotate manifest: %w", err)
 	}
-	if old != nil {
-		os.Remove(filepath.Join(d.opts.Dir, segmentFileName(k, old.meta.Seq)))
+	if sealed {
+		os.Remove(filepath.Join(d.opts.Dir, segmentFileName(k, old.Seq)))
 	}
 	d.compactions.Inc()
 	d.log.Info("store sealed window",
-		"window", k, "seq", seq, "entries", len(merged),
+		"window", k, "seq", seq, "entries", count,
 		"bytes", newMeta.Bytes, "elapsed", time.Since(start).Round(time.Millisecond))
 	return nil
 }
@@ -422,8 +481,8 @@ func (d *Disk) TieredStats() TieredStats {
 	if d.tiered {
 		ts.SegmentWindowMillis = d.segWindowMs
 	}
-	for _, seg := range d.segs {
-		ts.SegmentBytes += seg.meta.Bytes
+	for _, m := range d.segs {
+		ts.SegmentBytes += m.Bytes
 	}
 	return ts
 }

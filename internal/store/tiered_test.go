@@ -57,10 +57,17 @@ func entrySet(entries []index.Entry) map[uint64]index.Entry {
 
 func wantEntries(t *testing.T, d *Disk, want []index.Entry) {
 	t.Helper()
-	got := entrySet(d.Entries())
+	entries, err := d.ReadEntries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := entrySet(entries)
+	if len(got) != len(entries) {
+		t.Fatalf("visible set repeats ids: %v", sortedIDs(entries))
+	}
 	if len(got) != len(want) {
 		t.Fatalf("visible set has %d entries, want %d (%v vs %v)",
-			len(got), len(want), sortedIDs(d.Entries()), sortedIDs(want))
+			len(got), len(want), sortedIDs(entries), sortedIDs(want))
 	}
 	for _, e := range want {
 		if g, ok := got[e.ID]; !ok || g != e {

@@ -18,6 +18,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -39,8 +40,8 @@ func (d *Disk) ManifestSnapshot() ManifestSnapshot {
 
 func (d *Disk) manifestSnapshotLocked() ManifestSnapshot {
 	var ms ManifestSnapshot
-	for _, seg := range d.segs {
-		ms.Segments = append(ms.Segments, seg.meta)
+	for _, m := range d.segs {
+		ms.Segments = append(ms.Segments, m)
 	}
 	for id, ws := range d.tombs {
 		for _, w := range ws {
@@ -56,9 +57,9 @@ func (d *Disk) manifestSnapshotLocked() ManifestSnapshot {
 // bootstrapping follower then refetches the manifest.
 func (d *Disk) ReadSegment(window int64, seq uint64) ([]byte, error) {
 	d.mu.Lock()
-	seg := d.segs[window]
+	seg, ok := d.segs[window]
 	d.mu.Unlock()
-	if seg == nil || seg.meta.Seq != seq {
+	if !ok || seg.Seq != seq {
 		return nil, fmt.Errorf("store: segment %d/%d is not live", window, seq)
 	}
 	return os.ReadFile(filepath.Join(d.opts.Dir, segmentFileName(window, seq)))
@@ -83,7 +84,7 @@ func (d *Disk) CaptureMem() (entries []index.Entry, gen uint64, off int64, hash 
 func (d *Disk) HasSegment(window int64, seq uint64, crc uint32) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if seg := d.segs[window]; seg != nil && seg.meta.Seq == seq && seg.meta.CRC == crc {
+	if seg, ok := d.segs[window]; ok && seg.Seq == seq && seg.CRC == crc {
 		return true
 	}
 	for _, m := range d.staged {
@@ -99,12 +100,12 @@ func (d *Disk) HasSegment(window int64, seq uint64, crc uint32) bool {
 // install survives a crash. Serialized on cpMu like every manifest
 // rotation.
 func (d *Disk) InstallSegment(meta SegmentMeta, raw []byte) error {
-	window, entries, err := DecodeSegment(raw)
+	window, count, err := walkSegment(raw, nil)
 	if err != nil {
 		return fmt.Errorf("store: install segment %d/%d: %w", meta.Window, meta.Seq, err)
 	}
 	crc := segTrailerCRC(raw)
-	if window != meta.Window || len(entries) != meta.Count ||
+	if window != meta.Window || count != meta.Count ||
 		int64(len(raw)) != meta.Bytes || crc != meta.CRC {
 		return fmt.Errorf("%w: segment %d/%d does not match its advertised meta",
 			ErrCorrupt, meta.Window, meta.Seq)
@@ -155,11 +156,12 @@ func (d *Disk) FinishTieredBootstrap(ms ManifestSnapshot, mem []index.Entry) err
 	d.cpMu.Lock()
 	defer d.cpMu.Unlock()
 
-	// Resolve every leader segment to a local durable file and its
-	// decoded entries before touching any state.
+	// Resolve every leader segment to a local durable file, verified and
+	// its ids read, before touching any state. cpMu keeps every file in
+	// place; d.mu is held only to copy the live and staged metas.
 	type resolved struct {
 		meta      SegmentMeta
-		entries   []index.Entry
+		ids       []uint64
 		fromStage bool
 	}
 	res := make([]resolved, 0, len(ms.Segments))
@@ -168,36 +170,31 @@ func (d *Disk) FinishTieredBootstrap(ms ManifestSnapshot, mem []index.Entry) err
 		d.mu.Unlock()
 		return ErrClosed
 	}
-	live := make(map[int64]*liveSeg, len(d.segs))
-	for w, seg := range d.segs {
-		live[w] = seg
-	}
+	live := maps.Clone(d.segs)
 	staged := append([]SegmentMeta(nil), d.staged...)
 	d.mu.Unlock()
 	for _, m := range ms.Segments {
-		if seg := live[m.Window]; seg != nil && seg.meta.Seq == m.Seq && seg.meta.CRC == m.CRC {
-			res = append(res, resolved{meta: m, entries: seg.entries})
-			continue
-		}
-		found := false
-		for _, sm := range staged {
-			if sm.Window == m.Window && sm.Seq == m.Seq && sm.CRC == m.CRC {
-				found = true
-				break
+		r := resolved{meta: m, ids: make([]uint64, 0, m.Count)}
+		name := segmentFileName(m.Window, m.Seq)
+		if seg, ok := live[m.Window]; !ok || seg.Seq != m.Seq || seg.CRC != m.CRC {
+			found := false
+			for _, sm := range staged {
+				if sm.Window == m.Window && sm.Seq == m.Seq && sm.CRC == m.CRC {
+					found = true
+					break
+				}
 			}
+			if !found {
+				return fmt.Errorf("store: finish bootstrap: segment %d/%d neither live nor staged", m.Window, m.Seq)
+			}
+			name, r.fromStage = stagedFileName(m.Window, m.Seq), true
 		}
-		if !found {
-			return fmt.Errorf("store: finish bootstrap: segment %d/%d neither live nor staged", m.Window, m.Seq)
-		}
-		path := filepath.Join(d.opts.Dir, stagedFileName(m.Window, m.Seq))
-		_, entries, crc, size, err := readSegmentFile(path, !d.opts.SegmentNoMmap)
-		if err != nil {
+		if err := d.walkSegmentFile(name, m, func(e index.Entry, _, _ []byte) {
+			r.ids = append(r.ids, e.ID)
+		}); err != nil {
 			return fmt.Errorf("store: finish bootstrap: %w", err)
 		}
-		if crc != m.CRC || size != m.Bytes {
-			return fmt.Errorf("%w: staged segment %d/%d changed on disk", ErrCorrupt, m.Window, m.Seq)
-		}
-		res = append(res, resolved{meta: m, entries: entries, fromStage: true})
+		res = append(res, r)
 	}
 
 	// Promote staged files to their live names before the manifest that
@@ -243,7 +240,7 @@ func (d *Disk) FinishTieredBootstrap(ms ManifestSnapshot, mem []index.Entry) err
 	for _, e := range mem {
 		d.state[e.ID] = e
 	}
-	d.segs = make(map[int64]*liveSeg, len(res))
+	d.segs = make(map[int64]SegmentMeta, len(res))
 	d.segIDs = make(map[uint64]int64)
 	d.tombs = make(map[uint64][]int64)
 	d.tombCount = 0
@@ -252,10 +249,10 @@ func (d *Disk) FinishTieredBootstrap(ms ManifestSnapshot, mem []index.Entry) err
 		d.addTombLocked(t.ID, t.Window)
 	}
 	for _, r := range res {
-		d.segs[r.meta.Window] = &liveSeg{meta: r.meta, entries: r.entries}
-		for _, e := range r.entries {
-			if !d.tombHasLocked(e.ID, r.meta.Window) {
-				d.segIDs[e.ID] = r.meta.Window
+		d.segs[r.meta.Window] = r.meta
+		for _, id := range r.ids {
+			if !d.tombHasLocked(id, r.meta.Window) {
+				d.segIDs[id] = r.meta.Window
 			}
 		}
 	}

@@ -205,13 +205,16 @@ func decodePayload(payload []byte) (Record, error) {
 	switch op {
 	case opRegister:
 		rec.Entries = make([]index.Entry, 0, count)
+		rest := payload[len(payload)-rd.Len():]
 		for i := uint64(0); i < count; i++ {
-			e, err := snapshot.ReadEntry(rd)
+			e, n, err := snapshot.ReadEntry(rest)
 			if err != nil {
 				return rec, fmt.Errorf("entry %d: %v", i, err)
 			}
+			rest = rest[n:]
 			rec.Entries = append(rec.Entries, e)
 		}
+		rd.Reset(rest)
 	case opRemove:
 		rec.IDs = make([]uint64, 0, count)
 		for i := uint64(0); i < count; i++ {
