@@ -120,13 +120,6 @@ func main() {
 			}
 			return figures.TableReplicaLag(n)
 		}},
-		{"segment-storage", func() *figures.Table {
-			n := 20000
-			if *quick {
-				n = 5000
-			}
-			return figures.TableSegmentStorage(n)
-		}},
 	}
 
 	selected := func(j job) bool {

@@ -1,6 +1,6 @@
-// The storage subcommand: the tiered storage block of /stats — how the
-// durable store is split between the mutable memtable and the sealed
-// per-window segment files, and whether the compactor is keeping up.
+// The storage subcommand: the storage block of /stats — how the durable
+// store is split between the mutable memtable and the sealed per-window
+// segment files, and whether the compactor is keeping up.
 package main
 
 import (
@@ -10,20 +10,15 @@ import (
 	"fovr/internal/client"
 )
 
-// runStorage prints the tiered storage state, or the store's role when
-// tiering is off.
+// runStorage prints the durable store's tiers, or that there is none.
 func runStorage(c *client.Client) error {
 	st, err := c.Stats()
 	if err != nil {
 		return err
 	}
 	s := st.Storage
-	if s == nil || !s.Enabled {
-		if !st.Durable {
-			fmt.Println("storage: in-memory (no -data-dir)")
-			return nil
-		}
-		fmt.Println("storage: flat durable store (tiering off; enable with -segment-window-age)")
+	if s == nil {
+		fmt.Println("storage: in-memory (no -data-dir)")
 		return nil
 	}
 	fmt.Printf("storage: tiered, window %s\n", millisDuration(s.SegmentWindowMillis))

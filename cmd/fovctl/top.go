@@ -101,7 +101,7 @@ func topFrame(c *client.Client) (string, error) {
 		b.WriteString(line)
 	}
 
-	if s := st.Storage; s != nil && s.Enabled {
+	if s := st.Storage; s != nil {
 		fmt.Fprintf(&b, "storage: %d segments (%s, %d entries)  memtable %d  backlog %d  %.1f compactions/s\n",
 			s.Segments, topBytes(float64(s.SegmentBytes)), s.SegmentEntries,
 			s.MemtableEntries, s.CompactionBacklog,

@@ -7,7 +7,6 @@
 //
 //	fovserver [-addr :8477] [-half-angle 30] [-radius 100] [-max-results 20]
 //	          [-data-dir dir] [-fsync always|interval|never] [-checkpoint-interval 5m]
-//	          [-segment-window-age 0] [-compaction-interval 1m]
 //	          [-replica-of http://leader:8477] [-replica-poll 10s]
 //	          [-quiet] [-log-json] [-load snapshot.fovs] [-save snapshot.fovs]
 //	          [-debug-addr 127.0.0.1:8478] [-slow-query 100ms] [-trace-sample 16]
@@ -21,36 +20,29 @@
 // disjoint id space so ids are globally unique across the cluster.
 //
 // -data-dir makes ingest durable: every upload and removal is journaled
-// to a write-ahead log in the directory before it is acknowledged, the
-// state is checkpointed every -checkpoint-interval (0 disables), and a
-// restart recovers checkpoint + log tail — a kill -9 loses nothing that
-// was acknowledged under -fsync=always. -fsync=interval syncs the log
-// every 100ms (bounded loss, near-memory throughput); -fsync=never
-// leaves syncing to the OS. Without -data-dir state is in RAM only, as
-// before.
-//
-// -segment-window-age enables tiered storage inside -data-dir: one-hour
-// time windows whose end is at least this much older than now are
-// sealed by a background compactor (period -compaction-interval) into
-// immutable, compressed, CRC-framed segment files; the WAL and
-// checkpoints then carry only the mutable memtable, so checkpoints
-// shrink to the working set and a restart loads cold windows straight
-// from their segments. 0 (the default) keeps the flat store layout.
+// to a write-ahead log in the directory before it is acknowledged, a
+// background compactor seals each one-hour time window that has been
+// cold for an hour into an immutable, compressed, CRC-framed segment
+// file, the mutable rest is checkpointed every -checkpoint-interval (0
+// disables), and a restart recovers segments + checkpoint + log tail —
+// a kill -9 loses nothing that was acknowledged under -fsync=always.
+// -fsync=interval syncs the log every 100ms (bounded loss, near-memory
+// throughput); -fsync=never leaves syncing to the OS. Without -data-dir
+// state is in RAM only, as before.
 //
 // -replica-of makes this process a read replica of the leader at the
-// given base URL: it bootstraps from the leader's state, tails the
-// leader's write-ahead log (long-polling every -replica-poll), serves
-// the full read path (/query, /stats, /metrics, /snapshot, traces), and
-// rejects mutations with HTTP 409 naming the leader. A replica that
-// restarts or lags past the leader's log retention re-bootstraps from
-// the latest checkpoint automatically. Combine with -data-dir to make
-// the replica durable, which is also the failover path: restart it
-// without -replica-of and it serves the replicated state as a writable
-// leader. When both sides tier (-segment-window-age on leader and
-// replica), the bootstrap streams sealed segments individually and each
-// installed segment is durable before the next is fetched, so a replica
-// killed mid-bootstrap resumes without refetching any completed
-// segment.
+// given base URL, which needs -data-dir (the replica does not): it
+// bootstraps from the leader's manifest, each sealed segment it does not
+// hold, and the memtable, then tails the leader's write-ahead log
+// (long-polling every -replica-poll), serves the full read path
+// (/query, /stats, /metrics, /snapshot, traces), and rejects mutations
+// with HTTP 409 naming the leader. A replica that restarts or lags past
+// the leader's log retention re-bootstraps automatically. With
+// -data-dir the replica is durable: each installed segment is on disk
+// before the next is fetched, so a re-bootstrap fetches only the
+// segments it lacks, and restarting it without -replica-of is the
+// failover path — it serves the replicated state as a writable leader.
+// Without -data-dir the replica holds its state in RAM.
 //
 // The index is one copy-on-write 3-D R-tree (the paper's design):
 // writers serialize on its lock and publish a snapshot, queries walk the
@@ -117,8 +109,6 @@ func main() {
 	dataDir := flag.String("data-dir", "", "data directory for the durable store (WAL + checkpoints); empty keeps state in RAM only")
 	fsyncPolicy := flag.String("fsync", "always", "WAL sync policy with -data-dir: always | interval | never")
 	checkpointInterval := flag.Duration("checkpoint-interval", 5*time.Minute, "background checkpoint period with -data-dir (0 disables)")
-	segmentWindowAge := flag.Duration("segment-window-age", 0, "with -data-dir: seal time windows this much older than now into immutable segment files (0 disables tiering)")
-	compactionInterval := flag.Duration("compaction-interval", time.Minute, "background segment seal/compaction period with -segment-window-age (0 disables the loop)")
 	quiet := flag.Bool("quiet", false, "suppress per-request logging")
 	logJSON := flag.Bool("log-json", false, "emit JSON request logs instead of key=value")
 	load := flag.String("load", "", "snapshot file to restore state from at startup (see GET /snapshot)")
@@ -211,16 +201,10 @@ func main() {
 		if interval == 0 {
 			interval = -1 // flag 0 means "off"; Options zero means "default"
 		}
-		compaction := *compactionInterval
-		if compaction == 0 {
-			compaction = -1 // flag 0 means "off"; Options zero means "default"
-		}
 		st, err = store.Open(store.Options{
 			Dir:                *dataDir,
 			Fsync:              policy,
 			CheckpointInterval: interval,
-			SegmentWindowAge:   *segmentWindowAge,
-			CompactionInterval: compaction,
 			Logger:             logger,
 		})
 		if err != nil {
@@ -254,19 +238,13 @@ func main() {
 	}
 	var fol *replica.Follower
 	if *replicaOf != "" {
-		opts := replica.Options{
+		fol, err = replica.Start(replica.Options{
 			Fetch:    client.NewReplicator(*replicaOf),
 			Apply:    srv,
 			Poll:     *replicaPoll,
 			Registry: srv.Registry(),
 			Logger:   logger,
-		}
-		if st != nil && st.Tiered() {
-			// Durable tiered replica: bootstrap segment-wise with
-			// per-segment resume instead of one monolithic snapshot.
-			opts.Segments = srv
-		}
-		fol, err = replica.Start(opts)
+		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fovserver:", err)
 			os.Exit(1)

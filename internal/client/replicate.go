@@ -1,5 +1,5 @@
-// Replicator is the HTTP fetcher a read replica pulls the leader's log
-// through: one GET /replicate per Fetch, with resumable cursors in the
+// Replicator is the HTTP fetcher a read replica pulls the leader's state
+// through: one GET /replicate per call, with resumable cursors in the
 // query string and the next cursor handed back in response headers.
 package client
 
@@ -17,6 +17,7 @@ import (
 	"fovr/internal/obs"
 	"fovr/internal/replica"
 	"fovr/internal/snapshot"
+	"fovr/internal/store"
 )
 
 var replicaFetchRetries = obs.GetOrCreateCounter("fovr_replica_fetch_retries_total")
@@ -27,10 +28,10 @@ type Replicator struct {
 	// BaseURL is the leader root, e.g. "http://127.0.0.1:8477".
 	BaseURL string
 	// HTTPClient must not carry a global timeout: a long-poll legitimately
-	// idles for the full requested wait. Each Fetch bounds itself with a
+	// idles for the full requested wait. Each call bounds itself with a
 	// per-request context instead. Nil selects a fresh default client.
 	HTTPClient *http.Client
-	// MaxRetries bounds automatic retries per Fetch after a transient
+	// MaxRetries bounds automatic retries per call after a transient
 	// failure, with exponential backoff starting at RetryDelay (the same
 	// policy as Client.Upload). Zero disables retries.
 	MaxRetries int
@@ -49,174 +50,100 @@ func NewReplicator(baseURL string) *Replicator {
 	}
 }
 
-// Fetch performs one replication round-trip: a bootstrap when cur is
-// zero, a log tail otherwise, asking the leader to hold the request up
-// to wait when there is nothing new. The request is bounded by wait plus
-// a grace period so a hung leader cannot pin the follower forever.
+// bootstrapTimeout bounds each bootstrap leg, retries included.
+const bootstrapTimeout = 2 * time.Minute
+
+// Fetch performs one log-tail round-trip from cur, asking the leader to
+// hold the request up to wait when there is nothing new. The request is
+// bounded by wait plus a grace period so a hung leader cannot pin the
+// follower forever.
 func (r *Replicator) Fetch(ctx context.Context, cur replica.Cursor, wait time.Duration) (*replica.Batch, error) {
 	url := fmt.Sprintf("%s/replicate?gen=%d&off=%d&wait=%s", r.BaseURL, cur.Gen, cur.Off, wait)
-	ctx, cancel := context.WithTimeout(ctx, wait+15*time.Second)
-	defer cancel()
-	var batch *replica.Batch
-	err := r.retryPolicy().Do(func() (bool, error) {
-		if ctx.Err() != nil {
-			return false, ctx.Err() // canceled: retrying cannot help
-		}
-		var retriable bool
-		var ferr error
-		batch, retriable, ferr = r.fetchOnce(ctx, url)
-		return retriable, ferr
-	})
-	if err != nil {
-		return nil, err
-	}
-	return batch, nil
-}
-
-func (r *Replicator) fetchOnce(ctx context.Context, url string) (*replica.Batch, bool, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	hc := r.HTTPClient
-	if hc == nil {
-		hc = &http.Client{}
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return nil, !errors.Is(err, context.Canceled), err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<12))
-		retriable := resp.StatusCode == http.StatusBadGateway ||
-			resp.StatusCode == http.StatusServiceUnavailable ||
-			resp.StatusCode == http.StatusGatewayTimeout
-		return nil, retriable, fmt.Errorf("client: replicate: %s: %s", resp.Status, bytes.TrimSpace(body))
-	}
-
-	b := &replica.Batch{
-		Kind:    resp.Header.Get(replica.HeaderStream),
-		StoreID: resp.Header.Get(replica.HeaderStoreID),
-	}
-	b.Next.Gen, _ = strconv.ParseUint(resp.Header.Get(replica.HeaderNextGen), 10, 64)
-	b.Next.Off, _ = strconv.ParseInt(resp.Header.Get(replica.HeaderNextOff), 10, 64)
-	b.Lead.Gen, _ = strconv.ParseUint(resp.Header.Get(replica.HeaderLeadGen), 10, 64)
-	b.Lead.Off, _ = strconv.ParseInt(resp.Header.Get(replica.HeaderLeadOff), 10, 64)
-
-	cr := &countReader{r: resp.Body}
-	defer func() { clientReceivedBytes.Add(cr.n) }()
-	switch b.Kind {
-	case replica.StreamSnapshot:
-		entries, err := snapshot.Read(cr)
+	var b *replica.Batch
+	err := r.get(ctx, url, replica.StreamWAL, wait+15*time.Second, func(h http.Header, body io.Reader) error {
+		frames, err := io.ReadAll(body)
 		if err != nil {
-			// A truncated or corrupt snapshot body is detected by its CRC
-			// trailer; the capture can be re-requested.
-			return nil, true, fmt.Errorf("client: replicate snapshot: %w", err)
+			return fmt.Errorf("client: replicate wal body: %w", err)
 		}
-		b.Entries = entries
-	case replica.StreamWAL:
-		frames, err := io.ReadAll(cr)
-		if err != nil {
-			return nil, true, fmt.Errorf("client: replicate wal body: %w", err)
-		}
+		b = batchHeaders(h)
 		b.Frames = frames
-	default:
-		return nil, false, fmt.Errorf("client: replicate: unknown stream kind %q", b.Kind)
-	}
-	return b, false, nil
+		return nil
+	})
+	return b, err
 }
 
-// FetchManifest pulls the leader's cold-tier manifest (?manifest=1). A
-// leader that answers with a legacy stream kind — old binary, non-tiered
-// store — yields replica.ErrTieredUnsupported so the follower falls
-// back to the monolithic snapshot.
+// FetchManifest pulls the leader's cold-tier manifest (?manifest=1).
 func (r *Replicator) FetchManifest(ctx context.Context) (*replica.ManifestBatch, error) {
-	url := r.BaseURL + "/replicate?manifest=1"
 	var mb *replica.ManifestBatch
-	err := r.tieredFetch(ctx, url, replica.StreamManifest, func(resp *http.Response, body io.Reader) error {
-		mb = &replica.ManifestBatch{StoreID: resp.Header.Get(replica.HeaderStoreID)}
-		mb.Lead.Gen, _ = strconv.ParseUint(resp.Header.Get(replica.HeaderLeadGen), 10, 64)
-		mb.Lead.Off, _ = strconv.ParseInt(resp.Header.Get(replica.HeaderLeadOff), 10, 64)
+	err := r.get(ctx, r.BaseURL+"/replicate?manifest=1", replica.StreamManifest, bootstrapTimeout, func(h http.Header, body io.Reader) error {
+		b := batchHeaders(h)
+		mb = &replica.ManifestBatch{StoreID: b.StoreID, Lead: b.Lead}
 		if err := json.NewDecoder(io.LimitReader(body, 64<<20)).Decode(&mb.Manifest); err != nil {
 			return fmt.Errorf("client: replicate manifest: %w", err)
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return mb, nil
+	return mb, err
 }
 
-// FetchSegment pulls one sealed segment's verbatim file bytes
-// (?segment=W&seq=N). The caller verifies them against the manifest's
-// CRC on install.
-func (r *Replicator) FetchSegment(ctx context.Context, window int64, seq uint64) ([]byte, error) {
-	url := fmt.Sprintf("%s/replicate?segment=%d&seq=%d", r.BaseURL, window, seq)
+// FetchSegment pulls the verbatim file bytes of the sealed segment meta
+// names (?segment=W&seq=N), reading no more than the meta.Bytes the
+// manifest advertised. The caller verifies them against the rest of the
+// meta on install.
+func (r *Replicator) FetchSegment(ctx context.Context, meta store.SegmentMeta) ([]byte, error) {
+	url := fmt.Sprintf("%s/replicate?segment=%d&seq=%d", r.BaseURL, meta.Window, meta.Seq)
 	var raw []byte
-	err := r.tieredFetch(ctx, url, replica.StreamSegment, func(resp *http.Response, body io.Reader) error {
+	err := r.get(ctx, url, replica.StreamSegment, bootstrapTimeout, func(_ http.Header, body io.Reader) error {
 		var err error
-		raw, err = io.ReadAll(body)
+		raw, err = io.ReadAll(io.LimitReader(body, meta.Bytes+1))
 		if err != nil {
 			return fmt.Errorf("client: replicate segment: %w", err)
 		}
+		if int64(len(raw)) > meta.Bytes {
+			return fmt.Errorf("client: replicate segment %d/%d: body exceeds the %d bytes the manifest advertised",
+				meta.Window, meta.Seq, meta.Bytes)
+		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return raw, nil
+	return raw, err
 }
 
 // FetchMem pulls the leader's memtable (?mem=1) as a snapshot-format
 // batch stamped with the WAL cursor to stream from and the manifest
 // hash the capture was consistent with.
 func (r *Replicator) FetchMem(ctx context.Context) (*replica.Batch, error) {
-	url := r.BaseURL + "/replicate?mem=1"
 	var b *replica.Batch
-	err := r.tieredFetch(ctx, url, replica.StreamMem, func(resp *http.Response, body io.Reader) error {
-		b = &replica.Batch{
-			Kind:    replica.StreamMem,
-			StoreID: resp.Header.Get(replica.HeaderStoreID),
-		}
-		b.Next.Gen, _ = strconv.ParseUint(resp.Header.Get(replica.HeaderNextGen), 10, 64)
-		b.Next.Off, _ = strconv.ParseInt(resp.Header.Get(replica.HeaderNextOff), 10, 64)
-		b.Lead.Gen, _ = strconv.ParseUint(resp.Header.Get(replica.HeaderLeadGen), 10, 64)
-		b.Lead.Off, _ = strconv.ParseInt(resp.Header.Get(replica.HeaderLeadOff), 10, 64)
-		b.ManifestHash, _ = strconv.ParseUint(resp.Header.Get(replica.HeaderManifestHash), 10, 64)
+	err := r.get(ctx, r.BaseURL+"/replicate?mem=1", replica.StreamMem, bootstrapTimeout, func(h http.Header, body io.Reader) error {
 		entries, err := snapshot.Read(body)
 		if err != nil {
 			return fmt.Errorf("client: replicate mem snapshot: %w", err)
 		}
+		b = batchHeaders(h)
 		b.Entries = entries
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return b, nil
+	return b, err
 }
 
-// tieredFetch runs one tiered bootstrap leg with the standard retry
-// policy: checks the stream kind BEFORE consuming the body (a legacy
-// leader answers these URLs with a full snapshot — detecting the kind
-// first avoids downloading it), then hands response and counted body to
-// parse.
-func (r *Replicator) tieredFetch(ctx context.Context, url, wantKind string, parse func(*http.Response, io.Reader) error) error {
-	ctx, cancel := context.WithTimeout(ctx, 2*time.Minute)
+// get runs one /replicate GET under the retry policy, bounded by
+// timeout: it checks the status and the stream kind before the body is
+// consumed, counts the body bytes, and hands headers and body to parse.
+// A body parse fails the attempt retriably — a cut or damaged body can
+// be re-requested.
+func (r *Replicator) get(ctx context.Context, url, kind string, timeout time.Duration, parse func(http.Header, io.Reader) error) error {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
+	hc := r.HTTPClient
+	if hc == nil {
+		hc = &http.Client{}
+	}
 	return r.retryPolicy().Do(func() (bool, error) {
 		if ctx.Err() != nil {
-			return false, ctx.Err()
+			return false, ctx.Err() // canceled: retrying cannot help
 		}
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 		if err != nil {
 			return false, err
-		}
-		hc := r.HTTPClient
-		if hc == nil {
-			hc = &http.Client{}
 		}
 		resp, err := hc.Do(req)
 		if err != nil {
@@ -230,16 +157,28 @@ func (r *Replicator) tieredFetch(ctx context.Context, url, wantKind string, pars
 				resp.StatusCode == http.StatusGatewayTimeout
 			return retriable, fmt.Errorf("client: replicate: %s: %s", resp.Status, bytes.TrimSpace(body))
 		}
-		if kind := resp.Header.Get(replica.HeaderStream); kind != wantKind {
-			return false, replica.ErrTieredUnsupported
+		if got := resp.Header.Get(replica.HeaderStream); got != kind {
+			return false, fmt.Errorf("client: replicate: stream kind %q, want %q", got, kind)
 		}
 		cr := &countReader{r: resp.Body}
 		defer func() { clientReceivedBytes.Add(cr.n) }()
-		if err := parse(resp, cr); err != nil {
-			return true, err // damaged body; the leg can be re-requested
+		if err := parse(resp.Header, cr); err != nil {
+			return true, err
 		}
 		return false, nil
 	})
+}
+
+// batchHeaders decodes the identity, cursor and manifest-hash headers
+// every /replicate response carries.
+func batchHeaders(h http.Header) *replica.Batch {
+	b := &replica.Batch{StoreID: h.Get(replica.HeaderStoreID)}
+	b.Next.Gen, _ = strconv.ParseUint(h.Get(replica.HeaderNextGen), 10, 64)
+	b.Next.Off, _ = strconv.ParseInt(h.Get(replica.HeaderNextOff), 10, 64)
+	b.Lead.Gen, _ = strconv.ParseUint(h.Get(replica.HeaderLeadGen), 10, 64)
+	b.Lead.Off, _ = strconv.ParseInt(h.Get(replica.HeaderLeadOff), 10, 64)
+	b.ManifestHash, _ = strconv.ParseUint(h.Get(replica.HeaderManifestHash), 10, 64)
+	return b
 }
 
 // countReader tallies bytes for the client traffic counter.

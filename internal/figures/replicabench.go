@@ -19,7 +19,7 @@ import (
 // TableReplicaLag measures what a read replica costs and how far it
 // trails the leader. Two phases against the same leader: "bootstrap"
 // starts an empty follower against a leader already holding n entries
-// and times the snapshot catch-up; "live-tail" then ingests another n
+// and times the bootstrap catch-up; "live-tail" then ingests another n
 // entries while the follower tails the WAL, sampling its reported lag
 // throughout. The lag column is the paper-facing number: a staleness
 // bound for queries answered by the replica.
@@ -88,7 +88,7 @@ func TableReplicaLag(n int) *Table {
 	}
 
 	// Phase 1: the leader holds n entries before the follower exists, so
-	// the follower's entire catch-up is one snapshot bootstrap.
+	// the follower's entire catch-up is one bootstrap.
 	if err := ingest(toUploads(0)); err != nil {
 		t.AddNote("leader preload: %v", err)
 		return t
@@ -172,7 +172,7 @@ func TableReplicaLag(n int) *Table {
 	}
 	row("live-tail", time.Since(start), maxLag)
 
-	t.AddNote("bootstrap ships one checkpoint snapshot; live-tail ships verbatim WAL frames with a %v poll", 10*time.Millisecond)
+	t.AddNote("bootstrap ships the leader's manifest, each sealed segment the follower lacks and the memtable; live-tail ships verbatim WAL frames with a %v poll", 10*time.Millisecond)
 	t.AddNote("max_lag_kb is the largest leader-head minus follower-cursor gap the follower observed; 0.0 means every fetch drained the tail")
 	t.AddNote("Expectation: live-tail lag stays within a few WAL appends (KB, not MB) — replica staleness is bounded by poll latency, not corpus size")
 	return t

@@ -1,55 +1,14 @@
-// Segment-wise bootstrap: instead of one monolithic snapshot, a
-// follower of a tiered leader fetches the manifest, then each sealed
-// segment it does not already hold durably, then the memtable with its
-// WAL cursor. Each installed segment is persisted (and recorded in the
-// follower's own manifest) before the next fetch begins, so a follower
-// killed mid-bootstrap resumes without refetching any completed
-// segment — local durable presence IS the resume cursor; there is no
-// separate progress file to lose.
+// The bootstrap: a follower fetches the leader's manifest, then each
+// sealed segment it does not already hold, then the memtable with its
+// WAL cursor. A durable follower persists each installed segment (and
+// records it in its own manifest) before the next fetch begins, so one
+// killed mid-bootstrap — or one re-bootstrapping after it lagged past
+// the leader's log — re-fetches only what it lacks: local durable
+// presence IS the resume cursor; there is no separate progress file to
+// lose.
 package replica
 
-import (
-	"context"
-	"errors"
-	"fmt"
-
-	"fovr/internal/index"
-	"fovr/internal/store"
-)
-
-// ErrTieredUnsupported reports that the leader answered a tiered
-// bootstrap leg with the legacy protocol (old leader, non-tiered store,
-// or nothing sealed yet worth shipping piecewise). The follower falls
-// back to the monolithic snapshot for this bootstrap only; the next
-// bootstrap probes again.
-var ErrTieredUnsupported = errors.New("replica: leader does not serve tiered bootstrap")
-
-// SegmentSink is the follower-local store surface the tiered bootstrap
-// installs into; *server.Server implements it over a tiered
-// *store.Disk. A nil sink in Options disables the tiered path.
-type SegmentSink interface {
-	// HasSegment reports whether segment (window, seq) with the given
-	// content CRC is already durable locally (live or staged); the
-	// bootstrap skips fetching it.
-	HasSegment(window int64, seq uint64, crc uint32) bool
-	// InstallSegment verifies raw against meta and persists it durably
-	// before returning.
-	InstallSegment(meta store.SegmentMeta, raw []byte) error
-	// FinishBootstrap atomically replaces local state with the leader's
-	// manifest (whose segments are all installed) plus its memtable.
-	FinishBootstrap(m store.ManifestSnapshot, mem []index.Entry) error
-}
-
-// TieredFetcher is the client surface for the three bootstrap legs;
-// *client.Replicator implements it. Each leg returns
-// ErrTieredUnsupported when the leader answers with a legacy stream
-// kind.
-type TieredFetcher interface {
-	Fetcher
-	FetchManifest(ctx context.Context) (*ManifestBatch, error)
-	FetchSegment(ctx context.Context, window int64, seq uint64) ([]byte, error)
-	FetchMem(ctx context.Context) (*Batch, error)
-}
+import "fmt"
 
 // bootstrapAttempts bounds the manifest-moved retry loop. Each retry
 // refetches only the delta (installed segments are skipped), so even a
@@ -57,58 +16,53 @@ type TieredFetcher interface {
 // the follower can fetch one window.
 const bootstrapAttempts = 8
 
-// bootstrapTiered runs one tiered bootstrap to completion: manifest →
-// missing segments → memtable → atomic install. A nil return means the
-// cursor is set and streaming can resume; ErrTieredUnsupported means
-// the caller should bootstrap via the legacy snapshot this round.
-func (f *Follower) bootstrapTiered(tf TieredFetcher) error {
+// bootstrap runs one bootstrap to completion: manifest → missing
+// segments → memtable → atomic install. A nil return means the cursor is
+// set and streaming can resume.
+func (f *Follower) bootstrap() error {
 	for attempt := 1; attempt <= bootstrapAttempts; attempt++ {
 		if err := f.ctx.Err(); err != nil {
 			return err
 		}
-		mb, err := tf.FetchManifest(f.ctx)
+		mb, err := f.opts.Fetch.FetchManifest(f.ctx)
 		if err != nil {
 			return err
-		}
-		if len(mb.Manifest.Segments) == 0 {
-			// Nothing sealed: the monolithic snapshot is strictly cheaper.
-			return ErrTieredUnsupported
 		}
 		fetched, skipped := 0, 0
 		for _, seg := range mb.Manifest.Segments {
 			if err := f.ctx.Err(); err != nil {
 				return err
 			}
-			if f.opts.Segments.HasSegment(seg.Window, seg.Seq, seg.CRC) {
+			if f.opts.Apply.HasSegment(seg.Window, seg.Seq, seg.CRC) {
 				skipped++
 				f.segSkipped.Inc()
 				continue
 			}
-			raw, err := tf.FetchSegment(f.ctx, seg.Window, seg.Seq)
+			raw, err := f.opts.Fetch.FetchSegment(f.ctx, seg)
 			if err != nil {
 				return fmt.Errorf("segment %d/%d: %w", seg.Window, seg.Seq, err)
 			}
-			if err := f.opts.Segments.InstallSegment(seg, raw); err != nil {
+			if err := f.opts.Apply.InstallSegment(seg, raw); err != nil {
 				return fmt.Errorf("install segment %d/%d: %w", seg.Window, seg.Seq, err)
 			}
 			fetched++
 			f.segFetched.Inc()
 			f.segFetchedBytes.Add(int64(len(raw)))
 		}
-		memB, err := tf.FetchMem(f.ctx)
+		memB, err := f.opts.Fetch.FetchMem(f.ctx)
 		if err != nil {
 			return err
 		}
 		if memB.ManifestHash != mb.Manifest.Hash {
 			// The sealed set moved between the manifest and memtable legs.
-			// Everything installed so far stays durable; the retry fetches
-			// only the delta.
-			f.log.Info("replica manifest moved during tiered bootstrap; retrying",
+			// Everything installed so far is kept; the retry fetches only
+			// the delta.
+			f.log.Info("replica manifest moved during bootstrap; retrying",
 				"attempt", attempt, "fetched", fetched, "skipped", skipped)
 			continue
 		}
-		if err := f.opts.Segments.FinishBootstrap(mb.Manifest, memB.Entries); err != nil {
-			return fmt.Errorf("finish tiered bootstrap: %w", err)
+		if err := f.opts.Apply.FinishBootstrap(mb.Manifest, memB.Entries); err != nil {
+			return fmt.Errorf("finish bootstrap: %w", err)
 		}
 		f.bootstraps.Inc()
 		f.update(func(st *Status) {
@@ -119,10 +73,10 @@ func (f *Follower) bootstrapTiered(tf TieredFetcher) error {
 			st.LastError = ""
 			setLag(st, memB)
 		})
-		f.log.Info("replica tiered bootstrap complete",
+		f.log.Info("replica bootstrapped",
 			"segments", fetched, "skipped", skipped,
-			"memEntries", len(memB.Entries), "cursor", memB.Next)
+			"memEntries", len(memB.Entries), "cursor", memB.Next, "leaderStore", memB.StoreID)
 		return nil
 	}
-	return fmt.Errorf("replica: tiered bootstrap: manifest kept moving after %d attempts", bootstrapAttempts)
+	return fmt.Errorf("replica: bootstrap: manifest kept moving after %d attempts", bootstrapAttempts)
 }

@@ -20,20 +20,31 @@ import (
 // Applier is the state sink the follower feeds; *server.Server
 // implements it. ApplyRegister and ApplyRemove mirror one leader WAL
 // record each, carrying the originating leader request's trace ID (""
-// when that request was untraced); ResetState replaces the state
-// wholesale (bootstrap). After a failed apply the state may be
-// inconsistent with the cursor; the follower recovers by
-// re-bootstrapping, never by retrying.
+// when that request was untraced). HasSegment, InstallSegment and
+// FinishBootstrap are the bootstrap (store.Store's methods of the same
+// names): a segment HasSegment reports is not fetched, each fetched one
+// is installed before the next, and FinishBootstrap replaces the state
+// with the leader's manifest (every segment installed) plus its
+// memtable. After a failed apply the state may be inconsistent with the
+// cursor; the follower recovers by re-bootstrapping, never by retrying.
 type Applier interface {
 	ApplyRegister(entries []index.Entry, trace string) error
 	ApplyRemove(ids []uint64, trace string) error
-	ResetState(entries []index.Entry) error
+	HasSegment(window int64, seq uint64, crc uint32) bool
+	InstallSegment(meta store.SegmentMeta, raw []byte) error
+	FinishBootstrap(m store.ManifestSnapshot, mem []index.Entry) error
 }
 
-// Fetcher performs one /replicate round-trip; *client.Replicator
-// implements it over HTTP. wait is the long-poll hold to request.
+// Fetcher performs /replicate round-trips; *client.Replicator implements
+// it over HTTP. Fetch reads the log tail from cur, asking the leader to
+// hold the request up to wait when there is nothing new; the other
+// three are the bootstrap legs. FetchSegment returns the file bytes of
+// the segment meta names, no more than meta.Bytes of them.
 type Fetcher interface {
 	Fetch(ctx context.Context, cur Cursor, wait time.Duration) (*Batch, error)
+	FetchManifest(ctx context.Context) (*ManifestBatch, error)
+	FetchSegment(ctx context.Context, meta store.SegmentMeta) ([]byte, error)
+	FetchMem(ctx context.Context) (*Batch, error)
 }
 
 // Options configures a Follower.
@@ -42,10 +53,6 @@ type Options struct {
 	Fetch Fetcher
 	// Apply folds batches into local state. Required.
 	Apply Applier
-	// Segments, when non-nil AND Fetch implements TieredFetcher, enables
-	// the segment-wise bootstrap with per-segment resume; nil keeps the
-	// legacy monolithic snapshot.
-	Segments SegmentSink
 	// Poll is the long-poll wait requested per fetch; it also paces the
 	// retry loop after fetch errors. Zero means 10s.
 	Poll time.Duration
@@ -205,29 +212,14 @@ func (f *Follower) run() {
 	errDelay := time.Second
 	for f.ctx.Err() == nil {
 		cur := f.Status().Cursor
-		if cur.IsZero() && f.opts.Segments != nil {
-			if tf, ok := f.opts.Fetch.(TieredFetcher); ok {
-				switch err := f.bootstrapTiered(tf); {
-				case err == nil:
-					errDelay = time.Second
-					continue // cursor installed; stream the WAL tail
-				case errors.Is(err, ErrTieredUnsupported):
-					// Legacy snapshot this round; probe again next bootstrap.
-				default:
-					if f.ctx.Err() != nil {
-						return
-					}
-					f.fetchErrs.Inc()
-					f.update(func(st *Status) { st.FetchErrors++; st.LastError = err.Error(); st.CaughtUp = false })
-					f.log.Warn("replica tiered bootstrap failed", "err", err)
-					f.sleep(min(errDelay, f.opts.Poll))
-					errDelay = min(errDelay*2, 30*time.Second)
-					continue
-				}
-			}
-		}
+		var b *Batch
+		var err error
 		start := time.Now()
-		b, err := f.opts.Fetch.Fetch(f.ctx, cur, f.opts.Poll)
+		if cur.IsZero() {
+			err = f.bootstrap()
+		} else {
+			b, err = f.opts.Fetch.Fetch(f.ctx, cur, f.opts.Poll)
+		}
 		if err != nil {
 			if f.ctx.Err() != nil {
 				return
@@ -240,103 +232,81 @@ func (f *Follower) run() {
 			continue
 		}
 		errDelay = time.Second
+		if b == nil {
+			continue // bootstrapped: stream the WAL tail
+		}
 		f.handle(cur, b)
 		// Anti-spin floor: a leader that answers an idle poll instantly
 		// (wait unsupported or zero) must not turn the loop into a busy
 		// wait.
-		if b.Kind == StreamWAL && len(b.Frames) == 0 && time.Since(start) < 10*time.Millisecond {
+		if len(b.Frames) == 0 && time.Since(start) < 10*time.Millisecond {
 			f.sleep(10 * time.Millisecond)
 		}
 	}
 }
 
-// handle folds one batch into local state and advances the cursor. Any
-// inconsistency — store identity changed, frames that do not decode,
-// an apply failure — zeroes the cursor so the next fetch re-bootstraps.
+// handle folds one log batch into local state and advances the cursor.
+// Any inconsistency — a cursor the leader cannot serve, store identity
+// changed, frames that do not decode, an apply failure — zeroes the
+// cursor so the next round re-bootstraps.
 func (f *Follower) handle(cur Cursor, b *Batch) {
-	switch b.Kind {
-	case StreamSnapshot:
-		if err := f.opts.Apply.ResetState(b.Entries); err != nil {
-			f.applyErrs.Inc()
-			f.update(func(st *Status) {
-				st.ApplyErrors++
-				st.LastError = fmt.Sprintf("reset: %v", err)
-				st.Cursor = Cursor{}
-				st.CaughtUp = false
-			})
-			f.log.Error("replica bootstrap apply failed", "entries", len(b.Entries), "err", err)
-			f.sleep(f.opts.Poll)
-			return
-		}
-		f.bootstraps.Inc()
-		f.update(func(st *Status) {
-			st.State = "streaming"
-			st.Bootstraps++
-			st.Cursor = b.Next
-			st.LeaderStoreID = b.StoreID
-			st.LastError = ""
-			setLag(st, b)
-		})
-		f.log.Info("replica bootstrapped",
-			"entries", len(b.Entries), "cursor", b.Next, "leaderStore", b.StoreID)
-
-	case StreamWAL:
-		leaderID := f.Status().LeaderStoreID
-		if b.StoreID != "" && leaderID != "" && b.StoreID != leaderID {
-			// Same URL, different data directory: the history this tail
-			// belongs to is gone.
-			f.log.Warn("leader store identity changed; re-bootstrapping",
-				"was", leaderID, "now", b.StoreID)
-			f.update(func(st *Status) { st.Cursor = Cursor{}; st.CaughtUp = false })
-			return
-		}
-		recs, valid, err := store.DecodeWAL(b.Frames)
-		if err != nil || valid != len(b.Frames) {
-			if err == nil {
-				err = fmt.Errorf("short frame tail at %d of %d", valid, len(b.Frames))
-			}
-			f.applyErrs.Inc()
-			f.update(func(st *Status) {
-				st.ApplyErrors++
-				st.LastError = fmt.Sprintf("decode shipped frames: %v", err)
-				st.Cursor = Cursor{}
-				st.CaughtUp = false
-			})
-			f.log.Error("replica stream damaged; re-bootstrapping", "err", err)
-			return
-		}
-		for _, rec := range recs {
-			if err := applyRecord(f.opts.Apply, rec); err != nil {
-				f.applyErrs.Inc()
-				f.update(func(st *Status) {
-					st.ApplyErrors++
-					st.LastError = fmt.Sprintf("apply: %v", err)
-					st.Cursor = Cursor{}
-					st.CaughtUp = false
-				})
-				f.log.Error("replica apply failed; re-bootstrapping", "err", err)
-				return
-			}
-		}
-		f.applied.Add(int64(len(recs)))
-		f.appliedBytes.Add(int64(len(b.Frames)))
-		f.update(func(st *Status) {
-			st.State = "streaming"
-			st.AppliedRecords += int64(len(recs))
-			st.AppliedBytes += int64(len(b.Frames))
-			st.Cursor = b.Next
-			if b.StoreID != "" {
-				st.LeaderStoreID = b.StoreID
-			}
-			st.LastError = ""
-			setLag(st, b)
-		})
-
-	default:
-		f.update(func(st *Status) { st.LastError = fmt.Sprintf("unknown stream kind %q", b.Kind) })
-		f.log.Error("replica batch with unknown kind", "kind", b.Kind)
-		f.sleep(f.opts.Poll)
+	leaderID := f.Status().LeaderStoreID
+	switch {
+	case b.Next.IsZero():
+		// The leader's log no longer holds this cursor: it checkpointed
+		// past it, or its history was replaced.
+		f.log.Info("leader cannot serve cursor; re-bootstrapping", "cursor", cur)
+		f.update(func(st *Status) { st.Cursor = Cursor{}; st.CaughtUp = false })
+		return
+	case b.StoreID != "" && leaderID != "" && b.StoreID != leaderID:
+		// Same URL, different data directory: the history this tail
+		// belongs to is gone.
+		f.log.Warn("leader store identity changed; re-bootstrapping",
+			"was", leaderID, "now", b.StoreID)
+		f.update(func(st *Status) { st.Cursor = Cursor{}; st.CaughtUp = false })
+		return
 	}
+	recs, valid, err := store.DecodeWAL(b.Frames)
+	if err != nil || valid != len(b.Frames) {
+		if err == nil {
+			err = fmt.Errorf("short frame tail at %d of %d", valid, len(b.Frames))
+		}
+		f.applyErrs.Inc()
+		f.update(func(st *Status) {
+			st.ApplyErrors++
+			st.LastError = fmt.Sprintf("decode shipped frames: %v", err)
+			st.Cursor = Cursor{}
+			st.CaughtUp = false
+		})
+		f.log.Error("replica stream damaged; re-bootstrapping", "err", err)
+		return
+	}
+	for _, rec := range recs {
+		if err := applyRecord(f.opts.Apply, rec); err != nil {
+			f.applyErrs.Inc()
+			f.update(func(st *Status) {
+				st.ApplyErrors++
+				st.LastError = fmt.Sprintf("apply: %v", err)
+				st.Cursor = Cursor{}
+				st.CaughtUp = false
+			})
+			f.log.Error("replica apply failed; re-bootstrapping", "err", err)
+			return
+		}
+	}
+	f.applied.Add(int64(len(recs)))
+	f.appliedBytes.Add(int64(len(b.Frames)))
+	f.update(func(st *Status) {
+		st.State = "streaming"
+		st.AppliedRecords += int64(len(recs))
+		st.AppliedBytes += int64(len(b.Frames))
+		st.Cursor = b.Next
+		if b.StoreID != "" {
+			st.LeaderStoreID = b.StoreID
+		}
+		st.LastError = ""
+		setLag(st, b)
+	})
 }
 
 // setLag derives lag from the batch's lead cursor (st.Cursor already

@@ -48,12 +48,15 @@ func frames(t *testing.T, recs ...store.Record) []byte {
 
 // scriptFetcher serves a fixed sequence of responses, then idles with
 // empty caught-up batches. Each step sees the cursor the follower asked
-// with, so a test can assert the resume positions.
+// with, so a test can assert the resume positions. A bootstrap asks
+// with the zero cursor: its step is taken by the manifest leg (an empty
+// manifest, nothing sealed) and answers the memtable leg.
 type scriptFetcher struct {
 	mu    sync.Mutex
 	steps []func(cur Cursor) (*Batch, error)
 	asked []Cursor
-	idle  Batch // returned once the script is exhausted
+	idle  Batch  // returned once the script is exhausted
+	mem   *Batch // the current bootstrap's memtable answer
 }
 
 func (s *scriptFetcher) Fetch(ctx context.Context, cur Cursor, wait time.Duration) (*Batch, error) {
@@ -69,6 +72,27 @@ func (s *scriptFetcher) Fetch(ctx context.Context, cur Cursor, wait time.Duratio
 	step := s.steps[0]
 	s.steps = s.steps[1:]
 	return step(cur)
+}
+
+func (s *scriptFetcher) FetchManifest(ctx context.Context) (*ManifestBatch, error) {
+	b, err := s.Fetch(ctx, Cursor{}, 0)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	s.mem = b
+	s.mu.Unlock()
+	return &ManifestBatch{StoreID: b.StoreID, Lead: b.Lead}, nil
+}
+
+func (s *scriptFetcher) FetchSegment(context.Context, store.SegmentMeta) ([]byte, error) {
+	return nil, errors.New("no segments scripted")
+}
+
+func (s *scriptFetcher) FetchMem(context.Context) (*Batch, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.mem, nil
 }
 
 func (s *scriptFetcher) cursors() []Cursor {
@@ -125,15 +149,21 @@ func (m *memApplier) ApplyRemove(ids []uint64, trace string) error {
 	return nil
 }
 
-func (m *memApplier) ResetState(entries []index.Entry) error {
+func (m *memApplier) HasSegment(int64, uint64, uint32) bool { return false }
+
+func (m *memApplier) InstallSegment(store.SegmentMeta, []byte) error {
+	return errors.New("no segments scripted")
+}
+
+func (m *memApplier) FinishBootstrap(_ store.ManifestSnapshot, mem []index.Entry) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err := m.takeFailure(); err != nil {
 		return err
 	}
 	m.resets++
-	m.state = make(map[uint64]index.Entry, len(entries))
-	for _, e := range entries {
+	m.state = make(map[uint64]index.Entry, len(mem))
+	for _, e := range mem {
 		m.state[e.ID] = e
 	}
 	return nil
@@ -187,7 +217,6 @@ func TestFollowerBootstrapsThenTails(t *testing.T) {
 				// The leader's log already holds the tail, so the follower
 				// is not caught up until it has applied the next step.
 				return &Batch{
-					Kind:    StreamSnapshot,
 					Entries: []index.Entry{entry(1, "alice"), entry(2, "alice")},
 					Next:    Cursor{Gen: 1, Off: 100},
 					Lead:    Cursor{Gen: 1, Off: 100 + int64(len(wal))},
@@ -199,7 +228,6 @@ func TestFollowerBootstrapsThenTails(t *testing.T) {
 					return nil, fmt.Errorf("tail fetch with cursor %v, want 1/100", cur)
 				}
 				return &Batch{
-					Kind:    StreamWAL,
 					Frames:  wal,
 					Next:    Cursor{Gen: 1, Off: 100 + int64(len(wal))},
 					Lead:    Cursor{Gen: 1, Off: 100 + int64(len(wal))},
@@ -208,7 +236,7 @@ func TestFollowerBootstrapsThenTails(t *testing.T) {
 			},
 		},
 	}
-	sf.idle = Batch{Kind: StreamWAL,
+	sf.idle = Batch{
 		Next: Cursor{Gen: 1, Off: 100 + int64(len(wal))},
 		Lead: Cursor{Gen: 1, Off: 100 + int64(len(wal))}, StoreID: "leader-1"}
 
@@ -232,7 +260,7 @@ func TestFollowerBootstrapsThenTails(t *testing.T) {
 func TestFollowerRebootstrapsOnStoreIDChange(t *testing.T) {
 	snap := func(id string, e index.Entry, lead int64) func(Cursor) (*Batch, error) {
 		return func(Cursor) (*Batch, error) {
-			return &Batch{Kind: StreamSnapshot, Entries: []index.Entry{e},
+			return &Batch{Entries: []index.Entry{e},
 				Next: Cursor{Gen: 1, Off: 10}, Lead: Cursor{Gen: 1, Off: lead}, StoreID: id}, nil
 		}
 	}
@@ -243,7 +271,7 @@ func TestFollowerRebootstrapsOnStoreIDChange(t *testing.T) {
 			snap("leader-old", entry(1, "alice"), 20),
 			// The leader's directory was wiped: same cursor shape, new id.
 			func(cur Cursor) (*Batch, error) {
-				return &Batch{Kind: StreamWAL, Frames: nil,
+				return &Batch{Frames: nil,
 					Next: cur, Lead: Cursor{Gen: 1, Off: 10}, StoreID: "leader-new"}, nil
 			},
 			// The follower must come back asking for a bootstrap.
@@ -255,7 +283,7 @@ func TestFollowerRebootstrapsOnStoreIDChange(t *testing.T) {
 			},
 		},
 	}
-	sf.idle = Batch{Kind: StreamWAL, Next: Cursor{Gen: 1, Off: 10},
+	sf.idle = Batch{Next: Cursor{Gen: 1, Off: 10},
 		Lead: Cursor{Gen: 1, Off: 10}, StoreID: "leader-new"}
 
 	ap := newMemApplier()
@@ -278,26 +306,26 @@ func TestFollowerRebootstrapsOnDamagedFrames(t *testing.T) {
 	sf := &scriptFetcher{
 		steps: []func(Cursor) (*Batch, error){
 			func(Cursor) (*Batch, error) {
-				return &Batch{Kind: StreamSnapshot, Entries: nil,
+				return &Batch{Entries: nil,
 					Next: Cursor{Gen: 1, Off: 0}, Lead: lead, StoreID: "L"}, nil
 			},
 			func(Cursor) (*Batch, error) {
-				return &Batch{Kind: StreamWAL, Frames: []byte("not a wal frame"),
+				return &Batch{Frames: []byte("not a wal frame"),
 					Next: Cursor{Gen: 1, Off: 15}, Lead: lead, StoreID: "L"}, nil
 			},
 			func(cur Cursor) (*Batch, error) {
 				if !cur.IsZero() {
 					return nil, fmt.Errorf("after damage cursor = %v, want zero", cur)
 				}
-				return &Batch{Kind: StreamSnapshot, Entries: nil,
+				return &Batch{Entries: nil,
 					Next: Cursor{Gen: 1, Off: 0}, Lead: lead, StoreID: "L"}, nil
 			},
 			func(Cursor) (*Batch, error) {
-				return &Batch{Kind: StreamWAL, Frames: good, Next: lead, Lead: lead, StoreID: "L"}, nil
+				return &Batch{Frames: good, Next: lead, Lead: lead, StoreID: "L"}, nil
 			},
 		},
 	}
-	sf.idle = Batch{Kind: StreamWAL, Next: lead, Lead: lead, StoreID: "L"}
+	sf.idle = Batch{Next: lead, Lead: lead, StoreID: "L"}
 
 	ap := newMemApplier()
 	f := startFollower(t, sf, ap)
@@ -316,12 +344,12 @@ func TestFollowerRetriesFetchErrors(t *testing.T) {
 		steps: []func(Cursor) (*Batch, error){
 			func(Cursor) (*Batch, error) { return nil, errors.New("leader down") },
 			func(Cursor) (*Batch, error) {
-				return &Batch{Kind: StreamSnapshot, Entries: []index.Entry{entry(1, "alice")},
+				return &Batch{Entries: []index.Entry{entry(1, "alice")},
 					Next: Cursor{Gen: 1, Off: 5}, Lead: Cursor{Gen: 1, Off: 5}, StoreID: "L"}, nil
 			},
 		},
 	}
-	sf.idle = Batch{Kind: StreamWAL, Next: Cursor{Gen: 1, Off: 5},
+	sf.idle = Batch{Next: Cursor{Gen: 1, Off: 5},
 		Lead: Cursor{Gen: 1, Off: 5}, StoreID: "L"}
 
 	ap := newMemApplier()
@@ -338,12 +366,12 @@ func TestFollowerLagAccounting(t *testing.T) {
 		steps: []func(Cursor) (*Batch, error){
 			func(Cursor) (*Batch, error) {
 				// The leader is 40 bytes ahead of the shipped batch.
-				return &Batch{Kind: StreamSnapshot, Entries: nil,
+				return &Batch{Entries: nil,
 					Next: Cursor{Gen: 1, Off: 60}, Lead: Cursor{Gen: 1, Off: 100}, StoreID: "L"}, nil
 			},
 		},
 	}
-	sf.idle = Batch{Kind: StreamWAL, Next: Cursor{Gen: 1, Off: 60},
+	sf.idle = Batch{Next: Cursor{Gen: 1, Off: 60},
 		Lead: Cursor{Gen: 1, Off: 100}, StoreID: "L"}
 
 	f := startFollower(t, sf, newMemApplier())
@@ -360,6 +388,45 @@ func TestFollowerLagAccounting(t *testing.T) {
 			t.Fatalf("no bootstrap observed; status = %+v", st)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFollowerRebootstrapsOnUnservableCursor: the leader answers a
+// cursor its log no longer holds with an empty batch whose next cursor
+// is zero, and the follower bootstraps again rather than tailing on.
+func TestFollowerRebootstrapsOnUnservableCursor(t *testing.T) {
+	lead := Cursor{Gen: 3, Off: 40}
+	sf := &scriptFetcher{
+		steps: []func(Cursor) (*Batch, error){
+			func(Cursor) (*Batch, error) {
+				return &Batch{Entries: []index.Entry{entry(1, "alice")},
+					Next: Cursor{Gen: 1, Off: 10}, Lead: lead, StoreID: "L"}, nil
+			},
+			func(cur Cursor) (*Batch, error) {
+				if cur != (Cursor{Gen: 1, Off: 10}) {
+					return nil, fmt.Errorf("tail fetch with cursor %v, want 1/10", cur)
+				}
+				return &Batch{Lead: lead, StoreID: "L"}, nil
+			},
+			func(cur Cursor) (*Batch, error) {
+				if !cur.IsZero() {
+					return nil, fmt.Errorf("after an unservable cursor asked with %v, want zero", cur)
+				}
+				return &Batch{Entries: []index.Entry{entry(2, "bob")}, Next: lead, Lead: lead, StoreID: "L"}, nil
+			},
+		},
+	}
+	sf.idle = Batch{Next: lead, Lead: lead, StoreID: "L"}
+
+	ap := newMemApplier()
+	f := startFollower(t, sf, ap)
+	waitCaughtUp(t, f)
+
+	if ids := ap.ids(); len(ids) != 1 || ids[0] != 2 {
+		t.Fatalf("state after re-bootstrap = %v, want [2]", ids)
+	}
+	if st := f.Status(); st.Bootstraps != 2 || st.ApplyErrors != 0 || st.FetchErrors != 0 {
+		t.Errorf("status = %+v", st)
 	}
 }
 

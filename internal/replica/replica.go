@@ -6,26 +6,28 @@
 // ingest leader feeding any number of read-only followers is how the
 // system scales horizontally.
 //
-// The subsystem is a thin protocol over two substrates that already
-// exist: the store's CRC-framed WAL (the shipped bytes are the leader's
-// log frames, verbatim) and the snapshot codec (the bootstrap payload is
-// a checkpoint-format state capture). One HTTP endpoint on the leader
-// carries both:
+// The subsystem is a thin protocol over what the leader's store.Disk
+// already keeps on disk: the CRC-framed WAL (the shipped bytes are the
+// leader's log frames, verbatim) and the sealed segment files (shipped
+// as their file bytes). One HTTP endpoint on the leader carries it:
 //
-//	GET /replicate                 — bootstrap: full state capture
-//	GET /replicate?gen=G&off=O     — log tail from position (G, O)
-//	GET /replicate?...&wait=10s    — long-poll: hold the request until
-//	                                 new records commit (capped at MaxWait)
+//	GET /replicate?manifest=1       — bootstrap: the sealed-segment manifest
+//	GET /replicate?segment=W&seq=N  — bootstrap: one segment's file bytes
+//	GET /replicate?mem=1            — bootstrap: the memtable, snapshot format
+//	GET /replicate?gen=G&off=O      — log tail from position (G, O)
+//	GET /replicate?...&wait=10s     — long-poll: hold the request until
+//	                                  new records commit (capped at MaxWait)
 //
-// Responses are typed by the X-Fovr-Stream header ("snapshot" or "wal")
-// and always carry the cursor to resume from after applying the body
-// (X-Fovr-Next-Gen/-Off), the leader's live head for lag accounting
-// (X-Fovr-Lead-Gen/-Off), and the leader store's persistent identity
-// (X-Fovr-Store-Id). A follower whose cursor the leader cannot serve —
-// it lagged past a checkpoint's log truncation, the leader's history was
-// replaced, or the follower restarted and asked from scratch — receives
-// a snapshot stream instead of an error: catch-up recovery IS the
-// bootstrap path, there is no separate repair protocol.
+// Responses are typed by the X-Fovr-Stream header and always carry the
+// cursor to resume from after applying the body (X-Fovr-Next-Gen/-Off),
+// the leader's live head for lag accounting (X-Fovr-Lead-Gen/-Off), and
+// the leader store's persistent identity (X-Fovr-Store-Id). A follower
+// whose cursor the leader cannot serve — it lagged past a checkpoint's
+// log truncation, or the leader's history was replaced — gets an empty
+// log batch whose next cursor is zero, the follower's own "bootstrap
+// me": catch-up recovery IS the bootstrap, there is no separate repair
+// protocol, and a durable follower re-fetches only the segments it
+// lacks.
 //
 // What a follower guarantees: its state is always some prefix of the
 // leader's append order (bounded staleness, never invented state).
@@ -33,6 +35,7 @@
 // 409 naming the leader. Failover is by restart: start the follower
 // process without -replica-of and it serves its replicated state as a
 // writable leader, with id assignment resuming past every replicated id.
+// Leader and followers run the same binary.
 package replica
 
 import (
@@ -55,12 +58,10 @@ func (c Cursor) IsZero() bool { return c.Gen == 0 }
 
 func (c Cursor) String() string { return fmt.Sprintf("%d/%d", c.Gen, c.Off) }
 
-// Stream kinds carried in the HeaderStream response header. The first
-// two are the legacy protocol; the last three are the segment-wise
-// bootstrap a tiered leader additionally serves (?manifest=1,
-// ?segment=W&seq=N, ?mem=1).
+// Stream kinds carried in the HeaderStream response header: the log
+// tail, then the three bootstrap legs (?manifest=1, ?segment=W&seq=N,
+// ?mem=1).
 const (
-	StreamSnapshot = "snapshot"
 	StreamWAL      = "wal"
 	StreamManifest = "manifest"
 	StreamSegment  = "segment"
@@ -81,24 +82,24 @@ const (
 	HeaderManifestHash = "X-Fovr-Manifest-Hash"
 )
 
-// Batch is one decoded /replicate response.
+// Batch is one decoded log tail (Fetch) or memtable (FetchMem)
+// response.
 type Batch struct {
-	// Kind is StreamSnapshot or StreamWAL.
-	Kind string
-	// Entries is the full state capture (StreamSnapshot only).
+	// Entries is the leader's memtable (FetchMem only).
 	Entries []index.Entry
-	// Frames holds verbatim WAL frames (StreamWAL only; may be empty
-	// when the long poll expired with nothing new).
+	// Frames holds verbatim WAL frames (Fetch only; may be empty when the
+	// long poll expired with nothing new).
 	Frames []byte
-	// Next is the cursor to resume from after applying this batch.
+	// Next is the cursor to resume from after applying this batch; zero
+	// when the leader cannot serve the cursor asked with.
 	Next Cursor
 	// Lead is the leader's live log head when the batch was served.
 	Lead Cursor
 	// StoreID identifies the leader's data directory; a change mid-tail
 	// means the history was replaced and the follower must re-bootstrap.
 	StoreID string
-	// ManifestHash is the leader's manifest fingerprint the batch was
-	// captured against (StreamMem only).
+	// ManifestHash is the leader's manifest fingerprint the memtable was
+	// captured against (FetchMem only).
 	ManifestHash uint64
 }
 

@@ -23,22 +23,11 @@ type LogSource interface {
 	StoreID() string
 	// LogCursor returns the live log head.
 	LogCursor() (gen uint64, off int64)
-	// CaptureState returns the committed entries and the cursor they
-	// correspond to, or the error that kept it from reading them.
-	CaptureState() (entries []index.Entry, gen uint64, off int64, err error)
 	// ReadLog returns whole committed frames from a position.
 	ReadLog(gen uint64, off int64) ([]byte, store.TailStatus, error)
 	// WaitForLog blocks until the position has news, ctx expires, or the
 	// store closes.
 	WaitForLog(ctx context.Context, gen uint64, off int64) error
-}
-
-// TieredSource is the additional leader surface for the segment-wise
-// bootstrap; a tiered *store.Disk implements it. A leader whose source
-// lacks it simply answers tiered query params with the legacy protocol
-// (the follower detects the kind header and falls back).
-type TieredSource interface {
-	LogSource
 	// ManifestSnapshot returns the served cold-tier state.
 	ManifestSnapshot() store.ManifestSnapshot
 	// ReadSegment returns the verbatim bytes of live segment (window,
@@ -57,42 +46,39 @@ const MaxWait = 25 * time.Second
 // ServeResult summarizes one served replication request for the
 // caller's metrics and logs.
 type ServeResult struct {
-	Stream  string // StreamSnapshot or StreamWAL
+	Stream  string // the HeaderStream kind served
 	Bytes   int64  // body bytes written
-	Entries int    // snapshot entries (StreamSnapshot only)
+	Entries int    // memtable entries (StreamMem only)
 }
 
-// Serve answers one GET /replicate request: a snapshot stream for a
-// bootstrap or unservable cursor, a WAL tail otherwise, long-polling up
-// to the requested wait when the follower is caught up. A mid-stream
-// write failure is returned for logging; the status line is already
-// gone by then, so the cut body is the client's signal (the snapshot
-// CRC trailer and the WAL frame checksums both detect it).
+// Serve answers one GET /replicate request: a bootstrap leg, or a WAL
+// tail long-polling up to the requested wait when the follower is
+// caught up. A zero or unservable cursor gets an empty tail whose next
+// cursor is zero, which sends the follower to the bootstrap legs. A
+// mid-stream write failure is returned for logging; the status line is
+// already gone by then, so the cut body is the client's signal (the
+// snapshot CRC trailer, the segment CRC and the WAL frame checksums all
+// detect it).
 func Serve(w http.ResponseWriter, r *http.Request, src LogSource) (ServeResult, error) {
 	q := r.URL.Query()
+	switch {
+	case q.Get("manifest") != "":
+		return serveManifest(w, src)
+	case q.Get("segment") != "":
+		window, _ := strconv.ParseInt(q.Get("segment"), 10, 64)
+		seq, _ := strconv.ParseUint(q.Get("seq"), 10, 64)
+		return serveSegment(w, src, window, seq)
+	case q.Get("mem") != "":
+		return serveMem(w, src)
+	}
 	gen, _ := strconv.ParseUint(q.Get("gen"), 10, 64)
 	off, _ := strconv.ParseInt(q.Get("off"), 10, 64)
 	wait, _ := time.ParseDuration(q.Get("wait"))
 	if wait > MaxWait {
 		wait = MaxWait
 	}
-	// Segment-wise bootstrap legs, answered only by a tiered source; a
-	// legacy source ignores the params and serves a plain snapshot, which
-	// the client recognizes by the kind header and falls back on.
-	if ts, ok := src.(TieredSource); ok {
-		switch {
-		case q.Get("manifest") != "":
-			return serveManifest(w, ts)
-		case q.Get("segment") != "":
-			window, _ := strconv.ParseInt(q.Get("segment"), 10, 64)
-			seq, _ := strconv.ParseUint(q.Get("seq"), 10, 64)
-			return serveSegment(w, ts, window, seq)
-		case q.Get("mem") != "":
-			return serveMem(w, ts)
-		}
-	}
 	if gen == 0 {
-		return serveSnapshot(w, src)
+		return serveWAL(w, src, nil, Cursor{})
 	}
 	deadline := time.Now().Add(wait)
 	for {
@@ -103,7 +89,7 @@ func Serve(w http.ResponseWriter, r *http.Request, src LogSource) (ServeResult, 
 		}
 		switch status {
 		case store.TailReset:
-			return serveSnapshot(w, src)
+			return serveWAL(w, src, nil, Cursor{})
 		case store.TailAdvance:
 			return serveWAL(w, src, nil, Cursor{Gen: gen + 1, Off: 0})
 		}
@@ -141,7 +127,7 @@ func serveWAL(w http.ResponseWriter, src LogSource, data []byte, next Cursor) (S
 }
 
 // countWriter tallies body bytes so ServeResult can report how much a
-// snapshot stream shipped even when snapshot.Write fails mid-stream.
+// memtable stream shipped even when snapshot.Write fails mid-stream.
 type countWriter struct {
 	w io.Writer
 	n int64
@@ -153,24 +139,10 @@ func (c *countWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-func serveSnapshot(w http.ResponseWriter, src LogSource) (ServeResult, error) {
-	entries, gen, off, err := src.CaptureState()
-	if err != nil {
-		http.Error(w, "replicate: "+err.Error(), http.StatusInternalServerError)
-		return ServeResult{Stream: StreamSnapshot}, err
-	}
-	w.Header().Set(HeaderStream, StreamSnapshot)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	setCursorHeaders(w, src, Cursor{Gen: gen, Off: off})
-	cw := &countWriter{w: w}
-	err = snapshot.Write(cw, entries)
-	return ServeResult{Stream: StreamSnapshot, Bytes: cw.n, Entries: len(entries)}, err
-}
-
 // serveManifest ships the cold-tier manifest as JSON: which segments a
 // bootstrapping follower needs, and the tombstones it installs with
 // them.
-func serveManifest(w http.ResponseWriter, src TieredSource) (ServeResult, error) {
+func serveManifest(w http.ResponseWriter, src LogSource) (ServeResult, error) {
 	ms := src.ManifestSnapshot()
 	w.Header().Set(HeaderStream, StreamManifest)
 	w.Header().Set("Content-Type", "application/json")
@@ -188,7 +160,7 @@ func serveManifest(w http.ResponseWriter, src TieredSource) (ServeResult, error)
 // serveSegment ships one live segment's verbatim file bytes. A segment
 // the manifest has moved past answers 404; the follower refetches the
 // manifest.
-func serveSegment(w http.ResponseWriter, src TieredSource, window int64, seq uint64) (ServeResult, error) {
+func serveSegment(w http.ResponseWriter, src LogSource, window int64, seq uint64) (ServeResult, error) {
 	raw, err := src.ReadSegment(window, seq)
 	if err != nil {
 		http.Error(w, "replicate: "+err.Error(), http.StatusNotFound)
@@ -205,7 +177,7 @@ func serveSegment(w http.ResponseWriter, src TieredSource, window int64, seq uin
 // serveMem ships the memtable in snapshot format, stamped with the WAL
 // cursor to resume streaming from and the manifest hash the capture
 // was consistent with.
-func serveMem(w http.ResponseWriter, src TieredSource) (ServeResult, error) {
+func serveMem(w http.ResponseWriter, src LogSource) (ServeResult, error) {
 	entries, gen, off, hash := src.CaptureMem()
 	w.Header().Set(HeaderStream, StreamMem)
 	w.Header().Set("Content-Type", "application/octet-stream")

@@ -38,7 +38,7 @@ const (
 	// cannot hold a stable tail.
 	bootstrapLoopWindow = 5 * time.Minute
 	bootstrapLoopCount  = 3
-	// compactionBacklogWarn degrades a tiered store when this many
+	// compactionBacklogWarn degrades a durable store when this many
 	// windows are waiting to be sealed or re-flushed: the compactor is
 	// not keeping up with window turnover.
 	compactionBacklogWarn = 8
@@ -94,17 +94,14 @@ func (s *Server) checkStore() obs.HealthCheck {
 			fmt.Sprintf("store: %s since last checkpoint with %d records pending (interval %s)",
 				h.SinceCheckpoint.Round(time.Second), h.AppendedSinceCheckpoint, h.CheckpointInterval))
 	}
-	if h.Tiered {
-		check.Details["tiered"] = true
-		check.Details["segments"] = h.Segments
-		check.Details["segmentBytes"] = h.SegmentBytes
-		check.Details["memtableEntries"] = h.MemtableEntries
-		check.Details["compactionBacklog"] = h.CompactionBacklog
-		if h.CompactionBacklog >= compactionBacklogWarn {
-			check.State = check.State.Worse(obs.HealthDegraded)
-			check.Reasons = append(check.Reasons,
-				fmt.Sprintf("store: %d windows awaiting compaction (warn at %d)", h.CompactionBacklog, compactionBacklogWarn))
-		}
+	check.Details["segments"] = h.Segments
+	check.Details["segmentBytes"] = h.SegmentBytes
+	check.Details["memtableEntries"] = h.MemtableEntries
+	check.Details["compactionBacklog"] = h.CompactionBacklog
+	if h.CompactionBacklog >= compactionBacklogWarn {
+		check.State = check.State.Worse(obs.HealthDegraded)
+		check.Reasons = append(check.Reasons,
+			fmt.Sprintf("store: %d windows awaiting compaction (warn at %d)", h.CompactionBacklog, compactionBacklogWarn))
 	}
 	return check
 }

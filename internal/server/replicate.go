@@ -188,50 +188,26 @@ func (s *Server) applySeq(op string) string {
 	return fmt.Sprintf("%s-%d", op, s.reqSeq.Add(1))
 }
 
-// tieredDisk returns the store as a tiered *store.Disk, or nil when
-// the store is non-durable or tiering is disabled.
-func (s *Server) tieredDisk() *store.Disk {
-	d, ok := s.store.(*store.Disk)
-	if !ok || !d.Tiered() {
-		return nil
-	}
-	return d
-}
-
-// HasSegment implements replica.SegmentSink: a segment already durable
-// locally (live or staged) need not be refetched after a restart.
+// HasSegment implements replica.Applier: a segment the store already
+// holds (a durable one live or staged, Mem one decoded this bootstrap)
+// need not be fetched again.
 func (s *Server) HasSegment(window int64, seq uint64, crc uint32) bool {
-	d := s.tieredDisk()
-	if d == nil {
-		return false
-	}
-	return d.HasSegment(window, seq, crc)
+	return s.store.HasSegment(window, seq, crc)
 }
 
-// InstallSegment implements replica.SegmentSink: verify and stage one
-// fetched segment durably before the bootstrap moves to the next.
+// InstallSegment implements replica.Applier: verify and stage one
+// fetched segment before the bootstrap moves to the next.
 func (s *Server) InstallSegment(meta store.SegmentMeta, raw []byte) error {
-	d := s.tieredDisk()
-	if d == nil {
-		return store.ErrNotTiered
-	}
-	return d.InstallSegment(meta, raw)
+	return s.store.InstallSegment(meta, raw)
 }
 
-// FinishBootstrap implements replica.SegmentSink: promote the staged
-// segments plus memtable into the durable store, then rebuild the
-// serving index from the new visible set. An index rebuild failure
-// after the durable swap is reported so the follower re-bootstraps —
-// the retry skips every installed segment and only re-runs the swap.
+// FinishBootstrap implements replica.Applier: swap the installed
+// segments plus memtable into the store, then rebuild the serving index
+// from the new visible set. An index rebuild failure after the store's
+// swap is reported so the follower re-bootstraps — a durable store's
+// retry skips every installed segment and only re-runs the swap.
 func (s *Server) FinishBootstrap(m store.ManifestSnapshot, mem []index.Entry) error {
-	d := s.tieredDisk()
-	if d == nil {
-		return store.ErrNotTiered
-	}
-	if err := d.FinishTieredBootstrap(m, mem); err != nil {
-		return err
-	}
-	entries, err := d.ReadEntries()
+	entries, err := s.store.FinishBootstrap(m, mem)
 	if err != nil {
 		return err
 	}

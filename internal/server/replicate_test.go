@@ -1,11 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -115,46 +118,86 @@ func TestReplicateEndpoint(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
+	// One sealed window (its entries lie in 1970) and a memtable entry.
 	if _, err := s.Register(wire.Upload{Provider: "alice", Reps: []segment.Representative{
 		rep(center, 0, 0, 5000),
 		rep(geo.Offset(center, 90, 10), 90, 1000, 6000),
 	}}); err != nil {
 		t.Fatal(err)
 	}
+	if err := st.CompactNow(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Register(wire.Upload{Provider: "carol", Reps: []segment.Representative{
+		rep(geo.Offset(center, 45, 10), 45, 4_000_000, 4_005_000),
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	get := func(query, wantStream string) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/replicate" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d (%s)", query, resp.StatusCode, body)
+		}
+		if got := resp.Header.Get(replica.HeaderStream); got != wantStream {
+			t.Fatalf("%s: stream %q, want %q", query, got, wantStream)
+		}
+		if resp.Header.Get(replica.HeaderStoreID) == "" {
+			t.Fatalf("%s: response lacks store id", query)
+		}
+		return resp, body
+	}
 
-	// Bootstrap: no cursor → snapshot stream with a resume cursor.
-	resp, err := http.Get(ts.URL + "/replicate")
+	// Bootstrap leg 1: the manifest names the sealed window.
+	_, body := get("?manifest=1", replica.StreamManifest)
+	var ms store.ManifestSnapshot
+	if err := json.Unmarshal(body, &ms); err != nil || len(ms.Segments) != 1 {
+		t.Fatalf("manifest %s: %+v, err %v", body, ms, err)
+	}
+	seg := ms.Segments[0]
+
+	// Leg 2: the segment's file bytes; a sequence the manifest moved past
+	// is a 404.
+	if _, raw := get(fmt.Sprintf("?segment=%d&seq=%d", seg.Window, seg.Seq), replica.StreamSegment); int64(len(raw)) != seg.Bytes {
+		t.Fatalf("segment body %d bytes, manifest says %d", len(raw), seg.Bytes)
+	}
+	resp, err := http.Get(ts.URL + fmt.Sprintf("/replicate?segment=%d&seq=%d", seg.Window, seg.Seq+1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("bootstrap status %d", resp.StatusCode)
-	}
-	if got := resp.Header.Get(replica.HeaderStream); got != replica.StreamSnapshot {
-		t.Fatalf("bootstrap stream %q", got)
-	}
-	if resp.Header.Get(replica.HeaderStoreID) == "" {
-		t.Fatal("bootstrap response lacks store id")
-	}
-	entries, err := snapshot.Read(resp.Body)
 	resp.Body.Close()
-	if err != nil || len(entries) != 2 {
-		t.Fatalf("bootstrap snapshot: %d entries, err %v", len(entries), err)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("superseded segment status %d, want 404", resp.StatusCode)
+	}
+
+	// Leg 3: the memtable, stamped with the manifest hash and a resume
+	// cursor.
+	resp, body = get("?mem=1", replica.StreamMem)
+	entries, err := snapshot.Read(bytes.NewReader(body))
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("memtable: %d entries, err %v", len(entries), err)
+	}
+	if got := resp.Header.Get(replica.HeaderManifestHash); got != strconv.FormatUint(ms.Hash, 10) {
+		t.Fatalf("memtable stamped with manifest hash %s, manifest says %d", got, ms.Hash)
 	}
 	nextGen := resp.Header.Get(replica.HeaderNextGen)
 	nextOff := resp.Header.Get(replica.HeaderNextOff)
 
-	// Tail from the snapshot's cursor: caught up, empty WAL stream.
-	resp, err = http.Get(ts.URL + "/replicate?gen=" + nextGen + "&off=" + nextOff)
-	if err != nil {
-		t.Fatal(err)
+	// A zero cursor is sent to the bootstrap: an empty tail, next zero.
+	resp, raw := get("", replica.StreamWAL)
+	if len(raw) != 0 || resp.Header.Get(replica.HeaderNextGen) != "0" || resp.Header.Get(replica.HeaderNextOff) != "0" {
+		t.Fatalf("zero cursor: %d bytes, next %s/%s", len(raw),
+			resp.Header.Get(replica.HeaderNextGen), resp.Header.Get(replica.HeaderNextOff))
 	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if got := resp.Header.Get(replica.HeaderStream); got != replica.StreamWAL {
-		t.Fatalf("tail stream %q", got)
-	}
-	if len(raw) != 0 {
+
+	// Tail from the memtable's cursor: caught up, empty WAL stream.
+	tail := "?gen=" + nextGen + "&off=" + nextOff
+	if _, raw := get(tail, replica.StreamWAL); len(raw) != 0 {
 		t.Fatalf("caught-up tail shipped %d bytes", len(raw))
 	}
 
@@ -164,15 +207,19 @@ func TestReplicateEndpoint(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err = http.Get(ts.URL + "/replicate?gen=" + nextGen + "&off=" + nextOff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
+	_, raw = get(tail, replica.StreamWAL)
 	recs, valid, err := store.DecodeWAL(raw)
 	if err != nil || valid != len(raw) || len(recs) != 1 || len(recs[0].Entries) != 1 {
 		t.Fatalf("tail frames: %d records, valid %d of %d, err %v", len(recs), valid, len(raw), err)
+	}
+
+	// A checkpoint deletes the log under a mid-generation cursor: that
+	// cursor, too, is sent to the bootstrap.
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if resp, raw := get(tail, replica.StreamWAL); len(raw) != 0 || resp.Header.Get(replica.HeaderNextGen) != "0" {
+		t.Fatalf("unservable cursor: %d bytes, next gen %s", len(raw), resp.Header.Get(replica.HeaderNextGen))
 	}
 
 	// Non-GET is rejected.

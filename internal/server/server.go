@@ -478,11 +478,8 @@ func (s *Server) LoadSnapshot(r io.Reader) error {
 }
 
 // ResetState replaces the server's state wholesale with the given
-// entries, rebuilding the index and resetting the
-// journal to match. It is the bootstrap path of the replication follower
-// (replica.Applier) and the body of LoadSnapshot; unlike the public
-// mutators it stays open on a read-only server, because shipped state is
-// the one thing a replica is allowed to write.
+// entries, rebuilding the index and resetting the journal to match. It
+// is the body of LoadSnapshot, without LoadSnapshot's read-only fence.
 func (s *Server) ResetState(entries []index.Entry) error {
 	return s.replaceState(entries, func() error { return s.store.Reset(entries) })
 }
@@ -490,8 +487,8 @@ func (s *Server) ResetState(entries []index.Entry) error {
 // replaceState swaps in a rebuilt index and persisted state under the
 // state lock: build the new index, run the persistence step (persist),
 // then commit both. On any failure the old index stays in place
-// untouched. ResetState and the tiered bootstrap's FinishBootstrap are
-// both thin wrappers over this.
+// untouched. ResetState and the replication bootstrap's FinishBootstrap
+// are both thin wrappers over this.
 func (s *Server) replaceState(entries []index.Entry, persist func() error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -934,8 +931,8 @@ type Stats struct {
 	// Replication is the follower's live status (cursor, lag, error
 	// counters); only present on a read replica.
 	Replication *replica.Status `json:"replication,omitempty"`
-	// Storage is the tiered storage state (segments, memtable,
-	// compaction backlog); only present when the store tiers.
+	// Storage is the durable store's tiers (segments, memtable,
+	// compaction backlog); only present with -data-dir.
 	Storage *store.TieredStats `json:"storage,omitempty"`
 }
 
@@ -967,11 +964,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// storageStats returns the tiered storage snapshot for /stats, or nil
-// when the store does not tier.
+// storageStats returns the durable store's tiers for /stats, or nil on
+// a non-durable store.
 func (s *Server) storageStats() *store.TieredStats {
 	d, ok := s.store.(*store.Disk)
-	if !ok || !d.Tiered() {
+	if !ok {
 		return nil
 	}
 	ts := d.TieredStats()

@@ -1,14 +1,17 @@
-// Tiered-bootstrap end-to-end tests: a follower killed mid-bootstrap
-// must resume segment-wise without refetching anything it already
-// installed. The byte accounting is exact — across both lives the
-// follower downloads each sealed segment exactly once. Lives in the
-// external test package because it drives real HTTP through
-// internal/client.
+// Bootstrap end-to-end tests: a follower killed mid-bootstrap must
+// resume segment-wise without refetching anything it already installed,
+// one pushed past the leader's log must re-fetch only the windows that
+// changed, and one on store.Mem must assemble the leader's visible set
+// from its segments. The byte accounting is exact. Lives in the external
+// test package because it drives real HTTP through internal/client.
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -16,10 +19,12 @@ import (
 	"fovr/internal/client"
 	"fovr/internal/fov"
 	"fovr/internal/geo"
+	"fovr/internal/index"
 	"fovr/internal/obs"
 	"fovr/internal/replica"
 	"fovr/internal/segment"
 	"fovr/internal/server"
+	"fovr/internal/snapshot"
 	"fovr/internal/store"
 	"fovr/internal/wire"
 )
@@ -55,50 +60,75 @@ func tieredUpload(provider string, window int64, n int) wire.Upload {
 	return up
 }
 
-// killFetcher wraps the real HTTP replicator and injects a failure on
+// killFetcher wraps the real HTTP replicator. It injects a failure on
 // every FetchSegment after failAfter successes — the "process killed
-// mid-bootstrap" stand-in. It also counts bytes and calls so the test
-// can do exact accounting.
+// mid-bootstrap" stand-in — records the segments it fetched for exact
+// accounting, and can hold the log tail (hold).
 type killFetcher struct {
 	*client.Replicator
 	failAfter int // -1: never fail
 
-	mu         sync.Mutex
-	segCalls   int
-	segBytes   int64
-	legacyBoot int
+	mu      sync.Mutex
+	fetched []store.SegmentMeta
+	bytes   int64
+	gate    chan struct{}       // non-nil: Fetch waits for it to close
+	held    chan replica.Cursor // receives the cursor of a held Fetch
 }
 
-func (k *killFetcher) FetchSegment(ctx context.Context, window int64, seq uint64) ([]byte, error) {
+func (k *killFetcher) FetchSegment(ctx context.Context, meta store.SegmentMeta) ([]byte, error) {
 	k.mu.Lock()
-	blocked := k.failAfter >= 0 && k.segCalls >= k.failAfter
+	blocked := k.failAfter >= 0 && len(k.fetched) >= k.failAfter
 	k.mu.Unlock()
 	if blocked {
 		return nil, errors.New("injected mid-bootstrap kill")
 	}
-	raw, err := k.Replicator.FetchSegment(ctx, window, seq)
+	raw, err := k.Replicator.FetchSegment(ctx, meta)
 	if err == nil {
 		k.mu.Lock()
-		k.segCalls++
-		k.segBytes += int64(len(raw))
+		k.fetched = append(k.fetched, meta)
+		k.bytes += int64(len(raw))
 		k.mu.Unlock()
 	}
 	return raw, err
 }
 
 func (k *killFetcher) Fetch(ctx context.Context, cur replica.Cursor, wait time.Duration) (*replica.Batch, error) {
-	if cur.IsZero() {
-		k.mu.Lock()
-		k.legacyBoot++
-		k.mu.Unlock()
+	k.mu.Lock()
+	gate, held := k.gate, k.held
+	k.mu.Unlock()
+	if gate != nil {
+		select {
+		case held <- cur:
+		default:
+		}
+		select {
+		case <-gate:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 	}
 	return k.Replicator.Fetch(ctx, cur, wait)
 }
 
-func (k *killFetcher) counts() (segCalls int, segBytes int64, legacyBoot int) {
+// hold makes every later log-tail Fetch wait until release is called;
+// held receives the cursor of the first one that waits.
+func (k *killFetcher) hold() (held <-chan replica.Cursor, release func()) {
+	gate, ch := make(chan struct{}), make(chan replica.Cursor, 1)
+	k.mu.Lock()
+	k.gate, k.held = gate, ch
+	k.mu.Unlock()
+	return ch, func() {
+		k.mu.Lock()
+		k.gate = nil
+		k.mu.Unlock()
+		close(gate)
+	}
+}
+
+func (k *killFetcher) counts() (segments []store.SegmentMeta, bytes int64) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	return k.segCalls, k.segBytes, k.legacyBoot
+	return append([]store.SegmentMeta(nil), k.fetched...), k.bytes
 }
 
 func startTieredFollower(t *testing.T, st store.Store, leaderURL string, failAfter int) (*server.Server, *killFetcher, *replica.Follower) {
@@ -119,7 +149,6 @@ func startTieredFollower(t *testing.T, st store.Store, leaderURL string, failAft
 	fol, err := replica.Start(replica.Options{
 		Fetch:    kf,
 		Apply:    srv,
-		Segments: srv,
 		Poll:     20 * time.Millisecond,
 		Registry: srv.Registry(),
 	})
@@ -128,6 +157,37 @@ func startTieredFollower(t *testing.T, st store.Store, leaderURL string, failAft
 	}
 	srv.AttachFollower(fol)
 	return srv, kf, fol
+}
+
+// encoded serializes entries in id order: the form two visible sets are
+// compared in, since the journal quantizes what a leader's memtable
+// holds in full precision (see DESIGN §8).
+func encoded(t *testing.T, entries []index.Entry) []byte {
+	t.Helper()
+	sorted := append([]index.Entry(nil), entries...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
+	var buf bytes.Buffer
+	if err := snapshot.Write(&buf, sorted); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// waitBootstraps polls until the follower has completed n bootstraps
+// and is caught up.
+func waitBootstraps(t *testing.T, fol *replica.Follower, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		st := fol.Status()
+		if st.Bootstraps >= n && st.CaughtUp {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("follower never reached %d bootstraps, caught up: %+v", n, st)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // TestTieredBootstrapResumesWithoutRefetch is the acceptance test for
@@ -174,8 +234,8 @@ func TestTieredBootstrapResumesWithoutRefetch(t *testing.T) {
 				n++
 			}
 		}
-		calls, _, _ := kf1.counts()
-		if n == 1 && calls >= 1 {
+		fetched, _ := kf1.counts()
+		if n == 1 && len(fetched) >= 1 {
 			break
 		}
 		if n > 1 {
@@ -188,14 +248,11 @@ func TestTieredBootstrapResumesWithoutRefetch(t *testing.T) {
 	}
 	// Give the loop a few more rounds to prove the resume cursor holds:
 	// retries must skip the installed segment (no second successful
-	// fetch) and must not fall back to a monolithic snapshot.
+	// fetch).
 	time.Sleep(150 * time.Millisecond)
-	calls1, bytes1, legacy1 := kf1.counts()
-	if calls1 != 1 {
-		t.Fatalf("life 1 fetched %d segments, want exactly 1", calls1)
-	}
-	if legacy1 != 0 {
-		t.Fatal("life 1 fell back to legacy snapshot bootstrap")
+	fetched1, bytes1 := kf1.counts()
+	if len(fetched1) != 1 {
+		t.Fatalf("life 1 fetched %d segments, want exactly 1", len(fetched1))
 	}
 	if st := fol1.Status(); st.Bootstraps != 0 {
 		t.Fatalf("life 1 completed a bootstrap through the kill: %+v", st)
@@ -225,13 +282,10 @@ func TestTieredBootstrapResumesWithoutRefetch(t *testing.T) {
 		t.Fatalf("follower never caught up: %v", err)
 	}
 
-	calls2, bytes2, legacy2 := kf2.counts()
-	if legacy2 != 0 {
-		t.Fatal("life 2 fell back to legacy snapshot bootstrap")
-	}
-	if calls2 != len(ms.Segments)-1 {
+	fetched2, bytes2 := kf2.counts()
+	if len(fetched2) != len(ms.Segments)-1 {
 		t.Fatalf("life 2 fetched %d segments, want %d (resume must skip completed installs)",
-			calls2, len(ms.Segments)-1)
+			len(fetched2), len(ms.Segments)-1)
 	}
 	if bytes1+bytes2 != totalSegBytes {
 		t.Fatalf("segment bytes across both lives = %d+%d, want exactly the manifest total %d",
@@ -246,19 +300,8 @@ func TestTieredBootstrapResumesWithoutRefetch(t *testing.T) {
 	if got := fsrv2.Index().Len(); got != wantLen {
 		t.Fatalf("follower index holds %d entries, leader %d", got, wantLen)
 	}
-	lead := leaderStore.Entries()
-	want := make(map[uint64]bool, len(lead))
-	for _, e := range lead {
-		want[e.ID] = true
-	}
-	folEntries := fst2.Entries()
-	if len(folEntries) != len(lead) {
-		t.Fatalf("follower store holds %d entries, leader %d", len(folEntries), len(lead))
-	}
-	for _, e := range folEntries {
-		if !want[e.ID] {
-			t.Fatalf("follower holds id %d the leader does not", e.ID)
-		}
+	if !bytes.Equal(encoded(t, fst2.Entries()), encoded(t, leaderStore.Entries())) {
+		t.Fatal("follower store's visible set differs from the leader's")
 	}
 
 	// And new leader writes still stream through post-bootstrap.
@@ -274,35 +317,129 @@ func TestTieredBootstrapResumesWithoutRefetch(t *testing.T) {
 	}
 }
 
-// TestTieredBootstrapLegacyLeaderFallback pins the mixed-version path:
-// a follower configured for tiered bootstrap against a leader with
-// tiering off must fall back to the monolithic snapshot and still catch
-// up.
-func TestTieredBootstrapLegacyLeaderFallback(t *testing.T) {
-	leaderStore := opsOpenDisk(t, t.TempDir()) // flat durable store
+// TestTailResetRebootstrapFetchesOnlyChangedSegments: a durable follower
+// whose log cursor the leader checkpoints away re-bootstraps, skipping
+// every segment it already holds and fetching only the window that
+// changed.
+func TestTailResetRebootstrapFetchesOnlyChangedSegments(t *testing.T) {
+	leaderStore := tieredOpenDisk(t, t.TempDir())
 	defer leaderStore.Close()
 	leaderSrv, lts := opsLeader(t, leaderStore)
-	if _, err := leaderSrv.Register(tieredUpload("cold", 0, 4)); err != nil {
+	for w, n := range map[int64]int{0: 6, 1: 5, 2: 4} {
+		if _, err := leaderSrv.Register(tieredUpload("cold", w, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := leaderStore.CompactNow(); err != nil {
 		t.Fatal(err)
 	}
+	before := leaderStore.ManifestSnapshot()
 
 	fst := tieredOpenDisk(t, t.TempDir())
 	defer fst.Close()
 	fsrv, kf, fol := startTieredFollower(t, fst, lts.URL, -1)
 	defer fol.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	if err := fol.WaitCaughtUp(ctx); err != nil {
-		t.Fatalf("follower never caught up against a flat leader: %v", err)
+	waitBootstraps(t, fol, 1)
+	if fetched, _ := kf.counts(); len(fetched) != len(before.Segments) {
+		t.Fatalf("first bootstrap fetched %d segments, want %d", len(fetched), len(before.Segments))
 	}
-	segCalls, _, legacy := kf.counts()
-	if segCalls != 0 {
-		t.Fatalf("flat leader served %d segments", segCalls)
+
+	// Hold the follower's tail at its cursor while the leader takes a
+	// late arrival into window 1, re-seals it, and checkpoints the log
+	// under that cursor away.
+	held, release := kf.hold()
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("follower never came back for the log tail")
 	}
-	if legacy != 1 {
-		t.Fatalf("legacy bootstrap ran %d times, want 1", legacy)
+	if _, err := leaderSrv.Register(tieredUpload("late", 1, 2)); err != nil {
+		t.Fatal(err)
 	}
-	if got := fsrv.Index().Len(); got != 4 {
-		t.Fatalf("follower replicated %d entries, want 4", got)
+	if err := leaderStore.CompactNow(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := leaderSrv.Register(tieredUpload("hot", 5, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := leaderStore.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	after := leaderStore.ManifestSnapshot()
+	var changed []store.SegmentMeta
+	for _, m := range after.Segments {
+		if !fsrv.HasSegment(m.Window, m.Seq, m.CRC) {
+			changed = append(changed, m)
+		}
+	}
+	if len(changed) != 1 || changed[0].Window != 1 {
+		t.Fatalf("leader changed segments %+v, want window 1 alone", changed)
+	}
+	release()
+	waitBootstraps(t, fol, 2)
+
+	fetched, _ := kf.counts()
+	if got := fetched[len(before.Segments):]; !reflect.DeepEqual(got, changed) {
+		t.Fatalf("re-bootstrap fetched %+v, want only %+v", got, changed)
+	}
+	skipped := fsrv.Registry().Counter("fovr_replica_segments_skipped_total").Value()
+	if want := int64(len(after.Segments) - len(changed)); skipped != want {
+		t.Fatalf("fovr_replica_segments_skipped_total = %d, want %d", skipped, want)
+	}
+	if !bytes.Equal(encoded(t, fst.Entries()), encoded(t, leaderStore.Entries())) {
+		t.Fatal("follower store's visible set differs from the leader's")
+	}
+	if got, want := fsrv.Index().Len(), leaderSrv.Index().Len(); got != want {
+		t.Fatalf("follower index holds %d entries, leader %d", got, want)
+	}
+}
+
+// TestMemFollowerBootstrapsFromSegments: a follower on store.Mem
+// bootstraps from a leader holding sealed segments, tombstones and
+// memtable shadows by fetching every segment into RAM, and converges to
+// the leader's visible set.
+func TestMemFollowerBootstrapsFromSegments(t *testing.T) {
+	dir := t.TempDir()
+	leaderStore := tieredOpenDisk(t, dir)
+	leaderSrv, _ := opsLeader(t, leaderStore)
+	for w, n := range map[int64]int{0: 6, 1: 4} {
+		if _, err := leaderSrv.Register(tieredUpload("cold", w, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := leaderSrv.Register(tieredUpload("gone", 0, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := leaderStore.CompactNow(); err != nil {
+		t.Fatal(err)
+	}
+	// Removing sealed entries leaves tombstones; reopening without a
+	// checkpoint replays every record into the memtable, shadowing the
+	// sealed copies.
+	if _, err := leaderSrv.ForgetProvider("gone"); err != nil {
+		t.Fatal(err)
+	}
+	if err := leaderStore.Close(); err != nil {
+		t.Fatal(err)
+	}
+	leaderStore = tieredOpenDisk(t, dir)
+	defer leaderStore.Close()
+	leaderSrv, lts := opsLeader(t, leaderStore)
+	if _, err := leaderSrv.Register(tieredUpload("hot", 4, 2)); err != nil {
+		t.Fatal(err)
+	}
+	ms := leaderStore.ManifestSnapshot()
+	if st := leaderStore.TieredStats(); st.Segments != 2 || st.Tombstones != 3 || st.MemtableEntries <= 2 {
+		t.Fatalf("leader lacks segments, tombstones or shadows: %+v", st)
+	}
+
+	fsrv, kf, fol := startTieredFollower(t, store.NewMem(), lts.URL, -1)
+	defer fol.Close()
+	waitBootstraps(t, fol, 1)
+	if fetched, _ := kf.counts(); len(fetched) != len(ms.Segments) {
+		t.Fatalf("Mem follower fetched %d segments, want all %d", len(fetched), len(ms.Segments))
+	}
+	if !bytes.Equal(encoded(t, fsrv.Index().Entries()), encoded(t, leaderStore.Entries())) {
+		t.Fatal("Mem follower's visible set differs from the leader's")
 	}
 }

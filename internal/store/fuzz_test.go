@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -88,12 +89,17 @@ func FuzzWALDecode(f *testing.F) {
 //     by id, deterministic compression), which is what makes the CRC in
 //     the manifest a complete identity for the file.
 func FuzzSegmentDecode(f *testing.F) {
-	// Seeds: healthy compressed and raw segments, truncations in the
-	// header and mid-block, a bit flip, and degenerate inputs.
-	for _, compress := range []bool{true, false} {
-		img, _, err := encodeSegment(3, batch(1, 4, "alice"), compress)
+	// Seeds: a healthy segment whose block deflates and one whose block
+	// stays raw, truncations in the header and mid-block, a bit flip,
+	// and degenerate inputs.
+	rng := rand.New(rand.NewSource(1))
+	for i, entries := range [][]index.Entry{batch(1, 40, "alice"), {incompressibleEntry(5, 3, rng)}} {
+		img, _, err := encodeSegment(3, entries)
 		if err != nil {
 			f.Fatal(err)
+		}
+		if deflated := img[5]&segFlagDeflate != 0; deflated != (i == 0) {
+			f.Fatalf("seed segment %d: deflated=%v", i, deflated)
 		}
 		f.Add(img)
 		f.Add(img[:segHeaderLen-2])
@@ -150,8 +156,7 @@ func FuzzSegmentDecode(f *testing.F) {
 				t.Fatalf("accepted segment has non-ascending ids at %d", i)
 			}
 		}
-		compress := data[5]&1 != 0
-		re, crc, eerr := encodeSegment(window, entries, compress)
+		re, crc, eerr := encodeSegment(window, entries)
 		if eerr != nil {
 			t.Fatalf("decoded entries do not re-encode: %v", eerr)
 		}

@@ -136,7 +136,7 @@ func referenceFlush(t *testing.T, d *Disk, k int64) ([]byte, bool) {
 	if len(merged) == 0 {
 		return nil, false
 	}
-	img, _, err := encodeSegment(k, merged, !d.opts.SegmentNoCompress)
+	img, _, err := encodeSegment(k, merged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,14 +147,24 @@ func referenceFlush(t *testing.T, d *Disk, k int64) ([]byte, bool) {
 // arrivals into sealed windows, replay shadows, removes, re-registers
 // into another window and re-flushes. Every flush must write exactly
 // the image the decode-merge-encode reference writes, and the visible
-// set must stay the map model of acknowledged ops.
+// set must stay the map model of acknowledged ops. Even seeds upload
+// under providers of random bytes, whose blocks deflate cannot shrink,
+// so both stored forms of a block go through the merge.
 func TestCompactionDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
+			raw := seed%2 == 0
+			provider := func() string {
+				if raw {
+					p := make([]byte, 200)
+					rng.Read(p)
+					return string(p)
+				}
+				return fmt.Sprintf("phone-%d", rng.Intn(3))
+			}
 			dir := t.TempDir()
-			raw := func(o *Options) { o.SegmentNoCompress = seed%2 == 0 }
-			d := openTiered(t, dir, raw)
+			d := openTiered(t, dir)
 			defer func() { d.Close() }()
 			model := map[uint64]index.Entry{}
 			nextID := uint64(1)
@@ -165,14 +175,14 @@ func TestCompactionDifferential(t *testing.T) {
 				ids := sortedIDs(modelEntries(model))
 				return ids[rng.Intn(len(ids))], true
 			}
-			flushes := 0
+			flushes, deflated, stored := 0, 0, 0
 			for step := 0; step < 150; step++ {
 				switch op := rng.Intn(10); {
 				case op < 4: // fresh ids, often late arrivals into sealed windows
 					var batch []index.Entry
 					for i := rng.Intn(4); i >= 0; i-- {
 						e := wentry(nextID, int64(rng.Intn(4)))
-						e.Provider = fmt.Sprintf("phone-%d", rng.Intn(3))
+						e.Provider = provider()
 						nextID++
 						batch = append(batch, e)
 					}
@@ -227,6 +237,11 @@ func TestCompactionDifferential(t *testing.T) {
 						if !bytes.Equal(got, want) {
 							t.Fatalf("step %d window %d: flushed image differs from the decoded merge's", step, k)
 						}
+						if got[5]&segFlagDeflate != 0 {
+							deflated++
+						} else {
+							stored++
+						}
 					}
 					wantEntries(t, d, modelEntries(model))
 				default: // restart: without a checkpoint, replay shadows sealed ids
@@ -238,13 +253,16 @@ func TestCompactionDifferential(t *testing.T) {
 					if err := d.Close(); err != nil {
 						t.Fatal(err)
 					}
-					d = openTiered(t, dir, raw)
+					d = openTiered(t, dir)
 				}
 				wantEntries(t, d, modelEntries(model))
 				checkCounts(t, d)
 			}
 			if flushes == 0 {
 				t.Fatal("schedule never flushed")
+			}
+			if raw && stored == 0 || !raw && deflated == 0 {
+				t.Fatalf("raw providers=%v: %d deflated and %d raw blocks flushed", raw, deflated, stored)
 			}
 		})
 	}
@@ -308,11 +326,13 @@ func stateHash(entries []index.Entry) uint64 {
 	return h.Sum64()
 }
 
-// TestSealedReadsDuringCompaction runs ReadEntries and CaptureState in
-// a loop while one writer appends late arrivals, moves and removes and
-// another goroutine compacts. No read may hit a superseded file, every
-// capture must equal the model at its cursor, and every ReadEntries
-// must equal the model at some cursor between its start and end.
+// TestSealedReadsDuringCompaction runs ReadEntries and a follower's
+// bootstrap legs (manifest, segments, memtable into a Mem) in a loop
+// while one writer appends late arrivals, moves and removes and another
+// goroutine compacts. No read may hit a superseded file, every
+// bootstrap whose manifest held still must equal the model at its
+// cursor, and every ReadEntries must equal the model at some cursor
+// between its start and end.
 func TestSealedReadsDuringCompaction(t *testing.T) {
 	const ids = 150
 	d := openTiered(t, t.TempDir())
@@ -340,7 +360,7 @@ func TestSealedReadsDuringCompaction(t *testing.T) {
 		hash   uint64
 		dup    bool
 	}
-	var captures, reads []read
+	var boots, reads []read
 	record := func(list *[]read, r read, entries []index.Entry) {
 		r.hash = stateHash(entries)
 		r.dup = len(entrySet(entries)) != len(entries)
@@ -351,7 +371,7 @@ func TestSealedReadsDuringCompaction(t *testing.T) {
 	enough := func() bool {
 		mu.Lock()
 		defer mu.Unlock()
-		return len(captures) >= 100 && len(reads) >= 100
+		return len(boots) >= 100 && len(reads) >= 100
 	}
 
 	var wg sync.WaitGroup
@@ -376,9 +396,24 @@ func TestSealedReadsDuringCompaction(t *testing.T) {
 	}
 	loop(d.CompactNow)
 	loop(func() error {
-		entries, gen, off, err := d.CaptureState()
+		ms := d.ManifestSnapshot()
+		m := NewMem()
+		for _, seg := range ms.Segments {
+			raw, err := d.ReadSegment(seg.Window, seg.Seq)
+			if err != nil {
+				return nil // a flush superseded it: start over
+			}
+			if err := m.InstallSegment(seg, raw); err != nil {
+				return err
+			}
+		}
+		mem, gen, off, hash := d.CaptureMem()
+		if hash != ms.Hash {
+			return nil // the sealed set moved between the legs
+		}
+		entries, err := m.FinishBootstrap(ms, mem)
 		if err == nil {
-			record(&captures, read{lo: off, hi: off, gen: gen}, entries)
+			record(&boots, read{lo: off, hi: off, gen: gen}, entries)
 		}
 		return err
 	})
@@ -423,10 +458,10 @@ func TestSealedReadsDuringCompaction(t *testing.T) {
 		t.Fatalf("concurrent sealed read failed: %v", err)
 	default:
 	}
-	if len(captures) == 0 || len(reads) == 0 {
-		t.Fatal("no reads completed")
+	if len(boots) == 0 || len(reads) == 0 {
+		t.Fatalf("%d bootstraps and %d reads completed", len(boots), len(reads))
 	}
-	for i, r := range append(captures, reads...) {
+	for i, r := range append(boots, reads...) {
 		if r.gen != gen0 || r.dup {
 			t.Fatalf("read %d: generation %d (want %d), repeated ids %v", i, r.gen, gen0, r.dup)
 		}
@@ -439,13 +474,13 @@ func TestSealedReadsDuringCompaction(t *testing.T) {
 			t.Fatalf("read %d (cursor %d..%d) matches no model state in its window", i, r.lo, r.hi)
 		}
 	}
-	t.Logf("%d captures and %d reads checked against %d model states", len(captures), len(reads), len(models))
+	t.Logf("%d bootstraps and %d reads checked against %d model states", len(boots), len(reads), len(models))
 }
 
 func TestDecodeSegmentInternsProviders(t *testing.T) {
 	entries := batch(1, 6, "alice")
 	entries[2].Provider, entries[4].Provider = "bob", "bob"
-	img, _, err := encodeSegment(0, entries, true)
+	img, _, err := encodeSegment(0, entries)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -96,13 +95,13 @@ func parseSegmentName(name string) (window int64, seq uint64, staged, ok bool) {
 // format and returns the complete file image plus its trailer CRC (the
 // value the manifest records). Entries are sorted by ID first so equal
 // logical content always produces identical bytes.
-func encodeSegment(window int64, entries []index.Entry, compress bool) ([]byte, uint32, error) {
+func encodeSegment(window int64, entries []index.Entry) ([]byte, uint32, error) {
 	b, err := newBlockBuilder(entries)
 	if err != nil {
 		return nil, 0, err
 	}
 	block, count := b.finish()
-	return frameSegment(window, count, block, compress)
+	return frameSegment(window, count, block)
 }
 
 // blockBuilder assembles a segment block in ascending id order from two
@@ -184,9 +183,10 @@ var deflaters = sync.Pool{New: func() any {
 }}
 
 // frameSegment wraps a block of count encoded entries into a complete
-// segment image — header, optionally compressed block, trailer CRC —
-// and returns the image and its CRC. Every segment writer ends here.
-func frameSegment(window int64, count int, block []byte, compress bool) ([]byte, uint32, error) {
+// segment image — header, block (compressed when that makes it
+// smaller), trailer CRC — and returns the image and its CRC. Every
+// segment writer ends here.
+func frameSegment(window int64, count int, block []byte) ([]byte, uint32, error) {
 	if count > maxSegmentEntries {
 		return nil, 0, fmt.Errorf("store: segment with %d entries exceeds cap %d", count, maxSegmentEntries)
 	}
@@ -196,7 +196,7 @@ func frameSegment(window int64, count int, block []byte, compress bool) ([]byte,
 	}
 	stored := block
 	flags := byte(0)
-	if compress && rawLen > 0 {
+	if rawLen > 0 {
 		var z bytes.Buffer
 		zw := deflaters.Get().(*flate.Writer)
 		zw.Reset(&z)
@@ -367,20 +367,13 @@ func segTrailerCRC(data []byte) uint32 {
 	return binary.LittleEndian.Uint32(data[len(data)-4:])
 }
 
-// readSegmentFile maps (or reads) one segment file and walks it with
+// readSegmentFile maps one segment file (mapFile) and walks it with
 // walkSegment, returning the window, entry count, trailer CRC and file
 // size. The mapping is released before return — fn's byte slices die
 // with it — so a sealed entry costs heap only while a caller holds what
 // fn copied out.
-func readSegmentFile(path string, useMmap bool, fn func(e index.Entry, prov, rec []byte)) (window int64, count int, crc uint32, size int64, err error) {
-	var data []byte
-	var done func()
-	if useMmap {
-		data, done, err = mapFile(path)
-	} else {
-		data, err = os.ReadFile(path)
-		done = func() {}
-	}
+func readSegmentFile(path string, fn func(e index.Entry, prov, rec []byte)) (window int64, count int, crc uint32, size int64, err error) {
+	data, done, err := mapFile(path)
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}

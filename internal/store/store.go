@@ -7,15 +7,16 @@
 //
 // Two implementations share the Store interface:
 //
-//   - Mem is the non-durable no-op used when no data directory is
-//     configured; the server then behaves exactly as before this layer
-//     existed.
+//   - Mem is the non-durable store used when no data directory is
+//     configured: its journal operations are no-ops, so the server
+//     behaves exactly as before this layer existed.
 //   - Disk journals every state change into an append-only WAL
 //     (length-prefixed, CRC-checksummed records; see wal.go) inside a
-//     data directory, checkpoints the full state periodically in the
-//     internal/snapshot format, and recovers on open by loading the
-//     latest valid checkpoint and replaying the log tail, truncating a
-//     torn final record.
+//     data directory, seals cold time windows into immutable segment
+//     files (tiered.go), checkpoints the mutable rest periodically in
+//     the internal/snapshot format, and recovers on open from the
+//     manifest's segments, the latest valid checkpoint and the log
+//     tail, truncating a torn final record.
 //
 // Crash-consistency contract (Disk):
 //
@@ -35,9 +36,14 @@
 // File layout inside the data directory (NNN = decimal generation):
 //
 //	wal-NNN.log         — log segment; holds ops after checkpoint NNN
-//	checkpoint-NNN.fovs — full state before wal-NNN.log began
+//	checkpoint-NNN.fovs — memtable before wal-NNN.log began
 //	checkpoint.tmp      — in-flight checkpoint write (ignored/removed)
+//	manifest            — live segments and tombstones (manifest.go)
+//	seg-W-S.fovg        — sealed time window W, rewrite S (segfile.go)
 //	storeid             — persistent random identity (replication; tail.go)
+//
+// A directory written before the segment tier existed (checkpoints and
+// logs, no manifest) opens as a tier with nothing sealed yet.
 package store
 
 import (
@@ -47,6 +53,7 @@ import (
 	"io"
 	"io/fs"
 	"log/slog"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -82,6 +89,17 @@ type Store interface {
 	// Close releases resources; for durable stores it flushes and syncs
 	// the log first. The store is unusable afterwards.
 	Close() error
+
+	// HasSegment, InstallSegment and FinishBootstrap are a replication
+	// follower's bootstrap (package replica, tieredboot.go): every
+	// segment of the leader's manifest that HasSegment does not report
+	// is fetched and installed — verified against its meta — and then
+	// FinishBootstrap replaces the state with those segments, the
+	// manifest's tombstones and the leader's memtable, returning the
+	// visible set. Disk stages installs durably; Mem holds them in RAM.
+	HasSegment(window int64, seq uint64, crc uint32) bool
+	InstallSegment(meta SegmentMeta, raw []byte) error
+	FinishBootstrap(ms ManifestSnapshot, mem []index.Entry) ([]index.Entry, error)
 }
 
 // TracedAppender is the optional trace-propagating append surface. A
@@ -101,10 +119,15 @@ var ErrNotDurable = errors.New("store: not durable (no data directory configured
 // ErrClosed is returned by every operation after Close.
 var ErrClosed = errors.New("store: closed")
 
-// Mem is the non-durable store: every operation is a no-op, preserving
-// the server's historical in-memory behavior when no data directory is
-// configured. The server keeps using its index as the source of truth.
-type Mem struct{}
+// Mem is the non-durable store: every journal operation is a no-op,
+// preserving the server's historical in-memory behavior when no data
+// directory is configured. The server keeps using its index as the
+// source of truth. The one thing Mem holds is a replication follower's
+// bootstrap in flight: the decoded segments installed so far.
+type Mem struct {
+	mu     sync.Mutex
+	staged map[SegmentMeta][]index.Entry
+}
 
 // NewMem returns the non-durable store.
 func NewMem() *Mem { return &Mem{} }
@@ -160,21 +183,14 @@ type Options struct {
 	CheckpointInterval time.Duration
 	// SegmentWindow is the cold-tier time-window width. Zero means 1h.
 	SegmentWindow time.Duration
-	// SegmentWindowAge enables the segment tier: a time window whose
-	// end is older than this is cold and gets sealed into an immutable
-	// segment file. <= 0 disables tiering (single-tier legacy
-	// behavior); segments already on disk are still recovered.
+	// SegmentWindowAge is the seal age: a time window whose end is
+	// older than this is cold and gets sealed into an immutable segment
+	// file. <= 0 means 1h.
 	SegmentWindowAge time.Duration
 	// CompactionInterval paces the background seal/compaction loop.
 	// Zero means 1m; negative disables the loop (CompactNow still
-	// works). Only meaningful with SegmentWindowAge > 0.
+	// works).
 	CompactionInterval time.Duration
-	// SegmentNoCompress stores segment blocks raw instead of
-	// flate-compressed.
-	SegmentNoCompress bool
-	// SegmentNoMmap decodes segment files from a plain read instead of
-	// an mmap.
-	SegmentNoMmap bool
 	// Registry receives the store's metrics; nil selects obs.Default.
 	Registry *obs.Registry
 	// Logger receives recovery and checkpoint diagnostics; nil silences
@@ -194,6 +210,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SegmentWindow == 0 {
 		o.SegmentWindow = time.Hour
+	}
+	if o.SegmentWindowAge <= 0 {
+		o.SegmentWindowAge = time.Hour
 	}
 	if o.CompactionInterval == 0 {
 		o.CompactionInterval = time.Minute
@@ -215,8 +234,6 @@ type Disk struct {
 	storeID string // persisted random identity of this data directory
 
 	// segment tier shape; immutable after Open
-	tiered      bool  // seal/compaction enabled (SegmentWindowAge > 0)
-	manifestOn  bool  // manifest rotations happen (file existed or tiered)
 	segWindowMs int64 // cold-window width
 	segAgeMs    int64 // seal age threshold
 
@@ -303,7 +320,6 @@ func Open(opts Options) (*Disk, error) {
 	d := &Disk{
 		opts:        opts,
 		log:         opts.Logger,
-		tiered:      opts.SegmentWindowAge > 0,
 		segWindowMs: opts.SegmentWindow.Milliseconds(),
 		segAgeMs:    opts.SegmentWindowAge.Milliseconds(),
 		state:       make(map[uint64]index.Entry),
@@ -408,7 +424,7 @@ func Open(opts Options) (*Disk, error) {
 		d.wg.Add(1)
 		go obs.LabelWorker("store.checkpoint", func() { d.checkpointLoop(opts.CheckpointInterval) })
 	}
-	if d.tiered && opts.CompactionInterval > 0 {
+	if opts.CompactionInterval > 0 {
 		d.wg.Add(1)
 		go obs.LabelWorker("store.compaction", func() { d.compactionLoop(opts.CompactionInterval) })
 	}
@@ -542,23 +558,20 @@ func (d *Disk) recover() error {
 // sealed segment have been checkpointed away, the file is the only
 // copy, so a missing or damaged one must fail Open loudly rather than
 // silently dropping a window. Staged segments (bootstrap scaffolding)
-// are loaded leniently: a bad one is just refetched. The manifest is
-// honored whenever the file exists, tiering flag or not — disabling
-// tiering must never lose sealed data. Files a crashed flush or
-// bootstrap left unreferenced are swept last.
+// are loaded leniently: a bad one is just refetched. Files a crashed
+// flush or bootstrap left unreferenced are swept last.
 func (d *Disk) recoverSegments() error {
 	doc, present, err := loadManifest(d.opts.Dir)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	d.manifestOn = present || d.tiered
 	if !present {
-		if d.tiered {
-			// A crash during the very first seal can leave a segment file
-			// (or its torn tmp) with no manifest referencing it; the WAL
-			// still holds every record, so the orphan is re-derivable.
-			d.removeUnreferencedSegments(manifestDoc{})
-		}
+		// Nothing sealed yet (a fresh directory, or one written before
+		// the tier existed). A crash during the very first seal can leave
+		// a segment file (or its torn tmp) with no manifest referencing
+		// it; the WAL still holds every record, so the orphan is
+		// re-derivable.
+		d.removeUnreferencedSegments(manifestDoc{})
 		return nil
 	}
 	// Every live segment is read in full — framing, checksum, every
@@ -736,11 +749,34 @@ func (d *Disk) syncLocked() error {
 
 // ReadEntries implements Store: the visible set is the memtable plus
 // every sealed entry that is neither tombstoned nor shadowed by a
-// memtable copy of the same id. Sealed entries are read from their
-// segment files; see capture.
+// memtable copy of the same id (visibleEntries). The memtable,
+// tombstones and segment metas are copied under d.mu; the sealed
+// entries are then read from their files with only cpMu held, so
+// appends wait for the copy, not for the file I/O. A file that fails to
+// read fails the call.
 func (d *Disk) ReadEntries() ([]index.Entry, error) {
-	entries, _, _, err := d.capture()
-	return entries, err
+	d.cpMu.Lock()
+	defer d.cpMu.Unlock()
+	d.mu.Lock()
+	segs := make([]SegmentMeta, 0, len(d.segs))
+	for _, m := range d.segs {
+		segs = append(segs, m)
+	}
+	mem := maps.Clone(d.state)
+	dead := make(map[Tombstone]struct{}, d.tombCount)
+	for id, ws := range d.tombs {
+		for _, w := range ws {
+			dead[Tombstone{ID: id, Window: w}] = struct{}{}
+		}
+	}
+	d.mu.Unlock()
+	return visibleEntries(segs, dead, mem, func(m SegmentMeta, fn func(index.Entry)) error {
+		var names providerNames
+		return d.walkSegmentFile(segmentFileName(m.Window, m.Seq), m, func(e index.Entry, prov, _ []byte) {
+			e.Provider = names.intern(prov)
+			fn(e)
+		})
+	})
 }
 
 // Entries is ReadEntries for callers that only count or compare: a
@@ -778,8 +814,8 @@ func (d *Disk) Reset(entries []index.Entry) error { return d.checkpointWith(entr
 // checkpointWith is Checkpoint and Reset: optionally replace the state,
 // then capture it, rotate the log, persist the capture, clean up.
 //
-// Under tiering the checkpoint is INCREMENTAL by construction: it
-// snapshots only the memtable — the sealed segments live in their own
+// The checkpoint is INCREMENTAL by construction: it snapshots only the
+// memtable — the sealed segments live in their own
 // files and the manifest, so checkpoint bytes scale with the delta
 // since the last seal, not the corpus. Ordering: the manifest rotates
 // BEFORE the checkpoint rename, because renaming the checkpoint
@@ -825,11 +861,7 @@ func (d *Disk) checkpointWith(replace []index.Entry, doReplace bool) error {
 	for _, e := range d.state {
 		entries = append(entries, e)
 	}
-	writeManifest := d.manifestOn
-	var doc manifestDoc
-	if writeManifest {
-		doc = d.manifestDocLocked()
-	}
+	doc := d.manifestDocLocked()
 	newGen := d.walGen + 1
 	f, err := os.OpenFile(filepath.Join(d.opts.Dir, walName(newGen)),
 		os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
@@ -870,7 +902,7 @@ func (d *Disk) checkpointWith(replace []index.Entry, doReplace bool) error {
 
 	// Tombstone durability: the manifest must be on disk before the
 	// checkpoint that retires the WAL records it was derived from.
-	if writeManifest && !doReplace {
+	if !doReplace {
 		if err := saveManifest(d.opts.Dir, doc); err != nil {
 			d.cpErrors.Inc()
 			return fmt.Errorf("store: rotate manifest: %w", err)
@@ -879,7 +911,7 @@ func (d *Disk) checkpointWith(replace []index.Entry, doReplace bool) error {
 	if err := d.persistCheckpoint(newGen, entries); err != nil {
 		return err
 	}
-	if writeManifest && doReplace {
+	if doReplace {
 		if err := saveManifest(d.opts.Dir, doc); err != nil {
 			d.cpErrors.Inc()
 			return fmt.Errorf("store: rotate manifest: %w", err)
@@ -982,9 +1014,8 @@ type DiskHealth struct {
 	// background checkpointing is disabled). Fsync is the sync policy.
 	CheckpointInterval time.Duration
 	Fsync              FsyncPolicy
-	// Tiered reports whether the segment tier is enabled; the fields
-	// below describe it (zero when disabled).
-	Tiered            bool
+	// The segment tier: sealed files, the memtable beside them, and how
+	// many windows await a flush.
 	Segments          int
 	SegmentBytes      int64
 	MemtableEntries   int
@@ -1005,7 +1036,6 @@ func (d *Disk) Health() DiskHealth {
 		SinceCheckpoint:         time.Since(d.lastCP),
 		CheckpointInterval:      d.opts.CheckpointInterval,
 		Fsync:                   d.opts.Fsync,
-		Tiered:                  d.tiered,
 		Segments:                len(d.segs),
 		MemtableEntries:         len(d.state),
 		CompactionBacklog:       backlog,

@@ -57,7 +57,7 @@ func sortedIDs(entries []index.Entry) []uint64 {
 // test opts in.
 func open(t *testing.T, dir string, mutate ...func(*Options)) *Disk {
 	t.Helper()
-	opts := Options{Dir: dir, CheckpointInterval: -1, Registry: obs.NewRegistry()}
+	opts := Options{Dir: dir, CheckpointInterval: -1, CompactionInterval: -1, Registry: obs.NewRegistry()}
 	for _, m := range mutate {
 		m(&opts)
 	}

@@ -1,12 +1,12 @@
-// Replication-facing view of the Disk store: a generation cursor, a
-// consistent state capture, and a tailing log reader. Package replica
-// layers leader-follower shipping on these primitives; they are exported
-// here because only the store knows which bytes of which segment are
-// committed whole records.
+// Replication-facing view of the Disk store: a generation cursor and a
+// tailing log reader (the bootstrap capture is in tieredboot.go).
+// Package replica layers leader-follower shipping on these primitives;
+// they are exported here because only the store knows which bytes of
+// which segment are committed whole records.
 //
 // The cursor contract: a position (gen, off) names the byte just past
 // the last record a tailer has applied, in the segment wal-<gen>.log.
-// Every committed size the store hands out (LogCursor, CaptureState,
+// Every committed size the store hands out (LogCursor, CaptureMem,
 // retired sizes) is a record boundary, so a tailer that starts from a
 // store-issued cursor and advances by whole ReadLog results only ever
 // sees whole frames. A cursor the store cannot serve — its segment
@@ -22,8 +22,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-
-	"fovr/internal/index"
 )
 
 // TailStatus classifies a ReadLog result.
@@ -40,7 +38,7 @@ const (
 	TailAdvance
 	// TailReset: the cursor is unservable (segment gone, offset past the
 	// committed size, or history replaced by a Reset); the tailer must
-	// re-bootstrap from a full state capture.
+	// re-bootstrap.
 	TailReset
 )
 
@@ -66,18 +64,6 @@ func (d *Disk) LogCursor() (gen uint64, off int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.walGen, d.walSize
-}
-
-// CaptureState returns the committed entries together with the log
-// cursor they correspond to: every record at or below (gen, off) is
-// folded into entries, every later append is not. Appends wait only
-// while the memtable and tombstones are copied; sealed entries are read
-// from their files afterwards (see capture), and a file that cannot be
-// read is an error. The set is the full visible one, sealed included:
-// a legacy (non-tiered) bootstrap of a tiered leader still gets
-// everything, and replaying the WAL tail over it stays idempotent.
-func (d *Disk) CaptureState() (entries []index.Entry, gen uint64, off int64, err error) {
-	return d.capture()
 }
 
 // ReadLog returns committed log bytes from position (gen, off): whole

@@ -137,15 +137,15 @@ func TestResetInvalidatesOldCursors(t *testing.T) {
 	}
 }
 
-func TestCaptureStateMatchesCursor(t *testing.T) {
+func TestCaptureMemMatchesCursor(t *testing.T) {
 	d := open(t, t.TempDir())
 	defer d.Close()
 	if err := d.AppendRegister(batch(1, 3, "alice")); err != nil {
 		t.Fatal(err)
 	}
-	entries, gen, off, err := d.CaptureState()
-	if err != nil {
-		t.Fatal(err)
+	entries, gen, off, hash := d.CaptureMem()
+	if hash != d.ManifestSnapshot().Hash {
+		t.Fatal("memtable capture stamped with another manifest's hash")
 	}
 	if !reflect.DeepEqual(sortedIDs(entries), []uint64{1, 2, 3}) {
 		t.Fatalf("captured ids = %v", sortedIDs(entries))

@@ -1,5 +1,5 @@
 // The segment tier: everything Disk does beyond the WAL + memtable
-// pair when Options.SegmentWindowAge enables tiering.
+// pair. A time window cold for Options.SegmentWindowAge is sealed.
 //
 // Data model. The memtable (d.state) holds the mutable working set;
 // cold time windows are sealed into immutable segment files (one per
@@ -10,12 +10,12 @@
 //	             no tombstone (e.ID, w) and e.ID not in memtable }
 //
 // The memtable always shadows a sealed copy of the same ID, and a
-// tombstone suppresses a sealed copy outright. WAL replay therefore
-// stays exactly what it was before tiering — an idempotent fold into
-// the memtable — and correctness lives at read time. Replay after a
-// crash can re-create memtable copies of already-sealed entries
-// ("shadows"); they are correct (deduplicated on read) and the next
-// flush of that window retires them.
+// tombstone suppresses a sealed copy outright (visibleEntries is the one
+// implementation of that rule). WAL replay therefore stays an
+// idempotent fold into the memtable, and correctness lives at read
+// time. Replay after a crash can re-create memtable copies of
+// already-sealed entries ("shadows"); they are correct (deduplicated on
+// read) and the next flush of that window retires them.
 //
 // flushWindow is the single primitive behind both sealing and
 // compaction: it merges a window's surviving sealed copies with its
@@ -39,7 +39,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -120,7 +119,7 @@ func (d *Disk) visibleSealedLocked() int {
 // readSegmentFile and checks it against the meta that names it.
 func (d *Disk) walkSegmentFile(name string, m SegmentMeta, fn func(e index.Entry, prov, rec []byte)) error {
 	path := filepath.Join(d.opts.Dir, name)
-	window, count, crc, size, err := readSegmentFile(path, !d.opts.SegmentNoMmap, fn)
+	window, count, crc, size, err := readSegmentFile(path, fn)
 	if err != nil {
 		return err
 	}
@@ -130,53 +129,37 @@ func (d *Disk) walkSegmentFile(name string, m SegmentMeta, fn func(e index.Entry
 	return nil
 }
 
-// capture returns the visible entry set and the WAL cursor it
-// corresponds to. The memtable, tombstones, segment metas and cursor
-// are copied under d.mu; the sealed entries are then read from their
-// files with only cpMu held, so appends wait for the copy, not for the
-// file I/O. A file that fails to read fails the capture.
-func (d *Disk) capture() (entries []index.Entry, gen uint64, off int64, err error) {
-	d.cpMu.Lock()
-	defer d.cpMu.Unlock()
-	d.mu.Lock()
-	segs := make([]SegmentMeta, 0, len(d.segs))
-	total := len(d.state)
-	for _, m := range d.segs {
-		segs = append(segs, m)
+// visibleEntries is the tier's visibility rule, the one implementation
+// Disk.ReadEntries and Mem.FinishBootstrap share: every sealed entry —
+// walk feeds one segment's entries, segments in window order — that no
+// memtable entry of the same id shadows and no tombstone of its window
+// suppresses, then the memtable.
+func visibleEntries(segs []SegmentMeta, dead map[Tombstone]struct{}, mem map[uint64]index.Entry,
+	walk func(m SegmentMeta, fn func(index.Entry)) error) ([]index.Entry, error) {
+	sort.Slice(segs, func(i, j int) bool { return segs[i].Window < segs[j].Window })
+	total := len(mem)
+	for _, m := range segs {
 		total += m.Count
 	}
-	mem := maps.Clone(d.state)
-	dead := make(map[Tombstone]struct{}, d.tombCount)
-	for id, ws := range d.tombs {
-		for _, w := range ws {
-			dead[Tombstone{ID: id, Window: w}] = struct{}{}
-		}
-	}
-	gen, off = d.walGen, d.walSize
-	d.mu.Unlock()
-
-	sort.Slice(segs, func(i, j int) bool { return segs[i].Window < segs[j].Window })
-	entries = make([]index.Entry, 0, total)
+	entries := make([]index.Entry, 0, total)
 	for _, m := range segs {
-		var names providerNames
-		err := d.walkSegmentFile(segmentFileName(m.Window, m.Seq), m, func(e index.Entry, prov, _ []byte) {
+		err := walk(m, func(e index.Entry) {
 			if _, shadowed := mem[e.ID]; shadowed {
 				return
 			}
 			if _, removed := dead[Tombstone{ID: e.ID, Window: m.Window}]; removed {
 				return
 			}
-			e.Provider = names.intern(prov)
 			entries = append(entries, e)
 		})
 		if err != nil {
-			return nil, 0, 0, fmt.Errorf("store: read sealed window %d: %w", m.Window, err)
+			return nil, fmt.Errorf("store: read sealed window %d: %w", m.Window, err)
 		}
 	}
 	for _, e := range mem {
 		entries = append(entries, e)
 	}
-	return entries, gen, off, nil
+	return entries, nil
 }
 
 // manifestDocLocked snapshots the on-disk manifest document (d.mu
@@ -201,9 +184,6 @@ func (d *Disk) manifestDocLocked() manifestDoc {
 	})
 	return doc
 }
-
-// Tiered reports whether the segment tier is enabled.
-func (d *Disk) Tiered() bool { return d.tiered }
 
 // eligibleWindows returns every window a flush would change: sealed
 // windows carrying tombstones or shadowed/late memtable entries, plus
@@ -242,9 +222,6 @@ func (d *Disk) eligibleWindows(nowMillis int64) []int64 {
 
 // CompactionBacklog returns how many windows are currently flushable.
 func (d *Disk) CompactionBacklog() int {
-	if !d.tiered {
-		return 0
-	}
 	return len(d.eligibleWindows(time.Now().UnixMilli()))
 }
 
@@ -252,9 +229,6 @@ func (d *Disk) CompactionBacklog() int {
 // what one compaction-loop tick does; tests and benchmarks drive the
 // tier with it.
 func (d *Disk) CompactNow() error {
-	if !d.tiered {
-		return nil
-	}
 	for _, k := range d.eligibleWindows(time.Now().UnixMilli()) {
 		if err := d.flushWindow(k); err != nil {
 			return err
@@ -355,7 +329,7 @@ func (d *Disk) flushWindow(k int64) error {
 	var newMeta SegmentMeta
 	wrote := count > 0
 	if wrote {
-		img, crc, err := frameSegment(k, count, block, !d.opts.SegmentNoCompress)
+		img, crc, err := frameSegment(k, count, block)
 		if err != nil {
 			return err
 		}
@@ -451,8 +425,7 @@ func (d *Disk) flushWindow(k int64) error {
 // compaction backlog (served on /stats and rendered by fovctl
 // storage).
 type TieredStats struct {
-	Enabled             bool  `json:"enabled"`
-	SegmentWindowMillis int64 `json:"segmentWindowMillis,omitempty"`
+	SegmentWindowMillis int64 `json:"segmentWindowMillis"`
 	Segments            int   `json:"segments"`
 	SegmentBytes        int64 `json:"segmentBytes"`
 	SegmentEntries      int   `json:"segmentEntries"`
@@ -469,17 +442,14 @@ func (d *Disk) TieredStats() TieredStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	ts := TieredStats{
-		Enabled:           d.tiered,
-		Segments:          len(d.segs),
-		SegmentEntries:    d.visibleSealedLocked(),
-		MemtableEntries:   len(d.state),
-		Tombstones:        d.tombCount,
-		StagedSegments:    len(d.staged),
-		CompactionBacklog: backlog,
-		Compactions:       d.compactions.Value(),
-	}
-	if d.tiered {
-		ts.SegmentWindowMillis = d.segWindowMs
+		SegmentWindowMillis: d.segWindowMs,
+		Segments:            len(d.segs),
+		SegmentEntries:      d.visibleSealedLocked(),
+		MemtableEntries:     len(d.state),
+		Tombstones:          d.tombCount,
+		StagedSegments:      len(d.staged),
+		CompactionBacklog:   backlog,
+		Compactions:         d.compactions.Value(),
 	}
 	for _, m := range d.segs {
 		ts.SegmentBytes += m.Bytes

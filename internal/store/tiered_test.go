@@ -2,11 +2,11 @@ package store
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -104,7 +104,7 @@ func TestTieredSealAndReadBack(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", d.Len(), len(all))
 	}
 	st := d.TieredStats()
-	if !st.Enabled || st.Segments != 2 || st.SegmentEntries != 16 || st.MemtableEntries != 1 {
+	if st.Segments != 2 || st.SegmentEntries != 16 || st.MemtableEntries != 1 {
 		t.Fatalf("stats after seal: %+v", st)
 	}
 	if st.CompactionBacklog != 0 {
@@ -322,32 +322,70 @@ func TestTieredResetDropsSegments(t *testing.T) {
 	wantEntries(t, r, repl)
 }
 
-func TestTieredManifestHonoredWithTieringOff(t *testing.T) {
+// hourEntry builds an entry in the given one-hour window, the width a
+// store opened with default options seals by.
+func hourEntry(id uint64, hour int64) index.Entry {
+	e := entry(id, "p")
+	e.Rep.StartMillis = hour*3_600_000 + int64(id%59)*1000
+	e.Rep.EndMillis = e.Rep.StartMillis + 500
+	return e
+}
+
+// TestFlatDirectoryUpgradesToManifest opens, with default options, what
+// a store without a segment tier leaves behind — a checkpoint and a log,
+// no manifest: every entry is there, the first checkpoint writes a
+// manifest, compaction seals the cold windows, and a reopen serves the
+// same set.
+func TestFlatDirectoryUpgradesToManifest(t *testing.T) {
 	dir := t.TempDir()
-	d := openTiered(t, dir)
-	all := []index.Entry{wentry(1, 0), wentry(2, 0)}
-	if err := d.AppendRegister(all); err != nil {
+	base := []index.Entry{hourEntry(1, 0), hourEntry(2, 0), hourEntry(3, 1)}
+	var cp, tail bytes.Buffer
+	if err := snapshot.Write(&cp, base); err != nil {
 		t.Fatal(err)
+	}
+	for _, rec := range []Record{
+		{Op: opRegister, Entries: []index.Entry{hourEntry(4, 1), hourEntry(5, 2)}},
+		{Op: opRemove, IDs: []uint64{2}},
+	} {
+		if err := appendRecord(&tail, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, data := range map[string][]byte{checkpointName(2): cp.Bytes(), walName(2): tail.Bytes()} {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []index.Entry{base[0], base[2], hourEntry(4, 1), hourEntry(5, 2)}
+	manifest := filepath.Join(dir, manifestFile)
+
+	d := open(t, dir)
+	wantEntries(t, d, want)
+	if _, err := os.Stat(manifest); !os.IsNotExist(err) {
+		t.Fatalf("open wrote a manifest before any checkpoint (stat: %v)", err)
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(manifest); err != nil {
+		t.Fatalf("first checkpoint wrote no manifest: %v", err)
 	}
 	if err := d.CompactNow(); err != nil {
 		t.Fatal(err)
 	}
-	// Checkpoint so the WAL no longer carries the sealed records — the
-	// segment file is then the only copy.
-	if err := d.Checkpoint(); err != nil {
-		t.Fatal(err)
+	if st := d.TieredStats(); st.Segments != 3 || st.MemtableEntries != 0 {
+		t.Fatalf("cold windows not sealed: %+v", st)
 	}
+	wantEntries(t, d, want)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Reopen with the tier disabled: the manifest must still be honored,
-	// or disabling the flag would silently lose sealed data.
 	r := open(t, dir)
 	defer r.Close()
-	if r.Tiered() {
-		t.Fatal("tiering should be off")
+	wantEntries(t, r, want)
+	if st := r.TieredStats(); st.Segments != 3 {
+		t.Fatalf("reopen lost sealed windows: %+v", st)
 	}
-	wantEntries(t, r, all)
 }
 
 // TestTieredMatchesFlatSemantics runs an identical random op sequence
@@ -738,7 +776,9 @@ func TestInstallSegmentAndFinishBootstrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	hot := wentry(50, futureWindow())
-	if err := leader.AppendRegister([]index.Entry{hot}); err != nil {
+	shadow := wentry(3, 1)
+	shadow.Provider = "re-registered"
+	if err := leader.AppendRegister([]index.Entry{hot, shadow}); err != nil {
 		t.Fatal(err)
 	}
 	ms := leader.ManifestSnapshot()
@@ -782,10 +822,14 @@ func TestInstallSegmentAndFinishBootstrap(t *testing.T) {
 	if err := fol.InstallSegment(ms.Segments[1], raw1); err != nil {
 		t.Fatal(err)
 	}
-	if err := fol.FinishTieredBootstrap(ms, mem); err != nil {
+	got, err := fol.FinishBootstrap(ms, mem)
+	if err != nil {
 		t.Fatal(err)
 	}
 	want := leader.Entries()
+	if stateHash(got) != stateHash(want) {
+		t.Fatal("FinishBootstrap returned a set other than the leader's")
+	}
 	wantEntries(t, fol, want)
 	if st := fol.TieredStats(); st.StagedSegments != 0 || st.Segments != 2 {
 		t.Fatalf("post-bootstrap tier state %+v", st)
@@ -795,6 +839,30 @@ func TestInstallSegmentAndFinishBootstrap(t *testing.T) {
 	}
 	fol = openTiered(t, fdir)
 	wantEntries(t, fol, want)
+
+	// A non-durable follower assembles the same set in RAM.
+	m := NewMem()
+	for _, seg := range ms.Segments {
+		raw, err := leader.ReadSegment(seg.Window, seg.Seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.InstallSegment(seg, raw); err != nil {
+			t.Fatal(err)
+		}
+		if !m.HasSegment(seg.Window, seg.Seq, seg.CRC) {
+			t.Fatal("installed segment not visible to Mem.HasSegment")
+		}
+	}
+	if got, err = m.FinishBootstrap(ms, mem); err != nil {
+		t.Fatal(err)
+	}
+	if stateHash(got) != stateHash(want) {
+		t.Fatal("Mem.FinishBootstrap returned a set other than the leader's")
+	}
+	if m.HasSegment(ms.Segments[0].Window, ms.Segments[0].Seq, ms.Segments[0].CRC) {
+		t.Fatal("Mem kept its installed segments past FinishBootstrap")
+	}
 }
 
 func TestInstallSegmentRejectsMismatch(t *testing.T) {
@@ -816,46 +884,71 @@ func TestInstallSegmentRejectsMismatch(t *testing.T) {
 	defer fol.Close()
 	bad := ms.Segments[0]
 	bad.CRC++
-	if err := fol.InstallSegment(bad, raw); err == nil {
-		t.Fatal("CRC mismatch accepted")
-	}
 	flipped := append([]byte(nil), raw...)
 	flipped[len(flipped)/2] ^= 0x01
-	if err := fol.InstallSegment(ms.Segments[0], flipped); err == nil {
-		t.Fatal("corrupt segment body accepted")
-	}
-	if fol.HasSegment(ms.Segments[0].Window, ms.Segments[0].Seq, ms.Segments[0].CRC) {
-		t.Fatal("rejected install left a segment behind")
+	for _, st := range []Store{fol, NewMem()} {
+		if err := st.InstallSegment(bad, raw); err == nil {
+			t.Fatalf("%T: CRC mismatch accepted", st)
+		}
+		if err := st.InstallSegment(ms.Segments[0], flipped); err == nil {
+			t.Fatalf("%T: corrupt segment body accepted", st)
+		}
+		if st.HasSegment(ms.Segments[0].Window, ms.Segments[0].Seq, ms.Segments[0].CRC) {
+			t.Fatalf("%T: rejected install left a segment behind", st)
+		}
 	}
 }
 
+// incompressibleEntry returns an entry whose encoding deflate cannot
+// shrink: a full-length provider of random bytes dominates its few
+// structured ones, so a segment of such entries stores its block raw.
+func incompressibleEntry(id uint64, window int64, rng *rand.Rand) index.Entry {
+	e := wentry(id, window)
+	p := make([]byte, 256)
+	rng.Read(p)
+	e.Provider = string(p)
+	return e
+}
+
 func TestSegmentEncodeDecodeRoundTrip(t *testing.T) {
-	entries := []index.Entry{wentry(3, 0), wentry(1, 0), wentry(2, 0)}
-	for _, compress := range []bool{true, false} {
-		img, crc, err := encodeSegment(0, entries, compress)
+	rng := rand.New(rand.NewSource(1))
+	for _, tc := range []struct {
+		name     string
+		entries  []index.Entry
+		deflated bool
+	}{
+		{"compressible", batch(1, 40, "alice"), true},
+		{"incompressible", []index.Entry{incompressibleEntry(3, 0, rng), incompressibleEntry(1, 0, rng), incompressibleEntry(2, 0, rng)}, false},
+	} {
+		img, crc, err := encodeSegment(0, tc.entries)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if crc != segTrailerCRC(img) {
-			t.Fatal("trailer CRC mismatch")
+			t.Fatalf("%s: trailer CRC mismatch", tc.name)
+		}
+		if deflated := img[5]&segFlagDeflate != 0; deflated != tc.deflated {
+			t.Fatalf("%s: block deflated=%v, want %v", tc.name, deflated, tc.deflated)
 		}
 		window, got, err := DecodeSegment(img)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if window != 0 || len(got) != 3 {
-			t.Fatalf("decoded window=%d n=%d", window, len(got))
+		if window != 0 || len(got) != len(tc.entries) {
+			t.Fatalf("%s: decoded window=%d n=%d", tc.name, window, len(got))
 		}
-		if !reflect.DeepEqual(entrySet(got), entrySet(entries)) {
-			t.Fatal("entries changed across the segment round trip")
+		if !reflect.DeepEqual(entrySet(got), entrySet(tc.entries)) {
+			t.Fatalf("%s: entries changed across the segment round trip", tc.name)
 		}
-		// Deterministic encoding: same input, same bytes.
-		img2, _, err := encodeSegment(0, []index.Entry{wentry(1, 0), wentry(3, 0), wentry(2, 0)}, compress)
+		// Deterministic encoding: same entries in another order, same bytes.
+		reversed := append([]index.Entry(nil), tc.entries...)
+		slices.Reverse(reversed)
+		img2, _, err := encodeSegment(0, reversed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(img, img2) {
-			t.Fatal("segment encoding is not deterministic")
+			t.Fatalf("%s: segment encoding is not deterministic", tc.name)
 		}
 	}
 }
@@ -955,5 +1048,3 @@ func BenchmarkCompactNow(b *testing.B) {
 		}
 	}
 }
-
-var _ = fmt.Sprintf // placate accidental removal during edits

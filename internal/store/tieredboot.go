@@ -1,26 +1,30 @@
-// The store half of the segment-wise replication bootstrap.
+// The store half of the replication bootstrap.
 //
 // Leader side: ManifestSnapshot / ReadSegment / CaptureMem are what
-// replica.Serve exposes as the tiered protocol — the manifest names
-// the sealed set, each segment ships as its verbatim file bytes, and
-// the memtable snapshot carries the WAL cursor to resume streaming
-// from plus the manifest hash the capture was consistent with.
+// replica.Serve ships — the manifest names the sealed set, each
+// segment ships as its verbatim file bytes, and the memtable snapshot
+// carries the WAL cursor to resume streaming from plus the manifest
+// hash the capture was consistent with.
 //
-// Follower side: InstallSegment writes each fetched segment as a
+// Follower side, Disk: InstallSegment writes each fetched segment as a
 // STAGED file and rotates the manifest immediately, so local durable
 // presence is the per-segment resume cursor — a follower killed and
-// restarted mid-bootstrap finds the staged set in its manifest and
-// skips every completed segment (HasSegment). FinishTieredBootstrap
-// promotes the staged set to live, swaps the memtable wholesale, and
-// rotates WAL + checkpoint + manifest into the leader's history.
+// restarted mid-bootstrap, or re-bootstrapping after it lagged past the
+// leader's log, finds its staged and live segments and skips them
+// (HasSegment). FinishBootstrap promotes the staged set to live, swaps
+// the memtable wholesale, and rotates WAL + checkpoint + manifest into
+// the leader's history.
+//
+// Follower side, Mem: InstallSegment verifies and decodes each segment
+// into RAM; FinishBootstrap assembles the visible set from them.
 package store
 
 import (
-	"errors"
 	"fmt"
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -95,20 +99,28 @@ func (d *Disk) HasSegment(window int64, seq uint64, crc uint32) bool {
 	return false
 }
 
+// verifySegment walks one fetched segment image (walkSegment; fn may be
+// nil) and checks it against the meta the leader advertised for it.
+func verifySegment(meta SegmentMeta, raw []byte, fn func(e index.Entry, prov, rec []byte)) error {
+	window, count, err := walkSegment(raw, fn)
+	if err != nil {
+		return fmt.Errorf("store: install segment %d/%d: %w", meta.Window, meta.Seq, err)
+	}
+	if window != meta.Window || count != meta.Count ||
+		int64(len(raw)) != meta.Bytes || segTrailerCRC(raw) != meta.CRC {
+		return fmt.Errorf("%w: segment %d/%d does not match its advertised meta",
+			ErrCorrupt, meta.Window, meta.Seq)
+	}
+	return nil
+}
+
 // InstallSegment verifies one fetched segment against its advertised
 // meta, writes it as a staged file, and rotates the manifest so the
 // install survives a crash. Serialized on cpMu like every manifest
 // rotation.
 func (d *Disk) InstallSegment(meta SegmentMeta, raw []byte) error {
-	window, count, err := walkSegment(raw, nil)
-	if err != nil {
-		return fmt.Errorf("store: install segment %d/%d: %w", meta.Window, meta.Seq, err)
-	}
-	crc := segTrailerCRC(raw)
-	if window != meta.Window || count != meta.Count ||
-		int64(len(raw)) != meta.Bytes || crc != meta.CRC {
-		return fmt.Errorf("%w: segment %d/%d does not match its advertised meta",
-			ErrCorrupt, meta.Window, meta.Seq)
+	if err := verifySegment(meta, raw, nil); err != nil {
+		return err
 	}
 	d.cpMu.Lock()
 	defer d.cpMu.Unlock()
@@ -147,12 +159,19 @@ func (d *Disk) InstallSegment(meta SegmentMeta, raw []byte) error {
 	return saveManifest(d.opts.Dir, doc)
 }
 
-// FinishTieredBootstrap promotes the staged segments named by the
-// leader's manifest to live, replaces the memtable with the leader's
-// captured one, and rotates WAL, manifest, and checkpoint into the new
-// history. Like Reset, it breaks log continuity: old-generation
-// cursors must re-bootstrap.
-func (d *Disk) FinishTieredBootstrap(ms ManifestSnapshot, mem []index.Entry) error {
+// FinishBootstrap promotes the staged segments named by the leader's
+// manifest to live, replaces the memtable with the leader's captured
+// one, and rotates WAL, manifest, and checkpoint into the new history,
+// then returns the visible set. Like Reset, it breaks log continuity:
+// old-generation cursors must re-bootstrap.
+func (d *Disk) FinishBootstrap(ms ManifestSnapshot, mem []index.Entry) ([]index.Entry, error) {
+	if err := d.finishBootstrap(ms, mem); err != nil {
+		return nil, err
+	}
+	return d.ReadEntries()
+}
+
+func (d *Disk) finishBootstrap(ms ManifestSnapshot, mem []index.Entry) error {
 	d.cpMu.Lock()
 	defer d.cpMu.Unlock()
 
@@ -256,7 +275,6 @@ func (d *Disk) FinishTieredBootstrap(ms ManifestSnapshot, mem []index.Entry) err
 			}
 		}
 	}
-	d.manifestOn = true
 	d.notifyLocked()
 	doc := d.manifestDocLocked()
 	memCopy := make([]index.Entry, 0, len(d.state))
@@ -283,7 +301,7 @@ func (d *Disk) FinishTieredBootstrap(ms ManifestSnapshot, mem []index.Entry) err
 	d.lastCP = time.Now()
 	d.mu.Unlock()
 	d.checkpoints.Inc()
-	d.log.Info("store finished tiered bootstrap",
+	d.log.Info("store finished bootstrap",
 		"segments", len(res), "memEntries", len(mem), "generation", newGen)
 	return nil
 }
@@ -341,6 +359,64 @@ func (d *Disk) removeUnreferencedSegments(doc manifestDoc) {
 	}
 }
 
-// ErrNotTiered is returned by tiered-only operations on a store whose
-// segment tier is disabled.
-var ErrNotTiered = errors.New("store: segment tier disabled")
+// HasSegment reports whether (window, seq, crc) is already decoded in
+// RAM by this bootstrap.
+func (m *Mem) HasSegment(window int64, seq uint64, crc uint32) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for meta := range m.staged {
+		if meta.Window == window && meta.Seq == seq && meta.CRC == crc {
+			return true
+		}
+	}
+	return false
+}
+
+// InstallSegment verifies one fetched segment against its advertised
+// meta and keeps its decoded entries until FinishBootstrap.
+func (m *Mem) InstallSegment(meta SegmentMeta, raw []byte) error {
+	var names providerNames
+	entries := make([]index.Entry, 0, meta.Count)
+	if err := verifySegment(meta, raw, func(e index.Entry, prov, _ []byte) {
+		e.Provider = names.intern(prov)
+		entries = append(entries, e)
+	}); err != nil {
+		return err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.staged == nil {
+		m.staged = make(map[SegmentMeta][]index.Entry)
+	}
+	m.staged[meta] = entries
+	return nil
+}
+
+// FinishBootstrap assembles the visible set from the installed
+// segments the manifest names, its tombstones and the memtable, and
+// lets go of every installed segment.
+func (m *Mem) FinishBootstrap(ms ManifestSnapshot, mem []index.Entry) ([]index.Entry, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, seg := range ms.Segments {
+		if _, ok := m.staged[seg]; !ok {
+			return nil, fmt.Errorf("store: finish bootstrap: segment %d/%d not installed", seg.Window, seg.Seq)
+		}
+	}
+	staged := m.staged
+	m.staged = nil
+	dead := make(map[Tombstone]struct{}, len(ms.Tombstones))
+	for _, t := range ms.Tombstones {
+		dead[t] = struct{}{}
+	}
+	memtable := make(map[uint64]index.Entry, len(mem))
+	for _, e := range mem {
+		memtable[e.ID] = e
+	}
+	return visibleEntries(slices.Clone(ms.Segments), dead, memtable, func(seg SegmentMeta, fn func(index.Entry)) error {
+		for _, e := range staged[seg] {
+			fn(e)
+		}
+		return nil
+	})
+}
