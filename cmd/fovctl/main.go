@@ -16,8 +16,6 @@
 //	fovctl -server http://127.0.0.1:8479 replication
 //	fovctl -server http://127.0.0.1:8477 storage
 //	fovctl -server http://127.0.0.1:8477 top -interval 2s
-//	fovctl -server http://127.0.0.1:8477 hotspots -top 10
-//	fovctl -server http://127.0.0.1:8477 contend -top 10
 //	fovctl -server http://127.0.0.1:8477 health
 //	fovctl -server http://127.0.0.1:8479 cluster
 //
@@ -79,10 +77,6 @@ func main() {
 		err = runStorage(c)
 	case "top":
 		err = runTop(c, args[1:])
-	case "hotspots":
-		err = runHotspots(c, args[1:])
-	case "contend":
-		err = runContend(c, args[1:])
 	case "health":
 		err = runHealth(c)
 	case "cluster":
@@ -101,7 +95,7 @@ func newRand() *rand.Rand {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: fovctl [-server URL] <capture|query|explain|traces|watch|snapshot|forget|checkpoint|stats|replication|storage|top|hotspots|contend|health|cluster> [flags]
+	fmt.Fprintln(os.Stderr, `usage: fovctl [-server URL] <capture|query|explain|traces|watch|snapshot|forget|checkpoint|stats|replication|storage|top|health|cluster> [flags]
   capture -scenario walk|walk-side|rotate|drive|bike -provider NAME [-threshold 0.5] [-noise]
   query    -lat L -lng L [-radius 20] [-from ms] [-to ms] [-top 10]
   explain  -lat L -lng L [-radius 20] [-from ms] [-to ms] [-top 10]
@@ -114,8 +108,6 @@ func usage() {
   replication
   storage  tiered storage state (segments, memtable, compaction) from /stats
   top      [-interval 2s] [-n 0] [-plain]   live ops dashboard over /debug/history
-  hotspots [-top 10] [-n 1] [-interval 2s] [-plain]   heavy-hitter sketches from /debug/hotspots
-  contend  [-top 10] [-n 1] [-interval 2s] [-plain]   lock wait/hold + profile tops from /debug/contention
   health   evaluated component health from /healthz
   cluster  router topology + per-partition health (point -server at fovcluster)`)
 	os.Exit(2)

@@ -97,9 +97,6 @@ func topFrame(c *client.Client) (string, error) {
 		topBytes(last[obs.MetricGoHeapBytes]),
 		int64(last[obs.MetricGoGoroutines]),
 		(time.Duration(last[obs.MetricGoGCPauseNs]) * time.Nanosecond).String())
-	if line := topHotspots(last); line != "" {
-		b.WriteString(line)
-	}
 
 	if s := st.Storage; s != nil {
 		fmt.Fprintf(&b, "storage: %d segments (%s, %d entries)  memtable %d  backlog %d  %.1f compactions/s\n",
@@ -122,29 +119,6 @@ func topFrame(c *client.Client) (string, error) {
 			st.Leader, r.State, r.CaughtUp, lag, r.AppliedRecords)
 	}
 	return b.String(), nil
-}
-
-// topHotspots renders the skew pane: each sketch's top-key share from
-// the fovr_hotspot_top_share gauges the history sampler picks up.
-// Empty string when the server runs without hotspot tracking.
-func topHotspots(last map[string]float64) string {
-	panes := []struct{ label, sketch string }{
-		{"query cell", "query_cells"},
-		{"provider", "providers"},
-		{"window", "shard_windows"},
-	}
-	parts := make([]string, 0, len(panes))
-	for _, p := range panes {
-		v, ok := last[fmt.Sprintf("fovr_hotspot_top_share{sketch=%q}", p.sketch)]
-		if !ok {
-			continue
-		}
-		parts = append(parts, fmt.Sprintf("top %s %.0f%%", p.label, v))
-	}
-	if len(parts) == 0 {
-		return ""
-	}
-	return "skew:   " + strings.Join(parts, "  ") + "   (fovctl hotspots for detail)\n"
 }
 
 // topEndpoints extracts the endpoint labels that have latency history.

@@ -10,7 +10,6 @@
 //	          [-replica-of http://leader:8477] [-replica-poll 10s]
 //	          [-quiet] [-log-json] [-load snapshot.fovs] [-save snapshot.fovs]
 //	          [-debug-addr 127.0.0.1:8478] [-slow-query 100ms] [-trace-sample 16]
-//	          [-profile] [-lock-sample 64] [-hotspots] [-hotspot-k 32]
 //	          [-cluster-topology topology.json -cluster-partition p0]
 //
 // -cluster-topology/-cluster-partition make this node one partition of
@@ -59,24 +58,17 @@
 // sampler). -debug-addr additionally opens a second
 // listener carrying net/http/pprof under /debug/pprof/ plus a /metrics
 // alias — keep it bound to localhost, profiling endpoints are not meant
-// for the open internet. Request logs are structured (log/slog) with
-// per-request ids; -log-json switches them from key=value to JSON.
+// for the open internet. While it is up the runtime mutex and block
+// profilers are on, so /debug/pprof/mutex?seconds=N and
+// /debug/pprof/block?seconds=N name the contended frames of a window.
+// Request logs are structured (log/slog) with per-request ids;
+// -log-json switches them from key=value to JSON.
 //
 // Every query is traced; traces are tail-sampled into a bounded ring
 // served on GET /debug/traces. -slow-query sets the slow-query log and
 // retention threshold (0 disables slow detection); -trace-sample keeps
 // one in N ordinary queries (0 keeps none). Errored queries are always
 // retained.
-//
-// The contention observatory: -lock-sample times 1 in N acquisitions of
-// the instrumented locks (the index tree's writer lock, WAL append) into
-// per-class wait/hold histograms, and -profile keeps the runtime
-// mutex/block profilers on so GET /debug/contention can report the top
-// contended frames over each request window (`fovctl contend` renders
-// it). -hotspots maintains Space-Saving top-K sketches of query grid
-// cells, upload providers, and ingest hour windows, served on GET
-// /debug/hotspots (`fovctl hotspots`); -hotspot-k bounds tracked keys
-// per sketch.
 package main
 
 import (
@@ -89,6 +81,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -113,17 +106,13 @@ func main() {
 	logJSON := flag.Bool("log-json", false, "emit JSON request logs instead of key=value")
 	load := flag.String("load", "", "snapshot file to restore state from at startup (see GET /snapshot)")
 	save := flag.String("save", "", "snapshot file to write on SIGINT/SIGTERM before exiting")
-	debugAddr := flag.String("debug-addr", "", "optional second listener with /debug/pprof/ and /metrics (e.g. 127.0.0.1:8478)")
+	debugAddr := flag.String("debug-addr", "", "optional second listener with /debug/pprof/ and /metrics (e.g. 127.0.0.1:8478); turns the mutex and block profilers on")
 	slowQuery := flag.Duration("slow-query", 100*time.Millisecond, "slow-query threshold for the slow log and trace retention (0 disables)")
 	traceSample := flag.Int("trace-sample", 16, "retain 1 in N ordinary query traces (0 retains none)")
 	replicaOf := flag.String("replica-of", "", "run as a read replica of the leader at this base URL (e.g. http://leader:8477)")
 	replicaPoll := flag.Duration("replica-poll", 10*time.Second, "long-poll wait per replication fetch with -replica-of")
 	replicaLagWarn := flag.Int64("replica-lag-warn", 8<<20, "replication lag in bytes at which /healthz reports the replica degraded")
 	history := flag.Bool("history", true, "sample metric history into in-memory rings served on GET /debug/history (what fovctl top reads)")
-	profile := flag.Bool("profile", false, "keep the runtime mutex/block contention profilers on (feeds GET /debug/contention and /debug/pprof)")
-	lockSample := flag.Int("lock-sample", 64, "time 1 in N lock acquisitions into fovr_lock_wait_ns/fovr_lock_hold_ns (0 disables)")
-	hotspots := flag.Bool("hotspots", true, "track heavy-hitter sketches (query cells, providers, ingest hour windows) on GET /debug/hotspots")
-	hotspotK := flag.Int("hotspot-k", 32, "keys tracked per hotspot sketch with -hotspots")
 	clusterTopology := flag.String("cluster-topology", "", "cluster topology file; with -cluster-partition, rejects misrouted uploads (HTTP 421) and offsets assigned ids")
 	clusterPartition := flag.String("cluster-partition", "", "this node's partition id in -cluster-topology")
 	flag.Parse()
@@ -145,16 +134,6 @@ func main() {
 		SlowQueryThreshold: *slowQuery,
 		TraceSampleRate:    *traceSample,
 		History:            obs.HistoryConfig{Enabled: *history},
-		HotspotK:           *hotspotK,
-	}
-	if !*hotspots {
-		cfg.HotspotK = -1
-	}
-	obs.SetLockSampleRate(*lockSample)
-	if *profile {
-		// 1-in-5 mutex events, block events over 100µs: cheap enough to
-		// leave on, detailed enough for /debug/contention to name frames.
-		obs.EnableProfiling(5, 100_000)
 	}
 	// Flag value 0 means "off"; the Config zero value means "default",
 	// so translate explicitly.
@@ -262,6 +241,7 @@ func main() {
 		"readOnly", *replicaOf != "")
 
 	if *debugAddr != "" {
+		enableContentionProfiles()
 		dl, err := net.Listen("tcp", *debugAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fovserver: debug listener:", err)
@@ -325,6 +305,22 @@ func main() {
 			}
 		}
 	}
+}
+
+// The runtime contention profilers' rates while the debug listener is
+// up — the only place their output can be read: 1 in 5 contended mutex
+// events, and blocking sampled at one event per 100µs blocked. Cheap
+// enough to leave on under saturation.
+const (
+	mutexProfileFraction = 5
+	blockProfileRateNs   = 100_000
+)
+
+// enableContentionProfiles turns on the runtime mutex and block
+// profilers that /debug/pprof/mutex and /debug/pprof/block serve.
+func enableContentionProfiles() {
+	runtime.SetMutexProfileFraction(mutexProfileFraction)
+	runtime.SetBlockProfileRate(blockProfileRateNs)
 }
 
 // debugMux serves the pprof profiling endpoints plus a metrics alias on

@@ -20,7 +20,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"time"
 
 	"fovr/internal/fov"
@@ -282,37 +281,6 @@ func (c *Client) History(metric string, since time.Duration, res string) (server
 	var resp server.HistoryResponse
 	if err := c.getJSON(path, &resp); err != nil {
 		return server.HistoryResponse{}, err
-	}
-	return resp, nil
-}
-
-// Hotspots fetches the server's heavy-hitter sketches (query grid
-// cells, providers, shard windows) from /debug/hotspots. top > 0 caps
-// the entries returned per sketch.
-func (c *Client) Hotspots(top int) (server.HotspotsResponse, error) {
-	path := "/debug/hotspots"
-	if top > 0 {
-		path += "?top=" + strconv.Itoa(top)
-	}
-	var resp server.HotspotsResponse
-	if err := c.getJSON(path, &resp); err != nil {
-		return server.HotspotsResponse{}, err
-	}
-	return resp, nil
-}
-
-// Contention fetches the lock-wait summary and windowed mutex/block
-// profile tops from /debug/contention. top > 0 caps the profile frames
-// returned (server default 10). Note each call advances the server's
-// profile window.
-func (c *Client) Contention(top int) (server.ContentionResponse, error) {
-	path := "/debug/contention"
-	if top > 0 {
-		path += "?top=" + strconv.Itoa(top)
-	}
-	var resp server.ContentionResponse
-	if err := c.getJSON(path, &resp); err != nil {
-		return server.ContentionResponse{}, err
 	}
 	return resp, nil
 }

@@ -2,6 +2,7 @@ package figures
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -182,13 +183,25 @@ func TestFig6bLinearGrowth(t *testing.T) {
 }
 
 func TestFig6cRTreeWins(t *testing.T) {
-	tab := Fig6c([]int{1000, 5000, 20000}, 50)
-	if len(tab.Rows) != 3 {
-		t.Fatalf("rows %d", len(tab.Rows))
+	// Each cell is the minimum over three runs: a timing inflated by a
+	// busy machine in one run does not decide the shape checks.
+	var tabs [3]*Table
+	for i := range tabs {
+		tabs[i] = Fig6c([]int{1000, 5000, 20000}, 50)
+		if len(tabs[i].Rows) != 3 {
+			t.Fatalf("rows %d", len(tabs[i].Rows))
+		}
 	}
-	last := len(tab.Rows) - 1
-	rt := cellF(t, tab, last, "rtree_us_per_query")
-	lin := cellF(t, tab, last, "linear_us_per_query")
+	best := func(row int, col string) float64 {
+		v := cellF(t, tabs[0], row, col)
+		for _, tab := range tabs[1:] {
+			v = math.Min(v, cellF(t, tab, row, col))
+		}
+		return v
+	}
+	last := len(tabs[0].Rows) - 1
+	rt := best(last, "rtree_us_per_query")
+	lin := best(last, "linear_us_per_query")
 	if lin <= rt {
 		t.Fatalf("at 20k records linear (%v us) must be slower than R-tree (%v us)", lin, rt)
 	}
@@ -196,7 +209,7 @@ func TestFig6cRTreeWins(t *testing.T) {
 		t.Fatalf("R-tree query %v us violates the <100 ms claim", rt)
 	}
 	// The gap must widen with N (who-wins shape of Fig. 6(c)).
-	gapSmall := cellF(t, tab, 0, "linear_us_per_query") / cellF(t, tab, 0, "rtree_us_per_query")
+	gapSmall := best(0, "linear_us_per_query") / best(0, "rtree_us_per_query")
 	gapLarge := lin / rt
 	if gapLarge <= gapSmall {
 		t.Errorf("R-tree advantage not growing: %vx -> %vx", gapSmall, gapLarge)

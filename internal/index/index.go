@@ -27,7 +27,6 @@ import (
 	"fovr/internal/fov"
 	"fovr/internal/geo"
 	"fovr/internal/minheap"
-	"fovr/internal/obs"
 	"fovr/internal/rtree"
 	"fovr/internal/segment"
 )
@@ -206,18 +205,7 @@ type RTree struct {
 	mu    sync.Mutex // writers only; readers go through tree.Snapshot
 	tree  *rtree.Tree[Entry]
 	rects map[uint64]rtree.Rect
-	// locks is the lock-wait accounting class for mu; nil (the default)
-	// leaves the tree uninstrumented. Hot paths use the explicit
-	// Start/Acquired/Released pattern instead of defer so the sampling-off
-	// path stays allocation-free. Since reads are lock-free, only the
-	// write paths are ever sampled.
-	locks *obs.LockClass
 }
-
-// SetLockClass attaches lock-wait accounting to the tree mutex (the
-// server's "index.tree" class). Call before the index is shared between
-// goroutines.
-func (x *RTree) SetLockClass(lc *obs.LockClass) { x.locks = lc }
 
 // NewRTree returns an empty R-tree index.
 func NewRTree(opts rtree.Options) (*RTree, error) {
@@ -256,15 +244,12 @@ func (x *RTree) Insert(e Entry) error {
 	if err := e.Validate(); err != nil {
 		return err
 	}
-	lt := x.locks.Start()
 	x.mu.Lock()
-	lt.Acquired()
 	err := x.insertLocked(e)
 	if err == nil {
 		x.tree.Publish()
 	}
 	x.mu.Unlock()
-	lt.Released()
 	return err
 }
 
@@ -294,15 +279,12 @@ func (x *RTree) InsertBatch(entries []Entry) error {
 		}
 		rects[i] = entryRect(e.Rep)
 	}
-	lt := x.locks.Start()
 	x.mu.Lock()
-	lt.Acquired()
 	err := x.insertBatchLocked(entries, rects)
 	if err == nil {
 		x.tree.Publish()
 	}
 	x.mu.Unlock()
-	lt.Released()
 	return err
 }
 
@@ -362,15 +344,12 @@ func (x *RTree) ReadEpoch() uint64 {
 
 // Remove implements Index.
 func (x *RTree) Remove(id uint64) bool {
-	lt := x.locks.Start()
 	x.mu.Lock()
-	lt.Acquired()
 	ok := x.removeLocked(id)
 	if ok {
 		x.tree.Publish()
 	}
 	x.mu.Unlock()
-	lt.Released()
 	return ok
 }
 

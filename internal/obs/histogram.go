@@ -22,20 +22,6 @@ var DefBuckets = []float64{
 	1, 2.5, 5, 10,
 }
 
-// NsBuckets are bucket upper bounds for nanosecond-valued histograms
-// (lock wait/hold times): 250 ns — an uncontended atomic-heavy
-// acquisition — up to 5 s of blocking, 1-2.5-5 per decade.
-var NsBuckets = []float64{
-	250, 500,
-	1e3, 2.5e3, 5e3,
-	1e4, 2.5e4, 5e4,
-	1e5, 2.5e5, 5e5,
-	1e6, 2.5e6, 5e6,
-	1e7, 2.5e7, 5e7,
-	1e8, 2.5e8, 5e8,
-	1e9, 2.5e9, 5e9,
-}
-
 // Histogram is a fixed-bucket cumulative histogram in the Prometheus
 // style: observation counts per upper bound, plus total sum and count.
 // All operations are lock-free.
@@ -43,19 +29,10 @@ type Histogram struct {
 	bounds []float64      // upper bounds, ascending; +Inf is implicit
 	counts []atomic.Int64 // one per bound, plus one overflow slot
 	count  atomic.Int64
-	sumNs  atomic.Int64 // sum scaled by sumScale (1e9 for seconds histograms)
-	// sumScale is the fixed-point factor applied to observations before
-	// accumulating into sumNs. Seconds-valued histograms use 1e9
-	// (nanosecond resolution); nanosecond-valued ones use 1 so a busy
-	// lock cannot overflow the int64 sum in seconds of wall time.
-	sumScale float64
+	sumNs  atomic.Int64 // sum in nanoseconds-of-a-second: sum*1e9, see Sum
 }
 
 func newHistogram(bounds []float64) *Histogram {
-	return newHistogramScale(bounds, 1e9)
-}
-
-func newHistogramScale(bounds []float64, scale float64) *Histogram {
 	if bounds == nil {
 		bounds = DefBuckets
 	}
@@ -63,9 +40,8 @@ func newHistogramScale(bounds []float64, scale float64) *Histogram {
 		panic("obs: histogram buckets not sorted")
 	}
 	return &Histogram{
-		bounds:   bounds,
-		counts:   make([]atomic.Int64, len(bounds)+1),
-		sumScale: scale,
+		bounds: bounds,
+		counts: make([]atomic.Int64, len(bounds)+1),
 	}
 }
 
@@ -76,7 +52,7 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
 	h.count.Add(1)
-	h.sumNs.Add(int64(v * h.sumScale))
+	h.sumNs.Add(int64(v * 1e9))
 }
 
 // ObserveDuration records a duration in seconds.
@@ -85,9 +61,9 @@ func (h *Histogram) ObserveDuration(seconds float64) { h.Observe(seconds) }
 // Count returns the total number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
-// Sum returns the sum of all observed values. Resolution is one
-// sum-scale unit per observation (a nanosecond for latency histograms).
-func (h *Histogram) Sum() float64 { return float64(h.sumNs.Load()) / h.sumScale }
+// Sum returns the sum of all observed values. Resolution is 1e-9 per
+// observation (a nanosecond for latency histograms).
+func (h *Histogram) Sum() float64 { return float64(h.sumNs.Load()) / 1e9 }
 
 // Quantile returns an estimate of the q-quantile (0 <= q <= 1) by linear
 // interpolation within the bucket containing it. Observations beyond the

@@ -150,20 +150,6 @@ func (r *Registry) HistogramBuckets(name string, buckets []float64) *Histogram {
 	return h
 }
 
-// NsHistogram returns the nanosecond-valued histogram with the given
-// name, creating it on first use with NsBuckets and a sum scale of 1:
-// the sum accumulates raw nanoseconds, so — unlike a seconds histogram,
-// whose sum is stored at 1e9x — ~9 cumulative seconds of observed wait
-// cannot overflow the int64 sum.
-func (r *Registry) NsHistogram(name string) *Histogram {
-	m := r.lookup(name, func() metric { return newHistogramScale(NsBuckets, 1) })
-	h, ok := m.(*Histogram)
-	if !ok {
-		panic(fmt.Sprintf("obs: %q already registered as %s", name, m.promType()))
-	}
-	return h
-}
-
 // Unregister removes the named metric, reporting whether it existed.
 func (r *Registry) Unregister(name string) bool {
 	r.mu.Lock()

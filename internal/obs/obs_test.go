@@ -212,3 +212,11 @@ func TestUptime(t *testing.T) {
 		t.Fatal("negative uptime")
 	}
 }
+
+func TestLabelWorkerRunsFn(t *testing.T) {
+	ran := false
+	LabelWorker("test.worker", func() { ran = true })
+	if !ran {
+		t.Fatal("LabelWorker did not run fn")
+	}
+}

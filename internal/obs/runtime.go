@@ -3,14 +3,25 @@
 // symptoms (heap growth, goroutine leaks, GC stalls), so the runtime's
 // own counters are exposed under the same registry — and therefore the
 // same /metrics page and the same history sampler — as the service
-// metrics.
+// metrics. LabelWorker names long-lived worker goroutines in the
+// runtime's own profiles and goroutine dumps.
 package obs
 
 import (
+	"context"
 	"runtime/metrics"
+	"runtime/pprof"
 	"sync"
 	"time"
 )
+
+// LabelWorker runs fn with a pprof "worker" label naming the goroutine,
+// so goroutine dumps and CPU profiles attribute long-lived background
+// loops (replica follower, store checkpoint/fsync) by role. Blocks
+// until fn returns; launch with `go LabelWorker(...)`.
+func LabelWorker(name string, fn func()) {
+	pprof.Do(context.Background(), pprof.Labels("worker", name), func(context.Context) { fn() })
+}
 
 // Runtime metric names registered by RegisterRuntimeMetrics.
 const (

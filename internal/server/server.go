@@ -16,9 +16,15 @@
 //	GET  /stats   — index size, per-provider counts, traffic totals.
 //	GET  /metrics — Prometheus text-format exposition of the registry.
 //	GET  /healthz — liveness: uptime and build info, text/plain.
+//	GET  /debug/history     — sampled metric history rings.
 //	GET  /debug/traces      — tail-sampled query traces (every errored
 //	                          query, every slow one, 1-in-N of the rest).
 //	GET  /debug/traces/{id} — one retained trace by id.
+//
+// Handler registers these plus /nearest, /snapshot, the standing-query
+// routes (/subscribe, /matches, /unsubscribe), /forget, /checkpoint and
+// /replicate: 16 in all. Lock contention has no route here; it is read
+// from the runtime's mutex and block profiles on fovserver -debug-addr.
 //
 // Every request is counted and timed per endpoint and status code in the
 // observability registry (package obs), and logged through a structured
@@ -116,13 +122,6 @@ type Config struct {
 	// health check degrades. Zero selects 8 MiB; negative disables the
 	// lag check.
 	ReplicaLagWarnBytes int64
-	// HotspotK sizes the heavy-hitter sketches behind GET
-	// /debug/hotspots (query grid cells, providers, shard windows).
-	// Zero selects 32; negative disables hotspot tracking.
-	HotspotK int
-	// HotspotCellDegrees is the grid cell size the query-cell sketch
-	// buckets query centers into. Zero selects 0.01° (~1.1 km).
-	HotspotCellDegrees float64
 	// IDBase offsets the segment-id sequence this server assigns: the
 	// first id handed out is IDBase+1. A partitioned cluster gives each
 	// partition a disjoint base (cmd/fovcluster derives
@@ -152,27 +151,12 @@ func (c Config) withDefaults() Config {
 	if c.Store == nil {
 		c.Store = store.NewMem()
 	}
-	if c.HotspotK == 0 {
-		c.HotspotK = 32
-	}
 	return c
 }
 
 // IndexKindSharded stays only because bench/ still sets Config.IndexKind
 // to it; the field is ignored.
 const IndexKindSharded = "sharded"
-
-// buildIndex bulk-builds the serving R-tree from a complete entry set
-// (empty at a fresh start; the recovered or restored state otherwise),
-// its writer lock accounted under the "index.tree" lock class.
-func (c Config) buildIndex(entries []index.Entry) (*index.RTree, error) {
-	idx, err := index.BulkLoadRTree(c.IndexOptions, entries)
-	if err != nil {
-		return nil, err
-	}
-	idx.SetLockClass(c.Registry.LockClass("index.tree"))
-	return idx, nil
-}
 
 // Server is the cloud service. Create with New, wire into an http.Server
 // via Handler, or use ListenAndServe/Serve.
@@ -188,9 +172,6 @@ type Server struct {
 	traces  *obs.TraceStore // tail-sampled query traces (/debug/traces)
 	history *obs.History    // metric history sampler (/debug/history)
 	health  *obs.HealthSet  // component health checkers (/healthz)
-
-	hotspots   *hotspotSet       // heavy-hitter sketches (/debug/hotspots); nil when disabled
-	contention *obs.ProfileDelta // mutex/block profile snapshotter (/debug/contention)
 
 	spanInsert obs.SpanTimer // index.insert stage timer, resolved once
 	spanQuery  obs.SpanTimer // query.search stage timer, resolved once
@@ -220,7 +201,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: load store: %w", err)
 	}
-	idx, err := cfg.buildIndex(recovered)
+	idx, err := index.BulkLoadRTree(cfg.IndexOptions, recovered)
 	if err != nil {
 		return nil, err
 	}
@@ -255,11 +236,6 @@ func New(cfg Config) (*Server, error) {
 	s.spanQuery = s.reg.SpanTimer("query.search")
 	s.rollbacks = s.reg.Counter("fovr_upload_rollbacks_total")
 	s.slowQueries = s.reg.Counter("fovr_slow_queries_total")
-	s.contention = obs.NewProfileDelta()
-	if cfg.HotspotK > 0 {
-		s.hotspots = newHotspotSet(cfg.HotspotK, cfg.HotspotCellDegrees)
-		s.registerHotspotMetrics()
-	}
 	obs.RegisterRuntimeMetrics(s.reg)
 	s.registerMetrics()
 	s.health = obs.NewHealthSet()
@@ -403,9 +379,6 @@ func (s *Server) RegisterTraced(u wire.Upload, trace string) ([]uint64, error) {
 		s.rollbacks.Inc()
 		return nil, fmt.Errorf("server: %w", err)
 	}
-	if s.hotspots != nil {
-		s.hotspots.observeUpload(u.Provider, entries)
-	}
 	// Notify standing queries only once the whole upload has committed;
 	// offering entry-by-entry would leak rolled-back entries to
 	// subscribers when a later representative fails.
@@ -449,9 +422,6 @@ func (s *Server) QueryCtx(ctx context.Context, q query.Query, maxResults int) ([
 	if maxResults <= 0 {
 		maxResults = s.cfg.DefaultMaxResults
 	}
-	if s.hotspots != nil {
-		s.hotspots.observeQuery(q)
-	}
 	sp := s.spanQuery.Start()
 	defer sp.End()
 	return query.SearchCtx(ctx, s.index(), q, query.Options{
@@ -492,7 +462,7 @@ func (s *Server) ResetState(entries []index.Entry) error {
 func (s *Server) replaceState(entries []index.Entry, persist func() error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	idx, err := s.cfg.buildIndex(entries)
+	idx, err := index.BulkLoadRTree(s.cfg.IndexOptions, entries)
 	if err != nil {
 		return err
 	}
@@ -537,8 +507,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/metrics", s.instrument("/metrics", s.handleMetrics))
 	mux.HandleFunc("/healthz", s.instrument("/healthz", s.handleHealthz))
 	mux.HandleFunc("/debug/history", s.instrument("/debug/history", s.handleHistory))
-	mux.HandleFunc("/debug/contention", s.instrument("/debug/contention", s.handleContention))
-	mux.HandleFunc("/debug/hotspots", s.instrument("/debug/hotspots", s.handleHotspots))
 	mux.HandleFunc("/debug/traces", s.instrument("/debug/traces", s.handleTraces))
 	// The metric label elides the {id} wildcard: label values share the
 	// metric-name character set, which excludes braces.
@@ -593,7 +561,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 			reqLog = s.log.With("reqID", sw.reqID, "endpoint", endpoint)
 			r = r.WithContext(context.WithValue(r.Context(), requestLoggerKey, reqLog))
 		}
-		serveLabeled(endpoint, h, sw, r)
+		h(sw, r)
 		if sw.code == 0 {
 			sw.code = http.StatusOK
 		}

@@ -28,6 +28,11 @@ import (
 // maxMatchBacklog bounds the per-subscription match buffer.
 const maxMatchBacklog = 256
 
+// maxSubscriptions bounds the standing queries a server holds: each one
+// is client-controlled state and a term in every upload's matching loop.
+// /subscribe past it answers 429 until an /unsubscribe frees a slot.
+const maxSubscriptions = 1024
+
 type subscription struct {
 	id  uint64
 	q   query.Query
@@ -49,9 +54,14 @@ func newSubscriptions() *subscriptions {
 	return &subscriptions{next: 1, subs: make(map[uint64]*subscription)}
 }
 
+// add registers a standing query, or returns nil when maxSubscriptions
+// are already held.
 func (ss *subscriptions) add(q query.Query, max int) *subscription {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
+	if len(ss.subs) >= maxSubscriptions {
+		return nil
+	}
 	sub := &subscription{id: ss.next, q: q, max: max}
 	ss.next++
 	ss.subs[sub.id] = sub
@@ -143,6 +153,11 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		max = s.cfg.DefaultMaxResults
 	}
 	sub := s.subs.add(req.Query, max)
+	if sub == nil {
+		s.respondError(w, http.StatusTooManyRequests,
+			fmt.Errorf("server: %d standing queries held; unsubscribe one first", maxSubscriptions))
+		return
+	}
 	s.reqLog(r).Info("subscribe",
 		"subID", sub.id,
 		"center", fmt.Sprint(req.Center),

@@ -166,6 +166,70 @@ func TestSubscriptionHTTPErrorPaths(t *testing.T) {
 	}
 }
 
+// TestSubscriptionCap pins the bound on standing queries: 1 024 are
+// accepted, the next answers 429 with a JSON error, and one
+// /unsubscribe frees a slot for it.
+func TestSubscriptionCap(t *testing.T) {
+	const limit = 1024
+	s := newServer(t)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	body, _ := json.Marshal(QueryRequest{Query: query.Query{
+		EndMillis: 10_000, Center: center, RadiusMeters: 10,
+	}})
+	subscribe := func() (*http.Response, []byte) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/subscribe", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return resp, buf.Bytes()
+	}
+	var first SubscribeResponse
+	for i := 0; i < limit; i++ {
+		resp, b := subscribe()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("subscription %d: status %d: %s", i+1, resp.StatusCode, b)
+		}
+		if i == 0 {
+			if err := json.Unmarshal(b, &first); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	resp, b := subscribe()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("subscription %d: status %d, want 429", limit+1, resp.StatusCode)
+	}
+	var er ErrorResponse
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("429 Content-Type %q, want application/json", ct)
+	}
+	if err := json.Unmarshal(b, &er); err != nil || er.Error == "" {
+		t.Fatalf("429 body %q is not a JSON error (%v)", b, err)
+	}
+	if got := s.subs.count(); got != limit {
+		t.Fatalf("%d subscriptions held after a refusal, want %d", got, limit)
+	}
+
+	uresp, err := http.Post(fmt.Sprintf("%s/unsubscribe?id=%d", ts.URL, first.ID), "text/plain", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uresp.Body.Close()
+	if uresp.StatusCode != http.StatusOK {
+		t.Fatalf("unsubscribe: status %d", uresp.StatusCode)
+	}
+	if resp, b := subscribe(); resp.StatusCode != http.StatusOK {
+		t.Fatalf("subscribe after unsubscribe: status %d: %s", resp.StatusCode, b)
+	}
+}
+
 func TestServeOnListener(t *testing.T) {
 	s := newServer(t)
 	l, err := net.Listen("tcp", "127.0.0.1:0")

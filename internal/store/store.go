@@ -279,7 +279,6 @@ type Disk struct {
 	cpHist          *obs.Histogram
 	compactions     *obs.Counter
 	segWrittenBytes *obs.Counter
-	lockClass       *obs.LockClass // "store.wal": lock-wait accounting on d.mu's append path
 }
 
 func walName(gen uint64) string        { return fmt.Sprintf("wal-%012d.log", gen) }
@@ -347,7 +346,6 @@ func Open(opts Options) (*Disk, error) {
 	d.cpHist = reg.Histogram("fovr_store_checkpoint_seconds")
 	d.compactions = reg.Counter("fovr_store_compactions_total")
 	d.segWrittenBytes = reg.Counter("fovr_store_segment_written_bytes_total")
-	d.lockClass = reg.LockClass("store.wal")
 
 	start := time.Now()
 	if err := d.recover(); err != nil {
@@ -679,12 +677,9 @@ func (d *Disk) append(rec Record) error {
 	if err := appendRecord(&buf, rec); err != nil {
 		return err // validation failure: nothing recorded
 	}
-	lt := d.lockClass.Start()
 	d.mu.Lock()
-	lt.Acquired()
 	err := d.appendLocked(rec, &buf)
 	d.mu.Unlock()
-	lt.Released()
 	return err
 }
 
