@@ -132,16 +132,15 @@ func (s *System) Ingest(provider string, reps []segment.Representative) ([]uint6
 	start := s.nextID
 	s.nextID += uint64(len(reps))
 	s.mu.Unlock()
-	ids := make([]uint64, 0, len(reps))
+	ids := make([]uint64, len(reps))
+	entries := make([]index.Entry, len(reps))
 	for i, rep := range reps {
-		e := index.Entry{ID: start + uint64(i), Provider: provider, Rep: rep}
-		if err := s.idx.Insert(e); err != nil {
-			for _, id := range ids {
-				s.idx.Remove(id)
-			}
-			return nil, fmt.Errorf("core: rep %d: %w", i, err)
-		}
-		ids = append(ids, e.ID)
+		ids[i] = start + uint64(i)
+		entries[i] = index.Entry{ID: ids[i], Provider: provider, Rep: rep}
+	}
+	// All-or-nothing: a rejected representative leaves none indexed.
+	if err := s.idx.InsertBatch(entries); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	return ids, nil
 }
@@ -163,8 +162,18 @@ func (s *System) Search(q query.Query, n int) ([]query.Ranked, error) {
 }
 
 // Forget removes a segment by id (a provider withdrawing a contribution),
-// reporting whether it was present.
-func (s *System) Forget(id uint64) bool { return s.idx.Remove(id) }
+// reporting whether it was present. The index removes by entry, so the
+// id's entry is found by scanning the published snapshot.
+func (s *System) Forget(id uint64) bool {
+	var gone []index.Entry
+	s.idx.Scan(func(e *index.Entry) bool {
+		if e.ID == id {
+			gone = append(gone, *e)
+		}
+		return gone == nil
+	})
+	return s.idx.RemoveBatch(gone) == 1
+}
 
 // Len returns the number of indexed segments.
 func (s *System) Len() int { return s.idx.Len() }

@@ -102,7 +102,7 @@ func New(opts Options) (*Tree, error) {
 	if opts.GroupSize < 1 {
 		return nil, fmt.Errorf("geotree: group size %d < 1", opts.GroupSize)
 	}
-	t, err := rtree.New[Group](opts.Tree)
+	t, err := rtree.New(opts.Tree, groupRect)
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +137,7 @@ func (t *Tree) AddVideo(videoID string, fovs []fov.FoV) error {
 			}
 		}
 		g := Group{VideoID: videoID, StartFrame: start, EndFrame: end, MBR: mbr}
-		if err := t.tree.Insert(toRect(mbr), g); err != nil {
+		if err := t.tree.Insert(g); err != nil {
 			return err
 		}
 	}
@@ -157,6 +157,10 @@ func (t *Tree) Groups() int { return t.tree.Len() }
 
 // Frames returns the number of ingested frames.
 func (t *Tree) Frames() int { return t.frames }
+
+// groupRect is the tree's bounds function: a group is indexed under its
+// scene MBR.
+func groupRect(g *Group) rtree.Rect { return toRect(g.MBR) }
 
 // toRect pins the unused time dimension to zero.
 func toRect(r geo.Rect) rtree.Rect {

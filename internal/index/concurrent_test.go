@@ -186,8 +186,9 @@ func TestConcurrentSnapshotReads(t *testing.T) {
 
 // The removal phase: a writer deleting ids top-down, readers asserting
 // every read remains a contiguous prefix and shrinks monotonically.
-// (Remove publishes per id, so multiples of the batch size are not
-// expected here — only prefix consistency and monotonicity.)
+// (The writer removes and publishes one entry at a time, so multiples
+// of the batch size are not expected here — only prefix consistency and
+// monotonicity.)
 func TestConcurrentSnapshotReadsDuringRemoval(t *testing.T) {
 	full := geo.RectAround(city, 30_000)
 	const tlo, thi = -(1 << 40), 1 << 40
@@ -210,9 +211,9 @@ func TestConcurrentSnapshotReadsDuringRemoval(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				defer close(done)
-				for id := uint64(total); id >= 1; id-- {
-					if !idx.Remove(id) {
-						errs <- fmt.Errorf("writer: live id %d not removed", id)
+				for i := total - 1; i >= 0; i-- {
+					if idx.RemoveBatch(entries[i:i+1]) != 1 {
+						errs <- fmt.Errorf("writer: live id %d not removed", entries[i].ID)
 						return
 					}
 				}
@@ -309,9 +310,9 @@ func TestConcurrentRefsNeverChange(t *testing.T) {
 						errs <- err
 						return
 					}
-					for _, e := range batch[:concBatchSize/2] {
-						if !idx.Remove(e.ID) {
-							errs <- fmt.Errorf("writer: live id %d not removed", e.ID)
+					for i := range batch[:concBatchSize/2] {
+						if idx.RemoveBatch(batch[i:i+1]) != 1 {
+							errs <- fmt.Errorf("writer: live id %d not removed", batch[i].ID)
 							return
 						}
 					}
@@ -395,7 +396,7 @@ func TestConcurrentMutationStress(t *testing.T) {
 				// the rest survive to the final oracle comparison.
 				for i, e := range batch {
 					if i%4 == 0 {
-						if !x.Remove(e.ID) {
+						if x.RemoveBatch([]Entry{e}) != 1 {
 							t.Errorf("writer %d: committed id %d not removable", w, e.ID)
 							return
 						}

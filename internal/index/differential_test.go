@@ -97,6 +97,7 @@ func TestDifferentialIndexEquivalence(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(77))
 	var live []uint64 // ids currently stored, kept in insert order
+	stored := map[uint64]Entry{}
 	nextID := uint64(1)
 
 	removeLive := func(i int) uint64 {
@@ -164,6 +165,7 @@ func TestDifferentialIndexEquivalence(t *testing.T) {
 				}
 			}
 			live = append(live, e.ID)
+			stored[e.ID] = e
 		case op < 40: // batch insert
 			batch := make([]Entry, 1+rng.Intn(40))
 			for i := range batch {
@@ -177,6 +179,7 @@ func TestDifferentialIndexEquivalence(t *testing.T) {
 			}
 			for _, e := range batch {
 				live = append(live, e.ID)
+				stored[e.ID] = e
 			}
 		case op < 45: // duplicate insert: everyone must refuse
 			if len(live) == 0 {
@@ -203,21 +206,30 @@ func TestDifferentialIndexEquivalence(t *testing.T) {
 					t.Fatalf("step %d: %s accepts poisoned batch", step, im.name)
 				}
 			}
-		case op < 65: // remove a live id
+		case op < 65: // remove one to three live entries in one batch, sometimes beside an absent one
 			if len(live) == 0 {
 				continue
 			}
-			id := removeLive(rng.Intn(len(live)))
+			var batch []Entry
+			for k := 1 + rng.Intn(3); k > 0 && len(live) > 0; k-- {
+				id := removeLive(rng.Intn(len(live)))
+				batch = append(batch, stored[id])
+				delete(stored, id)
+			}
+			want := len(batch)
+			if rng.Intn(4) == 0 {
+				batch = append(batch, diffEntry(rng, nextID+uint64(rng.Intn(1000))+1))
+			}
 			for _, im := range impls {
-				if !im.idx.Remove(id) {
-					t.Fatalf("step %d: %s cannot remove live id %d", step, im.name, id)
+				if n := im.idx.RemoveBatch(batch); n != want {
+					t.Fatalf("step %d: %s removed %d of %d live entries", step, im.name, n, want)
 				}
 			}
 		case op < 70: // remove an absent id
-			id := nextID + uint64(rng.Intn(1000)) + 1
+			e := diffEntry(rng, nextID+uint64(rng.Intn(1000))+1)
 			for _, im := range impls {
-				if im.idx.Remove(id) {
-					t.Fatalf("step %d: %s removes absent id %d", step, im.name, id)
+				if im.idx.RemoveBatch([]Entry{e}) != 0 {
+					t.Fatalf("step %d: %s removes absent id %d", step, im.name, e.ID)
 				}
 			}
 		case op < 90:

@@ -72,6 +72,7 @@ func FuzzSnapshotReads(f *testing.F) {
 		x := newRTree(t)
 		lin := NewLinear()
 		nextID := uint64(1)
+		made := map[uint64]Entry{} // every entry offered, by id
 		queried := false
 		for len(data) >= 6 {
 			op, lat, lng := data[0], data[1], data[2]
@@ -86,13 +87,16 @@ func FuzzSnapshotReads(f *testing.F) {
 					Rep:      fuzzRep(lat, lng, op, a*100, b*10),
 				}
 				nextID++
+				made[e.ID] = e
 				errX, errL := x.Insert(e), lin.Insert(e)
 				if (errX == nil) != (errL == nil) {
 					t.Fatalf("insert %d: tree err %v, linear err %v", e.ID, errX, errL)
 				}
 			case 2: // remove
 				id := uint64(a)%nextID + 1
-				if okX, okL := x.Remove(id), lin.Remove(id); okX != okL {
+				e := made[id]
+				e.ID = id
+				if okX, okL := x.RemoveBatch([]Entry{e}) == 1, lin.Remove(id); okX != okL {
 					t.Fatalf("remove %d: tree %v, linear %v", id, okX, okL)
 				}
 			case 3: // query

@@ -79,9 +79,6 @@ func (e *Entry) EffectiveCamera(fallback fov.Camera) fov.Camera {
 type Index interface {
 	// Insert adds an entry. IDs must be unique; reusing one is an error.
 	Insert(Entry) error
-	// Remove deletes the entry with the given id, reporting whether it
-	// was present.
-	Remove(id uint64) bool
 	// Visit is the read traversal: it hands visit a reference to every
 	// entry whose position lies in r and whose segment interval
 	// intersects [startMillis, endMillis], and reports what the traversal
@@ -118,7 +115,7 @@ func searchAll(x Index, r geo.Rect, startMillis, endMillis int64) []Entry {
 }
 
 // entriesOf copies the referenced entries out, once, at their exact
-// number (growing a slice of 136-byte entries costs more than growing
+// number (growing a slice of 80-byte entries costs more than growing
 // one of references and copying at the end).
 func entriesOf(refs []*Entry) []Entry {
 	if len(refs) == 0 {
@@ -158,7 +155,7 @@ type NearestSearcher interface {
 }
 
 // ServerIndex is the full contract the cloud server needs from its
-// index: the core Index operations plus batch ingest,
+// index: the core Index operations plus batch ingest and removal,
 // nearest-neighbour ranking, snapshotting, and the diagnostics exposed
 // at /metrics. RTree implements it; the differential suite drives the
 // Linear oracle through it beside RTree.
@@ -166,6 +163,10 @@ type ServerIndex interface {
 	Index
 	BatchInserter
 	NearestSearcher
+	// RemoveBatch deletes the given entries, as read from this index,
+	// and returns how many it removed; entries it does not hold are
+	// skipped. Readers see the whole batch go at once.
+	RemoveBatch(entries []Entry) int
 	// Entries returns a copy of every stored entry (snapshot input).
 	Entries() []Entry
 	// Height is the worst-case tree depth a query can traverse.
@@ -178,11 +179,14 @@ type ServerIndex interface {
 	CheckInvariants() error
 }
 
-// entryRect maps a representative to its index-space rectangle.
-func entryRect(rep segment.Representative) rtree.Rect {
+// entryRect is the tree's bounds function: an entry's index-space
+// rectangle, derived from its representative whenever the tree needs
+// it, so leaves store the entry and nothing else.
+func entryRect(e *Entry) rtree.Rect {
+	p := e.Rep.FoV.P
 	return rtree.Rect{
-		Min: [rtree.Dims]float64{rep.FoV.P.Lng, rep.FoV.P.Lat, float64(rep.StartMillis)},
-		Max: [rtree.Dims]float64{rep.FoV.P.Lng, rep.FoV.P.Lat, float64(rep.EndMillis)},
+		Min: [rtree.Dims]float64{p.Lng, p.Lat, float64(e.Rep.StartMillis)},
+		Max: [rtree.Dims]float64{p.Lng, p.Lat, float64(e.Rep.EndMillis)},
 	}
 }
 
@@ -200,43 +204,41 @@ func queryRect(r geo.Rect, startMillis, endMillis int64) rtree.Rect {
 // Writers serialize on mu and publish an immutable snapshot of the tree
 // after every mutation; readers load the snapshot and traverse it with
 // no locks at all, so queries never wait on ingest and never observe a
-// partially applied batch.
+// partially applied batch. ids holds every stored id, so a duplicate is
+// refused without a tree walk.
 type RTree struct {
-	mu    sync.Mutex // writers only; readers go through tree.Snapshot
-	tree  *rtree.Tree[Entry]
-	rects map[uint64]rtree.Rect
+	mu   sync.Mutex // writers only; readers go through tree.Snapshot
+	tree *rtree.Tree[Entry]
+	ids  map[uint64]struct{}
 }
 
 // NewRTree returns an empty R-tree index.
 func NewRTree(opts rtree.Options) (*RTree, error) {
-	t, err := rtree.New[Entry](opts)
+	t, err := rtree.New(opts, entryRect)
 	if err != nil {
 		return nil, err
 	}
-	return &RTree{tree: t, rects: make(map[uint64]rtree.Rect)}, nil
+	return &RTree{tree: t, ids: make(map[uint64]struct{})}, nil
 }
 
 // BulkLoadRTree builds an R-tree index from a complete entry set using
 // STR packing — the fast path for rebuilding an index from a snapshot.
 func BulkLoadRTree(opts rtree.Options, entries []Entry) (*RTree, error) {
-	items := make([]rtree.Item[Entry], len(entries))
-	rects := make(map[uint64]rtree.Rect, len(entries))
-	for i, e := range entries {
+	ids := make(map[uint64]struct{}, len(entries))
+	for _, e := range entries {
 		if err := e.Validate(); err != nil {
 			return nil, err
 		}
-		if _, dup := rects[e.ID]; dup {
+		if _, dup := ids[e.ID]; dup {
 			return nil, fmt.Errorf("index: duplicate id %d", e.ID)
 		}
-		r := entryRect(e.Rep)
-		items[i] = rtree.Item[Entry]{Rect: r, Data: e}
-		rects[e.ID] = r
+		ids[e.ID] = struct{}{}
 	}
-	t, err := rtree.BulkLoad(opts, items)
+	t, err := rtree.BulkLoad(opts, entryRect, entries)
 	if err != nil {
 		return nil, err
 	}
-	return &RTree{tree: t, rects: rects}, nil
+	return &RTree{tree: t, ids: ids}, nil
 }
 
 // Insert implements Index.
@@ -245,23 +247,22 @@ func (x *RTree) Insert(e Entry) error {
 		return err
 	}
 	x.mu.Lock()
-	err := x.insertLocked(e)
-	if err == nil {
-		x.tree.Publish()
+	defer x.mu.Unlock()
+	if err := x.insertLocked(e); err != nil {
+		return err
 	}
-	x.mu.Unlock()
-	return err
+	x.tree.Publish()
+	return nil
 }
 
 func (x *RTree) insertLocked(e Entry) error {
-	if _, dup := x.rects[e.ID]; dup {
+	if _, dup := x.ids[e.ID]; dup {
 		return fmt.Errorf("index: duplicate id %d", e.ID)
 	}
-	r := entryRect(e.Rep)
-	if err := x.tree.Insert(r, e); err != nil {
+	if err := x.tree.Insert(e); err != nil {
 		return err
 	}
-	x.rects[e.ID] = r
+	x.ids[e.ID] = struct{}{}
 	return nil
 }
 
@@ -272,41 +273,20 @@ func (x *RTree) insertLocked(e Entry) error {
 // visible to readers in one publish — a reader sees either none of the
 // batch or all of it.
 func (x *RTree) InsertBatch(entries []Entry) error {
-	rects := make([]rtree.Rect, len(entries))
 	for i, e := range entries {
 		if err := e.Validate(); err != nil {
 			return fmt.Errorf("index: batch entry %d: %w", i, err)
 		}
-		rects[i] = entryRect(e.Rep)
 	}
 	x.mu.Lock()
-	err := x.insertBatchLocked(entries, rects)
-	if err == nil {
-		x.tree.Publish()
-	}
-	x.mu.Unlock()
-	return err
-}
-
-func (x *RTree) insertBatchLocked(entries []Entry, rects []rtree.Rect) error {
-	rollback := func(n int) {
-		for j := 0; j < n; j++ {
-			e := entries[j]
-			x.tree.Delete(rects[j], func(d Entry) bool { return d.ID == e.ID })
-			delete(x.rects, e.ID)
-		}
-	}
+	defer x.mu.Unlock()
 	for i, e := range entries {
-		if _, dup := x.rects[e.ID]; dup {
-			rollback(i)
-			return fmt.Errorf("index: duplicate id %d", e.ID)
-		}
-		if err := x.tree.Insert(rects[i], e); err != nil {
-			rollback(i)
+		if err := x.insertLocked(e); err != nil {
+			x.removeLocked(entries[:i])
 			return err
 		}
-		x.rects[e.ID] = rects[i]
 	}
+	x.tree.Publish()
 	return nil
 }
 
@@ -342,36 +322,40 @@ func (x *RTree) ReadEpoch() uint64 {
 	return x.tree.Snapshot().Epoch()
 }
 
-// Remove implements Index.
-func (x *RTree) Remove(id uint64) bool {
+// RemoveBatch implements ServerIndex under one acquisition of the tree
+// lock and with one publish. Each entry is found by its rectangle and
+// id, so it must be as stored (read from this index); an entry whose id
+// is not stored, or is stored under another rectangle, is skipped.
+func (x *RTree) RemoveBatch(entries []Entry) int {
 	x.mu.Lock()
-	ok := x.removeLocked(id)
-	if ok {
+	defer x.mu.Unlock()
+	n := x.removeLocked(entries)
+	if n > 0 {
 		x.tree.Publish()
 	}
-	x.mu.Unlock()
-	return ok
+	return n
 }
 
-func (x *RTree) removeLocked(id uint64) bool {
-	r, ok := x.rects[id]
-	if !ok {
-		return false
+func (x *RTree) removeLocked(entries []Entry) int {
+	n := 0
+	for i := range entries {
+		e := &entries[i]
+		if _, ok := x.ids[e.ID]; !ok {
+			continue
+		}
+		if x.tree.Delete(e, func(d *Entry) bool { return d.ID == e.ID }) {
+			delete(x.ids, e.ID)
+			n++
+		}
 	}
-	if !x.tree.Delete(r, func(e Entry) bool { return e.ID == id }) {
-		// The rects map and the tree must agree; disagreement is a bug.
-		panic(fmt.Sprintf("index: id %d tracked but not in tree", id))
-	}
-	delete(x.rects, id)
-	return true
+	return n
 }
 
 // Visit implements Index. It walks the published snapshot, taking no
 // locks, steered by the bounds visit answers with; the references point
 // into that snapshot's leaves.
 func (x *RTree) Visit(r geo.Rect, startMillis, endMillis int64, center geo.Point, visit func(*Entry) float64) (nodes, scanned int64) {
-	_, nodes, scanned = x.tree.Snapshot().SearchNear(queryRect(r, startMillis, endMillis), nearFor(r, center), math.Inf(1),
-		func(_ *rtree.Rect, e *Entry) float64 { return visit(e) })
+	_, nodes, scanned = x.tree.Snapshot().SearchNear(queryRect(r, startMillis, endMillis), nearFor(r, center), math.Inf(1), visit)
 	return nodes, scanned
 }
 
@@ -390,14 +374,22 @@ func (x *RTree) Height() int {
 	return x.tree.Snapshot().Height()
 }
 
+// Scan calls fn with a reference to every entry of the published
+// snapshot, in unspecified order, until fn returns false. Like Visit's,
+// the references point into frozen leaves: they stay valid, and
+// unchanged, for as long as the caller holds them, and the caller must
+// not write through them.
+func (x *RTree) Scan(fn func(*Entry) bool) {
+	x.tree.Snapshot().Scan(fn)
+}
+
 // Entries returns a copy of every stored entry, in unspecified order —
 // the input to a snapshot. The copy is taken from the published
 // snapshot, so it is a consistent cut even while writers are active.
 func (x *RTree) Entries() []Entry {
-	s := x.tree.Snapshot()
-	out := make([]Entry, 0, s.Len())
-	s.Scan(func(_ rtree.Rect, e Entry) bool {
-		out = append(out, e)
+	out := make([]Entry, 0, x.Len())
+	x.Scan(func(e *Entry) bool {
+		out = append(out, *e)
 		return true
 	})
 	return out
@@ -416,18 +408,37 @@ func (x *RTree) TreeStats() rtree.Stats {
 	return x.tree.Stats()
 }
 
-// CheckInvariants validates the underlying tree structure, the id map,
-// and the publication contract: after any public mutation returns, the
-// published snapshot is exactly the current tree state (tests only; the
-// caller must be quiescent).
+// CheckInvariants validates the underlying tree structure, the id set —
+// exactly the ids the leaves hold, each once — and the publication
+// contract: after any public mutation returns, the published snapshot
+// is exactly the current tree state (tests only; the caller must be
+// quiescent).
 func (x *RTree) CheckInvariants() error {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if err := x.tree.CheckInvariants(); err != nil {
 		return err
 	}
-	if len(x.rects) != x.tree.Len() {
-		return fmt.Errorf("index: id map has %d entries, tree has %d", len(x.rects), x.tree.Len())
+	var err error
+	seen := make(map[uint64]struct{}, len(x.ids))
+	x.tree.Scan(func(e *Entry) bool {
+		if _, ok := x.ids[e.ID]; !ok {
+			err = fmt.Errorf("index: leaf id %d missing from the id set", e.ID)
+		} else if _, dup := seen[e.ID]; dup {
+			err = fmt.Errorf("index: id %d stored twice", e.ID)
+		}
+		seen[e.ID] = struct{}{}
+		return err == nil
+	})
+	if err != nil {
+		return err
+	}
+	if len(seen) != len(x.ids) {
+		for id := range x.ids {
+			if _, ok := seen[id]; !ok {
+				return fmt.Errorf("index: id %d in the id set but in no leaf", id)
+			}
+		}
 	}
 	if s := x.tree.Snapshot(); s.Len() != x.tree.Len() {
 		return fmt.Errorf("index: published snapshot has %d entries, tree has %d (unpublished mutation)", s.Len(), x.tree.Len())
@@ -463,10 +474,29 @@ func (x *Linear) Insert(e Entry) error {
 	return nil
 }
 
-// Remove implements Index.
+// Remove deletes the entry with the given id, reporting whether it was
+// present.
 func (x *Linear) Remove(id uint64) bool {
 	x.mu.Lock()
 	defer x.mu.Unlock()
+	return x.removeLocked(id)
+}
+
+// RemoveBatch deletes the entries with the given entries' ids under one
+// lock, skipping ids it does not hold, and returns how many it removed.
+func (x *Linear) RemoveBatch(entries []Entry) int {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	n := 0
+	for _, e := range entries {
+		if x.removeLocked(e.ID) {
+			n++
+		}
+	}
+	return n
+}
+
+func (x *Linear) removeLocked(id uint64) bool {
 	i, ok := x.byID[id]
 	if !ok {
 		return false
@@ -621,7 +651,7 @@ func (x *RTree) Nearest(center geo.Point, startMillis, endMillis int64, k int, m
 	}
 	near := rtree.Near{P: p, W: [rtree.Dims]float64{w[0] * boundSlack, boundSlack, 0}}
 	best := make([]nearKey, 0, min(k, 64))
-	offer := func(_ *rtree.Rect, e *Entry) float64 {
+	offer := func(e *Entry) float64 {
 		// The box compares in float64; the integer test keeps the answer
 		// exact where two distinct instants round together.
 		if e.Rep.EndMillis >= startMillis && e.Rep.StartMillis <= endMillis {

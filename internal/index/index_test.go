@@ -152,7 +152,7 @@ func TestDuplicateIDRejected(t *testing.T) {
 
 func TestRemove(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	for _, impl := range []Index{newRTree(t), NewLinear()} {
+	for _, impl := range []ServerIndex{newRTree(t), oracleIndex{NewLinear()}} {
 		var entries []Entry
 		for i := 0; i < 500; i++ {
 			e := randEntry(rng, uint64(i))
@@ -161,15 +161,15 @@ func TestRemove(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if impl.Remove(9999) {
+		if impl.RemoveBatch([]Entry{randEntry(rng, 9999)}) != 0 {
 			t.Errorf("%T: removing absent id succeeded", impl)
 		}
-		for _, e := range entries[:250] {
-			if !impl.Remove(e.ID) {
-				t.Errorf("%T: removing present id %d failed", impl, e.ID)
-			}
+		// One batch: the first half, with an absent entry among them.
+		batch := append([]Entry{randEntry(rng, 9999)}, entries[:250]...)
+		if n := impl.RemoveBatch(batch); n != 250 {
+			t.Errorf("%T: removed %d of 250 present entries", impl, n)
 		}
-		if impl.Remove(entries[0].ID) {
+		if impl.RemoveBatch(entries[:1]) != 0 {
 			t.Errorf("%T: double remove succeeded", impl)
 		}
 		if impl.Len() != 250 {
@@ -188,16 +188,54 @@ func TestRemove(t *testing.T) {
 			}
 		}
 	}
-	// The R-tree variant must stay structurally sound after heavy removal.
+	// The R-tree finds an entry by its rectangle: an id it holds, given
+	// at another position, is not removed.
 	rt := newRTree(t)
-	for i := 0; i < 500; i++ {
-		_ = rt.Insert(randEntry(rng, uint64(i)))
+	entries := make([]Entry, 500)
+	for i := range entries {
+		entries[i] = randEntry(rng, uint64(i))
+		_ = rt.Insert(entries[i])
 	}
+	moved := entries[0]
+	moved.Rep.FoV.P.Lat += 0.001
+	if rt.RemoveBatch([]Entry{moved}) != 0 || rt.Len() != 500 {
+		t.Fatalf("an entry given at another position was removed (Len %d)", rt.Len())
+	}
+	// The R-tree variant must stay structurally sound after heavy removal.
 	for i := 0; i < 400; i++ {
-		rt.Remove(uint64(i))
+		rt.RemoveBatch(entries[i : i+1])
 	}
 	if err := rt.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// CheckInvariants compares the id set with the leaves' ids, not just
+// their counts: an id planted in the set, or one dropped from it, is
+// reported even when the counts still agree.
+func TestCheckInvariantsCatchesIDSetDrift(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	x := newRTree(t)
+	for id := uint64(1); id <= 200; id++ {
+		if err := x.Insert(randEntry(rng, id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := x.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	x.ids[9999] = struct{}{}
+	if err := x.CheckInvariants(); err == nil {
+		t.Fatal("an id in the set but in no leaf went unnoticed")
+	}
+	delete(x.ids, 9999)
+	delete(x.ids, 7)
+	if err := x.CheckInvariants(); err == nil {
+		t.Fatal("a leaf id missing from the set went unnoticed")
+	}
+	x.ids[9999] = struct{}{} // counts agree again; contents do not
+	if err := x.CheckInvariants(); err == nil {
+		t.Fatal("a swapped id went unnoticed")
 	}
 }
 
@@ -248,7 +286,7 @@ func TestBatchAllOrNothing(t *testing.T) {
 		if got := ids(x.Search(rect, 0, 1<<40)); x.Len() != 1 || len(got) != 1 || got[0] != 3 {
 			t.Fatalf("%s: contents after the failed batch = %v (Len %d), want [3]", name, got, x.Len())
 		}
-		if x.Remove(batch[0].ID) {
+		if x.RemoveBatch(batch[:1]) != 0 {
 			t.Fatalf("%s: rolled-back id %d removable", name, batch[0].ID)
 		}
 		if err := x.CheckInvariants(); err != nil {
@@ -264,7 +302,7 @@ func TestBatchAllOrNothing(t *testing.T) {
 		t.Fatalf("Len = %d, want 5", x.Len())
 	}
 	for _, e := range good {
-		if !x.Remove(e.ID) {
+		if x.RemoveBatch([]Entry{e}) != 1 {
 			t.Fatalf("committed id %d not removable", e.ID)
 		}
 	}
@@ -298,7 +336,7 @@ func TestBulkLoadRTree(t *testing.T) {
 		t.Fatalf("bulk %d hits, incremental %d", len(a), len(b))
 	}
 	// Bulk-loaded trees stay mutable.
-	if !bulk.Remove(entries[0].ID) {
+	if bulk.RemoveBatch(entries[:1]) != 1 {
 		t.Fatal("remove from bulk-loaded index failed")
 	}
 	dupErr := func() error {
@@ -330,12 +368,13 @@ func TestConcurrentUploadAndQuery(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < perWriter; i++ {
 				id := uint64(w*perWriter + i)
-				if err := rt.Insert(randEntry(rng, id)); err != nil {
+				e := randEntry(rng, id)
+				if err := rt.Insert(e); err != nil {
 					t.Errorf("writer %d: %v", w, err)
 					return
 				}
 				if i%10 == 0 {
-					rt.Remove(id) // churn
+					rt.RemoveBatch([]Entry{e}) // churn
 				}
 			}
 		}(w)
@@ -408,7 +447,8 @@ func TestGridAgreesWithLinear(t *testing.T) {
 }
 
 func TestGridImplementsIndexContract(t *testing.T) {
-	var impl Index = newGrid(t)
+	g := newGrid(t)
+	var impl Index = g
 	rng := rand.New(rand.NewSource(14))
 	var entries []Entry
 	for i := 0; i < 300; i++ {
@@ -421,11 +461,11 @@ func TestGridImplementsIndexContract(t *testing.T) {
 	if err := impl.Insert(entries[0]); err == nil {
 		t.Fatal("duplicate id accepted")
 	}
-	if impl.Remove(9999) {
+	if g.Remove(9999) {
 		t.Fatal("absent remove succeeded")
 	}
 	for _, e := range entries[:100] {
-		if !impl.Remove(e.ID) {
+		if !g.Remove(e.ID) {
 			t.Fatalf("remove %d failed", e.ID)
 		}
 	}
@@ -433,7 +473,6 @@ func TestGridImplementsIndexContract(t *testing.T) {
 		t.Fatalf("Len = %d", impl.Len())
 	}
 	// Cells are garbage-collected when emptied.
-	g := impl.(*Grid)
 	if g.CellCount() == 0 {
 		t.Fatal("all cells gone with 200 entries left")
 	}

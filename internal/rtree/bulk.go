@@ -6,45 +6,55 @@ import (
 	"sort"
 )
 
-// Item is a rectangle/value pair for bulk loading.
-type Item[T any] struct {
-	Rect Rect
-	Data T
-}
-
 // BulkLoad builds a tree from items using the Sort-Tile-Recursive (STR)
 // packing algorithm: items are sorted by the first dimension of their
 // centers, cut into vertical slabs, each slab sorted by the next
 // dimension, and so on, so that every leaf holds up to MaxEntries
 // spatially adjacent items. STR produces near-100% node fill and tighter
 // MBRs than repeated insertion, at the cost of being offline-only; the
-// ablation benchmarks quantify the query-time difference.
-func BulkLoad[T any](opts Options, items []Item[T]) (*Tree[T], error) {
-	t, err := New[T](opts)
+// ablation benchmarks quantify the query-time difference. bounds is the
+// tree's bounds function, as for New.
+func BulkLoad[T any](opts Options, bounds func(*T) Rect, items []T) (*Tree[T], error) {
+	t, err := New(opts, bounds)
 	if err != nil {
 		return nil, err
 	}
-	for _, it := range items {
-		if !it.Rect.Valid() {
-			return nil, fmt.Errorf("rtree: invalid rect %v in bulk load", it.Rect)
+	slots := make([]strSlot, len(items))
+	for i := range items {
+		r := bounds(&items[i])
+		if !r.Valid() {
+			return nil, fmt.Errorf("rtree: invalid rect %v in bulk load", r)
 		}
+		slots[i] = strSlot{rect: r, at: i}
 	}
 	if len(items) == 0 {
 		return t, nil
 	}
 
-	entries := make([]entry[T], len(items))
-	for i, it := range items {
-		entries[i] = entry[T]{rect: it.Rect, data: it.Data}
+	max := t.opts.MaxEntries
+	nodes := make([]*node[T], 0, (len(slots)+max-1)/max)
+	for _, run := range packLevel(slots, max) {
+		n := &node[T]{leaf: true, items: make([]T, len(run))}
+		for j, s := range run {
+			n.items[j] = items[s.at]
+		}
+		nodes = append(nodes, n)
 	}
-	nodes := packLevel(entries, t.opts.MaxEntries, true)
 	height := 1
 	for len(nodes) > 1 {
-		parents := make([]entry[T], len(nodes))
+		slots = slots[:len(nodes)]
 		for i, n := range nodes {
-			parents[i] = entry[T]{rect: n.mbr(), child: n}
+			slots[i] = strSlot{rect: mbr(n, bounds), at: i}
 		}
-		nodes = packLevel(parents, t.opts.MaxEntries, false)
+		parents := make([]*node[T], 0, (len(slots)+max-1)/max)
+		for _, run := range packLevel(slots, max) {
+			n := &node[T]{rects: make([]Rect, len(run)), children: make([]*node[T], len(run))}
+			for j, s := range run {
+				n.rects[j], n.children[j] = s.rect, nodes[s.at]
+			}
+			parents = append(parents, n)
+		}
+		nodes = parents
 		height++
 	}
 	t.root = nodes[0]
@@ -55,34 +65,35 @@ func BulkLoad[T any](opts Options, items []Item[T]) (*Tree[T], error) {
 	return t, nil
 }
 
-// packLevel tiles one level's entries into nodes of capacity max using
-// STR's recursive slab sort over the Dims center coordinates.
-func packLevel[T any](entries []entry[T], max int, leaf bool) []*node[T] {
-	strSort(entries, max, 0)
-	nNodes := (len(entries) + max - 1) / max
-	nodes := make([]*node[T], 0, nNodes)
-	for start := 0; start < len(entries); start += max {
-		end := start + max
-		if end > len(entries) {
-			end = len(entries)
-		}
-		n := &node[T]{leaf: leaf, entries: make([]entry[T], end-start)}
-		copy(n.entries, entries[start:end])
-		nodes = append(nodes, n)
-	}
-	return nodes
+// strSlot is one slot of a level being packed: its rectangle and its
+// position in the level's input (an item, or a node of the level below).
+type strSlot struct {
+	rect Rect
+	at   int
 }
 
-// strSort recursively orders entries so that consecutive runs of max
-// entries are spatially coherent: sort by dimension d, cut into slabs
+// packLevel orders one level's slots with STR's recursive slab sort over
+// the Dims center coordinates and cuts them into runs of capacity max,
+// one run per node.
+func packLevel(slots []strSlot, max int) [][]strSlot {
+	strSort(slots, max, 0)
+	runs := make([][]strSlot, 0, (len(slots)+max-1)/max)
+	for start := 0; start < len(slots); start += max {
+		runs = append(runs, slots[start:min(start+max, len(slots))])
+	}
+	return runs
+}
+
+// strSort recursively orders slots so that consecutive runs of max
+// slots are spatially coherent: sort by dimension d, cut into slabs
 // sized for the remaining dimensions, recurse into each slab with d+1.
-func strSort[T any](entries []entry[T], max, d int) {
+func strSort(slots []strSlot, max, d int) {
 	if d >= Dims-1 {
-		sortByCenter(entries, d)
+		sortByCenter(slots, d)
 		return
 	}
-	sortByCenter(entries, d)
-	nLeaves := float64(len(entries)) / float64(max)
+	sortByCenter(slots, d)
+	nLeaves := float64(len(slots)) / float64(max)
 	// Number of slabs along this dimension: ceil(nLeaves^(1/k)) where k is
 	// the number of remaining dimensions.
 	k := Dims - d
@@ -90,24 +101,24 @@ func strSort[T any](entries []entry[T], max, d int) {
 	if slabs < 1 {
 		slabs = 1
 	}
-	slabSize := (len(entries) + slabs - 1) / slabs
+	slabSize := (len(slots) + slabs - 1) / slabs
 	// Round the slab size up to a multiple of max so leaves don't straddle
 	// slab boundaries.
 	if rem := slabSize % max; rem != 0 {
 		slabSize += max - rem
 	}
-	for start := 0; start < len(entries); start += slabSize {
+	for start := 0; start < len(slots); start += slabSize {
 		end := start + slabSize
-		if end > len(entries) {
-			end = len(entries)
+		if end > len(slots) {
+			end = len(slots)
 		}
-		strSort(entries[start:end], max, d+1)
+		strSort(slots[start:end], max, d+1)
 	}
 }
 
-func sortByCenter[T any](entries []entry[T], d int) {
-	sort.Slice(entries, func(i, j int) bool {
-		return entries[i].rect.Min[d]+entries[i].rect.Max[d] <
-			entries[j].rect.Min[d]+entries[j].rect.Max[d]
+func sortByCenter(slots []strSlot, d int) {
+	sort.Slice(slots, func(i, j int) bool {
+		return slots[i].rect.Min[d]+slots[i].rect.Max[d] <
+			slots[j].rect.Min[d]+slots[j].rect.Max[d]
 	})
 }

@@ -11,11 +11,14 @@ import "fmt"
 //
 //  1. Every leaf is at the same depth, equal to Height.
 //  2. Every node except the root holds between MinEntries and MaxEntries
-//     entries; the root holds at least 2 entries unless it is a leaf.
-//  3. Every internal entry's rectangle is exactly the MBR of its child
-//     (tight), and hence contains all descendant rectangles.
-//  4. Every stored rectangle is valid.
-//  5. The item count equals Len.
+//     slots; the root holds at least 2 slots unless it is a leaf.
+//  3. A leaf holds items only; an internal node holds one rectangle per
+//     child and no items.
+//  4. Every internal rectangle is exactly the MBR of its child (tight),
+//     and hence contains all descendant rectangles.
+//  5. Every stored rectangle, and every rectangle the bounds function
+//     derives for a leaf item, is valid.
+//  6. The item count equals Len.
 //
 // In addition, the published snapshot (if any) is walked with the same
 // structural checks against its own height and size, every snapshot node
@@ -24,8 +27,8 @@ import "fmt"
 // the snapshot epoch is checked against the write generation — the two
 // advance in lockstep, one step per publish.
 func (t *Tree[T]) CheckInvariants() error {
-	if err := checkTree(t.root, checkParams{
-		height: t.height, size: t.size, opts: t.opts, packed: t.packed,
+	if err := checkTree(t.root, checkParams[T]{
+		height: t.height, size: t.size, opts: t.opts, packed: t.packed, bounds: t.bounds,
 	}); err != nil {
 		return err
 	}
@@ -50,19 +53,20 @@ func (t *Tree[T]) CheckInvariants() error {
 
 // checkParams carries the tree- or snapshot-level facts the structural
 // walk validates against.
-type checkParams struct {
+type checkParams[T any] struct {
 	height int
 	size   int
 	opts   Options
 	packed bool
+	bounds func(*T) Rect
 }
 
-func checkTree[T any](root *node[T], p checkParams) error {
+func checkTree[T any](root *node[T], p checkParams[T]) error {
 	if root == nil {
 		return fmt.Errorf("rtree: nil root")
 	}
-	if !root.leaf && len(root.entries) < 2 {
-		return fmt.Errorf("rtree: internal root with %d entries", len(root.entries))
+	if !root.leaf && root.size() < 2 {
+		return fmt.Errorf("rtree: internal root with %d children", root.size())
 	}
 	count := 0
 	if err := checkNode(root, 1, true, &count, p); err != nil {
@@ -74,41 +78,52 @@ func checkTree[T any](root *node[T], p checkParams) error {
 	return nil
 }
 
-func checkNode[T any](n *node[T], depth int, isRoot bool, count *int, p checkParams) error {
+func checkNode[T any](n *node[T], depth int, isRoot bool, count *int, p checkParams[T]) error {
 	if n.leaf {
 		if depth != p.height {
 			return fmt.Errorf("rtree: leaf at depth %d, height is %d", depth, p.height)
 		}
+		if len(n.rects) != 0 || len(n.children) != 0 {
+			return fmt.Errorf("rtree: leaf with %d rects and %d children", len(n.rects), len(n.children))
+		}
+	} else if len(n.items) != 0 || len(n.rects) != len(n.children) {
+		return fmt.Errorf("rtree: internal node with %d items, %d rects, %d children", len(n.items), len(n.rects), len(n.children))
 	}
-	if len(n.entries) > p.opts.MaxEntries {
-		return fmt.Errorf("rtree: node with %d entries exceeds max %d", len(n.entries), p.opts.MaxEntries)
+	size := n.size()
+	if size > p.opts.MaxEntries {
+		return fmt.Errorf("rtree: node with %d slots exceeds max %d", size, p.opts.MaxEntries)
 	}
 	// STR packing legitimately leaves the last node of each level under
 	// the minimum fill, so the check is skipped for bulk-loaded trees.
-	if !isRoot && !p.packed && len(n.entries) < p.opts.MinEntries {
-		return fmt.Errorf("rtree: non-root node with %d entries below min %d", len(n.entries), p.opts.MinEntries)
+	if !isRoot && !p.packed && size < p.opts.MinEntries {
+		return fmt.Errorf("rtree: non-root node with %d slots below min %d", size, p.opts.MinEntries)
 	}
-	if isRoot && len(n.entries) == 0 && p.size > 0 {
+	if isRoot && size == 0 && p.size > 0 {
 		return fmt.Errorf("rtree: empty root with size %d", p.size)
 	}
-	for i, e := range n.entries {
-		if !e.rect.Valid() {
-			return fmt.Errorf("rtree: invalid rect %v at entry %d", e.rect, i)
-		}
-		if n.leaf {
-			if e.child != nil {
-				return fmt.Errorf("rtree: leaf entry %d has a child pointer", i)
+	if n.leaf {
+		for i := range n.items {
+			if r := p.bounds(&n.items[i]); !r.Valid() {
+				return fmt.Errorf("rtree: invalid rect %v derived for leaf item %d", r, i)
 			}
-			*count++
-			continue
 		}
-		if e.child == nil {
-			return fmt.Errorf("rtree: internal entry %d has no child", i)
+		*count += size
+		return nil
+	}
+	for i, c := range n.children {
+		if !n.rects[i].Valid() {
+			return fmt.Errorf("rtree: invalid rect %v at slot %d", n.rects[i], i)
 		}
-		if got := e.child.mbr(); got != e.rect {
-			return fmt.Errorf("rtree: entry %d rect %v is not the child MBR %v", i, e.rect, got)
+		if c == nil {
+			return fmt.Errorf("rtree: internal slot %d has no child", i)
 		}
-		if err := checkNode(e.child, depth+1, false, count, p); err != nil {
+		if c.size() == 0 {
+			return fmt.Errorf("rtree: internal slot %d holds an empty child", i)
+		}
+		if got := mbr(c, p.bounds); got != n.rects[i] {
+			return fmt.Errorf("rtree: slot %d rect %v is not the child MBR %v", i, n.rects[i], got)
+		}
+		if err := checkNode(c, depth+1, false, count, p); err != nil {
 			return err
 		}
 	}
@@ -122,11 +137,9 @@ func checkFrozen[T any](n *node[T], writeGen uint64) error {
 	if n.gen >= writeGen {
 		return fmt.Errorf("rtree: node generation %d not frozen under writeGen %d", n.gen, writeGen)
 	}
-	if !n.leaf {
-		for _, e := range n.entries {
-			if err := checkFrozen(e.child, writeGen); err != nil {
-				return err
-			}
+	for _, c := range n.children {
+		if err := checkFrozen(c, writeGen); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -139,10 +152,8 @@ func (t *Tree[T]) NodeCount() int {
 
 func countNodes[T any](n *node[T]) int {
 	c := 1
-	if !n.leaf {
-		for _, e := range n.entries {
-			c += countNodes(e.child)
-		}
+	for _, child := range n.children {
+		c += countNodes(child)
 	}
 	return c
 }

@@ -1,13 +1,14 @@
 package rtree
 
-// Delete removes one stored item whose rectangle equals r and whose value
-// satisfies match, and reports whether such an item was found. After the
-// leaf entry is removed, underfull nodes along the path are dissolved and
-// their surviving entries reinserted at their original level
-// (CondenseTree), and the root is collapsed if it is left with a single
-// child.
-func (t *Tree[T]) Delete(r Rect, match func(T) bool) bool {
-	path, idx := t.findLeaf(t.root, r, match, nil)
+// Delete removes one stored item that lies at item's bounding rectangle
+// and satisfies match, and reports whether such an item was found. The
+// rectangle steers the descent to the leaves that can hold it; match
+// tells apart items that share it. After the item is removed, underfull
+// nodes along the path are dissolved and their surviving slots
+// reinserted at their original level (CondenseTree), and the root is
+// collapsed if it is left with a single child.
+func (t *Tree[T]) Delete(item *T, match func(*T) bool) bool {
+	path, idx := t.findLeaf(t.root, t.bounds(item), match, nil)
 	if path == nil {
 		return false
 	}
@@ -16,13 +17,13 @@ func (t *Tree[T]) Delete(r Rect, match func(T) bool) bool {
 	path = t.clonePath(path)
 	leaf := path[len(path)-1]
 	t.assertMutable(leaf)
-	leaf.entries = append(leaf.entries[:idx], leaf.entries[idx+1:]...)
+	leaf.items = append(leaf.items[:idx], leaf.items[idx+1:]...)
 	t.size--
 	t.stats.deletes.Add(1)
 	t.condense(path)
 	// Shrink the root while it is an internal node with one child.
-	for !t.root.leaf && len(t.root.entries) == 1 {
-		t.root = t.root.entries[0].child
+	for !t.root.leaf && len(t.root.children) == 1 {
+		t.root = t.root.children[0]
 		t.height--
 	}
 	if t.size == 0 && !t.root.leaf {
@@ -42,72 +43,59 @@ func (t *Tree[T]) clonePath(path []*node[T]) []*node[T] {
 	for i := 1; i < len(path); i++ {
 		c := t.mutable(path[i])
 		parent := out[i-1]
-		for j := range parent.entries {
-			if parent.entries[j].child == path[i] {
-				parent.entries[j].child = c
-				break
-			}
-		}
+		parent.children[slotOf(parent, path[i])] = c
 		out[i] = c
 	}
 	return out
 }
 
-// DeleteRect removes one item with exactly the given rectangle, regardless
-// of value.
-func (t *Tree[T]) DeleteRect(r Rect) bool {
-	return t.Delete(r, func(T) bool { return true })
-}
-
-// findLeaf locates a leaf entry matching (r, match) and returns the root
-// path to its leaf plus the entry index, or (nil, 0) if absent.
-func (t *Tree[T]) findLeaf(n *node[T], r Rect, match func(T) bool, path []*node[T]) ([]*node[T], int) {
+// findLeaf locates a leaf item at rectangle r satisfying match and
+// returns the root path to its leaf plus the item index, or (nil, 0) if
+// absent.
+func (t *Tree[T]) findLeaf(n *node[T], r Rect, match func(*T) bool, path []*node[T]) ([]*node[T], int) {
 	path = append(path, n)
 	if n.leaf {
-		for i, e := range n.entries {
-			if e.rect == r && match(e.data) {
+		for i := range n.items {
+			if t.bounds(&n.items[i]) == r && match(&n.items[i]) {
 				return path, i
 			}
 		}
 		return nil, 0
 	}
-	for _, e := range n.entries {
-		if !e.rect.Contains(r) {
+	for i := range n.rects {
+		if !n.rects[i].Contains(r) {
 			continue
 		}
-		if p, i := t.findLeaf(e.child, r, match, path); p != nil {
-			return p, i
+		if p, j := t.findLeaf(n.children[i], r, match, path); p != nil {
+			return p, j
 		}
 	}
 	return nil, 0
 }
 
-// orphan is a subtree cut out during condensation, remembered with the
-// level its entries lived at (1 = leaf entries).
+// orphan is a node cut out during condensation, remembered with the
+// level its slots lived at (1 = leaf items).
 type orphan[T any] struct {
-	entries []entry[T]
-	level   int
+	n     *node[T]
+	level int
 }
 
 // condense walks the deletion path bottom-up, removing nodes that fell
-// below minimum fill and collecting their entries for reinsertion, then
-// reinserts every orphaned entry at its original level.
+// below minimum fill and collecting their slots for reinsertion, then
+// reinserts every orphaned slot at its original level.
 func (t *Tree[T]) condense(path []*node[T]) {
 	var orphans []orphan[T]
 	for i := len(path) - 1; i >= 1; i-- {
 		n, parent := path[i], path[i-1]
-		if len(n.entries) < t.opts.MinEntries {
-			// Cut n out of its parent and orphan its entries.
+		if n.size() < t.opts.MinEntries {
+			// Cut n out of its parent and orphan its slots.
 			t.assertMutable(parent)
-			for j := range parent.entries {
-				if parent.entries[j].child == n {
-					parent.entries = append(parent.entries[:j], parent.entries[j+1:]...)
-					break
-				}
-			}
-			if len(n.entries) > 0 {
-				// Entries of a node at depth i sit at level t.height-i.
-				orphans = append(orphans, orphan[T]{entries: n.entries, level: t.height - i})
+			j := slotOf(parent, n)
+			parent.rects = append(parent.rects[:j], parent.rects[j+1:]...)
+			parent.children = append(parent.children[:j], parent.children[j+1:]...)
+			if n.size() > 0 {
+				// Slots of a node at depth i sit at level t.height-i.
+				orphans = append(orphans, orphan[T]{n: n, level: t.height - i})
 			}
 		} else {
 			t.tightenParent(path, i)
@@ -116,12 +104,18 @@ func (t *Tree[T]) condense(path []*node[T]) {
 	// Reinsert orphans. Higher-level subtrees first so the tree height is
 	// stable while they go back in; within a level the order is
 	// arbitrary. Reinsertion can split nodes and grow the tree, which is
-	// fine — levels are recomputed against the current height by
-	// insertAtLevel's caller contract (level counted from the leaves).
+	// fine — insertChild counts levels from the leaves, so they stay
+	// right while the height changes.
 	for _, o := range orphans {
-		t.stats.reinserts.Add(int64(len(o.entries)))
-		for _, e := range o.entries {
-			t.insertAtLevel(e, o.level)
+		t.stats.reinserts.Add(int64(o.n.size()))
+		if o.n.leaf {
+			for _, it := range o.n.items {
+				t.insertItem(t.bounds(&it), it)
+			}
+			continue
+		}
+		for j, c := range o.n.children {
+			t.insertChild(o.n.rects[j], c, o.level)
 		}
 	}
 }

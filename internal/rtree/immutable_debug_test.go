@@ -9,8 +9,8 @@ import "testing"
 // reach this state (copy-on-write clones first), so the test drives the
 // assertion directly with a frozen node.
 func TestAssertMutablePanicsOnFrozenNode(t *testing.T) {
-	tr := MustNew[int](DefaultOptions)
-	if err := tr.Insert(snapRect(1), 1); err != nil {
+	tr := newTree(DefaultOptions)
+	if err := tr.Insert(item{snapRect(1), 1}); err != nil {
 		t.Fatal(err)
 	}
 	s := tr.Publish() // freezes the current root

@@ -34,7 +34,7 @@ func (b boxSpec) rect() (Rect, bool) {
 // TestQuickInsertedIsFindable: any inserted rectangle is returned by a
 // search with its own extent, and the tree invariants hold afterwards.
 func TestQuickInsertedIsFindable(t *testing.T) {
-	tree := MustNew[int](Options{MaxEntries: 6})
+	tree := newTree(Options{MaxEntries: 6})
 	id := 0
 	f := func(spec boxSpec) bool {
 		r, ok := spec.rect()
@@ -42,13 +42,13 @@ func TestQuickInsertedIsFindable(t *testing.T) {
 			return true
 		}
 		id++
-		if err := tree.Insert(r, id); err != nil {
+		if err := tree.Insert(item{r, id}); err != nil {
 			return false
 		}
 		found := false
 		want := id
-		tree.Search(r, func(_ Rect, v int) bool {
-			if v == want {
+		tree.Search(r, func(v item) bool {
+			if v.id == want {
 				found = true
 				return false
 			}

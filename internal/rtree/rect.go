@@ -14,13 +14,21 @@
 // dominant workload here, and the node-split heuristics are exercised and
 // tested against them specifically.
 //
-// Features: insert with quadratic (default) or linear split, delete with
-// tree condensation and reinsertion, range search — optionally steered
-// nearest-first around a point under a shrinking distance bound, which
-// is how package index answers top-N and k-nearest questions — and
-// sort-tile-recursive (STR) bulk loading.
-// The tree is not safe for concurrent mutation; package index wraps it
-// with the locking the retrieval server needs.
+// Nodes are laid out struct-of-arrays. An internal node keeps its
+// children's MBRs contiguous beside the child pointers, so the filter
+// over MBRs reads nothing else; a leaf keeps only its items. A leaf
+// item's rectangle is derived from the item by the bounds function the
+// tree is built with — for a representative, the degenerate box above,
+// from numbers the item already holds — so it is never stored.
+//
+// Features: insert with quadratic (default), linear or R* split, delete
+// with tree condensation and reinsertion, range search — optionally
+// steered nearest-first around a point under a shrinking distance bound,
+// which is how package index answers top-N and k-nearest questions — and
+// sort-tile-recursive (STR) bulk loading. Writers copy on write and
+// publish immutable snapshots that readers walk without locks. The tree
+// is not safe for concurrent mutation; package index serializes its
+// writers.
 package rtree
 
 import (

@@ -14,20 +14,23 @@ import "sort"
 // ChooseSplitIndex: on the winning axis, take the distribution with the
 // least overlap between the two groups' MBRs, breaking ties by least
 // total area.
-func rstarSplit[T any](entries []entry[T], minFill int) (left, right []entry[T]) {
-	n := len(entries)
+//
+// It works on slot rectangles and returns the two groups as slot
+// indices, each in the winning sort order.
+func rstarSplit(rects []Rect, minFill int) (left, right []int) {
+	n := len(rects)
 	maxK := n - minFill // distributions: first group gets minFill..maxK entries
 
-	type axisSort struct {
-		byMin, byMax []entry[T]
-	}
-	sortBy := func(d int, upper bool) []entry[T] {
-		s := append([]entry[T](nil), entries...)
+	sortBy := func(d int, upper bool) []int {
+		s := make([]int, n)
+		for i := range s {
+			s[i] = i
+		}
 		sort.SliceStable(s, func(i, j int) bool {
 			if upper {
-				return s[i].rect.Max[d] < s[j].rect.Max[d]
+				return rects[s[i]].Max[d] < rects[s[j]].Max[d]
 			}
-			return s[i].rect.Min[d] < s[j].rect.Min[d]
+			return rects[s[i]].Min[d] < rects[s[j]].Min[d]
 		})
 		return s
 	}
@@ -35,20 +38,20 @@ func rstarSplit[T any](entries []entry[T], minFill int) (left, right []entry[T])
 	// prefix/suffix MBRs for one sorted order let every distribution's
 	// margin/overlap/area be evaluated in O(1).
 	type dists struct {
-		order  []entry[T]
+		order  []int
 		prefix []Rect // prefix[i] = MBR of order[:i+1]
 		suffix []Rect // suffix[i] = MBR of order[i:]
 	}
-	build := func(order []entry[T]) dists {
+	build := func(order []int) dists {
 		prefix := make([]Rect, n)
 		suffix := make([]Rect, n)
-		prefix[0] = order[0].rect
+		prefix[0] = rects[order[0]]
 		for i := 1; i < n; i++ {
-			prefix[i] = prefix[i-1].Union(order[i].rect)
+			prefix[i] = prefix[i-1].Union(rects[order[i]])
 		}
-		suffix[n-1] = order[n-1].rect
+		suffix[n-1] = rects[order[n-1]]
 		for i := n - 2; i >= 0; i-- {
-			suffix[i] = suffix[i+1].Union(order[i].rect)
+			suffix[i] = suffix[i+1].Union(rects[order[i]])
 		}
 		return dists{order: order, prefix: prefix, suffix: suffix}
 	}
@@ -57,9 +60,8 @@ func rstarSplit[T any](entries []entry[T], minFill int) (left, right []entry[T])
 	bestMarginSum := 0.0
 	var bestSorts [2]dists
 	for d := 0; d < Dims; d++ {
-		s := axisSort{byMin: sortBy(d, false), byMax: sortBy(d, true)}
 		marginSum := 0.0
-		ds := [2]dists{build(s.byMin), build(s.byMax)}
+		ds := [2]dists{build(sortBy(d, false)), build(sortBy(d, true))}
 		for _, dd := range ds {
 			for k := minFill; k <= maxK; k++ {
 				marginSum += dd.prefix[k-1].Margin() + dd.suffix[k].Margin()
@@ -74,7 +76,7 @@ func rstarSplit[T any](entries []entry[T], minFill int) (left, right []entry[T])
 	// ChooseSplitIndex over both sort orders of the winning axis.
 	bestOverlap := -1.0
 	bestArea := 0.0
-	var bestOrder []entry[T]
+	var bestOrder []int
 	bestK := 0
 	for _, dd := range bestSorts {
 		for k := minFill; k <= maxK; k++ {

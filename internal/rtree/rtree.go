@@ -74,38 +74,68 @@ func (o Options) withDefaults() (Options, error) {
 	return o, nil
 }
 
-// entry is one slot of a node: a bounding rectangle plus either a child
-// pointer (internal nodes) or a data item (leaves).
-type entry[T any] struct {
-	rect  Rect
-	child *node[T]
-	data  T
-}
-
-// node is a tree node. All leaves are at the same depth.
+// node is a tree node, laid out struct-of-arrays. An internal node keeps
+// its children's bounding rectangles contiguous in rects, beside the
+// child pointers, so the filter over child MBRs reads nothing else. A
+// leaf keeps only its items: an item's rectangle is derived from the
+// item by the tree's bounds function, never stored. All leaves are at
+// the same depth.
 //
 // gen is the write generation the node belongs to. A node whose gen
 // equals the tree's current writeGen is exclusively owned by the writer
 // and may be mutated in place; any other node may be shared with a
 // published Snapshot and must be cloned before mutation (copy-on-write).
 type node[T any] struct {
-	leaf    bool
-	gen     uint64
-	entries []entry[T]
+	leaf     bool
+	gen      uint64
+	rects    []Rect     // internal: rects[i] is the MBR of children[i]
+	children []*node[T] // internal only
+	items    []T        // leaf only
 }
 
-func (n *node[T]) mbr() Rect {
-	r := n.entries[0].rect
-	for _, e := range n.entries[1:] {
-		r = r.Union(e.rect)
+// size is the number of slots in use: children or items.
+func (n *node[T]) size() int {
+	if n.leaf {
+		return len(n.items)
+	}
+	return len(n.children)
+}
+
+// mbr returns the minimum bounding rectangle of a non-empty node.
+func mbr[T any](n *node[T], bounds func(*T) Rect) Rect {
+	if !n.leaf {
+		r := n.rects[0]
+		for _, c := range n.rects[1:] {
+			r = r.Union(c)
+		}
+		return r
+	}
+	r := bounds(&n.items[0])
+	for i := 1; i < len(n.items); i++ {
+		r = r.Union(bounds(&n.items[i]))
 	}
 	return r
 }
 
-// Tree is an R-tree mapping rectangles to values of type T.
-// The zero value is not usable; construct with New.
+// slotRects returns the rectangle of every slot of n, in slot order: the
+// stored child MBRs of an internal node, the derived ones of a leaf.
+func slotRects[T any](n *node[T], bounds func(*T) Rect) []Rect {
+	if !n.leaf {
+		return n.rects
+	}
+	rs := make([]Rect, len(n.items))
+	for i := range n.items {
+		rs[i] = bounds(&n.items[i])
+	}
+	return rs
+}
+
+// Tree is an R-tree over values of type T, each indexed under the
+// rectangle its bounds function derives from it. The zero value is not
+// usable; construct with New.
 type Tree[T any] struct {
 	opts   Options
+	bounds func(*T) Rect
 	root   *node[T]
 	height int // number of levels; 1 = root is a leaf
 	size   int
@@ -122,14 +152,18 @@ type Tree[T any] struct {
 	snap atomic.Pointer[Snapshot[T]]
 }
 
-// New returns an empty tree, or an error for invalid options.
-func New[T any](opts Options) (*Tree[T], error) {
+// New returns an empty tree that indexes each item under bounds(item),
+// or an error for invalid options. bounds must be a pure function of the
+// item: the tree calls it whenever it needs a leaf rectangle, and the
+// item's rectangle must not change while it is stored.
+func New[T any](opts Options, bounds func(*T) Rect) (*Tree[T], error) {
 	o, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
 	t := &Tree[T]{
 		opts:   o,
+		bounds: bounds,
 		root:   &node[T]{leaf: true},
 		height: 1,
 	}
@@ -139,8 +173,8 @@ func New[T any](opts Options) (*Tree[T], error) {
 
 // MustNew is New for known-good options (used by package-internal callers
 // and tests).
-func MustNew[T any](opts Options) *Tree[T] {
-	t, err := New[T](opts)
+func MustNew[T any](opts Options, bounds func(*T) Rect) *Tree[T] {
+	t, err := New(opts, bounds)
 	if err != nil {
 		panic(err)
 	}
@@ -156,26 +190,39 @@ func (t *Tree[T]) Height() int { return t.height }
 // Options returns the tree's effective options.
 func (t *Tree[T]) Options() Options { return t.opts }
 
-// Insert adds an item with the given bounding rectangle.
-func (t *Tree[T]) Insert(r Rect, data T) error {
+// Insert adds an item under its bounding rectangle.
+func (t *Tree[T]) Insert(item T) error {
+	r := t.bounds(&item)
 	if !r.Valid() {
 		return fmt.Errorf("rtree: invalid rect %v", r)
 	}
-	t.insertAtLevel(entry[T]{rect: r, data: data}, 1)
+	t.insertItem(r, item)
 	t.size++
 	t.stats.inserts.Add(1)
 	return nil
 }
 
-// insertAtLevel inserts an entry at the given level counted from the
-// leaves (level 1 = leaf level). Subtree reinsertion during deletion uses
-// levels > 1.
-func (t *Tree[T]) insertAtLevel(e entry[T], level int) {
-	leafPath := t.choosePath(e.rect, level)
-	n := leafPath[len(leafPath)-1]
+// insertItem places an item whose rectangle is r in a leaf (ChooseLeaf,
+// then AdjustTree). Insert and the reinsertion of orphaned leaf items
+// during deletion share it.
+func (t *Tree[T]) insertItem(r Rect, item T) {
+	path := t.choosePath(r, 1)
+	leaf := path[len(path)-1]
+	t.assertMutable(leaf)
+	leaf.items = append(leaf.items, item)
+	t.adjustPath(path)
+}
+
+// insertChild links a subtree with bounding rectangle r into a node at
+// the given level counted from the leaves (level 2 = parents of leaves).
+// Subtree reinsertion during deletion uses it.
+func (t *Tree[T]) insertChild(r Rect, child *node[T], level int) {
+	path := t.choosePath(r, level)
+	n := path[len(path)-1]
 	t.assertMutable(n)
-	n.entries = append(n.entries, e)
-	t.adjustPath(leafPath)
+	n.rects = append(n.rects, r)
+	n.children = append(n.children, child)
+	t.adjustPath(path)
 }
 
 // choosePath descends from the root to the node at the target level,
@@ -193,15 +240,15 @@ func (t *Tree[T]) choosePath(r Rect, level int) []*node[T] {
 	for depth > level {
 		best := 0
 		var bestArea, bestMargin, bestSize float64
-		for i, e := range n.entries {
-			dArea, dMargin := e.rect.Enlargement(r)
-			size := e.rect.Area()
+		for i := range n.rects {
+			dArea, dMargin := n.rects[i].Enlargement(r)
+			size := n.rects[i].Area()
 			if i == 0 || less3(dArea, dMargin, size, bestArea, bestMargin, bestSize) {
 				best, bestArea, bestMargin, bestSize = i, dArea, dMargin, size
 			}
 		}
-		child := t.mutable(n.entries[best].child)
-		n.entries[best].child = child
+		child := t.mutable(n.children[best])
+		n.children[best] = child
 		n = child
 		path = append(path, n)
 		depth--
@@ -222,12 +269,22 @@ func less3(a1, a2, a3, b1, b2, b3 float64) bool {
 	return a3 < b3
 }
 
+// slotOf returns the index of child among n's children.
+func slotOf[T any](n, child *node[T]) int {
+	for j, c := range n.children {
+		if c == child {
+			return j
+		}
+	}
+	panic("rtree: child not linked into its parent")
+}
+
 // adjustPath walks back up the insertion path, splitting overflowing
 // nodes and keeping parent rectangles tight (AdjustTree).
 func (t *Tree[T]) adjustPath(path []*node[T]) {
 	for i := len(path) - 1; i >= 0; i-- {
 		n := path[i]
-		if len(n.entries) <= t.opts.MaxEntries {
+		if n.size() <= t.opts.MaxEntries {
 			t.tightenParent(path, i)
 			continue
 		}
@@ -235,12 +292,9 @@ func (t *Tree[T]) adjustPath(path []*node[T]) {
 		if i == 0 {
 			// Root split: the tree grows a level.
 			t.root = &node[T]{
-				leaf: false,
-				gen:  t.writeGen,
-				entries: []entry[T]{
-					{rect: left.mbr(), child: left},
-					{rect: right.mbr(), child: right},
-				},
+				gen:      t.writeGen,
+				rects:    []Rect{mbr(left, t.bounds), mbr(right, t.bounds)},
+				children: []*node[T]{left, right},
 			}
 			t.height++
 			return
@@ -248,13 +302,10 @@ func (t *Tree[T]) adjustPath(path []*node[T]) {
 		parent := path[i-1]
 		t.assertMutable(parent)
 		// Replace n's slot with left, append right.
-		for j := range parent.entries {
-			if parent.entries[j].child == n {
-				parent.entries[j] = entry[T]{rect: left.mbr(), child: left}
-				break
-			}
-		}
-		parent.entries = append(parent.entries, entry[T]{rect: right.mbr(), child: right})
+		j := slotOf(parent, n)
+		parent.rects[j], parent.children[j] = mbr(left, t.bounds), left
+		parent.rects = append(parent.rects, mbr(right, t.bounds))
+		parent.children = append(parent.children, right)
 	}
 }
 
@@ -265,99 +316,107 @@ func (t *Tree[T]) tightenParent(path []*node[T], i int) {
 	}
 	n, parent := path[i], path[i-1]
 	t.assertMutable(parent)
-	for j := range parent.entries {
-		if parent.entries[j].child == n {
-			parent.entries[j].rect = n.mbr()
-			return
-		}
-	}
+	parent.rects[slotOf(parent, n)] = mbr(n, t.bounds)
 }
 
-// splitNode distributes an overflowing node's entries into two new nodes
+// splitNode distributes an overflowing node's slots into two halves
 // using the configured heuristic. The receiver node is reused as the left
-// half.
+// half; each half gets a fresh backing array sized to its length plus
+// one spare slot.
 func (t *Tree[T]) splitNode(n *node[T]) (left, right *node[T]) {
 	t.assertMutable(n)
 	t.stats.splits.Add(1)
-	entries := n.entries
+	l, r := t.partition(slotRects(n, t.bounds))
+	right = &node[T]{leaf: n.leaf, gen: t.writeGen}
+	if n.leaf {
+		n.items, right.items = pick(n.items, l), pick(n.items, r)
+	} else {
+		n.rects, right.rects = pick(n.rects, l), pick(n.rects, r)
+		n.children, right.children = pick(n.children, l), pick(n.children, r)
+	}
+	return n, right
+}
+
+// pick gathers s[at[0]], s[at[1]], ... into a fresh slice with one spare
+// slot: the common next step is appending.
+func pick[S any](s []S, at []int) []S {
+	out := make([]S, len(at), len(at)+1)
+	for i, j := range at {
+		out[i] = s[j]
+	}
+	return out
+}
+
+// partition splits slot rectangles into two groups, returned as slot
+// indices in the order the heuristic assigned them.
+func (t *Tree[T]) partition(rects []Rect) (left, right []int) {
 	if t.opts.Split == RStarSplit {
-		l, r := rstarSplit(entries, t.opts.MinEntries)
-		left = n
-		left.entries = append(left.entries[:0], l...)
-		right = &node[T]{leaf: n.leaf, gen: t.writeGen, entries: append([]entry[T](nil), r...)}
-		return left, right
+		return rstarSplit(rects, t.opts.MinEntries)
 	}
 	var seedA, seedB int
 	if t.opts.Split == LinearSplit {
-		seedA, seedB = linearPickSeeds(entries)
+		seedA, seedB = linearPickSeeds(rects)
 	} else {
-		seedA, seedB = quadraticPickSeeds(entries)
+		seedA, seedB = quadraticPickSeeds(rects)
 	}
-
-	left = n
-	right = &node[T]{leaf: n.leaf, gen: t.writeGen}
-	la := entries[seedA]
-	lb := entries[seedB]
-	rest := make([]entry[T], 0, len(entries)-2)
-	for i, e := range entries {
+	rest := make([]int, 0, len(rects)-2)
+	for i := range rects {
 		if i != seedA && i != seedB {
-			rest = append(rest, e)
+			rest = append(rest, i)
 		}
 	}
-	left.entries = append(left.entries[:0], la)
-	right.entries = append(right.entries, lb)
-	rectL, rectR := la.rect, lb.rect
+	left = append(make([]int, 0, len(rects)), seedA)
+	right = append(make([]int, 0, len(rects)), seedB)
+	rectL, rectR := rects[seedA], rects[seedB]
 
 	for len(rest) > 0 {
 		// If one group must take everything left to reach minimum fill,
 		// assign the remainder wholesale.
 		need := t.opts.MinEntries
-		if len(left.entries)+len(rest) <= need {
-			for _, e := range rest {
-				left.entries = append(left.entries, e)
-			}
+		if len(left)+len(rest) <= need {
+			left = append(left, rest...)
 			break
 		}
-		if len(right.entries)+len(rest) <= need {
-			right.entries = append(right.entries, rest...)
+		if len(right)+len(rest) <= need {
+			right = append(right, rest...)
 			break
 		}
-		var pick int
+		var p int
 		if t.opts.Split == QuadraticSplit {
-			pick = quadraticPickNext(rest, rectL, rectR)
-		} // linear split takes entries in arbitrary order: pick stays 0
-		e := rest[pick]
-		rest[pick] = rest[len(rest)-1]
+			p = quadraticPickNext(rects, rest, rectL, rectR)
+		} // linear split takes entries in arbitrary order: p stays 0
+		e := rest[p]
+		rest[p] = rest[len(rest)-1]
 		rest = rest[:len(rest)-1]
 
-		dAL, dML := rectL.Enlargement(e.rect)
-		dAR, dMR := rectR.Enlargement(e.rect)
+		dAL, dML := rectL.Enlargement(rects[e])
+		dAR, dMR := rectR.Enlargement(rects[e])
 		toLeft := less3(dAL, dML, rectL.Area(), dAR, dMR, rectR.Area())
 		if dAL == dAR && dML == dMR && rectL.Area() == rectR.Area() {
-			toLeft = len(left.entries) <= len(right.entries)
+			toLeft = len(left) <= len(right)
 		}
 		if toLeft {
-			left.entries = append(left.entries, e)
-			rectL = rectL.Union(e.rect)
+			left = append(left, e)
+			rectL = rectL.Union(rects[e])
 		} else {
-			right.entries = append(right.entries, e)
-			rectR = rectR.Union(e.rect)
+			right = append(right, e)
+			rectR = rectR.Union(rects[e])
 		}
 	}
 	return left, right
 }
 
-// quadraticPickSeeds returns the pair of entries that would waste the most
+// quadraticPickSeeds returns the pair of slots that would waste the most
 // area if grouped together (PickSeeds, quadratic variant), with margin as
 // the degenerate-box tie-breaker.
-func quadraticPickSeeds[T any](entries []entry[T]) (int, int) {
+func quadraticPickSeeds(rects []Rect) (int, int) {
 	bestA, bestB := 0, 1
 	worstArea := -1.0
 	worstMargin := -1.0
-	for i := 0; i < len(entries); i++ {
-		for j := i + 1; j < len(entries); j++ {
-			u := entries[i].rect.Union(entries[j].rect)
-			dead := u.Area() - entries[i].rect.Area() - entries[j].rect.Area()
+	for i := 0; i < len(rects); i++ {
+		for j := i + 1; j < len(rects); j++ {
+			u := rects[i].Union(rects[j])
+			dead := u.Area() - rects[i].Area() - rects[j].Area()
 			margin := u.Margin()
 			if dead > worstArea || (dead == worstArea && margin > worstMargin) {
 				worstArea, worstMargin = dead, margin
@@ -371,24 +430,24 @@ func quadraticPickSeeds[T any](entries []entry[T]) (int, int) {
 // linearPickSeeds finds, per dimension, the pair with the greatest
 // normalized separation, and returns the overall winner (PickSeeds,
 // linear variant).
-func linearPickSeeds[T any](entries []entry[T]) (int, int) {
+func linearPickSeeds(rects []Rect) (int, int) {
 	bestA, bestB := 0, 1
 	bestSep := -1.0
 	for d := 0; d < Dims; d++ {
 		lowestMax, highestMin := 0, 0
-		lo, hi := entries[0].rect.Min[d], entries[0].rect.Max[d]
-		for i, e := range entries {
-			if e.rect.Max[d] < entries[lowestMax].rect.Max[d] {
+		lo, hi := rects[0].Min[d], rects[0].Max[d]
+		for i, r := range rects {
+			if r.Max[d] < rects[lowestMax].Max[d] {
 				lowestMax = i
 			}
-			if e.rect.Min[d] > entries[highestMin].rect.Min[d] {
+			if r.Min[d] > rects[highestMin].Min[d] {
 				highestMin = i
 			}
-			if e.rect.Min[d] < lo {
-				lo = e.rect.Min[d]
+			if r.Min[d] < lo {
+				lo = r.Min[d]
 			}
-			if e.rect.Max[d] > hi {
-				hi = e.rect.Max[d]
+			if r.Max[d] > hi {
+				hi = r.Max[d]
 			}
 		}
 		if lowestMax == highestMin {
@@ -398,7 +457,7 @@ func linearPickSeeds[T any](entries []entry[T]) (int, int) {
 		if width <= 0 {
 			width = 1
 		}
-		sep := (entries[highestMin].rect.Min[d] - entries[lowestMax].rect.Max[d]) / width
+		sep := (rects[highestMin].Min[d] - rects[lowestMax].Max[d]) / width
 		if sep > bestSep {
 			bestSep = sep
 			bestA, bestB = lowestMax, highestMin
@@ -407,14 +466,14 @@ func linearPickSeeds[T any](entries []entry[T]) (int, int) {
 	return bestA, bestB
 }
 
-// quadraticPickNext returns the pending entry with the greatest preference
-// for one group over the other (PickNext).
-func quadraticPickNext[T any](rest []entry[T], rectL, rectR Rect) int {
+// quadraticPickNext returns the position in rest of the pending slot with
+// the greatest preference for one group over the other (PickNext).
+func quadraticPickNext(rects []Rect, rest []int, rectL, rectR Rect) int {
 	best := 0
 	bestDiff := -1.0
 	for i, e := range rest {
-		dL, mL := rectL.Enlargement(e.rect)
-		dR, mR := rectR.Enlargement(e.rect)
+		dL, mL := rectL.Enlargement(rects[e])
+		dR, mR := rectR.Enlargement(rects[e])
 		diff := abs(dL - dR)
 		if diff == 0 {
 			diff = abs(mL-mR) * 1e-9 // margin-scale preference for flat boxes
@@ -434,28 +493,29 @@ func abs(x float64) float64 {
 	return x
 }
 
-// Search calls fn for every stored item whose rectangle intersects q.
-// Return false from fn to stop early. The traversal order is unspecified.
-func (t *Tree[T]) Search(q Rect, fn func(Rect, T) bool) {
+// Search calls fn with a copy of every stored item whose rectangle
+// intersects q. Return false from fn to stop early. The traversal order
+// is unspecified.
+func (t *Tree[T]) Search(q Rect, fn func(T) bool) {
 	t.SearchCounted(q, fn)
 }
 
 // SearchCounted is Search, additionally reporting the cost of this one
-// traversal: the nodes whose entries were examined and the leaf entries
+// traversal: the nodes whose slots were examined and the leaf items
 // tested against q. The same counts still accumulate into the tree's
 // lifetime Stats; the return values are the per-call slice of them that
 // a query trace records.
-func (t *Tree[T]) SearchCounted(q Rect, fn func(Rect, T) bool) (nodesVisited, leafEntriesScanned int64) {
-	_, nodesVisited, leafEntriesScanned = searchFrom(t.root, &t.stats, q, Near{}, math.Inf(1), byValue(fn))
+func (t *Tree[T]) SearchCounted(q Rect, fn func(T) bool) (nodesVisited, leafEntriesScanned int64) {
+	_, nodesVisited, leafEntriesScanned = searchFrom(t.root, t.bounds, &t.stats, q, Near{}, math.Inf(1), byValue(fn))
 	return nodesVisited, leafEntriesScanned
 }
 
 // byValue adapts a copying, stop-on-false callback to the in-place
 // traversal: only the items that intersect the query are copied, at the
 // call boundary, and "stop" becomes a bound nothing can meet.
-func byValue[T any](fn func(Rect, T) bool) func(*Rect, *T) float64 {
-	return func(r *Rect, v *T) float64 {
-		if fn(*r, *v) {
+func byValue[T any](fn func(T) bool) func(*T) float64 {
+	return func(v *T) float64 {
+		if fn(*v) {
 			return math.Inf(1)
 		}
 		return -1
@@ -492,12 +552,14 @@ func (n *Near) MinDist2(r *Rect) float64 {
 }
 
 // walk is the state of one range traversal: the query box, the
-// steering, the callback, and the bound the callback last returned with
-// its square (-1 once it asked to stop: no lower bound is below that).
+// steering, the leaf bounds, the callback, and the bound the callback
+// last returned with its square (-1 once it asked to stop: no lower
+// bound is below that).
 type walk[T any] struct {
 	q             *Rect
 	near          Near
-	fn            func(*Rect, *T) float64
+	bounds        func(*T) Rect
+	fn            func(*T) float64
 	bound, bound2 float64
 	c             searchCounters
 }
@@ -519,32 +581,35 @@ type nearSlot[T any] struct {
 // searchFrom runs the one range kernel from root: fn receives every item
 // intersecting q whose lower bound under near does not exceed the bound
 // — the one given, then whatever fn last returned — and the final bound
-// is handed back with the nodes visited and leaf entries tested.
-func searchFrom[T any](root *node[T], st *stats, q Rect, near Near, bound float64, fn func(*Rect, *T) float64) (float64, int64, int64) {
-	w := walk[T]{q: &q, near: near, fn: fn}
+// is handed back with the nodes visited and leaf items tested.
+func searchFrom[T any](root *node[T], bounds func(*T) Rect, st *stats, q Rect, near Near, bound float64, fn func(*T) float64) (float64, int64, int64) {
+	w := walk[T]{q: &q, near: near, bounds: bounds, fn: fn}
 	w.setBound(bound)
 	w.searchNode(root)
 	st.recordSearch(w.c)
 	return w.bound, w.c.nodes, w.c.leafs
 }
 
-// searchNode visits entries where they live: node slots are addressed by
-// index, never copied, and fn receives pointers into the node. The
+// searchNode visits slots where they live: an internal node's child MBRs
+// are read in place from its rects array, a leaf's items are addressed
+// by index, never copied, and fn receives pointers into the leaf. The
 // intersecting children of an internal node are entered nearest lower
 // bound first, so the bound tightens before the farther ones are
 // reached, and whatever lies strictly beyond the bound is skipped —
 // strictly, so an item exactly at the bound is still offered.
 func (w *walk[T]) searchNode(n *node[T]) {
 	w.c.nodes++
-	es := n.entries
 	if n.leaf {
-		w.c.leafs += int64(len(es))
-		for i := range es {
-			e := &es[i]
-			if !e.rect.intersects(w.q) || w.near.MinDist2(&e.rect) > w.bound2 {
+		items := n.items
+		w.c.leafs += int64(len(items))
+		bounds, q := w.bounds, w.q
+		for i := range items {
+			it := &items[i]
+			r := bounds(it)
+			if !r.intersects(q) || w.near.MinDist2(&r) > w.bound2 {
 				continue
 			}
-			w.setBound(w.fn(&e.rect, &e.data))
+			w.setBound(w.fn(it))
 		}
 		return
 	}
@@ -552,12 +617,13 @@ func (w *walk[T]) searchNode(n *node[T]) {
 	// spills to the heap.
 	var buf [16]nearSlot[T]
 	order := buf[:0]
-	for i := range es {
-		e := &es[i]
-		if !e.rect.intersects(w.q) {
+	rects := n.rects
+	for i := range rects {
+		r := &rects[i]
+		if !r.intersects(w.q) {
 			continue
 		}
-		d2 := w.near.MinDist2(&e.rect)
+		d2 := w.near.MinDist2(r)
 		if d2 > w.bound2 {
 			continue
 		}
@@ -566,7 +632,7 @@ func (w *walk[T]) searchNode(n *node[T]) {
 		for ; j > 0 && order[j-1].dist2 > d2; j-- {
 			order[j] = order[j-1]
 		}
-		order[j] = nearSlot[T]{dist2: d2, child: e.child}
+		order[j] = nearSlot[T]{dist2: d2, child: n.children[i]}
 	}
 	for i := range order {
 		if order[i].dist2 > w.bound2 {
@@ -579,27 +645,31 @@ func (w *walk[T]) searchNode(n *node[T]) {
 // SearchAll collects all items intersecting q.
 func (t *Tree[T]) SearchAll(q Rect) []T {
 	var out []T
-	t.Search(q, func(_ Rect, v T) bool {
+	t.Search(q, func(v T) bool {
 		out = append(out, v)
 		return true
 	})
 	return out
 }
 
-// Scan calls fn for every stored item. Return false to stop early.
-func (t *Tree[T]) Scan(fn func(Rect, T) bool) {
+// Scan calls fn for every stored item, in leaf order. Return false to
+// stop early. fn receives a pointer into the live tree, valid only
+// during the call.
+func (t *Tree[T]) Scan(fn func(*T) bool) {
 	scanNode(t.root, fn)
 }
 
-func scanNode[T any](n *node[T], fn func(Rect, T) bool) bool {
-	es := n.entries
-	for i := range es {
-		e := &es[i]
-		if n.leaf {
-			if !fn(e.rect, e.data) {
+func scanNode[T any](n *node[T], fn func(*T) bool) bool {
+	if n.leaf {
+		for i := range n.items {
+			if !fn(&n.items[i]) {
 				return false
 			}
-		} else if !scanNode(e.child, fn) {
+		}
+		return true
+	}
+	for _, c := range n.children {
+		if !scanNode(c, fn) {
 			return false
 		}
 	}
@@ -611,5 +681,5 @@ func (t *Tree[T]) Bounds() (Rect, bool) {
 	if t.size == 0 {
 		return Rect{}, false
 	}
-	return t.root.mbr(), true
+	return mbr(t.root, t.bounds), true
 }

@@ -8,6 +8,23 @@ import (
 	"testing"
 )
 
+// item is the test payload: an id stored at a rectangle the item
+// carries, as index.Entry carries its representative's.
+type item struct {
+	r  Rect
+	id int
+}
+
+func itemRect(it *item) Rect { return it.r }
+
+// newTree is MustNew over test items.
+func newTree(opts Options) *Tree[item] { return MustNew(opts, itemRect) }
+
+// byID matches the item with the given id; anyItem matches every item.
+func byID(id int) func(*item) bool { return func(it *item) bool { return it.id == id } }
+
+func anyItem(*item) bool { return true }
+
 // randRect produces a random box; degenerate=true yields the paper's
 // vertical-segment shape (zero spatial extent, extended in time).
 func randRect(rng *rand.Rand, degenerate bool) Rect {
@@ -74,7 +91,7 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := New[int](c.o)
+			_, err := New(c.o, itemRect)
 			if (err == nil) != c.ok {
 				t.Fatalf("New(%+v) err = %v, want ok=%v", c.o, err, c.ok)
 			}
@@ -193,11 +210,11 @@ func TestInsertSearchMatchesBruteForce(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
-			tree := MustNew[int](Options{MaxEntries: 8, Split: tc.split})
+			tree := newTree(Options{MaxEntries: 8, Split: tc.split})
 			ref := &brute{}
 			for i := 0; i < 2000; i++ {
 				r := randRect(rng, tc.degenerate)
-				if err := tree.Insert(r, i); err != nil {
+				if err := tree.Insert(item{r, i}); err != nil {
 					t.Fatal(err)
 				}
 				ref.insert(r, i)
@@ -212,8 +229,8 @@ func TestInsertSearchMatchesBruteForce(t *testing.T) {
 				query := randRect(rng, false)
 				want := ref.search(query)
 				got := map[int]bool{}
-				tree.Search(query, func(_ Rect, v int) bool {
-					got[v] = true
+				tree.Search(query, func(v item) bool {
+					got[v.id] = true
 					return true
 				})
 				if len(got) != len(want) {
@@ -230,18 +247,18 @@ func TestInsertSearchMatchesBruteForce(t *testing.T) {
 }
 
 func TestInsertInvalidRect(t *testing.T) {
-	tree := MustNew[int](Options{})
+	tree := newTree(Options{})
 	bad := Rect{Min: [Dims]float64{1, 0, 0}, Max: [Dims]float64{0, 0, 0}}
-	if err := tree.Insert(bad, 1); err == nil {
+	if err := tree.Insert(item{bad, 1}); err == nil {
 		t.Fatal("invalid rect accepted")
 	}
 }
 
 func TestHeightLogarithmic(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	tree := MustNew[int](Options{MaxEntries: 16})
+	tree := newTree(Options{MaxEntries: 16})
 	for i := 0; i < 20000; i++ {
-		if err := tree.Insert(randRect(rng, true), i); err != nil {
+		if err := tree.Insert(item{randRect(rng, true), i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -256,12 +273,12 @@ func TestHeightLogarithmic(t *testing.T) {
 
 func TestDeleteMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	tree := MustNew[int](Options{MaxEntries: 8})
+	tree := newTree(Options{MaxEntries: 8})
 	ref := &brute{}
 	rects := make([]Rect, 1200)
 	for i := range rects {
 		rects[i] = randRect(rng, true)
-		if err := tree.Insert(rects[i], i); err != nil {
+		if err := tree.Insert(item{rects[i], i}); err != nil {
 			t.Fatal(err)
 		}
 		ref.insert(rects[i], i)
@@ -270,7 +287,7 @@ func TestDeleteMatchesBruteForce(t *testing.T) {
 	perm := rng.Perm(len(rects))
 	for step, idx := range perm {
 		id := idx
-		okTree := tree.Delete(rects[idx], func(v int) bool { return v == id })
+		okTree := tree.Delete(&item{rects[idx], id}, byID(id))
 		okRef := ref.delete(rects[idx], id)
 		if okTree != okRef {
 			t.Fatalf("step %d: delete parity broke: tree=%v ref=%v", step, okTree, okRef)
@@ -285,7 +302,7 @@ func TestDeleteMatchesBruteForce(t *testing.T) {
 			query := randRect(rng, false)
 			want := ref.search(query)
 			got := map[int]bool{}
-			tree.Search(query, func(_ Rect, v int) bool { got[v] = true; return true })
+			tree.Search(query, func(v item) bool { got[v.id] = true; return true })
 			if len(got) != len(want) {
 				t.Fatalf("step %d: search mismatch %d vs %d", step, len(got), len(want))
 			}
@@ -298,31 +315,31 @@ func TestDeleteMatchesBruteForce(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The tree must be reusable after being emptied.
-	if err := tree.Insert(rects[0], 1); err != nil {
+	if err := tree.Insert(item{rects[0], 1}); err != nil {
 		t.Fatal(err)
 	}
-	if got := tree.SearchAll(rects[0]); len(got) != 1 || got[0] != 1 {
+	if got := tree.SearchAll(rects[0]); len(got) != 1 || got[0].id != 1 {
 		t.Fatalf("reuse after emptying: got %v", got)
 	}
 }
 
 func TestDeleteAbsent(t *testing.T) {
-	tree := MustNew[int](Options{})
+	tree := newTree(Options{})
 	r := Point([Dims]float64{1, 2, 3})
-	if tree.DeleteRect(r) {
+	if tree.Delete(&item{r: r}, anyItem) {
 		t.Fatal("delete from empty tree succeeded")
 	}
-	if err := tree.Insert(r, 7); err != nil {
+	if err := tree.Insert(item{r, 7}); err != nil {
 		t.Fatal(err)
 	}
-	if tree.Delete(r, func(v int) bool { return v == 8 }) {
+	if tree.Delete(&item{r, 8}, byID(8)) {
 		t.Fatal("delete with non-matching predicate succeeded")
 	}
 	other := Point([Dims]float64{9, 9, 9})
-	if tree.DeleteRect(other) {
+	if tree.Delete(&item{r: other}, anyItem) {
 		t.Fatal("delete of absent rect succeeded")
 	}
-	if !tree.DeleteRect(r) {
+	if !tree.Delete(&item{r: r}, anyItem) {
 		t.Fatal("delete of present rect failed")
 	}
 	if tree.Len() != 0 {
@@ -333,25 +350,25 @@ func TestDeleteAbsent(t *testing.T) {
 func TestDuplicateRects(t *testing.T) {
 	// Many items may share one rectangle (several videos shot from the
 	// same spot); deletion must remove exactly one, selectable by value.
-	tree := MustNew[int](Options{MaxEntries: 4})
+	tree := newTree(Options{MaxEntries: 4})
 	r := Point([Dims]float64{5, 5, 5})
 	for i := 0; i < 50; i++ {
-		if err := tree.Insert(r, i); err != nil {
+		if err := tree.Insert(item{r, i}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if !tree.Delete(r, func(v int) bool { return v == 31 }) {
+	if !tree.Delete(&item{r, 31}, byID(31)) {
 		t.Fatal("targeted delete failed")
 	}
 	if tree.Len() != 49 {
 		t.Fatalf("Len = %d, want 49", tree.Len())
 	}
 	found := map[int]bool{}
-	tree.Search(Point([Dims]float64{5, 5, 5}), func(_ Rect, v int) bool {
-		found[v] = true
+	tree.Search(Point([Dims]float64{5, 5, 5}), func(v item) bool {
+		found[v.id] = true
 		return true
 	})
 	if found[31] {
@@ -364,13 +381,13 @@ func TestDuplicateRects(t *testing.T) {
 
 func TestSearchEarlyStop(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	tree := MustNew[int](Options{})
+	tree := newTree(Options{})
 	for i := 0; i < 500; i++ {
-		_ = tree.Insert(randRect(rng, true), i)
+		_ = tree.Insert(item{randRect(rng, true), i})
 	}
 	all, _ := tree.Bounds()
 	calls := 0
-	tree.Search(all, func(Rect, int) bool {
+	tree.Search(all, func(item) bool {
 		calls++
 		return calls < 10
 	})
@@ -381,31 +398,31 @@ func TestSearchEarlyStop(t *testing.T) {
 
 func TestScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	tree := MustNew[int](Options{})
+	tree := newTree(Options{})
 	want := map[int]bool{}
 	for i := 0; i < 300; i++ {
-		_ = tree.Insert(randRect(rng, false), i)
+		_ = tree.Insert(item{randRect(rng, false), i})
 		want[i] = true
 	}
 	got := map[int]bool{}
-	tree.Scan(func(_ Rect, v int) bool { got[v] = true; return true })
+	tree.Scan(func(v *item) bool { got[v.id] = true; return true })
 	if len(got) != len(want) {
 		t.Fatalf("Scan visited %d items, want %d", len(got), len(want))
 	}
 	calls := 0
-	tree.Scan(func(Rect, int) bool { calls++; return false })
+	tree.Scan(func(*item) bool { calls++; return false })
 	if calls != 1 {
 		t.Fatalf("Scan early stop ignored: %d calls", calls)
 	}
 }
 
 func TestBoundsEmpty(t *testing.T) {
-	tree := MustNew[int](Options{})
+	tree := newTree(Options{})
 	if _, ok := tree.Bounds(); ok {
 		t.Fatal("empty tree reports bounds")
 	}
 	r := Point([Dims]float64{1, 2, 3})
-	_ = tree.Insert(r, 1)
+	_ = tree.Insert(item{r, 1})
 	b, ok := tree.Bounds()
 	if !ok || b != r {
 		t.Fatalf("Bounds = %v, %v", b, ok)
@@ -416,15 +433,15 @@ func TestBoundsEmpty(t *testing.T) {
 // best (dist2, id) seen, and answer every item with the k-th best
 // distance once there are k. It reports the ids nearest first and the
 // leaf slots offered.
-func kNearest(s *Snapshot[int], q Rect, near Near, k int) (ids []int, offered int) {
+func kNearest(s *Snapshot[item], q Rect, near Near, k int) (ids []int, offered int) {
 	type cand struct {
 		d2 float64
 		id int
 	}
 	var best []cand
-	s.SearchNear(q, near, math.Inf(1), func(r *Rect, v *int) float64 {
+	s.SearchNear(q, near, math.Inf(1), func(v *item) float64 {
 		offered++
-		best = append(best, cand{near.MinDist2(r), *v})
+		best = append(best, cand{near.MinDist2(&v.r), v.id})
 		sort.Slice(best, func(i, j int) bool {
 			if best[i].d2 != best[j].d2 {
 				return best[i].d2 < best[j].d2
@@ -456,14 +473,14 @@ var everything = Rect{
 func TestSearchNearTopKMatchesBruteForce(t *testing.T) {
 	for _, m := range []int{8, 16, 40} {
 		rng := rand.New(rand.NewSource(17))
-		tree := MustNew[int](Options{MaxEntries: m})
+		tree := newTree(Options{MaxEntries: m})
 		rects := make([]Rect, 2000)
 		for i := range rects {
 			rects[i] = randRect(rng, true)
 			if i%10 == 0 && i > 0 {
 				rects[i] = rects[i-1] // co-located: equal distances, ids decide
 			}
-			_ = tree.Insert(rects[i], i)
+			_ = tree.Insert(item{rects[i], i})
 		}
 		snap := tree.Publish()
 		for trial := 0; trial < 50; trial++ {
@@ -499,18 +516,18 @@ func TestSearchNearTopKMatchesBruteForce(t *testing.T) {
 // callback, the bound handed back is the last one the callback gave,
 // and a negative answer stops the walk.
 func TestSearchNearBounds(t *testing.T) {
-	tree := MustNew[int](Options{})
+	tree := newTree(Options{})
 	for i := 0; i < 400; i++ {
-		_ = tree.Insert(Point([Dims]float64{float64(i), 0, float64(i % 7)}), i)
+		_ = tree.Insert(item{Point([Dims]float64{float64(i), 0, float64(i % 7)}), i})
 	}
 	snap := tree.Publish()
 	q := Rect{Min: [Dims]float64{50, -1, 0}, Max: [Dims]float64{350, 1, 3}}
 	near := Near{P: [Dims]float64{200, 0, 0}, W: [Dims]float64{1, 1, 0}}
 
 	plain := 0
-	wantNodes, wantLeafs := tree.SearchCounted(q, func(Rect, int) bool { plain++; return true })
+	wantNodes, wantLeafs := tree.SearchCounted(q, func(item) bool { plain++; return true })
 	seen := 0
-	bound, nodes, leafs := snap.SearchNear(q, near, math.Inf(1), func(*Rect, *int) float64 { seen++; return math.Inf(1) })
+	bound, nodes, leafs := snap.SearchNear(q, near, math.Inf(1), func(*item) float64 { seen++; return math.Inf(1) })
 	if seen != plain || nodes != wantNodes || leafs != wantLeafs || !math.IsInf(bound, 1) {
 		t.Fatalf("unbounded walk saw %d items over %d nodes / %d slots (bound %v); plain search %d over %d / %d",
 			seen, nodes, leafs, bound, plain, wantNodes, wantLeafs)
@@ -519,7 +536,7 @@ func TestSearchNearBounds(t *testing.T) {
 	// Items within 10 of x=200, dimension 2 in [0, 3]: the bound is
 	// inclusive (x=190 and x=210 are exactly at it).
 	var got []int
-	bound, boundedNodes, _ := snap.SearchNear(q, near, 10, func(_ *Rect, v *int) float64 { got = append(got, *v); return 10 })
+	bound, boundedNodes, _ := snap.SearchNear(q, near, 10, func(v *item) float64 { got = append(got, v.id); return 10 })
 	sort.Ints(got)
 	var want []int
 	for i := 190; i <= 210; i++ {
@@ -535,11 +552,11 @@ func TestSearchNearBounds(t *testing.T) {
 	}
 
 	calls := 0
-	bound, _, _ = snap.SearchNear(q, near, math.Inf(1), func(*Rect, *int) float64 { calls++; return -1 })
+	bound, _, _ = snap.SearchNear(q, near, math.Inf(1), func(*item) float64 { calls++; return -1 })
 	if calls != 1 || bound != -1 {
 		t.Fatalf("a negative answer should stop the walk: %d calls, bound %v", calls, bound)
 	}
-	if _, n, _ := snap.SearchNear(q, near, -1, func(*Rect, *int) float64 { t.Fatal("offered past a stop"); return 0 }); n != 1 {
+	if _, n, _ := snap.SearchNear(q, near, -1, func(*item) float64 { t.Fatal("offered past a stop"); return 0 }); n != 1 {
 		t.Fatalf("a walk entered already stopped visited %d nodes, want the root only", n)
 	}
 }
@@ -548,9 +565,9 @@ func TestSearchNearBounds(t *testing.T) {
 // with k=1 on separated points it offers a handful of slots, not the
 // box.
 func TestSearchNearVisitsNearestFirst(t *testing.T) {
-	tree := MustNew[int](Options{})
+	tree := newTree(Options{})
 	for i := 0; i < 1000; i++ {
-		_ = tree.Insert(Point([Dims]float64{float64(i % 40), float64(i / 40), 0}), i)
+		_ = tree.Insert(item{Point([Dims]float64{float64(i % 40), float64(i / 40), 0}), i})
 	}
 	snap := tree.Publish()
 	near := Near{P: [Dims]float64{17.2, 11.1, 0}, W: [Dims]float64{1, 1, 0}}
@@ -566,14 +583,14 @@ func TestSearchNearVisitsNearestFirst(t *testing.T) {
 func TestBulkLoadMatchesBruteForce(t *testing.T) {
 	for _, n := range []int{0, 1, 5, 16, 17, 100, 2000} {
 		rng := rand.New(rand.NewSource(int64(n)))
-		items := make([]Item[int], n)
+		items := make([]item, n)
 		ref := &brute{}
 		for i := 0; i < n; i++ {
 			r := randRect(rng, true)
-			items[i] = Item[int]{Rect: r, Data: i}
+			items[i] = item{r, i}
 			ref.insert(r, i)
 		}
-		tree, err := BulkLoad(Options{MaxEntries: 16}, items)
+		tree, err := BulkLoad(Options{MaxEntries: 16}, itemRect, items)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -587,7 +604,7 @@ func TestBulkLoadMatchesBruteForce(t *testing.T) {
 			query := randRect(rng, false)
 			want := ref.search(query)
 			got := map[int]bool{}
-			tree.Search(query, func(_ Rect, v int) bool { got[v] = true; return true })
+			tree.Search(query, func(v item) bool { got[v.id] = true; return true })
 			if len(got) != len(want) {
 				t.Fatalf("n=%d query %d: got %d, want %d", n, q, len(got), len(want))
 			}
@@ -597,30 +614,29 @@ func TestBulkLoadMatchesBruteForce(t *testing.T) {
 
 func TestBulkLoadInvalidRect(t *testing.T) {
 	bad := Rect{Min: [Dims]float64{1, 0, 0}, Max: [Dims]float64{0, 0, 0}}
-	if _, err := BulkLoad(Options{}, []Item[int]{{Rect: bad}}); err == nil {
+	if _, err := BulkLoad(Options{}, itemRect, []item{{r: bad}}); err == nil {
 		t.Fatal("invalid rect accepted by bulk load")
 	}
 }
 
 func TestBulkLoadThenMutate(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	items := make([]Item[int], 500)
+	items := make([]item, 500)
 	for i := range items {
-		items[i] = Item[int]{Rect: randRect(rng, true), Data: i}
+		items[i] = item{randRect(rng, true), i}
 	}
-	tree, err := BulkLoad(Options{MaxEntries: 8}, items)
+	tree, err := BulkLoad(Options{MaxEntries: 8}, itemRect, items)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Inserting and deleting after a bulk load must keep working.
 	for i := 500; i < 700; i++ {
-		if err := tree.Insert(randRect(rng, true), i); err != nil {
+		if err := tree.Insert(item{randRect(rng, true), i}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 200; i++ {
-		id := items[i].Data
-		if !tree.Delete(items[i].Rect, func(v int) bool { return v == id }) {
+		if !tree.Delete(&items[i], byID(items[i].id)) {
 			t.Fatalf("delete of bulk-loaded item %d failed", i)
 		}
 	}
@@ -632,14 +648,13 @@ func TestBulkLoadThenMutate(t *testing.T) {
 func TestBulkLoadTighterThanInsert(t *testing.T) {
 	// STR packing should produce no more nodes than repeated insertion.
 	rng := rand.New(rand.NewSource(13))
-	items := make([]Item[int], 5000)
-	ins := MustNew[int](Options{MaxEntries: 16})
+	items := make([]item, 5000)
+	ins := newTree(Options{MaxEntries: 16})
 	for i := range items {
-		r := randRect(rng, true)
-		items[i] = Item[int]{Rect: r, Data: i}
-		_ = ins.Insert(r, i)
+		items[i] = item{randRect(rng, true), i}
+		_ = ins.Insert(items[i])
 	}
-	bulk, err := BulkLoad(Options{MaxEntries: 16}, items)
+	bulk, err := BulkLoad(Options{MaxEntries: 16}, itemRect, items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -651,18 +666,48 @@ func TestBulkLoadTighterThanInsert(t *testing.T) {
 	}
 }
 
+// CheckInvariants checks rectangles, not just shape: an internal
+// rectangle that is not its child's exact MBR, and a leaf item whose
+// derived rectangle is invalid, are both reported.
+func TestCheckInvariantsCatchesBadRects(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	build := func(n int) *Tree[item] {
+		tree := newTree(Options{MaxEntries: 8})
+		for i := 0; i < n; i++ {
+			_ = tree.Insert(item{randRect(rng, true), i})
+		}
+		if err := tree.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		return tree
+	}
+	loose := build(300)
+	loose.root.rects[1].Max[0]++ // still contains the child, no longer tight
+	if err := loose.CheckInvariants(); err == nil {
+		t.Fatal("a loose internal rect went unnoticed")
+	}
+	// A root leaf has no parent rect to disagree with: only the derived
+	// rectangle's own validity can catch it.
+	bad := build(5)
+	r := &bad.root.items[2].r
+	r.Min[2], r.Max[2] = r.Max[2]+1, r.Min[2] // inverted interval
+	if err := bad.CheckInvariants(); err == nil {
+		t.Fatal("an invalid derived leaf rect went unnoticed")
+	}
+}
+
 func TestMixedOpsInvariants(t *testing.T) {
 	// Randomized op sequence: invariants must hold throughout, under both
 	// split algorithms.
 	for _, split := range []SplitAlgorithm{QuadraticSplit, LinearSplit, RStarSplit} {
 		rng := rand.New(rand.NewSource(77))
-		tree := MustNew[int](Options{MaxEntries: 6, Split: split})
+		tree := newTree(Options{MaxEntries: 6, Split: split})
 		ref := &brute{}
 		nextID := 0
 		for op := 0; op < 3000; op++ {
 			if len(ref.rects) == 0 || rng.Float64() < 0.6 {
 				r := randRect(rng, rng.Intn(2) == 0)
-				if err := tree.Insert(r, nextID); err != nil {
+				if err := tree.Insert(item{r, nextID}); err != nil {
 					t.Fatal(err)
 				}
 				ref.insert(r, nextID)
@@ -670,7 +715,7 @@ func TestMixedOpsInvariants(t *testing.T) {
 			} else {
 				i := rng.Intn(len(ref.rects))
 				r, id := ref.rects[i], ref.ids[i]
-				if !tree.Delete(r, func(v int) bool { return v == id }) {
+				if !tree.Delete(&item{r, id}, byID(id)) {
 					t.Fatalf("op %d (%v): delete of present item failed", op, split)
 				}
 				ref.delete(r, id)

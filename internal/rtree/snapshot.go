@@ -14,6 +14,7 @@ import "math"
 // so metrics keep counting regardless of which path served the read.
 type Snapshot[T any] struct {
 	root   *node[T]
+	bounds func(*T) Rect
 	height int
 	size   int
 	epoch  uint64
@@ -43,6 +44,7 @@ func (t *Tree[T]) Publish() *Snapshot[T] {
 	}
 	s := &Snapshot[T]{
 		root:   t.root,
+		bounds: t.bounds,
 		height: t.height,
 		size:   t.size,
 		epoch:  epoch,
@@ -57,17 +59,19 @@ func (t *Tree[T]) Publish() *Snapshot[T] {
 
 // mutable returns a node the writer may mutate in place: n itself when it
 // already belongs to the current write generation, otherwise a clone with
-// freshly copied entries. The caller must re-link the returned node into
-// its parent (or the root).
+// freshly copied slots, sized to their length plus one spare slot (the
+// common next step is appending one). The caller must re-link the
+// returned node into its parent (or the root).
 func (t *Tree[T]) mutable(n *node[T]) *node[T] {
 	if n.gen == t.writeGen {
 		return n
 	}
-	c := &node[T]{
-		leaf: n.leaf,
-		gen:  t.writeGen,
-		// One spare slot: the common next step is appending an entry.
-		entries: append(make([]entry[T], 0, len(n.entries)+1), n.entries...),
+	c := &node[T]{leaf: n.leaf, gen: t.writeGen}
+	if n.leaf {
+		c.items = append(make([]T, 0, len(n.items)+1), n.items...)
+	} else {
+		c.rects = append(make([]Rect, 0, len(n.rects)+1), n.rects...)
+		c.children = append(make([]*node[T], 0, len(n.children)+1), n.children...)
 	}
 	return c
 }
@@ -93,42 +97,45 @@ func (s *Snapshot[T]) Height() int { return s.height }
 
 // Search calls fn for every item in the snapshot whose rectangle
 // intersects q. Return false from fn to stop early.
-func (s *Snapshot[T]) Search(q Rect, fn func(Rect, T) bool) {
-	searchFrom(s.root, s.stats, q, Near{}, math.Inf(1), byValue(fn))
+func (s *Snapshot[T]) Search(q Rect, fn func(T) bool) {
+	searchFrom(s.root, s.bounds, s.stats, q, Near{}, math.Inf(1), byValue(fn))
 }
 
-// SearchNear is the steered, copy-free range search. fn receives
-// pointers to the rectangle and item of each match inside the
-// snapshot's leaf and returns a distance bound: "nothing farther than
+// SearchNear is the steered, copy-free range search. fn receives a
+// pointer to each matching item inside the snapshot's leaf and returns
+// a distance bound: "nothing farther than
 // this from near.P interests me any more" (+Inf for no bound, negative
 // to stop). Subtrees are entered nearest lower bound first, and
 // subtrees and items whose lower bound under near (Near.MinDist2) lies
 // strictly beyond the bound — the one passed in, then the one fn last
 // returned — are skipped. The call hands back the final bound, so a
 // caller walking several snapshots carries it from one to the next, and
-// this traversal's node visits and leaf entries scanned (the per-call
+// this traversal's node visits and leaf items scanned (the per-call
 // costs Tree.SearchCounted reports).
 //
 // A snapshot's nodes are frozen, so what the pointers address never
 // changes and they stay valid for as long as the caller holds them; the
 // caller must not write through them. Only snapshots offer this form —
 // a live Tree's write-generation nodes are mutated in place.
-func (s *Snapshot[T]) SearchNear(q Rect, near Near, bound float64, fn func(*Rect, *T) float64) (newBound float64, nodesVisited, leafEntriesScanned int64) {
-	return searchFrom(s.root, s.stats, q, near, bound, fn)
+func (s *Snapshot[T]) SearchNear(q Rect, near Near, bound float64, fn func(*T) float64) (newBound float64, nodesVisited, leafEntriesScanned int64) {
+	return searchFrom(s.root, s.bounds, s.stats, q, near, bound, fn)
 }
 
 // SearchAll collects all items intersecting q.
 func (s *Snapshot[T]) SearchAll(q Rect) []T {
 	var out []T
-	s.Search(q, func(_ Rect, v T) bool {
+	s.Search(q, func(v T) bool {
 		out = append(out, v)
 		return true
 	})
 	return out
 }
 
-// Scan calls fn for every item in the snapshot. Return false to stop.
-func (s *Snapshot[T]) Scan(fn func(Rect, T) bool) {
+// Scan calls fn for every item in the snapshot, in leaf order. Return
+// false to stop. fn receives a pointer into the snapshot's frozen leaf:
+// it stays valid, and unchanged, for as long as the caller holds it, and
+// the caller must not write through it.
+func (s *Snapshot[T]) Scan(fn func(*T) bool) {
 	scanNode(s.root, fn)
 }
 
@@ -137,7 +144,7 @@ func (s *Snapshot[T]) Bounds() (Rect, bool) {
 	if s.size == 0 {
 		return Rect{}, false
 	}
-	return s.root.mbr(), true
+	return mbr(s.root, s.bounds), true
 }
 
 // NodeCount returns the number of nodes in the snapshot.
@@ -147,7 +154,7 @@ func (s *Snapshot[T]) NodeCount() int { return countNodes(s.root) }
 // checks as Tree.CheckInvariants, against the snapshot's own height and
 // size).
 func (s *Snapshot[T]) CheckInvariants() error {
-	return checkTree(s.root, checkParams{
-		height: s.height, size: s.size, opts: s.opts, packed: s.packed,
+	return checkTree(s.root, checkParams[T]{
+		height: s.height, size: s.size, opts: s.opts, packed: s.packed, bounds: s.bounds,
 	})
 }

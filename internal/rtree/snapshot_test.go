@@ -15,9 +15,9 @@ func snapRect(i int) Rect {
 // the old state, while the mutable tree and later snapshots see the new
 // one — the core copy-on-write isolation guarantee.
 func TestSnapshotIsolation(t *testing.T) {
-	tr := MustNew[int](Options{MaxEntries: 4})
+	tr := newTree(Options{MaxEntries: 4})
 	for i := 0; i < 200; i++ {
-		if err := tr.Insert(snapRect(i), i); err != nil {
+		if err := tr.Insert(item{snapRect(i), i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -29,12 +29,12 @@ func TestSnapshotIsolation(t *testing.T) {
 	// Mutate heavily without publishing: deletes force condensation and
 	// root shrinks, inserts force splits — all on cloned nodes.
 	for i := 0; i < 150; i++ {
-		if !tr.DeleteRect(snapRect(i)) {
+		if !tr.Delete(&item{r: snapRect(i)}, anyItem) {
 			t.Fatalf("delete %d failed", i)
 		}
 	}
 	for i := 200; i < 400; i++ {
-		if err := tr.Insert(snapRect(i), i); err != nil {
+		if err := tr.Insert(item{snapRect(i), i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -45,8 +45,8 @@ func TestSnapshotIsolation(t *testing.T) {
 	// The old snapshot still answers from the pre-mutation state.
 	everything := Rect{Min: [Dims]float64{-1e9, -1e9, -1e9}, Max: [Dims]float64{1e9, 1e9, 1e9}}
 	seen := map[int]bool{}
-	before.Search(everything, func(_ Rect, v int) bool {
-		seen[v] = true
+	before.Search(everything, func(v item) bool {
+		seen[v.id] = true
 		return true
 	})
 	if len(seen) != 200 {
@@ -87,18 +87,18 @@ func TestSnapshotChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, split := range []SplitAlgorithm{QuadraticSplit, LinearSplit, RStarSplit} {
 		t.Run(split.String(), func(t *testing.T) {
-			tr := MustNew[int](Options{MaxEntries: 5, Split: split})
+			tr := newTree(Options{MaxEntries: 5, Split: split})
 			live := map[int]bool{}
 			lastEpoch := tr.Snapshot().Epoch()
 			for step := 0; step < 800; step++ {
 				id := rng.Intn(120)
 				if live[id] && rng.Intn(2) == 0 {
-					if !tr.DeleteRect(snapRect(id)) {
+					if !tr.Delete(&item{r: snapRect(id)}, anyItem) {
 						t.Fatalf("step %d: delete %d failed", step, id)
 					}
 					delete(live, id)
 				} else if !live[id] {
-					if err := tr.Insert(snapRect(id), id); err != nil {
+					if err := tr.Insert(item{snapRect(id), id}); err != nil {
 						t.Fatal(err)
 					}
 					live[id] = true
@@ -127,11 +127,11 @@ func TestSnapshotChurn(t *testing.T) {
 // BulkLoad must publish the packed tree, not leave New's empty snapshot
 // behind.
 func TestSnapshotAfterBulkLoad(t *testing.T) {
-	items := make([]Item[int], 500)
+	items := make([]item, 500)
 	for i := range items {
-		items[i] = Item[int]{Rect: snapRect(i), Data: i}
+		items[i] = item{snapRect(i), i}
 	}
-	tr, err := BulkLoad[int](Options{MaxEntries: 8}, items)
+	tr, err := BulkLoad(Options{MaxEntries: 8}, itemRect, items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,16 +146,16 @@ func TestSnapshotAfterBulkLoad(t *testing.T) {
 
 // Snapshot searches must feed the shared lifetime stats.
 func TestSnapshotStatsShared(t *testing.T) {
-	tr := MustNew[int](DefaultOptions)
+	tr := newTree(DefaultOptions)
 	for i := 0; i < 50; i++ {
-		if err := tr.Insert(snapRect(i), i); err != nil {
+		if err := tr.Insert(item{snapRect(i), i}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	s := tr.Publish()
 	before := tr.Stats().Searches
 	s.SearchAll(snapRect(3))
-	s.SearchNear(snapRect(3), Near{}, math.Inf(1), func(*Rect, *int) float64 { return math.Inf(1) })
+	s.SearchNear(snapRect(3), Near{}, math.Inf(1), func(*item) float64 { return math.Inf(1) })
 	if got := tr.Stats().Searches; got != before+2 {
 		t.Fatalf("Searches = %d, want %d", got, before+2)
 	}

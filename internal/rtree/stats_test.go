@@ -6,14 +6,14 @@ import (
 )
 
 func TestStatsCounters(t *testing.T) {
-	tr := MustNew[int](Options{MaxEntries: 4})
+	tr := newTree(Options{MaxEntries: 4})
 	n := 100
 	for i := 0; i < n; i++ {
 		r := Rect{
 			Min: [Dims]float64{float64(i), float64(i), 0},
 			Max: [Dims]float64{float64(i) + 1, float64(i) + 1, 1},
 		}
-		if err := tr.Insert(r, i); err != nil {
+		if err := tr.Insert(item{r, i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -48,7 +48,7 @@ func TestStatsCounters(t *testing.T) {
 			Min: [Dims]float64{float64(i), float64(i), 0},
 			Max: [Dims]float64{float64(i) + 1, float64(i) + 1, 1},
 		}
-		if !tr.Delete(r, func(v int) bool { return v == i }) {
+		if !tr.Delete(&item{r, i}, byID(i)) {
 			t.Fatalf("delete %d failed", i)
 		}
 	}
@@ -66,16 +66,16 @@ func TestStatsCounters(t *testing.T) {
 
 func TestSearchCountedPerCall(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	tree := MustNew[int](Options{MaxEntries: 8})
+	tree := newTree(Options{MaxEntries: 8})
 	for i := 0; i < 500; i++ {
-		if err := tree.Insert(randRect(rng, false), i); err != nil {
+		if err := tree.Insert(item{randRect(rng, false), i}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	before := tree.Stats()
 	q := randRect(rng, false)
 	hits := 0
-	nodes, leafs := tree.SearchCounted(q, func(Rect, int) bool { hits++; return true })
+	nodes, leafs := tree.SearchCounted(q, func(item) bool { hits++; return true })
 	if nodes <= 0 {
 		t.Fatalf("nodesVisited = %d, want > 0 (root is always examined)", nodes)
 	}
@@ -93,7 +93,7 @@ func TestSearchCountedPerCall(t *testing.T) {
 
 	// Counted and plain search must agree on the result set.
 	want := map[int]bool{}
-	tree.Search(q, func(_ Rect, v int) bool { want[v] = true; return true })
+	tree.Search(q, func(v item) bool { want[v.id] = true; return true })
 	if len(want) != hits {
 		t.Fatalf("SearchCounted saw %d hits, Search saw %d", hits, len(want))
 	}

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 
 	"fovr/internal/index"
 	"fovr/internal/obs"
@@ -137,31 +138,23 @@ func (s *Server) ApplyRemove(ids []uint64, trace string) error {
 	if err := s.appendRemove(ids, trace); err != nil {
 		return fmt.Errorf("server: journal replicated removal: %w", err)
 	}
+	sorted := slices.Clone(ids)
+	slices.Sort(sorted)
 	idx := s.index()
-	want := make(map[uint64]bool, len(ids))
-	for _, id := range ids {
-		want[id] = true
-	}
-	owners := make(map[uint64]string, len(ids))
-	for _, e := range idx.Entries() {
-		if want[e.ID] {
-			owners[e.ID] = e.Provider
+	gone := entriesWhere(idx, func(e *index.Entry) bool {
+		_, ok := slices.BinarySearch(sorted, e.ID)
+		return ok
+	})
+	idx.RemoveBatch(gone)
+	s.mu.Lock()
+	for _, e := range gone {
+		if s.byProvider[e.Provider] <= 1 {
+			delete(s.byProvider, e.Provider)
+		} else {
+			s.byProvider[e.Provider]--
 		}
 	}
-	for _, id := range ids {
-		if !idx.Remove(id) {
-			continue
-		}
-		s.mu.Lock()
-		if p, ok := owners[id]; ok {
-			if s.byProvider[p] <= 1 {
-				delete(s.byProvider, p)
-			} else {
-				s.byProvider[p]--
-			}
-		}
-		s.mu.Unlock()
-	}
+	s.mu.Unlock()
 	return nil
 }
 

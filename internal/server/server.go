@@ -1061,33 +1061,44 @@ func (s *Server) ListenAndServe(addr string) error {
 // ForgetProvider removes every segment a provider has contributed — the
 // opt-out the paper's privacy motivation implies a deployment must offer.
 // It returns the number of segments removed.
+//
+// Forget journals first, like Register: if the journal refuses the
+// removal, nothing is removed and the error is returned, so a restart
+// can never resurrect entries readers already saw forgotten. Readers
+// see the provider's entries go in one publish.
 func (s *Server) ForgetProvider(provider string) (int, error) {
 	if s.cfg.ReadOnly {
 		return 0, s.readOnlyErr("forget")
 	}
 	idx := s.index()
-	var ids []uint64
-	for _, e := range idx.Entries() {
-		if e.Provider == provider {
-			ids = append(ids, e.ID)
+	gone := entriesWhere(idx, func(e *index.Entry) bool { return e.Provider == provider })
+	if len(gone) > 0 {
+		ids := make([]uint64, len(gone))
+		for i := range gone {
+			ids[i] = gone[i].ID
 		}
-	}
-	removed := 0
-	for _, id := range ids {
-		if idx.Remove(id) {
-			removed++
-		}
-	}
-	if len(ids) > 0 {
 		if err := s.store.AppendRemove(ids); err != nil {
-			s.log.Error("journal forget failed; removed entries may resurrect on restart",
-				"provider", provider, "err", err)
+			return 0, fmt.Errorf("server: journal forget: %w", err)
 		}
 	}
+	removed := idx.RemoveBatch(gone)
 	s.mu.Lock()
 	delete(s.byProvider, provider)
 	s.mu.Unlock()
 	return removed, nil
+}
+
+// entriesWhere copies out the entries of idx's published snapshot that
+// keep accepts, in one scan.
+func entriesWhere(idx *index.RTree, keep func(*index.Entry) bool) []index.Entry {
+	var out []index.Entry
+	idx.Scan(func(e *index.Entry) bool {
+		if keep(e) {
+			out = append(out, *e)
+		}
+		return true
+	})
+	return out
 }
 
 func (s *Server) handleForget(w http.ResponseWriter, r *http.Request) {

@@ -3,9 +3,13 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
+	"maps"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +18,7 @@ import (
 	"fovr/internal/geo"
 	"fovr/internal/query"
 	"fovr/internal/segment"
+	"fovr/internal/store"
 	"fovr/internal/wire"
 )
 
@@ -437,6 +442,106 @@ func TestForgetProvider(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("missing provider status %d", resp2.StatusCode)
+	}
+}
+
+// removeRefused is an in-memory store whose journal refuses removals.
+type removeRefused struct{ *store.Mem }
+
+func (removeRefused) AppendRemove([]uint64) error { return errors.New("journal refused the removal") }
+
+// Forget journals first: when the journal refuses, nothing is removed,
+// the caller gets the error (HTTP 500), every entry still answers
+// /query and /stats still counts it.
+func TestForgetJournalsFirst(t *testing.T) {
+	s, err := New(Config{Camera: fov.Camera{HalfAngleDeg: 30, RadiusMeters: 100}, Store: removeRefused{store.NewMem()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cameras 30 m around center, each facing it, so a query at center
+	// answers every one.
+	facing := func(provider string, bearings ...float64) {
+		reps := make([]segment.Representative, len(bearings))
+		for i, b := range bearings {
+			reps[i] = rep(geo.Offset(center, b, 30), math.Mod(b+180, 360), 0, 5000)
+		}
+		if _, err := s.Register(wire.Upload{Provider: provider, Reps: reps}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	facing("gone", 0, 90, 200)
+	facing("keep", 300)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	decode := func(resp *http.Response, err error, v any) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %s", resp.Request.URL.Path, resp.Status)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	answers := func() []uint64 {
+		body, _ := json.Marshal(QueryRequest{Query: query.Query{EndMillis: 5000, Center: center, RadiusMeters: 10}})
+		var out QueryResponse
+		resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+		decode(resp, err, &out)
+		ids := make([]uint64, len(out.Results))
+		for i, r := range out.Results {
+			ids[i] = r.Entry.ID
+		}
+		slices.Sort(ids)
+		return ids
+	}
+	stats := func() Stats {
+		var st Stats
+		resp, err := http.Get(ts.URL + "/stats")
+		decode(resp, err, &st)
+		return st
+	}
+	wantIDs, wantStats := answers(), stats()
+	if len(wantIDs) != 4 {
+		t.Fatalf("before forget /query answers %v, want all 4 entries", wantIDs)
+	}
+
+	if removed, err := s.ForgetProvider("gone"); err == nil || removed != 0 {
+		t.Fatalf("ForgetProvider with a refusing journal: removed %d, err %v", removed, err)
+	}
+	resp, err := http.Post(ts.URL+"/forget?provider=gone", "text/plain", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("/forget with a refusing journal: status %d, want 500", resp.StatusCode)
+	}
+	if got := answers(); !slices.Equal(got, wantIDs) {
+		t.Fatalf("after the refused forget /query answers %v, want %v", got, wantIDs)
+	}
+	got := stats()
+	if got.Segments != wantStats.Segments || !maps.Equal(got.Providers, wantStats.Providers) {
+		t.Fatalf("after the refused forget /stats = %d segments %v, want %d %v",
+			got.Segments, got.Providers, wantStats.Segments, wantStats.Providers)
+	}
+}
+
+// Forgetting a provider publishes its removal once: readers see all of
+// its entries go together, and the read epoch moves by exactly one.
+func TestForgetPublishesOnce(t *testing.T) {
+	s := newServer(t)
+	uploadN(t, s, "gone", 5)
+	uploadN(t, s, "keep", 2)
+	before := s.Index().ReadEpoch()
+	if removed, err := s.ForgetProvider("gone"); err != nil || removed != 5 {
+		t.Fatalf("ForgetProvider: removed %d, err %v", removed, err)
+	}
+	if got := s.Index().ReadEpoch(); got != before+1 {
+		t.Fatalf("forgetting 5 entries moved the read epoch %d -> %d, want one publish", before, got)
 	}
 }
 
