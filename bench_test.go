@@ -154,6 +154,28 @@ func BenchmarkFig6bIndexInsert(b *testing.B) {
 	}
 }
 
+// BenchmarkIngestBatch loads the end-to-end benchmark's corpus into a
+// fresh serving index the way uploads load it: 200 000 hotspot entries,
+// 20 per InsertBatch, one publish each. One op is the whole load.
+func BenchmarkIngestBatch(b *testing.B) {
+	const n = 200_000
+	entries := workload.Entries(workload.Config{Seed: 1, Distribution: workload.Hotspot}, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		idx, err := index.NewRTree(rtree.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j := 0; j < n; j += 20 {
+			if err := idx.InsertBatch(entries[j:min(j+20, n)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/entry")
+}
+
 func benchSearch(b *testing.B, makeIdx func([]index.Entry) index.Index) {
 	cfg := workload.Config{Seed: 2}
 	entries := workload.Entries(cfg, 20000)

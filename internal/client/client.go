@@ -12,6 +12,7 @@ package client
 
 import (
 	"bytes"
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
@@ -168,7 +169,7 @@ func (c *Client) UploadTraced(u wire.Upload, trace string) ([]uint64, string, er
 	sp := uploadSpan.Start()
 	defer sp.End()
 	var respBody []byte
-	err = c.retryPolicy().Do(func() (bool, error) {
+	err = c.retryPolicy().Do(context.Background(), func() (bool, error) {
 		var retriable bool
 		var perr error
 		respBody, retriable, perr = c.postOnce("/upload", "application/octet-stream", body, trace)

@@ -83,7 +83,7 @@ func (e *redirectError) Error() string { return e.msg }
 
 func (p *Partition) uploadTo(ctx context.Context, baseURL string, body []byte, trace string) (server.UploadResponse, error) {
 	var out server.UploadResponse
-	err := p.Retry.Do(func() (bool, error) {
+	err := p.Retry.Do(ctx, func() (bool, error) {
 		if ctx.Err() != nil {
 			return false, ctx.Err()
 		}

@@ -137,7 +137,7 @@ func (r *Replicator) get(ctx context.Context, url, kind string, timeout time.Dur
 	if hc == nil {
 		hc = &http.Client{}
 	}
-	return r.retryPolicy().Do(func() (bool, error) {
+	return r.retryPolicy().Do(ctx, func() (bool, error) {
 		if ctx.Err() != nil {
 			return false, ctx.Err() // canceled: retrying cannot help
 		}

@@ -1,6 +1,9 @@
 package client
 
 import (
+	"context"
+	"errors"
+	"math/rand/v2"
 	"time"
 
 	"fovr/internal/obs"
@@ -15,22 +18,33 @@ type RetryPolicy struct {
 	// MaxRetries bounds the number of retries after the first attempt;
 	// zero means one attempt, no retries.
 	MaxRetries int
-	// Delay is the first backoff sleep; it doubles per retry. Zero
-	// means 50 ms.
+	// Delay is the first backoff bound; it doubles per retry. Zero means
+	// 50 ms. Each sleep is drawn uniformly from [bound/2, bound], so
+	// clients that failed together do not retry together.
 	Delay time.Duration
 	// Retries, when non-nil, is incremented once per retry (not per
 	// attempt), matching the fovr_client_*_retries_total metrics.
 	Retries *obs.Counter
+
+	// sleep waits out one backoff; nil means sleepCtx. Tests record
+	// through it.
+	sleep func(ctx context.Context, d time.Duration) error
 }
 
-// Do runs op until it succeeds, fails non-retriably, or exhausts the
-// retry budget, sleeping with exponential backoff between attempts. op
-// reports whether its failure is worth retrying (connection errors,
-// 502/503/504) alongside the error.
-func (p RetryPolicy) Do(op func() (retriable bool, err error)) error {
+// Do runs op until it succeeds, fails non-retriably, exhausts the
+// retry budget, or ctx ends during a backoff sleep, sleeping with
+// jittered exponential backoff between attempts. op reports whether its
+// failure is worth retrying (connection errors, 502/503/504) alongside
+// the error. When ctx ends first, Do returns ctx's error joined with
+// op's last one.
+func (p RetryPolicy) Do(ctx context.Context, op func() (retriable bool, err error)) error {
 	delay := p.Delay
 	if delay <= 0 {
 		delay = 50 * time.Millisecond
+	}
+	sleep := p.sleep
+	if sleep == nil {
+		sleep = sleepCtx
 	}
 	for attempt := 0; ; attempt++ {
 		retriable, err := op()
@@ -43,7 +57,23 @@ func (p RetryPolicy) Do(op func() (retriable bool, err error)) error {
 		if p.Retries != nil {
 			p.Retries.Inc()
 		}
-		time.Sleep(delay)
+		half := delay / 2
+		if cerr := sleep(ctx, half+rand.N(delay-half+1)); cerr != nil {
+			return errors.Join(cerr, err)
+		}
 		delay *= 2
+	}
+}
+
+// sleepCtx waits d, or until ctx ends, whichever comes first, and
+// returns ctx's error in the second case.
+func sleepCtx(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }

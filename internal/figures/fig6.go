@@ -2,6 +2,7 @@ package figures
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"fovr/internal/cvision"
@@ -68,6 +69,11 @@ func Fig6a(frameCount int) *Table {
 	return t
 }
 
+// fig6bBuilds is how many fresh indexes Fig6b builds per size; the
+// fastest is reported, so one build slowed by a busy machine or a
+// collection of the previous build's garbage does not shape the curve.
+const fig6bBuilds = 3
+
 // Fig6b regenerates Fig. 6(b): time to set up the index as a function of
 // the number of representative FoV records. The paper reports <= 20 s
 // for 20,000 records on a laptop (per-record milliseconds).
@@ -82,21 +88,25 @@ func Fig6b(sizes []int) *Table {
 	maxN := sizes[len(sizes)-1]
 	entries := workload.Entries(workload.Config{Seed: 60}, maxN)
 	for _, n := range sizes {
-		idx, err := index.NewRTree(rtree.Options{})
-		if err != nil {
-			panic(err)
-		}
-		start := time.Now()
-		for _, e := range entries[:n] {
-			if err := idx.Insert(e); err != nil {
+		best := time.Duration(math.MaxInt64)
+		for range fig6bBuilds {
+			idx, err := index.NewRTree(rtree.Options{})
+			if err != nil {
 				panic(err)
 			}
+			start := time.Now()
+			for _, e := range entries[:n] {
+				if err := idx.Insert(e); err != nil {
+					panic(err)
+				}
+			}
+			best = min(best, time.Since(start))
 		}
-		elapsed := time.Since(start)
 		t.AddRow(fmt.Sprint(n),
-			f1(float64(elapsed.Microseconds())/1000),
-			f3(float64(elapsed.Microseconds())/float64(n)))
+			f1(float64(best.Microseconds())/1000),
+			f3(float64(best.Microseconds())/float64(n)))
 	}
+	t.AddNote("Each size is the fastest of %d fresh builds.", fig6bBuilds)
 	t.AddNote("Expectation (paper): ~linear growth; 20,000 records insert in well under 20 s (they measured <=20 s on a 2013 laptop).")
 	return t
 }

@@ -73,6 +73,15 @@ func (t *Tree[T]) findLeaf(n *node[T], r Rect, match func(*T) bool, path []*node
 	return nil, 0
 }
 
+// tightenParent recomputes the parent slot rectangle of path[i] from all
+// of path[i]'s slots: a deletion shrinks the MBR, which only a full
+// recomputation finds.
+func (t *Tree[T]) tightenParent(path []*node[T], i int) {
+	n, parent := path[i], path[i-1]
+	t.assertMutable(parent)
+	parent.rects[slotOf(parent, n)] = mbr(n, t.bounds)
+}
+
 // orphan is a node cut out during condensation, remembered with the
 // level its slots lived at (1 = leaf items).
 type orphan[T any] struct {

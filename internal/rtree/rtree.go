@@ -210,7 +210,7 @@ func (t *Tree[T]) insertItem(r Rect, item T) {
 	leaf := path[len(path)-1]
 	t.assertMutable(leaf)
 	leaf.items = append(leaf.items, item)
-	t.adjustPath(path)
+	t.adjustPath(path, r)
 }
 
 // insertChild links a subtree with bounding rectangle r into a node at
@@ -222,7 +222,7 @@ func (t *Tree[T]) insertChild(r Rect, child *node[T], level int) {
 	t.assertMutable(n)
 	n.rects = append(n.rects, r)
 	n.children = append(n.children, child)
-	t.adjustPath(path)
+	t.adjustPath(path, r)
 }
 
 // choosePath descends from the root to the node at the target level,
@@ -241,8 +241,7 @@ func (t *Tree[T]) choosePath(r Rect, level int) []*node[T] {
 		best := 0
 		var bestArea, bestMargin, bestSize float64
 		for i := range n.rects {
-			dArea, dMargin := n.rects[i].Enlargement(r)
-			size := n.rects[i].Area()
+			dArea, dMargin, size := enlarge(&n.rects[i], &r)
 			if i == 0 || less3(dArea, dMargin, size, bestArea, bestMargin, bestSize) {
 				best, bestArea, bestMargin, bestSize = i, dArea, dMargin, size
 			}
@@ -279,13 +278,22 @@ func slotOf[T any](n, child *node[T]) int {
 	panic("rtree: child not linked into its parent")
 }
 
-// adjustPath walks back up the insertion path, splitting overflowing
-// nodes and keeping parent rectangles tight (AdjustTree).
-func (t *Tree[T]) adjustPath(path []*node[T]) {
+// adjustPath walks back up the path along which a slot with rectangle r
+// was just added, splitting overflowing nodes and keeping parent
+// rectangles tight (AdjustTree). A node that did not overflow gained
+// exactly r below it, so its parent slot grows by r: that is its exact
+// MBR, because the slot was tight before and min/max are exact. The two
+// halves of a split are measured in full.
+func (t *Tree[T]) adjustPath(path []*node[T], r Rect) {
 	for i := len(path) - 1; i >= 0; i-- {
 		n := path[i]
 		if n.size() <= t.opts.MaxEntries {
-			t.tightenParent(path, i)
+			if i > 0 {
+				parent := path[i-1]
+				t.assertMutable(parent)
+				j := slotOf(parent, n)
+				parent.rects[j] = parent.rects[j].Union(r)
+			}
 			continue
 		}
 		left, right := t.splitNode(n)
@@ -307,16 +315,6 @@ func (t *Tree[T]) adjustPath(path []*node[T]) {
 		parent.rects = append(parent.rects, mbr(right, t.bounds))
 		parent.children = append(parent.children, right)
 	}
-}
-
-// tightenParent refreshes the parent entry rectangle for path[i].
-func (t *Tree[T]) tightenParent(path []*node[T], i int) {
-	if i == 0 {
-		return
-	}
-	n, parent := path[i], path[i-1]
-	t.assertMutable(parent)
-	parent.rects[slotOf(parent, n)] = mbr(n, t.bounds)
 }
 
 // splitNode distributes an overflowing node's slots into two halves
@@ -389,10 +387,10 @@ func (t *Tree[T]) partition(rects []Rect) (left, right []int) {
 		rest[p] = rest[len(rest)-1]
 		rest = rest[:len(rest)-1]
 
-		dAL, dML := rectL.Enlargement(rects[e])
-		dAR, dMR := rectR.Enlargement(rects[e])
-		toLeft := less3(dAL, dML, rectL.Area(), dAR, dMR, rectR.Area())
-		if dAL == dAR && dML == dMR && rectL.Area() == rectR.Area() {
+		dAL, dML, aL := enlarge(&rectL, &rects[e])
+		dAR, dMR, aR := enlarge(&rectR, &rects[e])
+		toLeft := less3(dAL, dML, aL, dAR, dMR, aR)
+		if dAL == dAR && dML == dMR && aL == aR {
 			toLeft = len(left) <= len(right)
 		}
 		if toLeft {
@@ -472,8 +470,8 @@ func quadraticPickNext(rects []Rect, rest []int, rectL, rectR Rect) int {
 	best := 0
 	bestDiff := -1.0
 	for i, e := range rest {
-		dL, mL := rectL.Enlargement(rects[e])
-		dR, mR := rectR.Enlargement(rects[e])
+		dL, mL, _ := enlarge(&rectL, &rects[e])
+		dR, mR, _ := enlarge(&rectR, &rects[e])
 		diff := abs(dL - dR)
 		if diff == 0 {
 			diff = abs(mL-mR) * 1e-9 // margin-scale preference for flat boxes
