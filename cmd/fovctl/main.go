@@ -9,8 +9,7 @@
 //	fovctl -server http://127.0.0.1:8477 query -lat 40.0013 -lng 116.326 -radius 20 -from 0 -to 60000
 //	fovctl -server http://127.0.0.1:8477 explain -lat 40.0013 -lng 116.326 -radius 20 -from 0 -to 60000
 //	fovctl -server http://127.0.0.1:8477 traces [-id q42]
-//	fovctl -server http://127.0.0.1:8477 watch -lat 40.0013 -lng 116.326 -radius 20 -polls 5
-//	fovctl -server http://127.0.0.1:8477 snapshot -out city.fovs
+//	fovctl -server http://127.0.0.1:8477 forget -provider alice
 //	fovctl -server http://127.0.0.1:8477 checkpoint
 //	fovctl -server http://127.0.0.1:8477 stats
 //	fovctl -server http://127.0.0.1:8479 replication
@@ -29,7 +28,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"time"
@@ -61,10 +59,6 @@ func main() {
 		err = runExplain(c, args[1:])
 	case "traces":
 		err = runTraces(c, args[1:])
-	case "watch":
-		err = runWatch(c, args[1:])
-	case "snapshot":
-		err = runSnapshot(c, args[1:])
 	case "forget":
 		err = runForget(c, args[1:])
 	case "checkpoint":
@@ -95,13 +89,11 @@ func newRand() *rand.Rand {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: fovctl [-server URL] <capture|query|explain|traces|watch|snapshot|forget|checkpoint|stats|replication|storage|top|health|cluster> [flags]
+	fmt.Fprintln(os.Stderr, `usage: fovctl [-server URL] <capture|query|explain|traces|forget|checkpoint|stats|replication|storage|top|health|cluster> [flags]
   capture -scenario walk|walk-side|rotate|drive|bike -provider NAME [-threshold 0.5] [-noise]
   query    -lat L -lng L [-radius 20] [-from ms] [-to ms] [-top 10]
   explain  -lat L -lng L [-radius 20] [-from ms] [-to ms] [-top 10]
   traces   [-id TRACE]
-  watch    -lat L -lng L [-radius 20] [-from ms] [-to ms] [-polls 10] [-interval 2s]
-  snapshot -out FILE
   forget   -provider NAME
   checkpoint
   stats
@@ -346,73 +338,6 @@ func runReplication(c *client.Client) error {
 	if r.FetchErrors > 0 || r.ApplyErrors > 0 || r.LastError != "" {
 		fmt.Printf("errors: fetch=%d apply=%d last=%q\n", r.FetchErrors, r.ApplyErrors, r.LastError)
 	}
-	return nil
-}
-
-func runWatch(c *client.Client, args []string) error {
-	fs := flag.NewFlagSet("watch", flag.ExitOnError)
-	lat := fs.Float64("lat", trace.ScenarioOrigin.Lat, "watch center latitude")
-	lng := fs.Float64("lng", trace.ScenarioOrigin.Lng, "watch center longitude")
-	radius := fs.Float64("radius", 20, "watch radius in meters")
-	from := fs.Int64("from", 0, "start millis")
-	to := fs.Int64("to", 1<<40, "end millis")
-	polls := fs.Int("polls", 10, "number of polls before exiting")
-	interval := fs.Duration("interval", 2*time.Second, "poll interval")
-	_ = fs.Parse(args)
-
-	id, err := c.Subscribe(query.Query{
-		StartMillis: *from, EndMillis: *to,
-		Center: geo.Point{Lat: *lat, Lng: *lng}, RadiusMeters: *radius,
-	}, 0)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = c.Unsubscribe(id) }()
-	fmt.Printf("watching (%.6f, %.6f) r=%.0fm as subscription %d\n", *lat, *lng, *radius, id)
-	cursor := 0
-	for i := 0; i < *polls; i++ {
-		matches, next, err := c.Matches(id, cursor)
-		if err != nil {
-			return err
-		}
-		cursor = next
-		for _, m := range matches {
-			fmt.Printf("NEW segment %d by %s: %.1f m away, t=[%d, %d]\n",
-				m.Entry.ID, m.Entry.Provider, m.DistanceMeters,
-				m.Entry.Rep.StartMillis, m.Entry.Rep.EndMillis)
-		}
-		if i < *polls-1 {
-			time.Sleep(*interval)
-		}
-	}
-	return nil
-}
-
-func runSnapshot(c *client.Client, args []string) error {
-	fs := flag.NewFlagSet("snapshot", flag.ExitOnError)
-	out := fs.String("out", "snapshot.fovs", "output file")
-	_ = fs.Parse(args)
-
-	resp, err := c.HTTPClient.Get(c.BaseURL + "/snapshot")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		return fmt.Errorf("snapshot: %s", resp.Status)
-	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	n, err := io.Copy(f, resp.Body)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Printf("wrote %d bytes to %s (restore with: fovserver -load %s)\n", n, *out, *out)
 	return nil
 }
 

@@ -8,7 +8,7 @@
 //	fovserver [-addr :8477] [-half-angle 30] [-radius 100] [-max-results 20]
 //	          [-data-dir dir] [-fsync always|interval|never] [-checkpoint-interval 5m]
 //	          [-replica-of http://leader:8477] [-replica-poll 10s]
-//	          [-quiet] [-log-json] [-load snapshot.fovs] [-save snapshot.fovs]
+//	          [-quiet] [-log-json]
 //	          [-debug-addr 127.0.0.1:8478] [-slow-query 100ms] [-trace-sample 16]
 //	          [-cluster-topology topology.json -cluster-partition p0]
 //
@@ -34,7 +34,7 @@
 // bootstraps from the leader's manifest, each sealed segment it does not
 // hold, and the memtable, then tails the leader's write-ahead log
 // (long-polling every -replica-poll), serves the full read path
-// (/query, /stats, /metrics, /snapshot, traces), and rejects mutations
+// (/query, /nearest, /stats, /metrics, traces), and rejects mutations
 // with HTTP 409 naming the leader. A replica that restarts or lags past
 // the leader's log retention re-bootstraps automatically. With
 // -data-dir the replica is durable: each installed segment is on disk
@@ -47,8 +47,9 @@
 // writers serialize on its lock and publish a snapshot, queries walk the
 // latest snapshot without locks.
 //
-// With -save, a SIGINT/SIGTERM drains connections and writes the index
-// to the given snapshot file; -load restores one at startup.
+// A SIGINT/SIGTERM drains connections and, with -data-dir, checkpoints
+// and closes the store. -data-dir and replication are the only ways
+// state enters or leaves the process.
 //
 // Observability: the API itself serves GET /metrics (Prometheus text
 // format), GET /healthz (an evaluated per-component health report —
@@ -104,8 +105,6 @@ func main() {
 	checkpointInterval := flag.Duration("checkpoint-interval", 5*time.Minute, "background checkpoint period with -data-dir (0 disables)")
 	quiet := flag.Bool("quiet", false, "suppress per-request logging")
 	logJSON := flag.Bool("log-json", false, "emit JSON request logs instead of key=value")
-	load := flag.String("load", "", "snapshot file to restore state from at startup (see GET /snapshot)")
-	save := flag.String("save", "", "snapshot file to write on SIGINT/SIGTERM before exiting")
 	debugAddr := flag.String("debug-addr", "", "optional second listener with /debug/pprof/ and /metrics (e.g. 127.0.0.1:8478); turns the mutex and block profilers on")
 	slowQuery := flag.Duration("slow-query", 100*time.Millisecond, "slow-query threshold for the slow log and trace retention (0 disables)")
 	traceSample := flag.Int("trace-sample", 16, "retain 1 in N ordinary query traces (0 retains none)")
@@ -116,11 +115,6 @@ func main() {
 	clusterTopology := flag.String("cluster-topology", "", "cluster topology file; with -cluster-partition, rejects misrouted uploads (HTTP 421) and offsets assigned ids")
 	clusterPartition := flag.String("cluster-partition", "", "this node's partition id in -cluster-topology")
 	flag.Parse()
-
-	if *replicaOf != "" && *load != "" {
-		fmt.Fprintln(os.Stderr, "fovserver: -replica-of and -load are mutually exclusive: a replica's state comes from the leader")
-		os.Exit(1)
-	}
 
 	var logger *slog.Logger
 	if *logJSON {
@@ -201,20 +195,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fovserver:", err)
 		os.Exit(1)
 	}
-	if *load != "" {
-		f, err := os.Open(*load)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fovserver:", err)
-			os.Exit(1)
-		}
-		err = srv.LoadSnapshot(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fovserver: restore:", err)
-			os.Exit(1)
-		}
-		logger.Info("snapshot restored", "segments", srv.Index().Len(), "file", *load)
-	}
 	var fol *replica.Follower
 	if *replicaOf != "" {
 		fol, err = replica.Start(replica.Options{
@@ -278,22 +258,6 @@ func main() {
 			fol.Close()
 		}
 		srv.Close() // stop the history sampler
-		if *save != "" {
-			f, err := os.Create(*save)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "fovserver: save:", err)
-				os.Exit(1)
-			}
-			err = srv.WriteSnapshot(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "fovserver: save:", err)
-				os.Exit(1)
-			}
-			logger.Info("snapshot saved", "segments", srv.Index().Len(), "file", *save)
-		}
 		if st != nil {
 			// Checkpoint on the way out so the next boot loads one file
 			// instead of replaying the log, then sync and close it.

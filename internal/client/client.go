@@ -408,58 +408,6 @@ func (c *Client) addTraffic(sent, received int) {
 	clientReceivedBytes.Add(int64(received))
 }
 
-// Subscribe registers a standing query on the server; Matches polls for
-// segments uploaded after registration that cover it.
-func (c *Client) Subscribe(q query.Query, maxResults int) (uint64, error) {
-	body, err := json.Marshal(server.QueryRequest{Query: q, MaxResults: maxResults})
-	if err != nil {
-		return 0, err
-	}
-	respBody, err := c.post("/subscribe", "application/json", body)
-	if err != nil {
-		return 0, err
-	}
-	var resp server.SubscribeResponse
-	if err := json.Unmarshal(respBody, &resp); err != nil {
-		return 0, fmt.Errorf("client: subscribe response: %w", err)
-	}
-	return resp.ID, nil
-}
-
-// Matches fetches matches for a subscription after the given cursor and
-// returns them with the new cursor.
-func (c *Client) Matches(id uint64, after int) ([]query.Ranked, int, error) {
-	url := fmt.Sprintf("%s/matches?id=%d&after=%d", c.BaseURL, id, after)
-	httpResp, err := c.httpClient().Get(url)
-	if err != nil {
-		return nil, after, err
-	}
-	defer httpResp.Body.Close()
-	body, err := io.ReadAll(httpResp.Body)
-	if err != nil {
-		return nil, after, err
-	}
-	c.addTraffic(0, len(body))
-	if httpResp.StatusCode != http.StatusOK {
-		return nil, after, fmt.Errorf("client: matches: %s: %s", httpResp.Status, bytes.TrimSpace(body))
-	}
-	var resp server.MatchesResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		return nil, after, err
-	}
-	return resp.Results, resp.Last, nil
-}
-
-// Unsubscribe removes a standing query.
-func (c *Client) Unsubscribe(id uint64) error {
-	respBody, err := c.post(fmt.Sprintf("/unsubscribe?id=%d", id), "text/plain", nil)
-	if err != nil {
-		return err
-	}
-	_ = respBody
-	return nil
-}
-
 // Checkpoint asks the server to persist its full state and truncate
 // the write-ahead log now. It fails when the server runs without a
 // data directory.

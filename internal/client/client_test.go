@@ -191,76 +191,6 @@ func TestClientErrorSurfacing(t *testing.T) {
 	}
 }
 
-func TestSubscriptionEndToEnd(t *testing.T) {
-	_, ts := newBackend(t)
-	c := New(ts.URL)
-
-	// An investigator subscribes to a spot before anyone films it.
-	target := geo.Offset(trace.ScenarioOrigin, 0, 80)
-	subID, err := c.Subscribe(query.Query{
-		StartMillis: 0, EndMillis: 600_000,
-		Center: target, RadiusMeters: 10,
-	}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Nothing yet.
-	matches, cursor, err := c.Matches(subID, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matches) != 0 {
-		t.Fatalf("premature matches: %d", len(matches))
-	}
-
-	// A walker films the street; their covering segments must arrive.
-	samples, err := trace.WalkAhead(trace.DefaultConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, _ := NewCaptureSession("walker", segConfig())
-	if err := sess.PushAll(samples); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Upload(sess.Stop()); err != nil {
-		t.Fatal(err)
-	}
-
-	matches, cursor, err = c.Matches(subID, cursor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matches) == 0 {
-		t.Fatal("standing query saw no matches after a covering upload")
-	}
-	for _, m := range matches {
-		if m.Entry.Provider != "walker" {
-			t.Fatalf("unexpected provider %q", m.Entry.Provider)
-		}
-	}
-
-	// The cursor prevents re-delivery.
-	again, _, err := c.Matches(subID, cursor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(again) != 0 {
-		t.Fatalf("cursor re-delivered %d matches", len(again))
-	}
-
-	// Unsubscribe works and further polls fail.
-	if err := c.Unsubscribe(subID); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.Matches(subID, 0); err == nil {
-		t.Fatal("poll of removed subscription succeeded")
-	}
-	if err := c.Unsubscribe(subID); err == nil {
-		t.Fatal("double unsubscribe succeeded")
-	}
-}
-
 func TestForgetOverHTTP(t *testing.T) {
 	backend, ts := newBackend(t)
 	c := New(ts.URL)

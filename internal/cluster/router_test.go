@@ -242,7 +242,7 @@ func TestClusterDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(single.Close)
-	if err := single.ResetState(union); err != nil {
+	if err := single.ApplyRegister(union, ""); err != nil {
 		t.Fatal(err)
 	}
 	singleHTTP := httptest.NewServer(single.Handler())

@@ -403,7 +403,7 @@ func (x *RTree) NodeCount() int {
 // TreeStats returns the underlying tree's lifetime operation counters
 // (node visits, leaf scans, inserts/deletes/reinserts/splits) — the
 // numbers the server exposes at /metrics. Counters reset when the tree
-// is replaced (snapshot restore).
+// is replaced (a replication bootstrap).
 func (x *RTree) TreeStats() rtree.Stats {
 	return x.tree.Stats()
 }

@@ -235,48 +235,6 @@ func TestCheckpointEndpoint(t *testing.T) {
 	}
 }
 
-// TestLoadSnapshotResetsStore verifies a snapshot restore replaces the
-// journaled history: after a restart the server serves the snapshot
-// state, not the pre-restore uploads.
-func TestLoadSnapshotResetsStore(t *testing.T) {
-	dir := t.TempDir()
-	st := openStore(t, dir)
-	s1 := durableServer(t, st)
-	if _, err := s1.Register(wire.Upload{Provider: "old", Reps: []segment.Representative{
-		rep(geo.Offset(center, 180, 30), 0, 0, 5000),
-	}}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Snapshot a different server's state and restore it into s1.
-	other := newServer(t)
-	if _, err := other.Register(wire.Upload{Provider: "snap", Reps: []segment.Representative{
-		rep(geo.Offset(center, 90, 10), 270, 0, 5000),
-		rep(geo.Offset(center, 270, 10), 90, 0, 5000),
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	var snap bytes.Buffer
-	if err := other.WriteSnapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := s1.LoadSnapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-
-	st2 := openStore(t, dir)
-	defer st2.Close()
-	s2 := durableServer(t, st2)
-	all := query.Query{Center: center, RadiusMeters: 1e6, StartMillis: 0, EndMillis: 1 << 40}
-	ids := queryIDs(t, s2, all)
-	if len(ids) != 2 {
-		t.Fatalf("recovered %d entries after snapshot restore, want the snapshot's 2", len(ids))
-	}
-	if containsProvider(s2, ids, "old") {
-		t.Fatal("pre-restore upload survived the snapshot reset")
-	}
-}
-
 // TestUploadSizeBoundary pins the exact MaxUploadBytes edge: a valid
 // body of exactly the limit is accepted; one byte over is 413.
 func TestUploadSizeBoundary(t *testing.T) {

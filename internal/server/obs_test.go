@@ -18,6 +18,7 @@ import (
 	"fovr/internal/obs"
 	"fovr/internal/query"
 	"fovr/internal/segment"
+	"fovr/internal/store"
 	"fovr/internal/trace"
 	"fovr/internal/wire"
 )
@@ -200,79 +201,6 @@ func TestRuntimeMetricsExported(t *testing.T) {
 	}
 }
 
-// TestRollbackDoesNotNotifySubscribers is the regression test for the
-// mid-upload failure leak: a standing query must never see entries from
-// an upload that was rolled back.
-func TestRollbackDoesNotNotifySubscribers(t *testing.T) {
-	s := newServer(t)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	// A standing query right at the center.
-	subBody, _ := json.Marshal(QueryRequest{Query: query.Query{
-		EndMillis: 10_000, Center: center, RadiusMeters: 10,
-	}})
-	resp, err := http.Post(ts.URL+"/subscribe", "application/json", bytes.NewReader(subBody))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sub SubscribeResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-
-	// An upload whose first rep matches the subscription and whose second
-	// rep is invalid: the whole upload must roll back, and the
-	// subscriber must not have been notified of the first rep.
-	matching := rep(geo.Offset(center, 180, 30), 0, 0, 5000)
-	invalid := segment.Representative{
-		FoV:         fov.FoV{P: center, Theta: 0},
-		StartMillis: 5000, EndMillis: 1000, // inverted interval
-	}
-	if _, err := s.Register(wire.Upload{
-		Provider: "mallory",
-		Reps:     []segment.Representative{matching, invalid},
-	}); err == nil {
-		t.Fatal("invalid upload accepted")
-	}
-	if got := s.Index().Len(); got != 0 {
-		t.Fatalf("rollback left %d entries", got)
-	}
-
-	resp, err = http.Get(fmt.Sprintf("%s/matches?id=%d", ts.URL, sub.ID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var matches MatchesResponse
-	if err := json.NewDecoder(resp.Body).Decode(&matches); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(matches.Results) != 0 {
-		t.Fatalf("subscriber saw %d rolled-back entries: %+v", len(matches.Results), matches.Results)
-	}
-
-	// The same upload minus the bad rep commits and does notify.
-	if _, err := s.Register(wire.Upload{
-		Provider: "alice",
-		Reps:     []segment.Representative{matching},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	resp, err = http.Get(fmt.Sprintf("%s/matches?id=%d", ts.URL, sub.ID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&matches); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(matches.Results) != 1 {
-		t.Fatalf("committed upload produced %d matches, want 1", len(matches.Results))
-	}
-}
-
 // TestConcurrentTrafficMetricsConsistent hammers upload/query/stats
 // concurrently (run with -race) and asserts the registry's request
 // counters agree with the number of requests actually issued.
@@ -382,7 +310,7 @@ func TestConcurrentTrafficMetricsConsistent(t *testing.T) {
 
 // TestMetricsTrackActiveIndex is the regression test for the gauge
 // wiring: the /metrics gauges must read the currently active index —
-// including after LoadSnapshot swaps the index object out from under
+// including after FinishBootstrap swaps the index object out from under
 // the closures registered at construction time. The subtest is named
 // after the index every server builds.
 func TestMetricsTrackActiveIndex(t *testing.T) {
@@ -424,19 +352,16 @@ func testMetricsTrackActiveIndex(t *testing.T) {
 		t.Fatalf("fovr_rtree_inserts_total = %v, want 25", v)
 	}
 
-	// Swap the index via the snapshot path: gauges must follow the
+	// Swap the index through a bootstrap: gauges must follow the
 	// replacement, not the construction-time object.
-	var snap bytes.Buffer
-	if err := s.WriteSnapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-	uploadN(t, s, "bob", 10) // diverge from the snapshot
-	if err := s.LoadSnapshot(bytes.NewReader(snap.Bytes())); err != nil {
+	base := s.Index().Entries()
+	uploadN(t, s, "bob", 10) // diverge from the bootstrap's state
+	if err := s.FinishBootstrap(store.ManifestSnapshot{}, base); err != nil {
 		t.Fatal(err)
 	}
 	out = scrape()
 	if v := promValue(t, out, "fovr_index_entries"); v != 25 {
-		t.Fatalf("post-restore fovr_index_entries = %v, want 25", v)
+		t.Fatalf("post-bootstrap fovr_index_entries = %v, want 25", v)
 	}
 	// The registry still scrapes clean after the swap.
 	if err := reg.WritePrometheus(io.Discard); err != nil {

@@ -81,10 +81,10 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 
 // ApplyRegister folds one shipped registration record into local state:
 // journal first (a durable follower re-persists the records it applies,
-// so failover-by-restart serves them without the leader), then index,
-// then standing queries — the same order, and the same invariants, as
-// Register. IDs arrive pre-assigned by the leader; nextID only ratchets
-// past them so a follower promoted to leader never reuses one.
+// so failover-by-restart serves them without the leader), then index —
+// the same order, and the same invariants, as Register. IDs arrive
+// pre-assigned by the leader; nextID only ratchets past them so a
+// follower promoted to leader never reuses one.
 //
 // trace is the originating leader request's trace ID carried by the WAL
 // record (empty when that request was untraced): the apply is recorded
@@ -104,24 +104,12 @@ func (s *Server) ApplyRegister(entries []index.Entry, trace string) error {
 		return fmt.Errorf("server: journal replicated upload: %w", err)
 	}
 	s.mu.Lock()
-	for _, e := range entries {
-		s.byProvider[e.Provider]++
-		if e.ID >= s.nextID {
-			s.nextID = e.ID + 1
-		}
-	}
+	s.creditLocked(entries)
 	idx := s.idx
 	s.mu.Unlock()
 	if err := idx.InsertBatch(entries); err != nil {
-		s.mu.Lock()
-		for _, e := range entries {
-			s.byProvider[e.Provider]--
-		}
-		s.mu.Unlock()
+		s.debit(entries)
 		return fmt.Errorf("server: apply replicated upload: %w", err)
-	}
-	for _, e := range entries {
-		s.subs.offer(s.cfg.Camera, e)
 	}
 	return nil
 }
@@ -146,15 +134,7 @@ func (s *Server) ApplyRemove(ids []uint64, trace string) error {
 		return ok
 	})
 	idx.RemoveBatch(gone)
-	s.mu.Lock()
-	for _, e := range gone {
-		if s.byProvider[e.Provider] <= 1 {
-			delete(s.byProvider, e.Provider)
-		} else {
-			s.byProvider[e.Provider]--
-		}
-	}
-	s.mu.Unlock()
+	s.debit(gone)
 	return nil
 }
 
@@ -204,7 +184,7 @@ func (s *Server) FinishBootstrap(m store.ManifestSnapshot, mem []index.Entry) er
 	if err != nil {
 		return err
 	}
-	return s.replaceState(entries, func() error { return nil })
+	return s.replaceState(entries)
 }
 
 // AttachFollower exposes a running replication follower's status on

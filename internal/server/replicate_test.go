@@ -40,7 +40,7 @@ func readOnlyServer(t *testing.T, st store.Store) *Server {
 
 // TestReadOnlyRejectsTyped pins the typed-error contract: every mutator
 // fails with an error satisfying errors.Is(err, ErrReadOnly), and the
-// Apply/Reset paths stay open.
+// replication apply and bootstrap paths stay open.
 func TestReadOnlyRejectsTyped(t *testing.T) {
 	s := readOnlyServer(t, store.NewMem())
 	up := wire.Upload{Provider: "alice", Reps: []segment.Representative{
@@ -51,9 +51,6 @@ func TestReadOnlyRejectsTyped(t *testing.T) {
 	}
 	if _, err := s.ForgetProvider("alice"); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("ForgetProvider on replica: %v, want ErrReadOnly", err)
-	}
-	if err := s.LoadSnapshot(strings.NewReader("")); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("LoadSnapshot on replica: %v, want ErrReadOnly", err)
 	}
 
 	// The replication apply paths are exempt from the fence.
@@ -66,8 +63,46 @@ func TestReadOnlyRejectsTyped(t *testing.T) {
 	if err := s.ApplyRemove([]uint64{1}, ""); err != nil {
 		t.Fatalf("ApplyRemove on replica: %v", err)
 	}
-	if err := s.ResetState(nil); err != nil {
-		t.Fatalf("ResetState on replica: %v", err)
+	if err := s.FinishBootstrap(store.ManifestSnapshot{}, nil); err != nil {
+		t.Fatalf("FinishBootstrap on replica: %v", err)
+	}
+}
+
+// TestFinishBootstrapKeepsIDBaseFloor pins the one bookkeeping rule New
+// and FinishBootstrap share: after a bootstrap the provider counts are
+// the new state's, and ids continue past both the IDBase floor and every
+// id the new state holds.
+func TestFinishBootstrapKeepsIDBaseFloor(t *testing.T) {
+	const base = 1 << 48
+	cam := fov.Camera{HalfAngleDeg: 30, RadiusMeters: 100}
+	s, err := New(Config{Camera: cam, Registry: obs.NewRegistry(), IDBase: base})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := func(id uint64, provider string) index.Entry {
+		return index.Entry{ID: id, Provider: provider, Rep: rep(center, 0, 0, 5000), Camera: cam}
+	}
+	for _, tc := range []struct {
+		name  string
+		state []index.Entry
+		next  uint64
+	}{
+		{"below the floor", []index.Entry{entry(7, "low")}, base + 1},
+		{"above the floor", []index.Entry{entry(base+40, "high"), entry(base+3, "high")}, base + 41},
+	} {
+		if err := s.FinishBootstrap(store.ManifestSnapshot{}, tc.state); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.byProvider[tc.state[0].Provider]; got != len(tc.state) || len(s.byProvider) != 1 {
+			t.Fatalf("%s: provider counts %v after a bootstrap of %d entries", tc.name, s.byProvider, len(tc.state))
+		}
+		ids, err := s.Register(wire.Upload{Provider: "up", Reps: []segment.Representative{rep(center, 90, 0, 5000)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ids[0] != tc.next {
+			t.Fatalf("%s: first id after the bootstrap %d, want %d", tc.name, ids[0], tc.next)
+		}
 	}
 }
 

@@ -13,7 +13,11 @@
 //	POST /query   — body: JSON query.Query (+ optional maxResults).
 //	                Responds with the ranked result list; ?explain=1
 //	                additionally inlines the full query trace.
+//	POST /nearest — body: JSON NearestRequest; the k nearest segments.
 //	GET  /stats   — index size, per-provider counts, traffic totals.
+//	POST /forget?provider=P — removes every segment of provider P.
+//	POST /checkpoint        — checkpoints the durable store now.
+//	GET  /replicate         — the replication protocol (package replica).
 //	GET  /metrics — Prometheus text-format exposition of the registry.
 //	GET  /healthz — liveness: uptime and build info, text/plain.
 //	GET  /debug/history     — sampled metric history rings.
@@ -21,10 +25,11 @@
 //	                          query, every slow one, 1-in-N of the rest).
 //	GET  /debug/traces/{id} — one retained trace by id.
 //
-// Handler registers these plus /nearest, /snapshot, the standing-query
-// routes (/subscribe, /matches, /unsubscribe), /forget, /checkpoint and
-// /replicate: 16 in all. Lock contention has no route here; it is read
-// from the runtime's mutex and block profiles on fovserver -debug-addr.
+// Those 12 routes are all Handler serves. State enters a server only
+// through uploads, the durable store it boots from (Config.Store) and
+// replication; it leaves only through queries and replication. Lock
+// contention has no route here; it is read from the runtime's mutex and
+// block profiles on fovserver -debug-addr.
 //
 // Every request is counted and timed per endpoint and status code in the
 // observability registry (package obs), and logged through a structured
@@ -56,7 +61,6 @@ import (
 	"fovr/internal/replica"
 	"fovr/internal/rtree"
 	"fovr/internal/segment"
-	"fovr/internal/snapshot"
 	"fovr/internal/store"
 	"fovr/internal/wire"
 )
@@ -99,17 +103,16 @@ type Config struct {
 	// TraceCapacity bounds each trace-store retention ring. Zero
 	// selects 256.
 	TraceCapacity int
-	// Store journals every state change (uploads, removals, snapshot
-	// restores) before it is acknowledged, and supplies the recovered
-	// state at boot. Nil selects store.NewMem(), the non-durable no-op
-	// that preserves the server's historical in-memory behavior; pass a
-	// store.Disk (see fovserver -data-dir) for ingest that survives a
-	// process kill.
+	// Store journals every state change (uploads and removals) before it
+	// is acknowledged, and supplies the recovered state at boot. Nil
+	// selects store.NewMem(), the non-durable no-op that preserves the
+	// server's historical in-memory behavior; pass a store.Disk (see
+	// fovserver -data-dir) for ingest that survives a process kill.
 	Store store.Store
-	// ReadOnly makes the server a read replica: Register, ForgetProvider,
-	// and LoadSnapshot fail with ErrReadOnly (HTTP 409 naming LeaderURL),
-	// while the Apply* paths driven by the replication follower remain
-	// open. Set by fovserver -replica-of.
+	// ReadOnly makes the server a read replica: Register and
+	// ForgetProvider fail with ErrReadOnly (HTTP 409 naming LeaderURL),
+	// while the Apply* and bootstrap paths driven by the replication
+	// follower remain open. Set by fovserver -replica-of.
 	ReadOnly bool
 	// LeaderURL names the writable leader in read-only rejections and on
 	// /stats.
@@ -167,7 +170,6 @@ type Server struct {
 	logOn   bool // a logger is configured; off skips building log fields
 	idx     *index.RTree
 	store   store.Store
-	subs    *subscriptions
 	traffic wire.TrafficMeter
 	traces  *obs.TraceStore // tail-sampled query traces (/debug/traces)
 	history *obs.History    // metric history sampler (/debug/history)
@@ -210,23 +212,15 @@ func New(cfg Config) (*Server, error) {
 		logger = slog.New(nopHandler{})
 	}
 	s := &Server{
-		cfg:        cfg,
-		reg:        cfg.Registry,
-		log:        logger,
-		logOn:      cfg.Logger != nil,
-		idx:        idx,
-		store:      cfg.Store,
-		subs:       newSubscriptions(),
-		nextID:     cfg.IDBase + 1,
-		byProvider: make(map[string]int),
-		started:    time.Now(),
+		cfg:     cfg,
+		reg:     cfg.Registry,
+		log:     logger,
+		logOn:   cfg.Logger != nil,
+		idx:     idx,
+		store:   cfg.Store,
+		started: time.Now(),
 	}
-	for _, e := range recovered {
-		s.byProvider[e.Provider]++
-		if e.ID >= s.nextID {
-			s.nextID = e.ID + 1
-		}
-	}
+	s.resetCountsLocked(recovered)
 	s.traces = obs.NewTraceStore(obs.TraceStoreConfig{
 		Capacity:      cfg.TraceCapacity,
 		SlowThreshold: cfg.SlowQueryThreshold,
@@ -262,7 +256,6 @@ func (s *Server) registerMetrics() {
 	s.reg.GaugeFunc("fovr_index_entries", func() float64 { return float64(s.index().Len()) })
 	s.reg.GaugeFunc("fovr_index_height", func() float64 { return float64(s.index().Height()) })
 	s.reg.GaugeFunc("fovr_index_nodes", func() float64 { return float64(s.index().NodeCount()) })
-	s.reg.GaugeFunc("fovr_subscriptions", func() float64 { return float64(s.subs.count()) })
 	s.reg.GaugeFunc("fovr_uptime_seconds", s.reg.UptimeSeconds)
 	s.reg.CounterFunc("fovr_net_received_bytes_total", func() float64 { return float64(s.traffic.Received()) })
 	s.reg.CounterFunc("fovr_net_sent_bytes_total", func() float64 { return float64(s.traffic.Sent()) })
@@ -288,8 +281,8 @@ func (nopHandler) Handle(context.Context, slog.Record) error { return nil }
 func (nopHandler) WithAttrs([]slog.Attr) slog.Handler        { return nopHandler{} }
 func (nopHandler) WithGroup(string) slog.Handler             { return nopHandler{} }
 
-// index returns the current index under the state lock — LoadSnapshot may
-// replace it, and metric callbacks read from scrape goroutines.
+// index returns the current index under the state lock — FinishBootstrap
+// may replace it, and metric callbacks read from scrape goroutines.
 func (s *Server) index() *index.RTree {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -310,9 +303,8 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // simulations that skip HTTP). It returns the assigned segment ids.
 //
 // An upload is all-or-nothing: the whole batch goes through the index's
-// InsertBatch, which takes the tree lock once and publishes once, and no
-// subscriber is notified unless every representative committed —
-// standing queries only ever see entries from committed uploads.
+// InsertBatch, which takes the tree lock once and publishes once, and a
+// failure anywhere rolls the journal and the provider count back.
 func (s *Server) Register(u wire.Upload) ([]uint64, error) {
 	return s.RegisterTraced(u, "")
 }
@@ -359,9 +351,7 @@ func (s *Server) RegisterTraced(u wire.Upload, trace string) ([]uint64, error) {
 	// and that removal must not precede this registration in the log —
 	// replaying them out of order would resurrect forgotten entries.
 	if err := s.appendRegister(entries, trace); err != nil {
-		s.mu.Lock()
-		s.byProvider[u.Provider] -= len(u.Reps)
-		s.mu.Unlock()
+		s.debit(entries)
 		s.rollbacks.Inc()
 		return nil, fmt.Errorf("server: journal upload: %w", err)
 	}
@@ -373,17 +363,9 @@ func (s *Server) RegisterTraced(u wire.Upload, trace string) ([]uint64, error) {
 			s.log.Error("journal rollback failed; store may resurrect a rolled-back upload",
 				"provider", u.Provider, "err", serr)
 		}
-		s.mu.Lock()
-		s.byProvider[u.Provider] -= len(u.Reps)
-		s.mu.Unlock()
+		s.debit(entries)
 		s.rollbacks.Inc()
 		return nil, fmt.Errorf("server: %w", err)
-	}
-	// Notify standing queries only once the whole upload has committed;
-	// offering entry-by-entry would leak rolled-back entries to
-	// subscribers when a later representative fails.
-	for _, e := range entries {
-		s.subs.offer(s.cfg.Camera, e)
 	}
 	return ids, nil
 }
@@ -433,61 +415,56 @@ func (s *Server) QueryCtx(ctx context.Context, q query.Query, maxResults int) ([
 // Traces exposes the server's tail-sampled trace store.
 func (s *Server) Traces() *obs.TraceStore { return s.traces }
 
-// LoadSnapshot replaces the server's state with a snapshot (package
-// snapshot format), rebuilding the index.
-// Intended for startup, before serving traffic.
-func (s *Server) LoadSnapshot(r io.Reader) error {
-	if s.cfg.ReadOnly {
-		return s.readOnlyErr("snapshot restore")
-	}
-	entries, err := snapshot.Read(r)
-	if err != nil {
-		return err
-	}
-	return s.ResetState(entries)
-}
-
-// ResetState replaces the server's state wholesale with the given
-// entries, rebuilding the index and resetting the journal to match. It
-// is the body of LoadSnapshot, without LoadSnapshot's read-only fence.
-func (s *Server) ResetState(entries []index.Entry) error {
-	return s.replaceState(entries, func() error { return s.store.Reset(entries) })
-}
-
-// replaceState swaps in a rebuilt index and persisted state under the
-// state lock: build the new index, run the persistence step (persist),
-// then commit both. On any failure the old index stays in place
-// untouched. ResetState and the replication bootstrap's FinishBootstrap
-// are both thin wrappers over this.
-func (s *Server) replaceState(entries []index.Entry, persist func() error) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// replaceState swaps in an index rebuilt from entries, with the
+// bookkeeping recounted from the same entries, under the state lock. On
+// failure the old index stays in place untouched. The replication
+// bootstrap's FinishBootstrap is its one caller.
+func (s *Server) replaceState(entries []index.Entry) error {
 	idx, err := index.BulkLoadRTree(s.cfg.IndexOptions, entries)
 	if err != nil {
 		return err
 	}
-	// The restored state replaces the journaled history wholesale; a
-	// durable store checkpoints it immediately so the data directory
-	// reflects the snapshot, not a log of a superseded past.
-	if err := persist(); err != nil {
-		return fmt.Errorf("server: reset store: %w", err)
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.idx = idx
-	s.byProvider = make(map[string]int)
-	maxID := uint64(0)
-	for _, e := range idx.Entries() {
-		s.byProvider[e.Provider]++
-		if e.ID > maxID {
-			maxID = e.ID
-		}
-	}
-	s.nextID = maxID + 1
+	s.resetCountsLocked(entries)
 	return nil
 }
 
-// WriteSnapshot streams the server's current state in snapshot format.
-func (s *Server) WriteSnapshot(w io.Writer) error {
-	return snapshot.Write(w, s.index().Entries())
+// resetCountsLocked rebuilds the per-provider counts and the id sequence
+// from entries, the whole state (s.mu held, or s not yet shared): ids
+// continue past both the IDBase floor and every id present.
+func (s *Server) resetCountsLocked(entries []index.Entry) {
+	s.byProvider = make(map[string]int)
+	s.nextID = s.cfg.IDBase + 1
+	s.creditLocked(entries)
+}
+
+// creditLocked counts entries into the per-provider counts and ratchets
+// the id sequence past their ids (s.mu held).
+func (s *Server) creditLocked(entries []index.Entry) {
+	for _, e := range entries {
+		s.byProvider[e.Provider]++
+		if e.ID >= s.nextID {
+			s.nextID = e.ID + 1
+		}
+	}
+}
+
+// debit takes entries that left the index, or never reached it, back out
+// of the per-provider counts, dropping a provider whose count reaches
+// zero. Every path that removes entries debits exactly what it removed,
+// so /stats agrees with the index even while uploads are in flight.
+func (s *Server) debit(entries []index.Entry) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, e := range entries {
+		if s.byProvider[e.Provider] <= 1 {
+			delete(s.byProvider, e.Provider)
+		} else {
+			s.byProvider[e.Provider]--
+		}
+	}
 }
 
 // Handler returns the HTTP API.
@@ -497,10 +474,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/query", s.instrument("/query", s.handleQuery))
 	mux.HandleFunc("/nearest", s.instrument("/nearest", s.handleNearest))
 	mux.HandleFunc("/stats", s.instrument("/stats", s.handleStats))
-	mux.HandleFunc("/snapshot", s.instrument("/snapshot", s.handleSnapshot))
-	mux.HandleFunc("/subscribe", s.instrument("/subscribe", s.handleSubscribe))
-	mux.HandleFunc("/matches", s.instrument("/matches", s.handleMatches))
-	mux.HandleFunc("/unsubscribe", s.instrument("/unsubscribe", s.handleUnsubscribe))
 	mux.HandleFunc("/forget", s.instrument("/forget", s.handleForget))
 	mux.HandleFunc("/checkpoint", s.instrument("/checkpoint", s.handleCheckpoint))
 	mux.HandleFunc("/replicate", s.instrument("/replicate", s.handleReplicate))
@@ -620,43 +593,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.reg.WritePrometheus(w)
-}
-
-// meterWriter counts bytes into the traffic meter as they stream out,
-// so /snapshot can write directly to the ResponseWriter without first
-// materializing the whole snapshot in memory.
-type meterWriter struct {
-	w     io.Writer
-	meter *wire.TrafficMeter
-	n     int64
-}
-
-func (m *meterWriter) Write(p []byte) (int, error) {
-	n, err := m.w.Write(p)
-	m.meter.AddSent(n)
-	m.n += int64(n)
-	return n, err
-}
-
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	mw := &meterWriter{w: w, meter: &s.traffic}
-	if err := s.WriteSnapshot(mw); err != nil {
-		if mw.n == 0 {
-			// Nothing sent yet (validation failure): a proper error
-			// response is still possible.
-			httpError(w, http.StatusInternalServerError, "snapshot: %v", err)
-			return
-		}
-		// Mid-stream failure: the status line is gone, so the only
-		// honest move is to cut the connection short — the CRC trailer
-		// lets the client detect the truncation.
-		s.reqLog(r).Error("snapshot stream aborted", "bytesSent", mw.n, "err", err)
-	}
 }
 
 // UploadResponse acknowledges an upload.
@@ -1082,9 +1018,11 @@ func (s *Server) ForgetProvider(provider string) (int, error) {
 		}
 	}
 	removed := idx.RemoveBatch(gone)
-	s.mu.Lock()
-	delete(s.byProvider, provider)
-	s.mu.Unlock()
+	// Debit what was removed, not the provider's whole count: an upload
+	// from the same provider may be counted but not yet published, and a
+	// concurrent forget may have removed some of gone first. Every entry
+	// of gone has the same provider, so any removed of them debit alike.
+	s.debit(gone[:removed])
 	return removed, nil
 }
 

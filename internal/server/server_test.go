@@ -4,18 +4,21 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"io"
 	"maps"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"fovr/internal/fov"
 	"fovr/internal/geo"
+	"fovr/internal/index"
+	"fovr/internal/obs"
 	"fovr/internal/query"
 	"fovr/internal/segment"
 	"fovr/internal/store"
@@ -319,75 +322,6 @@ func TestConcurrentHTTPClients(t *testing.T) {
 	// duplicate-id rejection already proves it.
 }
 
-func TestSnapshotRoundTripOverHTTP(t *testing.T) {
-	s := newServer(t)
-	_, err := s.Register(wire.Upload{Provider: "frank", Reps: []segment.Representative{
-		rep(center, 0, 0, 1000),
-		rep(geo.Offset(center, 90, 50), 120, 2000, 9000),
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	resp, err := http.Get(ts.URL + "/snapshot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("snapshot status %s", resp.Status)
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A fresh server restored from the snapshot serves the same data and
-	// keeps allocating fresh ids above the restored ones.
-	s2 := newServer(t)
-	if err := s2.LoadSnapshot(bytes.NewReader(data)); err != nil {
-		t.Fatal(err)
-	}
-	if s2.Index().Len() != 2 {
-		t.Fatalf("restored %d segments", s2.Index().Len())
-	}
-	results, err := s2.Query(query.Query{EndMillis: 1000, Center: center, RadiusMeters: 10}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 1 || results[0].Entry.Provider != "frank" {
-		t.Fatalf("restored query results %+v", results)
-	}
-	ids, err := s2.Register(wire.Upload{Provider: "grace", Reps: []segment.Representative{
-		rep(center, 45, 0, 500),
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ids[0] != 3 {
-		t.Fatalf("post-restore id = %d, want 3 (continues after restored max)", ids[0])
-	}
-
-	// Corrupt snapshots are rejected.
-	bad := append([]byte{}, data...)
-	bad[len(bad)/2] ^= 0xFF
-	if err := newServer(t).LoadSnapshot(bytes.NewReader(bad)); err == nil {
-		t.Fatal("corrupt snapshot accepted")
-	}
-
-	// POST to /snapshot is not allowed.
-	postResp, err := http.Post(ts.URL+"/snapshot", "application/octet-stream", bytes.NewReader(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	postResp.Body.Close()
-	if postResp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("POST snapshot status %d", postResp.StatusCode)
-	}
-}
-
 func TestForgetProvider(t *testing.T) {
 	s := newServer(t)
 	for _, prov := range []string{"keep", "gone"} {
@@ -543,6 +477,132 @@ func TestForgetPublishesOnce(t *testing.T) {
 	if got := s.Index().ReadEpoch(); got != before+1 {
 		t.Fatalf("forgetting 5 entries moved the read epoch %d -> %d, want one publish", before, got)
 	}
+}
+
+// uploadGate is an in-memory store whose AppendRegister, once armed,
+// announces itself on entered and waits for release: an upload held
+// between counting its entries and publishing them.
+type uploadGate struct {
+	*store.Mem
+	armed            atomic.Bool
+	entered, release chan struct{}
+}
+
+func (g *uploadGate) AppendRegister(entries []index.Entry) error {
+	if g.armed.CompareAndSwap(true, false) {
+		close(g.entered)
+		<-g.release
+	}
+	return g.Mem.AppendRegister(entries)
+}
+
+// A forget that runs while an upload from the same provider is counted
+// but not yet published debits only what it removed, so /stats matches
+// the index once the upload commits or rolls back.
+func TestForgetDuringUploadKeepsProviderCount(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		last segment.Representative
+	}{
+		{"commit", rep(geo.Offset(center, 45, 30), 225, 0, 5000)},
+		{"rollback", rep(center, 0, 5000, 1000)}, // inverted interval: InsertBatch fails
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := &uploadGate{Mem: store.NewMem(), entered: make(chan struct{}), release: make(chan struct{})}
+			s, err := New(Config{Camera: fov.Camera{HalfAngleDeg: 30, RadiusMeters: 100}, Registry: obs.NewRegistry(), Store: g})
+			if err != nil {
+				t.Fatal(err)
+			}
+			uploadN(t, s, "p", 3)
+			g.armed.Store(true)
+			done := make(chan error, 1)
+			go func() {
+				_, err := s.Register(wire.Upload{Provider: "p", Reps: []segment.Representative{
+					rep(geo.Offset(center, 90, 30), 270, 0, 5000), tc.last,
+				}})
+				done <- err
+			}()
+			<-g.entered
+			if removed, err := s.ForgetProvider("p"); err != nil || removed != 3 {
+				t.Fatalf("ForgetProvider: removed %d, err %v, want the 3 published entries", removed, err)
+			}
+			close(g.release)
+			if err := <-done; (err == nil) != (tc.name == "commit") {
+				t.Fatalf("held upload: err %v", err)
+			}
+			indexed := 0
+			for _, e := range s.Index().Entries() {
+				if e.Provider == "p" {
+					indexed++
+				}
+			}
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+			var st Stats
+			if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+				t.Fatal(err)
+			}
+			if got := st.Providers["p"]; got != indexed {
+				t.Fatalf("/stats counts %d entries for p, the index holds %d", got, indexed)
+			}
+		})
+	}
+}
+
+// TestHandlerRoutes pins the route table: the 12 routes Handler serves
+// answer something other than 404, and the removed standing-query and
+// snapshot routes answer 404.
+func TestHandlerRoutes(t *testing.T) {
+	s := newServer(t)
+	h := s.Handler()
+	serve := func(req *http.Request) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	// A traced upload leaves a retained trace for /debug/traces/{id}.
+	body, _ := json.Marshal(wire.Upload{Provider: "alice", Reps: []segment.Representative{rep(center, 0, 0, 1000)}})
+	up := httptest.NewRequest(http.MethodPost, "/upload", bytes.NewReader(body))
+	up.Header.Set("Content-Type", "application/json")
+	up.Header.Set(TraceHeader, "routes")
+	if code := serve(up); code != http.StatusOK {
+		t.Fatalf("traced upload: status %d", code)
+	}
+	for _, path := range []string{
+		"/upload", "/query", "/nearest", "/stats", "/forget", "/checkpoint", "/replicate",
+		"/metrics", "/healthz", "/debug/history", "/debug/traces", "/debug/traces/routes",
+	} {
+		if code := serve(httptest.NewRequest(http.MethodGet, path, nil)); code == http.StatusNotFound {
+			t.Errorf("GET %s: 404, want a served route", path)
+		}
+	}
+	for _, path := range []string{"/subscribe", "/matches", "/unsubscribe", "/snapshot"} {
+		for _, method := range []string{http.MethodGet, http.MethodPost} {
+			if code := serve(httptest.NewRequest(method, path, nil)); code != http.StatusNotFound {
+				t.Errorf("%s %s: status %d, want 404", method, path, code)
+			}
+		}
+	}
+}
+
+func TestServeOnListener(t *testing.T) {
+	s := newServer(t)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- s.Serve(l) }()
+	resp, err := http.Get("http://" + l.Addr().String() + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz status %d", resp.StatusCode)
+	}
+	l.Close()
+	<-done // Serve returns once the listener closes
 }
 
 func TestHeterogeneousCameras(t *testing.T) {

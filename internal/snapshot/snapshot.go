@@ -1,8 +1,9 @@
-// Package snapshot persists and restores the cloud server's state: the
-// full set of indexed representative FoVs with their ids and providers,
-// in a compact binary format. Restoring uses STR bulk loading, so a
-// server restart rebuilds a 50,000-segment index in tens of
-// milliseconds.
+// Package snapshot is the compact binary codec for sets of indexed
+// representative FoVs with their ids and providers. The durable store's
+// memtable checkpoints are whole snapshot files; its WAL records and
+// segment files reuse the per-entry codec (AppendEntry, ParseEntry).
+// Restore uses STR bulk loading, so a 50,000-segment index rebuilds in
+// tens of milliseconds.
 //
 // Format (little endian):
 //

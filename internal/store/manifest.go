@@ -9,7 +9,7 @@
 // Durability contract for tombstones: a tombstone is durable iff it is
 // in the manifest OR derivable from WAL replay (the remove record sits
 // in a generation at or after the checkpoint base). Checkpointing is
-// the only thing that retires WAL generations, so checkpointWith writes
+// the only thing that retires WAL generations, so Checkpoint writes
 // the manifest BEFORE renaming the new checkpoint into place — the
 // moment the WAL records become unreachable, the manifest already
 // carries what they implied.

@@ -79,8 +79,6 @@ type Store interface {
 	// store may read files to answer; one it cannot read is an error,
 	// never a silently smaller state.
 	ReadEntries() ([]index.Entry, error)
-	// Reset replaces the committed state wholesale (snapshot restore).
-	Reset(entries []index.Entry) error
 	// Checkpoint persists the full state now and truncates the log.
 	// Non-durable stores return ErrNotDurable.
 	Checkpoint() error
@@ -140,7 +138,6 @@ func (*Mem) AppendRemove([]uint64) error        { return nil }
 func (*Mem) AppendRegisterTraced([]index.Entry, string) error { return nil }
 func (*Mem) AppendRemoveTraced([]uint64, string) error        { return nil }
 func (*Mem) ReadEntries() ([]index.Entry, error)              { return nil, nil }
-func (*Mem) Reset([]index.Entry) error                        { return nil }
 func (*Mem) Checkpoint() error                                { return ErrNotDurable }
 func (*Mem) Durable() bool                                    { return false }
 func (*Mem) Close() error                                     { return nil }
@@ -256,7 +253,7 @@ type Disk struct {
 	retired   map[uint64]int64 // final sizes of completed generations (see tail.go)
 
 	// cpMu serializes everything that replaces files — flushes,
-	// checkpoints, Reset, segment installs, bootstrap — and every read of
+	// checkpoints, segment installs, bootstrap — and every read of
 	// sealed entries from their files. Taken before mu, never after.
 	cpMu sync.Mutex
 
@@ -795,32 +792,19 @@ func (d *Disk) Len() int {
 // Durable implements Store.
 func (d *Disk) Durable() bool { return true }
 
-// Checkpoint implements Store: it writes the full current state as a
-// new-generation checkpoint, rotates the log, and deletes superseded
-// files. Ingest is only blocked for the rotation itself, not for the
-// checkpoint write.
-func (d *Disk) Checkpoint() error { return d.checkpointWith(nil, false) }
-
-// Reset implements Store: the state map is replaced wholesale and
-// immediately checkpointed, so the directory reflects the restored
-// state rather than the journal of a history that no longer applies.
-func (d *Disk) Reset(entries []index.Entry) error { return d.checkpointWith(entries, true) }
-
-// checkpointWith is Checkpoint and Reset: optionally replace the state,
-// then capture it, rotate the log, persist the capture, clean up.
+// Checkpoint implements Store: it captures the memtable, rotates the
+// log, persists the capture and deletes superseded files. Ingest is only
+// blocked for the rotation itself, not for the checkpoint write.
 //
 // The checkpoint is INCREMENTAL by construction: it snapshots only the
-// memtable — the sealed segments live in their own
-// files and the manifest, so checkpoint bytes scale with the delta
-// since the last seal, not the corpus. Ordering: the manifest rotates
-// BEFORE the checkpoint rename, because renaming the checkpoint
-// retires the WAL generations that could re-derive the tombstones the
-// manifest carries (a crash between the two replays the old WAL over
-// the new manifest, which is idempotent). Reset inverts the order —
-// its checkpoint holds the complete replacement state, and emptying
-// the manifest before that checkpoint is durable would orphan the
-// sealed data.
-func (d *Disk) checkpointWith(replace []index.Entry, doReplace bool) error {
+// memtable — the sealed segments live in their own files and the
+// manifest, so checkpoint bytes scale with the delta since the last
+// seal, not the corpus. Ordering: the manifest rotates BEFORE the
+// checkpoint rename, because renaming the checkpoint retires the WAL
+// generations that could re-derive the tombstones the manifest carries
+// (a crash between the two replays the old WAL over the new manifest,
+// which is idempotent).
+func (d *Disk) Checkpoint() error {
 	d.cpMu.Lock()
 	defer d.cpMu.Unlock()
 
@@ -833,24 +817,6 @@ func (d *Disk) checkpointWith(replace []index.Entry, doReplace bool) error {
 	if d.failed != nil {
 		d.mu.Unlock()
 		return d.failed
-	}
-	var dropSegs []SegmentMeta
-	if doReplace {
-		d.state = make(map[uint64]index.Entry, len(replace))
-		for _, e := range replace {
-			d.state[e.ID] = e
-		}
-		// The replacement is the whole truth: the segment tier restarts
-		// empty and the superseded files are deleted once the new
-		// checkpoint and manifest are durable.
-		for _, m := range d.segs {
-			dropSegs = append(dropSegs, m)
-		}
-		d.segs = make(map[int64]SegmentMeta)
-		d.segIDs = make(map[uint64]int64)
-		d.tombs = make(map[uint64][]int64)
-		d.tombCount = 0
-		d.staged = nil
 	}
 	entries := make([]index.Entry, 0, len(d.state))
 	for _, e := range d.state {
@@ -868,18 +834,10 @@ func (d *Disk) checkpointWith(replace []index.Entry, doReplace bool) error {
 	old, oldGen := d.wal, d.walGen
 	oldSize := d.walSize
 	d.wal, d.walGen, d.walSize, d.dirty, d.appended = f, newGen, 0, false, 0
-	if doReplace {
-		// A reset breaks log continuity: the state at the start of newGen
-		// is the replacement, not the state after oldGen's records, so no
-		// cursor from the old history may silently advance across it — a
-		// tailer of the old generation must re-bootstrap.
-		d.retired = make(map[uint64]int64)
-	} else {
-		d.retired[oldGen] = oldSize
-		for g := range d.retired {
-			if g+retiredKeep <= newGen {
-				delete(d.retired, g)
-			}
+	d.retired[oldGen] = oldSize
+	for g := range d.retired {
+		if g+retiredKeep <= newGen {
+			delete(d.retired, g)
 		}
 	}
 	d.notifyLocked()
@@ -897,24 +855,12 @@ func (d *Disk) checkpointWith(replace []index.Entry, doReplace bool) error {
 
 	// Tombstone durability: the manifest must be on disk before the
 	// checkpoint that retires the WAL records it was derived from.
-	if !doReplace {
-		if err := saveManifest(d.opts.Dir, doc); err != nil {
-			d.cpErrors.Inc()
-			return fmt.Errorf("store: rotate manifest: %w", err)
-		}
+	if err := saveManifest(d.opts.Dir, doc); err != nil {
+		d.cpErrors.Inc()
+		return fmt.Errorf("store: rotate manifest: %w", err)
 	}
 	if err := d.persistCheckpoint(newGen, entries); err != nil {
 		return err
-	}
-	if doReplace {
-		if err := saveManifest(d.opts.Dir, doc); err != nil {
-			d.cpErrors.Inc()
-			return fmt.Errorf("store: rotate manifest: %w", err)
-		}
-		for _, m := range dropSegs {
-			os.Remove(filepath.Join(d.opts.Dir, segmentFileName(m.Window, m.Seq)))
-		}
-		d.removeUnreferencedSegments(doc)
 	}
 
 	// Only now is anything at or below oldGen dead weight.

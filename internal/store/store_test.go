@@ -282,29 +282,6 @@ func TestRepeatedCheckpointsAndRestarts(t *testing.T) {
 	}
 }
 
-func TestResetReplacesState(t *testing.T) {
-	dir := t.TempDir()
-	d := open(t, dir)
-	if err := d.AppendRegister(batch(1, 10, "old")); err != nil {
-		t.Fatal(err)
-	}
-	repl := batch(500, 4, "new")
-	if err := d.Reset(repl); err != nil {
-		t.Fatal(err)
-	}
-	if got := sortedIDs(d.Entries()); !reflect.DeepEqual(got, sortedIDs(repl)) {
-		t.Fatalf("after reset: %v, want %v", got, sortedIDs(repl))
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	d2 := open(t, dir)
-	defer d2.Close()
-	if got := sortedIDs(d2.Entries()); !reflect.DeepEqual(got, sortedIDs(repl)) {
-		t.Fatalf("recovered after reset: %v, want %v", got, sortedIDs(repl))
-	}
-}
-
 func TestFsyncPolicies(t *testing.T) {
 	for _, policy := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncNever} {
 		t.Run(string(policy), func(t *testing.T) {

@@ -11,7 +11,8 @@
 // store-issued cursor and advances by whole ReadLog results only ever
 // sees whole frames. A cursor the store cannot serve — its segment
 // deleted, its offset past the committed size, or from a history that a
-// Reset replaced — is answered with TailReset, never with wrong bytes.
+// replication bootstrap replaced — is answered with TailReset, never
+// with wrong bytes.
 package store
 
 import (
@@ -37,8 +38,8 @@ const (
 	// wal-gen — so the tailer keeps its state and only moves the cursor.
 	TailAdvance
 	// TailReset: the cursor is unservable (segment gone, offset past the
-	// committed size, or history replaced by a Reset); the tailer must
-	// re-bootstrap.
+	// committed size, or history replaced by FinishBootstrap); the
+	// tailer must re-bootstrap.
 	TailReset
 )
 

@@ -119,21 +119,21 @@ func TestReadLogAdvanceAndResetAcrossCheckpoint(t *testing.T) {
 	}
 }
 
-func TestResetInvalidatesOldCursors(t *testing.T) {
+func TestFinishBootstrapInvalidatesOldCursors(t *testing.T) {
 	d := open(t, t.TempDir())
 	defer d.Close()
 	if err := d.AppendRegister(batch(1, 4, "alice")); err != nil {
 		t.Fatal(err)
 	}
 	gen, final := d.LogCursor()
-	if err := d.Reset(batch(10, 2, "bob")); err != nil {
+	if _, err := d.FinishBootstrap(ManifestSnapshot{}, batch(10, 2, "bob")); err != nil {
 		t.Fatal(err)
 	}
-	// The old generation completed, but Reset replaced the history: a
-	// TailAdvance here would silently graft the new log onto pre-Reset
-	// state. It must be TailReset.
+	// The old generation completed, but the bootstrap replaced the
+	// history: a TailAdvance here would silently graft the new log onto
+	// pre-bootstrap state. It must be TailReset.
 	if _, status, err := d.ReadLog(gen, final); err != nil || status != TailReset {
-		t.Fatalf("pre-Reset cursor: status=%v err=%v, want TailReset", status, err)
+		t.Fatalf("pre-bootstrap cursor: status=%v err=%v, want TailReset", status, err)
 	}
 }
 

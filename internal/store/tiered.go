@@ -22,7 +22,7 @@
 // memtable entries into a fresh segment file (sequence+1), commits the
 // swap in RAM, rotates the manifest, then deletes the superseded file.
 // The WAL is never truncated by a flush — only a checkpoint retires
-// WAL generations, and checkpointWith writes the manifest before the
+// WAL generations, and Checkpoint writes the manifest before the
 // checkpoint rename so every tombstone is durable in at least one of
 // the two (see manifest.go).
 //
@@ -30,7 +30,7 @@
 // store keeps each segment's manifest meta and the id→window map
 // (segIDs). Whoever needs sealed entries reads them from the files
 // while holding cpMu, which every file replacement (flush, checkpoint,
-// Reset, bootstrap) also holds, so the files a reader was pointed at
+// bootstrap) also holds, so the files a reader was pointed at
 // stay put. Lock order is cpMu, then d.mu — never the reverse — and no
 // file is read or written under d.mu: the append path never waits on
 // segment I/O.

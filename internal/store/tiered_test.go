@@ -293,35 +293,6 @@ func TestTieredCheckpointIsIncremental(t *testing.T) {
 	}
 }
 
-func TestTieredResetDropsSegments(t *testing.T) {
-	dir := t.TempDir()
-	d := openTiered(t, dir)
-	if err := d.AppendRegister([]index.Entry{wentry(1, 0), wentry(2, 1)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.CompactNow(); err != nil {
-		t.Fatal(err)
-	}
-	repl := []index.Entry{wentry(40, 2), wentry(41, futureWindow())}
-	if err := d.Reset(repl); err != nil {
-		t.Fatal(err)
-	}
-	wantEntries(t, d, repl)
-	if st := d.TieredStats(); st.Segments != 0 || st.Tombstones != 0 {
-		t.Fatalf("reset left tier state: %+v", st)
-	}
-	names, _ := filepath.Glob(filepath.Join(dir, "seg-*.fovg"))
-	if len(names) != 0 {
-		t.Fatalf("reset left segment files: %v", names)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r := openTiered(t, dir)
-	defer r.Close()
-	wantEntries(t, r, repl)
-}
-
 // hourEntry builds an entry in the given one-hour window, the width a
 // store opened with default options seals by.
 func hourEntry(id uint64, hour int64) index.Entry {

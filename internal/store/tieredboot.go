@@ -162,8 +162,8 @@ func (d *Disk) InstallSegment(meta SegmentMeta, raw []byte) error {
 // FinishBootstrap promotes the staged segments named by the leader's
 // manifest to live, replaces the memtable with the leader's captured
 // one, and rotates WAL, manifest, and checkpoint into the new history,
-// then returns the visible set. Like Reset, it breaks log continuity:
-// old-generation cursors must re-bootstrap.
+// then returns the visible set. It breaks log continuity: old-generation
+// cursors must re-bootstrap.
 func (d *Disk) FinishBootstrap(ms ManifestSnapshot, mem []index.Entry) ([]index.Entry, error) {
 	if err := d.finishBootstrap(ms, mem); err != nil {
 		return nil, err
@@ -232,9 +232,10 @@ func (d *Disk) finishBootstrap(ms ManifestSnapshot, mem []index.Entry) error {
 		return err
 	}
 
-	// Swap RAM state and rotate the WAL, exactly like Reset: the state
-	// at the start of the new generation is the leader's, so no cursor
-	// from the old history may advance across it.
+	// Swap RAM state and rotate the WAL: the state at the start of the
+	// new generation is the leader's, so no cursor from the old history
+	// may advance across it — clearing retired answers every such cursor
+	// with TailReset.
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
