@@ -17,9 +17,10 @@ import (
 	"fovr/internal/workload"
 )
 
-// TableAblationIndex compares the three ways to build the spatial index —
-// quadratic split, linear split, and STR bulk loading — on build time,
-// node count, and query latency over the same citywide dataset.
+// TableAblationIndex compares the ways to build the spatial index —
+// insertion under the quadratic, linear and R* (default) splits, and STR
+// bulk loading — on build time, node count, and query latency over the
+// same citywide dataset.
 func TableAblationIndex(n, queries int) *Table {
 	if n <= 0 {
 		n = 20000
@@ -90,7 +91,7 @@ func TableAblationIndex(n, queries int) *Table {
 		queryUS := float64(time.Since(start).Microseconds()) / float64(len(qs))
 		t.AddRow(b.name, f1(buildMS), fmt.Sprint(idx.NodeCount()), fmt.Sprint(idx.Height()), f1(queryUS))
 	}
-	t.AddNote("STR bulk loading trades online updates for the fastest build and tightest tree; quadratic vs linear split trades insert cost against query cost.")
+	t.AddNote("STR bulk loading trades online updates for the fastest build and tightest tree; quadratic vs linear split trades insert cost against query cost; R* (the default) weighs time against position when it picks a split axis, so its nodes are shaped like the questions.")
 	return t
 }
 

@@ -37,16 +37,20 @@ func visitRefs(idx Index, r geo.Rect, startMillis, endMillis int64) (refs []*Ent
 	return refs, nodes, scanned
 }
 
-// concIndexes is the tree under each split heuristic whose write path
-// differs: the default quadratic split, and R*'s forced reinsertion,
-// which moves live entries between nodes on overflow.
+// concIndexes is the tree as servers build it (Options{}, the R* split),
+// R* selected explicitly, and the quadratic split, whose write path
+// differs.
 func concIndexes(t *testing.T) map[string]*RTree {
 	t.Helper()
-	rstar, err := NewRTree(rtree.Options{Split: rtree.RStarSplit})
-	if err != nil {
-		t.Fatal(err)
+	out := map[string]*RTree{"rtree": newRTree(t)}
+	for name, split := range map[string]rtree.SplitAlgorithm{"rtree-rstar": rtree.RStarSplit, "rtree-quadratic": rtree.QuadraticSplit} {
+		x, err := NewRTree(rtree.Options{Split: split})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = x
 	}
-	return map[string]*RTree{"rtree": newRTree(t), "rtree-rstar": rstar}
+	return out
 }
 
 // checkPrefix verifies the result is exactly {1..n} for some n and

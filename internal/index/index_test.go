@@ -489,31 +489,44 @@ func TestGridImplementsIndexContract(t *testing.T) {
 // used to expand the whole tree, because the zero-weight time axis was
 // only tested once an entry was popped. The window now prunes subtrees
 // before they are queued, so a one-minute question over a 24 h corpus
-// visits only the nodes whose time extent overlaps that minute (under a
-// third of this insertion-built tree; every node before).
+// visits only the nodes whose time extent overlaps that minute: under a
+// third of the quadratic tree, whose nodes are time slabs, and under half
+// of the default R* tree, whose nodes are shaped for questions of hours
+// and hundreds of metres (every node before the fix).
 func TestNearestNarrowWindowIsBounded(t *testing.T) {
-	x := newRTree(t)
 	rng := rand.New(rand.NewSource(9))
 	batch := make([]Entry, 20_000)
 	for i := range batch {
 		batch[i] = randEntry(rng, uint64(i+1))
 	}
-	if err := x.InsertBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	const ts, te = 43_200_000, 43_260_000
-	before := x.TreeStats().NodeVisits
-	// k far above what one minute holds, and no distance bound.
-	got := x.Nearest(city, ts, te, 10_000, 0, nil)
-	visits := x.TreeStats().NodeVisits - before
 	want := NewLinear()
 	if err := want.InsertBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	if oracle := want.Nearest(city, ts, te, 10_000, 0, nil); len(got) != len(oracle) || len(got) == 0 {
-		t.Fatalf("got %d neighbours, oracle %d", len(got), len(oracle))
-	}
-	if nodes := int64(x.NodeCount()); visits*3 > nodes {
-		t.Fatalf("narrow-window nearest visited %d of %d nodes; the window should prune most of the tree", visits, nodes)
+	const ts, te = 43_200_000, 43_260_000
+	// k far above what one minute holds, and no distance bound.
+	oracle := want.Nearest(city, ts, te, 10_000, 0, nil)
+	for _, tc := range []struct {
+		split   rtree.SplitAlgorithm
+		maxPart int64 // visits may be at most 1/maxPart of the nodes
+	}{{rtree.RStarSplit, 2}, {rtree.QuadraticSplit, 3}} {
+		x, err := NewRTree(rtree.Options{Split: tc.split})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := x.InsertBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		before := x.TreeStats().NodeVisits
+		got := x.Nearest(city, ts, te, 10_000, 0, nil)
+		visits := x.TreeStats().NodeVisits - before
+		if len(got) != len(oracle) || len(got) == 0 {
+			t.Fatalf("%v: got %d neighbours, oracle %d", tc.split, len(got), len(oracle))
+		}
+		nodes := int64(x.NodeCount())
+		t.Logf("%v: narrow-window nearest visited %d of %d nodes", tc.split, visits, nodes)
+		if visits*tc.maxPart > nodes {
+			t.Fatalf("%v: narrow-window nearest visited %d of %d nodes; the window should prune most of the tree", tc.split, visits, nodes)
+		}
 	}
 }

@@ -21,7 +21,9 @@
 // tree is built with — for a representative, the degenerate box above,
 // from numbers the item already holds — so it is never stored.
 //
-// Features: insert with quadratic (default), linear or R* split, delete
+// Features: insert with the R* split (the default; its axis choice
+// weighs time against position in commensurable units, see kappa in
+// rstar.go) or Guttman's quadratic or linear split, delete
 // with tree condensation and reinsertion, range search — optionally
 // steered nearest-first around a point under a shrinking distance bound,
 // which is how package index answers top-N and k-nearest questions — and

@@ -10,16 +10,16 @@ import (
 type SplitAlgorithm int
 
 const (
-	// QuadraticSplit is Guttman's quadratic-cost split (the default and
-	// the classic choice for mixed workloads).
-	QuadraticSplit SplitAlgorithm = iota
-	// LinearSplit is Guttman's linear-cost split: cheaper to run,
-	// usually looser groupings.
-	LinearSplit
 	// RStarSplit is the R*-tree topological split (Beckmann et al. 1990,
-	// split phase only): margin-minimal axis choice, overlap-minimal
-	// distribution. Costs more per split, usually yields better trees.
-	RStarSplit
+	// split phase only): margin-minimal axis choice, with time weighted
+	// to the questions' scale, and overlap-minimal distribution. It is
+	// the zero value, so Options{} selects it.
+	RStarSplit SplitAlgorithm = iota
+	// QuadraticSplit is Guttman's quadratic-cost split (an ablation).
+	QuadraticSplit
+	// LinearSplit is Guttman's linear-cost split: cheaper to run,
+	// usually looser groupings (an ablation).
+	LinearSplit
 )
 
 func (s SplitAlgorithm) String() string {
@@ -42,7 +42,7 @@ type Options struct {
 	// MinEntries is m, the minimum fill; 2 <= m <= M/2. Zero selects
 	// the standard 40% fill.
 	MinEntries int
-	// Split selects the overflow heuristic.
+	// Split selects the overflow heuristic; the zero value is R*.
 	Split SplitAlgorithm
 }
 
@@ -117,19 +117,6 @@ func mbr[T any](n *node[T], bounds func(*T) Rect) Rect {
 	return r
 }
 
-// slotRects returns the rectangle of every slot of n, in slot order: the
-// stored child MBRs of an internal node, the derived ones of a leaf.
-func slotRects[T any](n *node[T], bounds func(*T) Rect) []Rect {
-	if !n.leaf {
-		return n.rects
-	}
-	rs := make([]Rect, len(n.items))
-	for i := range n.items {
-		rs[i] = bounds(&n.items[i])
-	}
-	return rs
-}
-
 // Tree is an R-tree over values of type T, each indexed under the
 // rectangle its bounds function derives from it. The zero value is not
 // usable; construct with New.
@@ -141,6 +128,8 @@ type Tree[T any] struct {
 	size   int
 	packed bool // built by BulkLoad: tail nodes may be under-filled
 	stats  stats
+	// scratch is the writer's split working memory.
+	scratch splitScratch
 
 	// writeGen is the current write generation: nodes stamped with it are
 	// writer-owned, everything older is frozen (possibly shared with a
@@ -324,7 +313,7 @@ func (t *Tree[T]) adjustPath(path []*node[T], r Rect) {
 func (t *Tree[T]) splitNode(n *node[T]) (left, right *node[T]) {
 	t.assertMutable(n)
 	t.stats.splits.Add(1)
-	l, r := t.partition(slotRects(n, t.bounds))
+	l, r := t.partition(t.slotRects(n))
 	right = &node[T]{leaf: n.leaf, gen: t.writeGen}
 	if n.leaf {
 		n.items, right.items = pick(n.items, l), pick(n.items, r)
@@ -333,6 +322,21 @@ func (t *Tree[T]) splitNode(n *node[T]) (left, right *node[T]) {
 		n.children, right.children = pick(n.children, l), pick(n.children, r)
 	}
 	return n, right
+}
+
+// slotRects returns the rectangle of every slot of n, in slot order: the
+// stored child MBRs of an internal node, the derived ones of a leaf in
+// the split scratch.
+func (t *Tree[T]) slotRects(n *node[T]) []Rect {
+	if !n.leaf {
+		return n.rects
+	}
+	rs := t.scratch.rects[:0]
+	for i := range n.items {
+		rs = append(rs, t.bounds(&n.items[i]))
+	}
+	t.scratch.rects = rs
+	return rs
 }
 
 // pick gathers s[at[0]], s[at[1]], ... into a fresh slice with one spare
@@ -349,7 +353,7 @@ func pick[S any](s []S, at []int) []S {
 // indices in the order the heuristic assigned them.
 func (t *Tree[T]) partition(rects []Rect) (left, right []int) {
 	if t.opts.Split == RStarSplit {
-		return rstarSplit(rects, t.opts.MinEntries)
+		return t.scratch.rstar(rects, t.opts.MinEntries)
 	}
 	var seedA, seedB int
 	if t.opts.Split == LinearSplit {
