@@ -17,7 +17,6 @@ import (
 	"fovr/internal/query"
 	"fovr/internal/render"
 	"fovr/internal/replay"
-	"fovr/internal/rtree"
 	"fovr/internal/segment"
 	"fovr/internal/snapshot"
 	"fovr/internal/trace"
@@ -140,10 +139,7 @@ func BenchmarkFig6aSegmentationCV1080p(b *testing.B) { benchSegmentationCV(b, vi
 // into the R-tree index (Fig. 6(b)).
 func BenchmarkFig6bIndexInsert(b *testing.B) {
 	entries := workload.Entries(workload.Config{Seed: 1}, 50000)
-	idx, err := index.NewRTree(rtree.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	idx := index.NewRTree()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := entries[i%len(entries)]
@@ -163,10 +159,7 @@ func BenchmarkIngestBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		idx, err := index.NewRTree(rtree.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
+		idx := index.NewRTree()
 		for j := 0; j < n; j += 20 {
 			if err := idx.InsertBatch(entries[j:min(j+20, n)]); err != nil {
 				b.Fatal(err)
@@ -194,7 +187,7 @@ func benchSearch(b *testing.B, makeIdx func([]index.Entry) index.Index) {
 // 20,000 indexed segments with each index (Fig. 6(c)).
 func BenchmarkFig6cSearchRTree(b *testing.B) {
 	benchSearch(b, func(entries []index.Entry) index.Index {
-		idx, err := index.BulkLoadRTree(rtree.Options{}, entries)
+		idx, err := index.BulkLoadRTree(entries)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -219,7 +212,7 @@ func BenchmarkFig6cSearchLinear(b *testing.B) {
 func BenchmarkFig6cSearchRTreeParallel(b *testing.B) {
 	cfg := workload.Config{Seed: 2}
 	entries := workload.Entries(cfg, 20000)
-	idx, err := index.BulkLoadRTree(rtree.Options{}, entries)
+	idx, err := index.BulkLoadRTree(entries)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -300,7 +293,8 @@ func BenchmarkTableUtilityGreedy(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation* compare index construction strategies on the same
+// BenchmarkAblation* compare the two index construction strategies,
+// insertion with the R* split and STR bulk loading, on the same
 // 5,000-entry dataset (design-choice ablation from DESIGN.md).
 func benchBuild(b *testing.B, build func([]index.Entry)) {
 	entries := workload.Entries(workload.Config{Seed: 4}, 5000)
@@ -310,20 +304,9 @@ func benchBuild(b *testing.B, build func([]index.Entry)) {
 	}
 }
 
-func BenchmarkAblationBuildQuadratic(b *testing.B) {
+func BenchmarkAblationBuildInsertRStar(b *testing.B) {
 	benchBuild(b, func(entries []index.Entry) {
-		idx, _ := index.NewRTree(rtree.Options{Split: rtree.QuadraticSplit})
-		for _, e := range entries {
-			if err := idx.Insert(e); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkAblationBuildLinear(b *testing.B) {
-	benchBuild(b, func(entries []index.Entry) {
-		idx, _ := index.NewRTree(rtree.Options{Split: rtree.LinearSplit})
+		idx := index.NewRTree()
 		for _, e := range entries {
 			if err := idx.Insert(e); err != nil {
 				b.Fatal(err)
@@ -334,7 +317,7 @@ func BenchmarkAblationBuildLinear(b *testing.B) {
 
 func BenchmarkAblationBuildBulkSTR(b *testing.B) {
 	benchBuild(b, func(entries []index.Entry) {
-		if _, err := index.BulkLoadRTree(rtree.Options{}, entries); err != nil {
+		if _, err := index.BulkLoadRTree(entries); err != nil {
 			b.Fatal(err)
 		}
 	})
@@ -447,6 +430,8 @@ func BenchmarkSnapshotWrite(b *testing.B) {
 	}
 }
 
+// BenchmarkSnapshotRestore times the boot path: decoding a snapshot of
+// 20,000 entries and STR bulk-loading the index from it.
 func BenchmarkSnapshotRestore(b *testing.B) {
 	entries := workload.Entries(workload.Config{Seed: 6}, 20000)
 	var buf bytes.Buffer
@@ -456,7 +441,11 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 	data := buf.Bytes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := snapshot.Restore(bytes.NewReader(data), rtree.Options{}); err != nil {
+		decoded, err := snapshot.Read(bytes.NewReader(data))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := index.BulkLoadRTree(decoded); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -482,7 +471,7 @@ func BenchmarkGridSearch(b *testing.B) {
 func BenchmarkSearchNearest(b *testing.B) {
 	cfg := workload.Config{Seed: 7}
 	entries := workload.Entries(cfg, 20000)
-	idx, err := index.BulkLoadRTree(rtree.Options{}, entries)
+	idx, err := index.BulkLoadRTree(entries)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -507,10 +496,7 @@ func BenchmarkSearchNearest(b *testing.B) {
 // (30 m, 12 h).
 func BenchmarkQueryTopN(b *testing.B) {
 	cfg := workload.Config{Seed: 1, Distribution: workload.Hotspot}
-	tree, err := index.NewRTree(rtree.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	tree := index.NewRTree()
 	if err := tree.InsertBatch(workload.Entries(cfg, 200_000)); err != nil {
 		b.Fatal(err)
 	}

@@ -24,7 +24,6 @@ import (
 	"fovr/internal/index"
 	"fovr/internal/obs"
 	"fovr/internal/query"
-	"fovr/internal/rtree"
 	"fovr/internal/segment"
 	"fovr/internal/wire"
 )
@@ -47,8 +46,6 @@ type Config struct {
 	// CircularMean selects circular azimuth averaging for segment
 	// abstraction (see segment.Config).
 	CircularMean bool
-	// IndexOptions tunes the R-tree.
-	IndexOptions rtree.Options
 	// DefaultMaxResults caps Search when n <= 0; zero selects 20.
 	DefaultMaxResults int
 }
@@ -85,11 +82,7 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.SegmentThreshold <= 0 || cfg.SegmentThreshold > 1 {
 		return nil, fmt.Errorf("core: segment threshold %v out of (0, 1]", cfg.SegmentThreshold)
 	}
-	idx, err := index.NewRTree(cfg.IndexOptions)
-	if err != nil {
-		return nil, err
-	}
-	return &System{cfg: cfg, idx: idx, nextID: 1}, nil
+	return &System{cfg: cfg, idx: index.NewRTree(), nextID: 1}, nil
 }
 
 // Camera returns the system's viewing geometry.

@@ -10,17 +10,16 @@ import (
 	"fovr/internal/geo"
 	"fovr/internal/index"
 	"fovr/internal/query"
-	"fovr/internal/rtree"
 	"fovr/internal/segment"
 	"fovr/internal/trace"
 	"fovr/internal/wire"
 	"fovr/internal/workload"
 )
 
-// TableAblationIndex compares the ways to build the spatial index —
-// insertion under the quadratic, linear and R* (default) splits, and STR
-// bulk loading — on build time, node count, and query latency over the
-// same citywide dataset.
+// TableAblationIndex compares the two ways to build the spatial index —
+// insertion, which splits overflowing nodes with R*, and STR bulk
+// loading — on build time, node count, and query latency over the same
+// citywide dataset.
 func TableAblationIndex(n, queries int) *Table {
 	if n <= 0 {
 		n = 20000
@@ -42,26 +41,8 @@ func TableAblationIndex(n, queries int) *Table {
 		make func() *index.RTree
 	}
 	builds := []build{
-		{"insert/quadratic", func() *index.RTree {
-			idx, _ := index.NewRTree(rtree.Options{Split: rtree.QuadraticSplit})
-			for _, e := range entries {
-				if err := idx.Insert(e); err != nil {
-					panic(err)
-				}
-			}
-			return idx
-		}},
-		{"insert/linear", func() *index.RTree {
-			idx, _ := index.NewRTree(rtree.Options{Split: rtree.LinearSplit})
-			for _, e := range entries {
-				if err := idx.Insert(e); err != nil {
-					panic(err)
-				}
-			}
-			return idx
-		}},
 		{"insert/rstar", func() *index.RTree {
-			idx, _ := index.NewRTree(rtree.Options{Split: rtree.RStarSplit})
+			idx := index.NewRTree()
 			for _, e := range entries {
 				if err := idx.Insert(e); err != nil {
 					panic(err)
@@ -70,7 +51,7 @@ func TableAblationIndex(n, queries int) *Table {
 			return idx
 		}},
 		{"bulk/STR", func() *index.RTree {
-			idx, err := index.BulkLoadRTree(rtree.Options{}, entries)
+			idx, err := index.BulkLoadRTree(entries)
 			if err != nil {
 				panic(err)
 			}
@@ -91,7 +72,7 @@ func TableAblationIndex(n, queries int) *Table {
 		queryUS := float64(time.Since(start).Microseconds()) / float64(len(qs))
 		t.AddRow(b.name, f1(buildMS), fmt.Sprint(idx.NodeCount()), fmt.Sprint(idx.Height()), f1(queryUS))
 	}
-	t.AddNote("STR bulk loading trades online updates for the fastest build and tightest tree; quadratic vs linear split trades insert cost against query cost; R* (the default) weighs time against position when it picks a split axis, so its nodes are shaped like the questions.")
+	t.AddNote("STR bulk loading trades online updates for the fastest build and tightest tree; insertion's R* split weighs time against position when it picks a split axis, so its nodes are shaped like the questions.")
 	return t
 }
 
@@ -139,7 +120,7 @@ func TableAblationOrientation(n, queries int) *Table {
 	// both covering and non-covering cameras nearby.
 	cfg := workload.Config{Seed: 72, ExtentMeters: 2000, HorizonMillis: 2 * 3600 * 1000}
 	entries := workload.Entries(cfg, n)
-	idx, err := index.BulkLoadRTree(rtree.Options{}, entries)
+	idx, err := index.BulkLoadRTree(entries)
 	if err != nil {
 		panic(err)
 	}

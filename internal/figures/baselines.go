@@ -13,7 +13,6 @@ import (
 	"fovr/internal/index"
 	"fovr/internal/query"
 	"fovr/internal/render"
-	"fovr/internal/rtree"
 	"fovr/internal/segment"
 	"fovr/internal/trace"
 	"fovr/internal/video"
@@ -81,10 +80,7 @@ func TableBaselineGeoTree(videos int) *Table {
 
 	// ---- FoV pipeline ----
 	start := time.Now()
-	idx, err := index.NewRTree(rtree.Options{})
-	if err != nil {
-		panic(err)
-	}
+	idx := index.NewRTree()
 	entries := 0
 	bytes := 0
 	nextID := uint64(1)
@@ -257,10 +253,7 @@ func TableBaselineContent(videos, frames int) *Table {
 		f1(cbQueryUS), "no (content only)")
 
 	// ---- FoV arm ----
-	idx, err := index.NewRTree(rtree.Options{})
-	if err != nil {
-		panic(err)
-	}
+	idx := index.NewRTree()
 	fovBytes := 0
 	nextID := uint64(1)
 	for _, c := range caps {

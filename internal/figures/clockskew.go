@@ -5,7 +5,6 @@ import (
 
 	"fovr/internal/index"
 	"fovr/internal/query"
-	"fovr/internal/rtree"
 	"fovr/internal/workload"
 )
 
@@ -86,7 +85,7 @@ func TableClockSkew(n, queries int) *Table {
 }
 
 func resultSets(entries []index.Entry, qs []query.Query, opts query.Options) []map[uint64]bool {
-	idx, err := index.BulkLoadRTree(rtree.Options{}, entries)
+	idx, err := index.BulkLoadRTree(entries)
 	if err != nil {
 		panic(err)
 	}

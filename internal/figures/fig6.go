@@ -9,7 +9,6 @@ import (
 	"fovr/internal/index"
 	"fovr/internal/query"
 	"fovr/internal/render"
-	"fovr/internal/rtree"
 	"fovr/internal/segment"
 	"fovr/internal/trace"
 	"fovr/internal/video"
@@ -90,10 +89,7 @@ func Fig6b(sizes []int) *Table {
 	for _, n := range sizes {
 		best := time.Duration(math.MaxInt64)
 		for range fig6bBuilds {
-			idx, err := index.NewRTree(rtree.Options{})
-			if err != nil {
-				panic(err)
-			}
+			idx := index.NewRTree()
 			start := time.Now()
 			for _, e := range entries[:n] {
 				if err := idx.Insert(e); err != nil {
@@ -133,10 +129,7 @@ func Fig6c(sizes []int, queriesPerSize int) *Table {
 
 	worstRTree := 0.0
 	for _, n := range sizes {
-		rt, err := index.NewRTree(rtree.Options{})
-		if err != nil {
-			panic(err)
-		}
+		rt := index.NewRTree()
 		grid, err := index.NewGrid(200)
 		if err != nil {
 			panic(err)

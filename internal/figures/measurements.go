@@ -9,7 +9,6 @@ import (
 	"fovr/internal/geotree"
 	"fovr/internal/index"
 	"fovr/internal/query"
-	"fovr/internal/rtree"
 	"fovr/internal/segment"
 	"fovr/internal/trace"
 )
@@ -133,10 +132,7 @@ func TableHeterogeneous(scenes int) *Table {
 		witness uint64
 	}
 	var stages []staged
-	idx, err := index.NewRTree(rtree.Options{})
-	if err != nil {
-		panic(err)
-	}
+	idx := index.NewRTree()
 	id := uint64(1)
 	for i := 0; i < scenes; i++ {
 		scene := geo.Offset(trace.ScenarioOrigin, rng.Float64()*360, rng.Float64()*2000)

@@ -80,8 +80,6 @@ type Options struct {
 	// GroupSize is the fixed aggregation run length (frames per MBR).
 	// Zero selects 32.
 	GroupSize int
-	// Tree tunes the underlying spatial tree.
-	Tree rtree.Options
 }
 
 // Tree is the GeoTree baseline index.
@@ -102,11 +100,7 @@ func New(opts Options) (*Tree, error) {
 	if opts.GroupSize < 1 {
 		return nil, fmt.Errorf("geotree: group size %d < 1", opts.GroupSize)
 	}
-	t, err := rtree.New(opts.Tree, groupRect)
-	if err != nil {
-		return nil, err
-	}
-	return &Tree{opts: opts, tree: t}, nil
+	return &Tree{opts: opts, tree: rtree.MustNew(rtree.DefaultOptions, groupRect)}, nil
 }
 
 // AddVideo ingests a whole frame sequence: scenes are aggregated into

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"fovr/internal/geo"
-	"fovr/internal/rtree"
 )
 
 // The concurrent differential suite: N readers against one writer, with
@@ -37,22 +36,6 @@ func visitRefs(idx Index, r geo.Rect, startMillis, endMillis int64) (refs []*Ent
 	return refs, nodes, scanned
 }
 
-// concIndexes is the tree as servers build it (Options{}, the R* split),
-// R* selected explicitly, and the quadratic split, whose write path
-// differs.
-func concIndexes(t *testing.T) map[string]*RTree {
-	t.Helper()
-	out := map[string]*RTree{"rtree": newRTree(t)}
-	for name, split := range map[string]rtree.SplitAlgorithm{"rtree-rstar": rtree.RStarSplit, "rtree-quadratic": rtree.QuadraticSplit} {
-		x, err := NewRTree(rtree.Options{Split: split})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[name] = x
-	}
-	return out
-}
-
 // checkPrefix verifies the result is exactly {1..n} for some n and
 // returns n. It returns an error instead of failing so reader
 // goroutines can use it too.
@@ -73,119 +56,118 @@ func checkPrefix(got []Entry) (int, error) {
 func TestConcurrentSnapshotReads(t *testing.T) {
 	full := geo.RectAround(city, 30_000)
 	const tlo, thi = -(1 << 40), 1 << 40
-	for name, idx := range concIndexes(t) {
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(321))
-			batches := make([][]Entry, concBatches)
-			nextID := uint64(1)
-			for b := range batches {
-				batch := make([]Entry, concBatchSize)
-				for i := range batch {
-					batch[i] = diffEntry(rng, nextID)
-					nextID++
-				}
-				batches[b] = batch
+	t.Run("rtree", func(t *testing.T) {
+		idx := NewRTree()
+		rng := rand.New(rand.NewSource(321))
+		batches := make([][]Entry, concBatches)
+		nextID := uint64(1)
+		for b := range batches {
+			batch := make([]Entry, concBatchSize)
+			for i := range batch {
+				batch[i] = diffEntry(rng, nextID)
+				nextID++
 			}
+			batches[b] = batch
+		}
 
-			var wg sync.WaitGroup
-			done := make(chan struct{})
-			errs := make(chan error, 8)
+		var wg sync.WaitGroup
+		done := make(chan struct{})
+		errs := make(chan error, 8)
 
-			// Writer: apply every batch, then signal.
+		// Writer: apply every batch, then signal.
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer close(done)
+			for _, b := range batches {
+				if err := idx.InsertBatch(b); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+
+		// Readers: until the writer finishes (plus one final read),
+		// every full-extent read must be a whole-batch prefix, and
+		// both the observed epoch and the visible prefix must be
+		// monotonic per reader — a single serialized writer never
+		// lets a later read see less.
+		for r := 0; r < 4; r++ {
 			wg.Add(1)
-			go func() {
+			go func(r int) {
 				defer wg.Done()
-				defer close(done)
-				for _, b := range batches {
-					if err := idx.InsertBatch(b); err != nil {
-						errs <- err
+				var lastEpoch uint64
+				lastN := 0
+				read := func() bool {
+					e1 := idx.ReadEpoch()
+					if e1 < lastEpoch {
+						errs <- fmt.Errorf("reader %d: epoch regressed %d -> %d", r, lastEpoch, e1)
+						return false
+					}
+					got := idx.Search(full, tlo, thi)
+					n := len(got)
+					if n%concBatchSize != 0 {
+						errs <- fmt.Errorf("reader %d: saw %d entries, not a multiple of the batch size %d (torn batch)", r, n, concBatchSize)
+						return false
+					}
+					ids := make(map[uint64]bool, n)
+					for _, e := range got {
+						ids[e.ID] = true
+					}
+					if len(ids) != n {
+						errs <- fmt.Errorf("reader %d: %d entries with %d distinct ids", r, n, len(ids))
+						return false
+					}
+					for id := uint64(1); id <= uint64(n); id++ {
+						if !ids[id] {
+							errs <- fmt.Errorf("reader %d: %d entries but id %d missing — not a batch prefix", r, n, id)
+							return false
+						}
+					}
+					if n < lastN {
+						errs <- fmt.Errorf("reader %d: visible entries shrank %d -> %d under an insert-only writer", r, lastN, n)
+						return false
+					}
+					lastN = n
+					e2 := idx.ReadEpoch()
+					if e2 < e1 {
+						errs <- fmt.Errorf("reader %d: epoch regressed across a read %d -> %d", r, e1, e2)
+						return false
+					}
+					lastEpoch = e2
+					return true
+				}
+				for {
+					select {
+					case <-done:
+						read() // one read after the writer is done
 						return
+					default:
+						if !read() {
+							return
+						}
 					}
 				}
-			}()
+			}(r)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
 
-			// Readers: until the writer finishes (plus one final read),
-			// every full-extent read must be a whole-batch prefix, and
-			// both the observed epoch and the visible prefix must be
-			// monotonic per reader — a single serialized writer never
-			// lets a later read see less.
-			for r := 0; r < 4; r++ {
-				wg.Add(1)
-				go func(r int) {
-					defer wg.Done()
-					var lastEpoch uint64
-					lastN := 0
-					read := func() bool {
-						e1 := idx.ReadEpoch()
-						if e1 < lastEpoch {
-							errs <- fmt.Errorf("reader %d: epoch regressed %d -> %d", r, lastEpoch, e1)
-							return false
-						}
-						got := idx.Search(full, tlo, thi)
-						n := len(got)
-						if n%concBatchSize != 0 {
-							errs <- fmt.Errorf("reader %d: saw %d entries, not a multiple of the batch size %d (torn batch)", r, n, concBatchSize)
-							return false
-						}
-						ids := make(map[uint64]bool, n)
-						for _, e := range got {
-							ids[e.ID] = true
-						}
-						if len(ids) != n {
-							errs <- fmt.Errorf("reader %d: %d entries with %d distinct ids", r, n, len(ids))
-							return false
-						}
-						for id := uint64(1); id <= uint64(n); id++ {
-							if !ids[id] {
-								errs <- fmt.Errorf("reader %d: %d entries but id %d missing — not a batch prefix", r, n, id)
-								return false
-							}
-						}
-						if n < lastN {
-							errs <- fmt.Errorf("reader %d: visible entries shrank %d -> %d under an insert-only writer", r, lastN, n)
-							return false
-						}
-						lastN = n
-						e2 := idx.ReadEpoch()
-						if e2 < e1 {
-							errs <- fmt.Errorf("reader %d: epoch regressed across a read %d -> %d", r, e1, e2)
-							return false
-						}
-						lastEpoch = e2
-						return true
-					}
-					for {
-						select {
-						case <-done:
-							read() // one read after the writer is done
-							return
-						default:
-							if !read() {
-								return
-							}
-						}
-					}
-				}(r)
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Fatal(err)
-			}
-
-			// Everything landed.
-			n, err := checkPrefix(idx.Search(full, tlo, thi))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n != concBatches*concBatchSize {
-				t.Fatalf("final read sees %d entries, want %d", n, concBatches*concBatchSize)
-			}
-			if err := idx.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+		// Everything landed.
+		n, err := checkPrefix(idx.Search(full, tlo, thi))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != concBatches*concBatchSize {
+			t.Fatalf("final read sees %d entries, want %d", n, concBatches*concBatchSize)
+		}
+		if err := idx.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // The removal phase: a writer deleting ids top-down, readers asserting
@@ -197,75 +179,74 @@ func TestConcurrentSnapshotReadsDuringRemoval(t *testing.T) {
 	full := geo.RectAround(city, 30_000)
 	const tlo, thi = -(1 << 40), 1 << 40
 	const total = 600
-	for name, idx := range concIndexes(t) {
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(654))
-			entries := make([]Entry, total)
-			for i := range entries {
-				entries[i] = diffEntry(rng, uint64(i+1))
-			}
-			if err := idx.InsertBatch(entries); err != nil {
-				t.Fatal(err)
-			}
+	t.Run("rtree", func(t *testing.T) {
+		idx := NewRTree()
+		rng := rand.New(rand.NewSource(654))
+		entries := make([]Entry, total)
+		for i := range entries {
+			entries[i] = diffEntry(rng, uint64(i+1))
+		}
+		if err := idx.InsertBatch(entries); err != nil {
+			t.Fatal(err)
+		}
 
-			var wg sync.WaitGroup
-			done := make(chan struct{})
-			errs := make(chan error, 8)
+		var wg sync.WaitGroup
+		done := make(chan struct{})
+		errs := make(chan error, 8)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer close(done)
+			for i := total - 1; i >= 0; i-- {
+				if idx.RemoveBatch(entries[i:i+1]) != 1 {
+					errs <- fmt.Errorf("writer: live id %d not removed", entries[i].ID)
+					return
+				}
+			}
+		}()
+		for r := 0; r < 4; r++ {
 			wg.Add(1)
-			go func() {
+			go func(r int) {
 				defer wg.Done()
-				defer close(done)
-				for i := total - 1; i >= 0; i-- {
-					if idx.RemoveBatch(entries[i:i+1]) != 1 {
-						errs <- fmt.Errorf("writer: live id %d not removed", entries[i].ID)
+				last := total + 1
+				read := func() bool {
+					n, err := checkPrefix(idx.Search(full, tlo, thi))
+					if err != nil {
+						errs <- fmt.Errorf("reader %d: %w", r, err)
+						return false
+					}
+					if n > last {
+						errs <- fmt.Errorf("reader %d: visible entries grew %d -> %d under a remove-only writer", r, last, n)
+						return false
+					}
+					last = n
+					return true
+				}
+				for {
+					select {
+					case <-done:
+						read()
 						return
+					default:
+						if !read() {
+							return
+						}
 					}
 				}
-			}()
-			for r := 0; r < 4; r++ {
-				wg.Add(1)
-				go func(r int) {
-					defer wg.Done()
-					last := total + 1
-					read := func() bool {
-						n, err := checkPrefix(idx.Search(full, tlo, thi))
-						if err != nil {
-							errs <- fmt.Errorf("reader %d: %w", r, err)
-							return false
-						}
-						if n > last {
-							errs <- fmt.Errorf("reader %d: visible entries grew %d -> %d under a remove-only writer", r, last, n)
-							return false
-						}
-						last = n
-						return true
-					}
-					for {
-						select {
-						case <-done:
-							read()
-							return
-						default:
-							if !read() {
-								return
-							}
-						}
-					}
-				}(r)
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Fatal(err)
-			}
-			if got := idx.Search(full, tlo, thi); len(got) != 0 {
-				t.Fatalf("final read sees %d entries after removing all", len(got))
-			}
-			if err := idx.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+			}(r)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		if got := idx.Search(full, tlo, thi); len(got) != 0 {
+			t.Fatalf("final read sees %d entries after removing all", len(got))
+		}
+		if err := idx.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // What a reader may hold: references handed out by Visit stay valid, and
@@ -280,93 +261,92 @@ func TestConcurrentRefsNeverChange(t *testing.T) {
 	full := geo.RectAround(city, 30_000)
 	const tlo, thi = -(1 << 40), 1 << 40
 	const rounds, held = 60, 4
-	for name, idx := range concIndexes(t) {
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(987))
-			const preload = 400 // the first reads already hold references
-			seedBatch := make([]Entry, preload)
-			for i := range seedBatch {
-				seedBatch[i] = diffEntry(rng, uint64(i+1))
-			}
-			if err := idx.InsertBatch(seedBatch); err != nil {
-				t.Fatal(err)
-			}
+	t.Run("rtree", func(t *testing.T) {
+		idx := NewRTree()
+		rng := rand.New(rand.NewSource(987))
+		const preload = 400 // the first reads already hold references
+		seedBatch := make([]Entry, preload)
+		for i := range seedBatch {
+			seedBatch[i] = diffEntry(rng, uint64(i+1))
+		}
+		if err := idx.InsertBatch(seedBatch); err != nil {
+			t.Fatal(err)
+		}
 
-			var wg sync.WaitGroup
-			stop := make(chan struct{})
-			errs := make(chan error, 8)
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		errs := make(chan error, 8)
 
-			wg.Add(1)
-			go func() { // saturating writer: runs until every reader is done
-				defer wg.Done()
-				for nextID := uint64(preload + 1); ; {
-					select {
-					case <-stop:
+		wg.Add(1)
+		go func() { // saturating writer: runs until every reader is done
+			defer wg.Done()
+			for nextID := uint64(preload + 1); ; {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				batch := make([]Entry, concBatchSize)
+				for i := range batch {
+					batch[i] = diffEntry(rng, nextID)
+					nextID++
+				}
+				if err := idx.InsertBatch(batch); err != nil {
+					errs <- err
+					return
+				}
+				for i := range batch[:concBatchSize/2] {
+					if idx.RemoveBatch(batch[i:i+1]) != 1 {
+						errs <- fmt.Errorf("writer: live id %d not removed", batch[i].ID)
 						return
-					default:
-					}
-					batch := make([]Entry, concBatchSize)
-					for i := range batch {
-						batch[i] = diffEntry(rng, nextID)
-						nextID++
-					}
-					if err := idx.InsertBatch(batch); err != nil {
-						errs <- err
-						return
-					}
-					for i := range batch[:concBatchSize/2] {
-						if idx.RemoveBatch(batch[i:i+1]) != 1 {
-							errs <- fmt.Errorf("writer: live id %d not removed", batch[i].ID)
-							return
-						}
 					}
 				}
-			}()
+			}
+		}()
 
-			var readers sync.WaitGroup
-			for r := 0; r < 4; r++ {
-				readers.Add(1)
-				go func(r int) {
-					defer readers.Done()
-					type observed struct {
-						refs   []*Entry
-						copies []Entry
+		var readers sync.WaitGroup
+		for r := 0; r < 4; r++ {
+			readers.Add(1)
+			go func(r int) {
+				defer readers.Done()
+				type observed struct {
+					refs   []*Entry
+					copies []Entry
+				}
+				var ring [held]observed
+				for i := 0; i < rounds; i++ {
+					// Let the writer publish between reads (unless it failed).
+					for e := idx.ReadEpoch(); i > 0 && idx.ReadEpoch() == e && len(errs) == 0; {
+						runtime.Gosched()
 					}
-					var ring [held]observed
-					for i := 0; i < rounds; i++ {
-						// Let the writer publish between reads (unless it failed).
-						for e := idx.ReadEpoch(); i > 0 && idx.ReadEpoch() == e && len(errs) == 0; {
-							runtime.Gosched()
-						}
-						refs, _, _ := visitRefs(idx, full, tlo, thi)
-						copies := make([]Entry, len(refs))
-						for j, e := range refs {
-							copies[j] = *e
-						}
-						ring[i%held] = observed{refs, copies}
-						for _, o := range ring {
-							for j, e := range o.refs {
-								if *e != o.copies[j] {
-									errs <- fmt.Errorf("reader %d: entry %d changed under a held reference: %+v -> %+v", r, o.copies[j].ID, o.copies[j], *e)
-									return
-								}
+					refs, _, _ := visitRefs(idx, full, tlo, thi)
+					copies := make([]Entry, len(refs))
+					for j, e := range refs {
+						copies[j] = *e
+					}
+					ring[i%held] = observed{refs, copies}
+					for _, o := range ring {
+						for j, e := range o.refs {
+							if *e != o.copies[j] {
+								errs <- fmt.Errorf("reader %d: entry %d changed under a held reference: %+v -> %+v", r, o.copies[j].ID, o.copies[j], *e)
+								return
 							}
 						}
 					}
-				}(r)
-			}
-			readers.Wait()
-			close(stop)
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Fatal(err)
-			}
-			if err := idx.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+				}
+			}(r)
+		}
+		readers.Wait()
+		close(stop)
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		if err := idx.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestConcurrentMutationStress churns the tree with batch writers and
@@ -376,7 +356,7 @@ func TestConcurrentRefsNeverChange(t *testing.T) {
 // tree must pass full invariant checking and agree with a linear oracle
 // over the surviving entries.
 func TestConcurrentMutationStress(t *testing.T) {
-	x := newRTree(t)
+	x := NewRTree()
 	const writers, readers, batches, batchLen = 4, 4, 30, 16
 	survivors := make([][]Entry, writers)
 	var wg sync.WaitGroup
@@ -455,7 +435,7 @@ func TestConcurrentMutationStress(t *testing.T) {
 // The visiting read path allocates nothing, and the collecting Search
 // costs its reference buffer's growth plus one exact-size copy.
 func TestSnapshotReadAllocs(t *testing.T) {
-	x := newRTree(t)
+	x := NewRTree()
 	rng := rand.New(rand.NewSource(5))
 	for id := uint64(1); id <= 400; id++ {
 		if err := x.Insert(randEntry(rng, id)); err != nil {

@@ -92,7 +92,7 @@ func TestDifferentialIndexEquivalence(t *testing.T) {
 		idx  ServerIndex
 	}
 	impls := []impl{
-		{"rtree", newRTree(t)},
+		{"rtree", NewRTree()},
 		{"linear", oracleIndex{NewLinear()}},
 	}
 	rng := rand.New(rand.NewSource(77))

@@ -69,7 +69,7 @@ func FuzzSnapshotReads(f *testing.F) {
 		{MinLat: 39.9, MaxLat: 40.2, MinLng: 116.2, MaxLng: 116.5},
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		x := newRTree(t)
+		x := NewRTree()
 		lin := NewLinear()
 		nextID := uint64(1)
 		made := map[uint64]Entry{} // every entry offered, by id

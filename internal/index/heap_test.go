@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"fovr/internal/index"
-	"fovr/internal/rtree"
 	"fovr/internal/workload"
 )
 
@@ -34,14 +33,15 @@ func TestIndexHeapPerEntry(t *testing.T) {
 		limit float64
 	}{
 		{"InsertBatch", func() (*index.RTree, error) {
-			x, err := index.NewRTree(rtree.Options{})
+			x := index.NewRTree()
+			var err error
 			for i := 0; err == nil && i < n; i += 20 {
 				err = x.InsertBatch(entries[i:min(i+20, n)])
 			}
 			return x, err
 		}, 140},
 		{"BulkLoadRTree", func() (*index.RTree, error) {
-			return index.BulkLoadRTree(rtree.Options{}, entries)
+			return index.BulkLoadRTree(entries)
 		}, 133},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -154,11 +154,10 @@ type NearestSearcher interface {
 	Nearest(center geo.Point, startMillis, endMillis int64, k int, maxDistanceMeters float64, keep func(*Entry) bool) []Neighbor
 }
 
-// ServerIndex is the full contract the cloud server needs from its
-// index: the core Index operations plus batch ingest and removal,
-// nearest-neighbour ranking, snapshotting, and the diagnostics exposed
-// at /metrics. RTree implements it; the differential suite drives the
-// Linear oracle through it beside RTree.
+// ServerIndex is the contract the differential suite drives RTree and
+// the Linear oracle through: the core Index operations plus batch
+// ingest and removal, nearest-neighbour ranking, and the diagnostics
+// exposed at /metrics. The server holds an *RTree, not the interface.
 type ServerIndex interface {
 	Index
 	BatchInserter
@@ -213,17 +212,13 @@ type RTree struct {
 }
 
 // NewRTree returns an empty R-tree index.
-func NewRTree(opts rtree.Options) (*RTree, error) {
-	t, err := rtree.New(opts, entryRect)
-	if err != nil {
-		return nil, err
-	}
-	return &RTree{tree: t, ids: make(map[uint64]struct{})}, nil
+func NewRTree() *RTree {
+	return &RTree{tree: rtree.MustNew(rtree.Options{}, entryRect), ids: make(map[uint64]struct{})}
 }
 
 // BulkLoadRTree builds an R-tree index from a complete entry set using
 // STR packing — the fast path for rebuilding an index from a snapshot.
-func BulkLoadRTree(opts rtree.Options, entries []Entry) (*RTree, error) {
+func BulkLoadRTree(entries []Entry) (*RTree, error) {
 	ids := make(map[uint64]struct{}, len(entries))
 	for _, e := range entries {
 		if err := e.Validate(); err != nil {
@@ -234,7 +229,7 @@ func BulkLoadRTree(opts rtree.Options, entries []Entry) (*RTree, error) {
 		}
 		ids[e.ID] = struct{}{}
 	}
-	t, err := rtree.BulkLoad(opts, entryRect, entries)
+	t, err := rtree.BulkLoad(rtree.Options{}, entryRect, entries)
 	if err != nil {
 		return nil, err
 	}
@@ -732,8 +727,9 @@ func (x *Linear) Nearest(center geo.Point, startMillis, endMillis int64, k int, 
 	return out
 }
 
-// Compile-time interface checks: the server accepts any ServerIndex,
-// and the test oracle must keep up with the Index extensions.
+// Compile-time interface checks: RTree meets the contract the
+// differential suite drives it through, and the test oracle must keep
+// up with the Index extensions.
 var (
 	_ ServerIndex     = (*RTree)(nil)
 	_ Index           = (*Linear)(nil)

@@ -9,7 +9,6 @@ import (
 
 	"fovr/internal/fov"
 	"fovr/internal/geo"
-	"fovr/internal/rtree"
 	"fovr/internal/segment"
 )
 
@@ -35,15 +34,6 @@ func fovAt(p geo.Point, theta float64) fov.FoV {
 	return fov.FoV{P: p, Theta: theta}
 }
 
-func newRTree(t *testing.T) *RTree {
-	t.Helper()
-	x, err := NewRTree(rtree.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return x
-}
-
 func TestEntryValidate(t *testing.T) {
 	good := Entry{ID: 1, Rep: segment.Representative{FoV: fovAt(city, 10), StartMillis: 5, EndMillis: 9}}
 	if err := good.Validate(); err != nil {
@@ -63,7 +53,7 @@ func TestEntryValidate(t *testing.T) {
 
 func TestImplementationsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	rt := newRTree(t)
+	rt := NewRTree()
 	lin := NewLinear()
 	for i := 0; i < 3000; i++ {
 		e := randEntry(rng, uint64(i))
@@ -108,7 +98,7 @@ func ids(entries []Entry) []uint64 {
 }
 
 func TestTemporalFiltering(t *testing.T) {
-	for _, impl := range []Index{newRTree(t), NewLinear()} {
+	for _, impl := range []Index{NewRTree(), NewLinear()} {
 		e := Entry{ID: 1, Rep: segment.Representative{
 			FoV: fovAt(city, 0), StartMillis: 1000, EndMillis: 2000,
 		}}
@@ -136,7 +126,7 @@ func TestTemporalFiltering(t *testing.T) {
 }
 
 func TestDuplicateIDRejected(t *testing.T) {
-	for _, impl := range []Index{newRTree(t), NewLinear()} {
+	for _, impl := range []Index{NewRTree(), NewLinear()} {
 		e := Entry{ID: 42, Rep: segment.Representative{FoV: fovAt(city, 0)}}
 		if err := impl.Insert(e); err != nil {
 			t.Fatal(err)
@@ -152,7 +142,7 @@ func TestDuplicateIDRejected(t *testing.T) {
 
 func TestRemove(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	for _, impl := range []ServerIndex{newRTree(t), oracleIndex{NewLinear()}} {
+	for _, impl := range []ServerIndex{NewRTree(), oracleIndex{NewLinear()}} {
 		var entries []Entry
 		for i := 0; i < 500; i++ {
 			e := randEntry(rng, uint64(i))
@@ -190,7 +180,7 @@ func TestRemove(t *testing.T) {
 	}
 	// The R-tree finds an entry by its rectangle: an id it holds, given
 	// at another position, is not removed.
-	rt := newRTree(t)
+	rt := NewRTree()
 	entries := make([]Entry, 500)
 	for i := range entries {
 		entries[i] = randEntry(rng, uint64(i))
@@ -215,7 +205,7 @@ func TestRemove(t *testing.T) {
 // reported even when the counts still agree.
 func TestCheckInvariantsCatchesIDSetDrift(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	x := newRTree(t)
+	x := NewRTree()
 	for id := uint64(1); id <= 200; id++ {
 		if err := x.Insert(randEntry(rng, id)); err != nil {
 			t.Fatal(err)
@@ -240,7 +230,7 @@ func TestCheckInvariantsCatchesIDSetDrift(t *testing.T) {
 }
 
 func TestInsertInvalidEntry(t *testing.T) {
-	for _, impl := range []Index{newRTree(t), NewLinear()} {
+	for _, impl := range []Index{NewRTree(), NewLinear()} {
 		e := Entry{ID: 1, Rep: segment.Representative{FoV: fovAt(geo.Point{Lat: 95, Lng: 0}, 0)}}
 		if err := impl.Insert(e); err == nil {
 			t.Errorf("%T: invalid entry accepted", impl)
@@ -250,7 +240,7 @@ func TestInsertInvalidEntry(t *testing.T) {
 
 // TestEmptyBatch: an empty batch is accepted and stores nothing.
 func TestEmptyBatch(t *testing.T) {
-	x := newRTree(t)
+	x := NewRTree()
 	if err := x.InsertBatch(nil); err != nil || x.Len() != 0 {
 		t.Fatalf("empty batch: err %v, Len %d", err, x.Len())
 	}
@@ -263,7 +253,7 @@ func TestEmptyBatch(t *testing.T) {
 // stored id, a duplicate inside the batch, an invalid entry — leaves no
 // trace, and a good batch commits whole.
 func TestBatchAllOrNothing(t *testing.T) {
-	x := newRTree(t)
+	x := NewRTree()
 	mk := func(id uint64, start int64) Entry {
 		return Entry{ID: id, Provider: "p", Rep: segment.Representative{
 			FoV: fovAt(city, 0), StartMillis: start, EndMillis: start + 100,
@@ -314,7 +304,7 @@ func TestBulkLoadRTree(t *testing.T) {
 	for i := range entries {
 		entries[i] = randEntry(rng, uint64(i))
 	}
-	bulk, err := BulkLoadRTree(rtree.Options{}, entries)
+	bulk, err := BulkLoadRTree(entries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +315,7 @@ func TestBulkLoadRTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Parity with incremental construction.
-	inc := newRTree(t)
+	inc := NewRTree()
 	for _, e := range entries {
 		_ = inc.Insert(e)
 	}
@@ -350,7 +340,7 @@ func TestBulkLoadRTree(t *testing.T) {
 func TestBulkLoadDuplicateID(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	e := randEntry(rng, 1)
-	if _, err := BulkLoadRTree(rtree.Options{}, []Entry{e, e}); err == nil {
+	if _, err := BulkLoadRTree([]Entry{e, e}); err == nil {
 		t.Fatal("duplicate ids accepted by bulk load")
 	}
 }
@@ -358,7 +348,7 @@ func TestBulkLoadDuplicateID(t *testing.T) {
 func TestConcurrentUploadAndQuery(t *testing.T) {
 	// The paper's server faces pervasive contributors and inquirers at
 	// once; the index must tolerate concurrent Insert/Search/Remove.
-	rt := newRTree(t)
+	rt := NewRTree()
 	const writers, readers, perWriter = 4, 4, 250
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -489,10 +479,9 @@ func TestGridImplementsIndexContract(t *testing.T) {
 // used to expand the whole tree, because the zero-weight time axis was
 // only tested once an entry was popped. The window now prunes subtrees
 // before they are queued, so a one-minute question over a 24 h corpus
-// visits only the nodes whose time extent overlaps that minute: under a
-// third of the quadratic tree, whose nodes are time slabs, and under half
-// of the default R* tree, whose nodes are shaped for questions of hours
-// and hundreds of metres (every node before the fix).
+// visits only the nodes whose time extent overlaps that minute: under half
+// of the R* tree, whose nodes are shaped for questions of hours and
+// hundreds of metres (every node before the fix).
 func TestNearestNarrowWindowIsBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	batch := make([]Entry, 20_000)
@@ -506,27 +495,19 @@ func TestNearestNarrowWindowIsBounded(t *testing.T) {
 	const ts, te = 43_200_000, 43_260_000
 	// k far above what one minute holds, and no distance bound.
 	oracle := want.Nearest(city, ts, te, 10_000, 0, nil)
-	for _, tc := range []struct {
-		split   rtree.SplitAlgorithm
-		maxPart int64 // visits may be at most 1/maxPart of the nodes
-	}{{rtree.RStarSplit, 2}, {rtree.QuadraticSplit, 3}} {
-		x, err := NewRTree(rtree.Options{Split: tc.split})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := x.InsertBatch(batch); err != nil {
-			t.Fatal(err)
-		}
-		before := x.TreeStats().NodeVisits
-		got := x.Nearest(city, ts, te, 10_000, 0, nil)
-		visits := x.TreeStats().NodeVisits - before
-		if len(got) != len(oracle) || len(got) == 0 {
-			t.Fatalf("%v: got %d neighbours, oracle %d", tc.split, len(got), len(oracle))
-		}
-		nodes := int64(x.NodeCount())
-		t.Logf("%v: narrow-window nearest visited %d of %d nodes", tc.split, visits, nodes)
-		if visits*tc.maxPart > nodes {
-			t.Fatalf("%v: narrow-window nearest visited %d of %d nodes; the window should prune most of the tree", tc.split, visits, nodes)
-		}
+	x := NewRTree()
+	if err := x.InsertBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	before := x.TreeStats().NodeVisits
+	got := x.Nearest(city, ts, te, 10_000, 0, nil)
+	visits := x.TreeStats().NodeVisits - before
+	if len(got) != len(oracle) || len(got) == 0 {
+		t.Fatalf("got %d neighbours, oracle %d", len(got), len(oracle))
+	}
+	nodes := int64(x.NodeCount())
+	t.Logf("narrow-window nearest visited %d of %d nodes", visits, nodes)
+	if visits*2 > nodes {
+		t.Fatalf("narrow-window nearest visited %d of %d nodes; the window should prune most of the tree", visits, nodes)
 	}
 }

@@ -15,7 +15,7 @@ import (
 // return, and with the same answers they give while the lock is free —
 // readers walk the published snapshot.
 func TestTreeReadsTakeNoLocks(t *testing.T) {
-	x := newRTree(t)
+	x := NewRTree()
 	rng := rand.New(rand.NewSource(13))
 	for id := uint64(1); id <= 300; id++ {
 		if err := x.Insert(randEntry(rng, id)); err != nil {

@@ -7,7 +7,6 @@ import (
 	"fovr/internal/fov"
 	"fovr/internal/geo"
 	"fovr/internal/index"
-	"fovr/internal/rtree"
 	"fovr/internal/segment"
 )
 
@@ -30,10 +29,7 @@ func entry(id uint64, p geo.Point, theta float64, ts, te int64) index.Entry {
 
 func newIndex(t *testing.T, entries ...index.Entry) *index.RTree {
 	t.Helper()
-	idx, err := index.NewRTree(rtree.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	idx := index.NewRTree()
 	for _, e := range entries {
 		if err := idx.Insert(e); err != nil {
 			t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"fovr/internal/index"
 	"fovr/internal/obs"
 	"fovr/internal/query"
-	"fovr/internal/rtree"
 	"fovr/internal/workload"
 )
 
@@ -25,10 +24,7 @@ func TestTopNWalkDoesLessWork(t *testing.T) {
 	entries := workload.Entries(cfg, 50_000)
 	cam := fov.Camera{HalfAngleDeg: 30, RadiusMeters: 100}
 
-	tree, err := index.NewRTree(rtree.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree := index.NewRTree()
 	if err := tree.InsertBatch(entries); err != nil {
 		t.Fatal(err)
 	}

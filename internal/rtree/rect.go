@@ -11,8 +11,8 @@
 // i.e. a vertical segment in (longitude, latitude, time) space — and
 // answers range queries with boxes built from the querier's circle and
 // time interval. Degenerate (zero-volume) rectangles are therefore the
-// dominant workload here, and the node-split heuristics are exercised and
-// tested against them specifically.
+// dominant workload here, and the node split is exercised and tested
+// against them specifically.
 //
 // Nodes are laid out struct-of-arrays. An internal node keeps its
 // children's MBRs contiguous beside the child pointers, so the filter
@@ -21,11 +21,10 @@
 // tree is built with — for a representative, the degenerate box above,
 // from numbers the item already holds — so it is never stored.
 //
-// Features: insert with the R* split (the default; its axis choice
-// weighs time against position in commensurable units, see kappa in
-// rstar.go) or Guttman's quadratic or linear split, delete
-// with tree condensation and reinsertion, range search — optionally
-// steered nearest-first around a point under a shrinking distance bound,
+// Features: insert with the R* split (its axis choice weighs time
+// against position in commensurable units, see kappa in rstar.go),
+// delete with tree condensation and reinsertion, range search —
+// optionally steered nearest-first around a point under a shrinking distance bound,
 // which is how package index answers top-N and k-nearest questions — and
 // sort-tile-recursive (STR) bulk loading. Writers copy on write and
 // publish immutable snapshots that readers walk without locks. The tree
@@ -116,7 +115,7 @@ func (r Rect) Union(o Rect) Rect {
 }
 
 // Area returns the d-dimensional volume of r. Degenerate boxes have zero
-// area; split heuristics fall back to margins in that case.
+// area; ChooseSubtree falls back to margins in that case.
 func (r Rect) Area() float64 {
 	a := 1.0
 	for d := 0; d < Dims; d++ {
@@ -137,13 +136,12 @@ func (r Rect) Margin() float64 {
 
 // enlarge returns how much a's area must grow to absorb r, the margin
 // growth as a secondary measure for the degenerate case, and a's own
-// area: the three keys that order candidate subtrees (ChooseSubtree) and
-// candidate groups (the quadratic and linear splits). It is one pass over
-// the dimensions, with the same operations in the same order as
-// a.Union(r).Area() - a.Area(), the margin equivalent and a.Area(), so
-// the values are bit-identical to that formulation. It is written to fit
-// the compiler's inlining budget: dMargin holds the union's margin until
-// the return.
+// area: the three keys that order candidate subtrees (ChooseSubtree).
+// It is one pass over the dimensions, with the same operations in the
+// same order as a.Union(r).Area() - a.Area(), the margin equivalent and
+// a.Area(), so the values are bit-identical to that formulation. It is
+// written to fit the compiler's inlining budget: dMargin holds the
+// union's margin until the return.
 func enlarge(a, r *Rect) (dArea, dMargin, area float64) {
 	uArea, margin := 1.0, 0.0
 	area = 1.0

@@ -6,10 +6,9 @@ import (
 )
 
 // The R*-tree split of Beckmann et al. (SIGMOD 1990), split phase only,
-// is the default split (forced reinsertion is intentionally omitted — it
-// changes insert's control flow for a gain our degenerate-rectangle
-// workload doesn't show; the ablation benchmarks compare all three
-// splits as implemented).
+// is the tree's one split (forced reinsertion is intentionally omitted —
+// it changes insert's control flow for a gain our degenerate-rectangle
+// workload doesn't show).
 //
 // ChooseSplitAxis: for every dimension, sort the slots by lower then by
 // upper boundary and sum the margins of all legal two-group
@@ -30,10 +29,10 @@ import (
 // questions this index serves reach r+R = 120–400 m across a 1–24 h
 // window; kappa = 1e-10 makes an hour of extent weigh like ~40 m (about
 // 3.6e-4° of latitude), inside that band. Each of kappa/3 and 3*kappa
-// also scans fewer leaf entries than the quadratic split on every bench
-// question shape (TestSplitMetricBand), so the choice is not a knife
-// edge. Only ChooseSplitAxis is weighted: rectangles, ChooseSubtree and
-// ChooseSplitIndex's overlap and area are unchanged.
+// also scans fewer leaf entries than Guttman's quadratic split did on
+// every bench question shape (TestSplitMetricBand), so the choice is not
+// a knife edge. Only ChooseSplitAxis is weighted: rectangles,
+// ChooseSubtree and ChooseSplitIndex's overlap and area are unchanged.
 const kappa = 1e-10
 
 // marginWeight converts each dimension's extent to degrees for

@@ -6,35 +6,6 @@ import (
 	"sync/atomic"
 )
 
-// SplitAlgorithm selects the node-split heuristic used on overflow.
-type SplitAlgorithm int
-
-const (
-	// RStarSplit is the R*-tree topological split (Beckmann et al. 1990,
-	// split phase only): margin-minimal axis choice, with time weighted
-	// to the questions' scale, and overlap-minimal distribution. It is
-	// the zero value, so Options{} selects it.
-	RStarSplit SplitAlgorithm = iota
-	// QuadraticSplit is Guttman's quadratic-cost split (an ablation).
-	QuadraticSplit
-	// LinearSplit is Guttman's linear-cost split: cheaper to run,
-	// usually looser groupings (an ablation).
-	LinearSplit
-)
-
-func (s SplitAlgorithm) String() string {
-	switch s {
-	case QuadraticSplit:
-		return "quadratic"
-	case LinearSplit:
-		return "linear"
-	case RStarSplit:
-		return "rstar"
-	default:
-		return fmt.Sprintf("SplitAlgorithm(%d)", int(s))
-	}
-}
-
 // Options tune the tree shape.
 type Options struct {
 	// MaxEntries is M, the node capacity. Must be >= 4.
@@ -42,8 +13,6 @@ type Options struct {
 	// MinEntries is m, the minimum fill; 2 <= m <= M/2. Zero selects
 	// the standard 40% fill.
 	MinEntries int
-	// Split selects the overflow heuristic; the zero value is R*.
-	Split SplitAlgorithm
 }
 
 // DefaultOptions matches common R-tree deployments: M = 16, m = 6.
@@ -65,11 +34,6 @@ func (o Options) withDefaults() (Options, error) {
 	if o.MinEntries < 2 || o.MinEntries > o.MaxEntries/2 {
 		return o, fmt.Errorf("rtree: MinEntries %d out of [2, MaxEntries/2=%d]",
 			o.MinEntries, o.MaxEntries/2)
-	}
-	switch o.Split {
-	case QuadraticSplit, LinearSplit, RStarSplit:
-	default:
-		return o, fmt.Errorf("rtree: unknown split algorithm %d", o.Split)
 	}
 	return o, nil
 }
@@ -160,8 +124,8 @@ func New[T any](opts Options, bounds func(*T) Rect) (*Tree[T], error) {
 	return t, nil
 }
 
-// MustNew is New for known-good options (used by package-internal callers
-// and tests).
+// MustNew is New for known-good options, such as Options{} or
+// DefaultOptions.
 func MustNew[T any](opts Options, bounds func(*T) Rect) *Tree[T] {
 	t, err := New(opts, bounds)
 	if err != nil {
@@ -175,9 +139,6 @@ func (t *Tree[T]) Len() int { return t.size }
 
 // Height returns the number of levels (1 when the root is a leaf).
 func (t *Tree[T]) Height() int { return t.height }
-
-// Options returns the tree's effective options.
-func (t *Tree[T]) Options() Options { return t.opts }
 
 // Insert adds an item under its bounding rectangle.
 func (t *Tree[T]) Insert(item T) error {
@@ -307,13 +268,13 @@ func (t *Tree[T]) adjustPath(path []*node[T], r Rect) {
 }
 
 // splitNode distributes an overflowing node's slots into two halves
-// using the configured heuristic. The receiver node is reused as the left
-// half; each half gets a fresh backing array sized to its length plus
-// one spare slot.
+// with the R* split. The receiver node is reused as the left half; each
+// half gets a fresh backing array sized to its length plus one spare
+// slot.
 func (t *Tree[T]) splitNode(n *node[T]) (left, right *node[T]) {
 	t.assertMutable(n)
 	t.stats.splits.Add(1)
-	l, r := t.partition(t.slotRects(n))
+	l, r := t.scratch.rstar(t.slotRects(n), t.opts.MinEntries)
 	right = &node[T]{leaf: n.leaf, gen: t.writeGen}
 	if n.leaf {
 		n.items, right.items = pick(n.items, l), pick(n.items, r)
@@ -347,152 +308,6 @@ func pick[S any](s []S, at []int) []S {
 		out[i] = s[j]
 	}
 	return out
-}
-
-// partition splits slot rectangles into two groups, returned as slot
-// indices in the order the heuristic assigned them.
-func (t *Tree[T]) partition(rects []Rect) (left, right []int) {
-	if t.opts.Split == RStarSplit {
-		return t.scratch.rstar(rects, t.opts.MinEntries)
-	}
-	var seedA, seedB int
-	if t.opts.Split == LinearSplit {
-		seedA, seedB = linearPickSeeds(rects)
-	} else {
-		seedA, seedB = quadraticPickSeeds(rects)
-	}
-	rest := make([]int, 0, len(rects)-2)
-	for i := range rects {
-		if i != seedA && i != seedB {
-			rest = append(rest, i)
-		}
-	}
-	left = append(make([]int, 0, len(rects)), seedA)
-	right = append(make([]int, 0, len(rects)), seedB)
-	rectL, rectR := rects[seedA], rects[seedB]
-
-	for len(rest) > 0 {
-		// If one group must take everything left to reach minimum fill,
-		// assign the remainder wholesale.
-		need := t.opts.MinEntries
-		if len(left)+len(rest) <= need {
-			left = append(left, rest...)
-			break
-		}
-		if len(right)+len(rest) <= need {
-			right = append(right, rest...)
-			break
-		}
-		var p int
-		if t.opts.Split == QuadraticSplit {
-			p = quadraticPickNext(rects, rest, rectL, rectR)
-		} // linear split takes entries in arbitrary order: p stays 0
-		e := rest[p]
-		rest[p] = rest[len(rest)-1]
-		rest = rest[:len(rest)-1]
-
-		dAL, dML, aL := enlarge(&rectL, &rects[e])
-		dAR, dMR, aR := enlarge(&rectR, &rects[e])
-		toLeft := less3(dAL, dML, aL, dAR, dMR, aR)
-		if dAL == dAR && dML == dMR && aL == aR {
-			toLeft = len(left) <= len(right)
-		}
-		if toLeft {
-			left = append(left, e)
-			rectL = rectL.Union(rects[e])
-		} else {
-			right = append(right, e)
-			rectR = rectR.Union(rects[e])
-		}
-	}
-	return left, right
-}
-
-// quadraticPickSeeds returns the pair of slots that would waste the most
-// area if grouped together (PickSeeds, quadratic variant), with margin as
-// the degenerate-box tie-breaker.
-func quadraticPickSeeds(rects []Rect) (int, int) {
-	bestA, bestB := 0, 1
-	worstArea := -1.0
-	worstMargin := -1.0
-	for i := 0; i < len(rects); i++ {
-		for j := i + 1; j < len(rects); j++ {
-			u := rects[i].Union(rects[j])
-			dead := u.Area() - rects[i].Area() - rects[j].Area()
-			margin := u.Margin()
-			if dead > worstArea || (dead == worstArea && margin > worstMargin) {
-				worstArea, worstMargin = dead, margin
-				bestA, bestB = i, j
-			}
-		}
-	}
-	return bestA, bestB
-}
-
-// linearPickSeeds finds, per dimension, the pair with the greatest
-// normalized separation, and returns the overall winner (PickSeeds,
-// linear variant).
-func linearPickSeeds(rects []Rect) (int, int) {
-	bestA, bestB := 0, 1
-	bestSep := -1.0
-	for d := 0; d < Dims; d++ {
-		lowestMax, highestMin := 0, 0
-		lo, hi := rects[0].Min[d], rects[0].Max[d]
-		for i, r := range rects {
-			if r.Max[d] < rects[lowestMax].Max[d] {
-				lowestMax = i
-			}
-			if r.Min[d] > rects[highestMin].Min[d] {
-				highestMin = i
-			}
-			if r.Min[d] < lo {
-				lo = r.Min[d]
-			}
-			if r.Max[d] > hi {
-				hi = r.Max[d]
-			}
-		}
-		if lowestMax == highestMin {
-			continue
-		}
-		width := hi - lo
-		if width <= 0 {
-			width = 1
-		}
-		sep := (rects[highestMin].Min[d] - rects[lowestMax].Max[d]) / width
-		if sep > bestSep {
-			bestSep = sep
-			bestA, bestB = lowestMax, highestMin
-		}
-	}
-	return bestA, bestB
-}
-
-// quadraticPickNext returns the position in rest of the pending slot with
-// the greatest preference for one group over the other (PickNext).
-func quadraticPickNext(rects []Rect, rest []int, rectL, rectR Rect) int {
-	best := 0
-	bestDiff := -1.0
-	for i, e := range rest {
-		dL, mL, _ := enlarge(&rectL, &rects[e])
-		dR, mR, _ := enlarge(&rectR, &rects[e])
-		diff := abs(dL - dR)
-		if diff == 0 {
-			diff = abs(mL-mR) * 1e-9 // margin-scale preference for flat boxes
-		}
-		if diff > bestDiff {
-			bestDiff = diff
-			best = i
-		}
-	}
-	return best
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // Search calls fn with a copy of every stored item whose rectangle

@@ -85,9 +85,6 @@ func TestOptionsValidation(t *testing.T) {
 		{"max too small", Options{MaxEntries: 3}, false},
 		{"min too large", Options{MaxEntries: 8, MinEntries: 5}, false},
 		{"min too small", Options{MaxEntries: 8, MinEntries: 1}, false},
-		{"bad split", Options{MaxEntries: 8, Split: SplitAlgorithm(9)}, false},
-		{"linear", Options{MaxEntries: 8, Split: LinearSplit}, true},
-		{"rstar", Options{MaxEntries: 8, Split: RStarSplit}, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -96,15 +93,6 @@ func TestOptionsValidation(t *testing.T) {
 				t.Fatalf("New(%+v) err = %v, want ok=%v", c.o, err, c.ok)
 			}
 		})
-	}
-}
-
-func TestSplitAlgorithmString(t *testing.T) {
-	if QuadraticSplit.String() != "quadratic" || LinearSplit.String() != "linear" || RStarSplit.String() != "rstar" {
-		t.Fatal("split algorithm names wrong")
-	}
-	if SplitAlgorithm(9).String() == "" {
-		t.Fatal("unknown split algorithm has empty name")
 	}
 }
 
@@ -198,19 +186,14 @@ func TestNearMinDist2(t *testing.T) {
 func TestInsertSearchMatchesBruteForce(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
-		split      SplitAlgorithm
 		degenerate bool
 	}{
-		{"quadratic boxes", QuadraticSplit, false},
-		{"quadratic degenerate", QuadraticSplit, true},
-		{"linear boxes", LinearSplit, false},
-		{"linear degenerate", LinearSplit, true},
-		{"rstar boxes", RStarSplit, false},
-		{"rstar degenerate", RStarSplit, true},
+		{"rstar boxes", false},
+		{"rstar degenerate", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
-			tree := newTree(Options{MaxEntries: 8, Split: tc.split})
+			tree := newTree(Options{MaxEntries: 8})
 			ref := &brute{}
 			for i := 0; i < 2000; i++ {
 				r := randRect(rng, tc.degenerate)
@@ -697,40 +680,37 @@ func TestCheckInvariantsCatchesBadRects(t *testing.T) {
 }
 
 func TestMixedOpsInvariants(t *testing.T) {
-	// Randomized op sequence: invariants must hold throughout, under both
-	// split algorithms.
-	for _, split := range []SplitAlgorithm{QuadraticSplit, LinearSplit, RStarSplit} {
-		rng := rand.New(rand.NewSource(77))
-		tree := newTree(Options{MaxEntries: 6, Split: split})
-		ref := &brute{}
-		nextID := 0
-		for op := 0; op < 3000; op++ {
-			if len(ref.rects) == 0 || rng.Float64() < 0.6 {
-				r := randRect(rng, rng.Intn(2) == 0)
-				if err := tree.Insert(item{r, nextID}); err != nil {
-					t.Fatal(err)
-				}
-				ref.insert(r, nextID)
-				nextID++
-			} else {
-				i := rng.Intn(len(ref.rects))
-				r, id := ref.rects[i], ref.ids[i]
-				if !tree.Delete(&item{r, id}, byID(id)) {
-					t.Fatalf("op %d (%v): delete of present item failed", op, split)
-				}
-				ref.delete(r, id)
+	// Randomized op sequence: invariants must hold throughout.
+	rng := rand.New(rand.NewSource(77))
+	tree := newTree(Options{MaxEntries: 6})
+	ref := &brute{}
+	nextID := 0
+	for op := 0; op < 3000; op++ {
+		if len(ref.rects) == 0 || rng.Float64() < 0.6 {
+			r := randRect(rng, rng.Intn(2) == 0)
+			if err := tree.Insert(item{r, nextID}); err != nil {
+				t.Fatal(err)
 			}
-			if op%250 == 0 {
-				if err := tree.CheckInvariants(); err != nil {
-					t.Fatalf("op %d (%v): %v", op, split, err)
-				}
+			ref.insert(r, nextID)
+			nextID++
+		} else {
+			i := rng.Intn(len(ref.rects))
+			r, id := ref.rects[i], ref.ids[i]
+			if !tree.Delete(&item{r, id}, byID(id)) {
+				t.Fatalf("op %d: delete of present item failed", op)
+			}
+			ref.delete(r, id)
+		}
+		if op%250 == 0 {
+			if err := tree.CheckInvariants(); err != nil {
+				t.Fatalf("op %d: %v", op, err)
 			}
 		}
-		if tree.Len() != len(ref.rects) {
-			t.Fatalf("%v: Len %d != ref %d", split, tree.Len(), len(ref.rects))
-		}
-		if err := tree.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if tree.Len() != len(ref.rects) {
+		t.Fatalf("Len %d != ref %d", tree.Len(), len(ref.rects))
+	}
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

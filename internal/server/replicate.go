@@ -100,7 +100,7 @@ func (s *Server) ApplyRegister(entries []index.Entry, trace string) error {
 		return nil
 	}
 	defer s.keepApplyTrace("apply.register", trace, len(entries))()
-	if err := s.appendRegister(entries, trace); err != nil {
+	if err := s.store.AppendRegisterTraced(entries, trace); err != nil {
 		return fmt.Errorf("server: journal replicated upload: %w", err)
 	}
 	s.mu.Lock()
@@ -123,7 +123,7 @@ func (s *Server) ApplyRemove(ids []uint64, trace string) error {
 		return nil
 	}
 	defer s.keepApplyTrace("apply.remove", trace, len(ids))()
-	if err := s.appendRemove(ids, trace); err != nil {
+	if err := s.store.AppendRemoveTraced(ids, trace); err != nil {
 		return fmt.Errorf("server: journal replicated removal: %w", err)
 	}
 	sorted := slices.Clone(ids)

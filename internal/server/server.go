@@ -74,9 +74,6 @@ type Config struct {
 	DefaultMaxResults int
 	// MaxUploadBytes bounds request bodies. Zero means 8 MiB.
 	MaxUploadBytes int64
-	// IndexOptions tunes the R-tree: one copy-on-write 3-D R-tree (the
-	// paper's index, Section V-A) is the only index a server builds.
-	IndexOptions rtree.Options
 	// IndexKind and ShardWindow are ignored; they stay only because
 	// bench/ still sets them.
 	IndexKind   string
@@ -100,9 +97,6 @@ type Config struct {
 	// always shows normal behaviour to compare against. Zero selects
 	// 16; negative disables sampling.
 	TraceSampleRate int
-	// TraceCapacity bounds each trace-store retention ring. Zero
-	// selects 256.
-	TraceCapacity int
 	// Store journals every state change (uploads and removals) before it
 	// is acknowledged, and supplies the recovered state at boot. Nil
 	// selects store.NewMem(), the non-durable no-op that preserves the
@@ -203,7 +197,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: load store: %w", err)
 	}
-	idx, err := index.BulkLoadRTree(cfg.IndexOptions, recovered)
+	idx, err := index.BulkLoadRTree(recovered)
 	if err != nil {
 		return nil, err
 	}
@@ -221,8 +215,8 @@ func New(cfg Config) (*Server, error) {
 		started: time.Now(),
 	}
 	s.resetCountsLocked(recovered)
+	// Each retention ring holds the trace store's default 256 traces.
 	s.traces = obs.NewTraceStore(obs.TraceStoreConfig{
-		Capacity:      cfg.TraceCapacity,
 		SlowThreshold: cfg.SlowQueryThreshold,
 		SampleRate:    cfg.TraceSampleRate,
 	})
@@ -310,9 +304,9 @@ func (s *Server) Register(u wire.Upload) ([]uint64, error) {
 }
 
 // RegisterTraced is Register with an originating trace ID: the journal
-// record is stamped with it (when the store supports TracedAppender),
-// so a replica applying the shipped record can attribute the apply to
-// this request. Empty trace is exactly Register.
+// record is stamped with it, so a replica applying the shipped record
+// can attribute the apply to this request. Empty trace is exactly
+// Register.
 func (s *Server) RegisterTraced(u wire.Upload, trace string) ([]uint64, error) {
 	if s.cfg.ReadOnly {
 		return nil, s.readOnlyErr("upload")
@@ -350,7 +344,7 @@ func (s *Server) RegisterTraced(u wire.Upload, trace string) ([]uint64, error) {
 	// concurrent ForgetProvider can observe it and journal a removal,
 	// and that removal must not precede this registration in the log —
 	// replaying them out of order would resurrect forgotten entries.
-	if err := s.appendRegister(entries, trace); err != nil {
+	if err := s.store.AppendRegisterTraced(entries, trace); err != nil {
 		s.debit(entries)
 		s.rollbacks.Inc()
 		return nil, fmt.Errorf("server: journal upload: %w", err)
@@ -359,7 +353,7 @@ func (s *Server) RegisterTraced(u wire.Upload, trace string) ([]uint64, error) {
 		// Compensate the journal entry; replay treats a removal of a
 		// never-inserted id as a no-op, so this is safe even if the
 		// record pair straddles a checkpoint.
-		if serr := s.appendRemove(ids, trace); serr != nil {
+		if serr := s.store.AppendRemoveTraced(ids, trace); serr != nil {
 			s.log.Error("journal rollback failed; store may resurrect a rolled-back upload",
 				"provider", u.Provider, "err", serr)
 		}
@@ -368,28 +362,6 @@ func (s *Server) RegisterTraced(u wire.Upload, trace string) ([]uint64, error) {
 		return nil, fmt.Errorf("server: %w", err)
 	}
 	return ids, nil
-}
-
-// appendRegister journals a registration, stamping the originating
-// trace ID into the record when one is present and the store supports
-// it; stores without TracedAppender just don't propagate.
-func (s *Server) appendRegister(entries []index.Entry, trace string) error {
-	if trace != "" {
-		if ta, ok := s.store.(store.TracedAppender); ok {
-			return ta.AppendRegisterTraced(entries, trace)
-		}
-	}
-	return s.store.AppendRegister(entries)
-}
-
-// appendRemove is appendRegister for removal records.
-func (s *Server) appendRemove(ids []uint64, trace string) error {
-	if trace != "" {
-		if ta, ok := s.store.(store.TracedAppender); ok {
-			return ta.AppendRemoveTraced(ids, trace)
-		}
-	}
-	return s.store.AppendRemove(ids)
 }
 
 // Query answers a retrieval request directly (in-process fast path).
@@ -420,7 +392,7 @@ func (s *Server) Traces() *obs.TraceStore { return s.traces }
 // failure the old index stays in place untouched. The replication
 // bootstrap's FinishBootstrap is its one caller.
 func (s *Server) replaceState(entries []index.Entry) error {
-	idx, err := index.BulkLoadRTree(s.cfg.IndexOptions, entries)
+	idx, err := index.BulkLoadRTree(entries)
 	if err != nil {
 		return err
 	}

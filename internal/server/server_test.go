@@ -479,21 +479,22 @@ func TestForgetPublishesOnce(t *testing.T) {
 	}
 }
 
-// uploadGate is an in-memory store whose AppendRegister, once armed,
-// announces itself on entered and waits for release: an upload held
-// between counting its entries and publishing them.
+// uploadGate is an in-memory store whose AppendRegisterTraced (the
+// append an upload journals through), once armed, announces itself on
+// entered and waits for release: an upload held between counting its
+// entries and publishing them.
 type uploadGate struct {
 	*store.Mem
 	armed            atomic.Bool
 	entered, release chan struct{}
 }
 
-func (g *uploadGate) AppendRegister(entries []index.Entry) error {
+func (g *uploadGate) AppendRegisterTraced(entries []index.Entry, trace string) error {
 	if g.armed.CompareAndSwap(true, false) {
 		close(g.entered)
 		<-g.release
 	}
-	return g.Mem.AppendRegister(entries)
+	return g.Mem.AppendRegisterTraced(entries, trace)
 }
 
 // A forget that runs while an upload from the same provider is counted

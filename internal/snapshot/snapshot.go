@@ -2,8 +2,9 @@
 // representative FoVs with their ids and providers. The durable store's
 // memtable checkpoints are whole snapshot files; its WAL records and
 // segment files reuse the per-entry codec (AppendEntry, ParseEntry).
-// Restore uses STR bulk loading, so a 50,000-segment index rebuilds in
-// tens of milliseconds.
+// A decoded set rebuilds an index by STR bulk loading
+// (index.BulkLoadRTree), so a 50,000-segment index boots in tens of
+// milliseconds.
 //
 // Format (little endian):
 //
@@ -28,7 +29,6 @@ import (
 	"fovr/internal/fov"
 	"fovr/internal/geo"
 	"fovr/internal/index"
-	"fovr/internal/rtree"
 	"fovr/internal/segment"
 )
 
@@ -279,13 +279,4 @@ func ReadEntry(b []byte) (index.Entry, int, error) {
 	}
 	e.Provider = string(prov)
 	return e, n, nil
-}
-
-// Restore rebuilds an R-tree index from a snapshot via STR bulk loading.
-func Restore(r io.Reader, opts rtree.Options) (*index.RTree, error) {
-	entries, err := Read(r)
-	if err != nil {
-		return nil, err
-	}
-	return index.BulkLoadRTree(opts, entries)
 }

@@ -9,7 +9,7 @@ import (
 
 	"fovr/internal/fov"
 	"fovr/internal/geo"
-	"fovr/internal/rtree"
+	"fovr/internal/index"
 	"fovr/internal/workload"
 )
 
@@ -74,13 +74,19 @@ func TestEmptySnapshot(t *testing.T) {
 	}
 }
 
+// A decoded snapshot bulk-loads into a working index, as a server's
+// boot path rebuilds one from its store.
 func TestRestoreBuildsWorkingIndex(t *testing.T) {
 	entries := workload.Entries(workload.Config{Seed: 2}, 5000)
 	var buf bytes.Buffer
 	if err := Write(&buf, entries); err != nil {
 		t.Fatal(err)
 	}
-	idx, err := Restore(&buf, rtree.Options{})
+	decoded, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := index.BulkLoadRTree(decoded)
 	if err != nil {
 		t.Fatal(err)
 	}

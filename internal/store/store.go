@@ -74,6 +74,13 @@ type Store interface {
 	AppendRegister(entries []index.Entry) error
 	// AppendRemove durably records the removal of ids.
 	AppendRemove(ids []uint64) error
+	// AppendRegisterTraced and AppendRemoveTraced are the two appends
+	// with the originating request's trace ID stamped into the record,
+	// so a replica replaying the log can attribute each apply to the
+	// leader request that caused it. An empty trace records exactly
+	// what the untraced append does.
+	AppendRegisterTraced(entries []index.Entry, trace string) error
+	AppendRemoveTraced(ids []uint64, trace string) error
 	// ReadEntries returns the committed state (recovered plus appended),
 	// in unspecified order. Non-durable stores return nil. A durable
 	// store may read files to answer; one it cannot read is an error,
@@ -98,16 +105,6 @@ type Store interface {
 	HasSegment(window int64, seq uint64, crc uint32) bool
 	InstallSegment(meta SegmentMeta, raw []byte) error
 	FinishBootstrap(ms ManifestSnapshot, mem []index.Entry) ([]index.Entry, error)
-}
-
-// TracedAppender is the optional trace-propagating append surface. A
-// store that implements it stamps the originating request's trace ID
-// into the journaled record, so a replica replaying the log can
-// attribute each apply to the leader request that caused it. Callers
-// type-assert; stores without it simply don't propagate.
-type TracedAppender interface {
-	AppendRegisterTraced(entries []index.Entry, trace string) error
-	AppendRemoveTraced(ids []uint64, trace string) error
 }
 
 // ErrNotDurable is returned by operations that need a data directory
@@ -654,13 +651,13 @@ func (d *Disk) AppendRemove(ids []uint64) error {
 	return d.append(Record{Op: opRemove, IDs: ids})
 }
 
-// AppendRegisterTraced implements TracedAppender: the register batch is
+// AppendRegisterTraced implements Store: the register batch is
 // journaled with the originating trace ID stamped into the record.
 func (d *Disk) AppendRegisterTraced(entries []index.Entry, trace string) error {
 	return d.append(Record{Op: opRegister, Entries: entries, Trace: trace})
 }
 
-// AppendRemoveTraced implements TracedAppender.
+// AppendRemoveTraced implements Store.
 func (d *Disk) AppendRemoveTraced(ids []uint64, trace string) error {
 	return d.append(Record{Op: opRemove, IDs: ids, Trace: trace})
 }
