@@ -99,7 +99,7 @@ func usage() {
   stats
   replication
   storage  tiered storage state (segments, memtable, compaction) from /stats
-  top      [-interval 2s] [-n 0] [-plain]   live ops dashboard over /debug/history
+  top      [-interval 2s] [-n 0] [-plain]   live ops dashboard over /metrics, /stats and /healthz
   health   evaluated component health from /healthz
   cluster  router topology + per-partition health (point -server at fovcluster)`)
 	os.Exit(2)

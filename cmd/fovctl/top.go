@@ -1,11 +1,16 @@
 // The top subcommand: a live terminal dashboard over the server's ops
-// plane. Each refresh makes three GETs — /debug/history for sampled
-// metric rings (rates and latency percentiles), /stats for the
-// replication block, /healthz for the evaluated component report — and
-// renders a RED table per endpoint (rate, errors, duration p50/p99),
-// ingest and WAL figures, Go runtime gauges, and any non-ok health
-// reasons. Pure polling over public endpoints: top works against any
-// fovserver with -history enabled, leader or replica.
+// plane. Each refresh makes three GETs — /metrics, /stats for the
+// storage and replication blocks, /healthz for the evaluated component
+// report — and keeps the /metrics scrape for the next one. Everything
+// per second is a counter's gain between two scrapes over the time
+// between them, and an endpoint's p50/p99 are estimated from the
+// latency buckets it gained in that window (obs.Scrape.Quantile, the
+// estimate obs.Histogram.Quantile makes); an endpoint with no requests
+// in the window shows "-". The first frame's two scrapes are one
+// -interval apart. It renders a RED table per endpoint (rate, errors,
+// duration p50/p99), ingest and WAL figures, Go runtime gauges, storage
+// and replica lines, and any non-ok health reasons. Pure polling over
+// public endpoints: top works against any fovserver, leader or replica.
 package main
 
 import (
@@ -26,44 +31,84 @@ func runTop(c *client.Client, args []string) error {
 	plain := fs.Bool("plain", false, "append frames instead of redrawing in place (for logs/tests)")
 	_ = fs.Parse(args)
 
+	prev, err := scrape(c)
+	if err != nil {
+		return err
+	}
 	for i := 0; *iterations == 0 || i < *iterations; i++ {
-		if i > 0 {
-			time.Sleep(*interval)
-		}
-		frame, err := topFrame(c)
+		time.Sleep(*interval)
+		f, err := topFrame(c, prev)
 		if err != nil {
 			return err
 		}
 		if !*plain {
 			fmt.Print("\x1b[2J\x1b[H") // clear screen, home cursor
 		}
-		fmt.Print(frame)
+		fmt.Print(f.text)
+		prev = f.cur
 	}
 	return nil
 }
 
-// topFrame renders one dashboard frame as a string, so tests can
-// exercise the full fetch+render path without a terminal.
-func topFrame(c *client.Client) (string, error) {
-	hist, err := c.History("", 2*time.Minute, "fine")
+// sample is one /metrics scrape and when it was taken.
+type sample struct {
+	at time.Time
+	m  obs.Scrape
+}
+
+func scrape(c *client.Client) (sample, error) {
+	at := time.Now()
+	m, err := c.Metrics()
 	if err != nil {
-		return "", fmt.Errorf("top: %w (is the server running with -history?)", err)
+		return sample{}, fmt.Errorf("top: %w", err)
+	}
+	return sample{at: at, m: m}, nil
+}
+
+// endpointRow is one line of the RED table over the window between two
+// scrapes: requests and errors per second, latencies in seconds, and
+// the requests the latencies are over.
+type endpointRow struct {
+	endpoint         string
+	reqRate, errRate float64
+	p50, p99         float64
+	requests         float64
+}
+
+// frame is one refresh: the scrape it ends with, its RED rows and the
+// rendered text.
+type frame struct {
+	cur  sample
+	rows []endpointRow
+	text string
+}
+
+// topFrame scrapes once more and renders the window since prev, so
+// tests can exercise the full fetch+render path without a terminal.
+func topFrame(c *client.Client, prev sample) (frame, error) {
+	cur, err := scrape(c)
+	if err != nil {
+		return frame{}, err
 	}
 	st, err := c.Stats()
 	if err != nil {
-		return "", err
+		return frame{}, err
 	}
 	hr, err := c.Healthz()
 	if err != nil {
-		return "", err
+		return frame{}, err
 	}
-
-	last := map[string]float64{}
-	for _, s := range hist.Series {
-		if n := len(s.Samples); n > 0 {
-			last[s.Name] = s.Samples[n-1].Value
+	gain := cur.m.Since(prev.m)
+	secs := cur.at.Sub(prev.at).Seconds()
+	perSec := func(n float64) float64 {
+		if secs <= 0 {
+			return 0
 		}
+		return n / secs
 	}
+	rate := func(name string) float64 { return perSec(gain[name]) }
+	f := frame{cur: cur, rows: endpointRows(cur.m, gain, perSec)}
+	last := cur.m
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "fovr top — %s  health=%s  uptime=%s  segments=%d\n",
@@ -75,23 +120,22 @@ func topFrame(c *client.Client) (string, error) {
 	}
 	b.WriteString("\n")
 
-	// RED per endpoint, from the latency histogram's derived series.
-	endpoints := topEndpoints(last)
 	fmt.Fprintf(&b, "%-22s %9s %9s %9s %9s\n", "endpoint", "req/s", "err/s", "p50 ms", "p99 ms")
-	for _, ep := range endpoints {
-		durKey := fmt.Sprintf("fovr_http_request_seconds{endpoint=%q}", ep)
-		fmt.Fprintf(&b, "%-22s %9.1f %9.1f %9.2f %9.2f\n", ep,
-			last[durKey+".rate"], topErrRate(last, ep),
-			last[durKey+".p50"]*1000, last[durKey+".p99"]*1000)
+	for _, r := range f.rows {
+		p50, p99 := "-", "-"
+		if r.requests > 0 {
+			p50, p99 = fmt.Sprintf("%.2f", r.p50*1000), fmt.Sprintf("%.2f", r.p99*1000)
+		}
+		fmt.Fprintf(&b, "%-22s %9.1f %9.1f %9s %9s\n", r.endpoint, r.reqRate, r.errRate, p50, p99)
 	}
-	if len(endpoints) == 0 {
-		b.WriteString("  (no request history yet)\n")
+	if len(f.rows) == 0 {
+		b.WriteString("  (no endpoints instrumented)\n")
 	}
 	b.WriteString("\n")
 
 	fmt.Fprintf(&b, "ingest: %5.1f registers/s  %5.1f removes/s   wal: %s (gen %d)\n",
-		last[`fovr_wal_records_total{op="register"}`],
-		last[`fovr_wal_records_total{op="remove"}`],
+		rate(`fovr_wal_records_total{op="register"}`),
+		rate(`fovr_wal_records_total{op="remove"}`),
 		topBytes(last["fovr_wal_size_bytes"]), int64(last["fovr_wal_generation"]))
 	fmt.Fprintf(&b, "go:     heap %s  goroutines %d  gc pause %s\n",
 		topBytes(last[obs.MetricGoHeapBytes]),
@@ -102,7 +146,7 @@ func topFrame(c *client.Client) (string, error) {
 		fmt.Fprintf(&b, "storage: %d segments (%s, %d entries)  memtable %d  backlog %d  %.1f compactions/s\n",
 			s.Segments, topBytes(float64(s.SegmentBytes)), s.SegmentEntries,
 			s.MemtableEntries, s.CompactionBacklog,
-			last["fovr_store_compactions_total"])
+			rate("fovr_store_compactions_total"))
 	}
 	if st.ReadOnly && st.Replication != nil {
 		r := st.Replication
@@ -118,45 +162,48 @@ func topFrame(c *client.Client) (string, error) {
 		fmt.Fprintf(&b, "replica: leader=%s state=%s caughtUp=%v lag=%s applied=%d\n",
 			st.Leader, r.State, r.CaughtUp, lag, r.AppliedRecords)
 	}
-	return b.String(), nil
+	f.text = b.String()
+	return f, nil
 }
 
-// topEndpoints extracts the endpoint labels that have latency history.
-func topEndpoints(last map[string]float64) []string {
-	const prefix = `fovr_http_request_seconds{endpoint="`
-	seen := map[string]bool{}
+// endpointRows derives the RED table, one row per endpoint that has a
+// latency histogram in the scrape, sorted by endpoint. gain is the
+// scrape's gain over the window and perSec divides a gain by its length.
+func endpointRows(last, gain obs.Scrape, perSec func(float64) float64) []endpointRow {
+	const prefix, suffix = `fovr_http_request_seconds_count{endpoint="`, `"}`
+	var rows []endpointRow
 	for name := range last {
-		if !strings.HasPrefix(name, prefix) {
+		ep, ok := strings.CutPrefix(name, prefix)
+		if !ok || !strings.HasSuffix(ep, suffix) {
 			continue
 		}
-		rest := name[len(prefix):]
-		end := strings.Index(rest, `"`)
-		if end < 0 {
-			continue
-		}
-		seen[rest[:end]] = true
+		ep = strings.TrimSuffix(ep, suffix)
+		hist := fmt.Sprintf("fovr_http_request_seconds{endpoint=%q}", ep)
+		rows = append(rows, endpointRow{
+			endpoint: ep,
+			reqRate:  perSec(gain[name]),
+			errRate:  perSec(topErrors(gain, ep)),
+			p50:      gain.Quantile(hist, 0.5),
+			p99:      gain.Quantile(hist, 0.99),
+			requests: gain[name],
+		})
 	}
-	eps := make([]string, 0, len(seen))
-	for ep := range seen {
-		eps = append(eps, ep)
-	}
-	sort.Strings(eps)
-	return eps
+	sort.Slice(rows, func(i, j int) bool { return rows[i].endpoint < rows[j].endpoint })
+	return rows
 }
 
-// topErrRate sums the request-count rates for 4xx/5xx codes on one
-// endpoint. Counter series are stored in history under their own name,
-// already converted to per-second rates.
-func topErrRate(last map[string]float64, endpoint string) float64 {
+// topErrors sums the 4xx/5xx request counts of one endpoint.
+func topErrors(gain obs.Scrape, endpoint string) float64 {
 	prefix := fmt.Sprintf("fovr_http_requests_total{endpoint=%q,code=\"", endpoint)
 	total := 0.0
-	for name, v := range last {
-		if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, `"}`) {
+	for name := range gain {
+		code, ok := strings.CutPrefix(name, prefix)
+		if !ok || !strings.HasSuffix(code, `"}`) {
 			continue
 		}
-		code := strings.TrimSuffix(name[len(prefix):], `"}`)
+		code = strings.TrimSuffix(code, `"}`)
 		if len(code) == 3 && (code[0] == '4' || code[0] == '5') {
-			total += v
+			total += gain[name]
 		}
 	}
 	return total

@@ -78,7 +78,6 @@ func TestDebugListenerServesContentionProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
 	ts := httptest.NewServer(debugMux(srv))
 	defer ts.Close()
 

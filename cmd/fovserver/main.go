@@ -52,15 +52,14 @@
 // state enters or leaves the process.
 //
 // Observability: the API itself serves GET /metrics (Prometheus text
-// format), GET /healthz (an evaluated per-component health report —
-// HTTP 503 when the overall state is failing, e.g. after a sticky WAL
-// write/fsync failure), and GET /debug/history (sampled metric history
-// rings; `fovctl top` renders them live, -history=false disables the
-// sampler). -debug-addr additionally opens a second
-// listener carrying net/http/pprof under /debug/pprof/ plus a /metrics
-// alias — keep it bound to localhost, profiling endpoints are not meant
-// for the open internet. While it is up the runtime mutex and block
-// profilers are on, so /debug/pprof/mutex?seconds=N and
+// format; `fovctl top` renders rates and latency percentiles from two
+// scrapes of it) and GET /healthz (an evaluated per-component health
+// report — HTTP 503 when the overall state is failing, e.g. after a
+// sticky WAL write/fsync failure). -debug-addr additionally opens a
+// second listener carrying net/http/pprof under /debug/pprof/ plus a
+// /metrics alias — keep it bound to localhost, profiling endpoints are
+// not meant for the open internet. While it is up the runtime mutex and
+// block profilers are on, so /debug/pprof/mutex?seconds=N and
 // /debug/pprof/block?seconds=N name the contended frames of a window.
 // Request logs are structured (log/slog) with per-request ids;
 // -log-json switches them from key=value to JSON.
@@ -89,7 +88,6 @@ import (
 	"fovr/internal/client"
 	"fovr/internal/cluster"
 	"fovr/internal/fov"
-	"fovr/internal/obs"
 	"fovr/internal/replica"
 	"fovr/internal/server"
 	"fovr/internal/store"
@@ -111,7 +109,6 @@ func main() {
 	replicaOf := flag.String("replica-of", "", "run as a read replica of the leader at this base URL (e.g. http://leader:8477)")
 	replicaPoll := flag.Duration("replica-poll", 10*time.Second, "long-poll wait per replication fetch with -replica-of")
 	replicaLagWarn := flag.Int64("replica-lag-warn", 8<<20, "replication lag in bytes at which /healthz reports the replica degraded")
-	history := flag.Bool("history", true, "sample metric history into in-memory rings served on GET /debug/history (what fovctl top reads)")
 	clusterTopology := flag.String("cluster-topology", "", "cluster topology file; with -cluster-partition, rejects misrouted uploads (HTTP 421) and offsets assigned ids")
 	clusterPartition := flag.String("cluster-partition", "", "this node's partition id in -cluster-topology")
 	flag.Parse()
@@ -127,7 +124,6 @@ func main() {
 		DefaultMaxResults:  *maxResults,
 		SlowQueryThreshold: *slowQuery,
 		TraceSampleRate:    *traceSample,
-		History:            obs.HistoryConfig{Enabled: *history},
 	}
 	// Flag value 0 means "off"; the Config zero value means "default",
 	// so translate explicitly.
@@ -257,7 +253,6 @@ func main() {
 			// final checkpoint.
 			fol.Close()
 		}
-		srv.Close() // stop the history sampler
 		if st != nil {
 			// Checkpoint on the way out so the next boot loads one file
 			// instead of replaying the log, then sync and close it.

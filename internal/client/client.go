@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"time"
 
 	"fovr/internal/fov"
@@ -260,30 +259,22 @@ func (c *Client) Trace(id string) (*obs.QueryTrace, error) {
 	return &tr, nil
 }
 
-// History fetches sampled metric history from /debug/history. metric
-// is a substring filter ("" for every series), since bounds the window
-// (zero for everything retained), and res selects the resolution
-// ("fine" ~seconds over minutes, "coarse" ~15s over hours).
-func (c *Client) History(metric string, since time.Duration, res string) (server.HistoryResponse, error) {
-	q := url.Values{}
-	if metric != "" {
-		q.Set("metric", metric)
+// Metrics scrapes the server's GET /metrics exposition.
+func (c *Client) Metrics() (obs.Scrape, error) {
+	httpResp, err := c.httpClient().Get(c.BaseURL + "/metrics")
+	if err != nil {
+		return nil, err
 	}
-	if since > 0 {
-		q.Set("since", since.String())
+	defer httpResp.Body.Close()
+	body, err := io.ReadAll(httpResp.Body)
+	if err != nil {
+		return nil, err
 	}
-	if res != "" {
-		q.Set("res", res)
+	c.addTraffic(0, len(body))
+	if httpResp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("client: metrics: %s: %s", httpResp.Status, bytes.TrimSpace(body))
 	}
-	path := "/debug/history"
-	if enc := q.Encode(); enc != "" {
-		path += "?" + enc
-	}
-	var resp server.HistoryResponse
-	if err := c.getJSON(path, &resp); err != nil {
-		return server.HistoryResponse{}, err
-	}
-	return resp, nil
+	return obs.ParseScrape(string(body))
 }
 
 // Healthz fetches the server's evaluated health report. Unlike the

@@ -171,9 +171,10 @@ func (p *Partition) putIdle(c *conn) {
 	}
 }
 
-// dropIdle closes every pooled connection: one of them was found dead,
-// and a restarted server has closed them all.
-func (p *Partition) dropIdle() {
+// DropIdle closes every pooled connection: one of them was found dead
+// (a restarted server has closed them all) or out of step with its
+// requests.
+func (p *Partition) DropIdle() {
 	p.mu.Lock()
 	idle := p.idle
 	p.idle = nil
@@ -189,7 +190,7 @@ func (p *Partition) Close() {
 	p.mu.Lock()
 	p.closed = true
 	p.mu.Unlock()
-	p.dropIdle()
+	p.DropIdle()
 }
 
 func (p *Partition) dial(ctx context.Context, deadline time.Time) (*conn, error) {
@@ -224,7 +225,7 @@ func (p *Partition) Send(req *ReadRequest, until time.Time) (Call, error) {
 	}
 	if err := p.write(c, req, until); err != nil {
 		c.nc.Close()
-		p.dropIdle()
+		p.DropIdle()
 		return Call{}, ErrStale
 	}
 	return Call{p: p, c: c}, nil
@@ -242,7 +243,7 @@ func (k Call) Wait() error {
 		return ErrSlow
 	}
 	k.Close()
-	k.p.dropIdle()
+	k.p.DropIdle()
 	return ErrStale
 }
 
@@ -321,7 +322,7 @@ func (p *Partition) exchange(ctx context.Context, c *conn, req *ReadRequest, dea
 		stop()
 		k.Close()
 		if pooled && ctx.Err() == nil && !errors.Is(err, os.ErrDeadlineExceeded) {
-			p.dropIdle()
+			p.DropIdle()
 			return nil, ErrStale
 		}
 		return nil, fmt.Errorf("client: partition %s: %w", p.BaseURL, err)

@@ -30,13 +30,17 @@ import (
 )
 
 // stubPartition is a partition node reduced to its socket: it reads
-// each POST off a connection and answers with a canned /query answer,
-// one goroutine per connection and none per request, so a test sees
+// each POST off a connection and answers with a canned /query answer
+// that echoes the request's trace id, as a partition does, one
+// goroutine per connection and none per request, so a test sees
 // exactly the goroutines, allocations and bytes the router causes.
 type stubPartition struct {
 	ln     net.Listener
-	answer []byte        // the JSON answer
+	answer []byte        // the JSON answer without its trace id and closing brace
 	delay  time.Duration // before answering
+	// repeat, when set, writes the first answer on every connection a
+	// second time, this long after the first.
+	repeat time.Duration
 	// script, when set, takes over connection number n (from 0) after
 	// its first request has been read; it reports whether to go on
 	// serving the connection normally.
@@ -63,12 +67,11 @@ func newStub(t *testing.T, id uint64, distance float64) *stubPartition {
 			DistanceMeters: distance,
 		}},
 		ElapsedMicros: 7,
-		TraceID:       "stub",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &stubPartition{ln: ln, answer: answer}
+	s := &stubPartition{ln: ln, answer: bytes.TrimSuffix(answer, []byte("}"))}
 	go s.accept()
 	t.Cleanup(func() { ln.Close() })
 	return s
@@ -123,14 +126,29 @@ func (s *stubPartition) serve(n int, c net.Conn) {
 			return
 		}
 		time.Sleep(s.delay)
+		var trace []byte
+		if _, v, ok := bytes.Cut(head, traceField); ok {
+			trace, _, _ = bytes.Cut(v, crlf)
+		}
 		resp = append(resp[:0], "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: "...)
-		resp = strconv.AppendInt(resp, int64(len(s.answer)), 10)
+		resp = strconv.AppendInt(resp, int64(len(s.answer)+len(`,"traceID":""}`)+len(trace)), 10)
 		resp = append(append(resp, "\r\n\r\n"...), s.answer...)
+		resp = append(append(append(resp, `,"traceID":"`...), trace...), `"}`...)
 		if _, err := c.Write(resp); err != nil {
 			return
 		}
+		if first && s.repeat > 0 {
+			time.Sleep(s.repeat)
+			if _, err := c.Write(resp); err != nil {
+				return
+			}
+		}
 	}
 }
+
+// traceField and crlf delimit the trace id in a request head; the test
+// ids need no JSON escaping.
+var traceField, crlf = []byte("\r\n" + server.TraceHeader + ": "), []byte("\r\n")
 
 func (s *stubPartition) lastHead() string {
 	s.mu.Lock()
@@ -373,8 +391,44 @@ func TestResetMidBodyIs502AndConnectionIsDropped(t *testing.T) {
 	}
 }
 
+// TestDuplicatedResponseIsNotTheNextAnswer: a partition that answers a
+// request twice leaves the second copy in the pooled connection, where
+// the next request on it reads the copy as its own answer. The echoed
+// trace id gives the copy away: that query is a 502 naming the
+// partition rather than an answer to another request, the pooled
+// connections are dropped, and the query after it answers on a new
+// connection.
+func TestDuplicatedResponseIsNotTheNextAnswer(t *testing.T) {
+	stub := newStub(t, 1, 1)
+	stub.repeat = 5 * time.Millisecond
+	rt, reg := stubCluster(t, cluster.RouterConfig{}, []*stubPartition{stub})
+	h := rt.Handler()
+	if w := route(h, server.TraceHeader, "one"); w.Code != http.StatusOK {
+		t.Fatalf("first query: %d %s", w.Code, w.Body)
+	}
+	time.Sleep(50 * time.Millisecond) // the copy lands in the pooled connection
+
+	w := route(h, server.TraceHeader, "two")
+	if body := w.Body.String(); w.Code != http.StatusBadGateway || !strings.Contains(body, `partition "p0"`) || !strings.Contains(body, `"one"`) {
+		t.Fatalf("second query: %d %q, want a 502 naming p0 and the first query's trace", w.Code, body)
+	}
+	if n := reg.Counter(`fovr_cluster_partition_errors_total{partition="p0"}`).Value(); n != 1 {
+		t.Errorf("partition errors = %d, want 1", n)
+	}
+	w = route(h, server.TraceHeader, "three")
+	var resp server.QueryResponse
+	if err := server.DecodeQueryResponse(w.Body.Bytes(), &resp); w.Code != http.StatusOK || err != nil || resp.TraceID != "three" || len(resp.Results) != 1 {
+		t.Fatalf("third query: %d %s (%v)", w.Code, w.Body, err)
+	}
+	if got := stub.accepted.Load(); got != 2 {
+		t.Errorf("p0 accepted %d connections, want 2: the one the copy poisoned is not reused", got)
+	}
+}
+
 // TestUnsafeTraceHeaderStaysOffTheWire: a trace id that would end the
-// header line early is not forwarded; the router mints its own.
+// header line early, or that a partition would not echo unchanged (over
+// server.MaxTraceIDLen bytes, not UTF-8), is not forwarded; the router
+// mints its own.
 func TestUnsafeTraceHeaderStaysOffTheWire(t *testing.T) {
 	stub := newStub(t, 1, 1)
 	rt, _ := stubCluster(t, cluster.RouterConfig{}, []*stubPartition{stub})
@@ -386,7 +440,8 @@ func TestUnsafeTraceHeaderStaysOffTheWire(t *testing.T) {
 	if head := stub.lastHead(); !strings.Contains(head, "\r\n"+server.TraceHeader+": abc123\r\n") {
 		t.Fatalf("a safe trace id was not forwarded:\n%s", head)
 	}
-	for _, evil := range []string{"x\r\nX-Injected: 1", "x\nX-Injected: 1", "x\x00y", " padded "} {
+	for _, evil := range []string{"x\r\nX-Injected: 1", "x\nX-Injected: 1", "x\x00y", " padded ",
+		strings.Repeat("padded", server.MaxTraceIDLen/6+1), "padded\xff"} {
 		w := route(h, server.TraceHeader, evil)
 		if w.Code != http.StatusOK {
 			t.Fatalf("%q: %d %s", evil, w.Code, w.Body)
@@ -398,6 +453,31 @@ func TestUnsafeTraceHeaderStaysOffTheWire(t *testing.T) {
 		var resp server.QueryResponse
 		if err := server.DecodeQueryResponse(w.Body.Bytes(), &resp); err != nil || !strings.HasPrefix(resp.TraceID, "rt-") {
 			t.Fatalf("%q: answer carries trace id %q (%v), want a minted one", evil, resp.TraceID, err)
+		}
+	}
+}
+
+// TestRoutedTraceIDsThePartitionsEcho: whatever trace id an inquirer
+// sends, real partitions echo the id the router forwarded, so no answer
+// is refused as another request's.
+func TestRoutedTraceIDsThePartitionsEcho(t *testing.T) {
+	topo := threePartitionTopology(t)
+	for i := range topo.Partitions {
+		_, ts := newPartitionLeader(t, topo, topo.Partitions[i].ID)
+		topo.Partitions[i].Leader = ts.URL
+	}
+	rt, err := cluster.NewRouter(cluster.RouterConfig{Topology: topo, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	h := rt.Handler()
+	long := strings.Repeat("a", server.MaxTraceIDLen)
+	for _, id := range []string{"abc", long, long + "a", "caf\u00e9", "bad\xff", `<&>"\`} {
+		for round := 0; round < 2; round++ { // cold, then on pooled connections
+			if w := route(h, server.TraceHeader, id); w.Code != http.StatusOK {
+				t.Fatalf("trace id %q, round %d: %d %s", id, round, w.Code, w.Body)
+			}
 		}
 	}
 }

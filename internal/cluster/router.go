@@ -24,6 +24,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"fovr/internal/client"
 	"fovr/internal/obs"
@@ -201,10 +202,13 @@ func respondJSON(w http.ResponseWriter, v any) {
 }
 
 // traceID returns the propagated trace id or mints a router one. An id
-// that could not be written into a partition request's head as it
-// stands is not propagated.
+// is propagated only if a partition will echo it back unchanged, which
+// answers relies on: it must go into a request head as it stands, be no
+// longer than a server adopts, and survive the answer's JSON encoding
+// (valid UTF-8).
 func (rt *Router) traceID(r *http.Request) string {
-	if id := r.Header.Get(server.TraceHeader); id != "" && client.ValidHeaderValue(id) {
+	if id := r.Header.Get(server.TraceHeader); id != "" && len(id) <= server.MaxTraceIDLen &&
+		client.ValidHeaderValue(id) && utf8.ValidString(id) {
 		return id
 	}
 	const digits = "0123456789abcdef"
@@ -423,6 +427,12 @@ loop:
 // partition that has none. Correctness over partial answers: a missing
 // owner means missing results, and a silent partial merge would break
 // the byte-identical contract, so the 502 names the partition.
+//
+// A partition echoes the request's trace id, so an answer naming
+// another id is not this request's: bytes that arrived on a pooled
+// connection after its last exchange ended (a duplicated response)
+// were read as this one's answer. The leg fails and the partition's
+// pooled connections are dropped, that one among them.
 func (rt *Router) answers(w http.ResponseWriter, sc *gather, what, trace string) bool {
 	sc.lists = sc.lists[:0]
 	for i := range sc.legs {
@@ -430,6 +440,14 @@ func (rt *Router) answers(w http.ResponseWriter, sc *gather, what, trace string)
 		if l.err == nil {
 			if err := server.DecodeQueryResponse(l.body, &l.answer); err != nil {
 				l.err = fmt.Errorf("undecodable answer: %w", err)
+			} else if l.answer.TraceID != trace {
+				l.err = fmt.Errorf("answer for trace %q, not %q: a stale response on a reused connection", l.answer.TraceID, trace)
+				for _, ep := range l.rp.clients {
+					ep.DropIdle()
+				}
+			}
+			if l.err != nil {
+				l.rp.errors.Inc()
 			}
 		}
 		if l.err != nil {
@@ -578,6 +596,10 @@ func (rt *Router) handleUpload(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
+	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
+		httpError(w, http.StatusUnsupportedMediaType, "upload body must be wire binary (application/octet-stream)")
+		return
+	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, rt.cfg.MaxUploadBytes+1))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "read: %v", err)
@@ -587,20 +609,10 @@ func (rt *Router) handleUpload(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusRequestEntityTooLarge, "upload exceeds %d bytes", rt.cfg.MaxUploadBytes)
 		return
 	}
-	var u wire.Upload
-	ct := r.Header.Get("Content-Type")
-	switch {
-	case strings.HasPrefix(ct, "application/json"):
-		if err := json.Unmarshal(body, &u); err != nil {
-			httpError(w, http.StatusBadRequest, "json: %v", err)
-			return
-		}
-	default:
-		u, err = wire.DecodeBinary(body)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "decode: %v", err)
-			return
-		}
+	u, err := wire.DecodeBinary(body)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "decode: %v", err)
+		return
 	}
 	trace := rt.traceID(r)
 	runs, err := rt.splitUpload(u)

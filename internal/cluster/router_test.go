@@ -120,7 +120,6 @@ func newPartitionLeader(t testing.TB, topo *cluster.Topology, id string) (*serve
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	t.Cleanup(srv.Close)
 	return srv, ts
 }
 
@@ -241,7 +240,6 @@ func TestClusterDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(single.Close)
 	if err := single.ApplyRegister(union, ""); err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +364,6 @@ func TestClusterHedgedFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(replicaSrv.Close)
 	fetcher := client.NewReplicator(ts1.URL)
 	fetcher.RetryDelay = 5 * time.Millisecond
 	fol, err := replica.Start(replica.Options{
@@ -413,7 +410,6 @@ func TestClusterHedgedFailover(t *testing.T) {
 			// query touching p1 must hedge to the replica and still
 			// succeed.
 			ts1.Close()
-			leader1.Close()
 			if err := st1.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -490,5 +486,25 @@ func TestRouterHealthzOK(t *testing.T) {
 	}
 	if len(served.Partitions) != 3 || served.WindowMillis != testWindow {
 		t.Fatalf("served topology: %+v", served)
+	}
+}
+
+// TestRouterRefusesJSONUpload: the router takes the node's one upload
+// encoding, wire binary; a JSON body gets 415 and reaches no partition.
+func TestRouterRefusesJSONUpload(t *testing.T) {
+	stub := newStub(t, 1, 1)
+	rt, _ := stubCluster(t, cluster.RouterConfig{}, []*stubPartition{stub})
+	body := marshal(t, wire.Upload{Provider: "alice", Reps: []segment.Representative{
+		{FoV: fov.FoV{P: testCity, Theta: 90}, StartMillis: testWindow, EndMillis: testWindow + 1000},
+	}})
+	r := httptest.NewRequest(http.MethodPost, "/upload", bytes.NewReader(body))
+	r.Header.Set("Content-Type", "application/json")
+	w := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(w, r)
+	if w.Code != http.StatusUnsupportedMediaType {
+		t.Fatalf("JSON upload: %d %s, want 415", w.Code, w.Body)
+	}
+	if n := stub.requests.Load(); n != 0 {
+		t.Errorf("the partition saw %d requests", n)
 	}
 }

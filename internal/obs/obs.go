@@ -25,6 +25,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -133,30 +134,14 @@ func (r *Registry) CounterFunc(name string, f func() float64) {
 }
 
 // Histogram returns the fixed-bucket histogram with the given name,
-// creating it with DefBuckets on first use.
+// creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
-	return r.HistogramBuckets(name, nil)
-}
-
-// HistogramBuckets is Histogram with explicit bucket upper bounds, which
-// must be sorted ascending. Nil selects DefBuckets. Buckets are fixed at
-// creation; a later call with different buckets returns the original.
-func (r *Registry) HistogramBuckets(name string, buckets []float64) *Histogram {
-	m := r.lookup(name, func() metric { return newHistogram(buckets) })
+	m := r.lookup(name, func() metric { return newHistogram() })
 	h, ok := m.(*Histogram)
 	if !ok {
 		panic(fmt.Sprintf("obs: %q already registered as %s", name, m.promType()))
 	}
 	return h
-}
-
-// Unregister removes the named metric, reporting whether it existed.
-func (r *Registry) Unregister(name string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, ok := r.metrics[name]
-	delete(r.metrics, name)
-	return ok
 }
 
 // Counter is a monotonically increasing counter.
@@ -297,69 +282,6 @@ func splitLabels(s string) []string {
 	return append(out, s[start:])
 }
 
-// Reading is one scraped metric value set: the instantaneous view of a
-// single registered metric, decoupled from the exposition format so
-// in-process consumers (the history sampler, health checks, tests) can
-// read the registry without parsing text.
-type Reading struct {
-	// Name is the full registered name, inline labels included.
-	Name string
-	// Kind is "counter", "gauge", or "histogram".
-	Kind string
-	// Value is the counter count, the gauge value, or the histogram
-	// observation count.
-	Value float64
-	// Sum, P50, and P99 are set for histograms only: the observation sum
-	// and the interpolated 50th/99th-percentile estimates.
-	Sum float64
-	P50 float64
-	P99 float64
-}
-
-// Readings scrapes every registered metric into a sorted slice. Func
-// metrics are evaluated at call time, exactly as exposition would.
-func (r *Registry) Readings() []Reading {
-	r.mu.RLock()
-	names := make([]string, 0, len(r.metrics))
-	for name := range r.metrics {
-		names = append(names, name)
-	}
-	metrics := make(map[string]metric, len(r.metrics))
-	for name, m := range r.metrics {
-		metrics[name] = m
-	}
-	r.mu.RUnlock()
-	sort.Strings(names)
-	out := make([]Reading, 0, len(names))
-	for _, name := range names {
-		rd := Reading{Name: name}
-		switch m := metrics[name].(type) {
-		case *Counter:
-			rd.Kind = "counter"
-			rd.Value = float64(m.Value())
-		case *Gauge:
-			rd.Kind = "gauge"
-			rd.Value = m.Value()
-		case gaugeFunc:
-			rd.Kind = "gauge"
-			rd.Value = m()
-		case counterFunc:
-			rd.Kind = "counter"
-			rd.Value = m()
-		case *Histogram:
-			rd.Kind = "histogram"
-			rd.Value = float64(m.Count())
-			rd.Sum = m.Sum()
-			rd.P50 = m.Quantile(0.5)
-			rd.P99 = m.Quantile(0.99)
-		default:
-			continue
-		}
-		out = append(out, rd)
-	}
-	return out
-}
-
 // WritePrometheus writes every registered metric in the Prometheus text
 // exposition format (version 0.0.4), families sorted by name with a
 // single # TYPE line each.
@@ -409,13 +331,69 @@ func (r *Registry) Prometheus() string {
 	return b.String()
 }
 
+// Scrape is one parsed exposition: each sample's value under its series
+// name as written, inline labels included. It is what a consumer of GET
+// /metrics (fovctl top) reads the registry through.
+type Scrape map[string]float64
+
+// ParseScrape reads the text format WritePrometheus writes: comment
+// lines are skipped, and every other line is a series name, a space
+// and a value.
+func ParseScrape(text string) (Scrape, error) {
+	s := Scrape{}
+	for _, line := range strings.Split(text, "\n") {
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		if i <= 0 {
+			return nil, fmt.Errorf("obs: malformed sample line %q", line)
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			return nil, fmt.Errorf("obs: sample line %q: %w", line, err)
+		}
+		s[line[:i]] = v
+	}
+	return s, nil
+}
+
+// Since returns what each counter and histogram series of s gained
+// after prev was scraped; a series that went down (its process
+// restarted) counts from zero. Gauges in the result mean nothing.
+func (s Scrape) Since(prev Scrape) Scrape {
+	d := make(Scrape, len(s))
+	for name, v := range s {
+		if p := prev[name]; v >= p {
+			v -= p
+		}
+		d[name] = v
+	}
+	return d
+}
+
+// Quantile is Histogram.Quantile for the histogram registered as name
+// (base name plus inline labels), estimated from its _bucket samples.
+func (s Scrape) Quantile(name string, q float64) float64 {
+	base, labels := splitName(name)
+	prefix := base + "_bucket{"
+	if labels != "" {
+		prefix += labels + ","
+	}
+	cum := func(le string) float64 { return s[prefix+`le="`+le+`"}`] }
+	return quantile(q, cum("+Inf"), func(i int) float64 {
+		n := cum(bucketLabel(i))
+		if i > 0 {
+			n -= cum(bucketLabel(i - 1))
+		}
+		return n
+	})
+}
+
 // Package-level conveniences on the Default registry.
 
 // GetOrCreateCounter returns Default.Counter(name).
 func GetOrCreateCounter(name string) *Counter { return Default.Counter(name) }
-
-// GetOrCreateGauge returns Default.Gauge(name).
-func GetOrCreateGauge(name string) *Gauge { return Default.Gauge(name) }
 
 // GetOrCreateHistogram returns Default.Histogram(name).
 func GetOrCreateHistogram(name string) *Histogram { return Default.Histogram(name) }

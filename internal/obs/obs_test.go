@@ -3,6 +3,7 @@ package obs
 import (
 	"math"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -113,23 +114,114 @@ func TestHistogramObserveAndQuantile(t *testing.T) {
 	}
 }
 
-func TestHistogramCustomBuckets(t *testing.T) {
+func TestHistogramBucketsExposition(t *testing.T) {
 	r := NewRegistry()
-	h := r.HistogramBuckets("fovr_sizes_bytes", []float64{10, 100, 1000})
-	h.Observe(5)
-	h.Observe(50)
-	h.Observe(5000) // overflow bucket
+	h := r.Histogram("fovr_sizes_seconds")
+	h.Observe(5e-7)
+	h.Observe(5e-5)
+	h.Observe(50) // overflow bucket
 	out := r.Prometheus()
 	for _, want := range []string{
-		`fovr_sizes_bytes_bucket{le="10"} 1`,
-		`fovr_sizes_bytes_bucket{le="100"} 2`,
-		`fovr_sizes_bytes_bucket{le="1000"} 2`,
-		`fovr_sizes_bytes_bucket{le="+Inf"} 3`,
-		`fovr_sizes_bytes_count 3`,
+		`fovr_sizes_seconds_bucket{le="5e-07"} 1`,
+		`fovr_sizes_seconds_bucket{le="5e-05"} 2`,
+		`fovr_sizes_seconds_bucket{le="10"} 2`,
+		`fovr_sizes_seconds_bucket{le="+Inf"} 3`,
+		`fovr_sizes_seconds_count 3`,
 	} {
 		if !strings.Contains(out, want+"\n") {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestScrapeRoundTrip: every series the exposition writes parses back
+// to its value, and a histogram's quantiles estimated from the parsed
+// buckets are the live histogram's own.
+func TestScrapeRoundTrip(t *testing.T) {
+	r := NewRegistry()
+	r.Counter(`fovr_http_requests_total{endpoint="/query",code="200"}`).Add(5)
+	r.Counter("fovr_plain_total").Add(1 << 40)
+	r.Gauge("fovr_ratio").Set(0.125)
+	r.Gauge(`fovr_negative{kind="x y"}`).Set(-3.5e-9)
+	r.GaugeFunc("fovr_func_gauge", func() float64 { return 7 })
+	r.CounterFunc("fovr_func_total", func() float64 { return 1e17 })
+	h := r.Histogram(`fovr_http_request_seconds{endpoint="/query"}`)
+	bare := r.Histogram("fovr_bare_seconds")
+	for i := 0; i < 1000; i++ {
+		h.Observe(float64(i%97) * 3.7e-5)
+		bare.Observe(float64(i) * 1e-3)
+	}
+	h.Observe(42) // overflow
+
+	text := r.Prometheus()
+	s, err := ParseScrape(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := 0
+	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		lines++
+		i := strings.LastIndexByte(line, ' ')
+		want, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		if got, ok := s[line[:i]]; !ok || got != want {
+			t.Errorf("%s: parsed %v (present %v), written %v", line[:i], got, ok, want)
+		}
+	}
+	if len(s) != lines {
+		t.Errorf("parsed %d series from %d sample lines", len(s), lines)
+	}
+	for name, v := range map[string]float64{
+		`fovr_http_requests_total{endpoint="/query",code="200"}`: 5,
+		"fovr_plain_total":          1 << 40,
+		"fovr_ratio":                0.125,
+		`fovr_negative{kind="x y"}`: -3.5e-9,
+		"fovr_func_gauge":           7,
+		"fovr_func_total":           1e17,
+		`fovr_http_request_seconds_count{endpoint="/query"}`: 1001,
+	} {
+		if s[name] != v {
+			t.Errorf("%s = %v, want %v", name, s[name], v)
+		}
+	}
+	for _, q := range []float64{0, 0.5, 0.9, 0.99, 1} {
+		for name, live := range map[string]*Histogram{`fovr_http_request_seconds{endpoint="/query"}`: h, "fovr_bare_seconds": bare} {
+			if got, want := s.Quantile(name, q), live.Quantile(q); got != want {
+				t.Errorf("%s q%v: scraped %v, live %v", name, q, got, want)
+			}
+		}
+	}
+
+	// Since is the gain between two scrapes; the quantile of the gain
+	// sees only the later observations.
+	for i := 0; i < 10; i++ {
+		h.Observe(2)
+	}
+	r.Counter("fovr_plain_total").Inc()
+	later, err := ParseScrape(r.Prometheus())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := later.Since(s)
+	if got := d["fovr_plain_total"]; got != 1 {
+		t.Errorf("counter gained %v, want 1", got)
+	}
+	if got := d[`fovr_http_request_seconds_count{endpoint="/query"}`]; got != 10 {
+		t.Errorf("histogram count gained %v, want 10", got)
+	}
+	if got := d.Quantile(`fovr_http_request_seconds{endpoint="/query"}`, 0.5); got <= 1 || got > 2.5 {
+		t.Errorf("p50 of the gain = %v, want within (1, 2.5]", got)
+	}
+	if got := s.Since(later)["fovr_plain_total"]; got != 1<<40 {
+		t.Errorf("a counter that went down gained %v, want its value %v", got, 1<<40)
+	}
+	if _, err := ParseScrape("fovr_x notanumber\n"); err == nil {
+		t.Error("malformed value parsed")
 	}
 }
 
@@ -146,7 +238,7 @@ func TestPrometheusExpositionWellFormed(t *testing.T) {
 	h := r.Histogram(`fovr_http_request_seconds{endpoint="/query"}`)
 	h.Observe(0.004)
 	h.Observe(0.02)
-	sp := r.StartSpan("query.rank")
+	sp := r.SpanTimer("query.rank").Start()
 	time.Sleep(time.Millisecond)
 	if d := sp.End(); d <= 0 {
 		t.Fatalf("span duration %v", d)

@@ -1,9 +1,8 @@
 // Go runtime health exported through the registry. The ops plane needs
 // to correlate service symptoms (slow queries, growing WAL) with process
 // symptoms (heap growth, goroutine leaks, GC stalls), so the runtime's
-// own counters are exposed under the same registry — and therefore the
-// same /metrics page and the same history sampler — as the service
-// metrics. LabelWorker names long-lived worker goroutines in the
+// own counters are exposed under the same registry — and therefore on
+// the same /metrics page — as the service metrics. LabelWorker names long-lived worker goroutines in the
 // runtime's own profiles and goroutine dumps.
 package obs
 

@@ -5,9 +5,9 @@ import (
 	"time"
 )
 
-// Span times one stage of the pipeline. Obtain one with StartSpan at the
-// top of the stage and End it when the stage finishes; the duration is
-// recorded into the registry's per-stage histogram family
+// Span times one stage of the pipeline. Obtain one from a SpanTimer's
+// Start at the top of the stage and End it when the stage finishes; the
+// duration is recorded into the registry's per-stage histogram family
 //
 //	fovr_stage_seconds{stage="<name>"}
 //
@@ -40,18 +40,6 @@ func NewSpanTimer(stage string) SpanTimer { return Default.SpanTimer(stage) }
 
 // Start begins timing one invocation of the stage.
 func (t SpanTimer) Start() Span { return Span{h: t.h, start: time.Now()} }
-
-// StartSpan begins timing a stage against the Default registry.
-//
-// It resolves the stage histogram on every call; hot paths should hold a
-// SpanTimer instead and Start it per invocation.
-func StartSpan(stage string) Span { return Default.StartSpan(stage) }
-
-// StartSpan begins timing a stage against this registry. See the package
-// function for the hot-path caveat.
-func (r *Registry) StartSpan(stage string) Span {
-	return r.SpanTimer(stage).Start()
-}
 
 // End stops the span, records its duration, and returns it.
 func (s Span) End() time.Duration {

@@ -314,7 +314,7 @@ func TestReplicaRejectsMutations(t *testing.T) {
 	fts := httptest.NewServer(fsrv.Handler())
 	defer fts.Close()
 
-	up, err := json.Marshal(wire.Upload{Provider: "alice", Reps: []segment.Representative{
+	up, err := wire.EncodeBinary(wire.Upload{Provider: "alice", Reps: []segment.Representative{
 		mkRep(e2eCenter, 0, 0, 5000),
 	}})
 	if err != nil {
@@ -330,7 +330,7 @@ func TestReplicaRejectsMutations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", "application/octet-stream")
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)

@@ -80,11 +80,11 @@ func testDurableRegisterSurvivesKill(t *testing.T) {
 		rep(geo.Offset(center, 180, 30), 0, 0, 5000),
 		rep(geo.Offset(center, 90, 40), 270, 1000, 6000),
 	}}
-	body, err := json.Marshal(up)
+	body, err := wire.EncodeBinary(up)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/upload", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/upload", "application/octet-stream", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestUploadSizeBoundary(t *testing.T) {
 	up := wire.Upload{Provider: "edge", Reps: []segment.Representative{
 		rep(center, 0, 0, 5000),
 	}}
-	body, err := json.Marshal(up)
+	body, err := wire.EncodeBinary(up)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestUploadSizeBoundary(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/upload", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/upload", "application/octet-stream", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestUploadSizeBoundary(t *testing.T) {
 	}
 	ts2 := httptest.NewServer(tight.Handler())
 	defer ts2.Close()
-	resp, err = http.Post(ts2.URL+"/upload", "application/json", bytes.NewReader(body))
+	resp, err = http.Post(ts2.URL+"/upload", "application/octet-stream", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,14 @@
-// Component health and metric history endpoints: the server-side half
-// of the ops plane. registerHealthChecks wires the store and index
-// checkers at construction; AttachFollower adds the replica checker.
-// /healthz serves the evaluated report (503 on failing, so a balancer
-// or the future query router can stop routing to a node that lost
-// durability), and /debug/history serves the sampler's ring buffers.
+// Component health: the server-side half of the ops plane.
+// registerHealthChecks wires the store and index checkers at
+// construction; AttachFollower adds the replica checker. /healthz
+// serves the evaluated report (503 on failing, so a balancer or the
+// query router can stop routing to a node that lost durability).
 package server
 
 import (
 	"fmt"
 	"net/http"
 	"runtime/debug"
-	"strconv"
 	"time"
 
 	"fovr/internal/obs"
@@ -209,38 +207,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.respondJSON(w, resp)
-}
-
-// HistoryResponse is the body of GET /debug/history.
-type HistoryResponse struct {
-	Stats  obs.HistoryStats    `json:"stats"`
-	Series []obs.HistorySeries `json:"series"`
-}
-
-// handleHistory serves the metric history rings. Query parameters:
-// metric= substring-matches series names ("" matches all), since=
-// bounds the window (Go duration like "90s", or unix milliseconds), and
-// res= selects "fine" (default) or "coarse".
-func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	q := r.URL.Query()
-	since := time.Time{}
-	if raw := q.Get("since"); raw != "" {
-		if d, err := time.ParseDuration(raw); err == nil {
-			since = time.Now().Add(-d)
-		} else if ms, err := strconv.ParseInt(raw, 10, 64); err == nil {
-			since = time.UnixMilli(ms)
-		} else {
-			httpError(w, http.StatusBadRequest, "since: want a duration (\"90s\") or unix milliseconds, got %q", raw)
-			return
-		}
-	}
-	series := s.history.Query(q.Get("metric"), since, q.Get("res"))
-	if series == nil {
-		series = []obs.HistorySeries{}
-	}
-	s.respondJSON(w, HistoryResponse{Stats: s.history.Stats(), Series: series})
 }

@@ -176,8 +176,7 @@ func TestHealthz(t *testing.T) {
 }
 
 // TestRuntimeMetricsExported pins the satellite contract: the
-// runtime/metrics-backed gauges appear on /metrics with live values,
-// independent of the history sampler (which is off in this config).
+// runtime/metrics-backed gauges appear on /metrics with live values.
 func TestRuntimeMetricsExported(t *testing.T) {
 	s := newServer(t)
 	ts := httptest.NewServer(s.Handler())

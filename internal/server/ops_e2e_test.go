@@ -138,7 +138,7 @@ func TestOpsTracePropagationE2E(t *testing.T) {
 	}
 
 	const traceID = "lead-trace-42"
-	body, err := json.Marshal(opsUpload(3))
+	body, err := wire.EncodeBinary(opsUpload(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestOpsTracePropagationE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", "application/octet-stream")
 	req.Header.Set(server.TraceHeader, traceID)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -194,7 +194,7 @@ func TestOpsTracePropagationE2E(t *testing.T) {
 
 	// An upload without the header gets a server-minted trace ID and is
 	// NOT retained as an ingest trace (tail-sampling only).
-	resp2, err := http.Post(lts.URL+"/upload", "application/json", bytes.NewReader(body))
+	resp2, err := http.Post(lts.URL+"/upload", "application/octet-stream", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,11 +223,11 @@ func TestOpsHealthzFlipsFailingOnFault(t *testing.T) {
 		t.Fatalf("healthy state = %q: %+v", hr.State, hr)
 	}
 
-	body, err := json.Marshal(opsUpload(2))
+	body, err := wire.EncodeBinary(opsUpload(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/upload", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/upload", "application/octet-stream", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestOpsHealthzFlipsFailingOnFault(t *testing.T) {
 	}
 
 	// The fault is sticky: ingest now fails and says so.
-	resp2, err := http.Post(ts.URL+"/upload", "application/json", bytes.NewReader(body))
+	resp2, err := http.Post(ts.URL+"/upload", "application/octet-stream", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

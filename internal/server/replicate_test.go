@@ -113,14 +113,14 @@ func TestReadOnlyHTTPMapping(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	body, err := json.Marshal(wire.Upload{Provider: "alice", Reps: []segment.Representative{
+	body, err := wire.EncodeBinary(wire.Upload{Provider: "alice", Reps: []segment.Representative{
 		rep(center, 0, 0, 5000),
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct{ name, path, ct, body string }{
-		{"upload", "/upload", "application/json", string(body)},
+		{"upload", "/upload", "application/octet-stream", string(body)},
 		{"forget", "/forget?provider=alice", "text/plain", ""},
 	} {
 		resp, err := http.Post(ts.URL+tc.path, tc.ct, strings.NewReader(tc.body))

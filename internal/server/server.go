@@ -3,12 +3,12 @@
 // maintains the spatio-temporal index, and answers inquirers' ranked
 // range queries. The prototype paper ran this as a Java service; here it
 // is a net/http server speaking the binary upload format of package wire
-// (with a JSON fallback) and JSON queries.
+// and JSON queries.
 //
 // Endpoints:
 //
-//	POST /upload  — body: wire binary (application/octet-stream) or
-//	                JSON Upload (application/json). Registers every
+//	POST /upload  — body: wire binary (application/octet-stream; a JSON
+//	                body is refused with 415). Registers every
 //	                representative; responds with the assigned ids.
 //	POST /query   — body: JSON query.Query (+ optional maxResults).
 //	                Responds with the ranked result list; ?explain=1
@@ -20,12 +20,11 @@
 //	GET  /replicate         — the replication protocol (package replica).
 //	GET  /metrics — Prometheus text-format exposition of the registry.
 //	GET  /healthz — liveness: uptime and build info, text/plain.
-//	GET  /debug/history     — sampled metric history rings.
 //	GET  /debug/traces      — tail-sampled query traces (every errored
 //	                          query, every slow one, 1-in-N of the rest).
 //	GET  /debug/traces/{id} — one retained trace by id.
 //
-// Those 12 routes are all Handler serves. State enters a server only
+// Those 11 routes are all Handler serves. State enters a server only
 // through uploads, the durable store it boots from (Config.Store) and
 // replication; it leaves only through queries and replication. Lock
 // contention has no route here; it is read from the runtime's mutex and
@@ -111,10 +110,6 @@ type Config struct {
 	// LeaderURL names the writable leader in read-only rejections and on
 	// /stats.
 	LeaderURL string
-	// History configures the in-process metric history sampler behind
-	// GET /debug/history. The zero value leaves sampling off (no
-	// background goroutine); fovserver enables it by default.
-	History obs.HistoryConfig
 	// ReplicaLagWarnBytes is the replication lag at which the replica
 	// health check degrades. Zero selects 8 MiB; negative disables the
 	// lag check.
@@ -166,7 +161,6 @@ type Server struct {
 	store   store.Store
 	traffic wire.TrafficMeter
 	traces  *obs.TraceStore // tail-sampled query traces (/debug/traces)
-	history *obs.History    // metric history sampler (/debug/history)
 	health  *obs.HealthSet  // component health checkers (/healthz)
 
 	spanInsert obs.SpanTimer // index.insert stage timer, resolved once
@@ -228,19 +222,13 @@ func New(cfg Config) (*Server, error) {
 	s.registerMetrics()
 	s.health = obs.NewHealthSet()
 	s.registerHealthChecks()
-	s.history = obs.NewHistory(s.reg, cfg.History)
-	if cfg.History.Enabled {
-		s.history.Start()
-	}
 	return s, nil
 }
 
-// Close stops the server's background work (the history sampler). It
-// does not close the store — the store's lifetime belongs to whoever
-// opened it.
-func (s *Server) Close() {
-	s.history.Stop()
-}
+// Close does nothing: a Server runs no background work of its own, and
+// the store's lifetime belongs to whoever opened it. It stays because
+// the end-to-end benchmark module (bench/) pairs every New with it.
+func (s *Server) Close() {}
 
 // registerMetrics installs the live gauges and pass-through counters that
 // read server state at scrape time. Func registration replaces any prior
@@ -451,7 +439,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/replicate", s.instrument("/replicate", s.handleReplicate))
 	mux.HandleFunc("/metrics", s.instrument("/metrics", s.handleMetrics))
 	mux.HandleFunc("/healthz", s.instrument("/healthz", s.handleHealthz))
-	mux.HandleFunc("/debug/history", s.instrument("/debug/history", s.handleHistory))
 	mux.HandleFunc("/debug/traces", s.instrument("/debug/traces", s.handleTraces))
 	// The metric label elides the {id} wildcard: label values share the
 	// metric-name character set, which excludes braces.
@@ -544,12 +531,17 @@ func (s *Server) reqLog(r *http.Request) *slog.Logger {
 // /debug/traces on either side resolves the same ID.
 const TraceHeader = "X-Fovr-Trace"
 
+// MaxTraceIDLen is the longest propagated trace id a server adopts (and
+// echoes in its answer); a longer one is replaced by a minted id.
+const MaxTraceIDLen = 128
+
 // traceID returns the caller-propagated trace id (TraceHeader) when
-// present; otherwise it derives one from the request id instrument put
-// on the response writer, so trace and log records correlate. Direct
-// handler invocations (tests) fall back to the request sequence.
+// present and at most MaxTraceIDLen bytes; otherwise it derives one
+// from the request id instrument put on the response writer, so trace
+// and log records correlate. Direct handler invocations (tests) fall
+// back to the request sequence.
 func (s *Server) traceID(w http.ResponseWriter, r *http.Request) string {
-	if id := r.Header.Get(TraceHeader); id != "" && len(id) <= 128 {
+	if id := r.Header.Get(TraceHeader); id != "" && len(id) <= MaxTraceIDLen {
 		return id
 	}
 	if sw, ok := w.(*statusWriter); ok {
@@ -580,6 +572,10 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
+	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
+		httpError(w, http.StatusUnsupportedMediaType, "upload body must be wire binary (application/octet-stream)")
+		return
+	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxUploadBytes+1))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "read: %v", err)
@@ -591,20 +587,10 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	}
 	s.traffic.AddReceived(len(body))
 
-	var u wire.Upload
-	ct := r.Header.Get("Content-Type")
-	switch {
-	case strings.HasPrefix(ct, "application/json"):
-		if err := json.Unmarshal(body, &u); err != nil {
-			httpError(w, http.StatusBadRequest, "json: %v", err)
-			return
-		}
-	default:
-		u, err = wire.DecodeBinary(body)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "decode: %v", err)
-			return
-		}
+	u, err := wire.DecodeBinary(body)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "decode: %v", err)
+		return
 	}
 	// Every upload runs under a trace id — caller-propagated via
 	// TraceHeader or derived from the request id — which is journaled

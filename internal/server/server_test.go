@@ -169,6 +169,8 @@ func TestHTTPUploadBinaryAndQuery(t *testing.T) {
 	}
 }
 
+// TestHTTPUploadJSON: an upload has one encoding, wire binary; a JSON
+// body is refused with 415 and registers nothing.
 func TestHTTPUploadJSON(t *testing.T) {
 	s := newServer(t)
 	ts := httptest.NewServer(s.Handler())
@@ -181,11 +183,11 @@ func TestHTTPUploadJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %s", resp.Status)
+	if resp.StatusCode != http.StatusUnsupportedMediaType {
+		t.Fatalf("JSON upload: status %s, want 415", resp.Status)
 	}
-	if s.Index().Len() != 1 {
-		t.Fatal("JSON upload not indexed")
+	if s.Index().Len() != 0 {
+		t.Fatal("JSON upload indexed")
 	}
 }
 
@@ -212,7 +214,7 @@ func TestHTTPErrorPaths(t *testing.T) {
 	check("garbage upload", resp, err, http.StatusBadRequest)
 
 	resp, err = http.Post(ts.URL+"/upload", "application/json", strings.NewReader("{broken"))
-	check("broken json upload", resp, err, http.StatusBadRequest)
+	check("json upload", resp, err, http.StatusUnsupportedMediaType)
 
 	resp, err = http.Post(ts.URL+"/query", "application/json", strings.NewReader("{broken"))
 	check("broken json query", resp, err, http.StatusBadRequest)
@@ -550,7 +552,7 @@ func TestForgetDuringUploadKeepsProviderCount(t *testing.T) {
 	}
 }
 
-// TestHandlerRoutes pins the route table: the 12 routes Handler serves
+// TestHandlerRoutes pins the route table: the 11 routes Handler serves
 // answer something other than 404, and the removed standing-query and
 // snapshot routes answer 404.
 func TestHandlerRoutes(t *testing.T) {
@@ -562,16 +564,16 @@ func TestHandlerRoutes(t *testing.T) {
 		return rec.Code
 	}
 	// A traced upload leaves a retained trace for /debug/traces/{id}.
-	body, _ := json.Marshal(wire.Upload{Provider: "alice", Reps: []segment.Representative{rep(center, 0, 0, 1000)}})
+	body, _ := wire.EncodeBinary(wire.Upload{Provider: "alice", Reps: []segment.Representative{rep(center, 0, 0, 1000)}})
 	up := httptest.NewRequest(http.MethodPost, "/upload", bytes.NewReader(body))
-	up.Header.Set("Content-Type", "application/json")
+	up.Header.Set("Content-Type", "application/octet-stream")
 	up.Header.Set(TraceHeader, "routes")
 	if code := serve(up); code != http.StatusOK {
 		t.Fatalf("traced upload: status %d", code)
 	}
 	for _, path := range []string{
 		"/upload", "/query", "/nearest", "/stats", "/forget", "/checkpoint", "/replicate",
-		"/metrics", "/healthz", "/debug/history", "/debug/traces", "/debug/traces/routes",
+		"/metrics", "/healthz", "/debug/traces", "/debug/traces/routes",
 	} {
 		if code := serve(httptest.NewRequest(http.MethodGet, path, nil)); code == http.StatusNotFound {
 			t.Errorf("GET %s: 404, want a served route", path)
