@@ -5,7 +5,6 @@
 package fovr_test
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
@@ -18,7 +17,7 @@ import (
 	"fovr/internal/render"
 	"fovr/internal/replay"
 	"fovr/internal/segment"
-	"fovr/internal/snapshot"
+	"fovr/internal/store"
 	"fovr/internal/trace"
 	"fovr/internal/utility"
 	"fovr/internal/video"
@@ -417,31 +416,29 @@ func BenchmarkGeoTreeSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotWrite / Read measure the persistence path at 20k
-// segments.
+// BenchmarkSnapshotWrite measures the persistence path at 20k
+// segments: encoding them as one image, as a checkpoint does.
 func BenchmarkSnapshotWrite(b *testing.B) {
 	entries := workload.Entries(workload.Config{Seed: 6}, 20000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := snapshot.Write(&buf, entries); err != nil {
+		if _, _, err := store.EncodeSegment(0, entries); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkSnapshotRestore times the boot path: decoding a snapshot of
+// BenchmarkSnapshotRestore times the boot path: decoding an image of
 // 20,000 entries and STR bulk-loading the index from it.
 func BenchmarkSnapshotRestore(b *testing.B) {
 	entries := workload.Entries(workload.Config{Seed: 6}, 20000)
-	var buf bytes.Buffer
-	if err := snapshot.Write(&buf, entries); err != nil {
+	data, _, err := store.EncodeSegment(0, entries)
+	if err != nil {
 		b.Fatal(err)
 	}
-	data := buf.Bytes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		decoded, err := snapshot.Read(bytes.NewReader(data))
+		_, decoded, err := store.DecodeSegment(data)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -108,7 +108,6 @@ func main() {
 	traceSample := flag.Int("trace-sample", 16, "retain 1 in N ordinary query traces (0 retains none)")
 	replicaOf := flag.String("replica-of", "", "run as a read replica of the leader at this base URL (e.g. http://leader:8477)")
 	replicaPoll := flag.Duration("replica-poll", 10*time.Second, "long-poll wait per replication fetch with -replica-of")
-	replicaLagWarn := flag.Int64("replica-lag-warn", 8<<20, "replication lag in bytes at which /healthz reports the replica degraded")
 	clusterTopology := flag.String("cluster-topology", "", "cluster topology file; with -cluster-partition, rejects misrouted uploads (HTTP 421) and offsets assigned ids")
 	clusterPartition := flag.String("cluster-partition", "", "this node's partition id in -cluster-topology")
 	flag.Parse()
@@ -139,7 +138,6 @@ func main() {
 	if *replicaOf != "" {
 		cfg.ReadOnly = true
 		cfg.LeaderURL = *replicaOf
-		cfg.ReplicaLagWarnBytes = *replicaLagWarn
 	}
 	if (*clusterTopology == "") != (*clusterPartition == "") {
 		fmt.Fprintln(os.Stderr, "fovserver: -cluster-topology and -cluster-partition must be set together")

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"time"
 
 	"fovr/internal/fov"
@@ -277,28 +278,39 @@ func (c *Client) Metrics() (obs.Scrape, error) {
 	return obs.ParseScrape(string(body))
 }
 
-// Healthz fetches the server's evaluated health report. Unlike the
-// other getters it decodes the body even on a 503 — that status IS the
-// report (overall state failing), not a transport failure.
+// Healthz fetches the server's evaluated health report (getHealthz).
 func (c *Client) Healthz() (server.HealthzResponse, error) {
-	httpResp, err := c.httpClient().Get(c.BaseURL + "/healthz")
+	hr, n, err := getHealthz(context.Background(), c.httpClient(), c.BaseURL)
+	c.addTraffic(0, n)
+	return hr, err
+}
+
+// getHealthz GETs base's /healthz report through hc and returns it with
+// the body's length. Unlike the other getters it decodes the body on a
+// 503 too — a failing node still answers, and that status IS its
+// report — so only transport errors and other statuses are errors.
+func getHealthz(ctx context.Context, hc *http.Client, base string) (server.HealthzResponse, int, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/healthz", nil)
 	if err != nil {
-		return server.HealthzResponse{}, err
+		return server.HealthzResponse{}, 0, err
 	}
-	defer httpResp.Body.Close()
-	body, err := io.ReadAll(httpResp.Body)
+	resp, err := hc.Do(req)
 	if err != nil {
-		return server.HealthzResponse{}, err
+		return server.HealthzResponse{}, 0, err
 	}
-	c.addTraffic(0, len(body))
-	if httpResp.StatusCode != http.StatusOK && httpResp.StatusCode != http.StatusServiceUnavailable {
-		return server.HealthzResponse{}, fmt.Errorf("client: healthz: %s: %s", httpResp.Status, bytes.TrimSpace(body))
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return server.HealthzResponse{}, len(body), err
+	}
+	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
+		return server.HealthzResponse{}, len(body), fmt.Errorf("client: %s/healthz: %s: %s", base, resp.Status, bytes.TrimSpace(body))
 	}
 	var hr server.HealthzResponse
 	if err := json.Unmarshal(body, &hr); err != nil {
-		return server.HealthzResponse{}, fmt.Errorf("client: healthz response: %w", err)
+		return server.HealthzResponse{}, len(body), fmt.Errorf("client: %s/healthz response: %w", base, err)
 	}
-	return hr, nil
+	return hr, len(body), nil
 }
 
 func (c *Client) getJSON(path string, out any) error {
@@ -320,21 +332,8 @@ func (c *Client) getJSON(path string, out any) error {
 
 // Stats fetches the server's state summary.
 func (c *Client) Stats() (server.Stats, error) {
-	httpResp, err := c.httpClient().Get(c.BaseURL + "/stats")
-	if err != nil {
-		return server.Stats{}, err
-	}
-	defer httpResp.Body.Close()
-	body, err := io.ReadAll(httpResp.Body)
-	if err != nil {
-		return server.Stats{}, err
-	}
-	c.addTraffic(0, len(body))
-	if httpResp.StatusCode != http.StatusOK {
-		return server.Stats{}, fmt.Errorf("client: stats: %s: %s", httpResp.Status, bytes.TrimSpace(body))
-	}
 	var st server.Stats
-	if err := json.Unmarshal(body, &st); err != nil {
+	if err := c.getJSON("/stats", &st); err != nil {
 		return server.Stats{}, err
 	}
 	return st, nil
@@ -417,7 +416,7 @@ func (c *Client) Checkpoint() (server.CheckpointResponse, error) {
 // Forget asks the server to delete every segment this provider has
 // contributed (the privacy opt-out). It returns the number removed.
 func (c *Client) Forget(provider string) (int, error) {
-	respBody, err := c.post("/forget?provider="+provider, "text/plain", nil)
+	respBody, err := c.post("/forget?"+url.Values{"provider": {provider}}.Encode(), "text/plain", nil)
 	if err != nil {
 		return 0, err
 	}

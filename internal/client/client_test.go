@@ -214,3 +214,48 @@ func TestForgetOverHTTP(t *testing.T) {
 		t.Fatalf("%d segments remain", backend.Index().Len())
 	}
 }
+
+// Forget escapes the provider: names holding a space, '&', '+' or '#'
+// each delete their own segments and nobody else's.
+func TestForgetEscapesProvider(t *testing.T) {
+	_, ts := newBackend(t)
+	c := New(ts.URL)
+	samples, _ := trace.Rotation(trace.DefaultConfig)
+	providers := []string{"a b", "a&b", "a+b", "a#b", "a"}
+	per := 0
+	for _, p := range providers {
+		sess, err := NewCaptureSession(p, segConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.PushAll(samples); err != nil {
+			t.Fatal(err)
+		}
+		ids, err := c.Upload(sess.Stop())
+		if err != nil {
+			t.Fatal(err)
+		}
+		per = len(ids)
+	}
+	for i, p := range providers {
+		removed, err := c.Forget(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if removed != per {
+			t.Fatalf("Forget(%q) removed %d, want %d", p, removed, per)
+		}
+		st, err := c.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := st.Providers[p]; ok {
+			t.Fatalf("Forget(%q) left its segments: %v", p, st.Providers)
+		}
+		for _, q := range providers[i+1:] {
+			if st.Providers[q] != per {
+				t.Fatalf("Forget(%q) touched %q: %v", p, q, st.Providers)
+			}
+		}
+	}
+}

@@ -123,29 +123,9 @@ func (p *Partition) uploadTo(ctx context.Context, baseURL string, body []byte, t
 	return out, err
 }
 
-// Healthz probes the node's /healthz and returns its report. Both 200
-// and 503 decode — a failing node still answers — so only transport
-// errors and unexpected statuses surface as errors.
+// Healthz probes the node's /healthz and returns its report
+// (getHealthz).
 func (p *Partition) Healthz(ctx context.Context) (server.HealthzResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.BaseURL+"/healthz", nil)
-	if err != nil {
-		return server.HealthzResponse{}, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return server.HealthzResponse{}, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return server.HealthzResponse{}, err
-	}
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
-		return server.HealthzResponse{}, fmt.Errorf("client: partition %s/healthz: %s: %s", p.BaseURL, resp.Status, bytes.TrimSpace(body))
-	}
-	var hr server.HealthzResponse
-	if err := json.Unmarshal(body, &hr); err != nil {
-		return server.HealthzResponse{}, fmt.Errorf("client: partition healthz: %w", err)
-	}
-	return hr, nil
+	hr, _, err := getHealthz(ctx, http.DefaultClient, p.BaseURL)
+	return hr, err
 }

@@ -16,7 +16,6 @@ import (
 
 	"fovr/internal/obs"
 	"fovr/internal/replica"
-	"fovr/internal/snapshot"
 	"fovr/internal/store"
 )
 
@@ -108,15 +107,23 @@ func (r *Replicator) FetchSegment(ctx context.Context, meta store.SegmentMeta) (
 	return raw, err
 }
 
-// FetchMem pulls the leader's memtable (?mem=1) as a snapshot-format
-// batch stamped with the WAL cursor to stream from and the manifest
-// hash the capture was consistent with.
+// FetchMem pulls the leader's memtable (?mem=1) as an image
+// (store.DecodeSegment), reading no more than store.MaxImageBytes,
+// stamped with the WAL cursor to stream from and the manifest hash the
+// capture was consistent with.
 func (r *Replicator) FetchMem(ctx context.Context) (*replica.Batch, error) {
 	var b *replica.Batch
 	err := r.get(ctx, r.BaseURL+"/replicate?mem=1", replica.StreamMem, bootstrapTimeout, func(h http.Header, body io.Reader) error {
-		entries, err := snapshot.Read(body)
+		raw, err := io.ReadAll(io.LimitReader(body, store.MaxImageBytes+1))
 		if err != nil {
-			return fmt.Errorf("client: replicate mem snapshot: %w", err)
+			return fmt.Errorf("client: replicate mem: %w", err)
+		}
+		if len(raw) > store.MaxImageBytes {
+			return fmt.Errorf("client: replicate mem: body exceeds the %d-byte image cap", store.MaxImageBytes)
+		}
+		_, entries, err := store.DecodeSegment(raw)
+		if err != nil {
+			return fmt.Errorf("client: replicate mem: %w", err)
 		}
 		b = batchHeaders(h)
 		b.Entries = entries

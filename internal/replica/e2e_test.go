@@ -25,7 +25,6 @@ import (
 	"fovr/internal/replica"
 	"fovr/internal/segment"
 	"fovr/internal/server"
-	"fovr/internal/snapshot"
 	"fovr/internal/store"
 	"fovr/internal/wire"
 )
@@ -96,18 +95,16 @@ func newFollower(t *testing.T, st store.Store, leaderURL string) (*server.Server
 	return srv, fol
 }
 
-// sortedSnapshot serializes a server's entries in id order — the
-// byte-identical comparison form (live snapshot streams follow index
-// iteration order, which legitimately differs between index builds).
+// sortedSnapshot serializes a server's entries as an image, which
+// orders them by id — the byte-identical comparison form (index
+// iteration order legitimately differs between index builds).
 func sortedSnapshot(t *testing.T, s *server.Server) []byte {
 	t.Helper()
-	entries := s.Index().Entries()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].ID < entries[j].ID })
-	var buf bytes.Buffer
-	if err := snapshot.Write(&buf, entries); err != nil {
+	img, _, err := store.EncodeSegment(0, s.Index().Entries())
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return img
 }
 
 // waitConverged polls until the follower's state is byte-identical to

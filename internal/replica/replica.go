@@ -8,12 +8,14 @@
 //
 // The subsystem is a thin protocol over what the leader's store.Disk
 // already keeps on disk: the CRC-framed WAL (the shipped bytes are the
-// leader's log frames, verbatim) and the sealed segment files (shipped
-// as their file bytes). One HTTP endpoint on the leader carries it:
+// leader's log frames, verbatim) and images — each sealed segment
+// shipped as its file bytes, the memtable as the image a checkpoint
+// would write (store.EncodeSegment). One HTTP endpoint on the leader
+// carries it:
 //
 //	GET /replicate?manifest=1       — bootstrap: the sealed-segment manifest
 //	GET /replicate?segment=W&seq=N  — bootstrap: one segment's file bytes
-//	GET /replicate?mem=1            — bootstrap: the memtable, snapshot format
+//	GET /replicate?mem=1            — bootstrap: the memtable, as a window-0 image
 //	GET /replicate?gen=G&off=O      — log tail from position (G, O)
 //	GET /replicate?...&wait=10s     — long-poll: hold the request until
 //	                                  new records commit (capped at MaxWait)

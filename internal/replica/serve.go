@@ -5,13 +5,11 @@ package replica
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
 
 	"fovr/internal/index"
-	"fovr/internal/snapshot"
 	"fovr/internal/store"
 )
 
@@ -57,8 +55,7 @@ type ServeResult struct {
 // cursor is zero, which sends the follower to the bootstrap legs. A
 // mid-stream write failure is returned for logging; the status line is
 // already gone by then, so the cut body is the client's signal (the
-// snapshot CRC trailer, the segment CRC and the WAL frame checksums all
-// detect it).
+// image CRC trailer and the WAL frame checksums detect it).
 func Serve(w http.ResponseWriter, r *http.Request, src LogSource) (ServeResult, error) {
 	q := r.URL.Query()
 	switch {
@@ -126,19 +123,6 @@ func serveWAL(w http.ResponseWriter, src LogSource, data []byte, next Cursor) (S
 	return ServeResult{Stream: StreamWAL, Bytes: int64(n)}, err
 }
 
-// countWriter tallies body bytes so ServeResult can report how much a
-// memtable stream shipped even when snapshot.Write fails mid-stream.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // serveManifest ships the cold-tier manifest as JSON: which segments a
 // bootstrapping follower needs, and the tombstones it installs with
 // them.
@@ -174,16 +158,20 @@ func serveSegment(w http.ResponseWriter, src LogSource, window int64, seq uint64
 	return ServeResult{Stream: StreamSegment, Bytes: int64(n)}, err
 }
 
-// serveMem ships the memtable in snapshot format, stamped with the WAL
-// cursor to resume streaming from and the manifest hash the capture
-// was consistent with.
+// serveMem ships the memtable as an image (store.EncodeSegment, window
+// 0), stamped with the WAL cursor to resume streaming from and the
+// manifest hash the capture was consistent with.
 func serveMem(w http.ResponseWriter, src LogSource) (ServeResult, error) {
 	entries, gen, off, hash := src.CaptureMem()
+	img, _, err := store.EncodeSegment(0, entries)
+	if err != nil {
+		http.Error(w, "replicate: "+err.Error(), http.StatusInternalServerError)
+		return ServeResult{}, err
+	}
 	w.Header().Set(HeaderStream, StreamMem)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(HeaderManifestHash, strconv.FormatUint(hash, 10))
 	setCursorHeaders(w, src, Cursor{Gen: gen, Off: off})
-	cw := &countWriter{w: w}
-	err := snapshot.Write(cw, entries)
-	return ServeResult{Stream: StreamMem, Bytes: cw.n, Entries: len(entries)}, err
+	n, err := w.Write(img)
+	return ServeResult{Stream: StreamMem, Bytes: int64(n), Entries: len(entries)}, err
 }

@@ -217,7 +217,7 @@ func TestCheckpointEndpoint(t *testing.T) {
 	if cp.Entries != 1 {
 		t.Fatalf("checkpoint covered %d entries, want 1", cp.Entries)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "checkpoint-000000000002.fovs")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, "checkpoint-000000000002.fovg")); err != nil {
 		t.Fatalf("checkpoint file missing: %v", err)
 	}
 

@@ -28,9 +28,9 @@ const (
 	// last checkpoint exceeds this multiple of the configured interval
 	// while appends are pending.
 	checkpointLagFactor = 3
-	// defaultReplicaLagWarnBytes is Config.ReplicaLagWarnBytes's zero
-	// default.
-	defaultReplicaLagWarnBytes = 8 << 20 // 8 MiB
+	// replicaLagWarnBytes degrades a replica whose replication lag
+	// exceeds it.
+	replicaLagWarnBytes = 8 << 20 // 8 MiB
 	// bootstrapLoopWindow/bootstrapLoopCount: a replica that
 	// re-bootstraps this many times within the window is failing — it
 	// cannot hold a stable tail.
@@ -115,10 +115,6 @@ func (s *Server) checkIndex() obs.HealthCheck {
 // attached. Bootstrap-looping detection keeps the last observed
 // bootstrap count and when it last changed, in the closure.
 func (s *Server) registerReplicaCheck(f *replica.Follower) {
-	lagWarn := s.cfg.ReplicaLagWarnBytes
-	if lagWarn == 0 {
-		lagWarn = defaultReplicaLagWarnBytes
-	}
 	type bootMark struct {
 		count int64
 		at    time.Time
@@ -156,13 +152,13 @@ func (s *Server) registerReplicaCheck(f *replica.Follower) {
 		case st.State == "bootstrapping":
 			check.State = check.State.Worse(obs.HealthDegraded)
 			check.Reasons = append(check.Reasons, "replica: bootstrapping (no applied state yet)")
-		case lagWarn > 0 && st.LagBytes < 0:
+		case st.LagBytes < 0:
 			check.State = check.State.Worse(obs.HealthDegraded)
 			check.Reasons = append(check.Reasons, "replica: a generation behind the leader (lag unknowable)")
-		case lagWarn > 0 && st.LagBytes > lagWarn:
+		case st.LagBytes > replicaLagWarnBytes:
 			check.State = check.State.Worse(obs.HealthDegraded)
 			check.Reasons = append(check.Reasons,
-				fmt.Sprintf("replica: lag %d bytes exceeds %d", st.LagBytes, lagWarn))
+				fmt.Sprintf("replica: lag %d bytes exceeds %d", st.LagBytes, replicaLagWarnBytes))
 		}
 		return check
 	})

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,7 +17,6 @@ import (
 	"fovr/internal/obs"
 	"fovr/internal/replica"
 	"fovr/internal/segment"
-	"fovr/internal/snapshot"
 	"fovr/internal/store"
 	"fovr/internal/wire"
 )
@@ -213,7 +211,7 @@ func TestReplicateEndpoint(t *testing.T) {
 	// Leg 3: the memtable, stamped with the manifest hash and a resume
 	// cursor.
 	resp, body = get("?mem=1", replica.StreamMem)
-	entries, err := snapshot.Read(bytes.NewReader(body))
+	_, entries, err := store.DecodeSegment(body)
 	if err != nil || len(entries) != 1 {
 		t.Fatalf("memtable: %d entries, err %v", len(entries), err)
 	}

@@ -110,10 +110,6 @@ type Config struct {
 	// LeaderURL names the writable leader in read-only rejections and on
 	// /stats.
 	LeaderURL string
-	// ReplicaLagWarnBytes is the replication lag at which the replica
-	// health check degrades. Zero selects 8 MiB; negative disables the
-	// lag check.
-	ReplicaLagWarnBytes int64
 	// IDBase offsets the segment-id sequence this server assigns: the
 	// first id handed out is IDBase+1. A partitioned cluster gives each
 	// partition a disjoint base (cmd/fovcluster derives

@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -24,7 +23,6 @@ import (
 	"fovr/internal/replica"
 	"fovr/internal/segment"
 	"fovr/internal/server"
-	"fovr/internal/snapshot"
 	"fovr/internal/store"
 	"fovr/internal/wire"
 )
@@ -159,18 +157,16 @@ func startTieredFollower(t *testing.T, st store.Store, leaderURL string, failAft
 	return srv, kf, fol
 }
 
-// encoded serializes entries in id order: the form two visible sets are
-// compared in, since the journal quantizes what a leader's memtable
-// holds in full precision (see DESIGN §8).
+// encoded serializes entries as an image, which orders them by id: the
+// form two visible sets are compared in, since the journal quantizes
+// what a leader's memtable holds in full precision (see DESIGN §8).
 func encoded(t *testing.T, entries []index.Entry) []byte {
 	t.Helper()
-	sorted := append([]index.Entry(nil), entries...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
-	var buf bytes.Buffer
-	if err := snapshot.Write(&buf, sorted); err != nil {
+	img, _, err := store.EncodeSegment(0, entries)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return img
 }
 
 // waitBootstraps polls until the follower has completed n bootstraps

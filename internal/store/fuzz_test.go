@@ -7,8 +7,8 @@ import (
 	"reflect"
 	"testing"
 
+	"fovr/internal/fov"
 	"fovr/internal/index"
-	"fovr/internal/snapshot"
 )
 
 // FuzzWALDecode hammers the WAL decoder with arbitrary bytes and checks
@@ -71,9 +71,9 @@ func FuzzWALDecode(f *testing.F) {
 	})
 }
 
-// FuzzSegmentDecode hammers the sealed-segment decoder with arbitrary
-// bytes and checks the invariants the recovery sweep and tiered
-// bootstrap depend on:
+// FuzzSegmentDecode hammers the image decoder — sealed segments,
+// checkpoints and the memtable leg — with arbitrary bytes and checks
+// the invariants the recovery sweep and tiered bootstrap depend on:
 //
 //   - it never panics, whatever the input;
 //   - every failure wraps ErrCorrupt, so recovery can tell "damaged
@@ -82,7 +82,7 @@ func FuzzWALDecode(f *testing.F) {
 //   - the scanner recovery, compaction and sealed reads run
 //     (walkSegment) agrees with DecodeSegment on accept/reject, ids and
 //     entry boundaries: the records it hands out tile the block, and
-//     each parses on its own (snapshot.ReadEntry, no interning) to
+//     each parses on its own (readEntry, no interning) to
 //     exactly the decoded entry — so interning changes no value;
 //   - an accepted segment round-trips: re-encoding the decoded entries
 //     reproduces the identical image (segments are canonical — sorted
@@ -94,7 +94,7 @@ func FuzzSegmentDecode(f *testing.F) {
 	// and degenerate inputs.
 	rng := rand.New(rand.NewSource(1))
 	for i, entries := range [][]index.Entry{batch(1, 40, "alice"), {incompressibleEntry(5, 3, rng)}} {
-		img, _, err := encodeSegment(3, entries)
+		img, _, err := EncodeSegment(3, entries)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -107,6 +107,17 @@ func FuzzSegmentDecode(f *testing.F) {
 		flipped := append([]byte(nil), img...)
 		flipped[segHeaderLen+2] ^= 0x10
 		f.Add(flipped)
+	}
+	// Checkpoints and the memtable leg: an empty window-0 image, and a
+	// window-0 image mixing entries with and without a camera block.
+	mem := batch(100, 6, "bob")
+	mem[1].Camera, mem[4].Camera = fov.Camera{}, fov.Camera{}
+	for _, entries := range [][]index.Entry{nil, mem} {
+		img, _, err := EncodeSegment(0, entries)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(img)
 	}
 	f.Add([]byte{})
 	f.Add([]byte("FoVG garbage that is long enough to pass the length gate .."))
@@ -139,7 +150,7 @@ func FuzzSegmentDecode(f *testing.F) {
 			t.Fatal("scanner records do not tile the block")
 		}
 		for i, rec := range recs {
-			e, n, rerr := snapshot.ReadEntry(rec)
+			e, n, rerr := readEntry(rec)
 			if rerr != nil || n != len(rec) || ids[i] != entries[i].ID || !reflect.DeepEqual(e, entries[i]) {
 				t.Fatalf("record %d: parses to %+v (%d of %d bytes, err %v), decoded %+v",
 					i, e, n, len(rec), rerr, entries[i])
@@ -156,7 +167,7 @@ func FuzzSegmentDecode(f *testing.F) {
 				t.Fatalf("accepted segment has non-ascending ids at %d", i)
 			}
 		}
-		re, crc, eerr := encodeSegment(window, entries)
+		re, crc, eerr := EncodeSegment(window, entries)
 		if eerr != nil {
 			t.Fatalf("decoded entries do not re-encode: %v", eerr)
 		}

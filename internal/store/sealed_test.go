@@ -136,7 +136,7 @@ func referenceFlush(t *testing.T, d *Disk, k int64) ([]byte, bool) {
 	if len(merged) == 0 {
 		return nil, false
 	}
-	img, _, err := encodeSegment(k, merged)
+	img, _, err := EncodeSegment(k, merged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +480,7 @@ func TestSealedReadsDuringCompaction(t *testing.T) {
 func TestDecodeSegmentInternsProviders(t *testing.T) {
 	entries := batch(1, 6, "alice")
 	entries[2].Provider, entries[4].Provider = "bob", "bob"
-	img, _, err := encodeSegment(0, entries)
+	img, _, err := EncodeSegment(0, entries)
 	if err != nil {
 		t.Fatal(err)
 	}

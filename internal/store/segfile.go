@@ -1,25 +1,25 @@
-// Sealed segment files: the cold tier of the store's LSM-flavored
-// hierarchy. One segment holds every entry of one closed time window,
-// immutable once written; the manifest (manifest.go) is the recovery
-// root that says which segment files are live.
+// Images: the one container for a set of entries, on disk and on the
+// wire. A sealed segment is the image of one closed time window —
+// immutable once written, named by the manifest (manifest.go), the
+// recovery root that says which segment files are live. A checkpoint is
+// the image of the memtable, with window 0, and the replication
+// bootstrap's memtable leg ships the same image.
 //
-// File layout (all integers little-endian):
+// Image layout (all integers little-endian):
 //
 //	magic   "FoVG"              4 bytes
 //	version u8  = 1
 //	flags   u8  (bit0: block is flate-compressed)
-//	window  i64                 the window key (floor(start/window))
+//	window  i64                 the window key (floor(start/window)); 0 for a memtable
 //	count   u32                 entries in the block
 //	rawLen  u32                 uncompressed block length
 //	blockLen u32                stored block length
-//	block   blockLen bytes      count entries, snapshot entry encoding
+//	block   blockLen bytes      count entries (entry.go), ascending ids
 //	crc32   u32                 IEEE, over everything before it
 //
-// The entry encoding is snapshot.AppendEntry/ParseEntry — the exact
-// bytes a checkpoint uses — so the segment tier reuses the snapshot
-// codec instead of inventing a second one. A sealed entry lives only
-// here: the store keeps each segment's manifest meta and an id→window
-// map, and reads entries back from the file when it needs them.
+// A sealed entry lives only in its segment file: the store keeps each
+// segment's manifest meta and an id→window map, and reads entries back
+// from the file when it needs them.
 package store
 
 import (
@@ -35,7 +35,6 @@ import (
 	"sync"
 
 	"fovr/internal/index"
-	"fovr/internal/snapshot"
 )
 
 const (
@@ -48,9 +47,14 @@ const (
 	// maxSegmentBlock bounds the uncompressed block a decoder will
 	// allocate; a corrupt or hostile header cannot demand more.
 	maxSegmentBlock = 1 << 30
-	// maxSegmentEntries mirrors the snapshot codec's entry cap.
+	// maxSegmentEntries bounds the entry count a header may claim.
 	maxSegmentEntries = 1 << 26
 )
+
+// MaxImageBytes is the largest image EncodeSegment writes: the header,
+// a block at its cap and the trailer. A reader of an image stream reads
+// no more than this.
+const MaxImageBytes = segHeaderLen + maxSegmentBlock + 4
 
 // segmentFileName names a sealed segment: seg-<window>-<seq>.fovg. The
 // window key may be negative (epochs before 1970 exist in tests), so
@@ -91,11 +95,12 @@ func parseSegmentName(name string) (window int64, seq uint64, staged, ok bool) {
 	return w, s, staged, true
 }
 
-// encodeSegment serializes one window's entries into the segment file
-// format and returns the complete file image plus its trailer CRC (the
-// value the manifest records). Entries are sorted by ID first so equal
-// logical content always produces identical bytes.
-func encodeSegment(window int64, entries []index.Entry) ([]byte, uint32, error) {
+// EncodeSegment serializes a set of entries — one window's, or a
+// memtable's under window 0 — into an image and returns it with its
+// trailer CRC (the value the manifest records). Entries are sorted by
+// ID first so equal logical content always produces identical bytes;
+// an invalid entry or a repeated id fails the encode.
+func EncodeSegment(window int64, entries []index.Entry) ([]byte, uint32, error) {
 	b, err := newBlockBuilder(entries)
 	if err != nil {
 		return nil, 0, err
@@ -107,8 +112,8 @@ func encodeSegment(window int64, entries []index.Entry) ([]byte, uint32, error) 
 // blockBuilder assembles a segment block in ascending id order from two
 // sources: fresh entries, encoded once up front, and sealed survivors,
 // spliced in as the encoded bytes they already are. A survivor's bytes
-// are exactly what AppendEntry makes of its decoded entry, so a block
-// built by splicing is the block encodeSegment would build from the
+// are exactly what appendEntry makes of its decoded entry, so a block
+// built by splicing is the block EncodeSegment would build from the
 // decoded merge.
 type blockBuilder struct {
 	out   []byte
@@ -126,7 +131,10 @@ func newBlockBuilder(fresh []index.Entry) (*blockBuilder, error) {
 	b := &blockBuilder{ids: make([]uint64, len(sorted)), ends: make([]int, len(sorted))}
 	var buf bytes.Buffer
 	for i, e := range sorted {
-		if err := snapshot.AppendEntry(&buf, e); err != nil {
+		if i > 0 && e.ID == sorted[i-1].ID {
+			return nil, fmt.Errorf("store: encode segment: duplicate id %d", e.ID)
+		}
+		if err := appendEntry(&buf, e); err != nil {
 			return nil, fmt.Errorf("store: encode segment entry %d: %w", e.ID, err)
 		}
 		b.ids[i], b.ends[i] = e.ID, buf.Len()
@@ -289,7 +297,7 @@ func segmentBlock(data []byte) (window int64, count int, block []byte, err error
 }
 
 // walkSegment is the one segment verifier: it checks a complete image's
-// framing (segmentBlock), every entry (snapshot.ParseEntry's checks),
+// framing (segmentBlock), every entry (parseEntry's checks),
 // strictly ascending ids, and that the header's count of entries fills
 // the block exactly. fn, when not nil, sees each entry in id order —
 // without its Provider — with its provider bytes and its encoded bytes,
@@ -304,7 +312,7 @@ func walkSegment(data []byte, fn func(e index.Entry, prov, rec []byte)) (window 
 	off := 0
 	var prev uint64
 	for i := 0; i < count; i++ {
-		e, prov, n, err := snapshot.ParseEntry(block[off:])
+		e, prov, n, err := parseEntry(block[off:])
 		if err != nil {
 			return 0, 0, fmt.Errorf("%w: segment entry %d: %v", ErrCorrupt, i, err)
 		}
@@ -342,13 +350,12 @@ func (p *providerNames) intern(b []byte) string {
 	return s
 }
 
-// DecodeSegment parses a complete segment file image through the same
-// walkSegment that recovery, compaction and sealed reads use, and
-// interns providers as sealed reads do: entries of one provider share
-// one Provider string. Exported so the fuzz harness can attack it.
-// Every failure is ErrCorrupt-wrapped: a segment is all-or-nothing,
-// there is no valid prefix to salvage (the WAL still holds the window's
-// records until the checkpoint after the seal).
+// DecodeSegment parses a complete image through the same walkSegment
+// that recovery, compaction and sealed reads use, and interns providers
+// as sealed reads do: entries of one provider share one Provider
+// string. The replication client decodes the memtable leg with it.
+// Every failure is ErrCorrupt-wrapped: an image is all-or-nothing,
+// there is no valid prefix to salvage.
 func DecodeSegment(data []byte) (window int64, entries []index.Entry, err error) {
 	var names providerNames
 	window, _, err = walkSegment(data, func(e index.Entry, prov, _ []byte) {

@@ -13,10 +13,10 @@
 //   - Disk journals every state change into an append-only WAL
 //     (length-prefixed, CRC-checksummed records; see wal.go) inside a
 //     data directory, seals cold time windows into immutable segment
-//     files (tiered.go), checkpoints the mutable rest periodically in
-//     the internal/snapshot format, and recovers on open from the
-//     manifest's segments, the latest valid checkpoint and the log
-//     tail, truncating a torn final record.
+//     files (tiered.go), checkpoints the mutable rest periodically as
+//     an image in the same format (segfile.go), and recovers on open
+//     from the manifest's segments, the latest valid checkpoint and the
+//     log tail, truncating a torn final record.
 //
 // Crash-consistency contract (Disk):
 //
@@ -36,14 +36,17 @@
 // File layout inside the data directory (NNN = decimal generation):
 //
 //	wal-NNN.log         — log segment; holds ops after checkpoint NNN
-//	checkpoint-NNN.fovs — memtable before wal-NNN.log began
+//	checkpoint-NNN.fovg — memtable image before wal-NNN.log began
 //	checkpoint.tmp      — in-flight checkpoint write (ignored/removed)
 //	manifest            — live segments and tombstones (manifest.go)
 //	seg-W-S.fovg        — sealed time window W, rewrite S (segfile.go)
 //	storeid             — persistent random identity (replication; tail.go)
 //
 // A directory written before the segment tier existed (checkpoints and
-// logs, no manifest) opens as a tier with nothing sealed yet.
+// logs, no manifest) opens as a tier with nothing sealed yet. One that
+// holds a checkpoint-NNN.fovs, the retired checkpoint container, fails
+// Open: its WAL may already be retired, so skipping the file would
+// silently lose state.
 package store
 
 import (
@@ -62,7 +65,6 @@ import (
 
 	"fovr/internal/index"
 	"fovr/internal/obs"
-	"fovr/internal/snapshot"
 )
 
 // Store is the server's state-change journal. The server routes every
@@ -276,7 +278,7 @@ type Disk struct {
 }
 
 func walName(gen uint64) string        { return fmt.Sprintf("wal-%012d.log", gen) }
-func checkpointName(gen uint64) string { return fmt.Sprintf("checkpoint-%012d.fovs", gen) }
+func checkpointName(gen uint64) string { return fmt.Sprintf("checkpoint-%012d.fovg", gen) }
 
 // parseGen extracts the generation from a store file name, reporting
 // whether name matches prefix-NNN+suffix.
@@ -384,20 +386,8 @@ func Open(opts Options) (*Disk, error) {
 	reg.GaugeFunc("fovr_store_compaction_backlog", func() float64 {
 		return float64(d.CompactionBacklog())
 	})
-	reg.GaugeFunc("fovr_wal_segment_bytes", func() float64 {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return float64(d.walSize)
-	})
-	reg.GaugeFunc("fovr_store_generation", func() float64 {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return float64(d.walGen)
-	})
-	// Replication monitoring names: the same size/generation pair under
-	// the fovr_wal_* prefix, so leader and follower lag can be compared
-	// from /metrics on both sides without knowing the store-internal
-	// names above.
+	// The live log's size and generation: leader and follower lag compare
+	// from /metrics on both sides.
 	reg.GaugeFunc("fovr_wal_size_bytes", func() float64 {
 		d.mu.Lock()
 		defer d.mu.Unlock()
@@ -437,21 +427,25 @@ func (d *Disk) RecoveryStats() (entries int, elapsed time.Duration) {
 // at or above its generation (truncating a torn tail on the newest),
 // and leaves d.wal open for appending.
 func (d *Disk) recover() error {
-	if err := d.recoverSegments(); err != nil {
-		return err
-	}
 	names, err := os.ReadDir(d.opts.Dir)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	var cpGens, walGens []uint64
 	for _, de := range names {
-		if gen, ok := parseGen(de.Name(), "checkpoint-", ".fovs"); ok {
+		if _, ok := parseGen(de.Name(), "checkpoint-", ".fovs"); ok {
+			return fmt.Errorf("store: %s is a checkpoint in the retired FoVS format, which this build does not read",
+				filepath.Join(d.opts.Dir, de.Name()))
+		}
+		if gen, ok := parseGen(de.Name(), "checkpoint-", ".fovg"); ok {
 			cpGens = append(cpGens, gen)
 		}
 		if gen, ok := parseGen(de.Name(), "wal-", ".log"); ok {
 			walGens = append(walGens, gen)
 		}
+	}
+	if err := d.recoverSegments(); err != nil {
+		return err
 	}
 	// Latest valid checkpoint wins; an unreadable one is logged and
 	// skipped (recovery then starts from an older base, or from the log
@@ -460,19 +454,15 @@ func (d *Disk) recover() error {
 	base := uint64(0)
 	for _, gen := range cpGens {
 		path := filepath.Join(d.opts.Dir, checkpointName(gen))
-		f, err := os.Open(path)
-		if err != nil {
-			d.log.Error("store: checkpoint unreadable", "file", path, "err", err)
-			continue
-		}
-		entries, err := snapshot.Read(f)
-		f.Close()
-		if err != nil {
-			d.log.Error("store: checkpoint corrupt, falling back", "file", path, "err", err)
-			continue
-		}
-		for _, e := range entries {
+		var names providerNames
+		if _, _, _, _, err := readSegmentFile(path, func(e index.Entry, prov, _ []byte) {
+			e.Provider = names.intern(prov)
 			d.state[e.ID] = e
+		}); err != nil {
+			// The walk may have filled part of the memtable first.
+			clear(d.state)
+			d.log.Error("store: checkpoint unreadable, falling back", "file", path, "err", err)
+			continue
 		}
 		base = gen
 		break
@@ -883,7 +873,7 @@ func (d *Disk) removeObsolete(gen uint64) {
 		if g, ok := parseGen(de.Name(), "wal-", ".log"); ok && g <= gen {
 			os.Remove(filepath.Join(d.opts.Dir, de.Name()))
 		}
-		if g, ok := parseGen(de.Name(), "checkpoint-", ".fovs"); ok && g <= gen {
+		if g, ok := parseGen(de.Name(), "checkpoint-", ".fovg"); ok && g <= gen {
 			os.Remove(filepath.Join(d.opts.Dir, de.Name()))
 		}
 	}

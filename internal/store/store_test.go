@@ -227,7 +227,7 @@ func TestCheckpointRotatesAndCleans(t *testing.T) {
 		if _, ok := parseGen(de.Name(), "wal-", ".log"); ok {
 			wals = append(wals, de.Name())
 		}
-		if _, ok := parseGen(de.Name(), "checkpoint-", ".fovs"); ok {
+		if _, ok := parseGen(de.Name(), "checkpoint-", ".fovg"); ok {
 			cps = append(cps, de.Name())
 		}
 	}

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"fovr/internal/index"
-	"fovr/internal/snapshot"
 )
 
 // testWindowMs is the segment window the tiered tests run with. Windows
@@ -268,16 +267,15 @@ func TestTieredCheckpointIsIncremental(t *testing.T) {
 
 	// The checkpoint carries the delta (memtable) only; cold windows live
 	// in their segment files.
-	matches, err := filepath.Glob(filepath.Join(dir, "checkpoint-*.fovs"))
+	matches, err := filepath.Glob(filepath.Join(dir, "checkpoint-*.fovg"))
 	if err != nil || len(matches) != 1 {
 		t.Fatalf("checkpoint files %v (err %v), want exactly one", matches, err)
 	}
-	f, err := os.Open(matches[0])
+	img, err := os.ReadFile(matches[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpEntries, err := snapshot.Read(f)
-	f.Close()
+	_, cpEntries, err := DecodeSegment(img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,8 +308,9 @@ func hourEntry(id uint64, hour int64) index.Entry {
 func TestFlatDirectoryUpgradesToManifest(t *testing.T) {
 	dir := t.TempDir()
 	base := []index.Entry{hourEntry(1, 0), hourEntry(2, 0), hourEntry(3, 1)}
-	var cp, tail bytes.Buffer
-	if err := snapshot.Write(&cp, base); err != nil {
+	var tail bytes.Buffer
+	cp, _, err := EncodeSegment(0, base)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, rec := range []Record{
@@ -322,7 +321,7 @@ func TestFlatDirectoryUpgradesToManifest(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for name, data := range map[string][]byte{checkpointName(2): cp.Bytes(), walName(2): tail.Bytes()} {
+	for name, data := range map[string][]byte{checkpointName(2): cp, walName(2): tail.Bytes()} {
 		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -666,7 +665,7 @@ func TestCheckpointManifestKillPoints(t *testing.T) {
 	if !strings.Contains(string(man2), "tombstones") {
 		t.Fatalf("checkpoint-time manifest does not carry tombstones: %s", man2)
 	}
-	matches, _ := filepath.Glob(filepath.Join(post, "checkpoint-*.fovs"))
+	matches, _ := filepath.Glob(filepath.Join(post, "checkpoint-*.fovg"))
 	if len(matches) != 1 {
 		t.Fatalf("want one checkpoint, have %v", matches)
 	}
@@ -891,7 +890,7 @@ func TestSegmentEncodeDecodeRoundTrip(t *testing.T) {
 		{"compressible", batch(1, 40, "alice"), true},
 		{"incompressible", []index.Entry{incompressibleEntry(3, 0, rng), incompressibleEntry(1, 0, rng), incompressibleEntry(2, 0, rng)}, false},
 	} {
-		img, crc, err := encodeSegment(0, tc.entries)
+		img, crc, err := EncodeSegment(0, tc.entries)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -914,7 +913,7 @@ func TestSegmentEncodeDecodeRoundTrip(t *testing.T) {
 		// Deterministic encoding: same entries in another order, same bytes.
 		reversed := append([]index.Entry(nil), tc.entries...)
 		slices.Reverse(reversed)
-		img2, _, err := encodeSegment(0, reversed)
+		img2, _, err := EncodeSegment(0, reversed)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,7 @@
 //
 // Leader side: ManifestSnapshot / ReadSegment / CaptureMem are what
 // replica.Serve ships — the manifest names the sealed set, each
-// segment ships as its verbatim file bytes, and the memtable snapshot
+// segment ships as its verbatim file bytes, and the memtable capture
 // carries the WAL cursor to resume streaming from plus the manifest
 // hash the capture was consistent with.
 //
@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"fovr/internal/index"
-	"fovr/internal/snapshot"
 )
 
 // ManifestSnapshot returns the served cold-tier state: live segments,
@@ -307,13 +306,18 @@ func (d *Disk) finishBootstrap(ms ManifestSnapshot, mem []index.Entry) error {
 	return nil
 }
 
-// persistCheckpoint writes entries as checkpoint-<gen> via the
-// tmp+rename+dirsync dance.
+// persistCheckpoint writes the image of entries as checkpoint-<gen>
+// via the tmp+rename+dirsync dance.
 func (d *Disk) persistCheckpoint(gen uint64, entries []index.Entry) error {
 	tmp := filepath.Join(d.opts.Dir, "checkpoint.tmp")
-	if err := writeFileSync(tmp, func(w *os.File) error {
-		return snapshot.Write(w, entries)
-	}); err != nil {
+	img, _, err := EncodeSegment(0, entries)
+	if err == nil {
+		err = writeFileSync(tmp, func(w *os.File) error {
+			_, werr := w.Write(img)
+			return werr
+		})
+	}
+	if err != nil {
 		d.cpErrors.Inc()
 		return fmt.Errorf("store: write checkpoint: %w", err)
 	}

@@ -7,7 +7,7 @@
 //
 //	op u8 (1 = register, 2 = remove; bit 0x80 = trace follows) |
 //	  [traceLen uvarint | trace bytes, when 0x80 set] | count uvarint |
-//	  register: count entries in snapshot.AppendEntry encoding
+//	  register: count entries in the entry encoding (entry.go)
 //	  remove:   count ids, uvarint each
 //
 // One record is one committed state change — a whole upload batch or a
@@ -27,7 +27,6 @@ import (
 	"hash/crc32"
 
 	"fovr/internal/index"
-	"fovr/internal/snapshot"
 )
 
 // Record operation codes.
@@ -109,7 +108,7 @@ func appendRecord(buf *bytes.Buffer, rec Record) error {
 	case opRegister:
 		putUvarint(uint64(len(rec.Entries)))
 		for i, e := range rec.Entries {
-			if err := snapshot.AppendEntry(&payload, e); err != nil {
+			if err := appendEntry(&payload, e); err != nil {
 				return fmt.Errorf("store: record entry %d: %w", i, err)
 			}
 		}
@@ -207,7 +206,7 @@ func decodePayload(payload []byte) (Record, error) {
 		rec.Entries = make([]index.Entry, 0, count)
 		rest := payload[len(payload)-rd.Len():]
 		for i := uint64(0); i < count; i++ {
-			e, n, err := snapshot.ReadEntry(rest)
+			e, n, err := readEntry(rest)
 			if err != nil {
 				return rec, fmt.Errorf("entry %d: %v", i, err)
 			}
