@@ -98,7 +98,7 @@ func usage() {
   checkpoint
   stats
   replication
-  storage  tiered storage state (segments, memtable, compaction) from /stats
+  storage  tiered storage state (segments, memtable, window seals) from /stats
   top      [-interval 2s] [-n 0] [-plain]   live ops dashboard over /metrics, /stats and /healthz
   health   evaluated component health from /healthz
   cluster  router topology + per-partition health (point -server at fovcluster)`)

@@ -1,6 +1,6 @@
 // The storage subcommand: the storage block of /stats — how the durable
-// store is split between the mutable memtable and the sealed per-window
-// segment files, and whether the compactor is keeping up.
+// store is split between the memtable (what was appended since the last
+// checkpoint) and the sealed per-window segment files.
 package main
 
 import (
@@ -26,8 +26,7 @@ func runStorage(c *client.Client) error {
 		s.Segments, s.SegmentEntries, topBytes(float64(s.SegmentBytes)))
 	fmt.Printf("  memtable: %d entries\n", s.MemtableEntries)
 	fmt.Printf("  tombstones: %d  staged segments: %d\n", s.Tombstones, s.StagedSegments)
-	fmt.Printf("  compaction: backlog %d windows, %d runs total\n",
-		s.CompactionBacklog, s.Compactions)
+	fmt.Printf("  window seals: %d total\n", s.Compactions)
 	return nil
 }
 

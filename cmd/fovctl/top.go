@@ -143,10 +143,9 @@ func topFrame(c *client.Client, prev sample) (frame, error) {
 		(time.Duration(last[obs.MetricGoGCPauseNs]) * time.Nanosecond).String())
 
 	if s := st.Storage; s != nil {
-		fmt.Fprintf(&b, "storage: %d segments (%s, %d entries)  memtable %d  backlog %d  %.1f compactions/s\n",
+		fmt.Fprintf(&b, "storage: %d segments (%s, %d entries)  memtable %d  %.1f window seals/s\n",
 			s.Segments, topBytes(float64(s.SegmentBytes)), s.SegmentEntries,
-			s.MemtableEntries, s.CompactionBacklog,
-			rate("fovr_store_compactions_total"))
+			s.MemtableEntries, rate("fovr_store_compactions_total"))
 	}
 	if st.ReadOnly && st.Replication != nil {
 		r := st.Replication

@@ -19,21 +19,22 @@
 // disjoint id space so ids are globally unique across the cluster.
 //
 // -data-dir makes ingest durable: every upload and removal is journaled
-// to a write-ahead log in the directory before it is acknowledged, a
-// background compactor seals each one-hour time window that has been
-// cold for an hour into an immutable, compressed, CRC-framed segment
-// file, the mutable rest is checkpointed every -checkpoint-interval (0
-// disables), and a restart recovers segments + checkpoint + log tail —
-// a kill -9 loses nothing that was acknowledged under -fsync=always.
+// to a write-ahead log in the directory before it is acknowledged; every
+// -checkpoint-interval (0 disables) a checkpoint seals what was
+// journaled since the last one into immutable, compressed, CRC-framed
+// segment files, one per one-hour time window, and retires the log
+// below it; a restart recovers the manifest's segments plus the log
+// from its base generation — a kill -9 loses nothing that was
+// acknowledged under -fsync=always.
 // -fsync=interval syncs the log every 100ms (bounded loss, near-memory
 // throughput); -fsync=never leaves syncing to the OS. Without -data-dir
 // state is in RAM only, as before.
 //
 // -replica-of makes this process a read replica of the leader at the
 // given base URL, which needs -data-dir (the replica does not): it
-// bootstraps from the leader's manifest, each sealed segment it does not
-// hold, and the memtable, then tails the leader's write-ahead log
-// (long-polling every -replica-poll), serves the full read path
+// bootstraps from the leader's manifest and each sealed segment it does
+// not hold, then tails the leader's write-ahead log from the manifest's
+// base generation (long-polling every -replica-poll), serves the full read path
 // (/query, /nearest, /stats, /metrics, traces), and rejects mutations
 // with HTTP 409 naming the leader. A replica that restarts or lags past
 // the leader's log retention re-bootstraps automatically. With
@@ -98,7 +99,7 @@ func main() {
 	halfAngle := flag.Float64("half-angle", 30, "camera viewing half-angle alpha in degrees")
 	radius := flag.Float64("radius", 100, "radius of view R in meters")
 	maxResults := flag.Int("max-results", 20, "default top-N for queries")
-	dataDir := flag.String("data-dir", "", "data directory for the durable store (WAL + checkpoints); empty keeps state in RAM only")
+	dataDir := flag.String("data-dir", "", "data directory for the durable store (WAL + manifest + sealed segments); empty keeps state in RAM only")
 	fsyncPolicy := flag.String("fsync", "always", "WAL sync policy with -data-dir: always | interval | never")
 	checkpointInterval := flag.Duration("checkpoint-interval", 5*time.Minute, "background checkpoint period with -data-dir (0 disables)")
 	quiet := flag.Bool("quiet", false, "suppress per-request logging")

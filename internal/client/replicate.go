@@ -55,14 +55,18 @@ const bootstrapTimeout = 2 * time.Minute
 // Fetch performs one log-tail round-trip from cur, asking the leader to
 // hold the request up to wait when there is nothing new. The request is
 // bounded by wait plus a grace period so a hung leader cannot pin the
-// follower forever.
+// follower forever, and the body by store.MaxTailBytes, the most one
+// leader read returns.
 func (r *Replicator) Fetch(ctx context.Context, cur replica.Cursor, wait time.Duration) (*replica.Batch, error) {
 	url := fmt.Sprintf("%s/replicate?gen=%d&off=%d&wait=%s", r.BaseURL, cur.Gen, cur.Off, wait)
 	var b *replica.Batch
 	err := r.get(ctx, url, replica.StreamWAL, wait+15*time.Second, func(h http.Header, body io.Reader) error {
-		frames, err := io.ReadAll(body)
+		frames, err := io.ReadAll(io.LimitReader(body, store.MaxTailBytes+1))
 		if err != nil {
 			return fmt.Errorf("client: replicate wal body: %w", err)
+		}
+		if len(frames) > store.MaxTailBytes {
+			return fmt.Errorf("client: replicate wal body exceeds the %d bytes one leader read returns", store.MaxTailBytes)
 		}
 		b = batchHeaders(h)
 		b.Frames = frames
@@ -71,7 +75,8 @@ func (r *Replicator) Fetch(ctx context.Context, cur replica.Cursor, wait time.Du
 	return b, err
 }
 
-// FetchManifest pulls the leader's cold-tier manifest (?manifest=1).
+// FetchManifest pulls the leader's recovery root (?manifest=1):
+// segments, tombstones and the WAL base generation.
 func (r *Replicator) FetchManifest(ctx context.Context) (*replica.ManifestBatch, error) {
 	var mb *replica.ManifestBatch
 	err := r.get(ctx, r.BaseURL+"/replicate?manifest=1", replica.StreamManifest, bootstrapTimeout, func(h http.Header, body io.Reader) error {
@@ -105,31 +110,6 @@ func (r *Replicator) FetchSegment(ctx context.Context, meta store.SegmentMeta) (
 		return nil
 	})
 	return raw, err
-}
-
-// FetchMem pulls the leader's memtable (?mem=1) as an image
-// (store.DecodeSegment), reading no more than store.MaxImageBytes,
-// stamped with the WAL cursor to stream from and the manifest hash the
-// capture was consistent with.
-func (r *Replicator) FetchMem(ctx context.Context) (*replica.Batch, error) {
-	var b *replica.Batch
-	err := r.get(ctx, r.BaseURL+"/replicate?mem=1", replica.StreamMem, bootstrapTimeout, func(h http.Header, body io.Reader) error {
-		raw, err := io.ReadAll(io.LimitReader(body, store.MaxImageBytes+1))
-		if err != nil {
-			return fmt.Errorf("client: replicate mem: %w", err)
-		}
-		if len(raw) > store.MaxImageBytes {
-			return fmt.Errorf("client: replicate mem: body exceeds the %d-byte image cap", store.MaxImageBytes)
-		}
-		_, entries, err := store.DecodeSegment(raw)
-		if err != nil {
-			return fmt.Errorf("client: replicate mem: %w", err)
-		}
-		b = batchHeaders(h)
-		b.Entries = entries
-		return nil
-	})
-	return b, err
 }
 
 // get runs one /replicate GET under the retry policy, bounded by
@@ -176,15 +156,14 @@ func (r *Replicator) get(ctx context.Context, url, kind string, timeout time.Dur
 	})
 }
 
-// batchHeaders decodes the identity, cursor and manifest-hash headers
-// every /replicate response carries.
+// batchHeaders decodes the identity and cursor headers every
+// /replicate response carries.
 func batchHeaders(h http.Header) *replica.Batch {
 	b := &replica.Batch{StoreID: h.Get(replica.HeaderStoreID)}
 	b.Next.Gen, _ = strconv.ParseUint(h.Get(replica.HeaderNextGen), 10, 64)
 	b.Next.Off, _ = strconv.ParseInt(h.Get(replica.HeaderNextOff), 10, 64)
 	b.Lead.Gen, _ = strconv.ParseUint(h.Get(replica.HeaderLeadGen), 10, 64)
 	b.Lead.Off, _ = strconv.ParseInt(h.Get(replica.HeaderLeadOff), 10, 64)
-	b.ManifestHash, _ = strconv.ParseUint(h.Get(replica.HeaderManifestHash), 10, 64)
 	return b
 }
 

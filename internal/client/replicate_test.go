@@ -47,3 +47,29 @@ func TestFetchSegmentBoundedByManifest(t *testing.T) {
 		t.Fatalf("got %d bytes, want the %d the leader sent", len(raw), len(body))
 	}
 }
+
+// TestFetchBoundedByMaxTailBytes scripts a leader whose log-tail body
+// runs past the most one leader read returns: Fetch refuses it after
+// reading at most one byte beyond store.MaxTailBytes.
+func TestFetchBoundedByMaxTailBytes(t *testing.T) {
+	chunk := make([]byte, 1<<20)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(replica.HeaderStream, replica.StreamWAL)
+		for sent := 0; sent <= store.MaxTailBytes; sent += len(chunk) {
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+		}
+	}))
+	defer ts.Close()
+	r := NewReplicator(ts.URL)
+	r.MaxRetries = 0
+
+	before := clientReceivedBytes.Value()
+	if b, err := r.Fetch(context.Background(), replica.Cursor{Gen: 1}, 0); err == nil {
+		t.Fatalf("a body past %d bytes was accepted (%d bytes)", store.MaxTailBytes, len(b.Frames))
+	}
+	if read := clientReceivedBytes.Value() - before; read > store.MaxTailBytes+1 {
+		t.Fatalf("read %d body bytes, bound %d", read, store.MaxTailBytes)
+	}
+}

@@ -172,7 +172,7 @@ func TableReplicaLag(n int) *Table {
 	}
 	row("live-tail", time.Since(start), maxLag)
 
-	t.AddNote("bootstrap ships the leader's manifest, each sealed segment the follower lacks and the memtable; live-tail ships verbatim WAL frames with a %v poll", 10*time.Millisecond)
+	t.AddNote("bootstrap ships the leader's manifest and each sealed segment the follower lacks, then the WAL from the manifest's base generation; live-tail ships verbatim WAL frames with a %v poll", 10*time.Millisecond)
 	t.AddNote("max_lag_kb is the largest leader-head minus follower-cursor gap the follower observed; 0.0 means every fetch drained the tail")
 	t.AddNote("Expectation: live-tail lag stays within a few WAL appends (KB, not MB) — replica staleness is bounded by poll latency, not corpus size")
 	return t

@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -235,6 +236,141 @@ func TestReplicaConvergence(t *testing.T) {
 	st := fol2.Status()
 	if !st.CaughtUp || st.Bootstraps == 0 {
 		t.Errorf("follower status after convergence: %+v", st)
+	}
+}
+
+// checkedApplier records every error the follower's state sink
+// returns, so a test can assert that none happened — a duplicate-id
+// insert fails ApplyRegister or FinishBootstrap's index rebuild.
+type checkedApplier struct {
+	*server.Server
+	mu   sync.Mutex
+	errs []error
+}
+
+func (c *checkedApplier) note(err error) error {
+	if err != nil {
+		c.mu.Lock()
+		c.errs = append(c.errs, err)
+		c.mu.Unlock()
+	}
+	return err
+}
+
+func (c *checkedApplier) ApplyRegister(entries []index.Entry, trace string) error {
+	return c.note(c.Server.ApplyRegister(entries, trace))
+}
+
+func (c *checkedApplier) ApplyRemove(ids []uint64, trace string) error {
+	return c.note(c.Server.ApplyRemove(ids, trace))
+}
+
+func (c *checkedApplier) FinishBootstrap(ms store.ManifestSnapshot) error {
+	return c.note(c.Server.FinishBootstrap(ms))
+}
+
+// TestFollowerBootstrapRacesCheckpoints starts a durable and an
+// in-memory follower while the leader uploads into six hourly windows,
+// forgets providers and checkpoints in a loop — so segments are
+// superseded under the bootstrap's fetches and the WAL below each new
+// base is deleted under its tail. Both followers converge to the
+// leader's visible set byte for byte, and no apply, removal or bootstrap
+// swap ever fails.
+func TestFollowerBootstrapRacesCheckpoints(t *testing.T) {
+	leaderStore := openDisk(t, t.TempDir())
+	leader, ts := newLeader(t, leaderStore)
+	defer ts.Close()
+	defer leaderStore.Close()
+
+	upload := func(i int) error {
+		up := wire.Upload{Provider: fmt.Sprintf("p%d", i%7), Reps: make([]segment.Representative, 3)}
+		for j := range up.Reps {
+			start := int64(i%6)*3_600_000 + int64(i*3+j)*1000
+			up.Reps[j] = mkRep(geo.Offset(e2eCenter, float64((i*3+j)*11%360), float64(5+i%50)),
+				float64((i*17+j)%360), start, start+4000)
+		}
+		_, err := leader.Register(up)
+		return err
+	}
+	for i := 0; i < 60; i++ {
+		if err := upload(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := leaderStore.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+
+	churn := make(chan error, 1)
+	go func() {
+		for i := 60; i < 400; i++ {
+			if err := upload(i); err != nil {
+				churn <- err
+				return
+			}
+			if i%23 == 0 {
+				if _, err := leader.ForgetProvider(fmt.Sprintf("p%d", i%7)); err != nil {
+					churn <- err
+					return
+				}
+			}
+			if i%5 == 0 {
+				if err := leaderStore.Checkpoint(); err != nil {
+					churn <- err
+					return
+				}
+			}
+		}
+		churn <- nil
+	}()
+
+	type follower struct {
+		kind string
+		srv  *checkedApplier
+		fol  *replica.Follower
+	}
+	var followers []follower
+	for i, st := range []store.Store{openDisk(t, t.TempDir()), store.NewMem()} {
+		defer st.Close()
+		srv, err := server.New(server.Config{
+			Camera:    fov.Camera{HalfAngleDeg: 30, RadiusMeters: 100},
+			Store:     st,
+			Registry:  obs.NewRegistry(),
+			ReadOnly:  true,
+			LeaderURL: ts.URL,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ca := &checkedApplier{Server: srv}
+		rep := client.NewReplicator(ts.URL)
+		rep.RetryDelay = 5 * time.Millisecond
+		fol, err := replica.Start(replica.Options{
+			Fetch: rep, Apply: ca, Poll: 20 * time.Millisecond, Registry: srv.Registry(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fol.Close()
+		followers = append(followers, follower{[]string{"durable", "in-memory"}[i], ca, fol})
+	}
+	if err := <-churn; err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range followers {
+		waitConverged(t, leader, f.srv.Server, f.fol)
+		st := f.fol.Status()
+		if st.ApplyErrors != 0 || st.Bootstraps == 0 {
+			t.Fatalf("follower status %+v", st)
+		}
+		f.srv.mu.Lock()
+		errs := f.srv.errs
+		f.srv.mu.Unlock()
+		if len(errs) != 0 {
+			t.Fatalf("%d state-sink errors, the first: %v", len(errs), errs[0])
+		}
+		t.Logf("%s follower: %d bootstraps, %d fetch errors, %d records applied",
+			f.kind, st.Bootstraps, st.FetchErrors, st.AppliedRecords)
 	}
 }
 

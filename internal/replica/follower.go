@@ -24,27 +24,28 @@ import (
 // FinishBootstrap are the bootstrap (store.Store's methods of the same
 // names): a segment HasSegment reports is not fetched, each fetched one
 // is installed before the next, and FinishBootstrap replaces the state
-// with the leader's manifest (every segment installed) plus its
-// memtable. After a failed apply the state may be inconsistent with the
-// cursor; the follower recovers by re-bootstrapping, never by retrying.
+// with the leader's manifest (every segment installed, less its
+// tombstones) over an empty memtable; the log from the manifest's
+// BaseGen follows through the applies. After a failed apply the state
+// may be inconsistent with the cursor; the follower recovers by
+// re-bootstrapping, never by retrying.
 type Applier interface {
 	ApplyRegister(entries []index.Entry, trace string) error
 	ApplyRemove(ids []uint64, trace string) error
 	HasSegment(window int64, seq uint64, crc uint32) bool
 	InstallSegment(meta store.SegmentMeta, raw []byte) error
-	FinishBootstrap(m store.ManifestSnapshot, mem []index.Entry) error
+	FinishBootstrap(m store.ManifestSnapshot) error
 }
 
 // Fetcher performs /replicate round-trips; *client.Replicator implements
 // it over HTTP. Fetch reads the log tail from cur, asking the leader to
-// hold the request up to wait when there is nothing new; the other
-// three are the bootstrap legs. FetchSegment returns the file bytes of
-// the segment meta names, no more than meta.Bytes of them.
+// hold the request up to wait when there is nothing new; the other two
+// are the bootstrap legs. FetchSegment returns the file bytes of the
+// segment meta names, no more than meta.Bytes of them.
 type Fetcher interface {
 	Fetch(ctx context.Context, cur Cursor, wait time.Duration) (*Batch, error)
 	FetchManifest(ctx context.Context) (*ManifestBatch, error)
 	FetchSegment(ctx context.Context, meta store.SegmentMeta) ([]byte, error)
-	FetchMem(ctx context.Context) (*Batch, error)
 }
 
 // Options configures a Follower.
@@ -305,17 +306,17 @@ func (f *Follower) handle(cur Cursor, b *Batch) {
 			st.LeaderStoreID = b.StoreID
 		}
 		st.LastError = ""
-		setLag(st, b)
+		setLag(st, b.Lead)
 	})
 }
 
-// setLag derives lag from the batch's lead cursor (st.Cursor already
-// advanced).
-func setLag(st *Status, b *Batch) {
-	st.Lead = b.Lead
+// setLag derives lag from the leader's head as a response reported it
+// (st.Cursor already advanced).
+func setLag(st *Status, lead Cursor) {
+	st.Lead = lead
 	switch {
-	case b.Lead.Gen == st.Cursor.Gen:
-		st.LagBytes = b.Lead.Off - st.Cursor.Off
+	case lead.Gen == st.Cursor.Gen:
+		st.LagBytes = lead.Off - st.Cursor.Off
 	default:
 		st.LagBytes = -1
 	}

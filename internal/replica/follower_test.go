@@ -46,53 +46,89 @@ func frames(t *testing.T, recs ...store.Record) []byte {
 	return buf.Bytes()
 }
 
-// scriptFetcher serves a fixed sequence of responses, then idles with
-// empty caught-up batches. Each step sees the cursor the follower asked
-// with, so a test can assert the resume positions. A bootstrap asks
-// with the zero cursor: its step is taken by the manifest leg (an empty
-// manifest, nothing sealed) and answers the memtable leg.
-type scriptFetcher struct {
-	mu    sync.Mutex
-	steps []func(cur Cursor) (*Batch, error)
-	asked []Cursor
-	idle  Batch  // returned once the script is exhausted
-	mem   *Batch // the current bootstrap's memtable answer
+// reply is one scripted leader answer: a log tail, or — for a
+// bootstrap, which asks with the zero cursor — a manifest whose BaseGen
+// is Next.Gen and whose one segment holds sealed (none when empty).
+type reply struct {
+	Batch
+	sealed []index.Entry
 }
 
-func (s *scriptFetcher) Fetch(ctx context.Context, cur Cursor, wait time.Duration) (*Batch, error) {
+// boot scripts a bootstrap answer from the leader store id: sealed is
+// the manifest's state, gen its BaseGen, lead the leader's head.
+func boot(id string, gen uint64, lead Cursor, sealed ...index.Entry) func(Cursor) (*reply, error) {
+	return func(cur Cursor) (*reply, error) {
+		if !cur.IsZero() {
+			return nil, fmt.Errorf("bootstrap step reached with cursor %v", cur)
+		}
+		return &reply{Batch: Batch{Next: Cursor{Gen: gen}, Lead: lead, StoreID: id}, sealed: sealed}, nil
+	}
+}
+
+// scriptFetcher serves a fixed sequence of replies, then idles with
+// empty caught-up batches. Each step sees the cursor the follower asked
+// with, so a test can assert the resume positions; the manifest leg
+// asks with the zero cursor.
+type scriptFetcher struct {
+	mu    sync.Mutex
+	steps []func(cur Cursor) (*reply, error)
+	asked []Cursor
+	idle  Batch // returned once the script is exhausted
+	segs  map[store.SegmentMeta][]byte
+}
+
+func (s *scriptFetcher) next(cur Cursor) (*reply, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.asked = append(s.asked, cur)
 	if len(s.steps) == 0 {
 		// Simulate a long poll expiring so the loop does not spin.
 		time.Sleep(5 * time.Millisecond)
-		idle := s.idle
-		return &idle, nil
+		return &reply{Batch: s.idle}, nil
 	}
 	step := s.steps[0]
 	s.steps = s.steps[1:]
 	return step(cur)
 }
 
-func (s *scriptFetcher) FetchManifest(ctx context.Context) (*ManifestBatch, error) {
-	b, err := s.Fetch(ctx, Cursor{}, 0)
+func (s *scriptFetcher) Fetch(ctx context.Context, cur Cursor, wait time.Duration) (*Batch, error) {
+	r, err := s.next(cur)
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	s.mem = b
-	s.mu.Unlock()
-	return &ManifestBatch{StoreID: b.StoreID, Lead: b.Lead}, nil
+	return &r.Batch, nil
 }
 
-func (s *scriptFetcher) FetchSegment(context.Context, store.SegmentMeta) ([]byte, error) {
-	return nil, errors.New("no segments scripted")
+func (s *scriptFetcher) FetchManifest(ctx context.Context) (*ManifestBatch, error) {
+	r, err := s.next(Cursor{})
+	if err != nil {
+		return nil, err
+	}
+	mb := &ManifestBatch{StoreID: r.StoreID, Lead: r.Lead, Manifest: store.ManifestSnapshot{BaseGen: r.Next.Gen}}
+	if len(r.sealed) > 0 {
+		img, crc, err := store.EncodeSegment(0, r.sealed)
+		if err != nil {
+			return nil, err
+		}
+		meta := store.SegmentMeta{Seq: 1, Count: len(r.sealed), Bytes: int64(len(img)), CRC: crc}
+		s.mu.Lock()
+		if s.segs == nil {
+			s.segs = map[store.SegmentMeta][]byte{}
+		}
+		s.segs[meta] = img
+		s.mu.Unlock()
+		mb.Manifest.Segments = []store.SegmentMeta{meta}
+	}
+	return mb, nil
 }
 
-func (s *scriptFetcher) FetchMem(context.Context) (*Batch, error) {
+func (s *scriptFetcher) FetchSegment(_ context.Context, meta store.SegmentMeta) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.mem, nil
+	if raw, ok := s.segs[meta]; ok {
+		return raw, nil
+	}
+	return nil, fmt.Errorf("segment %+v not scripted", meta)
 }
 
 func (s *scriptFetcher) cursors() []Cursor {
@@ -106,12 +142,15 @@ func (s *scriptFetcher) cursors() []Cursor {
 type memApplier struct {
 	mu      sync.Mutex
 	state   map[uint64]index.Entry
+	staged  *store.Mem // the bootstrap's installed segments
 	resets  int
 	traces  []string // propagated trace ids seen by Apply* calls
 	failOne error    // next Apply* call fails with this once
 }
 
-func newMemApplier() *memApplier { return &memApplier{state: map[uint64]index.Entry{}} }
+func newMemApplier() *memApplier {
+	return &memApplier{state: map[uint64]index.Entry{}, staged: store.NewMem()}
+}
 
 func (m *memApplier) takeFailure() error {
 	err := m.failOne
@@ -149,21 +188,27 @@ func (m *memApplier) ApplyRemove(ids []uint64, trace string) error {
 	return nil
 }
 
-func (m *memApplier) HasSegment(int64, uint64, uint32) bool { return false }
-
-func (m *memApplier) InstallSegment(store.SegmentMeta, []byte) error {
-	return errors.New("no segments scripted")
+func (m *memApplier) HasSegment(window int64, seq uint64, crc uint32) bool {
+	return m.staged.HasSegment(window, seq, crc)
 }
 
-func (m *memApplier) FinishBootstrap(_ store.ManifestSnapshot, mem []index.Entry) error {
+func (m *memApplier) InstallSegment(meta store.SegmentMeta, raw []byte) error {
+	return m.staged.InstallSegment(meta, raw)
+}
+
+func (m *memApplier) FinishBootstrap(ms store.ManifestSnapshot) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err := m.takeFailure(); err != nil {
 		return err
 	}
+	entries, err := m.staged.FinishBootstrap(ms)
+	if err != nil {
+		return err
+	}
 	m.resets++
-	m.state = make(map[uint64]index.Entry, len(mem))
-	for _, e := range mem {
+	m.state = make(map[uint64]index.Entry, len(entries))
+	for _, e := range entries {
 		m.state[e.ID] = e
 	}
 	return nil
@@ -208,37 +253,22 @@ func TestFollowerBootstrapsThenTails(t *testing.T) {
 		store.Record{Op: store.OpRegister, Entries: []index.Entry{entry(3, "bob")}},
 		store.Record{Op: store.OpRemove, IDs: []uint64{1}},
 	)
+	head := Cursor{Gen: 1, Off: int64(len(wal))}
 	sf := &scriptFetcher{
-		steps: []func(Cursor) (*Batch, error){
-			func(cur Cursor) (*Batch, error) {
-				if !cur.IsZero() {
-					return nil, fmt.Errorf("first fetch with cursor %v, want zero (bootstrap)", cur)
+		steps: []func(Cursor) (*reply, error){
+			// The leader's log already holds the tail past its base, so
+			// the follower is not caught up until it has applied the next
+			// step.
+			boot("leader-1", 1, head, entry(1, "alice"), entry(2, "alice")),
+			func(cur Cursor) (*reply, error) {
+				if cur != (Cursor{Gen: 1, Off: 0}) {
+					return nil, fmt.Errorf("tail fetch with cursor %v, want 1/0 (the base generation)", cur)
 				}
-				// The leader's log already holds the tail, so the follower
-				// is not caught up until it has applied the next step.
-				return &Batch{
-					Entries: []index.Entry{entry(1, "alice"), entry(2, "alice")},
-					Next:    Cursor{Gen: 1, Off: 100},
-					Lead:    Cursor{Gen: 1, Off: 100 + int64(len(wal))},
-					StoreID: "leader-1",
-				}, nil
-			},
-			func(cur Cursor) (*Batch, error) {
-				if cur != (Cursor{Gen: 1, Off: 100}) {
-					return nil, fmt.Errorf("tail fetch with cursor %v, want 1/100", cur)
-				}
-				return &Batch{
-					Frames:  wal,
-					Next:    Cursor{Gen: 1, Off: 100 + int64(len(wal))},
-					Lead:    Cursor{Gen: 1, Off: 100 + int64(len(wal))},
-					StoreID: "leader-1",
-				}, nil
+				return &reply{Batch: Batch{Frames: wal, Next: head, Lead: head, StoreID: "leader-1"}}, nil
 			},
 		},
 	}
-	sf.idle = Batch{
-		Next: Cursor{Gen: 1, Off: 100 + int64(len(wal))},
-		Lead: Cursor{Gen: 1, Off: 100 + int64(len(wal))}, StoreID: "leader-1"}
+	sf.idle = Batch{Next: head, Lead: head, StoreID: "leader-1"}
 
 	ap := newMemApplier()
 	f := startFollower(t, sf, ap)
@@ -258,33 +288,20 @@ func TestFollowerBootstrapsThenTails(t *testing.T) {
 }
 
 func TestFollowerRebootstrapsOnStoreIDChange(t *testing.T) {
-	snap := func(id string, e index.Entry, lead int64) func(Cursor) (*Batch, error) {
-		return func(Cursor) (*Batch, error) {
-			return &Batch{Entries: []index.Entry{e},
-				Next: Cursor{Gen: 1, Off: 10}, Lead: Cursor{Gen: 1, Off: lead}, StoreID: id}, nil
-		}
-	}
 	sf := &scriptFetcher{
-		steps: []func(Cursor) (*Batch, error){
-			// The old leader is ahead of its snapshot: only the second
+		steps: []func(Cursor) (*reply, error){
+			// The old leader is ahead of its base: only the second
 			// bootstrap leaves the follower caught up.
-			snap("leader-old", entry(1, "alice"), 20),
+			boot("leader-old", 1, Cursor{Gen: 1, Off: 20}, entry(1, "alice")),
 			// The leader's directory was wiped: same cursor shape, new id.
-			func(cur Cursor) (*Batch, error) {
-				return &Batch{Frames: nil,
-					Next: cur, Lead: Cursor{Gen: 1, Off: 10}, StoreID: "leader-new"}, nil
+			func(cur Cursor) (*reply, error) {
+				return &reply{Batch: Batch{Next: cur, Lead: Cursor{Gen: 1, Off: 10}, StoreID: "leader-new"}}, nil
 			},
 			// The follower must come back asking for a bootstrap.
-			func(cur Cursor) (*Batch, error) {
-				if !cur.IsZero() {
-					return nil, fmt.Errorf("after id change cursor = %v, want zero", cur)
-				}
-				return snap("leader-new", entry(7, "carol"), 10)(cur)
-			},
+			boot("leader-new", 1, Cursor{Gen: 1}, entry(7, "carol")),
 		},
 	}
-	sf.idle = Batch{Next: Cursor{Gen: 1, Off: 10},
-		Lead: Cursor{Gen: 1, Off: 10}, StoreID: "leader-new"}
+	sf.idle = Batch{Next: Cursor{Gen: 1}, Lead: Cursor{Gen: 1}, StoreID: "leader-new"}
 
 	ap := newMemApplier()
 	f := startFollower(t, sf, ap)
@@ -300,28 +317,19 @@ func TestFollowerRebootstrapsOnStoreIDChange(t *testing.T) {
 
 func TestFollowerRebootstrapsOnDamagedFrames(t *testing.T) {
 	good := frames(t, store.Record{Op: store.OpRegister, Entries: []index.Entry{entry(9, "dave")}})
-	// Every batch reports the leader at the end of the good tail, so the
-	// follower is caught up only once it has applied the last step.
+	// Every answer reports the leader at the end of the good tail, so
+	// the follower is caught up only once it has applied the last step.
 	lead := Cursor{Gen: 1, Off: int64(len(good))}
 	sf := &scriptFetcher{
-		steps: []func(Cursor) (*Batch, error){
-			func(Cursor) (*Batch, error) {
-				return &Batch{Entries: nil,
-					Next: Cursor{Gen: 1, Off: 0}, Lead: lead, StoreID: "L"}, nil
+		steps: []func(Cursor) (*reply, error){
+			boot("L", 1, lead),
+			func(Cursor) (*reply, error) {
+				return &reply{Batch: Batch{Frames: []byte("not a wal frame"),
+					Next: Cursor{Gen: 1, Off: 15}, Lead: lead, StoreID: "L"}}, nil
 			},
-			func(Cursor) (*Batch, error) {
-				return &Batch{Frames: []byte("not a wal frame"),
-					Next: Cursor{Gen: 1, Off: 15}, Lead: lead, StoreID: "L"}, nil
-			},
-			func(cur Cursor) (*Batch, error) {
-				if !cur.IsZero() {
-					return nil, fmt.Errorf("after damage cursor = %v, want zero", cur)
-				}
-				return &Batch{Entries: nil,
-					Next: Cursor{Gen: 1, Off: 0}, Lead: lead, StoreID: "L"}, nil
-			},
-			func(Cursor) (*Batch, error) {
-				return &Batch{Frames: good, Next: lead, Lead: lead, StoreID: "L"}, nil
+			boot("L", 1, lead),
+			func(Cursor) (*reply, error) {
+				return &reply{Batch: Batch{Frames: good, Next: lead, Lead: lead, StoreID: "L"}}, nil
 			},
 		},
 	}
@@ -341,16 +349,12 @@ func TestFollowerRebootstrapsOnDamagedFrames(t *testing.T) {
 
 func TestFollowerRetriesFetchErrors(t *testing.T) {
 	sf := &scriptFetcher{
-		steps: []func(Cursor) (*Batch, error){
-			func(Cursor) (*Batch, error) { return nil, errors.New("leader down") },
-			func(Cursor) (*Batch, error) {
-				return &Batch{Entries: []index.Entry{entry(1, "alice")},
-					Next: Cursor{Gen: 1, Off: 5}, Lead: Cursor{Gen: 1, Off: 5}, StoreID: "L"}, nil
-			},
+		steps: []func(Cursor) (*reply, error){
+			func(Cursor) (*reply, error) { return nil, errors.New("leader down") },
+			boot("L", 1, Cursor{Gen: 1}, entry(1, "alice")),
 		},
 	}
-	sf.idle = Batch{Next: Cursor{Gen: 1, Off: 5},
-		Lead: Cursor{Gen: 1, Off: 5}, StoreID: "L"}
+	sf.idle = Batch{Next: Cursor{Gen: 1}, Lead: Cursor{Gen: 1}, StoreID: "L"}
 
 	ap := newMemApplier()
 	f := startFollower(t, sf, ap)
@@ -359,20 +363,18 @@ func TestFollowerRetriesFetchErrors(t *testing.T) {
 	if st.FetchErrors != 1 || st.Bootstraps != 1 || st.LastError != "" {
 		t.Errorf("status = %+v", st)
 	}
+	if ids := ap.ids(); len(ids) != 1 || ids[0] != 1 {
+		t.Fatalf("state after bootstrap = %v, want [1]", ids)
+	}
 }
 
 func TestFollowerLagAccounting(t *testing.T) {
+	// The leader's head is 40 bytes past the base generation's start.
+	lead := Cursor{Gen: 1, Off: 40}
 	sf := &scriptFetcher{
-		steps: []func(Cursor) (*Batch, error){
-			func(Cursor) (*Batch, error) {
-				// The leader is 40 bytes ahead of the shipped batch.
-				return &Batch{Entries: nil,
-					Next: Cursor{Gen: 1, Off: 60}, Lead: Cursor{Gen: 1, Off: 100}, StoreID: "L"}, nil
-			},
-		},
+		steps: []func(Cursor) (*reply, error){boot("L", 1, lead)},
 	}
-	sf.idle = Batch{Next: Cursor{Gen: 1, Off: 60},
-		Lead: Cursor{Gen: 1, Off: 100}, StoreID: "L"}
+	sf.idle = Batch{Next: Cursor{Gen: 1}, Lead: lead, StoreID: "L"}
 
 	f := startFollower(t, sf, newMemApplier())
 	deadline := time.Now().Add(5 * time.Second)
@@ -397,23 +399,15 @@ func TestFollowerLagAccounting(t *testing.T) {
 func TestFollowerRebootstrapsOnUnservableCursor(t *testing.T) {
 	lead := Cursor{Gen: 3, Off: 40}
 	sf := &scriptFetcher{
-		steps: []func(Cursor) (*Batch, error){
-			func(Cursor) (*Batch, error) {
-				return &Batch{Entries: []index.Entry{entry(1, "alice")},
-					Next: Cursor{Gen: 1, Off: 10}, Lead: lead, StoreID: "L"}, nil
-			},
-			func(cur Cursor) (*Batch, error) {
-				if cur != (Cursor{Gen: 1, Off: 10}) {
-					return nil, fmt.Errorf("tail fetch with cursor %v, want 1/10", cur)
+		steps: []func(Cursor) (*reply, error){
+			boot("L", 1, lead, entry(1, "alice")),
+			func(cur Cursor) (*reply, error) {
+				if cur != (Cursor{Gen: 1, Off: 0}) {
+					return nil, fmt.Errorf("tail fetch with cursor %v, want 1/0", cur)
 				}
-				return &Batch{Lead: lead, StoreID: "L"}, nil
+				return &reply{Batch: Batch{Lead: lead, StoreID: "L"}}, nil
 			},
-			func(cur Cursor) (*Batch, error) {
-				if !cur.IsZero() {
-					return nil, fmt.Errorf("after an unservable cursor asked with %v, want zero", cur)
-				}
-				return &Batch{Entries: []index.Entry{entry(2, "bob")}, Next: lead, Lead: lead, StoreID: "L"}, nil
-			},
+			boot("L", 3, lead, entry(2, "bob")),
 		},
 	}
 	sf.idle = Batch{Next: lead, Lead: lead, StoreID: "L"}

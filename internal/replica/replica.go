@@ -7,18 +7,20 @@
 // system scales horizontally.
 //
 // The subsystem is a thin protocol over what the leader's store.Disk
-// already keeps on disk: the CRC-framed WAL (the shipped bytes are the
-// leader's log frames, verbatim) and images — each sealed segment
-// shipped as its file bytes, the memtable as the image a checkpoint
-// would write (store.EncodeSegment). One HTTP endpoint on the leader
-// carries it:
+// already keeps on disk: its manifest, each sealed segment shipped as
+// its file bytes, and the CRC-framed WAL (the shipped bytes are the
+// leader's log frames, verbatim). A bootstrap is the leader's own
+// recovery done over HTTP: the manifest's segments less its
+// tombstones, then the log from the manifest's BaseGen on. One HTTP
+// endpoint on the leader carries it:
 //
-//	GET /replicate?manifest=1       — bootstrap: the sealed-segment manifest
+//	GET /replicate?manifest=1       — bootstrap: segments, tombstones, BaseGen
 //	GET /replicate?segment=W&seq=N  — bootstrap: one segment's file bytes
-//	GET /replicate?mem=1            — bootstrap: the memtable, as a window-0 image
 //	GET /replicate?gen=G&off=O      — log tail from position (G, O)
 //	GET /replicate?...&wait=10s     — long-poll: hold the request until
 //	                                  new records commit (capped at MaxWait)
+//
+// A malformed parameter answers 400 naming it.
 //
 // Responses are typed by the X-Fovr-Stream header and always carry the
 // cursor to resume from after applying the body (X-Fovr-Next-Gen/-Off),
@@ -31,8 +33,11 @@
 // protocol, and a durable follower re-fetches only the segments it
 // lacks.
 //
-// What a follower guarantees: its state is always some prefix of the
+// What a follower guarantees: once it has replayed the log past the
+// manifest it bootstrapped from, its state is always some prefix of the
 // leader's append order (bounded staleness, never invented state).
+// Before that, the manifest's tombstones — the leader's at serve time —
+// may hide an entry a little early; they never show one.
 // Mutations are rejected by the read-only server with ErrReadOnly / HTTP
 // 409 naming the leader. Failover is by restart: start the follower
 // process without -replica-of and it serves its replicated state as a
@@ -43,7 +48,6 @@ package replica
 import (
 	"fmt"
 
-	"fovr/internal/index"
 	"fovr/internal/store"
 )
 
@@ -61,36 +65,28 @@ func (c Cursor) IsZero() bool { return c.Gen == 0 }
 func (c Cursor) String() string { return fmt.Sprintf("%d/%d", c.Gen, c.Off) }
 
 // Stream kinds carried in the HeaderStream response header: the log
-// tail, then the three bootstrap legs (?manifest=1, ?segment=W&seq=N,
-// ?mem=1).
+// tail, then the two bootstrap legs (?manifest=1, ?segment=W&seq=N).
 const (
 	StreamWAL      = "wal"
 	StreamManifest = "manifest"
 	StreamSegment  = "segment"
-	StreamMem      = "memsnapshot"
 )
 
 // Protocol headers. Every /replicate response carries Stream, StoreID,
-// the Next cursor, and the Lead cursor; memsnapshot responses also
-// carry ManifestHash so the follower can detect the sealed set moving
-// between its manifest fetch and its memtable fetch.
+// the Next cursor, and the Lead cursor.
 const (
-	HeaderStream       = "X-Fovr-Stream"
-	HeaderStoreID      = "X-Fovr-Store-Id"
-	HeaderNextGen      = "X-Fovr-Next-Gen"
-	HeaderNextOff      = "X-Fovr-Next-Off"
-	HeaderLeadGen      = "X-Fovr-Lead-Gen"
-	HeaderLeadOff      = "X-Fovr-Lead-Off"
-	HeaderManifestHash = "X-Fovr-Manifest-Hash"
+	HeaderStream  = "X-Fovr-Stream"
+	HeaderStoreID = "X-Fovr-Store-Id"
+	HeaderNextGen = "X-Fovr-Next-Gen"
+	HeaderNextOff = "X-Fovr-Next-Off"
+	HeaderLeadGen = "X-Fovr-Lead-Gen"
+	HeaderLeadOff = "X-Fovr-Lead-Off"
 )
 
-// Batch is one decoded log tail (Fetch) or memtable (FetchMem)
-// response.
+// Batch is one decoded log tail (Fetch) response.
 type Batch struct {
-	// Entries is the leader's memtable (FetchMem only).
-	Entries []index.Entry
-	// Frames holds verbatim WAL frames (Fetch only; may be empty when the
-	// long poll expired with nothing new).
+	// Frames holds verbatim WAL frames (may be empty when the long poll
+	// expired with nothing new).
 	Frames []byte
 	// Next is the cursor to resume from after applying this batch; zero
 	// when the leader cannot serve the cursor asked with.
@@ -100,13 +96,10 @@ type Batch struct {
 	// StoreID identifies the leader's data directory; a change mid-tail
 	// means the history was replaced and the follower must re-bootstrap.
 	StoreID string
-	// ManifestHash is the leader's manifest fingerprint the memtable was
-	// captured against (FetchMem only).
-	ManifestHash uint64
 }
 
 // ManifestBatch is one decoded ?manifest=1 response: the leader's
-// cold-tier state plus the usual identity/lead headers.
+// recovery root plus the usual identity/lead headers.
 type ManifestBatch struct {
 	Manifest store.ManifestSnapshot
 	StoreID  string

@@ -5,11 +5,12 @@ package replica
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
-	"fovr/internal/index"
 	"fovr/internal/store"
 )
 
@@ -26,14 +27,12 @@ type LogSource interface {
 	// WaitForLog blocks until the position has news, ctx expires, or the
 	// store closes.
 	WaitForLog(ctx context.Context, gen uint64, off int64) error
-	// ManifestSnapshot returns the served cold-tier state.
+	// ManifestSnapshot returns the served recovery root: segments,
+	// tombstones and BaseGen, captured together.
 	ManifestSnapshot() store.ManifestSnapshot
 	// ReadSegment returns the verbatim bytes of live segment (window,
 	// seq); an error means the manifest moved past it.
 	ReadSegment(window int64, seq uint64) ([]byte, error)
-	// CaptureMem atomically captures the memtable, its WAL cursor, and
-	// the manifest hash at that instant.
-	CaptureMem() (entries []index.Entry, gen uint64, off int64, hash uint64)
 }
 
 // MaxWait caps the client-requested long-poll hold. It must stay under
@@ -42,38 +41,74 @@ type LogSource interface {
 const MaxWait = 25 * time.Second
 
 // ServeResult summarizes one served replication request for the
-// caller's metrics and logs.
+// caller's metrics and logs. Stream is empty when no body was served:
+// the request was malformed, named a segment the manifest moved past,
+// or the store failed.
 type ServeResult struct {
-	Stream  string // the HeaderStream kind served
-	Bytes   int64  // body bytes written
-	Entries int    // memtable entries (StreamMem only)
+	Stream string // the HeaderStream kind served
+	Bytes  int64  // body bytes written
+}
+
+// params parses the query parameters a request carries. The first
+// malformed one is recorded in err, naming it; an absent one parses as
+// zero.
+type params struct {
+	q   url.Values
+	err error
+}
+
+func (p *params) parse(name string, parse func(string) error) {
+	v := p.q.Get(name)
+	if v == "" || p.err != nil {
+		return
+	}
+	if err := parse(v); err != nil {
+		p.err = fmt.Errorf("replicate: bad %s %q", name, v)
+	}
+}
+
+func (p *params) uint(name string) (n uint64) {
+	p.parse(name, func(v string) (err error) { n, err = strconv.ParseUint(v, 10, 64); return })
+	return n
+}
+
+func (p *params) int(name string) (n int64) {
+	p.parse(name, func(v string) (err error) { n, err = strconv.ParseInt(v, 10, 64); return })
+	return n
+}
+
+func (p *params) duration(name string) (d time.Duration) {
+	p.parse(name, func(v string) (err error) { d, err = time.ParseDuration(v); return })
+	return d
 }
 
 // Serve answers one GET /replicate request: a bootstrap leg, or a WAL
 // tail long-polling up to the requested wait when the follower is
 // caught up. A zero or unservable cursor gets an empty tail whose next
 // cursor is zero, which sends the follower to the bootstrap legs. A
-// mid-stream write failure is returned for logging; the status line is
-// already gone by then, so the cut body is the client's signal (the
-// image CRC trailer and the WAL frame checksums detect it).
+// malformed parameter answers 400 naming it. A mid-stream write failure
+// is returned for logging; the status line is already gone by then, so
+// the cut body is the client's signal (the image CRC trailer and the
+// WAL frame checksums detect it).
 func Serve(w http.ResponseWriter, r *http.Request, src LogSource) (ServeResult, error) {
-	q := r.URL.Query()
-	switch {
-	case q.Get("manifest") != "":
+	p := params{q: r.URL.Query()}
+	if p.q.Get("manifest") != "" {
 		return serveManifest(w, src)
-	case q.Get("segment") != "":
-		window, _ := strconv.ParseInt(q.Get("segment"), 10, 64)
-		seq, _ := strconv.ParseUint(q.Get("seq"), 10, 64)
+	}
+	if p.q.Get("segment") != "" {
+		window, seq := p.int("segment"), p.uint("seq")
+		if p.err != nil {
+			http.Error(w, p.err.Error(), http.StatusBadRequest)
+			return ServeResult{}, nil
+		}
 		return serveSegment(w, src, window, seq)
-	case q.Get("mem") != "":
-		return serveMem(w, src)
 	}
-	gen, _ := strconv.ParseUint(q.Get("gen"), 10, 64)
-	off, _ := strconv.ParseInt(q.Get("off"), 10, 64)
-	wait, _ := time.ParseDuration(q.Get("wait"))
-	if wait > MaxWait {
-		wait = MaxWait
+	gen, off, wait := p.uint("gen"), p.int("off"), p.duration("wait")
+	if p.err != nil {
+		http.Error(w, p.err.Error(), http.StatusBadRequest)
+		return ServeResult{}, nil
 	}
+	wait = min(wait, MaxWait)
 	if gen == 0 {
 		return serveWAL(w, src, nil, Cursor{})
 	}
@@ -123,9 +158,9 @@ func serveWAL(w http.ResponseWriter, src LogSource, data []byte, next Cursor) (S
 	return ServeResult{Stream: StreamWAL, Bytes: int64(n)}, err
 }
 
-// serveManifest ships the cold-tier manifest as JSON: which segments a
-// bootstrapping follower needs, and the tombstones it installs with
-// them.
+// serveManifest ships the recovery root as JSON: which segments a
+// bootstrapping follower needs, the tombstones it installs with them,
+// and the BaseGen it tails the log from.
 func serveManifest(w http.ResponseWriter, src LogSource) (ServeResult, error) {
 	ms := src.ManifestSnapshot()
 	w.Header().Set(HeaderStream, StreamManifest)
@@ -142,13 +177,13 @@ func serveManifest(w http.ResponseWriter, src LogSource) (ServeResult, error) {
 }
 
 // serveSegment ships one live segment's verbatim file bytes. A segment
-// the manifest has moved past answers 404; the follower refetches the
-// manifest.
+// the manifest has moved past answers 404, serving nothing; the
+// follower refetches the manifest.
 func serveSegment(w http.ResponseWriter, src LogSource, window int64, seq uint64) (ServeResult, error) {
 	raw, err := src.ReadSegment(window, seq)
 	if err != nil {
 		http.Error(w, "replicate: "+err.Error(), http.StatusNotFound)
-		return ServeResult{Stream: StreamSegment}, nil
+		return ServeResult{}, nil
 	}
 	w.Header().Set(HeaderStream, StreamSegment)
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -156,22 +191,4 @@ func serveSegment(w http.ResponseWriter, src LogSource, window int64, seq uint64
 	setCursorHeaders(w, src, Cursor{Gen: gen, Off: off})
 	n, err := w.Write(raw)
 	return ServeResult{Stream: StreamSegment, Bytes: int64(n)}, err
-}
-
-// serveMem ships the memtable as an image (store.EncodeSegment, window
-// 0), stamped with the WAL cursor to resume streaming from and the
-// manifest hash the capture was consistent with.
-func serveMem(w http.ResponseWriter, src LogSource) (ServeResult, error) {
-	entries, gen, off, hash := src.CaptureMem()
-	img, _, err := store.EncodeSegment(0, entries)
-	if err != nil {
-		http.Error(w, "replicate: "+err.Error(), http.StatusInternalServerError)
-		return ServeResult{}, err
-	}
-	w.Header().Set(HeaderStream, StreamMem)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set(HeaderManifestHash, strconv.FormatUint(hash, 10))
-	setCursorHeaders(w, src, Cursor{Gen: gen, Off: off})
-	n, err := w.Write(img)
-	return ServeResult{Stream: StreamMem, Bytes: int64(n), Entries: len(entries)}, err
 }

@@ -86,7 +86,7 @@ func testConcurrentReadsDuringResetState(t *testing.T) {
 	go func() { // state replacer
 		defer wg.Done()
 		for i := 0; i < 8; i++ {
-			if err := s.FinishBootstrap(store.ManifestSnapshot{}, base); err != nil {
+			if err := bootstrapState(s, base); err != nil {
 				errs <- fmt.Errorf("bootstrap %d: %w", i, err)
 				return
 			}

@@ -217,8 +217,13 @@ func TestCheckpointEndpoint(t *testing.T) {
 	if cp.Entries != 1 {
 		t.Fatalf("checkpoint covered %d entries, want 1", cp.Entries)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "checkpoint-000000000002.fovg")); err != nil {
-		t.Fatalf("checkpoint file missing: %v", err)
+	// The checkpoint sealed the entry: a segment file, named by a
+	// manifest whose base is the generation it rotated to.
+	if names, _ := filepath.Glob(filepath.Join(dir, "seg-*.fovg")); len(names) != 1 {
+		t.Fatalf("checkpoint sealed into %v, want one segment file", names)
+	}
+	if ms := st.ManifestSnapshot(); ms.BaseGen != 2 || len(ms.Segments) != 1 {
+		t.Fatalf("manifest after the checkpoint: %+v", ms)
 	}
 
 	// A memory-only server reports the conflict instead.

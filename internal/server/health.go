@@ -36,10 +36,6 @@ const (
 	// cannot hold a stable tail.
 	bootstrapLoopWindow = 5 * time.Minute
 	bootstrapLoopCount  = 3
-	// compactionBacklogWarn degrades a durable store when this many
-	// windows are waiting to be sealed or re-flushed: the compactor is
-	// not keeping up with window turnover.
-	compactionBacklogWarn = 8
 )
 
 // registerHealthChecks installs the store and index checkers. The
@@ -95,12 +91,6 @@ func (s *Server) checkStore() obs.HealthCheck {
 	check.Details["segments"] = h.Segments
 	check.Details["segmentBytes"] = h.SegmentBytes
 	check.Details["memtableEntries"] = h.MemtableEntries
-	check.Details["compactionBacklog"] = h.CompactionBacklog
-	if h.CompactionBacklog >= compactionBacklogWarn {
-		check.State = check.State.Worse(obs.HealthDegraded)
-		check.Reasons = append(check.Reasons,
-			fmt.Sprintf("store: %d windows awaiting compaction (warn at %d)", h.CompactionBacklog, compactionBacklogWarn))
-	}
 	return check
 }
 

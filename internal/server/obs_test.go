@@ -18,7 +18,6 @@ import (
 	"fovr/internal/obs"
 	"fovr/internal/query"
 	"fovr/internal/segment"
-	"fovr/internal/store"
 	"fovr/internal/trace"
 	"fovr/internal/wire"
 )
@@ -355,7 +354,7 @@ func testMetricsTrackActiveIndex(t *testing.T) {
 	// replacement, not the construction-time object.
 	base := s.Index().Entries()
 	uploadN(t, s, "bob", 10) // diverge from the bootstrap's state
-	if err := s.FinishBootstrap(store.ManifestSnapshot{}, base); err != nil {
+	if err := bootstrapState(s, base); err != nil {
 		t.Fatal(err)
 	}
 	out = scrape()

@@ -69,6 +69,14 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res, err := replica.Serve(w, r, src)
+	if res.Stream == "" {
+		// Nothing served: a malformed request, a segment the manifest
+		// moved past, or a store failure.
+		if err != nil {
+			s.reqLog(r).Error("replicate failed", "err", err)
+		}
+		return
+	}
 	s.reg.Counter(fmt.Sprintf("fovr_replica_serve_total{stream=%q}", res.Stream)).Inc()
 	s.reg.Counter("fovr_replica_shipped_bytes_total").Add(res.Bytes)
 	s.traffic.AddSent(int(res.Bytes))
@@ -76,7 +84,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		s.reqLog(r).Error("replicate stream aborted", "stream", res.Stream, "bytesSent", res.Bytes, "err", err)
 		return
 	}
-	s.reqLog(r).Info("replicate", "stream", res.Stream, "bytes", res.Bytes, "entries", res.Entries)
+	s.reqLog(r).Info("replicate", "stream", res.Stream, "bytes", res.Bytes)
 }
 
 // ApplyRegister folds one shipped registration record into local state:
@@ -175,12 +183,12 @@ func (s *Server) InstallSegment(meta store.SegmentMeta, raw []byte) error {
 }
 
 // FinishBootstrap implements replica.Applier: swap the installed
-// segments plus memtable into the store, then rebuild the serving index
-// from the new visible set. An index rebuild failure after the store's
+// segments into the store over an empty memtable, then rebuild the
+// serving index from the new visible set. An index rebuild failure after the store's
 // swap is reported so the follower re-bootstraps — a durable store's
 // retry skips every installed segment and only re-runs the swap.
-func (s *Server) FinishBootstrap(m store.ManifestSnapshot, mem []index.Entry) error {
-	entries, err := s.store.FinishBootstrap(m, mem)
+func (s *Server) FinishBootstrap(m store.ManifestSnapshot) error {
+	entries, err := s.store.FinishBootstrap(m)
 	if err != nil {
 		return err
 	}

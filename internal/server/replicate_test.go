@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -36,6 +35,20 @@ func readOnlyServer(t *testing.T, st store.Store) *Server {
 	return s
 }
 
+// bootstrapState replaces s's state with entries the way a follower's
+// bootstrap does: one installed segment holding them, then the swap.
+func bootstrapState(s *Server, entries []index.Entry) error {
+	img, crc, err := store.EncodeSegment(0, entries)
+	if err != nil {
+		return err
+	}
+	meta := store.SegmentMeta{Seq: 1, Count: len(entries), Bytes: int64(len(img)), CRC: crc}
+	if err := s.InstallSegment(meta, img); err != nil {
+		return err
+	}
+	return s.FinishBootstrap(store.ManifestSnapshot{Segments: []store.SegmentMeta{meta}})
+}
+
 // TestReadOnlyRejectsTyped pins the typed-error contract: every mutator
 // fails with an error satisfying errors.Is(err, ErrReadOnly), and the
 // replication apply and bootstrap paths stay open.
@@ -61,7 +74,7 @@ func TestReadOnlyRejectsTyped(t *testing.T) {
 	if err := s.ApplyRemove([]uint64{1}, ""); err != nil {
 		t.Fatalf("ApplyRemove on replica: %v", err)
 	}
-	if err := s.FinishBootstrap(store.ManifestSnapshot{}, nil); err != nil {
+	if err := s.FinishBootstrap(store.ManifestSnapshot{}); err != nil {
 		t.Fatalf("FinishBootstrap on replica: %v", err)
 	}
 }
@@ -88,7 +101,7 @@ func TestFinishBootstrapKeepsIDBaseFloor(t *testing.T) {
 		{"below the floor", []index.Entry{entry(7, "low")}, base + 1},
 		{"above the floor", []index.Entry{entry(base+40, "high"), entry(base+3, "high")}, base + 41},
 	} {
-		if err := s.FinishBootstrap(store.ManifestSnapshot{}, tc.state); err != nil {
+		if err := bootstrapState(s, tc.state); err != nil {
 			t.Fatal(err)
 		}
 		if got := s.byProvider[tc.state[0].Provider]; got != len(tc.state) || len(s.byProvider) != 1 {
@@ -151,14 +164,14 @@ func TestReplicateEndpoint(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// One sealed window (its entries lie in 1970) and a memtable entry.
+	// One sealed window and a memtable entry.
 	if _, err := s.Register(wire.Upload{Provider: "alice", Reps: []segment.Representative{
 		rep(center, 0, 0, 5000),
 		rep(geo.Offset(center, 90, 10), 90, 1000, 6000),
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.CompactNow(); err != nil {
+	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Register(wire.Upload{Provider: "carol", Reps: []segment.Representative{
@@ -186,10 +199,11 @@ func TestReplicateEndpoint(t *testing.T) {
 		return resp, body
 	}
 
-	// Bootstrap leg 1: the manifest names the sealed window.
+	// Bootstrap leg 1: the manifest names the sealed window and the
+	// generation the checkpoint rotated to.
 	_, body := get("?manifest=1", replica.StreamManifest)
 	var ms store.ManifestSnapshot
-	if err := json.Unmarshal(body, &ms); err != nil || len(ms.Segments) != 1 {
+	if err := json.Unmarshal(body, &ms); err != nil || len(ms.Segments) != 1 || ms.BaseGen != 2 {
 		t.Fatalf("manifest %s: %+v, err %v", body, ms, err)
 	}
 	seg := ms.Segments[0]
@@ -208,19 +222,6 @@ func TestReplicateEndpoint(t *testing.T) {
 		t.Fatalf("superseded segment status %d, want 404", resp.StatusCode)
 	}
 
-	// Leg 3: the memtable, stamped with the manifest hash and a resume
-	// cursor.
-	resp, body = get("?mem=1", replica.StreamMem)
-	_, entries, err := store.DecodeSegment(body)
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("memtable: %d entries, err %v", len(entries), err)
-	}
-	if got := resp.Header.Get(replica.HeaderManifestHash); got != strconv.FormatUint(ms.Hash, 10) {
-		t.Fatalf("memtable stamped with manifest hash %s, manifest says %d", got, ms.Hash)
-	}
-	nextGen := resp.Header.Get(replica.HeaderNextGen)
-	nextOff := resp.Header.Get(replica.HeaderNextOff)
-
 	// A zero cursor is sent to the bootstrap: an empty tail, next zero.
 	resp, raw := get("", replica.StreamWAL)
 	if len(raw) != 0 || resp.Header.Get(replica.HeaderNextGen) != "0" || resp.Header.Get(replica.HeaderNextOff) != "0" {
@@ -228,8 +229,14 @@ func TestReplicateEndpoint(t *testing.T) {
 			resp.Header.Get(replica.HeaderNextGen), resp.Header.Get(replica.HeaderNextOff))
 	}
 
-	// Tail from the memtable's cursor: caught up, empty WAL stream.
-	tail := "?gen=" + nextGen + "&off=" + nextOff
+	// The tail from the manifest's base generation holds exactly what
+	// the segments do not: carol's upload.
+	resp, raw = get(fmt.Sprintf("?gen=%d&off=0", ms.BaseGen), replica.StreamWAL)
+	recs, valid, err := store.DecodeWAL(raw)
+	if err != nil || valid != len(raw) || len(recs) != 1 || recs[0].Entries[0].Provider != "carol" {
+		t.Fatalf("tail from the base: %d records, valid %d of %d, err %v", len(recs), valid, len(raw), err)
+	}
+	tail := "?gen=" + resp.Header.Get(replica.HeaderNextGen) + "&off=" + resp.Header.Get(replica.HeaderNextOff)
 	if _, raw := get(tail, replica.StreamWAL); len(raw) != 0 {
 		t.Fatalf("caught-up tail shipped %d bytes", len(raw))
 	}
@@ -241,7 +248,7 @@ func TestReplicateEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, raw = get(tail, replica.StreamWAL)
-	recs, valid, err := store.DecodeWAL(raw)
+	recs, valid, err = store.DecodeWAL(raw)
 	if err != nil || valid != len(raw) || len(recs) != 1 || len(recs[0].Entries) != 1 {
 		t.Fatalf("tail frames: %d records, valid %d of %d, err %v", len(recs), valid, len(raw), err)
 	}
@@ -263,6 +270,58 @@ func TestReplicateEndpoint(t *testing.T) {
 	postResp.Body.Close()
 	if postResp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("POST /replicate status %d", postResp.StatusCode)
+	}
+}
+
+// TestReplicateRejectsMalformedParams pins that a parameter that does
+// not parse answers 400 naming it, instead of reading as zero: a gen=x
+// would otherwise send the follower to re-bootstrap, a segment=x ask
+// for window 0.
+func TestReplicateRejectsMalformedParams(t *testing.T) {
+	st := openStore(t, t.TempDir())
+	defer st.Close()
+	ts := httptest.NewServer(durableServer(t, st).Handler())
+	defer ts.Close()
+	for _, tc := range []struct{ query, param string }{
+		{"gen=x&off=0", "gen"},
+		{"gen=1&off=x", "off"},
+		{"gen=1&off=0&wait=soon", "wait"},
+		{"segment=x&seq=1", "segment"},
+		{"segment=0&seq=-1", "seq"},
+	} {
+		resp, err := http.Get(ts.URL + "/replicate?" + tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "bad "+tc.param) {
+			t.Fatalf("?%s: status %d (%s), want 400 naming %s", tc.query, resp.StatusCode, body, tc.param)
+		}
+	}
+}
+
+// TestReplicateSegmentMissIsNotServed pins that a segment request the
+// manifest moved past answers 404 and leaves the served-stream counter
+// and the shipped bytes unchanged: only served bodies are counted.
+func TestReplicateSegmentMissIsNotServed(t *testing.T) {
+	st := openStore(t, t.TempDir())
+	defer st.Close()
+	s := durableServer(t, st)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	served := s.Registry().Counter(`fovr_replica_serve_total{stream="segment"}`)
+	shipped := s.Registry().Counter("fovr_replica_shipped_bytes_total")
+	resp, err := http.Get(ts.URL + "/replicate?segment=7&seq=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("missing segment status %d, want 404", resp.StatusCode)
+	}
+	if served.Value() != 0 || shipped.Value() != 0 {
+		t.Fatalf("a 404 counted as served: %d segment streams, %d bytes", served.Value(), shipped.Value())
 	}
 }
 

@@ -790,7 +790,7 @@ type Stats struct {
 	// counters); only present on a read replica.
 	Replication *replica.Status `json:"replication,omitempty"`
 	// Storage is the durable store's tiers (segments, memtable,
-	// compaction backlog); only present with -data-dir.
+	// tombstones); only present with -data-dir.
 	Storage *store.TieredStats `json:"storage,omitempty"`
 }
 

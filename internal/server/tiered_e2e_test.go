@@ -34,8 +34,6 @@ func tieredOpenDisk(t *testing.T, dir string) *store.Disk {
 		CheckpointInterval: -1,
 		Registry:           obs.NewRegistry(),
 		SegmentWindow:      time.Minute,
-		SegmentWindowAge:   time.Millisecond,
-		CompactionInterval: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -43,8 +41,8 @@ func tieredOpenDisk(t *testing.T, dir string) *store.Disk {
 	return st
 }
 
-// tieredUpload spreads n representatives across the given epoch-near
-// time window so a CompactNow seals them.
+// tieredUpload spreads n representatives across the given one-minute
+// time window, which a checkpoint seals them into.
 func tieredUpload(provider string, window int64, n int) wire.Upload {
 	up := wire.Upload{Provider: provider, Reps: make([]segment.Representative, n)}
 	for i := range up.Reps {
@@ -202,7 +200,7 @@ func TestTieredBootstrapResumesWithoutRefetch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := leaderStore.CompactNow(); err != nil {
+	if err := leaderStore.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := leaderSrv.Register(tieredUpload("hot", 2, 2)); err != nil {
@@ -326,7 +324,7 @@ func TestTailResetRebootstrapFetchesOnlyChangedSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := leaderStore.CompactNow(); err != nil {
+	if err := leaderStore.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	before := leaderStore.ManifestSnapshot()
@@ -341,8 +339,9 @@ func TestTailResetRebootstrapFetchesOnlyChangedSegments(t *testing.T) {
 	}
 
 	// Hold the follower's tail at its cursor while the leader takes a
-	// late arrival into window 1, re-seals it, and checkpoints the log
-	// under that cursor away.
+	// late arrival into window 1 and checkpoints: the checkpoint re-seals
+	// window 1 and deletes the log under that cursor. The upload after
+	// it stays in the log the re-bootstrap tails.
 	held, release := kf.hold()
 	select {
 	case <-held:
@@ -352,13 +351,10 @@ func TestTailResetRebootstrapFetchesOnlyChangedSegments(t *testing.T) {
 	if _, err := leaderSrv.Register(tieredUpload("late", 1, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := leaderStore.CompactNow(); err != nil {
+	if err := leaderStore.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := leaderSrv.Register(tieredUpload("hot", 5, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := leaderStore.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	after := leaderStore.ManifestSnapshot()
@@ -391,9 +387,10 @@ func TestTailResetRebootstrapFetchesOnlyChangedSegments(t *testing.T) {
 }
 
 // TestMemFollowerBootstrapsFromSegments: a follower on store.Mem
-// bootstraps from a leader holding sealed segments, tombstones and
-// memtable shadows by fetching every segment into RAM, and converges to
-// the leader's visible set.
+// bootstraps from a leader holding sealed segments, tombstones and a
+// memtable by fetching every segment into RAM and tailing the log from
+// the manifest's base generation, and converges to the leader's
+// visible set.
 func TestMemFollowerBootstrapsFromSegments(t *testing.T) {
 	dir := t.TempDir()
 	leaderStore := tieredOpenDisk(t, dir)
@@ -406,12 +403,11 @@ func TestMemFollowerBootstrapsFromSegments(t *testing.T) {
 	if _, err := leaderSrv.Register(tieredUpload("gone", 0, 3)); err != nil {
 		t.Fatal(err)
 	}
-	if err := leaderStore.CompactNow(); err != nil {
+	if err := leaderStore.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	// Removing sealed entries leaves tombstones; reopening without a
-	// checkpoint replays every record into the memtable, shadowing the
-	// sealed copies.
+	// Removing sealed entries leaves tombstones; reopening re-derives
+	// them from the log the manifest's base generation starts.
 	if _, err := leaderSrv.ForgetProvider("gone"); err != nil {
 		t.Fatal(err)
 	}
@@ -425,8 +421,8 @@ func TestMemFollowerBootstrapsFromSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	ms := leaderStore.ManifestSnapshot()
-	if st := leaderStore.TieredStats(); st.Segments != 2 || st.Tombstones != 3 || st.MemtableEntries <= 2 {
-		t.Fatalf("leader lacks segments, tombstones or shadows: %+v", st)
+	if st := leaderStore.TieredStats(); st.Segments != 2 || st.Tombstones != 3 || st.MemtableEntries != 2 {
+		t.Fatalf("leader lacks segments, tombstones or a memtable: %+v", st)
 	}
 
 	fsrv, kf, fol := startTieredFollower(t, store.NewMem(), lts.URL, -1)
@@ -437,5 +433,8 @@ func TestMemFollowerBootstrapsFromSegments(t *testing.T) {
 	}
 	if !bytes.Equal(encoded(t, fsrv.Index().Entries()), encoded(t, leaderStore.Entries())) {
 		t.Fatal("Mem follower's visible set differs from the leader's")
+	}
+	if st := fol.Status(); st.ApplyErrors != 0 {
+		t.Fatalf("follower status %+v", st)
 	}
 }

@@ -1,6 +1,6 @@
 // The per-entry codec every set of entries the store frames shares:
-// WAL register records (wal.go) and images — sealed segments,
-// checkpoints and the replication memtable leg (segfile.go).
+// WAL register records (wal.go) and sealed segment images
+// (segfile.go).
 //
 // Entry layout (little endian):
 //

@@ -71,15 +71,15 @@ func FuzzWALDecode(f *testing.F) {
 	})
 }
 
-// FuzzSegmentDecode hammers the image decoder — sealed segments,
-// checkpoints and the memtable leg — with arbitrary bytes and checks
+// FuzzSegmentDecode hammers the segment image decoder with arbitrary
+// bytes and checks
 // the invariants the recovery sweep and tiered bootstrap depend on:
 //
 //   - it never panics, whatever the input;
 //   - every failure wraps ErrCorrupt, so recovery can tell "damaged
 //     file" from programming errors and InstallSegment can reject bad
 //     leader payloads uniformly;
-//   - the scanner recovery, compaction and sealed reads run
+//   - the scanner recovery, checkpoints and sealed reads run
 //     (walkSegment) agrees with DecodeSegment on accept/reject, ids and
 //     entry boundaries: the records it hands out tile the block, and
 //     each parses on its own (readEntry, no interning) to
@@ -108,8 +108,8 @@ func FuzzSegmentDecode(f *testing.F) {
 		flipped[segHeaderLen+2] ^= 0x10
 		f.Add(flipped)
 	}
-	// Checkpoints and the memtable leg: an empty window-0 image, and a
-	// window-0 image mixing entries with and without a camera block.
+	// An empty image, and one mixing entries with and without a camera
+	// block.
 	mem := batch(100, 6, "bob")
 	mem[1].Camera, mem[4].Camera = fov.Camera{}, fov.Camera{}
 	for _, entries := range [][]index.Entry{nil, mem} {

@@ -169,31 +169,38 @@ func TestImageCameraPersistence(t *testing.T) {
 	}
 }
 
-// A directory still holding a checkpoint in the retired FoVS container
-// fails Open with an error naming the file: skipping it would lose the
-// state whose log it already retired.
+// A directory still holding a checkpoint — the memtable image earlier
+// builds wrote, in the retired FoVS container or as FoVG — fails Open
+// with an error naming the file: skipping it would lose the state whose
+// log it already retired.
 func TestOpenRefusesFoVSCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	d := open(t, dir)
-	if err := d.AppendRegister(batch(1, 3, "p")); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	old := filepath.Join(dir, "checkpoint-000000000002.fovs")
-	if err := os.Rename(filepath.Join(dir, checkpointName(2)), old); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := Open(Options{Dir: dir, Registry: obs.NewRegistry()})
-	if err == nil {
-		d2.Close()
-		t.Fatal("Open accepted a directory holding a FoVS checkpoint")
-	}
-	if !strings.Contains(err.Error(), old) {
-		t.Fatalf("Open error %q does not name %s", err, old)
+	for _, name := range []string{"checkpoint-000000000002.fovs", "checkpoint-000000000002.fovg"} {
+		dir := t.TempDir()
+		d := open(t, dir)
+		if err := d.AppendRegister(batch(1, 3, "p")); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		img, _, err := EncodeSegment(0, batch(10, 2, "q"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := filepath.Join(dir, name)
+		if err := os.WriteFile(old, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d2, err := Open(Options{Dir: dir, Registry: obs.NewRegistry()})
+		if err == nil {
+			d2.Close()
+			t.Fatalf("Open accepted a directory holding %s", name)
+		}
+		if !strings.Contains(err.Error(), old) {
+			t.Fatalf("Open error %q does not name %s", err, old)
+		}
 	}
 }

@@ -1,27 +1,29 @@
-// The manifest is the cold tier's recovery root: a small JSON document
+// The manifest is the store's one recovery root: a small JSON document
 // naming every live segment file (with size and CRC so recovery can
 // refuse a damaged one loudly), every bootstrap-staged segment awaiting
-// promotion, and every tombstone suppressing a sealed entry that was
-// later removed. It rotates atomically — write manifest.tmp, fsync,
-// rename over manifest, fsync the directory — so a crash at any byte
-// leaves either the old or the new document, never a torn one.
+// promotion, every tombstone suppressing a sealed entry that was later
+// removed, and BaseGen, the first WAL generation recovery replays. It
+// rotates atomically — write manifest.tmp, fsync, rename over manifest,
+// fsync the directory — so a crash at any byte leaves either the old or
+// the new document, never a torn one.
+//
+// A checkpoint commits its segments and BaseGen in one document, and
+// only after that document is on disk does it delete the WAL below
+// BaseGen. The state is therefore always the manifest's segments less
+// its tombstones, folded with the WAL from BaseGen on.
 //
 // Durability contract for tombstones: a tombstone is durable iff it is
 // in the manifest OR derivable from WAL replay (the remove record sits
-// in a generation at or after the checkpoint base). Checkpointing is
-// the only thing that retires WAL generations, so Checkpoint writes
-// the manifest BEFORE renaming the new checkpoint into place — the
-// moment the WAL records become unreachable, the manifest already
-// carries what they implied.
+// in a generation at or after BaseGen). Every manifest a checkpoint
+// saves carries the tombstones of that instant, and the WAL it then
+// retires lies wholly below the BaseGen the same document names.
 package store
 
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
-	"sort"
 )
 
 const (
@@ -31,9 +33,10 @@ const (
 )
 
 // SegmentMeta describes one sealed segment file: its window key, its
-// rewrite sequence within that window (each compaction bumps it), and
-// the size/CRC recovery verifies before trusting the file. It is also
-// the wire shape the tiered replication bootstrap ships.
+// rewrite sequence within that window (each checkpoint that rewrites
+// the window bumps it), and the size/CRC recovery verifies before
+// trusting the file. It is also the wire shape the replication
+// bootstrap ships.
 type SegmentMeta struct {
 	Window int64  `json:"window"`
 	Seq    uint64 `json:"seq"`
@@ -52,69 +55,29 @@ type Tombstone struct {
 	Window int64  `json:"window"`
 }
 
-// ManifestSnapshot is the externally visible cold-tier state: what the
-// tiered replication bootstrap serves. Staged segments are excluded —
-// they are local bootstrap scaffolding, not served state.
+// ManifestSnapshot is the externally visible recovery root: what the
+// replication bootstrap serves. Its segments less its tombstones,
+// folded with the WAL from (BaseGen, 0) on, are the store's state.
+// Staged segments are excluded — they are local bootstrap scaffolding,
+// not served state.
 type ManifestSnapshot struct {
 	Segments   []SegmentMeta `json:"segments"`
 	Tombstones []Tombstone   `json:"tombstones"`
-	// Hash fingerprints (Segments, Tombstones) so a follower can detect
-	// the sealed set moving between its manifest fetch and its memtable
-	// fetch. String-encoded: uint64 does not survive JSON numbers.
-	Hash uint64 `json:"hash,string"`
+	BaseGen    uint64        `json:"baseGen"`
 }
 
-// manifestDoc is the on-disk document.
+// manifestDoc is the on-disk document. A document without BaseGen (0)
+// replays every WAL generation present.
 type manifestDoc struct {
 	Version    int           `json:"version"`
 	Segments   []SegmentMeta `json:"segments"`
 	Staged     []SegmentMeta `json:"staged,omitempty"`
 	Tombstones []Tombstone   `json:"tombstones,omitempty"`
-}
-
-// manifestHash fingerprints the served cold-tier state with FNV-1a
-// over the sorted (window, seq, crc, count) tuples and tombstone pairs.
-// Content-derived, not a counter: a leader restart must not produce a
-// false match against a follower's stale view.
-func manifestHash(segs []SegmentMeta, tombs []Tombstone) uint64 {
-	ss := append([]SegmentMeta(nil), segs...)
-	sort.Slice(ss, func(i, j int) bool {
-		if ss[i].Window != ss[j].Window {
-			return ss[i].Window < ss[j].Window
-		}
-		return ss[i].Seq < ss[j].Seq
-	})
-	ts := append([]Tombstone(nil), tombs...)
-	sort.Slice(ts, func(i, j int) bool {
-		if ts[i].ID != ts[j].ID {
-			return ts[i].ID < ts[j].ID
-		}
-		return ts[i].Window < ts[j].Window
-	})
-	h := fnv.New64a()
-	var buf [8]byte
-	word := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	word(uint64(len(ss)))
-	for _, s := range ss {
-		word(uint64(s.Window))
-		word(s.Seq)
-		word(uint64(s.CRC))
-		word(uint64(s.Count))
-	}
-	for _, t := range ts {
-		word(t.ID)
-		word(uint64(t.Window))
-	}
-	return h.Sum64()
+	BaseGen    uint64        `json:"baseGen,omitempty"`
 }
 
 // loadManifest reads dir's manifest. A missing file is an empty
-// manifest (first boot, or the segment tier never ran); a present but
+// manifest (first boot, or no checkpoint ever ran); a present but
 // unparsable one is ErrCorrupt — the manifest names data that exists
 // nowhere else once the WAL is truncated, so recovery must not shrug
 // it off.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -12,7 +13,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"time"
 	"unsafe"
 
 	"fovr/internal/index"
@@ -52,7 +52,7 @@ func TestSealedCountMatchesEntries(t *testing.T) {
 	if err := d.AppendRegister(all); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.CompactNow(); err != nil {
+	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	checkCounts(t, d)
@@ -62,28 +62,30 @@ func TestSealedCountMatchesEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Shadows: sealed ids re-registered into their own window, and into
-	// another one (a cross-window move, not yet flushed).
+	// another one (a cross-window move, not yet sealed).
 	moved := wentry(7, 2)
-	if err := d.AppendRegister([]index.Entry{wentry(6, 0), moved, wentry(99, futureWindow())}); err != nil {
-		t.Fatal(err)
-	}
-	checkCounts(t, d)
-	// Flushing only the move's destination tombstones the copy it left.
-	if err := d.flushWindow(2); err != nil {
+	if err := d.AppendRegister([]index.Entry{wentry(6, 0), moved, wentry(99, 5)}); err != nil {
 		t.Fatal(err)
 	}
 	checkCounts(t, d)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Replay without a checkpoint shadows every sealed entry.
+	// Replay from the manifest's base generation re-creates the
+	// tombstones and shadows.
 	d = openTiered(t, dir)
 	defer d.Close()
 	checkCounts(t, d)
-	if err := d.CompactNow(); err != nil {
+	if st := d.TieredStats(); st.Tombstones != 3 || st.MemtableEntries != 3 {
+		t.Fatalf("replay from the base generation: %+v", st)
+	}
+	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	checkCounts(t, d)
+	if st := d.TieredStats(); st.Tombstones != 0 || st.MemtableEntries != 0 {
+		t.Fatalf("checkpoint left tombstones or memtable entries: %+v", st)
+	}
 }
 
 // modelEntries is the visible set a map model of acknowledged ops says
@@ -96,60 +98,71 @@ func modelEntries(m map[uint64]index.Entry) []index.Entry {
 	return out
 }
 
-// referenceFlush is the merge flushWindow replaced: decode window k's
-// file, drop copies tombstoned in k or shadowed by a memtable entry of
-// k, add those memtable entries, encode the lot. (A copy shadowed from
-// another window stays until that window's flush tombstones it.) It
-// returns the image a flush of k must write, or false when the window
-// must end up without a segment.
-func referenceFlush(t *testing.T, d *Disk, k int64) ([]byte, bool) {
+// referenceSeal is the merge a checkpoint must write, computed the slow
+// way: for every window the memtable or a tombstone touches, decode its
+// file, drop the copies tombstoned in it or shadowed by a memtable entry
+// of the same id (in any window), add the memtable entries of the
+// window, and encode the lot. It returns each such window's expected
+// image, nil when the window must end up without a segment.
+func referenceSeal(t *testing.T, d *Disk) map[int64][]byte {
 	t.Helper()
 	d.mu.Lock()
-	old, sealed := d.segs[k]
-	var merged []index.Entry
-	drop := make(map[uint64]bool)
+	touched := map[int64][]index.Entry{} // window -> its memtable entries
 	for id, e := range d.state {
-		if w, ok := d.windowKeyOf(e); ok && w == k {
-			merged = append(merged, e)
-			drop[id] = true
+		k := d.windowKeyOf(e)
+		touched[k] = append(touched[k], e)
+		if w, ok := d.segIDs[id]; ok {
+			touched[w] = touched[w] // a shadowed copy's window
 		}
 	}
-	for id := range d.tombs {
-		drop[id] = drop[id] || d.tombHasLocked(id, k)
+	tombs := map[Tombstone]bool{}
+	for id, ws := range d.tombs {
+		for _, w := range ws {
+			tombs[Tombstone{ID: id, Window: w}] = true
+			touched[w] = touched[w]
+		}
 	}
+	segs := maps.Clone(d.segs)
+	mem := maps.Clone(d.state)
 	d.mu.Unlock()
-	if sealed {
-		data, err := os.ReadFile(filepath.Join(d.opts.Dir, segmentFileName(k, old.Seq)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, entries, err := DecodeSegment(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
-			if !drop[e.ID] {
-				merged = append(merged, e)
+	want := make(map[int64][]byte, len(touched))
+	for k, merged := range touched {
+		if old, sealed := segs[k]; sealed {
+			data, err := os.ReadFile(filepath.Join(d.opts.Dir, segmentFileName(k, old.Seq)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, entries, err := DecodeSegment(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				if _, shadowed := mem[e.ID]; !shadowed && !tombs[Tombstone{ID: e.ID, Window: k}] {
+					merged = append(merged, e)
+				}
 			}
 		}
+		want[k] = nil
+		if len(merged) > 0 {
+			img, _, err := EncodeSegment(k, merged)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[k] = img
+		}
 	}
-	if len(merged) == 0 {
-		return nil, false
-	}
-	img, _, err := EncodeSegment(k, merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return img, true
+	return want
 }
 
 // TestCompactionDifferential drives random seeded schedules of late
-// arrivals into sealed windows, replay shadows, removes, re-registers
-// into another window and re-flushes. Every flush must write exactly
-// the image the decode-merge-encode reference writes, and the visible
-// set must stay the map model of acknowledged ops. Even seeds upload
-// under providers of random bytes, whose blocks deflate cannot shrink,
-// so both stored forms of a block go through the merge.
+// arrivals into sealed windows, shadows, removes, re-registers into
+// another window (moves), checkpoints and restarts. Every checkpoint
+// must write exactly the images the decode-merge-encode reference
+// writes for the windows it touches, leave every other window's
+// segment as it was, and empty the memtable; the visible set must stay
+// the map model of acknowledged ops. Even seeds upload under providers
+// of random bytes, whose blocks deflate cannot shrink, so both stored
+// forms of a block go through the merge.
 func TestCompactionDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -175,7 +188,7 @@ func TestCompactionDifferential(t *testing.T) {
 				ids := sortedIDs(modelEntries(model))
 				return ids[rng.Intn(len(ids))], true
 			}
-			flushes, deflated, stored := 0, 0, 0
+			seals, deflated, stored := 0, 0, 0
 			for step := 0; step < 150; step++ {
 				switch op := rng.Intn(10); {
 				case op < 4: // fresh ids, often late arrivals into sealed windows
@@ -212,30 +225,41 @@ func TestCompactionDifferential(t *testing.T) {
 						t.Fatal(err)
 					}
 					delete(model, id)
-				case op < 9: // flush what is eligible, and re-flush one clean window
-					windows := d.eligibleWindows(time.Now().UnixMilli())
-					windows = append(windows, int64(rng.Intn(4)))
-					for _, k := range windows {
-						want, wrote := referenceFlush(t, d, k)
-						if err := d.flushWindow(k); err != nil {
-							t.Fatal(err)
+				case op < 9: // checkpoint
+					want := referenceSeal(t, d)
+					d.mu.Lock()
+					before := maps.Clone(d.segs)
+					d.mu.Unlock()
+					if err := d.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+					d.mu.Lock()
+					after := maps.Clone(d.segs)
+					st := len(d.state) + d.tombCount
+					d.mu.Unlock()
+					if st != 0 {
+						t.Fatalf("step %d: checkpoint left %d memtable entries and tombstones", step, st)
+					}
+					for k, m := range after {
+						if _, touched := want[k]; !touched && before[k] != m {
+							t.Fatalf("step %d window %d: untouched window rewritten (%+v -> %+v)", step, k, before[k], m)
 						}
-						flushes++
-						d.mu.Lock()
-						m, sealed := d.segs[k]
-						d.mu.Unlock()
-						if sealed != wrote {
-							t.Fatalf("step %d window %d: sealed=%v, reference wrote=%v", step, k, sealed, wrote)
+					}
+					for k, img := range want {
+						m, sealed := after[k]
+						if sealed != (img != nil) {
+							t.Fatalf("step %d window %d: sealed=%v, reference wrote=%v", step, k, sealed, img != nil)
 						}
-						if !wrote {
+						if !sealed {
 							continue
 						}
+						seals++
 						got, err := os.ReadFile(filepath.Join(dir, segmentFileName(k, m.Seq)))
 						if err != nil {
 							t.Fatal(err)
 						}
-						if !bytes.Equal(got, want) {
-							t.Fatalf("step %d window %d: flushed image differs from the decoded merge's", step, k)
+						if !bytes.Equal(got, img) {
+							t.Fatalf("step %d window %d: sealed image differs from the decoded merge's", step, k)
 						}
 						if got[5]&segFlagDeflate != 0 {
 							deflated++
@@ -243,13 +267,7 @@ func TestCompactionDifferential(t *testing.T) {
 							stored++
 						}
 					}
-					wantEntries(t, d, modelEntries(model))
-				default: // restart: without a checkpoint, replay shadows sealed ids
-					if rng.Intn(2) == 0 {
-						if err := d.Checkpoint(); err != nil {
-							t.Fatal(err)
-						}
-					}
+				default: // restart: the WAL from the base generation replays
 					if err := d.Close(); err != nil {
 						t.Fatal(err)
 					}
@@ -258,11 +276,11 @@ func TestCompactionDifferential(t *testing.T) {
 				wantEntries(t, d, modelEntries(model))
 				checkCounts(t, d)
 			}
-			if flushes == 0 {
-				t.Fatal("schedule never flushed")
+			if seals == 0 {
+				t.Fatal("schedule never sealed")
 			}
 			if raw && stored == 0 || !raw && deflated == 0 {
-				t.Fatalf("raw providers=%v: %d deflated and %d raw blocks flushed", raw, deflated, stored)
+				t.Fatalf("raw providers=%v: %d deflated and %d raw blocks sealed", raw, deflated, stored)
 			}
 		})
 	}
@@ -284,11 +302,8 @@ func TestSealedTierNotResident(t *testing.T) {
 	if err := d.AppendRegister(entries); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.CompactNow(); err != nil {
-		t.Fatal(err)
-	}
-	// Checkpoint so the WAL no longer replays the entries into the
-	// memtable: after Open they are sealed only.
+	// The checkpoint seals the entries and retires the WAL that held
+	// them: after Open they are sealed only.
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -326,13 +341,24 @@ func stateHash(entries []index.Entry) uint64 {
 	return h.Sum64()
 }
 
+// logPos is a WAL position, ordered as the log is.
+type logPos struct {
+	gen uint64
+	off int64
+}
+
+func (p logPos) after(q logPos) bool {
+	return p.gen > q.gen || p.gen == q.gen && p.off > q.off
+}
+
 // TestSealedReadsDuringCompaction runs ReadEntries and a follower's
-// bootstrap legs (manifest, segments, memtable into a Mem) in a loop
-// while one writer appends late arrivals, moves and removes and another
-// goroutine compacts. No read may hit a superseded file, every
-// bootstrap whose manifest held still must equal the model at its
-// cursor, and every ReadEntries must equal the model at some cursor
-// between its start and end.
+// bootstrap (manifest and segments into a Mem, then the WAL from the
+// manifest's BaseGen until caught up) in a loop while one writer
+// appends late arrivals, moves and removes and another goroutine
+// checkpoints. No read may hit a superseded file, every bootstrap must
+// equal the model at the position it caught up to, and every
+// ReadEntries must equal the model at some position between its start
+// and end.
 func TestSealedReadsDuringCompaction(t *testing.T) {
 	const ids = 150
 	d := openTiered(t, t.TempDir())
@@ -344,19 +370,24 @@ func TestSealedReadsDuringCompaction(t *testing.T) {
 	if err := d.AppendRegister(modelEntries(model)); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.CompactNow(); err != nil {
+	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	gen0, off0 := d.LogCursor()
 
-	// models[off] fingerprints the visible set right after the append
-	// ending at off. Only the writer appends and nothing checkpoints, so
-	// the WAL generation never moves.
+	// models[i] fingerprints the visible set after the writer's i-th
+	// append, at the log head the writer read right after it. Only the
+	// writer appends, so the positions ascend; a rotation between an
+	// append and the read records the state at the next generation's
+	// start, which is the same state.
+	type state struct {
+		at   logPos
+		hash uint64
+	}
 	var mu sync.Mutex
-	models := map[int64]uint64{off0: stateHash(modelEntries(model))}
+	gen0, off0 := d.LogCursor()
+	models := []state{{logPos{gen0, off0}, stateHash(modelEntries(model))}}
 	type read struct {
-		lo, hi int64
-		gen    uint64
+		lo, hi logPos
 		hash   uint64
 		dup    bool
 	}
@@ -394,35 +425,66 @@ func TestSealedReadsDuringCompaction(t *testing.T) {
 			}
 		}()
 	}
-	loop(d.CompactNow)
+	loop(d.Checkpoint)
 	loop(func() error {
 		ms := d.ManifestSnapshot()
 		m := NewMem()
 		for _, seg := range ms.Segments {
 			raw, err := d.ReadSegment(seg.Window, seg.Seq)
 			if err != nil {
-				return nil // a flush superseded it: start over
+				return nil // a checkpoint superseded it: start over
 			}
 			if err := m.InstallSegment(seg, raw); err != nil {
 				return err
 			}
 		}
-		mem, gen, off, hash := d.CaptureMem()
-		if hash != ms.Hash {
-			return nil // the sealed set moved between the legs
+		entries, err := m.FinishBootstrap(ms)
+		if err != nil {
+			return err
 		}
-		entries, err := m.FinishBootstrap(ms, mem)
-		if err == nil {
-			record(&boots, read{lo: off, hi: off, gen: gen}, entries)
+		if len(entrySet(entries)) != len(entries) {
+			return fmt.Errorf("bootstrap base repeats ids")
 		}
-		return err
+		visible := entrySet(entries)
+		at := logPos{ms.BaseGen, 0}
+		for {
+			frames, status, err := d.ReadLog(at.gen, at.off)
+			if err != nil {
+				return err
+			}
+			if status == TailReset {
+				return nil // a checkpoint retired the base: start over
+			}
+			if status == TailAdvance {
+				at = logPos{at.gen + 1, 0}
+				continue
+			}
+			if len(frames) == 0 {
+				break // caught up
+			}
+			recs, valid, err := DecodeWAL(frames)
+			if err != nil || valid != len(frames) {
+				return fmt.Errorf("tail at %v: %d of %d bytes valid: %v", at, valid, len(frames), err)
+			}
+			for _, rec := range recs {
+				for _, e := range rec.Entries {
+					visible[e.ID] = e
+				}
+				for _, id := range rec.IDs {
+					delete(visible, id)
+				}
+			}
+			at.off += int64(len(frames))
+		}
+		record(&boots, read{lo: at, hi: at}, modelEntries(visible))
+		return nil
 	})
 	loop(func() error {
-		_, lo := d.LogCursor()
+		g, o := d.LogCursor()
 		entries, err := d.ReadEntries()
-		_, hi := d.LogCursor()
+		g2, o2 := d.LogCursor()
 		if err == nil {
-			record(&reads, read{lo: lo, hi: hi, gen: gen0}, entries)
+			record(&reads, read{lo: logPos{g, o}, hi: logPos{g2, o2}}, entries)
 		}
 		return err
 	})
@@ -445,10 +507,10 @@ func TestSealedReadsDuringCompaction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, off := d.LogCursor()
+		g, o := d.LogCursor()
 		h := stateHash(modelEntries(model))
 		mu.Lock()
-		models[off] = h
+		models = append(models, state{logPos{g, o}, h})
 		mu.Unlock()
 	}
 	close(done)
@@ -461,17 +523,26 @@ func TestSealedReadsDuringCompaction(t *testing.T) {
 	if len(boots) == 0 || len(reads) == 0 {
 		t.Fatalf("%d bootstraps and %d reads completed", len(boots), len(reads))
 	}
+	// The states a read spanning [lo, hi] may have seen: the one current
+	// at lo, every later one up to hi, and the next one when the writer
+	// recorded it at a generation start past hi.
+	last := func(p logPos) int {
+		return sort.Search(len(models), func(i int) bool { return models[i].at.after(p) }) - 1
+	}
 	for i, r := range append(boots, reads...) {
-		if r.gen != gen0 || r.dup {
-			t.Fatalf("read %d: generation %d (want %d), repeated ids %v", i, r.gen, gen0, r.dup)
+		if r.dup {
+			t.Fatalf("read %d repeats ids", i)
+		}
+		from, to := last(r.lo), last(r.hi)
+		if to+1 < len(models) && models[to+1].at.off == 0 && models[to+1].at.gen > r.hi.gen {
+			to++
 		}
 		matched := false
-		for off := r.lo; off <= r.hi && !matched; off++ {
-			h, ok := models[off]
-			matched = ok && h == r.hash
+		for j := max(from, 0); j <= to && !matched; j++ {
+			matched = models[j].hash == r.hash
 		}
 		if !matched {
-			t.Fatalf("read %d (cursor %d..%d) matches no model state in its window", i, r.lo, r.hi)
+			t.Fatalf("read %d (%v..%v) matches no model state in its span", i, r.lo, r.hi)
 		}
 	}
 	t.Logf("%d bootstraps and %d reads checked against %d model states", len(boots), len(reads), len(models))

@@ -1,16 +1,15 @@
 // Images: the one container for a set of entries, on disk and on the
-// wire. A sealed segment is the image of one closed time window —
-// immutable once written, named by the manifest (manifest.go), the
-// recovery root that says which segment files are live. A checkpoint is
-// the image of the memtable, with window 0, and the replication
-// bootstrap's memtable leg ships the same image.
+// wire. A sealed segment is the image of one time window — immutable
+// once written, named by the manifest (manifest.go), the recovery root
+// that says which segment files are live — and the replication
+// bootstrap ships it as its file bytes.
 //
 // Image layout (all integers little-endian):
 //
 //	magic   "FoVG"              4 bytes
 //	version u8  = 1
 //	flags   u8  (bit0: block is flate-compressed)
-//	window  i64                 the window key (floor(start/window)); 0 for a memtable
+//	window  i64                 the window key (floor(start/window))
 //	count   u32                 entries in the block
 //	rawLen  u32                 uncompressed block length
 //	blockLen u32                stored block length
@@ -45,16 +44,12 @@ const (
 	// segHeaderLen is the fixed prefix before the block.
 	segHeaderLen = 4 + 1 + 1 + 8 + 4 + 4 + 4
 	// maxSegmentBlock bounds the uncompressed block a decoder will
-	// allocate; a corrupt or hostile header cannot demand more.
+	// allocate; a corrupt or hostile header cannot demand more. It caps
+	// one window's segment: a checkpoint seals each window apart.
 	maxSegmentBlock = 1 << 30
 	// maxSegmentEntries bounds the entry count a header may claim.
 	maxSegmentEntries = 1 << 26
 )
-
-// MaxImageBytes is the largest image EncodeSegment writes: the header,
-// a block at its cap and the trailer. A reader of an image stream reads
-// no more than this.
-const MaxImageBytes = segHeaderLen + maxSegmentBlock + 4
 
 // segmentFileName names a sealed segment: seg-<window>-<seq>.fovg. The
 // window key may be negative (epochs before 1970 exist in tests), so
@@ -95,9 +90,8 @@ func parseSegmentName(name string) (window int64, seq uint64, staged, ok bool) {
 	return w, s, staged, true
 }
 
-// EncodeSegment serializes a set of entries — one window's, or a
-// memtable's under window 0 — into an image and returns it with its
-// trailer CRC (the value the manifest records). Entries are sorted by
+// EncodeSegment serializes one window's entries into an image and
+// returns it with its trailer CRC (the value the manifest records). Entries are sorted by
 // ID first so equal logical content always produces identical bytes;
 // an invalid entry or a repeated id fails the encode.
 func EncodeSegment(window int64, entries []index.Entry) ([]byte, uint32, error) {
@@ -351,11 +345,10 @@ func (p *providerNames) intern(b []byte) string {
 }
 
 // DecodeSegment parses a complete image through the same walkSegment
-// that recovery, compaction and sealed reads use, and interns providers
-// as sealed reads do: entries of one provider share one Provider
-// string. The replication client decodes the memtable leg with it.
-// Every failure is ErrCorrupt-wrapped: an image is all-or-nothing,
-// there is no valid prefix to salvage.
+// that recovery, checkpoints and sealed reads use, and interns
+// providers as sealed reads do: entries of one provider share one
+// Provider string. Every failure is ErrCorrupt-wrapped: an image is
+// all-or-nothing, there is no valid prefix to salvage.
 func DecodeSegment(data []byte) (window int64, entries []index.Entry, err error) {
 	var names providerNames
 	window, _, err = walkSegment(data, func(e index.Entry, prov, _ []byte) {

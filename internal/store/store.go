@@ -12,11 +12,11 @@
 //     behaves exactly as before this layer existed.
 //   - Disk journals every state change into an append-only WAL
 //     (length-prefixed, CRC-checksummed records; see wal.go) inside a
-//     data directory, seals cold time windows into immutable segment
-//     files (tiered.go), checkpoints the mutable rest periodically as
-//     an image in the same format (segfile.go), and recovers on open
-//     from the manifest's segments, the latest valid checkpoint and the
-//     log tail, truncating a torn final record.
+//     data directory. A checkpoint seals the mutable rest into immutable
+//     per-window segment files (tiered.go, segfile.go) and moves the
+//     manifest's WAL base past it; recovery reads the manifest, its
+//     segments and the WAL from the manifest's BaseGen on, truncating a
+//     torn final record.
 //
 // Crash-consistency contract (Disk):
 //
@@ -28,25 +28,25 @@
 //   - Recovery yields a prefix of the append order: a torn final record
 //     is dropped whole, never a partial batch — an upload is visible
 //     after recovery either completely or not at all.
-//   - Checkpoints never gate correctness, only recovery time and disk
-//     usage: the WAL alone reproduces the state. A checkpoint becomes
-//     the recovery base only after its file is fsynced and atomically
-//     renamed into place; log segments are deleted only after that.
+//   - The manifest is the one recovery root. A checkpoint's segments
+//     become part of the state only when the manifest naming them (and
+//     the new BaseGen) is fsynced and atomically renamed into place;
+//     WAL generations below BaseGen, and superseded segments, are
+//     deleted only after that.
 //
 // File layout inside the data directory (NNN = decimal generation):
 //
-//	wal-NNN.log         — log segment; holds ops after checkpoint NNN
-//	checkpoint-NNN.fovg — memtable image before wal-NNN.log began
-//	checkpoint.tmp      — in-flight checkpoint write (ignored/removed)
-//	manifest            — live segments and tombstones (manifest.go)
-//	seg-W-S.fovg        — sealed time window W, rewrite S (segfile.go)
-//	storeid             — persistent random identity (replication; tail.go)
+//	wal-NNN.log       — log generation NNN; recovery replays those ≥ BaseGen
+//	manifest          — live segments, tombstones, BaseGen (manifest.go)
+//	seg-W-S.fovg      — sealed time window W, rewrite S (segfile.go)
+//	staged-W-S.fovg   — a follower's fetched segment awaiting its bootstrap
+//	storeid           — persistent random identity (replication; tail.go)
 //
-// A directory written before the segment tier existed (checkpoints and
-// logs, no manifest) opens as a tier with nothing sealed yet. One that
-// holds a checkpoint-NNN.fovs, the retired checkpoint container, fails
-// Open: its WAL may already be retired, so skipping the file would
-// silently lose state.
+// A directory written before the segment tier existed (logs, no
+// manifest) opens with nothing sealed yet. One that holds any
+// checkpoint-* file — the memtable images earlier builds wrote — fails
+// Open naming the file: its WAL may already be retired, so skipping the
+// file would silently lose state.
 package store
 
 import (
@@ -59,7 +59,8 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -88,8 +89,8 @@ type Store interface {
 	// store may read files to answer; one it cannot read is an error,
 	// never a silently smaller state.
 	ReadEntries() ([]index.Entry, error)
-	// Checkpoint persists the full state now and truncates the log.
-	// Non-durable stores return ErrNotDurable.
+	// Checkpoint seals the state appended so far into segments and
+	// retires the log below it. Non-durable stores return ErrNotDurable.
 	Checkpoint() error
 	// Durable reports whether appends survive a process kill.
 	Durable() bool
@@ -101,12 +102,12 @@ type Store interface {
 	// follower's bootstrap (package replica, tieredboot.go): every
 	// segment of the leader's manifest that HasSegment does not report
 	// is fetched and installed — verified against its meta — and then
-	// FinishBootstrap replaces the state with those segments, the
-	// manifest's tombstones and the leader's memtable, returning the
+	// FinishBootstrap replaces the state with those segments less the
+	// manifest's tombstones, over an empty memtable, returning the
 	// visible set. Disk stages installs durably; Mem holds them in RAM.
 	HasSegment(window int64, seq uint64, crc uint32) bool
 	InstallSegment(meta SegmentMeta, raw []byte) error
-	FinishBootstrap(ms ManifestSnapshot, mem []index.Entry) ([]index.Entry, error)
+	FinishBootstrap(ms ManifestSnapshot) ([]index.Entry, error)
 }
 
 // ErrNotDurable is returned by operations that need a data directory
@@ -177,15 +178,12 @@ type Options struct {
 	// means 5m; negative disables background checkpointing (manual
 	// Checkpoint calls still work).
 	CheckpointInterval time.Duration
-	// SegmentWindow is the cold-tier time-window width. Zero means 1h.
+	// SegmentWindow is the segment time-window width. Zero means 1h.
 	SegmentWindow time.Duration
-	// SegmentWindowAge is the seal age: a time window whose end is
-	// older than this is cold and gets sealed into an immutable segment
-	// file. <= 0 means 1h.
-	SegmentWindowAge time.Duration
-	// CompactionInterval paces the background seal/compaction loop.
-	// Zero means 1m; negative disables the loop (CompactNow still
-	// works).
+	// SegmentWindowAge and CompactionInterval are ignored: a checkpoint
+	// seals every window, and there is no compaction loop. They stay
+	// because bench/ sets them.
+	SegmentWindowAge   time.Duration
 	CompactionInterval time.Duration
 	// Registry receives the store's metrics; nil selects obs.Default.
 	Registry *obs.Registry
@@ -207,12 +205,6 @@ func (o Options) withDefaults() Options {
 	if o.SegmentWindow == 0 {
 		o.SegmentWindow = time.Hour
 	}
-	if o.SegmentWindowAge <= 0 {
-		o.SegmentWindowAge = time.Hour
-	}
-	if o.CompactionInterval == 0 {
-		o.CompactionInterval = time.Minute
-	}
 	if o.Registry == nil {
 		o.Registry = obs.Default
 	}
@@ -229,9 +221,7 @@ type Disk struct {
 	log     *slog.Logger
 	storeID string // persisted random identity of this data directory
 
-	// segment tier shape; immutable after Open
-	segWindowMs int64 // cold-window width
-	segAgeMs    int64 // seal age threshold
+	segWindowMs int64 // segment window width; immutable after Open
 
 	mu        sync.Mutex
 	state     map[uint64]index.Entry // the memtable: mutable working set
@@ -240,6 +230,7 @@ type Disk struct {
 	tombs     map[uint64][]int64     // removed sealed id -> windows holding dead copies
 	tombCount int                    // total (id, window) tombstone pairs
 	staged    []SegmentMeta          // bootstrap-staged segments, not served
+	baseGen   uint64                 // first WAL generation the state replays
 	wal       *os.File
 	walGen    uint64
 	walSize   int64
@@ -251,8 +242,8 @@ type Disk struct {
 	notifyCh  chan struct{}    // closed+replaced on append/rotation (log tailing)
 	retired   map[uint64]int64 // final sizes of completed generations (see tail.go)
 
-	// cpMu serializes everything that replaces files — flushes,
-	// checkpoints, segment installs, bootstrap — and every read of
+	// cpMu serializes everything that replaces files — checkpoints,
+	// segment installs, bootstrap — and every read of
 	// sealed entries from their files. Taken before mu, never after.
 	cpMu sync.Mutex
 
@@ -277,8 +268,7 @@ type Disk struct {
 	segWrittenBytes *obs.Counter
 }
 
-func walName(gen uint64) string        { return fmt.Sprintf("wal-%012d.log", gen) }
-func checkpointName(gen uint64) string { return fmt.Sprintf("checkpoint-%012d.fovg", gen) }
+func walName(gen uint64) string { return fmt.Sprintf("wal-%012d.log", gen) }
 
 // parseGen extracts the generation from a store file name, reporting
 // whether name matches prefix-NNN+suffix.
@@ -299,8 +289,8 @@ func parseGen(name, prefix, suffix string) (uint64, bool) {
 }
 
 // Open opens (creating if needed) the data directory, recovers the
-// committed state from the latest valid checkpoint plus the WAL tail,
-// and starts the background fsync/checkpoint loops.
+// committed state from the manifest's segments plus the WAL from its
+// BaseGen on, and starts the background fsync/checkpoint loops.
 func Open(opts Options) (*Disk, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("store: empty data directory")
@@ -316,7 +306,6 @@ func Open(opts Options) (*Disk, error) {
 		opts:        opts,
 		log:         opts.Logger,
 		segWindowMs: opts.SegmentWindow.Milliseconds(),
-		segAgeMs:    opts.SegmentWindowAge.Milliseconds(),
 		state:       make(map[uint64]index.Entry),
 		segs:        make(map[int64]SegmentMeta),
 		segIDs:      make(map[uint64]int64),
@@ -383,9 +372,6 @@ func Open(opts Options) (*Disk, error) {
 		defer d.mu.Unlock()
 		return float64(len(d.state))
 	})
-	reg.GaugeFunc("fovr_store_compaction_backlog", func() float64 {
-		return float64(d.CompactionBacklog())
-	})
 	// The live log's size and generation: leader and follower lag compare
 	// from /metrics on both sides.
 	reg.GaugeFunc("fovr_wal_size_bytes", func() float64 {
@@ -406,10 +392,6 @@ func Open(opts Options) (*Disk, error) {
 		d.wg.Add(1)
 		go obs.LabelWorker("store.checkpoint", func() { d.checkpointLoop(opts.CheckpointInterval) })
 	}
-	if opts.CompactionInterval > 0 {
-		d.wg.Add(1)
-		go obs.LabelWorker("store.compaction", func() { d.compactionLoop(opts.CompactionInterval) })
-	}
 	if opts.Fsync == FsyncInterval {
 		d.wg.Add(1)
 		go obs.LabelWorker("store.fsync", func() { d.fsyncLoop(opts.FsyncEvery) })
@@ -423,56 +405,37 @@ func (d *Disk) RecoveryStats() (entries int, elapsed time.Duration) {
 	return d.recoveredEntries, d.recoveryDuration
 }
 
-// recover loads the latest valid checkpoint, replays every log segment
-// at or above its generation (truncating a torn tail on the newest),
-// and leaves d.wal open for appending.
+// recover loads the manifest and its segments, replays every log
+// generation at or above its BaseGen (truncating a torn tail on the
+// newest), and leaves d.wal open for appending.
 func (d *Disk) recover() error {
 	names, err := os.ReadDir(d.opts.Dir)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	var cpGens, walGens []uint64
 	for _, de := range names {
-		if _, ok := parseGen(de.Name(), "checkpoint-", ".fovs"); ok {
-			return fmt.Errorf("store: %s is a checkpoint in the retired FoVS format, which this build does not read",
+		if strings.HasPrefix(de.Name(), "checkpoint-") {
+			return fmt.Errorf("store: %s is a checkpoint, which this build neither writes nor reads",
 				filepath.Join(d.opts.Dir, de.Name()))
-		}
-		if gen, ok := parseGen(de.Name(), "checkpoint-", ".fovg"); ok {
-			cpGens = append(cpGens, gen)
-		}
-		if gen, ok := parseGen(de.Name(), "wal-", ".log"); ok {
-			walGens = append(walGens, gen)
 		}
 	}
 	if err := d.recoverSegments(); err != nil {
 		return err
 	}
-	// Latest valid checkpoint wins; an unreadable one is logged and
-	// skipped (recovery then starts from an older base, or from the log
-	// alone — best effort, never silent).
-	sort.Slice(cpGens, func(i, j int) bool { return cpGens[i] > cpGens[j] })
-	base := uint64(0)
-	for _, gen := range cpGens {
-		path := filepath.Join(d.opts.Dir, checkpointName(gen))
-		var names providerNames
-		if _, _, _, _, err := readSegmentFile(path, func(e index.Entry, prov, _ []byte) {
-			e.Provider = names.intern(prov)
-			d.state[e.ID] = e
-		}); err != nil {
-			// The walk may have filled part of the memtable first.
-			clear(d.state)
-			d.log.Error("store: checkpoint unreadable, falling back", "file", path, "err", err)
-			continue
+	var walGens []uint64
+	for _, de := range names {
+		gen, ok := parseGen(de.Name(), "wal-", ".log")
+		switch {
+		case !ok:
+		case gen < d.baseGen:
+			// Retired by a checkpoint whose delete the crash cut short.
+			os.Remove(filepath.Join(d.opts.Dir, de.Name()))
+		default:
+			walGens = append(walGens, gen)
 		}
-		base = gen
-		break
 	}
-	sort.Slice(walGens, func(i, j int) bool { return walGens[i] < walGens[j] })
-	var lastGen uint64
+	slices.Sort(walGens)
 	for i, gen := range walGens {
-		if gen < base {
-			continue // superseded by the checkpoint; removed lazily
-		}
 		path := filepath.Join(d.opts.Dir, walName(gen))
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -501,26 +464,23 @@ func (d *Disk) recover() error {
 		}
 		d.replayed.Add(int64(len(recs)))
 		d.retired[gen] = int64(valid)
-		lastGen, d.walSize = gen, int64(valid)
+		d.walSize = int64(valid)
 	}
-	// Resume appending to the newest segment, or start the first one.
-	gen := base
-	if lastGen > gen {
-		gen = lastGen
-	}
-	if gen == 0 {
-		gen = 1
-	}
-	creating := true
-	if len(walGens) > 0 && walGens[len(walGens)-1] == gen {
-		creating = false
+	// Resume appending to the newest generation, or start the first one.
+	// The state replays from the oldest generation left, which is the
+	// manifest's BaseGen unless no checkpoint has run.
+	gen := max(d.baseGen, 1)
+	if len(walGens) > 0 {
+		d.baseGen, gen = walGens[0], walGens[len(walGens)-1]
+	} else {
+		d.baseGen = gen
 	}
 	f, err := os.OpenFile(filepath.Join(d.opts.Dir, walName(gen)),
 		os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if creating {
+	if len(walGens) == 0 {
 		if err := syncDir(d.opts.Dir); err != nil {
 			f.Close()
 			return err
@@ -529,19 +489,18 @@ func (d *Disk) recover() error {
 	d.wal, d.walGen = f, gen
 	// The resumed segment is live, not retired: its size still grows.
 	delete(d.retired, gen)
-	os.Remove(filepath.Join(d.opts.Dir, "checkpoint.tmp"))
 	os.Remove(filepath.Join(d.opts.Dir, manifestTmpFile))
 	return nil
 }
 
 // recoverSegments loads the manifest and the segment files it names —
-// the cold tier's recovery root — before the checkpoint/WAL scan.
-// Live segments are verified STRICTLY: once the WAL windows behind a
-// sealed segment have been checkpointed away, the file is the only
-// copy, so a missing or damaged one must fail Open loudly rather than
-// silently dropping a window. Staged segments (bootstrap scaffolding)
-// are loaded leniently: a bad one is just refetched. Files a crashed
-// flush or bootstrap left unreferenced are swept last.
+// the store's recovery root — before the WAL scan. Live segments are
+// verified STRICTLY: once the checkpoint that sealed a segment has
+// retired the WAL behind it, the file is the only copy, so a missing or
+// damaged one must fail Open loudly rather than silently dropping a
+// window. Staged segments (bootstrap scaffolding) are loaded leniently:
+// a bad one is just refetched. Files a crashed checkpoint or bootstrap
+// left unreferenced are swept last.
 func (d *Disk) recoverSegments() error {
 	doc, present, err := loadManifest(d.opts.Dir)
 	if err != nil {
@@ -556,6 +515,7 @@ func (d *Disk) recoverSegments() error {
 		d.removeUnreferencedSegments(manifestDoc{})
 		return nil
 	}
+	d.baseGen = doc.BaseGen
 	// Every live segment is read in full — framing, checksum, every
 	// entry — to verify it and to map its ids; its entries stay in the
 	// file.
@@ -610,8 +570,8 @@ func (d *Disk) recoverSegments() error {
 
 // apply folds one replayed record into the state map. Replay is
 // idempotent: a re-registered id overwrites, a missing removal is a
-// no-op — so overlapping checkpoint/log contents can never fail
-// recovery.
+// no-op — so replay can never fail on what the segments already
+// hold.
 func (d *Disk) apply(rec Record) {
 	switch rec.Op {
 	case opRegister:
@@ -779,101 +739,23 @@ func (d *Disk) Len() int {
 // Durable implements Store.
 func (d *Disk) Durable() bool { return true }
 
-// Checkpoint implements Store: it captures the memtable, rotates the
-// log, persists the capture and deletes superseded files. Ingest is only
-// blocked for the rotation itself, not for the checkpoint write.
-//
-// The checkpoint is INCREMENTAL by construction: it snapshots only the
-// memtable — the sealed segments live in their own files and the
-// manifest, so checkpoint bytes scale with the delta since the last
-// seal, not the corpus. Ordering: the manifest rotates BEFORE the
-// checkpoint rename, because renaming the checkpoint retires the WAL
-// generations that could re-derive the tombstones the manifest carries
-// (a crash between the two replays the old WAL over the new manifest,
-// which is idempotent).
-func (d *Disk) Checkpoint() error {
-	d.cpMu.Lock()
-	defer d.cpMu.Unlock()
-
-	start := time.Now()
-	d.mu.Lock()
+// usableLocked returns the error a closed or failed store answers a
+// checkpoint or bootstrap with, nil when it is usable (d.mu held).
+func (d *Disk) usableLocked() error {
 	if d.closed {
-		d.mu.Unlock()
 		return ErrClosed
 	}
-	if d.failed != nil {
-		d.mu.Unlock()
-		return d.failed
-	}
-	entries := make([]index.Entry, 0, len(d.state))
-	for _, e := range d.state {
-		entries = append(entries, e)
-	}
-	doc := d.manifestDocLocked()
-	newGen := d.walGen + 1
-	f, err := os.OpenFile(filepath.Join(d.opts.Dir, walName(newGen)),
-		os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
-	if err != nil {
-		d.mu.Unlock()
-		d.cpErrors.Inc()
-		return fmt.Errorf("store: rotate wal: %w", err)
-	}
-	old, oldGen := d.wal, d.walGen
-	oldSize := d.walSize
-	d.wal, d.walGen, d.walSize, d.dirty, d.appended = f, newGen, 0, false, 0
-	d.retired[oldGen] = oldSize
-	for g := range d.retired {
-		if g+retiredKeep <= newGen {
-			delete(d.retired, g)
-		}
-	}
-	d.notifyLocked()
-	d.mu.Unlock()
-
-	// The old segment is superseded by the checkpoint being written; it
-	// stays on disk (and remains the recovery source) until the new
-	// checkpoint is durable.
-	_ = old.Sync()
-	_ = old.Close()
-	if err := syncDir(d.opts.Dir); err != nil {
-		d.cpErrors.Inc()
-		return err
-	}
-
-	// Tombstone durability: the manifest must be on disk before the
-	// checkpoint that retires the WAL records it was derived from.
-	if err := saveManifest(d.opts.Dir, doc); err != nil {
-		d.cpErrors.Inc()
-		return fmt.Errorf("store: rotate manifest: %w", err)
-	}
-	if err := d.persistCheckpoint(newGen, entries); err != nil {
-		return err
-	}
-
-	// Only now is anything at or below oldGen dead weight.
-	d.removeObsolete(oldGen)
-	d.mu.Lock()
-	d.lastCP = time.Now()
-	d.mu.Unlock()
-	d.checkpoints.Inc()
-	d.cpHist.Observe(time.Since(start).Seconds())
-	d.log.Info("store checkpoint",
-		"entries", len(entries), "generation", newGen,
-		"elapsed", time.Since(start).Round(time.Millisecond))
-	return nil
+	return d.failed
 }
 
-// removeObsolete deletes log segments and checkpoints at or below gen.
-func (d *Disk) removeObsolete(gen uint64) {
+// removeObsolete deletes the log generations below base.
+func (d *Disk) removeObsolete(base uint64) {
 	names, err := os.ReadDir(d.opts.Dir)
 	if err != nil {
 		return
 	}
 	for _, de := range names {
-		if g, ok := parseGen(de.Name(), "wal-", ".log"); ok && g <= gen {
-			os.Remove(filepath.Join(d.opts.Dir, de.Name()))
-		}
-		if g, ok := parseGen(de.Name(), "checkpoint-", ".fovg"); ok && g <= gen {
+		if g, ok := parseGen(de.Name(), "wal-", ".log"); ok && g < base {
 			os.Remove(filepath.Join(d.opts.Dir, de.Name()))
 		}
 	}
@@ -942,17 +824,14 @@ type DiskHealth struct {
 	// background checkpointing is disabled). Fsync is the sync policy.
 	CheckpointInterval time.Duration
 	Fsync              FsyncPolicy
-	// The segment tier: sealed files, the memtable beside them, and how
-	// many windows await a flush.
-	Segments          int
-	SegmentBytes      int64
-	MemtableEntries   int
-	CompactionBacklog int
+	// The segment tier: sealed files and the memtable beside them.
+	Segments        int
+	SegmentBytes    int64
+	MemtableEntries int
 }
 
 // Health reports the store's operational condition.
 func (d *Disk) Health() DiskHealth {
-	backlog := d.CompactionBacklog()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	h := DiskHealth{
@@ -966,7 +845,6 @@ func (d *Disk) Health() DiskHealth {
 		Fsync:                   d.opts.Fsync,
 		Segments:                len(d.segs),
 		MemtableEntries:         len(d.state),
-		CompactionBacklog:       backlog,
 	}
 	for _, m := range d.segs {
 		h.SegmentBytes += m.Bytes
@@ -1012,7 +890,7 @@ func (d *Disk) Close() error {
 }
 
 // writeFileSync creates path, fills it via fill, and fsyncs it before
-// closing — the write half of the write-fsync-rename checkpoint dance.
+// closing — the write half of the write-fsync-rename dance.
 func writeFileSync(path string, fill func(*os.File) error) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {

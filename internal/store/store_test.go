@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -57,7 +58,7 @@ func sortedIDs(entries []index.Entry) []uint64 {
 // test opts in.
 func open(t *testing.T, dir string, mutate ...func(*Options)) *Disk {
 	t.Helper()
-	opts := Options{Dir: dir, CheckpointInterval: -1, CompactionInterval: -1, Registry: obs.NewRegistry()}
+	opts := Options{Dir: dir, CheckpointInterval: -1, Registry: obs.NewRegistry()}
 	for _, m := range mutate {
 		m(&opts)
 	}
@@ -204,6 +205,10 @@ func TestDiskOpsAfterCloseFail(t *testing.T) {
 	}
 }
 
+// TestCheckpointRotatesAndCleans pins what a checkpoint leaves: the
+// memtable empty, the manifest naming BaseGen = the new generation, one
+// (empty) live log, no checkpoint file; and that a restart replays only
+// the log from BaseGen on.
 func TestCheckpointRotatesAndCleans(t *testing.T) {
 	dir := t.TempDir()
 	d := open(t, dir)
@@ -216,9 +221,14 @@ func TestCheckpointRotatesAndCleans(t *testing.T) {
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	// The old segment and any older checkpoint are gone; exactly one
-	// checkpoint and one (empty) live segment remain.
-	var wals, cps []string
+	if st := d.TieredStats(); st.MemtableEntries != 0 || st.SegmentEntries != 19 {
+		t.Fatalf("after checkpoint: %+v, want 19 sealed entries and an empty memtable", st)
+	}
+	doc, _, err := loadManifest(dir)
+	if err != nil || doc.BaseGen != 2 {
+		t.Fatalf("manifest base generation %d (err %v), want 2", doc.BaseGen, err)
+	}
+	var wals []string
 	des, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -227,12 +237,12 @@ func TestCheckpointRotatesAndCleans(t *testing.T) {
 		if _, ok := parseGen(de.Name(), "wal-", ".log"); ok {
 			wals = append(wals, de.Name())
 		}
-		if _, ok := parseGen(de.Name(), "checkpoint-", ".fovg"); ok {
-			cps = append(cps, de.Name())
+		if strings.HasPrefix(de.Name(), "checkpoint") {
+			t.Fatalf("checkpoint wrote %s", de.Name())
 		}
 	}
-	if len(wals) != 1 || len(cps) != 1 {
-		t.Fatalf("after checkpoint: wals=%v cps=%v, want one of each", wals, cps)
+	if len(wals) != 1 || wals[0] != walName(2) {
+		t.Fatalf("after checkpoint: wals=%v, want just %s", wals, walName(2))
 	}
 	st, err := os.Stat(filepath.Join(dir, wals[0]))
 	if err != nil {
@@ -242,18 +252,37 @@ func TestCheckpointRotatesAndCleans(t *testing.T) {
 		t.Fatalf("live segment holds %d bytes after checkpoint, want 0", st.Size())
 	}
 
-	// Appends continue into the new generation and both survive reopen.
+	// Appends continue into the new generation, and they alone are the
+	// memtable.
 	if err := d.AppendRegister(batch(100, 3, "bob")); err != nil {
 		t.Fatal(err)
 	}
+	if st := d.TieredStats(); st.MemtableEntries != 3 {
+		t.Fatalf("memtable holds %d entries, want the 3 appended after the rotation", st.MemtableEntries)
+	}
 	want := sortedIDs(d.Entries())
 	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A generation below BaseGen that a crash kept from being deleted is
+	// not replayed: plant one that would resurrect the removed id 2.
+	var stale bytes.Buffer
+	if err := appendRecord(&stale, Record{Op: opRegister, Entries: batch(2, 1, "alice")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, walName(1)), stale.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	d2 := open(t, dir)
 	defer d2.Close()
 	if got := sortedIDs(d2.Entries()); !reflect.DeepEqual(got, want) {
 		t.Fatalf("recovered %v, want %v", got, want)
+	}
+	if st := d2.TieredStats(); st.MemtableEntries != 3 {
+		t.Fatalf("restart replayed %d memtable entries, want the 3 from the base generation on", st.MemtableEntries)
+	}
+	if _, err := os.Stat(filepath.Join(dir, walName(1))); !os.IsNotExist(err) {
+		t.Fatalf("generation below the base survived recovery (stat: %v)", err)
 	}
 }
 
@@ -475,7 +504,11 @@ func TestMidLogCorruptionRefusesOpen(t *testing.T) {
 	}
 }
 
-func TestRecoveryFallsBackPastCorruptCheckpoint(t *testing.T) {
+// TestOpenRefusesCorruptLiveSegment: once a checkpoint has retired the
+// WAL behind a segment, the file is the only copy of its window, so a
+// damaged one fails Open with ErrCorrupt naming it rather than
+// recovering a silently smaller state.
+func TestOpenRefusesCorruptLiveSegment(t *testing.T) {
 	dir := t.TempDir()
 	d := open(t, dir)
 	if err := d.AppendRegister(batch(1, 8, "alice")); err != nil {
@@ -487,30 +520,25 @@ func TestRecoveryFallsBackPastCorruptCheckpoint(t *testing.T) {
 	if err := d.AppendRegister(batch(100, 2, "bob")); err != nil {
 		t.Fatal(err)
 	}
-	want := sortedIDs(d.Entries())
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Damage the checkpoint. The log segments it superseded are gone,
-	// so this loses the pre-checkpoint entries — but recovery must
-	// still come up with everything journaled after it, loudly.
-	cp := filepath.Join(dir, checkpointName(2))
-	data, err := os.ReadFile(cp)
+	seg := filepath.Join(dir, segmentFileName(0, 1))
+	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data[len(data)-1] ^= 0xFF
-	if err := os.WriteFile(cp, data, 0o644); err != nil {
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d2 := open(t, dir)
-	defer d2.Close()
-	got := sortedIDs(d2.Entries())
-	if reflect.DeepEqual(got, want) {
-		t.Fatal("recovery claims full state despite corrupt checkpoint")
+	r, err := Open(Options{Dir: dir, CheckpointInterval: -1, Registry: obs.NewRegistry()})
+	if err == nil {
+		r.Close()
+		t.Fatal("Open recovered a store whose live segment is damaged")
 	}
-	if !reflect.DeepEqual(got, []uint64{100, 101}) {
-		t.Fatalf("post-checkpoint tail not recovered: %v", got)
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), seg) {
+		t.Fatalf("Open error %q, want ErrCorrupt naming %s", err, seg)
 	}
 }
 
@@ -523,7 +551,7 @@ func TestBackgroundCheckpoint(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, err := os.Stat(filepath.Join(dir, checkpointName(2))); err == nil {
+		if doc, _, err := loadManifest(dir); err == nil && doc.BaseGen >= 2 {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -1,15 +1,16 @@
 // Replication-facing view of the Disk store: a generation cursor and a
-// tailing log reader (the bootstrap capture is in tieredboot.go).
+// tailing log reader (the bootstrap's manifest and segments are in
+// tieredboot.go).
 // Package replica layers leader-follower shipping on these primitives;
 // they are exported here because only the store knows which bytes of
 // which segment are committed whole records.
 //
 // The cursor contract: a position (gen, off) names the byte just past
 // the last record a tailer has applied, in the segment wal-<gen>.log.
-// Every committed size the store hands out (LogCursor, CaptureMem,
-// retired sizes) is a record boundary, so a tailer that starts from a
-// store-issued cursor and advances by whole ReadLog results only ever
-// sees whole frames. A cursor the store cannot serve — its segment
+// Every position the store hands out (LogCursor, a manifest's
+// (BaseGen, 0), retired sizes) is a record boundary, so a tailer that
+// starts from a store-issued cursor and advances by whole ReadLog
+// results only ever sees whole frames. A cursor the store cannot serve — its segment
 // deleted, its offset past the committed size, or from a history that a
 // replication bootstrap replaced — is answered with TailReset, never
 // with wrong bytes.
@@ -33,9 +34,10 @@ const (
 	// the requested position; advance the cursor by their length.
 	TailData TailStatus = iota
 	// TailAdvance: the generation ended exactly at the requested offset;
-	// resume at (gen+1, 0). State continuity across the rotation is
-	// guaranteed — checkpoint gen+1 equals the state after all of
-	// wal-gen — so the tailer keeps its state and only moves the cursor.
+	// resume at (gen+1, 0). A rotation changes no state — the log is one
+	// sequence of records cut into generations, and a checkpoint only
+	// moves what wal-gen held into segments — so the tailer keeps its
+	// state and only moves the cursor.
 	TailAdvance
 	// TailReset: the cursor is unservable (segment gone, offset past the
 	// committed size, or history replaced by FinishBootstrap); the
@@ -52,6 +54,11 @@ const retiredKeep = 16
 // still returned whole — the cap rounds down to a frame boundary, it
 // never splits one.
 const maxTailChunk = 4 << 20
+
+// MaxTailBytes is the most one ReadLog result holds: one chunk, or one
+// frame longer than a chunk. A tailer reads no more than this per
+// response.
+const MaxTailBytes = max(maxTailChunk, 8+maxRecordBytes)
 
 // StoreID returns the persistent random identity of the data directory,
 // created on first Open and stable across restarts. Replication uses it

@@ -126,7 +126,7 @@ func TestFinishBootstrapInvalidatesOldCursors(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen, final := d.LogCursor()
-	if _, err := d.FinishBootstrap(ManifestSnapshot{}, batch(10, 2, "bob")); err != nil {
+	if _, err := d.FinishBootstrap(ManifestSnapshot{}); err != nil {
 		t.Fatal(err)
 	}
 	// The old generation completed, but the bootstrap replaced the
@@ -137,30 +137,36 @@ func TestFinishBootstrapInvalidatesOldCursors(t *testing.T) {
 	}
 }
 
-func TestCaptureMemMatchesCursor(t *testing.T) {
+// TestManifestBaseGenCursorTailsAppends pins the bootstrap cursor: the
+// manifest's segments hold everything before its BaseGen, and the log
+// from (BaseGen, 0) holds exactly the records appended since.
+func TestManifestBaseGenCursorTailsAppends(t *testing.T) {
 	d := open(t, t.TempDir())
 	defer d.Close()
 	if err := d.AppendRegister(batch(1, 3, "alice")); err != nil {
 		t.Fatal(err)
 	}
-	entries, gen, off, hash := d.CaptureMem()
-	if hash != d.ManifestSnapshot().Hash {
-		t.Fatal("memtable capture stamped with another manifest's hash")
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sortedIDs(entries), []uint64{1, 2, 3}) {
-		t.Fatalf("captured ids = %v", sortedIDs(entries))
-	}
-	// Appends after the capture are exactly the frames past its cursor.
 	if err := d.AppendRegister(batch(4, 2, "bob")); err != nil {
 		t.Fatal(err)
 	}
-	frames, _, _ := drainTail(t, d, gen, off)
+	ms := d.ManifestSnapshot()
+	sealed := 0
+	for _, m := range ms.Segments {
+		sealed += m.Count
+	}
+	if sealed != 3 || len(ms.Tombstones) != 0 {
+		t.Fatalf("manifest seals %d entries with tombstones %v, want the 3 appended before the checkpoint", sealed, ms.Tombstones)
+	}
+	frames, _, _ := drainTail(t, d, ms.BaseGen, 0)
 	recs, _, err := DecodeWAL(frames)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 1 || !reflect.DeepEqual(sortedIDs(recs[0].Entries), []uint64{4, 5}) {
-		t.Fatalf("frames past capture cursor decode to %+v", recs)
+		t.Fatalf("frames from the base generation decode to %+v", recs)
 	}
 }
 

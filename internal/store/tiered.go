@@ -1,10 +1,10 @@
 // The segment tier: everything Disk does beyond the WAL + memtable
-// pair. A time window cold for Options.SegmentWindowAge is sealed.
+// pair. A checkpoint seals the memtable, every window of it.
 //
-// Data model. The memtable (d.state) holds the mutable working set;
-// cold time windows are sealed into immutable segment files (one per
-// window, segfile.go) named by the manifest (manifest.go). The visible
-// entry set is:
+// Data model. The memtable (d.state) holds what was appended since the
+// last checkpoint; everything older lives in immutable segment files
+// (one per time window, segfile.go) named by the manifest
+// (manifest.go). The visible entry set is:
 //
 //	memtable ∪ { sealed entry e in window w :
 //	             no tombstone (e.ID, w) and e.ID not in memtable }
@@ -13,48 +13,42 @@
 // tombstone suppresses a sealed copy outright (visibleEntries is the one
 // implementation of that rule). WAL replay therefore stays an
 // idempotent fold into the memtable, and correctness lives at read
-// time. Replay after a crash can re-create memtable copies of
-// already-sealed entries ("shadows"); they are correct (deduplicated on
-// read) and the next flush of that window retires them.
+// time.
 //
-// flushWindow is the single primitive behind both sealing and
-// compaction: it merges a window's surviving sealed copies with its
-// memtable entries into a fresh segment file (sequence+1), commits the
-// swap in RAM, rotates the manifest, then deletes the superseded file.
-// The WAL is never truncated by a flush — only a checkpoint retires
-// WAL generations, and Checkpoint writes the manifest before the
-// checkpoint rename so every tombstone is durable in at least one of
-// the two (see manifest.go).
+// Checkpoint is the one writer of segments: it merges each affected
+// window's surviving sealed copies with its captured memtable entries
+// into a fresh segment file (sequence+1), commits every window and the
+// new WAL base generation together in RAM, rotates the manifest, then
+// deletes the retired WAL and the superseded files. An entry seals
+// into the window its start falls in, however long it runs, so no entry
+// is memtable-resident past the next checkpoint, and the image cap
+// (maxSegmentBlock) bounds one window, not all unsealed data.
 //
 // Residency. A sealed entry lives only in its segment file; in RAM the
 // store keeps each segment's manifest meta and the id→window map
 // (segIDs). Whoever needs sealed entries reads them from the files
-// while holding cpMu, which every file replacement (flush, checkpoint,
-// bootstrap) also holds, so the files a reader was pointed at
-// stay put. Lock order is cpMu, then d.mu — never the reverse — and no
-// file is read or written under d.mu: the append path never waits on
-// segment I/O.
+// while holding cpMu, which every file replacement (checkpoint,
+// segment install, bootstrap) also holds, so the files a reader was
+// pointed at stay put. Lock order is cpMu, then d.mu — never the
+// reverse — and no file is read or written under d.mu: the append path
+// never waits on segment I/O.
 package store
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
 	"fovr/internal/index"
 )
 
-// windowKeyOf returns the time-window key an entry seals into, and
-// false for entries longer than the window — those stay memtable
-// residents forever.
-func (d *Disk) windowKeyOf(e index.Entry) (int64, bool) {
-	if index.OverLong(e.Rep.StartMillis, e.Rep.EndMillis, d.segWindowMs) {
-		return 0, false
-	}
-	return index.WindowKey(e.Rep.StartMillis, d.segWindowMs), true
+// windowKeyOf returns the time-window key an entry seals into: the
+// window its start falls in, however long the entry runs.
+func (d *Disk) windowKeyOf(e index.Entry) int64 {
+	return index.WindowKey(e.Rep.StartMillis, d.segWindowMs)
 }
 
 // tombHasLocked reports whether (id, window) is tombstoned (d.mu held).
@@ -97,10 +91,10 @@ func (d *Disk) dropTombLocked(id uint64, window int64) {
 
 // visibleSealedLocked counts sealed entries the read path serves:
 // total sealed minus tombstoned copies minus memtable shadows (d.mu
-// held). Tombstones only ever reference live sealed copies (flush
-// drops them with the copies), so each pair suppresses exactly one; a
-// shadow is a memtable id that segIDs also names. O(segments +
-// memtable): the sealed tier is never walked.
+// held). Tombstones only ever reference live sealed copies (a
+// checkpoint drops them with the copies), so each pair suppresses
+// exactly one; a shadow is a memtable id that segIDs also names.
+// O(segments + memtable): the sealed tier is never walked.
 func (d *Disk) visibleSealedLocked() int {
 	total := 0
 	for _, m := range d.segs {
@@ -171,6 +165,7 @@ func (d *Disk) manifestDocLocked() manifestDoc {
 	}
 	sort.Slice(doc.Segments, func(i, j int) bool { return doc.Segments[i].Window < doc.Segments[j].Window })
 	doc.Staged = append(doc.Staged, d.staged...)
+	doc.BaseGen = d.baseGen
 	for id, ws := range d.tombs {
 		for _, w := range ws {
 			doc.Tombstones = append(doc.Tombstones, Tombstone{ID: id, Window: w})
@@ -185,245 +180,236 @@ func (d *Disk) manifestDocLocked() manifestDoc {
 	return doc
 }
 
-// eligibleWindows returns every window a flush would change: sealed
-// windows carrying tombstones or shadowed/late memtable entries, plus
-// unsealed windows that closed more than the configured age ago.
-func (d *Disk) eligibleWindows(nowMillis int64) []int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	set := make(map[int64]struct{})
-	for _, ws := range d.tombs {
-		for _, w := range ws {
-			set[w] = struct{}{}
-		}
-	}
-	for _, e := range d.state {
-		k, ok := d.windowKeyOf(e)
+// windowCapture is one window a checkpoint seals: what it captured
+// under d.mu, and the segment it wrote.
+type windowCapture struct {
+	window int64
+	old    SegmentMeta // the live segment being superseded, when sealed
+	sealed bool
+	// mem holds the captured memtable entries that seal into the window.
+	mem map[uint64]index.Entry
+	// dead holds the ids whose sealed copy in this window the new file
+	// drops: the captured tombstones, and every copy a memtable entry
+	// of the same id shadows, whichever window that entry seals into.
+	dead  map[uint64]struct{}
+	meta  SegmentMeta // the written segment, when wrote
+	wrote bool
+}
+
+// captureLocked groups the memtable and the tombstones by the window
+// each affects (d.mu held).
+func (d *Disk) captureLocked() map[int64]*windowCapture {
+	caps := make(map[int64]*windowCapture)
+	get := func(k int64) *windowCapture {
+		c, ok := caps[k]
 		if !ok {
-			continue
+			c = &windowCapture{window: k, mem: make(map[uint64]index.Entry), dead: make(map[uint64]struct{})}
+			c.old, c.sealed = d.segs[k]
+			caps[k] = c
 		}
-		if _, sealedAlready := d.segs[k]; sealedAlready {
-			// Late arrival or replay shadow in a sealed window: merge it
-			// regardless of age.
-			set[k] = struct{}{}
-			continue
-		}
-		if (k+1)*d.segWindowMs+d.segAgeMs <= nowMillis {
-			set[k] = struct{}{}
-		}
+		return c
 	}
-	out := make([]int64, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// CompactionBacklog returns how many windows are currently flushable.
-func (d *Disk) CompactionBacklog() int {
-	return len(d.eligibleWindows(time.Now().UnixMilli()))
-}
-
-// CompactNow flushes every currently eligible window synchronously —
-// what one compaction-loop tick does; tests and benchmarks drive the
-// tier with it.
-func (d *Disk) CompactNow() error {
-	for _, k := range d.eligibleWindows(time.Now().UnixMilli()) {
-		if err := d.flushWindow(k); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// compactionLoop is the background seal/compaction worker.
-func (d *Disk) compactionLoop(interval time.Duration) {
-	defer d.wg.Done()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-d.done:
-			return
-		case <-t.C:
-			if err := d.CompactNow(); err != nil && !errors.Is(err, ErrClosed) {
-				d.log.Error("store: compaction failed", "err", err)
-			}
-		}
-	}
-}
-
-// flushWindow seals or compacts one time window: merge the window's
-// surviving sealed copies with its captured memtable entries, write the
-// next-sequence segment file, commit the swap, rotate the manifest,
-// delete the superseded file. Serialized with checkpoints on cpMu; the
-// read of the old file and the encode+write run without holding d.mu,
-// and every interleaving with concurrent appends/removes is resolved at
-// commit.
-func (d *Disk) flushWindow(k int64) error {
-	d.cpMu.Lock()
-	defer d.cpMu.Unlock()
-	start := time.Now()
-
-	// Capture.
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return ErrClosed
-	}
-	if d.failed != nil {
-		d.mu.Unlock()
-		return d.failed
-	}
-	old, sealed := d.segs[k]
-	memK := make(map[uint64]index.Entry)
 	for id, e := range d.state {
-		if w, ok := d.windowKeyOf(e); ok && w == k {
-			memK[id] = e
+		get(d.windowKeyOf(e)).mem[id] = e
+		if w, ok := d.segIDs[id]; ok {
+			get(w).dead[id] = struct{}{}
 		}
 	}
-	tombK := make(map[uint64]struct{})
 	for id, ws := range d.tombs {
 		for _, w := range ws {
-			if w == k {
-				tombK[id] = struct{}{}
-			}
+			get(w).dead[id] = struct{}{}
 		}
 	}
-	seq := uint64(1)
-	if sealed {
-		seq = old.Seq + 1
-	}
-	d.mu.Unlock()
-	if !sealed && len(memK) == 0 {
-		return nil
-	}
+	return caps
+}
 
-	// Merge and write the new segment, unlocked. The old file is
-	// re-verified as it is read; its survivors keep their encoded bytes.
-	// Sealed copies lose to both tombstones and memtable shadows; the
-	// memtable copy is the one that moves into the new file.
-	fresh := make([]index.Entry, 0, len(memK))
-	for _, e := range memK {
+// writeWindow merges the window's surviving sealed copies with its
+// captured memtable entries into the next-sequence segment file and
+// renames it into place, unreferenced until the commit. The old file
+// is re-verified as it is read; its survivors keep their encoded bytes.
+func (d *Disk) writeWindow(c *windowCapture) error {
+	fresh := make([]index.Entry, 0, len(c.mem))
+	for _, e := range c.mem {
 		fresh = append(fresh, e)
 	}
 	b, err := newBlockBuilder(fresh)
 	if err != nil {
 		return err
 	}
-	if sealed {
-		if err := d.walkSegmentFile(segmentFileName(k, old.Seq), old, func(e index.Entry, _, rec []byte) {
-			if _, dead := tombK[e.ID]; dead {
-				return
+	seq := uint64(1)
+	if c.sealed {
+		seq = c.old.Seq + 1
+		if err := d.walkSegmentFile(segmentFileName(c.window, c.old.Seq), c.old, func(e index.Entry, _, rec []byte) {
+			if _, dead := c.dead[e.ID]; !dead {
+				b.splice(e.ID, rec)
 			}
-			if _, shadowed := memK[e.ID]; shadowed {
-				return
-			}
-			b.splice(e.ID, rec)
 		}); err != nil {
-			return fmt.Errorf("store: compact window %d: %w", k, err)
+			return fmt.Errorf("store: seal window %d: %w", c.window, err)
 		}
 	}
 	block, count := b.finish()
-	var newMeta SegmentMeta
-	wrote := count > 0
-	if wrote {
-		img, crc, err := frameSegment(k, count, block)
-		if err != nil {
-			return err
-		}
-		name := segmentFileName(k, seq)
-		tmp := filepath.Join(d.opts.Dir, name+".tmp")
-		if err := writeFileSync(tmp, func(w *os.File) error {
-			_, werr := w.Write(img)
-			return werr
-		}); err != nil {
-			return fmt.Errorf("store: write segment %s: %w", name, err)
-		}
-		if err := os.Rename(tmp, filepath.Join(d.opts.Dir, name)); err != nil {
-			return fmt.Errorf("store: publish segment %s: %w", name, err)
-		}
-		if err := syncDir(d.opts.Dir); err != nil {
-			return err
-		}
-		newMeta = SegmentMeta{Window: k, Seq: seq, Count: count, Bytes: int64(len(img)), CRC: crc}
-		d.segWrittenBytes.Add(int64(len(img)))
+	if count == 0 {
+		return nil
 	}
-
-	// Commit. Appends and removes may have run since the capture; the
-	// rules below make every interleaving land on the visibility
-	// invariant.
-	d.mu.Lock()
-	if d.closed || d.failed != nil {
-		err := d.failed
-		if err == nil {
-			err = ErrClosed
-		}
-		d.mu.Unlock()
+	img, crc, err := frameSegment(c.window, count, block)
+	if err != nil {
 		return err
 	}
-	// A captured id whose previous sealed copy lives in ANOTHER window
-	// just moved here: tombstone that copy or it would resurrect once
-	// the memtable entry retires.
-	for id := range memK {
-		if w, ok := d.segIDs[id]; ok && w != k {
-			d.addTombLocked(id, w)
-		}
+	name := segmentFileName(c.window, seq)
+	tmp := filepath.Join(d.opts.Dir, name+".tmp")
+	if err := writeFileSync(tmp, func(w *os.File) error {
+		_, werr := w.Write(img)
+		return werr
+	}); err != nil {
+		return fmt.Errorf("store: write segment %s: %w", name, err)
 	}
-	if wrote {
-		d.segs[k] = newMeta
-		// Survivors are already mapped to k (or were tombstoned while we
-		// wrote, which unmapped them); the captured memtable ids join.
-		for id := range memK {
-			d.segIDs[id] = k
-		}
+	if err := os.Rename(tmp, filepath.Join(d.opts.Dir, name)); err != nil {
+		return fmt.Errorf("store: publish segment %s: %w", name, err)
+	}
+	c.meta, c.wrote = SegmentMeta{Window: c.window, Seq: seq, Count: count, Bytes: int64(len(img)), CRC: crc}, true
+	d.segWrittenBytes.Add(int64(len(img)))
+	return nil
+}
+
+// commitWindowLocked swaps one written window into the live set (d.mu
+// held). Appends and removes may have run since the capture; the rules
+// below land every interleaving on the visibility invariant, and the
+// result does not depend on the order windows commit in.
+func (d *Disk) commitWindowLocked(c *windowCapture) {
+	if c.wrote {
+		d.segs[c.window] = c.meta
 	} else {
-		delete(d.segs, k)
+		delete(d.segs, c.window)
 	}
-	// The captured tombstones' targets are gone from the new file; newer
-	// tombstones (raced in during the write) stay.
-	for id := range tombK {
-		d.dropTombLocked(id, k)
+	// The dead copies are gone from the new file, and with them every
+	// tombstone naming them — including one a remove raced in.
+	for id := range c.dead {
+		d.dropTombLocked(id, c.window)
+		if w, ok := d.segIDs[id]; ok && w == c.window {
+			delete(d.segIDs, id)
+		}
 	}
-	for id, captured := range memK {
+	for id, captured := range c.mem {
+		d.segIDs[id] = c.window
 		cur, ok := d.state[id]
 		switch {
 		case !ok:
-			// Removed while we flushed: the remove keeps winning over the
+			// Removed while we wrote: the remove keeps winning over the
 			// fresh sealed copy.
-			d.addTombLocked(id, k)
+			d.addTombLocked(id, c.window)
 		case cur == captured:
 			delete(d.state, id)
 		default:
-			// Re-registered while we flushed: the memtable copy shadows
-			// the sealed one until this window's next flush.
+			// Re-registered while we wrote: the memtable copy shadows the
+			// sealed one until the next checkpoint.
 		}
 	}
+	d.compactions.Inc()
+}
+
+// Checkpoint implements Store by sealing: under d.mu it rotates the
+// WAL to G+1 and captures the memtable and tombstones; with no lock
+// held it writes one merged segment per captured window; in one d.mu
+// section it commits every window together with BaseGen = G+1. It then
+// saves the manifest, and only then deletes the WAL below G+1 and the
+// segment files the manifest no longer names. Appends wait for the
+// rotation and the commit, never for segment I/O.
+//
+// A crash anywhere before the manifest rename recovers from the old
+// manifest and the WAL from its BaseGen, which nothing has deleted; a
+// crash after it recovers from the new one. Files the crash left
+// unreferenced are swept on open.
+func (d *Disk) Checkpoint() error {
+	d.cpMu.Lock()
+	defer d.cpMu.Unlock()
+	start := time.Now()
+
+	// Rotate and capture.
+	d.mu.Lock()
+	if err := d.usableLocked(); err != nil {
+		d.mu.Unlock()
+		return err
+	}
+	newGen := d.walGen + 1
+	f, err := os.OpenFile(filepath.Join(d.opts.Dir, walName(newGen)),
+		os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
+	if err != nil {
+		d.mu.Unlock()
+		d.cpErrors.Inc()
+		return fmt.Errorf("store: rotate wal: %w", err)
+	}
+	old, oldGen := d.wal, d.walGen
+	d.retired[oldGen] = d.walSize
+	for g := range d.retired {
+		if g+retiredKeep <= newGen {
+			delete(d.retired, g)
+		}
+	}
+	d.wal, d.walGen, d.walSize, d.dirty, d.appended = f, newGen, 0, false, 0
+	d.notifyLocked()
+	caps := d.captureLocked()
+	d.mu.Unlock()
+
+	// The old generation stays on disk, and stays the recovery source,
+	// until the manifest naming BaseGen = newGen is.
+	_ = old.Sync()
+	_ = old.Close()
+	keys := make([]int64, 0, len(caps))
+	for k := range caps {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	entries := 0
+	for _, k := range keys {
+		if err := d.writeWindow(caps[k]); err != nil {
+			d.cpErrors.Inc()
+			return err
+		}
+		entries += len(caps[k].mem)
+	}
+	if err := syncDir(d.opts.Dir); err != nil {
+		d.cpErrors.Inc()
+		return err
+	}
+
+	// Commit.
+	d.mu.Lock()
+	if err := d.usableLocked(); err != nil {
+		d.mu.Unlock()
+		return err
+	}
+	for _, k := range keys {
+		d.commitWindowLocked(caps[k])
+	}
+	d.baseGen = newGen
 	doc := d.manifestDocLocked()
 	d.mu.Unlock()
 
-	// The manifest rotation publishes the swap; only then is the old
-	// file garbage. A failure here is not sticky — the old manifest
-	// still names a consistent (pre-flush) state, and the next rotation
-	// converges.
+	// A failed save is not sticky: the manifest on disk still names a
+	// consistent older state, the WAL it replays from is still there,
+	// and the next checkpoint saves everything.
 	if err := saveManifest(d.opts.Dir, doc); err != nil {
 		d.cpErrors.Inc()
 		return fmt.Errorf("store: rotate manifest: %w", err)
 	}
-	if sealed {
-		os.Remove(filepath.Join(d.opts.Dir, segmentFileName(k, old.Seq)))
-	}
-	d.compactions.Inc()
-	d.log.Info("store sealed window",
-		"window", k, "seq", seq, "entries", count,
-		"bytes", newMeta.Bytes, "elapsed", time.Since(start).Round(time.Millisecond))
+	d.removeObsolete(newGen)
+	d.removeUnreferencedSegments(doc)
+	d.mu.Lock()
+	d.lastCP = time.Now()
+	d.mu.Unlock()
+	d.checkpoints.Inc()
+	d.cpHist.Observe(time.Since(start).Seconds())
+	d.log.Info("store checkpoint",
+		"windows", len(keys), "entries", entries, "generation", newGen,
+		"elapsed", time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
-// TieredStats is the storage panel's data: per-tier sizes and the
-// compaction backlog (served on /stats and rendered by fovctl
-// storage).
+// CompactNow is Checkpoint. It stays because bench/ calls it.
+func (d *Disk) CompactNow() error { return d.Checkpoint() }
+
+// TieredStats is the storage panel's data: per-tier sizes (served on
+// /stats and rendered by fovctl storage).
 type TieredStats struct {
 	SegmentWindowMillis int64 `json:"segmentWindowMillis"`
 	Segments            int   `json:"segments"`
@@ -432,13 +418,13 @@ type TieredStats struct {
 	MemtableEntries     int   `json:"memtableEntries"`
 	Tombstones          int   `json:"tombstones"`
 	StagedSegments      int   `json:"stagedSegments"`
-	CompactionBacklog   int   `json:"compactionBacklog"`
-	Compactions         int64 `json:"compactions"`
+	// Compactions counts window seals: one per window a checkpoint
+	// rewrote.
+	Compactions int64 `json:"compactions"`
 }
 
 // TieredStats reports the segment tier's current shape.
 func (d *Disk) TieredStats() TieredStats {
-	backlog := d.CompactionBacklog()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	ts := TieredStats{
@@ -448,7 +434,6 @@ func (d *Disk) TieredStats() TieredStats {
 		MemtableEntries:     len(d.state),
 		Tombstones:          d.tombCount,
 		StagedSegments:      len(d.staged),
-		CompactionBacklog:   backlog,
 		Compactions:         d.compactions.Value(),
 	}
 	for _, m := range d.segs {

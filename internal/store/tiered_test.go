@@ -14,20 +14,14 @@ import (
 	"fovr/internal/index"
 )
 
-// testWindowMs is the segment window the tiered tests run with. Windows
-// keyed near epoch zero are always decades colder than any configured
-// age, so sealing eligibility never depends on the wall clock.
+// testWindowMs is the segment window the tiered tests run with.
 const testWindowMs = int64(60_000)
 
-// openTiered opens a store with the segment tier on and background
-// loops off (tests drive sealing with CompactNow).
+// openTiered opens a store with one-minute segment windows and the
+// background checkpoint off (tests seal with Checkpoint).
 func openTiered(t *testing.T, dir string, mutate ...func(*Options)) *Disk {
 	t.Helper()
-	all := append([]func(*Options){func(o *Options) {
-		o.SegmentWindow = time.Minute
-		o.SegmentWindowAge = time.Millisecond
-		o.CompactionInterval = -1
-	}}, mutate...)
+	all := append([]func(*Options){func(o *Options) { o.SegmentWindow = time.Minute }}, mutate...)
 	return open(t, dir, all...)
 }
 
@@ -37,13 +31,6 @@ func wentry(id uint64, window int64) index.Entry {
 	e.Rep.StartMillis = window*testWindowMs + int64(id%59)*1000
 	e.Rep.EndMillis = e.Rep.StartMillis + 500
 	return e
-}
-
-// futureWindow returns a window key far enough in the future that no
-// test run ever seals it — its entries are permanent memtable
-// residents.
-func futureWindow() int64 {
-	return time.Now().UnixMilli()/testWindowMs + 1_000_000
 }
 
 func entrySet(entries []index.Entry) map[uint64]index.Entry {
@@ -87,15 +74,16 @@ func TestTieredSealAndReadBack(t *testing.T) {
 	for id := uint64(11); id <= 16; id++ {
 		all = append(all, wentry(id, 1))
 	}
-	hot := wentry(100, futureWindow())
-	all = append(all, hot)
 	if err := d.AppendRegister(all); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.CompactionBacklog(); got != 2 {
-		t.Fatalf("backlog before seal = %d, want 2", got)
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
 	}
-	if err := d.CompactNow(); err != nil {
+	// Appended after the checkpoint: the memtable until the next one.
+	hot := wentry(100, 1_000_000)
+	all = append(all, hot)
+	if err := d.AppendRegister([]index.Entry{hot}); err != nil {
 		t.Fatal(err)
 	}
 	wantEntries(t, d, all)
@@ -105,9 +93,6 @@ func TestTieredSealAndReadBack(t *testing.T) {
 	st := d.TieredStats()
 	if st.Segments != 2 || st.SegmentEntries != 16 || st.MemtableEntries != 1 {
 		t.Fatalf("stats after seal: %+v", st)
-	}
-	if st.CompactionBacklog != 0 {
-		t.Fatalf("backlog after seal = %d, want 0", st.CompactionBacklog)
 	}
 	for _, name := range []string{segmentFileName(0, 1), segmentFileName(1, 1)} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
@@ -119,37 +104,39 @@ func TestTieredSealAndReadBack(t *testing.T) {
 func TestTieredRecoverAfterSeal(t *testing.T) {
 	dir := t.TempDir()
 	d := openTiered(t, dir)
-	all := []index.Entry{wentry(1, 0), wentry(2, 0), wentry(3, 1), wentry(50, futureWindow())}
+	all := []index.Entry{wentry(1, 0), wentry(2, 0), wentry(3, 1)}
 	if err := d.AppendRegister(all); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.CompactNow(); err != nil {
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	hot := wentry(50, 7)
+	all = append(all, hot)
+	if err := d.AppendRegister([]index.Entry{hot}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// No checkpoint ran: replay re-creates memtable copies of the sealed
-	// entries (shadows). The visible set must still deduplicate them.
+	// Recovery replays only the log from the manifest's base generation:
+	// the sealed entries stay in their files.
 	r := openTiered(t, dir)
 	defer r.Close()
 	wantEntries(t, r, all)
 	st := r.TieredStats()
-	if st.Segments != 2 {
-		t.Fatalf("recovered %d segments, want 2", st.Segments)
+	if st.Segments != 2 || st.MemtableEntries != 1 {
+		t.Fatalf("recovered %+v, want 2 segments and the 1 entry appended after the seal", st)
 	}
-	if st.MemtableEntries != 4 {
-		t.Fatalf("replay should shadow all 4 entries into the memtable, have %d", st.MemtableEntries)
-	}
-	// The shadowed windows are flushable again; compacting retires the
-	// shadows without changing the visible set.
-	if err := r.CompactNow(); err != nil {
+	// The next checkpoint seals the replayed entry without changing the
+	// visible set.
+	if err := r.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	wantEntries(t, r, all)
-	if st = r.TieredStats(); st.MemtableEntries != 1 {
-		t.Fatalf("memtable after shadow cleanup = %d, want 1", st.MemtableEntries)
+	if st = r.TieredStats(); st.MemtableEntries != 0 || st.Segments != 3 {
+		t.Fatalf("after the second checkpoint: %+v", st)
 	}
 }
 
@@ -160,7 +147,7 @@ func TestTieredRemoveSealedEntry(t *testing.T) {
 	if err := d.AppendRegister(all); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.CompactNow(); err != nil {
+	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.AppendRemove([]uint64{2}); err != nil {
@@ -181,7 +168,7 @@ func TestTieredRemoveSealedEntry(t *testing.T) {
 	wantEntries(t, r, want)
 	// Compacting the tombstoned window rewrites the segment without the
 	// dead copy and drops the tombstone.
-	if err := r.CompactNow(); err != nil {
+	if err := r.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	wantEntries(t, r, want)
@@ -203,7 +190,7 @@ func TestTieredNoResurrectionAcrossWindows(t *testing.T) {
 	if err := d.AppendRegister([]index.Entry{v1, wentry(1, 0)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.CompactNow(); err != nil {
+	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.AppendRemove([]uint64{7}); err != nil {
@@ -214,7 +201,7 @@ func TestTieredNoResurrectionAcrossWindows(t *testing.T) {
 	if err := d.AppendRegister([]index.Entry{v2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.CompactNow(); err != nil {
+	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	wantEntries(t, d, []index.Entry{wentry(1, 0), v2})
@@ -229,7 +216,7 @@ func TestTieredNoResurrectionAcrossWindows(t *testing.T) {
 	}
 	r := openTiered(t, dir)
 	wantEntries(t, r, want)
-	if err := r.CompactNow(); err != nil {
+	if err := r.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	wantEntries(t, r, want)
@@ -241,53 +228,57 @@ func TestTieredNoResurrectionAcrossWindows(t *testing.T) {
 	wantEntries(t, r2, want)
 }
 
+// TestTieredCheckpointIsIncremental pins that a checkpoint rewrites
+// only the windows that changed since the last one: the others keep
+// their segment files byte for byte.
 func TestTieredCheckpointIsIncremental(t *testing.T) {
 	dir := t.TempDir()
 	d := openTiered(t, dir)
-	var cold []index.Entry
+	var all []index.Entry
 	for id := uint64(1); id <= 200; id++ {
-		cold = append(cold, wentry(id, int64(id%4)))
+		all = append(all, wentry(id, int64(id%4)))
 	}
-	if err := d.AppendRegister(cold); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.CompactNow(); err != nil {
-		t.Fatal(err)
-	}
-	hot := []index.Entry{wentry(1000, futureWindow()), wentry(1001, futureWindow())}
-	if err := d.AppendRegister(hot); err != nil {
+	if err := d.AppendRegister(all); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	before := d.ManifestSnapshot().Segments
+	files := map[int64][]byte{}
+	for _, m := range before {
+		data, err := os.ReadFile(filepath.Join(dir, segmentFileName(m.Window, m.Seq)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[m.Window] = data
+	}
+	late := []index.Entry{wentry(1000, 1), wentry(1001, 1)}
+	all = append(all, late...)
+	if err := d.AppendRegister(late); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range d.ManifestSnapshot().Segments {
+		data, err := os.ReadFile(filepath.Join(dir, segmentFileName(m.Window, m.Seq)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rewritten := !bytes.Equal(data, files[m.Window])
+		if rewritten != (m.Window == 1) || (m.Seq == 2) != (m.Window == 1) {
+			t.Fatalf("window %d: seq %d, rewritten=%v; want only window 1 rewritten", m.Window, m.Seq, rewritten)
+		}
+	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// The checkpoint carries the delta (memtable) only; cold windows live
-	// in their segment files.
-	matches, err := filepath.Glob(filepath.Join(dir, "checkpoint-*.fovg"))
-	if err != nil || len(matches) != 1 {
-		t.Fatalf("checkpoint files %v (err %v), want exactly one", matches, err)
-	}
-	img, err := os.ReadFile(matches[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, cpEntries, err := DecodeSegment(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cpEntries) != len(hot) {
-		t.Fatalf("checkpoint holds %d entries, want just the %d memtable entries", len(cpEntries), len(hot))
-	}
-
 	r := openTiered(t, dir)
 	defer r.Close()
-	wantEntries(t, r, append(append([]index.Entry{}, cold...), hot...))
-	if st := r.TieredStats(); st.MemtableEntries != len(hot) {
-		t.Fatalf("recovery from incremental checkpoint shadowed sealed entries: memtable=%d", st.MemtableEntries)
+	wantEntries(t, r, all)
+	if st := r.TieredStats(); st.MemtableEntries != 0 {
+		t.Fatalf("recovery replayed sealed entries into the memtable: %+v", st)
 	}
 }
 
@@ -301,19 +292,14 @@ func hourEntry(id uint64, hour int64) index.Entry {
 }
 
 // TestFlatDirectoryUpgradesToManifest opens, with default options, what
-// a store without a segment tier leaves behind — a checkpoint and a log,
-// no manifest: every entry is there, the first checkpoint writes a
-// manifest, compaction seals the cold windows, and a reopen serves the
-// same set.
+// a store without a segment tier leaves behind — logs, no manifest:
+// every entry is there, the first checkpoint seals the windows and
+// writes a manifest, and a reopen serves the same set.
 func TestFlatDirectoryUpgradesToManifest(t *testing.T) {
 	dir := t.TempDir()
-	base := []index.Entry{hourEntry(1, 0), hourEntry(2, 0), hourEntry(3, 1)}
 	var tail bytes.Buffer
-	cp, _, err := EncodeSegment(0, base)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, rec := range []Record{
+		{Op: opRegister, Entries: []index.Entry{hourEntry(1, 0), hourEntry(2, 0), hourEntry(3, 1)}},
 		{Op: opRegister, Entries: []index.Entry{hourEntry(4, 1), hourEntry(5, 2)}},
 		{Op: opRemove, IDs: []uint64{2}},
 	} {
@@ -321,12 +307,10 @@ func TestFlatDirectoryUpgradesToManifest(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for name, data := range map[string][]byte{checkpointName(2): cp, walName(2): tail.Bytes()} {
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	if err := os.WriteFile(filepath.Join(dir, walName(2)), tail.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	want := []index.Entry{base[0], base[2], hourEntry(4, 1), hourEntry(5, 2)}
+	want := []index.Entry{hourEntry(1, 0), hourEntry(3, 1), hourEntry(4, 1), hourEntry(5, 2)}
 	manifest := filepath.Join(dir, manifestFile)
 
 	d := open(t, dir)
@@ -334,17 +318,17 @@ func TestFlatDirectoryUpgradesToManifest(t *testing.T) {
 	if _, err := os.Stat(manifest); !os.IsNotExist(err) {
 		t.Fatalf("open wrote a manifest before any checkpoint (stat: %v)", err)
 	}
+	if ms := d.ManifestSnapshot(); ms.BaseGen != 2 {
+		t.Fatalf("base generation %d, want the oldest log, 2", ms.BaseGen)
+	}
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(manifest); err != nil {
 		t.Fatalf("first checkpoint wrote no manifest: %v", err)
 	}
-	if err := d.CompactNow(); err != nil {
-		t.Fatal(err)
-	}
 	if st := d.TieredStats(); st.Segments != 3 || st.MemtableEntries != 0 {
-		t.Fatalf("cold windows not sealed: %+v", st)
+		t.Fatalf("windows not sealed: %+v", st)
 	}
 	wantEntries(t, d, want)
 	if err := d.Close(); err != nil {
@@ -359,8 +343,8 @@ func TestFlatDirectoryUpgradesToManifest(t *testing.T) {
 }
 
 // TestTieredMatchesFlatSemantics runs an identical random op sequence
-// against a tiered store (sealing aggressively along the way) and a
-// plain map, and checks the visible set never diverges.
+// against a tiered store (checkpointing along the way) and a plain
+// map, and checks the visible set never diverges.
 func TestTieredMatchesFlatSemantics(t *testing.T) {
 	dir := t.TempDir()
 	d := openTiered(t, dir)
@@ -402,12 +386,7 @@ func TestTieredMatchesFlatSemantics(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if step%7 == 3 {
-			if err := d.CompactNow(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if step%13 == 11 {
+		if step%7 == 3 || step%13 == 11 {
 			if err := d.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
@@ -450,12 +429,72 @@ func copyDir(t *testing.T, src string) string {
 	return dst
 }
 
+// harvest runs fn on a copy of dir and returns the files it left that
+// dir does not hold byte for byte, by name.
+func harvest(t *testing.T, dir string, fn func(d *Disk)) map[string][]byte {
+	t.Helper()
+	post := copyDir(t, dir)
+	d := openTiered(t, post)
+	fn(d)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{}
+	names, err := os.ReadDir(post)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, de := range names {
+		data, err := os.ReadFile(filepath.Join(post, de.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if old, err := os.ReadFile(filepath.Join(dir, de.Name())); err != nil || !bytes.Equal(old, data) {
+			out[de.Name()] = data
+		}
+	}
+	return out
+}
+
+// killVerify opens a crash-state directory twice — recovery must land
+// on want and leave the directory consistent for the next open — and
+// checks that recovery deleted every file in gone.
+func killVerify(t *testing.T, dir string, want []index.Entry, gone ...string) {
+	t.Helper()
+	for i := 0; i < 2; i++ {
+		r := openTiered(t, dir)
+		wantEntries(t, r, want)
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range gone {
+		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+			t.Fatalf("recovery left %s", name)
+		}
+	}
+	if names, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(names) != 0 {
+		t.Fatalf("recovery left torn tmp files: %v", names)
+	}
+}
+
+// writeFiles plants crash-state files in dir.
+func writeFiles(t *testing.T, dir string, files map[string][]byte) {
+	t.Helper()
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestSealKillPoints reconstructs every crash state a kill can leave
-// behind across flushWindow's write points — the segment tmp write (at
-// every byte), the rename, the manifest rotation (at every byte of
-// manifest.tmp), and the superseded-file delete — and asserts recovery
+// behind across a one-window checkpoint's write points — the WAL
+// rotation, the segment tmp write (at every byte), its rename, the
+// manifest rotation (at every byte of manifest.tmp), and the deletes of
+// the retired WAL and the superseded segment — and asserts recovery
 // lands on the committed visible set every time. Covers both the first
-// seal of a window (no prior segment) and a re-flush (prior sequence
+// seal of a window (no manifest yet) and a re-seal (prior sequence
 // superseded).
 func TestSealKillPoints(t *testing.T) {
 	// Stage 1: a clean pre-seal directory (WAL only).
@@ -468,28 +507,23 @@ func TestSealKillPoints(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Harvest the artifacts the first seal writes.
-	sealed1 := copyDir(t, base)
-	d = openTiered(t, sealed1)
-	if err := d.CompactNow(); err != nil {
-		t.Fatal(err)
+	checkpoint := func(d *Disk) {
+		if err := d.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	seg1, err := os.ReadFile(filepath.Join(sealed1, segmentFileName(0, 1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	man1, err := os.ReadFile(filepath.Join(sealed1, manifestFile))
-	if err != nil {
-		t.Fatal(err)
+	first := harvest(t, base, checkpoint)
+	seg1, man1 := first[segmentFileName(0, 1)], first[manifestFile]
+	if _, rotated := first[walName(2)]; seg1 == nil || man1 == nil || !rotated {
+		t.Fatalf("first seal wrote %d files, want segment, manifest and wal 2", len(first))
 	}
 
-	// Stage 2: more window-0 entries on top of the sealed state, then the
-	// re-flush's artifacts (segment seq 2, manifest v2).
-	d = openTiered(t, sealed1)
+	// Stage 2: the sealed state plus more window-0 entries in WAL 2, then
+	// the re-seal's artifacts (segment seq 2, manifest with base 3).
+	pre2 := copyDir(t, base)
+	writeFiles(t, pre2, first)
+	os.Remove(filepath.Join(pre2, walName(1)))
+	d = openTiered(t, pre2)
 	late := []index.Entry{wentry(4, 0), wentry(5, 0)}
 	if err := d.AppendRegister(late); err != nil {
 		t.Fatal(err)
@@ -497,116 +531,79 @@ func TestSealKillPoints(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	pre2 := copyDir(t, sealed1) // sealed seq 1 + WAL with the late records
-	sealed2 := copyDir(t, pre2)
-	d = openTiered(t, sealed2)
-	if err := d.CompactNow(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	seg2, err := os.ReadFile(filepath.Join(sealed2, segmentFileName(0, 2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	man2, err := os.ReadFile(filepath.Join(sealed2, manifestFile))
-	if err != nil {
-		t.Fatal(err)
+	second := harvest(t, pre2, checkpoint)
+	seg2, man2 := second[segmentFileName(0, 2)], second[manifestFile]
+	if _, rotated := second[walName(3)]; seg2 == nil || man2 == nil || !rotated {
+		t.Fatalf("re-seal wrote %d files, want segment, manifest and wal 3", len(second))
 	}
 
 	want1 := all
 	want2 := append(append([]index.Entry{}, all...), late...)
-
-	verify := func(t *testing.T, dir string, want []index.Entry) {
-		t.Helper()
-		r := openTiered(t, dir)
-		wantEntries(t, r, want)
-		if err := r.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// Recovery must leave the directory consistent for a second open.
-		r2 := openTiered(t, dir)
-		wantEntries(t, r2, want)
-		if err := r2.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write := func(t *testing.T, dir, name string, data []byte) {
-		t.Helper()
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	rotated1 := map[string][]byte{walName(2): nil}
+	rotated2 := map[string][]byte{walName(3): nil}
 
 	t.Run("first-seal/segment-tmp-torn", func(t *testing.T) {
 		for cut := 0; cut <= len(seg1); cut += killStride(len(seg1)) {
 			dir := copyDir(t, base)
-			write(t, dir, segmentFileName(0, 1)+".tmp", seg1[:cut])
-			verify(t, dir, want1)
-			if names, _ := filepath.Glob(filepath.Join(dir, "*.fovg.tmp")); len(names) != 0 {
-				t.Fatalf("cut %d: recovery left torn tmp files: %v", cut, names)
-			}
+			writeFiles(t, dir, rotated1)
+			writeFiles(t, dir, map[string][]byte{segmentFileName(0, 1) + ".tmp": seg1[:cut]})
+			killVerify(t, dir, want1)
 		}
 	})
 	t.Run("first-seal/segment-renamed-no-manifest", func(t *testing.T) {
 		dir := copyDir(t, base)
-		write(t, dir, segmentFileName(0, 1), seg1)
-		verify(t, dir, want1)
+		writeFiles(t, dir, rotated1)
+		writeFiles(t, dir, map[string][]byte{segmentFileName(0, 1): seg1})
+		killVerify(t, dir, want1, segmentFileName(0, 1))
 	})
 	t.Run("first-seal/manifest-tmp-torn", func(t *testing.T) {
 		for cut := 0; cut <= len(man1); cut += killStride(len(man1)) {
 			dir := copyDir(t, base)
-			write(t, dir, segmentFileName(0, 1), seg1)
-			write(t, dir, manifestTmpFile, man1[:cut])
-			verify(t, dir, want1)
-			if _, err := os.Stat(filepath.Join(dir, manifestTmpFile)); err == nil {
-				t.Fatalf("cut %d: recovery left manifest.tmp", cut)
-			}
+			writeFiles(t, dir, rotated1)
+			writeFiles(t, dir, map[string][]byte{segmentFileName(0, 1): seg1, manifestTmpFile: man1[:cut]})
+			killVerify(t, dir, want1)
 		}
 	})
 	t.Run("first-seal/complete", func(t *testing.T) {
+		// The crash hit between the manifest rename and the WAL delete:
+		// the retired WAL 1 must not replay, and goes.
 		dir := copyDir(t, base)
-		write(t, dir, segmentFileName(0, 1), seg1)
-		write(t, dir, manifestFile, man1)
-		verify(t, dir, want1)
+		writeFiles(t, dir, rotated1)
+		writeFiles(t, dir, map[string][]byte{segmentFileName(0, 1): seg1, manifestFile: man1})
+		killVerify(t, dir, want1, walName(1))
 	})
 
 	t.Run("reflush/segment-tmp-torn", func(t *testing.T) {
 		for cut := 0; cut <= len(seg2); cut += killStride(len(seg2)) {
 			dir := copyDir(t, pre2)
-			write(t, dir, segmentFileName(0, 2)+".tmp", seg2[:cut])
-			verify(t, dir, want2)
+			writeFiles(t, dir, rotated2)
+			writeFiles(t, dir, map[string][]byte{segmentFileName(0, 2) + ".tmp": seg2[:cut]})
+			killVerify(t, dir, want2)
 		}
 	})
 	t.Run("reflush/segment-renamed-old-manifest", func(t *testing.T) {
 		// seq 2 on disk but the manifest still names seq 1: recovery must
 		// serve seq 1 + WAL replay, and sweep the unreferenced seq 2.
 		dir := copyDir(t, pre2)
-		write(t, dir, segmentFileName(0, 2), seg2)
-		verify(t, dir, want2)
-		if _, err := os.Stat(filepath.Join(dir, segmentFileName(0, 2))); err == nil {
-			t.Fatal("unreferenced seq-2 segment not swept")
-		}
+		writeFiles(t, dir, rotated2)
+		writeFiles(t, dir, map[string][]byte{segmentFileName(0, 2): seg2})
+		killVerify(t, dir, want2, segmentFileName(0, 2))
 	})
 	t.Run("reflush/manifest-tmp-torn", func(t *testing.T) {
 		for cut := 0; cut <= len(man2); cut += killStride(len(man2)) {
 			dir := copyDir(t, pre2)
-			write(t, dir, segmentFileName(0, 2), seg2)
-			write(t, dir, manifestTmpFile, man2[:cut])
-			verify(t, dir, want2)
+			writeFiles(t, dir, rotated2)
+			writeFiles(t, dir, map[string][]byte{segmentFileName(0, 2): seg2, manifestTmpFile: man2[:cut]})
+			killVerify(t, dir, want2)
 		}
 	})
 	t.Run("reflush/manifest-rotated-old-segment-undeleted", func(t *testing.T) {
-		// The crash hit between the manifest rename and the old-file
-		// delete: manifest v2 names seq 2, seq 1 lingers.
+		// The crash hit between the manifest rename and the deletes:
+		// manifest v2 names seq 2 and base 3; WAL 2 and seq 1 linger.
 		dir := copyDir(t, pre2)
-		write(t, dir, segmentFileName(0, 2), seg2)
-		write(t, dir, manifestFile, man2)
-		verify(t, dir, want2)
-		if _, err := os.Stat(filepath.Join(dir, segmentFileName(0, 1))); err == nil {
-			t.Fatal("superseded seq-1 segment not swept")
-		}
+		writeFiles(t, dir, rotated2)
+		writeFiles(t, dir, map[string][]byte{segmentFileName(0, 2): seg2, manifestFile: man2})
+		killVerify(t, dir, want2, walName(2), segmentFileName(0, 1))
 	})
 }
 
@@ -621,10 +618,14 @@ func killStride(n int) int {
 }
 
 // TestCheckpointManifestKillPoints walks the crash states of a
-// checkpoint on a tiered store whose tombstones are not yet in the
-// manifest — the ordering contract says the manifest rotates BEFORE the
-// checkpoint rename, so every intermediate state keeps the tombstone
-// durable in the manifest or replayable from the WAL.
+// checkpoint that rewrites several windows at once — a sealed window
+// losing a tombstoned copy and a copy that moved away, a first seal,
+// and the move's destination — in the order the checkpoint writes
+// them: the WAL rotation, each segment's tmp (at every byte) and
+// rename, manifest.tmp (at every byte), the manifest rename, and the
+// WAL delete. Every state must recover the committed visible set: the
+// old manifest with the WAL from its base before the manifest rename,
+// the new one after it.
 func TestCheckpointManifestKillPoints(t *testing.T) {
 	base := t.TempDir()
 	d := openTiered(t, base)
@@ -632,106 +633,105 @@ func TestCheckpointManifestKillPoints(t *testing.T) {
 	if err := d.AppendRegister(all); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.CompactNow(); err != nil {
-		t.Fatal(err)
-	}
-	// Tombstone a sealed id and add a memtable resident — both only in
-	// WAL + RAM until the checkpoint.
-	if err := d.AppendRemove([]uint64{2}); err != nil {
-		t.Fatal(err)
-	}
-	hot := wentry(9, futureWindow())
-	if err := d.AppendRegister([]index.Entry{hot}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	want := []index.Entry{all[0], all[2], hot}
-
-	// Harvest the checkpoint's artifacts from a scratch run.
-	post := copyDir(t, base)
-	d = openTiered(t, post)
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	// Tombstone a sealed id, move another into window 2, add a new
+	// window 1 — all only in WAL + RAM until the checkpoint.
+	if err := d.AppendRemove([]uint64{2}); err != nil {
+		t.Fatal(err)
+	}
+	moved := wentry(3, 2)
+	moved.Provider = "moved"
+	fresh := []index.Entry{wentry(9, 1), wentry(10, 1), moved}
+	if err := d.AppendRegister(fresh); err != nil {
+		t.Fatal(err)
+	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	man2, err := os.ReadFile(filepath.Join(post, manifestFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(man2), "tombstones") {
-		t.Fatalf("checkpoint-time manifest does not carry tombstones: %s", man2)
-	}
-	matches, _ := filepath.Glob(filepath.Join(post, "checkpoint-*.fovg"))
-	if len(matches) != 1 {
-		t.Fatalf("want one checkpoint, have %v", matches)
-	}
-	cpName := filepath.Base(matches[0])
-	cpImg, err := os.ReadFile(matches[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	wal2 := ""
-	if names, _ := filepath.Glob(filepath.Join(post, "wal-*.log")); len(names) > 0 {
-		for _, n := range names {
-			wal2 = filepath.Base(n) // highest gen is the only one left post-checkpoint
+	want := append([]index.Entry{all[0]}, fresh...)
+
+	files := harvest(t, base, func(d *Disk) {
+		if err := d.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	segs := []string{segmentFileName(0, 2), segmentFileName(1, 1), segmentFileName(2, 1)}
+	for _, name := range append(segs, manifestFile, walName(3)) {
+		if _, ok := files[name]; !ok {
+			t.Fatalf("checkpoint did not write %s (wrote %d files)", name, len(files))
 		}
 	}
-	if wal2 == "" {
-		t.Fatal("no post-checkpoint wal found")
+	man := files[manifestFile]
+	if !strings.Contains(string(man), `"baseGen":3`) {
+		t.Fatalf("checkpoint manifest does not name base generation 3: %s", man)
 	}
 
-	verify := func(t *testing.T, dir string) {
-		t.Helper()
-		r := openTiered(t, dir)
-		wantEntries(t, r, want)
-		if err := r.Close(); err != nil {
-			t.Fatal(err)
+	// state returns a copy of base with the WAL rotated and the first n
+	// segments renamed into place.
+	state := func(t *testing.T, n int) string {
+		dir := copyDir(t, base)
+		writeFiles(t, dir, map[string][]byte{walName(3): nil})
+		for _, name := range segs[:n] {
+			writeFiles(t, dir, map[string][]byte{name: files[name]})
 		}
-	}
-	write := func(t *testing.T, dir, name string, data []byte) {
-		t.Helper()
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		return dir
 	}
 
 	t.Run("wal-rotated-nothing-persisted", func(t *testing.T) {
-		dir := copyDir(t, base)
-		write(t, dir, wal2, nil)
-		verify(t, dir)
+		killVerify(t, state(t, 0), want)
 	})
+	for i, name := range segs {
+		img := files[name]
+		t.Run("segment-tmp-torn/"+name, func(t *testing.T) {
+			for cut := 0; cut <= len(img); cut += killStride(len(img)) {
+				dir := state(t, i)
+				writeFiles(t, dir, map[string][]byte{name + ".tmp": img[:cut]})
+				killVerify(t, dir, want, segs[:i]...)
+			}
+		})
+		t.Run("segment-renamed/"+name, func(t *testing.T) {
+			killVerify(t, state(t, i+1), want, segs[:i+1]...)
+		})
+	}
 	t.Run("manifest-tmp-torn", func(t *testing.T) {
-		for cut := 0; cut <= len(man2); cut += killStride(len(man2)) {
-			dir := copyDir(t, base)
-			write(t, dir, wal2, nil)
-			write(t, dir, manifestTmpFile, man2[:cut])
-			verify(t, dir)
+		for cut := 0; cut <= len(man); cut += killStride(len(man)) {
+			dir := state(t, len(segs))
+			writeFiles(t, dir, map[string][]byte{manifestTmpFile: man[:cut]})
+			killVerify(t, dir, want, segs...)
 		}
 	})
-	t.Run("manifest-rotated-checkpoint-tmp-torn", func(t *testing.T) {
-		for cut := 0; cut <= len(cpImg); cut += killStride(len(cpImg)) {
-			dir := copyDir(t, base)
-			write(t, dir, wal2, nil)
-			write(t, dir, manifestFile, man2)
-			write(t, dir, "checkpoint.tmp", cpImg[:cut])
-			verify(t, dir)
-		}
+	t.Run("manifest-rotated-old-wal-present", func(t *testing.T) {
+		dir := state(t, len(segs))
+		writeFiles(t, dir, map[string][]byte{manifestFile: man})
+		killVerify(t, dir, want, walName(2), segmentFileName(0, 1))
 	})
-	t.Run("checkpoint-renamed-old-wal-present", func(t *testing.T) {
-		dir := copyDir(t, base)
-		write(t, dir, wal2, nil)
-		write(t, dir, manifestFile, man2)
-		write(t, dir, cpName, cpImg)
-		verify(t, dir)
+	t.Run("old-wal-deleted-old-segments-present", func(t *testing.T) {
+		dir := state(t, len(segs))
+		writeFiles(t, dir, map[string][]byte{manifestFile: man})
+		os.Remove(filepath.Join(dir, walName(2)))
+		killVerify(t, dir, want, segmentFileName(0, 1))
 	})
 }
 
+// tailFrom reads leader's log from (gen, 0) until caught up and hands
+// each record to apply — what a follower does after FinishBootstrap.
+func tailFrom(t *testing.T, leader *Disk, gen uint64, apply func(Record)) {
+	t.Helper()
+	frames, _, _ := drainTail(t, leader, gen, 0)
+	recs, _, err := DecodeWAL(frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		apply(rec)
+	}
+}
+
 func TestInstallSegmentAndFinishBootstrap(t *testing.T) {
-	// Leader with two sealed windows, a tombstone, and a memtable.
+	// Leader with two sealed windows, a tombstone, and a memtable
+	// holding a fresh entry and a re-registered sealed one.
 	ldir := t.TempDir()
 	leader := openTiered(t, ldir)
 	defer leader.Close()
@@ -739,25 +739,21 @@ func TestInstallSegmentAndFinishBootstrap(t *testing.T) {
 	if err := leader.AppendRegister(cold); err != nil {
 		t.Fatal(err)
 	}
-	if err := leader.CompactNow(); err != nil {
+	if err := leader.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if err := leader.AppendRemove([]uint64{2}); err != nil {
 		t.Fatal(err)
 	}
-	hot := wentry(50, futureWindow())
+	hot := wentry(50, 9)
 	shadow := wentry(3, 1)
 	shadow.Provider = "re-registered"
 	if err := leader.AppendRegister([]index.Entry{hot, shadow}); err != nil {
 		t.Fatal(err)
 	}
 	ms := leader.ManifestSnapshot()
-	if len(ms.Segments) != 2 || len(ms.Tombstones) != 1 {
+	if len(ms.Segments) != 2 || len(ms.Tombstones) != 1 || ms.BaseGen != 2 {
 		t.Fatalf("leader manifest %+v", ms)
-	}
-	mem, _, _, hash := leader.CaptureMem()
-	if hash != ms.Hash {
-		t.Fatalf("manifest hash moved: %d vs %d", hash, ms.Hash)
 	}
 
 	// Follower installs segment 1, then "crashes" (close + reopen): the
@@ -792,18 +788,31 @@ func TestInstallSegmentAndFinishBootstrap(t *testing.T) {
 	if err := fol.InstallSegment(ms.Segments[1], raw1); err != nil {
 		t.Fatal(err)
 	}
-	got, err := fol.FinishBootstrap(ms, mem)
+	got, err := fol.FinishBootstrap(ms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := leader.Entries()
-	if stateHash(got) != stateHash(want) {
-		t.Fatal("FinishBootstrap returned a set other than the leader's")
+	// The segments less the tombstones: ids 1, 3 (sealed copy) and 4.
+	if ids := sortedIDs(got); !slices.Equal(ids, []uint64{1, 3, 4}) {
+		t.Fatalf("FinishBootstrap returned ids %v, want [1 3 4]", ids)
 	}
-	wantEntries(t, fol, want)
-	if st := fol.TieredStats(); st.StagedSegments != 0 || st.Segments != 2 {
+	if st := fol.TieredStats(); st.StagedSegments != 0 || st.Segments != 2 || st.MemtableEntries != 0 {
 		t.Fatalf("post-bootstrap tier state %+v", st)
 	}
+	// The log from the base generation brings the follower to the leader.
+	tailFrom(t, leader, ms.BaseGen, func(rec Record) {
+		var err error
+		if rec.Op == OpRegister {
+			err = fol.AppendRegister(rec.Entries)
+		} else {
+			err = fol.AppendRemove(rec.IDs)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	want := leader.Entries()
+	wantEntries(t, fol, want)
 	if err := fol.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -824,11 +833,20 @@ func TestInstallSegmentAndFinishBootstrap(t *testing.T) {
 			t.Fatal("installed segment not visible to Mem.HasSegment")
 		}
 	}
-	if got, err = m.FinishBootstrap(ms, mem); err != nil {
+	if got, err = m.FinishBootstrap(ms); err != nil {
 		t.Fatal(err)
 	}
-	if stateHash(got) != stateHash(want) {
-		t.Fatal("Mem.FinishBootstrap returned a set other than the leader's")
+	visible := entrySet(got)
+	tailFrom(t, leader, ms.BaseGen, func(rec Record) {
+		for _, e := range rec.Entries {
+			visible[e.ID] = e
+		}
+		for _, id := range rec.IDs {
+			delete(visible, id)
+		}
+	})
+	if stateHash(modelEntries(visible)) != stateHash(want) {
+		t.Fatal("Mem.FinishBootstrap plus the tail is a set other than the leader's")
 	}
 	if m.HasSegment(ms.Segments[0].Window, ms.Segments[0].Seq, ms.Segments[0].CRC) {
 		t.Fatal("Mem kept its installed segments past FinishBootstrap")
@@ -842,7 +860,7 @@ func TestInstallSegmentRejectsMismatch(t *testing.T) {
 	if err := leader.AppendRegister([]index.Entry{wentry(1, 0)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := leader.CompactNow(); err != nil {
+	if err := leader.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	ms := leader.ManifestSnapshot()
@@ -931,7 +949,7 @@ func TestTieredGaugesExported(t *testing.T) {
 	if err := d.AppendRegister([]index.Entry{wentry(1, 0), wentry(2, 1)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.CompactNow(); err != nil {
+	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -941,7 +959,6 @@ func TestTieredGaugesExported(t *testing.T) {
 		"fovr_store_segment_count 2",
 		"fovr_store_segment_entries 2",
 		"fovr_store_memtable_entries 0",
-		"fovr_store_compaction_backlog 0",
 		"fovr_store_compactions_total 2",
 	} {
 		if !strings.Contains(out, metric) {
@@ -954,52 +971,38 @@ func TestTieredGaugesExported(t *testing.T) {
 	}
 }
 
-func TestBackgroundCompactionLoop(t *testing.T) {
-	dir := t.TempDir()
-	d := openTiered(t, dir, func(o *Options) { o.CompactionInterval = 10 * time.Millisecond })
-	defer d.Close()
-	if err := d.AppendRegister([]index.Entry{wentry(1, 0)}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if d.TieredStats().Segments == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("background compaction never sealed the cold window")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	wantEntries(t, d, []index.Entry{wentry(1, 0)})
-}
-
-func TestLongEntriesStayInMemtable(t *testing.T) {
+// TestLongEntriesSealIntoStartWindow pins that an entry longer than a
+// window seals like any other, into the window its start falls in: no
+// entry stays memtable-resident past a checkpoint.
+func TestLongEntriesSealIntoStartWindow(t *testing.T) {
 	dir := t.TempDir()
 	d := openTiered(t, dir)
-	defer d.Close()
 	long := wentry(1, 0)
 	long.Rep.EndMillis = long.Rep.StartMillis + 2*testWindowMs // wider than a window
-	if err := d.AppendRegister([]index.Entry{long, wentry(2, 0)}); err != nil {
+	want := []index.Entry{long, wentry(2, 0)}
+	if err := d.AppendRegister(want); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.CompactNow(); err != nil {
+	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	st := d.TieredStats()
-	if st.SegmentEntries != 1 || st.MemtableEntries != 1 {
-		t.Fatalf("long entry should stay memtable-resident: %+v", st)
+	if st.Segments != 1 || st.SegmentEntries != 2 || st.MemtableEntries != 0 {
+		t.Fatalf("long entry should seal into its start window: %+v", st)
 	}
-	wantEntries(t, d, []index.Entry{long, wentry(2, 0)})
+	wantEntries(t, d, want)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := openTiered(t, dir)
+	defer r.Close()
+	wantEntries(t, r, want)
 }
 
-func BenchmarkCompactNow(b *testing.B) {
-	dir := b.TempDir()
-	opts := Options{
-		Dir: dir, CheckpointInterval: -1,
-		SegmentWindow: time.Minute, SegmentWindowAge: time.Millisecond, CompactionInterval: -1,
-	}
-	d, err := Open(opts)
+// BenchmarkCheckpoint times a checkpoint that seals one late arrival
+// into each of 8 windows of 5 000 sealed entries.
+func BenchmarkCheckpoint(b *testing.B) {
+	d, err := Open(Options{Dir: b.TempDir(), CheckpointInterval: -1, SegmentWindow: time.Minute})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1011,9 +1014,23 @@ func BenchmarkCompactNow(b *testing.B) {
 	if err := d.AppendRegister(entries); err != nil {
 		b.Fatal(err)
 	}
+	if err := d.Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+	next := uint64(5001)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := d.CompactNow(); err != nil {
+		b.StopTimer()
+		late := make([]index.Entry, 8)
+		for w := range late {
+			late[w] = wentry(next, int64(w))
+			next++
+		}
+		if err := d.AppendRegister(late); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := d.Checkpoint(); err != nil {
 			b.Fatal(err)
 		}
 	}

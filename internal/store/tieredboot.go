@@ -1,19 +1,20 @@
 // The store half of the replication bootstrap.
 //
-// Leader side: ManifestSnapshot / ReadSegment / CaptureMem are what
-// replica.Serve ships — the manifest names the sealed set, each
-// segment ships as its verbatim file bytes, and the memtable capture
-// carries the WAL cursor to resume streaming from plus the manifest
-// hash the capture was consistent with.
+// Leader side: ManifestSnapshot and ReadSegment are what replica.Serve
+// ships — the manifest names the sealed set, its tombstones and
+// BaseGen, and each segment ships as its verbatim file bytes. The
+// segments less the tombstones, folded with the WAL from (BaseGen, 0)
+// on, are the leader's state, so a follower's bootstrap is a
+// checkpoint's recovery over HTTP: install the segments, then tail the
+// log from BaseGen.
 //
 // Follower side, Disk: InstallSegment writes each fetched segment as a
 // STAGED file and rotates the manifest immediately, so local durable
 // presence is the per-segment resume cursor — a follower killed and
 // restarted mid-bootstrap, or re-bootstrapping after it lagged past the
 // leader's log, finds its staged and live segments and skips them
-// (HasSegment). FinishBootstrap promotes the staged set to live, swaps
-// the memtable wholesale, and rotates WAL + checkpoint + manifest into
-// the leader's history.
+// (HasSegment). FinishBootstrap promotes the staged set to live, empties
+// the memtable, and rotates WAL + manifest into the leader's history.
 //
 // Follower side, Mem: InstallSegment verifies and decodes each segment
 // into RAM; FinishBootstrap assembles the visible set from them.
@@ -31,28 +32,15 @@ import (
 	"fovr/internal/index"
 )
 
-// ManifestSnapshot returns the served cold-tier state: live segments,
-// tombstones, and the fingerprint a bootstrapping follower compares
-// against the memtable capture. Staged segments are local scaffolding
-// and excluded.
+// ManifestSnapshot returns the served recovery root — live segments,
+// tombstones and BaseGen — captured under one d.mu, so the three
+// describe one state. Staged segments are local scaffolding and
+// excluded.
 func (d *Disk) ManifestSnapshot() ManifestSnapshot {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.manifestSnapshotLocked()
-}
-
-func (d *Disk) manifestSnapshotLocked() ManifestSnapshot {
-	var ms ManifestSnapshot
-	for _, m := range d.segs {
-		ms.Segments = append(ms.Segments, m)
-	}
-	for id, ws := range d.tombs {
-		for _, w := range ws {
-			ms.Tombstones = append(ms.Tombstones, Tombstone{ID: id, Window: w})
-		}
-	}
-	ms.Hash = manifestHash(ms.Segments, ms.Tombstones)
-	return ms
+	doc := d.manifestDocLocked()
+	d.mu.Unlock()
+	return ManifestSnapshot{Segments: doc.Segments, Tombstones: doc.Tombstones, BaseGen: doc.BaseGen}
 }
 
 // ReadSegment returns the verbatim file bytes of the live segment
@@ -66,20 +54,6 @@ func (d *Disk) ReadSegment(window int64, seq uint64) ([]byte, error) {
 		return nil, fmt.Errorf("store: segment %d/%d is not live", window, seq)
 	}
 	return os.ReadFile(filepath.Join(d.opts.Dir, segmentFileName(window, seq)))
-}
-
-// CaptureMem atomically captures the memtable, the WAL cursor the
-// capture is consistent with, and the manifest hash at that instant —
-// the final leg of a tiered bootstrap.
-func (d *Disk) CaptureMem() (entries []index.Entry, gen uint64, off int64, hash uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	entries = make([]index.Entry, 0, len(d.state))
-	for _, e := range d.state {
-		entries = append(entries, e)
-	}
-	ms := d.manifestSnapshotLocked()
-	return entries, d.walGen, d.walSize, ms.Hash
 }
 
 // HasSegment reports whether (window, seq, crc) is already durable
@@ -159,18 +133,18 @@ func (d *Disk) InstallSegment(meta SegmentMeta, raw []byte) error {
 }
 
 // FinishBootstrap promotes the staged segments named by the leader's
-// manifest to live, replaces the memtable with the leader's captured
-// one, and rotates WAL, manifest, and checkpoint into the new history,
-// then returns the visible set. It breaks log continuity: old-generation
-// cursors must re-bootstrap.
-func (d *Disk) FinishBootstrap(ms ManifestSnapshot, mem []index.Entry) ([]index.Entry, error) {
-	if err := d.finishBootstrap(ms, mem); err != nil {
+// manifest to live, empties the memtable, and rotates WAL and manifest
+// into the new history, then returns the visible set. The leader's WAL
+// from ms.BaseGen on is the follower's to replay next. It breaks log
+// continuity: old-generation cursors must re-bootstrap.
+func (d *Disk) FinishBootstrap(ms ManifestSnapshot) ([]index.Entry, error) {
+	if err := d.finishBootstrap(ms); err != nil {
 		return nil, err
 	}
 	return d.ReadEntries()
 }
 
-func (d *Disk) finishBootstrap(ms ManifestSnapshot, mem []index.Entry) error {
+func (d *Disk) finishBootstrap(ms ManifestSnapshot) error {
 	d.cpMu.Lock()
 	defer d.cpMu.Unlock()
 
@@ -236,12 +210,7 @@ func (d *Disk) finishBootstrap(ms ManifestSnapshot, mem []index.Entry) error {
 	// may advance across it — clearing retired answers every such cursor
 	// with TailReset.
 	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return ErrClosed
-	}
-	if d.failed != nil {
-		err := d.failed
+	if err := d.usableLocked(); err != nil {
 		d.mu.Unlock()
 		return err
 	}
@@ -252,13 +221,11 @@ func (d *Disk) finishBootstrap(ms ManifestSnapshot, mem []index.Entry) error {
 		d.mu.Unlock()
 		return fmt.Errorf("store: rotate wal: %w", err)
 	}
-	old, oldGen := d.wal, d.walGen
+	old := d.wal
 	d.wal, d.walGen, d.walSize, d.dirty, d.appended = f, newGen, 0, false, 0
 	d.retired = make(map[uint64]int64)
-	d.state = make(map[uint64]index.Entry, len(mem))
-	for _, e := range mem {
-		d.state[e.ID] = e
-	}
+	d.state = make(map[uint64]index.Entry)
+	d.baseGen = newGen
 	d.segs = make(map[int64]SegmentMeta, len(res))
 	d.segIDs = make(map[uint64]int64)
 	d.tombs = make(map[uint64][]int64)
@@ -277,12 +244,10 @@ func (d *Disk) finishBootstrap(ms ManifestSnapshot, mem []index.Entry) error {
 	}
 	d.notifyLocked()
 	doc := d.manifestDocLocked()
-	memCopy := make([]index.Entry, 0, len(d.state))
-	for _, e := range d.state {
-		memCopy = append(memCopy, e)
-	}
 	d.mu.Unlock()
 
+	// Until the manifest naming BaseGen = newGen is on disk, a crash
+	// recovers the pre-bootstrap state from the old one.
 	_ = old.Sync()
 	_ = old.Close()
 	if err := syncDir(d.opts.Dir); err != nil {
@@ -292,43 +257,13 @@ func (d *Disk) finishBootstrap(ms ManifestSnapshot, mem []index.Entry) error {
 		d.cpErrors.Inc()
 		return fmt.Errorf("store: rotate manifest: %w", err)
 	}
-	if err := d.persistCheckpoint(newGen, memCopy); err != nil {
-		return err
-	}
 	d.removeUnreferencedSegments(doc)
-	d.removeObsolete(oldGen)
+	d.removeObsolete(newGen)
 	d.mu.Lock()
 	d.lastCP = time.Now()
 	d.mu.Unlock()
 	d.checkpoints.Inc()
-	d.log.Info("store finished bootstrap",
-		"segments", len(res), "memEntries", len(mem), "generation", newGen)
-	return nil
-}
-
-// persistCheckpoint writes the image of entries as checkpoint-<gen>
-// via the tmp+rename+dirsync dance.
-func (d *Disk) persistCheckpoint(gen uint64, entries []index.Entry) error {
-	tmp := filepath.Join(d.opts.Dir, "checkpoint.tmp")
-	img, _, err := EncodeSegment(0, entries)
-	if err == nil {
-		err = writeFileSync(tmp, func(w *os.File) error {
-			_, werr := w.Write(img)
-			return werr
-		})
-	}
-	if err != nil {
-		d.cpErrors.Inc()
-		return fmt.Errorf("store: write checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(d.opts.Dir, checkpointName(gen))); err != nil {
-		d.cpErrors.Inc()
-		return fmt.Errorf("store: publish checkpoint: %w", err)
-	}
-	if err := syncDir(d.opts.Dir); err != nil {
-		d.cpErrors.Inc()
-		return err
-	}
+	d.log.Info("store finished bootstrap", "segments", len(res), "generation", newGen)
 	return nil
 }
 
@@ -398,9 +333,9 @@ func (m *Mem) InstallSegment(meta SegmentMeta, raw []byte) error {
 }
 
 // FinishBootstrap assembles the visible set from the installed
-// segments the manifest names, its tombstones and the memtable, and
-// lets go of every installed segment.
-func (m *Mem) FinishBootstrap(ms ManifestSnapshot, mem []index.Entry) ([]index.Entry, error) {
+// segments the manifest names less its tombstones, and lets go of
+// every installed segment.
+func (m *Mem) FinishBootstrap(ms ManifestSnapshot) ([]index.Entry, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, seg := range ms.Segments {
@@ -414,11 +349,7 @@ func (m *Mem) FinishBootstrap(ms ManifestSnapshot, mem []index.Entry) ([]index.E
 	for _, t := range ms.Tombstones {
 		dead[t] = struct{}{}
 	}
-	memtable := make(map[uint64]index.Entry, len(mem))
-	for _, e := range mem {
-		memtable[e.ID] = e
-	}
-	return visibleEntries(slices.Clone(ms.Segments), dead, memtable, func(seg SegmentMeta, fn func(index.Entry)) error {
+	return visibleEntries(slices.Clone(ms.Segments), dead, nil, func(seg SegmentMeta, fn func(index.Entry)) error {
 		for _, e := range staged[seg] {
 			fn(e)
 		}
