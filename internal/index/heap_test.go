@@ -10,14 +10,15 @@ import (
 
 // TestIndexHeapPerEntry pins what an indexed entry costs in heap: its
 // leaf slot (the 80-B Entry and nothing else), its share of the nodes
-// above it, and its key in the id set. 50 000 hotspot entries are loaded
-// the two ways a server builds its index — uploads of 20 through
-// InsertBatch, and a bootstrap's STR bulk load — and the live heap
-// after a forced GC is divided by the entry count. Provider strings are
-// shared with the input and not counted. Storing each leaf rectangle
-// beside its entry, or keeping an id → rect map, fails the pins (about
-// 267 and 240 B per entry); they sit about 10 % above what this layout
-// measures, 126.5 and 121 B.
+// above it, and its bit in the id set (one 64-bit mask per 64 ids, well
+// under 1 B an entry). 50 000 hotspot entries are loaded the two ways a
+// server builds its index — uploads of 20 through InsertBatch, and a
+// bootstrap's STR bulk load — and the live heap after a forced GC is
+// divided by the entry count. Provider strings are shared with the
+// input and not counted. Storing each leaf rectangle beside its entry,
+// keeping an id → rect map, or keeping the ids in a Go map (about 24 B
+// an entry) fails the pins; they sit about 10 % above what this layout
+// measures, 103 and 98 B.
 func TestIndexHeapPerEntry(t *testing.T) {
 	if raceEnabled {
 		t.Skip("byte pins are taken with the race detector off")
@@ -39,10 +40,10 @@ func TestIndexHeapPerEntry(t *testing.T) {
 				err = x.InsertBatch(entries[i:min(i+20, n)])
 			}
 			return x, err
-		}, 140},
+		}, 114},
 		{"BulkLoadRTree", func() (*index.RTree, error) {
 			return index.BulkLoadRTree(entries)
-		}, 133},
+		}, 108},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var before, after runtime.MemStats

@@ -26,6 +26,7 @@ import (
 
 	"fovr/internal/fov"
 	"fovr/internal/geo"
+	"fovr/internal/idset"
 	"fovr/internal/minheap"
 	"fovr/internal/rtree"
 	"fovr/internal/segment"
@@ -208,26 +209,25 @@ func queryRect(r geo.Rect, startMillis, endMillis int64) rtree.Rect {
 type RTree struct {
 	mu   sync.Mutex // writers only; readers go through tree.Snapshot
 	tree *rtree.Tree[Entry]
-	ids  map[uint64]struct{}
+	ids  idset.Set
 }
 
 // NewRTree returns an empty R-tree index.
 func NewRTree() *RTree {
-	return &RTree{tree: rtree.MustNew(rtree.Options{}, entryRect), ids: make(map[uint64]struct{})}
+	return &RTree{tree: rtree.MustNew(rtree.Options{}, entryRect)}
 }
 
 // BulkLoadRTree builds an R-tree index from a complete entry set using
 // STR packing — the fast path for rebuilding an index from a snapshot.
 func BulkLoadRTree(entries []Entry) (*RTree, error) {
-	ids := make(map[uint64]struct{}, len(entries))
+	var ids idset.Set
 	for _, e := range entries {
 		if err := e.Validate(); err != nil {
 			return nil, err
 		}
-		if _, dup := ids[e.ID]; dup {
+		if !ids.Add(e.ID) {
 			return nil, fmt.Errorf("index: duplicate id %d", e.ID)
 		}
-		ids[e.ID] = struct{}{}
 	}
 	t, err := rtree.BulkLoad(rtree.Options{}, entryRect, entries)
 	if err != nil {
@@ -251,13 +251,13 @@ func (x *RTree) Insert(e Entry) error {
 }
 
 func (x *RTree) insertLocked(e Entry) error {
-	if _, dup := x.ids[e.ID]; dup {
+	if x.ids.Has(e.ID) {
 		return fmt.Errorf("index: duplicate id %d", e.ID)
 	}
 	if err := x.tree.Insert(e); err != nil {
 		return err
 	}
-	x.ids[e.ID] = struct{}{}
+	x.ids.Add(e.ID)
 	return nil
 }
 
@@ -335,11 +335,11 @@ func (x *RTree) removeLocked(entries []Entry) int {
 	n := 0
 	for i := range entries {
 		e := &entries[i]
-		if _, ok := x.ids[e.ID]; !ok {
+		if !x.ids.Has(e.ID) {
 			continue
 		}
 		if x.tree.Delete(e, func(d *Entry) bool { return d.ID == e.ID }) {
-			delete(x.ids, e.ID)
+			x.ids.Delete(e.ID)
 			n++
 		}
 	}
@@ -415,24 +415,27 @@ func (x *RTree) CheckInvariants() error {
 		return err
 	}
 	var err error
-	seen := make(map[uint64]struct{}, len(x.ids))
+	var seen idset.Set
 	x.tree.Scan(func(e *Entry) bool {
-		if _, ok := x.ids[e.ID]; !ok {
+		if !x.ids.Has(e.ID) {
 			err = fmt.Errorf("index: leaf id %d missing from the id set", e.ID)
-		} else if _, dup := seen[e.ID]; dup {
+		} else if !seen.Add(e.ID) {
 			err = fmt.Errorf("index: id %d stored twice", e.ID)
 		}
-		seen[e.ID] = struct{}{}
 		return err == nil
 	})
 	if err != nil {
 		return err
 	}
-	if len(seen) != len(x.ids) {
-		for id := range x.ids {
-			if _, ok := seen[id]; !ok {
-				return fmt.Errorf("index: id %d in the id set but in no leaf", id)
+	if seen.Len() != x.ids.Len() {
+		x.ids.Range(func(id uint64) bool {
+			if !seen.Has(id) {
+				err = fmt.Errorf("index: id %d in the id set but in no leaf", id)
 			}
+			return err == nil
+		})
+		if err != nil {
+			return err
 		}
 	}
 	if s := x.tree.Snapshot(); s.Len() != x.tree.Len() {

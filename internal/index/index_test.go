@@ -214,16 +214,16 @@ func TestCheckInvariantsCatchesIDSetDrift(t *testing.T) {
 	if err := x.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	x.ids[9999] = struct{}{}
+	x.ids.Add(9999)
 	if err := x.CheckInvariants(); err == nil {
 		t.Fatal("an id in the set but in no leaf went unnoticed")
 	}
-	delete(x.ids, 9999)
-	delete(x.ids, 7)
+	x.ids.Delete(9999)
+	x.ids.Delete(7)
 	if err := x.CheckInvariants(); err == nil {
 		t.Fatal("a leaf id missing from the set went unnoticed")
 	}
-	x.ids[9999] = struct{}{} // counts agree again; contents do not
+	x.ids.Add(9999) // counts agree again; contents do not
 	if err := x.CheckInvariants(); err == nil {
 		t.Fatal("a swapped id went unnoticed")
 	}

@@ -111,7 +111,7 @@ func referenceSeal(t *testing.T, d *Disk) map[int64][]byte {
 	for id, e := range d.state {
 		k := d.windowKeyOf(e)
 		touched[k] = append(touched[k], e)
-		if w, ok := d.segIDs[id]; ok {
+		if w, ok := d.segIDs.Get(id); ok {
 			touched[w] = touched[w] // a shadowed copy's window
 		}
 	}
@@ -287,8 +287,11 @@ func TestCompactionDifferential(t *testing.T) {
 }
 
 // TestSealedTierNotResident pins what a sealed entry costs in RAM after
-// Open: the id→window map, nothing else. Keeping the decoded entries
-// (80 B each plus their provider strings) fails it.
+// Open: its slot in the id→window map (an 8-B window plus a share of its
+// 64-id page, about 9 B), nothing else. Keeping the decoded entries
+// (80 B each plus their provider strings), or keeping the map as a Go
+// map (about 30 B), fails it. The heap is sampled once the first store
+// is dropped and the collector has stopped freeing it.
 func TestSealedTierNotResident(t *testing.T) {
 	const n = 40_000
 	dir := t.TempDir()
@@ -310,22 +313,33 @@ func TestSealedTierNotResident(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	entries = nil
+	entries, d = nil, nil
 
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
+	settledHeap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		for i := 0; i < 10; i++ {
+			last := ms.HeapAlloc
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			if ms.HeapAlloc >= last {
+				break
+			}
+		}
+		return ms.HeapAlloc
+	}
+	before := settledHeap()
 	d = openTiered(t, dir)
-	runtime.GC()
-	runtime.ReadMemStats(&after)
+	after := settledHeap()
 	defer d.Close()
 	if st := d.TieredStats(); st.SegmentEntries != n || st.MemtableEntries != 0 {
 		t.Fatalf("reopened store: %+v", st)
 	}
-	perEntry := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
+	perEntry := (float64(after) - float64(before)) / n
 	t.Logf("heap after Open: %.1f B per sealed entry", perEntry)
-	if perEntry >= 40 {
-		t.Fatalf("Open keeps %.1f B of heap per sealed entry, want < 40 (the id→window map only)", perEntry)
+	if perEntry > 14 {
+		t.Fatalf("Open keeps %.1f B of heap per sealed entry, want ≤ 14 (the id→window map only)", perEntry)
 	}
 	runtime.KeepAlive(d)
 }

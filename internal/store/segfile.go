@@ -17,8 +17,9 @@
 //	crc32   u32                 IEEE, over everything before it
 //
 // A sealed entry lives only in its segment file: the store keeps each
-// segment's manifest meta and an id→window map, and reads entries back
-// from the file when it needs them.
+// segment's manifest meta and an id→window map paged by 64 ids (about
+// 9 B a sealed entry), and reads entries back from the file when it
+// needs them.
 package store
 
 import (

@@ -64,6 +64,7 @@ import (
 	"sync"
 	"time"
 
+	"fovr/internal/idset"
 	"fovr/internal/index"
 	"fovr/internal/obs"
 )
@@ -226,7 +227,7 @@ type Disk struct {
 	mu        sync.Mutex
 	state     map[uint64]index.Entry // the memtable: mutable working set
 	segs      map[int64]SegmentMeta  // window key -> live sealed segment
-	segIDs    map[uint64]int64       // live (non-tombstoned) sealed id -> window
+	segIDs    idset.Map              // live (non-tombstoned) sealed id -> window, in pages of 64 ids
 	tombs     map[uint64][]int64     // removed sealed id -> windows holding dead copies
 	tombCount int                    // total (id, window) tombstone pairs
 	staged    []SegmentMeta          // bootstrap-staged segments, not served
@@ -308,7 +309,6 @@ func Open(opts Options) (*Disk, error) {
 		segWindowMs: opts.SegmentWindow.Milliseconds(),
 		state:       make(map[uint64]index.Entry),
 		segs:        make(map[int64]SegmentMeta),
-		segIDs:      make(map[uint64]int64),
 		tombs:       make(map[uint64][]int64),
 		done:        make(chan struct{}),
 		notifyCh:    make(chan struct{}),
@@ -519,18 +519,13 @@ func (d *Disk) recoverSegments() error {
 	// Every live segment is read in full — framing, checksum, every
 	// entry — to verify it and to map its ids; its entries stay in the
 	// file.
-	sealed := 0
-	for _, m := range doc.Segments {
-		sealed += m.Count
-	}
-	d.segIDs = make(map[uint64]int64, sealed)
 	for _, t := range doc.Tombstones {
 		d.addTombLocked(t.ID, t.Window)
 	}
 	for _, m := range doc.Segments {
 		if err := d.walkSegmentFile(segmentFileName(m.Window, m.Seq), m, func(e index.Entry, _, _ []byte) {
 			if !d.tombHasLocked(e.ID, m.Window) {
-				d.segIDs[e.ID] = m.Window
+				d.segIDs.Put(e.ID, m.Window)
 			}
 		}); err != nil {
 			return fmt.Errorf("store: live segment: %w", err)
@@ -584,7 +579,7 @@ func (d *Disk) apply(rec Record) {
 			// A removal whose target was sealed must suppress the sealed
 			// copy too — the one rule that makes idempotent replay and
 			// live appends agree under tiering.
-			if w, ok := d.segIDs[id]; ok {
+			if w, ok := d.segIDs.Get(id); ok {
 				d.addTombLocked(id, w)
 			}
 		}

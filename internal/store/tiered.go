@@ -26,12 +26,13 @@
 //
 // Residency. A sealed entry lives only in its segment file; in RAM the
 // store keeps each segment's manifest meta and the id→window map
-// (segIDs). Whoever needs sealed entries reads them from the files
-// while holding cpMu, which every file replacement (checkpoint,
-// segment install, bootstrap) also holds, so the files a reader was
-// pointed at stay put. Lock order is cpMu, then d.mu — never the
-// reverse — and no file is read or written under d.mu: the append path
-// never waits on segment I/O.
+// (segIDs: an idset.Map, one mask and the live ids' windows per 64
+// ids, about 9 B a sealed entry). Whoever needs sealed entries reads
+// them from the files while holding cpMu, which every file replacement
+// (checkpoint, segment install, bootstrap) also holds, so the files a
+// reader was pointed at stay put. Lock order is cpMu, then d.mu — never
+// the reverse — and no file is read or written under d.mu: the append
+// path never waits on segment I/O.
 package store
 
 import (
@@ -68,8 +69,8 @@ func (d *Disk) addTombLocked(id uint64, window int64) {
 		d.tombs[id] = append(d.tombs[id], window)
 		d.tombCount++
 	}
-	if w, ok := d.segIDs[id]; ok && w == window {
-		delete(d.segIDs, id)
+	if w, ok := d.segIDs.Get(id); ok && w == window {
+		d.segIDs.Delete(id)
 	}
 }
 
@@ -102,7 +103,7 @@ func (d *Disk) visibleSealedLocked() int {
 	}
 	shadows := 0
 	for id := range d.state {
-		if _, ok := d.segIDs[id]; ok {
+		if _, ok := d.segIDs.Get(id); ok {
 			shadows++
 		}
 	}
@@ -211,7 +212,7 @@ func (d *Disk) captureLocked() map[int64]*windowCapture {
 	}
 	for id, e := range d.state {
 		get(d.windowKeyOf(e)).mem[id] = e
-		if w, ok := d.segIDs[id]; ok {
+		if w, ok := d.segIDs.Get(id); ok {
 			get(w).dead[id] = struct{}{}
 		}
 	}
@@ -285,12 +286,12 @@ func (d *Disk) commitWindowLocked(c *windowCapture) {
 	// tombstone naming them — including one a remove raced in.
 	for id := range c.dead {
 		d.dropTombLocked(id, c.window)
-		if w, ok := d.segIDs[id]; ok && w == c.window {
-			delete(d.segIDs, id)
+		if w, ok := d.segIDs.Get(id); ok && w == c.window {
+			d.segIDs.Delete(id)
 		}
 	}
 	for id, captured := range c.mem {
-		d.segIDs[id] = c.window
+		d.segIDs.Put(id, c.window)
 		cur, ok := d.state[id]
 		switch {
 		case !ok:

@@ -29,6 +29,7 @@ import (
 	"strings"
 	"time"
 
+	"fovr/internal/idset"
 	"fovr/internal/index"
 )
 
@@ -227,7 +228,7 @@ func (d *Disk) finishBootstrap(ms ManifestSnapshot) error {
 	d.state = make(map[uint64]index.Entry)
 	d.baseGen = newGen
 	d.segs = make(map[int64]SegmentMeta, len(res))
-	d.segIDs = make(map[uint64]int64)
+	d.segIDs = idset.Map{}
 	d.tombs = make(map[uint64][]int64)
 	d.tombCount = 0
 	d.staged = nil
@@ -238,7 +239,7 @@ func (d *Disk) finishBootstrap(ms ManifestSnapshot) error {
 		d.segs[r.meta.Window] = r.meta
 		for _, id := range r.ids {
 			if !d.tombHasLocked(id, r.meta.Window) {
-				d.segIDs[id] = r.meta.Window
+				d.segIDs.Put(id, r.meta.Window)
 			}
 		}
 	}
