@@ -23,6 +23,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"fovr/internal/fov"
 	"fovr/internal/geo"
@@ -68,7 +69,7 @@ func (e Entry) Validate() error {
 
 // EffectiveCamera returns the entry's own camera, or fallback when the
 // entry carries none. Pointer receiver: the filter calls it once per
-// candidate on a reference into the index.
+// candidate on the reference the index hands it.
 func (e *Entry) EffectiveCamera(fallback fov.Camera) fov.Camera {
 	if e.Camera != (fov.Camera{}) {
 		return e.Camera
@@ -89,11 +90,10 @@ type Index interface {
 	// index may use the latest bound to skip entries strictly farther,
 	// and to reach near entries first so the bound tightens early; it
 	// never skips an entry at or inside the bound, and it may ignore the
-	// bound altogether. Order is unspecified; the ranker sorts. The
-	// references address memory no writer will ever touch again — a
-	// published snapshot's leaves or a private copy — so they stay valid,
-	// and unchanged, for as long as the caller holds them; the caller must
-	// not write through them.
+	// bound altogether. Order is unspecified; the ranker sorts. A
+	// reference is valid for the call only — an index may rebuild the
+	// next entry in the same memory — so a caller that keeps an entry
+	// copies it, and must not write through the reference.
 	Visit(r geo.Rect, startMillis, endMillis int64, center geo.Point, visit func(*Entry) float64) (nodes, scanned int64)
 	// Search is the collecting, unbounded form of Visit: a fresh copy of
 	// every matching entry. No request path runs it — queries and
@@ -104,28 +104,14 @@ type Index interface {
 	Len() int
 }
 
-// searchAll is Search over an index's Visit: collect a reference to
-// every match with no bound, then copy them out.
+// searchAll is Search over an index's Visit: a copy of every match,
+// with no bound.
 func searchAll(x Index, r geo.Rect, startMillis, endMillis int64) []Entry {
-	var refs []*Entry
+	var out []Entry
 	x.Visit(r, startMillis, endMillis, r.Center(), func(e *Entry) float64 {
-		refs = append(refs, e)
+		out = append(out, *e)
 		return math.Inf(1)
 	})
-	return entriesOf(refs)
-}
-
-// entriesOf copies the referenced entries out, once, at their exact
-// number (growing a slice of 80-byte entries costs more than growing
-// one of references and copying at the end).
-func entriesOf(refs []*Entry) []Entry {
-	if len(refs) == 0 {
-		return nil
-	}
-	out := make([]Entry, len(refs))
-	for i, e := range refs {
-		out[i] = *e
-	}
 	return out
 }
 
@@ -179,14 +165,32 @@ type ServerIndex interface {
 	CheckInvariants() error
 }
 
-// entryRect is the tree's bounds function: an entry's index-space
+// slot is what an RTree leaf stores for one entry: the id, the
+// representative, and the row of the entry's (Provider, Camera) pair in
+// the index's source table. Every entry of one upload carries the same
+// pair, so the index keeps it once instead of once per entry; reads
+// rebuild the Entry from the slot and its row.
+type slot struct {
+	ID  uint64
+	Rep segment.Representative
+	src uint32
+}
+
+// source is one row of an RTree's source table: the fields of Entry a
+// slot does not hold.
+type source struct {
+	Provider string
+	Camera   fov.Camera
+}
+
+// slotRect is the tree's bounds function: a slot's index-space
 // rectangle, derived from its representative whenever the tree needs
-// it, so leaves store the entry and nothing else.
-func entryRect(e *Entry) rtree.Rect {
-	p := e.Rep.FoV.P
+// it, so leaves store the slot and nothing else.
+func slotRect(s *slot) rtree.Rect {
+	p := s.Rep.FoV.P
 	return rtree.Rect{
-		Min: [rtree.Dims]float64{p.Lng, p.Lat, float64(e.Rep.StartMillis)},
-		Max: [rtree.Dims]float64{p.Lng, p.Lat, float64(e.Rep.EndMillis)},
+		Min: [rtree.Dims]float64{p.Lng, p.Lat, float64(s.Rep.StartMillis)},
+		Max: [rtree.Dims]float64{p.Lng, p.Lat, float64(s.Rep.EndMillis)},
 	}
 }
 
@@ -206,34 +210,72 @@ func queryRect(r geo.Rect, startMillis, endMillis int64) rtree.Rect {
 // no locks at all, so queries never wait on ingest and never observe a
 // partially applied batch. ids holds every stored id, so a duplicate is
 // refused without a tree walk.
+//
+// The leaves hold slots; the (Provider, Camera) pairs live in the source
+// table, one row per distinct pair ever stored in this index. Rows are
+// only appended, never reclaimed (a forget leaves its row), and the
+// table is rebuilt only with the index. A writer stores the table's new
+// header before the publish that first uses a new row, and a reader
+// loads the snapshot first and the table second, so every row a reader
+// can meet lies in the table it holds.
 type RTree struct {
-	mu   sync.Mutex // writers only; readers go through tree.Snapshot
-	tree *rtree.Tree[Entry]
-	ids  idset.Set
+	mu      sync.Mutex // writers only; readers go through tree.Snapshot
+	tree    *rtree.Tree[slot]
+	ids     idset.Set
+	rows    map[source]uint32 // writers only: each source's row
+	sources atomic.Pointer[[]source]
 }
 
 // NewRTree returns an empty R-tree index.
 func NewRTree() *RTree {
-	return &RTree{tree: rtree.MustNew(rtree.Options{}, entryRect)}
+	x := &RTree{tree: rtree.MustNew(rtree.Options{}, slotRect), rows: make(map[source]uint32)}
+	x.sources.Store(new([]source))
+	return x
+}
+
+// slotOf interns e's (Provider, Camera) pair and returns e's leaf slot.
+// The caller holds mu, or owns an index no reader has yet.
+func (x *RTree) slotOf(e *Entry) (slot, error) {
+	k := source{Provider: e.Provider, Camera: e.Camera}
+	row, ok := x.rows[k]
+	if !ok {
+		rows := *x.sources.Load()
+		if len(rows) >= noRow {
+			return slot{}, fmt.Errorf("index: source table full at %d (provider, camera) pairs", len(rows))
+		}
+		row = uint32(len(rows))
+		rows = append(rows, k)
+		x.sources.Store(&rows)
+		x.rows[k] = row
+	}
+	return slot{ID: e.ID, Rep: e.Rep, src: row}, nil
 }
 
 // BulkLoadRTree builds an R-tree index from a complete entry set using
 // STR packing — the fast path for rebuilding an index from a snapshot.
 func BulkLoadRTree(entries []Entry) (*RTree, error) {
-	var ids idset.Set
-	for _, e := range entries {
+	x := NewRTree()
+	slots := make([]slot, len(entries))
+	for i := range entries {
+		e := &entries[i]
 		if err := e.Validate(); err != nil {
 			return nil, err
 		}
-		if !ids.Add(e.ID) {
+		if !x.ids.Add(e.ID) {
 			return nil, fmt.Errorf("index: duplicate id %d", e.ID)
 		}
+		s, err := x.slotOf(e)
+		if err != nil {
+			return nil, err
+		}
+		slots[i] = s
 	}
-	t, err := rtree.BulkLoad(rtree.Options{}, entryRect, entries)
+	t, err := rtree.BulkLoad(rtree.Options{}, slotRect, slots)
 	if err != nil {
 		return nil, err
 	}
-	return &RTree{tree: t, ids: ids}, nil
+	x.tree = t
+	return x, nil
 }
 
 // Insert implements Index.
@@ -254,7 +296,11 @@ func (x *RTree) insertLocked(e Entry) error {
 	if x.ids.Has(e.ID) {
 		return fmt.Errorf("index: duplicate id %d", e.ID)
 	}
-	if err := x.tree.Insert(e); err != nil {
+	s, err := x.slotOf(&e)
+	if err != nil {
+		return err
+	}
+	if err := x.tree.Insert(s); err != nil {
 		return err
 	}
 	x.ids.Add(e.ID)
@@ -338,7 +384,8 @@ func (x *RTree) removeLocked(entries []Entry) int {
 		if !x.ids.Has(e.ID) {
 			continue
 		}
-		if x.tree.Delete(e, func(d *Entry) bool { return d.ID == e.ID }) {
+		at := slot{ID: e.ID, Rep: e.Rep}
+		if x.tree.Delete(&at, func(s *slot) bool { return s.ID == e.ID }) {
 			x.ids.Delete(e.ID)
 			n++
 		}
@@ -346,11 +393,68 @@ func (x *RTree) removeLocked(entries []Entry) int {
 	return n
 }
 
+// walker rebuilds entries from slots for one read of an RTree. The
+// entry it hands out is buf, refilled for every slot: ID and Rep each
+// time, Provider and Camera only when the slot's row differs from the
+// one buf holds, so a run of slots from one upload copies them once.
+// Walkers are pooled, and onVisit and onScan are bound to the walker
+// once, when it is made, so a read allocates no closure.
+type walker struct {
+	buf     Entry
+	row     uint32 // the row buf holds; noRow before the first slot
+	sources []source
+	visit   func(*Entry) float64
+	scan    func(*Entry) bool
+	onVisit func(*slot) float64
+	onScan  func(*slot) bool
+}
+
+// noRow is past the end of every source table (slotOf never hands out
+// a row this large), so the first slot of a walk always fills buf.
+const noRow = math.MaxUint32
+
+var walkerPool = sync.Pool{New: func() any {
+	w := new(walker)
+	w.onVisit = func(s *slot) float64 { return w.visit(w.entry(s)) }
+	w.onScan = func(s *slot) bool { return w.scan(w.entry(s)) }
+	return w
+}}
+
+// read loads the published snapshot, then the source table, into a
+// pooled walker: in that order, every row the snapshot's slots name is
+// in the table.
+func (x *RTree) read() (*rtree.Snapshot[slot], *walker) {
+	snap := x.tree.Snapshot()
+	w := walkerPool.Get().(*walker)
+	w.sources, w.row = *x.sources.Load(), noRow
+	return snap, w
+}
+
+// release drops the walker's references and returns it to the pool.
+func (w *walker) release() {
+	w.buf, w.sources, w.visit, w.scan = Entry{}, nil, nil, nil
+	walkerPool.Put(w)
+}
+
+// entry rebuilds s's Entry in buf and returns it.
+func (w *walker) entry(s *slot) *Entry {
+	w.buf.ID, w.buf.Rep = s.ID, s.Rep
+	if s.src != w.row {
+		src := &w.sources[s.src]
+		w.buf.Provider, w.buf.Camera = src.Provider, src.Camera
+		w.row = s.src
+	}
+	return &w.buf
+}
+
 // Visit implements Index. It walks the published snapshot, taking no
-// locks, steered by the bounds visit answers with; the references point
-// into that snapshot's leaves.
+// locks, steered by the bounds visit answers with; every entry is
+// rebuilt in the one walker buffer.
 func (x *RTree) Visit(r geo.Rect, startMillis, endMillis int64, center geo.Point, visit func(*Entry) float64) (nodes, scanned int64) {
-	_, nodes, scanned = x.tree.Snapshot().SearchNear(queryRect(r, startMillis, endMillis), nearFor(r, center), math.Inf(1), visit)
+	snap, w := x.read()
+	w.visit = visit
+	_, nodes, scanned = snap.SearchNear(queryRect(r, startMillis, endMillis), nearFor(r, center), math.Inf(1), w.onVisit)
+	w.release()
 	return nodes, scanned
 }
 
@@ -371,11 +475,13 @@ func (x *RTree) Height() int {
 
 // Scan calls fn with a reference to every entry of the published
 // snapshot, in unspecified order, until fn returns false. Like Visit's,
-// the references point into frozen leaves: they stay valid, and
-// unchanged, for as long as the caller holds them, and the caller must
-// not write through them.
+// a reference is valid for the call only: a caller that keeps an entry
+// copies it, and must not write through the reference.
 func (x *RTree) Scan(fn func(*Entry) bool) {
-	x.tree.Snapshot().Scan(fn)
+	snap, w := x.read()
+	w.scan = fn
+	snap.Scan(w.onScan)
+	w.release()
 }
 
 // Entries returns a copy of every stored entry, in unspecified order —
@@ -404,23 +510,35 @@ func (x *RTree) TreeStats() rtree.Stats {
 }
 
 // CheckInvariants validates the underlying tree structure, the id set —
-// exactly the ids the leaves hold, each once — and the publication
-// contract: after any public mutation returns, the published snapshot
-// is exactly the current tree state (tests only; the caller must be
-// quiescent).
+// exactly the ids the leaves hold, each once — the source table — every
+// slot's row is in it, and the writer's map names each row once — and
+// the publication contract: after any public mutation returns, the
+// published snapshot is exactly the current tree state (tests only; the
+// caller must be quiescent).
 func (x *RTree) CheckInvariants() error {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if err := x.tree.CheckInvariants(); err != nil {
 		return err
 	}
+	sources := *x.sources.Load()
+	if len(x.rows) != len(sources) {
+		return fmt.Errorf("index: source table has %d rows, its map %d", len(sources), len(x.rows))
+	}
+	for k, row := range x.rows {
+		if int(row) >= len(sources) || sources[row] != k {
+			return fmt.Errorf("index: source %q maps to row %d, which does not hold it", k.Provider, row)
+		}
+	}
 	var err error
 	var seen idset.Set
-	x.tree.Scan(func(e *Entry) bool {
-		if !x.ids.Has(e.ID) {
-			err = fmt.Errorf("index: leaf id %d missing from the id set", e.ID)
-		} else if !seen.Add(e.ID) {
-			err = fmt.Errorf("index: id %d stored twice", e.ID)
+	x.tree.Scan(func(s *slot) bool {
+		if int(s.src) >= len(sources) {
+			err = fmt.Errorf("index: id %d names source row %d of %d", s.ID, s.src, len(sources))
+		} else if !x.ids.Has(s.ID) {
+			err = fmt.Errorf("index: leaf id %d missing from the id set", s.ID)
+		} else if !seen.Add(s.ID) {
+			err = fmt.Errorf("index: id %d stored twice", s.ID)
 		}
 		return err == nil
 	})
@@ -597,10 +715,11 @@ func nearestParams(center geo.Point, maxDistanceMeters float64) (p, w [rtree.Dim
 }
 
 // nearKey is one kept neighbour: the ranking key (weighted squared
-// distance, id breaking ties) and the entry where the index keeps it.
+// distance, id breaking ties) and the slot where the index keeps it — a
+// snapshot's leaves are frozen, so the reference stays valid.
 type nearKey struct {
 	dist2 float64
-	e     *Entry
+	s     *slot
 }
 
 // nearAfter reports whether a ranks strictly after b: the heap order of
@@ -609,7 +728,7 @@ func nearAfter(a, b *nearKey) bool {
 	if a.dist2 != b.dist2 {
 		return a.dist2 > b.dist2
 	}
-	return a.e.ID > b.e.ID
+	return a.s.ID > b.s.ID
 }
 
 // Nearest returns up to k entries closest to center whose segment
@@ -648,18 +767,19 @@ func (x *RTree) Nearest(center geo.Point, startMillis, endMillis int64, k int, m
 		}
 	}
 	near := rtree.Near{P: p, W: [rtree.Dims]float64{w[0] * boundSlack, boundSlack, 0}}
+	snap, walk := x.read()
 	best := make([]nearKey, 0, min(k, 64))
-	offer := func(e *Entry) float64 {
+	offer := func(s *slot) float64 {
 		// The box compares in float64; the integer test keeps the answer
 		// exact where two distinct instants round together.
-		if e.Rep.EndMillis >= startMillis && e.Rep.StartMillis <= endMillis {
-			dLng := (e.Rep.FoV.P.Lng - p[0]) * w[0]
-			dLat := e.Rep.FoV.P.Lat - p[1]
-			c := nearKey{dist2: dLng*dLng + dLat*dLat, e: e}
+		if s.Rep.EndMillis >= startMillis && s.Rep.StartMillis <= endMillis {
+			dLng := (s.Rep.FoV.P.Lng - p[0]) * w[0]
+			dLat := s.Rep.FoV.P.Lat - p[1]
+			c := nearKey{dist2: dLng*dLng + dLat*dLat, s: s}
 			switch {
 			case maxDist2 > 0 && c.dist2 > maxDist2:
 			case len(best) == k && !nearAfter(&best[0], &c):
-			case keep != nil && !keep(e):
+			case keep != nil && !keep(walk.entry(s)):
 			case len(best) < k:
 				best = minheap.Push(best, c, nearAfter)
 			default:
@@ -671,14 +791,15 @@ func (x *RTree) Nearest(center geo.Point, startMillis, endMillis int64, k int, m
 		}
 		return bound
 	}
-	x.tree.Snapshot().SearchNear(q, near, bound, offer)
+	snap.SearchNear(q, near, bound, offer)
 	// best is a max-heap: popping it fills the answer from the back.
 	out := make([]Neighbor, len(best))
 	for i := len(out) - 1; i >= 0; i-- {
 		var c nearKey
 		c, best = minheap.Pop(best, nearAfter)
-		out[i] = Neighbor{Entry: *c.e, DistanceMeters: geo.Distance(c.e.Rep.FoV.P, center)}
+		out[i] = Neighbor{Entry: *walk.entry(c.s), DistanceMeters: geo.Distance(c.s.Rep.FoV.P, center)}
 	}
+	walk.release()
 	return out
 }
 

@@ -1,5 +1,5 @@
 //go:build !race
 
-package index_test
+package index
 
-const raceEnabled = false
+const RaceEnabled = false

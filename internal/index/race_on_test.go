@@ -1,7 +1,9 @@
 //go:build race
 
-package index_test
+package index
 
-// raceEnabled: the race runtime is free to change what an allocation
-// costs, so heap pins skip under it and CI takes them in a race-off step.
-const raceEnabled = true
+// RaceEnabled: the race runtime is free to change what an allocation
+// costs, and sync.Pool sheds buffers at random under it, so heap and
+// allocation pins skip under it and CI takes them in a race-off step.
+// Exported for the external heap test.
+const RaceEnabled = true

@@ -131,12 +131,14 @@ func Search(idx index.Index, q Query, opts Options) ([]Ranked, error) {
 
 // rankKey is one filter survivor as the ranker holds it: the paper's
 // ranking key (distance, with the id as the deterministic tie-break) and
-// a reference to the entry where the index keeps it. The entry is only
-// copied if the key makes the final top N.
+// where its entry is kept. The index's reference is valid for the visit
+// only, so the entry is copied into the scratch's entries — but only
+// when the survivor enters the top N kept so far — and the heap and the
+// final sort move the small keys, not the entries.
 type rankKey struct {
 	dist float64
 	id   uint64
-	e    *index.Entry
+	at   int // index into scratch.entries
 }
 
 // after reports whether a ranks strictly after b. It is the heap order:
@@ -149,16 +151,17 @@ func after(a, b *rankKey) bool {
 }
 
 // scratch is the per-query working memory: the question being answered,
-// the tallies the walk keeps, and the rank keys. All of it is dead once
-// the results are materialised, so it is pooled — and visit is bound to
-// it once, when the scratch is made, so handing the index a callback
-// allocates no closure per question.
+// the tallies the walk keeps, the rank keys and their entries. All of it
+// is dead once the results are materialised, so it is pooled — and
+// visit is bound to it once, when the scratch is made, so handing the
+// index a callback allocates no closure per question.
 type scratch struct {
-	q     Query
-	opts  Options
-	tr    *obs.QueryTrace
-	keys  []rankKey
-	drops [fov.NumCoverage]int
+	q       Query
+	opts    Options
+	tr      *obs.QueryTrace
+	keys    []rankKey
+	entries []index.Entry
+	drops   [fov.NumCoverage]int
 	// candidates counts the entries the index handed over, ranked those
 	// that survived the filter (kept or not).
 	candidates, ranked int
@@ -176,31 +179,39 @@ var scratchPool = sync.Pool{New: func() any {
 	return sc
 }}
 
-// release clears the references (a pooled buffer must not keep a
-// superseded snapshot's leaves alive) and returns the scratch to the pool
-// unless the question grew it past scratchCap.
+// release clears the kept entries (a pooled buffer must not keep their
+// provider strings alive) and returns the scratch to the pool unless the
+// question grew it past scratchCap.
 func (sc *scratch) release() {
 	if cap(sc.keys) > scratchCap {
 		return
 	}
-	clear(sc.keys)
-	*sc = scratch{keys: sc.keys[:0], visit: sc.visit}
+	clear(sc.entries)
+	*sc = scratch{keys: sc.keys[:0], entries: sc.entries[:0], visit: sc.visit}
 	scratchPool.Put(sc)
 }
 
-// offer adds a survivor to the rank keys. With a result limit the keys
-// are a heap of at most limit entries, so a survivor that does not beat
-// the worst one kept costs one comparison; with no limit every key is
-// kept for the final sort.
-func (sc *scratch) offer(k rankKey) {
+// offer adds a survivor at distance dist to the rank keys. With a
+// result limit the keys are a heap of at most limit entries, so a
+// survivor that does not beat the worst one kept costs one comparison
+// and no copy, and one that does takes over the evicted key's entry
+// slot; with no limit every key is kept for the final sort.
+func (sc *scratch) offer(dist float64, e *index.Entry) {
+	k := rankKey{dist: dist, id: e.ID, at: len(sc.entries)}
 	limit := sc.opts.MaxResults
-	switch {
-	case limit <= 0:
-		sc.keys = append(sc.keys, k)
-	case len(sc.keys) < limit:
+	if limit > 0 && len(sc.keys) == limit {
+		if after(&sc.keys[0], &k) {
+			k.at = sc.keys[0].at
+			sc.entries[k.at] = *e
+			minheap.ReplaceTop(sc.keys, k, after)
+		}
+		return
+	}
+	sc.entries = append(sc.entries, *e)
+	if limit > 0 {
 		sc.keys = minheap.Push(sc.keys, k, after)
-	case after(&sc.keys[0], &k):
-		minheap.ReplaceTop(sc.keys, k, after)
+	} else {
+		sc.keys = append(sc.keys, k)
 	}
 }
 
@@ -238,7 +249,7 @@ func (sc *scratch) offerEntry(e *index.Entry) float64 {
 		}
 	}
 	sc.ranked++
-	sc.offer(rankKey{dist: d, id: e.ID, e: e})
+	sc.offer(d, e)
 	return sc.bound()
 }
 
@@ -252,8 +263,8 @@ func (sc *scratch) offerEntry(e *index.Entry) float64 {
 // "search" — the steered walk with the orientation filter and the
 // bounded top-N inside it, since they are one loop — and "rank" —
 // ordering and materialising the N results. Traced and untraced requests
-// run the same loop: a candidate is read where the index keeps it and
-// copied only if it is returned.
+// run the same loop: a candidate is read where the index hands it over
+// and copied only if it enters the top N.
 func SearchCtx(ctx context.Context, idx index.Index, q Query, opts Options) ([]Ranked, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -283,7 +294,7 @@ func SearchCtx(ctx context.Context, idx index.Index, q Query, opts Options) ([]R
 	tr.SetRanked(sc.ranked)
 	tr.SetBound(sc.bound())
 
-	// Step 4: the top N in rank order, the only entries copied.
+	// Step 4: the top N in rank order.
 	st = tr.StartStage("rank")
 	keys := sc.keys
 	slices.SortFunc(keys, func(a, b rankKey) int {
@@ -297,7 +308,7 @@ func SearchCtx(ctx context.Context, idx index.Index, q Query, opts Options) ([]R
 	})
 	out := make([]Ranked, len(keys))
 	for i := range keys {
-		out[i] = Ranked{Entry: *keys[i].e, DistanceMeters: keys[i].dist}
+		out[i] = Ranked{Entry: sc.entries[keys[i].at], DistanceMeters: keys[i].dist}
 	}
 	st.End()
 	tr.SetReturned(len(out), sc.ranked-len(out))

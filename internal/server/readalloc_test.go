@@ -37,7 +37,8 @@ func crowd(t *testing.T, s *Server, at geo.Point, n int, spread float64, seed in
 // attaches one to every request) and Server.Nearest. A question over a
 // crowd of thousands must allocate exactly what a question over a few
 // dozen does — the trace, its bounded drop records, and the N results —
-// because candidates are visited where the index keeps them. The crowd
+// because every candidate is rebuilt in one pooled walker buffer and
+// copied only if it enters the top N. The crowd
 // is sized by what the query box holds (Index().Search): the trace's own
 // candidate count is small either way now that the top-N bound steers
 // the walk.
