@@ -21,9 +21,9 @@ import (
 
 // diffEntry scatters segments across ~5 km and a day like randEntry, but
 // with a wider duration distribution: mostly segments under a minute, a
-// tail of ones up to ~11 minutes, and occasional zero-length and
-// pre-epoch segments. One entry in six stands on one of four shared
-// spots.
+// tail of ones up to ~11 minutes, occasional zero-length and pre-epoch
+// segments, and one in 75 on an over-long span (overLongSpans). One
+// entry in six stands on one of four shared spots.
 func diffEntry(rng *rand.Rand, id uint64) Entry {
 	p := geo.Offset(city, rng.Float64()*360, rng.Float64()*5000)
 	if rng.Intn(6) == 0 {
@@ -44,13 +44,17 @@ func diffEntry(rng *rand.Rand, id uint64) Entry {
 	default:
 		dur = int64(rng.Intn(60_000))
 	}
+	end := start + dur
+	if rng.Intn(75) == 0 {
+		start, end = overLongSpans[rng.Intn(len(overLongSpans))].span(start)
+	}
 	return Entry{
 		ID:       id,
 		Provider: fmt.Sprintf("client-%d", id%17),
 		Rep: segment.Representative{
 			FoV:         fovAt(p, rng.Float64()*360),
 			StartMillis: start,
-			EndMillis:   start + dur,
+			EndMillis:   end,
 		},
 	}
 }
@@ -245,6 +249,15 @@ func TestDifferentialIndexEquivalence(t *testing.T) {
 	}
 	if err := impls[0].idx.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+	// Every stored entry reads back exactly as inserted.
+	for _, im := range impls {
+		got := byID(im.idx.Entries())
+		for id, e := range stored {
+			if got[id] != e {
+				t.Fatalf("%s: id %d reads back as %+v, inserted as %+v", im.name, id, got[id], e)
+			}
+		}
 	}
 	// Final full-extent sweep: the complete stores must be identical.
 	rect := geo.RectAround(city, 20_000)

@@ -30,7 +30,9 @@ func fuzzI16(hi, lo byte) int64 { return int64(int16(uint16(hi)<<8 | uint16(lo))
 //
 // op%4: 0,1 insert (lat/lng on the fuzzCoord grid, start = a*100 ms,
 // duration = b*10 ms), 2 remove id a%(maxID+1), 3 query (box pool index
-// lat%4, window start a*100 ms, width b*20 ms).
+// lat%4, window start a*100 ms, width b*20 ms). With op's top bit set an
+// insert draws the over-long span overLongSpans[b%4] from its start, and
+// a query's window starts 2^32 ms later, where those spans end.
 func FuzzSnapshotReads(f *testing.F) {
 	// Seeds: insert-query-insert-query on one box; a remove between
 	// repeated queries; an over-long segment queried repeatedly; queries
@@ -55,6 +57,18 @@ func FuzzSnapshotReads(f *testing.F) {
 		3, 1, 0, 0, 0, 200,
 		3, 1, 0, 0, 0, 200,
 		3, 1, 0, 0, 0, 200,
+	})
+	f.Add([]byte{
+		0x80, 5, 5, 0, 1, 0, // [100, 100+2^32-2] ms: dur fits the slot
+		0x81, 6, 6, 0, 1, 1, // [100, 100+2^32-1] ms: the sentinel
+		0x80, 7, 7, 0, 1, 2, // [100, 100+2^32] ms
+		0x81, 8, 8, 0, 1, 3, // [MinInt64/2, MaxInt64/2]
+		0x83, 3, 0, 0, 1, 0, // the instant 100+2^32 ms
+		3, 3, 0, 0, 1, 0,
+		2, 0, 0, 0, 1, 0, // remove id 2
+		0x83, 3, 0, 0, 0, 255,
+		2, 0, 0, 0, 2, 0, // remove id 3
+		0x83, 3, 0, 0, 0, 255,
 	})
 	f.Add([]byte{
 		3, 0, 0, 0, 0, 50,
@@ -86,6 +100,9 @@ func FuzzSnapshotReads(f *testing.F) {
 					Provider: "fuzz",
 					Rep:      fuzzRep(lat, lng, op, a*100, b*10),
 				}
+				if op&0x80 != 0 {
+					e.Rep.StartMillis, e.Rep.EndMillis = overLongSpans[b%4].span(a * 100)
+				}
 				nextID++
 				made[e.ID] = e
 				errX, errL := x.Insert(e), lin.Insert(e)
@@ -103,6 +120,9 @@ func FuzzSnapshotReads(f *testing.F) {
 				queried = true
 				q := queryPool[int(lat)%len(queryPool)]
 				ts := a * 100
+				if op&0x80 != 0 {
+					ts += 1 << 32
+				}
 				te := ts + b*20
 				got := ids(x.Search(q, ts, te))
 				want := ids(lin.Search(q, ts, te))

@@ -34,7 +34,7 @@ func BulkLoad[T any](opts Options, bounds func(*T) Rect, items []T) (*Tree[T], e
 	max := t.opts.MaxEntries
 	nodes := make([]*node[T], 0, (len(slots)+max-1)/max)
 	for _, run := range packLevel(slots, max) {
-		n := &node[T]{leaf: true, items: make([]T, len(run))}
+		n := &node[T]{items: make([]T, len(run))}
 		for j, s := range run {
 			n.items[j] = items[s.at]
 		}
@@ -48,9 +48,9 @@ func BulkLoad[T any](opts Options, bounds func(*T) Rect, items []T) (*Tree[T], e
 		}
 		parents := make([]*node[T], 0, (len(slots)+max-1)/max)
 		for _, run := range packLevel(slots, max) {
-			n := &node[T]{rects: make([]Rect, len(run)), children: make([]*node[T], len(run))}
+			n := &node[T]{kids: make([]kid[T], len(run))}
 			for j, s := range run {
-				n.rects[j], n.children[j] = s.rect, nodes[s.at]
+				n.kids[j] = kid[T]{s.rect, nodes[s.at]}
 			}
 			parents = append(parents, n)
 		}

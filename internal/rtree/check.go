@@ -12,8 +12,9 @@ import "fmt"
 //  1. Every leaf is at the same depth, equal to Height.
 //  2. Every node except the root holds between MinEntries and MaxEntries
 //     slots; the root holds at least 2 slots unless it is a leaf.
-//  3. A leaf holds items only; an internal node holds one rectangle per
-//     child and no items.
+//  3. A leaf (a node with no kids slice) holds items only; an internal
+//     node holds kids only, each a non-nil, non-empty child beside its
+//     rectangle.
 //  4. Every internal rectangle is exactly the MBR of its child (tight),
 //     and hence contains all descendant rectangles.
 //  5. Every stored rectangle, and every rectangle the bounds function
@@ -65,7 +66,7 @@ func checkTree[T any](root *node[T], p checkParams[T]) error {
 	if root == nil {
 		return fmt.Errorf("rtree: nil root")
 	}
-	if !root.leaf && root.size() < 2 {
+	if !root.leaf() && root.size() < 2 {
 		return fmt.Errorf("rtree: internal root with %d children", root.size())
 	}
 	count := 0
@@ -79,15 +80,12 @@ func checkTree[T any](root *node[T], p checkParams[T]) error {
 }
 
 func checkNode[T any](n *node[T], depth int, isRoot bool, count *int, p checkParams[T]) error {
-	if n.leaf {
+	if n.leaf() {
 		if depth != p.height {
 			return fmt.Errorf("rtree: leaf at depth %d, height is %d", depth, p.height)
 		}
-		if len(n.rects) != 0 || len(n.children) != 0 {
-			return fmt.Errorf("rtree: leaf with %d rects and %d children", len(n.rects), len(n.children))
-		}
-	} else if len(n.items) != 0 || len(n.rects) != len(n.children) {
-		return fmt.Errorf("rtree: internal node with %d items, %d rects, %d children", len(n.items), len(n.rects), len(n.children))
+	} else if len(n.items) != 0 {
+		return fmt.Errorf("rtree: internal node with %d items and %d kids", len(n.items), len(n.kids))
 	}
 	size := n.size()
 	if size > p.opts.MaxEntries {
@@ -101,7 +99,7 @@ func checkNode[T any](n *node[T], depth int, isRoot bool, count *int, p checkPar
 	if isRoot && size == 0 && p.size > 0 {
 		return fmt.Errorf("rtree: empty root with size %d", p.size)
 	}
-	if n.leaf {
+	if n.leaf() {
 		for i := range n.items {
 			if r := p.bounds(&n.items[i]); !r.Valid() {
 				return fmt.Errorf("rtree: invalid rect %v derived for leaf item %d", r, i)
@@ -110,9 +108,10 @@ func checkNode[T any](n *node[T], depth int, isRoot bool, count *int, p checkPar
 		*count += size
 		return nil
 	}
-	for i, c := range n.children {
-		if !n.rects[i].Valid() {
-			return fmt.Errorf("rtree: invalid rect %v at slot %d", n.rects[i], i)
+	for i, k := range n.kids {
+		c := k.node
+		if !k.rect.Valid() {
+			return fmt.Errorf("rtree: invalid rect %v at slot %d", k.rect, i)
 		}
 		if c == nil {
 			return fmt.Errorf("rtree: internal slot %d has no child", i)
@@ -120,8 +119,8 @@ func checkNode[T any](n *node[T], depth int, isRoot bool, count *int, p checkPar
 		if c.size() == 0 {
 			return fmt.Errorf("rtree: internal slot %d holds an empty child", i)
 		}
-		if got := mbr(c, p.bounds); got != n.rects[i] {
-			return fmt.Errorf("rtree: slot %d rect %v is not the child MBR %v", i, n.rects[i], got)
+		if got := mbr(c, p.bounds); got != k.rect {
+			return fmt.Errorf("rtree: slot %d rect %v is not the child MBR %v", i, k.rect, got)
 		}
 		if err := checkNode(c, depth+1, false, count, p); err != nil {
 			return err
@@ -137,8 +136,8 @@ func checkFrozen[T any](n *node[T], writeGen uint64) error {
 	if n.gen >= writeGen {
 		return fmt.Errorf("rtree: node generation %d not frozen under writeGen %d", n.gen, writeGen)
 	}
-	for _, c := range n.children {
-		if err := checkFrozen(c, writeGen); err != nil {
+	for _, k := range n.kids {
+		if err := checkFrozen(k.node, writeGen); err != nil {
 			return err
 		}
 	}
@@ -152,8 +151,8 @@ func (t *Tree[T]) NodeCount() int {
 
 func countNodes[T any](n *node[T]) int {
 	c := 1
-	for _, child := range n.children {
-		c += countNodes(child)
+	for _, k := range n.kids {
+		c += countNodes(k.node)
 	}
 	return c
 }

@@ -22,12 +22,12 @@ func (t *Tree[T]) Delete(item *T, match func(*T) bool) bool {
 	t.stats.deletes.Add(1)
 	t.condense(path)
 	// Shrink the root while it is an internal node with one child.
-	for !t.root.leaf && len(t.root.children) == 1 {
-		t.root = t.root.children[0]
+	for !t.root.leaf() && len(t.root.kids) == 1 {
+		t.root = t.root.kids[0].node
 		t.height--
 	}
-	if t.size == 0 && !t.root.leaf {
-		t.root = &node[T]{leaf: true, gen: t.writeGen}
+	if t.size == 0 && !t.root.leaf() {
+		t.root = &node[T]{gen: t.writeGen}
 		t.height = 1
 	}
 	return true
@@ -43,7 +43,7 @@ func (t *Tree[T]) clonePath(path []*node[T]) []*node[T] {
 	for i := 1; i < len(path); i++ {
 		c := t.mutable(path[i])
 		parent := out[i-1]
-		parent.children[slotOf(parent, path[i])] = c
+		parent.kids[slotOf(parent, path[i])].node = c
 		out[i] = c
 	}
 	return out
@@ -54,7 +54,7 @@ func (t *Tree[T]) clonePath(path []*node[T]) []*node[T] {
 // absent.
 func (t *Tree[T]) findLeaf(n *node[T], r Rect, match func(*T) bool, path []*node[T]) ([]*node[T], int) {
 	path = append(path, n)
-	if n.leaf {
+	if n.leaf() {
 		for i := range n.items {
 			if t.bounds(&n.items[i]) == r && match(&n.items[i]) {
 				return path, i
@@ -62,11 +62,11 @@ func (t *Tree[T]) findLeaf(n *node[T], r Rect, match func(*T) bool, path []*node
 		}
 		return nil, 0
 	}
-	for i := range n.rects {
-		if !n.rects[i].Contains(r) {
+	for i := range n.kids {
+		if !n.kids[i].rect.Contains(r) {
 			continue
 		}
-		if p, j := t.findLeaf(n.children[i], r, match, path); p != nil {
+		if p, j := t.findLeaf(n.kids[i].node, r, match, path); p != nil {
 			return p, j
 		}
 	}
@@ -79,7 +79,7 @@ func (t *Tree[T]) findLeaf(n *node[T], r Rect, match func(*T) bool, path []*node
 func (t *Tree[T]) tightenParent(path []*node[T], i int) {
 	n, parent := path[i], path[i-1]
 	t.assertMutable(parent)
-	parent.rects[slotOf(parent, n)] = mbr(n, t.bounds)
+	parent.kids[slotOf(parent, n)].rect = mbr(n, t.bounds)
 }
 
 // orphan is a node cut out during condensation, remembered with the
@@ -100,8 +100,7 @@ func (t *Tree[T]) condense(path []*node[T]) {
 			// Cut n out of its parent and orphan its slots.
 			t.assertMutable(parent)
 			j := slotOf(parent, n)
-			parent.rects = append(parent.rects[:j], parent.rects[j+1:]...)
-			parent.children = append(parent.children[:j], parent.children[j+1:]...)
+			parent.kids = append(parent.kids[:j], parent.kids[j+1:]...)
 			if n.size() > 0 {
 				// Slots of a node at depth i sit at level t.height-i.
 				orphans = append(orphans, orphan[T]{n: n, level: t.height - i})
@@ -117,14 +116,14 @@ func (t *Tree[T]) condense(path []*node[T]) {
 	// right while the height changes.
 	for _, o := range orphans {
 		t.stats.reinserts.Add(int64(o.n.size()))
-		if o.n.leaf {
+		if o.n.leaf() {
 			for _, it := range o.n.items {
 				t.insertItem(t.bounds(&it), it)
 			}
 			continue
 		}
-		for j, c := range o.n.children {
-			t.insertChild(o.n.rects[j], c, o.level)
+		for _, k := range o.n.kids {
+			t.insertChild(k.rect, k.node, o.level)
 		}
 	}
 }

@@ -14,12 +14,13 @@
 // dominant workload here, and the node split is exercised and tested
 // against them specifically.
 //
-// Nodes are laid out struct-of-arrays. An internal node keeps its
-// children's MBRs contiguous beside the child pointers, so the filter
-// over MBRs reads nothing else; a leaf keeps only its items. A leaf
-// item's rectangle is derived from the item by the bounds function the
-// tree is built with — for a representative, the degenerate box above,
-// from numbers the item already holds — so it is never stored.
+// An internal node keeps one slice of kids, each a child's MBR beside
+// the child pointer, so the filter over MBRs walks one contiguous array
+// and the node's slots are one allocation; a leaf keeps only its items.
+// A leaf item's rectangle is derived from the item by the bounds
+// function the tree is built with — for a representative, the
+// degenerate box above, from numbers the item already holds — so it is
+// never stored.
 //
 // Features: insert with the R* split (its axis choice weighs time
 // against position in commensurable units, see kappa in rstar.go),

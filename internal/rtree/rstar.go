@@ -52,7 +52,7 @@ func splitMargin(r *Rect) float64 {
 // is serialized, so one per tree serves every split, grown to the widest
 // node seen and reused: a split allocates nothing but the two halves.
 type splitScratch struct {
-	rects []Rect       // a leaf's slot rectangles, derived by the bounds function
+	rects []Rect       // the splitting node's slot rectangles
 	axes  [2]axisSorts // R*: the axis being scored and the best one so far
 	slots []int        // R*: the winning order as slot indices
 }

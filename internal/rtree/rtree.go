@@ -38,39 +38,47 @@ func (o Options) withDefaults() (Options, error) {
 	return o, nil
 }
 
-// node is a tree node, laid out struct-of-arrays. An internal node keeps
-// its children's bounding rectangles contiguous in rects, beside the
-// child pointers, so the filter over child MBRs reads nothing else. A
-// leaf keeps only its items: an item's rectangle is derived from the
-// item by the tree's bounds function, never stored. All leaves are at
-// the same depth.
+// node is a tree node. An internal node keeps its children as one
+// slice of kids, each a child's bounding rectangle beside its pointer,
+// so the filter over child MBRs walks one contiguous array and a node
+// (or a copy-on-write clone of one) costs one allocation for its slots.
+// A leaf is a node with no kids slice at all: it keeps only its items,
+// and an item's rectangle is derived from the item by the tree's bounds
+// function, never stored. All leaves are at the same depth.
 //
 // gen is the write generation the node belongs to. A node whose gen
 // equals the tree's current writeGen is exclusively owned by the writer
 // and may be mutated in place; any other node may be shared with a
 // published Snapshot and must be cloned before mutation (copy-on-write).
 type node[T any] struct {
-	leaf     bool
-	gen      uint64
-	rects    []Rect     // internal: rects[i] is the MBR of children[i]
-	children []*node[T] // internal only
-	items    []T        // leaf only
+	gen   uint64
+	kids  []kid[T] // internal only; nil exactly when the node is a leaf
+	items []T      // leaf only
 }
 
-// size is the number of slots in use: children or items.
+// kid is one slot of an internal node: the child and its exact MBR.
+type kid[T any] struct {
+	rect Rect
+	node *node[T]
+}
+
+// leaf reports whether n is a leaf: a node with a nil kids slice.
+func (n *node[T]) leaf() bool { return n.kids == nil }
+
+// size is the number of slots in use: kids or items.
 func (n *node[T]) size() int {
-	if n.leaf {
+	if n.leaf() {
 		return len(n.items)
 	}
-	return len(n.children)
+	return len(n.kids)
 }
 
 // mbr returns the minimum bounding rectangle of a non-empty node.
 func mbr[T any](n *node[T], bounds func(*T) Rect) Rect {
-	if !n.leaf {
-		r := n.rects[0]
-		for _, c := range n.rects[1:] {
-			r = r.Union(c)
+	if !n.leaf() {
+		r := n.kids[0].rect
+		for i := 1; i < len(n.kids); i++ {
+			r = r.Union(n.kids[i].rect)
 		}
 		return r
 	}
@@ -117,7 +125,7 @@ func New[T any](opts Options, bounds func(*T) Rect) (*Tree[T], error) {
 	t := &Tree[T]{
 		opts:   o,
 		bounds: bounds,
-		root:   &node[T]{leaf: true},
+		root:   &node[T]{},
 		height: 1,
 	}
 	t.Publish() // a tree always has a (possibly empty) snapshot
@@ -170,8 +178,7 @@ func (t *Tree[T]) insertChild(r Rect, child *node[T], level int) {
 	path := t.choosePath(r, level)
 	n := path[len(path)-1]
 	t.assertMutable(n)
-	n.rects = append(n.rects, r)
-	n.children = append(n.children, child)
+	n.kids = append(n.kids, kid[T]{r, child})
 	t.adjustPath(path, r)
 }
 
@@ -190,14 +197,14 @@ func (t *Tree[T]) choosePath(r Rect, level int) []*node[T] {
 	for depth > level {
 		best := 0
 		var bestArea, bestMargin, bestSize float64
-		for i := range n.rects {
-			dArea, dMargin, size := enlarge(&n.rects[i], &r)
+		for i := range n.kids {
+			dArea, dMargin, size := enlarge(&n.kids[i].rect, &r)
 			if i == 0 || less3(dArea, dMargin, size, bestArea, bestMargin, bestSize) {
 				best, bestArea, bestMargin, bestSize = i, dArea, dMargin, size
 			}
 		}
-		child := t.mutable(n.children[best])
-		n.children[best] = child
+		child := t.mutable(n.kids[best].node)
+		n.kids[best].node = child
 		n = child
 		path = append(path, n)
 		depth--
@@ -218,10 +225,10 @@ func less3(a1, a2, a3, b1, b2, b3 float64) bool {
 	return a3 < b3
 }
 
-// slotOf returns the index of child among n's children.
+// slotOf returns the index of child among n's kids.
 func slotOf[T any](n, child *node[T]) int {
-	for j, c := range n.children {
-		if c == child {
+	for j := range n.kids {
+		if n.kids[j].node == child {
 			return j
 		}
 	}
@@ -242,7 +249,7 @@ func (t *Tree[T]) adjustPath(path []*node[T], r Rect) {
 				parent := path[i-1]
 				t.assertMutable(parent)
 				j := slotOf(parent, n)
-				parent.rects[j] = parent.rects[j].Union(r)
+				parent.kids[j].rect = parent.kids[j].rect.Union(r)
 			}
 			continue
 		}
@@ -250,9 +257,8 @@ func (t *Tree[T]) adjustPath(path []*node[T], r Rect) {
 		if i == 0 {
 			// Root split: the tree grows a level.
 			t.root = &node[T]{
-				gen:      t.writeGen,
-				rects:    []Rect{mbr(left, t.bounds), mbr(right, t.bounds)},
-				children: []*node[T]{left, right},
+				gen:  t.writeGen,
+				kids: []kid[T]{{mbr(left, t.bounds), left}, {mbr(right, t.bounds), right}},
 			}
 			t.height++
 			return
@@ -261,9 +267,8 @@ func (t *Tree[T]) adjustPath(path []*node[T], r Rect) {
 		t.assertMutable(parent)
 		// Replace n's slot with left, append right.
 		j := slotOf(parent, n)
-		parent.rects[j], parent.children[j] = mbr(left, t.bounds), left
-		parent.rects = append(parent.rects, mbr(right, t.bounds))
-		parent.children = append(parent.children, right)
+		parent.kids[j] = kid[T]{mbr(left, t.bounds), left}
+		parent.kids = append(parent.kids, kid[T]{mbr(right, t.bounds), right})
 	}
 }
 
@@ -275,24 +280,25 @@ func (t *Tree[T]) splitNode(n *node[T]) (left, right *node[T]) {
 	t.assertMutable(n)
 	t.stats.splits.Add(1)
 	l, r := t.scratch.rstar(t.slotRects(n), t.opts.MinEntries)
-	right = &node[T]{leaf: n.leaf, gen: t.writeGen}
-	if n.leaf {
+	right = &node[T]{gen: t.writeGen}
+	if n.leaf() {
 		n.items, right.items = pick(n.items, l), pick(n.items, r)
 	} else {
-		n.rects, right.rects = pick(n.rects, l), pick(n.rects, r)
-		n.children, right.children = pick(n.children, l), pick(n.children, r)
+		n.kids, right.kids = pick(n.kids, l), pick(n.kids, r)
 	}
 	return n, right
 }
 
-// slotRects returns the rectangle of every slot of n, in slot order: the
-// stored child MBRs of an internal node, the derived ones of a leaf in
-// the split scratch.
+// slotRects returns the rectangle of every slot of n, in slot order, in
+// the split scratch: the stored child MBRs of an internal node, the
+// derived ones of a leaf.
 func (t *Tree[T]) slotRects(n *node[T]) []Rect {
-	if !n.leaf {
-		return n.rects
-	}
 	rs := t.scratch.rects[:0]
+	if !n.leaf() {
+		for i := range n.kids {
+			rs = append(rs, n.kids[i].rect)
+		}
+	}
 	for i := range n.items {
 		rs = append(rs, t.bounds(&n.items[i]))
 	}
@@ -408,7 +414,7 @@ func searchFrom[T any](root *node[T], bounds func(*T) Rect, st *stats, q Rect, n
 }
 
 // searchNode visits slots where they live: an internal node's child MBRs
-// are read in place from its rects array, a leaf's items are addressed
+// are read in place from its kids array, a leaf's items are addressed
 // by index, never copied, and fn receives pointers into the leaf. The
 // intersecting children of an internal node are entered nearest lower
 // bound first, so the bound tightens before the farther ones are
@@ -416,7 +422,7 @@ func searchFrom[T any](root *node[T], bounds func(*T) Rect, st *stats, q Rect, n
 // strictly, so an item exactly at the bound is still offered.
 func (w *walk[T]) searchNode(n *node[T]) {
 	w.c.nodes++
-	if n.leaf {
+	if n.leaf() {
 		items := n.items
 		w.c.leafs += int64(len(items))
 		bounds, q := w.bounds, w.q
@@ -434,9 +440,9 @@ func (w *walk[T]) searchNode(n *node[T]) {
 	// spills to the heap.
 	var buf [16]nearSlot[T]
 	order := buf[:0]
-	rects := n.rects
-	for i := range rects {
-		r := &rects[i]
+	kids := n.kids
+	for i := range kids {
+		r := &kids[i].rect
 		if !r.intersects(w.q) {
 			continue
 		}
@@ -449,7 +455,7 @@ func (w *walk[T]) searchNode(n *node[T]) {
 		for ; j > 0 && order[j-1].dist2 > d2; j-- {
 			order[j] = order[j-1]
 		}
-		order[j] = nearSlot[T]{dist2: d2, child: n.children[i]}
+		order[j] = nearSlot[T]{dist2: d2, child: kids[i].node}
 	}
 	for i := range order {
 		if order[i].dist2 > w.bound2 {
@@ -477,7 +483,7 @@ func (t *Tree[T]) Scan(fn func(*T) bool) {
 }
 
 func scanNode[T any](n *node[T], fn func(*T) bool) bool {
-	if n.leaf {
+	if n.leaf() {
 		for i := range n.items {
 			if !fn(&n.items[i]) {
 				return false
@@ -485,8 +491,8 @@ func scanNode[T any](n *node[T], fn func(*T) bool) bool {
 		}
 		return true
 	}
-	for _, c := range n.children {
-		if !scanNode(c, fn) {
+	for i := range n.kids {
+		if !scanNode(n.kids[i].node, fn) {
 			return false
 		}
 	}

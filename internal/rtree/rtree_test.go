@@ -665,7 +665,7 @@ func TestCheckInvariantsCatchesBadRects(t *testing.T) {
 		return tree
 	}
 	loose := build(300)
-	loose.root.rects[1].Max[0]++ // still contains the child, no longer tight
+	loose.root.kids[1].rect.Max[0]++ // still contains the child, no longer tight
 	if err := loose.CheckInvariants(); err == nil {
 		t.Fatal("a loose internal rect went unnoticed")
 	}

@@ -66,12 +66,11 @@ func (t *Tree[T]) mutable(n *node[T]) *node[T] {
 	if n.gen == t.writeGen {
 		return n
 	}
-	c := &node[T]{leaf: n.leaf, gen: t.writeGen}
-	if n.leaf {
+	c := &node[T]{gen: t.writeGen}
+	if n.leaf() {
 		c.items = append(make([]T, 0, len(n.items)+1), n.items...)
 	} else {
-		c.rects = append(make([]Rect, 0, len(n.rects)+1), n.rects...)
-		c.children = append(make([]*node[T], 0, len(n.children)+1), n.children...)
+		c.kids = append(make([]kid[T], 0, len(n.kids)+1), n.kids...)
 	}
 	return c
 }
