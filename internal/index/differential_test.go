@@ -250,12 +250,12 @@ func TestDifferentialIndexEquivalence(t *testing.T) {
 	if err := impls[0].idx.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	// Every stored entry reads back exactly as inserted.
+	// Every stored entry reads back exactly as inserted, on the grid.
 	for _, im := range impls {
 		got := byID(im.idx.Entries())
 		for id, e := range stored {
-			if got[id] != e {
-				t.Fatalf("%s: id %d reads back as %+v, inserted as %+v", im.name, id, got[id], e)
+			if got[id] != e.OnGrid() {
+				t.Fatalf("%s: id %d reads back as %+v, inserted as %+v", im.name, id, got[id], e.OnGrid())
 			}
 		}
 	}

@@ -56,6 +56,7 @@ func (g *Grid) Insert(e Entry) error {
 	if _, dup := g.byID[e.ID]; dup {
 		return fmt.Errorf("index: duplicate id %d", e.ID)
 	}
+	e = e.OnGrid()
 	k := g.key(e.Rep.FoV.P)
 	g.cells[k] = append(g.cells[k], e)
 	g.byID[e.ID] = k

@@ -9,19 +9,20 @@ import (
 )
 
 // TestIndexHeapPerEntry pins what an indexed entry costs in heap: its
-// 48-B leaf slot (id, position, heading, start, a 32-bit duration and a
-// source-table row — the provider and camera are kept once per distinct
-// pair, not per entry), its share of the nodes above it (a 56-B header
+// 40-B leaf slot (id, start, position and heading as grid codes, a
+// 32-bit duration and a source-table row — the provider and camera are
+// kept once per distinct pair, not per entry), its share of the nodes above it (a 56-B header
 // and one slice of kids each), its share of the source table, and its
 // bit in the id set (one 64-bit mask per 64 ids, well under 1 B an
 // entry). 50 000 hotspot entries are loaded the two ways a server builds
 // its index — uploads of 20 through InsertBatch, and a bootstrap's STR
 // bulk load — and the live heap after a forced GC is divided by the
-// entry count. Storing the whole 80-B Entry in the leaf, the 56-B slot
-// with the interval's end, each leaf rectangle beside its slot, or
-// separate rectangle and child arrays in internal nodes fails the pins;
-// so do an id → rect map, or the ids in a Go map (about 24 B an entry).
-// They sit about 10 % above what this layout measures, 63.7 and 56.7 B.
+// entry count. Storing the whole 80-B Entry in the leaf, the 48-B slot
+// with float64 position and heading, each leaf rectangle beside its
+// slot, or separate rectangle and child arrays in internal nodes fails
+// the pins; so do an id → rect map, or the ids in a Go map (about 24 B
+// an entry). They sit about 10 % above what this layout measures, 55.5
+// and 48.7 B.
 func TestIndexHeapPerEntry(t *testing.T) {
 	if index.RaceEnabled {
 		t.Skip("byte pins are taken with the race detector off")
@@ -43,10 +44,10 @@ func TestIndexHeapPerEntry(t *testing.T) {
 				err = x.InsertBatch(entries[i:min(i+20, n)])
 			}
 			return x, err
-		}, 71},
+		}, 61},
 		{"BulkLoadRTree", func() (*index.RTree, error) {
 			return index.BulkLoadRTree(entries)
-		}, 63},
+		}, 54},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var before, after runtime.MemStats

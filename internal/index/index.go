@@ -12,6 +12,11 @@
 // it. An interval too long for a leaf slot's 32-bit duration is boxed up
 // to the last instant and tested exactly on the way out (see slot).
 //
+// Every index holds a representative at the grid the WAL and the wire
+// carry it at (fov.CoordToGrid: 1e-7°, 0.01°): an entry reads back as
+// Entry.OnGrid of what was inserted, bit-identical when it came
+// through the wire.
+//
 // Three implementations share the Index interface: RTree (the paper's
 // design, and the one index the server runs), Linear (the naive scan
 // baseline of Fig. 6(c) and the test oracle) and Grid (the uniform-grid
@@ -51,7 +56,8 @@ type Entry struct {
 	Camera fov.Camera `json:"camera,omitempty"`
 }
 
-// Validate reports whether the entry can be indexed.
+// Validate reports whether the entry can be indexed: a valid FoV and
+// interval, and no camera or one valid on the grid (ValidOnGrid).
 func (e Entry) Validate() error {
 	if err := e.Rep.FoV.Validate(); err != nil {
 		return err
@@ -61,11 +67,18 @@ func (e Entry) Validate() error {
 			e.Rep.StartMillis, e.Rep.EndMillis)
 	}
 	if e.Camera != (fov.Camera{}) {
-		if err := e.Camera.Validate(); err != nil {
+		if err := e.Camera.ValidOnGrid(); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// OnGrid returns e as every Index holds it: its representative's
+// position and heading, and its camera, rounded to the grid.
+func (e Entry) OnGrid() Entry {
+	e.Rep.FoV, e.Camera = e.Rep.FoV.OnGrid(), e.Camera.OnGrid()
+	return e
 }
 
 // EffectiveCamera returns the entry's own camera, or fallback when the
@@ -166,23 +179,24 @@ type ServerIndex interface {
 	CheckInvariants() error
 }
 
-// slot is what an RTree leaf stores for one entry, in 48 B: the id, the
-// representative with its interval as a start and a 32-bit duration,
-// and the row of the entry's (Provider, Camera) pair in the index's
-// source table. Every entry of one upload carries the same pair, so the
-// index keeps it once instead of once per entry; reads rebuild the
-// Entry from the slot and its row.
+// slot is what an RTree leaf stores for one entry, in 40 B (34 of
+// them data): the id, the representative's position and heading as
+// grid codes (fov.CoordToGrid, fov.ThetaToGrid), its interval as a
+// start and a 32-bit duration, and the row of the entry's (Provider,
+// Camera) pair in the index's source table. Every entry of one upload
+// carries the same pair, so the index keeps it once instead of once
+// per entry; reads rebuild the Entry from the slot and its row.
 //
 // An interval of overLong milliseconds or more (about 49.7 days; only
 // a bad clock makes one) does not fit dur: its slot stores dur =
 // overLong and its row holds the exact end.
 type slot struct {
-	ID    uint64
-	P     geo.Point
-	Theta float64
-	Start int64
-	dur   uint32
-	src   uint32
+	ID       uint64
+	Start    int64
+	lat, lng int32
+	dur      uint32
+	src      uint32
+	theta    uint16
 }
 
 // overLong is the dur of a slot whose interval is too long to store
@@ -199,9 +213,10 @@ type source struct {
 }
 
 // sourceKey returns e's row in the source table: its (Provider, Camera)
-// pair, with its end when its interval is over-long.
+// pair, the camera on the grid, with its end when its interval is
+// over-long.
 func sourceKey(e *Entry) source {
-	k := source{Provider: e.Provider, Camera: e.Camera}
+	k := source{Provider: e.Provider, Camera: e.Camera.OnGrid()}
 	if durOf(e) == overLong {
 		k.end = e.Rep.EndMillis
 	}
@@ -217,7 +232,14 @@ func durOf(e *Entry) uint32 {
 
 // newSlot returns e's leaf slot under source row row.
 func newSlot(e *Entry, row uint32) slot {
-	return slot{ID: e.ID, P: e.Rep.FoV.P, Theta: e.Rep.FoV.Theta, Start: e.Rep.StartMillis, dur: durOf(e), src: row}
+	p := e.Rep.FoV.P
+	return slot{ID: e.ID, Start: e.Rep.StartMillis, lat: fov.CoordToGrid(p.Lat), lng: fov.CoordToGrid(p.Lng),
+		dur: durOf(e), src: row, theta: fov.ThetaToGrid(e.Rep.FoV.Theta)}
+}
+
+// point returns s's position.
+func (s *slot) point() geo.Point {
+	return geo.Point{Lat: fov.CoordFromGrid(s.lat), Lng: fov.CoordFromGrid(s.lng)}
 }
 
 // end returns the end of s's interval, reading rows for an over-long
@@ -239,9 +261,10 @@ func slotRect(s *slot) rtree.Rect {
 	if s.dur == overLong {
 		end = math.MaxInt64
 	}
+	p := s.point()
 	return rtree.Rect{
-		Min: [rtree.Dims]float64{s.P.Lng, s.P.Lat, float64(s.Start)},
-		Max: [rtree.Dims]float64{s.P.Lng, s.P.Lat, end},
+		Min: [rtree.Dims]float64{p.Lng, p.Lat, float64(s.Start)},
+		Max: [rtree.Dims]float64{p.Lng, p.Lat, end},
 	}
 }
 
@@ -485,8 +508,9 @@ func (x *RTree) ReadEpoch() uint64 {
 
 // RemoveBatch implements ServerIndex under one acquisition of the tree
 // lock and with one publish. Each entry is found by its rectangle and
-// id, so it must be as stored (read from this index); an entry whose id
-// is not stored, or is stored under another rectangle, is skipped.
+// id, so it must be as inserted or as read from this index (both round
+// to the stored slot); an entry whose id is not stored, or is stored
+// under another rectangle, is skipped.
 func (x *RTree) RemoveBatch(entries []Entry) int {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -579,7 +603,7 @@ func (w *walker) release() {
 // entry rebuilds s's Entry in buf and returns it.
 func (w *walker) entry(s *slot) *Entry {
 	w.buf.ID = s.ID
-	w.buf.Rep = segment.Representative{FoV: fov.FoV{P: s.P, Theta: s.Theta}, StartMillis: s.Start, EndMillis: s.end(w.sources)}
+	w.buf.Rep = segment.Representative{FoV: fov.FoV{P: s.point(), Theta: fov.ThetaFromGrid(s.theta)}, StartMillis: s.Start, EndMillis: s.end(w.sources)}
 	if s.src != w.row {
 		src := &w.sources[s.src]
 		w.buf.Provider, w.buf.Camera = src.Provider, src.Camera
@@ -748,7 +772,7 @@ func (x *Linear) Insert(e Entry) error {
 		return fmt.Errorf("index: duplicate id %d", e.ID)
 	}
 	x.byID[e.ID] = len(x.entries)
-	x.entries = append(x.entries, e)
+	x.entries = append(x.entries, e.OnGrid())
 	return nil
 }
 
@@ -834,7 +858,7 @@ func (x *Linear) InsertBatch(entries []Entry) error {
 			return fmt.Errorf("index: duplicate id %d", e.ID)
 		}
 		x.byID[e.ID] = base + i
-		x.entries = append(x.entries, e)
+		x.entries = append(x.entries, e.OnGrid())
 	}
 	return nil
 }
@@ -935,8 +959,9 @@ func (x *RTree) Nearest(center geo.Point, startMillis, endMillis int64, k int, m
 		// The box compares in float64; the integer test keeps the answer
 		// exact where two distinct instants round together.
 		if s.Start <= endMillis && s.end(walk.sources) >= startMillis {
-			dLng := (s.P.Lng - p[0]) * w[0]
-			dLat := s.P.Lat - p[1]
+			at := s.point()
+			dLng := (at.Lng - p[0]) * w[0]
+			dLat := at.Lat - p[1]
 			c := nearKey{dist2: dLng*dLng + dLat*dLat, s: s}
 			switch {
 			case maxDist2 > 0 && c.dist2 > maxDist2:
@@ -959,7 +984,7 @@ func (x *RTree) Nearest(center geo.Point, startMillis, endMillis int64, k int, m
 	for i := len(out) - 1; i >= 0; i-- {
 		var c nearKey
 		c, best = minheap.Pop(best, nearAfter)
-		out[i] = Neighbor{Entry: *walk.entry(c.s), DistanceMeters: geo.Distance(c.s.P, center)}
+		out[i] = Neighbor{Entry: *walk.entry(c.s), DistanceMeters: geo.Distance(c.s.point(), center)}
 	}
 	walk.release()
 	return out

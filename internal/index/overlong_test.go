@@ -91,6 +91,13 @@ func TestOverLongIntervalsRoundTrip(t *testing.T) {
 			if err := lin.InsertBatch(entries); err != nil {
 				t.Fatal(err)
 			}
+			// The oracle holds what was inserted, on the grid; every
+			// read below compares against it.
+			for id, e := range byID(lin.Entries()) {
+				if want := entries[id-1].OnGrid(); e != want {
+					t.Fatalf("Linear holds id %d as %+v, want %+v", id, e, want)
+				}
+			}
 			inserted := NewRTree()
 			if err := inserted.InsertBatch(entries); err != nil {
 				t.Fatal(err)
@@ -366,8 +373,8 @@ func TestConcurrentRowReuse(t *testing.T) {
 			read := func() bool {
 				ok := true
 				check := func(e *Entry, from int64) {
-					if ok && (*e != ownRowEntry(e.ID) || e.Rep.EndMillis < from) {
-						errs <- fmt.Errorf("reader %d: id %d reads as %+v from %d, inserted as %+v", r, e.ID, *e, from, ownRowEntry(e.ID))
+					if want := ownRowEntry(e.ID).OnGrid(); ok && (*e != want || e.Rep.EndMillis < from) {
+						errs <- fmt.Errorf("reader %d: id %d reads as %+v from %d, inserted as %+v", r, e.ID, *e, from, want)
 						ok = false
 					}
 				}

@@ -216,11 +216,9 @@ func TestReplicaConvergence(t *testing.T) {
 		t.Fatalf("converged follower holds %d entries, want %d", got, want)
 	}
 
-	// Query parity on the replicated prefix. Radii sit off the exact
-	// entry distances: the journal's wire encoding quantizes coordinates
-	// to 1e-7 degrees (about a centimeter), so an entry placed exactly
-	// on a query boundary can flip sides between the leader's in-memory
-	// float and the replicated fixed-point value.
+	// Query parity on the replicated prefix. The leader's index holds
+	// what its journal does, on the grid, so answers agree even for an
+	// entry on a query boundary (TestOffGridUploadAnswersAlike).
 	for _, q := range []query.Query{
 		{Center: e2eCenter, RadiusMeters: 30.5, StartMillis: 0, EndMillis: 60_000},
 		{Center: geo.Offset(e2eCenter, 45, 25), RadiusMeters: 52.3, StartMillis: 5_000, EndMillis: 20_000},
@@ -236,6 +234,69 @@ func TestReplicaConvergence(t *testing.T) {
 	st := fol2.Status()
 	if !st.CaughtUp || st.Bootstraps == 0 {
 		t.Errorf("follower status after convergence: %+v", st)
+	}
+}
+
+// An in-process upload off the grid (a camera of 30.123°, positions
+// and headings between grid steps) answers the same /query from the
+// durable leader that took it, from that leader after a restart, and
+// from a follower fed by the leader's log: the leader's index holds the
+// upload as its journal does, rounded to the grid.
+func TestOffGridUploadAnswersAlike(t *testing.T) {
+	leaderDir := t.TempDir()
+	leader, lts := newLeader(t, openDisk(t, leaderDir))
+	up := wire.Upload{Provider: "alice", Camera: fov.Camera{HalfAngleDeg: 30.123, RadiusMeters: 80.004}}
+	for i := 0; i < 6; i++ {
+		up.Reps = append(up.Reps, mkRep(geo.Offset(e2eCenter, float64(i)*61.3, 3.3+float64(i)*7.77),
+			float64(i)*59.987+0.0049, int64(i)*1000, int64(i)*1000+4000))
+	}
+	if _, err := leader.Register(up); err != nil {
+		t.Fatal(err)
+	}
+	fsrv, fol := newFollower(t, openDisk(t, t.TempDir()), lts.URL)
+	defer fol.Close()
+	waitConverged(t, leader, fsrv, fol)
+	fts := httptest.NewServer(fsrv.Handler())
+	defer fts.Close()
+
+	// results returns the answer's ranked results, without the
+	// elapsed time that follows them.
+	results := func(url string) []byte {
+		t.Helper()
+		resp, err := http.Post(url+"/query", "application/json", bytes.NewReader([]byte(
+			`{"startMillis":0,"endMillis":60000,"center":{"lat":40.0013,"lng":116.326},"radiusMeters":60,"maxResults":10}`)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("query: status %d, %v: %s", resp.StatusCode, err, body)
+		}
+		end := bytes.Index(body, []byte(`,"elapsedMicros"`))
+		if end < 0 {
+			t.Fatalf("query answer without elapsedMicros: %s", body)
+		}
+		return body[:end]
+	}
+	want := results(lts.URL)
+	if n := bytes.Count(want, []byte(`"id"`)); n != len(up.Reps) {
+		t.Fatalf("the leader answers %d of the %d representatives: %s", n, len(up.Reps), want)
+	}
+	if got := results(fts.URL); !bytes.Equal(got, want) {
+		t.Fatalf("follower answers\n%s\nleader answers\n%s", got, want)
+	}
+
+	// Restart: the leader is abandoned without shutdown and its
+	// directory reopened.
+	lts.Close()
+	_, rts := newLeader(t, openDisk(t, leaderDir))
+	defer rts.Close()
+	if got := results(rts.URL); !bytes.Equal(got, want) {
+		t.Fatalf("restarted leader answers\n%s\nbefore the restart\n%s", got, want)
+	}
+	if !bytes.Contains(want, []byte(`"halfAngleDeg":30.12,`)) {
+		t.Fatalf("the answer does not hold the camera on the grid: %s", want)
 	}
 }
 

@@ -12,55 +12,32 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"fovr/internal/fov"
-	"fovr/internal/geo"
 	"fovr/internal/index"
-	"fovr/internal/segment"
+	"fovr/internal/wire"
 )
 
-// maxProviderLen bounds a provider name, so a corrupt length cannot
-// demand an absurd allocation.
-const maxProviderLen = 256
-
-// appendEntry validates e and appends its encoding to buf.
-func appendEntry(buf *bytes.Buffer, e index.Entry) error {
+// appendEntry validates e and appends its encoding to b, refusing
+// what parseEntry could not read back: an entry Validate refuses (as
+// it does a camera with no valid grid form) or one wire.AppendRep
+// refuses (a negative start).
+func appendEntry(b []byte, e index.Entry) ([]byte, error) {
 	if err := e.Validate(); err != nil {
-		return err
+		return b, err
 	}
-	if len(e.Provider) > maxProviderLen {
-		return fmt.Errorf("provider %q too long", e.Provider[:32]+"…")
+	if len(e.Provider) > wire.MaxProviderLen {
+		return b, fmt.Errorf("provider %q too long", e.Provider[:32]+"…")
 	}
-	var tmp [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		buf.Write(tmp[:n])
+	b = binary.AppendUvarint(binary.AppendUvarint(b, e.ID), uint64(len(e.Provider)))
+	b = append(b, e.Provider...)
+	if e.Camera == (fov.Camera{}) {
+		return wire.AppendRep(append(b, 0), e.Rep)
 	}
-	putUvarint(e.ID)
-	putUvarint(uint64(len(e.Provider)))
-	buf.WriteString(e.Provider)
-	if e.Camera != (fov.Camera{}) {
-		buf.WriteByte(1)
-		var cb [6]byte
-		binary.LittleEndian.PutUint16(cb[0:], uint16(math.Round(e.Camera.HalfAngleDeg*100)))
-		binary.LittleEndian.PutUint32(cb[2:], uint32(math.Round(e.Camera.RadiusMeters*100)))
-		buf.Write(cb[:])
-	} else {
-		buf.WriteByte(0)
-	}
-	var fixed [10]byte
-	binary.LittleEndian.PutUint32(fixed[0:], uint32(int32(math.Round(e.Rep.FoV.P.Lat*1e7))))
-	binary.LittleEndian.PutUint32(fixed[4:], uint32(int32(math.Round(e.Rep.FoV.P.Lng*1e7))))
-	binary.LittleEndian.PutUint16(fixed[8:], uint16(math.Round(geo.NormalizeDeg(e.Rep.FoV.Theta)*100))%36000)
-	buf.Write(fixed[:])
-	putUvarint(uint64(e.Rep.StartMillis))
-	putUvarint(uint64(e.Rep.EndMillis - e.Rep.StartMillis))
-	return nil
+	return wire.AppendRep(fov.AppendCamera(append(b, 1), e.Camera), e.Rep)
 }
 
 // Per-field parse failures. Package-level so that rejecting an entry
@@ -71,9 +48,7 @@ var (
 	errProvider    = errors.New("provider")
 	errFlags       = errors.New("flags")
 	errCamera      = errors.New("camera")
-	errPose        = errors.New("pose")
-	errStart       = errors.New("start")
-	errInterval    = errors.New("interval")
+	errRep         = errors.New("representative")
 )
 
 // parseEntry decodes and validates the entry at the start of b, as
@@ -89,7 +64,7 @@ func parseEntry(b []byte) (e index.Entry, prov []byte, n int, err error) {
 	}
 	n = k
 	plen, k := binary.Uvarint(b[n:])
-	if k <= 0 || plen > maxProviderLen {
+	if k <= 0 || plen > wire.MaxProviderLen {
 		return e, nil, 0, errProviderLen
 	}
 	n += k
@@ -105,45 +80,18 @@ func parseEntry(b []byte) (e index.Entry, prov []byte, n int, err error) {
 	n++
 	var cam fov.Camera
 	if flags&1 != 0 {
-		if len(b)-n < 6 {
+		if len(b)-n < fov.CameraBytes {
 			return e, nil, 0, errCamera
 		}
-		cam = fov.Camera{
-			HalfAngleDeg: float64(binary.LittleEndian.Uint16(b[n:])) / 100,
-			RadiusMeters: float64(binary.LittleEndian.Uint32(b[n+2:])) / 100,
-		}
-		n += 6
+		cam = fov.CameraAt(b[n:])
+		n += fov.CameraBytes
 	}
-	if len(b)-n < 10 {
-		return e, nil, 0, errPose
-	}
-	fixed := b[n : n+10]
-	n += 10
-	start, k := binary.Uvarint(b[n:])
-	if k <= 0 {
-		return e, nil, 0, errStart
+	rep, k := wire.RepAt(b[n:])
+	if k == 0 {
+		return e, nil, 0, errRep
 	}
 	n += k
-	dur, k := binary.Uvarint(b[n:])
-	if k <= 0 || start > math.MaxInt64 || dur > math.MaxInt64-start {
-		return e, nil, 0, errInterval
-	}
-	n += k
-	e = index.Entry{
-		ID:     id,
-		Camera: cam,
-		Rep: segment.Representative{
-			FoV: fov.FoV{
-				P: geo.Point{
-					Lat: float64(int32(binary.LittleEndian.Uint32(fixed[0:]))) / 1e7,
-					Lng: float64(int32(binary.LittleEndian.Uint32(fixed[4:]))) / 1e7,
-				},
-				Theta: float64(binary.LittleEndian.Uint16(fixed[8:])) / 100,
-			},
-			StartMillis: int64(start),
-			EndMillis:   int64(start + dur),
-		},
-	}
+	e = index.Entry{ID: id, Camera: cam, Rep: rep}
 	if err := e.Validate(); err != nil {
 		return index.Entry{}, nil, 0, err
 	}

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"math/rand"
@@ -71,13 +70,14 @@ func TestImageRejectsDuplicateIDs(t *testing.T) {
 	if _, _, err := EncodeSegment(0, entries); err == nil || !strings.Contains(err.Error(), "duplicate id") {
 		t.Fatalf("EncodeSegment = %v, want a duplicate id error", err)
 	}
-	var block bytes.Buffer
+	var block []byte
 	for _, e := range []index.Entry{entries[2], entries[5]} {
-		if err := appendEntry(&block, e); err != nil {
+		var err error
+		if block, err = appendEntry(block, e); err != nil {
 			t.Fatal(err)
 		}
 	}
-	img, _, err := frameSegment(0, 2, block.Bytes())
+	img, _, err := frameSegment(0, 2, block)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,17 +124,16 @@ func newBlockBuilder(fresh []index.Entry) (*blockBuilder, error) {
 	sorted := append([]index.Entry(nil), fresh...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
 	b := &blockBuilder{ids: make([]uint64, len(sorted)), ends: make([]int, len(sorted))}
-	var buf bytes.Buffer
 	for i, e := range sorted {
 		if i > 0 && e.ID == sorted[i-1].ID {
 			return nil, fmt.Errorf("store: encode segment: duplicate id %d", e.ID)
 		}
-		if err := appendEntry(&buf, e); err != nil {
+		var err error
+		if b.fresh, err = appendEntry(b.fresh, e); err != nil {
 			return nil, fmt.Errorf("store: encode segment entry %d: %w", e.ID, err)
 		}
-		b.ids[i], b.ends[i] = e.ID, buf.Len()
+		b.ids[i], b.ends[i] = e.ID, len(b.fresh)
 	}
-	b.fresh = buf.Bytes()
 	return b, nil
 }
 

@@ -149,6 +149,56 @@ func TestAppendRecordRejectsInvalid(t *testing.T) {
 	}
 }
 
+// The store refuses at append what it could not read back: an entry
+// whose camera rounds out of range on the grid, a negative start (the
+// codec's start is a uvarint) or a radius past the codec's uint32
+// centimetres. Each append is refused before a byte is written, the
+// store reopens, and what was appended before reads back intact.
+func TestAppendRefusesWhatItCannotReadBack(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		bad  func(*index.Entry)
+	}{
+		{"half-angle rounds to 90", func(e *index.Entry) { e.Camera.HalfAngleDeg = 89.999 }},
+		{"half-angle rounds to 0", func(e *index.Entry) { e.Camera.HalfAngleDeg = 0.001 }},
+		{"radius rounds to 0", func(e *index.Entry) { e.Camera.RadiusMeters = 0.001 }},
+		{"negative start", func(e *index.Entry) { e.Rep.StartMillis, e.Rep.EndMillis = -5000, -1000 }},
+		{"radius past uint32 cm", func(e *index.Entry) { e.Camera.RadiusMeters = 5e7 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			d := open(t, dir)
+			if err := d.AppendRegister(batch(1, 3, "alice")); err != nil {
+				t.Fatal(err)
+			}
+			size := d.walSize
+			bad := batch(4, 2, "bob")
+			tc.bad(&bad[1])
+			if err := d.AppendRegister(bad); err == nil {
+				t.Fatal("append accepted")
+			}
+			if d.walSize != size {
+				t.Fatalf("the refused append wrote %d bytes", d.walSize-size)
+			}
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			d2 := open(t, dir)
+			defer d2.Close()
+			got := d2.Entries()
+			sort.Slice(got, func(i, j int) bool { return got[i].ID < got[j].ID })
+			if len(got) != 3 {
+				t.Fatalf("reopened store holds %d entries, want 3", len(got))
+			}
+			for i, e := range got {
+				if want := entry(uint64(i+1), "alice").OnGrid(); !reflect.DeepEqual(e, want) {
+					t.Fatalf("entry %d = %+v, want %+v", e.ID, e, want)
+				}
+			}
+		})
+	}
+}
+
 func TestDiskAppendAndRecover(t *testing.T) {
 	dir := t.TempDir()
 	d := open(t, dir)

@@ -89,45 +89,39 @@ func appendRecord(buf *bytes.Buffer, rec Record) error {
 	if len(rec.Trace) > maxTraceBytes {
 		return fmt.Errorf("store: trace id %d bytes exceeds %d", len(rec.Trace), maxTraceBytes)
 	}
-	var payload bytes.Buffer
 	op := rec.Op
 	if rec.Trace != "" {
 		op |= flagTrace
 	}
-	payload.WriteByte(op)
-	var tmp [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		payload.Write(tmp[:n])
-	}
+	payload := append(make([]byte, 0, 16+len(rec.Trace)+48*len(rec.Entries)+8*len(rec.IDs)), op)
 	if rec.Trace != "" {
-		putUvarint(uint64(len(rec.Trace)))
-		payload.WriteString(rec.Trace)
+		payload = append(binary.AppendUvarint(payload, uint64(len(rec.Trace))), rec.Trace...)
 	}
 	switch rec.Op {
 	case opRegister:
-		putUvarint(uint64(len(rec.Entries)))
+		payload = binary.AppendUvarint(payload, uint64(len(rec.Entries)))
 		for i, e := range rec.Entries {
-			if err := appendEntry(&payload, e); err != nil {
+			var err error
+			if payload, err = appendEntry(payload, e); err != nil {
 				return fmt.Errorf("store: record entry %d: %w", i, err)
 			}
 		}
 	case opRemove:
-		putUvarint(uint64(len(rec.IDs)))
+		payload = binary.AppendUvarint(payload, uint64(len(rec.IDs)))
 		for _, id := range rec.IDs {
-			putUvarint(id)
+			payload = binary.AppendUvarint(payload, id)
 		}
 	default:
 		return fmt.Errorf("store: unknown record op %d", rec.Op)
 	}
-	if payload.Len() > maxRecordBytes {
-		return fmt.Errorf("store: record payload %d bytes exceeds limit", payload.Len())
+	if len(payload) > maxRecordBytes {
+		return fmt.Errorf("store: record payload %d bytes exceeds limit", len(payload))
 	}
 	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(payload.Len()))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload.Bytes()))
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
 	buf.Write(hdr[:])
-	buf.Write(payload.Bytes())
+	buf.Write(payload)
 	return nil
 }
 

@@ -2,12 +2,11 @@
 // traffic accounting behind the paper's "networking traffic between the
 // client and the server is negligible" claim.
 //
-// Two codecs are provided. The compact binary codec is what a bandwidth-
-// conscious mobile client would send: fixed-point coordinates (1e-7
-// degree, ~1.1 cm), centidegree azimuths, and varint-delta timestamps —
-// about 20 bytes per video segment, versus megabytes for the segment's
-// pixels. The JSON codec is the debuggable alternative the HTTP API also
-// accepts. Both round-trip exactly at the declared precision.
+// The compact binary codec is what a bandwidth-conscious mobile client
+// sends: positions and azimuths on package fov's grid (1e-7 degree,
+// ~1.1 cm; centidegrees) and varint-delta timestamps — about 20 bytes
+// per video segment, versus megabytes for the segment's pixels. It
+// round-trips a representative on the grid exactly.
 package wire
 
 import (
@@ -19,7 +18,6 @@ import (
 	"math"
 
 	"fovr/internal/fov"
-	"fovr/internal/geo"
 	"fovr/internal/segment"
 )
 
@@ -45,20 +43,11 @@ const (
 	version2 = 2
 )
 
-// maxCameraRadiusMeters bounds the encodable radius (u32 centimeters).
-const maxCameraRadiusMeters = 42_949_672
-
 // Encoding limits; uploads beyond these are malformed.
 const (
 	MaxProviderLen = 256
 	MaxReps        = 1 << 20
 )
-
-// coordinate fixed-point scale: 1e-7 degrees.
-const coordScale = 1e7
-
-// theta fixed-point scale: centidegrees.
-const thetaScale = 100
 
 // EncodeBinary serializes an upload in the compact binary format.
 func EncodeBinary(u Upload) ([]byte, error) {
@@ -68,53 +57,62 @@ func EncodeBinary(u Upload) ([]byte, error) {
 	if len(u.Reps) > MaxReps {
 		return nil, fmt.Errorf("wire: %d reps exceed %d", len(u.Reps), MaxReps)
 	}
-	hasCamera := u.Camera != (fov.Camera{})
-	if hasCamera {
-		if err := u.Camera.Validate(); err != nil {
+	var flags byte
+	if u.Camera != (fov.Camera{}) {
+		if err := u.Camera.ValidOnGrid(); err != nil {
 			return nil, fmt.Errorf("wire: %w", err)
 		}
-		if u.Camera.RadiusMeters > maxCameraRadiusMeters {
-			return nil, fmt.Errorf("wire: camera radius %v exceeds format limit", u.Camera.RadiusMeters)
-		}
+		flags = 1
 	}
-	var buf bytes.Buffer
-	buf.Write(magicPrefix[:])
-	buf.WriteByte(version2)
-	var tmp [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		buf.Write(tmp[:n])
+	b := append(make([]byte, 0, 16+len(u.Provider)+RepWireBytes*len(u.Reps)), magicPrefix[:]...)
+	b = binary.AppendUvarint(append(b, version2), uint64(len(u.Provider)))
+	b = append(append(b, u.Provider...), flags)
+	if flags&1 != 0 {
+		b = fov.AppendCamera(b, u.Camera)
 	}
-	putUvarint(uint64(len(u.Provider)))
-	buf.WriteString(u.Provider)
-	var flags byte
-	if hasCamera {
-		flags |= 1
-	}
-	buf.WriteByte(flags)
-	if hasCamera {
-		var cb [6]byte
-		binary.LittleEndian.PutUint16(cb[0:], uint16(math.Round(u.Camera.HalfAngleDeg*100)))
-		binary.LittleEndian.PutUint32(cb[2:], uint32(math.Round(u.Camera.RadiusMeters*100)))
-		buf.Write(cb[:])
-	}
-	putUvarint(uint64(len(u.Reps)))
+	b = binary.AppendUvarint(b, uint64(len(u.Reps)))
 	for i, r := range u.Reps {
-		if err := r.FoV.Validate(); err != nil {
+		var err error
+		if b, err = AppendRep(b, r); err != nil {
 			return nil, fmt.Errorf("wire: rep %d: %w", i, err)
 		}
-		if r.EndMillis < r.StartMillis || r.StartMillis < 0 {
-			return nil, fmt.Errorf("wire: rep %d: bad interval [%d, %d]", i, r.StartMillis, r.EndMillis)
-		}
-		var fixed [10]byte
-		binary.LittleEndian.PutUint32(fixed[0:], uint32(int32(math.Round(r.FoV.P.Lat*coordScale))))
-		binary.LittleEndian.PutUint32(fixed[4:], uint32(int32(math.Round(r.FoV.P.Lng*coordScale))))
-		binary.LittleEndian.PutUint16(fixed[8:], uint16(math.Round(geo.NormalizeDeg(r.FoV.Theta)*thetaScale))%36000)
-		buf.Write(fixed[:])
-		putUvarint(uint64(r.StartMillis))
-		putUvarint(uint64(r.EndMillis - r.StartMillis))
 	}
-	return buf.Bytes(), nil
+	return b, nil
+}
+
+// AppendRep appends r as an upload and a store entry both frame it —
+// its pose (fov.AppendPose), then its start and its duration as
+// uvarints — refusing an invalid FoV and an interval that is inverted
+// or starts before the epoch. RepAt reads it back.
+func AppendRep(b []byte, r segment.Representative) ([]byte, error) {
+	if err := r.FoV.Validate(); err != nil {
+		return b, err
+	}
+	if r.EndMillis < r.StartMillis || r.StartMillis < 0 {
+		return b, fmt.Errorf("bad interval [%d, %d]", r.StartMillis, r.EndMillis)
+	}
+	b = binary.AppendUvarint(fov.AppendPose(b, r.FoV), uint64(r.StartMillis))
+	return binary.AppendUvarint(b, uint64(r.EndMillis-r.StartMillis)), nil
+}
+
+// RepAt decodes the representative at the start of b and returns the
+// bytes it takes: 0 when b is truncated or the interval overflows. The
+// caller validates its FoV.
+func RepAt(b []byte) (segment.Representative, int) {
+	if len(b) < fov.PoseBytes {
+		return segment.Representative{}, 0
+	}
+	n := fov.PoseBytes
+	start, k := binary.Uvarint(b[n:])
+	if k <= 0 {
+		return segment.Representative{}, 0
+	}
+	n += k
+	dur, k := binary.Uvarint(b[n:])
+	if k <= 0 || start > math.MaxInt64 || dur > math.MaxInt64-start {
+		return segment.Representative{}, 0
+	}
+	return segment.Representative{FoV: fov.PoseAt(b), StartMillis: int64(start), EndMillis: int64(start + dur)}, n + k
 }
 
 // ErrBadMagic reports a payload that is not the binary upload format.
@@ -151,14 +149,11 @@ func DecodeBinary(data []byte) (Upload, error) {
 			return Upload{}, fmt.Errorf("wire: unknown flags %#x", flags)
 		}
 		if flags&1 != 0 {
-			var cb [6]byte
+			var cb [fov.CameraBytes]byte
 			if _, err := io.ReadFull(r, cb[:]); err != nil {
 				return Upload{}, fmt.Errorf("wire: truncated camera: %w", err)
 			}
-			cam = fov.Camera{
-				HalfAngleDeg: float64(binary.LittleEndian.Uint16(cb[0:])) / 100,
-				RadiusMeters: float64(binary.LittleEndian.Uint32(cb[2:])) / 100,
-			}
+			cam = fov.CameraAt(cb[:])
 			if err := cam.Validate(); err != nil {
 				return Upload{}, fmt.Errorf("wire: %w", err)
 			}
@@ -169,37 +164,20 @@ func DecodeBinary(data []byte) (Upload, error) {
 		return Upload{}, fmt.Errorf("wire: bad rep count")
 	}
 	u := Upload{Provider: string(prov), Camera: cam, Reps: make([]segment.Representative, 0, count)}
+	rest := data[len(data)-r.Len():]
 	for i := uint64(0); i < count; i++ {
-		var fixed [10]byte
-		if _, err := io.ReadFull(r, fixed[:]); err != nil {
-			return Upload{}, fmt.Errorf("wire: truncated rep %d: %w", i, err)
-		}
-		lat := float64(int32(binary.LittleEndian.Uint32(fixed[0:]))) / coordScale
-		lng := float64(int32(binary.LittleEndian.Uint32(fixed[4:]))) / coordScale
-		theta := float64(binary.LittleEndian.Uint16(fixed[8:])) / thetaScale
-		start, err := readUvarint()
-		if err != nil {
-			return Upload{}, fmt.Errorf("wire: truncated start %d", i)
-		}
-		dur, err := readUvarint()
-		if err != nil {
-			return Upload{}, fmt.Errorf("wire: truncated duration %d", i)
-		}
-		if start > math.MaxInt64 || dur > math.MaxInt64-start {
-			return Upload{}, fmt.Errorf("wire: interval overflow in rep %d", i)
-		}
-		rep := segment.Representative{
-			FoV:         fovOf(lat, lng, theta),
-			StartMillis: int64(start),
-			EndMillis:   int64(start + dur),
+		rep, n := RepAt(rest)
+		if n == 0 {
+			return Upload{}, fmt.Errorf("wire: rep %d truncated or its interval overflows", i)
 		}
 		if err := rep.FoV.Validate(); err != nil {
 			return Upload{}, fmt.Errorf("wire: rep %d: %w", i, err)
 		}
 		u.Reps = append(u.Reps, rep)
+		rest = rest[n:]
 	}
-	if r.Len() != 0 {
-		return Upload{}, fmt.Errorf("wire: %d trailing bytes", r.Len())
+	if len(rest) != 0 {
+		return Upload{}, fmt.Errorf("wire: %d trailing bytes", len(rest))
 	}
 	return u, nil
 }
@@ -210,7 +188,3 @@ func DecodeBinary(data []byte) (Upload, error) {
 // descriptor-size comparison uses the exact measured size instead; this
 // constant is only a documentation-grade estimate.
 const RepWireBytes = 18
-
-func fovOf(lat, lng, theta float64) fov.FoV {
-	return fov.FoV{P: geo.Point{Lat: lat, Lng: lng}, Theta: theta}
-}
