@@ -155,17 +155,10 @@ func (s *System) Search(q query.Query, n int) ([]query.Ranked, error) {
 }
 
 // Forget removes a segment by id (a provider withdrawing a contribution),
-// reporting whether it was present. The index removes by entry, so the
-// id's entry is found by scanning the published snapshot.
+// reporting whether it was present.
 func (s *System) Forget(id uint64) bool {
-	var gone []index.Entry
-	s.idx.Scan(func(e *index.Entry) bool {
-		if e.ID == id {
-			gone = append(gone, *e)
-		}
-		return gone == nil
-	})
-	return s.idx.RemoveBatch(gone) == 1
+	n, _ := s.idx.RemoveWhere(func(e *index.Entry) bool { return e.ID == id }, nil) // no journal, no error
+	return n == 1
 }
 
 // Len returns the number of indexed segments.

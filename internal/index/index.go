@@ -521,6 +521,51 @@ func (x *RTree) RemoveBatch(entries []Entry) int {
 	return n
 }
 
+// RemoveWhere removes every entry match accepts, under one acquisition
+// of the tree lock and with one publish, and returns how many it
+// removed. A non-nil journal is handed the matching ids first, still
+// under the lock; if it fails, nothing is removed and its error is
+// returned. match is handed the same per-call references as Scan's fn.
+func (x *RTree) RemoveWhere(match func(*Entry) bool, journal func(ids []uint64) error) (int, error) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	var gone []Entry
+	x.Scan(func(e *Entry) bool {
+		if match(e) {
+			gone = append(gone, *e)
+		}
+		return true
+	})
+	if len(gone) == 0 {
+		return 0, nil
+	}
+	if journal != nil {
+		ids := make([]uint64, len(gone))
+		for i := range gone {
+			ids[i] = gone[i].ID
+		}
+		if err := journal(ids); err != nil {
+			return 0, err
+		}
+	}
+	n := x.removeLocked(gone)
+	x.publish()
+	return n, nil
+}
+
+// Providers returns how many entries each provider has in the index:
+// the slots naming each live source row, summed by provider (a
+// provider's over-long entries have rows of their own).
+func (x *RTree) Providers() map[string]int {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	out := make(map[string]int)
+	for k, row := range x.src.index {
+		out[k.Provider] += int(x.src.refs[row])
+	}
+	return out
+}
+
 // removeLocked deletes each entry found by its id and its slot's
 // rectangle; an over-long one must also end where its row does. The
 // removed slot's row loses a slot.

@@ -112,20 +112,21 @@ func (s *Server) ApplyRegister(entries []index.Entry, trace string) error {
 		return fmt.Errorf("server: journal replicated upload: %w", err)
 	}
 	s.mu.Lock()
-	s.creditLocked(entries)
+	s.ratchetIDsLocked(entries)
 	idx := s.idx
 	s.mu.Unlock()
 	if err := idx.InsertBatch(entries); err != nil {
-		s.debit(entries)
 		return fmt.Errorf("server: apply replicated upload: %w", err)
 	}
 	return nil
 }
 
-// ApplyRemove folds one shipped removal record into local state. Ids
-// unknown locally are skipped without error: the leader journals
-// compensating removals for uploads that never reached its index, and a
-// replay may also straddle a checkpoint that already dropped them.
+// ApplyRemove folds one shipped removal record into local state: it
+// journals the ids, then removes the entries it holds of them in one
+// RemoveWhere. Ids unknown locally are skipped without error: the
+// leader journals compensating removals for uploads that never reached
+// its index, and a replay may also straddle a checkpoint that already
+// dropped them.
 func (s *Server) ApplyRemove(ids []uint64, trace string) error {
 	if len(ids) == 0 {
 		return nil
@@ -136,14 +137,11 @@ func (s *Server) ApplyRemove(ids []uint64, trace string) error {
 	}
 	sorted := slices.Clone(ids)
 	slices.Sort(sorted)
-	idx := s.index()
-	gone := entriesWhere(idx, func(e *index.Entry) bool {
+	_, err := s.index().RemoveWhere(func(e *index.Entry) bool {
 		_, ok := slices.BinarySearch(sorted, e.ID)
 		return ok
-	})
-	idx.RemoveBatch(gone)
-	s.debit(gone)
-	return nil
+	}, nil)
+	return err
 }
 
 // keepApplyTrace records a follower-side apply as a retained trace

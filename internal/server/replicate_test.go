@@ -104,8 +104,8 @@ func TestFinishBootstrapKeepsIDBaseFloor(t *testing.T) {
 		if err := bootstrapState(s, tc.state); err != nil {
 			t.Fatal(err)
 		}
-		if got := s.byProvider[tc.state[0].Provider]; got != len(tc.state) || len(s.byProvider) != 1 {
-			t.Fatalf("%s: provider counts %v after a bootstrap of %d entries", tc.name, s.byProvider, len(tc.state))
+		if counts := s.Index().Providers(); counts[tc.state[0].Provider] != len(tc.state) || len(counts) != 1 {
+			t.Fatalf("%s: provider counts %v after a bootstrap of %d entries", tc.name, counts, len(tc.state))
 		}
 		ids, err := s.Register(wire.Upload{Provider: "up", Reps: []segment.Representative{rep(center, 90, 0, 5000)}})
 		if err != nil {

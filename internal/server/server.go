@@ -167,11 +167,10 @@ type Server struct {
 	rollbacks   *obs.Counter  // uploads rolled back mid-insert
 	slowQueries *obs.Counter  // queries at/over SlowQueryThreshold
 
-	mu         sync.Mutex
-	nextID     uint64
-	byProvider map[string]int
-	started    time.Time
-	follower   *replica.Follower // replication status source (read replicas)
+	mu       sync.Mutex
+	nextID   uint64
+	started  time.Time
+	follower *replica.Follower // replication status source (read replicas)
 }
 
 // New constructs a server, or fails on invalid configuration. When the
@@ -204,7 +203,7 @@ func New(cfg Config) (*Server, error) {
 		store:   cfg.Store,
 		started: time.Now(),
 	}
-	s.resetCountsLocked(recovered)
+	s.resetIDsLocked(recovered)
 	// Each retention ring holds the trace store's default 256 traces.
 	s.traces = obs.NewTraceStore(obs.TraceStoreConfig{
 		SlowThreshold: cfg.SlowQueryThreshold,
@@ -282,7 +281,9 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 //
 // An upload is all-or-nothing: the whole batch goes through the index's
 // InsertBatch, which takes the tree lock once and publishes once, and a
-// failure anywhere rolls the journal and the provider count back.
+// failure anywhere journals a compensating removal. An upload with no
+// representatives changes nothing: it assigns no id and journals
+// nothing.
 func (s *Server) Register(u wire.Upload) ([]uint64, error) {
 	return s.RegisterTraced(u, "")
 }
@@ -309,6 +310,9 @@ func (s *Server) RegisterTraced(u wire.Upload, trace string) ([]uint64, error) {
 			}
 		}
 	}
+	if len(u.Reps) == 0 {
+		return []uint64{}, nil
+	}
 	sp := s.spanInsert.Start()
 	defer sp.End()
 	ids := make([]uint64, 0, len(u.Reps))
@@ -316,7 +320,6 @@ func (s *Server) RegisterTraced(u wire.Upload, trace string) ([]uint64, error) {
 	s.mu.Lock()
 	start := s.nextID
 	s.nextID += uint64(len(u.Reps))
-	s.byProvider[u.Provider] += len(u.Reps)
 	idx := s.idx
 	s.mu.Unlock()
 	for i, rep := range u.Reps {
@@ -329,7 +332,6 @@ func (s *Server) RegisterTraced(u wire.Upload, trace string) ([]uint64, error) {
 	// and that removal must not precede this registration in the log —
 	// replaying them out of order would resurrect forgotten entries.
 	if err := s.store.AppendRegisterTraced(entries, trace); err != nil {
-		s.debit(entries)
 		s.rollbacks.Inc()
 		return nil, fmt.Errorf("server: journal upload: %w", err)
 	}
@@ -341,7 +343,6 @@ func (s *Server) RegisterTraced(u wire.Upload, trace string) ([]uint64, error) {
 			s.log.Error("journal rollback failed; store may resurrect a rolled-back upload",
 				"provider", u.Provider, "err", serr)
 		}
-		s.debit(entries)
 		s.rollbacks.Inc()
 		return nil, fmt.Errorf("server: %w", err)
 	}
@@ -371,8 +372,8 @@ func (s *Server) QueryCtx(ctx context.Context, q query.Query, maxResults int) ([
 // Traces exposes the server's tail-sampled trace store.
 func (s *Server) Traces() *obs.TraceStore { return s.traces }
 
-// replaceState swaps in an index rebuilt from entries, with the
-// bookkeeping recounted from the same entries, under the state lock. On
+// replaceState swaps in an index rebuilt from entries, with the id
+// sequence restarted past them, under the state lock. On
 // failure the old index stays in place untouched. The replication
 // bootstrap's FinishBootstrap is its one caller.
 func (s *Server) replaceState(entries []index.Entry) error {
@@ -383,42 +384,24 @@ func (s *Server) replaceState(entries []index.Entry) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.idx = idx
-	s.resetCountsLocked(entries)
+	s.resetIDsLocked(entries)
 	return nil
 }
 
-// resetCountsLocked rebuilds the per-provider counts and the id sequence
-// from entries, the whole state (s.mu held, or s not yet shared): ids
-// continue past both the IDBase floor and every id present.
-func (s *Server) resetCountsLocked(entries []index.Entry) {
-	s.byProvider = make(map[string]int)
+// resetIDsLocked restarts the id sequence for entries, the whole state
+// (s.mu held, or s not yet shared): ids continue past both the IDBase
+// floor and every id present.
+func (s *Server) resetIDsLocked(entries []index.Entry) {
 	s.nextID = s.cfg.IDBase + 1
-	s.creditLocked(entries)
+	s.ratchetIDsLocked(entries)
 }
 
-// creditLocked counts entries into the per-provider counts and ratchets
-// the id sequence past their ids (s.mu held).
-func (s *Server) creditLocked(entries []index.Entry) {
+// ratchetIDsLocked moves the id sequence past every id of entries (s.mu
+// held).
+func (s *Server) ratchetIDsLocked(entries []index.Entry) {
 	for _, e := range entries {
-		s.byProvider[e.Provider]++
 		if e.ID >= s.nextID {
 			s.nextID = e.ID + 1
-		}
-	}
-}
-
-// debit takes entries that left the index, or never reached it, back out
-// of the per-provider counts, dropping a provider whose count reaches
-// zero. Every path that removes entries debits exactly what it removed,
-// so /stats agrees with the index even while uploads are in flight.
-func (s *Server) debit(entries []index.Entry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, e := range entries {
-		if s.byProvider[e.Provider] <= 1 {
-			delete(s.byProvider, e.Provider)
-		} else {
-			s.byProvider[e.Provider]--
 		}
 	}
 }
@@ -799,16 +782,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	s.mu.Lock()
-	providers := make(map[string]int, len(s.byProvider))
-	for k, v := range s.byProvider {
-		providers[k] = v
-	}
-	s.mu.Unlock()
 	idx := s.index()
 	s.respondJSON(w, Stats{
 		Segments:      idx.Len(),
-		Providers:     providers,
+		Providers:     idx.Providers(),
 		IndexHeight:   idx.Height(),
 		BytesIn:       s.traffic.Received(),
 		BytesOut:      s.traffic.Sent(),
@@ -952,45 +929,20 @@ func (s *Server) ListenAndServe(addr string) error {
 // opt-out the paper's privacy motivation implies a deployment must offer.
 // It returns the number of segments removed.
 //
-// Forget journals first, like Register: if the journal refuses the
-// removal, nothing is removed and the error is returned, so a restart
-// can never resurrect entries readers already saw forgotten. Readers
-// see the provider's entries go in one publish.
+// Forget is one RemoveWhere, journal first like Register: the removal
+// is journaled under the index's writer lock, and if the journal refuses
+// it nothing is removed and the error is returned, so a restart can
+// never resurrect entries readers already saw forgotten. Readers see the
+// provider's entries go in one publish.
 func (s *Server) ForgetProvider(provider string) (int, error) {
 	if s.cfg.ReadOnly {
 		return 0, s.readOnlyErr("forget")
 	}
-	idx := s.index()
-	gone := entriesWhere(idx, func(e *index.Entry) bool { return e.Provider == provider })
-	if len(gone) > 0 {
-		ids := make([]uint64, len(gone))
-		for i := range gone {
-			ids[i] = gone[i].ID
-		}
-		if err := s.store.AppendRemove(ids); err != nil {
-			return 0, fmt.Errorf("server: journal forget: %w", err)
-		}
+	removed, err := s.index().RemoveWhere(func(e *index.Entry) bool { return e.Provider == provider }, s.store.AppendRemove)
+	if err != nil {
+		return 0, fmt.Errorf("server: journal forget: %w", err)
 	}
-	removed := idx.RemoveBatch(gone)
-	// Debit what was removed, not the provider's whole count: an upload
-	// from the same provider may be counted but not yet published, and a
-	// concurrent forget may have removed some of gone first. Every entry
-	// of gone has the same provider, so any removed of them debit alike.
-	s.debit(gone[:removed])
 	return removed, nil
-}
-
-// entriesWhere copies out the entries of idx's published snapshot that
-// keep accepts, in one scan.
-func entriesWhere(idx *index.RTree, keep func(*index.Entry) bool) []index.Entry {
-	var out []index.Entry
-	idx.Scan(func(e *index.Entry) bool {
-		if keep(e) {
-			out = append(out, *e)
-		}
-		return true
-	})
-	return out
 }
 
 func (s *Server) handleForget(w http.ResponseWriter, r *http.Request) {
