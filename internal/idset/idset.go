@@ -131,6 +131,20 @@ func (m *Map) Put(id uint64, v int64) {
 	m.n++
 }
 
+// Range calls fn with every id of the map and its value, in unspecified
+// order, until fn returns false. fn must not change the map.
+func (m *Map) Range(fn func(id uint64, v int64) bool) {
+	for k, p := range m.pages {
+		i := 0
+		for mask := p.mask; mask != 0; mask &= mask - 1 {
+			if !fn(k<<6|uint64(bits.TrailingZeros64(mask)), p.vals[i]) {
+				return
+			}
+			i++
+		}
+	}
+}
+
 // Delete takes id out of the map, reporting whether it was present.
 func (m *Map) Delete(id uint64) bool {
 	k, bit := split(id)

@@ -66,6 +66,26 @@ func checkMap(t *testing.T, m *Map, model map[uint64]int64) {
 	if live != len(model) {
 		t.Fatalf("pages hold %d ids, model has %d", live, len(model))
 	}
+	seen := make(map[uint64]bool, len(model))
+	m.Range(func(id uint64, v int64) bool {
+		if want, ok := model[id]; !ok || v != want || seen[id] {
+			t.Fatalf("Range yields id %d with %d (model has %d, %v; seen before %v)", id, v, want, ok, seen[id])
+		}
+		seen[id] = true
+		return true
+	})
+	if len(seen) != len(model) {
+		t.Fatalf("Range yields %d ids, model has %d", len(seen), len(model))
+	}
+	// Early stop: returning false ends the walk at that call.
+	stop, calls := len(model)/2+1, 0
+	m.Range(func(uint64, int64) bool {
+		calls++
+		return calls < stop
+	})
+	if want := min(stop, len(model)); calls != want {
+		t.Fatalf("Range stopping at call %d made %d calls, want %d", stop, calls, want)
+	}
 }
 
 // runOps decodes ops as a sequence of 9-byte operations and runs them

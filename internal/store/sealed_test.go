@@ -107,8 +107,12 @@ func modelEntries(m map[uint64]index.Entry) []index.Entry {
 func referenceSeal(t *testing.T, d *Disk) map[int64][]byte {
 	t.Helper()
 	d.mu.Lock()
+	mem, err := d.memtableAt(d.baseGen, d.walGen, d.walSize, d.mem.Len())
+	if err != nil {
+		t.Fatal(err)
+	}
 	touched := map[int64][]index.Entry{} // window -> its memtable entries
-	for id, e := range d.state {
+	for id, e := range mem {
 		k := d.windowKeyOf(e)
 		touched[k] = append(touched[k], e)
 		if w, ok := d.segIDs.Get(id); ok {
@@ -123,7 +127,6 @@ func referenceSeal(t *testing.T, d *Disk) map[int64][]byte {
 		}
 	}
 	segs := maps.Clone(d.segs)
-	mem := maps.Clone(d.state)
 	d.mu.Unlock()
 	want := make(map[int64][]byte, len(touched))
 	for k, merged := range touched {
@@ -235,7 +238,7 @@ func TestCompactionDifferential(t *testing.T) {
 					}
 					d.mu.Lock()
 					after := maps.Clone(d.segs)
-					st := len(d.state) + d.tombCount
+					st := d.mem.Len() + d.tombCount
 					d.mu.Unlock()
 					if st != 0 {
 						t.Fatalf("step %d: checkpoint left %d memtable entries and tombstones", step, st)
@@ -347,18 +350,10 @@ func settledHeap() uint64 {
 	return ms.HeapAlloc
 }
 
-// TestCheckpointReturnsMemtable pins what a checkpoint gives back with
-// no restart: once it has sealed the memtable the store keeps what a
-// reopened one does, the id→window map (about 9 B a sealed entry), and
-// not the emptied memtable's buckets, which a Go map keeps after its
-// entries are deleted (about 157 B for every entry ingested since the
-// map was made). 40 000 entries arrive in uploads of 20, one checkpoint
-// seals them, and the settled heap is compared with the empty store's.
-func TestCheckpointReturnsMemtable(t *testing.T) {
-	const n = 40_000
-	d := openTiered(t, t.TempDir())
-	defer d.Close()
-	before := settledHeap()
+// appendUploads appends entries 1..n in uploads of 20, across eight
+// windows and 50 providers: the corpus the memtable heap pins share.
+func appendUploads(t *testing.T, d *Disk, n uint64) {
+	t.Helper()
 	for id := uint64(1); id <= n; id += 20 {
 		batch := make([]index.Entry, 0, 20)
 		for j := id; j < id+20; j++ {
@@ -370,9 +365,45 @@ func TestCheckpointReturnsMemtable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := d.TieredStats(); st.MemtableEntries != n {
-		t.Fatalf("before the checkpoint: %+v", st)
+	if st := d.TieredStats(); st.MemtableEntries != int(n) {
+		t.Fatalf("after %d appends: %+v", n, st)
 	}
+}
+
+// TestMemtableNotResident pins what an un-checkpointed entry costs in
+// RAM: its slot in the memtable's id→generation map (an 8-B generation
+// plus a share of its 64-id page, about 9 B), nothing else — the entry
+// itself stays in the log. Keeping the decoded entries in a Go map
+// (about 174 B each) fails it. 40 000 entries arrive in uploads of 20,
+// and the settled heap is compared with the empty store's.
+func TestMemtableNotResident(t *testing.T) {
+	const n = 40_000
+	d := openTiered(t, t.TempDir())
+	defer d.Close()
+	before := settledHeap()
+	appendUploads(t, d, n)
+	after := settledHeap()
+	perEntry := (float64(after) - float64(before)) / n
+	t.Logf("heap with the memtable unsealed: %.1f B per entry", perEntry)
+	if perEntry > 20 {
+		t.Fatalf("the store keeps %.1f B of heap per un-checkpointed entry, want ≤ 20 (the id→generation map only)", perEntry)
+	}
+	runtime.KeepAlive(d)
+}
+
+// TestCheckpointReturnsMemtable pins what a checkpoint gives back with
+// no restart: once it has sealed the memtable the store keeps what a
+// reopened one does, the id→window map (about 9 B a sealed entry), and
+// not the emptied memtable, nor any buckets a Go map would keep after
+// its entries are deleted. The corpus is TestMemtableNotResident's;
+// one checkpoint seals it, and the settled heap is compared with the
+// empty store's.
+func TestCheckpointReturnsMemtable(t *testing.T) {
+	const n = 40_000
+	d := openTiered(t, t.TempDir())
+	defer d.Close()
+	before := settledHeap()
+	appendUploads(t, d, n)
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}

@@ -65,30 +65,22 @@ func stagedFileName(window int64, seq uint64) string {
 	return fmt.Sprintf("staged-%d-%d.fovg", window, seq)
 }
 
-// parseSegmentName inverts segmentFileName (and stagedFileName when
-// staged is true). ok is false for any file that is not a well-formed
-// segment name.
-func parseSegmentName(name string) (window int64, seq uint64, staged, ok bool) {
-	rest := ""
-	switch {
-	case strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".fovg"):
-		rest = strings.TrimSuffix(strings.TrimPrefix(name, "seg-"), ".fovg")
-	case strings.HasPrefix(name, "staged-") && strings.HasSuffix(name, ".fovg"):
-		rest = strings.TrimSuffix(strings.TrimPrefix(name, "staged-"), ".fovg")
-		staged = true
-	default:
-		return 0, 0, false, false
+// isSegmentName reports whether name is a well-formed segmentFileName
+// or stagedFileName.
+func isSegmentName(name string) bool {
+	rest, ok := strings.CutSuffix(name, ".fovg")
+	if !ok {
+		return false
+	}
+	if r, seg := strings.CutPrefix(rest, "seg-"); seg {
+		rest = r
+	} else if rest, ok = strings.CutPrefix(rest, "staged-"); !ok {
+		return false
 	}
 	i := strings.LastIndexByte(rest, '-')
-	if i <= 0 {
-		return 0, 0, false, false
-	}
-	w, err1 := strconv.ParseInt(rest[:i], 10, 64)
-	s, err2 := strconv.ParseUint(rest[i+1:], 10, 64)
-	if err1 != nil || err2 != nil {
-		return 0, 0, false, false
-	}
-	return w, s, staged, true
+	_, errWindow := strconv.ParseInt(rest[:max(i, 0)], 10, 64)
+	_, errSeq := strconv.ParseUint(rest[i+1:], 10, 64)
+	return i > 0 && errWindow == nil && errSeq == nil
 }
 
 // EncodeSegment serializes one window's entries into an image and

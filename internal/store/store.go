@@ -12,11 +12,12 @@
 //     behaves exactly as before this layer existed.
 //   - Disk journals every state change into an append-only WAL
 //     (length-prefixed, CRC-checksummed records; see wal.go) inside a
-//     data directory. A checkpoint seals the mutable rest into immutable
-//     per-window segment files (tiered.go, segfile.go) and moves the
-//     manifest's WAL base past it; recovery reads the manifest, its
-//     segments and the WAL from the manifest's BaseGen on, truncating a
-//     torn final record.
+//     data directory. The log from the manifest's BaseGen on is the
+//     memtable: RAM keeps only its ids. A checkpoint reads the rotated
+//     log, seals it into immutable per-window segment files (tiered.go,
+//     segfile.go) and moves the manifest's WAL base past it; recovery
+//     reads the manifest, its segments and the WAL from the manifest's
+//     BaseGen on, truncating a torn final record.
 //
 // Crash-consistency contract (Disk):
 //
@@ -56,10 +57,10 @@ import (
 	"io"
 	"io/fs"
 	"log/slog"
-	"maps"
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -225,13 +226,13 @@ type Disk struct {
 	segWindowMs int64 // segment window width; immutable after Open
 
 	mu        sync.Mutex
-	state     map[uint64]index.Entry // the memtable: mutable working set
-	segs      map[int64]SegmentMeta  // window key -> live sealed segment
-	segIDs    idset.Map              // live (non-tombstoned) sealed id -> window, in pages of 64 ids
-	tombs     map[uint64][]int64     // removed sealed id -> windows holding dead copies
-	tombCount int                    // total (id, window) tombstone pairs
-	staged    []SegmentMeta          // bootstrap-staged segments, not served
-	baseGen   uint64                 // first WAL generation the state replays
+	mem       idset.Map             // memtable id -> generation of its latest register record
+	segs      map[int64]SegmentMeta // window key -> live sealed segment; written under cpMu too
+	segIDs    idset.Map             // live (non-tombstoned) sealed id -> window, in pages of 64 ids
+	tombs     map[uint64][]int64    // removed sealed id -> windows holding dead copies
+	tombCount int                   // total (id, window) tombstone pairs
+	staged    []SegmentMeta         // bootstrap-staged segments, not served
+	baseGen   uint64                // first WAL generation the state replays
 	wal       *os.File
 	walGen    uint64
 	walSize   int64
@@ -274,19 +275,10 @@ func walName(gen uint64) string { return fmt.Sprintf("wal-%012d.log", gen) }
 // parseGen extracts the generation from a store file name, reporting
 // whether name matches prefix-NNN+suffix.
 func parseGen(name, prefix, suffix string) (uint64, bool) {
-	if len(name) <= len(prefix)+len(suffix) ||
-		name[:len(prefix)] != prefix || name[len(name)-len(suffix):] != suffix {
-		return 0, false
-	}
-	digits := name[len(prefix) : len(name)-len(suffix)]
-	var gen uint64
-	for _, c := range digits {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		gen = gen*10 + uint64(c-'0')
-	}
-	return gen, true
+	digits, okPrefix := strings.CutPrefix(name, prefix)
+	digits, okSuffix := strings.CutSuffix(digits, suffix)
+	gen, err := strconv.ParseUint(digits, 10, 64)
+	return gen, okPrefix && okSuffix && err == nil
 }
 
 // Open opens (creating if needed) the data directory, recovers the
@@ -307,7 +299,6 @@ func Open(opts Options) (*Disk, error) {
 		opts:        opts,
 		log:         opts.Logger,
 		segWindowMs: opts.SegmentWindow.Milliseconds(),
-		state:       make(map[uint64]index.Entry),
 		segs:        make(map[int64]SegmentMeta),
 		tombs:       make(map[uint64][]int64),
 		done:        make(chan struct{}),
@@ -337,53 +328,29 @@ func Open(opts Options) (*Disk, error) {
 		return nil, err
 	}
 	d.recoveryDuration = time.Since(start)
-	d.recoveredEntries = len(d.state) + d.visibleSealedLocked()
+	d.recoveredEntries = d.mem.Len() + d.visibleSealedLocked()
 	// Boot counts as the checkpoint baseline: "checkpoint age" measures
 	// un-checkpointed runtime, not directory age.
 	d.lastCP = time.Now()
 	reg.GaugeFunc("fovr_store_recovery_seconds", func() float64 { return d.recoveryDuration.Seconds() })
 	reg.GaugeFunc("fovr_store_recovered_entries", func() float64 { return float64(d.recoveredEntries) })
-	reg.GaugeFunc("fovr_store_entries", func() float64 {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return float64(len(d.state) + d.visibleSealedLocked())
-	})
-	reg.GaugeFunc("fovr_store_segment_count", func() float64 {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return float64(len(d.segs))
-	})
-	reg.GaugeFunc("fovr_store_segment_bytes", func() float64 {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		var n int64
-		for _, m := range d.segs {
-			n += m.Bytes
-		}
-		return float64(n)
-	})
-	reg.GaugeFunc("fovr_store_segment_entries", func() float64 {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return float64(d.visibleSealedLocked())
-	})
-	reg.GaugeFunc("fovr_store_memtable_entries", func() float64 {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return float64(len(d.state))
-	})
-	// The live log's size and generation: leader and follower lag compare
-	// from /metrics on both sides.
-	reg.GaugeFunc("fovr_wal_size_bytes", func() float64 {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return float64(d.walSize)
-	})
-	reg.GaugeFunc("fovr_wal_generation", func() float64 {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return float64(d.walGen)
-	})
+	// The rest read under d.mu. The live log's size and generation let
+	// leader and follower lag compare from /metrics on both sides.
+	for name, f := range map[string]func() float64{
+		"fovr_store_entries":          func() float64 { return float64(d.mem.Len() + d.visibleSealedLocked()) },
+		"fovr_store_segment_count":    func() float64 { return float64(len(d.segs)) },
+		"fovr_store_segment_bytes":    func() float64 { return float64(d.segmentBytesLocked()) },
+		"fovr_store_segment_entries":  func() float64 { return float64(d.visibleSealedLocked()) },
+		"fovr_store_memtable_entries": func() float64 { return float64(d.mem.Len()) },
+		"fovr_wal_size_bytes":         func() float64 { return float64(d.walSize) },
+		"fovr_wal_generation":         func() float64 { return float64(d.walGen) },
+	} {
+		reg.GaugeFunc(name, func() float64 {
+			d.mu.Lock()
+			defer d.mu.Unlock()
+			return f()
+		})
+	}
 	d.log.Info("store recovered",
 		"dir", opts.Dir, "entries", d.recoveredEntries,
 		"generation", d.walGen, "elapsed", d.recoveryDuration)
@@ -435,60 +402,49 @@ func (d *Disk) recover() error {
 		}
 	}
 	slices.Sort(walGens)
-	for i, gen := range walGens {
-		path := filepath.Join(d.opts.Dir, walName(gen))
-		data, err := os.ReadFile(path)
+	// Resume appending to the newest generation, or start the first one.
+	// The state replays from the oldest generation left, which is the
+	// manifest's BaseGen unless no checkpoint has run.
+	fresh := len(walGens) == 0
+	if fresh {
+		walGens = []uint64{max(d.baseGen, 1)}
+	}
+	d.baseGen, d.walGen = walGens[0], walGens[len(walGens)-1]
+	if !fresh {
+		valid, size, err := d.foldLog(d.baseGen, d.walGen, -1, func(gen uint64, rec Record) {
+			d.apply(gen, rec)
+			d.replayed.Inc()
+		})
 		if err != nil {
-			return fmt.Errorf("store: %w", err)
+			return err
 		}
-		recs, valid, err := DecodeWAL(data)
-		if err != nil {
-			return fmt.Errorf("store: %s: %w", walName(gen), err)
+		for i, n := range valid {
+			d.retired[d.baseGen+uint64(i)] = n
 		}
-		if valid < len(data) {
-			if i != len(walGens)-1 {
-				// Appends only ever tear the newest segment; a short
-				// older one means the directory was damaged.
-				return fmt.Errorf("%w: %s torn at %d with newer segments present",
-					ErrCorrupt, walName(gen), valid)
-			}
+		if d.walSize = valid[len(valid)-1]; d.walSize < size {
+			path := filepath.Join(d.opts.Dir, walName(d.walGen))
 			d.log.Warn("store: truncating torn wal tail",
-				"file", path, "validBytes", valid, "droppedBytes", len(data)-valid)
-			if err := os.Truncate(path, int64(valid)); err != nil {
+				"file", path, "validBytes", d.walSize, "droppedBytes", size-d.walSize)
+			if err := os.Truncate(path, d.walSize); err != nil {
 				return fmt.Errorf("store: truncate torn tail: %w", err)
 			}
 			d.truncated.Inc()
 		}
-		for _, rec := range recs {
-			d.apply(rec)
-		}
-		d.replayed.Add(int64(len(recs)))
-		d.retired[gen] = int64(valid)
-		d.walSize = int64(valid)
 	}
-	// Resume appending to the newest generation, or start the first one.
-	// The state replays from the oldest generation left, which is the
-	// manifest's BaseGen unless no checkpoint has run.
-	gen := max(d.baseGen, 1)
-	if len(walGens) > 0 {
-		d.baseGen, gen = walGens[0], walGens[len(walGens)-1]
-	} else {
-		d.baseGen = gen
-	}
-	f, err := os.OpenFile(filepath.Join(d.opts.Dir, walName(gen)),
+	f, err := os.OpenFile(filepath.Join(d.opts.Dir, walName(d.walGen)),
 		os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if len(walGens) == 0 {
+	if fresh {
 		if err := syncDir(d.opts.Dir); err != nil {
 			f.Close()
 			return err
 		}
 	}
-	d.wal, d.walGen = f, gen
+	d.wal = f
 	// The resumed segment is live, not retired: its size still grows.
-	delete(d.retired, gen)
+	delete(d.retired, d.walGen)
 	os.Remove(filepath.Join(d.opts.Dir, manifestTmpFile))
 	return nil
 }
@@ -563,19 +519,66 @@ func (d *Disk) recoverSegments() error {
 	return nil
 }
 
-// apply folds one replayed record into the state map. Replay is
-// idempotent: a re-registered id overwrites, a missing removal is a
-// no-op — so replay can never fail on what the segments already
-// hold.
-func (d *Disk) apply(rec Record) {
+// foldLog hands fn every record of log generations from..to, in order,
+// with its generation: the one reader of the log, which recovery,
+// ReadEntries and Checkpoint share. The last generation is read up to
+// its first limit bytes (whole when limit < 0), every other one whole.
+// It returns each generation's length in whole records and the length
+// read of the last. Only recovery's whole read of the last may find a
+// torn record, the caller's to truncate; any other tear, or a missing
+// generation, means the directory was damaged.
+func (d *Disk) foldLog(from, to uint64, limit int64, fn func(gen uint64, rec Record)) (valid []int64, size int64, err error) {
+	for gen := from; gen <= to; gen++ {
+		data, err := os.ReadFile(filepath.Join(d.opts.Dir, walName(gen)))
+		if err != nil {
+			return nil, 0, fmt.Errorf("store: %w", err)
+		}
+		if gen == to && limit >= 0 {
+			data = data[:min(int64(len(data)), limit)]
+		}
+		recs, n, err := DecodeWAL(data)
+		if err != nil {
+			return nil, 0, fmt.Errorf("store: %s: %w", walName(gen), err)
+		}
+		if gen != to && n < len(data) || gen == to && limit >= 0 && int64(n) != limit {
+			return nil, 0, fmt.Errorf("%w: %s ends its whole records at %d", ErrCorrupt, walName(gen), n)
+		}
+		for _, rec := range recs {
+			fn(gen, rec)
+		}
+		valid, size = append(valid, int64(n)), int64(len(data))
+	}
+	return valid, size, nil
+}
+
+// memtableAt folds the log from generation base up to (gen, size) into
+// the n entries it leaves registered: the memtable as of that position.
+func (d *Disk) memtableAt(base, gen uint64, size int64, n int) (map[uint64]index.Entry, error) {
+	mem := make(map[uint64]index.Entry, n)
+	_, _, err := d.foldLog(base, gen, size, func(_ uint64, rec Record) {
+		for _, e := range rec.Entries {
+			mem[e.ID] = e
+		}
+		for _, id := range rec.IDs {
+			delete(mem, id)
+		}
+	})
+	return mem, err
+}
+
+// apply folds one record of generation gen into the memtable's ids and
+// the tombstones (d.mu held). Replay is idempotent: a re-registered id
+// takes the newer generation, a missing removal is a no-op — so replay
+// can never fail on what the segments already hold.
+func (d *Disk) apply(gen uint64, rec Record) {
 	switch rec.Op {
 	case opRegister:
 		for _, e := range rec.Entries {
-			d.state[e.ID] = e
+			d.mem.Put(e.ID, int64(gen))
 		}
 	case opRemove:
 		for _, id := range rec.IDs {
-			delete(d.state, id)
+			d.mem.Delete(id)
 			// A removal whose target was sealed must suppress the sealed
 			// copy too — the one rule that makes idempotent replay and
 			// live appends agree under tiering.
@@ -607,10 +610,10 @@ func (d *Disk) AppendRemoveTraced(ids []uint64, trace string) error {
 	return d.append(Record{Op: opRemove, IDs: ids, Trace: trace})
 }
 
-// append journals one record and folds it into the state map. The
-// record hits the page cache before the state map changes, and the
-// state map changes before the append is acknowledged — so a nil
-// return means "recoverable under the configured fsync policy".
+// append journals one record and folds it into the memtable's ids. The
+// record hits the page cache before the ids change, and the ids change
+// before the append is acknowledged — so a nil return means
+// "recoverable under the configured fsync policy".
 func (d *Disk) append(rec Record) error {
 	var buf bytes.Buffer
 	if err := appendRecord(&buf, rec); err != nil {
@@ -640,6 +643,9 @@ func (d *Disk) appendLocked(rec Record, buf *bytes.Buffer) error {
 	d.walSize += int64(buf.Len())
 	d.walBytes.Add(int64(buf.Len()))
 	d.appended++
+	// The ids follow the log's committed size, which a failed sync
+	// below does not take back.
+	d.apply(d.walGen, rec)
 	switch rec.Op {
 	case opRegister:
 		d.recRegister.Inc()
@@ -654,7 +660,6 @@ func (d *Disk) appendLocked(rec Record, buf *bytes.Buffer) error {
 	case FsyncInterval:
 		d.dirty = true
 	}
-	d.apply(rec)
 	d.notifyLocked()
 	return nil
 }
@@ -683,11 +688,11 @@ func (d *Disk) syncLocked() error {
 
 // ReadEntries implements Store: the visible set is the memtable plus
 // every sealed entry that is neither tombstoned nor shadowed by a
-// memtable copy of the same id (visibleEntries). The memtable,
-// tombstones and segment metas are copied under d.mu; the sealed
-// entries are then read from their files with only cpMu held, so
-// appends wait for the copy, not for the file I/O. A file that fails to
-// read fails the call.
+// memtable copy of the same id (visibleEntries). The tombstones, the
+// segment metas and the log cursor are copied under d.mu; the memtable
+// is then folded from the log up to that cursor and the sealed entries
+// read from their files, with only cpMu held, so appends wait for the
+// copy, not for the file I/O. A file that fails to read fails the call.
 func (d *Disk) ReadEntries() ([]index.Entry, error) {
 	d.cpMu.Lock()
 	defer d.cpMu.Unlock()
@@ -696,14 +701,18 @@ func (d *Disk) ReadEntries() ([]index.Entry, error) {
 	for _, m := range d.segs {
 		segs = append(segs, m)
 	}
-	mem := maps.Clone(d.state)
 	dead := make(map[Tombstone]struct{}, d.tombCount)
 	for id, ws := range d.tombs {
 		for _, w := range ws {
 			dead[Tombstone{ID: id, Window: w}] = struct{}{}
 		}
 	}
+	base, gen, size, n := d.baseGen, d.walGen, d.walSize, d.mem.Len()
 	d.mu.Unlock()
+	mem, err := d.memtableAt(base, gen, size, n)
+	if err != nil {
+		return nil, err
+	}
 	return visibleEntries(segs, dead, mem, func(m SegmentMeta, fn func(index.Entry)) error {
 		var names providerNames
 		return d.walkSegmentFile(segmentFileName(m.Window, m.Seq), m, func(e index.Entry, prov, _ []byte) {
@@ -728,7 +737,7 @@ func (d *Disk) Entries() []index.Entry {
 func (d *Disk) Len() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.state) + d.visibleSealedLocked()
+	return d.mem.Len() + d.visibleSealedLocked()
 }
 
 // Durable implements Store.
@@ -829,7 +838,7 @@ type DiskHealth struct {
 func (d *Disk) Health() DiskHealth {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	h := DiskHealth{
+	return DiskHealth{
 		Failed:                  d.failed,
 		Closed:                  d.closed,
 		WALBytes:                d.walSize,
@@ -839,12 +848,9 @@ func (d *Disk) Health() DiskHealth {
 		CheckpointInterval:      d.opts.CheckpointInterval,
 		Fsync:                   d.opts.Fsync,
 		Segments:                len(d.segs),
-		MemtableEntries:         len(d.state),
+		SegmentBytes:            d.segmentBytesLocked(),
+		MemtableEntries:         d.mem.Len(),
 	}
-	for _, m := range d.segs {
-		h.SegmentBytes += m.Bytes
-	}
-	return h
 }
 
 // InjectFault marks the store failed with err, exactly as a real WAL

@@ -554,6 +554,26 @@ func TestMidLogCorruptionRefusesOpen(t *testing.T) {
 	}
 }
 
+// TestMissingGenerationRefusesOpen: the log from the base generation
+// on is the memtable, so a generation missing between two present ones
+// fails Open rather than recovering without its records.
+func TestMissingGenerationRefusesOpen(t *testing.T) {
+	dir := t.TempDir()
+	for gen, e := range map[uint64]index.Entry{1: entry(1, "p"), 3: entry(3, "p")} {
+		var rec bytes.Buffer
+		if err := appendRecord(&rec, Record{Op: opRegister, Entries: []index.Entry{e}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, walName(gen)), rec.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d, err := Open(Options{Dir: dir, CheckpointInterval: -1, Registry: obs.NewRegistry()}); err == nil {
+		d.Close()
+		t.Fatalf("Open with %s missing between %s and %s succeeded", walName(2), walName(1), walName(3))
+	}
+}
+
 // TestOpenRefusesCorruptLiveSegment: once a checkpoint has retired the
 // WAL behind a segment, the file is the only copy of its window, so a
 // damaged one fails Open with ErrCorrupt naming it rather than

@@ -1,10 +1,13 @@
-// The segment tier: everything Disk does beyond the WAL + memtable
-// pair. A checkpoint seals the memtable, every window of it.
+// The segment tier: everything Disk does beyond appending to the log.
+// A checkpoint seals the memtable, every window of it.
 //
-// Data model. The memtable (d.state) holds what was appended since the
-// last checkpoint; everything older lives in immutable segment files
-// (one per time window, segfile.go) named by the manifest
-// (manifest.go). The visible entry set is:
+// Data model. The memtable is the log from the manifest's BaseGen on:
+// what was appended since the last checkpoint. RAM keeps only its ids
+// (d.mem, each with the generation of its latest register record);
+// whoever needs its entries folds them from the log (memtableAt).
+// Everything older lives in immutable segment files (one per time
+// window, segfile.go) named by the manifest (manifest.go). The visible
+// entry set is:
 //
 //	memtable ∪ { sealed entry e in window w :
 //	             no tombstone (e.ID, w) and e.ID not in memtable }
@@ -12,17 +15,18 @@
 // The memtable always shadows a sealed copy of the same ID, and a
 // tombstone suppresses a sealed copy outright (visibleEntries is the one
 // implementation of that rule). WAL replay therefore stays an
-// idempotent fold into the memtable, and correctness lives at read
-// time.
+// idempotent fold, and correctness lives at read time.
 //
-// Checkpoint is the one writer of segments: it merges each affected
-// window's surviving sealed copies with its captured memtable entries
-// into a fresh segment file (sequence+1), commits every window and the
-// new WAL base generation together in RAM, rotates the manifest, then
-// deletes the retired WAL and the superseded files. An entry seals
-// into the window its start falls in, however long it runs, so no entry
-// is memtable-resident past the next checkpoint, and the image cap
-// (maxSegmentBlock) bounds one window, not all unsealed data.
+// Checkpoint is the one writer of segments: it rotates the log, folds
+// the rotated generations — immutable from then on — into each
+// affected window's memtable entries, merges those with the window's
+// surviving sealed copies into a fresh segment file (sequence+1),
+// commits every window and the new WAL base generation together in
+// RAM, rotates the manifest, then deletes the retired WAL and the
+// superseded files. An entry seals into the window its start falls in,
+// however long it runs, so no entry is memtable-resident past the next
+// checkpoint, and the image cap (maxSegmentBlock) bounds one window,
+// not all unsealed data.
 //
 // Residency. A sealed entry lives only in its segment file; in RAM the
 // store keeps each segment's manifest meta and the id→window map
@@ -102,12 +106,22 @@ func (d *Disk) visibleSealedLocked() int {
 		total += m.Count
 	}
 	shadows := 0
-	for id := range d.state {
+	d.mem.Range(func(id uint64, _ int64) bool {
 		if _, ok := d.segIDs.Get(id); ok {
 			shadows++
 		}
-	}
+		return true
+	})
 	return total - d.tombCount - shadows
+}
+
+// segmentBytesLocked sums the live segment files' sizes (d.mu held).
+func (d *Disk) segmentBytesLocked() int64 {
+	var n int64
+	for _, m := range d.segs {
+		n += m.Bytes
+	}
+	return n
 }
 
 // walkSegmentFile reads the segment file name (live or staged) with
@@ -182,13 +196,14 @@ func (d *Disk) manifestDocLocked() manifestDoc {
 }
 
 // windowCapture is one window a checkpoint seals: what it captured
-// under d.mu, and the segment it wrote.
+// under d.mu, the memtable entries it folded from the rotated log, and
+// the segment it wrote.
 type windowCapture struct {
 	window int64
 	old    SegmentMeta // the live segment being superseded, when sealed
 	sealed bool
-	// mem holds the captured memtable entries that seal into the window.
-	mem map[uint64]index.Entry
+	// mem holds the memtable entries that seal into the window.
+	mem []index.Entry
 	// dead holds the ids whose sealed copy in this window the new file
 	// drops: the captured tombstones, and every copy a memtable entry
 	// of the same id shadows, whichever window that entry seals into.
@@ -197,28 +212,31 @@ type windowCapture struct {
 	wrote bool
 }
 
-// captureLocked groups the memtable and the tombstones by the window
-// each affects (d.mu held).
+// captureWindow returns the capture of window k, made on first use
+// beside the live segment it supersedes (cpMu held: d.segs holds still).
+func (d *Disk) captureWindow(caps map[int64]*windowCapture, k int64) *windowCapture {
+	c, ok := caps[k]
+	if !ok {
+		c = &windowCapture{window: k, dead: make(map[uint64]struct{})}
+		c.old, c.sealed = d.segs[k]
+		caps[k] = c
+	}
+	return c
+}
+
+// captureLocked groups the sealed copies the memtable shadows and the
+// tombstones by the window each affects (cpMu and d.mu held).
 func (d *Disk) captureLocked() map[int64]*windowCapture {
 	caps := make(map[int64]*windowCapture)
-	get := func(k int64) *windowCapture {
-		c, ok := caps[k]
-		if !ok {
-			c = &windowCapture{window: k, mem: make(map[uint64]index.Entry), dead: make(map[uint64]struct{})}
-			c.old, c.sealed = d.segs[k]
-			caps[k] = c
-		}
-		return c
-	}
-	for id, e := range d.state {
-		get(d.windowKeyOf(e)).mem[id] = e
+	d.mem.Range(func(id uint64, _ int64) bool {
 		if w, ok := d.segIDs.Get(id); ok {
-			get(w).dead[id] = struct{}{}
+			d.captureWindow(caps, w).dead[id] = struct{}{}
 		}
-	}
+		return true
+	})
 	for id, ws := range d.tombs {
 		for _, w := range ws {
-			get(w).dead[id] = struct{}{}
+			d.captureWindow(caps, w).dead[id] = struct{}{}
 		}
 	}
 	return caps
@@ -229,11 +247,7 @@ func (d *Disk) captureLocked() map[int64]*windowCapture {
 // renames it into place, unreferenced until the commit. The old file
 // is re-verified as it is read; its survivors keep their encoded bytes.
 func (d *Disk) writeWindow(c *windowCapture) error {
-	fresh := make([]index.Entry, 0, len(c.mem))
-	for _, e := range c.mem {
-		fresh = append(fresh, e)
-	}
-	b, err := newBlockBuilder(fresh)
+	b, err := newBlockBuilder(c.mem)
 	if err != nil {
 		return err
 	}
@@ -272,11 +286,12 @@ func (d *Disk) writeWindow(c *windowCapture) error {
 	return nil
 }
 
-// commitWindowLocked swaps one written window into the live set (d.mu
-// held). Appends and removes may have run since the capture; the rules
-// below land every interleaving on the visibility invariant, and the
-// result does not depend on the order windows commit in.
-func (d *Disk) commitWindowLocked(c *windowCapture) {
+// commitWindowLocked swaps one written window, sealed from the log up
+// to generation sealedGen, into the live set (d.mu held). Appends and
+// removes may have run since the capture, all into later generations;
+// the rules below land every interleaving on the visibility invariant,
+// and the result does not depend on the order windows commit in.
+func (d *Disk) commitWindowLocked(c *windowCapture, sealedGen uint64) {
 	if c.wrote {
 		d.segs[c.window] = c.meta
 	} else {
@@ -290,16 +305,17 @@ func (d *Disk) commitWindowLocked(c *windowCapture) {
 			d.segIDs.Delete(id)
 		}
 	}
-	for id, captured := range c.mem {
+	for _, e := range c.mem {
+		id := e.ID
 		d.segIDs.Put(id, c.window)
-		cur, ok := d.state[id]
+		gen, ok := d.mem.Get(id)
 		switch {
 		case !ok:
 			// Removed while we wrote: the remove keeps winning over the
 			// fresh sealed copy.
 			d.addTombLocked(id, c.window)
-		case cur == captured:
-			delete(d.state, id)
+		case uint64(gen) <= sealedGen:
+			d.mem.Delete(id)
 		default:
 			// Re-registered while we wrote: the memtable copy shadows the
 			// sealed one until the next checkpoint.
@@ -308,28 +324,13 @@ func (d *Disk) commitWindowLocked(c *windowCapture) {
 	d.compactions.Inc()
 }
 
-// shrinkMemtableLocked copies the memtable into a freshly made map when
-// a checkpoint's commit left it empty or under a quarter of the
-// captured entries it sealed (d.mu held). A Go map keeps the buckets
-// its peak needed after its entries are deleted, so without the copy a
-// checkpoint would give none of the memtable's heap back until the
-// process restarts.
-func (d *Disk) shrinkMemtableLocked(captured int) {
-	n := len(d.state)
-	if captured == 0 || n > 0 && 4*n >= captured {
-		return
-	}
-	fresh := make(map[uint64]index.Entry, n)
-	for id, e := range d.state {
-		fresh[id] = e
-	}
-	d.state = fresh
-}
-
 // Checkpoint implements Store by sealing: under d.mu it rotates the
-// WAL to G+1 and captures the memtable and tombstones; with no lock
-// held it writes one merged segment per captured window; in one d.mu
-// section it commits every window together with BaseGen = G+1. It then
+// WAL to G+1 and captures the sealed copies the memtable shadows and
+// the tombstones; with no lock held it folds generations BaseGen..G
+// into each window's entries and writes one merged segment per
+// captured window; in one d.mu section it commits every window
+// together with BaseGen = G+1, and takes the records it sealed off the
+// pending count (a failed checkpoint leaves them pending). It then
 // saves the manifest, and only then deletes the WAL below G+1 and the
 // segment files the manifest no longer names. Appends wait for the
 // rotation and the commit, never for segment I/O.
@@ -357,14 +358,15 @@ func (d *Disk) Checkpoint() error {
 		d.cpErrors.Inc()
 		return fmt.Errorf("store: rotate wal: %w", err)
 	}
-	old, oldGen := d.wal, d.walGen
-	d.retired[oldGen] = d.walSize
+	old, oldGen, oldSize, base := d.wal, d.walGen, d.walSize, d.baseGen
+	d.retired[oldGen] = oldSize
 	for g := range d.retired {
 		if g+retiredKeep <= newGen {
 			delete(d.retired, g)
 		}
 	}
-	d.wal, d.walGen, d.walSize, d.dirty, d.appended = f, newGen, 0, false, 0
+	d.wal, d.walGen, d.walSize, d.dirty = f, newGen, 0, false
+	sealing, n := d.appended, d.mem.Len()
 	d.notifyLocked()
 	caps := d.captureLocked()
 	d.mu.Unlock()
@@ -373,18 +375,25 @@ func (d *Disk) Checkpoint() error {
 	// until the manifest naming BaseGen = newGen is.
 	_ = old.Sync()
 	_ = old.Close()
+	mem, err := d.memtableAt(base, oldGen, oldSize, n)
+	if err != nil {
+		d.cpErrors.Inc()
+		return err
+	}
+	for _, e := range mem {
+		c := d.captureWindow(caps, d.windowKeyOf(e))
+		c.mem = append(c.mem, e)
+	}
 	keys := make([]int64, 0, len(caps))
 	for k := range caps {
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
-	entries := 0
 	for _, k := range keys {
 		if err := d.writeWindow(caps[k]); err != nil {
 			d.cpErrors.Inc()
 			return err
 		}
-		entries += len(caps[k].mem)
 	}
 	if err := syncDir(d.opts.Dir); err != nil {
 		d.cpErrors.Inc()
@@ -398,9 +407,9 @@ func (d *Disk) Checkpoint() error {
 		return err
 	}
 	for _, k := range keys {
-		d.commitWindowLocked(caps[k])
+		d.commitWindowLocked(caps[k], oldGen)
 	}
-	d.shrinkMemtableLocked(entries)
+	d.appended -= sealing
 	d.baseGen = newGen
 	doc := d.manifestDocLocked()
 	d.mu.Unlock()
@@ -420,7 +429,7 @@ func (d *Disk) Checkpoint() error {
 	d.checkpoints.Inc()
 	d.cpHist.Observe(time.Since(start).Seconds())
 	d.log.Info("store checkpoint",
-		"windows", len(keys), "entries", entries, "generation", newGen,
+		"windows", len(keys), "entries", len(mem), "generation", newGen,
 		"elapsed", time.Since(start).Round(time.Millisecond))
 	return nil
 }
@@ -447,17 +456,14 @@ type TieredStats struct {
 func (d *Disk) TieredStats() TieredStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	ts := TieredStats{
+	return TieredStats{
 		SegmentWindowMillis: d.segWindowMs,
 		Segments:            len(d.segs),
 		SegmentEntries:      d.visibleSealedLocked(),
-		MemtableEntries:     len(d.state),
+		MemtableEntries:     d.mem.Len(),
 		Tombstones:          d.tombCount,
 		StagedSegments:      len(d.staged),
 		Compactions:         d.compactions.Value(),
+		SegmentBytes:        d.segmentBytesLocked(),
 	}
-	for _, m := range d.segs {
-		ts.SegmentBytes += m.Bytes
-	}
-	return ts
 }

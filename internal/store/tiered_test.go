@@ -617,6 +617,74 @@ func killStride(n int) int {
 	return n / 4096
 }
 
+// TestFailedCheckpointStaysPending fails a checkpoint after its log
+// rotation — a directory squats on the name its segment's tmp file
+// takes — and requires the records it did not seal to stay pending, so
+// that the background loop retries with no further append and seals
+// everything from the base generation, the generation the failed
+// attempt rotated away included.
+func TestFailedCheckpointStaysPending(t *testing.T) {
+	dir := t.TempDir()
+	d := openTiered(t, dir, func(o *Options) { o.CheckpointInterval = 20 * time.Millisecond })
+	defer func() { d.Close() }()
+	squat := filepath.Join(dir, segmentFileName(0, 1)+".tmp")
+	if err := os.Mkdir(squat, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	model := []index.Entry{wentry(1, 0), wentry(2, 0)}
+	for _, e := range model {
+		if err := d.AppendRegister([]index.Entry{e}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Checkpoint(); err == nil {
+		t.Fatal("checkpoint succeeded with its segment's tmp name taken")
+	}
+	h := d.Health()
+	if h.AppendedSinceCheckpoint != 2 || h.MemtableEntries != 2 || h.Generation < 2 {
+		t.Fatalf("after the failed checkpoint: %d records pending, %d memtable entries, generation %d; want 2, 2, ≥ 2",
+			h.AppendedSinceCheckpoint, h.MemtableEntries, h.Generation)
+	}
+	if base := d.ManifestSnapshot().BaseGen; base != 1 {
+		t.Fatalf("a failed checkpoint moved the base generation to %d", base)
+	}
+
+	if err := os.Remove(squat); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for d.Health().AppendedSinceCheckpoint != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no background checkpoint sealed the pending records")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// The read waits on cpMu for the checkpoint to finish deleting the
+	// log it sealed.
+	wantEntries(t, d, model)
+	h = d.Health()
+	if ms := d.ManifestSnapshot(); ms.BaseGen != h.Generation || len(ms.Segments) != 1 {
+		t.Fatalf("retried checkpoint: base generation %d of live %d, %d segments", ms.BaseGen, h.Generation, len(ms.Segments))
+	}
+	if st := d.TieredStats(); st.SegmentEntries != 2 || st.MemtableEntries != 0 {
+		t.Fatalf("retried checkpoint: %+v", st)
+	}
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, de := range des {
+		if g, ok := parseGen(de.Name(), "wal-", ".log"); ok && g != h.Generation {
+			t.Fatalf("%s outlived the checkpoint that sealed it", de.Name())
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d = openTiered(t, dir)
+	wantEntries(t, d, model)
+}
+
 // TestCheckpointManifestKillPoints walks the crash states of a
 // checkpoint that rewrites several windows at once — a sealed window
 // losing a tombstoned copy and a copy that moved away, a first seal,

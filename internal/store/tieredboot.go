@@ -62,15 +62,15 @@ func (d *Disk) ReadSegment(window int64, seq uint64) ([]byte, error) {
 func (d *Disk) HasSegment(window int64, seq uint64, crc uint32) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if seg, ok := d.segs[window]; ok && seg.Seq == seq && seg.CRC == crc {
-		return true
-	}
-	for _, m := range d.staged {
-		if m.Window == window && m.Seq == seq && m.CRC == crc {
-			return true
-		}
-	}
-	return false
+	seg, ok := d.segs[window]
+	return ok && seg.Seq == seq && seg.CRC == crc || stagedHas(d.staged, window, seq, crc)
+}
+
+// stagedHas reports whether staged holds segment (window, seq, crc).
+func stagedHas(staged []SegmentMeta, window int64, seq uint64, crc uint32) bool {
+	return slices.ContainsFunc(staged, func(m SegmentMeta) bool {
+		return m.Window == window && m.Seq == seq && m.CRC == crc
+	})
 }
 
 // verifySegment walks one fetched segment image (walkSegment; fn may be
@@ -117,15 +117,11 @@ func (d *Disk) InstallSegment(meta SegmentMeta, raw []byte) error {
 		d.mu.Unlock()
 		return ErrClosed
 	}
-	replaced := false
-	for i, m := range d.staged {
-		if m.Window == meta.Window && m.Seq == meta.Seq {
-			d.staged[i] = meta
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
+	if i := slices.IndexFunc(d.staged, func(m SegmentMeta) bool {
+		return m.Window == meta.Window && m.Seq == meta.Seq
+	}); i >= 0 {
+		d.staged[i] = meta
+	} else {
 		d.staged = append(d.staged, meta)
 	}
 	doc := d.manifestDocLocked()
@@ -170,14 +166,7 @@ func (d *Disk) finishBootstrap(ms ManifestSnapshot) error {
 		r := resolved{meta: m, ids: make([]uint64, 0, m.Count)}
 		name := segmentFileName(m.Window, m.Seq)
 		if seg, ok := live[m.Window]; !ok || seg.Seq != m.Seq || seg.CRC != m.CRC {
-			found := false
-			for _, sm := range staged {
-				if sm.Window == m.Window && sm.Seq == m.Seq && sm.CRC == m.CRC {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if !stagedHas(staged, m.Window, m.Seq, m.CRC) {
 				return fmt.Errorf("store: finish bootstrap: segment %d/%d neither live nor staged", m.Window, m.Seq)
 			}
 			name, r.fromStage = stagedFileName(m.Window, m.Seq), true
@@ -225,7 +214,7 @@ func (d *Disk) finishBootstrap(ms ManifestSnapshot) error {
 	old := d.wal
 	d.wal, d.walGen, d.walSize, d.dirty, d.appended = f, newGen, 0, false, 0
 	d.retired = make(map[uint64]int64)
-	d.state = make(map[uint64]index.Entry)
+	d.mem = idset.Map{}
 	d.baseGen = newGen
 	d.segs = make(map[int64]SegmentMeta, len(res))
 	d.segIDs = idset.Map{}
@@ -291,7 +280,7 @@ func (d *Disk) removeUnreferencedSegments(doc manifestDoc) {
 			os.Remove(filepath.Join(d.opts.Dir, name))
 			continue
 		}
-		if _, _, _, ok := parseSegmentName(name); !ok {
+		if !isSegmentName(name) {
 			continue
 		}
 		if _, ref := liveRef[name]; !ref {
