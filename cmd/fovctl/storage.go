@@ -25,7 +25,7 @@ func runStorage(c *client.Client) error {
 	fmt.Printf("  sealed:   %d segments, %d entries, %s on disk\n",
 		s.Segments, s.SegmentEntries, topBytes(float64(s.SegmentBytes)))
 	fmt.Printf("  memtable: %d entries\n", s.MemtableEntries)
-	fmt.Printf("  tombstones: %d  staged segments: %d\n", s.Tombstones, s.StagedSegments)
+	fmt.Printf("  tombstones: %d\n", s.Tombstones)
 	fmt.Printf("  window seals: %d total\n", s.Compactions)
 	return nil
 }

@@ -2,8 +2,8 @@
 // sealed segment it does not already hold, swaps them in over an empty
 // memtable, and tails the leader's log from the manifest's BaseGen —
 // the leader's own recovery, done over HTTP. A durable follower
-// persists each installed segment (and records it in its own manifest)
-// before the next fetch begins, so one killed mid-bootstrap — or one
+// persists each installed segment as a staged file before the next
+// fetch begins, so one killed mid-bootstrap — or one
 // re-bootstrapping after it lagged past the leader's log — re-fetches
 // only what it lacks: local durable presence IS the resume cursor;
 // there is no separate progress file to lose.

@@ -1,8 +1,9 @@
 // The manifest is the store's one recovery root: a small JSON document
 // naming every live segment file (with size and CRC so recovery can
-// refuse a damaged one loudly), every bootstrap-staged segment awaiting
-// promotion, every tombstone suppressing a sealed entry that was later
-// removed, and BaseGen, the first WAL generation recovery replays. It
+// refuse a damaged one loudly), every tombstone suppressing a sealed
+// entry that was later removed, and BaseGen, the first WAL generation
+// recovery replays. A follower's staged segments are not in it: each
+// staged file is its own install record (tieredboot.go). It
 // rotates atomically — write manifest.tmp, fsync, rename over manifest,
 // fsync the directory — so a crash at any byte leaves either the old or
 // the new document, never a torn one.
@@ -58,8 +59,6 @@ type Tombstone struct {
 // ManifestSnapshot is the externally visible recovery root: what the
 // replication bootstrap serves. Its segments less its tombstones,
 // folded with the WAL from (BaseGen, 0) on, are the store's state.
-// Staged segments are excluded — they are local bootstrap scaffolding,
-// not served state.
 type ManifestSnapshot struct {
 	Segments   []SegmentMeta `json:"segments"`
 	Tombstones []Tombstone   `json:"tombstones"`
@@ -71,7 +70,6 @@ type ManifestSnapshot struct {
 type manifestDoc struct {
 	Version    int           `json:"version"`
 	Segments   []SegmentMeta `json:"segments"`
-	Staged     []SegmentMeta `json:"staged,omitempty"`
 	Tombstones []Tombstone   `json:"tombstones,omitempty"`
 	BaseGen    uint64        `json:"baseGen,omitempty"`
 }
@@ -81,22 +79,22 @@ type manifestDoc struct {
 // unparsable one is ErrCorrupt — the manifest names data that exists
 // nowhere else once the WAL is truncated, so recovery must not shrug
 // it off.
-func loadManifest(dir string) (manifestDoc, bool, error) {
+func loadManifest(dir string) (manifestDoc, error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestFile))
 	if os.IsNotExist(err) {
-		return manifestDoc{Version: manifestVersion}, false, nil
+		return manifestDoc{Version: manifestVersion}, nil
 	}
 	if err != nil {
-		return manifestDoc{}, false, err
+		return manifestDoc{}, err
 	}
 	var doc manifestDoc
 	if err := json.Unmarshal(data, &doc); err != nil {
-		return manifestDoc{}, false, fmt.Errorf("%w: manifest: %v", ErrCorrupt, err)
+		return manifestDoc{}, fmt.Errorf("%w: manifest: %v", ErrCorrupt, err)
 	}
 	if doc.Version != manifestVersion {
-		return manifestDoc{}, false, fmt.Errorf("%w: manifest version %d unsupported", ErrCorrupt, doc.Version)
+		return manifestDoc{}, fmt.Errorf("%w: manifest version %d unsupported", ErrCorrupt, doc.Version)
 	}
-	return doc, true, nil
+	return doc, nil
 }
 
 // saveManifest rotates dir's manifest atomically: tmp, fsync, rename,

@@ -59,28 +59,20 @@ func segmentFileName(window int64, seq uint64) string {
 	return fmt.Sprintf("seg-%d-%d.fovg", window, seq)
 }
 
-// stagedFileName names a bootstrap-staged segment not yet promoted into
-// the live set.
+// stagedFileName names a segment a bootstrap fetched and has not yet
+// promoted into the live set.
 func stagedFileName(window int64, seq uint64) string {
 	return fmt.Sprintf("staged-%d-%d.fovg", window, seq)
 }
 
-// isSegmentName reports whether name is a well-formed segmentFileName
-// or stagedFileName.
+// isSegmentName reports whether name is a well-formed segmentFileName.
 func isSegmentName(name string) bool {
-	rest, ok := strings.CutSuffix(name, ".fovg")
-	if !ok {
-		return false
-	}
-	if r, seg := strings.CutPrefix(rest, "seg-"); seg {
-		rest = r
-	} else if rest, ok = strings.CutPrefix(rest, "staged-"); !ok {
-		return false
-	}
+	rest, okSuffix := strings.CutSuffix(name, ".fovg")
+	rest, okPrefix := strings.CutPrefix(rest, "seg-")
 	i := strings.LastIndexByte(rest, '-')
 	_, errWindow := strconv.ParseInt(rest[:max(i, 0)], 10, 64)
 	_, errSeq := strconv.ParseUint(rest[i+1:], 10, 64)
-	return i > 0 && errWindow == nil && errSeq == nil
+	return okSuffix && okPrefix && i > 0 && errWindow == nil && errSeq == nil
 }
 
 // EncodeSegment serializes one window's entries into an image and

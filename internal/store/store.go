@@ -40,7 +40,7 @@
 //	wal-NNN.log       — log generation NNN; recovery replays those ≥ BaseGen
 //	manifest          — live segments, tombstones, BaseGen (manifest.go)
 //	seg-W-S.fovg      — sealed time window W, rewrite S (segfile.go)
-//	staged-W-S.fovg   — a follower's fetched segment awaiting its bootstrap
+//	staged-W-S.fovg   — a follower's fetched segment, its own install record
 //	storeid           — persistent random identity (replication; tail.go)
 //
 // A directory written before the segment tier existed (logs, no
@@ -231,7 +231,6 @@ type Disk struct {
 	segIDs    idset.Map             // live (non-tombstoned) sealed id -> window, in pages of 64 ids
 	tombs     map[uint64][]int64    // removed sealed id -> windows holding dead copies
 	tombCount int                   // total (id, window) tombstone pairs
-	staged    []SegmentMeta         // bootstrap-staged segments, not served
 	baseGen   uint64                // first WAL generation the state replays
 	wal       *os.File
 	walGen    uint64
@@ -454,22 +453,14 @@ func (d *Disk) recover() error {
 // verified STRICTLY: once the checkpoint that sealed a segment has
 // retired the WAL behind it, the file is the only copy, so a missing or
 // damaged one must fail Open loudly rather than silently dropping a
-// window. Staged segments (bootstrap scaffolding) are loaded leniently:
-// a bad one is just refetched. Files a crashed checkpoint or bootstrap
-// left unreferenced are swept last.
+// window. Segment files a crashed checkpoint or bootstrap left
+// unreferenced — with no manifest yet, every one: the WAL still holds
+// each record of a first seal — are swept last; staged files stay for
+// the bootstrap that resumes from them.
 func (d *Disk) recoverSegments() error {
-	doc, present, err := loadManifest(d.opts.Dir)
+	doc, err := loadManifest(d.opts.Dir)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
-	}
-	if !present {
-		// Nothing sealed yet (a fresh directory, or one written before
-		// the tier existed). A crash during the very first seal can leave
-		// a segment file (or its torn tmp) with no manifest referencing
-		// it; the WAL still holds every record, so the orphan is
-		// re-derivable.
-		d.removeUnreferencedSegments(manifestDoc{})
-		return nil
 	}
 	d.baseGen = doc.BaseGen
 	// Every live segment is read in full — framing, checksum, every
@@ -488,34 +479,7 @@ func (d *Disk) recoverSegments() error {
 		}
 		d.segs[m.Window] = m
 	}
-	for _, m := range doc.Staged {
-		name := stagedFileName(m.Window, m.Seq)
-		path := filepath.Join(d.opts.Dir, name)
-		if _, err := os.Stat(path); err != nil {
-			// A crashed FinishTieredBootstrap may have promoted the file
-			// already; accept the live-named twin if it still verifies and
-			// no live segment claims that name.
-			alt := segmentFileName(m.Window, m.Seq)
-			if seg, ok := d.segs[m.Window]; !ok || seg.Seq != m.Seq {
-				if rerr := d.walkSegmentFile(alt, m, nil); rerr == nil {
-					if rerr := os.Rename(filepath.Join(d.opts.Dir, alt), path); rerr == nil {
-						d.staged = append(d.staged, m)
-						continue
-					}
-				}
-			}
-			d.log.Warn("store: dropping missing staged segment", "window", m.Window, "seq", m.Seq)
-			continue
-		}
-		if err := d.walkSegmentFile(name, m, nil); err != nil {
-			d.log.Warn("store: dropping damaged staged segment",
-				"window", m.Window, "seq", m.Seq, "err", err)
-			os.Remove(path)
-			continue
-		}
-		d.staged = append(d.staged, m)
-	}
-	d.removeUnreferencedSegments(manifestDoc{Segments: d.manifestDocLocked().Segments, Staged: d.staged})
+	d.removeUnreferencedSegments(doc, false)
 	return nil
 }
 

@@ -274,7 +274,7 @@ func TestCheckpointRotatesAndCleans(t *testing.T) {
 	if st := d.TieredStats(); st.MemtableEntries != 0 || st.SegmentEntries != 19 {
 		t.Fatalf("after checkpoint: %+v, want 19 sealed entries and an empty memtable", st)
 	}
-	doc, _, err := loadManifest(dir)
+	doc, err := loadManifest(dir)
 	if err != nil || doc.BaseGen != 2 {
 		t.Fatalf("manifest base generation %d (err %v), want 2", doc.BaseGen, err)
 	}
@@ -621,7 +621,7 @@ func TestBackgroundCheckpoint(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if doc, _, err := loadManifest(dir); err == nil && doc.BaseGen >= 2 {
+		if doc, err := loadManifest(dir); err == nil && doc.BaseGen >= 2 {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -179,7 +179,6 @@ func (d *Disk) manifestDocLocked() manifestDoc {
 		doc.Segments = append(doc.Segments, m)
 	}
 	sort.Slice(doc.Segments, func(i, j int) bool { return doc.Segments[i].Window < doc.Segments[j].Window })
-	doc.Staged = append(doc.Staged, d.staged...)
 	doc.BaseGen = d.baseGen
 	for id, ws := range d.tombs {
 		for _, w := range ws {
@@ -331,9 +330,10 @@ func (d *Disk) commitWindowLocked(c *windowCapture, sealedGen uint64) {
 // captured window; in one d.mu section it commits every window
 // together with BaseGen = G+1, and takes the records it sealed off the
 // pending count (a failed checkpoint leaves them pending). It then
-// saves the manifest, and only then deletes the WAL below G+1 and the
-// segment files the manifest no longer names. Appends wait for the
-// rotation and the commit, never for segment I/O.
+// saves the manifest, and only then deletes the WAL below G+1, the
+// segment files the manifest no longer names, and any staged file of
+// an unfinished bootstrap. Appends wait for the rotation and the
+// commit, never for segment I/O.
 //
 // A crash anywhere before the manifest rename recovers from the old
 // manifest and the WAL from its BaseGen, which nothing has deleted; a
@@ -344,37 +344,45 @@ func (d *Disk) Checkpoint() error {
 	defer d.cpMu.Unlock()
 	start := time.Now()
 
-	// Rotate and capture.
+	// Rotate and capture. An empty live generation above the base means
+	// an earlier attempt rotated and then failed: seal what it rotated
+	// away, and add no generation.
 	d.mu.Lock()
 	if err := d.usableLocked(); err != nil {
 		d.mu.Unlock()
 		return err
 	}
-	newGen := d.walGen + 1
-	f, err := os.OpenFile(filepath.Join(d.opts.Dir, walName(newGen)),
-		os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
-	if err != nil {
-		d.mu.Unlock()
-		d.cpErrors.Inc()
-		return fmt.Errorf("store: rotate wal: %w", err)
-	}
-	old, oldGen, oldSize, base := d.wal, d.walGen, d.walSize, d.baseGen
-	d.retired[oldGen] = oldSize
-	for g := range d.retired {
-		if g+retiredKeep <= newGen {
-			delete(d.retired, g)
+	var old *os.File
+	if d.walSize != 0 || d.walGen == d.baseGen {
+		f, err := os.OpenFile(filepath.Join(d.opts.Dir, walName(d.walGen+1)),
+			os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
+		if err != nil {
+			d.mu.Unlock()
+			d.cpErrors.Inc()
+			return fmt.Errorf("store: rotate wal: %w", err)
 		}
+		old = d.wal
+		d.retired[d.walGen] = d.walSize
+		for g := range d.retired {
+			if g+retiredKeep <= d.walGen+1 {
+				delete(d.retired, g)
+			}
+		}
+		d.wal, d.walGen, d.walSize, d.dirty = f, d.walGen+1, 0, false
+		d.notifyLocked()
 	}
-	d.wal, d.walGen, d.walSize, d.dirty = f, newGen, 0, false
+	newGen, base := d.walGen, d.baseGen
+	oldGen, oldSize := newGen-1, d.retired[newGen-1]
 	sealing, n := d.appended, d.mem.Len()
-	d.notifyLocked()
 	caps := d.captureLocked()
 	d.mu.Unlock()
 
 	// The old generation stays on disk, and stays the recovery source,
 	// until the manifest naming BaseGen = newGen is.
-	_ = old.Sync()
-	_ = old.Close()
+	if old != nil {
+		_ = old.Sync()
+		_ = old.Close()
+	}
 	mem, err := d.memtableAt(base, oldGen, oldSize, n)
 	if err != nil {
 		d.cpErrors.Inc()
@@ -422,7 +430,7 @@ func (d *Disk) Checkpoint() error {
 		return fmt.Errorf("store: rotate manifest: %w", err)
 	}
 	d.removeObsolete(newGen)
-	d.removeUnreferencedSegments(doc)
+	d.removeUnreferencedSegments(doc, true)
 	d.mu.Lock()
 	d.lastCP = time.Now()
 	d.mu.Unlock()
@@ -446,7 +454,6 @@ type TieredStats struct {
 	SegmentEntries      int   `json:"segmentEntries"`
 	MemtableEntries     int   `json:"memtableEntries"`
 	Tombstones          int   `json:"tombstones"`
-	StagedSegments      int   `json:"stagedSegments"`
 	// Compactions counts window seals: one per window a checkpoint
 	// rewrote.
 	Compactions int64 `json:"compactions"`
@@ -462,7 +469,6 @@ func (d *Disk) TieredStats() TieredStats {
 		SegmentEntries:      d.visibleSealedLocked(),
 		MemtableEntries:     d.mem.Len(),
 		Tombstones:          d.tombCount,
-		StagedSegments:      len(d.staged),
 		Compactions:         d.compactions.Value(),
 		SegmentBytes:        d.segmentBytesLocked(),
 	}

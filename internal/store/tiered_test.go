@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -685,6 +686,62 @@ func TestFailedCheckpointStaysPending(t *testing.T) {
 	wantEntries(t, d, model)
 }
 
+// TestFailingCheckpointRotatesOnce keeps a checkpoint failing — a
+// directory squats on its segment's tmp name — while the background
+// loop retries it every 10 ms, and requires the retries to reuse the
+// generation the first attempt rotated to: the log stays at two files,
+// and a cursor at the base generation stays servable. Once the squat
+// is gone, everything seals and a reopen reads the model back.
+func TestFailingCheckpointRotatesOnce(t *testing.T) {
+	dir := t.TempDir()
+	d := openTiered(t, dir, func(o *Options) { o.CheckpointInterval = 10 * time.Millisecond })
+	defer func() { d.Close() }()
+	squat := filepath.Join(dir, segmentFileName(0, 1)+".tmp")
+	if err := os.Mkdir(squat, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	model := []index.Entry{wentry(1, 0), wentry(2, 0)}
+	if err := d.AppendRegister(model); err != nil {
+		t.Fatal(err)
+	}
+	for end := time.Now().Add(400 * time.Millisecond); time.Now().Before(end); time.Sleep(10 * time.Millisecond) {
+		wals, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(wals) > 2 {
+			t.Fatalf("failing checkpoints left %d log generations: %v", len(wals), wals)
+		}
+		base := d.ManifestSnapshot().BaseGen
+		if _, status, err := d.ReadLog(base, 0); err != nil || status == TailReset {
+			t.Fatalf("ReadLog(%d, 0) = status %d, err %v; the base generation must stay servable", base, status, err)
+		}
+	}
+	if h := d.Health(); h.AppendedSinceCheckpoint != 1 {
+		t.Fatalf("%d records pending while every checkpoint fails, want 1", h.AppendedSinceCheckpoint)
+	}
+
+	if err := os.Remove(squat); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for d.Health().AppendedSinceCheckpoint != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no background checkpoint sealed the pending records")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	wantEntries(t, d, model)
+	if st := d.TieredStats(); st.SegmentEntries != 2 || st.MemtableEntries != 0 {
+		t.Fatalf("retried checkpoint: %+v", st)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d = openTiered(t, dir)
+	wantEntries(t, d, model)
+}
+
 // TestCheckpointManifestKillPoints walks the crash states of a
 // checkpoint that rewrites several windows at once — a sealed window
 // losing a tombstoned copy and a copy that moved away, a first seal,
@@ -783,6 +840,134 @@ func TestCheckpointManifestKillPoints(t *testing.T) {
 	})
 }
 
+// TestFinishBootstrapKillPoints walks the crash states of a follower's
+// FinishBootstrap in the order it writes them — the staged files
+// installed, each promotion rename, the WAL rotation, manifest.tmp (at
+// every byte), the manifest rename, and the old WAL's delete. The
+// follower's own checkpoint already wrote seg-0-1, the name of one of
+// the leader's segments, with other contents, so a promotion onto the
+// leader's name would destroy a file the follower's manifest still
+// names. Every state before the manifest rename must recover the
+// follower's pre-bootstrap set, every state after it the leader's.
+func TestFinishBootstrapKillPoints(t *testing.T) {
+	leader := openTiered(t, t.TempDir())
+	defer leader.Close()
+	if err := leader.AppendRegister([]index.Entry{wentry(1, 0), wentry(2, 0), wentry(3, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := leader.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := leader.AppendRemove([]uint64{2}); err != nil {
+		t.Fatal(err)
+	}
+	ms := leader.ManifestSnapshot()
+	if len(ms.Segments) != 2 || len(ms.Tombstones) != 1 {
+		t.Fatalf("leader manifest %+v", ms)
+	}
+	leaderSet := []index.Entry{wentry(1, 0), wentry(3, 1)}
+
+	// The follower seals its own window 0 at seq 1, keeps one entry in
+	// its memtable, and installs the leader's segments.
+	base := t.TempDir()
+	fol := openTiered(t, base)
+	own := []index.Entry{wentry(100, 0), wentry(101, 0)}
+	if err := fol.AppendRegister(own); err != nil {
+		t.Fatal(err)
+	}
+	if err := fol.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	hot := wentry(102, 2)
+	if err := fol.AppendRegister([]index.Entry{hot}); err != nil {
+		t.Fatal(err)
+	}
+	if seg := fol.ManifestSnapshot().Segments; len(seg) != 1 || seg[0].Seq != ms.Segments[0].Seq ||
+		seg[0].Window != ms.Segments[0].Window || seg[0].CRC == ms.Segments[0].CRC {
+		t.Fatalf("follower segments %+v do not collide with the leader's %+v", seg, ms.Segments[0])
+	}
+	staged := make([]string, len(ms.Segments))
+	for i, m := range ms.Segments {
+		raw, err := leader.ReadSegment(m.Window, m.Seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fol.InstallSegment(m, raw); err != nil {
+			t.Fatal(err)
+		}
+		staged[i] = stagedFileName(m.Window, m.Seq)
+	}
+	if err := fol.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pre := append(append([]index.Entry{}, own...), hot)
+
+	files := harvest(t, base, func(d *Disk) {
+		if _, err := d.FinishBootstrap(ms); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// promoted[i] is the live file staged[i] became, found by window.
+	promoted := make([]string, len(ms.Segments))
+	for name := range files {
+		for i, m := range ms.Segments {
+			if strings.HasPrefix(name, fmt.Sprintf("seg-%d-", m.Window)) {
+				promoted[i] = name
+			}
+		}
+	}
+	for i, name := range append(slices.Clone(promoted), manifestFile, walName(3)) {
+		if _, ok := files[name]; name == "" || !ok {
+			t.Fatalf("finish bootstrap wrote no file %d of the promotions, manifest and wal 3 (wrote %d files)", i, len(files))
+		}
+	}
+	man := files[manifestFile]
+
+	// state returns a copy of base with the first n staged files
+	// promoted, and past them the given files written.
+	state := func(t *testing.T, n int, more map[string][]byte) string {
+		dir := copyDir(t, base)
+		for i := range promoted[:n] {
+			writeFiles(t, dir, map[string][]byte{promoted[i]: files[promoted[i]]})
+			os.Remove(filepath.Join(dir, staged[i]))
+		}
+		writeFiles(t, dir, more)
+		return dir
+	}
+	all := len(promoted)
+	rotated := map[string][]byte{walName(3): nil}
+
+	t.Run("staged-installed", func(t *testing.T) {
+		killVerify(t, state(t, 0, nil), pre)
+	})
+	for i := range promoted {
+		t.Run("promoted/"+promoted[i], func(t *testing.T) {
+			killVerify(t, state(t, i+1, nil), pre)
+		})
+	}
+	t.Run("wal-rotated", func(t *testing.T) {
+		killVerify(t, state(t, all, rotated), pre)
+	})
+	t.Run("manifest-tmp-torn", func(t *testing.T) {
+		for cut := 0; cut <= len(man); cut += killStride(len(man)) {
+			dir := state(t, all, rotated)
+			writeFiles(t, dir, map[string][]byte{manifestTmpFile: man[:cut]})
+			killVerify(t, dir, pre)
+		}
+	})
+	t.Run("manifest-renamed", func(t *testing.T) {
+		dir := state(t, all, rotated)
+		writeFiles(t, dir, map[string][]byte{manifestFile: man})
+		killVerify(t, dir, leaderSet, walName(2), segmentFileName(0, 1))
+	})
+	t.Run("old-wal-deleted", func(t *testing.T) {
+		dir := state(t, all, rotated)
+		writeFiles(t, dir, map[string][]byte{manifestFile: man})
+		os.Remove(filepath.Join(dir, walName(2)))
+		killVerify(t, dir, leaderSet, segmentFileName(0, 1))
+	})
+}
+
 // tailFrom reads leader's log from (gen, 0) until caught up and hands
 // each record to apply — what a follower does after FinishBootstrap.
 func tailFrom(t *testing.T, leader *Disk, gen uint64, apply func(Record)) {
@@ -864,8 +1049,11 @@ func TestInstallSegmentAndFinishBootstrap(t *testing.T) {
 	if ids := sortedIDs(got); !slices.Equal(ids, []uint64{1, 3, 4}) {
 		t.Fatalf("FinishBootstrap returned ids %v, want [1 3 4]", ids)
 	}
-	if st := fol.TieredStats(); st.StagedSegments != 0 || st.Segments != 2 || st.MemtableEntries != 0 {
+	if st := fol.TieredStats(); st.Segments != 2 || st.MemtableEntries != 0 {
 		t.Fatalf("post-bootstrap tier state %+v", st)
+	}
+	if left, _ := filepath.Glob(filepath.Join(fdir, "staged-*")); len(left) != 0 {
+		t.Fatalf("staged files outlived the bootstrap: %v", left)
 	}
 	// The log from the base generation brings the follower to the leader.
 	tailFrom(t, leader, ms.BaseGen, func(rec Record) {
@@ -953,6 +1141,70 @@ func TestInstallSegmentRejectsMismatch(t *testing.T) {
 			t.Fatalf("%T: rejected install left a segment behind", st)
 		}
 	}
+}
+
+// TestBootstrapResumesFromStagedListDirectory opens a follower directory
+// stopped mid-bootstrap by a build whose manifest listed the staged
+// segments: a manifest with a "staged" key beside one staged file. The
+// file alone must resume the bootstrap — HasSegment reports it, and a
+// FinishBootstrap over the leader's manifest fetches only the other
+// segment.
+func TestBootstrapResumesFromStagedListDirectory(t *testing.T) {
+	leader := openTiered(t, t.TempDir())
+	defer leader.Close()
+	if err := leader.AppendRegister([]index.Entry{wentry(1, 0), wentry(2, 0), wentry(3, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := leader.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ms := leader.ManifestSnapshot()
+	if len(ms.Segments) != 2 {
+		t.Fatalf("leader manifest %+v", ms)
+	}
+	m0 := ms.Segments[0]
+	raw0, err := leader.ReadSegment(m0.Window, m0.Seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	man := fmt.Sprintf(`{"version":1,"segments":null,"staged":[{"window":%d,"seq":%d,"count":%d,"bytes":%d,"crc":%d}],"baseGen":1}`+"\n",
+		m0.Window, m0.Seq, m0.Count, m0.Bytes, m0.CRC)
+	writeFiles(t, dir, map[string][]byte{
+		manifestFile:                      []byte(man),
+		walName(1):                        nil,
+		stagedFileName(m0.Window, m0.Seq): raw0,
+	})
+
+	fol := openTiered(t, dir)
+	defer fol.Close()
+	var fetched []SegmentMeta
+	for _, m := range ms.Segments {
+		if fol.HasSegment(m.Window, m.Seq, m.CRC) {
+			continue
+		}
+		raw, err := leader.ReadSegment(m.Window, m.Seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fol.InstallSegment(m, raw); err != nil {
+			t.Fatal(err)
+		}
+		fetched = append(fetched, m)
+	}
+	if !slices.Equal(fetched, ms.Segments[1:]) {
+		t.Fatalf("resumed bootstrap fetched %+v, want only %+v", fetched, ms.Segments[1:])
+	}
+	if _, err := fol.FinishBootstrap(ms); err != nil {
+		t.Fatal(err)
+	}
+	want := leader.Entries()
+	wantEntries(t, fol, want)
+	if err := fol.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fol = openTiered(t, dir)
+	wantEntries(t, fol, want)
 }
 
 // incompressibleEntry returns an entry whose encoding deflate cannot

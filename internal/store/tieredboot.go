@@ -9,12 +9,14 @@
 // log from BaseGen.
 //
 // Follower side, Disk: InstallSegment writes each fetched segment as a
-// STAGED file and rotates the manifest immediately, so local durable
-// presence is the per-segment resume cursor — a follower killed and
-// restarted mid-bootstrap, or re-bootstrapping after it lagged past the
-// leader's log, finds its staged and live segments and skips them
-// (HasSegment). FinishBootstrap promotes the staged set to live, empties
-// the memtable, and rotates WAL + manifest into the leader's history.
+// STAGED file, and that file is the whole install record — no manifest
+// names it — so local durable presence is the per-segment resume cursor:
+// a follower killed and restarted mid-bootstrap, or re-bootstrapping
+// after it lagged past the leader's log, finds its staged and live
+// segments and skips them (HasSegment). FinishBootstrap promotes the
+// staged set to live names no live segment holds, empties the memtable,
+// rotates WAL + manifest into the leader's history, and then deletes
+// every staged file.
 //
 // Follower side, Mem: InstallSegment verifies and decodes each segment
 // into RAM; FinishBootstrap assembles the visible set from them.
@@ -35,8 +37,7 @@ import (
 
 // ManifestSnapshot returns the served recovery root — live segments,
 // tombstones and BaseGen — captured under one d.mu, so the three
-// describe one state. Staged segments are local scaffolding and
-// excluded.
+// describe one state.
 func (d *Disk) ManifestSnapshot() ManifestSnapshot {
 	d.mu.Lock()
 	doc := d.manifestDocLocked()
@@ -58,19 +59,22 @@ func (d *Disk) ReadSegment(window int64, seq uint64) ([]byte, error) {
 }
 
 // HasSegment reports whether (window, seq, crc) is already durable
-// locally — live or staged. The bootstrap skips fetching it then.
+// locally — live, or staged by an earlier install. The bootstrap skips
+// fetching it then. A staged file that exists is whole, since it was
+// renamed into place; finishBootstrap verifies it in full.
 func (d *Disk) HasSegment(window int64, seq uint64, crc uint32) bool {
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	seg, ok := d.segs[window]
-	return ok && seg.Seq == seq && seg.CRC == crc || stagedHas(d.staged, window, seq, crc)
-}
-
-// stagedHas reports whether staged holds segment (window, seq, crc).
-func stagedHas(staged []SegmentMeta, window int64, seq uint64, crc uint32) bool {
-	return slices.ContainsFunc(staged, func(m SegmentMeta) bool {
-		return m.Window == window && m.Seq == seq && m.CRC == crc
-	})
+	d.mu.Unlock()
+	if ok && seg.Seq == seq && seg.CRC == crc {
+		return true
+	}
+	data, done, err := mapFile(filepath.Join(d.opts.Dir, stagedFileName(window, seq)))
+	if err != nil {
+		return false
+	}
+	defer done()
+	return len(data) >= 4 && segTrailerCRC(data) == crc
 }
 
 // verifySegment walks one fetched segment image (walkSegment; fn may be
@@ -89,15 +93,21 @@ func verifySegment(meta SegmentMeta, raw []byte, fn func(e index.Entry, prov, re
 }
 
 // InstallSegment verifies one fetched segment against its advertised
-// meta, writes it as a staged file, and rotates the manifest so the
-// install survives a crash. Serialized on cpMu like every manifest
-// rotation.
+// meta and writes it as a staged file: tmp, fsync, rename, directory
+// fsync. The file is the whole install record — no manifest names it.
+// Serialized on cpMu like every file replacement.
 func (d *Disk) InstallSegment(meta SegmentMeta, raw []byte) error {
 	if err := verifySegment(meta, raw, nil); err != nil {
 		return err
 	}
 	d.cpMu.Lock()
 	defer d.cpMu.Unlock()
+	d.mu.Lock()
+	closed := d.closed
+	d.mu.Unlock()
+	if closed {
+		return ErrClosed
+	}
 	name := stagedFileName(meta.Window, meta.Seq)
 	tmp := filepath.Join(d.opts.Dir, name+".tmp")
 	if err := writeFileSync(tmp, func(w *os.File) error {
@@ -109,24 +119,7 @@ func (d *Disk) InstallSegment(meta SegmentMeta, raw []byte) error {
 	if err := os.Rename(tmp, filepath.Join(d.opts.Dir, name)); err != nil {
 		return fmt.Errorf("store: stage segment: %w", err)
 	}
-	if err := syncDir(d.opts.Dir); err != nil {
-		return err
-	}
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return ErrClosed
-	}
-	if i := slices.IndexFunc(d.staged, func(m SegmentMeta) bool {
-		return m.Window == meta.Window && m.Seq == meta.Seq
-	}); i >= 0 {
-		d.staged[i] = meta
-	} else {
-		d.staged = append(d.staged, meta)
-	}
-	doc := d.manifestDocLocked()
-	d.mu.Unlock()
-	return saveManifest(d.opts.Dir, doc)
+	return syncDir(d.opts.Dir)
 }
 
 // FinishBootstrap promotes the staged segments named by the leader's
@@ -145,13 +138,15 @@ func (d *Disk) finishBootstrap(ms ManifestSnapshot) error {
 	d.cpMu.Lock()
 	defer d.cpMu.Unlock()
 
-	// Resolve every leader segment to a local durable file, verified and
-	// its ids read, before touching any state. cpMu keeps every file in
-	// place; d.mu is held only to copy the live and staged metas.
+	// Resolve every leader segment to a local durable file — live, or
+	// staged by InstallSegment — verified and its ids read, before
+	// touching any state. cpMu keeps every file in place; d.mu is held
+	// only to copy the live metas. A staged file that fails the check is
+	// deleted, so the retry fetches it again.
 	type resolved struct {
-		meta      SegmentMeta
-		ids       []uint64
-		fromStage bool
+		meta   SegmentMeta // as the follower records it
+		ids    []uint64
+		staged string // the staged file to promote, "" when live
 	}
 	res := make([]resolved, 0, len(ms.Segments))
 	d.mu.Lock()
@@ -160,20 +155,26 @@ func (d *Disk) finishBootstrap(ms ManifestSnapshot) error {
 		return ErrClosed
 	}
 	live := maps.Clone(d.segs)
-	staged := append([]SegmentMeta(nil), d.staged...)
 	d.mu.Unlock()
 	for _, m := range ms.Segments {
 		r := resolved{meta: m, ids: make([]uint64, 0, m.Count)}
 		name := segmentFileName(m.Window, m.Seq)
 		if seg, ok := live[m.Window]; !ok || seg.Seq != m.Seq || seg.CRC != m.CRC {
-			if !stagedHas(staged, m.Window, m.Seq, m.CRC) {
-				return fmt.Errorf("store: finish bootstrap: segment %d/%d neither live nor staged", m.Window, m.Seq)
+			r.staged = stagedFileName(m.Window, m.Seq)
+			name = r.staged
+			// Promote to a sequence no live segment holds: the
+			// pre-bootstrap files stay untouched until the manifest that
+			// drops them is on disk.
+			if ok && seg.Seq >= m.Seq {
+				r.meta.Seq = seg.Seq + 1
 			}
-			name, r.fromStage = stagedFileName(m.Window, m.Seq), true
 		}
 		if err := d.walkSegmentFile(name, m, func(e index.Entry, _, _ []byte) {
 			r.ids = append(r.ids, e.ID)
 		}); err != nil {
+			if r.staged != "" {
+				os.Remove(filepath.Join(d.opts.Dir, r.staged))
+			}
 			return fmt.Errorf("store: finish bootstrap: %w", err)
 		}
 		res = append(res, r)
@@ -182,12 +183,11 @@ func (d *Disk) finishBootstrap(ms ManifestSnapshot) error {
 	// Promote staged files to their live names before the manifest that
 	// references them rotates.
 	for _, r := range res {
-		if !r.fromStage {
+		if r.staged == "" {
 			continue
 		}
-		from := filepath.Join(d.opts.Dir, stagedFileName(r.meta.Window, r.meta.Seq))
 		to := filepath.Join(d.opts.Dir, segmentFileName(r.meta.Window, r.meta.Seq))
-		if err := os.Rename(from, to); err != nil {
+		if err := os.Rename(filepath.Join(d.opts.Dir, r.staged), to); err != nil {
 			return fmt.Errorf("store: promote staged segment: %w", err)
 		}
 	}
@@ -220,7 +220,6 @@ func (d *Disk) finishBootstrap(ms ManifestSnapshot) error {
 	d.segIDs = idset.Map{}
 	d.tombs = make(map[uint64][]int64)
 	d.tombCount = 0
-	d.staged = nil
 	for _, t := range ms.Tombstones {
 		d.addTombLocked(t.ID, t.Window)
 	}
@@ -247,7 +246,7 @@ func (d *Disk) finishBootstrap(ms ManifestSnapshot) error {
 		d.cpErrors.Inc()
 		return fmt.Errorf("store: rotate manifest: %w", err)
 	}
-	d.removeUnreferencedSegments(doc)
+	d.removeUnreferencedSegments(doc, true)
 	d.removeObsolete(newGen)
 	d.mu.Lock()
 	d.lastCP = time.Now()
@@ -257,33 +256,27 @@ func (d *Disk) finishBootstrap(ms ManifestSnapshot) error {
 	return nil
 }
 
-// removeUnreferencedSegments deletes every segment-looking file the
-// manifest does not reference — superseded sequences, leftover staged
-// files, torn tmp files.
-func (d *Disk) removeUnreferencedSegments(doc manifestDoc) {
+// removeUnreferencedSegments deletes every segment file the manifest
+// does not reference — superseded sequences, a crashed seal's output —
+// and every torn tmp file; with staged, every staged file too. Recovery
+// keeps the staged files: a bootstrap in flight resumes from them.
+func (d *Disk) removeUnreferencedSegments(doc manifestDoc, staged bool) {
 	names, err := os.ReadDir(d.opts.Dir)
 	if err != nil {
 		return
 	}
-	liveRef := make(map[string]struct{}, len(doc.Segments)+len(doc.Staged))
+	liveRef := make(map[string]struct{}, len(doc.Segments))
 	for _, m := range doc.Segments {
 		liveRef[segmentFileName(m.Window, m.Seq)] = struct{}{}
 	}
-	for _, m := range doc.Staged {
-		liveRef[stagedFileName(m.Window, m.Seq)] = struct{}{}
-	}
 	for _, de := range names {
 		name := de.Name()
-		// Torn tmp files from a crashed segment write: every writer holds
-		// cpMu, as do all sweep callers, so no live tmp can be caught here.
-		if strings.HasSuffix(name, ".fovg.tmp") {
-			os.Remove(filepath.Join(d.opts.Dir, name))
-			continue
-		}
-		if !isSegmentName(name) {
-			continue
-		}
-		if _, ref := liveRef[name]; !ref {
+		_, ref := liveRef[name]
+		// Torn tmp files come from a crashed segment or staged write:
+		// every writer holds cpMu, as do all sweep callers, so no live tmp
+		// can be caught here.
+		if strings.HasSuffix(name, ".fovg.tmp") || isSegmentName(name) && !ref ||
+			staged && strings.HasPrefix(name, "staged-") {
 			os.Remove(filepath.Join(d.opts.Dir, name))
 		}
 	}
