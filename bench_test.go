@@ -5,6 +5,7 @@
 package fovr_test
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -151,15 +152,28 @@ func BenchmarkFig6bIndexInsert(b *testing.B) {
 
 // BenchmarkIngestBatch loads the end-to-end benchmark's corpus into a
 // fresh serving index the way uploads load it: 200 000 hotspot entries,
-// 20 per InsertBatch, one publish each. One op is the whole load.
-func BenchmarkIngestBatch(b *testing.B) {
+// 20 per InsertBatch. No reader looks between batches, so no batch
+// publishes. One op is the whole load.
+func BenchmarkIngestBatch(b *testing.B) { benchIngestBatch(b, false) }
+
+// BenchmarkIngestBatchReadEach is BenchmarkIngestBatch with one Visit
+// around the batch's first entry between batches: a reader looks before
+// every batch, so every batch publishes, as uploads do while reads flow.
+func BenchmarkIngestBatchReadEach(b *testing.B) { benchIngestBatch(b, true) }
+
+func benchIngestBatch(b *testing.B, readEach bool) {
 	const n = 200_000
 	entries := workload.Entries(workload.Config{Seed: 1, Distribution: workload.Hotspot}, n)
+	visit := func(*index.Entry) float64 { return math.Inf(1) }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		idx := index.NewRTree()
 		for j := 0; j < n; j += 20 {
+			if readEach {
+				rep := &entries[j].Rep
+				idx.Visit(geo.RectAround(rep.FoV.P, 10), rep.StartMillis, rep.EndMillis, rep.FoV.P, visit)
+			}
 			if err := idx.InsertBatch(entries[j:min(j+20, n)]); err != nil {
 				b.Fatal(err)
 			}

@@ -323,9 +323,9 @@ func (t *sourceTable) release(row uint32) {
 }
 
 // reclaim copies the table into a fresh array once its dead rows are
-// half of it, clearing them there and freeing them for reuse. The
-// caller publishes the copy only with a snapshot whose slots no longer
-// name them; views published before keep the old array.
+// half of it, clearing them there and freeing them for reuse. The copy
+// is published only with a snapshot whose slots no longer name them;
+// views published before keep the old array.
 func (t *sourceTable) reclaim() {
 	if len(t.dead) == 0 || 2*len(t.dead) < len(t.rows) {
 		return
@@ -348,11 +348,17 @@ type view struct {
 // RTree is the R-tree-backed index of Section V. The zero value is not
 // usable; construct with NewRTree.
 //
-// Writers serialize on mu and publish an immutable snapshot of the tree
-// after every mutation; readers load the snapshot and traverse it with
-// no locks at all, so queries never wait on ingest and never observe a
-// partially applied batch. ids holds every stored id, so a duplicate is
-// refused without a tree walk.
+// Writers serialize on mu; readers load an immutable snapshot of the
+// tree and traverse it with no locks, so they never observe a partially
+// applied batch. A snapshot is frozen only when a reader will see it: a
+// mutation publishes at once when a reader has loaded the view since
+// the last publish (looked), and otherwise marks the view stale and
+// leaves the tree in the writer's generation, so back-to-back uploads
+// with no reader between them clone no root-to-leaf path twice. The
+// first read of a stale view publishes it under mu, waiting at most for
+// the one mutation in flight; a read that finds the view current takes
+// no lock. ids holds every stored id, so a duplicate is refused without
+// a tree walk.
 //
 // The leaves hold slots; the (Provider, Camera) pairs live in the source
 // table, one row per distinct pair the leaves hold (and one per
@@ -362,11 +368,14 @@ type view struct {
 // and a reader loads the view once, so every row a reader meets holds
 // what its slots were stored with.
 type RTree struct {
-	mu   sync.Mutex // writers only; readers load view
+	mu   sync.Mutex // writers, and the read that publishes a stale view
 	tree *rtree.Tree[slot]
 	ids  idset.Set
 	src  sourceTable // writers only
 	view atomic.Pointer[view]
+	// stale: the tree holds completed mutations view does not (written
+	// under mu). looked: a reader has loaded view since the last publish.
+	stale, looked atomic.Bool
 }
 
 // NewRTree returns an empty R-tree index.
@@ -387,10 +396,43 @@ func (x *RTree) slotOf(e *Entry) (slot, error) {
 }
 
 // publish makes the tree's state, and the table it names, what readers
-// load (mu held).
+// load (mu held). The view is stored before stale clears, so a reader
+// that finds the view current loads one holding every completed
+// mutation.
 func (x *RTree) publish() {
-	x.src.reclaim()
+	x.looked.Store(false)
 	x.view.Store(&view{snap: x.tree.Publish(), rows: x.src.rows})
+	x.stale.Store(false)
+}
+
+// commit ends a mutation (mu held): it publishes when a reader has
+// looked since the last publish, and otherwise leaves the view stale
+// for the first read to publish. Either way it reclaims dead source
+// rows: the copy is the writer's alone until a publish shares it.
+func (x *RTree) commit() {
+	x.src.reclaim()
+	if x.looked.Load() {
+		x.publish()
+	} else {
+		x.stale.Store(true)
+	}
+}
+
+// current returns the view every read loads: the published one, after
+// publishing a stale one under mu. Writer-side code under mu must not
+// call it.
+func (x *RTree) current() *view {
+	if x.stale.Load() {
+		x.mu.Lock()
+		if x.stale.Load() {
+			x.publish()
+		}
+		x.mu.Unlock()
+	}
+	if !x.looked.Load() {
+		x.looked.Store(true)
+	}
+	return x.view.Load()
 }
 
 // BulkLoadRTree builds an R-tree index from a complete entry set using
@@ -431,7 +473,7 @@ func (x *RTree) Insert(e Entry) error {
 	if err := x.insertLocked(e); err != nil {
 		return err
 	}
-	x.publish()
+	x.commit()
 	return nil
 }
 
@@ -454,8 +496,8 @@ func (x *RTree) insertLocked(e Entry) error {
 // checked for duplicates, and inserted under a single acquisition of
 // the tree lock. On any failure the already-inserted prefix is removed
 // again, so the batch is all-or-nothing. The whole batch becomes
-// visible to readers in one publish — a reader sees either none of the
-// batch or all of it.
+// visible to readers in one publish (commit) — a reader sees either
+// none of the batch or all of it.
 func (x *RTree) InsertBatch(entries []Entry) error {
 	for i, e := range entries {
 		if err := e.Validate(); err != nil {
@@ -470,7 +512,7 @@ func (x *RTree) InsertBatch(entries []Entry) error {
 			return err
 		}
 	}
-	x.publish()
+	x.commit()
 	return nil
 }
 
@@ -500,42 +542,48 @@ func nearFor(r geo.Rect, center geo.Point) rtree.Near {
 }
 
 // ReadEpoch returns the epoch of the snapshot readers currently see. It
-// increases by exactly 1 per published mutation (insert, batch, remove),
-// which is what the read-correctness suites pin monotonicity against.
+// increases by exactly 1 per publish — one for each mutation while
+// readers look between them, one for a run of mutations no reader saw
+// — which is what the read-correctness suites pin monotonicity against.
 func (x *RTree) ReadEpoch() uint64 {
-	return x.view.Load().snap.Epoch()
+	return x.current().snap.Epoch()
 }
 
 // RemoveBatch implements ServerIndex under one acquisition of the tree
-// lock and with one publish. Each entry is found by its rectangle and
-// id, so it must be as inserted or as read from this index (both round
-// to the stored slot); an entry whose id is not stored, or is stored
-// under another rectangle, is skipped.
+// lock and with at most one publish. Each entry is found by its
+// rectangle and id, so it must be as inserted or as read from this
+// index (both round to the stored slot); an entry whose id is not
+// stored, or is stored under another rectangle, is skipped.
 func (x *RTree) RemoveBatch(entries []Entry) int {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	n := x.removeLocked(entries)
 	if n > 0 {
-		x.publish()
+		x.commit()
 	}
 	return n
 }
 
 // RemoveWhere removes every entry match accepts, under one acquisition
-// of the tree lock and with one publish, and returns how many it
+// of the tree lock and with at most one publish, and returns how many it
 // removed. A non-nil journal is handed the matching ids first, still
 // under the lock; if it fails, nothing is removed and its error is
-// returned. match is handed the same per-call references as Scan's fn.
+// returned. match is handed the same per-call references as Scan's fn,
+// over the writer's own tree and source rows. match and journal run
+// under the lock and must not call x.
 func (x *RTree) RemoveWhere(match func(*Entry) bool, journal func(ids []uint64) error) (int, error) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	var gone []Entry
-	x.Scan(func(e *Entry) bool {
+	w := newWalker(x.src.rows)
+	w.scan = func(e *Entry) bool {
 		if match(e) {
 			gone = append(gone, *e)
 		}
 		return true
-	})
+	}
+	x.tree.Scan(w.onScan)
+	w.release()
 	if len(gone) == 0 {
 		return 0, nil
 	}
@@ -549,7 +597,7 @@ func (x *RTree) RemoveWhere(match func(*Entry) bool, journal func(ids []uint64) 
 		}
 	}
 	n := x.removeLocked(gone)
-	x.publish()
+	x.commit()
 	return n, nil
 }
 
@@ -630,13 +678,18 @@ var walkerPool = sync.Pool{New: func() any {
 	return w
 }}
 
-// read loads the published view into a pooled walker: its snapshot,
-// and the source table every row its slots name is in.
+// read loads the current view into a pooled walker: its snapshot, and
+// the source table every row its slots name is in.
 func (x *RTree) read() (*rtree.Snapshot[slot], *walker) {
-	v := x.view.Load()
+	v := x.current()
+	return v.snap, newWalker(v.rows)
+}
+
+// newWalker returns a pooled walker over the source table rows.
+func newWalker(rows []source) *walker {
 	w := walkerPool.Get().(*walker)
-	w.sources, w.row = v.rows, noRow
-	return v.snap, w
+	w.sources, w.row = rows, noRow
+	return w
 }
 
 // release drops the walker's references and returns it to the pool.
@@ -657,9 +710,9 @@ func (w *walker) entry(s *slot) *Entry {
 	return &w.buf
 }
 
-// Visit implements Index. It walks the published snapshot, taking no
-// locks, steered by the bounds visit answers with; every entry is
-// rebuilt in the one walker buffer.
+// Visit implements Index. It walks the current snapshot, taking no
+// lock unless it publishes a stale view, steered by the bounds visit
+// answers with; every entry is rebuilt in the one walker buffer.
 func (x *RTree) Visit(r geo.Rect, startMillis, endMillis int64, center geo.Point, visit func(*Entry) float64) (nodes, scanned int64) {
 	snap, w := x.read()
 	w.visit, w.from, w.bound = visit, startMillis, math.Inf(1)
@@ -675,15 +728,15 @@ func (x *RTree) Search(r geo.Rect, startMillis, endMillis int64) []Entry {
 
 // Len implements Index.
 func (x *RTree) Len() int {
-	return x.view.Load().snap.Len()
+	return x.current().snap.Len()
 }
 
 // Height exposes the underlying tree height for diagnostics.
 func (x *RTree) Height() int {
-	return x.view.Load().snap.Height()
+	return x.current().snap.Height()
 }
 
-// Scan calls fn with a reference to every entry of the published
+// Scan calls fn with a reference to every entry of the current
 // snapshot, in unspecified order, until fn returns false. Like Visit's,
 // a reference is valid for the call only: a caller that keeps an entry
 // copies it, and must not write through the reference.
@@ -695,7 +748,7 @@ func (x *RTree) Scan(fn func(*Entry) bool) {
 }
 
 // Entries returns a copy of every stored entry, in unspecified order —
-// the input to a snapshot. The copy is taken from the published
+// the input to a snapshot. The copy is taken from the current
 // snapshot, so it is a consistent cut even while writers are active.
 func (x *RTree) Entries() []Entry {
 	out := make([]Entry, 0, x.Len())
@@ -706,9 +759,9 @@ func (x *RTree) Entries() []Entry {
 	return out
 }
 
-// NodeCount returns the published snapshot's node count (diagnostics).
+// NodeCount returns the current snapshot's node count (diagnostics).
 func (x *RTree) NodeCount() int {
-	return x.view.Load().snap.NodeCount()
+	return x.current().snap.NodeCount()
 }
 
 // TreeStats returns the underlying tree's lifetime operation counters
@@ -719,9 +772,10 @@ func (x *RTree) TreeStats() rtree.Stats {
 	return x.tree.Stats()
 }
 
-// CheckInvariants validates the underlying tree structure, the
-// publication contract — after any public mutation returns, the
-// published view holds the current tree state — the id set — exactly
+// CheckInvariants publishes a stale view, then validates the underlying
+// tree structure, the publication contract — after any public mutation
+// returns, the view holds the current tree state or is marked stale —
+// the id set — exactly
 // the ids the leaves hold, each once — and the source table: every
 // slot's row is in the published table and the writer's alike, an
 // over-long slot's row holds an end at least overLong past its start,
@@ -731,6 +785,9 @@ func (x *RTree) TreeStats() rtree.Stats {
 func (x *RTree) CheckInvariants() error {
 	x.mu.Lock()
 	defer x.mu.Unlock()
+	if x.stale.Load() {
+		x.publish()
+	}
 	if err := x.tree.CheckInvariants(); err != nil {
 		return err
 	}

@@ -117,7 +117,7 @@ func TestOverLongIntervalsRoundTrip(t *testing.T) {
 				}
 			}
 			for name, x := range map[string]*RTree{"InsertBatch": inserted, "BulkLoadRTree": bulk} {
-				if n := len(x.view.Load().rows); n != len(want) {
+				if n := len(x.current().rows); n != len(want) {
 					t.Fatalf("%s: %d source rows, want %d", name, n, len(want))
 				}
 				checkOverLongReads(t, name, x, lin, windows)
@@ -204,7 +204,7 @@ func TestRemoveOverLongLooksUpRow(t *testing.T) {
 	if n := x.RemoveBatch([]Entry{other}); n != 0 {
 		t.Fatalf("removed %d entries under an end never stored", n)
 	}
-	if n := len(x.view.Load().rows); n != 1 {
+	if n := len(x.current().rows); n != 1 {
 		t.Fatalf("a removal grew the source table to %d rows", n)
 	}
 	if n := x.RemoveBatch([]Entry{e}); n != 1 || x.Len() != 0 {

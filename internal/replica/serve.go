@@ -160,7 +160,7 @@ func serveWAL(w http.ResponseWriter, src LogSource, data []byte, next Cursor) (S
 
 // serveManifest ships the recovery root as JSON: which segments a
 // bootstrapping follower needs, the tombstones it installs with them,
-// and the BaseGen it tails the log from.
+// the BaseGen it tails the log from, and the id mark it copies.
 func serveManifest(w http.ResponseWriter, src LogSource) (ServeResult, error) {
 	ms := src.ManifestSnapshot()
 	w.Header().Set(HeaderStream, StreamManifest)

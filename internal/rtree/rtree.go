@@ -167,7 +167,7 @@ func (t *Tree[T]) insertItem(r Rect, item T) {
 	path := t.choosePath(r, 1)
 	leaf := path[len(path)-1]
 	t.assertMutable(leaf)
-	leaf.items = append(leaf.items, item)
+	leaf.items = push(leaf.items, item)
 	t.adjustPath(path, r)
 }
 
@@ -178,7 +178,7 @@ func (t *Tree[T]) insertChild(r Rect, child *node[T], level int) {
 	path := t.choosePath(r, level)
 	n := path[len(path)-1]
 	t.assertMutable(n)
-	n.kids = append(n.kids, kid[T]{r, child})
+	n.kids = push(n.kids, kid[T]{r, child})
 	t.adjustPath(path, r)
 }
 
@@ -268,7 +268,7 @@ func (t *Tree[T]) adjustPath(path []*node[T], r Rect) {
 		// Replace n's slot with left, append right.
 		j := slotOf(parent, n)
 		parent.kids[j] = kid[T]{mbr(left, t.bounds), left}
-		parent.kids = append(parent.kids, kid[T]{mbr(right, t.bounds), right})
+		parent.kids = push(parent.kids, kid[T]{mbr(right, t.bounds), right})
 	}
 }
 
@@ -304,6 +304,17 @@ func (t *Tree[T]) slotRects(n *node[T]) []Rect {
 	}
 	t.scratch.rects = rs
 	return rs
+}
+
+// push appends v to a writer-owned slot slice. A full s grows by exactly
+// one slot, never by append's doubling: between two publishes the
+// writer appends to the same node in place, batch after batch, and
+// doubled arrays would stay in the tree as slack.
+func push[S any](s []S, v S) []S {
+	if len(s) == cap(s) {
+		s = append(make([]S, 0, len(s)+1), s...)
+	}
+	return append(s, v)
 }
 
 // pick gathers s[at[0]], s[at[1]], ... into a fresh slice with one spare

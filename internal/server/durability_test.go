@@ -367,3 +367,55 @@ func containsProvider(s *Server, ids []uint64, provider string) bool {
 	}
 	return false
 }
+
+// TestIDsNotReusedAfterRestart: an id once handed out stays spent. a
+// takes ids 1–2 and b id 3; after b is forgotten and the server
+// restarted, c gets 4 — the log still holds b's register record — and
+// after c is forgotten, a checkpoint retires that log and the server
+// restarts again, d gets 5 from the manifest's id mark.
+func TestIDsNotReusedAfterRestart(t *testing.T) {
+	dir := t.TempDir()
+	upload := func(s *Server, provider string, n int) []uint64 {
+		t.Helper()
+		reps := make([]segment.Representative, n)
+		for i := range reps {
+			reps[i] = rep(geo.Offset(center, float64(90*i), 30), 0, int64(i)*10_000, int64(i)*10_000+5_000)
+		}
+		ids, err := s.Register(wire.Upload{Provider: provider, Reps: reps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ids
+	}
+	forget := func(s *Server, provider string) {
+		t.Helper()
+		if n, err := s.ForgetProvider(provider); err != nil || n != 1 {
+			t.Fatalf("forget %s: removed %d, err %v", provider, n, err)
+		}
+	}
+	st := openStore(t, dir)
+	s := durableServer(t, st)
+	if a, b := upload(s, "a", 2), upload(s, "b", 1); !equalIDs(a, []uint64{1, 2}) || !equalIDs(b, []uint64{3}) {
+		t.Fatalf("a got %v and b %v, want [1 2] and [3]", a, b)
+	}
+	forget(s, "b")
+	st.Close()
+
+	st = openStore(t, dir)
+	s = durableServer(t, st)
+	if c := upload(s, "c", 1); !equalIDs(c, []uint64{4}) {
+		t.Fatalf("after forgetting b and a restart, c got %v, want [4]", c)
+	}
+	forget(s, "c")
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	st = openStore(t, dir)
+	defer st.Close()
+	s = durableServer(t, st)
+	if d := upload(s, "d", 1); !equalIDs(d, []uint64{5}) {
+		t.Fatalf("after forgetting c, a checkpoint and a restart, d got %v, want [5]", d)
+	}
+}

@@ -182,7 +182,8 @@ func (s *Server) InstallSegment(meta store.SegmentMeta, raw []byte) error {
 
 // FinishBootstrap implements replica.Applier: swap the installed
 // segments into the store over an empty memtable, then rebuild the
-// serving index from the new visible set. An index rebuild failure after the store's
+// serving index from the new visible set, with the id sequence past the
+// leader's mark. An index rebuild failure after the store's
 // swap is reported so the follower re-bootstraps — a durable store's
 // retry skips every installed segment and only re-runs the swap.
 func (s *Server) FinishBootstrap(m store.ManifestSnapshot) error {
@@ -190,7 +191,7 @@ func (s *Server) FinishBootstrap(m store.ManifestSnapshot) error {
 	if err != nil {
 		return err
 	}
-	return s.replaceState(entries)
+	return s.replaceState(entries, max(m.HighID, s.store.HighID()))
 }
 
 // AttachFollower exposes a running replication follower's status on

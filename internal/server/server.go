@@ -203,7 +203,7 @@ func New(cfg Config) (*Server, error) {
 		store:   cfg.Store,
 		started: time.Now(),
 	}
-	s.resetIDsLocked(recovered)
+	s.resetIDsLocked(recovered, cfg.Store.HighID())
 	// Each retention ring holds the trace store's default 256 traces.
 	s.traces = obs.NewTraceStore(obs.TraceStoreConfig{
 		SlowThreshold: cfg.SlowQueryThreshold,
@@ -373,10 +373,10 @@ func (s *Server) QueryCtx(ctx context.Context, q query.Query, maxResults int) ([
 func (s *Server) Traces() *obs.TraceStore { return s.traces }
 
 // replaceState swaps in an index rebuilt from entries, with the id
-// sequence restarted past them, under the state lock. On
+// sequence restarted past them and past high, under the state lock. On
 // failure the old index stays in place untouched. The replication
 // bootstrap's FinishBootstrap is its one caller.
-func (s *Server) replaceState(entries []index.Entry) error {
+func (s *Server) replaceState(entries []index.Entry, high uint64) error {
 	idx, err := index.BulkLoadRTree(entries)
 	if err != nil {
 		return err
@@ -384,15 +384,17 @@ func (s *Server) replaceState(entries []index.Entry) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.idx = idx
-	s.resetIDsLocked(entries)
+	s.resetIDsLocked(entries, high)
 	return nil
 }
 
 // resetIDsLocked restarts the id sequence for entries, the whole state
-// (s.mu held, or s not yet shared): ids continue past both the IDBase
-// floor and every id present.
-func (s *Server) resetIDsLocked(entries []index.Entry) {
-	s.nextID = s.cfg.IDBase + 1
+// (s.mu held, or s not yet shared): ids continue past the IDBase floor,
+// the store's mark high — the largest id it ever journaled, so an id
+// removed before a restart is not handed out again — and every id
+// present.
+func (s *Server) resetIDsLocked(entries []index.Entry, high uint64) {
+	s.nextID = max(s.cfg.IDBase, high) + 1
 	s.ratchetIDsLocked(entries)
 }
 

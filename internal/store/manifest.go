@@ -1,8 +1,9 @@
 // The manifest is the store's one recovery root: a small JSON document
 // naming every live segment file (with size and CRC so recovery can
 // refuse a damaged one loudly), every tombstone suppressing a sealed
-// entry that was later removed, and BaseGen, the first WAL generation
-// recovery replays. A follower's staged segments are not in it: each
+// entry that was later removed, BaseGen, the first WAL generation
+// recovery replays, and HighID, an id mark no id journaled before
+// BaseGen exceeds. A follower's staged segments are not in it: each
 // staged file is its own install record (tieredboot.go). It
 // rotates atomically — write manifest.tmp, fsync, rename over manifest,
 // fsync the directory — so a crash at any byte leaves either the old or
@@ -58,20 +59,24 @@ type Tombstone struct {
 
 // ManifestSnapshot is the externally visible recovery root: what the
 // replication bootstrap serves. Its segments less its tombstones,
-// folded with the WAL from (BaseGen, 0) on, are the store's state.
+// folded with the WAL from (BaseGen, 0) on, are the store's state;
+// HighID is the store's id mark, which a follower's bootstrap copies.
 type ManifestSnapshot struct {
 	Segments   []SegmentMeta `json:"segments"`
 	Tombstones []Tombstone   `json:"tombstones"`
 	BaseGen    uint64        `json:"baseGen"`
+	HighID     uint64        `json:"highID,omitempty"`
 }
 
 // manifestDoc is the on-disk document. A document without BaseGen (0)
-// replays every WAL generation present.
+// replays every WAL generation present; one without HighID (0) takes
+// its mark from the ids its segments and WAL hold.
 type manifestDoc struct {
 	Version    int           `json:"version"`
 	Segments   []SegmentMeta `json:"segments"`
 	Tombstones []Tombstone   `json:"tombstones,omitempty"`
 	BaseGen    uint64        `json:"baseGen,omitempty"`
+	HighID     uint64        `json:"highID,omitempty"`
 }
 
 // loadManifest reads dir's manifest. A missing file is an empty

@@ -86,6 +86,10 @@ type Store interface {
 	// what the untraced append does.
 	AppendRegisterTraced(entries []index.Entry, trace string) error
 	AppendRemoveTraced(ids []uint64, trace string) error
+	// HighID returns the largest id any register record this store
+	// journaled ever carried, removed or not, so a restarted server
+	// hands out no id twice. Non-durable stores return 0.
+	HighID() uint64
 	// ReadEntries returns the committed state (recovered plus appended),
 	// in unspecified order. Non-durable stores return nil. A durable
 	// store may read files to answer; one it cannot read is an error,
@@ -140,6 +144,7 @@ func (*Mem) AppendRemove([]uint64) error        { return nil }
 func (*Mem) AppendRegisterTraced([]index.Entry, string) error { return nil }
 func (*Mem) AppendRemoveTraced([]uint64, string) error        { return nil }
 func (*Mem) ReadEntries() ([]index.Entry, error)              { return nil, nil }
+func (*Mem) HighID() uint64                                   { return 0 }
 func (*Mem) Checkpoint() error                                { return ErrNotDurable }
 func (*Mem) Durable() bool                                    { return false }
 func (*Mem) Close() error                                     { return nil }
@@ -232,6 +237,7 @@ type Disk struct {
 	tombs     map[uint64][]int64    // removed sealed id -> windows holding dead copies
 	tombCount int                   // total (id, window) tombstone pairs
 	baseGen   uint64                // first WAL generation the state replays
+	highID    uint64                // largest id a register record ever carried
 	wal       *os.File
 	walGen    uint64
 	walSize   int64
@@ -462,15 +468,17 @@ func (d *Disk) recoverSegments() error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	d.baseGen = doc.BaseGen
+	d.baseGen, d.highID = doc.BaseGen, doc.HighID
 	// Every live segment is read in full — framing, checksum, every
 	// entry — to verify it and to map its ids; its entries stay in the
-	// file.
+	// file. Its ids also raise the mark, which a manifest written
+	// before the mark existed lacks.
 	for _, t := range doc.Tombstones {
 		d.addTombLocked(t.ID, t.Window)
 	}
 	for _, m := range doc.Segments {
 		if err := d.walkSegmentFile(segmentFileName(m.Window, m.Seq), m, func(e index.Entry, _, _ []byte) {
+			d.highID = max(d.highID, e.ID)
 			if !d.tombHasLocked(e.ID, m.Window) {
 				d.segIDs.Put(e.ID, m.Window)
 			}
@@ -530,15 +538,16 @@ func (d *Disk) memtableAt(base, gen uint64, size int64, n int) (map[uint64]index
 	return mem, err
 }
 
-// apply folds one record of generation gen into the memtable's ids and
-// the tombstones (d.mu held). Replay is idempotent: a re-registered id
-// takes the newer generation, a missing removal is a no-op — so replay
-// can never fail on what the segments already hold.
+// apply folds one record of generation gen into the memtable's ids,
+// the id mark and the tombstones (d.mu held). Replay is idempotent: a
+// re-registered id takes the newer generation, a missing removal is a
+// no-op — so replay can never fail on what the segments already hold.
 func (d *Disk) apply(gen uint64, rec Record) {
 	switch rec.Op {
 	case opRegister:
 		for _, e := range rec.Entries {
 			d.mem.Put(e.ID, int64(gen))
+			d.highID = max(d.highID, e.ID)
 		}
 	case opRemove:
 		for _, id := range rec.IDs {
@@ -706,6 +715,15 @@ func (d *Disk) Len() int {
 
 // Durable implements Store.
 func (d *Disk) Durable() bool { return true }
+
+// HighID implements Store: the manifest's mark folded with the ids of
+// the live segments and of every register record replayed or appended
+// since.
+func (d *Disk) HighID() uint64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.highID
+}
 
 // usableLocked returns the error a closed or failed store answers a
 // checkpoint or bootstrap with, nil when it is usable (d.mu held).

@@ -179,7 +179,7 @@ func (d *Disk) manifestDocLocked() manifestDoc {
 		doc.Segments = append(doc.Segments, m)
 	}
 	sort.Slice(doc.Segments, func(i, j int) bool { return doc.Segments[i].Window < doc.Segments[j].Window })
-	doc.BaseGen = d.baseGen
+	doc.BaseGen, doc.HighID = d.baseGen, d.highID
 	for id, ws := range d.tombs {
 		for _, w := range ws {
 			doc.Tombstones = append(doc.Tombstones, Tombstone{ID: id, Window: w})

@@ -1355,3 +1355,80 @@ func BenchmarkCheckpoint(b *testing.B) {
 		}
 	}
 }
+
+// TestHighIDMark: the id mark is the largest id any register record
+// carried, removed or not. A checkpoint writes it into the manifest, so
+// it survives the log that held the record; a follower's bootstrap
+// copies the leader's; and a manifest written before the mark existed
+// opens with a mark taken from its segments and log.
+func TestHighIDMark(t *testing.T) {
+	ldir := t.TempDir()
+	leader := openTiered(t, ldir)
+	if leader.HighID() != 0 {
+		t.Fatalf("an empty store's mark is %d", leader.HighID())
+	}
+	if err := leader.AppendRegister([]index.Entry{wentry(1, 0), wentry(2, 0), wentry(9, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := leader.AppendRemove([]uint64{9}); err != nil {
+		t.Fatal(err)
+	}
+	if err := leader.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := leader.AppendRegister([]index.Entry{wentry(3, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	ms := leader.ManifestSnapshot()
+	if leader.HighID() != 9 || ms.HighID != 9 {
+		t.Fatalf("mark %d, served %d; want 9 (the removed id's)", leader.HighID(), ms.HighID)
+	}
+	if err := leader.Close(); err != nil {
+		t.Fatal(err)
+	}
+	leader = openTiered(t, ldir)
+	if leader.HighID() != 9 {
+		t.Fatalf("after a restart the mark is %d, want 9", leader.HighID())
+	}
+
+	fol := openTiered(t, t.TempDir())
+	defer fol.Close()
+	for _, m := range ms.Segments {
+		raw, err := leader.ReadSegment(m.Window, m.Seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fol.InstallSegment(m, raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := fol.FinishBootstrap(ms); err != nil {
+		t.Fatal(err)
+	}
+	if fol.HighID() != 9 {
+		t.Fatalf("a follower's bootstrap left its mark at %d, want the leader's 9", fol.HighID())
+	}
+
+	// Strip the mark from the leader's manifest: the segments hold ids
+	// up to 2 and the log id 3.
+	if err := leader.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(ldir, manifestFile)
+	doc, err := loadManifest(ldir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc.HighID = 0
+	if err := saveManifest(ldir, doc); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(path); err != nil || bytes.Contains(data, []byte("highID")) {
+		t.Fatalf("manifest without a mark: %s, %v", data, err)
+	}
+	leader = openTiered(t, ldir)
+	defer leader.Close()
+	if leader.HighID() != 3 {
+		t.Fatalf("a manifest without a mark opens with mark %d, want 3", leader.HighID())
+	}
+}

@@ -36,13 +36,13 @@ import (
 )
 
 // ManifestSnapshot returns the served recovery root — live segments,
-// tombstones and BaseGen — captured under one d.mu, so the three
-// describe one state.
+// tombstones, BaseGen and the id mark — captured under one d.mu, so
+// they describe one state.
 func (d *Disk) ManifestSnapshot() ManifestSnapshot {
 	d.mu.Lock()
 	doc := d.manifestDocLocked()
 	d.mu.Unlock()
-	return ManifestSnapshot{Segments: doc.Segments, Tombstones: doc.Tombstones, BaseGen: doc.BaseGen}
+	return ManifestSnapshot{Segments: doc.Segments, Tombstones: doc.Tombstones, BaseGen: doc.BaseGen, HighID: doc.HighID}
 }
 
 // ReadSegment returns the verbatim file bytes of the live segment
@@ -216,6 +216,8 @@ func (d *Disk) finishBootstrap(ms ManifestSnapshot) error {
 	d.retired = make(map[uint64]int64)
 	d.mem = idset.Map{}
 	d.baseGen = newGen
+	// The leader's mark, never lowering this directory's own.
+	d.highID = max(d.highID, ms.HighID)
 	d.segs = make(map[int64]SegmentMeta, len(res))
 	d.segIDs = idset.Map{}
 	d.tombs = make(map[uint64][]int64)
