@@ -6,5 +6,6 @@
 //
 // See README.md for the tour, DESIGN.md for the system inventory, and
 // EXPERIMENTS.md for measured results; the implementation lives under
-// internal/ with the end-to-end facade in internal/core.
+// internal/, with the provider side in internal/client and the cloud in
+// internal/server, which answers in process as well as over HTTP.
 package fovr

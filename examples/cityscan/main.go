@@ -18,11 +18,12 @@ import (
 	"log"
 	"time"
 
-	"fovr/internal/core"
+	"fovr/internal/client"
 	"fovr/internal/fov"
 	"fovr/internal/geo"
 	"fovr/internal/query"
 	"fovr/internal/segment"
+	"fovr/internal/server"
 	"fovr/internal/trace"
 	"fovr/internal/wire"
 	"fovr/internal/workload"
@@ -30,9 +31,8 @@ import (
 
 func main() {
 	// Urban sight lines: 100 m radius of view.
-	sys, err := core.NewSystem(core.Config{
-		Camera: fov.Camera{HalfAngleDeg: 30, RadiusMeters: 100},
-	})
+	cam := fov.Camera{HalfAngleDeg: 30, RadiusMeters: 100}
+	srv, err := server.New(server.Config{Camera: cam})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,11 +41,11 @@ func main() {
 	const crowd = 20000
 	entries := workload.Entries(workload.Config{Seed: 9, Distribution: workload.Hotspot}, crowd)
 	for _, e := range entries {
-		if _, err := sys.Ingest(e.Provider, []segment.Representative{e.Rep}); err != nil {
+		if _, err := srv.Register(wire.Upload{Provider: e.Provider, Reps: []segment.Representative{e.Rep}}); err != nil {
 			log.Fatal(err)
 		}
 	}
-	fmt.Printf("cloud index holds %d segments from the crowd\n", sys.Len())
+	fmt.Printf("cloud index holds %d segments from the crowd\n", srv.Index().Len())
 
 	// The incident: 14:00:00 city time at a spot near the center.
 	scene := geo.Offset(workload.DefaultConfig.Center, 45, 800)
@@ -69,7 +69,14 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ids, err := sys.Contribute(w.name, samples)
+		sess, err := client.NewCaptureSession(w.name, segment.Config{Camera: cam, Threshold: 0.5})
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := sess.PushAll(samples); err != nil {
+			log.Fatal(err)
+		}
+		ids, err := srv.Register(sess.Stop())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -79,7 +86,7 @@ func main() {
 
 	// Investigators query: who saw the scene within ±2 minutes?
 	begin := time.Now()
-	hits, err := sys.Search(query.Query{
+	hits, err := srv.Query(query.Query{
 		StartMillis:  incidentMs - 120_000,
 		EndMillis:    incidentMs + 120_000,
 		Center:       scene,
@@ -90,7 +97,7 @@ func main() {
 	}
 	elapsed := time.Since(begin)
 
-	fmt.Printf("\ninvestigation query answered in %v over %d indexed segments:\n", elapsed, sys.Len())
+	fmt.Printf("\ninvestigation query answered in %v over %d indexed segments:\n", elapsed, srv.Index().Len())
 	for i, h := range hits {
 		fmt.Printf("%2d. %s — segment %d, camera %.1f m from the scene facing %.0f°\n",
 			i+1, h.Entry.Provider, h.Entry.ID, h.DistanceMeters, h.Entry.Rep.FoV.Theta)

@@ -14,24 +14,36 @@ import (
 	"fmt"
 	"log"
 
-	"fovr/internal/core"
+	"fovr/internal/client"
+	"fovr/internal/fov"
 	"fovr/internal/geo"
 	"fovr/internal/query"
+	"fovr/internal/segment"
+	"fovr/internal/server"
 	"fovr/internal/trace"
 )
 
 func main() {
-	sys, err := core.NewSystem(core.Config{})
+	// The cloud, in process: the index and the ranker behind the HTTP API.
+	srv, err := server.New(server.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// 1. Capture: 60 s of walking north filming ahead, 10 Hz sensors.
+	// 1. Capture: 60 s of walking north filming ahead, 10 Hz sensors,
+	// segmented on the device and registered as one upload.
 	samples, err := trace.WalkAhead(trace.DefaultConfig)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ids, err := sys.Contribute("alice", samples)
+	sess, err := client.NewCaptureSession("alice", segment.Config{Camera: fov.DefaultCamera, Threshold: 0.5})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := sess.PushAll(samples); err != nil {
+		log.Fatal(err)
+	}
+	ids, err := srv.Register(sess.Stop())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -39,7 +51,7 @@ func main() {
 
 	// 2. Query: who filmed the spot 80 m up the street during that minute?
 	target := geo.Offset(trace.ScenarioOrigin, 0, 80)
-	hits, err := sys.Search(query.Query{
+	hits, err := srv.Query(query.Query{
 		StartMillis:  0,
 		EndMillis:    60_000,
 		Center:       target,

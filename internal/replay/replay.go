@@ -13,12 +13,13 @@ import (
 	"sort"
 	"time"
 
-	"fovr/internal/core"
+	"fovr/internal/client"
 	"fovr/internal/fov"
 	"fovr/internal/geo"
 	"fovr/internal/obs"
 	"fovr/internal/query"
 	"fovr/internal/segment"
+	"fovr/internal/server"
 	"fovr/internal/trace"
 	"fovr/internal/wire"
 )
@@ -113,18 +114,17 @@ type Metrics struct {
 	QueryMax     time.Duration
 }
 
-// Run executes the simulation against a fresh System and returns the
-// measured metrics.
-func Run(cfg Config) (Metrics, *core.System, error) {
+// Run executes the simulation against a fresh in-memory Server and
+// returns the measured metrics.
+func Run(cfg Config) (Metrics, *server.Server, error) {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	sys, err := core.NewSystem(core.Config{
-		Camera:       fov.Camera{HalfAngleDeg: 30, RadiusMeters: 100},
-		CircularMean: true,
-	})
+	cam := fov.Camera{HalfAngleDeg: 30, RadiusMeters: 100}
+	srv, err := server.New(server.Config{Camera: cam})
 	if err != nil {
 		return Metrics{}, nil, err
 	}
+	segCfg := segment.Config{Camera: cam, Threshold: 0.5, CircularMean: true}
 
 	var m Metrics
 	m.Providers = cfg.Providers
@@ -150,21 +150,26 @@ func Run(cfg Config) (Metrics, *core.System, error) {
 
 		// The client path: stream through the real-time segmenter.
 		segmentStart := time.Now()
-		results, err := segment.Split(sys.SegmentConfig(), noisy)
+		sess, err := client.NewCaptureSession(fmt.Sprintf("p%04d", p), segCfg)
 		if err != nil {
 			return Metrics{}, nil, err
 		}
+		if err := sess.PushAll(noisy); err != nil {
+			return Metrics{}, nil, err
+		}
+		u := sess.Stop()
 		m.SegmentTime += time.Since(segmentStart)
-		reps := segment.Representatives(results)
+		// Every device shares the server's camera, so the upload omits it.
+		u.Camera = fov.Camera{}
 		encSp := encodeSpan.Start()
-		data, err := wire.EncodeBinary(wire.Upload{Provider: fmt.Sprintf("p%04d", p), Reps: reps})
+		data, err := wire.EncodeBinary(u)
 		if err != nil {
 			return Metrics{}, nil, err
 		}
 		m.EncodeTime += encSp.End()
 		m.UploadBytes += int64(len(data))
 		indexStart := time.Now()
-		ids, err := sys.Ingest(fmt.Sprintf("p%04d", p), reps)
+		ids, err := srv.Register(u)
 		if err != nil {
 			return Metrics{}, nil, err
 		}
@@ -186,7 +191,7 @@ func Run(cfg Config) (Metrics, *core.System, error) {
 			RadiusMeters: cfg.QueryRadius,
 		}
 		begin := time.Now()
-		hits, err := sys.Search(q, 10)
+		hits, err := srv.Query(q, 10)
 		if err != nil {
 			return Metrics{}, nil, err
 		}
@@ -203,5 +208,5 @@ func Run(cfg Config) (Metrics, *core.System, error) {
 		return lat[i]
 	}
 	m.QueryP50, m.QueryP95, m.QueryP99, m.QueryMax = pct(0.50), pct(0.95), pct(0.99), pct(1.0)
-	return m, sys, nil
+	return m, srv, nil
 }

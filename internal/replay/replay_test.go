@@ -19,7 +19,7 @@ func smallConfig() Config {
 }
 
 func TestRunProducesCoherentMetrics(t *testing.T) {
-	m, sys, err := Run(smallConfig())
+	m, srv, err := Run(smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,8 +33,8 @@ func TestRunProducesCoherentMetrics(t *testing.T) {
 	if m.Segments <= 0 || m.Segments > m.Frames {
 		t.Fatalf("segments %d implausible", m.Segments)
 	}
-	if sys.Len() != m.Segments {
-		t.Fatalf("system holds %d segments, metrics say %d", sys.Len(), m.Segments)
+	if n := srv.Index().Len(); n != m.Segments {
+		t.Fatalf("server holds %d segments, metrics say %d", n, m.Segments)
 	}
 	// Descriptor traffic stays tiny: tens of bytes per segment.
 	if perSeg := float64(m.UploadBytes) / float64(m.Segments); perSeg > 40 {
@@ -88,6 +88,25 @@ func TestRunDeterministicIngest(t *testing.T) {
 	if a.Frames != b.Frames || a.Segments != b.Segments ||
 		a.UploadBytes != b.UploadBytes || a.ResultsTotal != b.ResultsTotal {
 		t.Fatalf("non-deterministic: %+v vs %+v", a, b)
+	}
+}
+
+// TestRunPinnedCounts pins the deterministic counts of the scale table's
+// first row (DefaultConfig, 50 providers, 200 queries) to the figures the
+// replay produced when it ran on its own in-process index, before it moved
+// onto server.Server: the move must not change what is segmented, encoded,
+// indexed or found.
+func TestRunPinnedCounts(t *testing.T) {
+	cfg := DefaultConfig
+	cfg.Providers = 50
+	cfg.Queries = 200
+	m, _, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Frames != 30_050 || m.Segments != 557 || m.UploadBytes != 9_250 || m.ResultsTotal != 1_614 {
+		t.Fatalf("frames/segments/bytes/results = %d/%d/%d/%d, want 30050/557/9250/1614",
+			m.Frames, m.Segments, m.UploadBytes, m.ResultsTotal)
 	}
 }
 

@@ -458,13 +458,28 @@ func harvest(t *testing.T, dir string, fn func(d *Disk)) map[string][]byte {
 }
 
 // killVerify opens a crash-state directory twice — recovery must land
-// on want and leave the directory consistent for the next open — and
-// checks that recovery deleted every file in gone.
+// on want, with an id mark at or past every id in want, and leave the
+// directory consistent for the next open — and checks that recovery
+// deleted every file in gone.
 func killVerify(t *testing.T, dir string, want []index.Entry, gone ...string) {
 	t.Helper()
+	killVerifyMark(t, dir, want, 0, gone...)
+}
+
+// killVerifyMark is killVerify whose id mark must also reach high: an
+// id handed out and removed again is in no visible entry, and the mark
+// alone keeps it from being handed out twice.
+func killVerifyMark(t *testing.T, dir string, want []index.Entry, high uint64, gone ...string) {
+	t.Helper()
+	for _, e := range want {
+		high = max(high, e.ID)
+	}
 	for i := 0; i < 2; i++ {
 		r := openTiered(t, dir)
 		wantEntries(t, r, want)
+		if got := r.HighID(); got < high {
+			t.Fatalf("open %d: id mark %d, want at least %d", i+1, got, high)
+		}
 		if err := r.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -750,7 +765,10 @@ func TestFailingCheckpointRotatesOnce(t *testing.T) {
 // rename, manifest.tmp (at every byte), the manifest rename, and the
 // WAL delete. Every state must recover the committed visible set: the
 // old manifest with the WAL from its base before the manifest rename,
-// the new one after it.
+// the new one after it. Every state must also keep the id mark past an
+// id registered and removed before the checkpoint: before the manifest
+// rename only the old WAL remembers it, after it only the new
+// manifest's highID does.
 func TestCheckpointManifestKillPoints(t *testing.T) {
 	base := t.TempDir()
 	d := openTiered(t, base)
@@ -770,6 +788,15 @@ func TestCheckpointManifestKillPoints(t *testing.T) {
 	moved.Provider = "moved"
 	fresh := []index.Entry{wentry(9, 1), wentry(10, 1), moved}
 	if err := d.AppendRegister(fresh); err != nil {
+		t.Fatal(err)
+	}
+	// The highest id yet, registered and removed again: no segment and
+	// no tombstone carries it.
+	const dropped = 11
+	if err := d.AppendRegister([]index.Entry{wentry(dropped, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AppendRemove([]uint64{dropped}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Close(); err != nil {
@@ -792,6 +819,9 @@ func TestCheckpointManifestKillPoints(t *testing.T) {
 	if !strings.Contains(string(man), `"baseGen":3`) {
 		t.Fatalf("checkpoint manifest does not name base generation 3: %s", man)
 	}
+	if !strings.Contains(string(man), `"highID":11`) {
+		t.Fatalf("checkpoint manifest does not carry id mark %d: %s", dropped, man)
+	}
 
 	// state returns a copy of base with the WAL rotated and the first n
 	// segments renamed into place.
@@ -805,7 +835,7 @@ func TestCheckpointManifestKillPoints(t *testing.T) {
 	}
 
 	t.Run("wal-rotated-nothing-persisted", func(t *testing.T) {
-		killVerify(t, state(t, 0), want)
+		killVerifyMark(t, state(t, 0), want, dropped)
 	})
 	for i, name := range segs {
 		img := files[name]
@@ -813,30 +843,30 @@ func TestCheckpointManifestKillPoints(t *testing.T) {
 			for cut := 0; cut <= len(img); cut += killStride(len(img)) {
 				dir := state(t, i)
 				writeFiles(t, dir, map[string][]byte{name + ".tmp": img[:cut]})
-				killVerify(t, dir, want, segs[:i]...)
+				killVerifyMark(t, dir, want, dropped, segs[:i]...)
 			}
 		})
 		t.Run("segment-renamed/"+name, func(t *testing.T) {
-			killVerify(t, state(t, i+1), want, segs[:i+1]...)
+			killVerifyMark(t, state(t, i+1), want, dropped, segs[:i+1]...)
 		})
 	}
 	t.Run("manifest-tmp-torn", func(t *testing.T) {
 		for cut := 0; cut <= len(man); cut += killStride(len(man)) {
 			dir := state(t, len(segs))
 			writeFiles(t, dir, map[string][]byte{manifestTmpFile: man[:cut]})
-			killVerify(t, dir, want, segs...)
+			killVerifyMark(t, dir, want, dropped, segs...)
 		}
 	})
 	t.Run("manifest-rotated-old-wal-present", func(t *testing.T) {
 		dir := state(t, len(segs))
 		writeFiles(t, dir, map[string][]byte{manifestFile: man})
-		killVerify(t, dir, want, walName(2), segmentFileName(0, 1))
+		killVerifyMark(t, dir, want, dropped, walName(2), segmentFileName(0, 1))
 	})
 	t.Run("old-wal-deleted-old-segments-present", func(t *testing.T) {
 		dir := state(t, len(segs))
 		writeFiles(t, dir, map[string][]byte{manifestFile: man})
 		os.Remove(filepath.Join(dir, walName(2)))
-		killVerify(t, dir, want, segmentFileName(0, 1))
+		killVerifyMark(t, dir, want, dropped, segmentFileName(0, 1))
 	})
 }
 
