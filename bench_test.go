@@ -200,12 +200,25 @@ func benchSearch(b *testing.B, makeIdx func([]index.Entry) index.Index) {
 // 20,000 indexed segments with each index (Fig. 6(c)).
 func BenchmarkFig6cSearchRTree(b *testing.B) {
 	benchSearch(b, func(entries []index.Entry) index.Index {
-		idx, err := index.BulkLoadRTree(entries)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return idx
+		return bulkLoad(b, entries)
 	})
+}
+
+// bulkLoad STR-packs entries into an R-tree index.
+func bulkLoad(b *testing.B, entries []index.Entry) *index.RTree {
+	b.Helper()
+	idx, err := index.BulkLoadRTree(len(entries), func(add func(*index.Entry) error) error {
+		for i := range entries {
+			if err := add(&entries[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return idx
 }
 
 func BenchmarkFig6cSearchLinear(b *testing.B) {
@@ -225,10 +238,7 @@ func BenchmarkFig6cSearchLinear(b *testing.B) {
 func BenchmarkFig6cSearchRTreeParallel(b *testing.B) {
 	cfg := workload.Config{Seed: 2}
 	entries := workload.Entries(cfg, 20000)
-	idx, err := index.BulkLoadRTree(entries)
-	if err != nil {
-		b.Fatal(err)
-	}
+	idx := bulkLoad(b, entries)
 	queries := workload.Queries(cfg, 512, 50, 3_600_000)
 	opts := query.Options{Camera: benchCam, MaxResults: 10}
 	b.ResetTimer()
@@ -330,9 +340,7 @@ func BenchmarkAblationBuildInsertRStar(b *testing.B) {
 
 func BenchmarkAblationBuildBulkSTR(b *testing.B) {
 	benchBuild(b, func(entries []index.Entry) {
-		if _, err := index.BulkLoadRTree(entries); err != nil {
-			b.Fatal(err)
-		}
+		bulkLoad(b, entries)
 	})
 }
 
@@ -456,9 +464,7 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := index.BulkLoadRTree(decoded); err != nil {
-			b.Fatal(err)
-		}
+		bulkLoad(b, decoded)
 	}
 }
 
@@ -482,10 +488,7 @@ func BenchmarkGridSearch(b *testing.B) {
 func BenchmarkSearchNearest(b *testing.B) {
 	cfg := workload.Config{Seed: 7}
 	entries := workload.Entries(cfg, 20000)
-	idx, err := index.BulkLoadRTree(entries)
-	if err != nil {
-		b.Fatal(err)
-	}
+	idx := bulkLoad(b, entries)
 	rng := rand.New(rand.NewSource(8))
 	centers := make([]geo.Point, 128)
 	for i := range centers {

@@ -83,15 +83,17 @@ func (c *CaptureSession) Push(s fov.Sample) error {
 	return nil
 }
 
-// PushAll feeds a whole recorded trace.
+// PushAll feeds a whole recorded trace, and records the batch's
+// per-frame cost in fovr_segment_frame_seconds.
 func (c *CaptureSession) PushAll(samples []fov.Sample) error {
 	sp := pushSpan.Start()
-	defer sp.End()
 	for i, s := range samples {
 		if err := c.Push(s); err != nil {
+			sp.End()
 			return fmt.Errorf("client: sample %d: %w", i, err)
 		}
 	}
+	segment.ObserveFrames(sp.End(), len(samples))
 	return nil
 }
 

@@ -88,11 +88,6 @@ type Topology struct {
 	covered []WindowRange
 }
 
-// idBaseShift gives each partition 2^48 ids: partition i assigns ids
-// i*2^48+1 upward, so ids stay globally unique without coordination
-// and the owning partition is recoverable from any id's top bits.
-const idBaseShift = 48
-
 // Load reads and validates a topology file.
 func Load(path string) (*Topology, error) {
 	data, err := os.ReadFile(path)
@@ -202,12 +197,13 @@ func (t *Topology) Partition(id string) *Partition {
 }
 
 // IDBase returns the segment-id base the named partition's leader must
-// run with (server.Config.IDBase): partition index shifted into the
-// top bits, so every partition assigns from a disjoint 2^48 id space.
+// run with (server.Config.IDBase): partition i assigns ids i·IDSpan+1
+// to (i+1)·IDSpan (index.IDSpan), so ids stay globally unique without
+// coordination, and a partition refuses an upload past its range.
 func (t *Topology) IDBase(id string) (uint64, error) {
 	for i := range t.Partitions {
 		if t.Partitions[i].ID == id {
-			return uint64(i) << idBaseShift, nil
+			return uint64(i) * index.IDSpan, nil
 		}
 	}
 	return 0, fmt.Errorf("cluster: topology: unknown partition %q", id)

@@ -50,13 +50,7 @@ func TableAblationIndex(n, queries int) *Table {
 			}
 			return idx
 		}},
-		{"bulk/STR", func() *index.RTree {
-			idx, err := index.BulkLoadRTree(entries)
-			if err != nil {
-				panic(err)
-			}
-			return idx
-		}},
+		{"bulk/STR", func() *index.RTree { return bulkLoad(entries) }},
 	}
 	for _, b := range builds {
 		start := time.Now()
@@ -120,10 +114,7 @@ func TableAblationOrientation(n, queries int) *Table {
 	// both covering and non-covering cameras nearby.
 	cfg := workload.Config{Seed: 72, ExtentMeters: 2000, HorizonMillis: 2 * 3600 * 1000}
 	entries := workload.Entries(cfg, n)
-	idx, err := index.BulkLoadRTree(entries)
-	if err != nil {
-		panic(err)
-	}
+	idx := bulkLoad(entries)
 	qs := workload.Queries(cfg, queries, 20, 3_600_000)
 
 	run := func(skip bool) (meanResults, precision float64) {

@@ -85,10 +85,7 @@ func TableClockSkew(n, queries int) *Table {
 }
 
 func resultSets(entries []index.Entry, qs []query.Query, opts query.Options) []map[uint64]bool {
-	idx, err := index.BulkLoadRTree(entries)
-	if err != nil {
-		panic(err)
-	}
+	idx := bulkLoad(entries)
 	out := make([]map[uint64]bool, len(qs))
 	for i, q := range qs {
 		hits, err := query.Search(idx, q, opts)

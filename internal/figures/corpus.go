@@ -18,6 +18,23 @@ var corpusCity = geo.Point{Lat: 40.0, Lng: 116.3}
 // representatives, inserted with one InsertBatch like the server does.
 const uploadLen = 64
 
+// bulkLoad STR-packs entries into an R-tree index, panicking on an
+// invalid corpus.
+func bulkLoad(entries []index.Entry) *index.RTree {
+	idx, err := index.BulkLoadRTree(len(entries), func(add func(*index.Entry) error) error {
+		for i := range entries {
+			if err := add(&entries[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		panic(err)
+	}
+	return idx
+}
+
 // corpusBatches builds a deterministic corpus of n representatives
 // grouped into upload batches. Each batch models one capture session:
 // its segments are temporally contiguous (~2 s apart, <= 60 s long), and

@@ -46,7 +46,14 @@ func TestIndexHeapPerEntry(t *testing.T) {
 			return x, err
 		}, 61},
 		{"BulkLoadRTree", func() (*index.RTree, error) {
-			return index.BulkLoadRTree(entries)
+			return index.BulkLoadRTree(n, func(add func(*index.Entry) error) error {
+				for i := range entries {
+					if err := add(&entries[i]); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
 		}, 54},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -39,6 +39,11 @@ import (
 	"fovr/internal/segment"
 )
 
+// IDSpan is how many ids one server may hand out: ids from IDBase+1 to
+// IDBase+IDSpan (server.Config.IDBase). A cluster gives partition i the
+// base i·IDSpan, so partitions never hand out the same id.
+const IDSpan uint64 = 1 << 48
+
 // Entry is one indexed representative FoV along with the identity a
 // retrieval result needs: which provider owns the underlying segment and
 // a server-assigned id to fetch it by.
@@ -435,24 +440,31 @@ func (x *RTree) current() *view {
 	return x.view.Load()
 }
 
-// BulkLoadRTree builds an R-tree index from a complete entry set using
-// STR packing — the fast path for rebuilding an index from a snapshot.
-func BulkLoadRTree(entries []Entry) (*RTree, error) {
+// BulkLoadRTree builds an R-tree index by STR packing every entry that
+// produce hands to add — the one way to build an index from a whole
+// state at once. add validates the entry, checks its id and keeps a
+// 40-B slot of it, never the entry, so produce may reuse what it hands
+// over; an error from add aborts the load, and produce returns it. n,
+// how many entries produce hands over (an estimate is fine), sizes the
+// slot array.
+func BulkLoadRTree(n int, produce func(add func(*Entry) error) error) (*RTree, error) {
 	x := NewRTree()
-	slots := make([]slot, len(entries))
-	for i := range entries {
-		e := &entries[i]
+	slots := make([]slot, 0, max(n, 0))
+	err := produce(func(e *Entry) error {
 		if err := e.Validate(); err != nil {
-			return nil, err
+			return err
 		}
 		if !x.ids.Add(e.ID) {
-			return nil, fmt.Errorf("index: duplicate id %d", e.ID)
+			return fmt.Errorf("index: duplicate id %d", e.ID)
 		}
 		s, err := x.slotOf(e)
-		if err != nil {
-			return nil, err
+		if err == nil {
+			slots = append(slots, s)
 		}
-		slots[i] = s
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	t, err := rtree.BulkLoad(rtree.Options{}, slotRect, slots)
 	if err != nil {

@@ -298,13 +298,25 @@ func TestBatchAllOrNothing(t *testing.T) {
 	}
 }
 
+// bulkLoad is BulkLoadRTree over a slice.
+func bulkLoad(entries []Entry) (*RTree, error) {
+	return BulkLoadRTree(len(entries), func(add func(*Entry) error) error {
+		for i := range entries {
+			if err := add(&entries[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
 func TestBulkLoadRTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	entries := make([]Entry, 2000)
 	for i := range entries {
 		entries[i] = randEntry(rng, uint64(i))
 	}
-	bulk, err := BulkLoadRTree(entries)
+	bulk, err := bulkLoad(entries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +352,7 @@ func TestBulkLoadRTree(t *testing.T) {
 func TestBulkLoadDuplicateID(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	e := randEntry(rng, 1)
-	if _, err := BulkLoadRTree([]Entry{e, e}); err == nil {
+	if _, err := bulkLoad([]Entry{e, e}); err == nil {
 		t.Fatal("duplicate ids accepted by bulk load")
 	}
 }

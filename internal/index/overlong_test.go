@@ -102,7 +102,7 @@ func TestOverLongIntervalsRoundTrip(t *testing.T) {
 			if err := inserted.InsertBatch(entries); err != nil {
 				t.Fatal(err)
 			}
-			bulk, err := BulkLoadRTree(entries)
+			bulk, err := bulkLoad(entries)
 			if err != nil {
 				t.Fatal(err)
 			}

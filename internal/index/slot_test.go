@@ -186,7 +186,7 @@ func TestSourceTableRoundTrip(t *testing.T) {
 	for i := range entries {
 		entries[i] = sourcedEntry(uint64(i + 1))
 	}
-	bulk, err := BulkLoadRTree(entries)
+	bulk, err := bulkLoad(entries)
 	if err != nil {
 		t.Fatal(err)
 	}

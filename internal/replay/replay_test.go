@@ -3,6 +3,8 @@ package replay
 import (
 	"testing"
 	"time"
+
+	"fovr/internal/obs"
 )
 
 func smallConfig() Config {
@@ -107,6 +109,21 @@ func TestRunPinnedCounts(t *testing.T) {
 	if m.Frames != 30_050 || m.Segments != 557 || m.UploadBytes != 9_250 || m.ResultsTotal != 1_614 {
 		t.Fatalf("frames/segments/bytes/results = %d/%d/%d/%d, want 30050/557/9250/1614",
 			m.Frames, m.Segments, m.UploadBytes, m.ResultsTotal)
+	}
+}
+
+// TestRunObservesFrameCost: a replay segments through capture sessions,
+// not segment.Split, and each provider's capture batch still records
+// Algorithm 1's per-frame cost.
+func TestRunObservesFrameCost(t *testing.T) {
+	frames := obs.GetOrCreateHistogram("fovr_segment_frame_seconds")
+	before := frames.Count()
+	cfg := smallConfig()
+	if _, _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if got := frames.Count() - before; got != int64(cfg.Providers) {
+		t.Fatalf("fovr_segment_frame_seconds_count grew by %d, want %d (one per capture)", got, cfg.Providers)
 	}
 }
 

@@ -202,15 +202,15 @@ func (m *memApplier) FinishBootstrap(ms store.ManifestSnapshot) error {
 	if err := m.takeFailure(); err != nil {
 		return err
 	}
-	entries, err := m.staged.FinishBootstrap(ms)
-	if err != nil {
+	state := make(map[uint64]index.Entry)
+	if err := m.staged.FinishBootstrap(ms, func(e *index.Entry) error {
+		state[e.ID] = *e
+		return nil
+	}); err != nil {
 		return err
 	}
 	m.resets++
-	m.state = make(map[uint64]index.Entry, len(entries))
-	for _, e := range entries {
-		m.state[e.ID] = e
-	}
+	m.state = state
 	return nil
 }
 

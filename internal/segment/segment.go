@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"time"
 
 	"fovr/internal/fov"
 	"fovr/internal/geo"
@@ -25,8 +26,8 @@ import (
 // out, and the measured per-frame cost of Algorithm 1 — the paper's O(1)
 // ns/frame claim, continuously verified in production. Counters are
 // incremented inline (one atomic add per frame); timing happens only at
-// batch boundaries (Split) so the measurement does not distort the
-// measured path.
+// batch boundaries so the measurement does not distort the measured
+// path: Split, and every capturer's batch (ObserveFrames).
 var (
 	framesTotal   = obs.GetOrCreateCounter("fovr_segment_frames_total")
 	segmentsTotal = obs.GetOrCreateCounter("fovr_segment_segments_total")
@@ -293,11 +294,17 @@ func Split(cfg Config, samples []fov.Sample) ([]Result, error) {
 	if res := sg.Flush(); res != nil {
 		out = append(out, *res)
 	}
-	elapsed := sp.End()
-	if n := len(samples); n > 0 {
+	ObserveFrames(sp.End(), len(samples))
+	return out, nil
+}
+
+// ObserveFrames records that a batch of n frames took elapsed to push
+// through a Segmenter: one observation of the per-frame cost. Split
+// records each call; a streaming capturer records each batch it pushes.
+func ObserveFrames(elapsed time.Duration, n int) {
+	if n > 0 {
 		frameSeconds.Observe(elapsed.Seconds() / float64(n))
 	}
-	return out, nil
 }
 
 // Representatives extracts just the uploadable representatives from a

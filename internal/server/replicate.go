@@ -181,17 +181,27 @@ func (s *Server) InstallSegment(meta store.SegmentMeta, raw []byte) error {
 }
 
 // FinishBootstrap implements replica.Applier: swap the installed
-// segments into the store over an empty memtable, then rebuild the
-// serving index from the new visible set, with the id sequence past the
-// leader's mark. An index rebuild failure after the store's
-// swap is reported so the follower re-bootstraps — a durable store's
+// segments into the store over an empty memtable, loading a new serving
+// index from the entries the store's finish streams, with the id
+// sequence past the leader's mark and this node's own. The index is
+// swapped in only when the whole finish succeeded; on any error the old
+// one keeps serving and the follower re-bootstraps — a durable store's
 // retry skips every installed segment and only re-runs the swap.
 func (s *Server) FinishBootstrap(m store.ManifestSnapshot) error {
-	entries, err := s.store.FinishBootstrap(m)
+	n := -len(m.Tombstones)
+	for _, seg := range m.Segments {
+		n += seg.Count
+	}
+	idx, nextID, err := load(n, func(sink func(*index.Entry) error) error {
+		return s.store.FinishBootstrap(m, sink)
+	}, max(s.cfg.IDBase, m.HighID, s.store.HighID()))
 	if err != nil {
 		return err
 	}
-	return s.replaceState(entries, max(m.HighID, s.store.HighID()))
+	s.mu.Lock()
+	s.idx, s.nextID = idx, nextID
+	s.mu.Unlock()
+	return nil
 }
 
 // AttachFollower exposes a running replication follower's status on

@@ -117,6 +117,42 @@ func TestFinishBootstrapKeepsIDBaseFloor(t *testing.T) {
 	}
 }
 
+// TestFinishBootstrapRefusedKeepsState: when the index refuses an entry
+// the finish streams — here one id live in two windows — the bootstrap
+// fails and the server keeps its index and its id sequence.
+func TestFinishBootstrapRefusedKeepsState(t *testing.T) {
+	cam := fov.Camera{HalfAngleDeg: 30, RadiusMeters: 100}
+	s := newServer(t)
+	entry := func(id uint64, start int64) index.Entry {
+		return index.Entry{ID: id, Provider: "p", Rep: rep(center, 0, start, start+5000), Camera: cam}
+	}
+	if err := bootstrapState(s, []index.Entry{entry(1, 0), entry(2, 0), entry(3, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	var ms store.ManifestSnapshot
+	for w := int64(1); w <= 2; w++ {
+		img, crc, err := store.EncodeSegment(w, []index.Entry{entry(5, w*3_600_000)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta := store.SegmentMeta{Window: w, Seq: 1, Count: 1, Bytes: int64(len(img)), CRC: crc}
+		if err := s.InstallSegment(meta, img); err != nil {
+			t.Fatal(err)
+		}
+		ms.Segments = append(ms.Segments, meta)
+	}
+	if err := s.FinishBootstrap(ms); err == nil || !strings.Contains(err.Error(), "duplicate id 5") {
+		t.Fatalf("FinishBootstrap = %v, want the index's duplicate id error", err)
+	}
+	if n := s.Index().Len(); n != 3 {
+		t.Fatalf("index holds %d entries after the refused finish, want the old 3", n)
+	}
+	ids, err := s.Register(wire.Upload{Provider: "up", Reps: []segment.Representative{rep(center, 90, 0, 5000)}})
+	if err != nil || ids[0] != 4 {
+		t.Fatalf("first id after the refused finish %v (%v), want 4", ids, err)
+	}
+}
+
 // TestReadOnlyHTTPMapping pins the HTTP shape: 409 with a JSON body
 // whose Leader field names the writable leader.
 func TestReadOnlyHTTPMapping(t *testing.T) {

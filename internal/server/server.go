@@ -111,9 +111,10 @@ type Config struct {
 	// /stats.
 	LeaderURL string
 	// IDBase offsets the segment-id sequence this server assigns: the
-	// first id handed out is IDBase+1. A partitioned cluster gives each
-	// partition a disjoint base (cmd/fovcluster derives
-	// partition-index·2^48 from the topology) so ids stay globally
+	// first id handed out is IDBase+1, the last IDBase+index.IDSpan, and
+	// an upload past it is refused. A partitioned cluster gives each
+	// partition a disjoint base (cluster.Topology.IDBase derives
+	// partition-index·IDSpan from the topology) so ids stay globally
 	// unique without cross-node coordination.
 	IDBase uint64
 	// OwnsRep, when non-nil, guards ingest against misrouted uploads: a
@@ -175,20 +176,17 @@ type Server struct {
 
 // New constructs a server, or fails on invalid configuration. When the
 // configured store holds recovered entries (a durable store reopening
-// its data directory), the index is bulk-built from them, so a restart
-// resumes serving the committed state without any snapshot file.
+// its data directory), the index is bulk-built from them as the store
+// reads them, so a restart resumes serving the committed state without
+// any snapshot file.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Camera.Validate(); err != nil {
 		return nil, err
 	}
-	recovered, err := cfg.Store.ReadEntries()
+	idx, nextID, err := load(cfg.Store.Len(), cfg.Store.ReadEntries, max(cfg.IDBase, cfg.Store.HighID()))
 	if err != nil {
 		return nil, fmt.Errorf("server: load store: %w", err)
-	}
-	idx, err := index.BulkLoadRTree(recovered)
-	if err != nil {
-		return nil, err
 	}
 	logger := cfg.Logger
 	if logger == nil {
@@ -201,9 +199,9 @@ func New(cfg Config) (*Server, error) {
 		logOn:   cfg.Logger != nil,
 		idx:     idx,
 		store:   cfg.Store,
+		nextID:  nextID,
 		started: time.Now(),
 	}
-	s.resetIDsLocked(recovered, cfg.Store.HighID())
 	// Each retention ring holds the trace store's default 256 traces.
 	s.traces = obs.NewTraceStore(obs.TraceStoreConfig{
 		SlowThreshold: cfg.SlowQueryThreshold,
@@ -319,6 +317,12 @@ func (s *Server) RegisterTraced(u wire.Upload, trace string) ([]uint64, error) {
 	entries := make([]index.Entry, 0, len(u.Reps))
 	s.mu.Lock()
 	start := s.nextID
+	// The last id must stay in (IDBase, IDBase+IDSpan]: past it lies the
+	// next partition's range. Unsigned differences keep a wrap refused.
+	if start+uint64(len(u.Reps))-1-s.cfg.IDBase > index.IDSpan {
+		s.mu.Unlock()
+		return nil, fmt.Errorf("server: %d ids from %d pass this server's last id %d", len(u.Reps), start, s.cfg.IDBase+index.IDSpan)
+	}
 	s.nextID += uint64(len(u.Reps))
 	idx := s.idx
 	s.mu.Unlock()
@@ -372,30 +376,18 @@ func (s *Server) QueryCtx(ctx context.Context, q query.Query, maxResults int) ([
 // Traces exposes the server's tail-sampled trace store.
 func (s *Server) Traces() *obs.TraceStore { return s.traces }
 
-// replaceState swaps in an index rebuilt from entries, with the id
-// sequence restarted past them and past high, under the state lock. On
-// failure the old index stays in place untouched. The replication
-// bootstrap's FinishBootstrap is its one caller.
-func (s *Server) replaceState(entries []index.Entry, high uint64) error {
-	idx, err := index.BulkLoadRTree(entries)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.idx = idx
-	s.resetIDsLocked(entries, high)
-	return nil
-}
-
-// resetIDsLocked restarts the id sequence for entries, the whole state
-// (s.mu held, or s not yet shared): ids continue past the IDBase floor,
-// the store's mark high — the largest id it ever journaled, so an id
-// removed before a restart is not handed out again — and every id
-// present.
-func (s *Server) resetIDsLocked(entries []index.Entry, high uint64) {
-	s.nextID = max(s.cfg.IDBase, high) + 1
-	s.ratchetIDsLocked(entries)
+// load builds the serving index from the entries read streams, n of
+// them (an estimate is fine), and returns it with the id sequence's next
+// id: past floor and past every id read. The server's boot and a
+// follower's bootstrap finish share it.
+func load(n int, read func(sink func(*index.Entry) error) error, floor uint64) (*index.RTree, uint64, error) {
+	idx, err := index.BulkLoadRTree(n, func(add func(*index.Entry) error) error {
+		return read(func(e *index.Entry) error {
+			floor = max(floor, e.ID)
+			return add(e)
+		})
+	})
+	return idx, floor + 1, err
 }
 
 // ratchetIDsLocked moves the id sequence past every id of entries (s.mu

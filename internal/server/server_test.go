@@ -100,6 +100,43 @@ func TestRegisterEmptyProvider(t *testing.T) {
 	}
 }
 
+// TestRegisterRefusesIDsPastIDSpan: a server hands out ids up to
+// IDBase+IDSpan and refuses, before it journals anything, an upload
+// whose ids would pass that into the next partition's range.
+func TestRegisterRefusesIDsPastIDSpan(t *testing.T) {
+	const base = 2 * index.IDSpan
+	st := openStore(t, t.TempDir())
+	defer st.Close()
+	s, err := New(Config{Camera: fov.Camera{HalfAngleDeg: 30, RadiusMeters: 100}, Store: st, Registry: obs.NewRegistry(), IDBase: base})
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := base + index.IDSpan
+	s.mu.Lock()
+	s.nextID = last - 1
+	s.mu.Unlock()
+	upload := func(n int) ([]uint64, error) {
+		reps := make([]segment.Representative, n)
+		for i := range reps {
+			reps[i] = rep(center, float64(i), 0, 5000)
+		}
+		return s.Register(wire.Upload{Provider: "edge", Reps: reps})
+	}
+	if _, err := upload(3); err == nil {
+		t.Fatal("an upload of 3 ids from the span's last id but one was accepted")
+	}
+	if ids, err := upload(2); err != nil || !slices.Equal(ids, []uint64{last - 1, last}) {
+		t.Fatalf("the span's last two ids: %v, %v", ids, err)
+	}
+	if ids, err := upload(1); err == nil {
+		t.Fatalf("an id past the span was handed out: %v", ids)
+	}
+	if st.HighID() != last || st.Len() != 2 || s.Index().Len() != 2 {
+		t.Fatalf("after the refusals: store mark %d (want %d), store %d and index %d entries (want 2)",
+			st.HighID(), last, st.Len(), s.Index().Len())
+	}
+}
+
 func TestRegisterRollbackOnInvalidRep(t *testing.T) {
 	s := newServer(t)
 	_, err := s.Register(wire.Upload{

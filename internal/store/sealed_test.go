@@ -23,7 +23,7 @@ import (
 // visible set read from them.
 func checkCounts(t *testing.T, d *Disk) {
 	t.Helper()
-	entries, err := d.ReadEntries()
+	entries, err := readEntries(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,7 +527,7 @@ func TestSealedReadsDuringCompaction(t *testing.T) {
 				return err
 			}
 		}
-		entries, err := m.FinishBootstrap(ms)
+		entries, err := finishBootstrap(m, ms)
 		if err != nil {
 			return err
 		}
@@ -570,7 +570,7 @@ func TestSealedReadsDuringCompaction(t *testing.T) {
 	})
 	loop(func() error {
 		g, o := d.LogCursor()
-		entries, err := d.ReadEntries()
+		entries, err := readEntries(d)
 		g2, o2 := d.LogCursor()
 		if err == nil {
 			record(&reads, read{lo: logPos{g, o}, hi: logPos{g2, o2}}, entries)

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -351,17 +352,16 @@ func segTrailerCRC(data []byte) uint32 {
 	return binary.LittleEndian.Uint32(data[len(data)-4:])
 }
 
-// readSegmentFile maps one segment file (mapFile) and walks it with
-// walkSegment, returning the window, entry count, trailer CRC and file
-// size. The mapping is released before return — fn's byte slices die
-// with it — so a sealed entry costs heap only while a caller holds what
-// fn copied out.
+// readSegmentFile reads one segment file and walks it with walkSegment,
+// returning the window, entry count, trailer CRC and file size. fn's
+// byte slices alias the read and die with it, so a sealed entry costs
+// heap only while a caller holds what fn copied out. A file cut short
+// under the reader fails the walk as ErrCorrupt.
 func readSegmentFile(path string, fn func(e index.Entry, prov, rec []byte)) (window int64, count int, crc uint32, size int64, err error) {
-	data, done, err := mapFile(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
-	defer done()
 	window, count, err = walkSegment(data, fn)
 	if err != nil {
 		return 0, 0, 0, 0, fmt.Errorf("%s: %w", path, err)

@@ -19,6 +19,12 @@
 //     reads the manifest, its segments and the WAL from the manifest's
 //     BaseGen on, truncating a torn final record.
 //
+// Neither hands out the visible set as a slice: ReadEntries (boot) and
+// FinishBootstrap (a follower's bootstrap) stream each visible entry to
+// a sink as they walk the segments, so the only whole-state copy built
+// is the index the server loads from the stream. (ReadEntries still
+// folds the un-checkpointed entries from the log into a map first.)
+//
 // Crash-consistency contract (Disk):
 //
 //   - An append that returned nil under FsyncAlways is durable: it
@@ -71,8 +77,8 @@ import (
 )
 
 // Store is the server's state-change journal. The server routes every
-// mutation through it before acknowledging, and rebuilds its index from
-// ReadEntries at boot.
+// mutation through it before acknowledging, and at boot builds its
+// index from what ReadEntries streams.
 type Store interface {
 	// AppendRegister durably records a committed upload batch. The
 	// entries are validated; on error nothing is recorded.
@@ -90,11 +96,15 @@ type Store interface {
 	// journaled ever carried, removed or not, so a restarted server
 	// hands out no id twice. Non-durable stores return 0.
 	HighID() uint64
-	// ReadEntries returns the committed state (recovered plus appended),
-	// in unspecified order. Non-durable stores return nil. A durable
-	// store may read files to answer; one it cannot read is an error,
-	// never a silently smaller state.
-	ReadEntries() ([]index.Entry, error)
+	// ReadEntries hands sink each entry of the committed state
+	// (recovered plus appended), in unspecified order, and stops at the
+	// first error sink returns, returning it. The entry is the store's
+	// to reuse once sink returns. Non-durable stores hand over nothing.
+	// A durable store reads files to answer; one it cannot read is an
+	// error, never a silently smaller state. Len is how many entries it
+	// hands over.
+	ReadEntries(sink func(*index.Entry) error) error
+	Len() int
 	// Checkpoint seals the state appended so far into segments and
 	// retires the log below it. Non-durable stores return ErrNotDurable.
 	Checkpoint() error
@@ -107,13 +117,15 @@ type Store interface {
 	// HasSegment, InstallSegment and FinishBootstrap are a replication
 	// follower's bootstrap (package replica, tieredboot.go): every
 	// segment of the leader's manifest that HasSegment does not report
-	// is fetched and installed — verified against its meta — and then
-	// FinishBootstrap replaces the state with those segments less the
-	// manifest's tombstones, over an empty memtable, returning the
-	// visible set. Disk stages installs durably; Mem holds them in RAM.
+	// is fetched and installed — verified against its meta; the store
+	// may keep raw — and then FinishBootstrap replaces the state with
+	// those segments less the manifest's tombstones, over an empty
+	// memtable, handing sink each visible entry as ReadEntries does.
+	// An error sink returns aborts the finish before it replaces
+	// anything. Disk stages installs durably; Mem holds them in RAM.
 	HasSegment(window int64, seq uint64, crc uint32) bool
 	InstallSegment(meta SegmentMeta, raw []byte) error
-	FinishBootstrap(ms ManifestSnapshot) ([]index.Entry, error)
+	FinishBootstrap(ms ManifestSnapshot, sink func(*index.Entry) error) error
 }
 
 // ErrNotDurable is returned by operations that need a data directory
@@ -127,10 +139,10 @@ var ErrClosed = errors.New("store: closed")
 // preserving the server's historical in-memory behavior when no data
 // directory is configured. The server keeps using its index as the
 // source of truth. The one thing Mem holds is a replication follower's
-// bootstrap in flight: the decoded segments installed so far.
+// bootstrap in flight: the verified images installed so far.
 type Mem struct {
 	mu     sync.Mutex
-	staged map[SegmentMeta][]index.Entry
+	staged map[SegmentMeta][]byte
 }
 
 // NewMem returns the non-durable store.
@@ -143,7 +155,8 @@ func (*Mem) AppendRemove([]uint64) error        { return nil }
 // nothing to stamp.
 func (*Mem) AppendRegisterTraced([]index.Entry, string) error { return nil }
 func (*Mem) AppendRemoveTraced([]uint64, string) error        { return nil }
-func (*Mem) ReadEntries() ([]index.Entry, error)              { return nil, nil }
+func (*Mem) ReadEntries(func(*index.Entry) error) error       { return nil }
+func (*Mem) Len() int                                         { return 0 }
 func (*Mem) HighID() uint64                                   { return 0 }
 func (*Mem) Checkpoint() error                                { return ErrNotDurable }
 func (*Mem) Durable() bool                                    { return false }
@@ -661,52 +674,43 @@ func (d *Disk) syncLocked() error {
 
 // ReadEntries implements Store: the visible set is the memtable plus
 // every sealed entry that is neither tombstoned nor shadowed by a
-// memtable copy of the same id (visibleEntries). The tombstones, the
-// segment metas and the log cursor are copied under d.mu; the memtable
-// is then folded from the log up to that cursor and the sealed entries
-// read from their files, with only cpMu held, so appends wait for the
-// copy, not for the file I/O. A file that fails to read fails the call.
-func (d *Disk) ReadEntries() ([]index.Entry, error) {
+// memtable copy of the same id (visibleEntries). The manifest document
+// and the log cursor are copied under d.mu; the memtable is then folded
+// from the log up to that cursor and the sealed entries read from their
+// files, with only cpMu held, so appends wait for the copy, not for the
+// file I/O. A file that fails to read fails the call.
+func (d *Disk) ReadEntries(sink func(*index.Entry) error) error {
 	d.cpMu.Lock()
 	defer d.cpMu.Unlock()
 	d.mu.Lock()
-	segs := make([]SegmentMeta, 0, len(d.segs))
-	for _, m := range d.segs {
-		segs = append(segs, m)
-	}
-	dead := make(map[Tombstone]struct{}, d.tombCount)
-	for id, ws := range d.tombs {
-		for _, w := range ws {
-			dead[Tombstone{ID: id, Window: w}] = struct{}{}
-		}
-	}
+	doc := d.manifestDocLocked()
 	base, gen, size, n := d.baseGen, d.walGen, d.walSize, d.mem.Len()
 	d.mu.Unlock()
 	mem, err := d.memtableAt(base, gen, size, n)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return visibleEntries(segs, dead, mem, func(m SegmentMeta, fn func(index.Entry)) error {
-		var names providerNames
-		return d.walkSegmentFile(segmentFileName(m.Window, m.Seq), m, func(e index.Entry, prov, _ []byte) {
-			e.Provider = names.intern(prov)
-			fn(e)
-		})
-	})
+	return visibleEntries(doc.Segments, tombstoneSet(doc.Tombstones), mem, func(m SegmentMeta, fn func(e index.Entry, prov, rec []byte)) error {
+		return d.walkSegmentFile(segmentFileName(m.Window, m.Seq), m, fn)
+	}, sink)
 }
 
-// Entries is ReadEntries for callers that only count or compare: a
-// segment file that cannot be read is logged and yields nil.
+// Entries is ReadEntries collected, for callers that only count or
+// compare: a segment file that cannot be read is logged and yields nil.
 func (d *Disk) Entries() []index.Entry {
-	entries, err := d.ReadEntries()
-	if err != nil {
+	entries := make([]index.Entry, 0, d.Len())
+	if err := d.ReadEntries(func(e *index.Entry) error {
+		entries = append(entries, *e)
+		return nil
+	}); err != nil {
 		d.log.Error("store: read entries", "err", err)
 		return nil
 	}
 	return entries
 }
 
-// Len returns the number of committed (visible) entries.
+// Len implements Store: the number of committed (visible) entries,
+// counted without reading a file.
 func (d *Disk) Len() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -77,8 +77,8 @@ func TestMemIsInert(t *testing.T) {
 	if err := m.AppendRemove([]uint64{1}); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := m.ReadEntries(); got != nil || err != nil {
-		t.Fatalf("Mem.ReadEntries() = %v, %v, want nil", got, err)
+	if got, err := readEntries(m); got != nil || err != nil || m.Len() != 0 {
+		t.Fatalf("Mem.ReadEntries() = %v, %v (Len %d), want nothing", got, err, m.Len())
 	}
 	if err := m.Checkpoint(); !errors.Is(err, ErrNotDurable) {
 		t.Fatalf("Mem.Checkpoint() = %v, want ErrNotDurable", err)

@@ -126,7 +126,7 @@ func TestFinishBootstrapInvalidatesOldCursors(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen, final := d.LogCursor()
-	if _, err := d.FinishBootstrap(ManifestSnapshot{}); err != nil {
+	if _, err := finishBootstrap(d, ManifestSnapshot{}); err != nil {
 		t.Fatal(err)
 	}
 	// The old generation completed, but the bootstrap replaced the

@@ -139,36 +139,48 @@ func (d *Disk) walkSegmentFile(name string, m SegmentMeta, fn func(e index.Entry
 }
 
 // visibleEntries is the tier's visibility rule, the one implementation
-// Disk.ReadEntries and Mem.FinishBootstrap share: every sealed entry —
-// walk feeds one segment's entries, segments in window order — that no
-// memtable entry of the same id shadows and no tombstone of its window
-// suppresses, then the memtable.
+// Disk.ReadEntries and both FinishBootstraps share: it hands sink every
+// sealed entry — walk feeds one segment's entries, segments in the
+// order given — that no memtable entry of the same id shadows and no
+// tombstone of its window suppresses, then the memtable. An error from
+// sink ends the walk at its segment's end and is returned as it is.
 func visibleEntries(segs []SegmentMeta, dead map[Tombstone]struct{}, mem map[uint64]index.Entry,
-	walk func(m SegmentMeta, fn func(index.Entry)) error) ([]index.Entry, error) {
-	sort.Slice(segs, func(i, j int) bool { return segs[i].Window < segs[j].Window })
-	total := len(mem)
+	walk func(m SegmentMeta, fn func(e index.Entry, prov, rec []byte)) error, sink func(*index.Entry) error) error {
+	var cur index.Entry // the one entry sink sees, so none escapes per call
+	var sinkErr error
 	for _, m := range segs {
-		total += m.Count
-	}
-	entries := make([]index.Entry, 0, total)
-	for _, m := range segs {
-		err := walk(m, func(e index.Entry) {
-			if _, shadowed := mem[e.ID]; shadowed {
-				return
+		var names providerNames
+		err := walk(m, func(e index.Entry, prov, _ []byte) {
+			_, shadowed := mem[e.ID]
+			_, removed := dead[Tombstone{ID: e.ID, Window: m.Window}]
+			if sinkErr == nil && !shadowed && !removed {
+				cur = e
+				cur.Provider = names.intern(prov)
+				sinkErr = sink(&cur)
 			}
-			if _, removed := dead[Tombstone{ID: e.ID, Window: m.Window}]; removed {
-				return
-			}
-			entries = append(entries, e)
 		})
 		if err != nil {
-			return nil, fmt.Errorf("store: read sealed window %d: %w", m.Window, err)
+			return fmt.Errorf("store: read sealed window %d: %w", m.Window, err)
+		}
+		if sinkErr != nil {
+			return sinkErr
 		}
 	}
-	for _, e := range mem {
-		entries = append(entries, e)
+	for _, cur = range mem {
+		if err := sink(&cur); err != nil {
+			return err
+		}
 	}
-	return entries, nil
+	return nil
+}
+
+// tombstoneSet indexes a manifest's tombstones for visibleEntries.
+func tombstoneSet(ts []Tombstone) map[Tombstone]struct{} {
+	dead := make(map[Tombstone]struct{}, len(ts))
+	for _, t := range ts {
+		dead[t] = struct{}{}
+	}
+	return dead
 }
 
 // manifestDocLocked snapshots the on-disk manifest document (d.mu

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -42,9 +43,29 @@ func entrySet(entries []index.Entry) map[uint64]index.Entry {
 	return m
 }
 
+// readEntries collects what ReadEntries streams.
+func readEntries(s Store) ([]index.Entry, error) {
+	var out []index.Entry
+	err := s.ReadEntries(func(e *index.Entry) error {
+		out = append(out, *e)
+		return nil
+	})
+	return out, err
+}
+
+// finishBootstrap collects what FinishBootstrap streams.
+func finishBootstrap(s Store, ms ManifestSnapshot) ([]index.Entry, error) {
+	var out []index.Entry
+	err := s.FinishBootstrap(ms, func(e *index.Entry) error {
+		out = append(out, *e)
+		return nil
+	})
+	return out, err
+}
+
 func wantEntries(t *testing.T, d *Disk, want []index.Entry) {
 	t.Helper()
-	entries, err := d.ReadEntries()
+	entries, err := readEntries(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -933,7 +954,7 @@ func TestFinishBootstrapKillPoints(t *testing.T) {
 	pre := append(append([]index.Entry{}, own...), hot)
 
 	files := harvest(t, base, func(d *Disk) {
-		if _, err := d.FinishBootstrap(ms); err != nil {
+		if _, err := finishBootstrap(d, ms); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -1012,6 +1033,62 @@ func tailFrom(t *testing.T, leader *Disk, gen uint64, apply func(Record)) {
 	}
 }
 
+// TestFinishBootstrapSinkErrorKeepsStaged: an error from the sink — the
+// index refusing an entry — aborts a Disk follower's finish before it
+// renames anything, and is not taken for a damaged staged file. The
+// staged files and the pre-bootstrap state stay, and a retry finishes
+// from the same files.
+func TestFinishBootstrapSinkErrorKeepsStaged(t *testing.T) {
+	leader := openTiered(t, t.TempDir())
+	defer leader.Close()
+	if err := leader.AppendRegister([]index.Entry{wentry(1, 0), wentry(2, 0), wentry(3, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := leader.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ms := leader.ManifestSnapshot()
+	fdir := t.TempDir()
+	fol := openTiered(t, fdir)
+	defer fol.Close()
+	own := wentry(9, 2)
+	if err := fol.AppendRegister([]index.Entry{own}); err != nil {
+		t.Fatal(err)
+	}
+	for _, seg := range ms.Segments {
+		raw, err := leader.ReadSegment(seg.Window, seg.Seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fol.InstallSegment(seg, raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	staged, _ := filepath.Glob(filepath.Join(fdir, "staged-*"))
+	refused := errors.New("refused")
+	err := fol.FinishBootstrap(ms, func(e *index.Entry) error {
+		if e.ID == 2 {
+			return refused
+		}
+		return nil
+	})
+	if !errors.Is(err, refused) {
+		t.Fatalf("FinishBootstrap = %v, want the sink's error", err)
+	}
+	if left, _ := filepath.Glob(filepath.Join(fdir, "staged-*")); len(staged) != len(ms.Segments) || !slices.Equal(left, staged) {
+		t.Fatalf("staged files %v after the refused finish, want %v", left, staged)
+	}
+	wantEntries(t, fol, []index.Entry{own})
+	got, err := finishBootstrap(fol, ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids := sortedIDs(got); !slices.Equal(ids, []uint64{1, 2, 3}) {
+		t.Fatalf("retried finish streamed ids %v, want [1 2 3]", ids)
+	}
+	wantEntries(t, fol, got)
+}
+
 func TestInstallSegmentAndFinishBootstrap(t *testing.T) {
 	// Leader with two sealed windows, a tombstone, and a memtable
 	// holding a fresh entry and a re-registered sealed one.
@@ -1071,7 +1148,7 @@ func TestInstallSegmentAndFinishBootstrap(t *testing.T) {
 	if err := fol.InstallSegment(ms.Segments[1], raw1); err != nil {
 		t.Fatal(err)
 	}
-	got, err := fol.FinishBootstrap(ms)
+	got, err := finishBootstrap(fol, ms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1119,7 +1196,7 @@ func TestInstallSegmentAndFinishBootstrap(t *testing.T) {
 			t.Fatal("installed segment not visible to Mem.HasSegment")
 		}
 	}
-	if got, err = m.FinishBootstrap(ms); err != nil {
+	if got, err = finishBootstrap(m, ms); err != nil {
 		t.Fatal(err)
 	}
 	visible := entrySet(got)
@@ -1225,7 +1302,7 @@ func TestBootstrapResumesFromStagedListDirectory(t *testing.T) {
 	if !slices.Equal(fetched, ms.Segments[1:]) {
 		t.Fatalf("resumed bootstrap fetched %+v, want only %+v", fetched, ms.Segments[1:])
 	}
-	if _, err := fol.FinishBootstrap(ms); err != nil {
+	if _, err := finishBootstrap(fol, ms); err != nil {
 		t.Fatal(err)
 	}
 	want := leader.Entries()
@@ -1432,7 +1509,7 @@ func TestHighIDMark(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := fol.FinishBootstrap(ms); err != nil {
+	if _, err := finishBootstrap(fol, ms); err != nil {
 		t.Fatal(err)
 	}
 	if fol.HighID() != 9 {

@@ -13,13 +13,16 @@
 // names it — so local durable presence is the per-segment resume cursor:
 // a follower killed and restarted mid-bootstrap, or re-bootstrapping
 // after it lagged past the leader's log, finds its staged and live
-// segments and skips them (HasSegment). FinishBootstrap promotes the
-// staged set to live names no live segment holds, empties the memtable,
-// rotates WAL + manifest into the leader's history, and then deletes
-// every staged file.
+// segments and skips them (HasSegment). FinishBootstrap reads each
+// segment once, promotes the staged set to live names no live segment
+// holds, empties the memtable, rotates WAL + manifest into the leader's
+// history, and then deletes every staged file.
 //
-// Follower side, Mem: InstallSegment verifies and decodes each segment
-// into RAM; FinishBootstrap assembles the visible set from them.
+// Follower side, Mem: InstallSegment verifies each segment and keeps its
+// image in RAM; FinishBootstrap walks each image once.
+//
+// Either finish hands the visible set to a sink as it walks, the way
+// ReadEntries does, so the server loads its index from the walk itself.
 package store
 
 import (
@@ -27,7 +30,6 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"time"
 
@@ -69,12 +71,8 @@ func (d *Disk) HasSegment(window int64, seq uint64, crc uint32) bool {
 	if ok && seg.Seq == seq && seg.CRC == crc {
 		return true
 	}
-	data, done, err := mapFile(filepath.Join(d.opts.Dir, stagedFileName(window, seq)))
-	if err != nil {
-		return false
-	}
-	defer done()
-	return len(data) >= 4 && segTrailerCRC(data) == crc
+	data, err := os.ReadFile(filepath.Join(d.opts.Dir, stagedFileName(window, seq)))
+	return err == nil && len(data) >= 4 && segTrailerCRC(data) == crc
 }
 
 // verifySegment walks one fetched segment image (walkSegment; fn may be
@@ -122,27 +120,23 @@ func (d *Disk) InstallSegment(meta SegmentMeta, raw []byte) error {
 	return syncDir(d.opts.Dir)
 }
 
-// FinishBootstrap promotes the staged segments named by the leader's
-// manifest to live, empties the memtable, and rotates WAL and manifest
-// into the new history, then returns the visible set. The leader's WAL
-// from ms.BaseGen on is the follower's to replay next. It breaks log
-// continuity: old-generation cursors must re-bootstrap.
-func (d *Disk) FinishBootstrap(ms ManifestSnapshot) ([]index.Entry, error) {
-	if err := d.finishBootstrap(ms); err != nil {
-		return nil, err
-	}
-	return d.ReadEntries()
-}
-
-func (d *Disk) finishBootstrap(ms ManifestSnapshot) error {
+// FinishBootstrap implements Store: it reads each segment the leader's
+// manifest names once, handing sink its visible entries, then promotes
+// the staged ones to live, empties the memtable, and rotates WAL and
+// manifest into the new history. The leader's WAL from ms.BaseGen on is
+// the follower's to replay next. It breaks log continuity:
+// old-generation cursors must re-bootstrap.
+func (d *Disk) FinishBootstrap(ms ManifestSnapshot, sink func(*index.Entry) error) error {
 	d.cpMu.Lock()
 	defer d.cpMu.Unlock()
 
 	// Resolve every leader segment to a local durable file — live, or
-	// staged by InstallSegment — verified and its ids read, before
-	// touching any state. cpMu keeps every file in place; d.mu is held
-	// only to copy the live metas. A staged file that fails the check is
-	// deleted, so the retry fetches it again.
+	// staged by InstallSegment — verified, its ids read and its visible
+	// entries handed to sink, before touching any state: this walk is
+	// the finish's one read of each file. cpMu keeps every file in
+	// place; d.mu is held only to copy the live metas. A staged file
+	// that fails the check is deleted, so the retry fetches it again;
+	// an error from sink leaves it in place.
 	type resolved struct {
 		meta   SegmentMeta // as the follower records it
 		ids    []uint64
@@ -156,7 +150,7 @@ func (d *Disk) finishBootstrap(ms ManifestSnapshot) error {
 	}
 	live := maps.Clone(d.segs)
 	d.mu.Unlock()
-	for _, m := range ms.Segments {
+	err := visibleEntries(ms.Segments, tombstoneSet(ms.Tombstones), nil, func(m SegmentMeta, fn func(e index.Entry, prov, rec []byte)) error {
 		r := resolved{meta: m, ids: make([]uint64, 0, m.Count)}
 		name := segmentFileName(m.Window, m.Seq)
 		if seg, ok := live[m.Window]; !ok || seg.Seq != m.Seq || seg.CRC != m.CRC {
@@ -169,15 +163,20 @@ func (d *Disk) finishBootstrap(ms ManifestSnapshot) error {
 				r.meta.Seq = seg.Seq + 1
 			}
 		}
-		if err := d.walkSegmentFile(name, m, func(e index.Entry, _, _ []byte) {
+		if err := d.walkSegmentFile(name, m, func(e index.Entry, prov, rec []byte) {
 			r.ids = append(r.ids, e.ID)
+			fn(e, prov, rec)
 		}); err != nil {
 			if r.staged != "" {
 				os.Remove(filepath.Join(d.opts.Dir, r.staged))
 			}
-			return fmt.Errorf("store: finish bootstrap: %w", err)
+			return err
 		}
 		res = append(res, r)
+		return nil
+	}, sink)
+	if err != nil {
+		return fmt.Errorf("store: finish bootstrap: %w", err)
 	}
 
 	// Promote staged files to their live names before the manifest that
@@ -284,8 +283,8 @@ func (d *Disk) removeUnreferencedSegments(doc manifestDoc, staged bool) {
 	}
 }
 
-// HasSegment reports whether (window, seq, crc) is already decoded in
-// RAM by this bootstrap.
+// HasSegment reports whether (window, seq, crc) is already installed
+// by this bootstrap.
 func (m *Mem) HasSegment(window int64, seq uint64, crc uint32) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -298,46 +297,35 @@ func (m *Mem) HasSegment(window int64, seq uint64, crc uint32) bool {
 }
 
 // InstallSegment verifies one fetched segment against its advertised
-// meta and keeps its decoded entries until FinishBootstrap.
+// meta and keeps the image until FinishBootstrap.
 func (m *Mem) InstallSegment(meta SegmentMeta, raw []byte) error {
-	var names providerNames
-	entries := make([]index.Entry, 0, meta.Count)
-	if err := verifySegment(meta, raw, func(e index.Entry, prov, _ []byte) {
-		e.Provider = names.intern(prov)
-		entries = append(entries, e)
-	}); err != nil {
+	if err := verifySegment(meta, raw, nil); err != nil {
 		return err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.staged == nil {
-		m.staged = make(map[SegmentMeta][]index.Entry)
+		m.staged = make(map[SegmentMeta][]byte)
 	}
-	m.staged[meta] = entries
+	m.staged[meta] = raw
 	return nil
 }
 
-// FinishBootstrap assembles the visible set from the installed
-// segments the manifest names less its tombstones, and lets go of
-// every installed segment.
-func (m *Mem) FinishBootstrap(ms ManifestSnapshot) ([]index.Entry, error) {
+// FinishBootstrap walks the installed segments the manifest names once,
+// handing sink their entries less its tombstones, and lets go of every
+// installed segment.
+func (m *Mem) FinishBootstrap(ms ManifestSnapshot, sink func(*index.Entry) error) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, seg := range ms.Segments {
 		if _, ok := m.staged[seg]; !ok {
-			return nil, fmt.Errorf("store: finish bootstrap: segment %d/%d not installed", seg.Window, seg.Seq)
+			return fmt.Errorf("store: finish bootstrap: segment %d/%d not installed", seg.Window, seg.Seq)
 		}
 	}
 	staged := m.staged
 	m.staged = nil
-	dead := make(map[Tombstone]struct{}, len(ms.Tombstones))
-	for _, t := range ms.Tombstones {
-		dead[t] = struct{}{}
-	}
-	return visibleEntries(slices.Clone(ms.Segments), dead, nil, func(seg SegmentMeta, fn func(index.Entry)) error {
-		for _, e := range staged[seg] {
-			fn(e)
-		}
-		return nil
-	})
+	return visibleEntries(ms.Segments, tombstoneSet(ms.Tombstones), nil, func(seg SegmentMeta, fn func(e index.Entry, prov, rec []byte)) error {
+		_, _, err := walkSegment(staged[seg], fn)
+		return err
+	}, sink)
 }
