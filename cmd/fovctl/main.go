@@ -113,23 +113,7 @@ func runCapture(c *client.Client, args []string) error {
 	noise := fs.Bool("noise", false, "apply default sensor noise")
 	_ = fs.Parse(args)
 
-	cfg := trace.DefaultConfig
-	var samples []fov.Sample
-	var err error
-	switch *scenario {
-	case "walk":
-		samples, err = trace.WalkAhead(cfg)
-	case "walk-side":
-		samples, err = trace.WalkSideways(cfg)
-	case "rotate":
-		samples, err = trace.Rotation(cfg)
-	case "drive":
-		samples, err = trace.DriveStraight(cfg)
-	case "bike":
-		samples, err = trace.BikeWithTurn(cfg)
-	default:
-		return fmt.Errorf("unknown scenario %q", *scenario)
-	}
+	samples, err := trace.Scenario(*scenario, trace.DefaultConfig)
 	if err != nil {
 		return err
 	}

@@ -292,9 +292,6 @@ func debugMux(srv *server.Server) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = srv.Registry().WritePrometheus(w)
-	})
+	mux.Handle("/metrics", srv.Registry())
 	return mux
 }

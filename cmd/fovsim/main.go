@@ -18,7 +18,6 @@ import (
 	"math/rand"
 	"os"
 
-	"fovr/internal/fov"
 	"fovr/internal/render"
 	"fovr/internal/trace"
 	"fovr/internal/video"
@@ -74,23 +73,7 @@ func runTrace(args []string) error {
 	seed := fs.Int64("seed", 1, "noise seed")
 	_ = fs.Parse(args)
 
-	cfg := trace.Config{SampleHz: *hz}
-	var samples []fov.Sample
-	var err error
-	switch *scenario {
-	case "walk":
-		samples, err = trace.WalkAhead(cfg)
-	case "walk-side":
-		samples, err = trace.WalkSideways(cfg)
-	case "rotate":
-		samples, err = trace.Rotation(cfg)
-	case "drive":
-		samples, err = trace.DriveStraight(cfg)
-	case "bike":
-		samples, err = trace.BikeWithTurn(cfg)
-	default:
-		return fmt.Errorf("unknown scenario %q", *scenario)
-	}
+	samples, err := trace.Scenario(*scenario, trace.Config{SampleHz: *hz})
 	if err != nil {
 		return err
 	}

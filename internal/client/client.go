@@ -161,34 +161,81 @@ func (c *Client) Upload(u wire.Upload) ([]uint64, error) {
 // origin. Retries reuse the same trace ID, so a retried upload's
 // attempts stitch to one trace.
 func (c *Client) UploadTraced(u wire.Upload, trace string) ([]uint64, string, error) {
-	body, err := wire.EncodeBinary(u)
-	if err != nil {
-		return nil, "", err
-	}
 	if trace == "" {
 		trace = mintTraceID()
 	}
 	sp := uploadSpan.Start()
 	defer sp.End()
-	var respBody []byte
-	err = c.retryPolicy().Do(context.Background(), func() (bool, error) {
-		var retriable bool
-		var perr error
-		respBody, retriable, perr = c.postOnce("/upload", "application/octet-stream", body, trace)
-		return retriable, perr
-	})
+	resp, err := postUpload(context.Background(), c.retryPolicy(), c.httpClient(), c.BaseURL, u, trace, c.addTraffic)
 	if err != nil {
 		return nil, trace, err
-	}
-	var resp server.UploadResponse
-	if err := json.Unmarshal(respBody, &resp); err != nil {
-		return nil, trace, fmt.Errorf("client: upload response: %w", err)
 	}
 	if resp.TraceID != "" {
 		trace = resp.TraceID
 	}
 	return resp.IDs, trace, nil
 }
+
+// postUpload is the one /upload exchange, Client's and Partition's: it
+// POSTs u, wire binary and under trace, to base through hc, and returns
+// the acknowledgement. An attempt that failed by transport, by a cut
+// answer or with a retriableStatus is tried again under policy. A 409 is
+// a *redirectError carrying the leader the refusing replica names. count,
+// when non-nil, is told the bytes of every answered attempt.
+func postUpload(ctx context.Context, policy RetryPolicy, hc *http.Client, base string, u wire.Upload, trace string, count func(sent, received int)) (server.UploadResponse, error) {
+	var ack server.UploadResponse
+	body, err := wire.EncodeBinary(u)
+	if err != nil {
+		return ack, err
+	}
+	err = policy.Do(ctx, func() (bool, error) {
+		if ctx.Err() != nil {
+			return false, ctx.Err()
+		}
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/upload", bytes.NewReader(body))
+		if err != nil {
+			return false, err
+		}
+		req.Header.Set("Content-Type", "application/octet-stream")
+		if trace != "" {
+			req.Header.Set(server.TraceHeader, trace)
+		}
+		resp, err := hc.Do(req)
+		if err != nil {
+			return !errors.Is(err, context.Canceled), err
+		}
+		defer resp.Body.Close()
+		respBody, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return true, err
+		}
+		if count != nil {
+			count(len(body), len(respBody))
+		}
+		if resp.StatusCode == http.StatusOK {
+			if err := json.Unmarshal(respBody, &ack); err != nil {
+				return false, fmt.Errorf("client: %s/upload response: %w", base, err)
+			}
+			return false, nil
+		}
+		err = fmt.Errorf("client: %s/upload: %s: %s", base, resp.Status, bytes.TrimSpace(respBody))
+		if resp.StatusCode == http.StatusConflict {
+			var er server.ErrorResponse
+			_ = json.Unmarshal(respBody, &er)
+			return false, &redirectError{Leader: er.Leader, msg: err.Error()}
+		}
+		return retriableStatus(resp.StatusCode), err
+	})
+	return ack, err
+}
+
+// redirectError carries a read replica's 409 leader hint.
+type redirectError struct {
+	Leader string
+	msg    string
+}
+
+func (e *redirectError) Error() string { return e.msg }
 
 // mintTraceID returns a random 16-hex-digit trace ID with a client
 // prefix, so leader-side listings show where a trace originated.
@@ -341,41 +388,23 @@ func (c *Client) Stats() (server.Stats, error) {
 	return st, nil
 }
 
+// post performs one POST (no retry) and returns the body of its 200
+// answer.
 func (c *Client) post(path, contentType string, body []byte) ([]byte, error) {
-	respBody, _, err := c.postOnce(path, contentType, body, "")
-	return respBody, err
-}
-
-// postOnce performs one POST and classifies failures: retriable means a
-// connection-level error or a gateway status (502/503/504) where a retry
-// has a chance of succeeding. A non-empty trace is propagated in the
-// X-Fovr-Trace header.
-func (c *Client) postOnce(path, contentType string, body []byte, trace string) (respBody []byte, retriable bool, err error) {
-	req, err := http.NewRequest(http.MethodPost, c.BaseURL+path, bytes.NewReader(body))
+	resp, err := c.httpClient().Post(c.BaseURL+path, contentType, bytes.NewReader(body))
 	if err != nil {
-		return nil, false, err
-	}
-	req.Header.Set("Content-Type", contentType)
-	if trace != "" {
-		req.Header.Set(server.TraceHeader, trace)
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, true, err
+		return nil, err
 	}
 	defer resp.Body.Close()
-	respBody, err = io.ReadAll(resp.Body)
+	respBody, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return nil, true, err
+		return nil, err
 	}
 	c.addTraffic(len(body), len(respBody))
 	if resp.StatusCode != http.StatusOK {
-		retriable = resp.StatusCode == http.StatusBadGateway ||
-			resp.StatusCode == http.StatusServiceUnavailable ||
-			resp.StatusCode == http.StatusGatewayTimeout
-		return nil, retriable, fmt.Errorf("client: %s: %s: %s", path, resp.Status, bytes.TrimSpace(respBody))
+		return nil, fmt.Errorf("client: %s: %s: %s", path, resp.Status, bytes.TrimSpace(respBody))
 	}
-	return respBody, false, nil
+	return respBody, nil
 }
 
 // retryPolicy is the upload path's RetryPolicy: the client's knobs

@@ -10,12 +10,8 @@
 package client
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -61,66 +57,12 @@ func NewPartition(baseURL string) (*Partition, error) {
 // just bridges a failover the router has not observed yet. Transient
 // failures retry under the shared policy.
 func (p *Partition) Upload(ctx context.Context, u wire.Upload, trace string) (server.UploadResponse, error) {
-	body, err := wire.EncodeBinary(u)
-	if err != nil {
-		return server.UploadResponse{}, err
-	}
-	resp, err := p.uploadTo(ctx, p.BaseURL, body, trace)
+	resp, err := postUpload(ctx, p.Retry, http.DefaultClient, p.BaseURL, u, trace, nil)
 	var redirect *redirectError
 	if errors.As(err, &redirect) && redirect.Leader != "" && redirect.Leader != p.BaseURL {
-		resp, err = p.uploadTo(ctx, redirect.Leader, body, trace)
+		resp, err = postUpload(ctx, p.Retry, http.DefaultClient, redirect.Leader, u, trace, nil)
 	}
 	return resp, err
-}
-
-// redirectError carries a follower's 409 leader hint.
-type redirectError struct {
-	Leader string
-	msg    string
-}
-
-func (e *redirectError) Error() string { return e.msg }
-
-func (p *Partition) uploadTo(ctx context.Context, baseURL string, body []byte, trace string) (server.UploadResponse, error) {
-	var out server.UploadResponse
-	err := p.Retry.Do(ctx, func() (bool, error) {
-		if ctx.Err() != nil {
-			return false, ctx.Err()
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/upload", bytes.NewReader(body))
-		if err != nil {
-			return false, err
-		}
-		req.Header.Set("Content-Type", "application/octet-stream")
-		if trace != "" {
-			req.Header.Set(server.TraceHeader, trace)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			return !errors.Is(err, context.Canceled), err
-		}
-		defer resp.Body.Close()
-		respBody, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return true, err
-		}
-		switch resp.StatusCode {
-		case http.StatusOK:
-			return false, json.Unmarshal(respBody, &out)
-		case http.StatusConflict:
-			var er server.ErrorResponse
-			_ = json.Unmarshal(respBody, &er)
-			return false, &redirectError{
-				Leader: er.Leader,
-				msg:    fmt.Sprintf("client: partition %s/upload: %s: %s", baseURL, resp.Status, bytes.TrimSpace(respBody)),
-			}
-		case http.StatusBadGateway, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-			return true, fmt.Errorf("client: partition %s/upload: %s: %s", baseURL, resp.Status, bytes.TrimSpace(respBody))
-		default:
-			return false, fmt.Errorf("client: partition %s/upload: %s: %s", baseURL, resp.Status, bytes.TrimSpace(respBody))
-		}
-	})
-	return out, err
 }
 
 // Healthz probes the node's /healthz and returns its report

@@ -139,10 +139,7 @@ func (r *Replicator) get(ctx context.Context, url, kind string, timeout time.Dur
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<12))
-			retriable := resp.StatusCode == http.StatusBadGateway ||
-				resp.StatusCode == http.StatusServiceUnavailable ||
-				resp.StatusCode == http.StatusGatewayTimeout
-			return retriable, fmt.Errorf("client: replicate: %s: %s", resp.Status, bytes.TrimSpace(body))
+			return retriableStatus(resp.StatusCode), fmt.Errorf("client: replicate: %s: %s", resp.Status, bytes.TrimSpace(body))
 		}
 		if got := resp.Header.Get(replica.HeaderStream); got != kind {
 			return false, fmt.Errorf("client: replicate: stream kind %q, want %q", got, kind)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand/v2"
+	"net/http"
 	"time"
 
 	"fovr/internal/obs"
@@ -34,7 +35,7 @@ type RetryPolicy struct {
 // Do runs op until it succeeds, fails non-retriably, exhausts the
 // retry budget, or ctx ends during a backoff sleep, sleeping with
 // jittered exponential backoff between attempts. op reports whether its
-// failure is worth retrying (connection errors, 502/503/504) alongside
+// failure is worth retrying (connection errors, retriableStatus) alongside
 // the error. When ctx ends first, Do returns ctx's error joined with
 // op's last one.
 func (p RetryPolicy) Do(ctx context.Context, op func() (retriable bool, err error)) error {
@@ -63,6 +64,13 @@ func (p RetryPolicy) Do(ctx context.Context, op func() (retriable bool, err erro
 		}
 		delay *= 2
 	}
+}
+
+// retriableStatus reports whether an answer's HTTP status is worth
+// another attempt: 502, 503 or 504 — a gateway, or a server that cannot
+// serve the request now, may answer the next one.
+func retriableStatus(code int) bool {
+	return code == http.StatusBadGateway || code == http.StatusServiceUnavailable || code == http.StatusGatewayTimeout
 }
 
 // sleepCtx waits d, or until ctx ends, whichever comes first, and

@@ -128,10 +128,6 @@ type RouterHealthzResponse struct {
 // handleHealthz mirrors the single-node contract: 200 for ok and
 // degraded (the router still serves), 503 for failing.
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	report := rt.health.Evaluate()
 	resp := RouterHealthzResponse{
 		HealthReport:  report,

@@ -16,11 +16,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math/rand/v2"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,8 +52,6 @@ type RouterConfig struct {
 	// is only byte-faithful when router and partitions truncate at the
 	// same N. Zero selects 20, the server default.
 	DefaultMaxResults int
-	// MaxUploadBytes bounds upload bodies. Zero selects 8 MiB.
-	MaxUploadBytes int64
 	// Registry receives the fovr_cluster_* metrics; nil selects
 	// obs.Default.
 	Registry *obs.Registry
@@ -111,15 +107,12 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.DefaultMaxResults == 0 {
 		cfg.DefaultMaxResults = 20
 	}
-	if cfg.MaxUploadBytes == 0 {
-		cfg.MaxUploadBytes = 8 << 20
-	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.Default
 	}
 	log := cfg.Logger
 	if log == nil {
-		log = slog.New(nopHandler{})
+		log = obs.Discard
 	}
 	rt := &Router{
 		cfg:     cfg,
@@ -172,25 +165,18 @@ func (rt *Router) partition(p *Partition) *routerPartition {
 	return nil
 }
 
-// Handler returns the router's HTTP surface.
+// Handler returns the router's HTTP surface. Each route names its
+// method; the mux answers any other with 405 and an Allow header.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/query", rt.handleQuery)
-	mux.HandleFunc("/nearest", rt.handleNearest)
-	mux.HandleFunc("/upload", rt.handleUpload)
-	mux.HandleFunc("/cluster/topology", rt.handleTopology)
-	mux.HandleFunc("/healthz", rt.handleHealthz)
-	mux.HandleFunc("/metrics", rt.handleMetrics)
+	mux.HandleFunc("POST /query", rt.handleQuery)
+	mux.HandleFunc("POST /nearest", rt.handleNearest)
+	mux.HandleFunc("POST /upload", rt.handleUpload)
+	mux.HandleFunc("GET /cluster/topology", rt.handleTopology)
+	mux.HandleFunc("GET /healthz", rt.handleHealthz)
+	mux.Handle("GET /metrics", rt.reg)
 	return mux
 }
-
-// nopHandler mirrors the server package's silent logger.
-type nopHandler struct{}
-
-func (nopHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (nopHandler) Handle(context.Context, slog.Record) error { return nil }
-func (nopHandler) WithAttrs([]slog.Attr) slog.Handler        { return nopHandler{} }
-func (nopHandler) WithGroup(string) slog.Handler             { return nopHandler{} }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	http.Error(w, fmt.Sprintf(format, args...), code)
@@ -461,10 +447,6 @@ func (rt *Router) answers(w http.ResponseWriter, sc *gather, what, trace string)
 }
 
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	sc := rt.getGather()
 	defer rt.putGather(sc)
 	var err error
@@ -542,10 +524,6 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleNearest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	sc := rt.getGather()
 	defer rt.putGather(sc)
 	var err error
@@ -592,26 +570,8 @@ func (rt *Router) handleNearest(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleUpload(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
-		httpError(w, http.StatusUnsupportedMediaType, "upload body must be wire binary (application/octet-stream)")
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, rt.cfg.MaxUploadBytes+1))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "read: %v", err)
-		return
-	}
-	if int64(len(body)) > rt.cfg.MaxUploadBytes {
-		httpError(w, http.StatusRequestEntityTooLarge, "upload exceeds %d bytes", rt.cfg.MaxUploadBytes)
-		return
-	}
-	u, err := wire.DecodeBinary(body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "decode: %v", err)
+	u, _, ok := server.ReadUpload(w, r, server.DefaultMaxUploadBytes)
+	if !ok {
 		return
 	}
 	trace := rt.traceID(r)
@@ -679,18 +639,5 @@ func (rt *Router) splitUpload(u wire.Upload) ([]uploadRun, error) {
 }
 
 func (rt *Router) handleTopology(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	respondJSON(w, rt.topo)
-}
-
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = rt.reg.WritePrometheus(w)
 }

@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -506,5 +507,91 @@ func TestRouterRefusesJSONUpload(t *testing.T) {
 	}
 	if n := stub.requests.Load(); n != 0 {
 		t.Errorf("the partition saw %d requests", n)
+	}
+}
+
+// TestRouteTable walks every route of a node and of the router: a
+// request with another method gets the mux's 405 with an Allow header
+// naming the route's method, and never reaches the handler; the route's
+// own method reaches it (a node's request histogram for the endpoint
+// counts it). HEAD rides on GET.
+func TestRouteTable(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv, err := server.New(server.Config{Camera: testCam, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := threePartitionTopology(t)
+	for i := range topo.Partitions {
+		topo.Partitions[i].Leader = "http://127.0.0.1:1" // nothing listens: probes fail at once
+	}
+	rt, err := cluster.NewRouter(cluster.RouterConfig{Topology: topo, ProbeTimeout: 100 * time.Millisecond, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type route struct{ method, path, label string }
+	surfaces := []struct {
+		name   string
+		h      http.Handler
+		routes []route
+	}{
+		{"server", srv.Handler(), []route{
+			{"POST", "/upload", "/upload"},
+			{"POST", "/query", "/query"},
+			{"POST", "/nearest", "/nearest"},
+			{"GET", "/stats", "/stats"},
+			{"POST", "/forget", "/forget"},
+			{"POST", "/checkpoint", "/checkpoint"},
+			{"GET", "/replicate", "/replicate"},
+			{"GET", "/metrics", "/metrics"},
+			{"GET", "/healthz", "/healthz"},
+			{"GET", "/debug/traces", "/debug/traces"},
+			{"GET", "/debug/traces/abc", "/debug/traces/:id"},
+		}},
+		{"router", rt.Handler(), []route{
+			{"POST", "/query", ""},
+			{"POST", "/nearest", ""},
+			{"POST", "/upload", ""},
+			{"GET", "/cluster/topology", ""},
+			{"GET", "/healthz", ""},
+			{"GET", "/metrics", ""},
+		}},
+	}
+	serve := func(h http.Handler, method, path string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(method, path, http.NoBody))
+		return w
+	}
+	for _, sf := range surfaces {
+		for _, r := range sf.routes {
+			wrong := "POST"
+			if r.method == "POST" {
+				wrong = "GET"
+			}
+			var hist *obs.Histogram
+			if r.label != "" {
+				hist = reg.Histogram(fmt.Sprintf("fovr_http_request_seconds{endpoint=%q}", r.label))
+			}
+			w := serve(sf.h, wrong, r.path)
+			if allow := w.Header().Get("Allow"); w.Code != http.StatusMethodNotAllowed || !strings.Contains(allow, r.method) {
+				t.Errorf("%s: %s %s: %d, Allow %q; want 405 allowing %s", sf.name, wrong, r.path, w.Code, allow, r.method)
+			}
+			if hist != nil && hist.Count() != 0 {
+				t.Errorf("%s: %s %s reached the handler", sf.name, wrong, r.path)
+			}
+			methods := []string{r.method}
+			if r.method == "GET" {
+				methods = append(methods, "HEAD")
+			}
+			for i, m := range methods {
+				w := serve(sf.h, m, r.path)
+				if w.Code == http.StatusMethodNotAllowed || (hist == nil && w.Code == http.StatusNotFound) {
+					t.Errorf("%s: %s %s: %d, not routed", sf.name, m, r.path, w.Code)
+				}
+				if hist != nil && hist.Count() != int64(i+1) {
+					t.Errorf("%s: %s %s: the endpoint counted %d requests, want %d", sf.name, m, r.path, hist.Count(), i+1)
+				}
+			}
+		}
 	}
 }

@@ -21,9 +21,13 @@
 package obs
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"log/slog"
+	"maps"
 	"math"
+	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -63,86 +67,67 @@ func NewRegistry() *Registry {
 // process uptime when using Default.
 func (r *Registry) UptimeSeconds() float64 { return time.Since(r.created).Seconds() }
 
-// lookup returns the metric under name, creating it with make on miss.
-// It panics when the name is malformed or already registered with a
-// different metric kind — both are programming errors.
-func (r *Registry) lookup(name string, make func() metric) metric {
+// get returns the metric of kind M under name, creating it with create
+// on miss. It panics when the name is malformed or already registered as
+// another kind — both are programming errors.
+func get[M metric](r *Registry, name string, create func() M) M {
 	r.mu.RLock()
 	m, ok := r.metrics[name]
 	r.mu.RUnlock()
-	if ok {
-		return m
+	if !ok {
+		if err := checkName(name); err != nil {
+			panic(err)
+		}
+		r.mu.Lock()
+		if m, ok = r.metrics[name]; !ok {
+			m = create()
+			r.metrics[name] = m
+		}
+		r.mu.Unlock()
 	}
-	if err := checkName(name); err != nil {
-		panic(err)
+	t, ok := m.(M)
+	if !ok {
+		panic(fmt.Sprintf("obs: %q already registered as %s", name, m.promType()))
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok = r.metrics[name]; ok {
-		return m
-	}
-	m = make()
-	r.metrics[name] = m
-	return m
+	return t
 }
 
 // Counter returns the monotonic counter with the given name, creating it
 // on first use.
 func (r *Registry) Counter(name string) *Counter {
-	m := r.lookup(name, func() metric { return &Counter{} })
-	c, ok := m.(*Counter)
-	if !ok {
-		panic(fmt.Sprintf("obs: %q already registered as %s", name, m.promType()))
-	}
-	return c
+	return get(r, name, func() *Counter { return &Counter{} })
 }
 
 // Gauge returns the settable gauge with the given name, creating it on
 // first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	m := r.lookup(name, func() metric { return &Gauge{} })
-	g, ok := m.(*Gauge)
-	if !ok {
-		panic(fmt.Sprintf("obs: %q already registered as %s", name, m.promType()))
-	}
-	return g
+	return get(r, name, func() *Gauge { return &Gauge{} })
 }
 
 // GaugeFunc registers (or replaces) a gauge whose value is produced by f
 // at exposition time — the shape used for live readings like index size.
 // Replacement keeps re-created servers sharing a registry from
 // colliding: the newest owner of the name wins.
-func (r *Registry) GaugeFunc(name string, f func() float64) {
-	if err := checkName(name); err != nil {
-		panic(err)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.metrics[name] = gaugeFunc(f)
-}
+func (r *Registry) GaugeFunc(name string, f func() float64) { r.put(name, funcMetric{"gauge", f}) }
 
 // CounterFunc registers (or replaces) a counter whose value is produced
 // by f at exposition time. The value should be monotonic over the life of
 // the producer; scrapers treat a decrease as a reset.
-func (r *Registry) CounterFunc(name string, f func() float64) {
+func (r *Registry) CounterFunc(name string, f func() float64) { r.put(name, funcMetric{"counter", f}) }
+
+// put registers m under name, replacing any metric there.
+func (r *Registry) put(name string, m metric) {
 	if err := checkName(name); err != nil {
 		panic(err)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.metrics[name] = counterFunc(f)
+	r.metrics[name] = m
 }
 
 // Histogram returns the fixed-bucket histogram with the given name,
 // creating it on first use.
-func (r *Registry) Histogram(name string) *Histogram {
-	m := r.lookup(name, func() metric { return newHistogram() })
-	h, ok := m.(*Histogram)
-	if !ok {
-		panic(fmt.Sprintf("obs: %q already registered as %s", name, m.promType()))
-	}
-	return h
-}
+func (r *Registry) Histogram(name string) *Histogram { return get(r, name, newHistogram) }
 
 // Counter is a monotonically increasing counter.
 type Counter struct {
@@ -195,18 +180,15 @@ func (g *Gauge) writeProm(b *strings.Builder, name string) {
 	fmt.Fprintf(b, "%s %s\n", name, formatFloat(g.Value()))
 }
 
-type gaugeFunc func() float64
-
-func (f gaugeFunc) promType() string { return "gauge" }
-func (f gaugeFunc) writeProm(b *strings.Builder, name string) {
-	fmt.Fprintf(b, "%s %s\n", name, formatFloat(f()))
+// funcMetric is a gauge or a counter read from f at exposition time.
+type funcMetric struct {
+	kind string
+	f    func() float64
 }
 
-type counterFunc func() float64
-
-func (f counterFunc) promType() string { return "counter" }
-func (f counterFunc) writeProm(b *strings.Builder, name string) {
-	fmt.Fprintf(b, "%s %s\n", name, formatFloat(f()))
+func (m funcMetric) promType() string { return m.kind }
+func (m funcMetric) writeProm(b *strings.Builder, name string) {
+	fmt.Fprintf(b, "%s %s\n", name, formatFloat(m.f()))
 }
 
 // formatFloat renders floats the way Prometheus expects: shortest exact
@@ -292,15 +274,12 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 func (r *Registry) writeTo(b *strings.Builder) {
 	r.mu.RLock()
-	names := make([]string, 0, len(r.metrics))
-	for name := range r.metrics {
+	metrics := maps.Clone(r.metrics)
+	r.mu.RUnlock()
+	names := make([]string, 0, len(metrics))
+	for name := range metrics {
 		names = append(names, name)
 	}
-	metrics := make(map[string]metric, len(r.metrics))
-	for name, m := range r.metrics {
-		metrics[name] = m
-	}
-	r.mu.RUnlock()
 
 	// Sort by (family, full name) so label variants of one family group
 	// together under a single TYPE header.
@@ -322,6 +301,13 @@ func (r *Registry) writeTo(b *strings.Builder) {
 		}
 		m.writeProm(b, name)
 	}
+}
+
+// ServeHTTP serves the exposition: GET /metrics on a server, on a router
+// and on fovserver's debug listener.
+func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	_ = r.WritePrometheus(w)
 }
 
 // Prometheus returns the full exposition as a string.
@@ -389,6 +375,17 @@ func (s Scrape) Quantile(name string, q float64) float64 {
 		return n
 	})
 }
+
+// Discard is the logger of a component configured with none. Its handler
+// is enabled at no level, so a record is dropped before it is formatted.
+var Discard = slog.New(discardHandler{})
+
+type discardHandler struct{}
+
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (h discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
+func (h discardHandler) WithGroup(string) slog.Handler           { return h }
 
 // Package-level conveniences on the Default registry.
 

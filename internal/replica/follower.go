@@ -7,7 +7,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"sync"
 	"time"
@@ -127,7 +126,7 @@ func Start(opts Options) (*Follower, error) {
 		opts.Registry = obs.Default
 	}
 	if opts.Logger == nil {
-		opts.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		opts.Logger = obs.Discard
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	f := &Follower{

@@ -169,10 +169,6 @@ type HealthzResponse struct {
 // node still serves), 503 for failing — so a plain status-code probe
 // agrees with the JSON body.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	resp := HealthzResponse{
 		HealthReport:  s.health.Evaluate(),
 		UptimeSeconds: s.reg.UptimeSeconds(),

@@ -48,10 +48,6 @@ func (s *Server) Nearest(center geo.Point, startMillis, endMillis int64, k int) 
 }
 
 func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	sc := getReadScratch()
 	defer putReadScratch(sc)
 	var err error

@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -265,5 +266,51 @@ func TestOpsHealthzFlipsFailingOnFault(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode == http.StatusOK {
 		t.Fatal("upload succeeded on a faulted store")
+	}
+}
+
+// TestOpsFaultedStoreUploadIs503AndRetried: a store that cannot journal
+// answers /upload (and /forget) with 503, the status /healthz reports,
+// so a client's retry policy retries it: MaxRetries 2 is three attempts.
+func TestOpsFaultedStoreUploadIs503AndRetried(t *testing.T) {
+	st := opsOpenDisk(t, t.TempDir())
+	defer st.Close()
+	srv, _ := opsLeader(t, st)
+	var attempts atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/upload" {
+			attempts.Add(1)
+		}
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	body, err := wire.EncodeBinary(opsUpload(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Register(opsUpload(2)); err != nil {
+		t.Fatal(err) // something for /forget to journal
+	}
+	st.InjectFault(fmt.Errorf("induced fsync failure"))
+	for _, path := range []string{"/upload", "/forget?provider=alice"} {
+		resp, err := http.Post(ts.URL+path, "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("POST %s on a faulted store: %d %s, want 503", path, resp.StatusCode, msg)
+		}
+	}
+
+	attempts.Store(0)
+	c := client.New(ts.URL)
+	c.MaxRetries, c.RetryDelay = 2, time.Millisecond
+	if ids, err := c.Upload(opsUpload(2)); err == nil {
+		t.Fatalf("upload to a faulted store acknowledged ids %v", ids)
+	}
+	if n := attempts.Load(); n != 3 {
+		t.Fatalf("a client with MaxRetries 2 made %d attempts, want 3", n)
 	}
 }

@@ -55,10 +55,6 @@ func (s *Server) readOnlyErr(op string) error {
 // the durable store's log. Only a durable leader can serve it: a Mem
 // store has no log to ship, and a read replica must not be chained from.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	src, ok := s.store.(replica.LogSource)
 	if !ok {
 		httpError(w, http.StatusConflict, "replication requires a durable leader (-data-dir)")

@@ -24,11 +24,25 @@
 //	                          query, every slow one, 1-in-N of the rest).
 //	GET  /debug/traces/{id} — one retained trace by id.
 //
-// Those 11 routes are all Handler serves. State enters a server only
-// through uploads, the durable store it boots from (Config.Store) and
-// replication; it leaves only through queries and replication. Lock
-// contention has no route here; it is read from the runtime's mutex and
-// block profiles on fovserver -debug-addr.
+// Those 11 routes are all Handler serves. Each is registered with its
+// method, so the mux answers any other method with 405 and an Allow
+// header naming the right one (HEAD is served as GET). State enters a
+// server only through uploads, the durable store it boots from
+// (Config.Store) and replication; it leaves only through queries and
+// replication. Lock contention has no route here; it is read from the
+// runtime's mutex and block profiles on fovserver -debug-addr.
+//
+// A refused write answers with a status that says what to do next:
+//
+//	400 — the request cannot succeed as sent: a body that does not decode,
+//	      an empty provider, an entry the store will not encode.
+//	409 — a read replica; the JSON ErrorResponse names the leader.
+//	413 — an upload body over Config.MaxUploadBytes.
+//	415 — a JSON upload; uploads are wire binary only.
+//	421 — an upload holding a representative another partition owns.
+//	503 — the store cannot journal (a sticky write or fsync failure, a
+//	      closed store); /healthz is failing too, and clients retry it.
+//	507 — the upload's ids would pass this server's id span.
 //
 // Every request is counted and timed per endpoint and status code in the
 // observability registry (package obs), and logged through a structured
@@ -71,7 +85,8 @@ type Config struct {
 	// DefaultMaxResults caps query responses when the querier does not
 	// ask for a specific N. Zero means 20.
 	DefaultMaxResults int
-	// MaxUploadBytes bounds request bodies. Zero means 8 MiB.
+	// MaxUploadBytes bounds upload bodies. Zero means
+	// DefaultMaxUploadBytes.
 	MaxUploadBytes int64
 	// IndexKind and ShardWindow are ignored; they stay only because
 	// bench/ still sets them.
@@ -132,7 +147,7 @@ func (c Config) withDefaults() Config {
 		c.DefaultMaxResults = 20
 	}
 	if c.MaxUploadBytes == 0 {
-		c.MaxUploadBytes = 8 << 20
+		c.MaxUploadBytes = DefaultMaxUploadBytes
 	}
 	if c.Registry == nil {
 		c.Registry = obs.Default
@@ -146,6 +161,10 @@ func (c Config) withDefaults() Config {
 // IndexKindSharded stays only because bench/ still sets Config.IndexKind
 // to it; the field is ignored.
 const IndexKindSharded = "sharded"
+
+// ErrIDSpanExhausted marks an upload whose ids would pass the server's
+// last id, IDBase+index.IDSpan (HTTP 507): no retry can succeed.
+var ErrIDSpanExhausted = errors.New("id span exhausted")
 
 // Server is the cloud service. Create with New, wire into an http.Server
 // via Handler, or use ListenAndServe/Serve.
@@ -190,7 +209,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	logger := cfg.Logger
 	if logger == nil {
-		logger = slog.New(nopHandler{})
+		logger = obs.Discard
 	}
 	s := &Server{
 		cfg:     cfg,
@@ -247,14 +266,6 @@ func (s *Server) registerMetrics() {
 	s.reg.CounterFunc("fovr_query_traces_observed_total", func() float64 { return float64(s.traces.Stats().Observed) })
 	s.reg.CounterFunc("fovr_query_traces_kept_total", func() float64 { return float64(s.traces.Stats().Kept()) })
 }
-
-// nopHandler silences slog when no logger is configured.
-type nopHandler struct{}
-
-func (nopHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (nopHandler) Handle(context.Context, slog.Record) error { return nil }
-func (nopHandler) WithAttrs([]slog.Attr) slog.Handler        { return nopHandler{} }
-func (nopHandler) WithGroup(string) slog.Handler             { return nopHandler{} }
 
 // index returns the current index under the state lock — FinishBootstrap
 // may replace it, and metric callbacks read from scrape goroutines.
@@ -321,7 +332,7 @@ func (s *Server) RegisterTraced(u wire.Upload, trace string) ([]uint64, error) {
 	// next partition's range. Unsigned differences keep a wrap refused.
 	if start+uint64(len(u.Reps))-1-s.cfg.IDBase > index.IDSpan {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("server: %d ids from %d pass this server's last id %d", len(u.Reps), start, s.cfg.IDBase+index.IDSpan)
+		return nil, fmt.Errorf("server: %w: %d ids from %d pass the last id %d", ErrIDSpanExhausted, len(u.Reps), start, s.cfg.IDBase+index.IDSpan)
 	}
 	s.nextID += uint64(len(u.Reps))
 	idx := s.idx
@@ -400,22 +411,23 @@ func (s *Server) ratchetIDsLocked(entries []index.Entry) {
 	}
 }
 
-// Handler returns the HTTP API.
+// Handler returns the HTTP API. A request with a method its route does
+// not name gets the mux's 405 before instrument counts it.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/upload", s.instrument("/upload", s.handleUpload))
-	mux.HandleFunc("/query", s.instrument("/query", s.handleQuery))
-	mux.HandleFunc("/nearest", s.instrument("/nearest", s.handleNearest))
-	mux.HandleFunc("/stats", s.instrument("/stats", s.handleStats))
-	mux.HandleFunc("/forget", s.instrument("/forget", s.handleForget))
-	mux.HandleFunc("/checkpoint", s.instrument("/checkpoint", s.handleCheckpoint))
-	mux.HandleFunc("/replicate", s.instrument("/replicate", s.handleReplicate))
-	mux.HandleFunc("/metrics", s.instrument("/metrics", s.handleMetrics))
-	mux.HandleFunc("/healthz", s.instrument("/healthz", s.handleHealthz))
-	mux.HandleFunc("/debug/traces", s.instrument("/debug/traces", s.handleTraces))
+	mux.HandleFunc("POST /upload", s.instrument("/upload", s.handleUpload))
+	mux.HandleFunc("POST /query", s.instrument("/query", s.handleQuery))
+	mux.HandleFunc("POST /nearest", s.instrument("/nearest", s.handleNearest))
+	mux.HandleFunc("GET /stats", s.instrument("/stats", s.handleStats))
+	mux.HandleFunc("POST /forget", s.instrument("/forget", s.handleForget))
+	mux.HandleFunc("POST /checkpoint", s.instrument("/checkpoint", s.handleCheckpoint))
+	mux.HandleFunc("GET /replicate", s.instrument("/replicate", s.handleReplicate))
+	mux.HandleFunc("GET /metrics", s.instrument("/metrics", s.reg.ServeHTTP))
+	mux.HandleFunc("GET /healthz", s.instrument("/healthz", s.handleHealthz))
+	mux.HandleFunc("GET /debug/traces", s.instrument("/debug/traces", s.handleTraces))
 	// The metric label elides the {id} wildcard: label values share the
 	// metric-name character set, which excludes braces.
-	mux.HandleFunc("/debug/traces/{id}", s.instrument("/debug/traces/:id", s.handleTraceByID))
+	mux.HandleFunc("GET /debug/traces/{id}", s.instrument("/debug/traces/:id", s.handleTraceByID))
 	return mux
 }
 
@@ -523,15 +535,6 @@ func (s *Server) traceID(w http.ResponseWriter, r *http.Request) string {
 	return "q" + strconv.FormatUint(s.reqSeq.Add(1), 10)
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.reg.WritePrometheus(w)
-}
-
 // UploadResponse acknowledges an upload.
 type UploadResponse struct {
 	IDs []uint64 `json:"ids"`
@@ -540,29 +543,40 @@ type UploadResponse struct {
 	TraceID string `json:"traceID,omitempty"`
 }
 
-func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
+// DefaultMaxUploadBytes bounds an upload body when Config.MaxUploadBytes
+// is zero, and bounds every upload the cluster router reads.
+const DefaultMaxUploadBytes = 8 << 20
+
+// ReadUpload reads and decodes the wire-binary body of POST /upload, at
+// most limit bytes, for a server and a router alike. It answers a JSON
+// content type with 415, a longer body with 413 and a body that does not
+// read or decode with 400, and then returns ok false. n is the body's
+// length once it was read whole.
+func ReadUpload(w http.ResponseWriter, r *http.Request, limit int64) (u wire.Upload, n int, ok bool) {
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
 		httpError(w, http.StatusUnsupportedMediaType, "upload body must be wire binary (application/octet-stream)")
-		return
+		return u, 0, false
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxUploadBytes+1))
+	body, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "read: %v", err)
-		return
+		return u, 0, false
 	}
-	if int64(len(body)) > s.cfg.MaxUploadBytes {
-		httpError(w, http.StatusRequestEntityTooLarge, "upload exceeds %d bytes", s.cfg.MaxUploadBytes)
-		return
+	if int64(len(body)) > limit {
+		httpError(w, http.StatusRequestEntityTooLarge, "upload exceeds %d bytes", limit)
+		return u, 0, false
 	}
-	s.traffic.AddReceived(len(body))
-
-	u, err := wire.DecodeBinary(body)
-	if err != nil {
+	if u, err = wire.DecodeBinary(body); err != nil {
 		httpError(w, http.StatusBadRequest, "decode: %v", err)
+		return u, len(body), false
+	}
+	return u, len(body), true
+}
+
+func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
+	u, n, ok := ReadUpload(w, r, s.cfg.MaxUploadBytes)
+	s.traffic.AddReceived(n)
+	if !ok {
 		return
 	}
 	// Every upload runs under a trace id — caller-propagated via
@@ -583,18 +597,10 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		s.traces.Keep(tr)
 	}
 	if err != nil {
-		if errors.Is(err, ErrReadOnly) {
-			s.respondError(w, http.StatusConflict, err)
-			return
-		}
-		if errors.Is(err, ErrMisdirected) {
-			httpError(w, http.StatusMisdirectedRequest, "%v", err)
-			return
-		}
-		httpError(w, http.StatusBadRequest, "%v", err)
+		s.refuse(w, err, http.StatusBadRequest)
 		return
 	}
-	s.reqLog(r).Info("upload", "provider", u.Provider, "reps", len(u.Reps), "bytesIn", len(body), "traceID", trace)
+	s.reqLog(r).Info("upload", "provider", u.Provider, "reps", len(u.Reps), "bytesIn", n, "traceID", trace)
 	s.respondJSON(w, UploadResponse{IDs: ids, TraceID: trace})
 }
 
@@ -619,10 +625,6 @@ type QueryResponse struct {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	sc := getReadScratch()
 	defer putReadScratch(sc)
 	var err error
@@ -715,10 +717,6 @@ type TracesResponse struct {
 }
 
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	traces := s.traces.Traces()
 	if traces == nil {
 		traces = []*obs.QueryTrace{}
@@ -732,10 +730,6 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	id := r.PathValue("id")
 	t := s.traces.Get(id)
 	if t == nil {
@@ -772,10 +766,6 @@ type Stats struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	idx := s.index()
 	s.respondJSON(w, Stats{
 		Segments:      idx.Len(),
@@ -814,10 +804,6 @@ type CheckpointResponse struct {
 // demand (fovctl checkpoint) — useful before a planned restart, so boot
 // recovery loads one file instead of replaying the whole log.
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	start := time.Now()
 	if err := s.store.Checkpoint(); err != nil {
 		if errors.Is(err, store.ErrNotDurable) {
@@ -890,6 +876,24 @@ func (s *Server) writeJSONBody(w http.ResponseWriter, v any) {
 	_, _ = w.Write(data)
 }
 
+// refuse answers a refused upload or forget with the status its error
+// names (see the package comment); any other error gets fallback.
+func (s *Server) refuse(w http.ResponseWriter, err error, fallback int) {
+	code := fallback
+	switch {
+	case errors.Is(err, ErrReadOnly):
+		s.respondError(w, http.StatusConflict, err)
+		return
+	case errors.Is(err, ErrMisdirected):
+		code = http.StatusMisdirectedRequest
+	case errors.Is(err, store.ErrFailed), errors.Is(err, store.ErrClosed):
+		code = http.StatusServiceUnavailable
+	case errors.Is(err, ErrIDSpanExhausted):
+		code = http.StatusInsufficientStorage
+	}
+	httpError(w, code, "%v", err)
+}
+
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	http.Error(w, fmt.Sprintf(format, args...), code)
 }
@@ -940,10 +944,6 @@ func (s *Server) ForgetProvider(provider string) (int, error) {
 }
 
 func (s *Server) handleForget(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	provider := r.URL.Query().Get("provider")
 	if provider == "" {
 		httpError(w, http.StatusBadRequest, "provider required")
@@ -951,11 +951,7 @@ func (s *Server) handleForget(w http.ResponseWriter, r *http.Request) {
 	}
 	removed, err := s.ForgetProvider(provider)
 	if err != nil {
-		if errors.Is(err, ErrReadOnly) {
-			s.respondError(w, http.StatusConflict, err)
-			return
-		}
-		httpError(w, http.StatusInternalServerError, "%v", err)
+		s.refuse(w, err, http.StatusInternalServerError)
 		return
 	}
 	s.reqLog(r).Info("forget", "provider", provider, "removed", removed)

@@ -137,6 +137,70 @@ func TestRegisterRefusesIDsPastIDSpan(t *testing.T) {
 	}
 }
 
+// TestRefusedWriteStatuses pins the status of each refused write: a
+// request that cannot succeed as sent is 400, ids past the span are 507,
+// and a closed store is 503 on /upload and on /forget, like a faulted
+// one (TestOpsFaultedStoreUploadIs503AndRetried).
+func TestRefusedWriteStatuses(t *testing.T) {
+	post := func(t *testing.T, s *Server, path string, u wire.Upload) int {
+		t.Helper()
+		body, err := wire.EncodeBinary(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		return w.Code
+	}
+	upload := wire.Upload{Provider: "alice", Reps: []segment.Representative{rep(center, 0, 0, 5000)}}
+	for _, tc := range []struct {
+		name  string
+		spoil func(*Server, *store.Disk, *wire.Upload)
+		want  int
+	}{
+		{"empty provider", func(_ *Server, _ *store.Disk, u *wire.Upload) { u.Provider = "" }, http.StatusBadRequest},
+		{"id span exhausted", func(s *Server, _ *store.Disk, _ *wire.Upload) { s.nextID = index.IDSpan + 1 }, http.StatusInsufficientStorage},
+		{"closed store", func(_ *Server, st *store.Disk, _ *wire.Upload) { st.Close() }, http.StatusServiceUnavailable},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := openStore(t, t.TempDir())
+			defer st.Close()
+			s, err := New(Config{Camera: fov.Camera{HalfAngleDeg: 30, RadiusMeters: 100}, Store: st, Registry: obs.NewRegistry()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if code := post(t, s, "/upload", upload); code != http.StatusOK {
+				t.Fatalf("healthy upload: %d", code)
+			}
+			u := upload
+			tc.spoil(s, st, &u)
+			if code := post(t, s, "/upload", u); code != tc.want {
+				t.Fatalf("upload: %d, want %d", code, tc.want)
+			}
+			if tc.want == http.StatusServiceUnavailable {
+				if code := post(t, s, "/forget?provider=alice", u); code != tc.want {
+					t.Fatalf("forget: %d, want %d", code, tc.want)
+				}
+			}
+		})
+	}
+
+	// An entry the store will not encode cannot arrive in a wire body —
+	// the decoder checks the same fields — so its error is mapped here.
+	st := openStore(t, t.TempDir())
+	defer st.Close()
+	s, err := New(Config{Camera: fov.Camera{HalfAngleDeg: 30, RadiusMeters: 100}, Store: st, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.Register(wire.Upload{Provider: "alice", Reps: []segment.Representative{rep(center, 0, -5000, -1000)}})
+	w := httptest.NewRecorder()
+	t.Logf("unencodable entry: %v", err)
+	if s.refuse(w, err, http.StatusBadRequest); err == nil || w.Code != http.StatusBadRequest {
+		t.Fatalf("unencodable entry: %v answered %d, want 400", err, w.Code)
+	}
+}
+
 func TestRegisterRollbackOnInvalidRep(t *testing.T) {
 	s := newServer(t)
 	_, err := s.Register(wire.Upload{

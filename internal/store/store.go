@@ -60,7 +60,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"log/slog"
 	"os"
@@ -134,6 +133,10 @@ var ErrNotDurable = errors.New("store: not durable (no data directory configured
 
 // ErrClosed is returned by every operation after Close.
 var ErrClosed = errors.New("store: closed")
+
+// ErrFailed marks the sticky failure of a store whose log write or fsync
+// failed, or that InjectFault failed: it refuses every later append.
+var ErrFailed = errors.New("store: failed")
 
 // Mem is the non-durable store: every journal operation is a no-op,
 // preserving the server's historical in-memory behavior when no data
@@ -229,7 +232,7 @@ func (o Options) withDefaults() Options {
 		o.Registry = obs.Default
 	}
 	if o.Logger == nil {
-		o.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		o.Logger = obs.Discard
 	}
 	return o
 }
@@ -623,7 +626,7 @@ func (d *Disk) appendLocked(rec Record, buf *bytes.Buffer) error {
 		// A short write leaves garbage at the tail; anything appended
 		// after it would be unreachable at recovery. Fail the store
 		// rather than silently journal into the void.
-		d.failed = fmt.Errorf("store: wal append: %w", err)
+		d.failed = fmt.Errorf("%w: wal append: %w", ErrFailed, err)
 		return d.failed
 	}
 	d.walSize += int64(buf.Len())
@@ -664,7 +667,7 @@ func (d *Disk) notifyLocked() {
 func (d *Disk) syncLocked() error {
 	start := time.Now()
 	if err := d.wal.Sync(); err != nil {
-		d.failed = fmt.Errorf("store: wal fsync: %w", err)
+		d.failed = fmt.Errorf("%w: wal fsync: %w", ErrFailed, err)
 		return d.failed
 	}
 	d.fsyncHist.Observe(time.Since(start).Seconds())
@@ -840,17 +843,18 @@ func (d *Disk) Health() DiskHealth {
 }
 
 // InjectFault marks the store failed with err, exactly as a real WAL
-// write/fsync failure would — sticky, failing every subsequent append.
+// write/fsync failure would — sticky, failing every subsequent append
+// with an error that wraps both ErrFailed and err.
 // Fault-injection hook for health/e2e tests and operational drills; a
 // nil err defaults to a generic injected failure.
 func (d *Disk) InjectFault(err error) {
 	if err == nil {
-		err = errors.New("store: injected fault")
+		err = errors.New("injected fault")
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.failed == nil {
-		d.failed = err
+		d.failed = fmt.Errorf("%w: %w", ErrFailed, err)
 	}
 }
 

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"fmt"
+
 	"fovr/internal/fov"
 	"fovr/internal/geo"
 )
@@ -12,6 +14,22 @@ import (
 // ScenarioOrigin anchors all scripted scenarios (the Tsinghua campus,
 // roughly, matching the authors' environment).
 var ScenarioOrigin = geo.Point{Lat: 40.0, Lng: 116.326}
+
+// Scenario runs the scripted capture named walk, walk-side, rotate, drive
+// or bike (the names fovctl capture and fovsim trace take).
+func Scenario(name string, cfg Config) ([]fov.Sample, error) {
+	run, ok := map[string]func(Config) ([]fov.Sample, error){
+		"walk":      WalkAhead,
+		"walk-side": WalkSideways,
+		"rotate":    Rotation,
+		"drive":     DriveStraight,
+		"bike":      BikeWithTurn,
+	}[name]
+	if !ok {
+		return nil, fmt.Errorf("unknown scenario %q", name)
+	}
+	return run(cfg)
+}
 
 // WalkAhead is the Fig. 4 theta_p = 0 experiment: walking down the
 // street filming straight ahead, 60 s at 1.4 m/s.

@@ -3,8 +3,11 @@ package trace
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
+	"fovr/internal/fov"
 	"fovr/internal/geo"
 )
 
@@ -236,6 +239,25 @@ func TestScenarios(t *testing.T) {
 				t.Fatalf("scenario produced only %d samples", n)
 			}
 		})
+	}
+}
+
+// TestScenarioByName pins the names fovctl capture and fovsim trace
+// take: each runs its scripted capture, and an unknown name is an error
+// that names it.
+func TestScenarioByName(t *testing.T) {
+	cfg := Config{SampleHz: 2}
+	for name, run := range map[string]func(Config) ([]fov.Sample, error){
+		"walk": WalkAhead, "walk-side": WalkSideways, "rotate": Rotation, "drive": DriveStraight, "bike": BikeWithTurn,
+	} {
+		got, err := Scenario(name, cfg)
+		want, werr := run(cfg)
+		if err != nil || werr != nil || !slices.Equal(got, want) {
+			t.Errorf("Scenario(%q): %d samples (%v), want %d (%v)", name, len(got), err, len(want), werr)
+		}
+	}
+	if _, err := Scenario("swim", cfg); err == nil || !strings.Contains(err.Error(), `"swim"`) {
+		t.Fatalf("unknown scenario: %v", err)
 	}
 }
 
