@@ -484,7 +484,8 @@ func BenchmarkGridSearch(b *testing.B) {
 	})
 }
 
-// BenchmarkSearchNearest measures the radius-free kNN retrieval.
+// BenchmarkSearchNearest measures the radius-free retrieval: the top-k
+// query at radius 0.
 func BenchmarkSearchNearest(b *testing.B) {
 	cfg := workload.Config{Seed: 7}
 	entries := workload.Entries(cfg, 20000)

@@ -446,7 +446,15 @@ func (rt *Router) answers(w http.ResponseWriter, sc *gather, what, trace string)
 	return true
 }
 
-func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
+func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request)   { rt.serveRead(w, r, false) }
+func (rt *Router) handleNearest(w http.ResponseWriter, r *http.Request) { rt.serveRead(w, r, true) }
+
+// serveRead is the one body of the two read routes: decode and
+// validate, scatter to the owners of the window, gather the answers,
+// merge by (distance, id), respond. A /nearest body asks the query at
+// radius 0 with N = k and goes to the partitions as a /nearest; only
+// /query inlines an ?explain=1 trace.
+func (rt *Router) serveRead(w http.ResponseWriter, r *http.Request, nearest bool) {
 	sc := rt.getGather()
 	defer rt.putGather(sc)
 	var err error
@@ -454,8 +462,16 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "read: %v", err)
 		return
 	}
-	var req server.QueryRequest
-	if err := server.DecodeQueryRequest(sc.in, &req); err != nil {
+	name, req := "query", server.QueryRequest{}
+	if nearest {
+		name = "nearest"
+		var nr server.NearestRequest // scoped here: one shared with the encode below escapes on every /query
+		err = server.DecodeNearestRequest(sc.in, &nr)
+		req = nr.Question()
+	} else {
+		err = server.DecodeQueryRequest(sc.in, &req)
+	}
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "json: %v", err)
 		return
 	}
@@ -463,7 +479,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	explain := r.URL.RawQuery != "" && r.URL.Query().Get("explain") == "1"
+	explain := !nearest && r.URL.RawQuery != "" && r.URL.Query().Get("explain") == "1"
 	max := req.MaxResults
 	if max <= 0 {
 		max = rt.cfg.DefaultMaxResults
@@ -473,10 +489,17 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 
 	path := "/query"
-	if explain {
-		path = "/query?explain=1"
+	if nearest {
+		path = "/nearest"
+		nr := server.NearestRequest{Center: req.Center, StartMillis: req.StartMillis, EndMillis: req.EndMillis, K: max}
+		sc.body, err = server.AppendNearestRequest(sc.body[:0], &nr)
+	} else {
+		if explain {
+			path = "/query?explain=1"
+		}
+		sc.body, err = server.AppendQueryRequest(sc.body[:0], &req)
 	}
-	if sc.body, err = server.AppendQueryRequest(sc.body[:0], &req); err == nil {
+	if err == nil {
 		err = sc.req.Render(path, trace, sc.body)
 	}
 	if err != nil {
@@ -485,10 +508,14 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	owners := rt.topo.OwnersForQuery(req.StartMillis, req.EndMillis)
 	rt.scatter(r.Context(), sc, owners)
-	if !rt.answers(w, sc, "query", trace) {
+	if !rt.answers(w, sc, name, trace) {
 		return
 	}
 
+	sc.merged = query.MergeRanked(sc.merged[:0], sc.lists, max)
+	if sc.merged == nil {
+		sc.merged = []query.Ranked{}
+	}
 	var tr *obs.QueryTrace
 	if explain {
 		tr = obs.NewQueryTrace(trace)
@@ -502,70 +529,19 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 				tr.AddIndexVisit(pt.NodesVisited, pt.LeafEntriesScanned)
 			}
 		}
-	}
-	sc.merged = query.MergeRanked(sc.merged[:0], sc.lists, max)
-	if sc.merged == nil {
-		sc.merged = []query.Ranked{}
-	}
-	resp := server.QueryResponse{
-		Results:       sc.merged,
-		ElapsedMicros: time.Since(start).Microseconds(),
-		TraceID:       trace,
-	}
-	if tr != nil {
 		tr.Finish(nil)
-		resp.Trace = tr
 	}
 	if rt.logOn {
-		rt.log.Info("query", "fanout", len(owners), "hits", len(sc.merged), "traceID", trace)
+		rt.log.Info(name, "fanout", len(owners), "hits", len(sc.merged), "traceID", trace)
 	}
-	sc.out, err = server.AppendQueryResponse(sc.out[:0], &resp)
-	server.WriteJSON(w, sc.out, err)
-}
-
-func (rt *Router) handleNearest(w http.ResponseWriter, r *http.Request) {
-	sc := rt.getGather()
-	defer rt.putGather(sc)
-	var err error
-	if sc.in, err = server.ReadBody(sc.in[:0], r.Body, 1<<16); err != nil {
-		httpError(w, http.StatusBadRequest, "read: %v", err)
-		return
+	elapsed := time.Since(start).Microseconds()
+	if nearest {
+		resp := server.NearestResponse{Results: sc.merged, ElapsedMicros: elapsed, TraceID: trace}
+		sc.out, err = server.AppendNearestResponse(sc.out[:0], &resp)
+	} else {
+		resp := server.QueryResponse{Results: sc.merged, ElapsedMicros: elapsed, TraceID: trace, Trace: tr}
+		sc.out, err = server.AppendQueryResponse(sc.out[:0], &resp)
 	}
-	var req server.NearestRequest
-	if err := server.DecodeNearestRequest(sc.in, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "json: %v", err)
-		return
-	}
-	if req.K <= 0 {
-		req.K = rt.cfg.DefaultMaxResults
-	}
-	trace := rt.traceID(r)
-	start := time.Now()
-	if sc.body, err = server.AppendNearestRequest(sc.body[:0], &req); err == nil {
-		err = sc.req.Render("/nearest", trace, sc.body)
-	}
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "encode: %v", err)
-		return
-	}
-	owners := rt.topo.OwnersForQuery(req.StartMillis, req.EndMillis)
-	rt.scatter(r.Context(), sc, owners)
-	if !rt.answers(w, sc, "nearest", trace) {
-		return
-	}
-	merged := query.MergeNearest(req.Center, sc.lists, req.K)
-	if merged == nil {
-		merged = []query.Ranked{}
-	}
-	if rt.logOn {
-		rt.log.Info("nearest", "fanout", len(owners), "hits", len(merged), "traceID", trace)
-	}
-	resp := server.NearestResponse{
-		Results:       merged,
-		ElapsedMicros: time.Since(start).Microseconds(),
-		TraceID:       trace,
-	}
-	sc.out, err = server.AppendNearestResponse(sc.out[:0], &resp)
 	server.WriteJSON(w, sc.out, err)
 }
 

@@ -510,6 +510,39 @@ func TestRouterRefusesJSONUpload(t *testing.T) {
 	}
 }
 
+// TestRouterRefusesMalformedReads: a /query or /nearest the partitions
+// would refuse — an inverted interval, an invalid center — gets the
+// node's 400 from the router itself, and no partition, leader or
+// replica, hears of it.
+func TestRouterRefusesMalformedReads(t *testing.T) {
+	leaders := []*stubPartition{newStub(t, 1, 1), newStub(t, 1<<48+1, 2), newStub(t, 2<<48+1, 3)}
+	replicas := [][]*stubPartition{{newStub(t, 1, 1)}, {newStub(t, 1<<48+1, 2)}, {newStub(t, 2<<48+1, 3)}}
+	rt, _ := stubCluster(t, cluster.RouterConfig{}, leaders, replicas...)
+	inverted := server.NearestRequest{Center: testCity, StartMillis: 23 * testWindow, EndMillis: testWindow}
+	offMap := server.NearestRequest{Center: geo.Point{Lat: 95, Lng: 116.3}, StartMillis: testWindow, EndMillis: 23*testWindow - 1}
+	for _, tc := range []struct {
+		path string
+		body any
+		want string
+	}{
+		{"/nearest", inverted, "time interval inverted"},
+		{"/nearest", offMap, "invalid center"},
+		{"/query", inverted.Question(), "time interval inverted"},
+		{"/query", offMap.Question(), "invalid center"},
+	} {
+		w := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, tc.path, bytes.NewReader(marshal(t, tc.body))))
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), tc.want) {
+			t.Errorf("%s %s: %d %s, want 400 naming %q", tc.path, marshal(t, tc.body), w.Code, w.Body, tc.want)
+		}
+	}
+	for i, s := range append(leaders, replicas[0][0], replicas[1][0], replicas[2][0]) {
+		if n := s.requests.Load(); n != 0 {
+			t.Errorf("partition node %d saw %d requests", i, n)
+		}
+	}
+}
+
 // TestRouteTable walks every route of a node and of the router: a
 // request with another method gets the mux's 405 with an Allow header
 // naming the route's method, and never reaches the handler; the route's

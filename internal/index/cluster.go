@@ -10,7 +10,6 @@ package index
 
 import (
 	"math"
-	"sort"
 
 	"fovr/internal/geo"
 )
@@ -66,38 +65,4 @@ func SpatialCell(p geo.Point, n int) int {
 // is placed by spatial cell instead of time window.
 func OverLong(startMillis, endMillis, windowMillis int64) bool {
 	return endMillis-startMillis > windowMillis
-}
-
-// NearestDist2 returns the squared weighted distance to center used to
-// rank nearest-neighbor results: longitude scaled by cos(latitude) so
-// the metric is locally correct, time ignored (it only filters). Shared
-// by RTree.Nearest's metric and the cluster router's partition merge so
-// their rankings agree exactly.
-func NearestDist2(center geo.Point) func(Neighbor) float64 {
-	_, w, _ := nearestParams(center, 0)
-	return func(n Neighbor) float64 {
-		dLng := (n.Entry.Rep.FoV.P.Lng - center.Lng) * w[0]
-		dLat := n.Entry.Rep.FoV.P.Lat - center.Lat
-		return dLng*dLng + dLat*dLat
-	}
-}
-
-// MergeNeighbors ranks the concatenation of per-source top-k lists by
-// the shared nearest metric (ids break ties) and truncates to k. Each
-// source must itself have ranked with the same metric, which makes the
-// concatenation's top-k equal to the top-k over the union — the merge
-// contract that keeps routed results identical to one node's.
-func MergeNeighbors(center geo.Point, merged []Neighbor, k int) []Neighbor {
-	dist2 := NearestDist2(center)
-	sort.Slice(merged, func(i, j int) bool {
-		di, dj := dist2(merged[i]), dist2(merged[j])
-		if di != dj {
-			return di < dj
-		}
-		return merged[i].Entry.ID < merged[j].Entry.ID
-	})
-	if len(merged) > k {
-		merged = merged[:k]
-	}
-	return merged
 }

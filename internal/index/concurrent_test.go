@@ -407,7 +407,7 @@ func TestConcurrentMutationStress(t *testing.T) {
 				ts := int64(rng.Intn(86_400_000))
 				te := ts + int64(rng.Intn(3_600_000))
 				visitCopies(x, geo.RectAround(center, 500), ts, te)
-				x.Nearest(center, ts, te, 5, 1000, nil)
+				topK(x, geo.RectAround(center, 1000), ts, te, center, 5, nil)
 				x.Len()
 			}
 		}(r)

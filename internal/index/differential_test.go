@@ -2,7 +2,9 @@ package index
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -82,12 +84,31 @@ func describeRanked(entries []Entry, center geo.Point) []string {
 	return out
 }
 
-func describeNeighbors(ns []Neighbor) []string {
-	out := make([]string, len(ns))
-	for i, n := range ns {
-		out[i] = fmt.Sprintf("%d@%.9fm", n.Entry.ID, n.DistanceMeters)
-	}
-	return out
+// topK is a bounded read as the query ranker runs it: the k entries in
+// r that pass keep (nil keeps everything), nearest to center by
+// geo.Distance with ids breaking ties, the k-th best distance so far
+// handed back to the walk as its bound.
+func topK(x Index, r geo.Rect, startMillis, endMillis int64, center geo.Point, k int, keep func(*Entry) bool) []Entry {
+	var best []Entry
+	dist := func(e *Entry) float64 { return geo.Distance(e.Rep.FoV.P, center) }
+	x.Visit(r, startMillis, endMillis, center, func(e *Entry) float64 {
+		if keep == nil || keep(e) {
+			d := dist(e)
+			i := sort.Search(len(best), func(i int) bool {
+				di := dist(&best[i])
+				return d < di || d == di && e.ID < best[i].ID
+			})
+			if i < k {
+				best = slices.Insert(best, i, *e)
+				best = best[:min(len(best), k)]
+			}
+		}
+		if len(best) < k {
+			return math.Inf(1)
+		}
+		return dist(&best[k-1])
+	})
+	return best
 }
 
 func TestDifferentialIndexEquivalence(t *testing.T) {
@@ -130,14 +151,14 @@ func TestDifferentialIndexEquivalence(t *testing.T) {
 		}
 	}
 
-	checkNearest := func(step int) {
+	checkTopK := func(step int) {
 		center := geo.Offset(city, rng.Float64()*360, rng.Float64()*6000)
 		ts := int64(rng.Intn(86_400_000)) - 43_200_000
 		te := ts + int64(rng.Intn(7_200_000))
 		k := 1 + rng.Intn(10)
-		maxDist := 0.0
+		rect := geo.RectAround(city, 20_000)
 		if rng.Intn(2) == 0 {
-			maxDist = 200 + rng.Float64()*2000
+			rect = geo.RectAround(center, 200+rng.Float64()*2000)
 		}
 		var keep func(*Entry) bool
 		if rng.Intn(3) == 0 {
@@ -145,14 +166,14 @@ func TestDifferentialIndexEquivalence(t *testing.T) {
 		}
 		var want []string
 		for _, im := range impls {
-			got := describeNeighbors(im.idx.Nearest(center, ts, te, k, maxDist, keep))
+			got := describeRanked(topK(im.idx, rect, ts, te, center, k, keep), center)
 			if im.name == impls[0].name {
 				want = got
 				continue
 			}
 			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("step %d: Nearest(k=%d, maxDist=%.0f) diverges:\n%s: %v\n%s: %v",
-					step, k, maxDist, impls[0].name, want, im.name, got)
+				t.Fatalf("step %d: top %d in %+v diverges:\n%s: %v\n%s: %v",
+					step, k, rect, impls[0].name, want, im.name, got)
 			}
 		}
 	}
@@ -239,7 +260,7 @@ func TestDifferentialIndexEquivalence(t *testing.T) {
 		case op < 90:
 			checkSearch(step)
 		default:
-			checkNearest(step)
+			checkTopK(step)
 		}
 		for _, im := range impls {
 			if im.idx.Len() != len(live) {

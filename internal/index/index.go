@@ -27,14 +27,12 @@ package index
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"fovr/internal/fov"
 	"fovr/internal/geo"
 	"fovr/internal/idset"
-	"fovr/internal/minheap"
 	"fovr/internal/rtree"
 	"fovr/internal/segment"
 )
@@ -152,22 +150,13 @@ type BatchInserter interface {
 	InsertBatch(entries []Entry) error
 }
 
-// NearestSearcher answers the radius-free query form: up to k entries
-// nearest to center whose interval intersects [startMillis, endMillis]
-// and which pass keep, nearest first (see RTree.Nearest for the exact
-// metric).
-type NearestSearcher interface {
-	Nearest(center geo.Point, startMillis, endMillis int64, k int, maxDistanceMeters float64, keep func(*Entry) bool) []Neighbor
-}
-
 // ServerIndex is the contract the differential suite drives RTree and
 // the Linear oracle through: the core Index operations plus batch
-// ingest and removal, nearest-neighbour ranking, and the diagnostics
-// exposed at /metrics. The server holds an *RTree, not the interface.
+// ingest and removal, and the diagnostics exposed at /metrics. The
+// server holds an *RTree, not the interface.
 type ServerIndex interface {
 	Index
 	BatchInserter
-	NearestSearcher
 	// RemoveBatch deletes the given entries, as read from this index,
 	// and returns how many it removed; entries it does not hold are
 	// skipped. Readers see the whole batch go at once.
@@ -993,172 +982,12 @@ func (x *Linear) Entries() []Entry {
 	return out
 }
 
-// Neighbor is a nearest-entry result with its geographic distance.
-type Neighbor struct {
-	Entry          Entry
-	DistanceMeters float64
-}
-
-// nearestParams maps a geographic nearest-neighbour request onto index
-// space: the query point, the per-dimension weights (longitude scaled
-// by cos(latitude), time excluded from the metric), and the squared
-// distance bound in weighted degrees. Shared by every implementation so
-// their rankings agree exactly.
-func nearestParams(center geo.Point, maxDistanceMeters float64) (p, w [rtree.Dims]float64, maxDist2 float64) {
-	p = [rtree.Dims]float64{center.Lng, center.Lat, 0}
-	w = [rtree.Dims]float64{math.Cos(center.Lat * math.Pi / 180), 1, 0}
-	if maxDistanceMeters > 0 {
-		d := maxDistanceMeters / geo.MetersPerDegree
-		maxDist2 = d * d
-	}
-	return p, w, maxDist2
-}
-
-// nearKey is one kept neighbour: the ranking key (weighted squared
-// distance, id breaking ties) and the slot where the index keeps it — a
-// snapshot's leaves are frozen, so the reference stays valid.
-type nearKey struct {
-	dist2 float64
-	s     *slot
-}
-
-// nearAfter reports whether a ranks strictly after b: the heap order of
-// the k best, whose top is the worst one kept.
-func nearAfter(a, b *nearKey) bool {
-	if a.dist2 != b.dist2 {
-		return a.dist2 > b.dist2
-	}
-	return a.s.ID > b.s.ID
-}
-
-// Nearest returns up to k entries closest to center whose segment
-// interval intersects [startMillis, endMillis] and which pass keep
-// (nil keeps everything), nearest first. Distance is geographic; the
-// time dimension only filters. Longitude is scaled by cos(latitude) so
-// the metric is locally correct. maxDistanceMeters > 0 bounds the search
-// radius (pass the camera's radius of view: farther entries cannot cover
-// the point anyway).
-//
-// It is the steered range walk over the published snapshot: the box of
-// everything within the distance bound over the time window, subtrees
-// nearest first, the k-th best distance so far as the bound — the walk
-// a top-N query runs, under nearestParams' metric, so the ranking agrees
-// exactly with Linear's.
-func (x *RTree) Nearest(center geo.Point, startMillis, endMillis int64, k int, maxDistanceMeters float64, keep func(*Entry) bool) []Neighbor {
-	if k <= 0 {
-		return nil
-	}
-	p, w, maxDist2 := nearestParams(center, maxDistanceMeters)
-	// The box holds everything within the bound under the weighted
-	// metric, with room for rounding (the exact test is per entry below);
-	// with no bound, or where longitude carries no weight, it is open.
-	inf := math.Inf(1)
-	q := rtree.Rect{
-		Min: [rtree.Dims]float64{-inf, -inf, float64(startMillis)},
-		Max: [rtree.Dims]float64{inf, inf, float64(endMillis)},
-	}
-	bound := inf
-	if maxDist2 > 0 {
-		bound = math.Sqrt(maxDist2)
-		reach := bound * (1 + 1e-9)
-		q.Min[1], q.Max[1] = p[1]-reach, p[1]+reach
-		if w[0] > 0 {
-			q.Min[0], q.Max[0] = p[0]-reach/w[0], p[0]+reach/w[0]
-		}
-	}
-	near := rtree.Near{P: p, W: [rtree.Dims]float64{w[0] * boundSlack, boundSlack, 0}}
-	snap, walk := x.read()
-	best := make([]nearKey, 0, min(k, 64))
-	offer := func(s *slot) float64 {
-		// The box compares in float64; the integer test keeps the answer
-		// exact where two distinct instants round together.
-		if s.Start <= endMillis && s.end(walk.sources) >= startMillis {
-			at := s.point()
-			dLng := (at.Lng - p[0]) * w[0]
-			dLat := at.Lat - p[1]
-			c := nearKey{dist2: dLng*dLng + dLat*dLat, s: s}
-			switch {
-			case maxDist2 > 0 && c.dist2 > maxDist2:
-			case len(best) == k && !nearAfter(&best[0], &c):
-			case keep != nil && !keep(walk.entry(s)):
-			case len(best) < k:
-				best = minheap.Push(best, c, nearAfter)
-			default:
-				minheap.ReplaceTop(best, c, nearAfter)
-			}
-		}
-		if len(best) == k {
-			return math.Sqrt(best[0].dist2)
-		}
-		return bound
-	}
-	snap.SearchNear(q, near, bound, offer)
-	// best is a max-heap: popping it fills the answer from the back.
-	out := make([]Neighbor, len(best))
-	for i := len(out) - 1; i >= 0; i-- {
-		var c nearKey
-		c, best = minheap.Pop(best, nearAfter)
-		out[i] = Neighbor{Entry: *walk.entry(c.s), DistanceMeters: geo.Distance(c.s.point(), center)}
-	}
-	walk.release()
-	return out
-}
-
-// Nearest implements NearestSearcher by brute force — the oracle the
-// differential tests rank the tree implementations against. It applies
-// exactly the weighted metric of RTree.Nearest and breaks distance ties
-// by ascending id.
-func (x *Linear) Nearest(center geo.Point, startMillis, endMillis int64, k int, maxDistanceMeters float64, keep func(*Entry) bool) []Neighbor {
-	if k <= 0 {
-		return nil
-	}
-	_, w, maxDist2 := nearestParams(center, maxDistanceMeters)
-	type cand struct {
-		e     Entry
-		dist2 float64
-	}
-	x.mu.RLock()
-	cands := make([]cand, 0, len(x.entries))
-	for i := range x.entries {
-		e := &x.entries[i] // stable while the read lock is held
-		if e.Rep.EndMillis < startMillis || e.Rep.StartMillis > endMillis {
-			continue
-		}
-		dLng := (e.Rep.FoV.P.Lng - center.Lng) * w[0]
-		dLat := e.Rep.FoV.P.Lat - center.Lat
-		d2 := dLng*dLng + dLat*dLat
-		if maxDist2 > 0 && d2 > maxDist2 {
-			continue
-		}
-		if keep != nil && !keep(e) {
-			continue
-		}
-		cands = append(cands, cand{*e, d2})
-	}
-	x.mu.RUnlock()
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].dist2 != cands[j].dist2 {
-			return cands[i].dist2 < cands[j].dist2
-		}
-		return cands[i].e.ID < cands[j].e.ID
-	})
-	if len(cands) > k {
-		cands = cands[:k]
-	}
-	out := make([]Neighbor, len(cands))
-	for i, c := range cands {
-		out[i] = Neighbor{Entry: c.e, DistanceMeters: geo.Distance(c.e.Rep.FoV.P, center)}
-	}
-	return out
-}
-
 // Compile-time interface checks: RTree meets the contract the
 // differential suite drives it through, and the test oracle must keep
 // up with the Index extensions.
 var (
-	_ ServerIndex     = (*RTree)(nil)
-	_ Index           = (*Linear)(nil)
-	_ BatchInserter   = (*Linear)(nil)
-	_ NearestSearcher = (*Linear)(nil)
-	_ Index           = (*Grid)(nil)
+	_ ServerIndex   = (*RTree)(nil)
+	_ Index         = (*Linear)(nil)
+	_ BatchInserter = (*Linear)(nil)
+	_ Index         = (*Grid)(nil)
 )

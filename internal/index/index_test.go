@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -486,14 +487,15 @@ func TestGridImplementsIndexContract(t *testing.T) {
 	}
 }
 
-// TestNearestNarrowWindowIsBounded pins the unbounded-drain fix: with no
-// distance bound and fewer than k qualifying entries, a nearest search
-// used to expand the whole tree, because the zero-weight time axis was
-// only tested once an entry was popped. The window now prunes subtrees
-// before they are queued, so a one-minute question over a 24 h corpus
-// visits only the nodes whose time extent overlaps that minute: under half
-// of the R* tree, whose nodes are shaped for questions of hours and
-// hundreds of metres (every node before the fix).
+// TestNearestNarrowWindowIsBounded pins the unbounded-drain fix: with
+// fewer than k qualifying entries in a box over the whole city, so that
+// the bound never engages, a nearest walk used to expand the whole tree,
+// because the zero-weight time axis was only tested once an entry was
+// popped. The window now prunes subtrees before they are queued, so a
+// one-minute question over a 24 h corpus visits only the nodes whose
+// time extent overlaps that minute: under half of the R* tree, whose
+// nodes are shaped for questions of hours and hundreds of metres (every
+// node before the fix).
 func TestNearestNarrowWindowIsBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	batch := make([]Entry, 20_000)
@@ -505,17 +507,19 @@ func TestNearestNarrowWindowIsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	const ts, te = 43_200_000, 43_260_000
-	// k far above what one minute holds, and no distance bound.
-	oracle := want.Nearest(city, ts, te, 10_000, 0, nil)
+	all := geo.RectAround(city, 20_000)
+	oracle := want.Search(all, ts, te)
 	x := NewRTree()
 	if err := x.InsertBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	before := x.TreeStats().NodeVisits
-	got := x.Nearest(city, ts, te, 10_000, 0, nil)
-	visits := x.TreeStats().NodeVisits - before
-	if len(got) != len(oracle) || len(got) == 0 {
-		t.Fatalf("got %d neighbours, oracle %d", len(got), len(oracle))
+	var got int
+	visits, _ := x.Visit(all, ts, te, city, func(*Entry) float64 {
+		got++
+		return math.Inf(1)
+	})
+	if got != len(oracle) || got == 0 {
+		t.Fatalf("got %d neighbours, oracle %d", got, len(oracle))
 	}
 	nodes := int64(x.NodeCount())
 	t.Logf("narrow-window nearest visited %d of %d nodes", visits, nodes)

@@ -72,14 +72,6 @@ func TestIndexesHoldEntriesOnTheGrid(t *testing.T) {
 					math.Float64bits(got[0].Rep.FoV.Theta), math.Float64bits(want.Rep.FoV.Theta))
 			}
 		}
-		if rt, ok := ix.x.(*index.RTree); ok {
-			for _, nb := range rt.Nearest(cases[0].want.P, 0, 3000, len(cases), 0, nil) {
-				tc := cases[nb.Entry.ID-1]
-				if nb.Entry.Rep.FoV != tc.want || nb.Entry.Camera != tc.wcam {
-					t.Fatalf("RTree: Nearest hands id %d as %+v, want %v %+v", nb.Entry.ID, nb.Entry, tc.want, tc.wcam)
-				}
-			}
-		}
 		for _, cam := range []fov.Camera{
 			{HalfAngleDeg: 89.999, RadiusMeters: 20}, // rounds to 90°
 			{HalfAngleDeg: 0.001, RadiusMeters: 20},  // rounds to 0°

@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -175,15 +176,10 @@ func checkOverLongReads(t *testing.T, name string, x *RTree, lin *Linear, window
 		if g, l := ids(hits), ids(lin.Search(area, w[0], w[1])); fmt.Sprint(g) != fmt.Sprint(l) {
 			t.Fatalf("%s: Visit%v = %v, linear %v", name, w, g, l)
 		}
-		for _, radius := range []float64{0, 600} {
-			g, l := x.Nearest(city, w[0], w[1], 5, radius, nil), lin.Nearest(city, w[0], w[1], 5, radius, nil)
-			if len(g) != len(l) {
-				t.Fatalf("%s: Nearest%v r=%v gives %d, linear %d", name, w, radius, len(g), len(l))
-			}
-			for i := range g {
-				if g[i] != l[i] {
-					t.Fatalf("%s: Nearest%v r=%v #%d = %+v, linear %+v", name, w, radius, i, g[i], l[i])
-				}
+		for _, r := range []geo.Rect{area, geo.RectAround(city, 600)} {
+			g, l := topK(x, r, w[0], w[1], city, 5, nil), topK(lin, r, w[0], w[1], city, 5, nil)
+			if !reflect.DeepEqual(g, l) {
+				t.Fatalf("%s: top 5 in %+v over %v = %v, linear %v", name, r, w, g, l)
 			}
 		}
 	}
@@ -387,8 +383,8 @@ func TestConcurrentRowReuse(t *testing.T) {
 						check(e, from)
 						return math.Inf(1)
 					})
-					for _, nb := range x.Nearest(city, from, math.MaxInt64, 5, 0, nil) {
-						check(&nb.Entry, from)
+					for _, e := range topK(x, full, from, math.MaxInt64, city, 5, nil) {
+						check(&e, from)
 					}
 				}
 				x.Scan(func(e *Entry) bool {

@@ -11,7 +11,7 @@ import (
 )
 
 // TestTreeReadsTakeNoLocks pins that a current view takes no lock: with
-// x.mu held by the test, Search, Visit and Nearest still return, and
+// x.mu held by the test, Search, Visit and a bounded Visit still return, and
 // with the same answers they give while the lock is free — readers walk
 // the published snapshot. (The first read, before the lock is taken,
 // publishes the inserts no reader had seen.)
@@ -27,7 +27,7 @@ func TestTreeReadsTakeNoLocks(t *testing.T) {
 	type answers struct {
 		search  []Entry
 		visited []uint64
-		nearest []Neighbor
+		nearest []Entry
 	}
 	read := func() answers {
 		var a answers
@@ -36,7 +36,7 @@ func TestTreeReadsTakeNoLocks(t *testing.T) {
 			a.visited = append(a.visited, e.ID)
 			return math.Inf(1)
 		})
-		a.nearest = x.Nearest(city, 0, 86_400_000, 5, 0, nil)
+		a.nearest = topK(x, q, 0, 86_400_000, city, 5, nil)
 		return a
 	}
 	free := read()

@@ -118,8 +118,8 @@ func TestConcurrentSourceInterning(t *testing.T) {
 					return math.Inf(1)
 				})
 				center := geo.Offset(city, rng.Float64()*360, rng.Float64()*5000)
-				for _, n := range x.Nearest(center, tlo, thi, 10, 0, func(e *Entry) bool { return ok && check(r, e) }) {
-					ok = ok && check(r, &n.Entry)
+				for _, e := range topK(x, full, tlo, thi, center, 10, func(e *Entry) bool { return ok && check(r, e) }) {
+					ok = ok && check(r, &e)
 				}
 				x.Scan(func(e *Entry) bool {
 					ok = ok && check(r, e)

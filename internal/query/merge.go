@@ -1,10 +1,5 @@
 package query
 
-import (
-	"fovr/internal/geo"
-	"fovr/internal/index"
-)
-
 // MergeRanked merges per-partition top-N result lists into the global
 // top-N, appended to dst, preserving the exact contract SearchCtx
 // enforces: ascending DistanceMeters with ids breaking ties, truncated
@@ -49,30 +44,4 @@ func rankedBefore(a, b *Ranked) bool {
 		return a.DistanceMeters < b.DistanceMeters
 	}
 	return a.Entry.ID < b.Entry.ID
-}
-
-// MergeNearest merges per-partition nearest-neighbor lists into the
-// global top-k using the same weighted metric every index
-// implementation ranks with (index.NearestDist2: longitude scaled by
-// cos(latitude), ids breaking ties). Merging by the reported
-// DistanceMeters would be subtly wrong — the ranking metric is the
-// equirectangular approximation, not the geographic distance — so the
-// merge recomputes it from the entry coordinates.
-func MergeNearest(center geo.Point, lists [][]Ranked, k int) []Ranked {
-	var n int
-	for _, l := range lists {
-		n += len(l)
-	}
-	merged := make([]index.Neighbor, 0, n)
-	for _, l := range lists {
-		for _, r := range l {
-			merged = append(merged, index.Neighbor{Entry: r.Entry, DistanceMeters: r.DistanceMeters})
-		}
-	}
-	merged = index.MergeNeighbors(center, merged, k)
-	out := make([]Ranked, len(merged))
-	for i, m := range merged {
-		out[i] = Ranked{Entry: m.Entry, DistanceMeters: m.DistanceMeters}
-	}
-	return out
 }

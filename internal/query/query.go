@@ -317,37 +317,19 @@ func SearchCtx(ctx context.Context, idx index.Index, q Query, opts Options) ([]R
 
 // SearchNearest answers the radius-free form of the request: the k
 // segments closest to the point of interest that were recording during
-// the window and actually cover the point. It uses the index's
-// nearest-neighbour search (the same steered walk, bounded by the k-th
-// best distance), so no empirical query radius has to be guessed at all — the alternative to step 1's radius
-// table when the area type is unknown. Any index.NearestSearcher works:
-// the single R-tree, the sharded index, or the linear oracle.
-func SearchNearest(idx index.NearestSearcher, center geo.Point, startMillis, endMillis int64, k int, opts Options) ([]Ranked, error) {
-	if err := opts.Camera.Validate(); err != nil {
-		return nil, err
-	}
-	if endMillis < startMillis {
-		return nil, fmt.Errorf("query: time interval inverted [%d, %d]", startMillis, endMillis)
-	}
-	if !center.Valid() {
-		return nil, fmt.Errorf("query: invalid center %v", center)
-	}
+// the window and actually cover the point — no empirical query radius
+// has to be guessed, the alternative to step 1's radius table when the
+// area type is unknown. It is the query at radius 0 with N = k: at
+// radius 0 the circle-coverage test is exactly FoV.Covers, so one walk
+// and one ranking (distance, then id) answer both forms. k <= 0 selects
+// opts.MaxResults, and 20 when that is unset too.
+func SearchNearest(idx index.Index, center geo.Point, startMillis, endMillis int64, k int, opts Options) ([]Ranked, error) {
 	if k <= 0 {
 		k = opts.MaxResults
 	}
 	if k <= 0 {
 		k = 20
 	}
-	neighbors := idx.Nearest(center, startMillis, endMillis, k, opts.Camera.RadiusMeters,
-		func(e *index.Entry) bool {
-			if opts.SkipOrientationFilter {
-				return true
-			}
-			return e.Rep.FoV.Covers(e.EffectiveCamera(opts.Camera), center)
-		})
-	out := make([]Ranked, len(neighbors))
-	for i, n := range neighbors {
-		out[i] = Ranked{Entry: n.Entry, DistanceMeters: n.DistanceMeters}
-	}
-	return out, nil
+	opts.MaxResults = k
+	return Search(idx, Query{StartMillis: startMillis, EndMillis: endMillis, Center: center}, opts)
 }

@@ -325,33 +325,3 @@ func TestSearchNearestValidation(t *testing.T) {
 		t.Fatalf("empty index: %v %v", got, err)
 	}
 }
-
-func TestSearchNearestAgreesWithRadiusSearch(t *testing.T) {
-	// On a dense random field, the k nearest covering segments must be a
-	// prefix of the radius search's ranking (when the radius is large
-	// enough to include them and the query circle is a point).
-	rng := rand.New(rand.NewSource(21))
-	idx := newIndex(t)
-	for i := 0; i < 2000; i++ {
-		p := geo.Offset(center, rng.Float64()*360, rng.Float64()*500)
-		if err := idx.Insert(entry(uint64(i+1), p, rng.Float64()*360, 0, 1000)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	knn, err := SearchNearest(idx, center, 0, 1000, 10, Options{Camera: cam})
-	if err != nil {
-		t.Fatal(err)
-	}
-	radius, err := Search(idx, Query{EndMillis: 1000, Center: center, RadiusMeters: 0}, Options{Camera: cam, MaxResults: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(knn) != len(radius) {
-		t.Fatalf("knn %d vs radius %d results", len(knn), len(radius))
-	}
-	for i := range knn {
-		if knn[i].Entry.ID != radius[i].Entry.ID {
-			t.Fatalf("rank %d: knn id %d vs radius id %d", i, knn[i].Entry.ID, radius[i].Entry.ID)
-		}
-	}
-}

@@ -26,7 +26,8 @@
 // against position in commensurable units, see kappa in rstar.go),
 // delete with tree condensation and reinsertion, range search —
 // optionally steered nearest-first around a point under a shrinking distance bound,
-// which is how package index answers top-N and k-nearest questions — and
+// which is how package index answers top-N questions (a k-nearest one
+// is the top-k at radius 0) — and
 // sort-tile-recursive (STR) bulk loading. Writers copy on write and
 // publish immutable snapshots that readers walk without locks. The tree
 // is not safe for concurrent mutation; package index serializes its

@@ -1,17 +1,14 @@
-// POST /nearest: k-nearest-neighbor retrieval over the server's index.
-// The single-node HTTP surface for index.NearestSearcher, added so the
-// cluster router can scatter-gather nearest queries the same way it
-// does box queries — and useful on its own ("closest k segments to this
-// point in this interval" without choosing a radius).
+// POST /nearest: the k segments nearest to a point that cover it, over
+// an interval ("closest k segments to this point in this interval"
+// without choosing a radius). It is POST /query at radius 0 with N = k —
+// the same walk, ranking, trace and slow-query log, handled by the same
+// body (serveRead); only the request and answer documents differ.
 package server
 
 import (
 	"errors"
-	"fmt"
-	"net/http"
 
 	"fovr/internal/geo"
-	"fovr/internal/obs"
 	"fovr/internal/query"
 )
 
@@ -40,56 +37,14 @@ type NearestResponse struct {
 	TraceID       string         `json:"traceID,omitempty"`
 }
 
+// Question returns what the request asks: the query at radius 0 with
+// N = K.
+func (r *NearestRequest) Question() QueryRequest {
+	return QueryRequest{Query: query.Query{StartMillis: r.StartMillis, EndMillis: r.EndMillis, Center: r.Center}, MaxResults: r.K}
+}
+
 // Nearest answers a k-nearest request in-process (benchmarks, router
 // tests). k <= 0 selects the configured DefaultMaxResults.
 func (s *Server) Nearest(center geo.Point, startMillis, endMillis int64, k int) ([]query.Ranked, error) {
-	opts := query.Options{Camera: s.cfg.Camera, MaxResults: s.cfg.DefaultMaxResults}
-	return query.SearchNearest(s.index(), center, startMillis, endMillis, k, opts)
-}
-
-func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request) {
-	sc := getReadScratch()
-	defer putReadScratch(sc)
-	var err error
-	if sc.in, err = ReadBody(sc.in[:0], r.Body, 1<<16); err != nil {
-		httpError(w, http.StatusBadRequest, "read: %v", err)
-		return
-	}
-	s.traffic.AddReceived(len(sc.in))
-	var req NearestRequest
-	if err := DecodeNearestRequest(sc.in, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "json: %v", err)
-		return
-	}
-	tr := obs.NewQueryTrace(s.traceID(w, r))
-	results, err := s.Nearest(req.Center, req.StartMillis, req.EndMillis, req.K)
-	total := tr.Finish(err)
-	s.traces.ObserveLabeled(tr, func() string {
-		return fmt.Sprintf("nearest center=(%.6f,%.6f) t=[%d,%d] k=%d",
-			req.Center.Lat, req.Center.Lng, req.StartMillis, req.EndMillis, req.K)
-	})
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if results == nil {
-		results = []query.Ranked{}
-	}
-	if s.logOn {
-		s.reqLog(r).Info("nearest",
-			"center", fmt.Sprint(req.Center),
-			"startMillis", req.StartMillis,
-			"endMillis", req.EndMillis,
-			"k", req.K,
-			"hits", len(results),
-			"traceID", tr.ID,
-		)
-	}
-	resp := NearestResponse{
-		Results:       results,
-		ElapsedMicros: total.Microseconds(),
-		TraceID:       tr.ID,
-	}
-	sc.out, err = AppendNearestResponse(sc.out[:0], &resp)
-	s.writeJSON(w, sc.out, err)
+	return s.Query(query.Query{StartMillis: startMillis, EndMillis: endMillis, Center: center}, k)
 }

@@ -13,7 +13,8 @@
 //	POST /query   — body: JSON query.Query (+ optional maxResults).
 //	                Responds with the ranked result list; ?explain=1
 //	                additionally inlines the full query trace.
-//	POST /nearest — body: JSON NearestRequest; the k nearest segments.
+//	POST /nearest — body: JSON NearestRequest; the k nearest segments
+//	                that cover the point: /query at radius 0 with N = k.
 //	GET  /stats   — index size, per-provider counts, traffic totals.
 //	POST /forget?provider=P — removes every segment of provider P.
 //	POST /checkpoint        — checkpoints the durable store now.
@@ -624,7 +625,14 @@ type QueryResponse struct {
 	Trace *obs.QueryTrace `json:"trace,omitempty"`
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request)   { s.serveRead(w, r, false) }
+func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request) { s.serveRead(w, r, true) }
+
+// serveRead is the one body of the two read routes: decode, the traced
+// QueryCtx, the trace store, the slow-query log, encode. A /nearest body
+// asks the query at radius 0 with N = k; its answer is /query's without
+// an inline ?explain=1 trace.
+func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, nearest bool) {
 	sc := getReadScratch()
 	defer putReadScratch(sc)
 	var err error
@@ -633,19 +641,27 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.traffic.AddReceived(len(sc.in))
-	var req QueryRequest
-	if err := DecodeQueryRequest(sc.in, &req); err != nil {
+	name, req := "query", QueryRequest{}
+	if nearest {
+		name = "nearest"
+		var nr NearestRequest
+		err = DecodeNearestRequest(sc.in, &nr)
+		req = nr.Question()
+	} else {
+		err = DecodeQueryRequest(sc.in, &req)
+	}
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "json: %v", err)
 		return
 	}
-	explain := r.URL.RawQuery != "" && r.URL.Query().Get("explain") == "1"
+	explain := !nearest && r.URL.RawQuery != "" && r.URL.Query().Get("explain") == "1"
 
 	// Every query is traced; the tail-sampling store decides afterwards
 	// whether the trace is worth keeping (errored, slow, or sampled). The
 	// label is rendered only for a trace somebody will read.
 	tr := obs.NewQueryTrace(s.traceID(w, r))
 	label := func() string {
-		return fmt.Sprintf("center=(%.6f,%.6f) r=%.0fm t=[%d,%d] top=%d",
+		return fmt.Sprintf("%s center=(%.6f,%.6f) r=%.0fm t=[%d,%d] top=%d", name,
 			req.Center.Lat, req.Center.Lng, req.RadiusMeters, req.StartMillis, req.EndMillis, req.MaxResults)
 	}
 	if explain {
@@ -663,7 +679,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		results = []query.Ranked{}
 	}
 	if s.logOn {
-		s.reqLog(r).Info("query",
+		s.reqLog(r).Info(name,
 			"center", fmt.Sprint(req.Center),
 			"radiusMeters", req.RadiusMeters,
 			"startMillis", req.StartMillis,
@@ -672,15 +688,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			"traceID", tr.ID,
 		)
 	}
-	resp := QueryResponse{
-		Results:       results,
-		ElapsedMicros: total.Microseconds(),
-		TraceID:       tr.ID,
+	if nearest {
+		resp := NearestResponse{Results: results, ElapsedMicros: total.Microseconds(), TraceID: tr.ID}
+		sc.out, err = AppendNearestResponse(sc.out[:0], &resp)
+	} else {
+		resp := QueryResponse{Results: results, ElapsedMicros: total.Microseconds(), TraceID: tr.ID}
+		if explain {
+			resp.Trace = tr
+		}
+		sc.out, err = AppendQueryResponse(sc.out[:0], &resp)
 	}
-	if explain {
-		resp.Trace = tr
-	}
-	sc.out, err = AppendQueryResponse(sc.out[:0], &resp)
 	s.writeJSON(w, sc.out, err)
 }
 

@@ -274,6 +274,59 @@ func TestSlowQueryLogAndCounter(t *testing.T) {
 	}
 }
 
+// TestSlowNearestIsLoggedAndTraced: a /nearest runs the traced /query
+// path, so a slow one is counted, logged with its walk's work, and
+// retained with a trace that carries that work.
+func TestSlowNearestIsLoggedAndTraced(t *testing.T) {
+	var buf bytes.Buffer
+	var mu sync.Mutex
+	s, err := New(Config{
+		Camera:             fov.Camera{HalfAngleDeg: 30, RadiusMeters: 100},
+		Logger:             slog.New(slog.NewTextHandler(&lockedWriter{w: &buf, mu: &mu}, nil)),
+		SlowQueryThreshold: time.Nanosecond, // everything is slow
+		TraceSampleRate:    -1,
+		Registry:           obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Facing north from 30 m south: it covers the center.
+	if _, err := s.Register(wire.Upload{Provider: "alice", Reps: []segment.Representative{rep(geo.Offset(center, 180, 30), 0, 0, 5000)}}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	body, err := json.Marshal(NearestRequest{Center: center, EndMillis: 5000, K: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/nearest", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var nr NearestResponse
+	if err := json.NewDecoder(resp.Body).Decode(&nr); err != nil || len(nr.Results) != 1 {
+		t.Fatalf("status %s, %d results, err %v; want 1 result", resp.Status, len(nr.Results), err)
+	}
+	if got := s.Registry().Counter("fovr_slow_queries_total").Value(); got != 1 {
+		t.Fatalf("fovr_slow_queries_total = %d, want 1", got)
+	}
+	mu.Lock()
+	logged := buf.String()
+	mu.Unlock()
+	for _, key := range []string{"slow query", "traceID=" + nr.TraceID, "nodesVisited=1", "candidates=1"} {
+		if !strings.Contains(logged, key) {
+			t.Fatalf("slow log missing %q:\n%s", key, logged)
+		}
+	}
+	tr := s.Traces().Get(nr.TraceID)
+	if tr == nil || tr.Class != "slow" || tr.NodesVisited == 0 || tr.Candidates != 1 {
+		t.Fatalf("retained trace = %+v, want class slow with the walk's nodes and 1 candidate", tr)
+	}
+}
+
 // TestTraceDisabledConfig checks the negative-value escape hatches:
 // with sampling and slow detection off, ordinary queries leave nothing
 // in the store.

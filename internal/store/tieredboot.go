@@ -63,7 +63,8 @@ func (d *Disk) ReadSegment(window int64, seq uint64) ([]byte, error) {
 // HasSegment reports whether (window, seq, crc) is already durable
 // locally — live, or staged by an earlier install. The bootstrap skips
 // fetching it then. A staged file that exists is whole, since it was
-// renamed into place; finishBootstrap verifies it in full.
+// renamed into place, so only its 4-byte trailer is read here;
+// finishBootstrap verifies it in full.
 func (d *Disk) HasSegment(window int64, seq uint64, crc uint32) bool {
 	d.mu.Lock()
 	seg, ok := d.segs[window]
@@ -71,8 +72,18 @@ func (d *Disk) HasSegment(window int64, seq uint64, crc uint32) bool {
 	if ok && seg.Seq == seq && seg.CRC == crc {
 		return true
 	}
-	data, err := os.ReadFile(filepath.Join(d.opts.Dir, stagedFileName(window, seq)))
-	return err == nil && len(data) >= 4 && segTrailerCRC(data) == crc
+	f, err := os.Open(filepath.Join(d.opts.Dir, stagedFileName(window, seq)))
+	if err != nil {
+		return false
+	}
+	defer f.Close()
+	var trailer [4]byte
+	fi, err := f.Stat()
+	if err != nil || fi.Size() < 4 {
+		return false
+	}
+	_, err = f.ReadAt(trailer[:], fi.Size()-4)
+	return err == nil && segTrailerCRC(trailer[:]) == crc
 }
 
 // verifySegment walks one fetched segment image (walkSegment; fn may be
