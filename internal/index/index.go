@@ -284,12 +284,18 @@ type sourceTable struct {
 	index map[source]uint32 // each live row of rows
 	dead  []uint32          // rows that died in rows' array
 	free  []uint32          // rows no view sharing rows' array names
+	last  uint32            // the row intern returned last
 }
 
 // intern returns the row of a new slot with source k, counting the slot
-// against it.
+// against it. An upload's entries share their source, so the row last
+// returned is tried before the map: while live, it is its source's row.
 func (t *sourceTable) intern(k source) (uint32, error) {
-	row, ok := t.index[k]
+	row := t.last
+	ok := int(row) < len(t.rows) && t.refs[row] > 0 && t.rows[row] == k
+	if !ok {
+		row, ok = t.index[k]
+	}
 	if !ok {
 		if n := len(t.free); n > 0 {
 			row, t.free = t.free[n-1], t.free[:n-1]
@@ -304,6 +310,7 @@ func (t *sourceTable) intern(k source) (uint32, error) {
 		t.index[k] = row
 	}
 	t.refs[row]++
+	t.last = row
 	return row, nil
 }
 

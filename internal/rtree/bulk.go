@@ -1,9 +1,10 @@
 package rtree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // BulkLoad builds a tree from items using the Sort-Tile-Recursive (STR)
@@ -19,39 +20,47 @@ func BulkLoad[T any](opts Options, bounds func(*T) Rect, items []T) (*Tree[T], e
 	if err != nil {
 		return nil, err
 	}
-	slots := make([]strSlot, len(items))
+	keys := make([]strKey, len(items))
 	for i := range items {
 		r := bounds(&items[i])
 		if !r.Valid() {
 			return nil, fmt.Errorf("rtree: invalid rect %v in bulk load", r)
 		}
-		slots[i] = strSlot{rect: r, at: i}
+		keys[i] = newSTRKey(&r, i)
 	}
 	if len(items) == 0 {
 		return t, nil
 	}
 
 	max := t.opts.MaxEntries
-	nodes := make([]*node[T], 0, (len(slots)+max-1)/max)
-	for _, run := range packLevel(slots, max) {
-		n := &node[T]{items: make([]T, len(run))}
-		for j, s := range run {
-			n.items[j] = items[s.at]
+	nodes := make([]*node[T], 0, (len(keys)+max-1)/max)
+	for _, run := range packLevel(keys, max) {
+		n := newLeaf[T](0)
+		leaf := make([]T, len(run))
+		for j, k := range run {
+			leaf[j] = items[k.at]
 		}
+		n.setItems(leaf)
 		nodes = append(nodes, n)
 	}
 	height := 1
+	// A level above the leaves sorts its nodes' MBRs, which also become
+	// their parents' kid rectangles.
+	rects := make([]Rect, 0, len(nodes))
 	for len(nodes) > 1 {
-		slots = slots[:len(nodes)]
+		keys, rects = keys[:len(nodes)], rects[:len(nodes)]
 		for i, n := range nodes {
-			slots[i] = strSlot{rect: mbr(n, bounds), at: i}
+			rects[i] = mbr(n, bounds)
+			keys[i] = newSTRKey(&rects[i], i)
 		}
-		parents := make([]*node[T], 0, (len(slots)+max-1)/max)
-		for _, run := range packLevel(slots, max) {
-			n := &node[T]{kids: make([]kid[T], len(run))}
-			for j, s := range run {
-				n.kids[j] = kid[T]{s.rect, nodes[s.at]}
+		parents := make([]*node[T], 0, (len(keys)+max-1)/max)
+		for _, run := range packLevel(keys, max) {
+			n := &node[T]{}
+			kids := make([]kid[T], len(run))
+			for j, k := range run {
+				kids[j] = kid[T]{rects[k.at], nodes[k.at]}
 			}
+			n.setKids(kids)
 			parents = append(parents, n)
 		}
 		nodes = parents
@@ -65,35 +74,43 @@ func BulkLoad[T any](opts Options, bounds func(*T) Rect, items []T) (*Tree[T], e
 	return t, nil
 }
 
-// strSlot is one slot of a level being packed: its rectangle and its
-// position in the level's input (an item, or a node of the level below).
-type strSlot struct {
-	rect Rect
-	at   int
+// strKey is one slot of a level being packed, in 32 B: its rectangle's
+// Min+Max per dimension (the sort keys) and its position in the level's
+// input (an item, or a node of the level below).
+type strKey struct {
+	c  [Dims]float64
+	at int
+}
+
+func newSTRKey(r *Rect, at int) strKey {
+	k := strKey{at: at}
+	for d := range Dims {
+		k.c[d] = r.Min[d] + r.Max[d]
+	}
+	return k
 }
 
 // packLevel orders one level's slots with STR's recursive slab sort over
 // the Dims center coordinates and cuts them into runs of capacity max,
 // one run per node.
-func packLevel(slots []strSlot, max int) [][]strSlot {
-	strSort(slots, max, 0)
-	runs := make([][]strSlot, 0, (len(slots)+max-1)/max)
-	for start := 0; start < len(slots); start += max {
-		runs = append(runs, slots[start:min(start+max, len(slots))])
+func packLevel(keys []strKey, max int) [][]strKey {
+	strSort(keys, max, 0)
+	runs := make([][]strKey, 0, (len(keys)+max-1)/max)
+	for start := 0; start < len(keys); start += max {
+		runs = append(runs, keys[start:min(start+max, len(keys))])
 	}
 	return runs
 }
 
-// strSort recursively orders slots so that consecutive runs of max
+// strSort recursively orders keys so that consecutive runs of max
 // slots are spatially coherent: sort by dimension d, cut into slabs
 // sized for the remaining dimensions, recurse into each slab with d+1.
-func strSort(slots []strSlot, max, d int) {
+func strSort(keys []strKey, max, d int) {
+	slices.SortFunc(keys, func(a, b strKey) int { return cmp.Compare(a.c[d], b.c[d]) })
 	if d >= Dims-1 {
-		sortByCenter(slots, d)
 		return
 	}
-	sortByCenter(slots, d)
-	nLeaves := float64(len(slots)) / float64(max)
+	nLeaves := float64(len(keys)) / float64(max)
 	// Number of slabs along this dimension: ceil(nLeaves^(1/k)) where k is
 	// the number of remaining dimensions.
 	k := Dims - d
@@ -101,24 +118,13 @@ func strSort(slots []strSlot, max, d int) {
 	if slabs < 1 {
 		slabs = 1
 	}
-	slabSize := (len(slots) + slabs - 1) / slabs
+	slabSize := (len(keys) + slabs - 1) / slabs
 	// Round the slab size up to a multiple of max so leaves don't straddle
 	// slab boundaries.
 	if rem := slabSize % max; rem != 0 {
 		slabSize += max - rem
 	}
-	for start := 0; start < len(slots); start += slabSize {
-		end := start + slabSize
-		if end > len(slots) {
-			end = len(slots)
-		}
-		strSort(slots[start:end], max, d+1)
+	for start := 0; start < len(keys); start += slabSize {
+		strSort(keys[start:min(start+slabSize, len(keys))], max, d+1)
 	}
-}
-
-func sortByCenter(slots []strSlot, d int) {
-	sort.Slice(slots, func(i, j int) bool {
-		return slots[i].rect.Min[d]+slots[i].rect.Max[d] <
-			slots[j].rect.Min[d]+slots[j].rect.Max[d]
-	})
 }

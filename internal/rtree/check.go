@@ -12,9 +12,8 @@ import "fmt"
 //  1. Every leaf is at the same depth, equal to Height.
 //  2. Every node except the root holds between MinEntries and MaxEntries
 //     slots; the root holds at least 2 slots unless it is a leaf.
-//  3. A leaf (a node with no kids slice) holds items only; an internal
-//     node holds kids only, each a non-nil, non-empty child beside its
-//     rectangle.
+//  3. An internal node's kids are each a non-nil, non-empty child
+//     beside its rectangle.
 //  4. Every internal rectangle is exactly the MBR of its child (tight),
 //     and hence contains all descendant rectangles.
 //  5. Every stored rectangle, and every rectangle the bounds function
@@ -80,12 +79,8 @@ func checkTree[T any](root *node[T], p checkParams[T]) error {
 }
 
 func checkNode[T any](n *node[T], depth int, isRoot bool, count *int, p checkParams[T]) error {
-	if n.leaf() {
-		if depth != p.height {
-			return fmt.Errorf("rtree: leaf at depth %d, height is %d", depth, p.height)
-		}
-	} else if len(n.items) != 0 {
-		return fmt.Errorf("rtree: internal node with %d items and %d kids", len(n.items), len(n.kids))
+	if n.leaf() && depth != p.height {
+		return fmt.Errorf("rtree: leaf at depth %d, height is %d", depth, p.height)
 	}
 	size := n.size()
 	if size > p.opts.MaxEntries {
@@ -100,15 +95,16 @@ func checkNode[T any](n *node[T], depth int, isRoot bool, count *int, p checkPar
 		return fmt.Errorf("rtree: empty root with size %d", p.size)
 	}
 	if n.leaf() {
-		for i := range n.items {
-			if r := p.bounds(&n.items[i]); !r.Valid() {
+		items := n.items()
+		for i := range items {
+			if r := p.bounds(&items[i]); !r.Valid() {
 				return fmt.Errorf("rtree: invalid rect %v derived for leaf item %d", r, i)
 			}
 		}
 		*count += size
 		return nil
 	}
-	for i, k := range n.kids {
+	for i, k := range n.kids() {
 		c := k.node
 		if !k.rect.Valid() {
 			return fmt.Errorf("rtree: invalid rect %v at slot %d", k.rect, i)
@@ -132,16 +128,13 @@ func checkNode[T any](n *node[T], depth int, isRoot bool, count *int, p checkPar
 // checkFrozen verifies no node reachable from a published snapshot root
 // belongs to the current write generation: a published node must be
 // immutable, so its generation has to predate every future mutation.
-func checkFrozen[T any](n *node[T], writeGen uint64) error {
-	if n.gen >= writeGen {
-		return fmt.Errorf("rtree: node generation %d not frozen under writeGen %d", n.gen, writeGen)
-	}
-	for _, k := range n.kids {
-		if err := checkFrozen(k.node, writeGen); err != nil {
-			return err
+func checkFrozen[T any](root *node[T], writeGen uint64) (err error) {
+	eachNode(root, func(n *node[T]) {
+		if err == nil && n.gen >= writeGen {
+			err = fmt.Errorf("rtree: node generation %d not frozen under writeGen %d", n.gen, writeGen)
 		}
-	}
-	return nil
+	})
+	return err
 }
 
 // NodeCount returns the total number of nodes, for shape diagnostics.
@@ -149,10 +142,17 @@ func (t *Tree[T]) NodeCount() int {
 	return countNodes(t.root)
 }
 
-func countNodes[T any](n *node[T]) int {
-	c := 1
-	for _, k := range n.kids {
-		c += countNodes(k.node)
-	}
+func countNodes[T any](root *node[T]) (c int) {
+	eachNode(root, func(*node[T]) { c++ })
 	return c
+}
+
+// eachNode calls fn on every node of the tree under n, depth first.
+func eachNode[T any](n *node[T], fn func(*node[T])) {
+	fn(n)
+	if !n.leaf() {
+		for _, k := range n.kids() {
+			eachNode(k.node, fn)
+		}
+	}
 }

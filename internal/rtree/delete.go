@@ -17,17 +17,17 @@ func (t *Tree[T]) Delete(item *T, match func(*T) bool) bool {
 	path = t.clonePath(path)
 	leaf := path[len(path)-1]
 	t.assertMutable(leaf)
-	leaf.items = append(leaf.items[:idx], leaf.items[idx+1:]...)
+	leaf.setItems(append(leaf.items()[:idx], leaf.items()[idx+1:]...))
 	t.size--
 	t.stats.deletes.Add(1)
 	t.condense(path)
 	// Shrink the root while it is an internal node with one child.
-	for !t.root.leaf() && len(t.root.kids) == 1 {
-		t.root = t.root.kids[0].node
+	for !t.root.leaf() && t.root.size() == 1 {
+		t.root = t.root.kids()[0].node
 		t.height--
 	}
 	if t.size == 0 && !t.root.leaf() {
-		t.root = &node[T]{gen: t.writeGen}
+		t.root = newLeaf[T](t.writeGen)
 		t.height = 1
 	}
 	return true
@@ -43,7 +43,7 @@ func (t *Tree[T]) clonePath(path []*node[T]) []*node[T] {
 	for i := 1; i < len(path); i++ {
 		c := t.mutable(path[i])
 		parent := out[i-1]
-		parent.kids[slotOf(parent, path[i])].node = c
+		parent.kids()[slotOf(parent, path[i])].node = c
 		out[i] = c
 	}
 	return out
@@ -55,18 +55,19 @@ func (t *Tree[T]) clonePath(path []*node[T]) []*node[T] {
 func (t *Tree[T]) findLeaf(n *node[T], r Rect, match func(*T) bool, path []*node[T]) ([]*node[T], int) {
 	path = append(path, n)
 	if n.leaf() {
-		for i := range n.items {
-			if t.bounds(&n.items[i]) == r && match(&n.items[i]) {
+		items := n.items()
+		for i := range items {
+			if t.bounds(&items[i]) == r && match(&items[i]) {
 				return path, i
 			}
 		}
 		return nil, 0
 	}
-	for i := range n.kids {
-		if !n.kids[i].rect.Contains(r) {
+	for _, k := range n.kids() {
+		if !k.rect.Contains(r) {
 			continue
 		}
-		if p, j := t.findLeaf(n.kids[i].node, r, match, path); p != nil {
+		if p, j := t.findLeaf(k.node, r, match, path); p != nil {
 			return p, j
 		}
 	}
@@ -79,7 +80,7 @@ func (t *Tree[T]) findLeaf(n *node[T], r Rect, match func(*T) bool, path []*node
 func (t *Tree[T]) tightenParent(path []*node[T], i int) {
 	n, parent := path[i], path[i-1]
 	t.assertMutable(parent)
-	parent.kids[slotOf(parent, n)].rect = mbr(n, t.bounds)
+	parent.kids()[slotOf(parent, n)].rect = mbr(n, t.bounds)
 }
 
 // orphan is a node cut out during condensation, remembered with the
@@ -100,7 +101,7 @@ func (t *Tree[T]) condense(path []*node[T]) {
 			// Cut n out of its parent and orphan its slots.
 			t.assertMutable(parent)
 			j := slotOf(parent, n)
-			parent.kids = append(parent.kids[:j], parent.kids[j+1:]...)
+			parent.setKids(append(parent.kids()[:j], parent.kids()[j+1:]...))
 			if n.size() > 0 {
 				// Slots of a node at depth i sit at level t.height-i.
 				orphans = append(orphans, orphan[T]{n: n, level: t.height - i})
@@ -117,12 +118,12 @@ func (t *Tree[T]) condense(path []*node[T]) {
 	for _, o := range orphans {
 		t.stats.reinserts.Add(int64(o.n.size()))
 		if o.n.leaf() {
-			for _, it := range o.n.items {
+			for _, it := range o.n.items() {
 				t.insertItem(t.bounds(&it), it)
 			}
 			continue
 		}
-		for _, k := range o.n.kids {
+		for _, k := range o.n.kids() {
 			t.insertChild(k.rect, k.node, o.level)
 		}
 	}

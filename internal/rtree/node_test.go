@@ -5,15 +5,17 @@ import (
 	"unsafe"
 )
 
-// A node header is 56 B — a generation, the kids slice and the items
-// slice — so it sits in Go's 64-B size class; an internal node's slots
-// are one slice of 56-B kids, rectangle beside child. The header does
-// not depend on the item type (both slots are slice headers), so the
-// test payload stands for every T. A field added to the header, or a
-// second slot array, has to show up here first.
+// A node header is 24 B — a generation, a pointer to the first slot,
+// and the slots in use beside the capacity and leaf flag — so it sits
+// in Go's 24-B size class, where the two slice headers it replaced made
+// 56 B in the 64-B class; an internal node's slots are one array of
+// 56-B kids, rectangle beside child. The header does not depend on the
+// item type (the slot pointer is untyped), so the test payload stands
+// for every T. A field added to the header, or a second slot array, has
+// to show up here first.
 func TestNodeSize(t *testing.T) {
-	if got := unsafe.Sizeof(node[item]{}); got != 56 {
-		t.Fatalf("node header is %d B, want 56", got)
+	if got := unsafe.Sizeof(node[item]{}); got != 24 {
+		t.Fatalf("node header is %d B, want 24", got)
 	}
 	if got := unsafe.Sizeof(kid[item]{}); got != 56 {
 		t.Fatalf("kid is %d B, want 56", got)
@@ -35,7 +37,7 @@ func TestNodeSize(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, func() { clone = tree.mutable(root) }); allocs != 2 {
 		t.Fatalf("cloning an internal node makes %.0f allocations, want 2", allocs)
 	}
-	if len(clone.kids) != len(root.kids) {
-		t.Fatalf("the clone has %d kids, the node %d", len(clone.kids), len(root.kids))
+	if clone.size() != root.size() || clone.leaf() {
+		t.Fatalf("the clone has %d slots (leaf %v), the node %d kids", clone.size(), clone.leaf(), root.size())
 	}
 }

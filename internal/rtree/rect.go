@@ -14,9 +14,10 @@
 // dominant workload here, and the node split is exercised and tested
 // against them specifically.
 //
-// An internal node keeps one slice of kids, each a child's MBR beside
-// the child pointer, so the filter over MBRs walks one contiguous array
-// and the node's slots are one allocation; a leaf keeps only its items.
+// A node is a 24-B header over one slot array. An internal node's
+// slots are kids, each a child's MBR beside the child pointer, so the
+// filter over MBRs walks one contiguous array and the node's slots are
+// one allocation; a leaf's slots are its items.
 // A leaf item's rectangle is derived from the item by the bounds
 // function the tree is built with — for a representative, the
 // degenerate box above, from numbers the item already holds — so it is

@@ -1,9 +1,6 @@
 package rtree
 
-import (
-	"cmp"
-	"slices"
-)
+import "slices"
 
 // The R*-tree split of Beckmann et al. (SIGMOD 1990), split phase only,
 // is the tree's one split (forced reinsertion is intentionally omitted —
@@ -52,18 +49,17 @@ func splitMargin(r *Rect) float64 {
 // is serialized, so one per tree serves every split, grown to the widest
 // node seen and reused: a split allocates nothing but the two halves.
 type splitScratch struct {
-	rects []Rect       // the splitting node's slot rectangles
-	axes  [2]axisSorts // R*: the axis being scored and the best one so far
-	slots []int        // R*: the winning order as slot indices
+	rects  []Rect       // the splitting node's slot rectangles
+	axes   [2]axisSorts // R*: the axis being scored and the best one so far
+	prefix []Rect       // R*: prefix[i] = MBR of the winning order's [:i+1]
+	suffix []Rect       // R*: suffix[i] = MBR of the winning order's [i:]
+	margin []float64    // R*: an order's suffix margins, by split point
+	slots  []int        // R*: the winning order as slot indices
 }
 
-// axisSorts is one axis's R* sort orders, by lower and by upper boundary,
-// with the prefix and suffix MBRs that let every distribution's margin,
-// overlap and area be evaluated in O(1).
+// axisSorts is one axis's R* sort orders, by lower and by upper boundary.
 type axisSorts struct {
-	order  [2][]slotKey
-	prefix [2][]Rect // prefix[u][i] = MBR of order[u][:i+1]
-	suffix [2][]Rect // suffix[u][i] = MBR of order[u][i:]
+	order [2][]slotKey
 	// orders is how many of the two orders are distinct: 1 when every
 	// slot is flat on the axis (a leaf's longitude and latitude), whose
 	// upper-boundary order is then the lower-boundary one.
@@ -76,9 +72,8 @@ type slotKey struct {
 	slot int
 }
 
-func bySlotKey(a, b slotKey) int { return cmp.Compare(a.key, b.key) }
-
-// sortAxis fills a with the sort orders of rects on dimension d.
+// sortAxis fills a with the sort orders of rects on dimension d. A node
+// holds at most M+1 slots, so each order is a stable insertion sort.
 func (a *axisSorts) sortAxis(rects []Rect, d int) {
 	n := len(rects)
 	a.orders = 1
@@ -91,36 +86,41 @@ func (a *axisSorts) sortAxis(rects []Rect, d int) {
 	for u := range a.orders {
 		o := slices.Grow(a.order[u][:0], n)[:n]
 		for i := range rects {
-			k := rects[i].Min[d]
+			k := slotKey{key: rects[i].Min[d], slot: i}
 			if u == 1 {
-				k = rects[i].Max[d]
+				k.key = rects[i].Max[d]
 			}
-			o[i] = slotKey{key: k, slot: i}
+			j := i
+			for ; j > 0 && o[j-1].key > k.key; j-- {
+				o[j] = o[j-1]
+			}
+			o[j] = k
 		}
-		slices.SortStableFunc(o, bySlotKey)
-		p := slices.Grow(a.prefix[u][:0], n)[:n]
-		s := slices.Grow(a.suffix[u][:0], n)[:n]
-		p[0] = rects[o[0].slot]
-		for i := 1; i < n; i++ {
-			p[i] = p[i-1].Union(rects[o[i].slot])
-		}
-		s[n-1] = rects[o[n-1].slot]
-		for i := n - 2; i >= 0; i-- {
-			s[i] = s[i+1].Union(rects[o[i].slot])
-		}
-		a.order[u], a.prefix[u], a.suffix[u] = o, p, s
+		a.order[u] = o
 	}
 }
 
 // marginSum is ChooseSplitAxis' score of the sorted axis: the weighted
-// margins of every legal distribution of both orders. A flat axis's
-// upper order is its lower one, so that order counts twice.
-func (a *axisSorts) marginSum(minFill int) float64 {
-	n := len(a.order[0])
+// margins of every legal distribution of both orders, each group's MBR
+// grown one slot at a time. A flat axis's upper order is its lower one,
+// so that order counts twice.
+func (s *splitScratch) marginSum(a *axisSorts, rects []Rect, minFill int) float64 {
+	n := len(rects)
+	s.margin = slices.Grow(s.margin[:0], n)[:n]
 	var sums [2]float64
 	for u := range a.orders {
-		for k := minFill; k <= n-minFill; k++ {
-			sums[u] += splitMargin(&a.prefix[u][k-1]) + splitMargin(&a.suffix[u][k])
+		o := a.order[u] // the first Union of each walk is r ∪ r = r
+		r := rects[o[n-1].slot]
+		for k := n - 1; k >= minFill; k-- {
+			r = r.Union(rects[o[k].slot])
+			s.margin[k] = splitMargin(&r)
+		}
+		r = rects[o[0].slot]
+		for k := 1; k <= n-minFill; k++ {
+			r = r.Union(rects[o[k-1].slot])
+			if k >= minFill {
+				sums[u] += splitMargin(&r) + s.margin[k]
+			}
 		}
 	}
 	if a.orders == 1 {
@@ -137,21 +137,30 @@ func (s *splitScratch) rstar(rects []Rect, minFill int) (left, right []int) {
 	bestMarginSum := 0.0
 	for d := range Dims {
 		cur.sortAxis(rects, d)
-		if m := cur.marginSum(minFill); d == 0 || m < bestMarginSum {
+		if m := s.marginSum(cur, rects, minFill); d == 0 || m < bestMarginSum {
 			bestMarginSum = m
 			cur, best = best, cur
 		}
 	}
 
-	// ChooseSplitIndex over the winning axis's orders; the upper order of
-	// a flat axis would repeat the lower one's distributions, which never
-	// win a tie.
+	// ChooseSplitIndex over the winning axis's orders, from their prefix
+	// and suffix MBRs; the upper order of a flat axis would repeat the
+	// lower one's distributions, which never win a tie.
 	n := len(rects)
 	bestOverlap, bestArea := -1.0, 0.0
 	bestU, bestK := 0, 0
 	for u := range best.orders {
+		o := best.order[u]
+		p := slices.Grow(s.prefix[:0], n)[:n]
+		q := slices.Grow(s.suffix[:0], n)[:n]
+		p[0], q[n-1] = rects[o[0].slot], rects[o[n-1].slot]
+		for i := 1; i < n; i++ {
+			p[i] = p[i-1].Union(rects[o[i].slot])
+			q[n-1-i] = q[n-i].Union(rects[o[n-1-i].slot])
+		}
+		s.prefix, s.suffix = p, q
 		for k := minFill; k <= n-minFill; k++ {
-			l, r := &best.prefix[u][k-1], &best.suffix[u][k]
+			l, r := &p[k-1], &q[k]
 			ov := overlapArea(l, r)
 			area := l.Area() + r.Area()
 			if bestOverlap < 0 || ov < bestOverlap || (ov == bestOverlap && area < bestArea) {

@@ -4,11 +4,12 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Options tune the tree shape.
 type Options struct {
-	// MaxEntries is M, the node capacity. Must be >= 4.
+	// MaxEntries is M, the node capacity. Must be in [4, 1<<16].
 	MaxEntries int
 	// MinEntries is m, the minimum fill; 2 <= m <= M/2. Zero selects
 	// the standard 40% fill.
@@ -22,8 +23,8 @@ func (o Options) withDefaults() (Options, error) {
 	if o.MaxEntries == 0 {
 		o.MaxEntries = DefaultOptions.MaxEntries
 	}
-	if o.MaxEntries < 4 {
-		return o, fmt.Errorf("rtree: MaxEntries %d < 4", o.MaxEntries)
+	if o.MaxEntries < 4 || o.MaxEntries > 1<<16 {
+		return o, fmt.Errorf("rtree: MaxEntries %d out of [4, 65536]", o.MaxEntries)
 	}
 	if o.MinEntries == 0 {
 		o.MinEntries = o.MaxEntries * 2 / 5
@@ -38,23 +39,29 @@ func (o Options) withDefaults() (Options, error) {
 	return o, nil
 }
 
-// node is a tree node. An internal node keeps its children as one
-// slice of kids, each a child's bounding rectangle beside its pointer,
-// so the filter over child MBRs walks one contiguous array and a node
-// (or a copy-on-write clone of one) costs one allocation for its slots.
-// A leaf is a node with no kids slice at all: it keeps only its items,
-// and an item's rectangle is derived from the item by the tree's bounds
-// function, never stored. All leaves are at the same depth.
+// node is a tree node: a 24-B header over one slot array. An internal
+// node's slots are kids, each a child's bounding rectangle beside its
+// pointer, so the filter over child MBRs walks one contiguous array and
+// a node (or a copy-on-write clone of one) costs one allocation for its
+// slots. A leaf's slots are its items; an item's rectangle is derived
+// from the item by the tree's bounds function, never stored. All leaves
+// are at the same depth. The array is typed only by the accessors below
+// (kids and items read it, setKids and setItems write it); no other
+// code turns p into a slice.
 //
 // gen is the write generation the node belongs to. A node whose gen
 // equals the tree's current writeGen is exclusively owned by the writer
 // and may be mutated in place; any other node may be shared with a
 // published Snapshot and must be cloned before mutation (copy-on-write).
 type node[T any] struct {
-	gen   uint64
-	kids  []kid[T] // internal only; nil exactly when the node is a leaf
-	items []T      // leaf only
+	gen uint64
+	p   unsafe.Pointer // the first slot, a kid[T] or a T; nil without an array
+	n   uint32         // slots in use
+	c   uint32         // slot capacity, or'ed with leafBit on a leaf
 }
+
+// leafBit marks a leaf in node.c.
+const leafBit = 1 << 31
 
 // kid is one slot of an internal node: the child and its exact MBR.
 type kid[T any] struct {
@@ -62,29 +69,56 @@ type kid[T any] struct {
 	node *node[T]
 }
 
-// leaf reports whether n is a leaf: a node with a nil kids slice.
-func (n *node[T]) leaf() bool { return n.kids == nil }
+// newLeaf returns an empty leaf of write generation gen.
+func newLeaf[T any](gen uint64) *node[T] { return &node[T]{gen: gen, c: leafBit} }
+
+func (n *node[T]) leaf() bool { return n.c&leafBit != 0 }
 
 // size is the number of slots in use: kids or items.
-func (n *node[T]) size() int {
-	if n.leaf() {
-		return len(n.items)
+func (n *node[T]) size() int { return int(n.n) }
+
+func (n *node[T]) kids() []kid[T] {
+	n.assertKind(false)
+	return unsafe.Slice((*kid[T])(n.p), n.c)[:n.n]
+}
+
+func (n *node[T]) items() []T {
+	n.assertKind(true)
+	return unsafe.Slice((*T)(n.p), n.c&^leafBit)[:n.n]
+}
+
+func (n *node[T]) setKids(s []kid[T]) {
+	n.assertKind(false)
+	n.p, n.n, n.c = unsafe.Pointer(unsafe.SliceData(s)), uint32(len(s)), uint32(cap(s))
+}
+
+func (n *node[T]) setItems(s []T) {
+	n.assertKind(true)
+	n.p, n.n, n.c = unsafe.Pointer(unsafe.SliceData(s)), uint32(len(s)), uint32(cap(s))|leafBit
+}
+
+// assertKind panics, under the fovrdebug tag, unless n's leaf flag is
+// leaf: a slot array is never read or written as the other slot type.
+func (n *node[T]) assertKind(leaf bool) {
+	if debugChecks && n.leaf() != leaf {
+		panic("rtree: a node's slots used as the other kind")
 	}
-	return len(n.kids)
 }
 
 // mbr returns the minimum bounding rectangle of a non-empty node.
 func mbr[T any](n *node[T], bounds func(*T) Rect) Rect {
 	if !n.leaf() {
-		r := n.kids[0].rect
-		for i := 1; i < len(n.kids); i++ {
-			r = r.Union(n.kids[i].rect)
+		kids := n.kids()
+		r := kids[0].rect
+		for i := 1; i < len(kids); i++ {
+			r = r.Union(kids[i].rect)
 		}
 		return r
 	}
-	r := bounds(&n.items[0])
-	for i := 1; i < len(n.items); i++ {
-		r = r.Union(bounds(&n.items[i]))
+	items := n.items()
+	r := bounds(&items[0])
+	for i := 1; i < len(items); i++ {
+		r = r.Union(bounds(&items[i]))
 	}
 	return r
 }
@@ -102,6 +136,10 @@ type Tree[T any] struct {
 	stats  stats
 	// scratch is the writer's split working memory.
 	scratch splitScratch
+	// path is the writer's last descent from the root (choosePath), and
+	// at[i] the slot of path[i] that holds path[i+1].
+	path []*node[T]
+	at   []int
 
 	// writeGen is the current write generation: nodes stamped with it are
 	// writer-owned, everything older is frozen (possibly shared with a
@@ -125,7 +163,7 @@ func New[T any](opts Options, bounds func(*T) Rect) (*Tree[T], error) {
 	t := &Tree[T]{
 		opts:   o,
 		bounds: bounds,
-		root:   &node[T]{},
+		root:   newLeaf[T](0),
 		height: 1,
 	}
 	t.Publish() // a tree always has a (possibly empty) snapshot
@@ -164,52 +202,49 @@ func (t *Tree[T]) Insert(item T) error {
 // then AdjustTree). Insert and the reinsertion of orphaned leaf items
 // during deletion share it.
 func (t *Tree[T]) insertItem(r Rect, item T) {
-	path := t.choosePath(r, 1)
-	leaf := path[len(path)-1]
+	leaf := t.choosePath(r, 1)
 	t.assertMutable(leaf)
-	leaf.items = push(leaf.items, item)
-	t.adjustPath(path, r)
+	leaf.setItems(push(leaf.items(), item))
+	t.adjustPath(r)
 }
 
 // insertChild links a subtree with bounding rectangle r into a node at
 // the given level counted from the leaves (level 2 = parents of leaves).
 // Subtree reinsertion during deletion uses it.
 func (t *Tree[T]) insertChild(r Rect, child *node[T], level int) {
-	path := t.choosePath(r, level)
-	n := path[len(path)-1]
+	n := t.choosePath(r, level)
 	t.assertMutable(n)
-	n.kids = push(n.kids, kid[T]{r, child})
-	t.adjustPath(path, r)
+	n.setKids(push(n.kids(), kid[T]{r, child}))
+	t.adjustPath(r)
 }
 
 // choosePath descends from the root to the node at the target level,
 // choosing at each step the child whose rectangle needs least enlargement
-// (ChooseLeaf / ChooseSubtree), and returns the visited nodes. Every node
-// on the returned path is writer-owned: shared (published) nodes are
-// cloned during the descent and re-linked into their parents, so the
-// caller may mutate path nodes freely.
-func (t *Tree[T]) choosePath(r Rect, level int) []*node[T] {
-	path := make([]*node[T], 0, t.height)
+// (ChooseLeaf / ChooseSubtree), keeps the descent in t.path and t.at and
+// returns the node it reached. Every node on the path is writer-owned:
+// shared (published) nodes are cloned during the descent and re-linked
+// into their parents, so the caller may mutate path nodes freely.
+func (t *Tree[T]) choosePath(r Rect, level int) *node[T] {
 	n := t.mutable(t.root)
 	t.root = n
-	depth := t.height // level of n, counted from leaves
-	path = append(path, n)
-	for depth > level {
+	path, at := append(t.path[:0], n), t.at[:0]
+	for depth := t.height; depth > level; depth-- { // depth: n's level, counted from leaves
+		kids := n.kids()
 		best := 0
 		var bestArea, bestMargin, bestSize float64
-		for i := range n.kids {
-			dArea, dMargin, size := enlarge(&n.kids[i].rect, &r)
+		for i := range kids {
+			dArea, dMargin, size := enlarge(&kids[i].rect, &r)
 			if i == 0 || less3(dArea, dMargin, size, bestArea, bestMargin, bestSize) {
 				best, bestArea, bestMargin, bestSize = i, dArea, dMargin, size
 			}
 		}
-		child := t.mutable(n.kids[best].node)
-		n.kids[best].node = child
+		child := t.mutable(kids[best].node)
+		kids[best].node = child
 		n = child
-		path = append(path, n)
-		depth--
+		path, at = append(path, n), append(at, best)
 	}
-	return path
+	t.path, t.at = path, at
+	return n
 }
 
 // less3 orders subtree candidates by (area enlargement, margin
@@ -227,48 +262,47 @@ func less3(a1, a2, a3, b1, b2, b3 float64) bool {
 
 // slotOf returns the index of child among n's kids.
 func slotOf[T any](n, child *node[T]) int {
-	for j := range n.kids {
-		if n.kids[j].node == child {
+	for j, k := range n.kids() {
+		if k.node == child {
 			return j
 		}
 	}
 	panic("rtree: child not linked into its parent")
 }
 
-// adjustPath walks back up the path along which a slot with rectangle r
-// was just added, splitting overflowing nodes and keeping parent
-// rectangles tight (AdjustTree). A node that did not overflow gained
-// exactly r below it, so its parent slot grows by r: that is its exact
-// MBR, because the slot was tight before and min/max are exact. The two
+// adjustPath walks back up the last descent, along which a slot with
+// rectangle r was just added, splitting overflowing nodes and keeping
+// parent rectangles tight (AdjustTree). A node that did not overflow
+// gained exactly r below it, so its parent slot (t.at: a parent changes
+// only after the nodes below it) grows by r: that is its exact MBR,
+// because the slot was tight before and min/max are exact. The two
 // halves of a split are measured in full.
-func (t *Tree[T]) adjustPath(path []*node[T], r Rect) {
+func (t *Tree[T]) adjustPath(r Rect) {
+	path := t.path
 	for i := len(path) - 1; i >= 0; i-- {
 		n := path[i]
 		if n.size() <= t.opts.MaxEntries {
 			if i > 0 {
 				parent := path[i-1]
 				t.assertMutable(parent)
-				j := slotOf(parent, n)
-				parent.kids[j].rect = parent.kids[j].rect.Union(r)
+				k := &parent.kids()[t.at[i-1]]
+				k.rect = k.rect.Union(r)
 			}
 			continue
 		}
 		left, right := t.splitNode(n)
 		if i == 0 {
 			// Root split: the tree grows a level.
-			t.root = &node[T]{
-				gen:  t.writeGen,
-				kids: []kid[T]{{mbr(left, t.bounds), left}, {mbr(right, t.bounds), right}},
-			}
+			t.root = &node[T]{gen: t.writeGen}
+			t.root.setKids([]kid[T]{{mbr(left, t.bounds), left}, {mbr(right, t.bounds), right}})
 			t.height++
 			return
 		}
 		parent := path[i-1]
 		t.assertMutable(parent)
 		// Replace n's slot with left, append right.
-		j := slotOf(parent, n)
-		parent.kids[j] = kid[T]{mbr(left, t.bounds), left}
-		parent.kids = push(parent.kids, kid[T]{mbr(right, t.bounds), right})
+		parent.kids()[t.at[i-1]] = kid[T]{mbr(left, t.bounds), left}
+		parent.setKids(push(parent.kids(), kid[T]{mbr(right, t.bounds), right}))
 	}
 }
 
@@ -280,11 +314,13 @@ func (t *Tree[T]) splitNode(n *node[T]) (left, right *node[T]) {
 	t.assertMutable(n)
 	t.stats.splits.Add(1)
 	l, r := t.scratch.rstar(t.slotRects(n), t.opts.MinEntries)
-	right = &node[T]{gen: t.writeGen}
-	if n.leaf() {
-		n.items, right.items = pick(n.items, l), pick(n.items, r)
+	right = &node[T]{gen: t.writeGen, c: n.c & leafBit}
+	if n.leaf() { // right first: it picks from n's slots before n is cut
+		right.setItems(pick(n.items(), r))
+		n.setItems(pick(n.items(), l))
 	} else {
-		n.kids, right.kids = pick(n.kids, l), pick(n.kids, r)
+		right.setKids(pick(n.kids(), r))
+		n.setKids(pick(n.kids(), l))
 	}
 	return n, right
 }
@@ -294,25 +330,29 @@ func (t *Tree[T]) splitNode(n *node[T]) (left, right *node[T]) {
 // derived ones of a leaf.
 func (t *Tree[T]) slotRects(n *node[T]) []Rect {
 	rs := t.scratch.rects[:0]
-	if !n.leaf() {
-		for i := range n.kids {
-			rs = append(rs, n.kids[i].rect)
+	if n.leaf() {
+		items := n.items()
+		for i := range items {
+			rs = append(rs, t.bounds(&items[i]))
 		}
-	}
-	for i := range n.items {
-		rs = append(rs, t.bounds(&n.items[i]))
+	} else {
+		for _, k := range n.kids() {
+			rs = append(rs, k.rect)
+		}
 	}
 	t.scratch.rects = rs
 	return rs
 }
 
-// push appends v to a writer-owned slot slice. A full s grows by exactly
-// one slot, never by append's doubling: between two publishes the
-// writer appends to the same node in place, batch after batch, and
-// doubled arrays would stay in the tree as slack.
+// push appends v to a writer-owned slot slice. A full s grows to the
+// size class one more slot lands in, which the allocator hands out
+// anyway, never by append's doubling: between two publishes the writer
+// appends to the same node in place, batch after batch, and doubled
+// arrays would stay in the tree as slack.
 func push[S any](s []S, v S) []S {
 	if len(s) == cap(s) {
-		s = append(make([]S, 0, len(s)+1), s...)
+		grown := append([]S(nil), make([]S, len(s)+1)...)
+		s = grown[:copy(grown, s)]
 	}
 	return append(s, v)
 }
@@ -434,7 +474,7 @@ func searchFrom[T any](root *node[T], bounds func(*T) Rect, st *stats, q Rect, n
 func (w *walk[T]) searchNode(n *node[T]) {
 	w.c.nodes++
 	if n.leaf() {
-		items := n.items
+		items := n.items()
 		w.c.leafs += int64(len(items))
 		bounds, q := w.bounds, w.q
 		for i := range items {
@@ -451,7 +491,7 @@ func (w *walk[T]) searchNode(n *node[T]) {
 	// spills to the heap.
 	var buf [16]nearSlot[T]
 	order := buf[:0]
-	kids := n.kids
+	kids := n.kids()
 	for i := range kids {
 		r := &kids[i].rect
 		if !r.intersects(w.q) {
@@ -495,15 +535,16 @@ func (t *Tree[T]) Scan(fn func(*T) bool) {
 
 func scanNode[T any](n *node[T], fn func(*T) bool) bool {
 	if n.leaf() {
-		for i := range n.items {
-			if !fn(&n.items[i]) {
+		items := n.items()
+		for i := range items {
+			if !fn(&items[i]) {
 				return false
 			}
 		}
 		return true
 	}
-	for i := range n.kids {
-		if !scanNode(n.kids[i].node, fn) {
+	for _, k := range n.kids() {
+		if !scanNode(k.node, fn) {
 			return false
 		}
 	}

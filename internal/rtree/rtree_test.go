@@ -83,6 +83,7 @@ func TestOptionsValidation(t *testing.T) {
 		{"defaults", Options{}, true},
 		{"explicit", Options{MaxEntries: 8, MinEntries: 3}, true},
 		{"max too small", Options{MaxEntries: 3}, false},
+		{"max too large", Options{MaxEntries: 1<<16 + 1}, false},
 		{"min too large", Options{MaxEntries: 8, MinEntries: 5}, false},
 		{"min too small", Options{MaxEntries: 8, MinEntries: 1}, false},
 	}
@@ -665,14 +666,14 @@ func TestCheckInvariantsCatchesBadRects(t *testing.T) {
 		return tree
 	}
 	loose := build(300)
-	loose.root.kids[1].rect.Max[0]++ // still contains the child, no longer tight
+	loose.root.kids()[1].rect.Max[0]++ // still contains the child, no longer tight
 	if err := loose.CheckInvariants(); err == nil {
 		t.Fatal("a loose internal rect went unnoticed")
 	}
 	// A root leaf has no parent rect to disagree with: only the derived
 	// rectangle's own validity can catch it.
 	bad := build(5)
-	r := &bad.root.items[2].r
+	r := &bad.root.items()[2].r
 	r.Min[2], r.Max[2] = r.Max[2]+1, r.Min[2] // inverted interval
 	if err := bad.CheckInvariants(); err == nil {
 		t.Fatal("an invalid derived leaf rect went unnoticed")

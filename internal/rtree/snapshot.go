@@ -1,6 +1,10 @@
 package rtree
 
-import "math"
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+)
 
 // Snapshot is an immutable point-in-time view of a Tree, published by the
 // writer with Publish and loaded by readers with Tree.Snapshot. Readers
@@ -66,20 +70,20 @@ func (t *Tree[T]) mutable(n *node[T]) *node[T] {
 	if n.gen == t.writeGen {
 		return n
 	}
-	c := &node[T]{gen: t.writeGen}
+	c := &node[T]{gen: t.writeGen, c: n.c & leafBit}
 	if n.leaf() {
-		c.items = append(make([]T, 0, len(n.items)+1), n.items...)
+		c.setItems(append(make([]T, 0, n.size()+1), n.items()...))
 	} else {
-		c.kids = append(make([]kid[T], 0, len(n.kids)+1), n.kids...)
+		c.setKids(append(make([]kid[T], 0, n.size()+1), n.kids()...))
 	}
 	return c
 }
 
 // assertMutable panics if the writer is about to mutate a node that may
 // be shared with a published snapshot. Compiled out unless the fovrdebug
-// build tag is set (immutableChecks is a constant).
+// build tag is set (debugChecks is a constant).
 func (t *Tree[T]) assertMutable(n *node[T]) {
-	if immutableChecks && n.gen != t.writeGen {
+	if debugChecks && n.gen != t.writeGen {
 		panic("rtree: write to a node owned by a published snapshot")
 	}
 }
@@ -138,16 +142,26 @@ func (s *Snapshot[T]) Scan(fn func(*T) bool) {
 	scanNode(s.root, fn)
 }
 
-// Bounds returns the MBR of the snapshot and whether it is non-empty.
-func (s *Snapshot[T]) Bounds() (Rect, bool) {
-	if s.size == 0 {
-		return Rect{}, false
-	}
-	return mbr(s.root, s.bounds), true
-}
-
 // NodeCount returns the number of nodes in the snapshot.
 func (s *Snapshot[T]) NodeCount() int { return countNodes(s.root) }
+
+// ShapeDigest returns an FNV-64a digest of the snapshot's tree, walked
+// depth first: every node's slot count and MBR, and every leaf item's
+// rectangle. Trees with one digest made the same insert, split and
+// packing decisions; tests pin it.
+func (s *Snapshot[T]) ShapeDigest() uint64 {
+	h := fnv.New64a()
+	eachNode(s.root, func(n *node[T]) {
+		binary.Write(h, binary.LittleEndian, uint64(n.size()))
+		if n.size() > 0 {
+			binary.Write(h, binary.LittleEndian, mbr(n, s.bounds))
+		}
+		for i := 0; n.leaf() && i < n.size(); i++ {
+			binary.Write(h, binary.LittleEndian, s.bounds(&n.items()[i]))
+		}
+	})
+	return h.Sum64()
+}
 
 // CheckInvariants verifies the snapshot's structural invariants (same
 // checks as Tree.CheckInvariants, against the snapshot's own height and

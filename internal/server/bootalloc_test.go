@@ -58,12 +58,13 @@ func allocPerEntry(f func()) float64 {
 // and over a Disk store. The store streams each visible entry into the
 // index's STR loader as it walks a segment, so what is allocated is
 // each segment's read and inflation once, the 40-B slot array, STR's
-// packing and the tree; a whole-state []Entry (80 B an entry) fails
-// every pin, and so does a Disk finish that reads its segments twice.
-// The Disk figure exceeds the Mem one by the file read, the finish's id
-// list and the store's id→window map only. Each bound is about 10 %
-// above what this path measures (210, 189 and 237 B); the whole-state
-// path it replaced allocated 269, 229 and 336 B.
+// 32-B sort keys and the tree; a whole-state []Entry (80 B an entry)
+// fails every pin, and so does a Disk finish that reads its segments
+// twice, or STR sorting 56-B rectangle slots (210, 189 and 237 B). The
+// Disk figure exceeds the Mem one by the file read, the finish's id
+// list and the store's id→window map only. Each bound is about 7 %
+// above what this path measures (186, 165 and 213 B); the whole-state
+// path allocated 269, 229 and 336 B.
 func TestLoadAllocPerEntry(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation pins are taken with the race detector off")
@@ -100,7 +101,7 @@ func TestLoadAllocPerEntry(t *testing.T) {
 	st := openStore(t, leaderDir)
 	defer st.Close()
 	var booted *Server
-	check("New", allocPerEntry(func() { booted = durableServer(t, st) }), 230, booted)
+	check("New", allocPerEntry(func() { booted = durableServer(t, st) }), 200, booted)
 
 	mem := newServer(t)
 	install(mem)
@@ -108,7 +109,7 @@ func TestLoadAllocPerEntry(t *testing.T) {
 		if err := mem.FinishBootstrap(ms); err != nil {
 			t.Fatal(err)
 		}
-	}), 207, mem)
+	}), 180, mem)
 
 	fst := openStore(t, t.TempDir())
 	defer fst.Close()
@@ -118,5 +119,5 @@ func TestLoadAllocPerEntry(t *testing.T) {
 		if err := disk.FinishBootstrap(ms); err != nil {
 			t.Fatal(err)
 		}
-	}), 260, disk)
+	}), 228, disk)
 }
