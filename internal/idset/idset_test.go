@@ -58,10 +58,17 @@ func checkMap(t *testing.T, m *Map, model map[uint64]int64) {
 		if p.mask == 0 {
 			t.Fatalf("page %d is empty but kept", k)
 		}
-		if n := bits.OnesCount64(p.mask); len(p.vals) != n {
-			t.Fatalf("page %d holds %d values for %d ids", k, len(p.vals), n)
+		n := bits.OnesCount64(p.mask)
+		if len(p.vals) != n*p.width() {
+			t.Fatalf("page %d holds %d bytes for %d ids (wide=%v)", k, len(p.vals), n, p.wide)
 		}
-		live += len(p.vals)
+		// Narrow exactly while the live values span less than 256, so no
+		// sequence of writes leaves a page wide that one byte would hold.
+		lo, hi := p.span(-1, p.at(0), p.at(0))
+		if wide := uint64(hi)-uint64(lo) >= 256; p.wide != wide {
+			t.Fatalf("page %d has values %d..%d but wide=%v", k, lo, hi, p.wide)
+		}
+		live += n
 	}
 	if live != len(model) {
 		t.Fatalf("pages hold %d ids, model has %d", live, len(model))
@@ -88,21 +95,40 @@ func checkMap(t *testing.T, m *Map, model map[uint64]int64) {
 	}
 }
 
-// runOps decodes ops as a sequence of 9-byte operations and runs them
+// opValue decodes the value byte of an operation: most bytes are a
+// small value, 0..159, so a page of them is narrow; 160..223 land on
+// 224..287, across the 255/256 span from the small ones in both
+// directions; 224..247 are -1..-24; and the last eight are the ends of
+// the int64 range and values near them, far from everything else.
+func opValue(b byte) int64 {
+	switch {
+	case b < 160:
+		return int64(b)
+	case b < 224:
+		return int64(b) + 64
+	case b < 248:
+		return 223 - int64(b)
+	}
+	return [...]int64{math.MinInt64, math.MaxInt64, math.MinInt64 + 1, math.MaxInt64 - 1,
+		math.MinInt64 + 255, math.MaxInt64 - 255, 1 << 40, -1 << 40}[b-248]
+}
+
+// runOps decodes ops as a sequence of 10-byte operations and runs them
 // through a Set and a Map beside Go maps, checking every answer and,
 // every 1024 operations and at the end, the whole tables. The first byte
 // picks the operation (its value mod 3: add — a Put for the map —,
 // delete, get) and where the id falls (its value / 3 mod 3: among the
-// 1024 lowest, among the 1024 highest, or anywhere); the other eight are
-// the id, little-endian, of which the first two ranges take the top 10
-// bits.
+// 1024 lowest, among the 1024 highest, or anywhere); the second is the
+// value a Put writes (opValue), so a Put of a live id changes its value;
+// the other eight are the id, little-endian, of which the first two
+// ranges take the top 10 bits.
 func runOps(t *testing.T, ops []byte) {
 	var s Set
 	var m Map
 	sm := map[uint64]struct{}{}
 	mm := map[uint64]int64{}
-	for step := int64(0); len(ops) >= 9; ops, step = ops[9:], step+1 {
-		id := binary.LittleEndian.Uint64(ops[1:9])
+	for step := 0; len(ops) >= 10; ops, step = ops[10:], step+1 {
+		id, v := binary.LittleEndian.Uint64(ops[2:10]), opValue(ops[1])
 		switch ops[0] / 3 % 3 {
 		case 0:
 			id >>= 54
@@ -116,8 +142,8 @@ func runOps(t *testing.T, ops []byte) {
 				t.Fatalf("Add(%d) with the id present=%v", id, had)
 			}
 			sm[id] = struct{}{}
-			m.Put(id, step)
-			mm[id] = step
+			m.Put(id, v)
+			mm[id] = v
 		case 1:
 			_, had := sm[id]
 			if s.Delete(id) != had || m.Delete(id) != had {
@@ -143,10 +169,13 @@ func runOps(t *testing.T, ops []byte) {
 
 // TestTablesMatchGoMap runs random operations through runOps: ids at
 // page boundaries and at both ends of the range (edgeIDs), ids spread
-// wide, and, most often, the 1024 lowest, so pages fill and empty.
+// wide, and, most often, the 1024 lowest, so pages fill and empty. Most
+// values are small; the share of the others (opValue's bytes 160..255)
+// rises with the seed, from pages that are narrow nearly always to pages
+// that are wide nearly always, so pages go wide and come back narrow.
 func TestTablesMatchGoMap(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		rng := rand.New(rand.NewSource(seed))
+	for seed, far := range []float64{0.005, 0.02, 0.08, 0.3} {
+		rng := rand.New(rand.NewSource(int64(seed + 1)))
 		var ops []byte
 		for step := 0; step < 20_000; step++ {
 			op, where, id := byte(rng.Intn(3)), byte(2), rng.Uint64() // anywhere
@@ -156,7 +185,11 @@ func TestTablesMatchGoMap(t *testing.T) {
 			case 1, 2:
 				where = 0 // among the 1024 lowest: the id's top 10 bits
 			}
-			ops = binary.LittleEndian.AppendUint64(append(ops, op+3*where), id)
+			v := byte(rng.Intn(160))
+			if rng.Float64() < far {
+				v = byte(160 + rng.Intn(96))
+			}
+			ops = binary.LittleEndian.AppendUint64(append(ops, op+3*where, v), id)
 		}
 		runOps(t, ops)
 	}
@@ -191,7 +224,7 @@ func TestEmptyPageIsFreed(t *testing.T) {
 			}
 			if left := 63 - n; left > 0 {
 				if p := m.pages[base>>6]; cap(p.vals) > 4*len(p.vals) {
-					t.Fatalf("%d ids left keep room for %d values", left, cap(p.vals))
+					t.Fatalf("%d ids left keep %d bytes of room", left, cap(p.vals))
 				}
 			}
 		}
@@ -217,18 +250,36 @@ func TestEmptyPageIsFreed(t *testing.T) {
 // FuzzIDTable runs the input through runOps.
 func FuzzIDTable(f *testing.F) {
 	f.Add([]byte{
-		0, 0, 0, 0, 0, 0, 0, 0, 0, // add 0
-		3, 0, 0, 0, 0, 0, 0, 0, 0, // add 2^64-1
-		2, 0, 0, 0, 0, 0, 0, 0, 0, // get 0
-		1, 0, 0, 0, 0, 0, 0, 0, 0, // delete 0
-		5, 0, 0, 0, 0, 0, 0, 0, 0, // get 2^64-1
+		0, 0, 0, 0, 0, 0, 0, 0, 0, 0, // add 0 -> 0
+		3, 7, 0, 0, 0, 0, 0, 0, 0, 0, // add 2^64-1 -> 7
+		2, 0, 0, 0, 0, 0, 0, 0, 0, 0, // get 0
+		1, 0, 0, 0, 0, 0, 0, 0, 0, 0, // delete 0
+		5, 0, 0, 0, 0, 0, 0, 0, 0, 0, // get 2^64-1
 	})
 	f.Add([]byte{
-		0, 0, 0, 0, 0, 0, 0, 0xc0, 0x0f, // add 63 (63<<54 >> 54)
-		0, 0, 0, 0, 0, 0, 0, 0, 0x10, // add 64
-		1, 0, 0, 0, 0, 0, 0, 0xc0, 0x0f, // delete 63
-		0, 0, 0, 0, 0, 0, 0, 0xc0, 0x0f, // add 63 again
-		2, 0, 0, 0, 0, 0, 0, 0, 0x10, // get 64
+		0, 5, 0, 0, 0, 0, 0, 0, 0xc0, 0x0f, // add 63 (63<<54 >> 54) -> 5
+		0, 9, 0, 0, 0, 0, 0, 0, 0, 0x10, // add 64 -> 9
+		1, 0, 0, 0, 0, 0, 0, 0, 0xc0, 0x0f, // delete 63
+		0, 0, 0, 0, 0, 0, 0, 0, 0xc0, 0x0f, // add 63 again -> 0
+		2, 0, 0, 0, 0, 0, 0, 0, 0, 0x10, // get 64
+	})
+	// One page through its widths: narrow at 100, rebased down to 0, wide
+	// at 287, narrow again once 287 is rewritten to 200, wide at
+	// math.MinInt64 and narrow again once that id is deleted.
+	f.Add([]byte{
+		0, 100, 0, 0, 0, 0, 0, 0, 0, 0, // add 0 -> 100
+		0, 0, 0, 0, 0, 0, 0, 0, 0x40, 0, // add 1 -> 0
+		0, 223, 0, 0, 0, 0, 0, 0, 0x80, 0, // add 2 -> 287
+		0, 200, 0, 0, 0, 0, 0, 0, 0x80, 0, // add 2 -> 200
+		0, 248, 0, 0, 0, 0, 0, 0, 0xc0, 0, // add 3 -> math.MinInt64
+		1, 0, 0, 0, 0, 0, 0, 0, 0xc0, 0, // delete 3
+		2, 0, 0, 0, 0, 0, 0, 0, 0x80, 0, // get 2
+	})
+	// The ends of the int64 range are 1 apart modulo 2^64, not 1 apart.
+	f.Add([]byte{
+		0, 249, 0, 0, 0, 0, 0, 0, 0, 0, // add 0 -> math.MaxInt64
+		0, 248, 0, 0, 0, 0, 0, 0, 0x40, 0, // add 1 -> math.MinInt64
+		2, 0, 0, 0, 0, 0, 0, 0, 0x40, 0, // get 1
 	})
 	f.Fuzz(runOps)
 }

@@ -371,17 +371,7 @@ func pick[S any](s []S, at []int) []S {
 // intersects q. Return false from fn to stop early. The traversal order
 // is unspecified.
 func (t *Tree[T]) Search(q Rect, fn func(T) bool) {
-	t.SearchCounted(q, fn)
-}
-
-// SearchCounted is Search, additionally reporting the cost of this one
-// traversal: the nodes whose slots were examined and the leaf items
-// tested against q. The same counts still accumulate into the tree's
-// lifetime Stats; the return values are the per-call slice of them that
-// a query trace records.
-func (t *Tree[T]) SearchCounted(q Rect, fn func(T) bool) (nodesVisited, leafEntriesScanned int64) {
-	_, nodesVisited, leafEntriesScanned = searchFrom(t.root, t.bounds, &t.stats, q, Near{}, math.Inf(1), byValue(fn))
-	return nodesVisited, leafEntriesScanned
+	searchFrom(t.root, t.bounds, &t.stats, q, Near{}, math.Inf(1), byValue(fn))
 }
 
 // byValue adapts a copying, stop-on-false callback to the in-place
@@ -549,12 +539,4 @@ func scanNode[T any](n *node[T], fn func(*T) bool) bool {
 		}
 	}
 	return true
-}
-
-// Bounds returns the MBR of the whole tree and whether it is non-empty.
-func (t *Tree[T]) Bounds() (Rect, bool) {
-	if t.size == 0 {
-		return Rect{}, false
-	}
-	return mbr(t.root, t.bounds), true
 }

@@ -369,7 +369,7 @@ func TestSearchEarlyStop(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		_ = tree.Insert(item{randRect(rng, true), i})
 	}
-	all, _ := tree.Bounds()
+	all, _ := treeBounds(tree)
 	calls := 0
 	tree.Search(all, func(item) bool {
 		calls++
@@ -400,14 +400,23 @@ func TestScan(t *testing.T) {
 	}
 }
 
+// treeBounds returns the MBR of the whole tree and whether it is
+// non-empty.
+func treeBounds(t *Tree[item]) (Rect, bool) {
+	if t.size == 0 {
+		return Rect{}, false
+	}
+	return mbr(t.root, t.bounds), true
+}
+
 func TestBoundsEmpty(t *testing.T) {
 	tree := newTree(Options{})
-	if _, ok := tree.Bounds(); ok {
+	if _, ok := treeBounds(tree); ok {
 		t.Fatal("empty tree reports bounds")
 	}
 	r := Point([Dims]float64{1, 2, 3})
 	_ = tree.Insert(item{r, 1})
-	b, ok := tree.Bounds()
+	b, ok := treeBounds(tree)
 	if !ok || b != r {
 		t.Fatalf("Bounds = %v, %v", b, ok)
 	}
@@ -509,7 +518,10 @@ func TestSearchNearBounds(t *testing.T) {
 	near := Near{P: [Dims]float64{200, 0, 0}, W: [Dims]float64{1, 1, 0}}
 
 	plain := 0
-	wantNodes, wantLeafs := tree.SearchCounted(q, func(item) bool { plain++; return true })
+	before := tree.Stats()
+	tree.Search(q, func(item) bool { plain++; return true })
+	after := tree.Stats()
+	wantNodes, wantLeafs := after.NodeVisits-before.NodeVisits, after.LeafEntriesScanned-before.LeafEntriesScanned
 	seen := 0
 	bound, nodes, leafs := snap.SearchNear(q, near, math.Inf(1), func(*item) float64 { seen++; return math.Inf(1) })
 	if seen != plain || nodes != wantNodes || leafs != wantLeafs || !math.IsInf(bound, 1) {

@@ -113,8 +113,8 @@ func (s *Snapshot[T]) Search(q Rect, fn func(T) bool) {
 // strictly beyond the bound — the one passed in, then the one fn last
 // returned — are skipped. The call hands back the final bound, so a
 // caller walking several snapshots carries it from one to the next, and
-// this traversal's node visits and leaf items scanned (the per-call
-// costs Tree.SearchCounted reports).
+// this traversal's node visits and leaf items scanned: the per-call
+// slice of the tree's lifetime Stats, which a query trace records.
 //
 // A snapshot's nodes are frozen, so what the pointers address never
 // changes and they stay valid for as long as the caller holds them; the

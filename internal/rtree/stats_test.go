@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -64,7 +65,9 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
-func TestSearchCountedPerCall(t *testing.T) {
+// TestSearchNearCountsPerCall checks that the costs SearchNear returns
+// are this one walk's share of the tree's lifetime Stats.
+func TestSearchNearCountsPerCall(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	tree := newTree(Options{MaxEntries: 8})
 	for i := 0; i < 500; i++ {
@@ -72,10 +75,11 @@ func TestSearchCountedPerCall(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	snap := tree.Publish()
 	before := tree.Stats()
 	q := randRect(rng, false)
 	hits := 0
-	nodes, leafs := tree.SearchCounted(q, func(item) bool { hits++; return true })
+	_, nodes, leafs := snap.SearchNear(q, Near{}, math.Inf(1), func(*item) float64 { hits++; return math.Inf(1) })
 	if nodes <= 0 {
 		t.Fatalf("nodesVisited = %d, want > 0 (root is always examined)", nodes)
 	}
@@ -91,10 +95,10 @@ func TestSearchCountedPerCall(t *testing.T) {
 			nodes, leafs, after.NodeVisits-before.NodeVisits, after.LeafEntriesScanned-before.LeafEntriesScanned)
 	}
 
-	// Counted and plain search must agree on the result set.
+	// The unbounded walk and the plain search agree on the result set.
 	want := map[int]bool{}
 	tree.Search(q, func(v item) bool { want[v.id] = true; return true })
 	if len(want) != hits {
-		t.Fatalf("SearchCounted saw %d hits, Search saw %d", hits, len(want))
+		t.Fatalf("SearchNear saw %d hits, Search saw %d", hits, len(want))
 	}
 }

@@ -290,10 +290,11 @@ func TestCompactionDifferential(t *testing.T) {
 }
 
 // TestSealedTierNotResident pins what a sealed entry costs in RAM after
-// Open: its slot in the id→window map (an 8-B window plus a share of its
-// 64-id page, about 9 B), nothing else. Keeping the decoded entries
-// (80 B each plus their provider strings), or keeping the map as a Go
-// map (about 30 B), fails it. The heap is sampled once the first store
+// Open: its slot in the id→window map (a 1-B offset of its window from
+// its 64-id page's base plus a share of the page, about 2.3 B), nothing
+// else. Keeping the decoded entries (80 B each plus their provider
+// strings), the map as a Go map (about 30 B), or an 8-B window per id
+// (about 9 B) fails it. The heap is sampled once the first store
 // is dropped and the collector has stopped freeing it.
 func TestSealedTierNotResident(t *testing.T) {
 	const n = 40_000
@@ -327,8 +328,8 @@ func TestSealedTierNotResident(t *testing.T) {
 	}
 	perEntry := (float64(after) - float64(before)) / n
 	t.Logf("heap after Open: %.1f B per sealed entry", perEntry)
-	if perEntry > 14 {
-		t.Fatalf("Open keeps %.1f B of heap per sealed entry, want ≤ 14 (the id→window map only)", perEntry)
+	if perEntry > 4 {
+		t.Fatalf("Open keeps %.1f B of heap per sealed entry, want ≤ 4 (the id→window map only)", perEntry)
 	}
 	runtime.KeepAlive(d)
 }
@@ -371,10 +372,11 @@ func appendUploads(t *testing.T, d *Disk, n uint64) {
 }
 
 // TestMemtableNotResident pins what an un-checkpointed entry costs in
-// RAM: its slot in the memtable's id→generation map (an 8-B generation
-// plus a share of its 64-id page, about 9 B), nothing else — the entry
-// itself stays in the log. Keeping the decoded entries in a Go map
-// (about 174 B each) fails it. 40 000 entries arrive in uploads of 20,
+// RAM: its slot in the memtable's id→generation map (a 1-B offset of its
+// generation from its 64-id page's base plus a share of the page, about
+// 2.4 B), nothing else — the entry itself stays in the log. Keeping the
+// decoded entries in a Go map (about 174 B each), or an 8-B generation
+// per id (about 9 B), fails it. 40 000 entries arrive in uploads of 20,
 // and the settled heap is compared with the empty store's.
 func TestMemtableNotResident(t *testing.T) {
 	const n = 40_000
@@ -385,15 +387,15 @@ func TestMemtableNotResident(t *testing.T) {
 	after := settledHeap()
 	perEntry := (float64(after) - float64(before)) / n
 	t.Logf("heap with the memtable unsealed: %.1f B per entry", perEntry)
-	if perEntry > 20 {
-		t.Fatalf("the store keeps %.1f B of heap per un-checkpointed entry, want ≤ 20 (the id→generation map only)", perEntry)
+	if perEntry > 5 {
+		t.Fatalf("the store keeps %.1f B of heap per un-checkpointed entry, want ≤ 5 (the id→generation map only)", perEntry)
 	}
 	runtime.KeepAlive(d)
 }
 
 // TestCheckpointReturnsMemtable pins what a checkpoint gives back with
 // no restart: once it has sealed the memtable the store keeps what a
-// reopened one does, the id→window map (about 9 B a sealed entry), and
+// reopened one does, the id→window map (about 2.7 B a sealed entry), and
 // not the emptied memtable, nor any buckets a Go map would keep after
 // its entries are deleted. The corpus is TestMemtableNotResident's;
 // one checkpoint seals it, and the settled heap is compared with the
@@ -413,8 +415,8 @@ func TestCheckpointReturnsMemtable(t *testing.T) {
 	}
 	perEntry := (float64(after) - float64(before)) / n
 	t.Logf("heap after Checkpoint: %.1f B per sealed entry", perEntry)
-	if perEntry > 14 {
-		t.Fatalf("the store keeps %.1f B of heap per entry after a checkpoint, want ≤ 14 (the id→window map only)", perEntry)
+	if perEntry > 4 {
+		t.Fatalf("the store keeps %.1f B of heap per entry after a checkpoint, want ≤ 4 (the id→window map only)", perEntry)
 	}
 	runtime.KeepAlive(d)
 }

@@ -247,9 +247,9 @@ type Disk struct {
 	segWindowMs int64 // segment window width; immutable after Open
 
 	mu        sync.Mutex
-	mem       idset.Map             // memtable id -> generation of its latest register record
+	mem       idset.Map             // memtable id -> generation of its latest register record, about 2 B an id
 	segs      map[int64]SegmentMeta // window key -> live sealed segment; written under cpMu too
-	segIDs    idset.Map             // live (non-tombstoned) sealed id -> window, in pages of 64 ids
+	segIDs    idset.Map             // live (non-tombstoned) sealed id -> window, in pages of 64 ids, about 2 B an id
 	tombs     map[uint64][]int64    // removed sealed id -> windows holding dead copies
 	tombCount int                   // total (id, window) tombstone pairs
 	baseGen   uint64                // first WAL generation the state replays

@@ -30,11 +30,11 @@
 //
 // Residency. A sealed entry lives only in its segment file; in RAM the
 // store keeps each segment's manifest meta and the id→window map
-// (segIDs: an idset.Map, one mask and the live ids' windows per 64
-// ids, about 9 B a sealed entry). Whoever needs sealed entries reads
-// them from the files while holding cpMu, which every file replacement
-// (checkpoint, segment install, bootstrap) also holds, so the files a
-// reader was pointed at stay put. Lock order is cpMu, then d.mu — never
+// (segIDs: an idset.Map, one mask, a base window and the live ids'
+// 1-B offsets from it per 64 ids, about 2.3 B a sealed entry). Whoever
+// needs sealed entries reads them from the files while holding cpMu,
+// which every file replacement (checkpoint, segment install, bootstrap)
+// also holds, so the files a reader was pointed at stay put. Lock order is cpMu, then d.mu — never
 // the reverse — and no file is read or written under d.mu: the append
 // path never waits on segment I/O.
 package store
