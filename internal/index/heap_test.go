@@ -22,8 +22,9 @@ import (
 // rectangle beside its slot, separate rectangle and child arrays in
 // internal nodes, or a node header of two slice headers (56 B, in the
 // 64-B size class: 54.9 and 48.7 B) fails the pins; so do an id → rect
-// map, or the ids in a Go map (about 24 B an entry). This layout
-// measures 50.9 and 46.0 B.
+// map, or the ids in a Go map (about 24 B an entry), or nodes of 16
+// slots, the default M before it became 32 (twice the nodes: 50.8 and
+// 46.0 B). This layout measures 47.0 and 43.0 B.
 func TestIndexHeapPerEntry(t *testing.T) {
 	if index.RaceEnabled {
 		t.Skip("byte pins are taken with the race detector off")
@@ -45,7 +46,7 @@ func TestIndexHeapPerEntry(t *testing.T) {
 				err = x.InsertBatch(entries[i:min(i+20, n)])
 			}
 			return x, err
-		}, 53},
+		}, 49},
 		{"BulkLoadRTree", func() (*index.RTree, error) {
 			return index.BulkLoadRTree(n, func(add func(*index.Entry) error) error {
 				for i := range entries {
@@ -55,7 +56,7 @@ func TestIndexHeapPerEntry(t *testing.T) {
 				}
 				return nil
 			})
-		}, 47.5},
+		}, 44.5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var before, after runtime.MemStats
@@ -86,9 +87,10 @@ func TestIndexHeapPerEntry(t *testing.T) {
 // a batch clones no node a batch before it wrote, and only a node that
 // fills grows, to the capacity of the size class one more slot lands
 // in. The writer keeps its descent path in scratch and interns an
-// upload's shared source once. This path measures 515 B and 2.0
-// allocations an entry; growing by exactly one slot, a fresh path per
-// insert and a map lookup per entry measured 709 B and 3.2. Publishing
+// upload's shared source once. This path measures 545 B and 1.56
+// allocations an entry at M = 32 (515 B and 1.99 at M = 16: fewer,
+// larger nodes); growing by exactly one slot, a fresh path per insert
+// and a map lookup per entry measured 709 B and 3.2 at M = 16. Publishing
 // every batch — cloning each touched root-to-leaf path again —
 // allocates about 2 430 B an entry.
 func TestInsertBatchAllocPerEntry(t *testing.T) {

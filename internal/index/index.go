@@ -380,8 +380,11 @@ type RTree struct {
 }
 
 // NewRTree returns an empty R-tree index.
-func NewRTree() *RTree {
-	x := &RTree{tree: rtree.MustNew(rtree.Options{}, slotRect), src: sourceTable{index: make(map[source]uint32)}}
+func NewRTree() *RTree { return newRTree(rtree.Options{}) }
+
+// newRTree returns an empty R-tree index over a tree of shape opts.
+func newRTree(opts rtree.Options) *RTree {
+	x := &RTree{tree: rtree.MustNew(opts, slotRect), src: sourceTable{index: make(map[source]uint32)}}
 	x.view.Store(&view{snap: x.tree.Snapshot()})
 	return x
 }
@@ -444,7 +447,12 @@ func (x *RTree) current() *view {
 // how many entries produce hands over (an estimate is fine), sizes the
 // slot array.
 func BulkLoadRTree(n int, produce func(add func(*Entry) error) error) (*RTree, error) {
-	x := NewRTree()
+	return bulkLoadRTree(rtree.Options{}, n, produce)
+}
+
+// bulkLoadRTree is BulkLoadRTree packing a tree of shape opts.
+func bulkLoadRTree(opts rtree.Options, n int, produce func(add func(*Entry) error) error) (*RTree, error) {
+	x := newRTree(opts)
 	slots := make([]slot, 0, max(n, 0))
 	err := produce(func(e *Entry) error {
 		if err := e.Validate(); err != nil {
@@ -462,7 +470,7 @@ func BulkLoadRTree(n int, produce func(add func(*Entry) error) error) (*RTree, e
 	if err != nil {
 		return nil, err
 	}
-	t, err := rtree.BulkLoad(rtree.Options{}, slotRect, slots)
+	t, err := rtree.BulkLoad(opts, slotRect, slots)
 	if err != nil {
 		return nil, err
 	}
@@ -652,18 +660,23 @@ func (x *RTree) removeLocked(entries []Entry) int {
 // entry it hands out is buf, refilled for every slot: ID and Rep each
 // time, Provider and Camera only when the slot's row differs from the
 // one buf holds, so a run of slots from one upload copies them once.
-// Walkers are pooled, and onVisit and onScan are bound to the walker
+// Walkers are pooled, and onLeaf and onScan are bound to the walker
 // once, when it is made, so a read allocates no closure.
 type walker struct {
 	buf     Entry
 	row     uint32 // the row buf holds; noRow before the first slot
 	sources []source
-	from    int64   // Visit's window start, which over-long slots are tested against
-	bound   float64 // what visit last returned
-	visit   func(*Entry) float64
-	scan    func(*Entry) bool
-	onVisit func(*slot) float64
-	onScan  func(*slot) bool
+	// Visit's question in slot units (see visitLeaf): the grid code
+	// spans of its box, its window as queryRect holds it, the steering,
+	// and the window start, which over-long slots are tested against.
+	lng0, lng1, lat0, lat1 int32
+	t0, t1                 float64
+	near                   rtree.Near
+	from                   int64
+	visit                  func(*Entry) float64
+	scan                   func(*Entry) bool
+	onLeaf                 func([]slot, float64) float64
+	onScan                 func(*slot) bool
 }
 
 // noRow is past the end of every source table (intern never hands out
@@ -672,19 +685,65 @@ const noRow = math.MaxUint32
 
 var walkerPool = sync.Pool{New: func() any {
 	w := new(walker)
-	w.onVisit = func(s *slot) float64 {
-		// The box of an over-long slot runs to the last instant; its
-		// end is tested here, and a slot that ends before the window
-		// leaves the walk's bound as it was.
-		if s.dur == overLong && s.end(w.sources) < w.from {
-			return w.bound
-		}
-		w.bound = w.visit(w.entry(s))
-		return w.bound
-	}
+	w.onLeaf = w.visitLeaf
 	w.onScan = func(s *slot) bool { return w.scan(w.entry(s)) }
 	return w
 }}
+
+// visitLeaf is Visit's leaf test, made in slot units: a slot's position
+// is in the box exactly when its grid codes lie in the box's code spans
+// (gridSpan), and its interval is compared as slotRect's float64 times,
+// so it admits exactly the slots slotRect(s) intersects queryRect with.
+// Only those are bounded by near over their rectangle, as the tree
+// bounds its children, and handed to visit — an over-long one only if
+// its exact end reaches the window (its box runs to the last instant).
+func (w *walker) visitLeaf(slots []slot, bound float64) float64 {
+	for i := range slots {
+		if bound < 0 {
+			break
+		}
+		s := &slots[i]
+		if s.lng < w.lng0 || s.lng > w.lng1 || s.lat < w.lat0 || s.lat > w.lat1 ||
+			float64(s.Start) > w.t1 || s.dur != overLong && w.t0 > float64(s.Start+int64(s.dur)) {
+			continue
+		}
+		if r := slotRect(s); w.near.MinDist2(&r) > bound*bound ||
+			s.dur == overLong && s.end(w.sources) < w.from {
+			continue
+		}
+		bound = w.visit(w.entry(s))
+	}
+	return bound
+}
+
+// gridSpan returns the least and the greatest grid code whose coordinate
+// (fov.CoordFromGrid) a box edge of [lo, hi] does not exclude, as the
+// float test excludes it: a code is in the span exactly when its
+// coordinate is neither below lo nor above hi. The span is empty (first
+// > last) when no code is. CoordFromGrid is strictly increasing, so the
+// rounded code is stepped to the exact edge.
+func gridSpan(lo, hi float64) (first, last int32) {
+	const bottom, top = math.MinInt32, math.MaxInt32
+	if lo > fov.CoordFromGrid(top) || hi < fov.CoordFromGrid(bottom) {
+		return 1, 0
+	}
+	first, last = bottom, top
+	if lo > fov.CoordFromGrid(bottom) {
+		for first = fov.CoordToGrid(lo); fov.CoordFromGrid(first) < lo; first++ {
+		}
+		for fov.CoordFromGrid(first-1) >= lo {
+			first--
+		}
+	}
+	if hi < fov.CoordFromGrid(top) {
+		for last = fov.CoordToGrid(hi); fov.CoordFromGrid(last) > hi; last-- {
+		}
+		for fov.CoordFromGrid(last+1) <= hi {
+			last++
+		}
+	}
+	return first, last
+}
 
 // read loads the current view into a pooled walker: its snapshot, and
 // the source table every row its slots name is in.
@@ -723,10 +782,21 @@ func (w *walker) entry(s *slot) *Entry {
 // answers with; every entry is rebuilt in the one walker buffer.
 func (x *RTree) Visit(r geo.Rect, startMillis, endMillis int64, center geo.Point, visit func(*Entry) float64) (nodes, scanned int64) {
 	snap, w := x.read()
-	w.visit, w.from, w.bound = visit, startMillis, math.Inf(1)
-	_, nodes, scanned = snap.SearchNear(queryRect(r, startMillis, endMillis), nearFor(r, center), math.Inf(1), w.onVisit)
+	q := w.ask(r, startMillis, endMillis, center, visit)
+	_, nodes, scanned = snap.SearchNear(q, w.near, math.Inf(1), w.onLeaf)
 	w.release()
 	return nodes, scanned
+}
+
+// ask sets w up to answer Visit's question in slot units (visitLeaf) and
+// returns the question's index-space box.
+func (w *walker) ask(r geo.Rect, startMillis, endMillis int64, center geo.Point, visit func(*Entry) float64) rtree.Rect {
+	q := queryRect(r, startMillis, endMillis)
+	w.lng0, w.lng1 = gridSpan(r.MinLng, r.MaxLng)
+	w.lat0, w.lat1 = gridSpan(r.MinLat, r.MaxLat)
+	w.t0, w.t1, w.near = q.Min[2], q.Max[2], nearFor(r, center)
+	w.visit, w.from = visit, startMillis
+	return q
 }
 
 // Search implements Index.

@@ -29,7 +29,12 @@
 // optionally steered nearest-first around a point under a shrinking distance bound,
 // which is how package index answers top-N questions (a k-nearest one
 // is the top-k at radius 0) — and
-// sort-tile-recursive (STR) bulk loading. Writers copy on write and
+// sort-tile-recursive (STR) bulk loading. The one search kernel hands
+// each leaf it reaches over whole, so a caller that can test its items
+// more cheaply than by their rectangles does (package index compares
+// grid codes); Search and SearchAll test each item's rectangle. Nodes
+// hold up to M = 32 slots by default: a leaf test that cheap makes
+// wide nodes pay. Writers copy on write and
 // publish immutable snapshots that readers walk without locks. The tree
 // is not safe for concurrent mutation; package index serializes its
 // writers.

@@ -16,8 +16,14 @@ type Options struct {
 	MinEntries int
 }
 
-// DefaultOptions matches common R-tree deployments: M = 16, m = 6.
-var DefaultOptions = Options{MaxEntries: 16}
+// DefaultOptions is M = 32, m = 12 (40 %). A full leaf of 40-B slots
+// (1 280 B) and a full internal node's kid array (32 × 56 B = 1 792 B)
+// are each a Go size class, so full nodes carry no rounding.
+var DefaultOptions = Options{MaxEntries: defaultMaxEntries}
+
+// defaultMaxEntries is the default M, and what the search kernel's
+// stack buffer holds.
+const defaultMaxEntries = 32
 
 func (o Options) withDefaults() (Options, error) {
 	if o.MaxEntries == 0 {
@@ -371,7 +377,7 @@ func pick[S any](s []S, at []int) []S {
 // intersects q. Return false from fn to stop early. The traversal order
 // is unspecified.
 func (t *Tree[T]) Search(q Rect, fn func(T) bool) {
-	searchFrom(t.root, t.bounds, &t.stats, q, Near{}, math.Inf(1), byValue(fn))
+	searchFrom(t.root, &t.stats, q, Near{}, math.Inf(1), eachItem(t.bounds, &q, &Near{}, byValue(fn)))
 }
 
 // byValue adapts a copying, stop-on-false callback to the in-place
@@ -383,6 +389,25 @@ func byValue[T any](fn func(T) bool) func(*T) float64 {
 			return math.Inf(1)
 		}
 		return -1
+	}
+}
+
+// eachItem adapts a per-item callback to the leaf kernel: fn receives
+// each item of a leaf whose rectangle, by bounds, intersects q and whose
+// lower bound under near does not exceed the bound — the leaf's, then
+// whatever fn last returned — and the leaf answers fn's last bound.
+func eachItem[T any](bounds func(*T) Rect, q *Rect, near *Near, fn func(*T) float64) func([]T, float64) float64 {
+	return func(items []T, bound float64) float64 {
+		for i := range items {
+			if bound < 0 {
+				break
+			}
+			r := bounds(&items[i])
+			if r.intersects(q) && !(near.MinDist2(&r) > bound*bound) {
+				bound = fn(&items[i])
+			}
+		}
+		return bound
 	}
 }
 
@@ -416,14 +441,13 @@ func (n *Near) MinDist2(r *Rect) float64 {
 }
 
 // walk is the state of one range traversal: the query box, the
-// steering, the leaf bounds, the callback, and the bound the callback
-// last returned with its square (-1 once it asked to stop: no lower
-// bound is below that).
+// steering, the leaf callback, and the bound the callback last returned
+// with its square (-1 once it asked to stop: no lower bound is below
+// that).
 type walk[T any] struct {
 	q             *Rect
 	near          Near
-	bounds        func(*T) Rect
-	fn            func(*T) float64
+	leaf          func([]T, float64) float64
 	bound, bound2 float64
 	c             searchCounters
 }
@@ -442,12 +466,14 @@ type nearSlot[T any] struct {
 	child *node[T]
 }
 
-// searchFrom runs the one range kernel from root: fn receives every item
-// intersecting q whose lower bound under near does not exceed the bound
-// — the one given, then whatever fn last returned — and the final bound
-// is handed back with the nodes visited and leaf items tested.
-func searchFrom[T any](root *node[T], bounds func(*T) Rect, st *stats, q Rect, near Near, bound float64, fn func(*T) float64) (float64, int64, int64) {
-	w := walk[T]{q: &q, near: near, bounds: bounds, fn: fn}
+// searchFrom runs the one range kernel from root: every leaf whose
+// path of child MBRs intersects q, each within the bound under near —
+// the bound given, then whatever leaf last returned — is handed whole
+// to leaf with the current bound, and leaf's answer becomes the bound.
+// The final bound is handed back with the nodes visited and leaf items
+// handed over.
+func searchFrom[T any](root *node[T], st *stats, q Rect, near Near, bound float64, leaf func([]T, float64) float64) (float64, int64, int64) {
+	w := walk[T]{q: &q, near: near, leaf: leaf}
 	w.setBound(bound)
 	w.searchNode(root)
 	st.recordSearch(w.c)
@@ -455,31 +481,23 @@ func searchFrom[T any](root *node[T], bounds func(*T) Rect, st *stats, q Rect, n
 }
 
 // searchNode visits slots where they live: an internal node's child MBRs
-// are read in place from its kids array, a leaf's items are addressed
-// by index, never copied, and fn receives pointers into the leaf. The
-// intersecting children of an internal node are entered nearest lower
-// bound first, so the bound tightens before the farther ones are
-// reached, and whatever lies strictly beyond the bound is skipped —
-// strictly, so an item exactly at the bound is still offered.
+// are read in place from its kids array, and a leaf's item array is
+// handed over as it is, never copied. The intersecting children of an
+// internal node are entered nearest lower bound first, so the bound
+// tightens before the farther ones are reached, and whatever lies
+// strictly beyond the bound is skipped — strictly, so a subtree exactly
+// at the bound is still entered.
 func (w *walk[T]) searchNode(n *node[T]) {
 	w.c.nodes++
 	if n.leaf() {
 		items := n.items()
 		w.c.leafs += int64(len(items))
-		bounds, q := w.bounds, w.q
-		for i := range items {
-			it := &items[i]
-			r := bounds(it)
-			if !r.intersects(q) || w.near.MinDist2(&r) > w.bound2 {
-				continue
-			}
-			w.setBound(w.fn(it))
-		}
+		w.setBound(w.leaf(items, w.bound))
 		return
 	}
-	// Insertion-sorted on the stack; a node wider than the default M
-	// spills to the heap.
-	var buf [16]nearSlot[T]
+	// Insertion-sorted on the stack: a node holds at most the default M
+	// kids (a tree built wider spills to the heap).
+	var buf [defaultMaxEntries]nearSlot[T]
 	order := buf[:0]
 	kids := n.kids()
 	for i := range kids {

@@ -422,6 +422,13 @@ func TestBoundsEmpty(t *testing.T) {
 	}
 }
 
+// searchItems is SearchNear with the per-item leaf test of Search: fn
+// receives each item of a leaf the walk reaches that intersects q within
+// the bound.
+func searchItems(s *Snapshot[item], q Rect, near Near, bound float64, fn func(*item) float64) (float64, int64, int64) {
+	return s.SearchNear(q, near, bound, eachItem(s.bounds, &q, &near, fn))
+}
+
 // kNearest runs the steered walk the way its callers do: keep the k
 // best (dist2, id) seen, and answer every item with the k-th best
 // distance once there are k. It reports the ids nearest first and the
@@ -432,7 +439,7 @@ func kNearest(s *Snapshot[item], q Rect, near Near, k int) (ids []int, offered i
 		id int
 	}
 	var best []cand
-	s.SearchNear(q, near, math.Inf(1), func(v *item) float64 {
+	searchItems(s, q, near, math.Inf(1), func(v *item) float64 {
 		offered++
 		best = append(best, cand{near.MinDist2(&v.r), v.id})
 		sort.Slice(best, func(i, j int) bool {
@@ -523,7 +530,7 @@ func TestSearchNearBounds(t *testing.T) {
 	after := tree.Stats()
 	wantNodes, wantLeafs := after.NodeVisits-before.NodeVisits, after.LeafEntriesScanned-before.LeafEntriesScanned
 	seen := 0
-	bound, nodes, leafs := snap.SearchNear(q, near, math.Inf(1), func(*item) float64 { seen++; return math.Inf(1) })
+	bound, nodes, leafs := searchItems(snap, q, near, math.Inf(1), func(*item) float64 { seen++; return math.Inf(1) })
 	if seen != plain || nodes != wantNodes || leafs != wantLeafs || !math.IsInf(bound, 1) {
 		t.Fatalf("unbounded walk saw %d items over %d nodes / %d slots (bound %v); plain search %d over %d / %d",
 			seen, nodes, leafs, bound, plain, wantNodes, wantLeafs)
@@ -532,7 +539,7 @@ func TestSearchNearBounds(t *testing.T) {
 	// Items within 10 of x=200, dimension 2 in [0, 3]: the bound is
 	// inclusive (x=190 and x=210 are exactly at it).
 	var got []int
-	bound, boundedNodes, _ := snap.SearchNear(q, near, 10, func(v *item) float64 { got = append(got, v.id); return 10 })
+	bound, boundedNodes, _ := searchItems(snap, q, near, 10, func(v *item) float64 { got = append(got, v.id); return 10 })
 	sort.Ints(got)
 	var want []int
 	for i := 190; i <= 210; i++ {
@@ -548,11 +555,11 @@ func TestSearchNearBounds(t *testing.T) {
 	}
 
 	calls := 0
-	bound, _, _ = snap.SearchNear(q, near, math.Inf(1), func(*item) float64 { calls++; return -1 })
+	bound, _, _ = searchItems(snap, q, near, math.Inf(1), func(*item) float64 { calls++; return -1 })
 	if calls != 1 || bound != -1 {
 		t.Fatalf("a negative answer should stop the walk: %d calls, bound %v", calls, bound)
 	}
-	if _, n, _ := snap.SearchNear(q, near, -1, func(*item) float64 { t.Fatal("offered past a stop"); return 0 }); n != 1 {
+	if _, n, _ := searchItems(snap, q, near, -1, func(*item) float64 { t.Fatal("offered past a stop"); return 0 }); n != 1 {
 		t.Fatalf("a walk entered already stopped visited %d nodes, want the root only", n)
 	}
 }

@@ -101,27 +101,28 @@ func (s *Snapshot[T]) Height() int { return s.height }
 // Search calls fn for every item in the snapshot whose rectangle
 // intersects q. Return false from fn to stop early.
 func (s *Snapshot[T]) Search(q Rect, fn func(T) bool) {
-	searchFrom(s.root, s.bounds, s.stats, q, Near{}, math.Inf(1), byValue(fn))
+	searchFrom(s.root, s.stats, q, Near{}, math.Inf(1), eachItem(s.bounds, &q, &Near{}, byValue(fn)))
 }
 
-// SearchNear is the steered, copy-free range search. fn receives a
-// pointer to each matching item inside the snapshot's leaf and returns
-// a distance bound: "nothing farther than
-// this from near.P interests me any more" (+Inf for no bound, negative
-// to stop). Subtrees are entered nearest lower bound first, and
-// subtrees and items whose lower bound under near (Near.MinDist2) lies
-// strictly beyond the bound — the one passed in, then the one fn last
-// returned — are skipped. The call hands back the final bound, so a
-// caller walking several snapshots carries it from one to the next, and
-// this traversal's node visits and leaf items scanned: the per-call
-// slice of the tree's lifetime Stats, which a query trace records.
+// SearchNear is the steered, copy-free range search. It enters the
+// subtrees whose MBRs intersect q nearest lower bound first (under
+// near, Near.MinDist2), skips those strictly beyond the bound — the one
+// passed in, then the one leaf last returned — and hands leaf each leaf
+// it reaches: the leaf's item array inside the snapshot, with the
+// current bound. leaf tests the items itself and returns a distance
+// bound: "nothing farther than this from near.P interests me any more"
+// (+Inf for no bound, negative to stop). The call hands back the final
+// bound, so a caller walking several snapshots carries it from one to
+// the next, and this traversal's node visits and leaf items handed
+// over: the per-call slice of the tree's lifetime Stats, which a query
+// trace records.
 //
-// A snapshot's nodes are frozen, so what the pointers address never
+// A snapshot's nodes are frozen, so what the item arrays hold never
 // changes and they stay valid for as long as the caller holds them; the
 // caller must not write through them. Only snapshots offer this form —
 // a live Tree's write-generation nodes are mutated in place.
-func (s *Snapshot[T]) SearchNear(q Rect, near Near, bound float64, fn func(*T) float64) (newBound float64, nodesVisited, leafEntriesScanned int64) {
-	return searchFrom(s.root, s.bounds, s.stats, q, near, bound, fn)
+func (s *Snapshot[T]) SearchNear(q Rect, near Near, bound float64, leaf func(items []T, bound float64) float64) (newBound float64, nodesVisited, leafEntriesScanned int64) {
+	return searchFrom(s.root, s.stats, q, near, bound, leaf)
 }
 
 // SearchAll collects all items intersecting q.

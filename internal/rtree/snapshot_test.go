@@ -153,7 +153,7 @@ func TestSnapshotStatsShared(t *testing.T) {
 	s := tr.Publish()
 	before := tr.Stats().Searches
 	s.SearchAll(snapRect(3))
-	s.SearchNear(snapRect(3), Near{}, math.Inf(1), func(*item) float64 { return math.Inf(1) })
+	searchItems(s, snapRect(3), Near{}, math.Inf(1), func(*item) float64 { return math.Inf(1) })
 	if got := tr.Stats().Searches; got != before+2 {
 		t.Fatalf("Searches = %d, want %d", got, before+2)
 	}

@@ -63,8 +63,9 @@ func allocPerEntry(f func()) float64 {
 // twice, or STR sorting 56-B rectangle slots (210, 189 and 237 B). The
 // Disk figure exceeds the Mem one by the file read, the finish's id
 // list and the store's id→window map only. Each bound is about 7 %
-// above what this path measures (186, 165 and 213 B); the whole-state
-// path allocated 269, 229 and 336 B.
+// above what this path measures (180, 159 and 193 B, with nodes of 32
+// slots; 186, 165 and 199 B with nodes of 16); the whole-state path
+// allocated 269, 229 and 336 B.
 func TestLoadAllocPerEntry(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation pins are taken with the race detector off")
@@ -101,7 +102,7 @@ func TestLoadAllocPerEntry(t *testing.T) {
 	st := openStore(t, leaderDir)
 	defer st.Close()
 	var booted *Server
-	check("New", allocPerEntry(func() { booted = durableServer(t, st) }), 200, booted)
+	check("New", allocPerEntry(func() { booted = durableServer(t, st) }), 193, booted)
 
 	mem := newServer(t)
 	install(mem)
@@ -109,7 +110,7 @@ func TestLoadAllocPerEntry(t *testing.T) {
 		if err := mem.FinishBootstrap(ms); err != nil {
 			t.Fatal(err)
 		}
-	}), 180, mem)
+	}), 170, mem)
 
 	fst := openStore(t, t.TempDir())
 	defer fst.Close()
@@ -119,5 +120,5 @@ func TestLoadAllocPerEntry(t *testing.T) {
 		if err := disk.FinishBootstrap(ms); err != nil {
 			t.Fatal(err)
 		}
-	}), 228, disk)
+	}), 207, disk)
 }
