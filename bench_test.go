@@ -172,7 +172,7 @@ func benchIngestBatch(b *testing.B, readEach bool) {
 		for j := 0; j < n; j += 20 {
 			if readEach {
 				rep := &entries[j].Rep
-				idx.Visit(geo.RectAround(rep.FoV.P, 10), rep.StartMillis, rep.EndMillis, rep.FoV.P, visit)
+				idx.Visit(rep.FoV.P, 10, 0, rep.StartMillis, rep.EndMillis, visit)
 			}
 			if err := idx.InsertBatch(entries[j:min(j+20, n)]); err != nil {
 				b.Fatal(err)

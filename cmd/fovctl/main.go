@@ -258,13 +258,8 @@ func printTrace(tr *obs.QueryTrace, verbose bool) {
 		}
 		fmt.Println()
 		for _, d := range tr.Drops {
-			switch d.Reason {
-			case obs.DropOrientation:
-				fmt.Printf("    segment %d: facing %.1f° off the query center, limit %.1f°\n",
-					d.EntryID, d.AngleDeg, d.LimitDeg)
-			default:
-				fmt.Printf("    segment %d: %s (%.1f m away)\n", d.EntryID, d.Reason, d.DistanceMeters)
-			}
+			fmt.Printf("    segment %d: %s, %.1f m away facing %.1f° off the query center; its sector misses the query disc by %.1f m\n",
+				d.EntryID, d.Reason, d.DistanceMeters, d.AngleDeg, d.MissMeters)
 		}
 	}
 	if len(tr.Stages) > 0 {

@@ -163,12 +163,10 @@ func TableHeterogeneous(scenes int) *Table {
 	run := func(perDevice bool) (recall, crossPerQuery float64) {
 		found, fps := 0, 0
 		for _, st := range stages {
-			// The padded rectangle must cover the largest device radius.
-			opts := query.Options{Camera: fov.Camera{HalfAngleDeg: deflt.HalfAngleDeg, RadiusMeters: 250}}
 			hits, err := query.Search(idx, query.Query{
 				StartMillis: 0, EndMillis: 4_000_000,
 				Center: st.scene, RadiusMeters: 10,
-			}, opts)
+			}, query.Options{Camera: deflt})
 			if err != nil {
 				panic(err)
 			}
@@ -189,9 +187,9 @@ func TableHeterogeneous(scenes int) *Table {
 		}
 		return float64(found) / float64(len(stages)), float64(fps) / float64(len(stages))
 	}
-	// Note: to isolate the camera effect the search itself uses a padded
-	// rectangle generous enough for the largest device, and the
-	// orientation filter is applied manually with each policy.
+	// Note: to isolate the camera effect the search reaches as far as the
+	// widest device the index holds, and the orientation filter is
+	// applied manually with each policy.
 	defRecall, defFP := run(false)
 	devRecall, devFP := run(true)
 	t.AddRow("deployment default (one camera)", f3(defRecall), f3(defFP))

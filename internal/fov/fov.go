@@ -121,26 +121,11 @@ func DeltaOf(f1, f2 FoV) Delta {
 	}
 }
 
-// Covers reports whether the FoV's viewable sector contains the query
-// point q: q must lie within the radius of view and within the angular
-// range Theta = (theta-alpha, theta+alpha) (Section V-B's orientation
-// filter — "the only thing [inquirers] care about is whether there is a
-// video segment covering the query range").
-func (f FoV) Covers(c Camera, q geo.Point) bool {
-	v := geo.Displacement(f.P, q)
-	d := v.Norm()
-	if d > c.RadiusMeters {
-		return false
-	}
-	if d == 0 {
-		return true // standing on the camera counts as covered
-	}
-	return geo.AngleDiff(v.Bearing(), f.Theta) <= c.HalfAngleDeg
-}
-
-// CoversCircle reports whether the viewable sector intersects the circle
-// of the given radius around q. It is the relaxed coverage test the ranker
-// uses so that a query range partially seen by a camera still matches.
+// CoversCircle reports whether the viewable sector meets the disc of the
+// given radius around q: the coverage test of Section V-B's orientation
+// filter, relaxed from the query point to the query range so that a
+// range partially seen by a camera still matches. At radius 0 it is the
+// point test: q lies in the sector (standing on the camera counts).
 func (f FoV) CoversCircle(c Camera, q geo.Point, radiusMeters float64) bool {
 	v := geo.Displacement(f.P, q)
 	return f.CircleCoverage(c, v, v.Norm(), radiusMeters) == Covered
@@ -151,7 +136,7 @@ func (f FoV) CoversCircle(c Camera, q geo.Point, radiusMeters float64) bool {
 type Coverage uint8
 
 const (
-	// Covered: the sector intersects the circle.
+	// Covered: the sector meets the disc.
 	Covered Coverage = iota
 	// TooFar: the camera stands beyond R + r (MissDistance).
 	TooFar
@@ -161,85 +146,51 @@ const (
 	NumCoverage
 )
 
-// Reason returns the miss reason ExplainCoversCircle reports for the
-// outcome ("" for Covered).
-func (c Coverage) Reason() string {
-	switch c {
-	case TooFar:
-		return MissDistance
-	case FacingAway:
-		return MissOrientation
-	}
-	return ""
-}
-
-// CircleCoverage is the CoversCircle test on a displacement the caller
-// already has: v = geo.Displacement(f.P, q) and d = v.Norm(), which the
-// ranker computes once per candidate for its distance key.
-func (f FoV) CircleCoverage(c Camera, v geo.Vec, d, radiusMeters float64) Coverage {
-	if d > c.RadiusMeters+radiusMeters {
-		return TooFar
-	}
-	if d <= radiusMeters {
-		return Covered // camera stands inside the query circle
-	}
-	// Angular slack: the circle subtends asin(r/d) on each side of its
-	// center bearing.
-	slack := math.Asin(math.Min(1, radiusMeters/d)) * 180 / math.Pi
-	if geo.AngleDiff(v.Bearing(), f.Theta) <= c.HalfAngleDeg+slack {
-		return Covered
-	}
-	return FacingAway
-}
-
-// Coverage-miss reasons reported by ExplainCoversCircle.
+// The reasons a failed coverage test is reported under, in traces and
+// their per-reason counts.
 const (
 	// MissDistance: the camera stands beyond R + r, so its sector
-	// cannot reach the query circle at all.
+	// cannot reach the query disc at all.
 	MissDistance = "distance"
 	// MissOrientation: the camera is near enough but faces the wrong
 	// way — the improper-direction exclusion of Section V-B.
 	MissOrientation = "orientation"
 )
 
-// CoverageMiss explains a failed coverage test for query tracing. For
-// orientation misses, AngleDeg is the offending angle (camera heading
-// vs bearing to the query center) and LimitDeg the largest angle that
-// would still have covered.
-type CoverageMiss struct {
-	Reason            string
-	AngleDeg          float64
-	LimitDeg          float64
-	DistanceMeters    float64
-	MaxDistanceMeters float64
+// Reason returns the outcome's miss reason ("" for Covered).
+func (c Coverage) Reason() string { return [NumCoverage]string{"", MissDistance, MissOrientation}[c] }
+
+// CircleCoverage is the CoversCircle test on a displacement the caller
+// already has: v = geo.Displacement(f.P, q) and d = v.Norm(), which the
+// ranker computes once per candidate for its distance key. It is exact:
+// Covered iff the sector comes within radiusMeters of q (SectorDistance).
+func (f FoV) CircleCoverage(c Camera, v geo.Vec, d, radiusMeters float64) Coverage {
+	switch {
+	case d > c.RadiusMeters+radiusMeters:
+		return TooFar
+	case d <= radiusMeters || f.SectorDistance(c, v, d) <= radiusMeters:
+		return Covered // the apex is in the sector, so a camera inside the disc covers it
+	}
+	return FacingAway
 }
 
-// ExplainCoversCircle is CoversCircle with a diagnosis: it reports the
-// same boolean, plus — when coverage fails — which test failed and by
-// how much. The decision logic must stay in lockstep with CircleCoverage
-// (a property test enforces their agreement); the two are separate so
-// the hot path keeps its minimal form.
-func (f FoV) ExplainCoversCircle(c Camera, q geo.Point, radiusMeters float64) (bool, CoverageMiss) {
-	v := geo.Displacement(f.P, q)
-	d := v.Norm()
-	maxDist := c.RadiusMeters + radiusMeters
-	if d > maxDist {
-		return false, CoverageMiss{Reason: MissDistance, DistanceMeters: d, MaxDistanceMeters: maxDist}
+// SectorDistance returns how far, in metres, the point at displacement v
+// from the camera (d = v.Norm()) lies from the FoV's viewable sector: 0
+// inside it. A trace reports it, less the query radius, as how far a
+// dropped camera's sector misses the query disc. Camera.Validate keeps
+// alpha below 90°, so the sector is convex and two cases decide: a
+// point inside the angular range is in the sector within R and nearest
+// the arc beyond it; one outside it is nearest the nearer edge, the
+// segment from the apex to R along theta ± alpha, beta degrees from v.
+func (f FoV) SectorDistance(c Camera, v geo.Vec, d float64) float64 {
+	beta := geo.AngleDiff(v.Bearing(), f.Theta) - c.HalfAngleDeg
+	if beta <= 0 {
+		return max(d-c.RadiusMeters, 0)
 	}
-	if d <= radiusMeters {
-		return true, CoverageMiss{}
+	sin, cos := math.Sincos(beta * math.Pi / 180)
+	along := d * cos // v projected onto the edge
+	if along <= 0 {
+		return d // nearest the apex
 	}
-	slack := math.Asin(math.Min(1, radiusMeters/d)) * 180 / math.Pi
-	angle := geo.AngleDiff(v.Bearing(), f.Theta)
-	limit := c.HalfAngleDeg + slack
-	if angle <= limit {
-		return true, CoverageMiss{}
-	}
-	return false, CoverageMiss{
-		Reason:            MissOrientation,
-		AngleDeg:          angle,
-		LimitDeg:          limit,
-		DistanceMeters:    d,
-		MaxDistanceMeters: maxDist,
-	}
+	return math.Hypot(max(along-c.RadiusMeters, 0), d*sin)
 }

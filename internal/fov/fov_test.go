@@ -315,8 +315,8 @@ func TestCovers(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if got := f.Covers(testCam, c.q); got != c.want {
-				t.Fatalf("Covers(%v) = %v, want %v", c.q, got, c.want)
+			if got := f.CoversCircle(testCam, c.q, 0); got != c.want {
+				t.Fatalf("CoversCircle(%v, 0) = %v, want %v", c.q, got, c.want)
 			}
 		})
 	}
@@ -328,7 +328,7 @@ func TestCoversCircle(t *testing.T) {
 	// A point just outside the sector angularly, but whose 20 m circle
 	// pokes into the sector.
 	q := geo.Offset(p, 40, 50)
-	if f.Covers(testCam, q) {
+	if f.CoversCircle(testCam, q, 0) {
 		t.Fatal("test fixture broken: point should be outside the strict sector")
 	}
 	if !f.CoversCircle(testCam, q, 20) {

@@ -183,15 +183,14 @@ type Rect struct {
 }
 
 // RectAround returns the bounding box of the circle of the given radius in
-// meters centered at p, converted to longitude/latitude scales at p as the
-// server does when building a query rectangle (Section V-B).
+// meters centered at p, converted to longitude/latitude scales at p, as
+// the index does for a query's reach (Section V-B).
 //
-// Boxes (and the index built on them) are deliberately dateline-naive: a
-// box whose circle straddles ±180° extends past the legal longitude
-// range rather than splitting in two, so queries centered within ~R of
-// the antimeridian can miss entries on the far side. Point-to-point
-// Distance/Bearing/Offset are dateline-correct; only box semantics carry
-// this documented limitation (as does the paper's own index).
+// A box is dateline-naive: one whose circle straddles ±180° extends past
+// the legal longitude range rather than splitting in two. The index cuts
+// a query's box at the antimeridian itself, so a query centered near it
+// finds the entries on the far side; point-to-point Distance/Bearing/
+// Offset are dateline-correct.
 func RectAround(p Point, radiusMeters float64) Rect {
 	dLat := radiusMeters / MetersPerDegree
 	cos := math.Cos(p.Lat * math.Pi / 180)

@@ -28,10 +28,10 @@ const (
 	concBatchSize = 20
 )
 
-// visitCopies collects a copy of every entry an unbounded Visit hands
-// out, with the traversal cost it reports.
-func visitCopies(idx Index, r geo.Rect, startMillis, endMillis int64) (got []Entry, nodes, scanned int64) {
-	nodes, scanned = idx.Visit(r, startMillis, endMillis, r.Center(), func(e *Entry) float64 {
+// visitCopies collects a copy of every entry a Visit within reach of
+// center hands out, with the traversal cost it reports.
+func visitCopies(idx Index, center geo.Point, reach float64, startMillis, endMillis int64) (got []Entry, nodes, scanned int64) {
+	nodes, scanned = idx.Visit(center, reach, 0, startMillis, endMillis, func(e *Entry) float64 {
 		got = append(got, *e)
 		return math.Inf(1)
 	})
@@ -406,8 +406,8 @@ func TestConcurrentMutationStress(t *testing.T) {
 				center := geo.Offset(city, rng.Float64()*360, rng.Float64()*5000)
 				ts := int64(rng.Intn(86_400_000))
 				te := ts + int64(rng.Intn(3_600_000))
-				visitCopies(x, geo.RectAround(center, 500), ts, te)
-				topK(x, geo.RectAround(center, 1000), ts, te, center, 5, nil)
+				visitCopies(x, center, 500, ts, te)
+				topK(x, center, 1000, 0, ts, te, 5, nil)
 				x.Len()
 			}
 		}(r)
@@ -457,7 +457,7 @@ func TestSnapshotReadAllocs(t *testing.T) {
 	hits := 0
 	count := func(*Entry) float64 { hits++; return math.Inf(1) }
 	if got := testing.AllocsPerRun(200, func() {
-		x.Visit(q, ts, te, city, count)
+		x.Visit(city, 3000, 0, ts, te, count)
 	}); got != 0 {
 		t.Fatalf("RTree.Visit allocates %.1f/op, want 0", got)
 	}
@@ -465,7 +465,7 @@ func TestSnapshotReadAllocs(t *testing.T) {
 		t.Fatalf("only %d hits: the pins below would not see a per-hit cost", n)
 	}
 	grow := testing.AllocsPerRun(200, func() {
-		visitCopies(x, q, ts, te)
+		visitCopies(x, city, 3000, ts, te)
 	})
 	if got := testing.AllocsPerRun(200, func() {
 		x.Search(q, ts, te)

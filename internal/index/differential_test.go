@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"fovr/internal/fov"
 	"fovr/internal/geo"
 	"fovr/internal/rtree"
 	"fovr/internal/segment"
@@ -25,7 +26,9 @@ import (
 // with a wider duration distribution: mostly segments under a minute, a
 // tail of ones up to ~11 minutes, occasional zero-length and pre-epoch
 // segments, and one in 75 on an over-long span (overLongSpans). One
-// entry in six stands on one of four shared spots.
+// entry in six stands on one of four shared spots, and one in five
+// declares its own camera, with a radius of view of up to three times
+// the deployment's (diffCamera).
 func diffEntry(rng *rand.Rand, id uint64) Entry {
 	p := geo.Offset(city, rng.Float64()*360, rng.Float64()*5000)
 	if rng.Intn(6) == 0 {
@@ -50,7 +53,7 @@ func diffEntry(rng *rand.Rand, id uint64) Entry {
 	if rng.Intn(75) == 0 {
 		start, end = overLongSpans[rng.Intn(len(overLongSpans))].span(start)
 	}
-	return Entry{
+	e := Entry{
 		ID:       id,
 		Provider: fmt.Sprintf("client-%d", id%17),
 		Rep: segment.Representative{
@@ -59,7 +62,15 @@ func diffEntry(rng *rand.Rand, id uint64) Entry {
 			EndMillis:   end,
 		},
 	}
+	if rng.Intn(5) == 0 {
+		e.Camera = fov.Camera{HalfAngleDeg: 10 + rng.Float64()*60, RadiusMeters: 20 + rng.Float64()*280}
+	}
+	return e
 }
+
+// diffCamera is the deployment camera the differential top-k reads
+// filter with.
+var diffCamera = fov.Camera{HalfAngleDeg: 30, RadiusMeters: 100}
 
 // rankSearch orders a Search result exactly like the query pipeline:
 // ascending distance to the center, ids breaking ties.
@@ -84,15 +95,17 @@ func describeRanked(entries []Entry, center geo.Point) []string {
 	return out
 }
 
-// topK is a bounded read as the query ranker runs it: the k entries in
-// r that pass keep (nil keeps everything), nearest to center by
-// geo.Distance with ids breaking ties, the k-th best distance so far
-// handed back to the walk as its bound.
-func topK(x Index, r geo.Rect, startMillis, endMillis int64, center geo.Point, k int, keep func(*Entry) bool) []Entry {
+// topK is a bounded read as the query ranker runs it: the k entries
+// within radius + R of center by geo.Distance (R an entry's own radius
+// of view, deployRadius for none) that pass keep (nil keeps
+// everything), nearest first with ids breaking ties, the k-th best
+// distance so far handed back to the walk as its bound once there is
+// one.
+func topK(x Index, center geo.Point, radius, deployRadius float64, startMillis, endMillis int64, k int, keep func(*Entry) bool) []Entry {
 	var best []Entry
 	dist := func(e *Entry) float64 { return geo.Distance(e.Rep.FoV.P, center) }
-	x.Visit(r, startMillis, endMillis, center, func(e *Entry) float64 {
-		if keep == nil || keep(e) {
+	x.Visit(center, radius, deployRadius, startMillis, endMillis, func(e *Entry) float64 {
+		if dist(e) <= radius+e.EffectiveCamera(fov.Camera{RadiusMeters: deployRadius}).RadiusMeters && (keep == nil || keep(e)) {
 			d := dist(e)
 			i := sort.Search(len(best), func(i int) bool {
 				di := dist(&best[i])
@@ -151,29 +164,36 @@ func TestDifferentialIndexEquivalence(t *testing.T) {
 		}
 	}
 
+	// checkTopK asks the ranker's question: the k nearest cameras whose
+	// sector meets a disc of radius r, among those within r plus their
+	// radius of view — or, one time in three, the k nearest within a
+	// plain radius plus their own radius of view, the deployment's 0.
+	// Devices that see farther than the deployment must be found at
+	// every bearing.
 	checkTopK := func(step int) {
 		center := geo.Offset(city, rng.Float64()*360, rng.Float64()*6000)
 		ts := int64(rng.Intn(86_400_000)) - 43_200_000
 		te := ts + int64(rng.Intn(7_200_000))
 		k := 1 + rng.Intn(10)
-		rect := geo.RectAround(city, 20_000)
-		if rng.Intn(2) == 0 {
-			rect = geo.RectAround(center, 200+rng.Float64()*2000)
+		r, deploy := rng.Float64()*60, diffCamera.RadiusMeters
+		plain := rng.Intn(3) == 0
+		keep := func(e *Entry) bool {
+			v := geo.Displacement(e.Rep.FoV.P, center)
+			return e.Rep.FoV.CircleCoverage(e.EffectiveCamera(diffCamera), v, v.Norm(), r) == fov.Covered
 		}
-		var keep func(*Entry) bool
-		if rng.Intn(3) == 0 {
-			keep = func(e *Entry) bool { return e.ID%3 != 0 }
+		if plain {
+			r, deploy, keep = 200+rng.Float64()*2000, 0, nil
 		}
 		var want []string
 		for _, im := range impls {
-			got := describeRanked(topK(im.idx, rect, ts, te, center, k, keep), center)
+			got := describeRanked(topK(im.idx, center, r, deploy, ts, te, k, keep), center)
 			if im.name == impls[0].name {
 				want = got
 				continue
 			}
 			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("step %d: top %d in %+v diverges:\n%s: %v\n%s: %v",
-					step, k, rect, impls[0].name, want, im.name, got)
+				t.Fatalf("step %d: top %d for r %.1f m, R %v at %v diverges:\n%s: %v\n%s: %v",
+					step, k, r, deploy, center, impls[0].name, want, im.name, got)
 			}
 		}
 	}

@@ -21,6 +21,7 @@ type Grid struct {
 	mu    sync.RWMutex
 	cells map[gridKey][]Entry
 	byID  map[uint64]gridKey
+	radii radii
 }
 
 type gridKey struct{ x, y int32 }
@@ -57,6 +58,7 @@ func (g *Grid) Insert(e Entry) error {
 		return fmt.Errorf("index: duplicate id %d", e.ID)
 	}
 	e = e.OnGrid()
+	g.radii.add(e.Camera.RadiusMeters, entryRect(&e))
 	k := g.key(e.Rep.FoV.P)
 	g.cells[k] = append(g.cells[k], e)
 	g.byID[e.ID] = k
@@ -74,6 +76,7 @@ func (g *Grid) Remove(id uint64) bool {
 	cell := g.cells[k]
 	for i, e := range cell {
 		if e.ID == id {
+			g.radii.remove(e.Camera.RadiusMeters)
 			cell[i] = cell[len(cell)-1]
 			cell = cell[:len(cell)-1]
 			break
@@ -90,42 +93,53 @@ func (g *Grid) Remove(id uint64) bool {
 
 // Search implements Index.
 func (g *Grid) Search(r geo.Rect, startMillis, endMillis int64) []Entry {
-	out, _, _ := g.searchCounted(r, startMillis, endMillis)
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	out, _, _ := g.searchCounted([]geo.Rect{r}, startMillis, endMillis)
 	return out
 }
 
-// Visit implements Index over a private copy of the hits (cells are
-// mutated in place), ignoring the bound: occupied cells visited count as
-// nodes, entries tested as scanned.
-func (g *Grid) Visit(r geo.Rect, startMillis, endMillis int64, _ geo.Point, visit func(*Entry) float64) (nodes, scanned int64) {
-	out, cells, scanned := g.searchCounted(r, startMillis, endMillis)
-	visitAll(out, visit)
+// Visit implements Index over a private copy of the hits in the boxes
+// that hold the reach (cells are mutated in place), ignoring the bound:
+// the reach is radius plus the widest radius of view of any entry that
+// may cover the disc (widest, from the grid's bands), occupied cells
+// visited count as nodes, entries tested as scanned.
+func (g *Grid) Visit(center geo.Point, radius, deployRadius float64, startMillis, endMillis int64, visit func(*Entry) float64) (nodes, scanned int64) {
+	g.mu.RLock()
+	boxes, n := reachBoxes(center, radius+widest(g.radii.bands, center, radius, deployRadius, startMillis, endMillis))
+	out, cells, scanned := g.searchCounted(boxes[:n], startMillis, endMillis)
+	g.mu.RUnlock()
+	for i := range out {
+		visit(&out[i])
+	}
 	return cells, scanned
 }
 
-func (g *Grid) searchCounted(r geo.Rect, startMillis, endMillis int64) (out []Entry, cellsVisited, entriesScanned int64) {
-	x0 := int32(math.Floor(r.MinLng / g.cellDeg))
-	x1 := int32(math.Floor(r.MaxLng / g.cellDeg))
-	y0 := int32(math.Floor(r.MinLat / g.cellDeg))
-	y1 := int32(math.Floor(r.MaxLat / g.cellDeg))
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	for y := y0; y <= y1; y++ {
-		for x := x0; x <= x1; x++ {
-			cell := g.cells[gridKey{x, y}]
-			if len(cell) == 0 {
-				continue
-			}
-			cellsVisited++
-			entriesScanned += int64(len(cell))
-			for _, e := range cell {
-				if e.Rep.EndMillis < startMillis || e.Rep.StartMillis > endMillis {
+// searchCounted collects the entries of the window in the boxes (read
+// lock held).
+func (g *Grid) searchCounted(boxes []geo.Rect, startMillis, endMillis int64) (out []Entry, cellsVisited, entriesScanned int64) {
+	for _, r := range boxes {
+		x0 := int32(math.Floor(r.MinLng / g.cellDeg))
+		x1 := int32(math.Floor(r.MaxLng / g.cellDeg))
+		y0 := int32(math.Floor(r.MinLat / g.cellDeg))
+		y1 := int32(math.Floor(r.MaxLat / g.cellDeg))
+		for y := y0; y <= y1; y++ {
+			for x := x0; x <= x1; x++ {
+				cell := g.cells[gridKey{x, y}]
+				if len(cell) == 0 {
 					continue
 				}
-				if !r.Contains(e.Rep.FoV.P) {
-					continue
+				cellsVisited++
+				entriesScanned += int64(len(cell))
+				for _, e := range cell {
+					if e.Rep.EndMillis < startMillis || e.Rep.StartMillis > endMillis {
+						continue
+					}
+					if !r.Contains(e.Rep.FoV.P) {
+						continue
+					}
+					out = append(out, e)
 				}
-				out = append(out, e)
 			}
 		}
 	}

@@ -54,7 +54,7 @@ func TestGridLeafTestIsTheFloatTest(t *testing.T) {
 
 		var offered []uint64
 		w := newWalker(rows)
-		q := w.ask(box, ts, te, center, func(e *Entry) float64 {
+		q := w.ask(box, ts, te, center, math.Inf(1), func(e *Entry) float64 {
 			offered = append(offered, e.ID)
 			return math.Inf(1)
 		})

@@ -25,8 +25,10 @@
 package index
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -99,47 +101,106 @@ type Index interface {
 	// Insert adds an entry. IDs must be unique; reusing one is an error.
 	Insert(Entry) error
 	// Visit is the read traversal: it hands visit a reference to every
-	// entry whose position lies in r and whose segment interval
-	// intersects [startMillis, endMillis], and reports what the traversal
-	// cost (index nodes visited, stored entries tested). visit answers
-	// with a bound: "nothing farther than this many metres from center
-	// (by geo.Distance) interests me any more" — +Inf for no bound. An
-	// index may use the latest bound to skip entries strictly farther,
-	// and to reach near entries first so the bound tightens early; it
-	// never skips an entry at or inside the bound, and it may ignore the
-	// bound altogether. Order is unspecified; the ranker sorts. A
-	// reference is valid for the call only — an index may rebuild the
-	// next entry in the same memory — so a caller that keeps an entry
-	// copies it, and must not write through the reference.
-	Visit(r geo.Rect, startMillis, endMillis int64, center geo.Point, visit func(*Entry) float64) (nodes, scanned int64)
-	// Search is the collecting, unbounded form of Visit: a fresh copy of
-	// every matching entry. No request path runs it — queries and
-	// /nearest walk Visit. Its callers are bench/layers.go's per-layer
-	// index row, the Linear oracle behind its own Visit, and tests.
+	// entry whose segment interval intersects [startMillis, endMillis]
+	// and whose position lies, by geo.Distance, within radius + R of
+	// center, R the radius of view of the entry's camera, or deployRadius
+	// when it declares none — every entry near enough to cover the disc
+	// of radius about center — and reports what the traversal cost
+	// (index nodes visited, stored entries tested). It may hand over
+	// more. visit answers with a bound: "nothing farther than this many
+	// metres from center interests me any more". An index may skip
+	// entries strictly beyond the latest bound, and reach near entries
+	// first so it tightens early, or ignore it. Order is unspecified; the
+	// ranker sorts. A reference is valid for the call only — an index may
+	// rebuild the next entry in the same memory — so a caller that keeps
+	// an entry copies it, and must not write through the reference.
+	Visit(center geo.Point, radius, deployRadius float64, startMillis, endMillis int64, visit func(*Entry) float64) (nodes, scanned int64)
+	// Search is the collecting, unbounded form of a walk over the box r:
+	// a fresh copy of every entry in r and the window. No request path
+	// runs it — queries and /nearest walk Visit. Its callers are
+	// bench/layers.go's per-layer index row and tests.
 	Search(r geo.Rect, startMillis, endMillis int64) []Entry
 	// Len returns the number of stored entries.
 	Len() int
 }
 
-// searchAll is Search over an index's Visit: a copy of every match,
-// with no bound.
-func searchAll(x Index, r geo.Rect, startMillis, endMillis int64) []Entry {
-	var out []Entry
-	x.Visit(r, startMillis, endMillis, r.Center(), func(e *Entry) float64 {
-		out = append(out, *e)
-		return math.Inf(1)
-	})
-	return out
+// radii sizes a walk's reach past the deployment's radius of view: for
+// each power-of-two class of the radii of view entries declare, a band
+// of the largest radius in it and the index-space box (entryRect) of
+// its entries, and how many entries the index holds in it — a few
+// records however many entries. A band only grows while its class has
+// entries and goes with the last of them. Writers replace bands, never
+// write into it, so a reader may keep the slice it loaded.
+type radii struct {
+	bands []band // by descending class
+	n     map[int]int
 }
 
-// visitAll hands visit a reference to every element of hits, a slice the
-// caller owns and nobody will write again, ignoring the bounds it
-// answers with. The indexes that mutate their storage in place (Linear,
-// Grid) answer Visit this way.
-func visitAll(hits []Entry, visit func(*Entry) float64) {
-	for i := range hits {
-		visit(&hits[i])
+type band struct {
+	class  int
+	radius float64
+	span   rtree.Rect
+}
+
+// add counts an admitted entry of the radius of view and box (a radius
+// of 0 is no camera: the deployment's reach covers it).
+func (b *radii) add(radius float64, box rtree.Rect) {
+	if radius == 0 {
+		return
 	}
+	_, c := math.Frexp(radius)
+	if b.n == nil {
+		b.n = make(map[int]int)
+	}
+	b.n[c]++
+	i, ok := slices.BinarySearchFunc(b.bands, c, func(x band, c int) int { return cmp.Compare(c, x.class) })
+	if ok && radius <= b.bands[i].radius && b.bands[i].span.Contains(box) {
+		return
+	}
+	bands := slices.Clone(b.bands)
+	if !ok {
+		bands = slices.Insert(bands, i, band{class: c, radius: radius, span: box})
+	}
+	bands[i].radius, bands[i].span = max(bands[i].radius, radius), bands[i].span.Union(box)
+	b.bands = bands
+}
+
+// remove uncounts an entry of the radius of view.
+func (b *radii) remove(radius float64) {
+	if _, c := math.Frexp(radius); radius != 0 {
+		if b.n[c]--; b.n[c] == 0 {
+			delete(b.n, c)
+			b.bands = slices.DeleteFunc(slices.Clone(b.bands), func(x band) bool { return x.class == c })
+		}
+	}
+}
+
+// widest returns the largest of deployRadius and the radius R of every
+// band some entry of which may stand within radius + R of center in the
+// window: the band's box meets the boxes that hold that reach
+// (reachBoxes). A walk over radius + widest finds every entry that can
+// cover the disc; a device that sees farther than the deployment widens
+// only the questions its band's box in place and time comes near.
+func widest(bands []band, center geo.Point, radius, deployRadius float64, startMillis, endMillis int64) float64 {
+	for i := range bands { // the first that meets is the widest
+		b := &bands[i]
+		if b.radius <= deployRadius {
+			break
+		}
+		boxes, n := reachBoxes(center, radius+b.radius)
+		for _, r := range boxes[:n] {
+			if queryRect(r, startMillis, endMillis).Intersects(b.span) {
+				return b.radius
+			}
+		}
+	}
+	return deployRadius
+}
+
+// entryRect is e's index-space rectangle: its position and interval.
+func entryRect(e *Entry) rtree.Rect {
+	p := e.Rep.FoV.P
+	return queryRect(geo.Rect{MinLat: p.Lat, MaxLat: p.Lat, MinLng: p.Lng, MaxLng: p.Lng}, e.Rep.StartMillis, e.Rep.EndMillis)
 }
 
 // BatchInserter is the Index extension the upload path uses: adding a
@@ -285,6 +346,7 @@ type sourceTable struct {
 	dead  []uint32          // rows that died in rows' array
 	free  []uint32          // rows no view sharing rows' array names
 	last  uint32            // the row intern returned last
+	radii radii             // every live slot's, by its row's camera
 }
 
 // intern returns the row of a new slot with source k, counting the slot
@@ -317,6 +379,7 @@ func (t *sourceTable) intern(k source) (uint32, error) {
 // release uncounts a removed slot from its row; the row dies with its
 // last slot.
 func (t *sourceTable) release(row uint32) {
+	t.radii.remove(t.rows[row].Camera.RadiusMeters)
 	if t.refs[row]--; t.refs[row] == 0 {
 		delete(t.index, t.rows[row])
 		t.dead = append(t.dead, row)
@@ -340,10 +403,12 @@ func (t *sourceTable) reclaim() {
 }
 
 // view is what a reader of an RTree loads, in one step: a published
-// snapshot and the source table its slots name.
+// snapshot, the source table its slots name, and the radius bands of
+// those slots.
 type view struct {
-	snap *rtree.Snapshot[slot]
-	rows []source
+	snap  *rtree.Snapshot[slot]
+	rows  []source
+	bands []band
 }
 
 // RTree is the R-tree-backed index of Section V. The zero value is not
@@ -389,14 +454,23 @@ func newRTree(opts rtree.Options) *RTree {
 	return x
 }
 
-// slotOf interns e's source row and returns e's leaf slot. The caller
-// holds mu, or owns an index no reader has yet.
+// slotOf interns e's source row, counts e in its camera's radius band
+// and returns e's leaf slot. The caller holds mu, or owns an index no
+// reader has yet.
 func (x *RTree) slotOf(e *Entry) (slot, error) {
-	row, err := x.src.intern(sourceKey(e))
+	k := sourceKey(e)
+	row, err := x.src.intern(k)
 	if err != nil {
 		return slot{}, err
 	}
-	return newSlot(e, row), nil
+	s := newSlot(e, row)
+	x.src.radii.add(k.Camera.RadiusMeters, slotRect(&s))
+	return s, nil
+}
+
+// viewOf returns the view of snap: the table and bands it names.
+func (x *RTree) viewOf(snap *rtree.Snapshot[slot]) *view {
+	return &view{snap: snap, rows: x.src.rows, bands: x.src.radii.bands}
 }
 
 // publish makes the tree's state, and the table it names, what readers
@@ -405,7 +479,7 @@ func (x *RTree) slotOf(e *Entry) (slot, error) {
 // mutation.
 func (x *RTree) publish() {
 	x.looked.Store(false)
-	x.view.Store(&view{snap: x.tree.Publish(), rows: x.src.rows})
+	x.view.Store(x.viewOf(x.tree.Publish()))
 	x.stale.Store(false)
 }
 
@@ -475,7 +549,7 @@ func bulkLoadRTree(opts rtree.Options, n int, produce func(add func(*Entry) erro
 		return nil, err
 	}
 	x.tree = t
-	x.view.Store(&view{snap: t.Snapshot(), rows: x.src.rows})
+	x.view.Store(x.viewOf(t.Snapshot()))
 	return x, nil
 }
 
@@ -672,6 +746,7 @@ type walker struct {
 	lng0, lng1, lat0, lat1 int32
 	t0, t1                 float64
 	near                   rtree.Near
+	reach                  float64 // the cap on every bound visit answers
 	from                   int64
 	visit                  func(*Entry) float64
 	scan                   func(*Entry) bool
@@ -697,6 +772,7 @@ var walkerPool = sync.Pool{New: func() any {
 // Only those are bounded by near over their rectangle, as the tree
 // bounds its children, and handed to visit — an over-long one only if
 // its exact end reaches the window (its box runs to the last instant).
+// No bound visit answers exceeds the walk's reach.
 func (w *walker) visitLeaf(slots []slot, bound float64) float64 {
 	for i := range slots {
 		if bound < 0 {
@@ -711,7 +787,7 @@ func (w *walker) visitLeaf(slots []slot, bound float64) float64 {
 			s.dur == overLong && s.end(w.sources) < w.from {
 			continue
 		}
-		bound = w.visit(w.entry(s))
+		bound = min(w.visit(w.entry(s)), w.reach)
 	}
 	return bound
 }
@@ -777,31 +853,75 @@ func (w *walker) entry(s *slot) *Entry {
 	return &w.buf
 }
 
-// Visit implements Index. It walks the current snapshot, taking no
-// lock unless it publishes a stale view, steered by the bounds visit
-// answers with; every entry is rebuilt in the one walker buffer.
-func (x *RTree) Visit(r geo.Rect, startMillis, endMillis int64, center geo.Point, visit func(*Entry) float64) (nodes, scanned int64) {
-	snap, w := x.read()
-	q := w.ask(r, startMillis, endMillis, center, visit)
-	_, nodes, scanned = snap.SearchNear(q, w.near, math.Inf(1), w.onLeaf)
+// Visit implements Index. It walks the current view's snapshot, taking
+// no lock unless it publishes a stale view, over the reach: radius plus
+// the widest radius of view of any entry that may cover the disc
+// (widest, from the view's bands). The walk covers the boxes that hold
+// the reach (reachBoxes), from the bound reach, steered by the bounds
+// visit answers with; every entry is rebuilt in the one walker buffer.
+func (x *RTree) Visit(center geo.Point, radius, deployRadius float64, startMillis, endMillis int64, visit func(*Entry) float64) (nodes, scanned int64) {
+	v := x.current()
+	reach := radius + widest(v.bands, center, radius, deployRadius, startMillis, endMillis)
+	boxes, n := reachBoxes(center, reach)
+	return v.walk(boxes[:n], startMillis, endMillis, center, reach, visit)
+}
+
+// Search implements Index: the unbounded walk over r.
+func (x *RTree) Search(r geo.Rect, startMillis, endMillis int64) []Entry {
+	var out []Entry
+	x.current().walk([]geo.Rect{r}, startMillis, endMillis, r.Center(), math.Inf(1), func(e *Entry) float64 {
+		out = append(out, *e)
+		return math.Inf(1)
+	})
+	return out
+}
+
+// walk hands visit the entries of the view in each of the boxes and the
+// window, nearest center first, each box from the bound reach.
+func (v *view) walk(boxes []geo.Rect, startMillis, endMillis int64, center geo.Point, reach float64, visit func(*Entry) float64) (nodes, scanned int64) {
+	w := newWalker(v.rows)
+	for _, r := range boxes {
+		q := w.ask(r, startMillis, endMillis, center, reach, visit)
+		n, s := v.snap.SearchNear(q, w.near, reach, w.onLeaf)
+		nodes, scanned = nodes+n, scanned+s
+	}
 	w.release()
 	return nodes, scanned
 }
 
-// ask sets w up to answer Visit's question in slot units (visitLeaf) and
-// returns the question's index-space box.
-func (w *walker) ask(r geo.Rect, startMillis, endMillis int64, center geo.Point, visit func(*Entry) float64) rtree.Rect {
+// reachBoxes returns the n disjoint boxes that hold every position
+// within reach of center by geo.Distance, which scales longitude by the
+// mid-latitude's cosine and wraps it at ±180°: geo.RectAround(center,
+// reach) with its longitude span sized at its pole-ward edge, cut at
+// the antimeridian, and all longitudes when it holds a pole.
+func reachBoxes(center geo.Point, reach float64) (boxes [2]geo.Rect, n int) {
+	r := geo.RectAround(center, reach)
+	edge := math.Max(math.Abs(r.MinLat), math.Abs(r.MaxLat))
+	dLng := reach / (geo.MetersPerDegree * math.Cos(edge*math.Pi/180))
+	r.MinLng, r.MaxLng = center.Lng-dLng, center.Lng+dLng
+	wrap := r
+	switch {
+	case edge >= 90 || r.MaxLng-r.MinLng >= 360:
+		r.MinLng, r.MaxLng = -180, 180
+	case r.MaxLng > 180:
+		wrap.MinLng, wrap.MaxLng, r.MaxLng = -180, r.MaxLng-360, 180
+		return [2]geo.Rect{r, wrap}, 2
+	case r.MinLng < -180:
+		wrap.MinLng, wrap.MaxLng, r.MinLng = r.MinLng+360, 180, -180
+		return [2]geo.Rect{r, wrap}, 2
+	}
+	return [2]geo.Rect{r}, 1
+}
+
+// ask sets w up to answer a walk's question in slot units (visitLeaf),
+// its bounds capped at reach, and returns the question's index-space box.
+func (w *walker) ask(r geo.Rect, startMillis, endMillis int64, center geo.Point, reach float64, visit func(*Entry) float64) rtree.Rect {
 	q := queryRect(r, startMillis, endMillis)
 	w.lng0, w.lng1 = gridSpan(r.MinLng, r.MaxLng)
 	w.lat0, w.lat1 = gridSpan(r.MinLat, r.MaxLat)
 	w.t0, w.t1, w.near = q.Min[2], q.Max[2], nearFor(r, center)
-	w.visit, w.from = visit, startMillis
+	w.visit, w.from, w.reach = visit, startMillis, reach
 	return q
-}
-
-// Search implements Index.
-func (x *RTree) Search(r geo.Rect, startMillis, endMillis int64) []Entry {
-	return searchAll(x, r, startMillis, endMillis)
 }
 
 // Len implements Index.
@@ -941,20 +1061,8 @@ func NewLinear() *Linear {
 	return &Linear{byID: make(map[uint64]int)}
 }
 
-// Insert implements Index.
-func (x *Linear) Insert(e Entry) error {
-	if err := e.Validate(); err != nil {
-		return err
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if _, dup := x.byID[e.ID]; dup {
-		return fmt.Errorf("index: duplicate id %d", e.ID)
-	}
-	x.byID[e.ID] = len(x.entries)
-	x.entries = append(x.entries, e.OnGrid())
-	return nil
-}
+// Insert implements Index: a batch of one.
+func (x *Linear) Insert(e Entry) error { return x.InsertBatch([]Entry{e}) }
 
 // Remove deletes the entry with the given id, reporting whether it was
 // present.
@@ -997,25 +1105,37 @@ func (x *Linear) Search(r geo.Rect, startMillis, endMillis int64) []Entry {
 	defer x.mu.RUnlock()
 	var out []Entry
 	for _, e := range x.entries {
-		if e.Rep.EndMillis < startMillis || e.Rep.StartMillis > endMillis {
-			continue
+		if e.Rep.EndMillis >= startMillis && e.Rep.StartMillis <= endMillis && r.Contains(e.Rep.FoV.P) {
+			out = append(out, e)
 		}
-		if !r.Contains(e.Rep.FoV.P) {
-			continue
-		}
-		out = append(out, e)
 	}
 	return out
 }
 
-// Visit implements Index over a private copy of the hits, ignoring the
-// bound: the oracle stays the plain collecting scan, independent of the
-// steering it checks. A linear index has no tree nodes; every stored
-// entry is one scanned entry, which is exactly the cost a trace should
-// show for the baseline.
-func (x *Linear) Visit(r geo.Rect, startMillis, endMillis int64, _ geo.Point, visit func(*Entry) float64) (nodes, scanned int64) {
-	visitAll(x.Search(r, startMillis, endMillis), visit)
-	return 0, int64(x.Len())
+// Visit implements Index as the oracle it is: it copies out exactly the
+// entries of the window that stand within radius + R of center by
+// geo.Distance, R each entry's own radius of view (deployRadius for
+// none), and ignores the bound, so it shares no region and no steering
+// with the walks it checks. visit runs on the copy, after the lock is
+// released, as the entries are rewritten in place. A linear index has
+// no tree nodes; every stored entry is one scanned entry, which is
+// exactly the cost a trace should show for the baseline.
+func (x *Linear) Visit(center geo.Point, radius, deployRadius float64, startMillis, endMillis int64, visit func(*Entry) float64) (nodes, scanned int64) {
+	var hits []Entry
+	x.mu.RLock()
+	for i := range x.entries {
+		e := &x.entries[i]
+		if e.Rep.EndMillis >= startMillis && e.Rep.StartMillis <= endMillis &&
+			geo.Distance(e.Rep.FoV.P, center) <= radius+e.EffectiveCamera(fov.Camera{RadiusMeters: deployRadius}).RadiusMeters {
+			hits = append(hits, *e)
+		}
+	}
+	scanned = int64(len(x.entries))
+	x.mu.RUnlock()
+	for i := range hits {
+		visit(&hits[i])
+	}
+	return 0, scanned
 }
 
 // InsertBatch implements BatchInserter. All-or-nothing: a duplicate or
@@ -1029,7 +1149,7 @@ func (x *Linear) InsertBatch(entries []Entry) error {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	base := len(x.entries)
-	for i, e := range entries {
+	for _, e := range entries {
 		if _, dup := x.byID[e.ID]; dup {
 			for _, added := range x.entries[base:] {
 				delete(x.byID, added.ID)
@@ -1037,7 +1157,7 @@ func (x *Linear) InsertBatch(entries []Entry) error {
 			x.entries = x.entries[:base]
 			return fmt.Errorf("index: duplicate id %d", e.ID)
 		}
-		x.byID[e.ID] = base + i
+		x.byID[e.ID] = len(x.entries)
 		x.entries = append(x.entries, e.OnGrid())
 	}
 	return nil

@@ -514,7 +514,7 @@ func TestNearestNarrowWindowIsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got int
-	visits, _ := x.Visit(all, ts, te, city, func(*Entry) float64 {
+	visits, _ := x.Visit(city, 20_000, 0, ts, te, func(*Entry) float64 {
 		got++
 		return math.Inf(1)
 	})

@@ -163,10 +163,10 @@ func checkOverLongReads(t *testing.T, name string, x *RTree, lin *Linear, window
 	if scanned != len(stored) {
 		t.Fatalf("%s: Scan saw %d, want %d", name, scanned, len(stored))
 	}
-	area := geo.RectAround(city, 5000)
+	area := geo.RectAround(city, 6000) // holds every entry, all within 5 km
 	for _, w := range windows {
 		var hits []Entry
-		x.Visit(area, w[0], w[1], city, func(e *Entry) float64 {
+		x.Visit(city, 6000, 0, w[0], w[1], func(e *Entry) float64 {
 			if *e != stored[e.ID] {
 				t.Fatalf("%s: Visit%v hands id %d as %+v, want %+v", name, w, e.ID, *e, stored[e.ID])
 			}
@@ -176,10 +176,10 @@ func checkOverLongReads(t *testing.T, name string, x *RTree, lin *Linear, window
 		if g, l := ids(hits), ids(lin.Search(area, w[0], w[1])); fmt.Sprint(g) != fmt.Sprint(l) {
 			t.Fatalf("%s: Visit%v = %v, linear %v", name, w, g, l)
 		}
-		for _, r := range []geo.Rect{area, geo.RectAround(city, 600)} {
-			g, l := topK(x, r, w[0], w[1], city, 5, nil), topK(lin, r, w[0], w[1], city, 5, nil)
+		for _, reach := range []float64{6000, 600} {
+			g, l := topK(x, city, reach, 0, w[0], w[1], 5, nil), topK(lin, city, reach, 0, w[0], w[1], 5, nil)
 			if !reflect.DeepEqual(g, l) {
-				t.Fatalf("%s: top 5 in %+v over %v = %v, linear %v", name, r, w, g, l)
+				t.Fatalf("%s: top 5 within %v m over %v = %v, linear %v", name, reach, w, g, l)
 			}
 		}
 	}
@@ -340,7 +340,6 @@ func settledHeap() uint64 {
 func TestConcurrentRowReuse(t *testing.T) {
 	const rounds, batch = 400, 20
 	x := NewRTree()
-	full := geo.RectAround(city, 10_000)
 	var wg sync.WaitGroup
 	done := make(chan struct{})
 	errs := make(chan error, 4)
@@ -379,11 +378,11 @@ func TestConcurrentRowReuse(t *testing.T) {
 				// rounds, which the later rounds' entries reach and
 				// the earlier rounds' do not.
 				for _, from := range []int64{math.MinInt64, overLong + rounds*batch*1000/2} {
-					x.Visit(full, from, math.MaxInt64, city, func(e *Entry) float64 {
+					x.Visit(city, 10_000, 0, from, math.MaxInt64, func(e *Entry) float64 {
 						check(e, from)
 						return math.Inf(1)
 					})
-					for _, e := range topK(x, full, from, math.MaxInt64, city, 5, nil) {
+					for _, e := range topK(x, city, 10_000, 0, from, math.MaxInt64, 5, nil) {
 						check(&e, from)
 					}
 				}

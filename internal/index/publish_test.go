@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"fovr/internal/geo"
 	"fovr/internal/index"
 	"fovr/internal/workload"
 )
@@ -30,7 +29,7 @@ func TestPublishRuleKeepsTreeShape(t *testing.T) {
 		for i := 0; i < n; i += batch {
 			if readEach {
 				rep := &entries[i].Rep
-				x.Visit(geo.RectAround(rep.FoV.P, 10), rep.StartMillis, rep.EndMillis, rep.FoV.P, func(*index.Entry) float64 {
+				x.Visit(rep.FoV.P, 10, 0, rep.StartMillis, rep.EndMillis, func(*index.Entry) float64 {
 					return math.Inf(1)
 				})
 			}
@@ -89,7 +88,7 @@ func TestReadAfterAckSeesBatch(t *testing.T) {
 			var ids []uint64
 			for i := range last {
 				rep := &last[i].Rep
-				x.Visit(geo.RectAround(rep.FoV.P, 1), rep.StartMillis, rep.EndMillis, rep.FoV.P, func(e *index.Entry) float64 {
+				x.Visit(rep.FoV.P, 1, 0, rep.StartMillis, rep.EndMillis, func(e *index.Entry) float64 {
 					if e.ID == last[i].ID {
 						ids = append(ids, e.ID)
 					}

@@ -32,11 +32,11 @@ func TestTreeReadsTakeNoLocks(t *testing.T) {
 	read := func() answers {
 		var a answers
 		a.search = x.Search(q, 0, 86_400_000)
-		x.Visit(q, 0, 86_400_000, city, func(e *Entry) float64 {
+		x.Visit(city, 30_000, 0, 0, 86_400_000, func(e *Entry) float64 {
 			a.visited = append(a.visited, e.ID)
 			return math.Inf(1)
 		})
-		a.nearest = topK(x, q, 0, 86_400_000, city, 5, nil)
+		a.nearest = topK(x, city, 30_000, 0, 0, 86_400_000, 5, nil)
 		return a
 	}
 	free := read()

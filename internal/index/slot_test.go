@@ -53,7 +53,6 @@ func sourcedEntry(id uint64) Entry {
 func TestConcurrentSourceInterning(t *testing.T) {
 	const batches, rowsPerBatch = 300, 4
 	x := NewRTree()
-	full := geo.RectAround(city, 30_000)
 	const tlo, thi = -(1 << 40), 1 << 40
 
 	var wg sync.WaitGroup
@@ -113,12 +112,12 @@ func TestConcurrentSourceInterning(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(r)))
 			read := func() bool {
 				ok := true
-				x.Visit(full, tlo, thi, city, func(e *Entry) float64 {
+				x.Visit(city, 30_000, 0, tlo, thi, func(e *Entry) float64 {
 					ok = ok && check(r, e)
 					return math.Inf(1)
 				})
 				center := geo.Offset(city, rng.Float64()*360, rng.Float64()*5000)
-				for _, e := range topK(x, full, tlo, thi, center, 10, func(e *Entry) bool { return ok && check(r, e) }) {
+				for _, e := range topK(x, center, 30_000, 0, tlo, thi, 10, func(e *Entry) bool { return ok && check(r, e) }) {
 					ok = ok && check(r, &e)
 				}
 				x.Scan(func(e *Entry) bool {

@@ -101,3 +101,40 @@ func TestLowerBoundIsTightAtCityScale(t *testing.T) {
 		}
 	}
 }
+
+// TestReachBoxesHoldTheDisc: every position within reach of the center
+// by geo.Distance lies in exactly one of the boxes reachBoxes returns —
+// at city scale and at 50 km, near the poles and across the
+// antimeridian. geo.RectAround alone sizes longitude at the center's
+// latitude, where geo.Distance uses the mid-latitude: at 40 km it left
+// positions up to a few centimetres inside the reach outside the box.
+func TestReachBoxesHoldTheDisc(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for i := 0; i < 200_000; i++ {
+		center := geo.Point{Lat: (rng.Float64()*2 - 1) * 89.9, Lng: (rng.Float64()*2 - 1) * 180}
+		if i%4 == 0 {
+			center.Lng = math.Copysign(180-rng.Float64()*0.5, center.Lng)
+		}
+		reach := 10 + rng.Float64()*500
+		if i%2 == 0 {
+			reach = 10 + rng.Float64()*50_000
+		}
+		// A position near the edge of the reach, on the grid the index
+		// holds positions at.
+		p := geo.Offset(center, rng.Float64()*360, reach*(0.999+0.002*rng.Float64()))
+		p = geo.Point{Lat: math.Round(p.Lat*1e7) / 1e7, Lng: math.Round(p.Lng*1e7) / 1e7}
+		if !p.Valid() || geo.Distance(center, p) > reach {
+			continue
+		}
+		boxes, n := reachBoxes(center, reach)
+		in := 0
+		for _, b := range boxes[:n] {
+			if b.Contains(p) {
+				in++
+			}
+		}
+		if in != 1 {
+			t.Fatalf("center %v, reach %.3f m: %v at %.6f m lies in %d of %v", center, reach, p, geo.Distance(center, p), in, boxes[:n])
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package index_test
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -12,6 +13,7 @@ import (
 	"fovr/internal/index"
 	"fovr/internal/obs"
 	"fovr/internal/query"
+	"fovr/internal/segment"
 	"fovr/internal/workload"
 )
 
@@ -29,8 +31,9 @@ import (
 // the ranking moves a pin; the answers of the first questions of each
 // shape are also held to the Linear oracle's. The answer digests are
 // those of the tree at M = 16 as well: nodes twice as wide give the
-// same answers for less node work and more leaf entries (M = 16, point:
-// nodes p50 15, p99 85, total 37 315; leaf entries 55, 502, 154 529).
+// same answers for less node work and more leaf entries (M = 16, point,
+// before the walk was bounded by the reach: nodes p50 15, p99 85, total
+// 37 315; leaf entries 55, 502, 154 529).
 func TestServingTreeWorkPinned(t *testing.T) {
 	const questions, oracleQuestions = 2000, 60
 	cfg := workload.Config{Seed: 1, Distribution: workload.Hotspot}
@@ -44,57 +47,98 @@ func TestServingTreeWorkPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cam := fov.Camera{HalfAngleDeg: 30, RadiusMeters: 100}
 	const hour = 3_600_000
-	for _, sh := range []struct {
-		name         string
-		radius       float64
-		window       int64
-		n            int
-		nodes, leafs [3]int64 // p50, p99, total over the questions
-		digest       string
-	}{
-		{"point", 30, hour, 20, [3]int64{11, 56, 27020}, [3]int64{98, 740, 269896}, "9f8e720604e2981f"},
-		{"scan", 300, 24 * hour, 20, [3]int64{19, 69, 43648}, [3]int64{261, 1124, 640480}, "37db92b9d29976f8"},
-		{"wide", 30, 12 * hour, 20, [3]int64{15, 65, 36840}, [3]int64{187, 970, 486601}, "5e4945c12800e77b"},
-		{"nearest", 0, hour, 10, [3]int64{10, 46, 24098}, [3]int64{83, 595, 220214}, "243f2a800248021a"},
-		{"wide nearest", 0, 12 * hour, 10, [3]int64{13, 72, 34245}, [3]int64{157, 1160, 437074}, "3356111496153c0a"},
+	for _, sh := range []workShape{
+		{"point", 30, hour, 20, [3]int64{11, 53, 26483}, [3]int64{96, 701, 259394}, "f38604ca86fafbca"},
+		{"scan", 300, 24 * hour, 20, [3]int64{19, 69, 43476}, [3]int64{260, 1124, 636990}, "37db92b9d29976f8"},
+		{"wide", 30, 12 * hour, 20, [3]int64{15, 63, 36240}, [3]int64{181, 945, 474287}, "bee913a9bebc607e"},
+		{"nearest", 0, hour, 10, [3]int64{10, 45, 23771}, [3]int64{81, 575, 213537}, "243f2a800248021a"},
+		{"wide nearest", 0, 12 * hour, 10, [3]int64{13, 72, 33823}, [3]int64{154, 1134, 428098}, "3356111496153c0a"},
 	} {
 		t.Run(sh.name, func(t *testing.T) {
-			opts := query.Options{Camera: cam, MaxResults: sh.n}
-			qs := workload.Queries(cfg, questions, sh.radius, sh.window)
-			var nodes, leafs []int64
-			all, first, oracle := sha256.New(), sha256.New(), sha256.New()
-			for i, q := range qs {
-				tr := obs.NewQueryTrace("rtree")
-				got, err := query.SearchCtx(obs.WithTrace(context.Background(), tr), x, q, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				nodes, leafs = append(nodes, tr.NodesVisited), append(leafs, tr.LeafEntriesScanned)
-				all.Write(answerIDs(got))
-				if i < oracleQuestions {
-					first.Write(answerIDs(got))
-					want, err := query.Search(lin, q, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					oracle.Write(answerIDs(want))
-				}
-			}
-			gotNodes, gotLeafs := work(nodes), work(leafs)
-			digest := hex.EncodeToString(all.Sum(nil))[:16]
-			t.Logf("nodes p50 %d p99 %d mean %.2f; leaf entries p50 %d p99 %d mean %.2f; answers %s",
-				gotNodes[0], gotNodes[1], float64(gotNodes[2])/questions,
-				gotLeafs[0], gotLeafs[1], float64(gotLeafs[2])/questions, digest)
-			if gotNodes != sh.nodes || gotLeafs != sh.leafs || digest != sh.digest {
-				t.Errorf("nodes %v, leaf entries %v, answers %s; pinned %v, %v, %s",
-					gotNodes, gotLeafs, digest, sh.nodes, sh.leafs, sh.digest)
-			}
-			if a, b := hex.EncodeToString(first.Sum(nil)), hex.EncodeToString(oracle.Sum(nil)); a != b {
-				t.Errorf("the first %d answers digest %s over the tree, %s over Linear", oracleQuestions, a, b)
-			}
+			sh.pin(t, cfg, x, lin, questions, func(i int, _ []query.Ranked) bool { return i < oracleQuestions })
 		})
+	}
+
+	// One device that sees 5 km, a 60-s segment at noon at the city
+	// centre: it widens the walk of the questions it may cover, those
+	// whose window meets its minute and whose reach box comes within
+	// 5 km of it, and no other; where the top N fills (scan), its bound
+	// still caps the walk. Every answer that holds the device is held to
+	// Linear's too.
+	wide := index.Entry{
+		ID: uint64(lin.Len() + 1), Provider: "wide", Camera: fov.Camera{HalfAngleDeg: 30, RadiusMeters: 5000},
+		Rep: segment.Representative{FoV: fov.FoV{P: workload.DefaultConfig.Center}, StartMillis: 12 * hour, EndMillis: 12*hour + 60_000},
+	}
+	if err := x.Insert(wide); err != nil {
+		t.Fatal(err)
+	}
+	if err := lin.Insert(wide); err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range []workShape{
+		{"point, one 5-km device", 30, hour, 20, [3]int64{11, 1683, 115575}, [3]int64{97, 32731, 2004331}, "0f4a2668fa4f93ac"},
+		{"scan, one 5-km device", 300, 24 * hour, 20, [3]int64{21, 396, 112943}, [3]int64{297, 7996, 2108445}, "9b6cc5b680e60d41"},
+	} {
+		t.Run(sh.name, func(t *testing.T) {
+			sh.pin(t, cfg, x, lin, questions, func(i int, got []query.Ranked) bool {
+				return i < oracleQuestions || slices.ContainsFunc(got, func(r query.Ranked) bool { return r.Entry.ID == wide.ID })
+			})
+		})
+	}
+}
+
+// workShape is one read shape of TestServingTreeWorkPinned with its
+// pins: the nodes visited and leaf entries handed over per question
+// (p50, p99, total over the questions) and the digest of the answers.
+type workShape struct {
+	name         string
+	radius       float64
+	window       int64
+	n            int
+	nodes, leafs [3]int64
+	digest       string
+}
+
+// pin asks the shape's questions of x through the traced query walk,
+// camera 30°/100 m, and holds its work and answers to the pins, and
+// the answers oracle picks (by question and answer) to lin's.
+func (sh workShape) pin(t *testing.T, cfg workload.Config, x, lin index.Index, questions int, oracle func(int, []query.Ranked) bool) {
+	opts := query.Options{Camera: fov.Camera{HalfAngleDeg: 30, RadiusMeters: 100}, MaxResults: sh.n}
+	qs := workload.Queries(cfg, questions, sh.radius, sh.window)
+	var nodes, leafs []int64
+	all := sha256.New()
+	short, checked := 0, 0
+	for i, q := range qs {
+		tr := obs.NewQueryTrace("rtree")
+		got, err := query.SearchCtx(obs.WithTrace(context.Background(), tr), x, q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) < sh.n {
+			short++
+		}
+		nodes, leafs = append(nodes, tr.NodesVisited), append(leafs, tr.LeafEntriesScanned)
+		all.Write(answerIDs(got))
+		if oracle(i, got) {
+			checked++
+			want, err := query.Search(lin, q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(answerIDs(got), answerIDs(want)) {
+				t.Errorf("question %d answers %x over the tree, %x over Linear", i, answerIDs(got), answerIDs(want))
+			}
+		}
+	}
+	gotNodes, gotLeafs := work(nodes), work(leafs)
+	digest := hex.EncodeToString(all.Sum(nil))[:16]
+	t.Logf("nodes p50 %d p99 %d mean %.2f; leaf entries p50 %d p99 %d mean %.2f; %d of %d short of N; answers %s, %d held to Linear's",
+		gotNodes[0], gotNodes[1], float64(gotNodes[2])/float64(questions),
+		gotLeafs[0], gotLeafs[1], float64(gotLeafs[2])/float64(questions), short, questions, digest, checked)
+	if gotNodes != sh.nodes || gotLeafs != sh.leafs || digest != sh.digest {
+		t.Errorf("nodes %v, leaf entries %v, answers %s; pinned %v, %v, %s",
+			gotNodes, gotLeafs, digest, sh.nodes, sh.leafs, sh.digest)
 	}
 }
 

@@ -21,31 +21,20 @@ import (
 // a nil *QueryTrace (the no-trace case) makes every method a no-op, so
 // the traced code path costs zero allocations when tracing is off.
 
-// Drop reasons recorded by the retrieval pipeline. The values double as
-// the dropCounts keys in the JSON encoding.
-const (
-	// DropDistance: the candidate stood beyond R + r of the query
-	// center, so its sector cannot reach the query circle.
-	DropDistance = "distance"
-	// DropOrientation: the candidate was near enough but its viewing
-	// direction does not cover the query range (the paper's improper-
-	// direction exclusion, step 3 of Section V-B).
-	DropOrientation = "orientation"
-)
-
 // MaxDropDetails bounds the per-trace list of per-candidate drop
 // records; beyond it only the per-reason counts keep growing.
 const MaxDropDetails = 32
 
 // TraceDrop is one filtered-out candidate with the reason it was
-// dropped. For orientation drops, AngleDeg is the offending angle — the
-// difference between the camera heading and the bearing to the query
-// center — and LimitDeg the largest angle that would still have covered.
+// dropped (fov.MissDistance or fov.MissOrientation, the keys of
+// DropCounts too): the camera's distance from the query center, the
+// angle between its heading and the bearing to the center, and how far
+// its sector misses the query disc, in metres.
 type TraceDrop struct {
 	EntryID        uint64  `json:"entryID"`
 	Reason         string  `json:"reason"`
 	AngleDeg       float64 `json:"angleDeg,omitempty"`
-	LimitDeg       float64 `json:"limitDeg,omitempty"`
+	MissMeters     float64 `json:"missMeters,omitempty"`
 	DistanceMeters float64 `json:"distanceMeters,omitempty"`
 }
 
@@ -142,13 +131,6 @@ func (t *QueryTrace) SetCandidates(n int) {
 	t.Candidates = n
 }
 
-// Drop records one candidate excluded by the filter: CountDrops for one,
-// plus DropDetail.
-func (t *QueryTrace) Drop(entryID uint64, reason string, angleDeg, limitDeg, distanceMeters float64) {
-	t.CountDrops(reason, 1)
-	t.DropDetail(entryID, reason, angleDeg, limitDeg, distanceMeters)
-}
-
 // CountDrops adds n excluded candidates to the per-reason counts — the
 // form a filter loop that tallies reasons itself reports once at its
 // end. Zero is not recorded, so a reason only appears once it dropped
@@ -173,7 +155,7 @@ func (t *QueryTrace) WantsDropDetail() bool {
 
 // DropDetail keeps the per-candidate record of one drop, for the first
 // MaxDropDetails drops only. It does not count the drop.
-func (t *QueryTrace) DropDetail(entryID uint64, reason string, angleDeg, limitDeg, distanceMeters float64) {
+func (t *QueryTrace) DropDetail(entryID uint64, reason string, angleDeg, missMeters, distanceMeters float64) {
 	if !t.WantsDropDetail() {
 		return
 	}
@@ -181,7 +163,7 @@ func (t *QueryTrace) DropDetail(entryID uint64, reason string, angleDeg, limitDe
 		EntryID:        entryID,
 		Reason:         reason,
 		AngleDeg:       angleDeg,
-		LimitDeg:       limitDeg,
+		MissMeters:     missMeters,
 		DistanceMeters: distanceMeters,
 	})
 }
@@ -194,8 +176,8 @@ func (t *QueryTrace) SetRanked(n int) {
 	t.Ranked = n
 }
 
-// SetBound records the distance bound the walk ended with; +Inf (the
-// top N never filled, or there is no N) records nothing.
+// SetBound records the distance bound a filled top N ended the walk
+// with: the N-th result's distance. The ranker calls it only then.
 func (t *QueryTrace) SetBound(meters float64) {
 	if t == nil || math.IsInf(meters, 1) {
 		return

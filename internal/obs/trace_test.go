@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"fovr/internal/fov"
 )
 
 func TestNilTraceIsSafe(t *testing.T) {
@@ -14,7 +16,8 @@ func TestNilTraceIsSafe(t *testing.T) {
 	tr.SetQuery("q")
 	tr.AddIndexVisit(1, 2)
 	tr.SetCandidates(3)
-	tr.Drop(1, DropOrientation, 90, 45, 10)
+	tr.CountDrops(fov.MissOrientation, 1)
+	tr.DropDetail(1, fov.MissOrientation, 90, 45, 10)
 	tr.SetRanked(4)
 	tr.SetReturned(5, 6)
 	tr.StartStage("search").End()
@@ -32,9 +35,12 @@ func TestTraceAccumulation(t *testing.T) {
 	tr.AddIndexVisit(5, 20)
 	tr.AddIndexVisit(2, 10)
 	tr.SetCandidates(30)
-	tr.Drop(7, DropOrientation, 120, 48, 15)
-	tr.Drop(8, DropDistance, 0, 0, 500)
-	tr.Drop(9, DropOrientation, 99, 48, 12)
+	tr.CountDrops(fov.MissOrientation, 1)
+	tr.DropDetail(7, fov.MissOrientation, 120, 48, 15)
+	tr.CountDrops(fov.MissDistance, 1)
+	tr.DropDetail(8, fov.MissDistance, 0, 0, 500)
+	tr.CountDrops(fov.MissOrientation, 1)
+	tr.DropDetail(9, fov.MissOrientation, 99, 48, 12)
 	tr.SetRanked(27)
 	st := tr.StartStage("search")
 	time.Sleep(time.Millisecond)
@@ -45,7 +51,7 @@ func TestTraceAccumulation(t *testing.T) {
 	if tr.NodesVisited != 7 || tr.LeafEntriesScanned != 30 {
 		t.Fatalf("index counters = %d/%d, want 7/30", tr.NodesVisited, tr.LeafEntriesScanned)
 	}
-	if tr.DropsTotal != 3 || tr.DropCounts[DropOrientation] != 2 || tr.DropCounts[DropDistance] != 1 {
+	if tr.DropsTotal != 3 || tr.DropCounts[fov.MissOrientation] != 2 || tr.DropCounts[fov.MissDistance] != 1 {
 		t.Fatalf("drop accounting wrong: total=%d counts=%v", tr.DropsTotal, tr.DropCounts)
 	}
 	if len(tr.Drops) != 3 || tr.Drops[0].EntryID != 7 || tr.Drops[0].AngleDeg != 120 {
@@ -79,12 +85,13 @@ func TestTraceAccumulation(t *testing.T) {
 func TestTraceDropDetailBounded(t *testing.T) {
 	tr := NewQueryTrace("q")
 	for i := 0; i < MaxDropDetails+10; i++ {
-		tr.Drop(uint64(i), DropOrientation, 90, 45, 1)
+		tr.CountDrops(fov.MissOrientation, 1)
+		tr.DropDetail(uint64(i), fov.MissOrientation, 90, 45, 1)
 	}
 	if len(tr.Drops) != MaxDropDetails {
 		t.Fatalf("drop detail grew to %d, want cap %d", len(tr.Drops), MaxDropDetails)
 	}
-	if tr.DropsTotal != MaxDropDetails+10 || tr.DropCounts[DropOrientation] != MaxDropDetails+10 {
+	if tr.DropsTotal != MaxDropDetails+10 || tr.DropCounts[fov.MissOrientation] != MaxDropDetails+10 {
 		t.Fatal("per-reason counts must keep growing past the detail cap")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"fovr/internal/fov"
@@ -18,29 +19,35 @@ import (
 )
 
 // baselineSearch is the pipeline as it stood before the zero-copy read
-// kernels and the steered walk, kept as the reference: collect every
-// candidate in the box by value, run the explaining coverage test on
-// each, sort.Slice all survivors by (distance, id), cut to MaxResults.
-// It records what the old traced loop recorded — the whole box as
-// candidates — so the equivalence suite can hold SearchCtx to the same
-// answers and bound its trace.
-func baselineSearch(idx index.Index, q Query, opts Options) ([]Ranked, *obs.QueryTrace) {
+// kernels and the steered walk, kept as the reference, and run over the
+// corpus itself rather than an index: take every entry of the window
+// near enough to cover the circle — within r + R of the center by
+// geo.Distance, R its own camera's radius of view — run the coverage
+// test on each, sort.Slice all survivors by (distance, id), cut to
+// MaxResults. It records what the old traced loop recorded, with those
+// entries for the box's as the candidates. entries must be on the grid,
+// as every index holds them.
+func baselineSearch(entries []index.Entry, q Query, opts Options) ([]Ranked, *obs.QueryTrace) {
 	tr := obs.NewQueryTrace("reference")
-	rect := geo.RectAround(q.Center, q.RadiusMeters+opts.Camera.RadiusMeters)
-	candidates := idx.Search(rect, q.StartMillis, q.EndMillis)
-	tr.SetCandidates(len(candidates))
-	out := make([]Ranked, 0, len(candidates))
-	for _, e := range candidates {
-		d := geo.Distance(e.Rep.FoV.P, q.Center)
-		if !opts.SkipOrientationFilter {
-			covered, miss := e.Rep.FoV.ExplainCoversCircle(e.EffectiveCamera(opts.Camera), q.Center, q.RadiusMeters)
-			if !covered {
-				tr.Drop(e.ID, miss.Reason, miss.AngleDeg, miss.LimitDeg, miss.DistanceMeters)
-				continue
-			}
+	out := []Ranked{}
+	candidates := 0
+	for _, e := range entries {
+		v := geo.Displacement(e.Rep.FoV.P, q.Center)
+		d := v.Norm()
+		cam := e.EffectiveCamera(opts.Camera)
+		if e.Rep.EndMillis < q.StartMillis || e.Rep.StartMillis > q.EndMillis || d > q.RadiusMeters+cam.RadiusMeters {
+			continue
+		}
+		candidates++
+		c := e.Rep.FoV.CircleCoverage(cam, v, d, q.RadiusMeters)
+		if c == fov.TooFar || c == fov.FacingAway && !opts.SkipOrientationFilter {
+			tr.CountDrops(c.Reason(), 1)
+			tr.DropDetail(e.ID, c.Reason(), geo.AngleDiff(v.Bearing(), e.Rep.FoV.Theta), e.Rep.FoV.SectorDistance(cam, v, d)-q.RadiusMeters, d)
+			continue
 		}
 		out = append(out, Ranked{Entry: e, DistanceMeters: d})
 	}
+	tr.SetCandidates(candidates)
 	tr.SetRanked(len(out))
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].DistanceMeters != out[j].DistanceMeters {
@@ -57,10 +64,20 @@ func baselineSearch(idx index.Index, q Query, opts Options) ([]Ranked, *obs.Quer
 	return out, tr
 }
 
+// onGrid returns the entries as every index holds them.
+func onGrid(entries []index.Entry) []index.Entry {
+	out := make([]index.Entry, len(entries))
+	for i, e := range entries {
+		out[i] = e.OnGrid()
+	}
+	return out
+}
+
 // equivalenceCorpus scatters n cameras within 400 m of origin. One in
 // four stands on one of five shared spots (so equal distances occur,
 // also across the top-N cut, among cameras whose start times put them in
-// different leaves) and one in five declares its own optics.
+// different leaves) and one in five declares its own optics, with a
+// radius of view of up to three times the deployment's (cam's 100 m).
 func equivalenceCorpus(rng *rand.Rand, origin geo.Point, n int) []index.Entry {
 	entries := make([]index.Entry, n)
 	for i := range entries {
@@ -74,7 +91,7 @@ func equivalenceCorpus(rng *rand.Rand, origin geo.Point, n int) []index.Entry {
 		start := int64(rng.Intn(100_000))
 		e := entry(uint64(i+1), p, rng.Float64()*360, start, start+int64(rng.Intn(50_000)))
 		if rng.Intn(5) == 0 {
-			e.Camera = fov.Camera{HalfAngleDeg: 10 + rng.Float64()*60, RadiusMeters: 20 + rng.Float64()*80}
+			e.Camera = fov.Camera{HalfAngleDeg: 10 + rng.Float64()*60, RadiusMeters: 20 + rng.Float64()*280}
 		}
 		entries[i] = e
 	}
@@ -101,17 +118,23 @@ func equivalenceKinds(t *testing.T, entries []index.Entry) map[string]index.Inde
 	return kinds
 }
 
-// sameAsReference holds one SearchCtx answer to the reference:
-// byte-equal results, traced and untraced, and a trace that accounts for
-// the work done. The steered walk hands the filter no more than the box
-// holds, every entry it hands over is dropped or ranked, and every
-// ranked one is returned or truncated; when the bound never engaged (no
-// N, or fewer than N survivors) the trace is the reference's exactly,
-// the drop records compared as a set because the walk's order is its
+// sameAsReference holds one SearchCtx answer over idx, which holds
+// entries, to the reference: byte-equal results, traced and untraced,
+// and a trace that accounts for the work done. Every entry the walk
+// hands over is dropped or ranked, and every ranked one is returned or
+// truncated. When the bound never engaged (no N, or fewer than N
+// survivors) the trace is the reference's but for the entries beyond
+// their own reach an index may also hand over, each one more candidate
+// dropped for distance: none for Linear, which hands over exactly the
+// reference's; for RTree those its walk reaches because a wider camera
+// may cover the circle — it hands over every entry of the window within
+// its reach and none beyond, the reach as rtreeReach bounds it; for
+// Grid also its boxes' corners. The drop records of the entries within
+// their reach are compared as a set, because the walk's order is its
 // own.
-func sameAsReference(t *testing.T, name string, idx index.Index, q Query, opts Options) {
+func sameAsReference(t *testing.T, name string, idx index.Index, entries []index.Entry, q Query, opts Options) {
 	t.Helper()
-	want, wantTr := baselineSearch(idx, q, opts)
+	want, wantTr := baselineSearch(entries, q, opts)
 	tr := obs.NewQueryTrace("new")
 	got, err := SearchCtx(obs.WithTrace(context.Background(), tr), idx, q, opts)
 	if err != nil {
@@ -122,20 +145,29 @@ func sameAsReference(t *testing.T, name string, idx index.Index, q Query, opts O
 	if string(gotJSON) != string(wantJSON) || !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s %+v: results differ\n got %s\nwant %s", name, q, gotJSON, wantJSON)
 	}
-	if tr.Candidates != tr.DropsTotal+tr.Ranked || tr.Ranked != tr.Returned+tr.Truncated ||
-		tr.Candidates > wantTr.Candidates || tr.Returned != wantTr.Returned {
+	if tr.Candidates != tr.DropsTotal+tr.Ranked || tr.Ranked != tr.Returned+tr.Truncated || tr.Returned != wantTr.Returned {
 		t.Fatalf("%s %+v: trace does not add up\n got %+v\nwant %+v", name, q, tr, wantTr)
 	}
 	if opts.MaxResults <= 0 || wantTr.Ranked < opts.MaxResults {
+		beyond := tr.Candidates - wantTr.Candidates
+		lo, hi := rtreeReach(entries, q, opts)
+		if strings.HasPrefix(name, "rtree") && (tr.Candidates < inWindowWithin(entries, q, lo) || tr.Candidates > inWindowWithin(entries, q, hi)) {
+			t.Fatalf("%s %+v: the walk handed over %d entries, want those within %.3f m (%d) up to those within %.3f m (%d)",
+				name, q, tr.Candidates, lo, inWindowWithin(entries, q, lo), hi, inWindowWithin(entries, q, hi))
+		}
+		var within []obs.TraceDrop
+		for _, d := range tr.Drops {
+			if e := entryByID(entries, d.EntryID); d.DistanceMeters <= q.RadiusMeters+e.EffectiveCamera(opts.Camera).RadiusMeters {
+				within = append(within, d)
+			}
+		}
 		byID := func(a, b obs.TraceDrop) int { return cmp.Compare(a.EntryID, b.EntryID) }
-		slices.SortFunc(tr.Drops, byID)
+		slices.SortFunc(within, byID)
 		slices.SortFunc(wantTr.Drops, byID)
-		if tr.Candidates != wantTr.Candidates || tr.Ranked != wantTr.Ranked ||
-			tr.Truncated != wantTr.Truncated || tr.DropsTotal != wantTr.DropsTotal ||
-			tr.BoundMeters != 0 ||
-			!reflect.DeepEqual(tr.DropCounts, wantTr.DropCounts) ||
-			len(tr.Drops) != len(wantTr.Drops) ||
-			(wantTr.DropsTotal <= obs.MaxDropDetails && !reflect.DeepEqual(tr.Drops, wantTr.Drops)) {
+		if beyond < 0 || strings.HasPrefix(name, "linear") && beyond != 0 || tr.Ranked != wantTr.Ranked || tr.Truncated != wantTr.Truncated || tr.BoundMeters != 0 ||
+			tr.DropCounts[fov.MissDistance] != wantTr.DropCounts[fov.MissDistance]+beyond ||
+			tr.DropCounts[fov.MissOrientation] != wantTr.DropCounts[fov.MissOrientation] ||
+			(tr.DropsTotal <= obs.MaxDropDetails && !slices.Equal(within, wantTr.Drops)) {
 			t.Fatalf("%s %+v: the bound never engaged, yet the trace differs\n got %+v\nwant %+v", name, q, tr, wantTr)
 		}
 	}
@@ -145,12 +177,48 @@ func sameAsReference(t *testing.T, name string, idx index.Index, q Query, opts O
 	}
 }
 
+// rtreeReach bounds the reach an RTree walks for q over entries: r plus
+// at least the widest radius of view (the deployment's at the least) of
+// an entry of the window within r plus that radius of the center, and
+// at most the widest of the corpus, as the index sizes its reach from
+// the bounding boxes of classes of radii.
+func rtreeReach(entries []index.Entry, q Query, opts Options) (lo, hi float64) {
+	lo, hi = opts.Camera.RadiusMeters, opts.Camera.RadiusMeters
+	for _, e := range entries {
+		hi = max(hi, e.Camera.RadiusMeters)
+		if e.Rep.EndMillis >= q.StartMillis && e.Rep.StartMillis <= q.EndMillis &&
+			geo.Distance(e.Rep.FoV.P, q.Center) <= q.RadiusMeters+e.Camera.RadiusMeters {
+			lo = max(lo, e.Camera.RadiusMeters)
+		}
+	}
+	return q.RadiusMeters + lo, q.RadiusMeters + hi
+}
+
+// inWindowWithin counts the entries of q's window within reach of its
+// center by geo.Distance.
+func inWindowWithin(entries []index.Entry, q Query, reach float64) int {
+	n := 0
+	for _, e := range entries {
+		if e.Rep.EndMillis >= q.StartMillis && e.Rep.StartMillis <= q.EndMillis && geo.Distance(e.Rep.FoV.P, q.Center) <= reach {
+			n++
+		}
+	}
+	return n
+}
+
+// entryByID returns the entry of entries with the id.
+func entryByID(entries []index.Entry, id uint64) *index.Entry {
+	i := slices.IndexFunc(entries, func(e index.Entry) bool { return e.ID == id })
+	return &entries[i]
+}
+
 // checkEquivalence builds every index kind over the same corpus around
 // origin and holds SearchCtx to the reference on each.
 func checkEquivalence(t *testing.T, seed int64, n, maxResults int, skipFilter bool, origin geo.Point) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	kinds := equivalenceKinds(t, equivalenceCorpus(rng, origin, n))
+	corpus := equivalenceCorpus(rng, origin, n)
+	kinds, held := equivalenceKinds(t, corpus), onGrid(corpus)
 	opts := Options{Camera: cam, MaxResults: maxResults, SkipOrientationFilter: skipFilter}
 	for trial := 0; trial < 6; trial++ {
 		start := int64(rng.Intn(120_000))
@@ -164,7 +232,7 @@ func checkEquivalence(t *testing.T, seed int64, n, maxResults int, skipFilter bo
 			q.Center = origin // every shared spot at exactly the same distance
 		}
 		for name, idx := range kinds {
-			sameAsReference(t, fmt.Sprintf("%s seed %d trial %d", name, seed, trial), idx, q, opts)
+			sameAsReference(t, fmt.Sprintf("%s seed %d trial %d", name, seed, trial), idx, held, q, opts)
 		}
 	}
 }
@@ -232,6 +300,6 @@ func TestTopNCutThroughTies(t *testing.T) {
 				t.Fatalf("%s: rank %d = id %d, want %d (ids break the tie)", name, i+1, r.Entry.ID, i+1)
 			}
 		}
-		sameAsReference(t, name, idx, q, Options{Camera: cam, MaxResults: 5})
+		sameAsReference(t, name, idx, onGrid(entries), q, Options{Camera: cam, MaxResults: 5})
 	}
 }

@@ -5,10 +5,10 @@
 //
 // The four steps, as the paper lists them:
 //
-//  1. Build a reasonable query rectangle from an empirical radius of view
-//     for the area type (20 m residential, 100 m highway, ...), padded so
-//     cameras standing outside the query circle but looking into it are
-//     still candidates.
+//  1. Find the candidates from an empirical radius of view for the area
+//     type (20 m residential, 100 m highway, ...): every camera near
+//     enough to cover the query circle, including those standing outside
+//     it but looking into it.
 //  2. Sort candidate FoVs by distance to the query center — closer
 //     cameras are less likely to be occluded by trees or walls.
 //  3. Exclude FoVs with an improper direction: the camera must actually
@@ -17,8 +17,9 @@
 //  4. Return the top N records.
 //
 // SearchCtx runs the four as one walk of the index that the ranker
-// steers: the N-th best distance found so far bounds what the index
-// still has to look at.
+// steers: the reach (r plus the widest radius of view among the cameras
+// that may cover the circle) bounds what the index looks at, and the
+// N-th best distance found so far bounds it further once there is one.
 package query
 
 import (
@@ -101,16 +102,19 @@ func (q Query) Validate() error {
 
 // Options tunes the ranker.
 type Options struct {
-	// Camera supplies the viewing geometry (alpha, R) used for the
-	// orientation filter and the search-rectangle padding. The radius of
-	// view doubles as the candidate cut-off: cameras farther than
-	// RadiusMeters + query radius from the center cannot cover the range.
+	// Camera is the deployment's viewing geometry (alpha, R), the
+	// filter's camera for entries that declare none. The index hands
+	// over every entry near enough to cover the query circle: within the
+	// query radius plus R, or plus the entry's own radius of view
+	// (index.Index.Visit).
 	Camera fov.Camera
 	// MaxResults is N of step 4. Zero means unlimited.
 	MaxResults int
-	// SkipOrientationFilter disables step 3, returning every FoV whose
-	// position falls in the query rectangle — the pre-filtering behaviour
-	// the paper argues against. Exposed for the ablation benchmarks.
+	// SkipOrientationFilter disables step 3, returning every FoV near
+	// enough to cover the query circle (within R + r of its center, R
+	// its own camera's) whichever way it faces — the pre-filtering
+	// behaviour the paper argues against. Exposed for the ablation
+	// benchmarks.
 	SkipOrientationFilter bool
 }
 
@@ -218,7 +222,8 @@ func (sc *scratch) offer(dist float64, e *index.Entry) {
 // bound is what the walk is told after every entry: nothing farther
 // than the worst key kept can matter once the heap is full. A key at
 // exactly that distance can still win on its id, which is why the index
-// skips only what lies strictly beyond.
+// skips only what lies strictly beyond. Until then the index's own
+// reach bounds the walk.
 func (sc *scratch) bound() float64 {
 	if n := sc.opts.MaxResults; n > 0 && len(sc.keys) == n {
 		return sc.keys[0].dist
@@ -226,27 +231,28 @@ func (sc *scratch) bound() float64 {
 	return math.Inf(1)
 }
 
-// offerEntry is steps 2+3 for one entry the index found in the box:
-// orientation filter, ranking key. Entries from devices that declared
-// their own optics are filtered with them; opts.Camera is the deployment
-// default (and must bound the largest allowed device radius, since it
-// sizes the candidate rectangle). One displacement serves both the
-// distance and the coverage test.
+// offerEntry is steps 2+3 for one entry the index handed over:
+// coverage filter, ranking key. Entries from devices that declared their
+// own optics are filtered with them; opts.Camera is the deployment
+// default. One displacement serves the distance, the coverage test and
+// a dropped entry's diagnosis.
 func (sc *scratch) offerEntry(e *index.Entry) float64 {
 	sc.candidates++
-	q, tr := &sc.q, sc.tr
-	v := geo.Displacement(e.Rep.FoV.P, q.Center)
+	q, tr, f := &sc.q, sc.tr, &e.Rep.FoV
+	v := geo.Displacement(f.P, q.Center)
 	d := v.Norm()
-	if !sc.opts.SkipOrientationFilter {
-		cam := e.EffectiveCamera(sc.opts.Camera)
-		if c := e.Rep.FoV.CircleCoverage(cam, v, d, q.RadiusMeters); c != fov.Covered {
-			sc.drops[c]++
-			if tr.WantsDropDetail() {
-				_, miss := e.Rep.FoV.ExplainCoversCircle(cam, q.Center, q.RadiusMeters)
-				tr.DropDetail(e.ID, miss.Reason, miss.AngleDeg, miss.LimitDeg, miss.DistanceMeters)
-			}
-			return sc.bound()
+	cam := e.EffectiveCamera(sc.opts.Camera)
+	c := f.CircleCoverage(cam, v, d, q.RadiusMeters)
+	if c == fov.FacingAway && sc.opts.SkipOrientationFilter {
+		c = fov.Covered
+	}
+	if c != fov.Covered {
+		sc.drops[c]++
+		if tr.WantsDropDetail() {
+			tr.DropDetail(e.ID, c.Reason(), geo.AngleDiff(v.Bearing(), f.Theta),
+				f.SectorDistance(cam, v, d)-q.RadiusMeters, d)
 		}
+		return sc.bound()
 	}
 	sc.ranked++
 	sc.offer(d, e)
@@ -257,9 +263,10 @@ func (sc *scratch) offerEntry(e *index.Entry) float64 {
 // carries an obs.QueryTrace (see obs.WithTrace), the pipeline records
 // into it the work it did — the index traversal cost, the entries the
 // walk handed to the filter ("candidates"), the filter drops per reason
-// (and the offending angle of the first obs.MaxDropDetails), the
-// survivors ("ranked") and how many of them fell beyond the cut
-// ("truncated"), the final distance bound — and two stage timings:
+// (and, for the first obs.MaxDropDetails, how far each sector misses the
+// query disc), the survivors ("ranked") and how many of them fell beyond
+// the cut ("truncated"), the N-th result's distance once the top N
+// filled — and two stage timings:
 // "search" — the steered walk with the orientation filter and the
 // bounded top-N inside it, since they are one loop — and "rank" —
 // ordering and materialising the N results. Traced and untraced requests
@@ -277,14 +284,12 @@ func SearchCtx(ctx context.Context, idx index.Index, q Query, opts Options) ([]R
 	defer sc.release()
 	sc.q, sc.opts, sc.tr = q, opts, tr
 
-	// Steps 1-3 as one walk. The query rectangle is padded by the radius
-	// of view so cameras outside the circle but able to see into it remain
-	// candidates; the index hands over what it finds inside, nearest
-	// subtrees first, and the N-th best distance so far tells it what it
+	// Steps 1-3 as one walk: the index hands over every camera near
+	// enough to cover the circle (within r plus its radius of view),
+	// nearest first, and the N-th best distance so far tells it what it
 	// need not find at all.
-	rect := geo.RectAround(q.Center, q.RadiusMeters+opts.Camera.RadiusMeters)
 	st := tr.StartStage("search")
-	nodes, scanned := idx.Visit(rect, q.StartMillis, q.EndMillis, q.Center, sc.visit)
+	nodes, scanned := idx.Visit(q.Center, q.RadiusMeters, opts.Camera.RadiusMeters, q.StartMillis, q.EndMillis, sc.visit)
 	st.End()
 	tr.AddIndexVisit(nodes, scanned)
 	tr.SetCandidates(sc.candidates)
@@ -320,8 +325,8 @@ func SearchCtx(ctx context.Context, idx index.Index, q Query, opts Options) ([]R
 // the window and actually cover the point — no empirical query radius
 // has to be guessed, the alternative to step 1's radius table when the
 // area type is unknown. It is the query at radius 0 with N = k: at
-// radius 0 the circle-coverage test is exactly FoV.Covers, so one walk
-// and one ranking (distance, then id) answer both forms. k <= 0 selects
+// radius 0 the circle-coverage test is the point-in-sector test, so one
+// walk and one ranking (distance, then id) answer both forms. k <= 0 selects
 // opts.MaxResults, and 20 when that is unset too.
 func SearchNearest(idx index.Index, center geo.Point, startMillis, endMillis int64, k int, opts Options) ([]Ranked, error) {
 	if k <= 0 {

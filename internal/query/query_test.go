@@ -175,7 +175,7 @@ func TestPaddedRectCatchesOutsideCameras(t *testing.T) {
 	// A camera standing 90 m from the query center — far outside the
 	// 10 m query circle but within its 100 m radius of view, facing the
 	// center — must be found even though its *position* is outside the
-	// unpadded query rectangle.
+	// query circle: the reach is r + R.
 	p := geo.Offset(center, 90, 90) // 90 m east, facing west
 	idx := newIndex(t, entry(1, p, 270, 0, 1000))
 	got, err := Search(idx, Query{EndMillis: 1000, Center: center, RadiusMeters: 10},

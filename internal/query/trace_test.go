@@ -2,17 +2,20 @@ package query
 
 import (
 	"context"
+	"math"
 	"testing"
 
+	"fovr/internal/fov"
 	"fovr/internal/geo"
 	"fovr/internal/index"
 	"fovr/internal/obs"
 )
 
 // TestTraceDropAccounting is the observable half of the improper-
-// direction exclusion: a camera inside the query rectangle but facing
-// away must show up in the trace as an orientation drop — with the
-// offending angle — and never in the results.
+// direction exclusion: a camera near enough to cover the query but
+// facing away must show up in the trace as an orientation drop — with
+// the offending angle and how far its sector misses the query disc —
+// and never in the results.
 func TestTraceDropAccounting(t *testing.T) {
 	pitchSide := geo.Offset(center, 0, 50)
 	facingQuery := entry(1, pitchSide, 180, 0, 1000)
@@ -37,22 +40,23 @@ func TestTraceDropAccounting(t *testing.T) {
 		}
 	}
 	if tr.Candidates != 2 {
-		t.Fatalf("candidates = %d, want 2 (both are in the box)", tr.Candidates)
+		t.Fatalf("candidates = %d, want 2 (both are within reach)", tr.Candidates)
 	}
-	if tr.DropCounts[obs.DropOrientation] != 1 || tr.DropsTotal != 1 {
+	if tr.DropCounts[fov.MissOrientation] != 1 || tr.DropsTotal != 1 {
 		t.Fatalf("drop accounting = %v (total %d), want one orientation drop", tr.DropCounts, tr.DropsTotal)
 	}
 	if len(tr.Drops) != 1 {
 		t.Fatalf("drop detail missing: %+v", tr.Drops)
 	}
 	d := tr.Drops[0]
-	if d.EntryID != 2 || d.Reason != obs.DropOrientation {
+	if d.EntryID != 2 || d.Reason != fov.MissOrientation {
 		t.Fatalf("drop = %+v, want segment 2 dropped for orientation", d)
 	}
 	// Facing due north with the query due south: the offending angle is
-	// 180° and must exceed the recorded limit.
-	if d.AngleDeg < 170 || d.AngleDeg > 180 || d.AngleDeg <= d.LimitDeg {
-		t.Fatalf("offending angle %v (limit %v) implausible for a camera facing away", d.AngleDeg, d.LimitDeg)
+	// 180°, and the sector's nearest point is the camera itself, 50 m
+	// from the center, so it misses the 20 m disc by 30 m.
+	if d.AngleDeg < 170 || d.AngleDeg > 180 || math.Abs(d.MissMeters-30) > 0.01 || math.Abs(d.DistanceMeters-50) > 0.01 {
+		t.Fatalf("drop %+v: want an angle near 180°, 50 m away, missing by 30 m", d)
 	}
 	if tr.Ranked != 1 || tr.Returned != 1 || tr.Truncated != 0 {
 		t.Fatalf("rank accounting wrong: ranked=%d returned=%d truncated=%d", tr.Ranked, tr.Returned, tr.Truncated)

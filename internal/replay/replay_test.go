@@ -97,7 +97,9 @@ func TestRunDeterministicIngest(t *testing.T) {
 // first row (DefaultConfig, 50 providers, 200 queries) to the figures the
 // replay produced when it ran on its own in-process index, before it moved
 // onto server.Server: the move must not change what is segmented, encoded,
-// indexed or found.
+// indexed or found. One result fewer than then (1 613, not 1 614): the
+// coverage filter became exact, and one camera whose sector missed its
+// query disc is no longer found.
 func TestRunPinnedCounts(t *testing.T) {
 	cfg := DefaultConfig
 	cfg.Providers = 50
@@ -106,8 +108,8 @@ func TestRunPinnedCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Frames != 30_050 || m.Segments != 557 || m.UploadBytes != 9_250 || m.ResultsTotal != 1_614 {
-		t.Fatalf("frames/segments/bytes/results = %d/%d/%d/%d, want 30050/557/9250/1614",
+	if m.Frames != 30_050 || m.Segments != 557 || m.UploadBytes != 9_250 || m.ResultsTotal != 1_613 {
+		t.Fatalf("frames/segments/bytes/results = %d/%d/%d/%d, want 30050/557/9250/1613",
 			m.Frames, m.Segments, m.UploadBytes, m.ResultsTotal)
 	}
 }

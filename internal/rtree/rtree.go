@@ -470,14 +470,13 @@ type nearSlot[T any] struct {
 // path of child MBRs intersects q, each within the bound under near —
 // the bound given, then whatever leaf last returned — is handed whole
 // to leaf with the current bound, and leaf's answer becomes the bound.
-// The final bound is handed back with the nodes visited and leaf items
-// handed over.
-func searchFrom[T any](root *node[T], st *stats, q Rect, near Near, bound float64, leaf func([]T, float64) float64) (float64, int64, int64) {
+// The nodes visited and leaf items handed over are handed back.
+func searchFrom[T any](root *node[T], st *stats, q Rect, near Near, bound float64, leaf func([]T, float64) float64) (int64, int64) {
 	w := walk[T]{q: &q, near: near, leaf: leaf}
 	w.setBound(bound)
 	w.searchNode(root)
 	st.recordSearch(w.c)
-	return w.bound, w.c.nodes, w.c.leafs
+	return w.c.nodes, w.c.leafs
 }
 
 // searchNode visits slots where they live: an internal node's child MBRs

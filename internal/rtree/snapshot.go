@@ -3,7 +3,6 @@ package rtree
 import (
 	"encoding/binary"
 	"hash/fnv"
-	"math"
 )
 
 // Snapshot is an immutable point-in-time view of a Tree, published by the
@@ -98,12 +97,6 @@ func (s *Snapshot[T]) Len() int { return s.size }
 // Height returns the number of levels (1 when the root is a leaf).
 func (s *Snapshot[T]) Height() int { return s.height }
 
-// Search calls fn for every item in the snapshot whose rectangle
-// intersects q. Return false from fn to stop early.
-func (s *Snapshot[T]) Search(q Rect, fn func(T) bool) {
-	searchFrom(s.root, s.stats, q, Near{}, math.Inf(1), eachItem(s.bounds, &q, &Near{}, byValue(fn)))
-}
-
 // SearchNear is the steered, copy-free range search. It enters the
 // subtrees whose MBRs intersect q nearest lower bound first (under
 // near, Near.MinDist2), skips those strictly beyond the bound — the one
@@ -111,28 +104,16 @@ func (s *Snapshot[T]) Search(q Rect, fn func(T) bool) {
 // it reaches: the leaf's item array inside the snapshot, with the
 // current bound. leaf tests the items itself and returns a distance
 // bound: "nothing farther than this from near.P interests me any more"
-// (+Inf for no bound, negative to stop). The call hands back the final
-// bound, so a caller walking several snapshots carries it from one to
-// the next, and this traversal's node visits and leaf items handed
-// over: the per-call slice of the tree's lifetime Stats, which a query
-// trace records.
+// (+Inf for no bound, negative to stop). The call hands back this
+// traversal's node visits and leaf items handed over: the per-call
+// slice of the tree's lifetime Stats, which a query trace records.
 //
 // A snapshot's nodes are frozen, so what the item arrays hold never
 // changes and they stay valid for as long as the caller holds them; the
 // caller must not write through them. Only snapshots offer this form —
 // a live Tree's write-generation nodes are mutated in place.
-func (s *Snapshot[T]) SearchNear(q Rect, near Near, bound float64, leaf func(items []T, bound float64) float64) (newBound float64, nodesVisited, leafEntriesScanned int64) {
+func (s *Snapshot[T]) SearchNear(q Rect, near Near, bound float64, leaf func(items []T, bound float64) float64) (nodesVisited, leafEntriesScanned int64) {
 	return searchFrom(s.root, s.stats, q, near, bound, leaf)
-}
-
-// SearchAll collects all items intersecting q.
-func (s *Snapshot[T]) SearchAll(q Rect) []T {
-	var out []T
-	s.Search(q, func(v T) bool {
-		out = append(out, v)
-		return true
-	})
-	return out
 }
 
 // Scan calls fn for every item in the snapshot, in leaf order. Return

@@ -45,10 +45,9 @@ func TestSnapshotIsolation(t *testing.T) {
 	// The old snapshot still answers from the pre-mutation state.
 	everything := Rect{Min: [Dims]float64{-1e9, -1e9, -1e9}, Max: [Dims]float64{1e9, 1e9, 1e9}}
 	seen := map[int]bool{}
-	before.Search(everything, func(v item) bool {
+	for _, v := range snapshotAll(before, everything) {
 		seen[v.id] = true
-		return true
-	})
+	}
 	if len(seen) != 200 {
 		t.Fatalf("old snapshot sees %d items, want 200", len(seen))
 	}
@@ -65,11 +64,11 @@ func TestSnapshotIsolation(t *testing.T) {
 	if got, want := after.Len(), 250; got != want {
 		t.Fatalf("new snapshot Len = %d, want %d", got, want)
 	}
-	if got := len(after.SearchAll(everything)); got != 250 {
+	if got := len(snapshotAll(after, everything)); got != 250 {
 		t.Fatalf("new snapshot search sees %d, want 250", got)
 	}
 	// And the old one is still frozen at 200.
-	if got := len(before.SearchAll(everything)); got != 200 {
+	if got := len(snapshotAll(before, everything)); got != 200 {
 		t.Fatalf("old snapshot drifted to %d items", got)
 	}
 	if err := tr.CheckInvariants(); err != nil {
@@ -152,7 +151,7 @@ func TestSnapshotStatsShared(t *testing.T) {
 	}
 	s := tr.Publish()
 	before := tr.Stats().Searches
-	s.SearchAll(snapRect(3))
+	snapshotAll(s, snapRect(3))
 	searchItems(s, snapRect(3), Near{}, math.Inf(1), func(*item) float64 { return math.Inf(1) })
 	if got := tr.Stats().Searches; got != before+2 {
 		t.Fatalf("Searches = %d, want %d", got, before+2)

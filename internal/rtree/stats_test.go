@@ -79,7 +79,7 @@ func TestSearchNearCountsPerCall(t *testing.T) {
 	before := tree.Stats()
 	q := randRect(rng, false)
 	hits := 0
-	_, nodes, leafs := searchItems(snap, q, Near{}, math.Inf(1), func(*item) float64 { hits++; return math.Inf(1) })
+	nodes, leafs := searchItems(snap, q, Near{}, math.Inf(1), func(*item) float64 { hits++; return math.Inf(1) })
 	if nodes <= 0 {
 		t.Fatalf("nodesVisited = %d, want > 0 (root is always examined)", nodes)
 	}

@@ -730,19 +730,7 @@ func TestHeterogeneousCameras(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// The server's default camera must bound the largest device radius
-	// for the candidate rectangle; reconfigure accordingly.
-	s2, err := New(Config{Camera: fov.Camera{HalfAngleDeg: 30, RadiusMeters: 300}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range s.Index().Entries() {
-		u := wire.Upload{Provider: e.Provider, Camera: e.Camera, Reps: []segment.Representative{e.Rep}}
-		if _, err := s2.Register(u); err != nil {
-			t.Fatal(err)
-		}
-	}
-	results, err := s2.Query(query.Query{EndMillis: 1000, Center: center, RadiusMeters: 10}, 10)
+	results, err := s.Query(query.Query{EndMillis: 1000, Center: center, RadiusMeters: 10}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,7 @@ func TestExplainQueryReturnsFullTrace(t *testing.T) {
 	if tr.NodesVisited <= 0 || tr.LeafEntriesScanned <= 0 {
 		t.Fatalf("index counters empty: nodes=%d leafs=%d", tr.NodesVisited, tr.LeafEntriesScanned)
 	}
-	if tr.Candidates != 2 || tr.DropCounts[obs.DropOrientation] != 1 {
+	if tr.Candidates != 2 || tr.DropCounts[fov.MissOrientation] != 1 {
 		t.Fatalf("filter accounting wrong: candidates=%d drops=%v", tr.Candidates, tr.DropCounts)
 	}
 	if len(qr.Results) != 1 {
