@@ -207,7 +207,7 @@ func BenchmarkFig6cSearchRTree(b *testing.B) {
 // bulkLoad STR-packs entries into an R-tree index.
 func bulkLoad(b *testing.B, entries []index.Entry) *index.RTree {
 	b.Helper()
-	idx, err := index.BulkLoadRTree(len(entries), func(add func(*index.Entry) error) error {
+	idx, err := index.BulkLoadRTree(benchCam.RadiusMeters, len(entries), func(add func(*index.Entry) error) error {
 		for i := range entries {
 			if err := add(&entries[i]); err != nil {
 				return err
@@ -466,22 +466,6 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 		}
 		bulkLoad(b, decoded)
 	}
-}
-
-// BenchmarkGridSearch measures the uniform-grid index at 20k entries.
-func BenchmarkGridSearch(b *testing.B) {
-	benchSearch(b, func(entries []index.Entry) index.Index {
-		g, err := index.NewGrid(200)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, e := range entries {
-			if err := g.Insert(e); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return g
-	})
 }
 
 // BenchmarkSearchNearest measures the radius-free retrieval: the top-k

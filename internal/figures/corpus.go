@@ -21,7 +21,7 @@ const uploadLen = 64
 // bulkLoad STR-packs entries into an R-tree index, panicking on an
 // invalid corpus.
 func bulkLoad(entries []index.Entry) *index.RTree {
-	idx, err := index.BulkLoadRTree(len(entries), func(add func(*index.Entry) error) error {
+	idx, err := index.BulkLoadRTree(defaultCam.RadiusMeters, len(entries), func(add func(*index.Entry) error) error {
 		for i := range entries {
 			if err := add(&entries[i]); err != nil {
 				return err

@@ -187,9 +187,9 @@ func TableHeterogeneous(scenes int) *Table {
 		}
 		return float64(found) / float64(len(stages)), float64(fps) / float64(len(stages))
 	}
-	// Note: to isolate the camera effect the search reaches as far as the
-	// widest device the index holds, and the orientation filter is
-	// applied manually with each policy.
+	// Note: to isolate the camera effect the search reaches every device
+	// within r plus its own radius of view, however far it sees, and the
+	// orientation filter is applied manually with each policy.
 	defRecall, defFP := run(false)
 	devRecall, devFP := run(true)
 	t.AddRow("deployment default (one camera)", f3(defRecall), f3(defFP))

@@ -28,7 +28,9 @@ import (
 // segments, and one in 75 on an over-long span (overLongSpans). One
 // entry in six stands on one of four shared spots, and one in five
 // declares its own camera, with a radius of view of up to three times
-// the deployment's (diffCamera).
+// the deployment's (diffCamera) — or, one in eight of those, a wide
+// device of provider wide-0, -1 or -2, seeing 300 m to 150 km, past the
+// excess a leaf slot holds.
 func diffEntry(rng *rand.Rand, id uint64) Entry {
 	p := geo.Offset(city, rng.Float64()*360, rng.Float64()*5000)
 	if rng.Intn(6) == 0 {
@@ -64,6 +66,9 @@ func diffEntry(rng *rand.Rand, id uint64) Entry {
 	}
 	if rng.Intn(5) == 0 {
 		e.Camera = fov.Camera{HalfAngleDeg: 10 + rng.Float64()*60, RadiusMeters: 20 + rng.Float64()*280}
+		if rng.Intn(8) == 0 {
+			e.Provider, e.Camera.RadiusMeters = fmt.Sprintf("wide-%d", id%3), 300*math.Exp2(rng.Float64()*9)
+		}
 	}
 	return e
 }
@@ -124,13 +129,24 @@ func topK(x Index, center geo.Point, radius, deployRadius float64, startMillis, 
 	return best
 }
 
+// TestDifferentialIndexEquivalence runs the operation sequence on an
+// RTree of base 0, one of the deployment camera's base (as a server
+// builds it) and Linear. Forgetting a provider (RemoveWhere, as
+// Server.ForgetProvider does) targets the wide devices' providers half
+// the time: a removal must find a wide slot by its grown key and leave
+// the trees' invariants clean.
 func TestDifferentialIndexEquivalence(t *testing.T) {
 	type impl struct {
 		name string
 		idx  ServerIndex
 	}
+	deployed, err := BulkLoadRTree(diffCamera.RadiusMeters, 0, func(func(*Entry) error) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
 	impls := []impl{
 		{"rtree", NewRTree()},
+		{"rtree deployed", deployed},
 		{"linear", oracleIndex{NewLinear()}},
 	}
 	rng := rand.New(rand.NewSource(77))
@@ -277,6 +293,34 @@ func TestDifferentialIndexEquivalence(t *testing.T) {
 					t.Fatalf("step %d: %s removes absent id %d", step, im.name, e.ID)
 				}
 			}
+		case op < 72: // forget a provider, a wide one half the time
+			provider := fmt.Sprintf("client-%d", rng.Intn(17))
+			if rng.Intn(2) == 0 {
+				provider = fmt.Sprintf("wide-%d", rng.Intn(3))
+			}
+			var gone []Entry
+			live = slices.DeleteFunc(live, func(id uint64) bool {
+				if stored[id].Provider != provider {
+					return false
+				}
+				gone = append(gone, stored[id])
+				delete(stored, id)
+				return true
+			})
+			for _, im := range impls {
+				n := 0
+				if x, ok := im.idx.(*RTree); ok {
+					n, _ = x.RemoveWhere(func(e *Entry) bool { return e.Provider == provider }, nil)
+					if err := x.CheckInvariants(); err != nil {
+						t.Fatalf("step %d: %s after forgetting %s: %v", step, im.name, provider, err)
+					}
+				} else {
+					n = im.idx.RemoveBatch(gone)
+				}
+				if n != len(gone) {
+					t.Fatalf("step %d: %s forgot %d of %s's %d entries", step, im.name, n, provider, len(gone))
+				}
+			}
 		case op < 90:
 			checkSearch(step)
 		default:
@@ -288,8 +332,10 @@ func TestDifferentialIndexEquivalence(t *testing.T) {
 			}
 		}
 	}
-	if err := impls[0].idx.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	for _, im := range impls {
+		if err := im.idx.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", im.name, err)
+		}
 	}
 	// Every stored entry reads back exactly as inserted, on the grid.
 	for _, im := range impls {

@@ -48,7 +48,7 @@ func TestIndexHeapPerEntry(t *testing.T) {
 			return x, err
 		}, 49},
 		{"BulkLoadRTree", func() (*index.RTree, error) {
-			return index.BulkLoadRTree(n, func(add func(*index.Entry) error) error {
+			return index.BulkLoadRTree(0, n, func(add func(*index.Entry) error) error {
 				for i := range entries {
 					if err := add(&entries[i]); err != nil {
 						return err

@@ -10,22 +10,22 @@
 // R-tree of package rtree. A query range plus time interval becomes a 3-D
 // box and the index returns every representative whose segment intersects
 // it. An interval too long for a leaf slot's 32-bit duration is boxed up
-// to the last instant and tested exactly on the way out (see slot).
+// to the last instant and tested exactly on the way out (see slot). A
+// camera seeing farther than the index's base radius grows its point by
+// the excess, so a wide device widens only its own key (slotRect).
 //
 // Every index holds a representative at the grid the WAL and the wire
 // carry it at (fov.CoordToGrid: 1e-7°, 0.01°): an entry reads back as
 // Entry.OnGrid of what was inserted, bit-identical when it came
 // through the wire.
 //
-// Three implementations share the Index interface: RTree (the paper's
-// design, and the one index the server runs), Linear (the naive scan
-// baseline of Fig. 6(c) and the test oracle) and Grid (the uniform-grid
-// ablation). All are safe for concurrent use by many uploaders and
-// queriers.
+// Two implementations share the Index interface: RTree (the paper's
+// design, and the one index the server runs) and Linear (the naive scan
+// baseline of Fig. 6(c) and the test oracle). Both are safe for
+// concurrent use by many uploaders and queriers.
 package index
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -116,91 +116,13 @@ type Index interface {
 	// an entry copies it, and must not write through the reference.
 	Visit(center geo.Point, radius, deployRadius float64, startMillis, endMillis int64, visit func(*Entry) float64) (nodes, scanned int64)
 	// Search is the collecting, unbounded form of a walk over the box r:
-	// a fresh copy of every entry in r and the window. No request path
+	// a fresh copy of every entry whose position is in r and whose
+	// interval meets the window, whatever its camera. No request path
 	// runs it — queries and /nearest walk Visit. Its callers are
 	// bench/layers.go's per-layer index row and tests.
 	Search(r geo.Rect, startMillis, endMillis int64) []Entry
 	// Len returns the number of stored entries.
 	Len() int
-}
-
-// radii sizes a walk's reach past the deployment's radius of view: for
-// each power-of-two class of the radii of view entries declare, a band
-// of the largest radius in it and the index-space box (entryRect) of
-// its entries, and how many entries the index holds in it — a few
-// records however many entries. A band only grows while its class has
-// entries and goes with the last of them. Writers replace bands, never
-// write into it, so a reader may keep the slice it loaded.
-type radii struct {
-	bands []band // by descending class
-	n     map[int]int
-}
-
-type band struct {
-	class  int
-	radius float64
-	span   rtree.Rect
-}
-
-// add counts an admitted entry of the radius of view and box (a radius
-// of 0 is no camera: the deployment's reach covers it).
-func (b *radii) add(radius float64, box rtree.Rect) {
-	if radius == 0 {
-		return
-	}
-	_, c := math.Frexp(radius)
-	if b.n == nil {
-		b.n = make(map[int]int)
-	}
-	b.n[c]++
-	i, ok := slices.BinarySearchFunc(b.bands, c, func(x band, c int) int { return cmp.Compare(c, x.class) })
-	if ok && radius <= b.bands[i].radius && b.bands[i].span.Contains(box) {
-		return
-	}
-	bands := slices.Clone(b.bands)
-	if !ok {
-		bands = slices.Insert(bands, i, band{class: c, radius: radius, span: box})
-	}
-	bands[i].radius, bands[i].span = max(bands[i].radius, radius), bands[i].span.Union(box)
-	b.bands = bands
-}
-
-// remove uncounts an entry of the radius of view.
-func (b *radii) remove(radius float64) {
-	if _, c := math.Frexp(radius); radius != 0 {
-		if b.n[c]--; b.n[c] == 0 {
-			delete(b.n, c)
-			b.bands = slices.DeleteFunc(slices.Clone(b.bands), func(x band) bool { return x.class == c })
-		}
-	}
-}
-
-// widest returns the largest of deployRadius and the radius R of every
-// band some entry of which may stand within radius + R of center in the
-// window: the band's box meets the boxes that hold that reach
-// (reachBoxes). A walk over radius + widest finds every entry that can
-// cover the disc; a device that sees farther than the deployment widens
-// only the questions its band's box in place and time comes near.
-func widest(bands []band, center geo.Point, radius, deployRadius float64, startMillis, endMillis int64) float64 {
-	for i := range bands { // the first that meets is the widest
-		b := &bands[i]
-		if b.radius <= deployRadius {
-			break
-		}
-		boxes, n := reachBoxes(center, radius+b.radius)
-		for _, r := range boxes[:n] {
-			if queryRect(r, startMillis, endMillis).Intersects(b.span) {
-				return b.radius
-			}
-		}
-	}
-	return deployRadius
-}
-
-// entryRect is e's index-space rectangle: its position and interval.
-func entryRect(e *Entry) rtree.Rect {
-	p := e.Rep.FoV.P
-	return queryRect(geo.Rect{MinLat: p.Lat, MaxLat: p.Lat, MinLng: p.Lng, MaxLng: p.Lng}, e.Rep.StartMillis, e.Rep.EndMillis)
 }
 
 // BatchInserter is the Index extension the upload path uses: adding a
@@ -234,13 +156,14 @@ type ServerIndex interface {
 	CheckInvariants() error
 }
 
-// slot is what an RTree leaf stores for one entry, in 40 B (34 of
+// slot is what an RTree leaf stores for one entry, in 40 B (36 of
 // them data): the id, the representative's position and heading as
 // grid codes (fov.CoordToGrid, fov.ThetaToGrid), its interval as a
-// start and a 32-bit duration, and the row of the entry's (Provider,
-// Camera) pair in the index's source table. Every entry of one upload
-// carries the same pair, so the index keeps it once instead of once
-// per entry; reads rebuild the Entry from the slot and its row.
+// start and a 32-bit duration, the row of the entry's (Provider,
+// Camera) pair in the index's source table, and how far its camera sees
+// past the index's base radius. Every entry of one upload carries the
+// same pair, so the index keeps it once instead of once per entry;
+// reads rebuild the Entry from the slot and its row.
 //
 // An interval of overLong milliseconds or more (about 49.7 days; only
 // a bad clock makes one) does not fit dur: its slot stores dur =
@@ -252,7 +175,10 @@ type slot struct {
 	dur      uint32
 	src      uint32
 	theta    uint16
+	wide     uint16 // the excess in whole metres (RTree.excess); globe and up keys the whole globe
 }
+
+const globe = math.MaxUint16 // the excess that keys a slot by the whole globe
 
 // overLong is the dur of a slot whose interval is too long to store
 // there: its end lives in its source row.
@@ -285,11 +211,11 @@ func durOf(e *Entry) uint32 {
 	return uint32(min(uint64(e.Rep.EndMillis)-uint64(e.Rep.StartMillis), overLong))
 }
 
-// newSlot returns e's leaf slot under source row row.
-func newSlot(e *Entry, row uint32) slot {
+// newSlot returns e's leaf slot under source row row with excess wide.
+func newSlot(e *Entry, row uint32, wide uint16) slot {
 	p := e.Rep.FoV.P
 	return slot{ID: e.ID, Start: e.Rep.StartMillis, lat: fov.CoordToGrid(p.Lat), lng: fov.CoordToGrid(p.Lng),
-		dur: durOf(e), src: row, theta: fov.ThetaToGrid(e.Rep.FoV.Theta)}
+		dur: durOf(e), src: row, theta: fov.ThetaToGrid(e.Rep.FoV.Theta), wide: wide}
 }
 
 // point returns s's position.
@@ -306,12 +232,11 @@ func (s *slot) end(rows []source) int64 {
 	return s.Start + int64(s.dur)
 }
 
-// slotRect is the tree's bounds function: a slot's index-space
-// rectangle, derived from the slot whenever the tree needs it, so leaves
-// store the slot and nothing else. An over-long slot's box runs to the
-// last instant: its exact end is in its row, which the tree does not
-// read, and every read path tests that end itself.
-func slotRect(s *slot) rtree.Rect {
+// pointRect is a slot's point over its interval in index space. An
+// over-long slot's box runs to the last instant: its exact end is in
+// its row, which the tree does not read, and every read path tests that
+// end itself.
+func pointRect(s *slot) rtree.Rect {
 	end := float64(s.Start + int64(s.dur))
 	if s.dur == overLong {
 		end = math.MaxInt64
@@ -321,6 +246,26 @@ func slotRect(s *slot) rtree.Rect {
 		Min: [rtree.Dims]float64{p.Lng, p.Lat, float64(s.Start)},
 		Max: [rtree.Dims]float64{p.Lng, p.Lat, end},
 	}
+}
+
+// slotRect is the tree's bounds function, derived from the slot
+// whenever the tree needs it, so leaves store the slot and nothing else:
+// its pointRect grown by its excess (reachBoxes; all longitudes where
+// that splits at the antimeridian, the whole globe at saturation), which
+// a walk over the base reach meets wherever its camera may cover.
+func slotRect(s *slot) rtree.Rect {
+	r := pointRect(s)
+	if s.wide != 0 {
+		k, n := reachBoxes(s.point(), float64(s.wide))
+		if n > 1 {
+			k[0].MinLng, k[0].MaxLng = -180, 180
+		}
+		if s.wide == globe {
+			k[0] = geo.Rect{MinLat: -90, MaxLat: 90, MinLng: -180, MaxLng: 180}
+		}
+		r.Min[0], r.Min[1], r.Max[0], r.Max[1] = k[0].MinLng, k[0].MinLat, k[0].MaxLng, k[0].MaxLat
+	}
+	return r
 }
 
 // queryRect maps a geographic box plus time interval to index space.
@@ -346,7 +291,6 @@ type sourceTable struct {
 	dead  []uint32          // rows that died in rows' array
 	free  []uint32          // rows no view sharing rows' array names
 	last  uint32            // the row intern returned last
-	radii radii             // every live slot's, by its row's camera
 }
 
 // intern returns the row of a new slot with source k, counting the slot
@@ -379,7 +323,6 @@ func (t *sourceTable) intern(k source) (uint32, error) {
 // release uncounts a removed slot from its row; the row dies with its
 // last slot.
 func (t *sourceTable) release(row uint32) {
-	t.radii.remove(t.rows[row].Camera.RadiusMeters)
 	if t.refs[row]--; t.refs[row] == 0 {
 		delete(t.index, t.rows[row])
 		t.dead = append(t.dead, row)
@@ -403,12 +346,10 @@ func (t *sourceTable) reclaim() {
 }
 
 // view is what a reader of an RTree loads, in one step: a published
-// snapshot, the source table its slots name, and the radius bands of
-// those slots.
+// snapshot and the source table its slots name.
 type view struct {
-	snap  *rtree.Snapshot[slot]
-	rows  []source
-	bands []band
+	snap *rtree.Snapshot[slot]
+	rows []source
 }
 
 // RTree is the R-tree-backed index of Section V. The zero value is not
@@ -435,6 +376,7 @@ type view struct {
 // what its slots were stored with.
 type RTree struct {
 	mu   sync.Mutex // writers, and the read that publishes a stale view
+	base float64    // the radius of view keys are sized against (excess)
 	tree *rtree.Tree[slot]
 	ids  idset.Set
 	src  sourceTable // writers only
@@ -444,33 +386,38 @@ type RTree struct {
 	stale, looked atomic.Bool
 }
 
-// NewRTree returns an empty R-tree index.
-func NewRTree() *RTree { return newRTree(rtree.Options{}) }
+// NewRTree returns an empty R-tree index of base radius 0: every
+// declared camera grows its key by its whole radius of view.
+func NewRTree() *RTree { return newRTree(rtree.Options{}, 0) }
 
-// newRTree returns an empty R-tree index over a tree of shape opts.
-func newRTree(opts rtree.Options) *RTree {
-	x := &RTree{tree: rtree.MustNew(opts, slotRect), src: sourceTable{index: make(map[source]uint32)}}
+// newRTree returns an empty R-tree index over a tree of shape opts, its
+// keys sized against base.
+func newRTree(opts rtree.Options, base float64) *RTree {
+	x := &RTree{base: base, tree: rtree.MustNew(opts, slotRect), src: sourceTable{index: make(map[source]uint32)}}
 	x.view.Store(&view{snap: x.tree.Snapshot()})
 	return x
 }
 
-// slotOf interns e's source row, counts e in its camera's radius band
-// and returns e's leaf slot. The caller holds mu, or owns an index no
-// reader has yet.
+// excess returns how far past base a camera of the radius of view (0:
+// none) sees, in metres rounded up, saturating at globe.
+func (x *RTree) excess(radius float64) uint16 {
+	return uint16(min(math.Ceil(max(radius-x.base, 0)), globe))
+}
+
+// slotOf interns e's source row and returns e's leaf slot. The caller
+// holds mu, or owns an index no reader has yet.
 func (x *RTree) slotOf(e *Entry) (slot, error) {
 	k := sourceKey(e)
 	row, err := x.src.intern(k)
 	if err != nil {
 		return slot{}, err
 	}
-	s := newSlot(e, row)
-	x.src.radii.add(k.Camera.RadiusMeters, slotRect(&s))
-	return s, nil
+	return newSlot(e, row, x.excess(k.Camera.RadiusMeters)), nil
 }
 
-// viewOf returns the view of snap: the table and bands it names.
+// viewOf returns the view of snap: the table it names.
 func (x *RTree) viewOf(snap *rtree.Snapshot[slot]) *view {
-	return &view{snap: snap, rows: x.src.rows, bands: x.src.radii.bands}
+	return &view{snap: snap, rows: x.src.rows}
 }
 
 // publish makes the tree's state, and the table it names, what readers
@@ -519,14 +466,15 @@ func (x *RTree) current() *view {
 // 40-B slot of it, never the entry, so produce may reuse what it hands
 // over; an error from add aborts the load, and produce returns it. n,
 // how many entries produce hands over (an estimate is fine), sizes the
-// slot array.
-func BulkLoadRTree(n int, produce func(add func(*Entry) error) error) (*RTree, error) {
-	return bulkLoadRTree(rtree.Options{}, n, produce)
+// slot array. radius, the deployment camera's radius of view, is the
+// index's base, so the deployment camera keeps a point key.
+func BulkLoadRTree(radius float64, n int, produce func(add func(*Entry) error) error) (*RTree, error) {
+	return bulkLoadRTree(rtree.Options{}, radius, n, produce)
 }
 
 // bulkLoadRTree is BulkLoadRTree packing a tree of shape opts.
-func bulkLoadRTree(opts rtree.Options, n int, produce func(add func(*Entry) error) error) (*RTree, error) {
-	x := newRTree(opts)
+func bulkLoadRTree(opts rtree.Options, radius float64, n int, produce func(add func(*Entry) error) error) (*RTree, error) {
+	x := newRTree(opts, radius)
 	slots := make([]slot, 0, max(n, 0))
 	err := produce(func(e *Entry) error {
 		if err := e.Validate(); err != nil {
@@ -705,8 +653,8 @@ func (x *RTree) Providers() map[string]int {
 }
 
 // removeLocked deletes each entry found by its id and its slot's
-// rectangle; an over-long one must also end where its row does. The
-// removed slot's row loses a slot.
+// rectangle, which its camera's excess sizes; an over-long one must
+// also end where its row does. The removed slot's row loses a slot.
 func (x *RTree) removeLocked(entries []Entry) int {
 	n := 0
 	for i := range entries {
@@ -714,7 +662,7 @@ func (x *RTree) removeLocked(entries []Entry) int {
 		if !x.ids.Has(e.ID) {
 			continue
 		}
-		at, row := newSlot(e, noRow), uint32(noRow)
+		at, row := newSlot(e, noRow, x.excess(e.Camera.OnGrid().RadiusMeters)), uint32(noRow)
 		if x.tree.Delete(&at, func(s *slot) bool {
 			if s.ID != e.ID || s.end(x.src.rows) != e.Rep.EndMillis {
 				return false
@@ -742,16 +690,22 @@ type walker struct {
 	sources []source
 	// Visit's question in slot units (see visitLeaf): the grid code
 	// spans of its box, its window as queryRect holds it, the steering,
-	// and the window start, which over-long slots are tested against.
+	// and the window, which over-long and wide slots are tested against.
 	lng0, lng1, lat0, lat1 int32
 	t0, t1                 float64
 	near                   rtree.Near
 	reach                  float64 // the cap on every bound visit answers
-	from                   int64
-	visit                  func(*Entry) float64
-	scan                   func(*Entry) bool
-	onLeaf                 func([]slot, float64) float64
-	onScan                 func(*slot) bool
+	from, to               int64
+	// Visit's disc and deployment radius and, on a split reach, the wide
+	// slots it handed over: what wideIn tests a wide slot against (keyed).
+	keyed, split   bool
+	center         geo.Point
+	radius, deploy float64
+	handed         []uint64
+	visit          func(*Entry) float64
+	scan           func(*Entry) bool
+	onLeaf         func([]slot, float64) float64
+	onScan         func(*slot) bool
 }
 
 // noRow is past the end of every source table (intern never hands out
@@ -767,29 +721,52 @@ var walkerPool = sync.Pool{New: func() any {
 
 // visitLeaf is Visit's leaf test, made in slot units: a slot's position
 // is in the box exactly when its grid codes lie in the box's code spans
-// (gridSpan), and its interval is compared as slotRect's float64 times,
-// so it admits exactly the slots slotRect(s) intersects queryRect with.
-// Only those are bounded by near over their rectangle, as the tree
-// bounds its children, and handed to visit — an over-long one only if
-// its exact end reaches the window (its box runs to the last instant).
-// No bound visit answers exceeds the walk's reach.
+// (gridSpan), and its interval is compared as pointRect's float64 times,
+// so it admits exactly the slots whose pointRect(s) intersects queryRect.
+// Only those are bounded by near over that rectangle, as the tree bounds
+// its children, and handed to visit — an over-long one only if its exact
+// end reaches the window (its box runs to the last instant). Visit tests
+// a slot with an excess by wideIn instead. No bound visit answers
+// exceeds the walk's reach.
 func (w *walker) visitLeaf(slots []slot, bound float64) float64 {
 	for i := range slots {
 		if bound < 0 {
 			break
 		}
 		s := &slots[i]
-		if s.lng < w.lng0 || s.lng > w.lng1 || s.lat < w.lat0 || s.lat > w.lat1 ||
-			float64(s.Start) > w.t1 || s.dur != overLong && w.t0 > float64(s.Start+int64(s.dur)) {
-			continue
-		}
-		if r := slotRect(s); w.near.MinDist2(&r) > bound*bound ||
-			s.dur == overLong && s.end(w.sources) < w.from {
+		if s.wide == 0 || !w.keyed {
+			if s.lng < w.lng0 || s.lng > w.lng1 || s.lat < w.lat0 || s.lat > w.lat1 ||
+				float64(s.Start) > w.t1 || s.dur != overLong && w.t0 > float64(s.Start+int64(s.dur)) {
+				continue
+			}
+			if r := pointRect(s); w.near.MinDist2(&r) > bound*bound ||
+				s.dur == overLong && s.end(w.sources) < w.from {
+				continue
+			}
+		} else if !w.wideIn(s) {
 			continue
 		}
 		bound = min(w.visit(w.entry(s)), w.reach)
 	}
 	return bound
+}
+
+// wideIn reports whether Visit hands over s, a slot with an excess: in
+// the window and within radius + max(deploy, its camera's) by
+// geo.Distance (Linear's test), and, on a reach split at the
+// antimeridian whose both boxes its key may meet, not yet handed over.
+func (w *walker) wideIn(s *slot) bool {
+	if s.Start > w.to || s.end(w.sources) < w.from ||
+		geo.Distance(s.point(), w.center) > w.radius+max(w.deploy, w.sources[s.src].Camera.RadiusMeters) {
+		return false
+	}
+	if w.split {
+		if slices.Contains(w.handed, s.ID) {
+			return false
+		}
+		w.handed = append(w.handed, s.ID)
+	}
+	return true
 }
 
 // gridSpan returns the least and the greatest grid code whose coordinate
@@ -837,7 +814,7 @@ func newWalker(rows []source) *walker {
 
 // release drops the walker's references and returns it to the pool.
 func (w *walker) release() {
-	w.buf, w.sources, w.visit, w.scan = Entry{}, nil, nil, nil
+	w.buf, w.sources, w.visit, w.scan, w.keyed, w.split, w.handed = Entry{}, nil, nil, nil, false, false, w.handed[:0]
 	walkerPool.Put(w)
 }
 
@@ -855,31 +832,36 @@ func (w *walker) entry(s *slot) *Entry {
 
 // Visit implements Index. It walks the current view's snapshot, taking
 // no lock unless it publishes a stale view, over the reach: radius plus
-// the widest radius of view of any entry that may cover the disc
-// (widest, from the view's bands). The walk covers the boxes that hold
-// the reach (reachBoxes), from the bound reach, steered by the bounds
-// visit answers with; every entry is rebuilt in the one walker buffer.
+// the larger of deployRadius and the index's base. The walk covers the
+// boxes that hold the reach (reachBoxes), from the bound reach, steered
+// by the bounds visit answers with; every entry is rebuilt in the one
+// walker buffer. A wide device is met through its key and tested by
+// wideIn.
 func (x *RTree) Visit(center geo.Point, radius, deployRadius float64, startMillis, endMillis int64, visit func(*Entry) float64) (nodes, scanned int64) {
 	v := x.current()
-	reach := radius + widest(v.bands, center, radius, deployRadius, startMillis, endMillis)
+	reach := radius + max(deployRadius, x.base)
 	boxes, n := reachBoxes(center, reach)
-	return v.walk(boxes[:n], startMillis, endMillis, center, reach, visit)
+	w := newWalker(v.rows)
+	w.keyed, w.split, w.center, w.radius, w.deploy = true, n > 1, center, radius, deployRadius
+	return v.walk(w, boxes[:n], startMillis, endMillis, center, reach, visit)
 }
 
-// Search implements Index: the unbounded walk over r.
+// Search implements Index: the unbounded walk over r, which tests every
+// entry's position against r.
 func (x *RTree) Search(r geo.Rect, startMillis, endMillis int64) []Entry {
 	var out []Entry
-	x.current().walk([]geo.Rect{r}, startMillis, endMillis, r.Center(), math.Inf(1), func(e *Entry) float64 {
+	v := x.current()
+	v.walk(newWalker(v.rows), []geo.Rect{r}, startMillis, endMillis, r.Center(), math.Inf(1), func(e *Entry) float64 {
 		out = append(out, *e)
 		return math.Inf(1)
 	})
 	return out
 }
 
-// walk hands visit the entries of the view in each of the boxes and the
-// window, nearest center first, each box from the bound reach.
-func (v *view) walk(boxes []geo.Rect, startMillis, endMillis int64, center geo.Point, reach float64, visit func(*Entry) float64) (nodes, scanned int64) {
-	w := newWalker(v.rows)
+// walk hands visit, through w, the entries of the view in each of the
+// boxes and the window, nearest center first, each box from the bound
+// reach, and releases w.
+func (v *view) walk(w *walker, boxes []geo.Rect, startMillis, endMillis int64, center geo.Point, reach float64, visit func(*Entry) float64) (nodes, scanned int64) {
 	for _, r := range boxes {
 		q := w.ask(r, startMillis, endMillis, center, reach, visit)
 		n, s := v.snap.SearchNear(q, w.near, reach, w.onLeaf)
@@ -920,7 +902,7 @@ func (w *walker) ask(r geo.Rect, startMillis, endMillis int64, center geo.Point,
 	w.lng0, w.lng1 = gridSpan(r.MinLng, r.MaxLng)
 	w.lat0, w.lat1 = gridSpan(r.MinLat, r.MaxLat)
 	w.t0, w.t1, w.near = q.Min[2], q.Max[2], nearFor(r, center)
-	w.visit, w.from, w.reach = visit, startMillis, reach
+	w.visit, w.from, w.to, w.reach = visit, startMillis, endMillis, reach
 	return q
 }
 
@@ -1186,5 +1168,4 @@ var (
 	_ ServerIndex   = (*RTree)(nil)
 	_ Index         = (*Linear)(nil)
 	_ BatchInserter = (*Linear)(nil)
-	_ Index         = (*Grid)(nil)
 )

@@ -301,7 +301,7 @@ func TestBatchAllOrNothing(t *testing.T) {
 
 // bulkLoad is BulkLoadRTree over a slice.
 func bulkLoad(entries []Entry) (*RTree, error) {
-	return BulkLoadRTree(len(entries), func(add func(*Entry) error) error {
+	return BulkLoadRTree(0, len(entries), func(add func(*Entry) error) error {
 		for i := range entries {
 			if err := add(&entries[i]); err != nil {
 				return err
@@ -397,93 +397,6 @@ func TestConcurrentUploadAndQuery(t *testing.T) {
 	wg.Wait()
 	if err := rt.CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func newGrid(t *testing.T) *Grid {
-	t.Helper()
-	g, err := NewGrid(200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
-}
-
-func TestGridValidation(t *testing.T) {
-	if _, err := NewGrid(0); err == nil {
-		t.Fatal("zero cell accepted")
-	}
-	if _, err := NewGrid(-5); err == nil {
-		t.Fatal("negative cell accepted")
-	}
-}
-
-func TestGridAgreesWithLinear(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	grid := newGrid(t)
-	lin := NewLinear()
-	for i := 0; i < 3000; i++ {
-		e := randEntry(rng, uint64(i))
-		if err := grid.Insert(e); err != nil {
-			t.Fatal(err)
-		}
-		if err := lin.Insert(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for q := 0; q < 100; q++ {
-		center := geo.Offset(city, rng.Float64()*360, rng.Float64()*5000)
-		rect := geo.RectAround(center, 100+rng.Float64()*500)
-		ts := int64(rng.Intn(86_400_000))
-		te := ts + int64(rng.Intn(3_600_000))
-		a := ids(grid.Search(rect, ts, te))
-		b := ids(lin.Search(rect, ts, te))
-		if len(a) != len(b) {
-			t.Fatalf("query %d: grid %d hits, linear %d", q, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("query %d: hit %d differs", q, i)
-			}
-		}
-	}
-}
-
-func TestGridImplementsIndexContract(t *testing.T) {
-	g := newGrid(t)
-	var impl Index = g
-	rng := rand.New(rand.NewSource(14))
-	var entries []Entry
-	for i := 0; i < 300; i++ {
-		e := randEntry(rng, uint64(i))
-		entries = append(entries, e)
-		if err := impl.Insert(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := impl.Insert(entries[0]); err == nil {
-		t.Fatal("duplicate id accepted")
-	}
-	if g.Remove(9999) {
-		t.Fatal("absent remove succeeded")
-	}
-	for _, e := range entries[:100] {
-		if !g.Remove(e.ID) {
-			t.Fatalf("remove %d failed", e.ID)
-		}
-	}
-	if impl.Len() != 200 {
-		t.Fatalf("Len = %d", impl.Len())
-	}
-	// Cells are garbage-collected when emptied.
-	if g.CellCount() == 0 {
-		t.Fatal("all cells gone with 200 entries left")
-	}
-	for _, e := range entries[100:] {
-		g.Remove(e.ID)
-	}
-	if g.CellCount() != 0 {
-		t.Fatalf("%d cells remain after removing everything", g.CellCount())
 	}
 }
 

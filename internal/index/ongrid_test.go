@@ -37,14 +37,10 @@ func TestIndexesHoldEntriesOnTheGrid(t *testing.T) {
 		{"heading rounds to 360", fov.FoV{P: geo.Point{Lat: 40.0012345, Lng: 116.3259871}, Theta: 359.996}, fov.Camera{},
 			onGrid(400_012_345, 1_163_259_871, 0), fov.Camera{}},
 	}
-	grid, err := index.NewGrid(200)
-	if err != nil {
-		t.Fatal(err)
-	}
 	indexes := []struct {
 		name string
 		x    index.Index
-	}{{"RTree", index.NewRTree()}, {"Linear", index.NewLinear()}, {"Grid", grid}}
+	}{{"RTree", index.NewRTree()}, {"Linear", index.NewLinear()}}
 	for _, ix := range indexes {
 		for i, tc := range cases {
 			e := index.Entry{ID: uint64(i + 1), Provider: "p", Camera: tc.cam,

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"fovr/internal/fov"
 	"fovr/internal/geo"
 	"fovr/internal/rtree"
 )
@@ -136,5 +137,67 @@ func TestReachBoxesHoldTheDisc(t *testing.T) {
 		if in != 1 {
 			t.Fatalf("center %v, reach %.3f m: %v at %.6f m lies in %d of %v", center, reach, p, geo.Distance(center, p), in, boxes[:n])
 		}
+	}
+}
+
+// TestWideKeyMeetsTheReach: a slot keyed by its position grown by an
+// excess w (slotRect) meets the boxes of a walk's reach a wherever its
+// position stands within a + w of the center by geo.Distance, and the
+// steering's lower bound for the key in a box it meets is within a, so
+// the walk enters the key's leaf before its bound can tighten. The
+// draws take centers near the poles and the antimeridian, reaches from
+// 10 m to 50 km and excesses from 1 m up to and past saturation
+// (globe), positions near the edge of a + w on the grid.
+func TestWideKeyMeetsTheReach(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	met, whole := 0, 0
+	for i := 0; i < 200_000; i++ {
+		center := geo.Point{Lat: (rng.Float64()*2 - 1) * 89.9, Lng: (rng.Float64()*2 - 1) * 180}
+		switch i % 4 {
+		case 0:
+			center.Lng = math.Copysign(180-rng.Float64()*0.5, center.Lng)
+		case 1:
+			center.Lat = math.Copysign(90-rng.Float64()*0.5, center.Lat)
+		}
+		reach := 10 + rng.Float64()*500
+		if i%3 == 0 {
+			reach = 10 + rng.Float64()*50_000
+		}
+		wide := uint16(1 + rng.Intn(globe))
+		switch i % 7 {
+		case 0:
+			wide = uint16(1 + rng.Intn(500))
+		case 1:
+			wide = globe
+		}
+		p := geo.Offset(center, rng.Float64()*360, (reach+float64(wide))*(0.9999+0.0002*rng.Float64()))
+		if !p.Valid() || geo.Distance(center, p) > reach+float64(wide) {
+			continue
+		}
+		s := slot{lat: fov.CoordToGrid(p.Lat), lng: fov.CoordToGrid(p.Lng), wide: wide}
+		if geo.Distance(center, s.point()) > reach+float64(wide) {
+			continue
+		}
+		key := slotRect(&s)
+		boxes, n := reachBoxes(center, reach)
+		ok := false
+		for _, b := range boxes[:n] {
+			near := nearFor(b, center)
+			if q := queryRect(b, 0, 0); q.Intersects(key) && near.MinDist2(&key) <= reach*reach {
+				ok = true
+			}
+		}
+		if !ok {
+			t.Fatalf("center %v, reach %.3f m: a slot at %v (%.3f m) of excess %d m keyed %v meets none of %v within the reach",
+				center, reach, s.point(), geo.Distance(center, s.point()), wide, key, boxes[:n])
+		}
+		met++
+		if key.Max[0]-key.Min[0] == 360 {
+			whole++
+		}
+	}
+	t.Logf("%d keys met the reach, %d of them over all longitudes", met, whole)
+	if met < 80_000 || whole < 1000 {
+		t.Fatalf("%d keys met, %d over all longitudes: the draws miss the poles, the antimeridian or saturation", met, whole)
 	}
 }

@@ -33,7 +33,10 @@ import (
 // those of the tree at M = 16 as well: nodes twice as wide give the
 // same answers for less node work and more leaf entries (M = 16, point,
 // before the walk was bounded by the reach: nodes p50 15, p99 85, total
-// 37 315; leaf entries 55, 502, 154 529).
+// 37 315; leaf entries 55, 502, 154 529). A corpus whose uploads all
+// declare the deployment camera, in an index of the deployment's base,
+// does the point shape's work exactly; one 5-km device costs each shape
+// a few leaf entries per question near it.
 func TestServingTreeWorkPinned(t *testing.T) {
 	const questions, oracleQuestions = 2000, 60
 	cfg := workload.Config{Seed: 1, Distribution: workload.Hotspot}
@@ -60,12 +63,33 @@ func TestServingTreeWorkPinned(t *testing.T) {
 		})
 	}
 
+	// The same uploads, each declaring the deployment camera, as real
+	// clients do, into an index of the deployment's base, as a server
+	// builds it: every excess is 0, so every slot keeps its point key and
+	// the tree, its walk and its answers are the point row's.
+	declared, err := index.BulkLoadRTree(100, 0, func(func(*index.Entry) error) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range uploads {
+		u = slices.Clone(u)
+		for i := range u {
+			u[i].Camera = fov.Camera{HalfAngleDeg: 30, RadiusMeters: 100}
+		}
+		if err := declared.InsertBatch(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Run("point, declared deployment camera", func(t *testing.T) {
+		sh := workShape{"point", 30, hour, 20, [3]int64{11, 53, 26483}, [3]int64{96, 701, 259394}, "f38604ca86fafbca"}
+		sh.pin(t, cfg, declared, lin, questions, func(i int, _ []query.Ranked) bool { return i < oracleQuestions })
+	})
+
 	// One device that sees 5 km, a 60-s segment at noon at the city
-	// centre: it widens the walk of the questions it may cover, those
-	// whose window meets its minute and whose reach box comes within
-	// 5 km of it, and no other; where the top N fills (scan), its bound
-	// still caps the walk. Every answer that holds the device is held to
-	// Linear's too.
+	// centre: its key is its position grown by 5 km (the index's base is
+	// 0), so it adds the path to its leaf to the walk of the questions
+	// near it in place and time, and no other. Every answer that holds
+	// the device is held to Linear's too.
 	wide := index.Entry{
 		ID: uint64(lin.Len() + 1), Provider: "wide", Camera: fov.Camera{HalfAngleDeg: 30, RadiusMeters: 5000},
 		Rep: segment.Representative{FoV: fov.FoV{P: workload.DefaultConfig.Center}, StartMillis: 12 * hour, EndMillis: 12*hour + 60_000},
@@ -77,8 +101,11 @@ func TestServingTreeWorkPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sh := range []workShape{
-		{"point, one 5-km device", 30, hour, 20, [3]int64{11, 1683, 115575}, [3]int64{97, 32731, 2004331}, "0f4a2668fa4f93ac"},
-		{"scan, one 5-km device", 300, 24 * hour, 20, [3]int64{21, 396, 112943}, [3]int64{297, 7996, 2108445}, "9b6cc5b680e60d41"},
+		{"point, one 5-km device", 30, hour, 20, [3]int64{12, 55, 29003}, [3]int64{98, 701, 264338}, "0f4a2668fa4f93ac"},
+		{"scan, one 5-km device", 300, 24 * hour, 20, [3]int64{21, 72, 48702}, [3]int64{277, 1147, 670194}, "9b6cc5b680e60d41"},
+		{"wide, one 5-km device", 30, 12 * hour, 20, [3]int64{17, 66, 41406}, [3]int64{197, 961, 506287}, "789696d8402846db"},
+		{"nearest, one 5-km device", 0, hour, 10, [3]int64{11, 46, 26301}, [3]int64{84, 588, 218481}, "108f167a2012d86e"},
+		{"wide nearest, one 5-km device", 0, 12 * hour, 10, [3]int64{16, 75, 38995}, [3]int64{170, 1150, 460098}, "c04386f763fe220f"},
 	} {
 		t.Run(sh.name, func(t *testing.T) {
 			sh.pin(t, cfg, x, lin, questions, func(i int, got []query.Ranked) bool {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -77,8 +78,9 @@ func onGrid(entries []index.Entry) []index.Entry {
 // four stands on one of five shared spots (so equal distances occur,
 // also across the top-N cut, among cameras whose start times put them in
 // different leaves) and one in five declares its own optics, with a
-// radius of view of up to three times the deployment's (cam's 100 m).
-func equivalenceCorpus(rng *rand.Rand, origin geo.Point, n int) []index.Entry {
+// radius of view of up to maxRadius metres (at least 300, three times
+// the deployment camera's 100 m).
+func equivalenceCorpus(rng *rand.Rand, origin geo.Point, n int, maxRadius float64) []index.Entry {
 	entries := make([]index.Entry, n)
 	for i := range entries {
 		p := geo.Offset(origin, rng.Float64()*360, rng.Float64()*400)
@@ -91,31 +93,34 @@ func equivalenceCorpus(rng *rand.Rand, origin geo.Point, n int) []index.Entry {
 		start := int64(rng.Intn(100_000))
 		e := entry(uint64(i+1), p, rng.Float64()*360, start, start+int64(rng.Intn(50_000)))
 		if rng.Intn(5) == 0 {
-			e.Camera = fov.Camera{HalfAngleDeg: 10 + rng.Float64()*60, RadiusMeters: 20 + rng.Float64()*280}
+			e.Camera = fov.Camera{HalfAngleDeg: 10 + rng.Float64()*60, RadiusMeters: 20 + rng.Float64()*(maxRadius-20)}
 		}
 		entries[i] = e
 	}
 	return entries
 }
 
-// equivalenceKinds builds one index of every kind over the same entries.
+// equivalenceKinds builds one index of every kind over the same
+// entries: an RTree of base 0 by Insert, one of the deployment camera's
+// base by BulkLoadRTree, as a server boots, and Linear.
 func equivalenceKinds(t *testing.T, entries []index.Entry) map[string]index.Index {
 	t.Helper()
-	grid, err := index.NewGrid(150)
+	deployed, err := index.BulkLoadRTree(cam.RadiusMeters, len(entries), func(add func(*index.Entry) error) error {
+		for i := range entries {
+			if err := add(&entries[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	kinds := map[string]index.Index{
-		"rtree": newIndex(t), "linear": index.NewLinear(), "grid": grid,
+	lin := index.NewLinear()
+	if err := lin.InsertBatch(entries); err != nil {
+		t.Fatal(err)
 	}
-	for name, idx := range kinds {
-		for _, e := range entries {
-			if err := idx.Insert(e); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-		}
-	}
-	return kinds
+	return map[string]index.Index{"rtree": newIndex(t, entries...), "rtree deployed": deployed, "linear": lin}
 }
 
 // sameAsReference holds one SearchCtx answer over idx, which holds
@@ -126,12 +131,12 @@ func equivalenceKinds(t *testing.T, entries []index.Entry) map[string]index.Inde
 // survivors) the trace is the reference's but for the entries beyond
 // their own reach an index may also hand over, each one more candidate
 // dropped for distance: none for Linear, which hands over exactly the
-// reference's; for RTree those its walk reaches because a wider camera
-// may cover the circle — it hands over every entry of the window within
-// its reach and none beyond, the reach as rtreeReach bounds it; for
-// Grid also its boxes' corners. The drop records of the entries within
-// their reach are compared as a set, because the walk's order is its
-// own.
+// reference's; for RTree those within the deployment's reach whose own
+// camera sees less, and the steering's slack — it hands over every entry
+// of the window within r + max(D, R) of the center, D the deployment's
+// radius of view and R the entry's own (D for none), and none beyond by
+// steerDistance. The drop records of the entries within their reach are
+// compared as a set, because the walk's order is its own.
 func sameAsReference(t *testing.T, name string, idx index.Index, entries []index.Entry, q Query, opts Options) {
 	t.Helper()
 	want, wantTr := baselineSearch(entries, q, opts)
@@ -150,10 +155,9 @@ func sameAsReference(t *testing.T, name string, idx index.Index, entries []index
 	}
 	if opts.MaxResults <= 0 || wantTr.Ranked < opts.MaxResults {
 		beyond := tr.Candidates - wantTr.Candidates
-		lo, hi := rtreeReach(entries, q, opts)
-		if strings.HasPrefix(name, "rtree") && (tr.Candidates < inWindowWithin(entries, q, lo) || tr.Candidates > inWindowWithin(entries, q, hi)) {
-			t.Fatalf("%s %+v: the walk handed over %d entries, want those within %.3f m (%d) up to those within %.3f m (%d)",
-				name, q, tr.Candidates, lo, inWindowWithin(entries, q, lo), hi, inWindowWithin(entries, q, hi))
+		if lo, hi := withinOwnReach(entries, q, opts.Camera, geo.Distance), withinOwnReach(entries, q, opts.Camera, steerDistance); strings.HasPrefix(name, "rtree") && (tr.Candidates < lo || tr.Candidates > hi) {
+			t.Fatalf("%s %+v: the walk handed over %d entries, want the %d within their own reach up to the %d within it by the steering",
+				name, q, tr.Candidates, lo, hi)
 		}
 		var within []obs.TraceDrop
 		for _, d := range tr.Drops {
@@ -177,33 +181,38 @@ func sameAsReference(t *testing.T, name string, idx index.Index, entries []index
 	}
 }
 
-// rtreeReach bounds the reach an RTree walks for q over entries: r plus
-// at least the widest radius of view (the deployment's at the least) of
-// an entry of the window within r plus that radius of the center, and
-// at most the widest of the corpus, as the index sizes its reach from
-// the bounding boxes of classes of radii.
-func rtreeReach(entries []index.Entry, q Query, opts Options) (lo, hi float64) {
-	lo, hi = opts.Camera.RadiusMeters, opts.Camera.RadiusMeters
-	for _, e := range entries {
-		hi = max(hi, e.Camera.RadiusMeters)
-		if e.Rep.EndMillis >= q.StartMillis && e.Rep.StartMillis <= q.EndMillis &&
-			geo.Distance(e.Rep.FoV.P, q.Center) <= q.RadiusMeters+e.Camera.RadiusMeters {
-			lo = max(lo, e.Camera.RadiusMeters)
-		}
-	}
-	return q.RadiusMeters + lo, q.RadiusMeters + hi
-}
-
-// inWindowWithin counts the entries of q's window within reach of its
-// center by geo.Distance.
-func inWindowWithin(entries []index.Entry, q Query, reach float64) int {
+// withinOwnReach counts the entries of q's window within their own reach
+// of its center by dist: r + max(D, R), D the deployment camera's radius
+// of view and R the entry's own.
+func withinOwnReach(entries []index.Entry, q Query, deploy fov.Camera, dist func(p, c geo.Point) float64) int {
 	n := 0
 	for _, e := range entries {
-		if e.Rep.EndMillis >= q.StartMillis && e.Rep.StartMillis <= q.EndMillis && geo.Distance(e.Rep.FoV.P, q.Center) <= reach {
+		if e.Rep.EndMillis >= q.StartMillis && e.Rep.StartMillis <= q.EndMillis &&
+			dist(e.Rep.FoV.P, q.Center) <= q.RadiusMeters+max(deploy.RadiusMeters, e.Camera.RadiusMeters) {
 			n++
 		}
 	}
 	return n
+}
+
+// steerDistance returns the distance the walk's steering can tell p
+// from a question's center c by, at most geo.Distance, which bounds what
+// the walk hands over. The slack is the steering's: it weighs longitude
+// by the cosine at the pole-ward edge of the reach box rather than the
+// mid-latitude's, for the reach of the position's own distance (a
+// position the walk hands over lies within that box), and by nothing
+// where that box holds a pole or all longitudes or the position lies
+// across the antimeridian, where the walk tests latitude alone. A
+// relative 1e-9 covers the steering's own shrink (boundSlack).
+func steerDistance(p, c geo.Point) float64 {
+	v := geo.Displacement(p, c)
+	reach := v.Norm()
+	edge := math.Abs(c.Lat) + reach/geo.MetersPerDegree
+	cos, east := math.Cos(edge*math.Pi/180), 0.0
+	if dLng := math.Abs(p.Lng - c.Lng); edge < 90 && dLng <= 180 && reach/(geo.MetersPerDegree*cos) < 180 {
+		east = geo.MetersPerDegree * cos * dLng
+	}
+	return math.Hypot(east, v.North) * (1 - 1e-9)
 }
 
 // entryByID returns the entry of entries with the id.
@@ -213,11 +222,19 @@ func entryByID(entries []index.Entry, id uint64) *index.Entry {
 }
 
 // checkEquivalence builds every index kind over the same corpus around
-// origin and holds SearchCtx to the reference on each.
-func checkEquivalence(t *testing.T, seed int64, n, maxResults int, skipFilter bool, origin geo.Point) {
+// origin and holds SearchCtx to the reference on each. Devices declare
+// radii of view up to wide times the deployment's (three at the least);
+// past three, one more device, 300 m from origin and facing it, sees
+// 100 km, past the excess a leaf slot can hold (a whole-globe key).
+func checkEquivalence(t *testing.T, seed int64, n, maxResults int, skipFilter bool, origin geo.Point, wide int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	corpus := equivalenceCorpus(rng, origin, n)
+	corpus := equivalenceCorpus(rng, origin, n, cam.RadiusMeters*float64(max(wide, 3)))
+	if p := geo.Offset(origin, 45, 300); wide > 3 && p.Valid() {
+		far := entry(uint64(n+1), p, 225, 0, 200_000)
+		far.Camera = fov.Camera{HalfAngleDeg: 30, RadiusMeters: 100_000}
+		corpus = append(corpus, far)
+	}
 	kinds, held := equivalenceKinds(t, corpus), onGrid(corpus)
 	opts := Options{Camera: cam, MaxResults: maxResults, SkipOrientationFilter: skipFilter}
 	for trial := 0; trial < 6; trial++ {
@@ -244,27 +261,36 @@ func checkEquivalence(t *testing.T, seed int64, n, maxResults int, skipFilter bo
 // carry their own optics), the filter
 // ablation, corpora smaller than the cut, a near-polar city where the
 // box is wider than 180° of longitude, one at |lat| > 80°, and one
-// whose box spans the antimeridian.
+// whose box spans the antimeridian. The last five declare radii of
+// view up to 10 and 50 times the deployment's, with one device past
+// the excess a slot holds: in a city, at the antimeridian (both ways)
+// and at a pole, so wide keys split at the antimeridian, meet both of
+// a walk's boxes and hold a pole.
 func FuzzSearchEquivalence(f *testing.F) {
-	f.Add(int64(1), uint16(600), uint8(20), false, center.Lat, center.Lng)
-	f.Add(int64(2), uint16(600), uint8(0), false, center.Lat, center.Lng)
-	f.Add(int64(3), uint16(400), uint8(3), false, center.Lat, center.Lng)
-	f.Add(int64(4), uint16(400), uint8(7), true, center.Lat, center.Lng)
-	f.Add(int64(5), uint16(10), uint8(20), false, center.Lat, center.Lng)
-	f.Add(int64(6), uint16(0), uint8(1), true, center.Lat, center.Lng)
-	f.Add(int64(7), uint16(900), uint8(1), false, center.Lat, center.Lng)
-	f.Add(int64(8), uint16(300), uint8(12), true, center.Lat, center.Lng)
-	f.Add(int64(9), uint16(900), uint8(8), false, center.Lat, center.Lng)
-	f.Add(int64(10), uint16(600), uint8(10), false, 84.5, 20.0)
-	f.Add(int64(11), uint16(600), uint8(10), false, -89.9995, -40.0)
-	f.Add(int64(12), uint16(600), uint8(10), false, 10.0, 179.9995)
-	f.Add(int64(13), uint16(600), uint8(5), true, -33.0, -179.9995)
-	f.Fuzz(func(t *testing.T, seed int64, n uint16, maxResults uint8, skipFilter bool, lat, lng float64) {
+	f.Add(int64(1), uint16(600), uint8(20), false, center.Lat, center.Lng, uint8(0))
+	f.Add(int64(2), uint16(600), uint8(0), false, center.Lat, center.Lng, uint8(0))
+	f.Add(int64(3), uint16(400), uint8(3), false, center.Lat, center.Lng, uint8(0))
+	f.Add(int64(4), uint16(400), uint8(7), true, center.Lat, center.Lng, uint8(0))
+	f.Add(int64(5), uint16(10), uint8(20), false, center.Lat, center.Lng, uint8(0))
+	f.Add(int64(6), uint16(0), uint8(1), true, center.Lat, center.Lng, uint8(0))
+	f.Add(int64(7), uint16(900), uint8(1), false, center.Lat, center.Lng, uint8(0))
+	f.Add(int64(8), uint16(300), uint8(12), true, center.Lat, center.Lng, uint8(0))
+	f.Add(int64(9), uint16(900), uint8(8), false, center.Lat, center.Lng, uint8(0))
+	f.Add(int64(10), uint16(600), uint8(10), false, 84.5, 20.0, uint8(0))
+	f.Add(int64(11), uint16(600), uint8(10), false, -89.9995, -40.0, uint8(0))
+	f.Add(int64(12), uint16(600), uint8(10), false, 10.0, 179.9995, uint8(0))
+	f.Add(int64(13), uint16(600), uint8(5), true, -33.0, -179.9995, uint8(0))
+	f.Add(int64(14), uint16(600), uint8(0), false, center.Lat, center.Lng, uint8(50))
+	f.Add(int64(15), uint16(400), uint8(10), false, center.Lat, center.Lng, uint8(10))
+	f.Add(int64(16), uint16(600), uint8(10), false, 10.0, 179.9995, uint8(50))
+	f.Add(int64(17), uint16(600), uint8(0), true, -33.0, -179.9995, uint8(50))
+	f.Add(int64(18), uint16(600), uint8(10), false, -89.9995, -40.0, uint8(50))
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, maxResults uint8, skipFilter bool, lat, lng float64, wide uint8) {
 		origin := geo.Point{Lat: lat, Lng: lng}
 		if !origin.Valid() {
 			t.Skip("not a position")
 		}
-		checkEquivalence(t, seed, int(n%1000), int(maxResults), skipFilter, origin)
+		checkEquivalence(t, seed, int(n%1000), int(maxResults), skipFilter, origin, int(wide%51))
 	})
 }
 

@@ -17,9 +17,10 @@
 //  4. Return the top N records.
 //
 // SearchCtx runs the four as one walk of the index that the ranker
-// steers: the reach (r plus the widest radius of view among the cameras
-// that may cover the circle) bounds what the index looks at, and the
-// N-th best distance found so far bounds it further once there is one.
+// steers: the reach (r plus the deployment's radius of view, and a
+// device that sees farther within r plus its own) bounds what the index
+// looks at, and the N-th best distance found so far bounds it further
+// once there is one.
 package query
 
 import (

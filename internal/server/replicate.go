@@ -188,7 +188,7 @@ func (s *Server) FinishBootstrap(m store.ManifestSnapshot) error {
 	for _, seg := range m.Segments {
 		n += seg.Count
 	}
-	idx, nextID, err := load(n, func(sink func(*index.Entry) error) error {
+	idx, nextID, err := load(s.cfg.Camera.RadiusMeters, n, func(sink func(*index.Entry) error) error {
 		return s.store.FinishBootstrap(m, sink)
 	}, max(s.cfg.IDBase, m.HighID, s.store.HighID()))
 	if err != nil {

@@ -204,7 +204,7 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.Camera.Validate(); err != nil {
 		return nil, err
 	}
-	idx, nextID, err := load(cfg.Store.Len(), cfg.Store.ReadEntries, max(cfg.IDBase, cfg.Store.HighID()))
+	idx, nextID, err := load(cfg.Camera.RadiusMeters, cfg.Store.Len(), cfg.Store.ReadEntries, max(cfg.IDBase, cfg.Store.HighID()))
 	if err != nil {
 		return nil, fmt.Errorf("server: load store: %w", err)
 	}
@@ -389,11 +389,12 @@ func (s *Server) QueryCtx(ctx context.Context, q query.Query, maxResults int) ([
 func (s *Server) Traces() *obs.TraceStore { return s.traces }
 
 // load builds the serving index from the entries read streams, n of
-// them (an estimate is fine), and returns it with the id sequence's next
+// them (an estimate is fine), its keys sized against the deployment
+// camera's radius of view, and returns it with the id sequence's next
 // id: past floor and past every id read. The server's boot and a
 // follower's bootstrap finish share it.
-func load(n int, read func(sink func(*index.Entry) error) error, floor uint64) (*index.RTree, uint64, error) {
-	idx, err := index.BulkLoadRTree(n, func(add func(*index.Entry) error) error {
+func load(radius float64, n int, read func(sink func(*index.Entry) error) error, floor uint64) (*index.RTree, uint64, error) {
+	idx, err := index.BulkLoadRTree(radius, n, func(add func(*index.Entry) error) error {
 		return read(func(e *index.Entry) error {
 			floor = max(floor, e.ID)
 			return add(e)

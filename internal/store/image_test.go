@@ -104,7 +104,7 @@ func TestImageRestoreBuildsWorkingIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := index.BulkLoadRTree(len(decoded), func(add func(*index.Entry) error) error {
+	idx, err := index.BulkLoadRTree(0, len(decoded), func(add func(*index.Entry) error) error {
 		for i := range decoded {
 			if err := add(&decoded[i]); err != nil {
 				return err
