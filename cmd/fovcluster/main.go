@@ -14,26 +14,30 @@
 //
 //	{
 //	  "windowMillis": 3600000,
-//	  "spatialShards": 8,
 //	  "partitions": [
 //	    {"id": "p0", "leader": "http://10.0.0.1:8477",
 //	     "replicas": ["http://10.0.0.2:8477"],
-//	     "windows": [{"from": 0, "to": 11}],
-//	     "spatialCells": [0,1,2,3,4,5,6,7]},
+//	     "windows": [{"from": 0, "to": 11}]},
 //	    {"id": "p1", "leader": "http://10.0.0.3:8477",
 //	     "windows": [{"from": 12, "to": 23}]}
 //	  ]
 //	}
 //
+// A key the map does not define (spatialShards and spatialCells among
+// them) fails start-up. A segment is placed by the window its start
+// falls in; one longer than a window goes to the first partition.
+//
 // Each partition's leader is a plain fovserver started with
 // -cluster-topology/-cluster-partition (which makes it reject
 // misrouted uploads and assign ids from the partition's disjoint id
 // space); replicas are ordinary -replica-of followers. Queries
-// scatter to the owning partitions with a per-partition timeout,
-// hedge to replicas after -hedge-after without an answer, and merge
-// deterministically — the routed result is byte-identical to the same
-// corpus served by one node. The router itself holds no state: run
-// several behind a load balancer, restart freely.
+// scatter to the partitions owning their window and to the first
+// partition with a per-partition timeout, /nearest as the /query at
+// radius 0 it asks, hedge to replicas after -hedge-after without an
+// answer, and merge deterministically — the routed result is
+// byte-identical to the same corpus served by one node. The router
+// itself holds no state: run several behind a load balancer, restart
+// freely.
 //
 // GET /cluster/topology serves the loaded map; GET /healthz grades the
 // cluster (degraded while any partition node is unreachable or every
@@ -63,7 +67,7 @@ func main() {
 	partitionTimeout := flag.Duration("partition-timeout", 5*time.Second, "per-partition answer deadline, hedges included")
 	hedgeAfter := flag.Duration("hedge-after", 50*time.Millisecond, "latency after which a partition query hedges to the next replica (negative disables)")
 	probeTimeout := flag.Duration("probe-timeout", time.Second, "per-node /healthz probe deadline")
-	maxResults := flag.Int("max-results", 20, "default top-N for queries; must match the partitions' -max-results")
+	maxResults := flag.Int("max-results", 20, "default top-N for queries that name none; set it to the nodes' -max-results for routed answers to equal one node's")
 	quiet := flag.Bool("quiet", false, "suppress per-request logging")
 	logJSON := flag.Bool("log-json", false, "emit JSON request logs instead of key=value")
 	flag.Parse()

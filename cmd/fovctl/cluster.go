@@ -34,8 +34,8 @@ func runCluster(serverURL string) error {
 	if topo.WindowMillis%60000 == 0 {
 		window = fmt.Sprintf("%dm", topo.WindowMillis/60000)
 	}
-	fmt.Printf("cluster: %d partition(s), window %s, spatial shards %d, state %s (up %.0fs)\n",
-		len(topo.Partitions), window, topo.SpatialShards, hr.State, hr.UptimeSeconds)
+	fmt.Printf("cluster: %d partition(s), window %s, state %s (up %.0fs)\n",
+		len(topo.Partitions), window, hr.State, hr.UptimeSeconds)
 
 	byComponent := make(map[string]obs.HealthCheck, len(hr.Checks))
 	for _, ch := range hr.Checks {
@@ -49,9 +49,6 @@ func runCluster(serverURL string) error {
 		ownership := strings.Join(windows, " ")
 		if ownership == "" {
 			ownership = "(modulo)"
-		}
-		if len(p.SpatialCells) > 0 {
-			ownership += fmt.Sprintf(" spatial%v", p.SpatialCells)
 		}
 		state := "?"
 		var reasons []string

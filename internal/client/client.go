@@ -40,14 +40,6 @@ var (
 	uploadRetries       = obs.GetOrCreateCounter("fovr_client_upload_retries_total")
 )
 
-// Stage timers for the client paths, resolved once instead of a
-// per-call registry lookup.
-var (
-	pushSpan      = obs.NewSpanTimer("capture.push")
-	uploadSpan    = obs.NewSpanTimer("upload.post")
-	roundtripSpan = obs.NewSpanTimer("query.roundtrip")
-)
-
 // CaptureSession is one recording in progress.
 type CaptureSession struct {
 	provider string
@@ -86,14 +78,13 @@ func (c *CaptureSession) Push(s fov.Sample) error {
 // PushAll feeds a whole recorded trace, and records the batch's
 // per-frame cost in fovr_segment_frame_seconds.
 func (c *CaptureSession) PushAll(samples []fov.Sample) error {
-	sp := pushSpan.Start()
+	start := time.Now()
 	for i, s := range samples {
 		if err := c.Push(s); err != nil {
-			sp.End()
 			return fmt.Errorf("client: sample %d: %w", i, err)
 		}
 	}
-	segment.ObserveFrames(sp.End(), len(samples))
+	segment.ObserveFrames(time.Since(start), len(samples))
 	return nil
 }
 
@@ -164,8 +155,6 @@ func (c *Client) UploadTraced(u wire.Upload, trace string) ([]uint64, string, er
 	if trace == "" {
 		trace = mintTraceID()
 	}
-	sp := uploadSpan.Start()
-	defer sp.End()
 	resp, err := postUpload(context.Background(), c.retryPolicy(), c.httpClient(), c.BaseURL, u, trace, c.addTraffic)
 	if err != nil {
 		return nil, trace, err
@@ -252,8 +241,6 @@ func mintTraceID() string {
 // Query runs a retrieval request and returns the ranked results along
 // with the server-reported search time.
 func (c *Client) Query(q query.Query, maxResults int) ([]query.Ranked, time.Duration, error) {
-	sp := roundtripSpan.Start()
-	defer sp.End()
 	body, err := json.Marshal(server.QueryRequest{Query: q, MaxResults: maxResults})
 	if err != nil {
 		return nil, 0, err
@@ -273,8 +260,6 @@ func (c *Client) Query(q query.Query, maxResults int) ([]query.Ranked, time.Dura
 // full response, including the inline query trace (stage timings, index
 // traversal counters, and the per-candidate drop breakdown).
 func (c *Client) QueryExplain(q query.Query, maxResults int) (server.QueryResponse, error) {
-	sp := roundtripSpan.Start()
-	defer sp.End()
 	body, err := json.Marshal(server.QueryRequest{Query: q, MaxResults: maxResults})
 	if err != nil {
 		return server.QueryResponse{}, err

@@ -52,6 +52,7 @@ type stubPartition struct {
 
 	mu   sync.Mutex
 	head []byte // the last request head received
+	body []byte // and its body
 }
 
 func newStub(t *testing.T, id uint64, distance float64) *stubPartition {
@@ -92,7 +93,7 @@ func (s *stubPartition) accept() {
 func (s *stubPartition) serve(n int, c net.Conn) {
 	defer c.Close()
 	br := bufio.NewReader(c)
-	var head, resp []byte
+	var head, body, resp []byte
 	for first := true; ; first = false {
 		// One request: the head up to the blank line, then the body.
 		head = head[:0]
@@ -110,12 +111,17 @@ func (s *stubPartition) serve(n int, c net.Conn) {
 				break
 			}
 		}
-		if _, err := br.Discard(length); err != nil {
+		if cap(body) < length {
+			body = make([]byte, length)
+		}
+		body = body[:length]
+		if _, err := io.ReadFull(br, body); err != nil {
 			return
 		}
 		s.requests.Add(1)
 		s.mu.Lock()
 		s.head = append(s.head[:0], head...)
+		s.body = append(s.body[:0], body...)
 		s.mu.Unlock()
 		for g := int32(runtime.NumGoroutine()); ; {
 			if seen := s.goroutines.Load(); g <= seen || s.goroutines.CompareAndSwap(seen, g) {
@@ -156,12 +162,18 @@ func (s *stubPartition) lastHead() string {
 	return string(s.head)
 }
 
+func (s *stubPartition) lastBody() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return string(s.body)
+}
+
 // stubCluster is a router over one stub per partition; replicas[i]
 // stubs, when given, follow partition i's leader in hedging order. The
 // day's 24 window keys are split evenly, so dayQuery visits them all.
 func stubCluster(t *testing.T, cfg cluster.RouterConfig, leaders []*stubPartition, replicas ...[]*stubPartition) (*cluster.Router, *obs.Registry) {
 	t.Helper()
-	topo := &cluster.Topology{WindowMillis: testWindow, SpatialShards: -1}
+	topo := &cluster.Topology{WindowMillis: testWindow}
 	per := int64(24 / len(leaders))
 	for i, l := range leaders {
 		p := cluster.Partition{
@@ -202,7 +214,13 @@ var dayQuery = func() []byte {
 
 // route serves one POST /query through h on the calling goroutine.
 func route(h http.Handler, header ...string) *httptest.ResponseRecorder {
-	r := httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(dayQuery))
+	return routeTo(h, "/query", dayQuery, header...)
+}
+
+// routeTo serves one POST of body to path through h on the calling
+// goroutine.
+func routeTo(h http.Handler, path string, body []byte, header ...string) *httptest.ResponseRecorder {
+	r := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
 	for i := 0; i+1 < len(header); i += 2 {
 		r.Header[header[i]] = []string{header[i+1]}
 	}
@@ -295,6 +313,60 @@ func TestRoutedQuerySpawnsNothing(t *testing.T) {
 	if err := server.DecodeQueryResponse(route(h).Body.Bytes(), &resp); err != nil || len(resp.Results) != 3 ||
 		resp.Results[0].Entry.ID != 1<<48+1 || resp.Results[1].Entry.ID != 2<<48+1 || resp.Results[2].Entry.ID != 1 {
 		t.Fatalf("merged answer: %v %+v", err, resp.Results)
+	}
+}
+
+// TestRoutedNearestIsAQuery: the router forwards a /nearest to every
+// partition as the /query it asks, at radius 0 with maxResults k, and
+// answers the merged QueryResponse.
+func TestRoutedNearestIsAQuery(t *testing.T) {
+	stubs := []*stubPartition{newStub(t, 1, 10), newStub(t, 1<<48+1, 5), newStub(t, 2<<48+1, 7.5)}
+	rt, _ := stubCluster(t, cluster.RouterConfig{}, stubs)
+	nearest := []byte(`{"center":{"lat":40,"lng":116.3},"startMillis":3600000,"endMillis":82799999,"k":7}`)
+	w := routeTo(rt.Handler(), "/nearest", nearest)
+	if w.Code != http.StatusOK {
+		t.Fatalf("%d %s", w.Code, w.Body)
+	}
+	const want = `{"startMillis":3600000,"endMillis":82799999,"center":{"lat":40,"lng":116.3},"radiusMeters":0,"maxResults":7}`
+	for i, s := range stubs {
+		if head := s.lastHead(); !strings.HasPrefix(head, "POST /query HTTP/1.1\r\n") {
+			t.Errorf("partition %d was asked\n%s", i, head)
+		}
+		if got := s.lastBody(); got != want {
+			t.Errorf("partition %d was asked %s, want %s", i, got, want)
+		}
+	}
+	var resp server.QueryResponse
+	if err := server.DecodeQueryResponse(w.Body.Bytes(), &resp); err != nil || resp.Trace != nil || len(resp.Results) != 3 ||
+		resp.Results[0].Entry.ID != 1<<48+1 || resp.Results[2].Entry.ID != 1 {
+		t.Fatalf("merged answer: %v %s", err, w.Body)
+	}
+}
+
+// TestRoutedReadCarriesTheRoutersN: a question that names no N reaches
+// every partition with the router's DefaultMaxResults, so no partition's
+// own default ever applies to a routed read.
+func TestRoutedReadCarriesTheRoutersN(t *testing.T) {
+	stubs := []*stubPartition{newStub(t, 1, 10), newStub(t, 1<<48+1, 5), newStub(t, 2<<48+1, 7.5)}
+	rt, _ := stubCluster(t, cluster.RouterConfig{DefaultMaxResults: 13}, stubs)
+	h := rt.Handler()
+	reads := []struct {
+		path string
+		body []byte
+	}{
+		{"/query", dayQuery},
+		{"/nearest", []byte(`{"center":{"lat":40,"lng":116.3},"startMillis":3600000,"endMillis":82799999}`)},
+		{"/nearest", []byte(`{"center":{"lat":40,"lng":116.3},"startMillis":3600000,"endMillis":82799999,"k":0}`)},
+	}
+	for _, rd := range reads {
+		if w := routeTo(h, rd.path, rd.body); w.Code != http.StatusOK {
+			t.Fatalf("%s %s: %d %s", rd.path, rd.body, w.Code, w.Body)
+		}
+		for i, s := range stubs {
+			if got := s.lastBody(); !strings.HasSuffix(got, `,"maxResults":13}`) {
+				t.Errorf("%s %s reached partition %d as %s, want maxResults 13", rd.path, rd.body, i, got)
+			}
+		}
 	}
 }
 

@@ -1,10 +1,12 @@
 // The scatter-gather query router: a stateless process serving the
 // single-node HTTP surface (/query, /nearest, /upload) over a
 // partitioned cluster. Queries fan out to the partitions owning the
-// query's window range, hedge to replicas when the leader is slow, and
-// merge the ranked partition answers by (distance, id) — so a routed
-// result is byte-identical to the same corpus on one node. Uploads
-// split into per-owner runs and forward to partition leaders.
+// query's window range and to the first partition, which holds the
+// over-long segments; a /nearest goes out as the /query it asks. Legs
+// hedge to replicas when the leader is slow, and the ranked partition
+// answers merge by (distance, id) — so a routed result is
+// byte-identical to the same corpus on one node. Uploads split into
+// per-owner runs and forward to partition leaders.
 //
 // A routed read is built once and gathered on the handler's own
 // goroutine (scatter); only a leg whose leader is slow, unreachable or
@@ -47,10 +49,12 @@ type RouterConfig struct {
 	// ProbeTimeout bounds each /healthz probe of a partition node.
 	// Zero selects 1s.
 	ProbeTimeout time.Duration
-	// DefaultMaxResults is the top-N when a query names none. It must
-	// match the partitions' server.Config.DefaultMaxResults — the merge
-	// is only byte-faithful when router and partitions truncate at the
-	// same N. Zero selects 20, the server default.
+	// DefaultMaxResults is the top-N when a query names none. The
+	// router sends every partition the N it resolved, so no partition's
+	// default applies to a routed read; it must equal the nodes'
+	// server.Config.DefaultMaxResults only for a routed answer to equal
+	// what one node answers to a question that names no N. Zero selects
+	// 20, the server default.
 	DefaultMaxResults int
 	// Registry receives the fovr_cluster_* metrics; nil selects
 	// obs.Default.
@@ -452,8 +456,8 @@ func (rt *Router) handleNearest(w http.ResponseWriter, r *http.Request) { rt.ser
 // serveRead is the one body of the two read routes: decode and
 // validate, scatter to the owners of the window, gather the answers,
 // merge by (distance, id), respond. A /nearest body asks the query at
-// radius 0 with N = k and goes to the partitions as a /nearest; only
-// /query inlines an ?explain=1 trace.
+// radius 0 with N = k and goes to the partitions as that /query; both
+// answer a QueryResponse, and only /query inlines an ?explain=1 trace.
 func (rt *Router) serveRead(w http.ResponseWriter, r *http.Request, nearest bool) {
 	sc := rt.getGather()
 	defer rt.putGather(sc)
@@ -465,7 +469,7 @@ func (rt *Router) serveRead(w http.ResponseWriter, r *http.Request, nearest bool
 	name, req := "query", server.QueryRequest{}
 	if nearest {
 		name = "nearest"
-		var nr server.NearestRequest // scoped here: one shared with the encode below escapes on every /query
+		var nr server.NearestRequest // scoped here: one outside the branch escapes on every /query
 		err = server.DecodeNearestRequest(sc.in, &nr)
 		req = nr.Question()
 	} else {
@@ -489,16 +493,10 @@ func (rt *Router) serveRead(w http.ResponseWriter, r *http.Request, nearest bool
 	start := time.Now()
 
 	path := "/query"
-	if nearest {
-		path = "/nearest"
-		nr := server.NearestRequest{Center: req.Center, StartMillis: req.StartMillis, EndMillis: req.EndMillis, K: max}
-		sc.body, err = server.AppendNearestRequest(sc.body[:0], &nr)
-	} else {
-		if explain {
-			path = "/query?explain=1"
-		}
-		sc.body, err = server.AppendQueryRequest(sc.body[:0], &req)
+	if explain {
+		path = "/query?explain=1"
 	}
+	sc.body, err = server.AppendQueryRequest(sc.body[:0], &req)
 	if err == nil {
 		err = sc.req.Render(path, trace, sc.body)
 	}
@@ -534,14 +532,8 @@ func (rt *Router) serveRead(w http.ResponseWriter, r *http.Request, nearest bool
 	if rt.logOn {
 		rt.log.Info(name, "fanout", len(owners), "hits", len(sc.merged), "traceID", trace)
 	}
-	elapsed := time.Since(start).Microseconds()
-	if nearest {
-		resp := server.NearestResponse{Results: sc.merged, ElapsedMicros: elapsed, TraceID: trace}
-		sc.out, err = server.AppendNearestResponse(sc.out[:0], &resp)
-	} else {
-		resp := server.QueryResponse{Results: sc.merged, ElapsedMicros: elapsed, TraceID: trace, Trace: tr}
-		sc.out, err = server.AppendQueryResponse(sc.out[:0], &resp)
-	}
+	resp := server.QueryResponse{Results: sc.merged, ElapsedMicros: time.Since(start).Microseconds(), TraceID: trace, Trace: tr}
+	sc.out, err = server.AppendQueryResponse(sc.out[:0], &resp)
 	server.WriteJSON(w, sc.out, err)
 }
 

@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -40,7 +41,7 @@ const testWindow = int64(3_600_000) // 1h, the topology default
 
 // corpus returns n representative FoVs spread over one day around the
 // test city (the bench-corpus idiom: session batches, ~2s segments),
-// with ~2% over-long segments to exercise the spatial-cell routing.
+// with ~2% over-long segments, which the first partition holds.
 func corpus(n int) []wire.Upload {
 	rng := rand.New(rand.NewSource(51))
 	var uploads []wire.Upload
@@ -52,7 +53,7 @@ func corpus(n int) []wire.Upload {
 			start := base + int64(i)*2000
 			end := start + 1500 + int64(rng.Intn(500))
 			if rng.Intn(50) == 0 {
-				end = start + 2*testWindow // over-long: placed by spatial cell
+				end = start + 2*testWindow // over-long: placed on the first partition
 			}
 			u.Reps = append(u.Reps, segment.Representative{
 				FoV:         fov.FoV{P: p, Theta: rng.Float64() * 360},
@@ -82,18 +83,16 @@ func queries(n int) []query.Query {
 	return out
 }
 
-// threePartitionTopology splits the day's 24 window keys three ways and
-// spreads the spatial cells, leader URLs to be filled in once the
-// httptest servers exist.
+// threePartitionTopology splits the day's 24 window keys three ways,
+// leader URLs to be filled in once the httptest servers exist.
 func threePartitionTopology(t testing.TB) *cluster.Topology {
 	t.Helper()
 	topo := &cluster.Topology{
-		WindowMillis:  testWindow,
-		SpatialShards: 8,
+		WindowMillis: testWindow,
 		Partitions: []cluster.Partition{
-			{ID: "p0", Leader: "pending", Windows: []cluster.WindowRange{{From: 0, To: 7}}, SpatialCells: []int{0, 1, 2}},
-			{ID: "p1", Leader: "pending", Windows: []cluster.WindowRange{{From: 8, To: 15}}, SpatialCells: []int{3, 4, 5}},
-			{ID: "p2", Leader: "pending", Windows: []cluster.WindowRange{{From: 16, To: 23}}, SpatialCells: []int{6, 7}},
+			{ID: "p0", Leader: "pending", Windows: []cluster.WindowRange{{From: 0, To: 7}}},
+			{ID: "p1", Leader: "pending", Windows: []cluster.WindowRange{{From: 8, To: 15}}},
+			{ID: "p2", Leader: "pending", Windows: []cluster.WindowRange{{From: 16, To: 23}}},
 		},
 	}
 	if err := topo.Validate(); err != nil {
@@ -164,6 +163,27 @@ func postJSON(t *testing.T, url string, req, out any) (int, string) {
 	return resp.StatusCode, ""
 }
 
+// postTraced posts body under the trace id and returns the 200 answer's
+// bytes.
+func postTraced(t *testing.T, url string, body []byte, trace string) []byte {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(server.TraceHeader, trace)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: %d %s (%v)", url, resp.StatusCode, out, err)
+	}
+	return out
+}
+
 func marshal(t *testing.T, v any) []byte {
 	t.Helper()
 	data, err := json.Marshal(v)
@@ -212,6 +232,7 @@ func TestClusterDifferential(t *testing.T) {
 	// ids from the partition's disjoint id space.
 	union := make([]index.Entry, 0, total)
 	seen := make(map[uint64]bool, total)
+	overLong := 0
 	for i, srv := range leaders {
 		entries := srv.Index().Entries()
 		base, _ := topo.IDBase(topo.Partitions[i].ID)
@@ -226,8 +247,17 @@ func TestClusterDifferential(t *testing.T) {
 			if err := topo.OwnsRep(topo.Partitions[i].ID)(e.Rep); err != nil {
 				t.Fatalf("partition %s holds a rep it does not own: %v", topo.Partitions[i].ID, err)
 			}
+			if index.OverLong(e.Rep.StartMillis, e.Rep.EndMillis, testWindow) {
+				if i != 0 {
+					t.Fatalf("partition %s holds over-long rep %d", topo.Partitions[i].ID, e.ID)
+				}
+				overLong++
+			}
 		}
 		union = append(union, entries...)
+	}
+	if overLong == 0 {
+		t.Fatal("the corpus holds no over-long segment")
 	}
 	if len(union) != total {
 		t.Fatalf("union has %d entries, ingested %d", len(union), total)
@@ -261,19 +291,27 @@ func TestClusterDifferential(t *testing.T) {
 		}
 	}
 
-	// Nearest-neighbor scatter merges under the same metric.
+	// A routed /nearest (a /query at radius 0 on every partition) answers
+	// the bytes one node answers, but for the elapsed time: the same
+	// QueryResponse document, without a trace.
+	elapsed, zero := regexp.MustCompile(`"elapsedMicros":[0-9]+`), []byte(`"elapsedMicros":0`)
+	hits := 0
 	for i, q := range qs[:60] {
-		req := server.NearestRequest{Center: q.Center, StartMillis: q.StartMillis, EndMillis: q.EndMillis, K: 10}
-		var routed, direct server.NearestResponse
-		if code, msg := postJSON(t, router.URL+"/nearest", req, &routed); code != 200 {
-			t.Fatalf("nearest %d via router: %d %s", i, code, msg)
+		body := marshal(t, server.NearestRequest{Center: q.Center, StartMillis: q.StartMillis, EndMillis: q.EndMillis, K: 10})
+		trace := fmt.Sprintf("nearest-%d", i)
+		routed := elapsed.ReplaceAll(postTraced(t, router.URL+"/nearest", body, trace), zero)
+		direct := elapsed.ReplaceAll(postTraced(t, singleHTTP.URL+"/nearest", body, trace), zero)
+		if !bytes.Equal(routed, direct) {
+			t.Fatalf("nearest %d: routed answer differs\nrouted: %s\nsingle: %s", i, routed, direct)
 		}
-		if code, msg := postJSON(t, singleHTTP.URL+"/nearest", req, &direct); code != 200 {
-			t.Fatalf("nearest %d via single node: %d %s", i, code, msg)
+		var resp server.QueryResponse
+		if err := server.DecodeQueryResponse(direct, &resp); err != nil || resp.Trace != nil {
+			t.Fatalf("nearest %d: not a trace-free QueryResponse (%v): %s", i, err, direct)
 		}
-		if got, want := marshal(t, routed.Results), marshal(t, direct.Results); !bytes.Equal(got, want) {
-			t.Fatalf("nearest %d: routed results differ\nrouted: %s\nsingle: %s", i, got, want)
-		}
+		hits += len(resp.Results)
+	}
+	if hits == 0 {
+		t.Fatal("no nearest question found anything")
 	}
 
 	// ?explain=1 sums the partitions' index traversal cost.
@@ -321,11 +359,9 @@ func TestClusterDifferential(t *testing.T) {
 // both showing what happened.
 func TestClusterHedgedFailover(t *testing.T) {
 	topo := &cluster.Topology{
-		WindowMillis:  testWindow,
-		SpatialShards: 8,
+		WindowMillis: testWindow,
 		Partitions: []cluster.Partition{
-			{ID: "p0", Leader: "pending", Windows: []cluster.WindowRange{{From: 0, To: 11}},
-				SpatialCells: []int{0, 1, 2, 3, 4, 5, 6, 7}},
+			{ID: "p0", Leader: "pending", Windows: []cluster.WindowRange{{From: 0, To: 11}}},
 			{ID: "p1", Leader: "pending", Windows: []cluster.WindowRange{{From: 12, To: 23}}},
 		},
 	}

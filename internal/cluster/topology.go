@@ -1,26 +1,28 @@
-// Package cluster composes window/spatial-hash placement with the
+// Package cluster composes time-window placement with the
 // per-partition replica sets internal/replica ships into a multi-node
-// topology: a partition map assigning placement keys to leader
-// processes, and a stateless scatter-gather router (router.go) serving
-// the same HTTP surface as a single node.
+// topology: a partition map assigning window keys to leader processes,
+// and a stateless scatter-gather router (router.go) serving the same
+// HTTP surface as a single node.
 //
-// Placement keys are index.WindowKey for ordinary segments and
-// index.SpatialCell for over-long ones (one implementation, shared with
-// the per-node ownership guards). A query fans out to every partition
-// that could hold a segment intersecting its time window, and each
+// A segment is placed by index.WindowKey of its start (one
+// implementation, shared with the per-node ownership guards); one
+// longer than the window (index.OverLong) goes to the first partition.
+// A query fans out to every partition that could hold a segment
+// intersecting its time window, the first among them, and each
 // partition answers from its own R-tree; merging the ranked partition
 // answers by (distance, id) is what makes the router's results
 // byte-identical to one big node.
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"sort"
 
 	"fovr/internal/client"
-	"fovr/internal/geo"
 	"fovr/internal/index"
 	"fovr/internal/segment"
 )
@@ -51,10 +53,6 @@ type Partition struct {
 	// owns. Keys matched by no partition's ranges fall back to
 	// floor-modulo placement over all partitions.
 	Windows []WindowRange `json:"windows,omitempty"`
-	// SpatialCells are the spatial-hash cells (over-long segments) this
-	// partition owns. Cells assigned to no partition default to the
-	// first partition.
-	SpatialCells []int `json:"spatialCells,omitempty"`
 }
 
 // Endpoints returns the partition's nodes in hedging order: leader
@@ -73,14 +71,10 @@ type Topology struct {
 	// index.DefaultShardWindowMillis (1 h). Routing and the per-node
 	// ownership guards read the same topology, so they agree on it.
 	WindowMillis int64 `json:"windowMillis,omitempty"`
-	// SpatialShards sizes the spatial-hash cell space over-long
-	// segments route by. Zero selects 8; negative
-	// disables over-long segments cluster-wide — ingest rejects them —
-	// which lets queries skip the spatial fan-out entirely.
-	SpatialShards int `json:"spatialShards,omitempty"`
 	// Partitions lists the key owners. Order matters: it defines the
-	// floor-modulo fallback placement and the id-base assignment, so
-	// reordering partitions re-keys the cluster.
+	// floor-modulo fallback placement, the id-base assignment and the
+	// owner of over-long segments (the first partition), so reordering
+	// partitions re-keys the cluster.
 	Partitions []Partition `json:"partitions"`
 
 	// covered is every partition's explicit window ranges in ascending
@@ -101,10 +95,17 @@ func Load(path string) (*Topology, error) {
 // a loaded map names real nodes, so an endpoint that is not a plain
 // "http://host:port" fails here, at start-up, not on the first request
 // routed to it. (Validate alone leaves URLs be: in-process callers fill
-// them in once their listeners exist.)
+// them in once their listeners exist.) A key the map does not define
+// fails too, so a field that no longer exists is named, not ignored.
 func Parse(data []byte) (*Topology, error) {
 	var t Topology
-	if err := json.Unmarshal(data, &t); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&t)
+	if err == nil && len(bytes.Trim(data[dec.InputOffset():], " \t\r\n")) > 0 {
+		err = errors.New("data after the top-level value")
+	}
+	if err != nil {
 		return nil, fmt.Errorf("cluster: topology: %w", err)
 	}
 	if err := t.Validate(); err != nil {
@@ -120,17 +121,14 @@ func Parse(data []byte) (*Topology, error) {
 	return &t, nil
 }
 
-// Validate checks structural invariants and fills defaults
-// (WindowMillis, SpatialShards).
+// Validate checks structural invariants and fills the WindowMillis
+// default.
 func (t *Topology) Validate() error {
 	if t.WindowMillis == 0 {
 		t.WindowMillis = index.DefaultShardWindowMillis
 	}
 	if t.WindowMillis < 0 {
 		return fmt.Errorf("cluster: topology: windowMillis %d must be positive", t.WindowMillis)
-	}
-	if t.SpatialShards == 0 {
-		t.SpatialShards = 8
 	}
 	if len(t.Partitions) == 0 {
 		return fmt.Errorf("cluster: topology: no partitions")
@@ -141,7 +139,6 @@ func (t *Topology) Validate() error {
 		id string
 	}
 	var ranges []ownedRange
-	cellOwner := make(map[int]string)
 	for i := range t.Partitions {
 		p := &t.Partitions[i]
 		if p.ID == "" {
@@ -159,18 +156,6 @@ func (t *Topology) Validate() error {
 				return fmt.Errorf("cluster: topology: partition %q window range [%d, %d] inverted", p.ID, r.From, r.To)
 			}
 			ranges = append(ranges, ownedRange{r, p.ID})
-		}
-		for _, c := range p.SpatialCells {
-			if t.SpatialShards < 0 {
-				return fmt.Errorf("cluster: topology: partition %q assigns spatial cells but spatialShards is disabled", p.ID)
-			}
-			if c < 0 || c >= t.SpatialShards {
-				return fmt.Errorf("cluster: topology: partition %q spatial cell %d out of range [0, %d)", p.ID, c, t.SpatialShards)
-			}
-			if owner, dup := cellOwner[c]; dup {
-				return fmt.Errorf("cluster: topology: spatial cell %d owned by both %q and %q", c, owner, p.ID)
-			}
-			cellOwner[c] = p.ID
 		}
 	}
 	sort.Slice(ranges, func(i, j int) bool { return ranges[i].From < ranges[j].From })
@@ -232,30 +217,13 @@ func (t *Topology) OwnerOfKey(key int64) *Partition {
 	return &t.Partitions[floorMod(key, len(t.Partitions))]
 }
 
-// SpatialOwner returns the partition owning a spatial cell: the one
-// that lists it, else the first partition.
-func (t *Topology) SpatialOwner(cell int) *Partition {
-	for i := range t.Partitions {
-		for _, c := range t.Partitions[i].SpatialCells {
-			if c == cell {
-				return &t.Partitions[i]
-			}
-		}
-	}
-	return &t.Partitions[0]
-}
-
 // OwnerOfRep returns the partition a representative must be ingested
-// on: the spatial-cell owner for over-long segments (duration >
-// window), the window-key owner otherwise. Over-long segments error
-// when the topology disables spatial shards.
+// on: the first partition for an over-long segment (duration >
+// window), the window-key owner otherwise. The error is always nil:
+// every representative has an owner.
 func (t *Topology) OwnerOfRep(rep segment.Representative) (*Partition, error) {
 	if index.OverLong(rep.StartMillis, rep.EndMillis, t.WindowMillis) {
-		if t.SpatialShards < 0 {
-			return nil, fmt.Errorf("cluster: segment [%d, %d] longer than window %dms but topology disables spatial shards",
-				rep.StartMillis, rep.EndMillis, t.WindowMillis)
-		}
-		return t.SpatialOwner(index.SpatialCell(rep.FoV.P, t.SpatialShards)), nil
+		return &t.Partitions[0], nil
 	}
 	return t.OwnerOfKey(index.WindowKey(rep.StartMillis, t.WindowMillis)), nil
 }
@@ -279,10 +247,9 @@ func (t *Topology) OwnsRep(id string) func(rep segment.Representative) error {
 // OwnersForQuery returns, in topology order, every partition a query
 // over [startMillis, endMillis] must visit: the owners of the window
 // keys in the query's fan-out range (index.WindowKeyRange's
-// floor(start/W)-1 .. floor(end/W) rule) plus — since an over-long
-// segment may intersect any window — all spatial-cell owners, unless the
-// topology disables spatial shards. The topology must have been
-// validated.
+// floor(start/W)-1 .. floor(end/W) rule) plus the first partition,
+// since an over-long segment may intersect any window. The topology
+// must have been validated.
 func (t *Topology) OwnersForQuery(startMillis, endMillis int64) []*Partition {
 	lo, hi := index.WindowKeyRange(startMillis, endMillis, t.WindowMillis)
 	n := len(t.Partitions)
@@ -340,21 +307,8 @@ func (t *Topology) OwnersForQuery(startMillis, endMillis int64) []*Partition {
 		addModRange(next, hi)
 	}
 
-	// Spatial fallback: every query visits it.
-	if t.SpatialShards > 0 {
-		assigned := 0
-		for i := range t.Partitions {
-			if cells := len(t.Partitions[i].SpatialCells); cells > 0 {
-				owns[i] = true
-				assigned += cells
-			}
-		}
-		// Unassigned cells default to the first partition; any cell
-		// space not fully covered keeps it in the set.
-		if assigned < t.SpatialShards {
-			owns[0] = true
-		}
-	}
+	// Over-long segments live on the first partition.
+	owns[0] = true
 
 	out := make([]*Partition, 0, n)
 	for i := range t.Partitions {
@@ -363,14 +317,4 @@ func (t *Topology) OwnersForQuery(startMillis, endMillis int64) []*Partition {
 		}
 	}
 	return out
-}
-
-// SpatialCellFor returns the cluster-level spatial cell a point hashes
-// to, for callers that need to display or test placement; -1 when the
-// topology disables spatial shards.
-func (t *Topology) SpatialCellFor(p geo.Point) int {
-	if t.SpatialShards <= 0 {
-		return -1
-	}
-	return index.SpatialCell(p, t.SpatialShards)
 }

@@ -1,18 +1,13 @@
 // Placement-key math for a partitioned deployment.
 //
 // A partitioned deployment (internal/cluster) assigns ownership by
-// time-window keys for normal segments and spatial-hash cells for
-// over-long ones. These helpers are the one implementation of that math,
-// so the partition map, the router and the per-node ownership guards
-// agree bit-for-bit. Inside a node the index is one R-tree; the keys are
-// placement, not indexing.
+// time-window keys, and places over-long segments apart. These helpers
+// are the one implementation of that math, so the partition map, the
+// router and the per-node ownership guards agree bit-for-bit. Inside a
+// node the index is one R-tree; the keys are placement, not indexing.
 package index
 
-import (
-	"math"
-
-	"fovr/internal/geo"
-)
+import "math"
 
 // DefaultShardWindowMillis is one hour — long relative to typical
 // segment durations (seconds to minutes), short enough that a day of
@@ -43,26 +38,9 @@ func WindowKeyRange(startMillis, endMillis, windowMillis int64) (lo, hi int64) {
 	return lo, hi
 }
 
-// SpatialCell returns the spatial-hash cell (0..n-1) of an over-long
-// segment anchored at p: FNV-1a over the coordinate bit patterns. n must
-// be positive.
-func SpatialCell(p geo.Point, n int) int {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, v := range [2]uint64{math.Float64bits(p.Lat), math.Float64bits(p.Lng)} {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= prime
-		}
-	}
-	return int(h % uint64(n))
-}
-
 // OverLong reports whether a segment spanning [startMillis, endMillis]
-// is placed by spatial cell instead of time window.
+// is longer than a window, so that no window key bounds it: a
+// partitioned deployment places it on its first partition.
 func OverLong(startMillis, endMillis, windowMillis int64) bool {
 	return endMillis-startMillis > windowMillis
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterBasics(t *testing.T) {
@@ -238,11 +237,7 @@ func TestPrometheusExpositionWellFormed(t *testing.T) {
 	h := r.Histogram(`fovr_http_request_seconds{endpoint="/query"}`)
 	h.Observe(0.004)
 	h.Observe(0.02)
-	sp := r.SpanTimer("query.rank").Start()
-	time.Sleep(time.Millisecond)
-	if d := sp.End(); d <= 0 {
-		t.Fatalf("span duration %v", d)
-	}
+	r.Histogram(`fovr_labeled_seconds{stage="query.rank"}`).Observe(0.001)
 
 	out := r.Prometheus()
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
@@ -261,14 +256,14 @@ func TestPrometheusExpositionWellFormed(t *testing.T) {
 	}
 	for _, fam := range []string{
 		"fovr_http_requests_total", "fovr_index_entries",
-		"fovr_http_request_seconds", "fovr_stage_seconds",
+		"fovr_http_request_seconds", "fovr_labeled_seconds",
 	} {
 		if !typeSeen[fam] {
 			t.Errorf("missing TYPE line for %s:\n%s", fam, out)
 		}
 	}
-	if !strings.Contains(out, `fovr_stage_seconds_count{stage="query.rank"} 1`) {
-		t.Errorf("span did not record into stage histogram:\n%s", out)
+	if !strings.Contains(out, `fovr_labeled_seconds_count{stage="query.rank"} 1`) {
+		t.Errorf("labeled histogram missing from the exposition:\n%s", out)
 	}
 }
 

@@ -259,17 +259,3 @@ func TestTraceStoreConcurrentObserve(t *testing.T) {
 		t.Fatalf("sampling under concurrency broke: %+v (≈%d expected sampled)", st, wantSampled)
 	}
 }
-
-func TestSpanTimerRecordsStageHistogram(t *testing.T) {
-	r := NewRegistry()
-	timer := r.SpanTimer("test.stage")
-	sp := timer.Start()
-	time.Sleep(time.Millisecond)
-	if d := sp.End(); d < time.Millisecond {
-		t.Fatalf("span measured %v, want >= 1ms", d)
-	}
-	h := r.Histogram(`fovr_stage_seconds{stage="test.stage"}`)
-	if h.Count() != 1 {
-		t.Fatalf("histogram count = %d, want 1", h.Count())
-	}
-}

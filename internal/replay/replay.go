@@ -16,7 +16,6 @@ import (
 	"fovr/internal/client"
 	"fovr/internal/fov"
 	"fovr/internal/geo"
-	"fovr/internal/obs"
 	"fovr/internal/query"
 	"fovr/internal/segment"
 	"fovr/internal/server"
@@ -45,12 +44,6 @@ type Config struct {
 	// Noise is the sensor error model applied to every capture.
 	Noise trace.Noise
 }
-
-// Stage timers for the replay phases, resolved once.
-var (
-	captureSpan = obs.NewSpanTimer("replay.capture")
-	encodeSpan  = obs.NewSpanTimer("replay.encode")
-)
 
 // DefaultConfig is a mid-size city hour.
 var DefaultConfig = Config{
@@ -130,12 +123,12 @@ func Run(cfg Config) (Metrics, *server.Server, error) {
 	m.Providers = cfg.Providers
 
 	// Ingest phase: every provider walks, segments, uploads. Each stage
-	// is timed separately (and recorded as an obs span) so the report can
-	// say where ingest wall time actually goes.
+	// is timed separately so the report can say where ingest wall time
+	// actually goes.
 	samplePoints := make([]fov.Sample, 0, cfg.Providers) // one per provider, for query placement
 	ingestStart := time.Now()
 	for p := 0; p < cfg.Providers; p++ {
-		capSp := captureSpan.Start()
+		captureStart := time.Now()
 		origin := geo.Offset(trace.ScenarioOrigin, rng.Float64()*360, rng.Float64()*cfg.ExtentMeters)
 		start := int64(rng.Float64() * float64(cfg.HorizonMillis))
 		clean, err := trace.RandomWalk(trace.Config{SampleHz: cfg.SampleHz, StartMillis: start},
@@ -144,7 +137,7 @@ func Run(cfg Config) (Metrics, *server.Server, error) {
 			return Metrics{}, nil, err
 		}
 		noisy := cfg.Noise.Apply(rng, clean)
-		m.CaptureTime += capSp.End()
+		m.CaptureTime += time.Since(captureStart)
 		m.Frames += len(noisy)
 		samplePoints = append(samplePoints, noisy[rng.Intn(len(noisy))])
 
@@ -161,12 +154,12 @@ func Run(cfg Config) (Metrics, *server.Server, error) {
 		m.SegmentTime += time.Since(segmentStart)
 		// Every device shares the server's camera, so the upload omits it.
 		u.Camera = fov.Camera{}
-		encSp := encodeSpan.Start()
+		encodeStart := time.Now()
 		data, err := wire.EncodeBinary(u)
 		if err != nil {
 			return Metrics{}, nil, err
 		}
-		m.EncodeTime += encSp.End()
+		m.EncodeTime += time.Since(encodeStart)
 		m.UploadBytes += int64(len(data))
 		indexStart := time.Now()
 		ids, err := srv.Register(u)

@@ -32,7 +32,6 @@ var (
 	framesTotal   = obs.GetOrCreateCounter("fovr_segment_frames_total")
 	segmentsTotal = obs.GetOrCreateCounter("fovr_segment_segments_total")
 	frameSeconds  = obs.GetOrCreateHistogram("fovr_segment_frame_seconds")
-	splitSpan     = obs.NewSpanTimer("segment.split")
 )
 
 // Segment is one similarity-coherent piece of a video: the member samples,
@@ -280,7 +279,7 @@ func Split(cfg Config, samples []fov.Sample) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sp := splitSpan.Start()
+	start := time.Now()
 	var out []Result
 	for _, s := range samples {
 		res, err := sg.Push(s)
@@ -294,7 +293,7 @@ func Split(cfg Config, samples []fov.Sample) ([]Result, error) {
 	if res := sg.Flush(); res != nil {
 		out = append(out, *res)
 	}
-	ObserveFrames(sp.End(), len(samples))
+	ObserveFrames(time.Since(start), len(samples))
 	return out, nil
 }
 

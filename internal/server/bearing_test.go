@@ -86,7 +86,7 @@ func TestBearingRingFoundEverywhere(t *testing.T) {
 		post(ts.URL+"/query", QueryRequest{Query: q, MaxResults: 10}, &qr)
 		check("/query", qr.Results)
 	}
-	var nr NearestResponse
+	var nr QueryResponse
 	post(ts.URL+"/nearest", NearestRequest{Center: center, EndMillis: 1000, K: 10}, &nr)
 	check("/nearest", nr.Results)
 

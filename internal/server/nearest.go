@@ -2,7 +2,8 @@
 // an interval ("closest k segments to this point in this interval"
 // without choosing a radius). It is POST /query at radius 0 with N = k —
 // the same walk, ranking, trace and slow-query log, handled by the same
-// body (serveRead); only the request and answer documents differ.
+// body (serveRead), answered with a QueryResponse; only the request
+// document differs.
 package server
 
 import (
@@ -28,13 +29,6 @@ type NearestRequest struct {
 	// K bounds the result count; 0 falls back to the server's
 	// DefaultMaxResults.
 	K int `json:"k,omitempty"`
-}
-
-// NearestResponse is the ranked neighbor list, nearest first.
-type NearestResponse struct {
-	Results       []query.Ranked `json:"results"`
-	ElapsedMicros int64          `json:"elapsedMicros"`
-	TraceID       string         `json:"traceID,omitempty"`
 }
 
 // Question returns what the request asks: the query at radius 0 with

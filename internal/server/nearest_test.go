@@ -37,7 +37,7 @@ func TestNearestHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var nr NearestResponse
+	var nr QueryResponse
 	if err := json.NewDecoder(resp.Body).Decode(&nr); err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,9 @@
 // The read surface's JSON codec: POST /query and POST /nearest bodies
-// and their answers, written and parsed by hand instead of through
-// encoding/json's reflection. A routed query crosses JSON four times
-// (router decode, partition decode, partition encode, router decode +
-// re-encode), so the codec is shared by the single-node handlers, the
-// router and its partition legs.
+// and their one answer document, written and parsed by hand instead of
+// through encoding/json's reflection. A routed query crosses JSON four
+// times (router decode, partition decode, partition encode, router
+// decode + re-encode), so the codec is shared by the single-node
+// handlers, the router and its partition legs.
 //
 // The contract is byte-identity with encoding/json. Encoding appends
 // the exact bytes json.Marshal would produce; whatever has no fast form
@@ -78,28 +78,28 @@ func AppendQueryRequest(dst []byte, req *QueryRequest) ([]byte, error) {
 	return append(b, '}'), nil
 }
 
-// AppendNearestRequest appends req as json.Marshal would write it.
-func AppendNearestRequest(dst []byte, req *NearestRequest) ([]byte, error) {
-	b := append(dst, `{"center":`...)
-	b, ok := appendPoint(b, req.Center)
-	b = append(b, `,"startMillis":`...)
-	b = strconv.AppendInt(b, req.StartMillis, 10)
-	b = append(b, `,"endMillis":`...)
-	b = strconv.AppendInt(b, req.EndMillis, 10)
-	if req.K != 0 {
-		b = append(b, `,"k":`...)
-		b = strconv.AppendInt(b, int64(req.K), 10)
-	}
-	if !ok {
-		return appendMarshal(dst, *req)
-	}
-	return append(b, '}'), nil
-}
-
 // AppendQueryResponse appends resp as json.Marshal would write it. An
 // inline trace is marshalled by encoding/json in place.
 func AppendQueryResponse(dst []byte, resp *QueryResponse) ([]byte, error) {
-	b, ok := appendAnswer(dst, resp.Results, resp.ElapsedMicros, resp.TraceID)
+	b, ok := dst, true
+	if resp.Results == nil {
+		b = append(b, `{"results":null`...)
+	} else {
+		b = append(b, `{"results":[`...)
+		for i := range resp.Results {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b, ok = appendRanked(b, &resp.Results[i], ok)
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"elapsedMicros":`...)
+	b = strconv.AppendInt(b, resp.ElapsedMicros, 10)
+	if resp.TraceID != "" {
+		b = append(b, `,"traceID":`...)
+		b = appendString(b, resp.TraceID)
+	}
 	if !ok {
 		return appendMarshal(dst, *resp)
 	}
@@ -113,15 +113,6 @@ func AppendQueryResponse(dst []byte, resp *QueryResponse) ([]byte, error) {
 	return append(b, '}'), nil
 }
 
-// AppendNearestResponse appends resp as json.Marshal would write it.
-func AppendNearestResponse(dst []byte, resp *NearestResponse) ([]byte, error) {
-	b, ok := appendAnswer(dst, resp.Results, resp.ElapsedMicros, resp.TraceID)
-	if !ok {
-		return appendMarshal(dst, *resp)
-	}
-	return append(b, '}'), nil
-}
-
 // appendMarshal is the fallback: encoding/json's bytes, or its error.
 func appendMarshal(dst []byte, v any) ([]byte, error) {
 	data, err := json.Marshal(v)
@@ -129,31 +120,6 @@ func appendMarshal(dst []byte, v any) ([]byte, error) {
 		return dst, err
 	}
 	return append(dst, data...), nil
-}
-
-// appendAnswer writes the fields the two answers share, up to but not
-// including the closing brace.
-func appendAnswer(b []byte, results []query.Ranked, elapsedMicros int64, traceID string) ([]byte, bool) {
-	ok := true
-	if results == nil {
-		b = append(b, `{"results":null`...)
-	} else {
-		b = append(b, `{"results":[`...)
-		for i := range results {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b, ok = appendRanked(b, &results[i], ok)
-		}
-		b = append(b, ']')
-	}
-	b = append(b, `,"elapsedMicros":`...)
-	b = strconv.AppendInt(b, elapsedMicros, 10)
-	if traceID != "" {
-		b = append(b, `,"traceID":`...)
-		b = appendString(b, traceID)
-	}
-	return b, ok
 }
 
 func appendRanked(b []byte, r *query.Ranked, ok bool) ([]byte, bool) {
@@ -249,9 +215,8 @@ func DecodeNearestRequest(data []byte, req *NearestRequest) error {
 }
 
 // DecodeQueryResponse is json.Unmarshal(data, resp) into a zeroed
-// *resp, except that the capacity of resp.Results is reused. An answer
-// of POST /nearest is the same document without a trace, and decodes
-// through here too.
+// *resp, except that the capacity of resp.Results is reused. POST
+// /nearest answers with the same document.
 func DecodeQueryResponse(data []byte, resp *QueryResponse) error {
 	d := decoder{b: data}
 	*resp = QueryResponse{Results: resp.Results[:0]}

@@ -14,7 +14,8 @@
 //	                Responds with the ranked result list; ?explain=1
 //	                additionally inlines the full query trace.
 //	POST /nearest — body: JSON NearestRequest; the k nearest segments
-//	                that cover the point: /query at radius 0 with N = k.
+//	                that cover the point: /query at radius 0 with N = k,
+//	                answered with the same QueryResponse.
 //	GET  /stats   — index size, per-provider counts, traffic totals.
 //	POST /forget?provider=P — removes every segment of provider P.
 //	POST /checkpoint        — checkpoints the durable store now.
@@ -180,9 +181,6 @@ type Server struct {
 	traces  *obs.TraceStore // tail-sampled query traces (/debug/traces)
 	health  *obs.HealthSet  // component health checkers (/healthz)
 
-	spanInsert obs.SpanTimer // index.insert stage timer, resolved once
-	spanQuery  obs.SpanTimer // query.search stage timer, resolved once
-
 	reqSeq      atomic.Uint64 // per-request ids for log correlation
 	requests    atomic.Int64  // total HTTP requests served (Stats)
 	rollbacks   *obs.Counter  // uploads rolled back mid-insert
@@ -227,8 +225,6 @@ func New(cfg Config) (*Server, error) {
 		SlowThreshold: cfg.SlowQueryThreshold,
 		SampleRate:    cfg.TraceSampleRate,
 	})
-	s.spanInsert = s.reg.SpanTimer("index.insert")
-	s.spanQuery = s.reg.SpanTimer("query.search")
 	s.rollbacks = s.reg.Counter("fovr_upload_rollbacks_total")
 	s.slowQueries = s.reg.Counter("fovr_slow_queries_total")
 	obs.RegisterRuntimeMetrics(s.reg)
@@ -323,8 +319,6 @@ func (s *Server) RegisterTraced(u wire.Upload, trace string) ([]uint64, error) {
 	if len(u.Reps) == 0 {
 		return []uint64{}, nil
 	}
-	sp := s.spanInsert.Start()
-	defer sp.End()
 	ids := make([]uint64, 0, len(u.Reps))
 	entries := make([]index.Entry, 0, len(u.Reps))
 	s.mu.Lock()
@@ -377,8 +371,6 @@ func (s *Server) QueryCtx(ctx context.Context, q query.Query, maxResults int) ([
 	if maxResults <= 0 {
 		maxResults = s.cfg.DefaultMaxResults
 	}
-	sp := s.spanQuery.Start()
-	defer sp.End()
 	return query.SearchCtx(ctx, s.index(), q, query.Options{
 		Camera:     s.cfg.Camera,
 		MaxResults: maxResults,
@@ -631,8 +623,8 @@ func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request) { s.serve
 
 // serveRead is the one body of the two read routes: decode, the traced
 // QueryCtx, the trace store, the slow-query log, encode. A /nearest body
-// asks the query at radius 0 with N = k; its answer is /query's without
-// an inline ?explain=1 trace.
+// asks the query at radius 0 with N = k; both answer a QueryResponse,
+// and only /query inlines an ?explain=1 trace.
 func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, nearest bool) {
 	sc := getReadScratch()
 	defer putReadScratch(sc)
@@ -689,16 +681,11 @@ func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, nearest bool)
 			"traceID", tr.ID,
 		)
 	}
-	if nearest {
-		resp := NearestResponse{Results: results, ElapsedMicros: total.Microseconds(), TraceID: tr.ID}
-		sc.out, err = AppendNearestResponse(sc.out[:0], &resp)
-	} else {
-		resp := QueryResponse{Results: results, ElapsedMicros: total.Microseconds(), TraceID: tr.ID}
-		if explain {
-			resp.Trace = tr
-		}
-		sc.out, err = AppendQueryResponse(sc.out[:0], &resp)
+	resp := QueryResponse{Results: results, ElapsedMicros: total.Microseconds(), TraceID: tr.ID}
+	if explain {
+		resp.Trace = tr
 	}
+	sc.out, err = AppendQueryResponse(sc.out[:0], &resp)
 	s.writeJSON(w, sc.out, err)
 }
 

@@ -306,7 +306,7 @@ func TestSlowNearestIsLoggedAndTraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var nr NearestResponse
+	var nr QueryResponse
 	if err := json.NewDecoder(resp.Body).Decode(&nr); err != nil || len(nr.Results) != 1 {
 		t.Fatalf("status %s, %d results, err %v; want 1 result", resp.Status, len(nr.Results), err)
 	}
